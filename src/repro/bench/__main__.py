@@ -116,8 +116,8 @@ def _wallclock(quick: bool, jobs: int = 1, sim_jobs: int = 1) -> int:
         row = suite.get("comparison", {}).get(name, {})
         line = "%-18s %10.0f ev/s  %8.3f s wall" % (
             name, record["events_per_sec"], record["wall_s"])
-        if "events_per_sec_vs_prechange" in row:
-            line += "  %.2fx vs prechange" % row["events_per_sec_vs_prechange"]
+        if "events_per_sec_vs_oracle" in row:
+            line += "  %.2fx vs oracle" % row["events_per_sec_vs_oracle"]
         print(line)
         cache = record.get("flow_cache")
         if cache and cache.get("enabled"):
@@ -126,17 +126,14 @@ def _wallclock(quick: bool, jobs: int = 1, sim_jobs: int = 1) -> int:
                   % (cache.get("hits", 0), cache.get("misses", 0),
                      cache.get("invalidations", 0),
                      cache.get("evictions", 0), cache.get("entries", 0)))
-            if cache.get("compiled_enabled"):
-                print("  codegen: %d plans / %d scans compiled, "
-                      "%d plan replays / %d scan raises served, "
-                      "%d shape reuses"
-                      % (cache.get("compiled_plans", 0),
-                         cache.get("compiled_scans", 0),
-                         cache.get("compiled_replays", 0),
-                         cache.get("compiled_scan_raises", 0),
-                         cache.get("compiled_shape_hits", 0)))
-            else:
-                print("  codegen: disabled (REPRO_FLOW_COMPILE=0)")
+            print("  codegen: %d plans / %d scans compiled, "
+                  "%d plan replays / %d scan raises served, "
+                  "%d shape reuses"
+                  % (cache.get("compiled_plans", 0),
+                     cache.get("compiled_scans", 0),
+                     cache.get("compiled_replays", 0),
+                     cache.get("compiled_scan_raises", 0),
+                     cache.get("compiled_shape_hits", 0)))
         elif cache is not None:
             print("  flow-cache: disabled (REPRO_FLOW_CACHE=0)")
         for warning in row.get("warnings", ()):
@@ -152,8 +149,9 @@ def _wallclock(quick: bool, jobs: int = 1, sim_jobs: int = 1) -> int:
             failed = True
     print("\nreport written to %s" % path)
     # Fails on fingerprint drift (simulated time changed), on same-run
-    # prechange regressions, and on any partitioned leg diverging from
-    # its serial oracle; committed-baseline slowdowns only warn.
+    # regressions against the oracle leg, and on any partitioned leg
+    # diverging from its serial oracle; committed-baseline slowdowns
+    # only warn.
     return 1 if failed else 0
 
 
@@ -309,7 +307,7 @@ def _latency(quick: bool, jobs: int = 1, write_baseline_too: bool = False) -> in
     rungs = suite["rungs"]
     print("\nflow-cache rungs on %s: %s"
           % (rungs["leg"],
-             "identical across current/prechange/uncached" if rungs["ok"]
+             "identical across current/uncached" if rungs["ok"]
              else "DIVERGED %r" % rungs["fingerprints"]))
     failed = False
     for name in sorted(suite.get("comparison", {})):

@@ -24,7 +24,7 @@ __all__ = ["GOLDEN", "check_all", "check_one", "wallclock_smoke",
 DEFAULT_WARN_PCT = 20.0
 
 #: default wall-clock slowdown *failure* threshold, in percent, versus
-#: the same-run ``REPRO_FLOW_COMPILE=0`` prechange leg -- same machine,
+#: the same-run ``REPRO_FLOW_CACHE=0`` oracle leg -- same machine,
 #: same process, so a regression there is attributable to the code.
 DEFAULT_FAIL_PCT = 20.0
 
@@ -61,7 +61,7 @@ def bench_fail_pct() -> float:
     """Wall-clock same-run regression failure threshold, in percent.
 
     ``REPRO_BENCH_FAIL_PCT`` overrides the default.  Applied to the
-    current-vs-prechange ratio within one report (see
+    current-vs-oracle ratio within one report (see
     ``repro.bench.wallclock.compare_to_baseline``); unlike the warning
     threshold this one gates, because both legs ran on the same host in
     the same process.
@@ -155,8 +155,8 @@ def wallclock_smoke() -> List[Dict]:
 
     Same row shape as :func:`check_all` so ``--check`` can print one
     table.  ``ok`` is False on simulated-time fingerprint drift (against
-    the committed baseline or the same-run ``REPRO_FLOW_COMPILE=0``
-    leg) and on a same-run prechange regression past
+    the committed baseline or the same-run ``REPRO_FLOW_CACHE=0``
+    leg) and on a same-run regression against that leg past
     ``REPRO_BENCH_FAIL_PCT`` (default 20%).  Events/sec below the
     *committed* baseline only sets ``warned``: that comparison may span
     machines, so host-side throughput against it is not a golden

@@ -118,9 +118,9 @@ def run_wallclock_workloads(names: Sequence[str], quick: bool = False,
     any ``jobs`` value; the wall-clock side metrics (``wall_s``,
     ``events_per_sec``) are host measurements and vary run to run
     whether or not a pool is involved.  ``mode`` picks the bit-exactness
-    rung (``current`` / ``prechange`` / ``uncached``); it travels in the
-    task payload, so a pooled prechange leg runs under the same
-    environment override a serial one does.
+    rung (``current`` / ``uncached``); it travels in the task payload,
+    so a pooled oracle leg runs under the same environment override a
+    serial one does.
     """
     records = _map_tasks(_wallclock_task,
                          [(name, quick, repeats, mode) for name in names],
@@ -132,9 +132,9 @@ def run_wallclock_suite(names: Sequence[str], gated: Sequence[str],
                         quick: bool = False, repeats: int = 1,
                         jobs: int = 1, sim_jobs: int = 1):
     """Current-mode records for ``names``, plus a same-run
-    ``REPRO_FLOW_COMPILE=0`` twin for each workload in ``gated``.
+    ``REPRO_FLOW_CACHE=0`` twin for each workload in ``gated``.
 
-    Returns ``(current, prechange, parallel_legs)``; the first two are
+    Returns ``(current, oracle, parallel_legs)``; the first two are
     dicts keyed by name, the third the partitioned ``many_flows`` legs
     (empty unless ``sim_jobs > 1``).  The partitioned legs always run in
     *this* process, after the pool has drained: the parallel executor
@@ -142,7 +142,7 @@ def run_wallclock_suite(names: Sequence[str], gated: Sequence[str],
     ``ProcessPoolExecutor`` worker would stack process trees for no
     speedup (the partitions already saturate the cores).  Gated
     workloads are scheduled as *interleaved single-repeat pairs* --
-    current, prechange, current, prechange, ... -- and each mode keeps
+    current, oracle, current, oracle, ... -- and each mode keeps
     its best wall_s.  Running all N repeats of one leg before any of
     the twin's would let a repeat-scale noise burst (CPU steal, a cron
     tick) land entirely on one side and wedge the gated ratio; pairwise
@@ -157,13 +157,13 @@ def run_wallclock_suite(names: Sequence[str], gated: Sequence[str],
         if name in gated:
             for _ in range(max(1, repeats)):
                 payloads.append((name, quick, 1, "current"))
-                payloads.append((name, quick, 1, "prechange"))
+                payloads.append((name, quick, 1, "uncached"))
         else:
             payloads.append((name, quick, repeats, "current"))
     records = _map_tasks(_wallclock_task, payloads, jobs)
-    current, prechange = {}, {}
+    current, oracle = {}, {}
     for (name, _quick, _repeats, mode), record in zip(payloads, records):
-        bucket = current if mode == "current" else prechange
+        bucket = current if mode == "current" else oracle
         best = bucket.get(name)
         if best is not None and record["fingerprint"] != best["fingerprint"]:
             raise AssertionError(
@@ -186,4 +186,4 @@ def run_wallclock_suite(names: Sequence[str], gated: Sequence[str],
         fabric_scale = quick_scale if quick else full_scale
         parallel_legs += run_parallel_legs([sim_jobs], fabric_scale,
                                            workload="fabric_fat_tree")
-    return current, prechange, parallel_legs
+    return current, oracle, parallel_legs

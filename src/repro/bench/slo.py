@@ -23,7 +23,7 @@ wall-clock gate (PR 6) over to latency:
   run under a :class:`~repro.obs.slo.SloTracker` and every completed
   request must satisfy ``sum(components) == total_ns`` in integer
   nanoseconds -- an error otherwise, not a warning.  The same udp leg is
-  rerun on all three flow-cache rungs (:data:`~repro.bench.wallclock.
+  rerun on both flow-cache rungs (:data:`~repro.bench.wallclock.
   _MODE_ENV`) and the fingerprints must agree across them.
 
 Legs (quick request counts in parentheses): ``udp_echo`` at mean gaps of
@@ -62,7 +62,9 @@ __all__ = [
     "write_baseline",
 ]
 
-REPORT_SCHEMA_VERSION = 1
+#: Schema 2: ``rungs.fingerprints`` carries ``current`` and ``uncached``
+#: (the ``prechange`` rung is gone); percentile fingerprints unchanged.
+REPORT_SCHEMA_VERSION = 2
 REPORT_FILENAME = "BENCH_latency.json"
 
 _REPO_ROOT = os.path.abspath(
@@ -551,21 +553,18 @@ def _latency_task(payload: Tuple[str, str, bool]) -> Dict:
 def run_latency_suite(quick: bool = True, jobs: int = 1) -> Dict:
     """Run every leg, probe and rung; returns the full report dict."""
     from .runner import _map_tasks
-    from .wallclock import host_fingerprint
+    from .wallclock import _MODE_ENV, host_fingerprint
 
     legs = leg_names(quick)
     payloads = ([("leg", name, quick) for name in legs]
                 + [("probe", name, quick) for name in PROBES]
-                + [("rung", mode, quick)
-                   for mode in ("current", "prechange", "uncached")])
+                + [("rung", mode, quick) for mode in _MODE_ENV])
     results = _map_tasks(_latency_task, payloads, jobs)
     merged = dict(zip([(kind, param) for kind, param, _q in payloads],
                       results))
-    rung_fingerprints = {mode: merged[("rung", mode)]
-                         for mode in ("current", "prechange", "uncached")}
-    rung_ok = (rung_fingerprints["current"]
-               == rung_fingerprints["prechange"]
-               == rung_fingerprints["uncached"])
+    rung_fingerprints = {mode: merged[("rung", mode)] for mode in _MODE_ENV}
+    rung_ok = all(fingerprint == rung_fingerprints["current"]
+                  for fingerprint in rung_fingerprints.values())
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "generated_by": "python -m repro.bench --latency",

@@ -66,10 +66,10 @@ __all__ = [
 #: counters start at zero, so the snapshot *is* the registry delta for
 #: that workload.  Schema 5 adds the ``host`` fingerprint (CPU / python
 #: version, so cross-machine drift is labeled instead of silently
-#: warned), the flow-cache ``compiled_*`` counters, and the ``prechange``
-#: section: a second, same-process run of every codegen-enabled workload
-#: under ``REPRO_FLOW_COMPILE=0``, which is what the comparison gate
-#: *fails* on -- same machine, same run, no cross-host noise.  The
+#: warned), the flow-cache ``compiled_*`` counters, and a second,
+#: same-process run of every codegen-enabled workload on the
+#: interpreted rung, which is what the comparison gate *fails* on --
+#: same machine, same run, no cross-host noise.  The
 #: report deliberately records nothing else about *how* it was produced
 #: beyond ``generated_by``: a parallel run (``repro.bench.runner``,
 #: ``--jobs N``) must emit the byte-identical file a serial run does.
@@ -84,7 +84,11 @@ __all__ = [
 #: traffic across a k=4 fat-tree of match-action switches) and lets the
 #: ``parallel`` section carry legs from more than one workload; existing
 #: records and their fingerprints are unchanged.
-REPORT_SCHEMA_VERSION = 7
+#: Schema 8: that twin is now the ``REPRO_FLOW_CACHE=0`` linear scan
+#: and is named for it -- section ``oracle`` (was ``prechange``), row
+#: key ``events_per_sec_vs_oracle`` -- and ``flow_cache`` / ``metrics``
+#: drop their ``compiled_enabled`` entries.  Fingerprints are unchanged.
+REPORT_SCHEMA_VERSION = 8
 REPORT_FILENAME = "BENCH_wallclock.json"
 
 #: repo-root and committed-baseline locations, resolved relative to this file
@@ -110,7 +114,7 @@ def _flow_cache_counters(hosts) -> Dict:
     total: Dict = {}
     for host in hosts:
         for key, value in host.dispatcher.flow_cache.counters().items():
-            if key in ("enabled", "compiled_enabled"):
+            if key == "enabled":
                 total[key] = bool(total.get(key)) or value
             else:
                 total[key] = total.get(key, 0) + value
@@ -929,9 +933,9 @@ ON_DEMAND_WORKLOADS = ("mega_flows", "fabric_fat_tree")
 _WARMUP_SCALE: Dict[str, int] = {"mega_flows": 2_000, "fabric_fat_tree": 10}
 
 #: workloads with a SPIN dispatcher in the loop: exactly these behave
-#: differently under ``REPRO_FLOW_COMPILE`` / ``REPRO_FLOW_CACHE`` and
-#: get a same-run prechange twin.  ``many_flows`` runs the UNIX model,
-#: where the modes are indistinguishable.
+#: differently under ``REPRO_FLOW_CACHE`` and get a same-run oracle
+#: twin.  ``many_flows`` runs the UNIX model, where the rungs are
+#: indistinguishable.
 COMPILED_WORKLOADS = ("dispatcher_micro", "tcp_bulk", "udp_pingpong")
 
 
@@ -956,13 +960,12 @@ def host_fingerprint() -> Dict[str, str]:
     }
 
 
-#: environment overrides per benchmark mode.  ``prechange`` is the PR 2
-#: substrate -- flow cache on, generated code off -- rerun in the same
-#: process on the same machine, which is the only comparison stable
-#: enough to gate on.
+#: environment overrides per benchmark mode.  ``uncached`` is the
+#: reference oracle -- every raise the interpreted linear scan -- rerun
+#: in the same process on the same machine, which is the only
+#: comparison stable enough to gate on.
 _MODE_ENV: Dict[str, Dict[str, str]] = {
     "current": {},
-    "prechange": {"REPRO_FLOW_COMPILE": "0"},
     "uncached": {"REPRO_FLOW_CACHE": "0"},
 }
 
@@ -1013,7 +1016,7 @@ def run_workload(name: str, quick: bool = False,
         # timed region.  Without it the first workload of a suite runs
         # cold while legs later in the same process run warm -- a
         # systematic bias that once showed a quick-scale micro-benchmark
-        # at 0.79x against its own prechange twin.  Uninstrumented: the
+        # at 0.79x against its own same-run twin.  Uninstrumented: the
         # warmup bed is thrown away and must not pollute a profiler.
         fn(_WARMUP_SCALE.get(name, quick_scale), instrument=None)
         for _ in range(max(1, repeats)):
@@ -1047,20 +1050,19 @@ def run_workload(name: str, quick: bool = False,
 
 
 def run_suite(quick: bool = False, repeats: int = 1,
-              names=None, jobs: int = 1, prechange: bool = True,
-              sim_jobs: int = 1) -> Dict:
+              names=None, jobs: int = 1, sim_jobs: int = 1) -> Dict:
     """Run every workload; returns the full report dict.
 
     ``jobs > 1`` shards the workloads across worker processes (see
     ``repro.bench.runner``); fingerprints -- and therefore the pass/fail
     outcome -- are identical for any jobs count.
 
-    With ``prechange`` (the default), every workload whose flow cache
-    compiled generated code is rerun under ``REPRO_FLOW_COMPILE=0`` --
-    the PR 2 interpreted substrate -- on this machine in this run.
-    That leg is both the oracle (its fingerprints must match the
-    compiled run byte-for-byte) and the denominator of the one speed
-    ratio stable enough to *fail* on (see :func:`compare_to_baseline`).
+    Every workload whose flow cache compiled generated code is rerun
+    under ``REPRO_FLOW_CACHE=0`` -- the interpreted linear scan -- on
+    this machine in this run.  That leg is both the oracle (its
+    fingerprints must match the compiled run byte-for-byte) and the
+    denominator of the one speed ratio stable enough to *fail* on (see
+    :func:`compare_to_baseline`).
 
     ``sim_jobs > 1`` additionally runs partitioned ``many_flows`` legs
     (serial oracle + parallel executor at ``sim_jobs`` partitions) and
@@ -1068,18 +1070,17 @@ def run_suite(quick: bool = False, repeats: int = 1,
     workload records above are not affected -- the partitioned leg is
     extra, gated on exact equality with its own serial oracle.
     """
-    from ..spin.flowcache import flow_cache_enabled, flow_compile_enabled
+    from ..spin.flowcache import flow_cache_enabled
     from .runner import run_wallclock_suite
     workload_names = list(names or sorted(
         name for name in WORKLOADS if name not in ON_DEMAND_WORKLOADS))
     # Only workloads that will actually run generated code have a
     # meaningful interpreted twin.  Statically selected (COMPILED_
-    # WORKLOADS x environment switches), so the payload list -- and the
-    # report -- is deterministic, and skipped entirely when the whole
-    # suite already runs interpreted (e.g. the CI oracle leg).
+    # WORKLOADS x the environment switch), so the payload list -- and
+    # the report -- is deterministic, and skipped entirely when the
+    # whole suite already runs interpreted.
     gated = [name for name in workload_names
-             if prechange and name in COMPILED_WORKLOADS
-             and flow_cache_enabled() and flow_compile_enabled()]
+             if name in COMPILED_WORKLOADS and flow_cache_enabled()]
     workloads, legs, parallel_legs = run_wallclock_suite(
         workload_names, gated, quick=quick, repeats=repeats, jobs=jobs,
         sim_jobs=sim_jobs)
@@ -1091,7 +1092,7 @@ def run_suite(quick: bool = False, repeats: int = 1,
         "workloads": workloads,
     }
     if legs:
-        report["prechange"] = {
+        report["oracle"] = {
             name: {key: leg[key] for key in
                    ("wall_s", "events_per_sec", "fingerprint")}
             for name, leg in legs.items()
@@ -1132,12 +1133,12 @@ def load_baseline(path: str = None) -> Optional[Dict]:
 def compare_to_baseline(report: Dict, baseline: Dict,
                         slowdown_warn: Optional[float] = None,
                         slowdown_fail: Optional[float] = None) -> Dict:
-    """Compare a fresh report against its prechange leg and the baseline.
+    """Compare a fresh report against its oracle leg and the baseline.
 
     Two comparisons with deliberately different teeth:
 
-    * **Same-run prechange gate (fails).**  When the report carries a
-      ``prechange`` leg (:func:`run_suite`), its fingerprints must match
+    * **Same-run oracle gate (fails).**  When the report carries an
+      ``oracle`` leg (:func:`run_suite`), its fingerprints must match
       the current run byte-for-byte, and events/sec below ``1 -
       slowdown_fail`` of the leg is an *error* -- same machine, same
       process, same minute, so a regression there is the code, not the
@@ -1153,7 +1154,7 @@ def compare_to_baseline(report: Dict, baseline: Dict,
       baseline ``host`` fingerprints differ the warning says so: the
       numbers were measured on different hardware and carry no signal.
 
-    Rows also record ``events_per_sec_vs_prechange`` (same-run, gated),
+    Rows also record ``events_per_sec_vs_oracle`` (same-run, gated),
     ``events_per_sec_vs_baseline`` and
     ``events_per_sec_vs_committed_prechange`` (informational).
     """
@@ -1166,7 +1167,7 @@ def compare_to_baseline(report: Dict, baseline: Dict,
     mode = "quick" if report["quick"] else "full"
     base_workloads = baseline.get(mode, {}).get("workloads", {})
     committed_prechange = baseline.get(mode, {}).get("prechange", {})
-    prechange_leg = report.get("prechange", {})
+    oracle_leg = report.get("oracle", {})
     baseline_host = baseline.get("host")
     cross_machine = baseline_host is None or baseline_host != report.get("host")
     host_note = (" (informational: baseline recorded on a different or "
@@ -1175,22 +1176,22 @@ def compare_to_baseline(report: Dict, baseline: Dict,
     for name, record in report["workloads"].items():
         row = {"workload": name, "ok": True, "warnings": [], "errors": []}
         rows[name] = row
-        # -- same-run prechange leg: the hard gate ----------------------
-        pre_run = prechange_leg.get(name)
-        if pre_run is not None:
-            if record["fingerprint"] != pre_run["fingerprint"]:
+        # -- same-run oracle leg: the hard gate -------------------------
+        twin = oracle_leg.get(name)
+        if twin is not None:
+            if record["fingerprint"] != twin["fingerprint"]:
                 row["ok"] = False
                 row["errors"].append(
                     "compiled/interpreted divergence: fingerprint %r != "
-                    "REPRO_FLOW_COMPILE=0 leg %r"
-                    % (record["fingerprint"], pre_run["fingerprint"]))
-            if pre_run.get("events_per_sec"):
-                ratio = record["events_per_sec"] / pre_run["events_per_sec"]
-                row["events_per_sec_vs_prechange"] = ratio
+                    "REPRO_FLOW_CACHE=0 leg %r"
+                    % (record["fingerprint"], twin["fingerprint"]))
+            if twin.get("events_per_sec"):
+                ratio = record["events_per_sec"] / twin["events_per_sec"]
+                row["events_per_sec_vs_oracle"] = ratio
                 if ratio < 1.0 - slowdown_fail:
                     row["ok"] = False
                     row["errors"].append(
-                        "events/sec is %.0f%% of the same-run prechange "
+                        "events/sec is %.0f%% of the same-run oracle "
                         "leg (fail threshold %.0f%%)"
                         % (100 * ratio, 100 * (1.0 - slowdown_fail)))
         # -- committed baseline: determinism hard, speed informational --

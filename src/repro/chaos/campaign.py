@@ -348,11 +348,6 @@ def _flow_cache_armed(bed) -> bool:
     return dispatcher is not None and dispatcher.flow_cache.enabled
 
 
-def _codegen_armed(bed) -> bool:
-    dispatcher = getattr(bed.hosts[0], "dispatcher", None)
-    return dispatcher is not None and dispatcher.flow_cache.compile_enabled
-
-
 def _mode_fingerprint(spec: CampaignSpec, env: Dict[str, str]) -> Dict[str, Any]:
     """Re-run the identical campaign under the given mode overrides."""
     saved = {key: os.environ.get(key) for key in env}
@@ -372,22 +367,15 @@ def run_campaign(spec: CampaignSpec) -> Dict[str, Any]:
     ctx = _execute(spec)
     fingerprint = ctx.fingerprint()
     if spec.oracle and spec.os_name == "spin" and _flow_cache_armed(ctx.bed):
-        # Both lower rungs of the bit-exactness ladder: the fully
-        # interpreted oracle, and -- when the primary run used generated
-        # code -- the interpreted-replay (PR 2) twin as well.
-        oracle_modes = [("REPRO_FLOW_CACHE=0 oracle",
-                         {"REPRO_FLOW_CACHE": "0"})]
-        if _codegen_armed(ctx.bed):
-            oracle_modes.append(("REPRO_FLOW_COMPILE=0 replay",
-                                 {"REPRO_FLOW_COMPILE": "0"}))
-        for label, env in oracle_modes:
-            oracle = _mode_fingerprint(spec, env)
-            if oracle != fingerprint:
-                diverged = sorted(key for key in fingerprint
-                                  if oracle.get(key) != fingerprint[key])
-                ctx.oracle_violations.append(
-                    "compiled-path run diverges from the %s "
-                    "in: %s" % (label, ", ".join(diverged)))
+        # The other rung of the bit-exactness ladder: the same campaign
+        # with every raise on the interpreted linear scan.
+        oracle = _mode_fingerprint(spec, {"REPRO_FLOW_CACHE": "0"})
+        if oracle != fingerprint:
+            diverged = sorted(key for key in fingerprint
+                              if oracle.get(key) != fingerprint[key])
+            ctx.oracle_violations.append(
+                "compiled-path run diverges from the REPRO_FLOW_CACHE=0 "
+                "oracle in: %s" % ", ".join(diverged))
     violations = check_all(ctx)
     from ..obs.wire import instrument_testbed
     verdict = {

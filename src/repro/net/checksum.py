@@ -20,22 +20,18 @@ bound million-packet experiment sweeps:
 * large buffers are summed in bounded 2 KB chunks with a precompiled
   ``struct.Struct`` -- zero-copy over a ``memoryview``, with constant
   extra allocation regardless of input size;
-* an optional numpy backend (``set_backend("numpy")`` or
-  ``REPRO_CHECKSUM_BACKEND=numpy``) sums via a zero-copy ``>u2`` array
-  view;
-* the default ``auto`` backend mixes the two by size: small buffers keep
-  the ``int.from_bytes`` path (numpy's per-call overhead loses below a
-  few hundred bytes) while large ones take the numpy view when numpy is
-  importable, falling back to the chunked stdlib loop when it is not.
-  ``REPRO_CHECKSUM_BACKEND=python`` forces the pure-stdlib reference.
+* when numpy is importable, large buffers are instead summed via a
+  zero-copy ``>u2`` array view; small ones keep the ``int.from_bytes``
+  path (numpy's per-call overhead loses below a few hundred bytes).
 
-All backends produce bit-identical results; ``internet_checksum_reference``
-keeps the original per-byte implementation for cross-checking in tests.
+The choice is made per buffer from its size and numpy's presence, never
+by a switch.  Every path produces bit-identical results;
+``internet_checksum_reference`` keeps the original per-byte
+implementation for cross-checking in tests.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from typing import Union
 
@@ -47,8 +43,6 @@ __all__ = [
     "verify_checksum",
     "charged_checksum",
     "word_sum",
-    "set_backend",
-    "get_backend",
 ]
 
 Buffer = Union[bytes, bytearray, memoryview]
@@ -119,53 +113,20 @@ def _word_sum_numpy(data: Buffer) -> int:
 
 
 try:
-    import numpy as _numpy  # noqa: F401  (availability probe for "auto")
+    import numpy as _numpy  # noqa: F401  (availability probe)
 except ImportError:  # pragma: no cover - exercised on numpy-free hosts
     _numpy = None
 
 
-def _word_sum_auto(data: Buffer) -> int:
+def _word_sum(data: Buffer) -> int:
     """Size-dispatched word sum: stdlib for small buffers, numpy for big.
 
-    All backends are congruent mod 0xFFFF, so the folded checksum is
+    Both sums are congruent mod 0xFFFF, so the folded checksum is
     bit-identical whichever path a given buffer takes.
     """
     if len(data) <= _SMALL or _numpy is None:
         return _word_sum_python(data)
     return _word_sum_numpy(data)
-
-
-_BACKENDS = {
-    "python": _word_sum_python,
-    "numpy": _word_sum_numpy,
-    "auto": _word_sum_auto,
-}
-_word_sum = _BACKENDS["auto"]
-
-
-def set_backend(name: str) -> None:
-    """Select the summation backend (``"auto"``, ``"python"``, ``"numpy"``)."""
-    global _word_sum
-    if name not in _BACKENDS:
-        raise ValueError("unknown checksum backend %r (choose from %s)"
-                         % (name, sorted(_BACKENDS)))
-    if name == "numpy":  # fail here, not on the first packet
-        import numpy  # noqa: F401
-    _word_sum = _BACKENDS[name]
-
-
-def get_backend() -> str:
-    for name, fn in _BACKENDS.items():
-        if fn is _word_sum:
-            return name
-    raise AssertionError("unreachable")
-
-
-if os.environ.get("REPRO_CHECKSUM_BACKEND"):
-    try:
-        set_backend(os.environ["REPRO_CHECKSUM_BACKEND"])
-    except ImportError:  # numpy requested but absent: keep the stdlib path
-        pass
 
 
 def word_sum(data: Buffer) -> int:

@@ -81,7 +81,6 @@ EXPORT_SCHEMA: Dict[str, tuple] = {
     "spin.dispatcher.raises": ("gauge", "event raises (linear or compiled)"),
     "spin.dispatcher.invocations": ("gauge", "handler invocations"),
     "spin.flowcache.capacity": ("gauge", "flow cache LRU capacity"),
-    "spin.flowcache.compiled.enabled": ("gauge", "hosts compiling plans/scans to generated code"),
     "spin.flowcache.compiled.plans": ("gauge", "flow plans compiled to generated functions"),
     "spin.flowcache.compiled.replays": ("gauge", "raises served by a generated plan function"),
     "spin.flowcache.compiled.scan_raises": ("gauge", "raises served by a generated scan function"),

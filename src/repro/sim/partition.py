@@ -86,7 +86,7 @@ _FAR = float("inf")
 def sim_parallel_enabled() -> bool:
     """False when ``REPRO_SIM_PARALLEL=0`` selects the serial oracle.
 
-    Mirrors ``REPRO_FLOW_CACHE`` / ``REPRO_FLOW_COMPILE``: the parallel
+    Mirrors ``REPRO_FLOW_CACHE``: the parallel
     executor is on by default and the knob drops the *same* partitioned
     round algorithm onto the in-process serial executor, whose results
     the parallel ones must match bit-for-bit.

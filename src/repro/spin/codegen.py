@@ -1,14 +1,12 @@
 """Generated delivery paths: plans and scans compiled to Python source.
 
-PR 2's flow cache recorded guard verdicts and *replayed* them through an
-interpreted loop -- cheaper than calling every guard, but still one
-interpreter dispatch between every layer of the delivery chain.  This
-module finishes the move the paper's specialized-path argument calls
-for: the verdict list of a hot (flow, event) pair -- or, for flowless
-events, the handler snapshot itself -- is compiled via ``compile()`` +
-``exec`` into one straight-line Python function in which guard verdicts
-are branches, cost charges are constants bound as default arguments, and
-handler calls are direct.
+The flow cache records the guard verdicts of a (flow, event) pair; this
+module is how they are served, the move the paper's specialized-path
+argument calls for: the verdict list -- or, for flowless events, the
+handler snapshot itself -- is compiled via ``compile()`` + ``exec`` into
+one straight-line Python function in which guard verdicts are branches,
+cost charges are constants bound as default arguments, and handler calls
+are direct.
 
 Shape cache: two plans with the same structure -- the same sequence of
 (rejected / inline / thread, guarded?, time-limited?) steps -- share one
@@ -29,7 +27,7 @@ specialized -- not an approximation of it):
   and the priming write is a zero delta, invisible to an installed
   ``repro.obs`` profiling hook;
 * ``cpu.profile`` frames are pushed/popped exactly as the interpreted
-  paths do, so flamegraphs see compiled raises identically;
+  scan does, so flamegraphs see compiled raises identically;
 * per-step ``installed`` checks are retained wherever user code (a
   guard or inline handler) has already run in the raise, so a handler
   uninstalled mid-raise is skipped just as the interpreted snapshot
@@ -37,14 +35,15 @@ specialized -- not an approximation of it):
   at-entry value (every snapshot handle is installed at entry) and the
   check is elided.
 
-``REPRO_FLOW_COMPILE=0`` (read by ``repro.spin.flowcache``) disables
-this module's output: plans fall back to PR 2 interpreted replay and
-flowless raises to the interpreted linear walk.
+There is no switch for this module alone: generated code is the default
+rung, and ``REPRO_FLOW_CACHE=0`` (read by ``repro.spin.flowcache``) is
+the other one -- no plans, no scans, every raise the interpreted linear
+scan (``Dispatcher._scan_linear``) these functions are checked against.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..hw.cpu import ChargeError
 
@@ -56,9 +55,10 @@ __all__ = [
 ]
 
 #: compiled functions are straight-line, so source size grows with the
-#: step count; past this many steps fall back to the interpreted paths
-#: (no workload in the repo comes close -- the Plexus events carry a
-#: handful of handlers each).
+#: step count; the dispatcher compiles nothing for an event with more
+#: handlers than this and keeps it on the interpreted linear scan (no
+#: workload in the repo comes close -- the Plexus events carry a handful
+#: of handlers each).
 MAX_COMPILED_STEPS = 32
 
 #: exact interpreter error texts, shared with ``repro.hw.cpu`` semantics.
@@ -108,7 +108,7 @@ def _defaults(kind: str, atoms) -> List[str]:
     Binding handles, handlers, guards, and the cost constants as default
     arguments turns every access into a ``LOAD_FAST`` -- no closure
     dereferences, no attribute walks -- which is where the generated
-    code's speed over the interpreted loop comes from.
+    code's speed over the interpreted scan comes from.
     """
     lines = [
         "_event=event",
@@ -184,8 +184,8 @@ def _emit_source(kind: str, atoms) -> str:
     out.append("    ):")
     b = "        "
     if kind == "plan":
-        # Interpreted-replay parity: with no open accumulator the linear
-        # path's first charge would raise; fall back so it does.
+        # With no open accumulator the linear scan's first charge
+        # would raise; fall back so it does.
         out.append(b + "if not _stack:")
         out.append(b + "    return _dispatcher.raise_event(_event, *args)")
     out.append(b + "times = _cpu.category_times")
@@ -291,14 +291,8 @@ def _factory_for(kind: str, atoms: Tuple[str, ...], cache) -> Callable:
 # entry points
 # ---------------------------------------------------------------------------
 
-def compile_plan(dispatcher, event, steps) -> Optional[Callable]:
-    """One generated function replaying ``steps`` for a (flow, event).
-
-    Returns None past :data:`MAX_COMPILED_STEPS`; interpreted replay
-    (``Dispatcher._replay_plan``) then serves the plan.
-    """
-    if len(steps) > MAX_COMPILED_STEPS:
-        return None
+def compile_plan(dispatcher, event, steps) -> Callable:
+    """One generated function replaying ``steps`` for a (flow, event)."""
     cache = dispatcher.flow_cache
     factory = _factory_for("plan", _plan_atoms(steps), cache)
     fn = factory(event, dispatcher, cache,
@@ -308,7 +302,7 @@ def compile_plan(dispatcher, event, steps) -> Optional[Callable]:
     return fn
 
 
-def compile_scan(dispatcher, event, snapshot) -> Optional[Callable]:
+def compile_scan(dispatcher, event, snapshot) -> Callable:
     """One generated function for the flowless linear scan of ``event``.
 
     Unlike a plan, the scan calls every live guard -- it specializes the
@@ -316,8 +310,6 @@ def compile_scan(dispatcher, event, snapshot) -> Optional[Callable]:
     verdicts, so it applies to events with no flow entry at all (e.g.
     the dispatcher micro-benchmark's raw ``raise_event`` loop).
     """
-    if len(snapshot) > MAX_COMPILED_STEPS:
-        return None
     cache = dispatcher.flow_cache
     atoms = tuple(_handle_atom(handle) for handle in snapshot)
     factory = _factory_for("scan", atoms, cache)

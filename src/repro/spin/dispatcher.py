@@ -28,7 +28,7 @@ import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..hw.cpu import THREAD_PRIORITY, ChargeError
-from .codegen import compile_plan, compile_scan
+from .codegen import MAX_COMPILED_STEPS, compile_plan, compile_scan
 from .flowcache import CompiledPlan, FlowCache, FlowEntry
 
 __all__ = ["Dispatcher", "EventDecl", "HandlerHandle", "DispatchError"]
@@ -240,11 +240,10 @@ class Dispatcher:
         Semantically identical to :meth:`raise_event` -- same handlers
         run, same statistics move, same simulated costs are charged in
         the same order -- but on a cache hit the recorded guard verdicts
-        run as a generated straight-line function (or, under
-        ``REPRO_FLOW_COMPILE=0``, through the interpreted replay loop)
-        instead of calling each guard, which is where the host-side
-        demultiplexing time goes.  ``flow`` is the packet's
-        :class:`FlowEntry` (``None`` falls back to the flowless scan).
+        run as a generated straight-line function instead of calling
+        each guard, which is where the host-side demultiplexing time
+        goes.  ``flow`` is the packet's :class:`FlowEntry` (``None``
+        falls back to the flowless scan).
         """
         if flow is None:
             return self.raise_event(event, *args)
@@ -254,39 +253,41 @@ class Dispatcher:
         # plan's reference keeps its old tuple alive, so ids never alias).
         if plan is not None and plan.snapshot is event._snapshot:
             self.flow_cache.hits += 1
-            fn = plan.fn
-            if fn is not None:
-                return fn(args)
-            return self._replay_plan(event, plan.steps, args)
+            return plan.fn(args)
         return self._raise_cold(event, flow, args)
 
     def _raise_cold(self, event: EventDecl, flow: Optional[FlowEntry],
                     args) -> int:
         """Every raise with no valid compiled artifact lands here.
 
-        This is the *single* divergence point of the three delivery
-        modes (PR 5 had to instrument three hand-inlined paths; any
-        verdict-ordering change now happens once):
+        This is the *single* divergence point of the two rungs (any
+        verdict-ordering change happens once):
 
-        * flowless + codegen enabled: compile and immediately run the
-          event's scan function;
-        * flowless otherwise: the interpreted linear walk;
+        * cache disabled (``REPRO_FLOW_CACHE=0``), or an event past
+          ``MAX_COMPILED_STEPS``: the interpreted linear scan, nothing
+          recorded or compiled -- what the oracle runs;
+        * flowless: compile and immediately run the event's scan
+          function;
         * flow given: classify the miss (absent plan) or invalidation
           (stale plan), run the interpreted reference scan recording
-          verdicts, then cache -- and, when enabled, compile -- the plan.
+          verdicts, then compile and cache the plan.
         """
         cache = self.flow_cache
-        snapshot = event._snapshot
+        try:
+            snapshot = event._snapshot
+        except AttributeError:
+            raise DispatchError(
+                "raise_flow requires an EventDecl capability") from None
         record = None
-        if flow is not None:
-            if event in flow.plans:
-                cache.invalidations += 1
+        if cache.enabled and len(snapshot) <= MAX_COMPILED_STEPS:
+            if flow is not None:
+                if event in flow.plans:
+                    cache.invalidations += 1
+                else:
+                    cache.misses += 1
+                record = []
             else:
-                cache.misses += 1
-            record = []
-        elif cache.compile_enabled:
-            fn = compile_scan(self, event, snapshot)
-            if fn is not None:
+                fn = compile_scan(self, event, snapshot)
                 event._scan = (snapshot, fn)
                 return fn(args)
         matched, cacheable = self._scan_linear(event, snapshot, args, record)
@@ -294,10 +295,10 @@ class Dispatcher:
         # accounting must re-run per packet), nor is one that disturbed
         # the event mid-raise (the verdicts describe a dead snapshot).
         if record is not None and cacheable and event._snapshot is snapshot:
-            plan = CompiledPlan(event.generation, snapshot, tuple(record))
-            if cache.compile_enabled:
-                plan.fn = compile_plan(self, event, plan.steps)
-            flow.plans[event] = plan
+            steps = tuple(record)
+            flow.plans[event] = CompiledPlan(
+                event.generation, snapshot, steps,
+                compile_plan(self, event, steps))
         return matched
 
     def _scan_linear(self, event: EventDecl, snapshot, args,
@@ -306,9 +307,8 @@ class Dispatcher:
 
         Returns ``(matched, cacheable)``; appends ``(handle, verdict)``
         pairs to ``record`` when recording for a flow plan.  This is the
-        one interpreted implementation both the ``REPRO_FLOW_COMPILE=0``
-        replay mode and the ``REPRO_FLOW_CACHE=0`` oracle exercise per
-        raise, and the generated code's semantic template.
+        one interpreted implementation: what the ``REPRO_FLOW_CACHE=0``
+        oracle runs per raise, and the generated code's semantic template.
         cpu.charge / begin / end / recharge are inlined below (exact
         bodies, exact order): at one dispatch per simulated packet hop
         the call frames themselves dominate host-side dispatch time.
@@ -398,80 +398,6 @@ class Dispatcher:
             if profile is not None:
                 profile.pop()
         return matched, cacheable
-
-    def _replay_plan(self, event: EventDecl, steps, args) -> int:
-        """Interpreted plan replay: guards skipped, costs charged verbatim.
-
-        The ``REPRO_FLOW_COMPILE=0`` path (and the fallback for plans
-        past the codegen step cap) -- PR 2's behavior, preserved as the
-        mid-rung of the bit-exactness ladder.  The charge sequence below
-        is ``cpu.charge`` inlined -- the exact float additions, in the
-        exact order, the linear scan performs -- so simulated time and
-        category accounting stay bit-identical.
-        """
-        cpu = self.host.cpu
-        stack = cpu._stack
-        if not stack:
-            # No open accumulator: the linear path's first charge would
-            # raise ChargeError at the same point; let it.
-            return self.raise_event(event, *args)
-        costs = self.host.costs
-        guard_cost = costs.guard_eval
-        handler_cost = costs.dispatch_per_handler
-        times = cpu.category_times
-        event.raise_count += 1
-        self.total_raises += 1
-        matched = 0
-        profile = cpu.profile
-        if profile is not None:
-            profile.push(event.name)
-        try:
-            for handle, ok in steps:
-                if not handle.installed:
-                    continue
-                if handle.guard is not None:
-                    stack[-1] += guard_cost
-                    try:
-                        times["dispatch"] += guard_cost
-                    except KeyError:
-                        times["dispatch"] = guard_cost
-                    if not ok:
-                        handle.guard_rejections += 1
-                        continue
-                matched += 1
-                stack[-1] += handler_cost
-                try:
-                    times["dispatch"] += handler_cost
-                except KeyError:
-                    times["dispatch"] = handler_cost
-                if handle.mode == "thread":
-                    self._delegate_to_thread(handle, args)
-                    continue
-                handle.invocations += 1
-                self.total_invocations += 1
-                stack.append(0.0)
-                marker = len(stack)
-                try:
-                    handle.handler(*args)
-                except Exception as exc:  # containment: may not crash kernel
-                    handle.failures += 1
-                    handle.last_error = exc
-                finally:
-                    if marker != len(stack):
-                        raise ChargeError(
-                            "mismatched cpu.end(): marker %d but stack depth "
-                            "%d" % (marker, len(stack)))
-                    spent = stack.pop()
-                limit = handle.time_limit
-                if limit is not None and spent > limit:
-                    handle.terminations += 1
-                    stack[-1] += limit
-                else:
-                    stack[-1] += spent
-        finally:
-            if profile is not None:
-                profile.pop()
-        return matched
 
     # -- delivery -------------------------------------------------------------------
 

@@ -40,17 +40,16 @@ Every guard the protocol managers construct satisfies this by design
 classifier cannot reduce to a flow key -- truncated headers, IP
 fragments -- carry no flow entry and take the linear path.
 
-Plans additionally compile to generated Python fast paths
-(``repro.spin.codegen``) -- the three-way mode ladder:
+A recorded plan is served as a generated Python function
+(``repro.spin.codegen``), so there are two rungs:
 
 * default: plans and flowless scans run as generated functions;
-* ``REPRO_FLOW_COMPILE=0``: PR 2 behavior -- plans replay through the
-  interpreted loop, flowless raises walk the handler list;
-* ``REPRO_FLOW_CACHE=0``: the uncached oracle -- no plans, no generated
+* ``REPRO_FLOW_CACHE=0``: the reference oracle -- no plans, no generated
   code, every raise is the interpreted linear scan.
 
-The equivalence tests run all three ways and assert identical delivery
-order, counters, and bit-identical simulated time.
+The equivalence tests, the chaos oracle and the bench twins run both and
+assert identical delivery order, counters, and bit-identical simulated
+time.
 """
 
 from __future__ import annotations
@@ -58,25 +57,12 @@ from __future__ import annotations
 import os
 from typing import Callable, Dict, Optional, Tuple
 
-__all__ = ["FlowCache", "FlowEntry", "CompiledPlan", "flow_cache_enabled",
-           "flow_compile_enabled"]
+__all__ = ["FlowCache", "FlowEntry", "CompiledPlan", "flow_cache_enabled"]
 
 
 def flow_cache_enabled() -> bool:
     """Whether the environment enables flow caching (default: yes)."""
     return os.environ.get("REPRO_FLOW_CACHE", "1") != "0"
-
-
-def flow_compile_enabled() -> bool:
-    """Whether plans/scans compile to generated code (default: yes).
-
-    ``REPRO_FLOW_COMPILE=0`` keeps the flow cache but serves it through
-    the interpreted replay loop -- the PR 2 behavior, kept as the
-    mid-rung of the bit-exactness ladder and as the "prechange" leg the
-    wall-clock bench gate measures against.  Implies nothing when the
-    cache itself is off.
-    """
-    return os.environ.get("REPRO_FLOW_COMPILE", "1") != "0"
 
 
 class CompiledPlan:
@@ -86,25 +72,23 @@ class CompiledPlan:
     order; ``snapshot`` is the event's handler snapshot the verdicts
     were recorded against, and the plan is valid exactly while that
     tuple is still (identically) the event's current one.  ``fn`` is
-    the generated fast-path function from ``repro.spin.codegen`` (None
-    under ``REPRO_FLOW_COMPILE=0`` or past the step cap, in which case
-    the interpreted replay loop serves the plan).  ``generation`` is
-    the dispatcher epoch the plan was recorded at, for observability.
+    the generated function from ``repro.spin.codegen`` that replays
+    them.  ``generation`` is the dispatcher epoch the plan was recorded
+    at, for observability.
     """
 
     __slots__ = ("generation", "snapshot", "steps", "fn")
 
     def __init__(self, generation: int, snapshot: Tuple, steps: Tuple,
-                 fn: Optional[Callable] = None) -> None:
+                 fn: Callable) -> None:
         self.generation = generation
         self.snapshot = snapshot
         self.steps = steps
         self.fn = fn
 
     def __repr__(self) -> str:
-        return "<CompiledPlan gen=%d %d steps%s>" % (
-            self.generation, len(self.steps),
-            " compiled" if self.fn is not None else "")
+        return "<CompiledPlan gen=%d %d steps>" % (
+            self.generation, len(self.steps))
 
 
 class FlowEntry:
@@ -124,16 +108,6 @@ class FlowEntry:
         return "<FlowEntry %r (%d plans)>" % (self.key, len(self.plans))
 
 
-def _default_capacity() -> int:
-    """Flow-cache capacity from ``REPRO_FLOW_CACHE_CAP`` (default 4096)."""
-    raw = os.environ.get("REPRO_FLOW_CACHE_CAP", "")
-    try:
-        capacity = int(raw)
-    except ValueError:
-        capacity = 0
-    return capacity if capacity > 0 else FlowCache.DEFAULT_CAPACITY
-
-
 class FlowCache:
     """Per-dispatcher cache mapping flow keys to compiled delivery paths.
 
@@ -145,16 +119,17 @@ class FlowCache:
     compiled plans while one-shot flows cycle through the cold end.
     """
 
-    #: default bound on distinct cached flows; override per process with
-    #: ``REPRO_FLOW_CACHE_CAP``.
+    #: bound on distinct cached flows when no ``capacity`` is given.
     DEFAULT_CAPACITY = 4096
 
     def __init__(self, capacity: Optional[int] = None) -> None:
+        if capacity is None:
+            capacity = self.DEFAULT_CAPACITY
+        elif not isinstance(capacity, int) or capacity <= 0:
+            raise ValueError(
+                "capacity must be a positive int, not %r" % (capacity,))
         self.enabled = flow_cache_enabled()
-        #: serve plans/scans as generated code (repro.spin.codegen);
-        #: REPRO_FLOW_CACHE=0 implies the fully interpreted oracle.
-        self.compile_enabled = self.enabled and flow_compile_enabled()
-        self.capacity = capacity if capacity else _default_capacity()
+        self.capacity = capacity
         self.entries: Dict[Tuple, FlowEntry] = {}
         self._mru: Optional[Tuple] = None  # tail of the recency order
         self.hits = 0
@@ -210,7 +185,6 @@ class FlowCache:
             "invalidations": self.invalidations,
             "evictions": self.evictions,
             # flat keys: the bench report sums counters across hosts
-            "compiled_enabled": self.compile_enabled,
             "compiled_plans": self.compiled_plans,
             "compiled_scans": self.compiled_scans,
             "compiled_replays": self.compiled_replays,
@@ -228,8 +202,6 @@ class FlowCache:
         registry.source("spin.flowcache.invalidations",
                         lambda: self.invalidations)
         registry.source("spin.flowcache.evictions", lambda: self.evictions)
-        registry.source("spin.flowcache.compiled.enabled",
-                        lambda: int(self.compile_enabled))
         registry.source("spin.flowcache.compiled.plans",
                         lambda: self.compiled_plans)
         registry.source("spin.flowcache.compiled.scans",

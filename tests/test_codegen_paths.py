@@ -1,16 +1,15 @@
-"""Generated delivery paths (codegen): the three-way bit-exactness ladder.
+"""Generated delivery paths (codegen): the two-rung bit-exactness ladder.
 
-The dispatcher serves event raises three ways -- generated Python fast
-paths (default), interpreted plan replay (``REPRO_FLOW_COMPILE=0``), and
-the uncached linear scan (``REPRO_FLOW_CACHE=0``) -- and the contract is
-that the three are *observably identical*: same handlers in the same
-order, same per-handle statistics, bit-identical simulated time and
-category accounting, identical profiler stacks.  These tests drive the
-corner cases directly (thread delegation, time limits, guard exceptions,
+The dispatcher serves event raises two ways -- generated Python fast
+paths (default) and the uncached linear scan (``REPRO_FLOW_CACHE=0``,
+the reference oracle) -- and the contract is that the two are
+*observably identical*: same handlers in the same order, same
+per-handle statistics, bit-identical simulated time and category
+accounting, identical profiler stacks.  These tests drive the corner
+cases directly (thread delegation, time limits, guard exceptions,
 mid-raise uninstalls), plus the machinery around the ladder: shape
-sharing, the step-cap fallback, generation/epoch hygiene, the
-prechange-relative bench gate, and the obs ``compiled-path`` metric
-requirement.
+sharing, the step cap, generation/epoch hygiene, the oracle-relative
+bench gate, and the obs ``compiled-path`` metric requirement.
 """
 
 import pytest
@@ -27,20 +26,20 @@ from repro.spin import SpinKernel
 from repro.spin.codegen import MAX_COMPILED_STEPS, shape_cache_size
 from repro.spin.flowcache import FlowEntry
 
-MODES = ("compiled", "replay", "linear")
+MODES = ("compiled", "linear")
 
 
 class _Side:
     """One kernel driven through a scenario under one ladder rung.
 
-    ``compiled`` and ``replay`` raise along held :class:`FlowEntry`
-    objects, one per flow key (guards on flow-routed events are pure
-    functions of the key -- the flowcache contract); ``linear`` uses the
-    flowless ``raise_event``.  ``send_flowless`` raises without a flow on
-    every rung, which on the compiled rung exercises the generated *scan*
-    (live guard calls) rather than a recorded plan.  ``compile_enabled``
-    is forced per side so the tests are independent of the process
-    environment.
+    ``compiled`` raises along held :class:`FlowEntry` objects, one per
+    flow key (guards on flow-routed events are pure functions of the key
+    -- the flowcache contract); ``linear`` has its cache disabled and
+    uses the flowless ``raise_event``, as a ``REPRO_FLOW_CACHE=0`` run
+    does.  ``send_flowless`` raises without a flow on both rungs, which
+    on the compiled rung exercises the generated *scan* (live guard
+    calls) rather than a recorded plan.  ``flow_cache.enabled`` is forced
+    per side so the tests are independent of the process environment.
     """
 
     def __init__(self, mode: str):
@@ -51,7 +50,7 @@ class _Side:
         # and the parity test compares them byte-for-byte across modes.
         self.kernel = SpinKernel(self.engine, "gen-kernel")
         self.dispatcher = self.kernel.dispatcher
-        self.dispatcher.flow_cache.compile_enabled = (mode == "compiled")
+        self.dispatcher.flow_cache.enabled = (mode == "compiled")
         self.event = self.dispatcher.declare("Gen.Packet")
         self.flows = {}
         self.handles = []
@@ -108,20 +107,19 @@ def _assert_equivalent(sides):
         assert side.dispatcher.total_raises == ref.dispatcher.total_raises
 
 
-def _three_way(scenario):
-    """Run ``scenario(side)`` under all three modes and cross-check."""
+def _both_rungs(scenario):
+    """Run ``scenario(side)`` on both rungs and cross-check."""
     sides = [_Side(mode) for mode in MODES]
     for side in sides:
         scenario(side)
     _assert_equivalent(sides)
-    # The scenario really did exercise the rung it claims to.
-    assert sides[0].dispatcher.flow_cache.compile_enabled
-    assert not sides[1].dispatcher.flow_cache.compile_enabled
+    # The oracle side really did stay interpreted.
+    assert not any(sides[1].dispatcher.flow_cache.counters().values())
     return sides
 
 
 # ---------------------------------------------------------------------------
-# directed three-way equivalence
+# directed equivalence (class name predates the two-rung ladder)
 # ---------------------------------------------------------------------------
 
 class TestThreeWayEquivalence:
@@ -131,12 +129,11 @@ class TestThreeWayEquivalence:
             side.install(guard=lambda key: key % 2 == 0)
             for key in (0, 1, 2, 3, 0, 1, 2, 3):
                 side.send(key)
-        sides = _three_way(scenario)
+        sides = _both_rungs(scenario)
         cache = sides[0].dispatcher.flow_cache
         assert cache.compiled_plans >= 4   # one plan per flow key
         assert cache.compiled_replays == 4  # second pass over the keys
-        assert sides[1].dispatcher.flow_cache.compiled_replays == 0
-        assert sides[1].dispatcher.flow_cache.hits == 4  # interpreted replay
+        assert cache.hits == 4
 
     def test_flowless_scan_matches_interpreter(self):
         def scenario(side):
@@ -144,9 +141,8 @@ class TestThreeWayEquivalence:
             side.install(guard=lambda value: value % 2 == 0)
             for value in range(6):
                 side.send_flowless(value)
-        sides = _three_way(scenario)
+        sides = _both_rungs(scenario)
         assert sides[0].dispatcher.flow_cache.compiled_scan_raises == 6
-        assert sides[1].dispatcher.flow_cache.compiled_scan_raises == 0
 
     def test_thread_mode_delegates_identically(self):
         def scenario(side):
@@ -155,7 +151,7 @@ class TestThreeWayEquivalence:
             side.install(mode="thread", guard=lambda key: key > 0)
             for key in (0, 1, 1, 0):
                 side.send(key)
-        _three_way(scenario)
+        _both_rungs(scenario)
 
     def test_time_limit_terminations(self):
         def scenario(side):
@@ -165,7 +161,7 @@ class TestThreeWayEquivalence:
             side.install()  # delivery continues after a termination
             for _ in range(3):
                 side.send(0)
-        sides = _three_way(scenario)
+        sides = _both_rungs(scenario)
         for side in sides:
             assert side.handles[0].terminations == 3
 
@@ -177,7 +173,7 @@ class TestThreeWayEquivalence:
             side.install()
             for _ in range(3):
                 side.send(0)
-        sides = _three_way(scenario)
+        sides = _both_rungs(scenario)
         for side in sides:
             assert side.handles[0].failures == 3
             assert side.handles[0].invocations == 0
@@ -195,7 +191,7 @@ class TestThreeWayEquivalence:
             side.install()
             for value in range(3):
                 side.send_flowless(value)
-        sides = _three_way(scenario)
+        sides = _both_rungs(scenario)
         for side in sides:
             assert side.handles[0].failures == 3
             assert side.handles[1].invocations == 3
@@ -214,7 +210,7 @@ class TestThreeWayEquivalence:
             side.install()
             side.send_flowless(0)
             side.send_flowless(1)
-        sides = _three_way(scenario)
+        sides = _both_rungs(scenario)
         for side in sides:
             assert side.handles[0].failures == 2
 
@@ -226,7 +222,7 @@ class TestThreeWayEquivalence:
             side.install()
             for _ in range(3):
                 side.send(0)
-        sides = _three_way(scenario)
+        sides = _both_rungs(scenario)
         for side in sides:
             assert side.handles[0].failures == 3
             assert side.handles[1].invocations == 3
@@ -245,7 +241,7 @@ class TestThreeWayEquivalence:
             for _ in range(4):
                 state["sends"] += 1
                 side.send(0)
-        sides = _three_way(scenario)
+        sides = _both_rungs(scenario)
         for side in sides:
             # Send 2 replays the recorded plan (generated code on the
             # compiled rung); the uninstall lands before the victim's
@@ -275,7 +271,7 @@ class TestThreeWayEquivalence:
             for key in (0, 1, 2, 3, 0, 1, 2, 3):
                 side.send(key)
             folded[mode] = profiler.folded_text()
-        assert folded["compiled"] == folded["replay"] == folded["linear"]
+        assert folded["compiled"] == folded["linear"]
         assert "Gen.Packet" in folded["compiled"]
 
     def test_metrics_snapshot_identical_modulo_flowcache(self):
@@ -296,17 +292,7 @@ class TestThreeWayEquivalence:
         def scrub(snapshot):
             return {name: entry for name, entry in snapshot.items()
                     if not name.startswith("spin.flowcache.")}
-        assert (scrub(snapshots["compiled"]) == scrub(snapshots["replay"])
-                == scrub(snapshots["linear"]))
-
-        # Within the cached rungs even hit/miss accounting agrees; only
-        # the compiled.* counters distinguish them.
-        def cache_only(snapshot):
-            return {name: entry for name, entry in snapshot.items()
-                    if name.startswith("spin.flowcache.")
-                    and not name.startswith("spin.flowcache.compiled.")}
-        assert (cache_only(snapshots["compiled"])
-                == cache_only(snapshots["replay"]))
+        assert scrub(snapshots["compiled"]) == scrub(snapshots["linear"])
 
 
 # ---------------------------------------------------------------------------
@@ -333,20 +319,22 @@ class TestShapeCache:
         side.send(0)
         assert shape_cache_size() >= before  # grows at most per new shape
 
-    def test_step_cap_falls_back_to_interpreted_replay(self):
+    def test_step_cap_records_no_plan(self):
         def scenario(side):
             for _ in range(MAX_COMPILED_STEPS + 1):
                 side.install()
+            side.send(0)  # raise_flow on the compiled side
             side.send(0)
-            side.send(0)
-        sides = _three_way(scenario)
-        compiled_side = sides[0]
-        plan = compiled_side.flows[0].plans[compiled_side.event]
-        assert len(plan.steps) == MAX_COMPILED_STEPS + 1
-        assert plan.fn is None  # past the cap: interpreted replay serves it
-        assert compiled_side.dispatcher.flow_cache.compiled_plans == 0
-        # Replays still count as cache hits even without generated code.
-        assert compiled_side.dispatcher.flow_cache.hits >= 1
+            side.send_flowless(0)  # raise_event on both
+            side.send_flowless(0)
+        # Log, charged us, category_times and per-handle stats all equal
+        # the oracle side's: past the cap the compiled side *is* the scan.
+        compiled_side = _both_rungs(scenario)[0]
+        assert compiled_side.flows[0].plans == {}
+        assert compiled_side.event._scan is None
+        cache = compiled_side.dispatcher.flow_cache
+        assert not any(value for key, value in cache.counters().items()
+                       if key != "enabled")
 
 
 # ---------------------------------------------------------------------------
@@ -406,19 +394,19 @@ class TestGenerationHygiene:
 
 
 # ---------------------------------------------------------------------------
-# the bench gate: prechange-relative ratios fail, baseline drift informs
+# the bench gate: oracle-relative ratios fail, baseline drift informs
 # ---------------------------------------------------------------------------
 
 def _report(ratio: float, fingerprint=None):
-    """A fabricated schema-5 report whose workload runs at ``ratio`` times
-    its same-run prechange leg."""
+    """A fabricated report whose workload runs at ``ratio`` times its
+    same-run oracle leg."""
     return {
         "quick": True,
         "host": host_fingerprint(),
         "workloads": {
             "w": {"fingerprint": {"f": 1}, "events_per_sec": 100.0 * ratio},
         },
-        "prechange": {
+        "oracle": {
             "w": {"fingerprint": fingerprint or {"f": 1},
                   "events_per_sec": 100.0, "wall_s": 1.0},
         },
@@ -426,12 +414,15 @@ def _report(ratio: float, fingerprint=None):
 
 
 class TestPrechangeGate:
+    """The same-run twin the gate fails on (named ``prechange`` before it
+    became the ``REPRO_FLOW_CACHE=0`` oracle leg)."""
+
     def test_seeded_regression_fails(self, monkeypatch):
         monkeypatch.delenv("REPRO_BENCH_FAIL_PCT", raising=False)
         rows = compare_to_baseline(_report(0.5), {})
         assert not rows["w"]["ok"]
-        assert any("prechange" in err for err in rows["w"]["errors"])
-        assert rows["w"]["events_per_sec_vs_prechange"] == 0.5
+        assert any("oracle" in err for err in rows["w"]["errors"])
+        assert rows["w"]["events_per_sec_vs_oracle"] == 0.5
 
     def test_small_wobble_passes(self, monkeypatch):
         monkeypatch.delenv("REPRO_BENCH_FAIL_PCT", raising=False)
@@ -476,11 +467,11 @@ class TestPrechangeGate:
         suite = run_suite(quick=True, names=["dispatcher_micro"])
         assert suite["host"] == host_fingerprint()
         row = suite["comparison"]["dispatcher_micro"]
-        if suite.get("prechange"):  # codegen armed in this environment
-            leg = suite["prechange"]["dispatcher_micro"]
+        if suite.get("oracle"):  # flow cache armed in this environment
+            leg = suite["oracle"]["dispatcher_micro"]
             assert (leg["fingerprint"]
                     == suite["workloads"]["dispatcher_micro"]["fingerprint"])
-            assert "events_per_sec_vs_prechange" in row
+            assert "events_per_sec_vs_oracle" in row
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +508,7 @@ class TestCompiledPathRequirement:
 
 
 # ---------------------------------------------------------------------------
-# chaos: campaigns check the full ladder when codegen is armed
+# chaos: oracle campaigns check the full ladder
 # ---------------------------------------------------------------------------
 
 class TestChaosLadder:
@@ -533,17 +524,6 @@ class TestChaosLadder:
     def test_oracle_campaign_checks_both_rungs(self, monkeypatch):
         from repro.chaos import run_campaign
         monkeypatch.delenv("REPRO_FLOW_CACHE", raising=False)
-        monkeypatch.delenv("REPRO_FLOW_COMPILE", raising=False)
-        verdict = run_campaign(self._spec())
-        assert verdict["passed"], verdict["violations"]
-        assert not any("diverges" in v for v in verdict["violations"])
-
-    def test_interpreted_campaign_skips_replay_rung(self, monkeypatch):
-        # Under REPRO_FLOW_COMPILE=0 the primary run never used generated
-        # code, so only the REPRO_FLOW_CACHE=0 oracle applies -- and it
-        # must still match.
-        from repro.chaos import run_campaign
-        monkeypatch.setenv("REPRO_FLOW_COMPILE", "0")
         verdict = run_campaign(self._spec())
         assert verdict["passed"], verdict["violations"]
         assert not any("diverges" in v for v in verdict["violations"])

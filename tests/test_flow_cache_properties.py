@@ -1,15 +1,14 @@
-"""Property test: the three-way delivery ladder is equivalent.
+"""Property test: the two delivery rungs are equivalent.
 
 The flow cache's contract (``repro.spin.flowcache``) is that replaying a
 compiled plan is *observably identical* to re-scanning every guard: the
 same handlers run in the same order, the same statistics move, and the
-same simulated costs are charged in the same order.  Since the codegen
-tentpole there are three rungs, not two -- generated fast paths
-(default), interpreted plan replay (``REPRO_FLOW_COMPILE=0``), and the
-uncached linear scan (``REPRO_FLOW_CACHE=0``) -- so this drives random
-interleavings of handler installs, uninstalls, and packet sends through
-three kernels in lockstep, one per rung, and asserts the observable
-state never diverges: delivery log, bit-identical charged microseconds,
+same simulated costs are charged in the same order.  There are two
+rungs -- generated fast paths (default) and the uncached linear scan
+(``REPRO_FLOW_CACHE=0``) -- so this drives random interleavings of
+handler installs, uninstalls, and packet sends through two kernels in
+lockstep, one per rung, and asserts the observable state never
+diverges: delivery log, bit-identical charged microseconds,
 per-handle statistics, and the obs metrics snapshot (minus the
 flow-cache counters, which measure the rungs' mechanics and legitimately
 differ).
@@ -37,8 +36,8 @@ GUARDS = [
 
 KEYS = (0, 1, 2, 3)
 
-#: the ladder: how each side raises and whether codegen is armed.
-MODES = ("compiled", "replay", "linear")
+#: the ladder: how each side raises and whether its cache is armed.
+MODES = ("compiled", "linear")
 
 _ops = st.lists(
     st.one_of(
@@ -59,12 +58,9 @@ class _Side:
         self.kernel = SpinKernel(self.engine, "prop-kernel")
         self.dispatcher = self.kernel.dispatcher
         # Forced per side so the property holds regardless of the
-        # process-wide REPRO_FLOW_CACHE / REPRO_FLOW_COMPILE hatches.
-        self.dispatcher.flow_cache.compile_enabled = (mode == "compiled")
+        # process-wide REPRO_FLOW_CACHE hatch.
+        self.dispatcher.flow_cache.enabled = (mode == "compiled")
         self.event = self.dispatcher.declare("Prop.Packet")
-        # Constructed directly (not via cache.entry_for), so the cached
-        # rungs exercise plan record/replay even if the cache is off in
-        # the environment.
         self.flows = {key: FlowEntry((key,)) for key in KEYS}
         self.handles = []
         self.log = []
@@ -120,48 +116,42 @@ class TestFlowCacheEquivalence:
     @given(_ops)
     @settings(max_examples=15, deadline=None)
     def test_ladder_rungs_are_equivalent(self, ops):
-        compiled, replay, linear = (_Side(mode) for mode in MODES)
-        sides = (compiled, replay, linear)
+        compiled, linear = (_Side(mode) for mode in MODES)
         for op, arg in ops:
-            for side in sides:
-                side.apply(op, arg)
+            compiled.apply(op, arg)
+            linear.apply(op, arg)
 
-        for side in (replay, linear):
-            # Identical delivery: same handlers, same packets, same order.
-            assert side.log == compiled.log
-            # Bit-identical simulated time and cost accounting.
-            assert side.engine.now == compiled.engine.now
-            assert (dict(side.kernel.cpu.category_times)
-                    == dict(compiled.kernel.cpu.category_times))
-            # Identical per-handle statistics.
-            assert len(side.handles) == len(compiled.handles)
-            for sh, ch in zip(side.handles, compiled.handles):
-                assert sh.installed == ch.installed
-                assert sh.invocations == ch.invocations
-                assert sh.guard_rejections == ch.guard_rejections
-            assert (side.dispatcher.total_invocations
-                    == compiled.dispatcher.total_invocations)
-            assert (side.dispatcher.total_raises
-                    == compiled.dispatcher.total_raises)
-            # Identical metrics snapshot outside the cache mechanics.
-            assert side.metrics() == compiled.metrics()
+        # Identical delivery: same handlers, same packets, same order.
+        assert linear.log == compiled.log
+        # Bit-identical simulated time and cost accounting.
+        assert linear.engine.now == compiled.engine.now
+        assert (dict(linear.kernel.cpu.category_times)
+                == dict(compiled.kernel.cpu.category_times))
+        # Identical per-handle statistics.
+        assert len(linear.handles) == len(compiled.handles)
+        for lh, ch in zip(linear.handles, compiled.handles):
+            assert lh.installed == ch.installed
+            assert lh.invocations == ch.invocations
+            assert lh.guard_rejections == ch.guard_rejections
+        assert (linear.dispatcher.total_invocations
+                == compiled.dispatcher.total_invocations)
+        assert (linear.dispatcher.total_raises
+                == compiled.dispatcher.total_raises)
+        # Identical metrics snapshot outside the cache mechanics.
+        assert linear.metrics() == compiled.metrics()
 
     @given(_ops)
     @settings(max_examples=10, deadline=None)
     def test_plans_replay_after_warmup(self, ops):
-        """Sending the same flow twice in a row replays its plan --
-        through generated code on the compiled rung."""
-        for mode in ("compiled", "replay"):
-            side = _Side(mode)
-            for op, arg in ops:
-                side.apply(op, arg)
-            side.apply("send", 0)  # records (or replays) flow 0's plan
-            cache = side.dispatcher.flow_cache
-            before = cache.hits
-            replays_before = cache.compiled_replays
-            side.apply("send", 0)  # now the plan exists and is fresh: replay
-            assert cache.hits == before + 1
-            if mode == "compiled":
-                assert cache.compiled_replays == replays_before + 1
-            else:
-                assert cache.compiled_replays == 0
+        """Sending the same flow twice in a row replays its plan through
+        generated code."""
+        side = _Side("compiled")
+        for op, arg in ops:
+            side.apply(op, arg)
+        side.apply("send", 0)  # records (or replays) flow 0's plan
+        cache = side.dispatcher.flow_cache
+        before = cache.hits
+        replays_before = cache.compiled_replays
+        side.apply("send", 0)  # now the plan exists and is fresh: replay
+        assert cache.hits == before + 1
+        assert cache.compiled_replays == replays_before + 1

@@ -11,6 +11,7 @@ requires the exact same firing order and timestamps.
 
 import heapq
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.wallclock import WORKLOADS, _many_flows
@@ -211,17 +212,18 @@ class TestFlowCacheLru:
         assert cache.counters()["entries"] == 8
         assert cache.evictions == 1_000 - 8
 
-    def test_capacity_from_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLOW_CACHE_CAP", "2")
-        cache = FlowCache()
-        assert cache.capacity == 2
+    def test_capacity_is_validated_at_construction(self):
+        assert FlowCache().capacity == FlowCache.DEFAULT_CAPACITY
+        # -1 used to escape entry_for() as a bare StopIteration and 0
+        # silently became the default.
+        for bad in (0, -1, 2.5, "2"):
+            with pytest.raises(ValueError):
+                FlowCache(capacity=bad)
+        cache = FlowCache(capacity=1)
         cache.entry_for((1,))
         cache.entry_for((2,))
-        cache.entry_for((3,))
-        assert len(cache.entries) == 2
+        assert list(cache.entries) == [(2,)]
         assert cache.evictions == 1
-        monkeypatch.setenv("REPRO_FLOW_CACHE_CAP", "bogus")
-        assert FlowCache().capacity == FlowCache.DEFAULT_CAPACITY
 
     def test_disabled_cache_caches_nothing(self, monkeypatch):
         monkeypatch.setenv("REPRO_FLOW_CACHE", "0")

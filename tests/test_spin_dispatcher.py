@@ -3,6 +3,7 @@
 import pytest
 
 from repro.spin import DispatchError
+from repro.spin.flowcache import FlowEntry
 
 
 @pytest.fixture
@@ -65,8 +66,15 @@ class TestInstallAndRaise:
         assert handle.invocations == 0
 
     def test_raise_requires_event_capability(self, kernel, dispatcher):
-        with pytest.raises(DispatchError):
-            charged(kernel, lambda: dispatcher.raise_event("X.Recv"))
+        flow = FlowEntry(("flow",))
+        for bad_raise in (
+                lambda: dispatcher.raise_event("X.Recv"),
+                lambda: dispatcher.raise_flow("X.Recv", None),
+                # used to leak AttributeError from the cold path
+                lambda: dispatcher.raise_flow("X.Recv", flow)):
+            with pytest.raises(DispatchError, match="EventDecl capability"):
+                charged(kernel, bad_raise)
+        assert flow.plans == {}
 
     def test_install_requires_event_capability(self, dispatcher):
         with pytest.raises(DispatchError):
