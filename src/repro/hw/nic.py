@@ -70,6 +70,10 @@ class NIC:
         self.rx_drops = 0
         self.rx_filtered = 0  # delivered by the wire, not addressed to us
         self.promiscuous = False
+        #: optional repro.obs.taps.NicTaps, told of every stage_tx and
+        #: frame_on_wire on entry; None (the default) keeps both per-frame
+        #: paths on their untapped shape.
+        self.taps = None
         self._rx_name = "%s-rx" % self.name  # per-frame process label
         engine.process(self._tx_process(), name="%s-tx" % self.name)
 
@@ -113,6 +117,8 @@ class NIC:
         Returns False when the transmit queue is full and the frame was
         dropped (the caller may count it).
         """
+        if self.taps is not None:
+            self.taps.tx(data)
         host = self.host
         if host is None:
             raise RuntimeError("NIC %s not installed on a host" % self.name)
@@ -173,8 +179,11 @@ class NIC:
 
     def frame_on_wire(self, frame: Frame) -> None:
         """Medium delivered a frame to this NIC."""
-        if not self.promiscuous and frame.dst_addr != self.address and \
-                not self._is_broadcast(frame.dst_addr):
+        accepted = self.promiscuous or frame.dst_addr == self.address or \
+            self._is_broadcast(frame.dst_addr)
+        if self.taps is not None:
+            self.taps.rx(frame, accepted)
+        if not accepted:
             self.rx_filtered += 1
             return
         if self.rx_pending >= self.rx_ring_len:

@@ -10,15 +10,20 @@ examples (show the handshake), and when debugging protocol work.
     ...
     print(tracer.render())
 
+The tracer is a listener (``on_tx``/``on_rx``) on each NIC's ``taps``
+seam and shares attach/detach and the record ring with the
+:mod:`repro.obs` observers (:mod:`repro.obs.taps`).
+
 Decoding is performed with the same VIEW machinery the kernel uses, so a
 trace line is also a demonstration of zero-copy header access.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List
 
 from ..lang.view import VIEW
+from ..obs.taps import RingTracer
 from .headers import (
     ETHERNET_HEADER,
     ETHERTYPE_ARP,
@@ -180,60 +185,35 @@ class TraceRecord:
                                      self.direction, self.summary)
 
 
-class PacketTracer:
+class PacketTracer(RingTracer):
     """Records frames crossing the NICs it is attached to.
 
-    The trace is a ring of at most ``limit`` records: once full, each new
-    frame overwrites the oldest record (``dropped_records`` counts the
-    overwrites), so the tail of a long run -- the part a chaos repro
-    bundle wants -- is always retained.
+    At most ``limit`` records are kept (:class:`~repro.obs.taps.RingTracer`).
+    A received frame is recorded only when the NIC's address filter
+    accepted it (the NIC reports its own verdict to ``on_rx``).
     """
 
     def __init__(self, engine, limit: int = 10_000):
-        if limit <= 0:
-            raise ValueError("tracer limit must be positive")
-        self.engine = engine
-        self.limit = limit
-        self._ring: List[TraceRecord] = []
-        self._next = 0              # oldest slot once the ring is full
-        self.dropped_records = 0
+        super().__init__(engine, limit)
+        self._link_kinds: Dict[object, str] = {}
 
-    @property
-    def records(self) -> List[TraceRecord]:
-        """Retained records, oldest first (a fresh list)."""
-        if len(self._ring) < self.limit or self._next == 0:
-            return list(self._ring)
-        return self._ring[self._next:] + self._ring[:self._next]
-
-    def attach(self, nic, link_kind: str = "ethernet") -> None:
+    def attach(self, nic, link_kind: str = "ethernet") -> "PacketTracer":
         """Tap ``nic``: record every frame it sends or receives."""
-        tracer = self
-        original_stage = nic.stage_tx
-        original_rx = nic.frame_on_wire
+        self._link_kinds[nic] = link_kind
+        return super().attach(nics=(nic,))
 
-        def traced_stage(data, dst_addr):
-            tracer._record(nic.name, "tx", bytes(data), link_kind)
-            return original_stage(data, dst_addr)
+    # -- listener interface (nic.taps) -----------------------------------
 
-        def traced_rx(frame):
-            if nic.promiscuous or frame.dst_addr == nic.address or \
-                    nic._is_broadcast(frame.dst_addr):
-                tracer._record(nic.name, "rx", frame.data, link_kind)
-            return original_rx(frame)
+    def on_tx(self, nic, data) -> None:
+        self._trace(nic, "tx", bytes(data))
 
-        nic.stage_tx = traced_stage
-        nic.frame_on_wire = traced_rx
+    def on_rx(self, nic, frame, accepted: bool) -> None:
+        if accepted:
+            self._trace(nic, "rx", frame.data)
 
-    def _record(self, nic_name: str, direction: str, data: bytes,
-                link_kind: str) -> None:
-        record = TraceRecord(self.engine.now, nic_name, direction, data,
-                             decode_frame(data, link_kind))
-        if len(self._ring) < self.limit:
-            self._ring.append(record)
-        else:
-            self._ring[self._next] = record
-            self._next = (self._next + 1) % self.limit
-            self.dropped_records += 1
+    def _trace(self, nic, direction: str, data: bytes) -> None:
+        self._record(TraceRecord(self.engine.now, nic.name, direction, data,
+                                 decode_frame(data, self._link_kinds[nic])))
 
     # -- queries ---------------------------------------------------------
 
@@ -243,20 +223,7 @@ class PacketTracer:
     def between(self, start: float, end: float) -> List[TraceRecord]:
         return [r for r in self.records if start <= r.time <= end]
 
-    def clear(self) -> None:
-        self._ring.clear()
-        self._next = 0
-        self.dropped_records = 0
-
-    def render(self, last: Optional[int] = None) -> str:
-        """tcpdump-style text of the trace (optionally only the tail)."""
-        records = self.records
-        if last is not None:
-            records = records[-last:]
-        lines = ["%10.1f  %-8s %-2s  %s"
-                 % (r.time, r.nic_name, r.direction, r.summary)
-                 for r in records]
-        if self.dropped_records:
-            lines.append("... %d records dropped (ring limit %d)"
-                         % (self.dropped_records, self.limit))
-        return "\n".join(lines)
+    def _line(self, r: TraceRecord) -> str:
+        """tcpdump-style text of one record."""
+        return "%10.1f  %-8s %-2s  %s" % (r.time, r.nic_name, r.direction,
+                                          r.summary)

@@ -1,8 +1,12 @@
 """Unified observability: metrics registry, CPU profiler, span tracer.
 
-Three cooperating pieces, all strictly off-by-default on the simulated
+Cooperating pieces, all strictly off-by-default on the simulated
 timeline (attaching any of them never changes a fingerprint):
 
+* :mod:`repro.obs.taps` -- the two seams observers subscribe to
+  (``cpu.profile``, ``nic.taps``; ``None`` while unobserved), their
+  listener methods, and the one :class:`Observer` attach/detach that
+  lets observers come and go in any order.
 * :mod:`repro.obs.registry` -- a central :class:`MetricsRegistry` of
   named counters/gauges/histograms behind a stable dotted namespace
   (``spin.flowcache.evictions``, ``hw.nic.rx_filtered``, ...) with a
@@ -13,15 +17,15 @@ timeline (attaching any of them never changes a fingerprint):
   ``(host, domain, component, operation)`` stack, emitting folded-stack
   files renderable as flamegraphs.
 * :mod:`repro.obs.spans` -- per-packet path timelines (NIC rx ->
-  dispatcher -> handlers -> socket) in simulated time, ring-buffer
-  capped like :class:`repro.net.trace.PacketTracer`.
+  dispatcher -> handlers -> socket) in simulated time, in the same
+  capped ring :class:`repro.net.trace.PacketTracer` keeps its frames in.
 
 Command line::
 
     python -m repro.obs --workload tcp_bulk --folded out.folded
 """
 
-from .profiler import CpuHook, CpuProfiler, install_hook, uninstall_hook
+from .profiler import CpuProfiler
 from .registry import (
     Counter,
     DuplicateMetricError,
@@ -34,6 +38,7 @@ from .registry import (
 from .schema import EXPORT_SCHEMA, undocumented_metrics
 from .slo import Request, RequestLifecycle, SloTracker, percentile, to_ns
 from .spans import Span, SpanTracer
+from .taps import CpuHook
 from .wire import instrument_testbed
 
 __all__ = [
@@ -51,11 +56,9 @@ __all__ = [
     "SloTracker",
     "Span",
     "SpanTracer",
-    "install_hook",
     "instrument_testbed",
     "merge_snapshots",
     "percentile",
     "to_ns",
     "undocumented_metrics",
-    "uninstall_hook",
 ]

@@ -10,16 +10,17 @@ hand-inlined hot-path variants in the dispatcher, the NIC drivers, and
     cpu.category_times[category] += microseconds
     cpu.category_times[category] = microseconds
 
-Both go through ``dict.__setitem__``, so swapping ``category_times``
-for a recording subclass (:class:`_ProfilingTimes`) intercepts every
-charged microsecond without touching any call site.  Stack *frames*
-come from the off-by-default ``cpu.profile`` hook (:class:`CpuHook`),
-consulted by ``Host.kernel_path`` (the domain: interrupt body, syscall,
-timer callback), the dispatcher raise paths (the component: event
-name), and ``CPU.execute``.  With no profiler attached ``cpu.profile``
-is ``None`` and ``category_times`` is a plain dict -- the hot path is
-unchanged and simulated time is bit-identical (the equivalence test in
-``tests/test_obs.py`` enforces this).
+Both go through ``dict.__setitem__``, so while a
+:class:`~repro.obs.taps.CpuHook` is installed ``category_times`` is a
+recording subclass that intercepts every charged microsecond without
+touching any call site.  Stack *frames* come from the ``cpu.profile``
+seam itself, consulted by ``Host.kernel_path`` (the domain: interrupt
+body, syscall, timer callback), the dispatcher raise paths (the
+component: event name), and ``CPU.execute``.  The profiler is a plain
+listener on that one seam and never subscribes to ``nic.taps``.  With
+no observer attached ``cpu.profile`` is ``None`` and ``category_times``
+a plain dict -- the hot path is unchanged and simulated time is
+bit-identical (``tests/test_obs.py`` enforces this).
 
 Attribution is therefore ``(host, domain, component..., operation)``
 where the operation is the charge category (``checksum``, ``dispatch``,
@@ -43,90 +44,12 @@ EXPERIMENTS.md.)
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Dict, List, Tuple
 
-__all__ = [
-    "CpuHook",
-    "CpuProfiler",
-    "install_hook",
-    "uninstall_hook",
-]
+from .taps import CpuHook, Observer
 
-
-class CpuHook:
-    """Per-CPU frame stack plus listener fan-out.
-
-    One hook per instrumented CPU; profilers and span tracers register
-    as listeners.  The hook is installed as ``cpu.profile`` (read by the
-    charge-path hook points) and owns the :class:`_ProfilingTimes`
-    swap-in for ``cpu.category_times``.
-    """
-
-    __slots__ = ("cpu", "host_name", "engine", "frames", "listeners")
-
-    def __init__(self, cpu, host_name: str):
-        self.cpu = cpu
-        self.host_name = host_name
-        self.engine = cpu.engine
-        self.frames: List[str] = []
-        self.listeners: List[object] = []
-
-    def push(self, label: str) -> None:
-        for listener in self.listeners:
-            listener.on_push(self, label)
-        self.frames.append(label)
-
-    def pop(self) -> None:
-        label = self.frames.pop()
-        for listener in self.listeners:
-            listener.on_pop(self, label)
-
-    def record(self, category: str, amount: float) -> None:
-        for listener in self.listeners:
-            listener.on_charge(self, category, amount)
-
-    def consumed(self, amount: float) -> None:
-        for listener in self.listeners:
-            listener.on_consume(self, amount)
-
-
-class _ProfilingTimes(dict):
-    """``category_times`` replacement reporting every charge to the hook."""
-
-    __slots__ = ("hook",)
-
-    def __init__(self, initial, hook: CpuHook):
-        dict.__init__(self, initial)
-        self.hook = hook
-
-    def __setitem__(self, key, value):
-        delta = value - self.get(key, 0.0)
-        if delta != 0.0:
-            self.hook.record(key, delta)
-        dict.__setitem__(self, key, value)
-
-
-def install_hook(cpu, host_name: str) -> CpuHook:
-    """Install (or fetch) the :class:`CpuHook` on ``cpu``."""
-    hook = cpu.profile
-    if hook is None:
-        hook = CpuHook(cpu, host_name)
-        cpu.profile = hook
-        cpu.category_times = _ProfilingTimes(cpu.category_times, hook)
-    return hook
-
-
-def uninstall_hook(cpu) -> None:
-    """Remove the hook once its last listener detaches.
-
-    Restores a plain dict (same contents) for ``category_times`` and
-    sets ``cpu.profile`` back to ``None``, so the hot path returns to
-    its uninstrumented shape.
-    """
-    hook = cpu.profile
-    if hook is not None and not hook.listeners:
-        cpu.profile = None
-        cpu.category_times = dict(cpu.category_times)
+__all__ = ["CpuProfiler"]
 
 
 def _sanitize(label: str) -> str:
@@ -134,7 +57,7 @@ def _sanitize(label: str) -> str:
     return label.replace(";", ":").replace(" ", "_")
 
 
-class CpuProfiler:
+class CpuProfiler(Observer):
     """Attributes charged simulated CPU time to (host, frames..., category).
 
     Usage::
@@ -149,8 +72,9 @@ class CpuProfiler:
     def __init__(self, path_bounds=None):
         #: (host, frame, frame, ..., category) -> charged microseconds
         self.stacks: Dict[Tuple[str, ...], float] = {}
+        #: every hook ever attached; the readouts below outlive detach()
         self._hooks: List[CpuHook] = []
-        self._consumed: Dict[CpuHook, float] = {}
+        self._consumed: Dict[CpuHook, float] = defaultdict(float)
         self._open_path: Dict[CpuHook, float] = {}
         #: optional histogram of per-kernel-path charged microseconds
         self.path_histogram = None
@@ -162,19 +86,11 @@ class CpuProfiler:
     # -- lifecycle -------------------------------------------------------
 
     def attach(self, hosts) -> "CpuProfiler":
-        for host in hosts:
-            hook = install_hook(host.cpu, host.name)
-            hook.listeners.append(self)
-            self._hooks.append(hook)
-            self._consumed.setdefault(hook, 0.0)
+        super().attach(hosts)
+        self._hooks += [hook for hook in self._seams if hook not in self._hooks]
         return self
 
-    def detach(self) -> None:
-        for hook in self._hooks:
-            hook.listeners.remove(self)
-            uninstall_hook(hook.cpu)
-
-    # -- listener interface ----------------------------------------------
+    # -- listener interface (cpu.profile) --------------------------------
 
     def on_push(self, hook: CpuHook, label: str) -> None:
         if not hook.frames:

@@ -16,10 +16,10 @@ lifecycle machinery both views share:
   (:func:`to_ns`), which is what fingerprints and the reconciliation
   guarantee are stated in -- integer waypoint differences telescope
   exactly, float interval sums do not.
-* :class:`SloTracker` -- queueing-delay attribution.  It observes the
-  same :class:`~repro.obs.profiler.CpuHook` frames the profiler and
-  :class:`~repro.obs.spans.SpanTracer` use (and taps NICs the same way),
-  and decomposes one outstanding request's latency into CPU service,
+* :class:`SloTracker` -- queueing-delay attribution.  It listens on the
+  same two seams (``cpu.profile``, ``nic.taps``; :mod:`repro.obs.taps`)
+  as the profiler and :class:`~repro.obs.spans.SpanTracer`, and
+  decomposes one outstanding request's latency into CPU service,
   NIC-ring wait, propagation, and (retransmit) stall.  Every interval
   between consecutive waypoints is attributed to exactly one component,
   so the component sum equals the end-to-end latency bit-exactly in
@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence
 
-from .profiler import CpuHook, install_hook, uninstall_hook
+from .taps import CpuHook, Observer
 
 __all__ = [
     "ATTRIBUTED_COMPONENTS",
@@ -305,14 +305,14 @@ class RequestLifecycle:
         self._histogram = histogram
 
 
-class SloTracker:
+class SloTracker(Observer):
     """Queueing-delay attribution for one outstanding request at a time.
 
-    Attaches to hosts through :func:`~repro.obs.profiler.install_hook`
-    (CPU frame push/pop/consume) and to NICs by wrapping ``stage_tx`` /
-    ``frame_on_wire`` -- the exact observation points the span tracer
-    uses.  Between any two consecutive waypoints the elapsed integer
-    nanoseconds split deterministically:
+    ``attach(hosts, nics)`` subscribes to each host's ``cpu.profile``
+    (CPU frame push/pop/consume) and each NIC's ``taps`` (tx/rx entry)
+    -- the exact observation points the span tracer uses.  Between any
+    two consecutive waypoints the elapsed integer nanoseconds split
+    deterministically:
 
     * the trailing ``amount`` of the interval ending at an
       ``on_consume`` -> ``cpu_service`` (kernel paths charge their cost
@@ -338,51 +338,11 @@ class SloTracker:
         self.engine = engine
         self.propagation_bound_us = float(propagation_bound_us)
         self._bound_ns = round(self.propagation_bound_us * 1000.0)
-        self._hooks: List[CpuHook] = []
-        self._wrapped: List[tuple] = []
         self._in_flight = 0
         self._in_ring = False
         self._last_tx_ns: Optional[int] = None
         self._request: Optional[Request] = None
         self._last_ns = 0
-
-    # -- attachment (the SpanTracer pattern) -----------------------------
-
-    def attach(self, hosts, nics=()) -> "SloTracker":
-        for host in hosts:
-            hook = install_hook(host.cpu, host.name)
-            hook.listeners.append(self)
-            self._hooks.append(hook)
-        for nic in nics:
-            self._tap_nic(nic)
-        return self
-
-    def detach(self) -> None:
-        for hook in self._hooks:
-            hook.listeners.remove(self)
-            uninstall_hook(hook.cpu)
-        self._hooks = []
-        for nic, original_stage, original_rx in self._wrapped:
-            nic.stage_tx = original_stage
-            nic.frame_on_wire = original_rx
-        self._wrapped = []
-
-    def _tap_nic(self, nic) -> None:
-        tracker = self
-        original_stage = nic.stage_tx
-        original_rx = nic.frame_on_wire
-
-        def tracked_stage(data, dst_addr):
-            tracker._on_tx()
-            return original_stage(data, dst_addr)
-
-        def tracked_rx(frame):
-            tracker._on_rx()
-            return original_rx(frame)
-
-        nic.stage_tx = tracked_stage
-        nic.frame_on_wire = tracked_rx
-        self._wrapped.append((nic, original_stage, original_rx))
 
     # -- lifecycle interface ---------------------------------------------
 
@@ -447,7 +407,7 @@ class SloTracker:
         if self._request is not None:
             self._advance(to_ns(self.engine.now))
 
-    # -- listener interface (CpuHook) ------------------------------------
+    # -- listener interface (cpu.profile) --------------------------------
 
     def on_push(self, hook: CpuHook, label: str) -> None:
         self._waypoint()
@@ -456,21 +416,18 @@ class SloTracker:
     def on_pop(self, hook: CpuHook, label: str) -> None:
         self._waypoint()
 
-    def on_charge(self, hook: CpuHook, category: str, amount: float) -> None:
-        pass
-
     def on_consume(self, hook: CpuHook, amount: float) -> None:
         if self._request is not None:
             self._advance(to_ns(self.engine.now), round(amount * 1000.0))
 
-    # -- NIC taps ---------------------------------------------------------
+    # -- listener interface (nic.taps) -----------------------------------
 
-    def _on_tx(self) -> None:
+    def on_tx(self, nic, data) -> None:
         self._waypoint()
         self._in_flight += 1
         self._last_tx_ns = to_ns(self.engine.now)
 
-    def _on_rx(self) -> None:
+    def on_rx(self, nic, frame, accepted: bool) -> None:
         self._waypoint()
         if self._in_flight > 0:
             self._in_flight -= 1

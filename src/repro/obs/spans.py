@@ -9,19 +9,20 @@ records read as a timeline of the packet path the paper's Figure 5
 walks: NIC rx -> interrupt body -> dispatcher events -> protocol
 handlers -> socket delivery.
 
-Like :class:`repro.net.trace.PacketTracer`, the trace is a ring of at
-most ``limit`` records: the tail of a long run is always retained and
-``dropped_records`` counts the overwrites.  Frames are observed through
-the same :class:`~repro.obs.profiler.CpuHook` the profiler uses (and
-NIC taps use the same attach-time method wrapping PacketTracer uses),
-so attaching a tracer never perturbs simulated time.
+The trace is the ring :class:`~repro.obs.taps.RingTracer` provides (the
+one :class:`repro.net.trace.PacketTracer` uses): the tail of a long run
+is always retained and ``dropped_records`` counts the overwrites.  The
+tracer is a plain listener on the two seams of :mod:`repro.obs.taps`
+(``cpu.profile``, ``nic.taps``) and only reads ``engine.now``, so
+attaching it never perturbs simulated time.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from collections import defaultdict
+from typing import Dict, List
 
-from .profiler import CpuHook, install_hook, uninstall_hook
+from .taps import CpuHook, RingTracer
 
 __all__ = ["Span", "SpanTracer"]
 
@@ -57,70 +58,16 @@ class Span:
         )
 
 
-class SpanTracer:
+class SpanTracer(RingTracer):
     """Ring-buffered timeline of CPU frames and NIC activity."""
 
+    noun = "spans"
+
     def __init__(self, engine, limit: int = 4096):
-        if limit <= 0:
-            raise ValueError("span tracer limit must be positive")
-        self.engine = engine
-        self.limit = limit
-        self._ring: List[Span] = []
-        self._next = 0
-        self.dropped_records = 0
-        self._hooks: List[CpuHook] = []
-        self._open: Dict[CpuHook, List[List]] = {}
-        self._wrapped: List[tuple] = []
+        super().__init__(engine, limit)
+        self._open: Dict[CpuHook, List[List]] = defaultdict(list)
 
-    @property
-    def records(self) -> List[Span]:
-        """Retained spans, oldest first (a fresh list)."""
-        if len(self._ring) < self.limit or self._next == 0:
-            return list(self._ring)
-        cut = self._next
-        return self._ring[cut:] + self._ring[:cut]
-
-    # -- attachment ------------------------------------------------------
-
-    def attach(self, hosts, nics=()) -> "SpanTracer":
-        for host in hosts:
-            hook = install_hook(host.cpu, host.name)
-            hook.listeners.append(self)
-            self._hooks.append(hook)
-            self._open[hook] = []
-        for nic in nics:
-            self._tap_nic(nic)
-        return self
-
-    def detach(self) -> None:
-        for hook in self._hooks:
-            hook.listeners.remove(self)
-            uninstall_hook(hook.cpu)
-        for nic, original_stage, original_rx in self._wrapped:
-            nic.stage_tx = original_stage
-            nic.frame_on_wire = original_rx
-        self._wrapped = []
-
-    def _tap_nic(self, nic) -> None:
-        tracer = self
-        original_stage = nic.stage_tx
-        original_rx = nic.frame_on_wire
-
-        def traced_stage(data, dst_addr):
-            host = nic.host.name if nic.host is not None else nic.name
-            tracer._record(Span(tracer.engine.now, host, 0, nic.name, "tx", 0.0))
-            return original_stage(data, dst_addr)
-
-        def traced_rx(frame):
-            host = nic.host.name if nic.host is not None else nic.name
-            tracer._record(Span(tracer.engine.now, host, 0, nic.name, "rx", 0.0))
-            return original_rx(frame)
-
-        nic.stage_tx = traced_stage
-        nic.frame_on_wire = traced_rx
-        self._wrapped.append((nic, original_stage, original_rx))
-
-    # -- listener interface ----------------------------------------------
+    # -- listener interface (cpu.profile) --------------------------------
 
     def on_push(self, hook: CpuHook, label: str) -> None:
         # [start time, label, depth, self-charge accumulator]
@@ -135,38 +82,24 @@ class SpanTracer:
         if open_frames:
             open_frames[-1][3] += amount
 
-    def on_consume(self, hook: CpuHook, amount: float) -> None:
-        pass
+    # -- listener interface (nic.taps) -----------------------------------
 
-    # -- recording / rendering -------------------------------------------
+    def on_tx(self, nic, data) -> None:
+        self._wire(nic, "tx")
 
-    def _record(self, span: Span) -> None:
-        if len(self._ring) < self.limit:
-            self._ring.append(span)
-        else:
-            self._ring[self._next] = span
-            self._next = (self._next + 1) % self.limit
-            self.dropped_records += 1
+    def on_rx(self, nic, frame, accepted: bool) -> None:
+        self._wire(nic, "rx")
 
-    def clear(self) -> None:
-        self._ring.clear()
-        self._next = 0
-        self.dropped_records = 0
+    def _wire(self, nic, kind: str) -> None:
+        host = nic.host.name if nic.host is not None else nic.name
+        self._record(Span(self.engine.now, host, 0, nic.name, kind, 0.0))
 
-    def render(self, last: Optional[int] = None) -> str:
+    # -- rendering -------------------------------------------------------
+
+    def _line(self, span: Span) -> str:
         """Timeline text; spans appear in completion order, depth-indented."""
-        records = self.records
-        if last is not None:
-            records = records[-last:]
-        lines = []
-        for span in records:
-            if span.kind == "cpu":
-                detail = "%s (%.2fus)" % (span.label, span.charged_us)
-            else:
-                detail = "%s %s" % (span.kind, span.label)
-            lines.append("%10.1f  %-10s %s%s" % (span.time, span.host, "  " * span.depth, detail))
-        if self.dropped_records:
-            lines.append(
-                "... %d spans dropped (ring limit %d)" % (self.dropped_records, self.limit)
-            )
-        return "\n".join(lines)
+        if span.kind == "cpu":
+            detail = "%s (%.2fus)" % (span.label, span.charged_us)
+        else:
+            detail = "%s %s" % (span.kind, span.label)
+        return "%10.1f  %-10s %s%s" % (span.time, span.host, "  " * span.depth, detail)

@@ -223,6 +223,32 @@ class TestDecoder:
         assert tracer.dropped_records > 0
         assert "records dropped" in tracer.render()
 
+    def test_filtered_rx_not_recorded_on_shared_segment(self):
+        # Three NICs share one Ethernet segment, so the bystander's NIC
+        # sees the unicast frame on the wire and filters it.  The tracer
+        # takes the NIC's own verdict: no rx record for the bystander
+        # unless its NIC is promiscuous.
+        bed = build_testbed("spin", "ethernet", n_hosts=3)
+        tracer = PacketTracer(bed.engine)
+        for nic in bed.nics:
+            tracer.attach(nic)
+        bystander = bed.nics[2]
+        sender = bed.stacks[0].udp_manager.bind(Credential("c"), 7001, _noop)
+
+        def rx_nics():
+            send = bed.hosts[0].kernel_path(
+                lambda: sender.send(bytes(8), bed.ip(1), 7000))
+            tracer.clear()
+            bed.engine.run_process(send)
+            bed.engine.run()
+            return [r.nic_name for r in tracer.records if r.direction == "rx"]
+
+        assert rx_nics() == [bed.nics[1].name]
+        assert bystander.rx_filtered == 1
+        bystander.promiscuous = True
+        assert sorted(rx_nics()) == sorted([bed.nics[1].name, bystander.name])
+        assert bystander.rx_filtered == 1
+
     def test_decode_icmp_echo(self):
         bed = build_testbed("spin", "ethernet")
         tracer = PacketTracer(bed.engine)

@@ -11,6 +11,7 @@ The two load-bearing guarantees:
   is bit-equal to summed ``busy_time`` across hosts.
 """
 
+import itertools
 import json
 
 import pytest
@@ -18,10 +19,14 @@ from hypothesis import given, strategies as st
 
 from repro.bench.testbed import build_testbed
 from repro.bench.wallclock import run_workload
+from repro.core import Credential
+from repro.lang import ephemeral
+from repro.net.trace import PacketTracer
 from repro.obs import (
-    CpuProfiler, DuplicateMetricError, MetricError, MetricsRegistry,
-    SpanTracer, install_hook, instrument_testbed, uninstall_hook,
+    CpuHook, CpuProfiler, DuplicateMetricError, MetricError, MetricsRegistry,
+    RequestLifecycle, SloTracker, SpanTracer, instrument_testbed,
     undocumented_metrics)
+from repro.sim import Signal
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +201,12 @@ class TestProfiler:
         bed = build_testbed("spin", "ethernet")
         cpu = bed.hosts[0].cpu
         cpu.category_times["protocol"] = 4.5
-        install_hook(cpu, "h")
+        listener = object()
+        hook = CpuHook(cpu, "h")
+        hook.join(listener)
         assert cpu.category_times["protocol"] == 4.5
         cpu.category_times["protocol"] += 1.0
-        uninstall_hook(cpu)
+        hook.leave(listener)
         assert cpu.category_times["protocol"] == 5.5
 
 
@@ -233,9 +240,159 @@ class TestSpanTracer:
         assert tracer.dropped_records > 0
 
     def test_zero_perturbation(self):
+        # All four observers on both seams at once: same fingerprint as
+        # the unobserved run, and every one of them saw the workload.
         plain = run_workload("udp_pingpong", quick=True)
-        record, _ = self._run()
+        state = {}
+
+        def instrument(bed):
+            state["packets"] = PacketTracer(bed.engine)
+            for nic in bed.nics:
+                state["packets"].attach(nic)
+            state["spans"] = SpanTracer(bed.engine).attach(bed.hosts, bed.nics)
+            state["slo"] = SloTracker(bed.engine).attach(bed.hosts, bed.nics)
+            state["profiler"] = CpuProfiler().attach(bed.hosts)
+
+        record = run_workload("udp_pingpong", quick=True,
+                              instrument=instrument)
         assert record["fingerprint"] == plain["fingerprint"]
+        assert record["metrics"] == plain["metrics"]
+        assert state["packets"].records and state["spans"].records
+        assert state["profiler"].consumed_us() > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the two seams: any-order attach/detach, uniform lifecycle
+# ---------------------------------------------------------------------------
+
+OBSERVERS = ("packets", "spans", "slo", "profiler")
+ORDERS = list(itertools.permutations(OBSERVERS))
+
+
+class _PingPong:
+    """A spin/ethernet UDP echo driven one round trip at a time, with one
+    observer of each kind built but not yet attached."""
+
+    def __init__(self):
+        self.bed = bed = build_testbed("spin", "ethernet")
+        engine = bed.engine
+        self.observers = {
+            "packets": PacketTracer(engine),
+            "spans": SpanTracer(engine),
+            "slo": SloTracker(engine),
+            "profiler": CpuProfiler(),
+        }
+        self.lifecycle = RequestLifecycle(engine, self.observers["slo"])
+        client_host = bed.hosts[0]
+        reply = Signal(engine)
+        server = None
+
+        @ephemeral
+        def echo(m, off, src_ip, src_port, dst_ip, dst_port):
+            server.send(bytes(m.to_bytes()[off:]), src_ip, src_port)
+
+        @ephemeral
+        def on_reply(m, off, src_ip, src_port, dst_ip, dst_port):
+            client_host.defer(reply.fire)
+
+        server = bed.stacks[1].udp_manager.bind(Credential("s"), 7007, echo)
+        client = bed.stacks[0].udp_manager.bind(Credential("c"), 7001,
+                                                on_reply)
+
+        def ping():
+            request = self.lifecycle.begin("ping")
+            waiter = reply.wait()
+            yield from client_host.kernel_path(
+                lambda: client.send(b"12345678", bed.ip(1), 7007))
+            yield waiter
+            self.lifecycle.end(request)
+        self._ping = ping
+
+    def attach(self, name):
+        observer, bed = self.observers[name], self.bed
+        if name == "packets":
+            for nic in bed.nics:
+                observer.attach(nic)
+        elif name == "profiler":
+            observer.attach(bed.hosts)
+        else:
+            observer.attach(bed.hosts, bed.nics)
+
+    def detach(self, name):
+        self.observers[name].detach()
+
+    def _evidence(self):
+        """Per observer, one monotone reading per seam it listens on."""
+        packets, spans = self.observers["packets"], self.observers["spans"]
+        kinds = [span.kind for span in spans.records]
+        slo = self.lifecycle.component_totals_ns()
+        return {
+            "packets": (len(packets.records),),
+            "spans": (kinds.count("cpu"), len(kinds) - kinds.count("cpu")),
+            "slo": (slo["cpu_service"], slo["nic_ring"]),
+            "profiler": (self.observers["profiler"].consumed_us(),),
+        }
+
+    def round_trip(self):
+        """One ping-pong; returns (observers that saw it on every seam
+        they listen on, observers that saw nothing at all)."""
+        before = self._evidence()
+        self.bed.engine.run_process(self._ping())
+        self.bed.engine.run()
+        after = self._evidence()
+        saw_all = {name for name in OBSERVERS
+                   if all(a > b for a, b in zip(after[name], before[name]))}
+        saw_none = {name for name in OBSERVERS if after[name] == before[name]}
+        return saw_all, saw_none
+
+
+class TestTapSeams:
+    @pytest.mark.parametrize("attach_order", ORDERS, ids="-".join)
+    def test_attach_and_detach_in_any_order(self, attach_order):
+        for detach_order in ORDERS:
+            rig = _PingPong()
+            attached = set()
+            for names, act, note in (
+                    (attach_order, rig.attach, attached.add),
+                    (detach_order, rig.detach, attached.discard)):
+                for name in names:
+                    act(name)
+                    note(name)
+                    saw_all, saw_none = rig.round_trip()
+                    where = "attach %s, detach %s, at %s" % (
+                        attach_order, detach_order, name)
+                    assert saw_all == attached, where
+                    assert saw_none == set(OBSERVERS) - attached, where
+            for nic in rig.bed.nics:
+                assert nic.taps is None
+                assert "stage_tx" not in vars(nic)
+                assert "frame_on_wire" not in vars(nic)
+            for host in rig.bed.hosts:
+                assert host.cpu.profile is None
+                assert type(host.cpu.category_times) is dict
+
+    @pytest.mark.parametrize("name", OBSERVERS)
+    def test_second_detach_is_a_noop(self, name):
+        rig = _PingPong()
+        rig.attach(name)
+        rig.attach("spans" if name != "spans" else "slo")
+        rig.detach(name)
+        rig.detach(name)
+        saw_all, saw_none = rig.round_trip()
+        assert name in saw_none
+        assert len(saw_all) == 1
+
+    def test_profiler_readouts_survive_detach(self):
+        rig = _PingPong()
+        rig.attach("profiler")
+        rig.round_trip()
+        profiler = rig.observers["profiler"]
+        live = (profiler.report(), profiler.categories(),
+                profiler.folded_text())
+        assert live[0]["consumed_us"] > 0.0 and live[1] and live[2].strip()
+        profiler.detach()
+        assert (profiler.report(), profiler.categories(),
+                profiler.folded_text()) == live
 
 
 # ---------------------------------------------------------------------------
