@@ -1,60 +1,48 @@
-"""Partitioned scale-out workloads: the testbed sharded across engines.
+"""Partitioned workloads: speedup-curve legs and the coordination bench.
 
-The classic ``many_flows`` workload drives ``scale`` concurrent client
-flows against one server on a single engine.  Here the *same* scenario is
-sharded: each partition owns a private client-host/server-host ATM bed
-(built by the one shared :func:`repro.bench.wallclock._many_flows_setup`)
-carrying its contiguous slice of the flows, and the partitions run as a
+A shardable registry record (:mod:`repro.bench.workloads`) runs as a
 :class:`repro.sim.PartitionedSimulation` -- the serial executor
 (``REPRO_SIM_PARALLEL=0`` or ``parallel=False``) as the bit-exactness
 oracle, the parallel executor forking one worker process per partition.
-``mega_flows`` scales the same shape to 50k-100k concurrent flows (see
-:func:`repro.bench.wallclock._mega_flows_setup`) and is the headline row
-of the parallel report.
+``many_flows`` and ``mega_flows`` shard their flows: each partition owns
+a private client/server bed carrying its contiguous slice, with no
+boundary channels between the shards -- which is exactly what makes the
+speedup curve an honest measure of the partitioned core's overhead:
+every event still flows through the same ``SchedulerCore``, rounds, and
+result merge.  ``fabric_fat_tree`` shards its topology instead, so every
+datagram crosses the partition boundary.
 
-Flow sharding is embarrassingly parallel (no boundary channels between
-the shards -- cross-partition media are exercised by the T3 boundary
-pair, the round-overhead microbench below, and the chaos partition
-campaigns), which is exactly what makes the speedup curve an honest
-measure of the partitioned core's overhead: every event still flows
-through the same ``SchedulerCore``, rounds, and result merge.
+A *leg* pairs the two executors at one partition count.  Its identity
+(event count, merged fingerprint, digest of the merged metrics snapshot)
+must be equal between them -- the gate's same-run-twin policy -- and its
+speed is read against the jobs=1 serial reference of its sweep.
 
-Fingerprints of the partitioned mode are defined over the *merged*
-results (sums of flow counters, max of final clocks, rolled-up metrics
-snapshots) and carry a ``partitions`` field, so they are comparable only
-against runs with the same partition count -- the oracle is the serial
-executor at equal ``sim_jobs``, never the classic unpartitioned record.
-
-``python -m repro.bench --parallel-curve`` writes the
-``BENCH_parallel.json`` speedup-curve artifact (jobs in {1, 2, 4} plus
-the mega_flows headline row); ``--round-overhead`` runs the
-coordination-cost microbench on its own.
+``python -m repro.bench --parallel-curve`` writes ``BENCH_parallel.json``
+(``many_flows`` at jobs 1/2/4, a ``fabric_fat_tree`` and a ``mega_flows``
+leg at jobs=2, the round-overhead microbench); ``--round-overhead`` runs
+the coordination-cost microbench on its own.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = [
-    "affinity_cores",
-    "run_partitioned_workload",
-    "run_partitioned_many_flows",
-    "run_parallel_legs",
-    "run_round_overhead",
-    "speedup_expectation",
-    "write_parallel_report",
-    "PARALLEL_REPORT_FILENAME",
-    "PARALLEL_REPORT_SCHEMA_VERSION",
-]
+from .gate import REPO_ROOT, env_threshold, judge, new_report
+from .workloads import WORKLOADS, Workload, run_partitioned
 
-PARALLEL_REPORT_FILENAME = "BENCH_parallel.json"
-PARALLEL_REPORT_SCHEMA_VERSION = 2
+__all__ = ["REPORT_PATH", "CURVE_WORKLOAD", "affinity_cores", "run_leg",
+           "run_parallel_legs", "leg_rows", "run_curve",
+           "run_round_overhead"]
 
-_REPO_ROOT = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", "..", ".."))
+REPORT_PATH = os.path.join(REPO_ROOT, "BENCH_parallel.json")
+
+#: the workload whose jobs 1/2/4 sweep is the speedup curve, and whose
+#: jobs=2 leg must reach ``REPRO_SIM_SPEEDUP_MIN``.
+CURVE_WORKLOAD = "many_flows"
 
 
 def affinity_cores() -> int:
@@ -70,327 +58,126 @@ def affinity_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _split_scale(scale: int, n_partitions: int, index: int) -> int:
-    """Partition ``index``'s slice of ``scale`` flows (remainder goes low)."""
-    base, extra = divmod(scale, n_partitions)
-    return base + (1 if index < extra else 0)
-
-
-def _flows_partition_result(engine, bed, main, state, shard_scale, rss0_kb):
-    """The shared ``result()`` shape for flow-sharded partitions."""
-    from ..obs.wire import instrument_testbed
-    from .wallclock import _rss_now_kb
-
-    def result() -> Dict:
-        main.value  # surfaces any exception that escaped the workload
-        record = dict(state)
-        record["flows"] = shard_scale
-        record["final_now_us"] = engine.now
-        record["events"] = engine.events_processed
-        record["metrics"] = instrument_testbed(bed).snapshot()
-        # Host-side memory accounting, never part of the deterministic
-        # surface: under the parallel executor this measures the worker
-        # process's own RSS growth from partition build to here.
-        # *Current* RSS, not peak: a forked worker inherits the parent's
-        # peak, which may already dwarf the shard.
-        record["rss_grew_kb"] = max(0, _rss_now_kb() - rss0_kb)
-        return record
-
-    return result
-
-
-def _many_flows_partition(index: int, n_partitions: int, spec: Dict):
-    """Build one ``many_flows`` shard (runs inside the owning process)."""
-    from ..sim import Partition, PartitionEngine
-    from .testbed import build_testbed
-    from .wallclock import _many_flows_setup, _rss_now_kb
-
-    rss0_kb = _rss_now_kb()
-    engine = PartitionEngine(index)
-    bed = build_testbed("unix", "atm", deliver_mode="interrupt", engine=engine)
-    bed.partition_index = index
-    shard_scale = _split_scale(spec["scale"], n_partitions, index)
-    state, main_factory = _many_flows_setup(bed, shard_scale)
-    main = engine.process(main_factory(), name="wallclock-many-flows")
-    return Partition(
-        engine, done=lambda: main.triggered,
-        result=_flows_partition_result(engine, bed, main, state, shard_scale,
-                                       rss0_kb))
-
-
-def _mega_flows_partition(index: int, n_partitions: int, spec: Dict):
-    """Build one ``mega_flows`` shard (runs inside the owning process)."""
-    from ..sim import Partition, PartitionEngine
-    from .testbed import build_testbed
-    from .wallclock import (_mega_flows_setup, _mega_client_hosts,
-                            _rss_now_kb)
-
-    rss0_kb = _rss_now_kb()
-    engine = PartitionEngine(index)
-    shard_scale = _split_scale(spec["scale"], n_partitions, index)
-    bed = build_testbed("unix", "atm", deliver_mode="interrupt", engine=engine,
-                        n_hosts=_mega_client_hosts(shard_scale) + 1)
-    bed.partition_index = index
-    state, main_factory = _mega_flows_setup(bed, shard_scale)
-    main = engine.process(main_factory(), name="wallclock-mega-flows")
-    return Partition(
-        engine, done=lambda: main.triggered,
-        result=_flows_partition_result(engine, bed, main, state, shard_scale,
-                                       rss0_kb))
-
-
-def _fabric_fat_tree_partition(index: int, n_partitions: int, spec: Dict):
-    """Build one fat-tree shard (runs inside the owning process).
-
-    Unlike the flow-sharded workloads, ``scale`` is *per host* and is
-    not split: the topology is sharded instead (contiguous pods per
-    partition, cores on partition 0, agg-to-core wires crossing shards
-    as boundary channels), so every datagram crosses the partition
-    boundary twice on its way through the core tier.
-    """
-    from ..fabric.topology import fat_tree_partition
-    from ..obs.wire import instrument_testbed
-    from ..sim import Partition, PartitionEngine
-    from .wallclock import (_FABRIC_K, _fabric_fat_tree_setup,
-                            _fabric_switch_totals, _rss_now_kb)
-
-    rss0_kb = _rss_now_kb()
-    engine = PartitionEngine(index)
-    bed = fat_tree_partition(_FABRIC_K, index, n_partitions, engine)
-    state, main_factory = _fabric_fat_tree_setup(bed, spec["scale"])
-    main = engine.process(main_factory(), name="wallclock-fabric")
-
-    def result() -> Dict:
-        main.value
-        record = dict(state)
-        record.update(_fabric_switch_totals(bed))
-        record["final_now_us"] = engine.now
-        record["events"] = engine.events_processed
-        record["metrics"] = instrument_testbed(bed).snapshot()
-        record["rss_grew_kb"] = max(0, _rss_now_kb() - rss0_kb)
-        return record
-
-    return Partition(engine, done=lambda: main.triggered, result=result)
-
-
-_PARTITION_BUILDERS = {
-    "many_flows": _many_flows_partition,
-    "mega_flows": _mega_flows_partition,
-    "fabric_fat_tree": _fabric_fat_tree_partition,
-}
-
-
-def run_partitioned_workload(workload: str, scale: int, sim_jobs: int,
-                             parallel: Optional[bool] = None) -> Dict:
-    """Run a flow-sharded workload over ``sim_jobs`` partitions.
-
-    Returns a record shaped like the other wall-clock workload records
-    (``wall_s`` / ``events`` / ``metrics`` / ``fingerprint``...).
-    ``parallel=None`` lets ``REPRO_SIM_PARALLEL`` decide the executor;
-    ``parallel=False`` forces the in-process serial oracle.
-
-    ``per_flow_kb`` is best-effort host accounting: the serial executor
-    reports this process's peak-RSS growth across the run (zero when an
-    earlier run in the same process already set the peak), the parallel
-    executor sums each worker's own growth -- a fork starts near the
-    parent's footprint, so worker growth is the partition's real cost.
-    """
-    from ..obs.registry import merge_snapshots
-    from ..sim import PartitionedSimulation
-    from .wallclock import _rss_kb
-
-    builder = _PARTITION_BUILDERS[workload]
-    if sim_jobs < 1:
-        raise ValueError("sim_jobs must be >= 1, got %d" % sim_jobs)
-    # fabric_fat_tree shards the topology, not the flow count; its
-    # builder validates that sim_jobs divides the pod count.
-    if workload != "fabric_fat_tree" and scale < sim_jobs:
-        raise ValueError(
-            "%s needs at least one flow per partition "
-            "(scale=%d, sim_jobs=%d)" % (workload, scale, sim_jobs))
-    simulation = PartitionedSimulation(
-        builder, sim_jobs, {"scale": scale}, parallel=parallel)
-    rss0_kb = _rss_kb()
-    wall0 = time.perf_counter()
-    results = simulation.run()
-    wall = time.perf_counter() - wall0
-
-    executor = ("parallel" if simulation.parallel and sim_jobs > 1
-                else "serial")
-    if executor == "parallel":
-        grew_kb = sum(r.get("rss_grew_kb", 0) for r in results)
-    else:
-        grew_kb = max(0, _rss_kb() - rss0_kb)
-    events = sum(r["events"] for r in results)
-    if workload == "fabric_fat_tree":
-        packets = sum(r["received"] for r in results)
-        fingerprint = {
-            "scale": scale,
-            "partitions": sim_jobs,
-            "sent": sum(r["sent"] for r in results),
-            "received": sum(r["received"] for r in results),
-            "bytes": sum(r["bytes"] for r in results),
-            "switch_forwarded": sum(r["switch_forwarded"] for r in results),
-            "switch_dropped": sum(r["switch_dropped"] for r in results),
-            "ecmp": sum(r["ecmp"] for r in results),
-            "final_now_us": max(r["final_now_us"] for r in results),
-        }
-        per_flow_denominator = max(1, fingerprint["sent"])
-    else:
-        served = sum(r["served"] for r in results)
-        packets = served * 2
-        fingerprint = {
-            "flows": scale,
-            "partitions": sim_jobs,
-            "tcp_done": sum(r["tcp_done"] for r in results),
-            "udp_done": sum(r["udp_done"] for r in results),
-            "bytes_in": sum(r["bytes_in"] for r in results),
-            # Peaks are concurrent *per partition*; the sum is the
-            # testbed-wide concurrency the sharded run sustained.
-            "peak_conns": sum(r["peak_conns"] for r in results),
-            "peak_watched": sum(r["peak_watched"] for r in results),
-            "final_now_us": max(r["final_now_us"] for r in results),
-        }
-        per_flow_denominator = scale
-    return {
-        "wall_s": wall,
-        "events": events,
-        "events_per_sec": events / wall if wall > 0 else 0.0,
-        "packets": packets,
-        "packets_per_sec": packets / wall if wall > 0 else 0.0,
-        "per_flow_kb": grew_kb / per_flow_denominator,
-        "sim_jobs": sim_jobs,
-        "executor": executor,
-        "rounds": simulation.rounds,
-        "round_stats": simulation.round_stats(),
-        "metrics": merge_snapshots([r["metrics"] for r in results]),
-        "fingerprint": fingerprint,
+def _side(result: Dict) -> Dict:
+    """What a leg keeps of one executor's run.  ``identity`` is exactly
+    the acceptance surface -- event count, simulated-time fingerprint,
+    merged metrics (as a digest: the snapshot itself is large) -- and
+    the rest are host measurements."""
+    side = {key: result[key] for key in (
+        "wall_s", "events_per_sec", "rounds", "per_flow_kb")}
+    side["identity"] = {
+        "events": result["events"],
+        "fingerprint": result["fingerprint"],
+        "metrics_sha1": hashlib.sha1(json.dumps(
+            result["metrics"], sort_keys=True).encode("utf-8")).hexdigest(),
     }
+    return side
 
 
-def run_partitioned_many_flows(scale: int, sim_jobs: int,
-                               parallel: Optional[bool] = None) -> Dict:
-    """Back-compat wrapper: ``many_flows`` over ``sim_jobs`` partitions."""
-    return run_partitioned_workload("many_flows", scale, sim_jobs,
-                                    parallel=parallel)
+def run_leg(record: Workload, scale: int, jobs: int,
+            reference: Optional[Dict] = None) -> Dict:
+    """Both executors at ``jobs`` partitions.
 
-
-def _comparable(record: Dict) -> Dict:
-    """The deterministic projection of a record (what the oracle gates on).
-
-    Exactly the acceptance surface: event counts, simulated-time
-    fingerprint, and the merged metrics snapshots.  Wall-clock and RSS
-    fields are host measurements and excluded.
+    The *identity* oracle cannot be shared across partition counts
+    (fingerprints carry ``partitions``), so every leg runs the serial
+    executor at its own count -- except jobs=1 against a ``reference``,
+    where the "serial" and "parallel" executors are the identical
+    in-process code path and ``reference`` stands for both.  ``speedup``
+    is against ``reference`` (the sweep's jobs=1 run) when there is one,
+    else against the leg's own serial-oracle run.
     """
-    return {
-        "events": record["events"],
-        "fingerprint": record["fingerprint"],
-        "metrics": record["metrics"],
+    if jobs == 1 and reference is not None:
+        oracle = current = reference
+    else:
+        oracle = run_partitioned(record, scale, jobs, parallel=False)
+        current = run_partitioned(record, scale, jobs, parallel=None)
+    leg = {
+        "workload": record.name,
+        "sim_jobs": jobs,
+        "scale": scale,
+        "executor": current["executor"],
+        # The serial oracle's peak-delta per_flow_kb is the cleaner
+        # memory figure: forked workers inherit resident pages,
+        # deflating their VmRSS growth.
+        "oracle": _side(oracle),
+        "parallel": _side(current),
+        "speedup": ((reference or oracle)["wall_s"] / current["wall_s"]
+                    if current["wall_s"] > 0 else 0.0),
     }
+    if reference is not None:
+        leg["serial"] = {"wall_s": reference["wall_s"],
+                         "events_per_sec": reference["events_per_sec"]}
+    return leg
 
 
 def run_parallel_legs(jobs_values: Sequence[int], scale: int,
-                      workload: str = "many_flows") -> List[Dict]:
-    """One speedup-curve leg per jobs value against a shared serial base.
+                      workload: str = CURVE_WORKLOAD) -> List[Dict]:
+    """One leg per jobs value against a shared jobs=1 serial reference,
+    which runs exactly once, warmed by a discarded small-scale pass
+    (imports, codegen, allocator pools) so it is not the one cold run of
+    the sweep."""
+    record = WORKLOADS[workload]
+    run_partitioned(record, min(scale, 512), 1, parallel=False)
+    reference = run_partitioned(record, scale, 1, parallel=False)
+    return [run_leg(record, scale, jobs, reference) for jobs in jobs_values]
 
-    The jobs=1 in-process run is the curve's one serial reference: it
-    runs exactly once (warmed -- a discarded small-scale pass precedes
-    it), and every leg's ``speedup`` is measured against its wall clock.
-    Re-running it per jobs value -- as the schema-1 curve did -- was pure
-    bench-time waste: at one partition the "serial" and "parallel"
-    executors are the identical in-process code path.
 
-    The *identity* oracle is a different animal and cannot be shared:
-    fingerprints carry ``partitions``, so each jobs>1 leg still runs the
-    serial executor at its own partition count and hard-gates ``ok`` on
-    events / fingerprint / metrics equality with the parallel run.
+def leg_rows(legs: Sequence[Dict],
+             min_speedup: Optional[float] = None) -> Tuple[Dict, Dict]:
+    """Legs as gate rows: the parallel run's identity against the serial
+    oracle's, its wall time against the serial reference's.
+
+    With ``min_speedup`` the curve workload's jobs=2 forked leg must
+    reach that ratio -- on hosts with >= 2 affinity-visible cores.  On a
+    single core a speedup is physically meaningless, so the row records
+    a note instead of a floor.  Leg rows are same-run evidence only and
+    never enter a committed baseline.
     """
-    legs: List[Dict] = []
-    # Warm the process once (imports, codegen, allocator pools) so the
-    # serial reference isn't the one cold run of the sweep.
-    run_partitioned_workload(workload, min(scale, 512), 1, parallel=False)
-    reference = run_partitioned_workload(workload, scale, 1, parallel=False)
-    for jobs in jobs_values:
-        if jobs == 1:
-            oracle = current = reference
-            ok, errors = True, []
-        else:
-            oracle = run_partitioned_workload(workload, scale, jobs,
-                                              parallel=False)
-            current = run_partitioned_workload(workload, scale, jobs,
-                                               parallel=None)
-            ok = _comparable(current) == _comparable(oracle)
-            errors = []
-            if not ok:
-                for key in ("events", "fingerprint", "metrics"):
-                    if current[key] != oracle[key]:
-                        errors.append(
-                            "parallel %s diverged from the serial oracle: "
-                            "%r != %r" % (key, current[key], oracle[key]))
-        legs.append({
-            "sim_jobs": jobs,
-            "scale": scale,
-            "workload": workload,
-            "executor": current["executor"],
-            "serial": {"wall_s": reference["wall_s"],
-                       "events_per_sec": reference["events_per_sec"],
-                       "rounds": reference["rounds"]},
-            "oracle": {"wall_s": oracle["wall_s"],
-                       "events_per_sec": oracle["events_per_sec"],
-                       "rounds": oracle["rounds"]},
-            "parallel": {"wall_s": current["wall_s"],
-                         "events": current["events"],
-                         "events_per_sec": current["events_per_sec"],
-                         "rounds": current["rounds"],
-                         "per_flow_kb": current["per_flow_kb"]},
-            "speedup": (reference["wall_s"] / current["wall_s"]
-                        if current["wall_s"] > 0 else 0.0),
-            "fingerprint": current["fingerprint"],
-            "ok": ok,
-            "errors": errors,
-        })
-    return legs
+    rows, twins = {}, {}
+    for leg in legs:
+        name = "%s x%d" % (leg["workload"], leg["sim_jobs"])
+        rows[name] = {"fingerprint": leg["parallel"]["identity"],
+                      "wall_s": leg["parallel"]["wall_s"],
+                      "committed": False}
+        twins[name] = {"fingerprint": leg["oracle"]["identity"],
+                       "wall_s": leg.get("serial", leg["oracle"])["wall_s"]}
+        if (min_speedup is not None and leg["workload"] == CURVE_WORKLOAD
+                and leg["sim_jobs"] == 2 and leg["executor"] == "parallel"):
+            cores = affinity_cores()
+            if cores >= 2:
+                twins[name]["min_ratio"] = min_speedup
+            else:
+                rows[name]["warnings"] = [
+                    "single core visible (affinity=%d): the %.2fx jobs=2 "
+                    "expectation is not gated" % (cores, min_speedup)]
+    return rows, twins
 
 
-def speedup_expectation(legs: Sequence[Dict],
-                        min_speedup: Optional[float] = None) -> Dict:
-    """Evaluate the jobs=2 speedup gate against the visible cores.
+def run_curve(quick: bool) -> Dict:
+    """The ``BENCH_parallel.json`` report, judged.
 
-    On hosts with >= 2 affinity-visible cores the jobs=2 parallel leg
-    must reach ``min_speedup`` x the serial reference
-    (``REPRO_SIM_SPEEDUP_MIN``, default 1.3).  On single-core hosts a
-    speedup curve is physically meaningless, so the expectation records
-    itself as skipped-with-note instead of failing -- the cpu_count
-    annotation in the report is the evidence.
+    Errors on identity divergence between the executors and -- with >= 2
+    visible cores -- on the jobs=2 speedup expectation.  The
+    ``fabric_fat_tree`` leg cuts a multi-hop topology at the partition
+    boundary instead of sharding flows; the ``mega_flows`` headline leg
+    has no jobs=1 reference (a third full-scale run for a number the
+    headline does not report).
     """
-    if min_speedup is None:
-        try:
-            min_speedup = float(os.environ.get("REPRO_SIM_SPEEDUP_MIN", ""))
-        except ValueError:
-            min_speedup = 1.3
-    cores = affinity_cores()
-    verdict = {
-        "min_speedup": min_speedup,
-        "cpu_count": os.cpu_count(),
-        "affinity_cores": cores,
-    }
-    leg = next((leg for leg in legs
-                if leg["sim_jobs"] == 2 and leg["executor"] == "parallel"),
-               None)
-    if cores < 2:
-        verdict.update(gated=False, passed=None, note=(
-            "single core visible (affinity=%d): speedup curve recorded as "
-            "informational only" % cores))
-    elif leg is None:
-        verdict.update(gated=False, passed=None, note=(
-            "no jobs=2 parallel leg in this sweep; nothing to gate"))
-    else:
-        passed = leg["speedup"] >= min_speedup
-        verdict.update(gated=True, passed=passed, speedup=leg["speedup"],
-                       note=("jobs=2 speedup %.3fx %s the %.2fx expectation"
-                             % (leg["speedup"],
-                                "meets" if passed else "MISSES", min_speedup)))
-    return verdict
+    curve, fabric, mega = (WORKLOADS[name] for name in (
+        CURVE_WORKLOAD, "fabric_fat_tree", "mega_flows"))
+    legs = run_parallel_legs([1, 2, 4], curve.scale(quick))
+    legs += run_parallel_legs([2], fabric.scale(quick), fabric.name)
+    legs.append(run_leg(mega, mega.scale(quick), 2))
+    overhead = run_round_overhead(parallel=None)
+    report = new_report("--parallel-curve", quick)
+    report.update(
+        cpu_count=os.cpu_count(), affinity_cores=affinity_cores(), legs=legs,
+        # The metrics snapshot is already summarized by the scalar
+        # fields; keep the artifact lean.
+        round_overhead={key: value for key, value in overhead.items()
+                        if key != "metrics"})
+    return judge(report, lambda report: leg_rows(
+        report["legs"], env_threshold("REPRO_SIM_SPEEDUP_MIN")))
 
 
 # ---------------------------------------------------------------------------
@@ -494,59 +281,3 @@ def run_round_overhead(messages: int = 500,
         "ring_fallbacks": stats["ring_fallbacks"],
         "metrics": registry.snapshot(),
     }
-
-
-def write_parallel_report(legs: List[Dict], scale: int,
-                          path: Optional[str] = None,
-                          round_overhead: Optional[Dict] = None,
-                          mega: Optional[Dict] = None) -> str:
-    """Write the ``BENCH_parallel.json`` artifact (schema 2).
-
-    Schema 2 adds the affinity-aware core counts, the explicit speedup
-    expectation (gated or skipped-with-note), the round-overhead
-    microbench section, and the optional ``mega_flows`` headline row.
-    """
-    from .wallclock import host_fingerprint
-
-    expectation = speedup_expectation(legs)
-    report = {
-        "schema_version": PARALLEL_REPORT_SCHEMA_VERSION,
-        "generated_by": "python -m repro.bench --parallel-curve",
-        "workload": "many_flows",
-        "scale": scale,
-        "host": host_fingerprint(),
-        "cpu_count": os.cpu_count(),
-        "affinity_cores": affinity_cores(),
-        "legs": legs,
-        "speedup_expectation": expectation,
-        "ok": all(leg["ok"] for leg in legs)
-              and expectation.get("passed") is not False,
-    }
-    if round_overhead is not None:
-        # The merged metrics snapshot is already summarized by the
-        # scalar fields; keep the artifact lean.
-        report["round_overhead"] = {
-            key: value for key, value in round_overhead.items()
-            if key != "metrics"}
-    if mega is not None:
-        report["mega_flows"] = {
-            "scale": mega["fingerprint"]["flows"],
-            "sim_jobs": mega["sim_jobs"],
-            "executor": mega["executor"],
-            "wall_s": mega["wall_s"],
-            "events": mega["events"],
-            "events_per_sec": mega["events_per_sec"],
-            "per_flow_kb": mega["per_flow_kb"],
-            "rounds": mega["rounds"],
-            "fingerprint": mega["fingerprint"],
-        }
-        if "per_flow_kb_serial" in mega:
-            # The serial oracle's peak-delta measurement: forked
-            # workers inherit resident pages, deflating their growth.
-            report["mega_flows"]["per_flow_kb_serial"] = \
-                mega["per_flow_kb_serial"]
-    path = path or os.path.join(_REPO_ROOT, PARALLEL_REPORT_FILENAME)
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path

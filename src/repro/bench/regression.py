@@ -11,62 +11,9 @@ subset on every run.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List
 
-__all__ = ["GOLDEN", "check_all", "check_one", "wallclock_smoke",
-           "bench_warn_pct", "bench_fail_pct",
-           "DEFAULT_WARN_PCT", "DEFAULT_FAIL_PCT"]
-
-#: default wall-clock slowdown warning threshold, in percent (versus the
-#: committed baseline -- possibly another machine, so warning is all it
-#: can honestly do).
-DEFAULT_WARN_PCT = 20.0
-
-#: default wall-clock slowdown *failure* threshold, in percent, versus
-#: the same-run ``REPRO_FLOW_CACHE=0`` oracle leg -- same machine,
-#: same process, so a regression there is attributable to the code.
-DEFAULT_FAIL_PCT = 20.0
-
-
-def _pct_env(var: str, default: float) -> float:
-    """A percentage threshold from the environment, defensively parsed.
-
-    Invalid or negative values fall back to the default rather than
-    erroring: the benchmark harness should never die because of a typo
-    in CI config.
-    """
-    raw = os.environ.get(var, "")
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        return default
-    if value < 0:
-        return default
-    return value
-
-
-def bench_warn_pct() -> float:
-    """Wall-clock slowdown warning threshold, in percent.
-
-    ``REPRO_BENCH_WARN_PCT`` overrides the default (e.g. ``35`` on a
-    noisy shared CI runner, ``5`` on a quiet dedicated box).
-    """
-    return _pct_env("REPRO_BENCH_WARN_PCT", DEFAULT_WARN_PCT)
-
-
-def bench_fail_pct() -> float:
-    """Wall-clock same-run regression failure threshold, in percent.
-
-    ``REPRO_BENCH_FAIL_PCT`` overrides the default.  Applied to the
-    current-vs-oracle ratio within one report (see
-    ``repro.bench.wallclock.compare_to_baseline``); unlike the warning
-    threshold this one gates, because both legs ran on the same host in
-    the same process.
-    """
-    return _pct_env("REPRO_BENCH_FAIL_PCT", DEFAULT_FAIL_PCT)
+__all__ = ["GOLDEN", "check_all", "check_one", "wallclock_smoke"]
 
 
 def _fig5(device: str, system: str, **kwargs):
@@ -151,36 +98,30 @@ def check_all(names: List[str] = None) -> List[Dict]:
 
 
 def wallclock_smoke() -> List[Dict]:
-    """Quick wall-clock suite vs the committed baseline, as check rows.
+    """The quick wall-clock suite's gate verdicts, as check rows.
 
     Same row shape as :func:`check_all` so ``--check`` can print one
-    table.  ``ok`` is False on simulated-time fingerprint drift (against
-    the committed baseline or the same-run ``REPRO_FLOW_CACHE=0``
-    leg) and on a same-run regression against that leg past
-    ``REPRO_BENCH_FAIL_PCT`` (default 20%).  Events/sec below the
-    *committed* baseline only sets ``warned``: that comparison may span
-    machines, so host-side throughput against it is not a golden
-    number.
+    table: ``measured`` is events/sec as a ratio of the committed
+    baseline's, against an expected 1.0.  ``ok`` is the gate's verdict
+    (:mod:`repro.bench.gate`): False on fingerprint drift and on a
+    same-run regression against the ``REPRO_FLOW_CACHE=0`` twin.  A slow
+    or missing committed baseline only sets ``warned``: that comparison
+    may span machines, so it is not a golden number.
     """
-    from .wallclock import compare_to_baseline, load_baseline, run_suite
+    from .gate import env_threshold
+    from .wallclock import run_suite
 
-    tolerance = bench_warn_pct() / 100.0
-    suite = run_suite(quick=True, repeats=3)
-    baseline = load_baseline()
     rows: List[Dict] = []
-    if baseline is None:
-        return [{"metric": "wallclock.baseline", "expected": "present",
-                 "measured": "missing", "deviation": None, "tolerance": None,
-                 "ok": True, "warned": True}]
-    for name, row in sorted(compare_to_baseline(suite, baseline).items()):
-        ratio = row.get("events_per_sec_vs_baseline")
+    suite = run_suite(quick=True, repeats=3)
+    for name, verdict in sorted(suite["comparison"].items()):
+        ratio = verdict.get("speed_vs_baseline")
         rows.append({
-            "metric": "wallclock.%s.events_per_sec" % name,
-            "expected": baseline["quick"]["workloads"][name]["events_per_sec"],
-            "measured": suite["workloads"][name]["events_per_sec"],
-            "deviation": (None if ratio is None else abs(1.0 - ratio)),
-            "tolerance": tolerance,
-            "ok": not row["errors"],
-            "warned": bool(row["warnings"]),
+            "metric": "wallclock.%s.events_per_sec_vs_baseline" % name,
+            "expected": 1.0,
+            "measured": ratio,
+            "deviation": None if ratio is None else abs(1.0 - ratio),
+            "tolerance": env_threshold("REPRO_BENCH_WARN_PCT") / 100.0,
+            "ok": verdict["ok"],
+            "warned": bool(verdict["warnings"]),
         })
     return rows

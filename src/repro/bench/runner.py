@@ -19,7 +19,7 @@ Determinism contract:
 * The merge step joins section texts in declaration order, regardless of
   completion order, so ``--jobs N`` output is byte-identical to
   ``--jobs 1`` output -- which is itself the same code path run inline.
-  The equivalence is enforced by ``tests/test_bench_runner.py``.
+  The equivalence is enforced by ``tests/test_scaleout.py``.
 
 Serial runs (``jobs <= 1``) execute the same task functions in the same
 order in-process: there is exactly one code path for what runs, and the
@@ -35,7 +35,6 @@ __all__ = [
     "task_seed",
     "run_report_sections",
     "run_report",
-    "run_wallclock_workloads",
     "run_wallclock_suite",
 ]
 
@@ -105,52 +104,30 @@ def _wallclock_task(payload: Tuple[str, bool, int, str]) -> Dict:
 
     name, quick, repeats, mode = payload
     random.seed(task_seed(name))
-    from .wallclock import run_workload
+    from .workloads import run_workload
     return run_workload(name, quick=quick, repeats=repeats, mode=mode)
-
-
-def run_wallclock_workloads(names: Sequence[str], quick: bool = False,
-                            repeats: int = 1, jobs: int = 1,
-                            mode: str = "current") -> Dict[str, Dict]:
-    """Run the named workloads; records keyed by name, in given order.
-
-    Fingerprints are pure simulated-time outputs and are identical for
-    any ``jobs`` value; the wall-clock side metrics (``wall_s``,
-    ``events_per_sec``) are host measurements and vary run to run
-    whether or not a pool is involved.  ``mode`` picks the bit-exactness
-    rung (``current`` / ``uncached``); it travels in the task payload,
-    so a pooled oracle leg runs under the same environment override a
-    serial one does.
-    """
-    records = _map_tasks(_wallclock_task,
-                         [(name, quick, repeats, mode) for name in names],
-                         jobs)
-    return dict(zip(names, records))
 
 
 def run_wallclock_suite(names: Sequence[str], gated: Sequence[str],
                         quick: bool = False, repeats: int = 1,
-                        jobs: int = 1, sim_jobs: int = 1):
+                        jobs: int = 1):
     """Current-mode records for ``names``, plus a same-run
     ``REPRO_FLOW_CACHE=0`` twin for each workload in ``gated``.
 
-    Returns ``(current, oracle, parallel_legs)``; the first two are
-    dicts keyed by name, the third the partitioned ``many_flows`` legs
-    (empty unless ``sim_jobs > 1``).  The partitioned legs always run in
-    *this* process, after the pool has drained: the parallel executor
-    forks one worker per partition itself, and nesting that inside a
-    ``ProcessPoolExecutor`` worker would stack process trees for no
-    speedup (the partitions already saturate the cores).  Gated
-    workloads are scheduled as *interleaved single-repeat pairs* --
-    current, oracle, current, oracle, ... -- and each mode keeps
-    its best wall_s.  Running all N repeats of one leg before any of
-    the twin's would let a repeat-scale noise burst (CPU steal, a cron
-    tick) land entirely on one side and wedge the gated ratio; pairwise
-    interleaving means any burst shorter than the whole pair sequence
-    hits both legs, and best-of-N then discards it from both (measured:
-    back-to-back whole legs still produced a 0.76 ratio on a loaded
-    one-core host; minute-scale separation was worse still, ~10 s
-    pushing a quiet-machine ratio to 0.88).
+    Returns ``(current, oracle)``, dicts keyed by name in the given
+    order.  Fingerprints are pure simulated-time outputs and identical
+    for any ``jobs`` value; the mode travels in the task payload, so a
+    pooled oracle leg runs under the same environment override a serial
+    one does.  Gated workloads are scheduled as *interleaved
+    single-repeat pairs* -- current, oracle, current, oracle, ... -- and
+    each mode keeps its best wall_s.  Running all N repeats of one leg
+    before any of the twin's would let a repeat-scale noise burst (CPU
+    steal, a cron tick) land entirely on one side and wedge the gated
+    ratio; pairwise interleaving means any burst shorter than the whole
+    pair sequence hits both legs, and best-of-N then discards it from
+    both (measured: back-to-back whole legs still produced a 0.76 ratio
+    on a loaded one-core host; minute-scale separation was worse still,
+    ~10 s pushing a quiet-machine ratio to 0.88).
     """
     payloads = []
     for name in names:
@@ -172,18 +149,4 @@ def run_wallclock_suite(names: Sequence[str], gated: Sequence[str],
                 % (name, record["fingerprint"], best["fingerprint"]))
         if best is None or record["wall_s"] < best["wall_s"]:
             bucket[name] = record
-    parallel_legs: List[Dict] = []
-    if sim_jobs > 1:
-        from .wallclock import WORKLOADS
-        from .parallel import run_parallel_legs
-        _fn, quick_scale, full_scale = WORKLOADS["many_flows"]
-        scale = quick_scale if quick else full_scale
-        parallel_legs = run_parallel_legs([sim_jobs], scale)
-        # A second oracle-gated leg through the switch fabric: same
-        # partition count, but the boundary now cuts a multi-hop
-        # topology (agg-to-core wires) instead of sharding flows.
-        _fn, quick_scale, full_scale = WORKLOADS["fabric_fat_tree"]
-        fabric_scale = quick_scale if quick else full_scale
-        parallel_legs += run_parallel_legs([sim_jobs], fabric_scale,
-                                           workload="fabric_fat_tree")
-    return current, oracle, parallel_legs
+    return current, oracle

@@ -5,7 +5,7 @@
     python -m repro.obs --workload tcp_bulk --require checksum,dispatch,copy,device-io
     python -m repro.obs --check-schema
 
-Runs a ``repro.bench.wallclock`` workload with the CPU profiler (and
+Runs a ``repro.bench.workloads`` registry workload with the CPU profiler (and
 optionally the span tracer) attached, then writes the folded-stack file,
 the metrics-registry snapshot, and/or the span timeline.  ``--require``
 exits non-zero unless every named charge category shows up in the
@@ -51,7 +51,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--workload",
         default=None,
-        help="wallclock workload to profile (e.g. udp_pingpong, tcp_bulk)",
+        help="registry workload to profile (e.g. udp_pingpong, tcp_bulk)",
     )
     parser.add_argument("--folded", default=None, help="write folded stacks (flamegraph input)")
     parser.add_argument("--metrics", default=None, help="write the metrics registry snapshot JSON")
@@ -92,7 +92,7 @@ def check_schema() -> int:
 
 def profile_workload(name: str, quick: bool = True, with_spans: bool = False):
     """Run ``name`` instrumented; returns (record, profiler, registry, tracer)."""
-    from ..bench.wallclock import run_workload
+    from ..bench.workloads import run_workload
 
     state = {}
 

@@ -1,0 +1,444 @@
+"""The bench harness's single owners: one gate, one baseline loader, one
+CLI parser, one workload registry.
+
+The gate's three policies are table-driven here, first on bare rows and
+then through each suite's row extractor on a synthetic report; the tests
+that predate the single gate (``TestPrechangeGate``, ``TestBenchWarnPct``,
+``TestLatencyGate``, ``TestSpeedupExpectation``) keep their own files and
+go through the same functions.
+"""
+
+import copy
+
+import pytest
+
+from repro.bench import parallel, slo, wallclock
+from repro.bench.__main__ import _parser, main
+from repro.bench.gate import (THRESHOLD_DEFAULTS, env_threshold, gate, judge,
+                              load_baseline, write_baseline, write_json)
+from repro.bench.workloads import WORKLOADS, run_once, run_partitioned
+from repro.sim import PartitionedSimulation
+
+
+@pytest.fixture(autouse=True)
+def _default_thresholds(monkeypatch):
+    for var in THRESHOLD_DEFAULTS:
+        monkeypatch.delenv(var, raising=False)
+
+
+# ---------------------------------------------------------------------------
+# the three policies on bare rows
+# ---------------------------------------------------------------------------
+
+ROW = {"fingerprint": {"f": 1, "g": 2}, "events_per_sec": 100.0}
+
+
+def _row(**changes):
+    return dict(copy.deepcopy(ROW), **changes)
+
+
+#: id, rows, twins, baseline, cross_host, ok, error substrings, warning
+#: substrings ("" = there must be none)
+POLICY_TABLE = [
+    ("clean", _row(), _row(min_ratio=0.8), _row(), False, True, "", ""),
+    # policy 1: fingerprint or identity mismatch is an error
+    ("baseline fingerprint drift", _row(), None,
+     _row(fingerprint={"f": 1, "g": 3}), False, False,
+     "fingerprint drifted from the committed baseline on g", ""),
+    ("twin fingerprint divergence", _row(),
+     _row(fingerprint={"f": 9, "g": 2}), None, False, False,
+     "divergence from the same-run twin on f", ""),
+    # policy 2: the same-run twin ratio is an error below its floor
+    ("twin below its floor", _row(events_per_sec=70.0), _row(min_ratio=0.8),
+     None, False, False, "0.70x the same-run twin (fail threshold 0.80x)", ""),
+    ("twin at its floor", _row(events_per_sec=80.0), _row(min_ratio=0.8),
+     None, False, True, "", ""),
+    ("twin without a floor is informational", _row(events_per_sec=10.0),
+     _row(), None, False, True, "", ""),
+    ("speedup floor above 1", _row(wall_s=1.0, events_per_sec=None),
+     {"fingerprint": ROW["fingerprint"], "wall_s": 1.1, "min_ratio": 1.3},
+     None, False, False, "1.10x the same-run twin (fail threshold 1.30x)", ""),
+    # policy 3: committed-baseline speed only warns
+    ("baseline slowdown, same host", _row(events_per_sec=50.0), None, _row(),
+     False, True, "", "events/sec is 50% of committed baseline (warn "
+                      "threshold 80%)"),
+    ("baseline slowdown, cross host", _row(events_per_sec=50.0), None, _row(),
+     True, True, "", "different or unknown host"),
+    ("baseline slowdown by wall time",
+     _row(wall_s=2.0, events_per_sec=None), None,
+     _row(wall_s=1.0, events_per_sec=None), False, True, "",
+     "speed by wall time is 50% of committed baseline"),
+    ("baseline speedup is quiet", _row(events_per_sec=500.0), None, _row(),
+     True, True, "", ""),
+    ("row missing from the baseline", _row(), None, "missing", False, True,
+     "", "no committed baseline for 'w'"),
+    ("suite without a baseline", _row(), None, None, False, True, "", ""),
+    ("same-run-only row skips the baseline", _row(committed=False), None,
+     "missing", False, True, "", ""),
+    # rows bring their own findings along
+    ("row-level error", _row(errors=["request r0 does not reconcile"]), None,
+     None, False, False, "does not reconcile", ""),
+    ("row-level note", _row(warnings=["single core visible"]), None, None,
+     False, True, "", "single core"),
+]
+
+
+@pytest.mark.parametrize(
+    "row, twin, base, cross_host, ok, error, warning",
+    [case[1:] for case in POLICY_TABLE], ids=[case[0] for case in POLICY_TABLE])
+def test_gate_policy(row, twin, base, cross_host, ok, error, warning):
+    baseline = {} if base == "missing" else base and {"w": base}
+    verdict = gate({"w": row}, twin and {"w": twin}, baseline,
+                   cross_host)["w"]
+    assert verdict["ok"] is ok
+    for expected, found in ((error, verdict["errors"]),
+                            (warning, verdict["warnings"])):
+        if expected:
+            assert any(expected in message for message in found), found
+        else:
+            assert not found
+    if not cross_host:
+        assert not any("unknown host" in w for w in verdict["warnings"])
+
+
+def test_gate_records_both_ratios():
+    verdict = gate({"w": _row(events_per_sec=150.0)}, {"w": _row()},
+                   {"w": _row(events_per_sec=300.0)})["w"]
+    assert verdict["speed_vs_twin"] == 1.5
+    assert verdict["speed_vs_baseline"] == 0.5
+
+
+def test_warn_threshold_is_read_from_the_environment(monkeypatch):
+    rows, baseline = {"w": _row(events_per_sec=50.0)}, {"w": _row()}
+    assert gate(rows, baseline=baseline)["w"]["warnings"]
+    monkeypatch.setenv("REPRO_BENCH_WARN_PCT", "60")
+    assert not gate(rows, baseline=baseline)["w"]["warnings"]
+
+
+@pytest.mark.parametrize("var", sorted(THRESHOLD_DEFAULTS))
+@pytest.mark.parametrize("junk", ["", "lots", "nan", "inf", "-1"])
+def test_thresholds_share_one_validated_parser(monkeypatch, var, junk):
+    """``nan`` once made the speedup expectation always miss, ``-1``
+    always pass."""
+    monkeypatch.setenv(var, junk)
+    assert env_threshold(var) == THRESHOLD_DEFAULTS[var]
+    monkeypatch.setenv(var, "1.5")
+    assert env_threshold(var) == 1.5
+
+
+# ---------------------------------------------------------------------------
+# the three policies through each suite's row extractor
+# ---------------------------------------------------------------------------
+
+HOST = {"machine": "x"}
+_SIDE = {"n": 10, "p50_ns": 100, "p99_ns": 200, "p999_ns": 300,
+         "max_ns": 300, "sum_ns": 1500, "requested": 10, "completed": 10,
+         "still_open": 0}
+
+
+def _wallclock_report():
+    record = {"fingerprint": {"f": 1}, "events_per_sec": 100.0, "wall_s": 1.0}
+    return {"quick": True, "host": HOST, "workloads": {"w": dict(record)},
+            "oracle": {"w": dict(record)}}
+
+
+def _latency_report():
+    return {
+        "quick": True, "host": HOST,
+        "legs": {"udp_echo@g400": {"open": dict(_SIDE), "closed": dict(_SIDE),
+                                   "wall_s": 1.0}},
+        "decomposition": {"udp_clean": {
+            "percentiles": dict(_SIDE), "components_ns": {"cpu_service": 9},
+            "reconciled": True, "errors": []}},
+        "rungs": {"leg": "udp_echo@g400", "fingerprints": {
+            "current": dict(_SIDE), "uncached": dict(_SIDE)}},
+    }
+
+
+def _leg(workload="many_flows", jobs=2, wall=0.5):
+    identity = {"events": 7, "fingerprint": {"flows": 4}, "metrics_sha1": "ab"}
+    return {"workload": workload, "sim_jobs": jobs, "executor": "parallel",
+            "parallel": {"identity": dict(identity), "wall_s": wall},
+            "oracle": {"identity": dict(identity), "wall_s": 1.1},
+            "serial": {"wall_s": 1.0}}
+
+
+def _parallel_report():
+    return {"quick": True, "host": HOST, "legs": [_leg()]}
+
+
+def _curve_rows(report):
+    return parallel.leg_rows(report["legs"],
+                             env_threshold("REPRO_SIM_SPEEDUP_MIN"))
+
+
+SUITES = {
+    "wallclock": (_wallclock_report, wallclock.rows, "w"),
+    "latency": (_latency_report, slo.rows, "udp_echo@g400"),
+    "parallel": (_parallel_report, _curve_rows, "many_flows x2"),
+}
+
+
+def _set(path, value):
+    """A report mutation: walk ``path`` and assign ``value``."""
+    def mutate(report):
+        target = report
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return mutate
+
+
+#: suite, what is wrong with the fresh report, the row that must say so,
+#: ok, and a substring of the error ("" = warning-only or clean)
+SUITE_TABLE = [
+    ("wallclock", None, "w", True, ""),
+    ("wallclock", _set(["workloads", "w", "fingerprint"], {"f": 2}), "w",
+     False, "drifted"),
+    ("wallclock", _set(["oracle", "w", "fingerprint"], {"f": 2}), "w", False,
+     "divergence"),
+    ("wallclock", _set(["oracle", "w", "events_per_sec"], 200.0), "w", False,
+     "0.50x the same-run twin (fail threshold 0.80x)"),
+    ("latency", None, "udp_echo@g400", True, ""),
+    ("latency", _set(["legs", "udp_echo@g400", "open", "p99_ns"], 240),
+     "udp_echo@g400", False, "drifted from the committed baseline on open"),
+    ("latency", _set(["decomposition", "udp_clean", "components_ns"],
+                     {"cpu_service": 8}), "decomposition:udp_clean", False,
+     "drifted from the committed baseline on components_ns"),
+    ("latency", _set(["decomposition", "udp_clean", "errors"],
+                     ["request r0 does not reconcile"]),
+     "decomposition:udp_clean", False, "does not reconcile"),
+    ("latency", _set(["rungs", "fingerprints", "uncached", "p50_ns"], 101),
+     "rungs", False, "divergence from the same-run twin on p50_ns"),
+    ("parallel", None, "many_flows x2", True, ""),
+    ("parallel", _set(["legs", 0, "parallel", "identity", "events"], 8),
+     "many_flows x2", False, "divergence from the same-run twin on events"),
+    ("parallel", _set(["legs", 0, "oracle", "identity", "fingerprint"],
+                      {"flows": 5}), "many_flows x2", False,
+     "divergence from the same-run twin on fingerprint"),
+    ("parallel", _set(["legs", 0, "parallel", "identity", "metrics_sha1"],
+                      "cd"), "many_flows x2", False,
+     "divergence from the same-run twin on metrics_sha1"),
+    ("parallel", _set(["legs", 0, "parallel", "wall_s"], 0.9),
+     "many_flows x2", False, "1.11x the same-run twin (fail threshold 1.30x)"),
+]
+
+
+@pytest.mark.parametrize("suite, mutate, row, ok, error", SUITE_TABLE)
+def test_suite_rows_through_the_gate(monkeypatch, tmp_path, suite, mutate,
+                                     row, ok, error):
+    monkeypatch.setattr(parallel, "affinity_cores", lambda: 4)
+    build, extract, _row_name = SUITES[suite]
+    path = str(tmp_path / "baseline.json")
+    write_baseline(build(), extract, path)
+    report = build()
+    if mutate is not None:
+        mutate(report)
+    judge(report, extract, path)
+    verdict = report["comparison"][row]
+    assert verdict["ok"] is ok and report["ok"] is ok
+    if error:
+        assert any(error in message for message in verdict["errors"]), verdict
+    others = [name for name in report["comparison"] if name != row]
+    assert all(report["comparison"][name]["ok"] for name in others)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_baseline_is_the_projection_of_the_gate_rows(tmp_path, suite):
+    build, extract, row = SUITES[suite]
+    path = str(tmp_path / "baseline.json")
+    write_baseline(build(), extract, path)
+    baseline = load_baseline(path)
+    assert baseline["host"] == HOST and "full" not in baseline
+    if suite == "parallel":      # same-run evidence only: nothing committed
+        assert baseline["quick"] == {}
+        return
+    assert set(baseline["quick"][row]) <= {"fingerprint", "events_per_sec",
+                                           "wall_s"}
+    # The other scale survives a refresh.
+    full = build()
+    full["quick"] = False
+    write_baseline(full, extract, path)
+    assert set(load_baseline(path)) >= {"quick", "full"}
+
+
+@pytest.mark.parametrize("suite", ["wallclock", "latency"])
+def test_slow_or_missing_baseline_only_warns(tmp_path, suite):
+    build, extract, row = SUITES[suite]
+    path = str(tmp_path / "baseline.json")
+    verdict = judge(build(), extract, path)["comparison"][row]  # no file
+    assert verdict["ok"]
+    assert any("no committed baseline" in w for w in verdict["warnings"])
+    write_baseline(build(), extract, path)
+    baseline = load_baseline(path)
+    speed = "events_per_sec" if suite == "wallclock" else "wall_s"
+    baseline["quick"][row][speed] *= 10.0 if suite == "wallclock" else 0.1
+    baseline["host"] = {"machine": "vax"}
+    write_json(baseline, path)
+    report = judge(build(), extract, path)
+    verdict = report["comparison"][row]
+    assert report["ok"] and verdict["ok"]
+    assert any("10% of committed baseline" in w and "unknown host" in w
+               for w in verdict["warnings"])
+
+
+def test_single_core_skips_the_speedup_floor(monkeypatch):
+    monkeypatch.setattr(parallel, "affinity_cores", lambda: 1)
+    report = _parallel_report()
+    report["legs"][0]["parallel"]["wall_s"] = 2.0       # 0.5x: would fail
+    verdict = judge(report, _curve_rows)["comparison"]["many_flows x2"]
+    assert verdict["ok"] and verdict["speed_vs_twin"] == 0.5
+    assert any("single core" in w for w in verdict["warnings"])
+
+
+def test_only_the_curve_workloads_jobs2_leg_is_floored(monkeypatch):
+    monkeypatch.setattr(parallel, "affinity_cores", lambda: 4)
+    report = {"legs": [_leg(jobs=4, wall=2.0),
+                       _leg("fabric_fat_tree", wall=2.0)]}
+    assert judge(report, _curve_rows)["ok"]
+    # ... and under --wallclock --sim-jobs no leg is.
+    report = {"legs": [_leg(wall=2.0)]}
+    assert judge(report, lambda r: parallel.leg_rows(r["legs"]))["ok"]
+
+
+# ---------------------------------------------------------------------------
+# the one baseline loader
+# ---------------------------------------------------------------------------
+
+class TestLoadBaseline:
+    def test_missing_file_is_none(self, tmp_path):
+        assert load_baseline(str(tmp_path / "absent.json")) is None
+
+    def test_corrupt_file_raises_with_its_path(self, tmp_path):
+        path = tmp_path / "baseline.json"
+        path.write_text('{"quick": {"w": {"fingerprint"')     # truncated
+        with pytest.raises(ValueError, match="baseline.json"):
+            load_baseline(str(path))
+
+    @pytest.mark.parametrize("suite", ["wallclock", "latency"])
+    def test_corrupt_baseline_cannot_turn_the_gate_off(self, tmp_path, suite):
+        """Both old loaders returned None here, every row then read "no
+        committed baseline", and the suite exited 0."""
+        build, extract, _row = SUITES[suite]
+        path = tmp_path / "baseline.json"
+        path.write_text("{")
+        with pytest.raises(ValueError, match="unreadable"):
+            judge(build(), extract, str(path))
+
+    def test_wallclock_run_with_a_corrupt_baseline_raises(self, monkeypatch,
+                                                          tmp_path):
+        path = tmp_path / "wallclock_baseline.json"
+        path.write_text("{")
+        monkeypatch.setattr(wallclock, "BASELINE_PATH", str(path))
+        with pytest.raises(ValueError, match="wallclock_baseline.json"):
+            wallclock.run_suite(quick=True, names=["dispatcher_micro"])
+
+    def test_wallclock_run_without_a_baseline_warns(self, monkeypatch,
+                                                    tmp_path):
+        monkeypatch.setattr(wallclock, "BASELINE_PATH",
+                            str(tmp_path / "absent.json"))
+        suite = wallclock.run_suite(quick=True, names=["dispatcher_micro"])
+        row = suite["comparison"]["dispatcher_micro"]
+        assert suite["ok"] and row["ok"]
+        assert any("no committed baseline" in w for w in row["warnings"])
+
+
+# ---------------------------------------------------------------------------
+# the one argument parser
+# ---------------------------------------------------------------------------
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [
+        ["--wallclok"],                     # a typo once ran the full report
+        ["--wallclock", "--latency"],       # one mode at a time
+        ["--quick", "--full"],
+        ["--jobs", "0"], ["--jobs", "two"], ["--sim-jobs", "-1"], ["--jobs"],
+        ["--write-baseline"],               # needs --wallclock or --latency
+        ["--parallel-curve", "--write-baseline"],
+        ["--speedup-smoke"],                # deleted with its CI step
+    ])
+    def test_bad_arguments_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_quick_is_the_explicit_default(self):
+        parser = _parser()
+        assert not parser.parse_args(["--latency", "--quick"]).full
+        assert not parser.parse_args(["--latency"]).full
+        assert parser.parse_args(["--latency", "--full"]).full
+
+    def test_jobs_parse_through_one_validator(self):
+        args = _parser().parse_args(
+            ["--wallclock", "--jobs", "3", "--sim-jobs", "2",
+             "--write-baseline"])
+        assert (args.jobs, args.sim_jobs, args.write_baseline) == (3, 2, True)
+        defaults = _parser().parse_args([])
+        assert (defaults.jobs, defaults.sim_jobs) == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# the one workload registry
+# ---------------------------------------------------------------------------
+
+class TestRegistry:
+    @pytest.mark.parametrize("name", list(WORKLOADS))
+    def test_every_record_runs_at_its_warmup_scale(self, name):
+        record = WORKLOADS[name]
+        result = run_once(record, record.warmup)
+        assert result["events"] > 0 and result["wall_s"] > 0
+        assert result["fingerprint"]
+        assert ("flow_cache" in result) == record.has_dispatcher
+        assert ("per_flow_kb" in result) == (record.flows is not None)
+        assert record.quick <= record.full
+
+    @pytest.mark.parametrize("name", [
+        name for name, record in WORKLOADS.items() if record.split])
+    def test_shardable_records_merge_as_the_sum_of_their_shards(
+            self, monkeypatch, name):
+        shards = []
+        real_run = PartitionedSimulation.run
+
+        def run(simulation):
+            shards.extend(real_run(simulation))
+            return list(shards)
+
+        monkeypatch.setattr(PartitionedSimulation, "run", run)
+        record = WORKLOADS[name]
+        scale = min(record.warmup, 120)
+        merged = run_partitioned(record, scale, 2, parallel=False)
+        assert len(shards) == 2
+        fingerprint = dict(merged["fingerprint"])
+        assert fingerprint.pop("partitions") == 2
+        assert fingerprint.pop(record.scale_key) == scale
+        assert fingerprint.pop("final_now_us") == max(
+            shard["fingerprint"]["final_now_us"] for shard in shards)
+        assert fingerprint
+        for key, total in fingerprint.items():
+            assert total == sum(shard["fingerprint"][key] for shard in shards)
+        for key in ("events", "packets"):
+            assert merged[key] == sum(shard[key] for shard in shards)
+
+    def test_latency_legs_pair_with_their_closed_twins(self):
+        for name in slo.LEGS:
+            assert name in WORKLOADS
+        twins = [name for name in WORKLOADS if name.endswith("/closed")]
+        assert sorted(name[:-len("/closed")] for name in twins) == sorted(
+            name for name in slo.LEGS if "@" in name)
+        for probe in slo.PROBES:
+            assert WORKLOADS[probe].kinds
+
+    def test_default_suite_is_the_committed_sweep(self):
+        assert sorted(name for name, record in WORKLOADS.items()
+                      if record.default_suite) == [
+            "dispatcher_micro", "many_flows", "tcp_bulk", "udp_pingpong"]
+
+    @pytest.mark.parametrize("name", [
+        name for name, record in WORKLOADS.items() if record.default_suite])
+    def test_obs_profiles_every_default_suite_workload(self, name):
+        from repro.obs.__main__ import profile_workload
+        record, profiler, registry, tracer = profile_workload(name, quick=True)
+        assert record["name"] == name and record["events"] > 0
+        assert sum(profiler.categories().values()) > 0.0
+        assert len(registry) > 0 and tracer is None

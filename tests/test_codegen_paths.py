@@ -12,11 +12,13 @@ sharing, the step cap, generation/epoch hygiene, the oracle-relative
 bench gate, and the obs ``compiled-path`` metric requirement.
 """
 
+import json
+
 import pytest
 
-from repro.bench.regression import (DEFAULT_FAIL_PCT, bench_fail_pct)
-from repro.bench.wallclock import (compare_to_baseline, host_fingerprint,
-                                   run_suite)
+from repro.bench.gate import (THRESHOLD_DEFAULTS, env_threshold,
+                              host_fingerprint, judge)
+from repro.bench.wallclock import rows as wallclock_rows, run_suite
 from repro.hw.cpu import ChargeError
 from repro.obs.__main__ import _missing_categories
 from repro.obs.profiler import CpuProfiler
@@ -404,7 +406,8 @@ def _report(ratio: float, fingerprint=None):
         "quick": True,
         "host": host_fingerprint(),
         "workloads": {
-            "w": {"fingerprint": {"f": 1}, "events_per_sec": 100.0 * ratio},
+            "w": {"fingerprint": {"f": 1}, "events_per_sec": 100.0 * ratio,
+                  "wall_s": 1.0 / ratio},
         },
         "oracle": {
             "w": {"fingerprint": fingerprint or {"f": 1},
@@ -413,53 +416,67 @@ def _report(ratio: float, fingerprint=None):
     }
 
 
+def _judged(report, baseline=None, tmp_path=None):
+    """The wall-clock suite's verdict rows for ``report``, against a
+    baseline file holding ``baseline`` (none when omitted)."""
+    path = None
+    if baseline is not None:
+        path = str(tmp_path / "baseline.json")
+        with open(path, "w") as fh:
+            json.dump(baseline, fh)
+    return judge(report, wallclock_rows, path)["comparison"]
+
+
+FAIL_PCT = "REPRO_BENCH_FAIL_PCT"
+
+
 class TestPrechangeGate:
     """The same-run twin the gate fails on (named ``prechange`` before it
     became the ``REPRO_FLOW_CACHE=0`` oracle leg)."""
 
     def test_seeded_regression_fails(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_FAIL_PCT", raising=False)
-        rows = compare_to_baseline(_report(0.5), {})
+        monkeypatch.delenv(FAIL_PCT, raising=False)
+        rows = _judged(_report(0.5))
         assert not rows["w"]["ok"]
-        assert any("oracle" in err for err in rows["w"]["errors"])
-        assert rows["w"]["events_per_sec_vs_oracle"] == 0.5
+        assert any("same-run twin" in err for err in rows["w"]["errors"])
+        assert rows["w"]["speed_vs_twin"] == 0.5
 
     def test_small_wobble_passes(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_FAIL_PCT", raising=False)
-        rows = compare_to_baseline(_report(0.95), {})
+        monkeypatch.delenv(FAIL_PCT, raising=False)
+        rows = _judged(_report(0.95))
         assert rows["w"]["ok"]
         assert not rows["w"]["errors"]
 
     def test_fingerprint_divergence_fails(self):
-        rows = compare_to_baseline(_report(2.0, fingerprint={"f": 2}), {})
+        rows = _judged(_report(2.0, fingerprint={"f": 2}))
         assert not rows["w"]["ok"]
         assert any("divergence" in err for err in rows["w"]["errors"])
 
     def test_fail_pct_env_loosens(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_FAIL_PCT", "60")
-        rows = compare_to_baseline(_report(0.5), {})
+        monkeypatch.setenv(FAIL_PCT, "60")
+        rows = _judged(_report(0.5))
         assert rows["w"]["ok"]
-        monkeypatch.setenv("REPRO_BENCH_FAIL_PCT", "garbage")
-        assert bench_fail_pct() == DEFAULT_FAIL_PCT
-        monkeypatch.delenv("REPRO_BENCH_FAIL_PCT", raising=False)
-        assert bench_fail_pct() == DEFAULT_FAIL_PCT
+        monkeypatch.setenv(FAIL_PCT, "garbage")
+        assert env_threshold(FAIL_PCT) == THRESHOLD_DEFAULTS[FAIL_PCT] == 20.0
+        monkeypatch.delenv(FAIL_PCT, raising=False)
+        assert env_threshold(FAIL_PCT) == THRESHOLD_DEFAULTS[FAIL_PCT]
 
-    def test_cross_machine_slowdown_is_labeled(self, monkeypatch):
+    def test_cross_machine_slowdown_is_labeled(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_BENCH_WARN_PCT", raising=False)
         report = _report(1.0)
         baseline = {
             "host": {"python": "0.0.0", "machine": "vax"},
-            "quick": {"workloads": {
+            "quick": {
                 "w": {"fingerprint": {"f": 1}, "events_per_sec": 1000.0},
-            }},
+            },
         }
-        rows = compare_to_baseline(report, baseline)
+        rows = _judged(report, baseline, tmp_path)
         assert rows["w"]["ok"]  # committed-baseline slowdowns never fail
         assert any("different or unknown host" in warning
                    for warning in rows["w"]["warnings"])
         # Same-host baselines keep the plain warning text.
         baseline["host"] = report["host"]
-        rows = compare_to_baseline(report, baseline)
+        rows = _judged(report, baseline, tmp_path)
         assert any("committed baseline" in w and "unknown host" not in w
                    for w in rows["w"]["warnings"])
 
@@ -471,7 +488,7 @@ class TestPrechangeGate:
             leg = suite["oracle"]["dispatcher_micro"]
             assert (leg["fingerprint"]
                     == suite["workloads"]["dispatcher_micro"]["fingerprint"])
-            assert "events_per_sec_vs_oracle" in row
+            assert "speed_vs_twin" in row
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,9 @@ Covers the tentpole and satellites of the compiled-path refactor:
 
 import pytest
 
-from repro.bench.regression import DEFAULT_WARN_PCT, bench_warn_pct
+from repro.bench.gate import THRESHOLD_DEFAULTS, env_threshold, gate
 from repro.bench.testbed import build_testbed
-from repro.bench.wallclock import (WORKLOADS, compare_to_baseline,
-                                   run_workload)
+from repro.bench.workloads import WORKLOADS, run_once, run_workload
 from repro.core import Credential, ProtocolGraph
 from repro.lang import ephemeral
 from repro.net.trace import PacketTracer, _decode_tcp_options
@@ -84,8 +83,8 @@ class TestGraphStaysAuthoritative:
 # ---------------------------------------------------------------------------
 
 def _udp_quick_fingerprint():
-    fn, quick, _full = WORKLOADS["udp_pingpong"]
-    record = fn(quick)
+    record = run_once(WORKLOADS["udp_pingpong"],
+                      WORKLOADS["udp_pingpong"].quick)
     return record["fingerprint"], record["flow_cache"]
 
 
@@ -173,46 +172,39 @@ class TestFlowCache:
 # REPRO_BENCH_WARN_PCT
 # ---------------------------------------------------------------------------
 
+WARN_PCT = "REPRO_BENCH_WARN_PCT"
+
+
 class TestBenchWarnPct:
     def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_WARN_PCT", raising=False)
-        assert bench_warn_pct() == DEFAULT_WARN_PCT
+        monkeypatch.delenv(WARN_PCT, raising=False)
+        assert env_threshold(WARN_PCT) == THRESHOLD_DEFAULTS[WARN_PCT] == 20.0
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_WARN_PCT", "35")
-        assert bench_warn_pct() == 35.0
+        monkeypatch.setenv(WARN_PCT, "35")
+        assert env_threshold(WARN_PCT) == 35.0
 
     def test_invalid_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_WARN_PCT", "lots")
-        assert bench_warn_pct() == DEFAULT_WARN_PCT
+        for junk in ("lots", "nan", "inf"):
+            monkeypatch.setenv(WARN_PCT, junk)
+            assert env_threshold(WARN_PCT) == THRESHOLD_DEFAULTS[WARN_PCT]
 
     def test_negative_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_WARN_PCT", "-5")
-        assert bench_warn_pct() == DEFAULT_WARN_PCT
+        monkeypatch.setenv(WARN_PCT, "-5")
+        assert env_threshold(WARN_PCT) == THRESHOLD_DEFAULTS[WARN_PCT]
 
     def test_compare_to_baseline_uses_env(self, monkeypatch):
-        report = {
-            "quick": True,
-            "workloads": {
-                "w": {"fingerprint": {"f": 1}, "events_per_sec": 50.0},
-            },
-        }
-        baseline = {
-            "quick": {
-                "workloads": {
-                    "w": {"fingerprint": {"f": 1}, "events_per_sec": 100.0},
-                },
-            },
-        }
+        rows = {"w": {"fingerprint": {"f": 1}, "events_per_sec": 50.0}}
+        baseline = {"w": {"fingerprint": {"f": 1}, "events_per_sec": 100.0}}
         # 50% of baseline: warns under the default 20% threshold...
-        monkeypatch.delenv("REPRO_BENCH_WARN_PCT", raising=False)
-        rows = compare_to_baseline(report, baseline)
-        assert rows["w"]["warnings"]
-        assert rows["w"]["ok"]  # slowdowns warn, never error
+        monkeypatch.delenv(WARN_PCT, raising=False)
+        verdicts = gate(rows, baseline=baseline)
+        assert verdicts["w"]["warnings"]
+        assert verdicts["w"]["ok"]  # slowdowns warn, never error
         # ...and stays quiet when the env var loosens it to 60%.
-        monkeypatch.setenv("REPRO_BENCH_WARN_PCT", "60")
-        rows = compare_to_baseline(report, baseline)
-        assert not rows["w"]["warnings"]
+        monkeypatch.setenv(WARN_PCT, "60")
+        verdicts = gate(rows, baseline=baseline)
+        assert not verdicts["w"]["warnings"]
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ workload the parallel gate shards -- for both the classic single-engine
 path and the partitioned serial executor.
 """
 
-from repro.bench.parallel import run_partitioned_many_flows
-from repro.bench.wallclock import _many_flows
+from repro.bench.workloads import WORKLOADS, run_once, run_partitioned
 from repro.obs import CpuProfiler
 
 SCALE = 300
+MANY_FLOWS = WORKLOADS["many_flows"]
 
 
 def _profiled_many_flows():
@@ -28,7 +28,7 @@ def _profiled_many_flows():
         profiler.attach(bed.hosts)
         holder["profiler"] = profiler
 
-    record = _many_flows(SCALE, instrument=instrument)
+    record = run_once(MANY_FLOWS, SCALE, instrument)
     return record, holder["profiler"]
 
 
@@ -47,8 +47,8 @@ class TestSerialDeterminism:
         assert any(line.startswith("unix-h") for line in folded.splitlines())
 
     def test_partitioned_serial_executor_repeats_identically(self):
-        first = run_partitioned_many_flows(SCALE, 2, parallel=False)
-        second = run_partitioned_many_flows(SCALE, 2, parallel=False)
+        first = run_partitioned(MANY_FLOWS, SCALE, 2, parallel=False)
+        second = run_partitioned(MANY_FLOWS, SCALE, 2, parallel=False)
         assert first["fingerprint"] == second["fingerprint"]
         assert first["metrics"] == second["metrics"]
         assert first["events"] == second["events"]

@@ -107,11 +107,10 @@ class TestPartitionedFatTree:
     SCALE = 6
 
     def test_parallel_matches_serial_oracle(self):
-        from repro.bench.parallel import run_partitioned_workload
-        serial = run_partitioned_workload("fabric_fat_tree", self.SCALE, 2,
-                                          parallel=False)
-        current = run_partitioned_workload("fabric_fat_tree", self.SCALE, 2,
-                                           parallel=True)
+        from repro.bench.workloads import WORKLOADS, run_partitioned
+        fabric = WORKLOADS["fabric_fat_tree"]
+        serial = run_partitioned(fabric, self.SCALE, 2, parallel=False)
+        current = run_partitioned(fabric, self.SCALE, 2, parallel=True)
         assert current["fingerprint"] == serial["fingerprint"]
         assert current["events"] == serial["events"]
         assert current["metrics"] == serial["metrics"]
@@ -119,16 +118,15 @@ class TestPartitionedFatTree:
         assert current["executor"] == "parallel"
 
     def test_partitioned_matches_single_engine_totals(self):
-        from repro.bench.parallel import run_partitioned_workload
-        from repro.bench.wallclock import _fabric_fat_tree
-        single = _fabric_fat_tree(self.SCALE)
-        serial = run_partitioned_workload("fabric_fat_tree", self.SCALE, 2,
-                                          parallel=False)
+        from repro.bench.workloads import (WORKLOADS, run_once,
+                                           run_partitioned)
+        fabric = WORKLOADS["fabric_fat_tree"]
+        single = run_once(fabric, self.SCALE)
+        serial = run_partitioned(fabric, self.SCALE, 2, parallel=False)
         for key in ("sent", "received", "bytes", "final_now_us",
                     "switch_forwarded", "switch_dropped", "ecmp"):
             assert serial["fingerprint"][key] == single["fingerprint"][key]
 
     def test_fabric_fat_tree_is_on_demand_only(self):
-        from repro.bench.wallclock import ON_DEMAND_WORKLOADS, WORKLOADS
-        assert "fabric_fat_tree" in WORKLOADS
-        assert "fabric_fat_tree" in ON_DEMAND_WORKLOADS
+        from repro.bench.workloads import WORKLOADS
+        assert not WORKLOADS["fabric_fat_tree"].default_suite

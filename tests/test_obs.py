@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.bench.testbed import build_testbed
-from repro.bench.wallclock import run_workload
+from repro.bench.workloads import run_workload
 from repro.core import Credential
 from repro.lang import ephemeral
 from repro.net.trace import PacketTracer

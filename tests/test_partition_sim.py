@@ -337,11 +337,15 @@ class TestBoundaryFlap:
 SMALL_SCALE = 120
 
 
+def _run_sharded(name, scale, sim_jobs, parallel=None):
+    from repro.bench.workloads import WORKLOADS, run_partitioned
+    return run_partitioned(WORKLOADS[name], scale, sim_jobs, parallel=parallel)
+
+
 class TestPartitionedManyFlows:
     def test_parallel_matches_serial_oracle(self):
-        from repro.bench.parallel import run_partitioned_many_flows
-        serial = run_partitioned_many_flows(SMALL_SCALE, 2, parallel=False)
-        current = run_partitioned_many_flows(SMALL_SCALE, 2, parallel=True)
+        serial = _run_sharded("many_flows", SMALL_SCALE, 2, parallel=False)
+        current = _run_sharded("many_flows", SMALL_SCALE, 2, parallel=True)
         assert current["fingerprint"] == serial["fingerprint"]
         assert current["events"] == serial["events"]
         assert current["metrics"] == serial["metrics"]
@@ -349,40 +353,39 @@ class TestPartitionedManyFlows:
         assert current["executor"] == "parallel"
 
     def test_env_kill_switch_forces_serial(self, monkeypatch):
-        from repro.bench.parallel import run_partitioned_many_flows
         monkeypatch.setenv("REPRO_SIM_PARALLEL", "0")
-        record = run_partitioned_many_flows(SMALL_SCALE, 2)
+        record = _run_sharded("many_flows", SMALL_SCALE, 2)
         assert record["executor"] == "serial"
         assert record["fingerprint"]["partitions"] == 2
 
     def test_fingerprint_sums_cover_all_flows(self):
-        from repro.bench.parallel import run_partitioned_many_flows
-        record = run_partitioned_many_flows(SMALL_SCALE, 3, parallel=False)
+        record = _run_sharded("many_flows", SMALL_SCALE, 3, parallel=False)
         fp = record["fingerprint"]
         assert fp["flows"] == SMALL_SCALE
         assert fp["tcp_done"] + fp["udp_done"] == SMALL_SCALE
         assert math.isfinite(fp["final_now_us"])
 
     def test_scale_must_cover_partitions(self):
-        from repro.bench.parallel import run_partitioned_many_flows
         with pytest.raises(ValueError):
-            run_partitioned_many_flows(1, 2)
+            _run_sharded("many_flows", 1, 2)
         with pytest.raises(ValueError):
-            run_partitioned_many_flows(10, 0)
+            _run_sharded("many_flows", 10, 0)
 
     def test_run_workload_rejects_sim_jobs_on_other_workloads(self):
-        from repro.bench.wallclock import run_workload
+        from repro.bench.workloads import run_workload
         with pytest.raises(ValueError, match="many_flows"):
             run_workload("tcp_bulk", quick=True, sim_jobs=2)
 
     def test_run_workload_sim_jobs_against_oracle(self, monkeypatch):
-        from repro.bench import wallclock
-        fn, _quick, full = wallclock.WORKLOADS["many_flows"]
-        monkeypatch.setitem(wallclock.WORKLOADS, "many_flows",
-                            (fn, SMALL_SCALE, full))
-        current = wallclock.run_workload("many_flows", quick=True, sim_jobs=2)
+        from dataclasses import replace
+        from repro.bench import workloads
+        monkeypatch.setitem(
+            workloads.WORKLOADS, "many_flows",
+            replace(workloads.WORKLOADS["many_flows"], quick=SMALL_SCALE,
+                    warmup=SMALL_SCALE))
+        current = workloads.run_workload("many_flows", quick=True, sim_jobs=2)
         monkeypatch.setenv("REPRO_SIM_PARALLEL", "0")
-        oracle = wallclock.run_workload("many_flows", quick=True, sim_jobs=2)
+        oracle = workloads.run_workload("many_flows", quick=True, sim_jobs=2)
         assert current["fingerprint"] == oracle["fingerprint"]
         assert current["metrics"] == oracle["metrics"]
         assert current["events"] == oracle["events"]
@@ -390,11 +393,8 @@ class TestPartitionedManyFlows:
 
 class TestPartitionedMegaFlows:
     def test_parallel_matches_serial_oracle(self):
-        from repro.bench.parallel import run_partitioned_workload
-        serial = run_partitioned_workload("mega_flows", SMALL_SCALE, 2,
-                                          parallel=False)
-        current = run_partitioned_workload("mega_flows", SMALL_SCALE, 2,
-                                           parallel=True)
+        serial = _run_sharded("mega_flows", SMALL_SCALE, 2, parallel=False)
+        current = _run_sharded("mega_flows", SMALL_SCALE, 2, parallel=True)
         assert current["fingerprint"] == serial["fingerprint"]
         assert current["events"] == serial["events"]
         assert current["metrics"] == serial["metrics"]
@@ -402,8 +402,8 @@ class TestPartitionedMegaFlows:
         assert current["executor"] == "parallel"
 
     def test_deferred_replies_hold_every_flow_live(self):
-        from repro.bench.wallclock import _mega_flows
-        record = _mega_flows(SMALL_SCALE)
+        from repro.bench.workloads import WORKLOADS, run_once
+        record = run_once(WORKLOADS["mega_flows"], SMALL_SCALE)
         fp = record["fingerprint"]
         assert fp["tcp_done"] + fp["udp_done"] == SMALL_SCALE
         # Every 8th flow is TCP, and the server defers every push until
@@ -413,9 +413,8 @@ class TestPartitionedMegaFlows:
         assert fp["bytes_in"] > 0
 
     def test_mega_flows_is_on_demand_only(self):
-        from repro.bench.wallclock import ON_DEMAND_WORKLOADS, WORKLOADS
-        assert "mega_flows" in WORKLOADS
-        assert "mega_flows" in ON_DEMAND_WORKLOADS
+        from repro.bench.workloads import WORKLOADS
+        assert not WORKLOADS["mega_flows"].default_suite
 
 
 class TestRoundOverhead:
@@ -439,33 +438,47 @@ class TestRoundOverhead:
 
 
 class TestSpeedupExpectation:
-    def test_single_core_records_skip_note(self, monkeypatch):
+    """The jobs=2 expectation is the gate's same-run-twin floor; the
+    policy table is in tests/test_bench_gate.py."""
+
+    @staticmethod
+    def _judge(leg, monkeypatch, cores, min_speedup=None):
         from repro.bench import parallel
-        monkeypatch.setattr(parallel, "affinity_cores", lambda: 1)
-        verdict = parallel.speedup_expectation(
-            [{"sim_jobs": 2, "executor": "parallel", "speedup": 0.5}])
-        assert verdict["gated"] is False
-        assert verdict["passed"] is None
-        assert "single core" in verdict["note"]
-        assert verdict["affinity_cores"] == 1
+        from repro.bench.gate import env_threshold, gate
+        monkeypatch.setattr(parallel, "affinity_cores", lambda: cores)
+        if min_speedup is None:
+            min_speedup = env_threshold("REPRO_SIM_SPEEDUP_MIN")
+        rows, twins = parallel.leg_rows([leg], min_speedup)
+        return twins, gate(rows, twins)
+
+    @staticmethod
+    def _leg(sim_jobs, speedup):
+        side = {"identity": {"events": 1}, "wall_s": 1.0 / speedup}
+        return {"workload": "many_flows", "sim_jobs": sim_jobs,
+                "executor": "parallel", "parallel": side,
+                "oracle": dict(side), "serial": {"wall_s": 1.0}}
+
+    def test_single_core_records_skip_note(self, monkeypatch):
+        twins, verdicts = self._judge(self._leg(2, 0.5), monkeypatch, cores=1)
+        verdict = verdicts["many_flows x2"]
+        assert "min_ratio" not in twins["many_flows x2"]    # not gated
+        assert verdict["ok"] and not verdict["errors"]
+        assert any("single core" in note and "affinity=1" in note
+                   for note in verdict["warnings"])
 
     def test_multi_core_gates_the_jobs2_leg(self, monkeypatch):
-        from repro.bench import parallel
-        monkeypatch.setattr(parallel, "affinity_cores", lambda: 4)
-        leg = {"sim_jobs": 2, "executor": "parallel", "speedup": 1.5}
-        verdict = parallel.speedup_expectation([leg], min_speedup=1.3)
-        assert verdict["gated"] is True and verdict["passed"] is True
-        verdict = parallel.speedup_expectation(
-            [dict(leg, speedup=1.1)], min_speedup=1.3)
-        assert verdict["passed"] is False
+        twins, verdicts = self._judge(self._leg(2, 1.5), monkeypatch,
+                                      cores=4, min_speedup=1.3)
+        assert twins["many_flows x2"]["min_ratio"] == 1.3   # gated
+        assert verdicts["many_flows x2"]["ok"]
+        _twins, verdicts = self._judge(self._leg(2, 1.1), monkeypatch,
+                                       cores=4, min_speedup=1.3)
+        assert not verdicts["many_flows x2"]["ok"]
 
     def test_multi_core_without_jobs2_leg_skips(self, monkeypatch):
-        from repro.bench import parallel
-        monkeypatch.setattr(parallel, "affinity_cores", lambda: 4)
-        verdict = parallel.speedup_expectation(
-            [{"sim_jobs": 4, "executor": "parallel", "speedup": 2.0}])
-        assert verdict["gated"] is False
-        assert verdict["passed"] is None
+        twins, verdicts = self._judge(self._leg(4, 2.0), monkeypatch, cores=4)
+        assert "min_ratio" not in twins["many_flows x4"]
+        assert verdicts["many_flows x4"]["ok"]
 
 
 # ---------------------------------------------------------------------------

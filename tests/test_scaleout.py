@@ -14,7 +14,7 @@ import heapq
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.wallclock import WORKLOADS, _many_flows
+from repro.bench.workloads import WORKLOADS, run_once
 from repro.sim import Engine
 from repro.spin.flowcache import FlowCache
 
@@ -143,10 +143,10 @@ class TestManyFlows:
     def test_quick_scale_meets_the_floor(self):
         # The acceptance bar: the quick bench run simulates >= 2000
         # concurrent flows.
-        assert WORKLOADS["many_flows"][1] >= 2_000
+        assert WORKLOADS["many_flows"].quick >= 2_000
 
     def test_all_flows_complete_and_overlap(self):
-        record = _many_flows(400)
+        record = run_once(WORKLOADS["many_flows"], 400)
         fp = record["fingerprint"]
         assert fp["tcp_done"] == 200
         assert fp["udp_done"] == 200
@@ -163,9 +163,9 @@ class TestManyFlows:
 
     def test_fingerprint_ignores_flow_cache_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FLOW_CACHE", "1")
-        with_cache = _many_flows(200)["fingerprint"]
+        with_cache = run_once(WORKLOADS["many_flows"], 200)["fingerprint"]
         monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
-        without_cache = _many_flows(200)["fingerprint"]
+        without_cache = run_once(WORKLOADS["many_flows"], 200)["fingerprint"]
         assert with_cache == without_cache
 
 
@@ -305,10 +305,10 @@ class TestBenchRunner:
             [name for name, _fn in SECTIONS]
 
     def test_wallclock_fingerprints_match_across_jobs(self):
-        from repro.bench.runner import run_wallclock_workloads
+        from repro.bench.runner import run_wallclock_suite
         names = ["dispatcher_micro", "udp_pingpong"]
-        serial = run_wallclock_workloads(names, quick=True, jobs=1)
-        sharded = run_wallclock_workloads(names, quick=True, jobs=2)
+        serial, _oracle = run_wallclock_suite(names, [], quick=True, jobs=1)
+        sharded, _oracle = run_wallclock_suite(names, [], quick=True, jobs=2)
         assert list(serial) == names
         assert list(sharded) == names
         for name in names:

@@ -1,7 +1,6 @@
 """SLO layer: shared percentiles, request lifecycles, the queueing-delay
 decomposition, and the BENCH_latency gate semantics."""
 
-import os
 import types
 from bisect import bisect_right
 
@@ -176,26 +175,14 @@ class TestFigure5BitIdentity:
         return samples
 
 
-def _with_mode(overrides, fn):
-    saved = {key: os.environ.get(key) for key in overrides}
-    os.environ.update(overrides)
-    try:
-        return fn()
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-
-
 class TestDecomposition:
     def test_udp_probe_reconciles_on_every_flow_cache_rung(self):
         from repro.bench.slo import run_probe
-        from repro.bench.wallclock import _MODE_ENV
-        results = {mode: _with_mode(overrides,
-                                    lambda: run_probe("udp_clean"))
-                   for mode, overrides in _MODE_ENV.items()}
+        from repro.bench.workloads import MODES, env_override
+        results = {}
+        for mode, overrides in MODES.items():
+            with env_override(overrides):
+                results[mode] = run_probe("udp_clean")
         for mode, record in results.items():
             assert record["reconciled"], (mode, record["errors"])
             assert record["percentiles"]["completed"] == 10
@@ -305,7 +292,7 @@ def _tiny_report():
         "quick": True,
         "host": {"machine": "x"},
         "legs": {"udp_echo@g400": {
-            "workload": "udp_echo", "mean_gap_us": 400.0,
+            "workload": "udp_echo",
             "open": _fingerprint_side(), "closed": _fingerprint_side(),
             "tail_gap_p99_ns": 0, "wall_s": 1.0,
         }},
@@ -315,70 +302,80 @@ def _tiny_report():
         }},
         "rungs": {"leg": "udp_echo@g400",
                   "fingerprints": {"current": _fingerprint_side(),
-                                   "uncached": _fingerprint_side()},
-                  "ok": True},
+                                   "uncached": _fingerprint_side()}},
     }
 
 
 class TestLatencyGate:
+    """The latency suite's row extractor through the one gate, against a
+    baseline written by the one projection."""
+
+    @pytest.fixture(autouse=True)
+    def _default_thresholds(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("REPRO_BENCH_WARN_PCT", raising=False)
+        self.path = str(tmp_path / "latency_baseline.json")
+
+    def _baseline(self, report):
+        from repro.bench.gate import load_baseline, write_baseline
+        from repro.bench.slo import rows
+        write_baseline(report, rows, self.path)
+        return load_baseline(self.path)
+
+    def _judged(self, report, baseline=None):
+        from repro.bench.gate import judge, write_json
+        from repro.bench.slo import rows
+        if baseline is not None:
+            write_json(baseline, self.path)
+        return judge(report, rows, self.path)["comparison"]
+
     def test_matching_baseline_is_clean(self):
-        from repro.bench.slo import baseline_from_report, compare_to_baseline
         report = _tiny_report()
-        baseline = baseline_from_report(report, None)
-        rows = compare_to_baseline(report, baseline, slowdown_warn=0.2)
+        rows = self._judged(report, self._baseline(report))
         assert all(row["ok"] for row in rows.values())
         assert not any(row["errors"] for row in rows.values())
+        assert not any(row["warnings"] for row in rows.values())
 
     def test_percentile_drift_is_an_error(self):
         """A seeded 20% p99 drift must fail the gate, not warn."""
-        from repro.bench.slo import baseline_from_report, compare_to_baseline
         report = _tiny_report()
-        baseline = baseline_from_report(report, None)
-        drifted = baseline["quick"]["legs"]["udp_echo@g400"]["open"]
+        baseline = self._baseline(report)
+        drifted = baseline["quick"]["udp_echo@g400"]["fingerprint"]["open"]
         drifted["p99_ns"] = int(drifted["p99_ns"] * 1.2)
-        rows = compare_to_baseline(report, baseline, slowdown_warn=0.2)
-        row = rows["udp_echo@g400"]
+        row = self._judged(report, baseline)["udp_echo@g400"]
         assert not row["ok"]
         assert any("fingerprint drifted" in error for error in row["errors"])
 
     def test_missing_baseline_only_warns(self):
-        from repro.bench.slo import compare_to_baseline
-        rows = compare_to_baseline(_tiny_report(), {}, slowdown_warn=0.2)
+        rows = self._judged(_tiny_report())
         assert all(row["ok"] for row in rows.values())
         assert rows["udp_echo@g400"]["warnings"]
 
     def test_wall_clock_slowdown_only_warns(self):
-        from repro.bench.slo import baseline_from_report, compare_to_baseline
         report = _tiny_report()
-        baseline = baseline_from_report(report, None)
-        baseline["quick"]["legs"]["udp_echo@g400"]["wall_s"] = 0.1
-        rows = compare_to_baseline(report, baseline, slowdown_warn=0.2)
-        row = rows["udp_echo@g400"]
+        baseline = self._baseline(report)
+        baseline["quick"]["udp_echo@g400"]["wall_s"] = 0.1
+        row = self._judged(report, baseline)["udp_echo@g400"]
         assert row["ok"]
         assert any("wall time" in warning for warning in row["warnings"])
 
     def test_unreconciled_probe_is_an_error(self):
-        from repro.bench.slo import compare_to_baseline
         report = _tiny_report()
         probe = report["decomposition"]["udp_clean"]
         probe["reconciled"] = False
         probe["errors"] = ["request r0 does not reconcile"]
-        rows = compare_to_baseline(report, {}, slowdown_warn=0.2)
-        assert not rows["decomposition:udp_clean"]["ok"]
+        assert not self._judged(report)["decomposition:udp_clean"]["ok"]
 
     def test_rung_divergence_is_an_error(self):
-        from repro.bench.slo import compare_to_baseline
         report = _tiny_report()
-        report["rungs"]["ok"] = False
-        rows = compare_to_baseline(report, {}, slowdown_warn=0.2)
-        assert not rows["rungs"]["ok"]
+        report["rungs"]["fingerprints"]["uncached"] = _fingerprint_side(p99=201)
+        assert not self._judged(report)["rungs"]["ok"]
 
 
 class TestHarnessDeterminism:
     def test_leg_schedule_is_a_pure_function_of_the_name(self):
-        from repro.bench.slo import _schedule
-        assert _schedule("udp_echo@g400", 20) == _schedule("udp_echo@g400", 20)
-        assert len(_schedule("udp_echo@g400", 20)) == 20
+        from repro.bench.workloads import schedule
+        assert schedule("udp_echo@g400", 20) == schedule("udp_echo@g400", 20)
+        assert len(schedule("udp_echo@g400", 20)) == 20
 
     def test_leg_rerun_and_jobs2_are_bit_identical(self):
         from repro.bench.runner import _map_tasks
