@@ -149,15 +149,16 @@ class CPU:
         """
         if microseconds <= 0:
             return
-        request = self.resource.request(priority)
-        yield request
+        resource = self.resource
+        if not resource.try_acquire():
+            yield resource.request(priority)
         yield self.engine.pooled_timeout(microseconds)
         self.busy_time += microseconds
         self._consumed_slices += 1
         profile = self.profile
         if profile is not None:
             profile.consumed(microseconds)
-        request.release()
+        resource.release()
 
     def execute(self, fn: Callable, args: Tuple = (),
                 priority: int = THREAD_PRIORITY) -> Generator:

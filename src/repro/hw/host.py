@@ -28,6 +28,14 @@ from .cpu import CPU, THREAD_PRIORITY, ChargeError
 __all__ = ["Host", "Timer"]
 
 
+class _KernelPath(Process):
+    """A kernel path running on its own: nobody yields it, so a failure
+    is raised where ``Process._resume`` catches it."""
+
+    __slots__ = ()
+    surfaces_failure = True
+
+
 class Timer:
     """A cancellable kernel timer; fires ``fn(*args)`` as a kernel path.
 
@@ -123,8 +131,9 @@ class Host:
         Yields inside a simulation process; returns ``fn``'s return value.
         """
         cpu = self.cpu
-        request = cpu.resource.request(priority)
-        yield request
+        resource = cpu.resource
+        if not resource.try_acquire():
+            yield resource.request(priority)
         # Off-by-default observability hook: one attribute load + None
         # check per path when no profiler/tracer is attached.
         profile = cpu.profile
@@ -158,7 +167,7 @@ class Host:
             cpu.busy_time += amount
             if profile is not None:
                 profile.consumed(amount)
-        request.release()
+        resource.release()
         for action in deferred:
             action()
         return result
@@ -172,13 +181,8 @@ class Host:
         failure (the dispatcher contains those); the exception is
         re-raised out of the engine so it surfaces immediately.
         """
-        process = self.engine.process(self.kernel_path(fn, args, priority), name=name)
-
-        def surface(event) -> None:
-            if event._exception is not None:
-                raise event._exception
-        process.callbacks.append(surface)
-        return process
+        return _KernelPath(self.engine, self.kernel_path(fn, args, priority),
+                           name)
 
     def set_timer(self, delay_us: float, fn: Callable, args: Tuple = (),
                   priority: int = THREAD_PRIORITY, name: str = "timer") -> Timer:

@@ -21,7 +21,7 @@ import dataclasses
 import random
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from ..sim import Engine, Resource
+from ..sim import Engine, Process, Resource
 from ..sim.shm import pack_frame, unpack_frame
 from .alpha import MICROSECONDS_PER_SECOND
 
@@ -367,27 +367,17 @@ class _Medium:
 
     # -- the one propagation-delay delivery site ---------------------------
 
-    def _delivery(self, sink, frame: Frame, delay_us: float) -> Generator:
-        """Deliver ``frame`` to ``sink`` after ``delay_us`` on the wire.
-
-        The single delivery coroutine shared by every medium (Ethernet
-        fan-out, point-to-point peer, switch-port ingress); ``sink`` is the
-        receiving callable (``nic.frame_on_wire`` or ``switch.accept``).
+    def _deliver_after(self, sink, frame: Frame, delay_us: float) -> None:
+        """Hand ``frame`` to ``sink`` (``nic.frame_on_wire`` or
+        ``switch.accept``) after ``delay_us`` on the wire: one timed event,
+        no process, since nothing waits on a delivery.  Every medium's
+        fan-out goes through here; :class:`BoundaryChannel` overrides it to
+        post the frame into the partition coordinator's mailbox instead.
         """
-        yield self.engine.pooled_timeout(delay_us)
-        self.frames_delivered += 1
-        sink(frame)
-
-    def _spawn_delivery(self, sink, frame: Frame, delay_us: float,
-                        name: str) -> None:
-        """Launch one delayed delivery.
-
-        This is the single site boundary media tap:
-        :class:`BoundaryChannel` overrides it to post the frame into the
-        partition coordinator's mailbox instead of spawning a local
-        coroutine.
-        """
-        self.engine.process(self._delivery(sink, frame, delay_us), name=name)
+        def deliver(_event) -> None:
+            self.frames_delivered += 1
+            sink(frame)
+        self.engine.pooled_timeout(delay_us).callbacks.append(deliver)
 
 
 class EthernetSegment(_Medium):
@@ -403,11 +393,11 @@ class EthernetSegment(_Medium):
 
     def transmit(self, sender, frame: Frame) -> Generator:
         """Occupy the bus for the frame's wire time, then deliver."""
-        engine = self.engine
-        grant = self._medium.request()
-        yield grant
-        yield engine.pooled_timeout(self._wire_time_us(frame.wire_bytes))
-        grant.release()
+        bus = self._medium
+        if not bus.try_acquire():
+            yield bus.request()
+        yield self.engine.pooled_timeout(self._wire_time_us(frame.wire_bytes))
+        bus.release()
         self.frames_carried += 1
         self.bytes_carried += frame.wire_bytes
         if self._fault_rng is not None:
@@ -418,14 +408,13 @@ class EthernetSegment(_Medium):
             for extra_us, copy in self._impaired_outcomes(frame):
                 for nic in self.nics:
                     if nic is not sender:
-                        self._spawn_delivery(
-                            nic.frame_on_wire, copy,
-                            self.propagation_us + extra_us, "eth-deliver")
+                        self._deliver_after(nic.frame_on_wire, copy,
+                                            self.propagation_us + extra_us)
             return
         for nic in self.nics:
             if nic is not sender:
-                self._spawn_delivery(nic.frame_on_wire, frame,
-                                     self.propagation_us, "eth-deliver")
+                self._deliver_after(nic.frame_on_wire, frame,
+                                    self.propagation_us)
 
 
 class PointToPointLink(_Medium):
@@ -451,19 +440,18 @@ class PointToPointLink(_Medium):
     def transmit(self, sender, frame: Frame) -> Generator:
         peer = self.peer_of(sender)
         lane = self._direction[id(sender)]
-        grant = lane.request()
-        yield grant
+        if not lane.try_acquire():
+            yield lane.request()
         yield self.engine.pooled_timeout(self._wire_time_us(frame.wire_bytes))
-        grant.release()
+        lane.release()
         self._account(frame)
         frame = self._apply_faults(frame)
         if frame is None:
             return
         if self._impairments is not None:
             for extra_us, copy in self._impaired_outcomes(frame):
-                self._spawn_delivery(peer.frame_on_wire, copy,
-                                     self.propagation_us + extra_us,
-                                     "p2p-deliver")
+                self._deliver_after(peer.frame_on_wire, copy,
+                                    self.propagation_us + extra_us)
             return
         yield self.engine.pooled_timeout(self.propagation_us)
         self.frames_delivered += 1
@@ -493,19 +481,19 @@ class SwitchPort(_Medium):
 
     def transmit(self, sender, frame: Frame) -> Generator:
         """NIC -> switch direction (impairments apply here)."""
-        grant = self._to_switch.request()
-        yield grant
+        lane = self._to_switch
+        if not lane.try_acquire():
+            yield lane.request()
         yield self.engine.pooled_timeout(self._wire_time_us(frame.wire_bytes))
-        grant.release()
+        lane.release()
         self._account(frame)
         frame = self._apply_faults(frame)
         if frame is None:
             return
         if self._impairments is not None:
             for extra_us, copy in self._impaired_outcomes(frame):
-                self._spawn_delivery(self.switch.accept, copy,
-                                     self.propagation_us + extra_us,
-                                     "port-deliver")
+                self._deliver_after(self.switch.accept, copy,
+                                    self.propagation_us + extra_us)
             return
         yield self.engine.pooled_timeout(self.propagation_us)
         self.frames_delivered += 1
@@ -513,10 +501,11 @@ class SwitchPort(_Medium):
 
     def forward_to_nic(self, frame: Frame) -> Generator:
         """Switch -> NIC direction (clean: the switch already paid the port)."""
-        grant = self._to_nic.request()
-        yield grant
+        lane = self._to_nic
+        if not lane.try_acquire():
+            yield lane.request()
         yield self.engine.pooled_timeout(transmission_time_us(frame.wire_bytes, self.bandwidth_bps))
-        grant.release()
+        lane.release()
         yield self.engine.pooled_timeout(self.propagation_us)
         self.frames_forwarded_in += 1
         self.nic.frame_on_wire(frame)
@@ -571,25 +560,24 @@ class BoundaryChannel(_Medium):
 
     def transmit(self, sender, frame: Frame) -> Generator:
         """Local NIC -> remote half (impairments apply on the send side)."""
-        grant = self._lane.request()
-        yield grant
+        lane = self._lane
+        if not lane.try_acquire():
+            yield lane.request()
         yield self.engine.pooled_timeout(self._wire_time_us(frame.wire_bytes))
-        grant.release()
+        lane.release()
         self._account(frame)
         frame = self._apply_faults(frame)
         if frame is None:
             return
         if self._impairments is not None:
             for extra_us, copy in self._impaired_outcomes(frame):
-                self._spawn_delivery(None, copy,
-                                     self.propagation_us + extra_us,
-                                     "boundary-post")
+                self._deliver_after(None, copy,
+                                    self.propagation_us + extra_us)
             return
-        self._spawn_delivery(None, frame, self.propagation_us, "boundary-post")
+        self._deliver_after(None, frame, self.propagation_us)
 
-    def _spawn_delivery(self, sink, frame: Frame, delay_us: float,
-                        name: str) -> None:
-        """The boundary tap on the shared delivery site: post, don't spawn.
+    def _deliver_after(self, sink, frame: Frame, delay_us: float) -> None:
+        """The boundary tap on the shared delivery site: post, don't schedule.
 
         Impairment ``extra_us`` is always non-negative, so the arrival
         time never undercuts the ``propagation_us`` lookahead the
@@ -642,18 +630,20 @@ class Switch:
         self._ports[nic.address] = port
 
     def accept(self, frame: Frame) -> None:
-        self.engine.process(self._forward(frame), name="switch-fwd")
-
-    def _forward(self, frame: Frame) -> Generator:
-        yield self.engine.pooled_timeout(self.forward_latency_us)
-        port = self._ports.get(frame.dst_addr)
-        if port is not None:
-            self.frames_forwarded += 1
-            yield from port.forward_to_nic(frame)
-            return
-        # Unknown or broadcast destination: flood all ports except source.
-        self.frames_flooded += 1
-        for addr, out_port in self._ports.items():
-            if addr == frame.src_addr:
-                continue
-            self.engine.process(out_port.forward_to_nic(frame), name="switch-flood")
+        """Forward ``frame`` once the forwarding latency has passed."""
+        def forward(_event) -> None:
+            engine = self.engine
+            port = self._ports.get(frame.dst_addr)
+            if port is not None:
+                self.frames_forwarded += 1
+                Process(engine, port.forward_to_nic(frame), "switch-fwd",
+                        immediate=True)
+                return
+            # Unknown or broadcast destination: flood all ports except source.
+            self.frames_flooded += 1
+            for addr, out_port in self._ports.items():
+                if addr != frame.src_addr:
+                    Process(engine, out_port.forward_to_nic(frame),
+                            "switch-flood", immediate=True)
+        self.engine.pooled_timeout(self.forward_latency_us).callbacks.append(
+            forward)

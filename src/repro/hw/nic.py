@@ -24,7 +24,7 @@ import dataclasses
 import itertools
 from typing import Generator, Optional
 
-from ..sim import Engine, Store
+from ..sim import Engine, Process, Store
 from .link import BROADCAST, Frame
 
 __all__ = ["NIC", "DriverProfile", "LanceEthernet", "ForeAtm", "T3Nic",
@@ -74,8 +74,8 @@ class NIC:
         #: frame_on_wire on entry; None (the default) keeps both per-frame
         #: paths on their untapped shape.
         self.taps = None
-        self._rx_name = "%s-rx" % self.name  # per-frame process label
-        engine.process(self._tx_process(), name="%s-tx" % self.name)
+        self._tx_name = "%s-tx" % self.name  # per-drain process label
+        self._draining = False    # a _drain process is working the tx queue
 
     # -- device-specific policy -------------------------------------------
 
@@ -155,7 +155,11 @@ class NIC:
 
         def enqueue() -> None:
             frame.enqueued_at = self.engine.now
-            self._tx_queue.try_put(frame)
+            if self._tx_queue.try_put(frame) and not self._draining:
+                # Idle -> busy edge; the drain retires itself when empty.
+                self._draining = True
+                Process(self.engine, self._drain(), self._tx_name,
+                        immediate=True)
         host.defer(enqueue)
         self.tx_frames += 1
         self.tx_bytes += size
@@ -164,12 +168,16 @@ class NIC:
         # overflow shows up in the ring's own drop counters.
         return True
 
-    def _tx_process(self) -> Generator:
+    def _drain(self) -> Generator:
+        """Transmit queued frames in FIFO order until none is left."""
+        queue = self._tx_queue
         while True:
-            frame = yield self._tx_queue.get()
-            if self.link is None:
-                continue  # unplugged: frame vanishes
-            yield from self.link.transmit(self, frame)
+            queued, frame = queue.try_get()
+            if not queued:
+                break
+            if self.link is not None:  # unplugged: frame vanishes
+                yield from self.link.transmit(self, frame)
+        self._draining = False
 
     # -- receive path -----------------------------------------------------------
 
@@ -190,13 +198,13 @@ class NIC:
             self.rx_drops += 1
             return
         self.rx_pending += 1
-        self.engine.process(self._raise_interrupt(frame), name=self._rx_name)
 
-    def _raise_interrupt(self, frame: Frame) -> Generator:
-        yield self.engine.pooled_timeout(self.profile.rx_latency_us)
-        self.rx_frames += 1
-        self.rx_bytes += len(frame.data)
-        self.host.frame_arrived(self, frame)
+        def raise_interrupt(_event) -> None:
+            self.rx_frames += 1
+            self.rx_bytes += len(frame.data)
+            self.host.frame_arrived(self, frame)
+        self.engine.pooled_timeout(
+            self.profile.rx_latency_us).callbacks.append(raise_interrupt)
 
     def driver_recv_charges(self, frame: Frame) -> None:
         """Charge the CPU cost of pulling one frame out of the device.

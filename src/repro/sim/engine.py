@@ -203,6 +203,11 @@ class Process(Event):
 
     __slots__ = ("_generator", "name", "_waiting_on")
 
+    #: A failure normally waits in the process for whoever yields it; a
+    #: subclass that sets this raises it out of ``engine.step`` instead
+    #: (see ``Host.spawn_kernel_path``).
+    surfaces_failure = False
+
     def __init__(self, engine: "Engine", generator: Generator, name: str = "",
                  immediate: bool = False):
         # Event.__init__, inlined: one process is spawned per kernel path.
@@ -250,25 +255,21 @@ class Process(Event):
         self.engine._poke(self._resume, exception=Interrupt(cause))
 
     def _resume(self, trigger: Event) -> None:
-        self._waiting_on = None
-        engine = self.engine
-        engine._active_process = self
         try:
             if trigger._exception is not None:
                 target = self._generator.throw(trigger._exception)
             else:
                 target = self._generator.send(trigger._value)
         except StopIteration as stop:
-            engine._active_process = None
-            self.succeed(stop.value)
+            self._finish(stop.value, None)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate into waiters
-            engine._active_process = None
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
-            self.fail(exc)
+            self._finish(None, exc)
+            if self.surfaces_failure:
+                raise
             return
-        engine._active_process = None
         # Read _state directly: yielding a non-Event surfaces here as an
         # AttributeError, converted to the historical SimulationError.
         try:
@@ -280,11 +281,23 @@ class Process(Event):
             )
         if state == _PROCESSED:
             # The event already fired; resume immediately (at current time).
-            self._waiting_on = engine._poke(
+            self._waiting_on = self.engine._poke(
                 self._resume, target._value, target._exception)
         else:
             target.callbacks.append(self._resume)
             self._waiting_on = target
+
+    def _finish(self, value: Any, exception: Optional[BaseException]) -> None:
+        """The generator is done.  Only a waiter justifies a completion
+        event; with none attached the process is simply *processed*, and a
+        later ``yield process`` resumes through the already-fired path."""
+        self._value = value
+        self._exception = exception
+        if self.callbacks:
+            self._state = _TRIGGERED
+            self.engine._enqueue(0.0, self)
+        else:
+            self._state = _PROCESSED
 
 
 class AnyOf(Event):
@@ -357,13 +370,9 @@ class Engine(SchedulerCore):
     live in :class:`repro.sim.scheduler.SchedulerCore` and are shared
     verbatim with the partition-local engine of the conservative
     parallel mode.  This class adds what a *simulation* (as opposed to a
-    bare scheduler) needs: event/process factories, the active-process
-    pointer, ``run_process``, and metrics registration.
+    bare scheduler) needs: event/process factories, ``run_process``, and
+    metrics registration.
     """
-
-    def __init__(self):
-        super().__init__()
-        self._active_process: Optional[Process] = None
 
     # -- factory helpers -------------------------------------------------
 
@@ -381,10 +390,6 @@ class Engine(SchedulerCore):
 
     def all_of(self, events: List[Event]) -> AllOf:
         return AllOf(self, events)
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
 
     # -- execution ----------------------------------------------------------
 
@@ -407,14 +412,7 @@ class Engine(SchedulerCore):
                     % process.name
                 )
             step()
-        # Drain zero-delay callbacks attached to the completion itself.
         return process.value
-
-    def pending_count(self) -> int:
-        count = len(self._heap) + len(self._now_queue)
-        if self._wheel is not None:
-            count += self._wheel._live
-        return count
 
     def register_metrics(self, registry) -> None:
         """Publish engine + timer-wheel counters on a metrics registry.

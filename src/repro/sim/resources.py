@@ -45,13 +45,10 @@ class ResourceRequest(Event):
     def release(self) -> None:
         if self._released:
             raise SimulationError("resource request released twice")
-        if self.granted_at is None:
-            # Cancelled before being granted: drop from the wait queue.
-            self._released = True
-            self.resource._cancel(self)
-            return
         self._released = True
-        self.resource._release_one()
+        if self.granted_at is not None:
+            self.resource.release()
+        # else cancelled while queued: _grant_waiters skips released requests.
 
 
 class Resource:
@@ -71,17 +68,19 @@ class Resource:
         self._sequence = 0
         self._waiting: List[Tuple[int, int, ResourceRequest]] = []
 
+    def try_acquire(self) -> bool:
+        """Take a unit right now if nobody is ahead: :meth:`request` minus
+        the request object and the grant event.  Hold sites fall back to
+        ``yield resource.request(priority)`` when this returns False, and
+        give the unit back with :meth:`release` either way."""
+        if not self._waiting and self.in_use < self.capacity:
+            self.in_use += 1
+            return True
+        return False
+
     def request(self, priority: int = 0) -> ResourceRequest:
         """Return a request event; yield it to wait for the grant."""
         req = ResourceRequest(self, priority)
-        if not self._waiting and self.in_use < self.capacity:
-            # Uncontended: grant immediately without touching the wait
-            # heap (identical outcome: the push below would pop this same
-            # request right back off).
-            self.in_use += 1
-            req.granted_at = self.engine.now
-            req.succeed(req)
-            return req
         self._sequence += 1
         heapq.heappush(self._waiting, (priority, self._sequence, req))
         self._grant_waiters()
@@ -94,17 +93,17 @@ class Resource:
                 continue
             self.in_use += 1
             req.granted_at = self.engine.now
-            req.succeed(req)
+            # Granted with None, not the request: an event whose value is
+            # itself is a cycle only the (quiesced) cyclic GC can free.
+            req.succeed()
 
-    def _release_one(self) -> None:
+    def release(self) -> None:
+        """Give back one unit (however it was taken); grant the next waiter."""
         if self.in_use <= 0:
             raise SimulationError("release on a resource with nothing in use")
         self.in_use -= 1
-        self._grant_waiters()
-
-    def _cancel(self, req: ResourceRequest) -> None:
-        # Lazy removal: _grant_waiters skips released requests.
-        pass
+        if self._waiting:
+            self._grant_waiters()
 
     @property
     def queue_length(self) -> int:

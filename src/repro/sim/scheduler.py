@@ -232,14 +232,13 @@ class SchedulerCore:
         if type(event) is _POOLED:
             # Pooled events reuse their callbacks list across recycles
             # (callers may not retain the event, so nothing can append
-            # after the firing).
+            # after the firing); value and exception are overwritten by
+            # whichever checkout draws the event next.
             callbacks = event.callbacks
             if callbacks:
                 for callback in callbacks:
                     callback(event)
                 callbacks.clear()
-            event._value = None
-            event._exception = None
             pool = self._pool
             if len(pool) < self._POOL_LIMIT:
                 pool.append(event)
