@@ -22,7 +22,7 @@ def _print_host(report) -> None:
 def _print_legs(legs) -> None:
     for leg in legs:
         print("%s x%-2d %10.3f s serial  %8.3f s parallel  %.2fx speedup  "
-              "%.3f KB/flow (serial peak %.3f)  [%s]"
+              "%.3f KB/flow (in-process %.3f)  [%s]"
               % (leg["workload"], leg["sim_jobs"],
                  leg.get("serial", leg["oracle"])["wall_s"],
                  leg["parallel"]["wall_s"], leg["speedup"],
@@ -108,28 +108,11 @@ def _latency(args) -> int:
     return _finish(suite, slo, args.write_baseline)
 
 
-def _print_round_overhead(record) -> None:
-    print("round-overhead [%s]: %d rounds  %.0f rounds/s  "
-          "%.2f ev/round  barrier %.1f us  %d frames  %d ring fallbacks"
-          % (record["executor"], record["rounds"],
-             record["rounds_per_sec"], record["events_per_round"],
-             record["barrier_us"], record["frames_routed"],
-             record["ring_fallbacks"]))
-
-
 def _parallel_curve(args) -> int:
     from . import parallel
     report = parallel.run_curve(quick=not args.full)
     _print_legs(report["legs"])
-    _print_round_overhead(report["round_overhead"])
     return _finish(report, parallel)
-
-
-def _round_overhead(args) -> int:
-    from .parallel import run_round_overhead
-    _print_round_overhead(run_round_overhead(parallel=False))
-    _print_round_overhead(run_round_overhead(parallel=True))
-    return 0
 
 
 def _check(args) -> int:
@@ -181,13 +164,10 @@ _MODES = (
      "probes, flow-cache rungs; writes BENCH_latency.json (--full adds the "
      "mega_flows leg)"),
     ("--parallel-curve", _parallel_curve,
-     "partitioned many_flows at jobs 1/2/4 plus fabric_fat_tree and "
-     "mega_flows legs and the round-overhead microbench; writes "
-     "BENCH_parallel.json; fails on divergence from the serial oracle and, "
-     "with >= 2 cores visible, on the jobs=2 speedup expectation"),
-    ("--round-overhead", _round_overhead,
-     "coordination-cost microbench (rounds/sec, events/round, barrier_us) "
-     "on both executors"),
+     "sharded many_flows at jobs 1/2/4 plus a mega_flows leg at jobs=2; "
+     "writes BENCH_parallel.json; fails on divergence of a forked run from "
+     "its in-process oracle and, with >= 2 cores visible and a serial side "
+     "of >= 2 s, on the 1.3x jobs=2 floor"),
 )
 
 
@@ -217,10 +197,9 @@ def _parser() -> argparse.ArgumentParser:
                         help="shard independent experiments, workloads or "
                              "legs across N worker processes")
     parser.add_argument("--sim-jobs", type=_positive, default=1, metavar="N",
-                        help="with --wallclock: also run many_flows and "
-                             "fabric_fat_tree sharded over N simulation "
-                             "partitions, gated on exact equality with the "
-                             "serial-executor oracle")
+                        help="with --wallclock: also run many_flows as N "
+                             "forked shards, gated on exact equality with "
+                             "the same shards run in-process")
     parser.add_argument("--write-baseline", action="store_true",
                         help="with --wallclock or --latency: refresh the "
                              "committed baseline under benchmarks/ from "

@@ -14,8 +14,8 @@ evidence supports:
   row ran on the same host in the same minute, so a shortfall is the
   code, not the machine.  The extractor states the floor
   (``min_ratio``): ``1 - REPRO_BENCH_FAIL_PCT/100`` for the
-  ``REPRO_FLOW_CACHE=0`` oracle legs, ``REPRO_SIM_SPEEDUP_MIN`` for the
-  jobs=2 parallel leg; a twin without one is informational.
+  ``REPRO_FLOW_CACHE=0`` oracle legs, ``parallel.SPEEDUP_MIN`` for a
+  judged forked jobs=2 leg; a twin without one is informational.
 * **Committed-baseline speed only warns**, past
   ``REPRO_BENCH_WARN_PCT``, and says so when the baseline was recorded
   on a different host -- those numbers carry no signal here.  A row
@@ -49,12 +49,11 @@ REPO_ROOT = os.path.abspath(
 #: follows wallclock 8 / latency 2 / parallel 2.
 SCHEMA_VERSION = 9
 
-#: The gate's three knobs and their defaults: warn and fail thresholds
-#: in percent, the jobs=2 speedup floor as a ratio.
+#: The gate's two knobs and their defaults: warn and fail thresholds in
+#: percent.
 THRESHOLD_DEFAULTS = {
     "REPRO_BENCH_WARN_PCT": 20.0,
     "REPRO_BENCH_FAIL_PCT": 20.0,
-    "REPRO_SIM_SPEEDUP_MIN": 1.3,
 }
 
 #: what a gate row consists of -- and all a committed baseline keeps.

@@ -21,7 +21,6 @@ from ..hw.alpha import ALPHA_21064, CostTable
 from ..hw.cpu import INTERRUPT_PRIORITY
 from ..hw.host import Host
 from ..hw.link import (
-    BoundaryChannel,
     EthernetSegment,
     Frame,
     PointToPointLink,
@@ -29,7 +28,7 @@ from ..hw.link import (
 )
 from ..hw.nic import ForeAtm, LanceEthernet, NIC, T3Nic
 from ..net.headers import ip_aton, mac_aton
-from ..sim import Engine, PartitionEngine
+from ..sim import Engine
 from ..spin.kernel import SpinKernel
 from ..unixos.kernelnet import UnixKernel, UnixStack
 from ..unixos.sockets import SocketLayer
@@ -38,8 +37,6 @@ __all__ = [
     "Testbed",
     "build_testbed",
     "build_raw_pair",
-    "build_boundary_pair_partition",
-    "partition_hosts",
     "DEVICES",
     "OSES",
 ]
@@ -61,9 +58,6 @@ class Testbed:
         self.sockets: List[Optional[SocketLayer]] = []
         self.ips: List[int] = []
         self.medium = None
-        #: Which shard of a partitioned simulation this bed is (None when
-        #: the bed is a classic single-engine testbed).
-        self.partition_index: Optional[int] = None
 
     def ip(self, index: int) -> int:
         return self.ips[index]
@@ -155,82 +149,6 @@ def build_testbed(os_name: str, device: str, n_hosts: int = 2,
             for j in range(n_hosts):
                 if i != j:
                     bed.stacks[i].arp.add_entry(bed.ips[j], bed.nics[j].address)
-    return bed
-
-
-def partition_hosts(n_hosts: int, n_partitions: int) -> List[List[int]]:
-    """Contiguous host -> partition assignment.
-
-    Partition ``p`` owns a contiguous block of host indices; blocks
-    differ in size by at most one (the remainder goes to the low-index
-    partitions).  Contiguous blocks keep chatty neighbours -- testbeds
-    are built pairwise -- inside one partition, so only deliberately
-    wired boundary channels cross shards.
-    """
-    if n_partitions < 1:
-        raise ValueError("n_partitions must be >= 1, got %d" % n_partitions)
-    base, extra = divmod(n_hosts, n_partitions)
-    assignment: List[List[int]] = []
-    start = 0
-    for p in range(n_partitions):
-        count = base + (1 if p < extra else 0)
-        assignment.append(list(range(start, start + count)))
-        start += count
-    return assignment
-
-
-def build_boundary_pair_partition(os_name: str, side: int,
-                                  engine: PartitionEngine,
-                                  channel_id: str = "t3-boundary",
-                                  bandwidth_bps: float = 45e6,
-                                  propagation_us: float = 1.0,
-                                  deliver_mode: str = "interrupt",
-                                  fast_driver: bool = False,
-                                  costs: CostTable = ALPHA_21064) -> Testbed:
-    """One half of the classic back-to-back T3 pair, sharded.
-
-    The two-host ``build_testbed(os, "t3")`` topology split across two
-    partitions: each side builds *one* host whose T3 NIC sits on a
-    :class:`BoundaryChannel` half (same ``channel_id`` on both sides).
-    Host names, MAC/IP addressing, neighbor tables, and link parameters
-    are derived statically from ``side`` so the two halves agree without
-    ever seeing each other -- and match the classic single-engine bed,
-    which is what makes the classic topology usable as a timestamp
-    oracle for the partitioned one.
-    """
-    if os_name not in OSES:
-        raise ValueError("unknown OS %r (choose from %s)" % (os_name, OSES))
-    if side not in (0, 1):
-        raise ValueError("side must be 0 or 1, got %r" % (side,))
-    bed = Testbed(engine, os_name, "t3")
-    bed.partition_index = side
-    channel = BoundaryChannel(engine, channel_id, bandwidth_bps=bandwidth_bps,
-                              propagation_us=propagation_us)
-    bed.medium = channel
-
-    local, remote = side + 1, 2 - side
-    nic = _make_nic(engine, "t3", local, fast_driver)
-    my_ip = ip_aton("10.1.0.%d" % local)
-    remote_ip = ip_aton("10.1.0.%d" % remote)
-    if os_name == "spin":
-        host = SpinKernel(engine, "spin-h%d" % local, costs=costs)
-    else:
-        host = UnixKernel(engine, "unix-h%d" % local, costs=costs)
-    host.add_nic(nic)
-    channel.attach(nic)
-    bed.hosts.append(host)
-    bed.nics.append(nic)
-    bed.ips.append(my_ip)
-
-    neighbors = {remote_ip: "t3-%d" % remote}
-    if os_name == "spin":
-        stack = PlexusStack(host, nic, my_ip, deliver_mode=deliver_mode,
-                            link="raw", neighbors=neighbors)
-        bed.sockets.append(None)
-    else:
-        stack = UnixStack(host, nic, my_ip, link="raw", neighbors=neighbors)
-        bed.sockets.append(SocketLayer(stack))
-    bed.stacks.append(stack)
     return bed
 
 

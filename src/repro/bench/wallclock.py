@@ -31,16 +31,11 @@ from .parallel import leg_rows, run_parallel_legs
 from .runner import run_wallclock_suite
 from .workloads import WORKLOADS
 
-__all__ = ["REPORT_PATH", "BASELINE_PATH", "PARTITIONED", "run_suite", "rows"]
+__all__ = ["REPORT_PATH", "BASELINE_PATH", "run_suite", "rows"]
 
 REPORT_PATH = os.path.join(REPO_ROOT, "BENCH_wallclock.json")
 BASELINE_PATH = os.path.join(REPO_ROOT, "benchmarks",
                              "wallclock_baseline.json")
-
-#: the workloads ``--sim-jobs N`` adds oracle-gated partitioned legs for:
-#: one that shards flows, one whose partition boundary cuts a multi-hop
-#: topology (agg-to-core wires).
-PARTITIONED = ("many_flows", "fabric_fat_tree")
 
 
 def run_suite(quick: bool = False, repeats: int = 1, names=None,
@@ -50,11 +45,11 @@ def run_suite(quick: bool = False, repeats: int = 1, names=None,
     ``jobs > 1`` shards the workloads across worker processes;
     fingerprints -- and therefore the pass/fail outcome -- are identical
     for any jobs count.  ``sim_jobs > 1`` additionally runs the
-    :data:`PARTITIONED` legs (serial oracle + parallel executor at
-    ``sim_jobs`` partitions) as the report's ``parallel`` section.  They
-    run in *this* process, after the pool has drained: the parallel
-    executor forks one worker per partition itself.  The classic records
-    are not affected by the flag.
+    ``many_flows`` leg (in-process oracle + forked run at ``sim_jobs``
+    shards) as the report's ``parallel`` section.  It runs in *this*
+    process, after the pool has drained: the forked run starts one
+    worker per shard itself.  The classic records are not affected by
+    the flag.
     """
     names = list(names or sorted(
         name for name, record in WORKLOADS.items() if record.default_suite))
@@ -72,16 +67,14 @@ def run_suite(quick: bool = False, repeats: int = 1, names=None,
             name: {key: leg[key] for key in ROW_KEYS}
             for name, leg in oracle.items()}
     if sim_jobs > 1:
-        report["parallel"] = {"legs": [
-            leg for name in PARTITIONED for leg in run_parallel_legs(
-                [sim_jobs], WORKLOADS[name].scale(quick), name)]}
+        report["parallel"] = {"legs": run_parallel_legs([sim_jobs], quick)}
     return judge(report, rows, BASELINE_PATH)
 
 
 def rows(report: Dict) -> Tuple[Dict, Dict]:
     """The wall-clock report as gate rows: every workload against its
     ``REPRO_FLOW_CACHE=0`` twin (floor: ``REPRO_BENCH_FAIL_PCT`` below
-    it), plus the partitioned legs against their serial oracles."""
+    it), plus the sharded legs against their in-process oracles."""
     floor = 1.0 - env_threshold("REPRO_BENCH_FAIL_PCT") / 100.0
     gated = {name: {key: record[key] for key in ROW_KEYS}
              for name, record in report["workloads"].items()}

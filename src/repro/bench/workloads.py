@@ -6,7 +6,7 @@ probes -- is one declarative :class:`Workload` record in
 :data:`WORKLOADS`: how to build the bed, how to wire the scenario onto it
 (``setup(bed, scale, lifecycle=None) -> (state, main)``), what its
 simulated-time fingerprint is, its scales, and -- for the shardable ones
--- how scale or topology splits across partitions.  Ports, payload sizes,
+-- how scale splits across shards.  Ports, payload sizes,
 staggers and reply disciplines are data on the record, so a scenario
 family (the spin/ethernet UDP echo pair, the serial TCP object server,
 the many-flows origin) is written once and registered several times.
@@ -37,7 +37,7 @@ from types import SimpleNamespace
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from ..core.manager import Credential
-from ..fabric.topology import fat_tree, fat_tree_partition
+from ..fabric.topology import fat_tree
 from ..fabric.traffic import OpenLoopSource
 from ..hw.alpha import MICROSECONDS_PER_SECOND
 from ..hw.link import ImpairmentConfig
@@ -45,8 +45,7 @@ from ..lang.ephemeral import ephemeral
 from ..net.headers import ip_aton
 from ..obs.registry import merge_snapshots
 from ..obs.wire import instrument_testbed
-from ..sim import (Engine, Partition, PartitionEngine, PartitionedSimulation,
-                   Signal)
+from ..sim import Engine, Partition, PartitionedSimulation, Signal
 from ..spin.kernel import SpinKernel
 from ..unixos.sockets import Poller
 from .testbed import build_testbed
@@ -61,7 +60,7 @@ class Workload:
     contract: changing them changes the expected fingerprints."""
 
     name: str
-    #: ``build(scale, engine=None, index=0, n_partitions=1) -> bed``
+    #: ``build(scale, engine=None) -> bed``
     build: Callable
     #: ``setup(bed, scale, lifecycle=None) -> (state, main)``: the mutable
     #: counters and a zero-argument callable producing the main generator.
@@ -87,11 +86,9 @@ class Workload:
     #: request kinds a :class:`~repro.obs.slo.RequestLifecycle` sees
     kinds: Tuple[str, ...] = ()
     #: shardable records only: ``split(scale, n_partitions, index)`` is a
-    #: shard's scale, ``scale_key`` the merged fingerprint's name for the
-    #: whole run's scale, ``flows(fingerprint)`` the ``per_flow_kb``
+    #: shard's scale, ``flows(fingerprint)`` the ``per_flow_kb``
     #: denominator
     split: Optional[Callable] = None
-    scale_key: str = "flows"
     flows: Optional[Callable] = None
 
     def scale(self, quick: bool) -> int:
@@ -104,7 +101,7 @@ class Workload:
 
 def _pair(os_name: str, device: str, hosts: Callable = lambda scale: 2):
     """Bed builder: ``hosts(scale)`` machines of one OS on one medium."""
-    def build(scale, engine=None, index=0, n_partitions=1):
+    def build(scale, engine=None):
         return build_testbed(os_name, device, n_hosts=hosts(scale),
                              deliver_mode="interrupt", engine=engine)
     return build
@@ -146,7 +143,7 @@ def _horizon(plan, closed: bool, until: Optional[float]) -> Optional[float]:
 # dispatcher_micro
 # ---------------------------------------------------------------------------
 
-def _micro_bed(scale, engine=None, index=0, n_partitions=1):
+def _micro_bed(scale, engine=None):
     # The micro-benchmark has no Testbed; a shim with the same shape lets
     # the obs layer attach profilers and registries all the same.
     engine = Engine()
@@ -628,14 +625,8 @@ _FABRIC_RX_PORT = 9000
 _FABRIC_TX_PORT = 9001
 
 
-def _fat_tree_bed(scale, engine=None, index=0, n_partitions=1):
-    """The whole tree on one engine, or shard ``index`` of it: the
-    topology is sharded (contiguous pods per partition, cores on
-    partition 0, agg-to-core wires crossing shards as boundary
-    channels), so every datagram crosses the boundary twice."""
-    if engine is None:
-        return fat_tree(_FABRIC_K)
-    return fat_tree_partition(_FABRIC_K, index, n_partitions, engine)
+def _fat_tree_bed(scale, engine=None):
+    return fat_tree(_FABRIC_K, engine=engine)
 
 
 def _fabric_setup(bed, scale: int, lifecycle=None):
@@ -788,15 +779,13 @@ _RECORDS = [
                   is_tcp=lambda index, scale: index % 8 == 0,
                   kinds=("mega_udp", "mega_tcp"),
                   hosts=lambda scale: -(-scale // _FLOWS_PER_HOST) + 1),
-    # ``scale`` is datagrams per host and is not split across shards.
+    # ``scale`` is datagrams per host.
     Workload(
         name="fabric_fat_tree", build=_fat_tree_bed, setup=_fabric_setup,
         fingerprint=_fabric_fingerprint,
         packets=lambda state: state["received"],
         quick=40, full=200, warmup=10, has_dispatcher=True,
-        kinds=("fabric_dgram",), split=lambda scale, n, index: scale,
-        scale_key="scale",
-        flows=lambda fingerprint: max(1, fingerprint["sent"])),
+        kinds=("fabric_dgram",)),
     # Closed-loop decomposition probes (repro.bench.slo attaches an
     # SloTracker): Figure 5's ping-pong, and sequential object fetches
     # over a clean and a bursty-loss wire, bounded so a lost handshake
@@ -971,12 +960,12 @@ def run_once(record: Workload, scale: int, instrument=None) -> Dict:
 
 def _build_shard(index: int, n_partitions: int, spec: Dict) -> Partition:
     """Build one shard of a registered workload (runs inside the owning
-    process -- a forked worker under the parallel executor)."""
+    process -- a forked worker under ``parallel=True``)."""
     record = WORKLOADS[spec["workload"]]
     rss0_kb = _rss_now_kb()
-    engine = PartitionEngine(index)
+    engine = Engine()
     scale = record.split(spec["scale"], n_partitions, index)
-    bed = record.build(scale, engine, index, n_partitions)
+    bed = record.build(scale, engine)
     state, main_factory = record.setup(bed, scale)
     main = engine.process(main_factory(), name=record.name)
 
@@ -987,8 +976,9 @@ def _build_shard(index: int, n_partitions: int, spec: Dict) -> Partition:
             "packets": record.packets(state),
             "events": engine.events_processed,
             "metrics": instrument_testbed(bed).snapshot(),
-            # *Current* RSS growth from shard build to here: under the
-            # parallel executor, the worker process's own.
+            # *Current* RSS growth from shard build to here: a peak
+            # delta never resets once an earlier run has been as big,
+            # in this process or in the parent a worker forked from.
             "rss_grew_kb": max(0, _rss_now_kb() - rss0_kb),
         }
 
@@ -1011,53 +1001,43 @@ def _check_shards(record: Workload, scale: int, sim_jobs: int) -> None:
 
 
 def run_partitioned(record: Workload, scale: int, sim_jobs: int,
-                    parallel: Optional[bool] = None) -> Dict:
-    """Run a shardable ``record`` over ``sim_jobs`` partitions.
+                    parallel: bool = True) -> Dict:
+    """Run a shardable ``record`` as ``sim_jobs`` shards.
 
-    ``parallel=None`` lets ``REPRO_SIM_PARALLEL`` pick the executor;
-    ``parallel=False`` forces the in-process serial oracle.  The
-    fingerprint is defined over the merged shards -- counters summed
-    (peaks are concurrent *per partition*; the sum is the testbed-wide
-    concurrency the sharded run sustained), the final clock their
-    maximum -- and carries a ``partitions`` field, so it is comparable
-    only against runs at the same partition count: the oracle is the
-    serial executor at equal ``sim_jobs``, never the single-engine
+    ``parallel=True`` forks one worker per shard; ``parallel=False``
+    runs the shards in this process, the reference the forked run must
+    equal.  The fingerprint is defined over the merged shards --
+    counters summed (peaks are concurrent *per shard*; the sum is the
+    testbed-wide concurrency the sharded run sustained), the final clock
+    their maximum -- and carries a ``partitions`` field, so it is
+    comparable only against runs at the same shard count: the reference
+    is the in-process run at equal ``sim_jobs``, never the single-engine
     record.
 
-    ``per_flow_kb`` is best-effort host accounting: the serial executor
-    reports this process's peak-RSS growth across the run, the parallel
-    one sums each worker's own growth -- a fork starts near the parent's
-    footprint, so worker growth is the partition's real cost.
+    ``per_flow_kb`` is best-effort host accounting: the sum of each
+    shard's resident-set growth from its build to its result.
     """
     _check_shards(record, scale, sim_jobs)
     simulation = PartitionedSimulation(
         _build_shard, sim_jobs, {"workload": record.name, "scale": scale},
         parallel=parallel)
-    rss0_kb = _rss_kb()
     with _gc_quiesced():
         wall0 = time.perf_counter()
         shards = simulation.run()
         wall = time.perf_counter() - wall0
-    executor = ("parallel" if simulation.parallel and sim_jobs > 1
-                else "serial")
-    if executor == "parallel":
-        grew_kb = sum(shard["rss_grew_kb"] for shard in shards)
-    else:
-        grew_kb = max(0, _rss_kb() - rss0_kb)
     fingerprints = [shard["fingerprint"] for shard in shards]
     fingerprint = {key: sum(each[key] for each in fingerprints)
                    for key in fingerprints[0]}
     fingerprint["final_now_us"] = max(each["final_now_us"]
                                       for each in fingerprints)
-    fingerprint[record.scale_key] = scale
     fingerprint["partitions"] = sim_jobs
     result = _result(record, wall, sum(shard["events"] for shard in shards),
                      sum(shard["packets"] for shard in shards), fingerprint,
-                     grew_kb,
+                     sum(shard["rss_grew_kb"] for shard in shards),
                      merge_snapshots([shard["metrics"] for shard in shards]))
-    result.update(sim_jobs=sim_jobs, executor=executor,
-                  rounds=simulation.rounds,
-                  round_stats=simulation.round_stats())
+    result.update(sim_jobs=sim_jobs,
+                  executor=("parallel" if parallel and sim_jobs > 1
+                            else "serial"))
     return result
 
 

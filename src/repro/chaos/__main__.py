@@ -5,10 +5,6 @@
     python -m repro.chaos --count 50 --seed 7  # bigger sampled corpus
     python -m repro.chaos --replay BUNDLE.json # one-command repro
     python -m repro.chaos --quick --sabotage tamper_stream   # harness demo
-    python -m repro.chaos --partition          # cross-partition campaigns:
-                                               # boundary-channel workloads
-                                               # checked against the serial
-                                               # executor oracle
 
 Exit status is 0 iff every campaign passed.  Failing campaigns write
 repro bundles (JSON spec + violations + decoded trace tail) under
@@ -51,10 +47,6 @@ def _parser() -> argparse.ArgumentParser:
                         choices=["tamper_stream", "leak_timer"],
                         help="deliberately break an invariant in the first "
                              "campaign (exercises the bundle machinery)")
-    parser.add_argument("--partition", action="store_true",
-                        help="run the partition-campaign corpus instead: "
-                             "cross-boundary workloads under both the "
-                             "serial-oracle and parallel executors")
     parser.add_argument("--json", action="store_true",
                         help="dump the full verdict list as JSON to stdout")
     return parser
@@ -80,40 +72,8 @@ def _summarize(verdicts: List[dict], bundle_dir: str) -> int:
     return failures
 
 
-def _run_partition_corpus(args) -> int:
-    from .partition import build_partition_corpus, run_partition_corpus
-
-    count = args.count if args.count is not None else 6
-    specs = build_partition_corpus(base_seed=args.seed, count=count)
-    start = time.perf_counter()
-    verdicts = run_partition_corpus(specs)
-    elapsed = time.perf_counter() - start
-    if args.json:
-        json.dump(verdicts, sys.stdout, indent=2, sort_keys=True)
-        print()
-    failures = 0
-    for verdict in verdicts:
-        spec = verdict["spec"]
-        label = "%s %s boundary seed=%d" % (
-            spec["name"], spec["os_name"], spec["seed"])
-        if verdict["passed"]:
-            print("PASS  %s (%d rounds)" % (label, verdict["rounds"]))
-        else:
-            failures += 1
-            print("FAIL  %s" % label)
-            for violation in verdict["violations"]:
-                print("      %s" % violation)
-    print("%d/%d partition campaigns passed" % (len(verdicts) - failures,
-                                                len(verdicts)))
-    print("wall time: %.1f s" % elapsed)
-    return 1 if failures else 0
-
-
 def main(argv: List[str] = None) -> int:
     args = _parser().parse_args(argv)
-
-    if args.partition:
-        return _run_partition_corpus(args)
 
     if args.replay:
         spec = load_bundle(args.replay)

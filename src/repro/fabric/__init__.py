@@ -11,12 +11,10 @@ conservation invariants all apply to switches exactly as they do to end
 hosts.
 
 On top of the data plane sit topology builders (:func:`fat_tree`,
-:func:`leaf_spine`, :func:`linear_chain`) that emit either a classic
-single-engine :class:`FabricBed` or per-partition shards whose
-agg-to-core links are :class:`~repro.hw.link.BoundaryChannel` halves,
-plus a deterministic seeded ECMP hash and an open-loop traffic source
-(Poisson / Pareto arrivals) for modelling user populations as arrival
-processes.
+:func:`leaf_spine`, :func:`linear_chain`) that emit a single-engine
+:class:`FabricBed`, plus a deterministic seeded ECMP hash and an
+open-loop traffic source (Poisson / Pareto arrivals) for modelling user
+populations as arrival processes.
 """
 
 from .ecmp import ecmp_select
@@ -33,7 +31,6 @@ from .table import (
 from .topology import (
     FabricBed,
     fat_tree,
-    fat_tree_partition,
     leaf_spine,
     linear_chain,
     schedule_core_avoidance,
@@ -43,6 +40,6 @@ from .traffic import OpenLoopSource
 __all__ = [
     "Count", "Drop", "Forward", "Modify", "MatchTable", "PacketFields",
     "refold_checksums", "SwitchHost", "FabricPort", "ecmp_select",
-    "FabricBed", "fat_tree", "fat_tree_partition", "leaf_spine",
-    "linear_chain", "schedule_core_avoidance", "OpenLoopSource",
+    "FabricBed", "fat_tree", "leaf_spine", "linear_chain",
+    "schedule_core_avoidance", "OpenLoopSource",
 ]

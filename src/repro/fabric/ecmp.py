@@ -3,8 +3,8 @@
 Python's builtin ``hash`` is randomized per process, so it can never
 appear in a simulation result.  ECMP choices here come from BLAKE2b
 keyed by the fabric's seed over the packed 5-tuple -- the same
-(seed, 5-tuple) always selects the same member, across runs, processes
-and partition executors.
+(seed, 5-tuple) always selects the same member, across runs and
+processes.
 """
 
 from __future__ import annotations

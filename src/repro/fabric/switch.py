@@ -42,8 +42,7 @@ class FabricPort:
     def __init__(self, index: int, nic, peer_addr: Optional[str] = None):
         self.index = index
         self.nic = nic
-        #: link address frames egress toward (set by the topology builder;
-        #: static so the peer may live on another partition's engine).
+        #: link address frames egress toward (set by the topology builder).
         self.peer_addr = peer_addr
         self.received = 0
         self.forwarded = 0

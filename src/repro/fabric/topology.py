@@ -4,19 +4,15 @@ Every builder emits a :class:`FabricBed` -- a :class:`~repro.bench.
 testbed.Testbed` whose medium is a set of point-to-point wires joining
 edge hosts (full protocol stacks) to programmed :class:`SwitchHost`\\ s.
 Addressing, NIC addresses, wire order, and table programs are all pure
-functions of the topology parameters, which is what lets a partitioned
-build derive its half of a cross-partition link without ever seeing the
-other side.
+functions of the topology parameters, so campaign corpora can name a
+wire without building a bed.
 
 Fat-tree layout (k even): ``k`` pods, each with ``k/2`` edge and ``k/2``
 aggregation switches, ``(k/2)^2`` cores; hosts hang off edge switches
 (``hosts_per_edge`` per edge, default 1).  Host (pod ``p``, edge ``e``,
 slot ``s``) owns IP ``10.p.e.(s+2)``; edges hold /32s plus an ECMP
 default up, aggs hold per-edge /24s plus an ECMP default up, cores hold
-per-pod /16s.  Partitioned builds split pods contiguously across
-partitions; partition 0 additionally owns every core switch, and each
-agg-to-core wire whose ends land in different partitions becomes a
-:class:`~repro.hw.link.BoundaryChannel` pair.
+per-pod /16s.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 from ..bench.testbed import Testbed
 from ..core.plexus import PlexusStack
 from ..hw.alpha import ALPHA_21064, CostTable
-from ..hw.link import BoundaryChannel, PointToPointLink
+from ..hw.link import PointToPointLink
 from ..hw.nic import FabricNic
 from ..net.headers import ip_aton
 from ..sim import Engine
@@ -36,7 +32,7 @@ from ..unixos.sockets import SocketLayer
 from .switch import SwitchHost
 from .table import Forward, MatchTable
 
-__all__ = ["FabricBed", "fat_tree", "fat_tree_partition", "leaf_spine",
+__all__ = ["FabricBed", "fat_tree", "leaf_spine",
            "linear_chain", "schedule_core_avoidance", "fat_tree_core_wires",
            "FABRIC_BANDWIDTH_BPS", "FABRIC_PROPAGATION_US"]
 
@@ -51,7 +47,7 @@ class FabricBed(Testbed):
     def __init__(self, engine: Engine, os_name: str, device: str):
         super().__init__(engine, os_name, device)
         self.switches: List[SwitchHost] = []
-        self.links: List[object] = []          # wires + boundary halves
+        self.links: List[object] = []
         self.wire_names: List[str] = []
         self.wires_by_name: Dict[str, int] = {}
         #: (pod, edge, slot) per edge host, aligned with ``stacks``
@@ -124,14 +120,6 @@ def _wire(bed: FabricBed, nic_a, nic_b, name: str,
     bed.add_wire(link, name)
 
 
-def _boundary(bed: FabricBed, nic, channel_id: str, name: str) -> None:
-    half = BoundaryChannel(bed.engine, channel_id,
-                           bandwidth_bps=FABRIC_BANDWIDTH_BPS,
-                           propagation_us=FABRIC_PROPAGATION_US)
-    half.attach(nic)
-    bed.add_wire(half, name)
-
-
 # ---------------------------------------------------------------------------
 # fat-tree
 # ---------------------------------------------------------------------------
@@ -165,25 +153,19 @@ def _validate_fat_tree(k: int, hosts_per_edge: int) -> int:
     return half
 
 
-def _build_fat_tree(engine, os_name: str, k: int, hosts_per_edge: int,
-                    owned_pods: List[int], own_cores: bool, boundary: bool,
-                    ecmp_seed: int, deliver_mode: str,
-                    costs: CostTable) -> FabricBed:
-    """The one fat-tree assembler: full beds and shards share it.
-
-    ``owned_pods`` are built locally; with ``boundary`` set, agg-to-core
-    wires whose other end is not local become BoundaryChannel halves
-    (channel ids are pure functions of (pod, agg, core)).
-    """
+def fat_tree(k: int, os_name: str = "spin", hosts_per_edge: int = 1,
+             engine: Optional[Engine] = None, ecmp_seed: int = 1996,
+             deliver_mode: str = "interrupt",
+             costs: CostTable = ALPHA_21064) -> FabricBed:
+    """A full k-ary fat-tree on one engine."""
+    engine = engine or Engine()
     half = _validate_fat_tree(k, hosts_per_edge)
     bed = FabricBed(engine, os_name, "fabric")
     bed.fat_tree_k = k
     bed.hosts_per_edge = hosts_per_edge
-    bed.owned_pods = list(owned_pods)
 
-    # Static neighbor map: every other host in the *whole* fabric is
-    # reached via the sender's own edge-switch uplink, so the map is the
-    # same shape on every partition.
+    # Static neighbor map: every other host in the fabric is reached via
+    # the sender's own edge-switch uplink.
     all_hosts = [(p, e, s) for p in range(k) for e in range(half)
                  for s in range(hosts_per_edge)]
 
@@ -192,7 +174,7 @@ def _build_fat_tree(engine, os_name: str, k: int, hosts_per_edge: int,
     # must cross the core).
     for e in range(half):
         for s in range(hosts_per_edge):
-            for p in owned_pods:
+            for p in range(k):
                 my_ip = _ft_host_ip(p, e, s)
                 neighbors = {
                     _ft_host_ip(op, oe, os_): _ft_edge_addr(p, e, s)
@@ -204,7 +186,7 @@ def _build_fat_tree(engine, os_name: str, k: int, hosts_per_edge: int,
                 bed.host_locator.append((p, e, s))
 
     # Edge switches: ports 0..hpe-1 face hosts, hpe..hpe+half-1 face aggs.
-    for p in owned_pods:
+    for p in range(k):
         for e in range(half):
             switch = _new_switch(engine, "fab-e-p%de%d" % (p, e), costs,
                                  ecmp_seed)
@@ -224,7 +206,7 @@ def _build_fat_tree(engine, os_name: str, k: int, hosts_per_edge: int,
             bed.switches.append(switch)
 
     # Aggregation switches: ports 0..half-1 face edges, half.. face cores.
-    for p in owned_pods:
+    for p in range(k):
         for a in range(half):
             switch = _new_switch(engine, "fab-a-p%da%d" % (p, a), costs,
                                  ecmp_seed)
@@ -247,20 +229,19 @@ def _build_fat_tree(engine, os_name: str, k: int, hosts_per_edge: int,
             bed.switches.append(switch)
 
     # Core switches: port p faces pod p's agg c//half.
-    if own_cores:
-        for c in range(half * half):
-            switch = _new_switch(engine, "fab-c%d" % c, costs, ecmp_seed)
-            a = c // half
-            for p in range(k):
-                nic = FabricNic(engine, "p%d" % p, _ft_core_addr(c, p))
-                switch.add_port(
-                    nic, peer_addr=_ft_agg_addr(p, a, half + (c % half)))
-            table = switch.add_table(MatchTable("l3", "dst_ip", kind="lpm"))
-            for p in range(k):
-                table.set(ip_aton("10.%d.0.0" % p), (Forward(p),),
-                          prefix_len=16)
-            bed.core_switches[c] = switch
-            bed.switches.append(switch)
+    for c in range(half * half):
+        switch = _new_switch(engine, "fab-c%d" % c, costs, ecmp_seed)
+        a = c // half
+        for p in range(k):
+            nic = FabricNic(engine, "p%d" % p, _ft_core_addr(c, p))
+            switch.add_port(
+                nic, peer_addr=_ft_agg_addr(p, a, half + (c % half)))
+        table = switch.add_table(MatchTable("l3", "dst_ip", kind="lpm"))
+        for p in range(k):
+            table.set(ip_aton("10.%d.0.0" % p), (Forward(p),),
+                      prefix_len=16)
+        bed.core_switches[c] = switch
+        bed.switches.append(switch)
 
     # Switch kernels join the host list (conservation laws sweep them);
     # their port NICs join the NIC list.
@@ -269,8 +250,7 @@ def _build_fat_tree(engine, os_name: str, k: int, hosts_per_edge: int,
         bed.nics.extend(port.nic for port in switch.ports)
 
     # Wires, in canonical order: host links, edge-agg, agg-core.
-    owned = set(owned_pods)
-    for p in owned_pods:
+    for p in range(k):
         for e in range(half):
             switch = bed.edge_switches[(p, e)]
             for s in range(hosts_per_edge):
@@ -278,7 +258,7 @@ def _build_fat_tree(engine, os_name: str, k: int, hosts_per_edge: int,
                 _wire(bed, bed.nics[host_index], switch.ports[s].nic,
                       "host:p%de%ds%d" % (p, e, s),
                       propagation_us=HOST_LINK_PROPAGATION_US)
-    for p in owned_pods:
+    for p in range(k):
         for e in range(half):
             for a in range(half):
                 _wire(bed,
@@ -289,57 +269,9 @@ def _build_fat_tree(engine, os_name: str, k: int, hosts_per_edge: int,
         for a in range(half):
             for j in range(half):
                 c = a * half + j
-                name = "agg-core:p%da%dc%d" % (p, a, c)
-                channel_id = "fabc:p%da%dc%d" % (p, a, c)
-                agg_local = p in owned
-                if agg_local and own_cores:
-                    _wire(bed, bed.agg_switches[(p, a)].ports[half + j].nic,
-                          bed.core_switches[c].ports[p].nic, name)
-                elif agg_local and boundary:
-                    _boundary(bed, bed.agg_switches[(p, a)].ports[half + j].nic,
-                              channel_id, name)
-                elif own_cores and not agg_local and boundary:
-                    _boundary(bed, bed.core_switches[c].ports[p].nic,
-                              channel_id, name)
-    return bed
-
-
-def fat_tree(k: int, os_name: str = "spin", hosts_per_edge: int = 1,
-             engine: Optional[Engine] = None, ecmp_seed: int = 1996,
-             deliver_mode: str = "interrupt",
-             costs: CostTable = ALPHA_21064) -> FabricBed:
-    """A full k-ary fat-tree on one engine."""
-    engine = engine or Engine()
-    return _build_fat_tree(engine, os_name, k, hosts_per_edge,
-                           owned_pods=list(range(k)), own_cores=True,
-                           boundary=False, ecmp_seed=ecmp_seed,
-                           deliver_mode=deliver_mode, costs=costs)
-
-
-def fat_tree_partition(k: int, index: int, n_partitions: int, engine,
-                       os_name: str = "spin", hosts_per_edge: int = 1,
-                       ecmp_seed: int = 1996,
-                       deliver_mode: str = "interrupt",
-                       costs: CostTable = ALPHA_21064) -> FabricBed:
-    """Partition ``index`` of a fat-tree sharded across ``n_partitions``.
-
-    Pods are split contiguously; partition 0 additionally owns all core
-    switches.  Every agg-to-core wire crossing partitions becomes a pair
-    of BoundaryChannel halves whose ids both sides derive statically.
-    """
-    if n_partitions < 1 or k % n_partitions:
-        raise ValueError(
-            "n_partitions must divide the pod count k=%d, got %d"
-            % (k, n_partitions))
-    if not 0 <= index < n_partitions:
-        raise ValueError("index %d outside 0..%d" % (index, n_partitions - 1))
-    per = k // n_partitions
-    owned = list(range(index * per, (index + 1) * per))
-    bed = _build_fat_tree(engine, os_name, k, hosts_per_edge,
-                          owned_pods=owned, own_cores=(index == 0),
-                          boundary=(n_partitions > 1), ecmp_seed=ecmp_seed,
-                          deliver_mode=deliver_mode, costs=costs)
-    bed.partition_index = index
+                _wire(bed, bed.agg_switches[(p, a)].ports[half + j].nic,
+                      bed.core_switches[c].ports[p].nic,
+                      "agg-core:p%da%dc%d" % (p, a, c))
     return bed
 
 

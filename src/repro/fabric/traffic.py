@@ -3,7 +3,7 @@
 An :class:`OpenLoopSource` draws inter-departure gaps and datagram sizes
 from a private ``random.Random(seed)`` stream, so a schedule is a pure
 function of (seed, parameters, n): replaying the same seed yields the
-bit-identical schedule, on any host, process, or partition executor.
+bit-identical schedule, on any host or process.
 The source only *plans* -- callers turn the (gap, size) list into engine
 processes -- which keeps the statistical model testable without any
 simulated machinery behind it.

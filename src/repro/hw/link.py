@@ -22,11 +22,10 @@ import random
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..sim import Engine, Process, Resource
-from ..sim.shm import pack_frame, unpack_frame
 from .alpha import MICROSECONDS_PER_SECOND
 
 __all__ = ["Frame", "EthernetSegment", "PointToPointLink", "Switch", "SwitchPort",
-           "BoundaryChannel", "BROADCAST", "ImpairmentConfig", "ImpairmentModel"]
+           "BROADCAST", "ImpairmentConfig", "ImpairmentModel"]
 
 #: Link-level broadcast address.
 BROADCAST = "ff:ff:ff:ff:ff:ff"
@@ -371,8 +370,7 @@ class _Medium:
         """Hand ``frame`` to ``sink`` (``nic.frame_on_wire`` or
         ``switch.accept``) after ``delay_us`` on the wire: one timed event,
         no process, since nothing waits on a delivery.  Every medium's
-        fan-out goes through here; :class:`BoundaryChannel` overrides it to
-        post the frame into the partition coordinator's mailbox instead.
+        fan-out goes through here.
         """
         def deliver(_event) -> None:
             self.frames_delivered += 1
@@ -508,101 +506,6 @@ class SwitchPort(_Medium):
         lane.release()
         yield self.engine.pooled_timeout(self.propagation_us)
         self.frames_forwarded_in += 1
-        self.nic.frame_on_wire(frame)
-
-
-class BoundaryChannel(_Medium):
-    """One local half of a medium whose other end lives on another engine.
-
-    A cross-partition link is two ``BoundaryChannel`` halves sharing a
-    ``channel_id``, one per partition, each attached to its local NIC.
-    The sending half behaves exactly like a :class:`PointToPointLink`
-    direction -- per-direction serialization, wire time, fault model,
-    impairments -- but the propagation leg crosses engines: instead of a
-    local delivery coroutine, the frame is posted into the partition
-    engine's outbox stamped with its absolute arrival time
-    (``now + propagation_us + impairment extra``), and the coordinator
-    injects it into the remote half, which rebuilds the frame and hands
-    it to its NIC at that exact instant.
-
-    ``propagation_us`` doubles as the conservative **lookahead**: no
-    frame offered to this channel can arrive on the remote engine sooner
-    than the sender's clock plus ``propagation_us``.  It must therefore
-    be strictly positive -- a zero-propagation boundary would admit no
-    safe window at all (and stall the round protocol), so it is rejected
-    at construction.
-    """
-
-    def __init__(self, engine, channel_id: str, bandwidth_bps: float,
-                 propagation_us: float = 1.0):
-        if propagation_us <= 0.0:
-            raise ValueError(
-                "boundary channel %r needs strictly positive propagation_us "
-                "for lookahead, got %r" % (channel_id, propagation_us))
-        super().__init__(engine, bandwidth_bps, propagation_us)
-        self.channel_id = channel_id
-        self._lane = Resource(engine, capacity=1)
-        self._seq = 0
-        engine.register_channel(self)
-
-    @property
-    def lookahead_us(self) -> float:
-        return self.propagation_us
-
-    def attach(self, nic) -> None:
-        if self.nics:
-            raise ValueError("boundary channel half already has a NIC")
-        super().attach(nic)
-
-    @property
-    def nic(self):
-        return self.nics[0]
-
-    def transmit(self, sender, frame: Frame) -> Generator:
-        """Local NIC -> remote half (impairments apply on the send side)."""
-        lane = self._lane
-        if not lane.try_acquire():
-            yield lane.request()
-        yield self.engine.pooled_timeout(self._wire_time_us(frame.wire_bytes))
-        lane.release()
-        self._account(frame)
-        frame = self._apply_faults(frame)
-        if frame is None:
-            return
-        if self._impairments is not None:
-            for extra_us, copy in self._impaired_outcomes(frame):
-                self._deliver_after(None, copy,
-                                    self.propagation_us + extra_us)
-            return
-        self._deliver_after(None, frame, self.propagation_us)
-
-    def _deliver_after(self, sink, frame: Frame, delay_us: float) -> None:
-        """The boundary tap on the shared delivery site: post, don't schedule.
-
-        Impairment ``extra_us`` is always non-negative, so the arrival
-        time never undercuts the ``propagation_us`` lookahead the
-        coordinator plans with.
-        """
-        engine = self.engine
-        self._seq += 1
-        engine.send_boundary(
-            self.channel_id, engine.now + delay_us, self._seq,
-            pack_frame(frame.data, frame.src_addr, frame.dst_addr,
-                       frame.wire_bytes))
-
-    def deliver(self, payload) -> None:
-        """Rebuild an injected frame and hand it to the local NIC.
-
-        Called by the partition engine when the arrival event fires; the
-        clock already sits at the exact arrival instant the sender
-        computed.  ``payload`` is the :func:`repro.sim.shm.pack_frame`
-        byte string the sending half posted -- the same flat format the
-        shared-memory rings ship between processes, so the parallel
-        executor never serializes a frame beyond this packing.
-        """
-        data, src_addr, dst_addr, wire_bytes = unpack_frame(payload)
-        frame = Frame(data, src_addr, dst_addr, wire_bytes=wire_bytes)
-        self.frames_delivered += 1
         self.nic.frame_on_wire(frame)
 
 

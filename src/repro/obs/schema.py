@@ -51,16 +51,9 @@ EXPORT_SCHEMA: Dict[str, tuple] = {
     "net.udp.datagrams_in": ("gauge", "UDP datagrams delivered upward"),
     "net.udp.datagrams_out": ("gauge", "UDP datagrams emitted"),
     "os.interrupts_handled": ("gauge", "NIC interrupts taken by the OS models"),
-    "sim.coord.barrier_us": ("gauge", "wall time spent in round barriers (post+window+collect)"),
-    "sim.coord.events_windowed": ("gauge", "events processed inside coordinated rounds"),
-    "sim.coord.frames_routed": ("gauge", "boundary frames routed between partitions"),
-    "sim.coord.ring_fallbacks": ("gauge", "rounds that fell back from the shm ring to the pipe"),
-    "sim.coord.rounds": ("gauge", "coordinator rounds executed"),
     "sim.engine.events_processed": ("gauge", "events popped by the engine"),
     "sim.engine.now_us": ("gauge", "simulated clock (us)"),
     "sim.engine.pending": ("gauge", "events pending in heap + now-queue + wheel"),
-    "sim.partition.frames_injected": ("gauge", "boundary frames injected into this partition"),
-    "sim.partition.frames_sent": ("gauge", "boundary frames sent by this partition"),
     "sim.wheel.fired_direct": ("gauge", "deadlines that bypassed the wheel buckets"),
     "sim.wheel.occupied": ("gauge", "handles physically in wheel buckets (incl. cancelled)"),
     "sim.wheel.pending": ("gauge", "live (non-cancelled) parked deadlines"),

@@ -4,7 +4,7 @@ Public surface::
 
     from repro.sim import Engine, Event, Timeout, Process, Interrupt
     from repro.sim import Resource, Store, Signal
-    from repro.sim import SchedulerCore, PartitionEngine, PartitionedSimulation
+    from repro.sim import SchedulerCore, Partition, PartitionedSimulation
 """
 
 from .engine import (
@@ -17,12 +17,7 @@ from .engine import (
     SimulationError,
     Timeout,
 )
-from .partition import (
-    Partition,
-    PartitionEngine,
-    PartitionedSimulation,
-    sim_parallel_enabled,
-)
+from .partition import Partition, PartitionedSimulation
 from .resources import Resource, ResourceRequest, Signal, Store
 from .scheduler import SchedulerCore
 from .timers import TimerHandle, TimerWheel
@@ -34,7 +29,6 @@ __all__ = [
     "Event",
     "Interrupt",
     "Partition",
-    "PartitionEngine",
     "PartitionedSimulation",
     "Process",
     "Resource",
@@ -46,5 +40,4 @@ __all__ = [
     "Timeout",
     "TimerHandle",
     "TimerWheel",
-    "sim_parallel_enabled",
 ]

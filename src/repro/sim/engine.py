@@ -367,11 +367,9 @@ class Engine(SchedulerCore):
 
     All scheduling mechanics -- clock, ``(time, priority, sequence)``
     heap, zero-delay FIFO fast path, pooled timeouts, timer wheel --
-    live in :class:`repro.sim.scheduler.SchedulerCore` and are shared
-    verbatim with the partition-local engine of the conservative
-    parallel mode.  This class adds what a *simulation* (as opposed to a
-    bare scheduler) needs: event/process factories, ``run_process``, and
-    metrics registration.
+    live in :class:`repro.sim.scheduler.SchedulerCore`.  This class adds
+    what a *simulation* (as opposed to a bare scheduler) needs:
+    event/process factories, ``run_process``, and metrics registration.
     """
 
     # -- factory helpers -------------------------------------------------

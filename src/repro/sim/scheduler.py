@@ -1,28 +1,20 @@
-"""The scheduling core shared by every engine flavour.
+"""The scheduling core under :class:`repro.sim.engine.Engine`.
 
 :class:`SchedulerCore` is the extracted heart of the discrete-event
 engine: the clock, the pending-event heap, the zero-delay FIFO fast
 path, the global sequence counter that makes simultaneous events fire in
 deterministic FIFO order, the recycled-event pool, and the lazily
-created hierarchical timer wheel.  :class:`repro.sim.engine.Engine` (the
-serial engine every existing simulation runs on) and
-:class:`repro.sim.partition.PartitionEngine` (the partition-local engine
-of the conservative parallel mode) are both thin layers over this one
-implementation, so an event processed on a partition engine is scheduled,
-ordered, and fired by *exactly* the code the serial oracle uses.
+created hierarchical timer wheel.  :class:`~repro.sim.engine.Engine`
+adds the process-interaction surface on top.
 
-Two additions beyond the historical ``Engine`` surface exist for
-conservative (safe-window) synchronization:
+Two additions beyond the historical ``Engine`` surface:
 
+* :meth:`SchedulerCore.call_at` -- schedule a callback at an *absolute*
+  simulated time (open-loop traffic sources, scheduled control-plane
+  updates);
 * :meth:`SchedulerCore.next_event_time` -- the exact timestamp of the
   earliest pending event (heap, FIFO queue, or timer wheel), without
-  processing anything;
-* :meth:`SchedulerCore.run_window` -- process every event *strictly
-  before* a bound and stop, leaving events at or beyond the bound
-  untouched.  A cross-partition frame can never arrive earlier than the
-  sender's next event plus the boundary link's propagation delay, so a
-  partition that runs a window bounded by that quantity can never
-  receive a straggler into its past.
+  processing anything.
 """
 
 from __future__ import annotations
@@ -169,10 +161,10 @@ class SchedulerCore:
         """Fire ``callback(event)`` at absolute time ``when``; exact.
 
         The timestamp is pushed on the heap verbatim -- no ``now + delay``
-        float round trip -- which is what lets a cross-partition frame
-        arrive at the receiving engine at the *bit-identical* instant the
-        sending engine computed.  ``when`` must not lie in the past.  The
-        event is a recycled pool event: callers must not retain it.
+        float round trip -- so an open-loop departure or a scheduled
+        table update fires at the *bit-identical* instant its schedule
+        computed.  ``when`` must not lie in the past.  The event is a
+        recycled pool event: callers must not retain it.
         """
         if when < self.now:
             raise SimulationError(
@@ -309,29 +301,6 @@ class SchedulerCore:
         if heap:
             return heap[0][0]
         return _FAR
-
-    def run_window(self, bound: float) -> int:
-        """Process every pending event with timestamp strictly before
-        ``bound``; leave everything at or beyond it untouched.
-
-        This is the partition-side half of conservative (null-message /
-        safe-window) synchronization: the coordinator guarantees no
-        cross-partition frame can arrive before ``bound``, so everything
-        earlier is safe to fire.  An event at *exactly* ``bound`` -- a
-        retransmit timer landing on a window edge, say -- is deliberately
-        left for the next window, after any frame arriving at that same
-        instant has been injected; injected frames claim later sequence
-        numbers, so the timer still fires first, identically in the
-        serial and parallel executors.  Returns the number of events
-        processed.
-        """
-        processed = 0
-        step = self.step
-        next_event_time = self.next_event_time
-        while next_event_time() < bound:
-            step()
-            processed += 1
-        return processed
 
     def pending_count(self) -> int:
         count = len(self._heap) + len(self._now_queue)

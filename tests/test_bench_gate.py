@@ -155,12 +155,12 @@ def _latency_report():
     }
 
 
-def _leg(workload="many_flows", jobs=2, wall=0.5):
+def _leg(workload="many_flows", jobs=2, wall=2.0, serial=4.0):
     identity = {"events": 7, "fingerprint": {"flows": 4}, "metrics_sha1": "ab"}
     return {"workload": workload, "sim_jobs": jobs, "executor": "parallel",
             "parallel": {"identity": dict(identity), "wall_s": wall},
-            "oracle": {"identity": dict(identity), "wall_s": 1.1},
-            "serial": {"wall_s": 1.0}}
+            "oracle": {"identity": dict(identity), "wall_s": 1.1 * serial},
+            "serial": {"wall_s": serial}}
 
 
 def _parallel_report():
@@ -168,8 +168,7 @@ def _parallel_report():
 
 
 def _curve_rows(report):
-    return parallel.leg_rows(report["legs"],
-                             env_threshold("REPRO_SIM_SPEEDUP_MIN"))
+    return parallel.leg_rows(report["legs"])
 
 
 SUITES = {
@@ -219,7 +218,7 @@ SUITE_TABLE = [
     ("parallel", _set(["legs", 0, "parallel", "identity", "metrics_sha1"],
                       "cd"), "many_flows x2", False,
      "divergence from the same-run twin on metrics_sha1"),
-    ("parallel", _set(["legs", 0, "parallel", "wall_s"], 0.9),
+    ("parallel", _set(["legs", 0, "parallel", "wall_s"], 3.6),
      "many_flows x2", False, "1.11x the same-run twin (fail threshold 1.30x)"),
 ]
 
@@ -285,20 +284,21 @@ def test_slow_or_missing_baseline_only_warns(tmp_path, suite):
 def test_single_core_skips_the_speedup_floor(monkeypatch):
     monkeypatch.setattr(parallel, "affinity_cores", lambda: 1)
     report = _parallel_report()
-    report["legs"][0]["parallel"]["wall_s"] = 2.0       # 0.5x: would fail
+    report["legs"][0]["parallel"]["wall_s"] = 8.0       # 0.5x: would fail
     verdict = judge(report, _curve_rows)["comparison"]["many_flows x2"]
     assert verdict["ok"] and verdict["speed_vs_twin"] == 0.5
     assert any("single core" in w for w in verdict["warnings"])
 
 
-def test_only_the_curve_workloads_jobs2_leg_is_floored(monkeypatch):
+def test_x2_legs_are_floored_whatever_the_workload_or_suite(monkeypatch):
     monkeypatch.setattr(parallel, "affinity_cores", lambda: 4)
-    report = {"legs": [_leg(jobs=4, wall=2.0),
-                       _leg("fabric_fat_tree", wall=2.0)]}
-    assert judge(report, _curve_rows)["ok"]
-    # ... and under --wallclock --sim-jobs no leg is.
-    report = {"legs": [_leg(wall=2.0)]}
-    assert judge(report, lambda r: parallel.leg_rows(r["legs"]))["ok"]
+    slow = 8.0                                          # 0.5x
+    assert judge({"legs": [_leg(jobs=4, wall=slow)]}, _curve_rows)["ok"]
+    assert not judge({"legs": [_leg("mega_flows", wall=slow)]},
+                     _curve_rows)["ok"]
+    report = {"quick": True, "host": HOST, "workloads": {},
+              "parallel": {"legs": [_leg(wall=slow)]}}
+    assert not judge(report, wallclock.rows)["ok"]
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +411,7 @@ class TestRegistry:
         assert len(shards) == 2
         fingerprint = dict(merged["fingerprint"])
         assert fingerprint.pop("partitions") == 2
-        assert fingerprint.pop(record.scale_key) == scale
+        assert fingerprint.pop("flows") == scale
         assert fingerprint.pop("final_now_us") == max(
             shard["fingerprint"]["final_now_us"] for shard in shards)
         assert fingerprint

@@ -1,6 +1,6 @@
-"""Determinism precondition for the partitioned simulation core.
+"""Determinism precondition for sharded runs.
 
-The serial-oracle ladder (``REPRO_SIM_PARALLEL=0`` vs ``--sim-jobs N``)
+The in-process oracle (``parallel=False`` vs the forked ``--sim-jobs N``)
 only proves anything if a serial run is a pure function of its inputs in
 the first place: two back-to-back serial runs of the same workload in
 the same process must agree on every observable -- the simulated-time
@@ -10,7 +10,7 @@ are the finest-grained determinism probe the repo has).
 
 These tests pin that precondition on small-scale ``many_flows`` -- the
 workload the parallel gate shards -- for both the classic single-engine
-path and the partitioned serial executor.
+path and the in-process sharded run.
 """
 
 from repro.bench.workloads import WORKLOADS, run_once, run_partitioned
@@ -52,4 +52,3 @@ class TestSerialDeterminism:
         assert first["fingerprint"] == second["fingerprint"]
         assert first["metrics"] == second["metrics"]
         assert first["events"] == second["events"]
-        assert first["rounds"] == second["rounds"]

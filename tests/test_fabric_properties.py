@@ -1,6 +1,5 @@
 """Property tests: the switch fabric conserves frames, ECMP is a pure
-function of (seed, 5-tuple), and partitioned fat-tree runs are
-bit-identical to the single-engine build.
+function of (seed, 5-tuple), and open-loop schedules replay.
 
 Hypothesis draws whole scenarios -- a topology, a traffic schedule, and
 an optional extra counting stage spliced into every pipeline -- and
@@ -99,34 +98,3 @@ def test_open_loop_schedules_replay_and_prefix(seed, n, extra, arrival,
                                       size_dist=size_dist).schedule(n)
     assert schedule == source.schedule(n + extra)[:n]
     assert all(gap >= 0.0 and size >= 1 for gap, size in schedule)
-
-
-class TestPartitionedFatTree:
-    """Serial-oracle vs forked executors vs the single-engine build."""
-
-    SCALE = 6
-
-    def test_parallel_matches_serial_oracle(self):
-        from repro.bench.workloads import WORKLOADS, run_partitioned
-        fabric = WORKLOADS["fabric_fat_tree"]
-        serial = run_partitioned(fabric, self.SCALE, 2, parallel=False)
-        current = run_partitioned(fabric, self.SCALE, 2, parallel=True)
-        assert current["fingerprint"] == serial["fingerprint"]
-        assert current["events"] == serial["events"]
-        assert current["metrics"] == serial["metrics"]
-        assert serial["executor"] == "serial"
-        assert current["executor"] == "parallel"
-
-    def test_partitioned_matches_single_engine_totals(self):
-        from repro.bench.workloads import (WORKLOADS, run_once,
-                                           run_partitioned)
-        fabric = WORKLOADS["fabric_fat_tree"]
-        single = run_once(fabric, self.SCALE)
-        serial = run_partitioned(fabric, self.SCALE, 2, parallel=False)
-        for key in ("sent", "received", "bytes", "final_now_us",
-                    "switch_forwarded", "switch_dropped", "ecmp"):
-            assert serial["fingerprint"][key] == single["fingerprint"][key]
-
-    def test_fabric_fat_tree_is_on_demand_only(self):
-        from repro.bench.workloads import WORKLOADS
-        assert not WORKLOADS["fabric_fat_tree"].default_suite
