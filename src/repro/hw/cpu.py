@@ -62,7 +62,7 @@ class CPU:
         # counted so skipped work is visible instead of silently dropped.
         self.uncontexted_charges = 0
         self.uncontexted_charge_us: float = 0.0
-        #: optional repro.obs.profiler.CpuHook; None (the default) keeps
+        #: optional repro.obs.taps.CpuHook; None (the default) keeps
         #: every hot path on its uninstrumented shape.
         self.profile = None
 

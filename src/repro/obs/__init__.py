@@ -6,15 +6,16 @@ timeline (attaching any of them never changes a fingerprint):
 * :mod:`repro.obs.taps` -- the two seams observers subscribe to
   (``cpu.profile``, ``nic.taps``; ``None`` while unobserved), their
   listener methods, and the one :class:`Observer` attach/detach that
-  lets observers come and go in any order.
+  lets observers come and go in any order.  ``cpu.profile`` is also the
+  one per-charge record; listeners hear frames, not charges.
 * :mod:`repro.obs.registry` -- a central :class:`MetricsRegistry` of
   named counters/gauges/histograms behind a stable dotted namespace
   (``spin.flowcache.evictions``, ``hw.nic.rx_filtered``, ...) with a
   JSON snapshot API.  Components expose ``register_metrics(registry)``;
   :func:`repro.obs.wire.instrument_testbed` wires a whole testbed.
-* :mod:`repro.obs.profiler` -- a simulated-CPU profiler that intercepts
-  the cost-charging path and attributes every charged microsecond to a
-  ``(host, domain, component, operation)`` stack, emitting folded-stack
+* :mod:`repro.obs.profiler` -- a simulated-CPU profiler that reads the
+  hooks' tables, which attribute every charged microsecond to a
+  ``(host, domain, component, operation)`` stack, and emits folded-stack
   files renderable as flamegraphs.
 * :mod:`repro.obs.spans` -- per-packet path timelines (NIC rx ->
   dispatcher -> handlers -> socket) in simulated time, in the same

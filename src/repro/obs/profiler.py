@@ -12,14 +12,16 @@ hand-inlined hot-path variants in the dispatcher, the NIC drivers, and
 
 Both go through ``dict.__setitem__``, so while a
 :class:`~repro.obs.taps.CpuHook` is installed ``category_times`` is a
-recording subclass that intercepts every charged microsecond without
-touching any call site.  Stack *frames* come from the ``cpu.profile``
-seam itself, consulted by ``Host.kernel_path`` (the domain: interrupt
-body, syscall, timer callback), the dispatcher raise paths (the
-component: event name), and ``CPU.execute``.  The profiler is a plain
-listener on that one seam and never subscribes to ``nic.taps``.  With
-no observer attached ``cpu.profile`` is ``None`` and ``category_times``
-a plain dict -- the hot path is unchanged and simulated time is
+recording subclass that books every charged microsecond, without
+touching any call site, under the frame stack open at that moment.
+Stack *frames* come from the ``cpu.profile`` seam itself, consulted by
+``Host.kernel_path`` (the domain: interrupt body, syscall, timer
+callback), the dispatcher raise paths (the component: event name), and
+``CPU.execute``.  The profiler hears no charge: its stacks are a
+read-time fold over its hooks' tables (so they cover each hook's
+lifetime) and ``on_consume`` is the one event it listens to.  With no
+observer attached ``cpu.profile`` is ``None`` and ``category_times`` a
+plain dict -- the hot path is unchanged and simulated time is
 bit-identical (``tests/test_obs.py`` enforces this).
 
 Attribution is therefore ``(host, domain, component..., operation)``
@@ -44,7 +46,6 @@ EXPERIMENTS.md.)
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, List, Tuple
 
 from .taps import CpuHook, Observer
@@ -69,78 +70,70 @@ class CpuProfiler(Observer):
         open("out.folded", "w").write(profiler.folded_text())
     """
 
-    def __init__(self, path_bounds=None):
-        #: (host, frame, frame, ..., category) -> charged microseconds
-        self.stacks: Dict[Tuple[str, ...], float] = {}
-        #: every hook ever attached; the readouts below outlive detach()
+    def __init__(self):
+        #: every hook joined, in attach order; their tables are the stacks
         self._hooks: List[CpuHook] = []
-        self._consumed: Dict[CpuHook, float] = defaultdict(float)
-        self._open_path: Dict[CpuHook, float] = {}
-        #: optional histogram of per-kernel-path charged microseconds
-        self.path_histogram = None
-        if path_bounds is not None:
-            from .registry import Histogram
-
-            self.path_histogram = Histogram("obs.profiler.path_us", path_bounds)
+        #: consumed microseconds per CPU, however many hooks it has had
+        self._consumed: Dict[object, float] = {}
 
     # -- lifecycle -------------------------------------------------------
 
     def attach(self, hosts) -> "CpuProfiler":
         super().attach(hosts)
-        self._hooks += [hook for hook in self._seams if hook not in self._hooks]
+        for hook in self._seams:
+            if hook not in self._hooks:
+                self._hooks.append(hook)
+                self._consumed.setdefault(hook.cpu, 0.0)
         return self
 
     # -- listener interface (cpu.profile) --------------------------------
 
-    def on_push(self, hook: CpuHook, label: str) -> None:
-        if not hook.frames:
-            self._open_path[hook] = 0.0
-
-    def on_pop(self, hook: CpuHook, label: str) -> None:
-        if not hook.frames and self.path_histogram is not None:
-            self.path_histogram.observe(self._open_path.pop(hook, 0.0))
-
-    def on_charge(self, hook: CpuHook, category: str, amount: float) -> None:
-        key = (hook.host_name, *hook.frames, category)
-        stacks = self.stacks
-        stacks[key] = stacks.get(key, 0.0) + amount
-        if hook in self._open_path:
-            self._open_path[hook] += amount
-
     def on_consume(self, hook: CpuHook, amount: float) -> None:
         # Folded in the exact order CPU.busy_time accumulates, so the
         # per-host totals reconcile bit-exactly against busy_time.
-        self._consumed[hook] = self._consumed[hook] + amount
+        self._consumed[hook.cpu] += amount
 
     # -- results ---------------------------------------------------------
+
+    @property
+    def stacks(self) -> Dict[Tuple[str, ...], float]:
+        """``(host, frame, ..., category) -> charged microseconds`` over the
+        lifetime of every hook joined, folded from the hooks' tables."""
+        stacks: Dict[Tuple[str, ...], float] = {}
+        for hook in self._hooks:
+            for path, cell in hook.cells.items():
+                for category, amount in cell.items():
+                    key = path + (category,)
+                    stacks[key] = stacks.get(key, 0.0) + amount
+        return stacks
 
     def categories(self) -> Dict[str, float]:
         """Per-category charged totals, bit-exact, summed across hosts."""
         totals: Dict[str, float] = {}
-        for hook in self._hooks:
-            for category, value in hook.cpu.category_times.items():
+        for cpu in self._consumed:
+            for category, value in cpu.category_times.items():
                 totals[category] = totals.get(category, 0.0) + value
         return totals
 
     def consumed_us(self) -> float:
         """Total consumed CPU time; bit-equal to the summed busy_time."""
         total = 0.0
-        for hook in self._hooks:
-            total += self._consumed[hook]
+        for consumed in self._consumed.values():
+            total += consumed
         return total
 
     def busy_us(self) -> float:
         """The CPUs' own busy_time sum (the engine-reported number)."""
         total = 0.0
-        for hook in self._hooks:
-            total += hook.cpu.busy_time
+        for cpu in self._consumed:
+            total += cpu.busy_time
         return total
 
     def folded_lines(self) -> List[str]:
         """Folded-stack lines, sorted; values are simulated nanoseconds."""
         lines = []
-        for key in sorted(self.stacks):
-            nanoseconds = round(self.stacks[key] * 1000.0)
+        for key, amount in sorted(self.stacks.items()):
+            nanoseconds = round(amount * 1000.0)
             if nanoseconds <= 0:
                 continue
             lines.append("%s %d" % (";".join(_sanitize(part) for part in key), nanoseconds))
@@ -156,7 +149,7 @@ class CpuProfiler(Observer):
             cpu = hook.cpu
             hosts[hook.host_name] = {
                 "busy_us": cpu.busy_time,
-                "consumed_us": self._consumed[hook],
+                "consumed_us": self._consumed[cpu],
                 "uncontexted_charge_us": cpu.uncontexted_charge_us,
                 "categories": dict(sorted(cpu.category_times.items())),
             }

@@ -309,10 +309,9 @@ class SloTracker(Observer):
     """Queueing-delay attribution for one outstanding request at a time.
 
     ``attach(hosts, nics)`` subscribes to each host's ``cpu.profile``
-    (CPU frame push/pop/consume) and each NIC's ``taps`` (tx/rx entry)
-    -- the exact observation points the span tracer uses.  Between any
-    two consecutive waypoints the elapsed integer nanoseconds split
-    deterministically:
+    (CPU frame push and consume; a pop shares its push's instant) and
+    each NIC's ``taps`` (tx/rx entry).  Between any two consecutive
+    waypoints the elapsed integer nanoseconds split deterministically:
 
     * the trailing ``amount`` of the interval ending at an
       ``on_consume`` -> ``cpu_service`` (kernel paths charge their cost
@@ -343,6 +342,9 @@ class SloTracker(Observer):
         self._last_tx_ns: Optional[int] = None
         self._request: Optional[Request] = None
         self._last_ns = 0
+        # The instant of the latest waypoint, as engine.now and in ns.
+        self._now_us: Optional[float] = None
+        self._now_ns = 0
 
     # -- lifecycle interface ---------------------------------------------
 
@@ -403,9 +405,14 @@ class SloTracker(Observer):
             components["cpu_service"] += cpu
         self._last_ns = now_ns
 
-    def _waypoint(self) -> None:
-        if self._request is not None:
-            self._advance(to_ns(self.engine.now))
+    def _waypoint(self, cpu_tail_ns: int = 0) -> None:
+        """Advance to ``engine.now`` unless a waypoint already has: push,
+        tx and rx of one kernel path share an instant."""
+        now = self.engine.now
+        if now != self._now_us:
+            self._now_us = now
+            self._now_ns = to_ns(now)
+            self._advance(self._now_ns, cpu_tail_ns)
 
     # -- listener interface (cpu.profile) --------------------------------
 
@@ -413,19 +420,15 @@ class SloTracker(Observer):
         self._waypoint()
         self._in_ring = False
 
-    def on_pop(self, hook: CpuHook, label: str) -> None:
-        self._waypoint()
-
     def on_consume(self, hook: CpuHook, amount: float) -> None:
-        if self._request is not None:
-            self._advance(to_ns(self.engine.now), round(amount * 1000.0))
+        self._waypoint(round(amount * 1000.0))
 
     # -- listener interface (nic.taps) -----------------------------------
 
     def on_tx(self, nic, data) -> None:
         self._waypoint()
         self._in_flight += 1
-        self._last_tx_ns = to_ns(self.engine.now)
+        self._last_tx_ns = self._now_ns
 
     def on_rx(self, nic, frame, accepted: bool) -> None:
         self._waypoint()

@@ -19,43 +19,22 @@ attaching it never perturbs simulated time.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, List
+from typing import NamedTuple
 
 from .taps import CpuHook, RingTracer
 
 __all__ = ["Span", "SpanTracer"]
 
 
-class Span:
+class Span(NamedTuple):
     """One completed frame (or NIC event) on the simulated timeline."""
 
-    __slots__ = ("time", "host", "depth", "label", "kind", "charged_us")
-
-    def __init__(
-        self,
-        time: float,
-        host: str,
-        depth: int,
-        label: str,
-        kind: str,
-        charged_us: float,
-    ):
-        self.time = time
-        self.host = host
-        self.depth = depth
-        self.label = label
-        self.kind = kind  # "cpu" | "tx" | "rx"
-        self.charged_us = charged_us
-
-    def __repr__(self) -> str:
-        return "<Span %9.1f %s %s %s %.2fus>" % (
-            self.time,
-            self.host,
-            self.kind,
-            self.label,
-            self.charged_us,
-        )
+    time: float
+    host: str
+    depth: int
+    label: str
+    kind: str  # "cpu" | "tx" | "rx"
+    charged_us: float
 
 
 class SpanTracer(RingTracer):
@@ -65,22 +44,14 @@ class SpanTracer(RingTracer):
 
     def __init__(self, engine, limit: int = 4096):
         super().__init__(engine, limit)
-        self._open: Dict[CpuHook, List[List]] = defaultdict(list)
 
     # -- listener interface (cpu.profile) --------------------------------
 
-    def on_push(self, hook: CpuHook, label: str) -> None:
-        # [start time, label, depth, self-charge accumulator]
-        self._open[hook].append([self.engine.now, label, len(hook.frames), 0.0])
-
-    def on_pop(self, hook: CpuHook, label: str) -> None:
-        start, opened_label, depth, charged = self._open[hook].pop()
-        self._record(Span(start, hook.host_name, depth, opened_label, "cpu", charged))
-
-    def on_charge(self, hook: CpuHook, category: str, amount: float) -> None:
-        open_frames = self._open[hook]
-        if open_frames:
-            open_frames[-1][3] += amount
+    def on_pop(self, hook: CpuHook, label: str, charged_us: float) -> None:
+        # The frame stack is the hook's, so a tracer may join mid-frame;
+        # the frame opened at this instant, under the frames still open.
+        now = self.engine.now
+        self._record(Span(now, hook.host_name, len(hook.frames), label, "cpu", charged_us))
 
     # -- listener interface (nic.taps) -----------------------------------
 

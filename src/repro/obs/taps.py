@@ -6,13 +6,14 @@ dispatcher event.  ``cpu.profile`` (:class:`CpuHook`) and ``nic.taps``
 (:class:`NicTaps`) are ``None`` until the first listener subscribes and
 ``None`` again once the last one leaves, so an unobserved hot path pays
 one attribute test per seam.  A listener defines only the ``on_<event>``
-methods it wants; the fan-out loops never call a stub.
+methods it wants; the fan-out loops never call a stub.  Charges are no
+event: :class:`CpuHook` books each one and observers read it afterwards.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["CpuHook", "NicTaps", "Observer", "RingTracer"]
 
@@ -46,22 +47,32 @@ class _Seam:
 
 
 class CpuHook(_Seam):
-    """``cpu.profile``: per-CPU frame stack plus listener fan-out.
+    """``cpu.profile``: per-CPU frame stack, the one record of every
+    charge, and listener fan-out for frames and consumption.
 
-    While installed it also swaps ``cpu.category_times`` for a
-    :class:`_ProfilingTimes`.  Listeners: ``on_push(hook, label)``,
-    ``on_pop(hook, label)``, ``on_charge(hook, category, amount)``,
+    While installed it swaps ``cpu.category_times`` for a
+    :class:`_ProfilingTimes`, which books each charge here and calls
+    nobody: into ``cells`` (``(host, *frames) -> {category: us}``) and
+    into the innermost open frame's self-charge.  Listeners:
+    ``on_push(hook, label)``, ``on_pop(hook, label, charged_us)`` (the
+    frame's self-charge; ``len(hook.frames)`` is its depth),
     ``on_consume(hook, amount)``.
     """
 
     attr = "profile"
-    events = ("push", "pop", "charge", "consume")
+    events = ("push", "pop", "consume")
 
     def __init__(self, cpu, host_name: str):
         super().__init__(cpu)
         self.cpu = cpu
         self.host_name = host_name
         self.frames: List[str] = []
+        # Where charges land: the table cell of the open frame stack and the
+        # innermost open frame's self-charge; _callers holds the outer pairs.
+        self.cell: Dict[str, float] = {}
+        self.cells: Dict[Tuple[str, ...], Dict[str, float]] = {(host_name,): self.cell}
+        self.charged = 0.0
+        self._callers: List[Tuple[Dict[str, float], float]] = []
         cpu.category_times = _ProfilingTimes(cpu.category_times, self)
 
     def leave(self, listener) -> None:
@@ -74,11 +85,16 @@ class CpuHook(_Seam):
         for on_push in self._push:
             on_push(self, label)
         self.frames.append(label)
+        self._callers.append((self.cell, self.charged))
+        self.cell = self.cells.setdefault((self.host_name, *self.frames), {})
+        self.charged = 0.0
 
     def pop(self) -> None:
         label = self.frames.pop()
+        charged = self.charged
+        self.cell, self.charged = self._callers.pop()
         for on_pop in self._pop:
-            on_pop(self, label)
+            on_pop(self, label, charged)
 
     def consumed(self, amount: float) -> None:
         for on_consume in self._consume:
@@ -86,7 +102,7 @@ class CpuHook(_Seam):
 
 
 class _ProfilingTimes(dict):
-    """``category_times`` replacement reporting every charge to the hook."""
+    """``category_times`` replacement booking every charge on the hook."""
 
     __slots__ = ("hook",)
 
@@ -95,11 +111,18 @@ class _ProfilingTimes(dict):
         self.hook = hook
 
     def __setitem__(self, key, value):
-        delta = value - self.get(key, 0.0)
+        try:
+            delta = value - self[key]
+        except KeyError:
+            delta = value
         if delta != 0.0:
             hook = self.hook
-            for on_charge in hook._charge:
-                on_charge(hook, key, delta)
+            cell = hook.cell
+            try:
+                cell[key] += delta
+            except KeyError:
+                cell[key] = delta
+            hook.charged += delta
         dict.__setitem__(self, key, value)
 
 
@@ -176,10 +199,12 @@ class RingTracer(Observer):
         self.dropped_records = 0
 
     def render(self, last: Optional[int] = None) -> str:
-        """One line per retained record (optionally only the tail)."""
+        """One line per retained record, or per each of the ``last`` ones."""
         records = self.records
         if last is not None:
-            records = records[-last:]
+            if last < 0:
+                raise ValueError("render(last=%d): cannot render a negative count" % last)
+            records = records[-last:] if last else []
         lines = [self._line(record) for record in records]
         dropped = self.dropped_records
         if dropped:

@@ -13,6 +13,7 @@ The two load-bearing guarantees:
 
 import itertools
 import json
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -393,6 +394,274 @@ class TestTapSeams:
         profiler.detach()
         assert (profiler.report(), profiler.categories(),
                 profiler.folded_text()) == live
+
+    def test_profiler_reattach_reads_each_cpu_once(self):
+        rig = _PingPong()
+        rig.attach("profiler")
+        rig.round_trip()
+        profiler = rig.observers["profiler"]
+        once = (profiler.categories(), profiler.busy_us(), profiler.stacks)
+        rig.detach("profiler")
+        rig.attach("profiler")      # a second hook on each of the same CPUs
+        assert (profiler.categories(), profiler.busy_us(),
+                profiler.stacks) == once
+        rig.round_trip()
+        # The second hook's table holds the second trip, which charges
+        # what the first did: the fold over both doubles every stack.
+        assert profiler.stacks == pytest.approx(
+            {key: 2 * value for key, value in once[2].items()})
+        assert profiler.consumed_us() == profiler.busy_us()
+        for host in profiler.report()["hosts"].values():
+            assert host["consumed_us"] == host["busy_us"]
+
+    def test_tracer_joining_mid_frame_records_the_enclosing_frame(self):
+        # The frame stack is the hook's, not the tracer's: the enclosing
+        # pop used to reach a tracer that had seen no push (IndexError
+        # out of kernel_path's finally).
+        bed = build_testbed("spin", "ethernet")
+        host = bed.hosts[0]
+        CpuProfiler().attach(bed.hosts)
+        tracer = SpanTracer(bed.engine)
+
+        def body():
+            host.cpu.charge(2.5, "protocol")
+            tracer.attach(bed.hosts, bed.nics)
+            host.cpu.charge(1.5, "protocol")
+
+        bed.engine.run_process(host.kernel_path(body))
+        assert [(span.label, span.depth, span.kind, span.charged_us)
+                for span in tracer.records] == [("body", 0, "cpu", 4.0)]
+
+    @pytest.mark.parametrize("name", ["spans", "packets"])
+    def test_render_last_counts_from_the_tail(self, name):
+        rig = _PingPong()
+        rig.attach(name)
+        rig.round_trip()
+        tracer = rig.observers[name]
+        lines = tracer.render().splitlines()
+        assert len(lines) == len(tracer.records) >= 4
+        assert tracer.render(last=0) == ""
+        assert tracer.render(last=3).splitlines() == lines[-3:]
+        assert tracer.render(last=len(lines) + 1).splitlines() == lines
+        with pytest.raises(ValueError):
+            tracer.render(last=-1)
+        small = type(tracer)(rig.bed.engine, limit=2)
+        for record in tracer.records:
+            small._record(record)
+        assert small.render(last=0) == "... %d %s dropped (ring limit 2)" % (
+            len(lines) - 2, small.noun)
+
+
+# ---------------------------------------------------------------------------
+# the observed round trip, pinned: outputs byte for byte, seam traffic by count
+# ---------------------------------------------------------------------------
+
+# Recorded on the parent of the PR that moved charge booking onto the
+# hook: all four observers on the _PingPong rig, three round trips.
+
+PINNED_FOLDED = """\
+spin-h1;<lambda>;checksum 4032
+spin-h1;<lambda>;dispatch 900
+spin-h1;<lambda>;driver 225000
+spin-h1;<lambda>;mbuf 3600
+spin-h1;<lambda>;protocol 42000
+spin-h1;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;UDP.PacketRecv;dispatch 1650
+spin-h1;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;checksum 2352
+spin-h1;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;dispatch 3150
+spin-h1;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;protocol 12000
+spin-h1;interrupt_body;Ethernet.PacketRecv;checksum 1680
+spin-h1;interrupt_body;Ethernet.PacketRecv;dispatch 2400
+spin-h1;interrupt_body;Ethernet.PacketRecv;protocol 15000
+spin-h1;interrupt_body;driver 270000
+spin-h1;interrupt_body;interrupt 30000
+spin-h1;interrupt_body;mbuf 3600
+spin-h1;interrupt_body;protocol 9000
+spin-h2;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;UDP.PacketRecv;checksum 4032
+spin-h2;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;UDP.PacketRecv;dispatch 2550
+spin-h2;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;UDP.PacketRecv;driver 225000
+spin-h2;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;UDP.PacketRecv;mbuf 3600
+spin-h2;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;UDP.PacketRecv;protocol 42000
+spin-h2;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;checksum 2352
+spin-h2;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;dispatch 3150
+spin-h2;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;protocol 12000
+spin-h2;interrupt_body;Ethernet.PacketRecv;checksum 1680
+spin-h2;interrupt_body;Ethernet.PacketRecv;dispatch 2400
+spin-h2;interrupt_body;Ethernet.PacketRecv;protocol 15000
+spin-h2;interrupt_body;driver 270000
+spin-h2;interrupt_body;interrupt 30000
+spin-h2;interrupt_body;mbuf 3600
+spin-h2;interrupt_body;protocol 9000
+"""
+
+#: CpuProfiler.stacks, keys ";"-joined; floats compare with ==
+PINNED_STACKS = {
+    "spin-h1;<lambda>;checksum": 4.032,
+    "spin-h1;<lambda>;dispatch": 0.8999999999999997,
+    "spin-h1;<lambda>;driver": 225.0,
+    "spin-h1;<lambda>;mbuf": 3.5999999999999996,
+    "spin-h1;<lambda>;protocol": 42.0,
+    "spin-h1;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;UDP.PacketRecv;dispatch":
+        1.6499999999999997,
+    "spin-h1;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;checksum":
+        2.3520000000000003,
+    "spin-h1;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;dispatch":
+        3.1499999999999995,
+    "spin-h1;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;protocol": 12.0,
+    "spin-h1;interrupt_body;Ethernet.PacketRecv;checksum": 1.680000000000001,
+    "spin-h1;interrupt_body;Ethernet.PacketRecv;dispatch": 2.3999999999999986,
+    "spin-h1;interrupt_body;Ethernet.PacketRecv;protocol": 15.0,
+    "spin-h1;interrupt_body;driver": 270.0,
+    "spin-h1;interrupt_body;interrupt": 30.0,
+    "spin-h1;interrupt_body;mbuf": 3.6000000000000005,
+    "spin-h1;interrupt_body;protocol": 9.0,
+    "spin-h2;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;UDP.PacketRecv;checksum":
+        4.032,
+    "spin-h2;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;UDP.PacketRecv;dispatch":
+        2.5499999999999994,
+    "spin-h2;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;UDP.PacketRecv;driver":
+        225.0,
+    "spin-h2;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;UDP.PacketRecv;mbuf":
+        3.6000000000000005,
+    "spin-h2;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;UDP.PacketRecv;protocol":
+        42.0,
+    "spin-h2;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;checksum":
+        2.3519999999999994,
+    "spin-h2;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;dispatch":
+        3.1499999999999995,
+    "spin-h2;interrupt_body;Ethernet.PacketRecv;IP.PacketRecv;protocol": 12.0,
+    "spin-h2;interrupt_body;Ethernet.PacketRecv;checksum": 1.6800000000000006,
+    "spin-h2;interrupt_body;Ethernet.PacketRecv;dispatch": 2.3999999999999986,
+    "spin-h2;interrupt_body;Ethernet.PacketRecv;protocol": 15.0,
+    "spin-h2;interrupt_body;driver": 270.0,
+    "spin-h2;interrupt_body;interrupt": 30.0,
+    "spin-h2;interrupt_body;mbuf": 3.5999999999999996,
+    "spin-h2;interrupt_body;protocol": 9.0,
+}
+
+PINNED_RENDER = """\
+       0.0  spin-h1    tx ln0
+       0.0  spin-h1    <lambda> (91.84us)
+     155.6  spin-h2    rx ln0
+     170.6  spin-h2    tx ln0
+     170.6  spin-h2          UDP.PacketRecv (92.39us)
+     170.6  spin-h2        IP.PacketRecv (5.83us)
+     170.6  spin-h2      Ethernet.PacketRecv (6.36us)
+     170.6  spin-h2    interrupt_body (104.20us)
+     443.2  spin-h1    rx ln0
+     458.2  spin-h1          UDP.PacketRecv (0.55us)
+     458.2  spin-h1        IP.PacketRecv (5.83us)
+     458.2  spin-h1      Ethernet.PacketRecv (6.36us)
+     458.2  spin-h1    interrupt_body (104.20us)
+     575.2  spin-h1    tx ln0
+     575.2  spin-h1    <lambda> (91.84us)
+     730.8  spin-h2    rx ln0
+     745.8  spin-h2    tx ln0
+     745.8  spin-h2          UDP.PacketRecv (92.39us)
+     745.8  spin-h2        IP.PacketRecv (5.83us)
+     745.8  spin-h2      Ethernet.PacketRecv (6.36us)
+     745.8  spin-h2    interrupt_body (104.20us)
+    1018.4  spin-h1    rx ln0
+    1033.4  spin-h1          UDP.PacketRecv (0.55us)
+    1033.4  spin-h1        IP.PacketRecv (5.83us)
+    1033.4  spin-h1      Ethernet.PacketRecv (6.36us)
+    1033.4  spin-h1    interrupt_body (104.20us)
+    1150.4  spin-h1    tx ln0
+    1150.4  spin-h1    <lambda> (91.84us)
+    1306.0  spin-h2    rx ln0
+    1321.0  spin-h2    tx ln0
+    1321.0  spin-h2          UDP.PacketRecv (92.39us)
+    1321.0  spin-h2        IP.PacketRecv (5.83us)
+    1321.0  spin-h2      Ethernet.PacketRecv (6.36us)
+    1321.0  spin-h2    interrupt_body (104.20us)
+    1593.6  spin-h1    rx ln0
+    1608.6  spin-h1          UDP.PacketRecv (0.55us)
+    1608.6  spin-h1        IP.PacketRecv (5.83us)
+    1608.6  spin-h1      Ethernet.PacketRecv (6.36us)
+    1608.6  spin-h1    interrupt_body (104.20us)"""
+
+#: every field of the first trip's spans (render() rounds two of them)
+PINNED_SPANS = [
+    (0.0, "spin-h1", 0, "ln0", "tx", 0.0),
+    (0.0, "spin-h1", 0, "<lambda>", "cpu", 91.844),
+    (155.644, "spin-h2", 0, "ln0", "rx", 0.0),
+    (170.644, "spin-h2", 0, "ln0", "tx", 0.0),
+    (170.644, "spin-h2", 3, "UDP.PacketRecv", "cpu", 92.394),
+    (170.644, "spin-h2", 2, "IP.PacketRecv", "cpu", 5.834),
+    (170.644, "spin-h2", 1, "Ethernet.PacketRecv", "cpu", 6.359999999999999),
+    (170.644, "spin-h2", 0, "interrupt_body", "cpu", 104.2),
+    (443.232, "spin-h1", 0, "ln0", "rx", 0.0),
+    (458.232, "spin-h1", 3, "UDP.PacketRecv", "cpu", 0.55),
+    (458.232, "spin-h1", 2, "IP.PacketRecv", "cpu", 5.834),
+    (458.232, "spin-h1", 1, "Ethernet.PacketRecv", "cpu", 6.359999999999999),
+    (458.232, "spin-h1", 0, "interrupt_body", "cpu", 104.2),
+]
+
+PINNED_REQUEST = (575176, {"cpu_service": 417576, "nic_ring": 30000,
+                           "propagation": 127600, "stall": 0})
+
+#: calls per round trip into the two seams, all four observers attached
+SEAM_TRAFFIC = {"__setitem__": 52, "push": 9, "pop": 9, "consumed": 3,
+                "tx": 2, "rx": 2}
+
+
+def _observed_rig():
+    rig = _PingPong()
+    for name in OBSERVERS:
+        rig.attach(name)
+    return rig
+
+
+class TestObservedRoundTrip:
+    def test_outputs_equal_the_recorded_ones(self):
+        rig = _observed_rig()
+        for _ in range(3):
+            rig.round_trip()
+        profiler, spans = rig.observers["profiler"], rig.observers["spans"]
+        assert profiler.folded_text() == PINNED_FOLDED
+        assert sorted(profiler.stacks.items()) == sorted(
+            (tuple(key.split(";")), value)
+            for key, value in PINNED_STACKS.items())
+        assert spans.render() == PINNED_RENDER
+        assert [(span.time, span.host, span.depth, span.label, span.kind,
+                 span.charged_us)
+                for span in spans.records[:len(PINNED_SPANS)]] == PINNED_SPANS
+        assert [(request.total_ns, request.components)
+                for request in rig.lifecycle.completed] == [PINNED_REQUEST] * 3
+
+    def test_seam_traffic_and_nothing_listens_per_charge(self):
+        """The observer budget: 52 charges / 9 push / 9 pop / 3 consume /
+        2 tx / 2 rx a trip, and a charge enters one function under
+        ``repro/obs/`` -- the ``_ProfilingTimes.__setitem__`` that books
+        it.  A per-charge listener creeping back is a red test."""
+        rig = _observed_rig()
+        rig.round_trip()
+        seam_calls = dict.fromkeys(SEAM_TRAFFIC, 0)
+        under_a_charge = []
+        booking = []        # the open __setitem__ frame, if any
+
+        def on_event(frame, event, arg):
+            code = frame.f_code
+            if "/repro/obs/" not in code.co_filename:
+                return
+            if event == "call":
+                if booking:
+                    under_a_charge.append(code.co_name)
+                if code.co_filename.endswith("taps.py") \
+                        and code.co_name in seam_calls:
+                    seam_calls[code.co_name] += 1
+                    if code.co_name == "__setitem__":
+                        booking.append(frame)
+            elif event == "return" and booking and booking[-1] is frame:
+                booking.pop()
+
+        previous = sys.getprofile()
+        sys.setprofile(on_event)
+        try:
+            rig.round_trip()
+        finally:
+            sys.setprofile(previous)
+        assert seam_calls == SEAM_TRAFFIC
+        assert under_a_charge == []
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,89 @@ class TestReconciliationProperty:
         return lifecycle
 
 
+class _EveryWaypointTracker(SloTracker):
+    """The listeners as they were before the same-instant short-circuit:
+    every waypoint, pops included, quantizes ``engine.now`` and runs
+    ``_advance``.  The reference the short-circuit is checked against."""
+
+    def _waypoint(self):
+        if self._request is not None:
+            self._advance(to_ns(self.engine.now))
+
+    def on_push(self, hook, label):
+        self._waypoint()
+        self._in_ring = False
+
+    def on_pop(self, hook, label, charged_us):
+        self._waypoint()
+
+    def on_consume(self, hook, amount):
+        if self._request is not None:
+            self._advance(to_ns(self.engine.now), round(amount * 1000.0))
+
+    def on_tx(self, nic, data):
+        self._waypoint()
+        self._in_flight += 1
+        self._last_tx_ns = to_ns(self.engine.now)
+
+    def on_rx(self, nic, frame, accepted):
+        self._waypoint()
+        if self._in_flight > 0:
+            self._in_flight -= 1
+        self._in_ring = True
+
+
+#: (microseconds since the previous step, what happens, a consume's amount):
+#: instants repeat (0.0, and 0.0004 us rounds to the same ns), 6000 us
+#: outlives the 5000 us propagation horizon (the frame was lost).
+_STEPS = st.lists(st.tuples(
+    st.sampled_from([0.0, 0.0, 0.0004, 0.3, 15.0, 127.6, 6000.0]),
+    st.sampled_from(["request", "push", "pop", "consume", "tx", "rx"]),
+    st.sampled_from([0.0, 0.0004, 5.834, 104.2, 9000.0])), max_size=60)
+
+
+def _drive(tracker_type, steps):
+    """Feed ``steps`` to a tracker; every completed request's account."""
+    engine = types.SimpleNamespace(now=0.0)
+    tracker = tracker_type(engine)
+    lifecycle = RequestLifecycle(engine, tracker)
+    request = None
+    for gap_us, kind, amount in steps:
+        if kind != "pop":   # kernel code is synchronous: a pop shares the
+            engine.now += gap_us    # instant of whatever preceded it
+        if kind == "request":
+            if request is None:
+                request = lifecycle.begin("probe")
+            else:
+                lifecycle.end(request)
+                request = None
+        elif kind == "push":
+            tracker.on_push(None, "frame")
+        elif kind == "pop":
+            if hasattr(tracker, "on_pop"):
+                tracker.on_pop(None, "frame", 0.0)
+        elif kind == "consume":
+            tracker.on_consume(None, amount)
+        elif kind == "tx":
+            tracker.on_tx(None, b"")
+        else:
+            tracker.on_rx(None, None, True)
+    return [(done.total_ns, done.components) for done in lifecycle.completed]
+
+
+class TestSameInstantShortCircuit:
+    def test_the_tracker_listens_to_no_pop(self):
+        assert not hasattr(SloTracker, "on_pop")
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps=_STEPS)
+    def test_components_equal_advancing_at_every_waypoint(self, steps):
+        accounts = _drive(SloTracker, steps)
+        assert accounts == _drive(_EveryWaypointTracker, steps)
+        for total_ns, components in accounts:
+            assert sum(components.values()) == total_ns
+
+
 def _fingerprint_side(p50=100, p99=200, p999=300):
     return {"n": 10, "p50_ns": p50, "p99_ns": p99, "p999_ns": p999,
             "max_ns": p999, "sum_ns": 1500, "requested": 10,
