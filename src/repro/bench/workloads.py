@@ -764,7 +764,7 @@ _RECORDS = [
         quick=100_000, full=400_000, warmup=100_000,
         default_suite=True, has_dispatcher=True),
     # Half TCP, half UDP at a 15 us stagger: thousands of connections in
-    # flight at once stress the timer wheel (per-connection retransmit /
+    # flight at once stress the kernel timers (per-connection retransmit /
     # delayed-ack / TIME_WAIT timers) and the O(1) port allocators.
     _flows_record("many_flows", (2_000, 6_000, 2_000), default_suite=True,
                   tcp_object=512, udp_reply=128, stagger_us=15.0,

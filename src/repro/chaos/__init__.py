@@ -8,7 +8,7 @@ chaos harness supplies the adversarial-network half of that argument.  A
 reordering, duplication, jitter, throttling, link flaps), drives a
 workload, and then checks a registry of invariants -- byte-exact stream
 delivery, terminal socket states, frame/mbuf conservation, drained rings,
-an empty timer wheel, and flow-cache coherence against the
+a drained engine, and flow-cache coherence against the
 ``REPRO_FLOW_CACHE=0`` linear-scan oracle.
 
 Everything is replayable: a campaign is fully determined by its

@@ -197,19 +197,14 @@ def _nic_rings_drained(ctx) -> List[str]:
     return problems
 
 
-@invariant("timer_wheel_empty")
-def _timer_wheel_empty(ctx) -> List[str]:
-    """Nothing is scheduled after the drain: no live timer-wheel handle,
-    no heap event (cancelled carcasses may linger; they never fire)."""
-    engine = ctx.bed.engine
-    problems = []
-    pending = engine.pending_count()
+@invariant("engine_drained")
+def _engine_drained(ctx) -> List[str]:
+    """Nothing live is scheduled after the drain: no event, no armed timer
+    (cancelled timers may linger on the heap; they never fire)."""
+    pending = ctx.bed.engine.pending_count()
     if pending:
-        problems.append("engine still has %d pending events" % pending)
-    wheel = getattr(engine, "_wheel", None)
-    if wheel is not None and wheel.pending:
-        problems.append("timer wheel holds %d live deadlines" % wheel.pending)
-    return problems
+        return ["engine still has %d pending events" % pending]
+    return []
 
 
 @invariant("slo_reconciliation")

@@ -39,17 +39,14 @@ class _KernelPath(Process):
 class Timer:
     """A cancellable kernel timer; fires ``fn(*args)`` as a kernel path.
 
-    Deadlines park on the engine's timer wheel: arming is O(1) (no heap
-    sift, no waiting process) and :meth:`cancel` is O(1) with the carcass
-    dropped wholesale when its wheel bucket comes up -- the heap never
-    sees cancelled timers.  A timer that *does* fire starts its kernel
-    path inside the spilled wheel event, at the exact
-    ``(time, priority, sequence)`` the old heap-resident timeout carried,
-    so simulated timestamps are bit-identical to heap scheduling.
+    Arming pushes one pooled event on the engine's heap.  :meth:`cancel`
+    only flags the timer: the dead entry pops later as a no-op event, and
+    ``engine.cancelled_timers`` counts such entries so they neither hold
+    ``Engine.run()`` open nor show in ``pending_count()``.
     """
 
     __slots__ = ("host", "fn", "args", "priority", "name", "cancelled",
-                 "fired", "expires_at", "_handle")
+                 "fired", "expires_at")
 
     def __init__(self, host: "Host", delay_us: float, fn: Callable,
                  args: Tuple = (), priority: int = THREAD_PRIORITY,
@@ -61,22 +58,26 @@ class Timer:
         self.name = name
         self.cancelled = False
         self.fired = False
-        self.expires_at = host.engine.now + delay_us
-        self._handle = host.engine.wheel.schedule(delay_us, self._fire)
+        engine = host.engine
+        self.expires_at = engine.now + delay_us
+        engine.timers_armed += 1
+        engine.pooled_timeout(delay_us).callbacks.append(self._fire)
 
     def _fire(self, _event) -> None:
+        host = self.host
         if self.cancelled:
+            host.engine.cancelled_timers -= 1
             return
         self.fired = True
-        host = self.host
-        Process(host.engine,
-                host.kernel_path(self.fn, self.args, self.priority),
-                name=self.name, immediate=True)
+        _KernelPath(host.engine,
+                    host.kernel_path(self.fn, self.args, self.priority),
+                    self.name, immediate=True)
 
     def cancel(self) -> None:
         if not self.cancelled:
             self.cancelled = True
-            self._handle.cancel()
+            if not self.fired:
+                self.host.engine.cancelled_timers += 1
 
 
 class Host:

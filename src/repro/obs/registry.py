@@ -1,7 +1,7 @@
 """The central metrics registry.
 
 Every component counter that used to live as an ad-hoc attribute
-(``FlowCache.evictions``, ``NIC.rx_filtered``, ``TimerWheel.occupied``,
+(``FlowCache.evictions``, ``NIC.rx_filtered``, ``Engine.events_processed``,
 ``MbufPool.chains``, ...) is exported here under a stable dotted name.
 The migration is *non-invasive*: components keep their cheap plain-int
 attributes on the hot path and register zero-cost callback *sources*

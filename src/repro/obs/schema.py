@@ -53,11 +53,8 @@ EXPORT_SCHEMA: Dict[str, tuple] = {
     "os.interrupts_handled": ("gauge", "NIC interrupts taken by the OS models"),
     "sim.engine.events_processed": ("gauge", "events popped by the engine"),
     "sim.engine.now_us": ("gauge", "simulated clock (us)"),
-    "sim.engine.pending": ("gauge", "events pending in heap + now-queue + wheel"),
-    "sim.wheel.fired_direct": ("gauge", "deadlines that bypassed the wheel buckets"),
-    "sim.wheel.occupied": ("gauge", "handles physically in wheel buckets (incl. cancelled)"),
-    "sim.wheel.pending": ("gauge", "live (non-cancelled) parked deadlines"),
-    "sim.wheel.scheduled": ("gauge", "deadlines ever parked on the wheel"),
+    "sim.engine.pending": ("gauge", "live events on the heap (cancelled timers excluded)"),
+    "sim.wheel.scheduled": ("gauge", "kernel timers ever armed (name kept for perfbench)"),
     "slo.component.cpu_service_ns": ("gauge", "request latency attributed to CPU service (simulated ns)"),
     "slo.component.nic_ring_ns": ("gauge", "request latency attributed to NIC-ring wait (simulated ns)"),
     "slo.component.propagation_ns": ("gauge", "request latency attributed to wire propagation (simulated ns)"),

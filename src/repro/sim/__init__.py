@@ -4,7 +4,7 @@ Public surface::
 
     from repro.sim import Engine, Event, Timeout, Process, Interrupt
     from repro.sim import Resource, Store, Signal
-    from repro.sim import SchedulerCore, Partition, PartitionedSimulation
+    from repro.sim import Partition, PartitionedSimulation
 """
 
 from .engine import (
@@ -19,8 +19,6 @@ from .engine import (
 )
 from .partition import Partition, PartitionedSimulation
 from .resources import Resource, ResourceRequest, Signal, Store
-from .scheduler import SchedulerCore
-from .timers import TimerHandle, TimerWheel
 
 __all__ = [
     "AllOf",
@@ -34,10 +32,7 @@ __all__ = [
     "Resource",
     "ResourceRequest",
     "Signal",
-    "SchedulerCore",
     "SimulationError",
     "Store",
     "Timeout",
-    "TimerHandle",
-    "TimerWheel",
 ]

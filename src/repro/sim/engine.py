@@ -15,9 +15,9 @@ library:
   when a yielded event fires the generator is resumed with the event's
   value (or the event's exception is thrown into it).  A process is itself
   an event that fires when the generator returns.
-* The :class:`Engine` owns the clock and the pending-event heap and runs
-  events in (time, priority, sequence) order, which makes runs fully
-  deterministic.
+* The :class:`Engine` owns the clock and the pending-event heap -- the
+  only place pending work is kept -- and runs events in (time, sequence)
+  order, which makes runs fully deterministic.
 
 Simulated time is a float in **microseconds**; the paper reports latencies
 in microseconds and this keeps every number in the code directly comparable
@@ -26,18 +26,9 @@ with the numbers in the paper.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from types import GeneratorType
-from typing import Any, Callable, Generator, List, Optional
-
-from .scheduler import (
-    SchedulerCore,
-    SimulationError,
-    _PENDING,
-    _PROCESSED,
-    _TRIGGERED,
-    _register_pooled,
-)
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 __all__ = [
     "Engine",
@@ -49,6 +40,18 @@ __all__ = [
     "Interrupt",
     "SimulationError",
 ]
+
+
+_FAR = float("inf")
+
+# Event lifecycle states.
+_PENDING = 0
+_TRIGGERED = 1  # scheduled on the heap, not yet processed
+_PROCESSED = 2
+
+
+class SimulationError(Exception):
+    """Base class for errors raised by the simulation machinery itself."""
 
 
 class Interrupt(Exception):
@@ -128,11 +131,7 @@ class Event:
         # Engine._enqueue, inlined (succeed is on the per-packet hot path).
         engine = self.engine
         engine._sequence += 1
-        if delay == 0.0:
-            engine._now_queue.append((engine._sequence, self))
-        else:
-            heapq.heappush(engine._heap,
-                           (engine.now + delay, 0, engine._sequence, self))
+        heappush(engine._heap, (engine.now + delay, engine._sequence, self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -145,14 +144,6 @@ class Event:
         self._exception = exception
         self.engine._enqueue(delay, self)
         return self
-
-    # -- engine internals ----------------------------------------------
-
-    def _process(self) -> None:
-        self._state = _PROCESSED
-        callbacks, self.callbacks = self.callbacks, []
-        for callback in callbacks:
-            callback(self)
 
 
 class _PooledEvent(Event):
@@ -168,12 +159,6 @@ class _PooledEvent(Event):
     """
 
     __slots__ = ()
-
-
-# The scheduling core lives in repro.sim.scheduler but hands out and
-# recycles these events; register the concrete class with it (keeping the
-# class here preserves the Event hierarchy without an import cycle).
-_register_pooled(_PooledEvent)
 
 
 class Timeout(Event):
@@ -225,10 +210,9 @@ class Process(Event):
         self._waiting_on: Optional[Event] = None
         if immediate:
             # Run the generator to its first yield right now.  Only valid
-            # from inside event processing (a callback): timer-wheel fires
-            # use it so the fired body starts in the very event that was
-            # the old implementation's heap timeout -- same tick, same
-            # relative order, one fewer bootstrap hop.
+            # from inside event processing (a callback): a firing
+            # ``hw.host.Timer`` uses it so the timer body starts in the
+            # deadline's own heap event, with no bootstrap hop after it.
             self._resume(_BOOTSTRAP)
         else:
             # Bootstrap: resume the generator as soon as the engine runs.
@@ -361,16 +345,30 @@ class AllOf(Event):
             self.succeed({evt: evt._value for evt in self._events})
 
 
-class Engine(SchedulerCore):
-    """The serial simulation engine: the scheduling core plus the
-    process-interaction surface.
+class Engine:
+    """The simulation engine: clock, pending-event heap, event factories.
 
-    All scheduling mechanics -- clock, ``(time, priority, sequence)``
-    heap, zero-delay FIFO fast path, pooled timeouts, timer wheel --
-    live in :class:`repro.sim.scheduler.SchedulerCore`.  This class adds
-    what a *simulation* (as opposed to a bare scheduler) needs:
-    event/process factories, ``run_process``, and metrics registration.
+    Heap entries are ``(time, sequence, event)``.  The sequence number,
+    claimed when an event is scheduled, makes simultaneous events fire in
+    FIFO order, which makes every run deterministic.  Everything pending
+    is on the heap -- zero-delay pokes, timeouts and kernel timers alike.
     """
+
+    #: Upper bound on recycled events kept in the pool.
+    _POOL_LIMIT = 1024
+
+    def __init__(self):
+        self.now: float = 0.0
+        self._heap: List[Tuple[float, int, Event]] = []
+        self._sequence = 0
+        self._pool: List[_PooledEvent] = []
+        #: Cancelled ``hw.host.Timer`` entries still on the heap.  They pop
+        #: as no-op events; counting them keeps a dead deadline from
+        #: holding :meth:`run` open or showing in :meth:`pending_count`.
+        self.cancelled_timers = 0
+        #: ``hw.host.Timer`` instances ever armed.
+        self.timers_armed = 0
+        self.events_processed = 0
 
     # -- factory helpers -------------------------------------------------
 
@@ -389,7 +387,120 @@ class Engine(SchedulerCore):
     def all_of(self, events: List[Event]) -> AllOf:
         return AllOf(self, events)
 
+    # -- scheduling -------------------------------------------------------
+
+    def _enqueue(self, delay: float, event: Event) -> None:
+        self._sequence += 1
+        heappush(self._heap, (self.now + delay, self._sequence, event))
+
+    def pooled_timeout(self, delay: float, value=None) -> _PooledEvent:
+        """A timeout drawn from the engine's recycle pool.
+
+        Behaves exactly like :meth:`timeout` on the simulated timeline
+        but allocates nothing in the steady state: the event object is
+        recycled the moment its callbacks have run.  Callers must *not*
+        keep a reference past the firing (no ``.value`` reads later, no
+        use in ``any_of``/``all_of``); it is meant for the hot
+        yield-and-forget pattern ``yield engine.pooled_timeout(us)``
+        inside processes.
+        """
+        if delay < 0:
+            raise ValueError("timeout delay must be non-negative, got %r" % delay)
+        # Called once per simulated CPU hold and per link delay: the
+        # pool checkout is written out here, in _poke and in call_at.
+        pool = self._pool
+        event = pool.pop() if pool else _PooledEvent(self)
+        event._state = _TRIGGERED
+        event._value = value
+        event._exception = None
+        self._sequence += 1
+        heappush(self._heap, (self.now + delay, self._sequence, event))
+        return event
+
+    def _poke(self, callback: Callable, value=None,
+              exception: Optional[BaseException] = None) -> _PooledEvent:
+        """Fire ``callback`` at the current time via a recycled event."""
+        pool = self._pool
+        event = pool.pop() if pool else _PooledEvent(self)
+        event._state = _TRIGGERED
+        event._value = value
+        event._exception = exception
+        event.callbacks.append(callback)
+        self._sequence += 1
+        heappush(self._heap, (self.now, self._sequence, event))
+        return event
+
+    def call_at(self, when: float, callback: Callable) -> _PooledEvent:
+        """Fire ``callback(event)`` at absolute time ``when``; exact.
+
+        The timestamp is pushed on the heap verbatim -- no ``now + delay``
+        float round trip -- so an open-loop departure or a scheduled
+        table update fires at the *bit-identical* instant its schedule
+        computed.  ``when`` must not lie in the past.  The event is a
+        recycled pool event: callers must not retain it.
+        """
+        if when < self.now:
+            raise SimulationError(
+                "call_at(%r) is in the past; clock is at %r" % (when, self.now))
+        pool = self._pool
+        event = pool.pop() if pool else _PooledEvent(self)
+        event._state = _TRIGGERED
+        event._value = None
+        event._exception = None
+        event.callbacks.append(callback)
+        self._sequence += 1
+        heappush(self._heap, (when, self._sequence, event))
+        return event
+
     # -- execution ----------------------------------------------------------
+
+    def step(self) -> None:
+        """Process the single next event, advancing the clock."""
+        try:
+            self.now, _seq, event = heappop(self._heap)
+        except IndexError:
+            raise SimulationError(
+                "step() called with no pending events") from None
+        self.events_processed += 1
+        event._state = _PROCESSED
+        callbacks = event.callbacks
+        if type(event) is _PooledEvent:
+            # Pooled events reuse their callbacks list across recycles
+            # (callers may not retain the event, so nothing can append
+            # after the firing); value and exception are overwritten by
+            # whichever checkout draws the event next.
+            if callbacks:
+                for callback in callbacks:
+                    callback(event)
+                callbacks.clear()
+            pool = self._pool
+            if len(pool) < self._POOL_LIMIT:
+                pool.append(event)
+        else:
+            event.callbacks = []
+            for callback in callbacks:
+                callback(event)
+
+    def run(self, until: Optional[float] = None) -> None:
+        """Run until nothing live is pending or the clock passes ``until``.
+
+        Without ``until`` the clock stops at the last live event: cancelled
+        timers left on the heap are not popped.  When ``until`` is given
+        the clock is left exactly at ``until`` even if no event fires at
+        that instant, mirroring the behaviour expected by utilization
+        sampling.
+        """
+        step = self.step
+        heap = self._heap
+        if until is None:
+            while len(heap) > self.cancelled_timers:
+                step()
+            return
+        if until < self.now:
+            raise ValueError("cannot run until %r; clock is already at %r" % (until, self.now))
+        while heap and heap[0][0] <= until:
+            step()
+        self.now = until
 
     def run_process(self, generator: Generator, name: str = "") -> Any:
         """Convenience: spawn ``generator`` and run until it finishes.
@@ -401,10 +512,8 @@ class Engine(SchedulerCore):
         process = self.process(generator, name=name)
         step = self.step
         heap = self._heap
-        queue = self._now_queue
         while process._state == _PENDING:
-            if not heap and not queue and not (
-                    self._wheel is not None and self._wheel._live):
+            if not heap:
                 raise SimulationError(
                     "deadlock: process %r is waiting but no events are pending"
                     % process.name
@@ -412,26 +521,21 @@ class Engine(SchedulerCore):
             step()
         return process.value
 
-    def register_metrics(self, registry) -> None:
-        """Publish engine + timer-wheel counters on a metrics registry.
+    def next_event_time(self) -> float:
+        """Timestamp of the heap's head (``inf`` if empty); nothing runs."""
+        heap = self._heap
+        return heap[0][0] if heap else _FAR
 
-        The wheel sources read through ``self._wheel`` at snapshot time,
-        so they stay correct even when the wheel is created lazily after
-        registration.
-        """
+    def pending_count(self) -> int:
+        """Live pending events: heap entries minus cancelled timers."""
+        return len(self._heap) - self.cancelled_timers
+
+    def register_metrics(self, registry) -> None:
+        """Publish the engine's counters on a metrics registry."""
         registry.source("sim.engine.events_processed",
                         lambda: self.events_processed)
         registry.source("sim.engine.pending", self.pending_count)
         registry.source("sim.engine.now_us", lambda: self.now)
-        registry.source(
-            "sim.wheel.pending",
-            lambda: self._wheel.pending if self._wheel is not None else 0)
-        registry.source(
-            "sim.wheel.occupied",
-            lambda: self._wheel.occupied if self._wheel is not None else 0)
-        registry.source(
-            "sim.wheel.scheduled",
-            lambda: self._wheel.scheduled if self._wheel is not None else 0)
-        registry.source(
-            "sim.wheel.fired_direct",
-            lambda: self._wheel.fired_direct if self._wheel is not None else 0)
+        # Timers ever armed.  The name predates the heap-only engine;
+        # perfbench reads it for ``sim.timers_per_op``.
+        registry.source("sim.wheel.scheduled", lambda: self.timers_armed)

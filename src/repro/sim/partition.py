@@ -28,8 +28,7 @@ from __future__ import annotations
 import traceback
 from typing import Any, Callable, Dict, List
 
-from .engine import Engine
-from .scheduler import SimulationError
+from .engine import Engine, SimulationError
 
 __all__ = ["Partition", "PartitionedSimulation"]
 

@@ -33,7 +33,7 @@ class TestRegistry:
         assert len(INVARIANTS) >= 6
         for required in ("byte_exact_delivery", "terminal_socket_states",
                          "frame_conservation", "mbuf_conservation",
-                         "timer_wheel_empty", "flow_cache_coherence"):
+                         "engine_drained", "flow_cache_coherence"):
             assert required in INVARIANTS
 
     def test_rotation_covers_oses_devices_workloads(self):
@@ -105,7 +105,7 @@ class TestSabotage:
     def test_leaked_timer_fails_quiesce(self):
         verdict = run_campaign(_quick_spec(sabotage="leak_timer"))
         assert not verdict["passed"]
-        assert any("timer_wheel_empty" in v for v in verdict["violations"])
+        assert any("engine_drained" in v for v in verdict["violations"])
 
     def test_bundle_replay_reproduces_failure(self, tmp_path):
         verdict = run_campaign(_quick_spec(sabotage="tamper_stream"))

@@ -32,11 +32,8 @@ from test_hw_link_nic import make_host_nic
 
 def _next_event(engine):
     """``(event, advances_time)`` for the event ``engine.step`` runs next."""
-    engine.next_event_time()    # spills the timer wheel; order-neutral
-    queue, heap = engine._now_queue, engine._heap
-    if queue and not (heap and heap[0][:3] < (engine.now, 0, queue[0][0])):
-        return queue[0][1], False
-    return heap[0][3], heap[0][0] > engine.now
+    when, _seq, event = engine._heap[0]
+    return event, when > engine.now
 
 
 def _resumed_site(event):
@@ -120,6 +117,24 @@ class TestEventBudget:
             "reply wakeup": 1,
         }
         assert trips[-1] - trips[-2] == 12
+
+    def test_a_cancelled_timer_costs_one_noop_event(self, engine):
+        """The timer row of the budget: arming pushes one heap entry,
+        cancelling only flags it, and the dead entry pops as an event
+        that runs nothing.  N armed-and-cancelled timers are exactly N
+        events, and none while only they are left (``run()`` is done)."""
+        host = Host(engine, "h")
+        fired = []
+        timers = [host.set_timer(10.0 * (index + 1), fired.append, (index,))
+                  for index in range(25)]
+        assert engine.pending_count() == len(engine._heap) == 25
+        for timer in timers:
+            timer.cancel()
+        engine.run()
+        assert engine.events_processed == 0 and engine.now == 0.0
+        engine.run(until=1_000.0)
+        assert engine.events_processed == 25 and fired == []
+        assert engine.cancelled_timers == 0 and not engine._heap
 
 
 # ---------------------------------------------------------------------------

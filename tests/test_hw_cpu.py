@@ -198,6 +198,17 @@ class TestKernelPath:
         assert fired == []
         assert not timer.fired
 
+    def test_timer_body_failure_leaves_engine_run(self, engine, host):
+        """A timer body that raises is a kernel bug, like any spawned
+        kernel path: it surfaces instead of dying in a process nobody
+        waits on with the CPU still held."""
+        def boom():
+            raise RuntimeError("timer bug")
+        host.set_timer(10.0, boom)
+        with pytest.raises(RuntimeError, match="timer bug"):
+            engine.run()
+        assert engine.now == 10.0
+
     def test_scaled_cost_table(self):
         slower = ALPHA_21064.scaled(2.0)
         assert slower.context_switch == ALPHA_21064.context_switch * 2

@@ -1,20 +1,18 @@
-"""Scale-out tests: timer wheel, many-flow workload, LRU flow cache,
+"""Scale-out tests: kernel timers, many-flow workload, LRU flow cache,
 port-reference indexing, and the parallel bench runner.
 
 The load-bearing property here is *bit-identical simulated time*: the
-timer wheel, the indexed demultiplexing, and the process-pool runner are
-all wall-clock optimizations that must be unobservable on the simulated
-timeline.  The hypothesis test drives a wheel-backed engine and a
-heap-only engine with the same randomized schedule/cancel program and
-requires the exact same firing order and timestamps.
+indexed demultiplexing and the process-pool runner are wall-clock
+optimizations that must be unobservable on the simulated timeline, and
+kernel timers must fire exactly when and in the order a sorted
+``(deadline, arm order)`` list says, whatever is cancelled in between.
 """
 
-import heapq
-
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.bench.workloads import WORKLOADS, run_once
+from repro.hw.host import Host
 from repro.sim import Engine
 from repro.spin.flowcache import FlowCache
 
@@ -22,117 +20,126 @@ from nethelpers import make_pair
 
 
 # ---------------------------------------------------------------------------
-# timer wheel vs heap equivalence
+# kernel timers against a sorted list
 # ---------------------------------------------------------------------------
 
-def _heap_schedule(engine, delay_us, callback, priority=0):
-    """The pre-wheel path: claim a sequence and push the heap tuple now."""
-    event = engine._checkout(None, None)
-    event.callbacks.append(callback)
-    engine._sequence += 1
-    heapq.heappush(engine._heap,
-                   (engine.now + delay_us, priority, engine._sequence, event))
+def _run_timers(ops):
+    """Run a schedule/cancel program over ``Host.set_timer``.
 
-
-def _run_program(ops, use_wheel):
-    """Run a schedule/cancel program; returns [(op index, fire time)]."""
+    ``ops`` is ``[(gap, delay, cancel victim or None)]``: wait ``gap``,
+    arm a timer ``delay`` out, then maybe cancel an earlier (or the same)
+    timer.  Returns what fired as ``[(op index, fire time)]``, the engine,
+    and what a sorted ``(deadline, arm order)`` list says should have
+    fired -- a model that shares no code with the engine.
+    """
     engine = Engine()
+    host = Host(engine, "h")
     fired = []
-    flags = []
-    handles = []
+    timers = []
+    deadlines = []      # model: op index -> deadline
+    live = set()        # model: armed, not cancelled in time
+    now = 0.0           # model clock, advanced with the driver's own sums
 
     def driver():
-        for index, (gap, delay, priority, cancel) in enumerate(ops):
+        nonlocal now
+        for index, (gap, delay, cancel) in enumerate(ops):
             yield engine.timeout(float(gap))
-            flag = {"cancelled": False}
-            flags.append(flag)
-
-            def callback(_event, index=index, flag=flag):
-                if not flag["cancelled"]:
-                    fired.append((index, engine.now))
-
-            if use_wheel:
-                handles.append(
-                    engine.wheel.schedule(float(delay), callback, priority))
-            else:
-                handles.append(None)
-                _heap_schedule(engine, float(delay), callback, priority)
+            now = now + float(gap)
+            timers.append(host.set_timer(
+                float(delay), lambda index=index: fired.append(
+                    (index, engine.now))))
+            deadlines.append(now + float(delay))
+            live.add(index)
             if cancel is not None:
-                victim = cancel % len(handles)
-                # Cancellation is flag-based in both engines (that is what
-                # repro.hw.host.Timer does); the wheel additionally drops
-                # the carcass from its bucket.
-                flags[victim]["cancelled"] = True
-                if handles[victim] is not None:
-                    handles[victim].cancel()
+                victim = cancel % len(timers)
+                timers[victim].cancel()
+                # A timer armed earlier claimed its place in line before
+                # this step's wait did, so at an equal instant it has
+                # already fired and the cancel comes too late.
+                if victim == index or deadlines[victim] > now:
+                    live.discard(victim)
 
-    engine.process(driver(), name="schedule-program")
+    engine.process(driver(), name="timer-program")
     engine.run()
-    return fired, engine.now
+    expected = sorted((deadlines[index], index) for index in live)
+    return fired, engine, [(index, when) for when, index in expected], now
 
 
-# Delay bands chosen to land in every wheel level plus the two bypasses:
-# already-due (level-0 cursor), levels 0-2, and beyond-horizon (straight
-# to the heap).
+# Delays from immediate re-arms to hours; the small bands make equal
+# deadlines, and cancels landing on the very instant of a deadline, common.
 _delays = st.one_of(
-    st.integers(0, 2_000),               # level 0 (256 us buckets)
-    st.integers(0, 500_000),             # level 1
-    st.integers(0, 30_000_000),          # level 2
-    st.integers(0, 6_000_000_000),       # partly beyond the horizon
+    st.integers(0, 6),
+    st.integers(0, 2_000),
+    st.integers(0, 30_000_000),
+    st.integers(0, 6_000_000_000),
 )
 
 _ops = st.lists(
-    st.tuples(st.integers(0, 3_000),     # gap before this op
+    st.tuples(st.one_of(st.integers(0, 3), st.integers(0, 3_000)),  # gap
               _delays,                   # timer delay
-              st.integers(0, 3),         # priority
               st.one_of(st.none(), st.integers(0, 100))),  # cancel victim
     min_size=1, max_size=30)
 
 
-class TestWheelHeapEquivalence:
+class TestTimerHeap:
     @settings(max_examples=120, deadline=None)
     @given(_ops)
-    def test_identical_firing_order_and_timestamps(self, ops):
-        wheel_fired, wheel_now = _run_program(ops, use_wheel=True)
-        heap_fired, heap_now = _run_program(ops, use_wheel=False)
-        assert wheel_fired == heap_fired
-        # The observable timeline (every fire) is identical.  The final
-        # *idle* clock may differ: a cancelled carcass still pops off the
-        # heap engine and drags its clock forward, while the wheel drops
-        # it in its bucket -- so the wheel engine can only finish earlier.
-        assert wheel_now <= heap_now
-        if wheel_fired:
-            assert wheel_now >= wheel_fired[-1][1]
+    @example([(0, 2, None), (2, 5, 0)])     # cancel at the deadline: too late
+    @example([(0, 9, None), (4, 5, 1)])     # equal deadlines, second cancelled
+    @example([(3, 0, 0)])                   # armed due now, cancelled at once
+    def test_firing_order_and_timestamps_match_sorted_model(self, ops):
+        fired, engine, expected, last_op = _run_timers(ops)
+        assert fired == expected
+        # The clock stops at the last live event -- the driver's last step
+        # or the last firing -- never at a cancelled deadline.
+        assert engine.now == max([last_op] + [when for _, when in expected])
+        assert engine.pending_count() == 0
+        assert len(engine._heap) == engine.cancelled_timers
 
-    def test_cancelled_timer_never_fires(self):
-        engine = Engine()
+    def test_cancelled_timer_never_fires(self, engine):
+        host = Host(engine, "h")
         fired = []
-        handle = engine.wheel.schedule(1_000.0, lambda e: fired.append(1))
-        handle.cancel()
-        engine.run()
-        assert fired == []
-        assert engine.wheel.pending == 0
+        timer = host.set_timer(1_000.0, fired.append, (1,))
+        timer.cancel()
+        assert engine.pending_count() == 0      # only a dead entry is left
+        engine.run(until=2_000.0)               # ... which pops as a no-op
+        assert fired == [] and not timer.fired
+        assert engine.cancelled_timers == 0 and engine.pending_count() == 0
 
-    def test_same_bucket_fires_in_schedule_order(self):
-        engine = Engine()
+    def test_equal_deadlines_fire_in_arm_order(self, engine):
+        host = Host(engine, "h")
         fired = []
-        # Same deadline, same priority: sequence (claimed at schedule
-        # time) must break the tie in schedule order even though both
-        # share one level-0 bucket.
-        engine.wheel.schedule(100.0, lambda e: fired.append("first"))
-        engine.wheel.schedule(100.0, lambda e: fired.append("second"))
+        host.set_timer(100.0, fired.append, ("first",))
+        host.set_timer(100.0, fired.append, ("second",))
         engine.run()
         assert fired == ["first", "second"]
         assert engine.now == 100.0
 
-    def test_beyond_horizon_goes_straight_to_heap(self):
-        engine = Engine()
+    def test_run_ends_at_last_live_firing(self, engine):
+        """A cancelled 2-hour deadline (TCP's keepalive) must not drag the
+        clock: ``final_now_us`` fingerprints depend on it."""
+        host = Host(engine, "h")
         fired = []
-        engine.wheel.schedule(1e12, lambda e: fired.append(engine.now))
-        assert engine.wheel.fired_direct == 1
-        assert engine.wheel.pending == 0  # heap-resident, not parked
+        host.set_timer(50.0, fired.append, ("early",))
+        keepalive = host.set_timer(7_200e6, fired.append, ("keepalive",))
+        host.set_timer(300.0, fired.append, ("late",))
+        keepalive.cancel()
         engine.run()
-        assert fired == [1e12]
+        assert fired == ["early", "late"]
+        assert engine.now == 300.0
+        assert engine.pending_count() == 0
+
+    def test_cancel_after_fire_is_a_noop(self, engine):
+        host = Host(engine, "h")
+        fired = []
+        timer = host.set_timer(10.0, fired.append, (1,))
+        live = host.set_timer(20.0, fired.append, (2,))
+        engine.run(until=15.0)
+        assert timer.fired
+        timer.cancel()
+        assert engine.cancelled_timers == 0 and engine.pending_count() == 1
+        engine.run()
+        assert fired == [1, 2] and live.fired and engine.now == 20.0
 
 
 # ---------------------------------------------------------------------------
