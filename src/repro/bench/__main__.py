@@ -19,17 +19,6 @@ def _print_host(report) -> None:
                                       host["machine"], host["system"]))
 
 
-def _print_legs(legs) -> None:
-    for leg in legs:
-        print("%s x%-2d %10.3f s serial  %8.3f s parallel  %.2fx speedup  "
-              "%.3f KB/flow (in-process %.3f)  [%s]"
-              % (leg["workload"], leg["sim_jobs"],
-                 leg.get("serial", leg["oracle"])["wall_s"],
-                 leg["parallel"]["wall_s"], leg["speedup"],
-                 leg["parallel"]["per_flow_kb"], leg["oracle"]["per_flow_kb"],
-                 leg["executor"]))
-
-
 def _finish(report, suite, write_baseline_too: bool = False) -> int:
     """Print the gate's verdict rows, write the report; the exit code."""
     print()
@@ -48,17 +37,12 @@ def _finish(report, suite, write_baseline_too: bool = False) -> int:
 
 def _wallclock(args) -> int:
     from . import wallclock
-    suite = wallclock.run_suite(quick=not args.full, repeats=3,
-                                jobs=args.jobs, sim_jobs=args.sim_jobs)
+    suite = wallclock.run_suite(quick=not args.full, jobs=args.jobs)
     _print_host(suite)
     for name in sorted(suite["workloads"]):
         record = suite["workloads"][name]
-        line = "%-18s %10.0f ev/s  %8.3f s wall" % (
-            name, record["events_per_sec"], record["wall_s"])
-        ratio = suite["comparison"][name].get("speed_vs_twin")
-        if ratio is not None:
-            line += "  %.2fx vs oracle" % ratio
-        print(line)
+        print("%-18s %10.0f ev/s  %8.3f s wall" % (
+            name, record["events_per_sec"], record["wall_s"]))
         cache = record.get("flow_cache")
         if cache and cache["enabled"]:
             print("  flow-cache: %d hits / %d misses / %d invalidations"
@@ -72,9 +56,6 @@ def _wallclock(args) -> int:
                      cache["compiled_shape_hits"]))
         elif cache is not None:
             print("  flow-cache: disabled (REPRO_FLOW_CACHE=0)")
-    if "parallel" in suite:
-        print()
-        _print_legs(suite["parallel"]["legs"])
     return _finish(suite, wallclock, args.write_baseline)
 
 
@@ -111,22 +92,23 @@ def _latency(args) -> int:
 def _parallel_curve(args) -> int:
     from . import parallel
     report = parallel.run_curve(quick=not args.full)
-    _print_legs(report["legs"])
+    for leg in report["legs"]:
+        print("%s x%-2d %10.3f s serial  %8.3f s parallel  %.2fx speedup  "
+              "[%s]" % (leg["workload"], leg["sim_jobs"],
+                        leg.get("serial", leg["oracle"])["wall_s"],
+                        leg["parallel"]["wall_s"], leg["speedup"],
+                        leg["executor"]))
     return _finish(report, parallel)
 
 
 def _check(args) -> int:
-    from .regression import check_all, wallclock_smoke
+    from .regression import check_all
     from .report import format_table
-    columns = ["metric", "expected", "measured", "deviation", "tolerance",
-               "ok"]
     rows = check_all()
-    print(format_table(rows, columns, title="Golden-number regression check"))
-    smoke = wallclock_smoke()
-    print(format_table(smoke, columns,
-                       title="Wall-clock smoke (slowdown warns, fingerprint "
-                             "drift fails)"))
-    return 0 if all(row["ok"] for row in rows + smoke) else 1
+    print(format_table(
+        rows, ["metric", "expected", "measured", "deviation", "tolerance",
+               "ok"], title="Golden-number regression check"))
+    return 0 if all(row["ok"] for row in rows) else 1
 
 
 def _charts(args) -> int:
@@ -153,12 +135,12 @@ def _paper_report(args) -> int:
 _MODES = (
     ("--charts", _charts, "ASCII renderings of figures 5-7"),
     ("--check", _check,
-     "golden-number regression check plus the wall-clock smoke (exit != 0 "
-     "on drift)"),
+     "golden-number regression check (exit != 0 on drift)"),
     ("--wallclock", _wallclock,
-     "simulator wall-clock suite: every dispatcher workload against its "
-     "same-run REPRO_FLOW_CACHE=0 twin; writes BENCH_wallclock.json "
-     "(--full for the committed scales)"),
+     "simulator self-check: every dispatcher workload's fingerprint "
+     "against its same-run REPRO_FLOW_CACHE=0 twin and the committed "
+     "baseline; writes BENCH_wallclock.json (--full for the committed "
+     "scales)"),
     ("--latency", _latency,
      "SLO tail-latency suite: open- vs closed-loop legs, decomposition "
      "probes, flow-cache rungs; writes BENCH_latency.json (--full adds the "
@@ -196,10 +178,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--jobs", type=_positive, default=1, metavar="N",
                         help="shard independent experiments, workloads or "
                              "legs across N worker processes")
-    parser.add_argument("--sim-jobs", type=_positive, default=1, metavar="N",
-                        help="with --wallclock: also run many_flows as N "
-                             "forked shards, gated on exact equality with "
-                             "the same shards run in-process")
     parser.add_argument("--write-baseline", action="store_true",
                         help="with --wallclock or --latency: refresh the "
                              "committed baseline under benchmarks/ from "

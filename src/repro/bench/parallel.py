@@ -61,8 +61,7 @@ def _side(result: Dict) -> Dict:
     the acceptance surface -- event count, simulated-time fingerprint,
     merged metrics (as a digest: the snapshot itself is large) -- and
     the rest are host measurements."""
-    side = {key: result[key] for key in (
-        "wall_s", "events_per_sec", "per_flow_kb")}
+    side = {key: result[key] for key in ("wall_s", "events_per_sec")}
     side["identity"] = {
         "events": result["events"],
         "fingerprint": result["fingerprint"],

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-__all__ = ["GOLDEN", "check_all", "check_one", "wallclock_smoke"]
+__all__ = ["GOLDEN", "check_all", "check_one"]
 
 
 def _fig5(device: str, system: str, **kwargs):
@@ -95,33 +95,3 @@ def check_one(name: str) -> Dict:
 def check_all(names: List[str] = None) -> List[Dict]:
     """Measure every golden metric (or the named subset)."""
     return [check_one(name) for name in (names or sorted(GOLDEN))]
-
-
-def wallclock_smoke() -> List[Dict]:
-    """The quick wall-clock suite's gate verdicts, as check rows.
-
-    Same row shape as :func:`check_all` so ``--check`` can print one
-    table: ``measured`` is events/sec as a ratio of the committed
-    baseline's, against an expected 1.0.  ``ok`` is the gate's verdict
-    (:mod:`repro.bench.gate`): False on fingerprint drift and on a
-    same-run regression against the ``REPRO_FLOW_CACHE=0`` twin.  A slow
-    or missing committed baseline only sets ``warned``: that comparison
-    may span machines, so it is not a golden number.
-    """
-    from .gate import env_threshold
-    from .wallclock import run_suite
-
-    rows: List[Dict] = []
-    suite = run_suite(quick=True, repeats=3)
-    for name, verdict in sorted(suite["comparison"].items()):
-        ratio = verdict.get("speed_vs_baseline")
-        rows.append({
-            "metric": "wallclock.%s.events_per_sec_vs_baseline" % name,
-            "expected": 1.0,
-            "measured": ratio,
-            "deviation": None if ratio is None else abs(1.0 - ratio),
-            "tolerance": env_threshold("REPRO_BENCH_WARN_PCT") / 100.0,
-            "ok": verdict["ok"],
-            "warned": bool(verdict["warnings"]),
-        })
-    return rows

@@ -98,55 +98,36 @@ def run_report(quick: bool = True, jobs: int = 1) -> str:
 # wall-clock workloads (python -m repro.bench --wallclock [--jobs N])
 # ---------------------------------------------------------------------------
 
-def _wallclock_task(payload: Tuple[str, bool, int, str]) -> Dict:
+def _wallclock_task(payload: Tuple[str, bool, str]) -> Dict:
     """Run one wall-clock workload (runs in a worker process)."""
     import random
 
-    name, quick, repeats, mode = payload
+    name, quick, mode = payload
     random.seed(task_seed(name))
     from .workloads import run_workload
-    return run_workload(name, quick=quick, repeats=repeats, mode=mode)
+    return run_workload(name, quick=quick, mode=mode)
 
 
 def run_wallclock_suite(names: Sequence[str], gated: Sequence[str],
-                        quick: bool = False, repeats: int = 1,
-                        jobs: int = 1):
+                        quick: bool = False, jobs: int = 1):
     """Current-mode records for ``names``, plus a same-run
     ``REPRO_FLOW_CACHE=0`` twin for each workload in ``gated``.
 
     Returns ``(current, oracle)``, dicts keyed by name in the given
-    order.  Fingerprints are pure simulated-time outputs and identical
-    for any ``jobs`` value; the mode travels in the task payload, so a
+    order.  Each workload runs once per rung: fingerprints are pure
+    simulated-time outputs, identical for any ``jobs`` value, and
+    rung-against-rung plus committed-baseline equality is the
+    determinism check.  The mode travels in the task payload, so a
     pooled oracle leg runs under the same environment override a serial
-    one does.  Gated workloads are scheduled as *interleaved
-    single-repeat pairs* -- current, oracle, current, oracle, ... -- and
-    each mode keeps its best wall_s.  Running all N repeats of one leg
-    before any of the twin's would let a repeat-scale noise burst (CPU
-    steal, a cron tick) land entirely on one side and wedge the gated
-    ratio; pairwise interleaving means any burst shorter than the whole
-    pair sequence hits both legs, and best-of-N then discards it from
-    both (measured: back-to-back whole legs still produced a 0.76 ratio
-    on a loaded one-core host; minute-scale separation was worse still,
-    ~10 s pushing a quiet-machine ratio to 0.88).
+    one does.
     """
     payloads = []
     for name in names:
+        payloads.append((name, quick, "current"))
         if name in gated:
-            for _ in range(max(1, repeats)):
-                payloads.append((name, quick, 1, "current"))
-                payloads.append((name, quick, 1, "uncached"))
-        else:
-            payloads.append((name, quick, repeats, "current"))
+            payloads.append((name, quick, "uncached"))
     records = _map_tasks(_wallclock_task, payloads, jobs)
     current, oracle = {}, {}
-    for (name, _quick, _repeats, mode), record in zip(payloads, records):
-        bucket = current if mode == "current" else oracle
-        best = bucket.get(name)
-        if best is not None and record["fingerprint"] != best["fingerprint"]:
-            raise AssertionError(
-                "workload %r is nondeterministic across repeats: "
-                "fingerprint %r != %r"
-                % (name, record["fingerprint"], best["fingerprint"]))
-        if best is None or record["wall_s"] < best["wall_s"]:
-            bucket[name] = record
+    for (name, _quick, mode), record in zip(payloads, records):
+        (current if mode == "current" else oracle)[name] = record
     return current, oracle

@@ -3,14 +3,14 @@
 ``python -m repro.bench --latency`` runs a small matrix of open-loop
 workloads at several offered loads, extracts p50/p99/p999 from the
 request lifecycles (:mod:`repro.obs.slo`), and writes
-``BENCH_latency.json``.  Three design decisions carry the honesty of the
-wall-clock gate over to latency:
+``BENCH_latency.json``.  Three design decisions make every verdict a
+statement about simulated time:
 
 * **Percentile fingerprints are integers.**  Every leg's p50/p99/p999 is
   stated in simulated nanoseconds; they are pure functions of the code
   and the seeds, byte-identical across hosts, reruns and ``--jobs``
   values.  Drift against the committed baseline is an *error*.  Wall
-  seconds per leg are host measurements and only ever *warn*.
+  seconds per leg are an unjudged host measurement.
 * **Every open-loop leg carries a closed-loop twin** run in the same
   process from the same arrival draws.  The twin self-clocks (a request
   departs one drawn gap after the previous *reply*), so it cannot queue
@@ -188,17 +188,15 @@ def side_fingerprint(record: Dict) -> Dict:
 
 def rows(report: Dict) -> Tuple[Dict, Dict]:
     """The latency report as gate rows: a leg's fingerprint is its sides'
-    percentiles and its speed its wall seconds; a probe's adds the
-    component totals and brings its reconciliation errors along; the
-    ``uncached`` rung is the ``current`` rung's same-run twin."""
+    percentiles; a probe's adds the component totals and brings its
+    reconciliation errors along; the ``uncached`` rung is the ``current``
+    rung's same-run twin."""
     gated, twins = {}, {}
     for name, leg in report["legs"].items():
         gated[name] = {
             "fingerprint": {side: side_fingerprint(leg[side])
                             for side in ("open", "closed", "open_tcp")
-                            if side in leg},
-            "wall_s": leg["wall_s"],
-        }
+                            if side in leg}}
     for name, probe in report["decomposition"].items():
         gated["decomposition:" + name] = {
             "fingerprint": {

@@ -18,11 +18,12 @@ same record sharded over a :class:`~repro.sim.PartitionedSimulation`).
 ``--wallclock``, ``--latency``, ``--parallel-curve`` and ``python -m
 repro.obs --workload`` all go through them.
 
-Each result carries host-side metrics (``wall_s``, ``events_per_sec``,
-``packets_per_sec``) and a **fingerprint** of simulated-time outputs.
-The fingerprint is the determinism guard: any substrate change must
-leave every field *bit-identical*, because the simulation is
-deterministic and wall-clock work must never leak into simulated time.
+Each result carries a **fingerprint** of simulated-time outputs, the
+only thing the gate judges: any substrate change must leave every field
+*bit-identical*, because the simulation is deterministic and wall-clock
+work must never leak into simulated time.  The host-side fields beside
+it (``wall_s``, ``events_per_sec``, ``packets_per_sec``) are unjudged;
+``perfbench/`` is where host speed and footprint are measured.
 """
 
 from __future__ import annotations
@@ -86,10 +87,8 @@ class Workload:
     #: request kinds a :class:`~repro.obs.slo.RequestLifecycle` sees
     kinds: Tuple[str, ...] = ()
     #: shardable records only: ``split(scale, n_partitions, index)`` is a
-    #: shard's scale, ``flows(fingerprint)`` the ``per_flow_kb``
-    #: denominator
+    #: shard's scale
     split: Optional[Callable] = None
-    flows: Optional[Callable] = None
 
     def scale(self, quick: bool) -> int:
         return self.quick if quick else self.full
@@ -459,8 +458,7 @@ def _flows(tcp_object: int, udp_reply: int, stagger_us: float,
 
     A ``deferred`` server withholds every reply until all ``scale`` flows
     have arrived, so peak live-flow concurrency equals ``scale`` by
-    construction -- which is what makes ``per_flow_kb`` an honest
-    steady-state cost, and every request's latency a queue measurement.
+    construction, and every request's latency is a queue measurement.
     """
     page, reply = bytes(tcp_object), bytes(udp_reply)
 
@@ -613,7 +611,7 @@ def _flows_record(name: str, scales, default_suite: bool = False,
         packets=lambda state: state["served"] * 2,
         quick=quick, full=full, warmup=warmup,
         default_suite=default_suite, kinds=scenario["kinds"],
-        split=_split_flows, flows=lambda fingerprint: fingerprint["flows"])
+        split=_split_flows)
 
 
 # ---------------------------------------------------------------------------
@@ -826,9 +824,8 @@ WORKLOADS: Dict[str, Workload] = {record.name: record for record in _RECORDS}
 # ---------------------------------------------------------------------------
 
 #: environment overrides per benchmark mode.  ``uncached`` is the
-#: reference oracle -- every raise the interpreted linear scan -- rerun
-#: in the same process on the same machine, which is the only
-#: comparison stable enough to gate on.
+#: reference oracle -- every raise the interpreted linear scan -- whose
+#: fingerprints the generated-code run must equal.
 MODES: Dict[str, Dict[str, str]] = {
     "current": {},
     "uncached": {"REPRO_FLOW_CACHE": "0"},
@@ -867,36 +864,9 @@ def _gc_quiesced() -> Iterator[None]:
             gc.enable()
 
 
-def _rss_kb() -> int:
-    """Peak resident set size in KB (0 where unavailable)."""
-    try:
-        import resource
-        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    except (ImportError, AttributeError, OSError):
-        return 0
-
-
-def _rss_now_kb() -> int:
-    """*Current* resident set size in KB (peak as a fallback).
-
-    A forked partition worker inherits its parent's peak, so peak-delta
-    accounting would read near zero whenever the parent has already run
-    a bigger workload in-process; the worker's own growth needs the
-    live VmRSS figure.
-    """
-    try:
-        with open("/proc/self/status") as fh:
-            for line in fh:
-                if line.startswith("VmRSS:"):
-                    return int(line.split()[1])
-    except (OSError, ValueError, IndexError):
-        pass
-    return _rss_kb()
-
-
-def _result(record: Workload, wall: float, events: int, packets: int,
-            fingerprint: Dict, grew_kb: int, metrics: Dict) -> Dict:
-    result = {
+def _result(wall: float, events: int, packets: int, fingerprint: Dict,
+            metrics: Dict) -> Dict:
+    return {
         "wall_s": wall,
         "events": events,
         "events_per_sec": events / wall if wall > 0 else 0.0,
@@ -905,11 +875,6 @@ def _result(record: Workload, wall: float, events: int, packets: int,
         "metrics": metrics,
         "fingerprint": fingerprint,
     }
-    if record.flows is not None:
-        # Host-side, best effort (0 when an earlier run already set the
-        # process's peak RSS); never part of the fingerprint.
-        result["per_flow_kb"] = grew_kb / record.flows(fingerprint)
-    return result
 
 
 def run_once(record: Workload, scale: int, instrument=None) -> Dict:
@@ -930,7 +895,6 @@ def run_once(record: Workload, scale: int, instrument=None) -> Dict:
     state, main = record.setup(bed, scale, lifecycle)
     engine = bed.engine
     until = state.get("until")
-    rss0_kb = _rss_kb()
     with _gc_quiesced():
         wall0 = time.perf_counter()
         if until is None:
@@ -941,9 +905,8 @@ def run_once(record: Workload, scale: int, instrument=None) -> Dict:
         wall = time.perf_counter() - wall0
     events = (engine.events_processed if record.events is None
               else record.events(state))
-    result = _result(record, wall, events, record.packets(state),
+    result = _result(wall, events, record.packets(state),
                      record.fingerprint(state, bed),
-                     max(0, _rss_kb() - rss0_kb),
                      instrument_testbed(bed).snapshot())
     if record.has_dispatcher:
         # Host-side observability only: how many raises replayed a
@@ -962,7 +925,6 @@ def _build_shard(index: int, n_partitions: int, spec: Dict) -> Partition:
     """Build one shard of a registered workload (runs inside the owning
     process -- a forked worker under ``parallel=True``)."""
     record = WORKLOADS[spec["workload"]]
-    rss0_kb = _rss_now_kb()
     engine = Engine()
     scale = record.split(spec["scale"], n_partitions, index)
     bed = record.build(scale, engine)
@@ -976,10 +938,6 @@ def _build_shard(index: int, n_partitions: int, spec: Dict) -> Partition:
             "packets": record.packets(state),
             "events": engine.events_processed,
             "metrics": instrument_testbed(bed).snapshot(),
-            # *Current* RSS growth from shard build to here: a peak
-            # delta never resets once an earlier run has been as big,
-            # in this process or in the parent a worker forked from.
-            "rss_grew_kb": max(0, _rss_now_kb() - rss0_kb),
         }
 
     return Partition(engine, done=lambda: main.triggered, result=result)
@@ -990,7 +948,7 @@ def _check_shards(record: Workload, scale: int, sim_jobs: int) -> None:
         raise ValueError("sim_jobs must be >= 1, got %d" % sim_jobs)
     if record.split is None:
         raise ValueError(
-            "sim_jobs > 1 needs a shardable workload (%s), not %r"
+            "sharding needs a shardable workload (%s), not %r"
             % (", ".join(name for name, other in WORKLOADS.items()
                          if other.split is not None), record.name))
     if min(record.split(scale, sim_jobs, index)
@@ -1013,9 +971,6 @@ def run_partitioned(record: Workload, scale: int, sim_jobs: int,
     comparable only against runs at the same shard count: the reference
     is the in-process run at equal ``sim_jobs``, never the single-engine
     record.
-
-    ``per_flow_kb`` is best-effort host accounting: the sum of each
-    shard's resident-set growth from its build to its result.
     """
     _check_shards(record, scale, sim_jobs)
     simulation = PartitionedSimulation(
@@ -1031,9 +986,8 @@ def run_partitioned(record: Workload, scale: int, sim_jobs: int,
     fingerprint["final_now_us"] = max(each["final_now_us"]
                                       for each in fingerprints)
     fingerprint["partitions"] = sim_jobs
-    result = _result(record, wall, sum(shard["events"] for shard in shards),
+    result = _result(wall, sum(shard["events"] for shard in shards),
                      sum(shard["packets"] for shard in shards), fingerprint,
-                     sum(shard["rss_grew_kb"] for shard in shards),
                      merge_snapshots([shard["metrics"] for shard in shards]))
     result.update(sim_jobs=sim_jobs,
                   executor=("parallel" if parallel and sim_jobs > 1
@@ -1041,42 +995,20 @@ def run_partitioned(record: Workload, scale: int, sim_jobs: int,
     return result
 
 
-def run_workload(name: str, quick: bool = False, repeats: int = 1,
-                 instrument=None, mode: str = "current",
-                 sim_jobs: int = 1) -> Dict:
-    """Run a registered workload at its quick or full scale.
+def run_workload(name: str, quick: bool = False, instrument=None,
+                 mode: str = "current") -> Dict:
+    """Run a registered workload once at its quick or full scale, on the
+    dispatch rung ``mode`` selects via :data:`MODES`.
 
-    One discarded warm-up pass precedes the timed repeats: imports,
-    codegen ``compile()`` calls and allocator pools all warm up outside
-    the timed region.  Without it the first workload of a suite runs
-    cold while legs later in the same process run warm -- a systematic
-    bias that once showed a quick-scale micro-benchmark at 0.79x against
-    its own same-run twin.  With ``repeats > 1`` the fastest repeat is
-    reported and every repeat's fingerprint is checked for bit-identical
-    equality, the in-process half of the determinism guard.
-
-    ``mode`` selects the dispatch rung via :data:`MODES`.  ``sim_jobs >
-    1`` shards the workload (:func:`run_partitioned`; shardable records
-    only); ``instrument`` is ignored there -- the shards' beds live in
-    worker processes, and the merged ``metrics`` snapshot rolls up.
+    One discarded warm-up pass comes first, so imports, codegen
+    ``compile()`` calls and allocator pools are not part of the reported
+    ``wall_s``.  It is uninstrumented: the warm-up bed is thrown away
+    and must not pollute a profiler.
     """
     record = WORKLOADS[name]
     scale = record.scale(quick)
-    best: Optional[Dict] = None
     with env_override(MODES[mode]):
-        # Uninstrumented: the warm-up bed is thrown away and must not
-        # pollute a profiler.
         run_once(record, record.warmup)
-        for _ in range(max(1, repeats)):
-            if sim_jobs > 1:
-                result = run_partitioned(record, scale, sim_jobs)
-            else:
-                result = run_once(record, scale, instrument)
-            if best is not None and result["fingerprint"] != best["fingerprint"]:
-                raise AssertionError(
-                    "workload %r is nondeterministic: fingerprint %r != %r"
-                    % (name, result["fingerprint"], best["fingerprint"]))
-            if best is None or result["wall_s"] < best["wall_s"]:
-                best = result
-    best.update(name=name, scale=scale, quick=quick)
-    return best
+        result = run_once(record, scale, instrument)
+    result.update(name=name, scale=scale, quick=quick)
+    return result

@@ -6,9 +6,8 @@ point-to-point testbeds to programmable multi-hop fabrics.  A
 :class:`SwitchHost` is a SPIN kernel whose only "application" is a
 match-action pipeline (tables of exact and longest-prefix rules, actions
 forward / drop / modify-field / count) raised through the ordinary
-dispatcher -- so the flow cache, the codegen rungs, and the chaos
-conservation invariants all apply to switches exactly as they do to end
-hosts.
+dispatcher -- so generated dispatch code and the chaos conservation
+invariants apply to switches exactly as they do to end hosts.
 
 On top of the data plane sit topology builders (:func:`fat_tree`,
 :func:`leaf_spine`, :func:`linear_chain`) that emit a single-engine

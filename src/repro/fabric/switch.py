@@ -2,10 +2,11 @@
 
 A switch is infrastructure built directly on :class:`SpinKernel` (like
 ``repro.net.router.Router``) -- but unlike the router, its forwarding
-behaviour is *programmed*: every received frame is classified, raised as
-a ``Fabric.PacketRecv`` event through the ordinary dispatcher (so flow
-cache and codegen apply), and walked through the switch's match-action
-tables until a Forward or Drop decides its fate.
+behaviour is *programmed*: every received frame is raised as a
+``Fabric.PacketRecv`` event through the ordinary dispatcher (the event's
+one handler is unguarded, so its generated scan is the whole raise) and
+walked through the switch's match-action tables until a Forward or Drop
+decides its fate.
 
 Conservation law, checked by tests and chaos invariants: every frame a
 port accepts is counted exactly once as forwarded or dropped
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..net.flow import classify_frame
 from ..sim import SimulationError
 from .ecmp import ecmp_select
 from .table import (
@@ -92,16 +92,14 @@ class SwitchHost:
     # -- data plane -------------------------------------------------------
 
     def _device_input(self, port: FabricPort, data: bytes) -> None:
-        """Interrupt-context entry: allocate, classify, raise the event."""
+        """Interrupt-context entry: allocate, raise the event."""
         host = self.host
         host.cpu.charge(host.costs.ethernet_input, "protocol")
         m = host.mbufs.from_bytes(data, leading_space=0, rcvif=port.nic)
         m.pkthdr.timestamp = host.engine.now
         m.freeze()
-        key = classify_frame(m, 0)
-        entry = host.dispatcher.flow_cache.entry_for(key)
         port.received += 1
-        host.dispatcher.raise_flow(self.event, entry, port, m)
+        host.dispatcher.raise_event(self.event, port, m)
 
     def _pipeline(self, port: FabricPort, m) -> None:
         """Walk the match-action tables; ends in exactly one fate."""

@@ -302,9 +302,9 @@ def schedule_core_avoidance(bed: FabricBed, at_us: float,
     ECMP around it -- the control-plane reaction to a flapping core link.
 
     The update is a plain table write at a scheduled simulated time, so
-    it is bit-identical across runs and executors; any flow cached
-    through the dispatcher keeps its plans (guards are unaffected) and
-    still sees the new route on its very next packet.
+    it is bit-identical across runs and executors, and the very next
+    packet through the dispatcher sees the new route (the tables are
+    read inside the handler, not compiled into the raise).
     """
     half = bed.fat_tree_k // 2
     a = core_index // half

@@ -106,7 +106,7 @@ def profile_workload(name: str, quick: bool = True, with_spans: bool = False):
             tracer.attach(bed.hosts, nics=getattr(bed, "nics", ()))
             state["tracer"] = tracer
 
-    record = run_workload(name, quick=quick, repeats=1, instrument=instrument)
+    record = run_workload(name, quick=quick, instrument=instrument)
     return record, state["profiler"], state["registry"], state.get("tracer")
 
 

@@ -114,7 +114,7 @@ class SocketLayer:
 
 class _SocketBase:
     # Slotted (base + both subclasses): mega-scale workloads keep one or
-    # two live sockets per flow, so per-instance dicts dominate per_flow_kb.
+    # two live sockets per flow, so per-instance dicts dominate KB per flow.
     __slots__ = ("layer", "host", "stack", "closed")
 
     def __init__(self, layer: SocketLayer):

@@ -8,13 +8,11 @@ Covers the tentpole and satellites of the compiled-path refactor:
 * ``REPRO_FLOW_CACHE=0`` falls back to linear dispatch with simulated
   time bit-identical to the cached path;
 * flow-cache counters appear in the wallclock report (schema 2);
-* ``REPRO_BENCH_WARN_PCT`` tunes the throughput-regression warning;
 * the tracer decodes TCP options (MSS, window scale).
 """
 
 import pytest
 
-from repro.bench.gate import THRESHOLD_DEFAULTS, env_threshold, gate
 from repro.bench.testbed import build_testbed
 from repro.bench.workloads import WORKLOADS, run_once, run_workload
 from repro.core import Credential, ProtocolGraph
@@ -166,45 +164,6 @@ class TestFlowCache:
             assert key in record["flow_cache"]
         # The flow-cache section must not leak into the fingerprint.
         assert "flow_cache" not in record["fingerprint"]
-
-
-# ---------------------------------------------------------------------------
-# REPRO_BENCH_WARN_PCT
-# ---------------------------------------------------------------------------
-
-WARN_PCT = "REPRO_BENCH_WARN_PCT"
-
-
-class TestBenchWarnPct:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(WARN_PCT, raising=False)
-        assert env_threshold(WARN_PCT) == THRESHOLD_DEFAULTS[WARN_PCT] == 20.0
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(WARN_PCT, "35")
-        assert env_threshold(WARN_PCT) == 35.0
-
-    def test_invalid_falls_back(self, monkeypatch):
-        for junk in ("lots", "nan", "inf"):
-            monkeypatch.setenv(WARN_PCT, junk)
-            assert env_threshold(WARN_PCT) == THRESHOLD_DEFAULTS[WARN_PCT]
-
-    def test_negative_falls_back(self, monkeypatch):
-        monkeypatch.setenv(WARN_PCT, "-5")
-        assert env_threshold(WARN_PCT) == THRESHOLD_DEFAULTS[WARN_PCT]
-
-    def test_compare_to_baseline_uses_env(self, monkeypatch):
-        rows = {"w": {"fingerprint": {"f": 1}, "events_per_sec": 50.0}}
-        baseline = {"w": {"fingerprint": {"f": 1}, "events_per_sec": 100.0}}
-        # 50% of baseline: warns under the default 20% threshold...
-        monkeypatch.delenv(WARN_PCT, raising=False)
-        verdicts = gate(rows, baseline=baseline)
-        assert verdicts["w"]["warnings"]
-        assert verdicts["w"]["ok"]  # slowdowns warn, never error
-        # ...and stays quiet when the env var loosens it to 60%.
-        monkeypatch.setenv(WARN_PCT, "60")
-        verdicts = gate(rows, baseline=baseline)
-        assert not verdicts["w"]["warnings"]
 
 
 # ---------------------------------------------------------------------------

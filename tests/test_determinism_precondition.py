@@ -1,6 +1,6 @@
 """Determinism precondition for sharded runs.
 
-The in-process oracle (``parallel=False`` vs the forked ``--sim-jobs N``)
+The in-process oracle (``parallel=False`` vs the forked shards)
 only proves anything if a serial run is a pure function of its inputs in
 the first place: two back-to-back serial runs of the same workload in
 the same process must agree on every observable -- the simulated-time

@@ -165,8 +165,8 @@ class TestManyFlows:
         assert fp["bytes_in"] == 200 * 512 + 200 * 128
         assert record["events"] > 0
         # Host-side metrics exist but are not fingerprint material.
-        assert "per_flow_kb" in record
-        assert "per_flow_kb" not in fp
+        assert record["wall_s"] > 0 and "wall_s" not in fp
+        assert "per_flow_kb" not in record
 
     def test_fingerprint_ignores_flow_cache_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FLOW_CACHE", "1")
