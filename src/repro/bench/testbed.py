@@ -68,9 +68,6 @@ class Testbed:
             return list(self.medium.ports)
         return [self.medium] if self.medium is not None else []
 
-    def run(self, until: Optional[float] = None) -> None:
-        self.engine.run(until)
-
 
 def _make_nic(engine: Engine, device: str, index: int,
               fast_driver: bool) -> NIC:

@@ -140,7 +140,7 @@ def _frame_conservation(ctx) -> List[str]:
         if out != expected_out:
             problems.append("switch egressed %d frames, counters imply %d"
                             % (out, expected_out))
-    staged = sum(nic.tx_frames - nic._tx_queue.drops for nic in ctx.bed.nics)
+    staged = sum(nic.tx_frames - nic.tx_drops for nic in ctx.bed.nics)
     carried = sum(medium.frames_carried for medium in ctx.bed.media())
     if staged != carried:
         problems.append("NICs staged %d frames but media carried %d"

@@ -83,9 +83,6 @@ class WorkloadState:
         #: It only reads ``engine.now``, so fingerprints are unchanged.
         self.lifecycle = None
 
-    def stream_flows(self) -> List[Flow]:
-        return [f for f in self.flows if f.kind == "stream"]
-
 
 # ---------------------------------------------------------------------------
 # building blocks

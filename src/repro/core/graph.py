@@ -101,15 +101,6 @@ class ProtocolGraph:
                              % (name, sorted(self.nodes)))
         return self.nodes[name]
 
-    def remove_node(self, name: str) -> None:
-        """Remove an extension node and every edge touching it."""
-        node = self.node(name)
-        if node.kind != "extension":
-            raise GraphError("only extension nodes may be removed, not %r" % name)
-        for edge in list(node.in_edges) + list(node.out_edges):
-            self.remove_edge(edge)
-        del self.nodes[name]
-
     # -- edges ------------------------------------------------------------------
 
     def add_edge(self, src: GraphNode, dst: GraphNode, handle: HandlerHandle,
@@ -165,9 +156,6 @@ class ProtocolGraph:
         self.removals += 1
 
     # -- introspection ---------------------------------------------------------------
-
-    def extension_nodes(self) -> List[GraphNode]:
-        return [n for n in self.nodes.values() if n.kind == "extension"]
 
     def edge_count(self) -> int:
         return len(self.edges)

@@ -84,15 +84,3 @@ class OpenLoopSource:
         """
         rng = self._rng()
         return [(self._gap(rng), self._size(rng)) for _ in range(n)]
-
-    def mean_offered_load_bps(self) -> float:
-        """Nominal offered load implied by the configured means."""
-        if self.size_dist == "fixed":
-            mean_size = float(self.fixed_size)
-        else:
-            # E[min(min_size * Pareto(a), max_size)] has no tidy closed
-            # form; the unclamped mean is a serviceable nominal figure.
-            mean_size = self.min_size * self.size_alpha \
-                / (self.size_alpha - 1.0) if self.size_alpha > 1.0 \
-                else float(self.max_size)
-        return mean_size * 8 / (self.mean_gap_us * 1e-6)

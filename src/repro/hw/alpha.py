@@ -83,9 +83,6 @@ class CostTable:
         }
         return CostTable(**values)
 
-    def replace(self, **overrides) -> "CostTable":
-        return dataclasses.replace(self, **overrides)
-
 
 #: The default calibration: DEC 3000/400 class machine.
 ALPHA_21064 = CostTable()

@@ -11,11 +11,12 @@ resource for that much simulated time.  The pattern is::
     marker = cpu.begin()
     result = plain_protocol_code(...)   # calls cpu.charge(...) freely
     amount = cpu.end(marker)
-    yield from cpu.consume(amount, priority=INTERRUPT_PRIORITY)
+    # hold cpu.resource for ``amount`` microseconds
 
 Plain segments never yield, so begin/charge/end is atomic with respect to
 other simulation processes and accumulators cannot cross-contaminate.
-:meth:`CPU.execute` packages the pattern.
+``Host.kernel_path`` (``repro.hw.host``) is the one place that runs the
+pattern: acquire, run, hold for the charge, release.
 
 Two priority levels model interrupt- versus thread-level execution:
 interrupt-level consumption is served before any queued thread-level
@@ -30,7 +31,7 @@ Figure 6 and section 5.1 of the paper.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Tuple
+from typing import Dict, List, Tuple
 
 from ..sim import Engine, Resource
 from .alpha import ALPHA_21064, CostTable
@@ -57,7 +58,6 @@ class CPU:
         self.busy_time: float = 0.0
         self.category_times: Dict[str, float] = {}
         self._stack: List[float] = []
-        self._consumed_slices = 0
         # Charges issued with no execution context open (see try_charge):
         # counted so skipped work is visible instead of silently dropped.
         self.uncontexted_charges = 0
@@ -88,10 +88,6 @@ class CPU:
             times[category] += microseconds
         except KeyError:
             times[category] = microseconds
-
-    def charge_bytes(self, nbytes: int, per_byte: float,
-                     category: str = "copy") -> None:
-        self.charge(nbytes * per_byte, category)
 
     def try_charge(self, microseconds: float, category: str = "kernel") -> bool:
         """Charge when an execution context is open; safe no-op otherwise.
@@ -134,51 +130,6 @@ class CPU:
                 % (marker, len(self._stack)))
         return self._stack.pop()
 
-    @property
-    def open_accumulators(self) -> int:
-        return len(self._stack)
-
-    # -- consumption -------------------------------------------------------
-
-    def consume(self, microseconds: float,
-                priority: int = THREAD_PRIORITY) -> Generator:
-        """Occupy the CPU for ``microseconds`` of simulated time.
-
-        A generator: yield from it inside a simulation process.  Queues
-        behind other consumers according to ``priority``.
-        """
-        if microseconds <= 0:
-            return
-        resource = self.resource
-        if not resource.try_acquire():
-            yield resource.request(priority)
-        yield self.engine.pooled_timeout(microseconds)
-        self.busy_time += microseconds
-        self._consumed_slices += 1
-        profile = self.profile
-        if profile is not None:
-            profile.consumed(microseconds)
-        resource.release()
-
-    def execute(self, fn: Callable, args: Tuple = (),
-                priority: int = THREAD_PRIORITY) -> Generator:
-        """Run plain ``fn(*args)`` and consume whatever it charged.
-
-        Returns ``fn``'s return value (as the generator's return value).
-        """
-        profile = self.profile
-        if profile is not None:
-            profile.push(getattr(fn, "__name__", "execute"))
-        marker = self.begin()
-        try:
-            result = fn(*args)
-        finally:
-            amount = self.end(marker)
-            if profile is not None:
-                profile.pop()
-        yield from self.consume(amount, priority)
-        return result
-
     # -- measurement ---------------------------------------------------------
 
     def utilization_since(self, busy_mark: float, time_mark: float) -> float:
@@ -192,19 +143,11 @@ class CPU:
         """A (busy_time, now) sample for :meth:`utilization_since`."""
         return self.busy_time, self.engine.now
 
-    def category_fraction(self, category: str) -> float:
-        total = sum(self.category_times.values())
-        if total == 0:
-            return 0.0
-        return self.category_times.get(category, 0.0) / total
-
     def register_metrics(self, registry) -> None:
         """Publish the accounting counters on a metrics registry."""
         registry.source("hw.cpu.busy_us", lambda: self.busy_time)
         registry.source("hw.cpu.charged_us",
                         lambda: sum(self.category_times.values()))
-        registry.source("hw.cpu.consumed_slices",
-                        lambda: self._consumed_slices)
         registry.source("hw.cpu.uncontexted_charges",
                         lambda: self.uncontexted_charges)
         registry.source("hw.cpu.uncontexted_charge_us",

@@ -28,10 +28,6 @@ class Framebuffer:
         self.bytes_written = 0
         self.frames_displayed = 0
 
-    @property
-    def size_bytes(self) -> int:
-        return self.width * self.height * self.bytes_per_pixel
-
     def write(self, nbytes: int) -> None:
         """Write ``nbytes`` of pixels (plain code; charges CPU)."""
         if nbytes < 0:

@@ -100,13 +100,6 @@ class Host:
         self.nics[nic.name] = nic
         nic.host = self
 
-    def nic(self, name: str):
-        return self.nics[name]
-
-    @property
-    def now(self) -> float:
-        return self.engine.now
-
     # -- deferred hardware actions -------------------------------------------
 
     def defer(self, action: Callable[[], None]) -> None:

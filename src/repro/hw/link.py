@@ -51,9 +51,6 @@ class Frame:
         self.wire_bytes = wire_bytes if wire_bytes is not None else len(self.data)
         self.enqueued_at: Optional[float] = None
 
-    def __len__(self) -> int:
-        return len(self.data)
-
     def __repr__(self) -> str:
         return "<Frame %s->%s len=%d>" % (self.src_addr, self.dst_addr, len(self.data))
 
@@ -292,10 +289,6 @@ class _Medium:
             self._impairments = None
             return None
         self._impairments = ImpairmentModel(config, seed)
-        return self._impairments
-
-    @property
-    def impairments(self) -> Optional[ImpairmentModel]:
         return self._impairments
 
     def _wire_time_us(self, wire_bytes: int) -> float:

@@ -20,11 +20,12 @@ DMA devices charge only fixed setup costs.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 from typing import Generator, Optional
 
-from ..sim import Engine, Process, Store
+from ..sim import Engine, Process
 from .link import BROADCAST, Frame
 
 __all__ = ["NIC", "DriverProfile", "LanceEthernet", "ForeAtm", "T3Nic",
@@ -45,22 +46,28 @@ class DriverProfile:
 
 
 class NIC:
-    """Generic network interface with a transmit queue and rx accounting."""
+    """Generic network interface with a transmit queue and rx accounting.
 
-    #: subclasses set these
+    A device subclass sets ``mtu`` and ``link_header``, passes its
+    :class:`DriverProfile` and defines ``wire_bytes(frame_len)``: the
+    bytes a frame occupies on the wire (padding, cells...).
+    """
+
     mtu: int = 1500
     link_header: int = 0
 
-    def __init__(self, engine: Engine, name: str, address: Optional[str] = None,
-                 profile: Optional[DriverProfile] = None,
+    def __init__(self, engine: Engine, name: str, address: Optional[str],
+                 profile: DriverProfile,
                  tx_queue_len: int = 64, rx_ring_len: int = 64):
         self.engine = engine
         self.name = name
         self.address = address or "nic-%d" % next(_nic_counter)
-        self.profile = profile or self.default_profile()
+        self.profile = profile
         self.host = None          # set by Host.add_nic
         self.link = None          # set by medium.attach
-        self._tx_queue = Store(engine, capacity=tx_queue_len)
+        self._tx_queue = collections.deque()
+        self.tx_queue_len = tx_queue_len
+        self.tx_drops = 0     # staged frames that found the queue full
         self.rx_ring_len = rx_ring_len
         self.rx_pending = 0
         self.tx_frames = 0
@@ -88,21 +95,13 @@ class NIC:
         deadlocks any open-loop flow waiting on it.
         """
         self.rx_ring_len = max(self.rx_ring_len, depth)
-        if self._tx_queue.capacity is not None:
-            self._tx_queue.capacity = max(self._tx_queue.capacity, depth)
-
-    @classmethod
-    def default_profile(cls) -> DriverProfile:
-        raise NotImplementedError
-
-    def wire_bytes(self, frame_len: int) -> int:
-        """Bytes the frame occupies on the wire (padding, cells...)."""
-        return frame_len
+        self.tx_queue_len = max(self.tx_queue_len, depth)
 
     def register_metrics(self, registry) -> None:
         """Publish the ring/frame counters on a metrics registry."""
         registry.source("hw.nic.tx_frames", lambda: self.tx_frames)
         registry.source("hw.nic.tx_bytes", lambda: self.tx_bytes)
+        registry.source("hw.nic.tx_drops", lambda: self.tx_drops)
         registry.source("hw.nic.rx_frames", lambda: self.rx_frames)
         registry.source("hw.nic.rx_bytes", lambda: self.rx_bytes)
         registry.source("hw.nic.rx_drops", lambda: self.rx_drops)
@@ -155,7 +154,11 @@ class NIC:
 
         def enqueue() -> None:
             frame.enqueued_at = self.engine.now
-            if self._tx_queue.try_put(frame) and not self._draining:
+            if len(self._tx_queue) >= self.tx_queue_len:
+                self.tx_drops += 1
+                return
+            self._tx_queue.append(frame)
+            if not self._draining:
                 # Idle -> busy edge; the drain retires itself when empty.
                 self._draining = True
                 Process(self.engine, self._drain(), self._tx_name,
@@ -165,16 +168,14 @@ class NIC:
         self.tx_bytes += size
         # The deferred enqueue runs after this returns, so the staged
         # frame is always accepted from the caller's point of view; queue
-        # overflow shows up in the ring's own drop counters.
+        # overflow shows up in ``tx_drops``.
         return True
 
     def _drain(self) -> Generator:
         """Transmit queued frames in FIFO order until none is left."""
         queue = self._tx_queue
-        while True:
-            queued, frame = queue.try_get()
-            if not queued:
-                break
+        while queue:
+            frame = queue.popleft()
             if self.link is not None:  # unplugged: frame vanishes
                 yield from self.link.transmit(self, frame)
         self._draining = False
@@ -256,10 +257,6 @@ class LanceEthernet(NIC):
         profile = self.FAST if fast_driver else self.STANDARD
         super().__init__(engine, name, address, profile=profile, **kwargs)
 
-    @classmethod
-    def default_profile(cls) -> DriverProfile:
-        return cls.STANDARD
-
     def wire_bytes(self, frame_len: int) -> int:
         # Pad to the Ethernet minimum; add the 4-byte CRC + 8-byte preamble.
         return max(frame_len, self.MIN_FRAME) + 12
@@ -291,10 +288,6 @@ class ForeAtm(NIC):
         profile = self.FAST if fast_driver else self.STANDARD
         super().__init__(engine, name, address, profile=profile, **kwargs)
 
-    @classmethod
-    def default_profile(cls) -> DriverProfile:
-        return cls.STANDARD
-
     def wire_bytes(self, frame_len: int) -> int:
         # AAL5: pad to a whole number of cells; each 48-byte payload chunk
         # rides in a 53-byte cell.
@@ -313,10 +306,6 @@ class T3Nic(NIC):
     def __init__(self, engine: Engine, name: str, address: Optional[str] = None,
                  **kwargs):
         super().__init__(engine, name, address, profile=self.STANDARD, **kwargs)
-
-    @classmethod
-    def default_profile(cls) -> DriverProfile:
-        return cls.STANDARD
 
     def wire_bytes(self, frame_len: int) -> int:
         return frame_len + 4  # light HDLC-style framing
@@ -338,10 +327,6 @@ class FabricNic(NIC):
         kwargs.setdefault("tx_queue_len", 256)
         kwargs.setdefault("rx_ring_len", 256)
         super().__init__(engine, name, address, profile=self.STANDARD, **kwargs)
-
-    @classmethod
-    def default_profile(cls) -> DriverProfile:
-        return cls.STANDARD
 
     def wire_bytes(self, frame_len: int) -> int:
         return frame_len + 8  # preamble + inter-frame gap equivalent

@@ -227,8 +227,5 @@ class Layout:
     def field_names(self) -> List[str]:
         return [name for name, _type in self.fields]
 
-    def __contains__(self, field_name: str) -> bool:
-        return field_name in self.offsets
-
     def __repr__(self) -> str:
         return "<Layout %s size=%d>" % (self.name, self.size)

@@ -147,10 +147,6 @@ class TypedView:
         object.__setattr__(self, "_offset", offset)
         object.__setattr__(self, "_layout", layout)
 
-    @property
-    def layout(self) -> Layout:
-        return self._layout
-
     def _field(self, name: str):
         layout = self._layout
         if name not in layout.offsets:

@@ -26,7 +26,6 @@ from .headers import (
     ip_aton,
     ip_ntoa,
     mac_aton,
-    mac_ntoa,
 )
 from .http import (
     HttpClientConnection,
@@ -85,7 +84,6 @@ __all__ = [
     "ip_aton",
     "ip_ntoa",
     "mac_aton",
-    "mac_ntoa",
     "parse_request",
     "parse_response",
     "verify_checksum",

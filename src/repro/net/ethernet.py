@@ -14,7 +14,6 @@ from typing import Callable, Optional
 
 from ..hw.cpu import ChargeError
 from ..hw.nic import NIC
-from ..lang.view import VIEW, TypedView
 from ..spin.mbuf import Mbuf
 from .headers import ETHERNET_HEADER, ETHER_BROADCAST
 
@@ -97,16 +96,3 @@ class EthernetProto:
         self.frames_in += 1
         if self.upcall is not None:
             self.upcall(nic, m)
-
-    # -- helpers ---------------------------------------------------------------
-
-    @staticmethod
-    def header(m: Mbuf) -> TypedView:
-        """VIEW the Ethernet header of a frame-positioned mbuf (zero copy)."""
-        return VIEW(m.data, ETHERNET_HEADER)
-
-    @staticmethod
-    def strip(m: Mbuf) -> Mbuf:
-        """Remove the Ethernet header (the packet must be writable)."""
-        m.adj(EthernetProto.HEADER_LEN)
-        return m

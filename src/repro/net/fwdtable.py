@@ -70,10 +70,6 @@ class ForwardingTable:
                 return True
         return False
 
-    def clear(self) -> None:
-        self._routes.clear()
-        self._mutated()
-
     def _mutated(self) -> None:
         self._cache.clear()
         self.generation += 1
@@ -94,7 +90,3 @@ class ForwardingTable:
         # Memoise misses too (wrapped in a 1-tuple so None is cacheable).
         self._cache[dst] = (value,)
         return value
-
-    def entries(self) -> Tuple[Tuple[int, int, Any], ...]:
-        """Snapshot of (network, prefix_len, value) in match order."""
-        return tuple(self._routes)

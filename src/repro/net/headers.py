@@ -22,7 +22,7 @@ __all__ = [
     "UDP_HEADER", "TCP_HEADER",
     "ETHERTYPE_IP", "ETHERTYPE_ARP", "ETHER_BROADCAST",
     "IPPROTO_ICMP", "IPPROTO_TCP", "IPPROTO_UDP",
-    "ip_aton", "ip_ntoa", "mac_aton", "mac_ntoa",
+    "ip_aton", "ip_ntoa", "mac_aton",
     "TCP_FIN", "TCP_SYN", "TCP_RST", "TCP_PSH", "TCP_ACK", "TCP_URG",
     "ARP_REQUEST", "ARP_REPLY",
     "ICMP_ECHO_REQUEST", "ICMP_ECHO_REPLY",
@@ -144,12 +144,6 @@ def mac_aton(text: str) -> bytes:
     if len(parts) != 6:
         raise ValueError("malformed MAC address %r" % text)
     return bytes(int(part, 16) for part in parts)
-
-
-def mac_ntoa(mac: bytes) -> str:
-    if len(mac) != 6:
-        raise ValueError("MAC addresses are 6 bytes, got %r" % (mac,))
-    return ":".join("%02x" % b for b in mac)
 
 
 def pseudo_header(src: int, dst: int, protocol: int, length: int) -> bytes:

@@ -128,13 +128,6 @@ class IpProto:
                         gateway))
         self._route_cache.clear()
 
-    @property
-    def routes(self) -> List[Tuple[int, int, object, Optional[int]]]:
-        """Routes as (network, prefix_len, adapter, gateway), match order."""
-        return [(network, prefix_len, adapter, gateway)
-                for network, prefix_len, (adapter, gateway)
-                in self.table.entries()]
-
     def route_for(self, dst: int):
         """(adapter, next_hop) for ``dst``."""
         hit = self._route_cache.get(dst)
@@ -381,10 +374,3 @@ class IpProto:
                    if now - state.started_at > self.REASSEMBLY_TIMEOUT_US]
         for key in expired:
             del self._reassembly[key]
-
-    # -- helpers ----------------------------------------------------------------------
-
-    @staticmethod
-    def header(m: Mbuf, off: int = 0) -> TypedView:
-        """VIEW the IP header at ``off`` (zero copy)."""
-        return VIEW(m.data, IP_HEADER, offset=off)

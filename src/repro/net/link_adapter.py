@@ -71,12 +71,6 @@ class RawLinkProto:
         self.frames_out += 1
         self.nic.stage_tx(m.to_bytes(), link_addr)
 
-    # Alias so RawLinkProto can serve as a graph node like EthernetProto.
-    def output(self, m: Mbuf, link_addr, _ethertype: int = ETHERTYPE_IP) -> bool:
-        self.host.cpu.charge(self.host.costs.ethernet_output, "protocol")
-        self.frames_out += 1
-        return self.nic.stage_tx(m.to_bytes(), link_addr)
-
     def input(self, nic: NIC, frame_data: bytes) -> None:
         """Device receive entry (plain code, interrupt context)."""
         self.host.cpu.charge(self.host.costs.ethernet_input, "protocol")

@@ -124,7 +124,6 @@ class Tcb:
         "_probe_pending",
         # Timers.
         "_rexmt_timer", "_delack_timer", "_persist_timer", "_timewait_timer",
-        "_keepalive_timer", "_keepalive_us", "_keepalive_misses",
         # Callbacks.
         "on_established", "on_data", "on_close", "on_reset", "on_sendable",
         # Statistics.
@@ -140,7 +139,6 @@ class Tcb:
     DELAYED_ACK_US = 1_000.0
     PERSIST_US = 5_000.0
     MAX_RETRANSMITS = 8           # consecutive timeouts before giving up
-    KEEPALIVE_PROBES = 3          # unanswered probes before reset
 
     def __init__(self, proto, laddr: int, lport: int, raddr: int, rport: int,
                  passive: bool = False):
@@ -198,9 +196,6 @@ class Tcb:
         self._delack_timer = None
         self._persist_timer = None
         self._timewait_timer = None
-        self._keepalive_timer = None
-        self._keepalive_us: Optional[float] = None
-        self._keepalive_misses = 0
 
         # Callbacks (invoked in kernel context).
         self.on_established: Optional[Callable[[], None]] = None
@@ -298,46 +293,8 @@ class Tcb:
     # Segment input (called by TcpProto with a parsed segment)
     # ------------------------------------------------------------------
 
-    def enable_keepalive(self, idle_us: float) -> None:
-        """Probe the peer after ``idle_us`` of silence; reset the
-        connection after :data:`KEEPALIVE_PROBES` unanswered probes.
-
-        Lets a server notice a peer that vanished without FIN/RST (a
-        crashed client, a cut wire) -- plain code, kernel context.
-        """
-        if idle_us <= 0:
-            raise ValueError("keepalive interval must be positive")
-        self._keepalive_us = idle_us
-        self._arm_keepalive()
-
-    def _arm_keepalive(self) -> None:
-        if self._keepalive_us is None or self.state == TcpState.CLOSED:
-            return
-        if self._keepalive_timer is not None:
-            self._keepalive_timer.cancel()
-        self._keepalive_timer = self.host.set_timer(
-            self._keepalive_us, self._keepalive_fire, name="tcp-keepalive")
-
-    def _keepalive_fire(self) -> None:
-        self._keepalive_timer = None
-        if self.state != TcpState.ESTABLISHED or self._keepalive_us is None:
-            return
-        self._keepalive_misses += 1
-        if self._keepalive_misses > self.KEEPALIVE_PROBES:
-            self._enter_closed(notify_reset=True)
-            return
-        # The classic probe: a bare ACK with an *old* sequence number,
-        # which a live peer must answer with a duplicate ACK.
-        self.proto.send_segment(self, seq_add(self.snd_nxt, _MOD - 1),
-                                self.rcv_nxt, ACK, self._rcv_window(), b"")
-        self.segments_sent += 1
-        self._arm_keepalive()
-
     def input(self, seg: TcpSegment) -> None:
         self.segments_received += 1
-        self._keepalive_misses = 0
-        if self._keepalive_us is not None:
-            self._arm_keepalive()
         if seg.flags & RST:
             self._handle_rst(seg)
             return
@@ -409,8 +366,8 @@ class Tcb:
             # stays wedged in SYN_RCVD.
             old_span = len(payload) + (1 if seg.flags & SYN else 0)
             if trim >= old_span and not (seg.flags & FIN):
-                # Entirely old: re-ACK (it may be a keepalive probe or a
-                # duplicate) so the sender learns we are alive and caught up.
+                # Entirely old: re-ACK (it may be a peer's liveness probe or
+                # a duplicate) so the sender learns we are alive and caught up.
                 self._send_ack()
                 if not (seg.flags & ACK):
                     return
@@ -829,9 +786,6 @@ class Tcb:
         if self._persist_timer is not None:
             self._persist_timer.cancel()
             self._persist_timer = None
-        if self._keepalive_timer is not None:
-            self._keepalive_timer.cancel()
-            self._keepalive_timer = None
         if not already_closed:
             self.proto.forget(self)
             if notify_reset and self.on_reset is not None:

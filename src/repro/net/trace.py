@@ -220,9 +220,6 @@ class PacketTracer(RingTracer):
     def matching(self, substring: str) -> List[TraceRecord]:
         return [r for r in self.records if substring in r.summary]
 
-    def between(self, start: float, end: float) -> List[TraceRecord]:
-        return [r for r in self.records if start <= r.time <= end]
-
     def _line(self, r: TraceRecord) -> str:
         """tcpdump-style text of one record."""
         return "%10.1f  %-8s %-2s  %s" % (r.time, r.nic_name, r.direction,

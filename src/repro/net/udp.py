@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..hw.cpu import ChargeError
-from ..lang.view import VIEW, TypedView, raw_storage
+from ..lang.view import raw_storage
 from ..spin.mbuf import Mbuf
 from .checksum import internet_checksum, word_sum
 from .headers import (IPPROTO_UDP, PSEUDO_HEADER_LEN, UDP_HEADER,
@@ -163,9 +163,3 @@ class UdpProto:
         if self.upcall is not None:
             self.upcall(m, off + self.HEADER_LEN, src_ip, src_port,
                         dst_ip, dst_port)
-
-    # -- helpers -------------------------------------------------------------------------
-
-    @staticmethod
-    def header(m: Mbuf, off: int) -> TypedView:
-        return VIEW(m.data, UDP_HEADER, offset=off)

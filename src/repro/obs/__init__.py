@@ -9,9 +9,10 @@ timeline (attaching any of them never changes a fingerprint):
   lets observers come and go in any order.  ``cpu.profile`` is also the
   one per-charge record; listeners hear frames, not charges.
 * :mod:`repro.obs.registry` -- a central :class:`MetricsRegistry` of
-  named counters/gauges/histograms behind a stable dotted namespace
-  (``spin.flowcache.evictions``, ``hw.nic.rx_filtered``, ...) with a
-  JSON snapshot API.  Components expose ``register_metrics(registry)``;
+  named gauges (summed callback sources) behind a stable dotted
+  namespace (``spin.flowcache.evictions``, ``hw.nic.rx_filtered``, ...)
+  with a JSON snapshot API.  Components expose
+  ``register_metrics(registry)``;
   :func:`repro.obs.wire.instrument_testbed` wires a whole testbed.
 * :mod:`repro.obs.profiler` -- a simulated-CPU profiler that reads the
   hooks' tables, which attribute every charged microsecond to a
@@ -28,10 +29,8 @@ Command line::
 
 from .profiler import CpuProfiler
 from .registry import (
-    Counter,
     DuplicateMetricError,
     Gauge,
-    Histogram,
     MetricError,
     MetricsRegistry,
     merge_snapshots,
@@ -43,13 +42,11 @@ from .taps import CpuHook
 from .wire import instrument_testbed
 
 __all__ = [
-    "Counter",
     "CpuHook",
     "CpuProfiler",
     "DuplicateMetricError",
     "EXPORT_SCHEMA",
     "Gauge",
-    "Histogram",
     "MetricError",
     "MetricsRegistry",
     "Request",

@@ -15,9 +15,9 @@ cost classes.  A requirement may also name a *metrics* condition
 (:data:`METRIC_REQUIREMENTS`): ``compiled-path`` passes only when the
 registry snapshot shows raises actually served by generated code, which
 is how CI asserts the codegen fast path was exercised rather than
-silently skipped.  ``--check-schema`` instruments both OS models and
-fails if any registered metric is missing from the documented export
-schema.
+silently skipped.  ``--check-schema`` instruments both OS models and a
+fat-tree fabric and fails if a registered metric is missing from the
+documented export schema, or a schema row is registered by none of them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import sys
 from typing import List, Optional
 
 from .profiler import CpuProfiler
-from .schema import undocumented_metrics
+from .schema import EXPORT_SCHEMA, undocumented_metrics
 from .spans import SpanTracer
 from .wire import instrument_testbed
 
@@ -65,28 +65,44 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--check-schema",
         action="store_true",
-        help="instrument both OS models; fail on metrics missing from the export schema",
+        help="instrument both OS models and a fat-tree; fail unless registered == documented",
     )
     return parser
 
 
 def check_schema() -> int:
-    """Instrument a spin and a unix testbed; report undocumented metrics."""
+    """Instrument a spin, a unix and a fat-tree bed; what they register
+    and the rows of ``EXPORT_SCHEMA`` must be the same set."""
     from ..bench.testbed import build_testbed
+    from ..fabric import fat_tree
 
     failures = 0
-    for os_name in ("spin", "unix"):
-        bed = build_testbed(os_name, "ethernet")
+    registered = set()
+    for label, bed in (
+        ("spin", build_testbed("spin", "ethernet")),
+        ("unix", build_testbed("unix", "ethernet")),
+        ("fat_tree", fat_tree(4)),
+    ):
         registry = instrument_testbed(bed)
+        registered.update(registry.names())
         missing = undocumented_metrics(registry)
         if missing:
             failures += 1
             print(
                 "%s: %d metric(s) missing from EXPORT_SCHEMA: %s"
-                % (os_name, len(missing), ", ".join(missing))
+                % (label, len(missing), ", ".join(missing))
             )
         else:
-            print("%s: all %d registered metrics documented" % (os_name, len(registry)))
+            print("%s: all %d registered metrics documented" % (label, len(registry)))
+    unpublished = sorted(set(EXPORT_SCHEMA) - registered)
+    if unpublished:
+        failures += 1
+        print(
+            "%d EXPORT_SCHEMA row(s) no bed registers: %s"
+            % (len(unpublished), ", ".join(unpublished))
+        )
+    else:
+        print("all %d EXPORT_SCHEMA rows registered by some bed" % len(EXPORT_SCHEMA))
     return 1 if failures else 0
 
 

@@ -6,8 +6,8 @@ north star is a tail-latency story.  This module adds the request
 lifecycle machinery both views share:
 
 * :func:`percentile` -- the one nearest-rank percentile implementation
-  used everywhere (Figure 5 summaries, SLO fingerprints, registry
-  histograms), so p50/p99/p999 can never disagree between harnesses.
+  used everywhere (Figure 5 summaries, SLO fingerprints), so
+  p50/p99/p999 can never disagree between harnesses.
 * :class:`RequestLifecycle` -- begin/end hooks stamped with simulated
   time.  Latency is kept twice, deliberately: as the float microsecond
   difference ``engine.now - begin_us`` (bit-identical to the historical
@@ -55,7 +55,6 @@ from .taps import CpuHook, Observer
 __all__ = [
     "ATTRIBUTED_COMPONENTS",
     "COMPONENTS",
-    "LATENCY_BOUNDS_US",
     "Request",
     "RequestLifecycle",
     "SloTracker",
@@ -69,26 +68,6 @@ ATTRIBUTED_COMPONENTS = ("cpu_service", "nic_ring", "propagation", "stall")
 #: All legal component keys: a lifecycle without a tracker books the
 #: whole latency under ``unattributed`` so reconciliation still holds.
 COMPONENTS = ATTRIBUTED_COMPONENTS + ("unattributed",)
-
-#: Bucket upper edges (microseconds) for the ``slo.latency.us``
-#: histogram: roughly log-spaced from sub-RTT to multi-second stalls.
-LATENCY_BOUNDS_US = (
-    50.0,
-    100.0,
-    200.0,
-    400.0,
-    800.0,
-    1600.0,
-    3200.0,
-    6400.0,
-    12800.0,
-    25600.0,
-    51200.0,
-    102400.0,
-    409600.0,
-    1638400.0,
-)
-
 
 def to_ns(time_us: float) -> int:
     """A simulated-time float (microseconds) as integer nanoseconds.
@@ -180,7 +159,6 @@ class RequestLifecycle:
         self.tracker = tracker
         self.completed: List[Request] = []
         self.open_requests = 0
-        self._histogram = None
 
     # -- request lifetime ------------------------------------------------
 
@@ -205,18 +183,9 @@ class RequestLifecycle:
             request.components = {"unattributed": request.total_ns}
         self.open_requests -= 1
         self.completed.append(request)
-        if self._histogram is not None:
-            self._histogram.observe(request.latency_us)
         return request
 
     # -- readouts --------------------------------------------------------
-
-    def kinds(self) -> List[str]:
-        seen = []
-        for request in self.completed:
-            if request.kind not in seen:
-                seen.append(request.kind)
-        return sorted(seen)
 
     def samples_us(self, kind: Optional[str] = None) -> List[float]:
         """Completion-order float latencies, exactly as a hand-kept
@@ -244,10 +213,6 @@ class RequestLifecycle:
             "sum_ns": sum(ordered),
         }
 
-    def fingerprint(self) -> Dict[str, Dict[str, int]]:
-        """Per-kind percentile records: pure simulated-time integers."""
-        return {kind: self.percentiles_ns(kind) for kind in self.kinds()}
-
     def component_totals_ns(self, kind: Optional[str] = None) -> Dict[str, int]:
         totals = {name: 0 for name in COMPONENTS}
         for request in self.completed:
@@ -255,55 +220,6 @@ class RequestLifecycle:
                 for name, value in request.components.items():
                     totals[name] += value
         return totals
-
-    # -- registry export -------------------------------------------------
-
-    def register_metrics(self, registry) -> None:
-        """Export the ``slo.*`` namespace into a metrics registry.
-
-        Gauges are aggregating sources (read-time callbacks, zero cost
-        on the hot path); the ``slo.latency.us`` histogram is back-filled
-        by replaying every already-completed sample and then observes
-        live ends.
-        """
-
-        def total(name: str):
-            return lambda: self.component_totals_ns()[name]
-
-        def quantile(q: float):
-            def read():
-                ordered = sorted(self.samples_ns())
-                return percentile(ordered, q) if ordered else 0
-
-            return read
-
-        registry.source(
-            "slo.requests.completed", lambda: len(self.completed), "requests begun and ended"
-        )
-        registry.source("slo.requests.open", lambda: self.open_requests, "requests still open")
-        registry.source(
-            "slo.latency.sum_ns",
-            lambda: sum(self.samples_ns()),
-            "summed end-to-end latency (simulated ns)",
-        )
-        registry.source("slo.latency.p50_ns", quantile(0.50), "p50 latency (simulated ns)")
-        registry.source("slo.latency.p99_ns", quantile(0.99), "p99 latency (simulated ns)")
-        registry.source("slo.latency.p999_ns", quantile(0.999), "p999 latency (simulated ns)")
-        for name in COMPONENTS:
-            registry.source(
-                "slo.component.%s_ns" % name,
-                total(name),
-                "latency attributed to %s (simulated ns)" % name,
-            )
-        histogram = registry.get("slo.latency.us")
-        if histogram is None:
-            histogram = registry.histogram(
-                "slo.latency.us", LATENCY_BOUNDS_US, "end-to-end request latency (simulated us)"
-            )
-        for sample in self.samples_us():
-            histogram.observe(sample)
-        self._histogram = histogram
-
 
 class SloTracker(Observer):
     """Queueing-delay attribution for one outstanding request at a time.

@@ -2,30 +2,24 @@
 
 Public surface::
 
-    from repro.sim import Engine, Event, Timeout, Process, Interrupt
-    from repro.sim import Resource, Store, Signal
+    from repro.sim import Engine, Event, Timeout, Process
+    from repro.sim import Resource, Signal
     from repro.sim import Partition, PartitionedSimulation
 """
 
 from .engine import (
-    AllOf,
-    AnyOf,
     Engine,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Timeout,
 )
 from .partition import Partition, PartitionedSimulation
-from .resources import Resource, ResourceRequest, Signal, Store
+from .resources import Resource, ResourceRequest, Signal
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Engine",
     "Event",
-    "Interrupt",
     "Partition",
     "PartitionedSimulation",
     "Process",
@@ -33,6 +27,5 @@ __all__ = [
     "ResourceRequest",
     "Signal",
     "SimulationError",
-    "Store",
     "Timeout",
 ]

@@ -35,14 +35,9 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AnyOf",
-    "AllOf",
-    "Interrupt",
     "SimulationError",
 ]
 
-
-_FAR = float("inf")
 
 # Event lifecycle states.
 _PENDING = 0
@@ -52,19 +47,6 @@ _PROCESSED = 2
 
 class SimulationError(Exception):
     """Base class for errors raised by the simulation machinery itself."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when it is interrupted.
-
-    The :attr:`cause` carries an arbitrary, caller-supplied value describing
-    why the interruption happened (for instance ``"time-limit"`` when an
-    ephemeral handler exceeds its allotment -- see paper section 3.3).
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class _Bootstrap:
@@ -154,8 +136,8 @@ class _PooledEvent(Event):
     returned to the engine's pool as soon as their callbacks have run.
     They must therefore never be retained past their firing -- which is
     why the pool is only used for yield-and-forget sites like
-    ``cpu.consume`` and the process bootstrap, never for events handed to
-    arbitrary user code.
+    ``Host.kernel_path`` and the process bootstrap, never for events
+    handed to arbitrary user code.
     """
 
     __slots__ = ()
@@ -186,7 +168,7 @@ class Process(Event):
     with any exception that escapes the generator.
     """
 
-    __slots__ = ("_generator", "name", "_waiting_on")
+    __slots__ = ("_generator", "name")
 
     #: A failure normally waits in the process for whoever yields it; a
     #: subclass that sets this raises it out of ``engine.step`` instead
@@ -207,7 +189,6 @@ class Process(Event):
             raise TypeError("Process requires a generator, got %r" % (generator,))
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
         if immediate:
             # Run the generator to its first yield right now.  Only valid
             # from inside event processing (a callback): a firing
@@ -221,22 +202,6 @@ class Process(Event):
     @property
     def is_alive(self) -> bool:
         return not self.triggered
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a process that already finished is an error; checking
-        :attr:`is_alive` first is the caller's responsibility.
-        """
-        if self.triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        # Detach from whatever the process is waiting on so the stale event
-        # does not resume it a second time.
-        waiting = self._waiting_on
-        if waiting is not None and self._resume in waiting.callbacks:
-            waiting.callbacks.remove(self._resume)
-        self._waiting_on = None
-        self.engine._poke(self._resume, exception=Interrupt(cause))
 
     def _resume(self, trigger: Event) -> None:
         try:
@@ -265,11 +230,9 @@ class Process(Event):
             )
         if state == _PROCESSED:
             # The event already fired; resume immediately (at current time).
-            self._waiting_on = self.engine._poke(
-                self._resume, target._value, target._exception)
+            self.engine._poke(self._resume, target._value, target._exception)
         else:
             target.callbacks.append(self._resume)
-            self._waiting_on = target
 
     def _finish(self, value: Any, exception: Optional[BaseException]) -> None:
         """The generator is done.  Only a waiter justifies a completion
@@ -282,67 +245,6 @@ class Process(Event):
             self.engine._enqueue(0.0, self)
         else:
             self._state = _PROCESSED
-
-
-class AnyOf(Event):
-    """Fires when the first of several events fires.
-
-    The value is a dict mapping the fired events to their values (always a
-    single entry here; the dict form keeps the interface uniform with
-    :class:`AllOf`).  If the first event fails, this event fails.
-    """
-
-    __slots__ = ("_events",)
-
-    def __init__(self, engine: "Engine", events: List[Event]):
-        super().__init__(engine)
-        if not events:
-            raise ValueError("AnyOf requires at least one event")
-        self._events = list(events)
-        for event in self._events:
-            if event.processed:
-                self._on_fire(event)
-                break
-            event.callbacks.append(self._on_fire)
-
-    def _on_fire(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event._exception is not None:
-            self.fail(event._exception)
-        else:
-            self.succeed({event: event._value})
-
-
-class AllOf(Event):
-    """Fires when every one of several events has fired."""
-
-    __slots__ = ("_events", "_remaining")
-
-    def __init__(self, engine: "Engine", events: List[Event]):
-        super().__init__(engine)
-        self._events = list(events)
-        self._remaining = 0
-        for event in self._events:
-            if event.processed:
-                if event._exception is not None:
-                    self.fail(event._exception)
-                    return
-                continue
-            self._remaining += 1
-            event.callbacks.append(self._on_fire)
-        if self._remaining == 0:
-            self.succeed({event: event._value for event in self._events})
-
-    def _on_fire(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event._exception is not None:
-            self.fail(event._exception)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed({evt: evt._value for evt in self._events})
 
 
 class Engine:
@@ -381,12 +283,6 @@ class Engine:
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name)
 
-    def any_of(self, events: List[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: List[Event]) -> AllOf:
-        return AllOf(self, events)
-
     # -- scheduling -------------------------------------------------------
 
     def _enqueue(self, delay: float, event: Event) -> None:
@@ -399,10 +295,9 @@ class Engine:
         Behaves exactly like :meth:`timeout` on the simulated timeline
         but allocates nothing in the steady state: the event object is
         recycled the moment its callbacks have run.  Callers must *not*
-        keep a reference past the firing (no ``.value`` reads later, no
-        use in ``any_of``/``all_of``); it is meant for the hot
-        yield-and-forget pattern ``yield engine.pooled_timeout(us)``
-        inside processes.
+        keep a reference past the firing (no ``.value`` reads later); it
+        is meant for the hot yield-and-forget pattern
+        ``yield engine.pooled_timeout(us)`` inside processes.
         """
         if delay < 0:
             raise ValueError("timeout delay must be non-negative, got %r" % delay)
@@ -418,7 +313,7 @@ class Engine:
         return event
 
     def _poke(self, callback: Callable, value=None,
-              exception: Optional[BaseException] = None) -> _PooledEvent:
+              exception: Optional[BaseException] = None) -> None:
         """Fire ``callback`` at the current time via a recycled event."""
         pool = self._pool
         event = pool.pop() if pool else _PooledEvent(self)
@@ -428,7 +323,6 @@ class Engine:
         event.callbacks.append(callback)
         self._sequence += 1
         heappush(self._heap, (self.now, self._sequence, event))
-        return event
 
     def call_at(self, when: float, callback: Callable) -> _PooledEvent:
         """Fire ``callback(event)`` at absolute time ``when``; exact.
@@ -520,11 +414,6 @@ class Engine:
                 )
             step()
         return process.value
-
-    def next_event_time(self) -> float:
-        """Timestamp of the heap's head (``inf`` if empty); nothing runs."""
-        heap = self._heap
-        return heap[0][0] if heap else _FAR
 
     def pending_count(self) -> int:
         """Live pending events: heap entries minus cancelled timers."""

@@ -5,8 +5,6 @@ These are the building blocks the simulated operating systems use:
 * :class:`Resource` -- a counted resource with a priority FIFO wait queue.
   The simulated CPU is a ``Resource(capacity=1)`` where interrupt-level
   requests carry a higher priority than thread-level requests.
-* :class:`Store` -- an unbounded (or bounded) item queue with blocking
-  ``get``; packet queues and mailboxes are Stores.
 * :class:`Signal` -- a repeatable broadcast: every ``wait()`` outstanding
   when ``fire(value)`` is called resumes with ``value``.
 """
@@ -18,7 +16,7 @@ from typing import Any, List, Optional, Tuple
 
 from .engine import Engine, Event, SimulationError, _PENDING
 
-__all__ = ["Resource", "ResourceRequest", "Store", "Signal"]
+__all__ = ["Resource", "ResourceRequest", "Signal"]
 
 
 class ResourceRequest(Event):
@@ -104,93 +102,6 @@ class Resource:
         self.in_use -= 1
         if self._waiting:
             self._grant_waiters()
-
-    @property
-    def queue_length(self) -> int:
-        return sum(1 for _p, _s, r in self._waiting if not r._released)
-
-
-class Store:
-    """A FIFO item queue with blocking ``get`` and optional capacity.
-
-    ``put`` on a full bounded store raises ``OverflowError`` by default --
-    simulated device queues *drop* rather than block, matching real NIC
-    receive rings -- unless ``block=True`` semantics are requested via
-    :meth:`put_wait`.
-    """
-
-    def __init__(self, engine: Engine, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError("store capacity must be >= 1 or None")
-        self.engine = engine
-        self.capacity = capacity
-        self.items: List[Any] = []
-        self._getters: List[Event] = []
-        self._put_waiters: List[Tuple[Event, Any]] = []
-        self.drops = 0
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    @property
-    def is_full(self) -> bool:
-        return self.capacity is not None and len(self.items) >= self.capacity
-
-    def try_put(self, item: Any) -> bool:
-        """Insert ``item`` if there is room; count a drop otherwise."""
-        capacity = self.capacity
-        if capacity is not None and len(self.items) >= capacity:
-            self.drops += 1
-            return False
-        if self._getters:
-            getter = self._getters.pop(0)
-            getter.succeed(item)
-        else:
-            self.items.append(item)
-        return True
-
-    def put(self, item: Any) -> None:
-        """Insert ``item``; raise ``OverflowError`` when full."""
-        if not self.try_put(item):
-            raise OverflowError("store is full (capacity=%r)" % self.capacity)
-
-    def put_wait(self, item: Any) -> Event:
-        """Return an event that fires once ``item`` has been enqueued.
-
-        Blocks (stays pending) while the store is full, providing
-        backpressure for senders that must not drop.
-        """
-        done = Event(self.engine)
-        if not self.is_full:
-            self.try_put(item)
-            done.succeed()
-        else:
-            self._put_waiters.append((done, item))
-        return done
-
-    def get(self) -> Event:
-        """Return an event that fires with the next item."""
-        evt = Event(self.engine)
-        if self.items:
-            evt.succeed(self.items.pop(0))
-            self._admit_put_waiters()
-        else:
-            self._getters.append(evt)
-        return evt
-
-    def try_get(self) -> Tuple[bool, Any]:
-        """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
-        if self.items:
-            item = self.items.pop(0)
-            self._admit_put_waiters()
-            return True, item
-        return False, None
-
-    def _admit_put_waiters(self) -> None:
-        while self._put_waiters and not self.is_full:
-            done, item = self._put_waiters.pop(0)
-            self.try_put(item)
-            done.succeed()
 
 
 class Signal:

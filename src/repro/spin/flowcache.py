@@ -172,10 +172,6 @@ class FlowCache:
         self._mru = key
         return entry
 
-    def clear(self) -> None:
-        self.entries.clear()
-        self._mru = None
-
     def counters(self) -> Dict[str, int]:
         return {
             "enabled": self.enabled,

@@ -8,14 +8,13 @@ implementation, mirroring the paper's shared-driver setup.
 The implementation follows the classic BSD design:
 
 * small mbufs carry up to :data:`MLEN` bytes inline; larger payloads live
-  in reference-counted :data:`MCLBYTES` clusters that chains can share,
+  in reference-counted :data:`MCLBYTES` clusters,
 * a packet is a chain of mbufs linked through ``next``; the first mbuf of
   a packet carries a packet header with the total length and receiving
   interface,
 * headers are added with :meth:`Mbuf.prepend` (which uses leading space in
-  the buffer when available) and removed with :meth:`Mbuf.adj`,
-* :meth:`Mbuf.pullup` linearizes leading bytes so headers can be VIEWed
-  contiguously.
+  the buffer when available); receivers do not trim them off but carry an
+  offset into the chain and VIEW the next header there.
 
 READONLY packets (paper section 3.4): :meth:`Mbuf.freeze` marks a chain
 immutable; data access then returns :class:`~repro.lang.readonly.ReadOnlyBuffer`
@@ -91,14 +90,6 @@ class Mbuf:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def get(cls, leading_space: int = 0, pkthdr: bool = False) -> "Mbuf":
-        """A small empty mbuf with ``leading_space`` bytes of headroom."""
-        if leading_space >= MLEN:
-            raise MbufError("leading space %d exceeds MLEN %d" % (leading_space, MLEN))
-        hdr = PacketHeader() if pkthdr else None
-        return cls(bytearray(MLEN), leading_space, 0, hdr)
-
-    @classmethod
     def get_cluster(cls, leading_space: int = 0, pkthdr: bool = False) -> "Mbuf":
         """An empty cluster mbuf."""
         if leading_space >= MCLBYTES:
@@ -128,10 +119,7 @@ class Mbuf:
         first = True
         while True:
             space = leading_space if first else 0
-            if remaining + space <= MLEN and first and remaining <= MLEN - space:
-                m = cls.get(leading_space=space, pkthdr=first)
-            else:
-                m = cls.get_cluster(leading_space=space, pkthdr=first)
+            m = cls.get_cluster(leading_space=space, pkthdr=first)
             room = len(m._storage) - m.off
             take = min(room, remaining)
             m._storage[m.off:m.off + take] = view[offset:offset + take]
@@ -239,7 +227,7 @@ class Mbuf:
         if n > MLEN:
             head = Mbuf.get_cluster()
         else:
-            head = Mbuf.get(leading_space=0)
+            head = Mbuf(bytearray(MLEN), 0, 0)
         head._storage[0:n] = data
         head.len = n
         head.next = self
@@ -248,87 +236,6 @@ class Mbuf:
             head.pkthdr.length += n
         self.pkthdr = None
         return head
-
-    def adj(self, count: int) -> None:
-        """Trim ``count`` bytes: positive from the front, negative from the back."""
-        self._check_writable("trim")
-        total = self.length()
-        if abs(count) > total:
-            raise MbufError("adj(%d) on a %d-byte chain" % (count, total))
-        if count >= 0:
-            remaining = count
-            for m in self.chain():
-                take = min(m.len, remaining)
-                m.off += take
-                m.len -= take
-                remaining -= take
-                if remaining == 0:
-                    break
-        else:
-            remaining = -count
-            chain = list(self.chain())
-            for m in reversed(chain):
-                take = min(m.len, remaining)
-                m.len -= take
-                remaining -= take
-                if remaining == 0:
-                    break
-        if self.pkthdr is not None:
-            self.pkthdr.length -= abs(count)
-
-    def pullup(self, count: int) -> "Mbuf":
-        """Make the first ``count`` bytes contiguous in the head mbuf."""
-        self._check_writable("pull up")
-        if count <= self.len:
-            return self
-        if count > self.length():
-            raise MbufError("pullup(%d) beyond chain length %d" % (count, self.length()))
-        if count > MCLBYTES:
-            raise MbufError("pullup(%d) exceeds cluster size" % count)
-        # Gather the first `count` bytes, leave the rest chained.
-        gathered = bytearray()
-        m: Optional[Mbuf] = self
-        while m is not None and len(gathered) < count:
-            take = min(m.len, count - len(gathered))
-            gathered += memoryview(m._storage)[m.off:m.off + take]
-            m.off += take
-            m.len -= take
-            last = m
-            m = m.next
-        # Build the new head in place: reuse self's storage if roomy.
-        tail = self.next
-        while tail is not None and tail.len == 0:
-            tail = tail.next
-        new_head = Mbuf.get_cluster() if count > MLEN else Mbuf.get()
-        new_head._storage[0:count] = gathered
-        new_head.len = count
-        new_head.next = tail
-        new_head.pkthdr = self.pkthdr
-        self.pkthdr = None
-        del last
-        return new_head
-
-    def append_bytes(self, data: Union[bytes, bytearray]) -> "Mbuf":
-        """Append payload bytes at the end of the chain."""
-        self._check_writable("append to")
-        data = bytes(data)
-        chain = list(self.chain())
-        tail = chain[-1]
-        room = len(tail._storage) - (tail.off + tail.len)
-        take = min(room, len(data))
-        if take:
-            tail._storage[tail.off + tail.len:tail.off + tail.len + take] = data[:take]
-            tail.len += take
-        rest = data[take:]
-        if rest:
-            extra = Mbuf.from_bytes(rest, leading_space=0)
-            extra_head_hdr = extra.pkthdr
-            extra.pkthdr = None
-            del extra_head_hdr
-            tail.next = extra
-        if self.pkthdr is not None:
-            self.pkthdr.length += len(data)
-        return self
 
     # -- copies -----------------------------------------------------------------
 
@@ -339,31 +246,6 @@ class Mbuf:
             clone.pkthdr.rcvif = self.pkthdr.rcvif
             clone.pkthdr.timestamp = self.pkthdr.timestamp
         return clone
-
-    def share(self) -> "Mbuf":
-        """A read-only shallow copy sharing cluster storage (zero copy).
-
-        Models BSD ``m_copym`` with cluster reference sharing; the result
-        is frozen because writers would otherwise alias the original.
-        """
-        head: Optional[Mbuf] = None
-        tail: Optional[Mbuf] = None
-        for m in self.chain():
-            if m._cluster is not None:
-                m._cluster.refs += 1
-                twin = Mbuf(m._cluster, m.off, m.len)
-            else:
-                twin = Mbuf(m._storage, m.off, m.len)
-            twin._frozen = True
-            if head is None:
-                head = tail = twin
-            else:
-                tail.next = twin
-                tail = twin
-        if self.pkthdr is not None:
-            head.pkthdr = PacketHeader(self.pkthdr.length, self.pkthdr.rcvif,
-                                       self.pkthdr.timestamp)
-        return head
 
     def free(self) -> None:
         """Release the chain (drops cluster references)."""
@@ -415,12 +297,6 @@ class MbufPool:
     def from_bytes(self, data: Union[bytes, bytearray], leading_space: int = 64,
                    rcvif=None) -> Mbuf:
         return self._charge_alloc(Mbuf.from_bytes(data, leading_space, rcvif))
-
-    def get(self, leading_space: int = 0, pkthdr: bool = False) -> Mbuf:
-        return self._charge_alloc(Mbuf.get(leading_space, pkthdr))
-
-    def get_cluster(self, leading_space: int = 0, pkthdr: bool = False) -> Mbuf:
-        return self._charge_alloc(Mbuf.get_cluster(leading_space, pkthdr))
 
     def copy_packet(self, m: Mbuf, leading_space: int = 64) -> Mbuf:
         clone = m.copy_packet(leading_space)

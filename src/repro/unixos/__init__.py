@@ -1,7 +1,6 @@
 """The DIGITAL UNIX-style monolithic baseline (paper's comparator)."""
 
 from .kernelnet import UnixKernel, UnixStack
-from .process import UserProcess
 from .sockets import Poller, SocketError, SocketLayer, TcpSocket, UdpSocket
 from .splice import SpliceForwarder
 
@@ -14,5 +13,4 @@ __all__ = [
     "UdpSocket",
     "UnixKernel",
     "UnixStack",
-    "UserProcess",
 ]

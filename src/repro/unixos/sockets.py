@@ -348,22 +348,19 @@ class TcpSocket(_SocketBase):
 
 
 class Poller:
-    """A readiness multiplexer over sockets, in two styles.
+    """A persistent, kqueue-like readiness multiplexer over sockets.
 
-    * :meth:`wait_readable` -- one-shot, select(2)-like: pass the socket
-      list on every call.
-    * :meth:`register` / :meth:`wait` -- persistent, kqueue-like: the
-      poller subscribes once to each socket's readiness signals; a
-      delivery *marks* its socket in an ordered ready set and fires one
-      wake signal.  ``wait()`` then touches only marked sockets, so a
-      server watching thousands of mostly-idle flows pays per event, not
-      per registered socket per wakeup.
+    :meth:`register` subscribes the poller once to each socket's
+    readiness signals; a delivery *marks* its socket in an ordered ready
+    set and fires one wake signal.  :meth:`wait` then touches only marked
+    sockets, so a server watching thousands of mostly-idle flows pays per
+    event, not per registered socket per wakeup.
 
     A socket is readable when its receive buffer holds data, its peer
     has closed (TCP), or a connection is waiting to be accepted
     (listener).  Readiness is level-triggered: a marked socket stays in
     the ready set until a wait finds it drained.  Each wait charges one
-    trap, like the real select(2)/kevent(2).
+    trap, like the real kevent(2).
     """
 
     def __init__(self, host):
@@ -391,8 +388,6 @@ class Poller:
         if getattr(sock, "acceptable", None) is not None:
             signals.append(sock.acceptable)
         return signals
-
-    # -- persistent registration (kqueue style) ---------------------------
 
     def register(self, sock) -> None:
         """Watch ``sock`` until :meth:`unregister`.  Plain code, O(1)."""
@@ -458,32 +453,3 @@ class Poller:
             yield self._wake.wait()
             yield from self.host.kernel_path(
                 lambda: self.host.cpu.charge(costs.context_switch, "sched"))
-
-    # -- one-shot form (select style) ---------------------------------------
-
-    def wait_readable(self, sockets) -> Generator:
-        """Block until some socket is ready; returns the ready list.
-
-        Transient form of :meth:`wait`: sockets are registered for the
-        duration of the call (those already registered are left alone),
-        and the ready subset is returned in the order of the input list.
-        """
-        if not sockets:
-            raise SocketError("wait_readable needs at least one socket")
-        costs = self.host.costs
-        yield from self.host.kernel_path(
-            lambda: self.host.cpu.charge(costs.syscall_trap, "syscall"))
-        added = [sock for sock in sockets if sock not in self._watched]
-        for sock in added:
-            self.register(sock)
-        try:
-            while True:
-                ready = [sock for sock in sockets if self._is_readable(sock)]
-                if ready:
-                    return ready
-                yield self._wake.wait()
-                yield from self.host.kernel_path(
-                    lambda: self.host.cpu.charge(costs.context_switch, "sched"))
-        finally:
-            for sock in added:
-                self.unregister(sock)

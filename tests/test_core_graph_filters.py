@@ -64,19 +64,6 @@ class TestGraphStructure:
         assert graph.edge_count() == 0
         assert graph.removals == 1
 
-    def test_remove_extension_node_removes_edges(self, kernel, graph):
-        a = graph.add_node("a", "protocol")
-        ext = graph.add_node("ext", "extension")
-        graph.add_edge(a, ext, handle_stub(kernel))
-        graph.remove_node("ext")
-        assert graph.edge_count() == 0
-        assert "ext" not in graph.nodes
-
-    def test_protocol_nodes_not_removable(self, graph):
-        graph.add_node("ip", "protocol")
-        with pytest.raises(GraphError, match="extension"):
-            graph.remove_node("ip")
-
     def test_render_mentions_guards(self, kernel, graph):
         a = graph.add_node("eth", "protocol")
         b = graph.add_node("ip", "protocol")

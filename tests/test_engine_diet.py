@@ -2,7 +2,7 @@
 by a waiter.
 
 Pins what PR 16 removed from the per-frame path -- process bootstraps,
-completions nobody waits on, uncontended grants, the NIC's ``Store``
+completions nobody waits on, uncontended grants, the NIC's blocking queue
 hand-off -- so that an abstraction hop creeping back in is a red test,
 and states where an exception surfaces now that deliveries and receive
 interrupts are callbacks instead of unwaited processes.
@@ -21,6 +21,7 @@ from repro.core import Credential
 from repro.hw import EthernetSegment, LanceEthernet, PointToPointLink, T3Nic
 from repro.hw.host import Host
 from repro.lang import ephemeral
+from repro.obs import MetricsRegistry
 from repro.sim import Engine, Process, Resource, Signal
 
 from test_hw_link_nic import make_host_nic
@@ -293,8 +294,19 @@ class TestNicDrain:
         engine.run()
         # One frame on the wire plus four queued; the rest overflow.
         assert nic_a.tx_frames == 10
-        assert nic_a._tx_queue.drops == 5
+        assert nic_a.tx_drops == 5
         assert len(got) == link.frames_carried == 5
+
+    def test_overflow_is_published_as_hw_nic_tx_drops(self, engine):
+        link, host_a, nic_a, _host_b = self._pair(engine, tx_queue_len=2)
+        registry = MetricsRegistry()
+        nic_a.register_metrics(registry)
+        engine.run_process(_send(host_a, nic_a, [bytes(64)] * 5, "addr-b"))
+        engine.run()
+        # One on the wire, two queued, two dropped -- read as an operator
+        # would, from the registry snapshot.
+        assert link.frames_carried == 3
+        assert registry.snapshot()["hw.nic.tx_drops"]["value"] == 2
 
     def test_unplugged_nic_swallows_frames(self, engine):
         host, nic = make_host_nic(engine, T3Nic, "a", "addr-a")

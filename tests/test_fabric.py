@@ -406,10 +406,6 @@ class TestOpenLoopSource:
         assert max(sizes) == 1400              # the clamp engages
         assert sum(sizes) / len(sizes) > 32
 
-    def test_mean_offered_load(self):
-        source = OpenLoopSource(1, mean_gap_us=100.0, fixed_size=256)
-        assert source.mean_offered_load_bps() == 256 * 8 / 100e-6
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             OpenLoopSource(1, arrival="uniform")

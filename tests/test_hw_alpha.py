@@ -22,11 +22,6 @@ class TestCostTable:
             assert getattr(doubled, field.name) == pytest.approx(
                 getattr(ALPHA_21064, field.name) * 2)
 
-    def test_replace_overrides_one_field(self):
-        custom = ALPHA_21064.replace(interrupt_entry=99.0)
-        assert custom.interrupt_entry == 99.0
-        assert custom.interrupt_exit == ALPHA_21064.interrupt_exit
-
     def test_units(self):
         assert MICROSECONDS_PER_SECOND == 1_000_000.0
 

@@ -11,6 +11,14 @@ class EchoHost(Host):
         pass
 
 
+def charging(host, amount, result=None):
+    """Plain kernel code that charges ``amount`` us and returns ``result``."""
+    def work():
+        host.cpu.charge(amount)
+        return result
+    return work
+
+
 @pytest.fixture
 def cpu(engine):
     return CPU(engine)
@@ -56,13 +64,7 @@ class TestAccumulator:
         cpu.charge(10.0, "driver")
         cpu.charge(5.0, "driver")
         cpu.charge(2.0, "protocol")
-        assert cpu.category_times["driver"] == 15.0
-        assert cpu.category_fraction("driver") == pytest.approx(15 / 17)
-
-    def test_charge_bytes(self, cpu):
-        cpu.begin()
-        cpu.charge_bytes(1000, 0.025)
-        assert cpu.category_times["copy"] == pytest.approx(25.0)
+        assert cpu.category_times == {"driver": 15.0, "protocol": 2.0}
 
     def test_recharge_skips_categories(self, cpu):
         marker = cpu.begin()
@@ -72,45 +74,46 @@ class TestAccumulator:
 
 
 class TestConsume:
-    def test_consume_advances_time_and_busy(self, engine, cpu):
-        def proc():
-            yield from cpu.consume(40.0)
-        engine.run_process(proc())
+    """``Host.kernel_path`` holds the CPU for whatever its body charged."""
+
+    def test_consume_advances_time_and_busy(self, engine, host):
+        engine.run_process(host.kernel_path(charging(host, 40.0)))
         assert engine.now == 40.0
-        assert cpu.busy_time == 40.0
+        assert host.cpu.busy_time == 40.0
 
-    def test_zero_consume_is_noop(self, engine, cpu):
-        def proc():
-            yield from cpu.consume(0.0)
-            return "ok"
-        assert engine.run_process(proc()) == "ok"
+    def test_zero_consume_is_noop(self, engine, host):
+        assert engine.run_process(
+            host.kernel_path(charging(host, 0.0, "ok"))) == "ok"
         assert engine.now == 0.0
+        assert engine.events_processed == 1   # the process bootstrap only
 
-    def test_consumers_serialize(self, engine, cpu):
+    def test_consumers_serialize(self, engine, host):
         finish = []
 
         def worker(tag):
-            yield from cpu.consume(10.0)
+            yield from host.kernel_path(charging(host, 10.0))
             finish.append((tag, engine.now))
         engine.process(worker("a"))
         engine.process(worker("b"))
         engine.run()
         assert finish == [("a", 10.0), ("b", 20.0)]
 
-    def test_interrupt_priority_served_first(self, engine, cpu):
+    def test_interrupt_priority_served_first(self, engine, host):
         order = []
 
         def holder():
-            yield from cpu.consume(10.0)
+            yield from host.kernel_path(charging(host, 10.0))
             order.append("holder")
 
         def thread():
-            yield from cpu.consume(5.0, THREAD_PRIORITY)
+            yield from host.kernel_path(charging(host, 5.0), (),
+                                        THREAD_PRIORITY)
             order.append("thread")
 
         def interrupt():
             yield engine.timeout(1.0)
-            yield from cpu.consume(5.0, INTERRUPT_PRIORITY)
+            yield from host.kernel_path(charging(host, 5.0), (),
+                                        INTERRUPT_PRIORITY)
             order.append("interrupt")
         engine.process(holder())
         engine.process(thread())
@@ -118,26 +121,26 @@ class TestConsume:
         engine.run()
         assert order == ["holder", "interrupt", "thread"]
 
-    def test_execute_runs_fn_and_consumes(self, engine, cpu):
+    def test_execute_runs_fn_and_consumes(self, engine, host):
         def work(x):
-            cpu.charge(25.0)
+            host.cpu.charge(25.0)
             return x * 2
 
         def proc():
-            result = yield from cpu.execute(work, (21,))
+            result = yield from host.kernel_path(work, (21,))
             return result
         assert engine.run_process(proc()) == 42
         assert engine.now == 25.0
 
 
 class TestUtilization:
-    def test_utilization_since(self, engine, cpu):
+    def test_utilization_since(self, engine, host):
         def proc():
-            yield from cpu.consume(30.0)
+            yield from host.kernel_path(charging(host, 30.0))
             yield engine.timeout(70.0)
-        sample = cpu.sample()
+        sample = host.cpu.sample()
         engine.run_process(proc())
-        assert cpu.utilization_since(*sample) == pytest.approx(0.3)
+        assert host.cpu.utilization_since(*sample) == pytest.approx(0.3)
 
     def test_utilization_zero_window(self, cpu):
         sample = cpu.sample()
@@ -150,7 +153,7 @@ class TestKernelPath:
         order = []
 
         def hog():
-            yield from host.cpu.consume(50.0)
+            yield from host.kernel_path(charging(host, 50.0))
 
         def path_fn():
             order.append(engine.now)
@@ -182,7 +185,7 @@ class TestKernelPath:
             yield from host.kernel_path(broken)
         with pytest.raises(ValueError):
             engine.run_process(runner())
-        assert host.cpu.open_accumulators == 0
+        assert host.cpu.begin() == 1     # the failed path's was popped
 
     def test_timer_fires_as_kernel_path(self, engine, host):
         fired = []
@@ -212,8 +215,3 @@ class TestKernelPath:
     def test_scaled_cost_table(self):
         slower = ALPHA_21064.scaled(2.0)
         assert slower.context_switch == ALPHA_21064.context_switch * 2
-
-    def test_cost_table_replace(self):
-        custom = ALPHA_21064.replace(syscall_trap=99.0)
-        assert custom.syscall_trap == 99.0
-        assert custom.copy_per_byte == ALPHA_21064.copy_per_byte

@@ -93,7 +93,3 @@ class TestFramebuffer:
         fb = Framebuffer(host)
         with pytest.raises(ValueError):
             fb.write(-1)
-
-    def test_size(self, host):
-        fb = Framebuffer(host, width=640, height=480, bytes_per_pixel=2)
-        assert fb.size_bytes == 640 * 480 * 2

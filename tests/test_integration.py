@@ -208,4 +208,4 @@ class TestConcurrentWorkloads:
         engine.run()
         for machine in bed.hosts:
             assert machine.cpu.busy_time <= engine.now + 1e-6
-            assert machine.cpu.open_accumulators == 0
+            assert machine.cpu.begin() == 1   # no accumulator left open

@@ -83,11 +83,6 @@ class TestLayout:
         layout = Layout("T", [("z", UINT8), ("a", UINT8)])
         assert layout.field_names() == ["z", "a"]
 
-    def test_contains(self):
-        layout = Layout("T", [("a", UINT8)])
-        assert "a" in layout
-        assert "b" not in layout
-
     def test_duplicate_field_rejected(self):
         with pytest.raises(LayoutError):
             Layout("T", [("a", UINT8), ("a", UINT16)])

@@ -12,7 +12,6 @@ from repro.net import (
     ip_aton,
     ip_ntoa,
     mac_aton,
-    mac_ntoa,
     verify_checksum,
 )
 from repro.net.headers import ARP_HEADER, ICMP_HEADER, pseudo_header
@@ -61,13 +60,11 @@ class TestAddresses:
             ip_ntoa(1 << 33)
 
     def test_mac_roundtrip(self):
-        assert mac_ntoa(mac_aton("08:00:2b:aa:bb:cc")) == "08:00:2b:aa:bb:cc"
+        assert mac_aton("08:00:2b:aa:bb:cc") == bytes.fromhex("08002baabbcc")
 
     def test_mac_aton_rejects_malformed(self):
         with pytest.raises(ValueError):
             mac_aton("08:00:2b")
-        with pytest.raises(ValueError):
-            mac_ntoa(b"\x01\x02")
 
 
 class TestChecksum:

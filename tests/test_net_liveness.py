@@ -1,76 +1,13 @@
-"""Tests for liveness machinery: TCP keepalive and ARP cache aging."""
-
-import pytest
+"""Tests for liveness machinery: ARP cache aging."""
 
 from repro.bench.testbed import build_testbed
 from repro.core import Credential
 from repro.lang import ephemeral
 
-from nethelpers import make_pair
-
-PORT = 9000
-
 
 @ephemeral
 def _noop(m, off, src_ip, src_port, dst_ip, dst_port):
     pass
-
-
-def establish(engine, a, b):
-    accepted = []
-    b.tcp.listen(PORT, accepted.append)
-    box = {}
-    a.run_kernel(lambda: box.setdefault("t", a.tcp.connect(b.my_ip, PORT)))
-    engine.run()
-    return box["t"], accepted[0]
-
-
-class TestKeepalive:
-    def test_idle_connection_probed_and_kept(self):
-        """A live peer answers the probes; the connection survives."""
-        engine, wire, a, b = make_pair()
-        client, server = establish(engine, a, b)
-        a.run_kernel(lambda: client.enable_keepalive(50_000.0))
-        segments_before = client.segments_sent
-        engine.run(until=engine.now + 400_000.0)
-        from repro.net.tcp import TcpState
-        assert client.state == TcpState.ESTABLISHED
-        assert client.segments_sent > segments_before  # probes went out
-        assert client._keepalive_misses <= 1
-
-    def test_dead_peer_detected_and_reset(self):
-        """A vanished peer stops answering; keepalive resets the TCB."""
-        engine, wire, a, b = make_pair()
-        resets = []
-        client, server = establish(engine, a, b)
-        client.on_reset = lambda: resets.append(True)
-        a.run_kernel(lambda: client.enable_keepalive(50_000.0))
-        wire.drop_filter = lambda data, hop: True  # the peer "crashes"
-        engine.run(until=engine.now + 500_000.0)
-        from repro.net.tcp import TcpState
-        assert client.state == TcpState.CLOSED
-        assert resets == [True]
-        assert not a.tcp.connections
-
-    def test_traffic_suppresses_probes(self):
-        """Activity resets the idle clock; no probes during a transfer."""
-        engine, wire, a, b = make_pair()
-        got = []
-        client, server = establish(engine, a, b)
-        server.on_data = got.append
-        a.run_kernel(lambda: client.enable_keepalive(80_000.0))
-        for _ in range(6):
-            a.run_kernel(lambda: client.send(b"keep busy"))
-            engine.run(until=engine.now + 40_000.0)
-        assert client._keepalive_misses == 0
-        assert b"".join(got) == b"keep busy" * 6
-        engine.run(until=engine.now + 600_000.0)
-
-    def test_invalid_interval_rejected(self):
-        engine, wire, a, b = make_pair()
-        client, server = establish(engine, a, b)
-        with pytest.raises(ValueError):
-            client.enable_keepalive(0)
 
 
 class TestArpAging:

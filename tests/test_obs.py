@@ -16,7 +16,6 @@ import json
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.bench.testbed import build_testbed
 from repro.bench.workloads import run_workload
@@ -24,9 +23,10 @@ from repro.core import Credential
 from repro.lang import ephemeral
 from repro.net.trace import PacketTracer
 from repro.obs import (
-    CpuHook, CpuProfiler, DuplicateMetricError, MetricError, MetricsRegistry,
-    RequestLifecycle, SloTracker, SpanTracer, instrument_testbed,
-    undocumented_metrics)
+    EXPORT_SCHEMA, CpuHook, CpuProfiler, DuplicateMetricError, MetricError,
+    MetricsRegistry, RequestLifecycle, SloTracker, SpanTracer,
+    instrument_testbed, undocumented_metrics)
+from repro.obs.__main__ import check_schema
 from repro.sim import Signal
 
 
@@ -35,28 +35,17 @@ from repro.sim import Signal
 # ---------------------------------------------------------------------------
 
 class TestRegistry:
-    def test_counter_inc_and_read(self):
-        reg = MetricsRegistry()
-        c = reg.counter("a.hits", "hits")
-        c.inc()
-        c.inc(3)
-        assert c.read() == 4
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
     def test_names_must_be_dotted_lowercase(self):
         reg = MetricsRegistry()
         for bad in ("plain", "Upper.case", "a..b", "a.b-c", "", "a.b."):
             with pytest.raises(MetricError):
-                reg.counter(bad)
+                reg.source(bad, lambda: 0)
 
     def test_duplicate_name_rejected(self):
         reg = MetricsRegistry()
-        reg.counter("a.b", "first")
+        reg.gauge("a.b", "first")
         with pytest.raises(DuplicateMetricError):
-            reg.counter("a.b", "again")
-        with pytest.raises(DuplicateMetricError):
-            reg.histogram("a.b", bounds=[1.0])
+            reg.gauge("a.b", "again")
 
     def test_source_aggregates_across_registrations(self):
         # Per-host rollup: registering the same gauge name with another
@@ -64,71 +53,17 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.source("hw.x.total", lambda: 2.0)
         reg.source("hw.x.total", lambda: 3.0)
-        assert reg.get("hw.x.total").read() == 5.0
-        reg.counter("hw.x.count")
-        with pytest.raises(DuplicateMetricError):
-            reg.source("hw.x.count", lambda: 0)
-
-    def test_disabled_registry_declares_but_null_instruments(self):
-        reg = MetricsRegistry(enabled=False)
-        c = reg.counter("a.b", "documented even when disabled")
-        c.inc(10)
-        assert c.read() == 0
-        assert "a.b" in reg
-        assert reg.snapshot() == {}
+        assert reg.names() == ["hw.x.total"] and len(reg) == 1
+        assert reg.snapshot()["hw.x.total"]["value"] == 5.0
 
     def test_snapshot_json_round_trip(self):
         reg = MetricsRegistry()
-        reg.counter("a.c", "c").inc(7)
-        reg.gauge("a.g", "g").set(1.5)
-        h = reg.histogram("a.h", bounds=[1.0, 10.0], description="h")
-        h.observe(0.5)
-        h.observe(5.0)
-        h.observe(50.0)
+        reg.source("a.c", lambda: 7, "c")
+        reg.source("a.g", lambda: 1.5, "g")
         decoded = json.loads(reg.to_json())
         assert decoded == reg.snapshot()
-        assert decoded["a.c"] == {"type": "counter", "value": 7}
+        assert decoded["a.c"] == {"type": "gauge", "value": 7}
         assert decoded["a.g"]["value"] == 1.5
-        assert decoded["a.h"]["value"]["counts"] == [1, 1, 1]
-        assert decoded["a.h"]["value"]["count"] == 3
-
-    def test_histogram_rejects_unsorted_bounds(self):
-        reg = MetricsRegistry()
-        with pytest.raises(MetricError):
-            reg.histogram("a.h", bounds=[1.0, 1.0])
-        with pytest.raises(MetricError):
-            reg.histogram("a.h2", bounds=[5.0, 1.0])
-        with pytest.raises(MetricError):
-            reg.histogram("a.h3", bounds=[])
-
-
-class TestHistogramProperties:
-    @given(st.lists(st.floats(min_value=-1e9, max_value=1e9,
-                              allow_nan=False), max_size=200))
-    def test_counts_partition_observations(self, values):
-        reg = MetricsRegistry()
-        h = reg.histogram("p.h", bounds=[-10.0, 0.0, 10.0])
-        for v in values:
-            h.observe(v)
-        r = h.read()
-        assert sum(r["counts"]) == r["count"] == len(values)
-        assert len(r["counts"]) == len(r["bounds"]) + 1
-        assert r["sum"] == pytest.approx(sum(values), rel=1e-9, abs=1e-6)
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=100.0,
-                              allow_nan=False), min_size=1, max_size=50))
-    def test_bucket_assignment_monotone(self, values):
-        # An observation lands in bucket i iff bounds[i-1] <= v < bounds[i]:
-        # recomputing membership per bucket must reproduce the counts.
-        bounds = [10.0, 20.0, 50.0]
-        reg = MetricsRegistry()
-        h = reg.histogram("p.m", bounds=bounds)
-        for v in values:
-            h.observe(v)
-        edges = [float("-inf")] + bounds + [float("inf")]
-        expected = [sum(1 for v in values if edges[i] <= v < edges[i + 1])
-                    for i in range(len(edges) - 1)]
-        assert h.read()["counts"] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +609,21 @@ class TestSchemaAndWiring:
         bed = build_testbed(os_name, "ethernet")
         registry = instrument_testbed(bed)
         assert undocumented_metrics(registry) == []
+
+    def test_check_schema_fails_on_a_row_nothing_registers(
+            self, monkeypatch, capsys):
+        assert check_schema() == 0
+        monkeypatch.setitem(EXPORT_SCHEMA, "slo.latency.p99_ns",
+                            ("gauge", "documented, never published"))
+        assert check_schema() == 1
+        assert "no bed registers: slo.latency.p99_ns" in capsys.readouterr().out
+
+    def test_check_schema_still_fails_on_an_unlisted_source(
+            self, monkeypatch, capsys):
+        monkeypatch.delitem(EXPORT_SCHEMA, "hw.nic.tx_drops")
+        assert check_schema() == 1
+        assert "missing from EXPORT_SCHEMA: hw.nic.tx_drops" \
+            in capsys.readouterr().out
 
     def test_wallclock_records_carry_metrics(self):
         record = run_workload("dispatcher_micro", quick=True)

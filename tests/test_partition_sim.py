@@ -2,8 +2,7 @@
 
 Bottom up:
 
-* ``SchedulerCore`` additions: ``next_event_time`` is exact, ``call_at``
-  schedules absolute floats.
+* ``Engine.call_at`` schedules absolute floats, exactly.
 * ``PartitionedSimulation``: shards build, run dry, must be done, and
   come back in index order -- forked or in-process alike; a worker's
   failure, an unfinished shard and a worker that dies silently all
@@ -22,22 +21,12 @@ from repro.obs.registry import MetricError, merge_snapshots
 from repro.sim import Engine, Partition, PartitionedSimulation, \
     SimulationError
 
-INF = float("inf")
-
 
 # ---------------------------------------------------------------------------
-# SchedulerCore: call_at and next_event_time
+# Engine.call_at
 # ---------------------------------------------------------------------------
 
 class TestRunWindow:
-    def test_next_event_time_exact_and_inf_when_empty(self):
-        engine = Engine()
-        assert engine.next_event_time() == INF
-        engine.call_at(7.25, lambda _ev: None)
-        assert engine.next_event_time() == 7.25
-        engine.run()
-        assert engine.next_event_time() == INF
-
     def test_call_at_in_the_past_raises(self):
         engine = Engine()
         engine.call_at(3.0, lambda _ev: None)
@@ -261,28 +250,6 @@ class TestMergeSnapshots:
         assert merged["b"]["value"] == 7
         assert list(merged) == sorted(merged)
 
-    def test_histograms_merge_elementwise(self):
-        h1 = {"type": "histogram", "value": {
-            "bounds": [1.0, 10.0], "counts": [2, 1, 0], "count": 3,
-            "sum": 12.5}}
-        h2 = {"type": "histogram", "value": {
-            "bounds": [1.0, 10.0], "counts": [0, 4, 1], "count": 5,
-            "sum": 40.0}}
-        merged = merge_snapshots([{"h": h1}, {"h": h2}])
-        assert merged["h"]["value"] == {
-            "bounds": [1.0, 10.0], "counts": [2, 5, 1], "count": 8,
-            "sum": 52.5}
-        # inputs are not mutated
-        assert h1["value"]["counts"] == [2, 1, 0]
-
-    def test_histogram_bounds_mismatch_raises(self):
-        h1 = {"type": "histogram", "value": {
-            "bounds": [1.0], "counts": [0, 0], "count": 0, "sum": 0.0}}
-        h2 = {"type": "histogram", "value": {
-            "bounds": [2.0], "counts": [0, 0], "count": 0, "sum": 0.0}}
-        with pytest.raises(MetricError):
-            merge_snapshots([{"h": h1}, {"h": h2}])
-
     def test_type_mismatch_raises(self):
         with pytest.raises(MetricError):
             merge_snapshots([
@@ -300,20 +267,6 @@ class TestMergeSnapshots:
         assert merge_snapshots([{}]) == {}
         one = {"a": {"type": "counter", "value": 4}}
         assert merge_snapshots([{}, one, {}]) == one
-
-    def test_histogram_bucket_count_mismatch_raises(self):
-        # Same bounds but different counts lengths: a zip-based merge
-        # would silently drop the tail buckets instead of failing.
-        h1 = {"type": "histogram", "value": {
-            "bounds": [1.0, 10.0], "counts": [1, 2, 3], "count": 6,
-            "sum": 10.0}}
-        h2 = {"type": "histogram", "value": {
-            "bounds": [1.0, 10.0], "counts": [1, 2], "count": 3,
-            "sum": 5.0}}
-        with pytest.raises(MetricError, match="buckets"):
-            merge_snapshots([{"h": h1}, {"h": h2}])
-        with pytest.raises(MetricError, match="buckets"):
-            merge_snapshots([{"h": h2}, {"h": h1}])
 
     def test_disjoint_counter_sets_union(self):
         merged = merge_snapshots([

@@ -79,27 +79,6 @@ class TestMbufProperties:
         assert m.to_bytes() == header + payload
         assert m.pkthdr.length == len(header) + len(payload)
 
-    @given(small_payloads, st.data())
-    def test_adj_front_matches_slice(self, payload, data):
-        count = data.draw(st.integers(min_value=0, max_value=len(payload)))
-        m = Mbuf.from_bytes(payload)
-        m.adj(count)
-        assert m.to_bytes() == payload[count:]
-
-    @given(small_payloads, st.data())
-    def test_adj_back_matches_slice(self, payload, data):
-        count = data.draw(st.integers(min_value=0, max_value=len(payload)))
-        m = Mbuf.from_bytes(payload)
-        m.adj(-count)
-        assert m.to_bytes() == payload[:len(payload) - count]
-
-    @given(payloads)
-    def test_share_preserves_bytes(self, data):
-        if not data:
-            return
-        m = Mbuf.from_bytes(data)
-        assert m.share().to_bytes() == data
-
     @given(small_payloads)
     def test_copy_packet_is_independent(self, data):
         m = Mbuf.from_bytes(data)

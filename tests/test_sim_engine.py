@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Interrupt, Process, SimulationError
+from repro.sim import Process, SimulationError
 
 
 class TestClock:
@@ -175,92 +175,3 @@ class TestProcess:
             except KeyError:
                 return "caught"
         assert engine.run_process(proc()) == "caught"
-
-
-class TestInterrupt:
-    def test_interrupt_resumes_with_cause(self, engine):
-        def proc():
-            try:
-                yield engine.timeout(100.0)
-            except Interrupt as exc:
-                return exc.cause
-        process = engine.process(proc())
-
-        def interrupter():
-            yield engine.timeout(5.0)
-            process.interrupt("time-limit")
-        engine.process(interrupter())
-        engine.run()
-        assert process.value == "time-limit"
-        assert engine.now == pytest.approx(100.0)  # stale timeout still fires
-
-    def test_interrupt_finished_process_rejected(self, engine):
-        def proc():
-            yield engine.timeout(1.0)
-        process = engine.process(proc())
-        engine.run()
-        with pytest.raises(SimulationError):
-            process.interrupt()
-
-    def test_interrupted_process_does_not_double_resume(self, engine):
-        resumes = []
-
-        def proc():
-            try:
-                yield engine.timeout(50.0)
-            except Interrupt:
-                resumes.append("interrupted")
-                yield engine.timeout(1.0)
-                resumes.append("after")
-        process = engine.process(proc())
-
-        def interrupter():
-            yield engine.timeout(5.0)
-            process.interrupt()
-        engine.process(interrupter())
-        engine.run()
-        assert resumes == ["interrupted", "after"]
-
-
-class TestCombinators:
-    def test_any_of_first_wins(self, engine):
-        fast = engine.timeout(1.0, value="fast")
-        slow = engine.timeout(10.0, value="slow")
-
-        def proc():
-            result = yield engine.any_of([fast, slow])
-            return list(result.values())
-        assert engine.run_process(proc()) == ["fast"]
-
-    def test_any_of_empty_rejected(self, engine):
-        with pytest.raises(ValueError):
-            engine.any_of([])
-
-    def test_all_of_waits_for_all(self, engine):
-        events = [engine.timeout(t, value=t) for t in (3.0, 1.0, 2.0)]
-
-        def proc():
-            result = yield engine.all_of(events)
-            return engine.now, sorted(result.values())
-        assert engine.run_process(proc()) == (3.0, [1.0, 2.0, 3.0])
-
-    def test_all_of_already_processed(self, engine):
-        done = engine.timeout(0.0, value="x")
-        engine.run()
-
-        def proc():
-            result = yield engine.all_of([done])
-            return result
-        assert engine.run_process(proc()) == {done: "x"}
-
-    def test_all_of_failure_propagates(self, engine):
-        bad = engine.event()
-        bad.fail(RuntimeError("nope"))
-        good = engine.timeout(5.0)
-
-        def proc():
-            try:
-                yield engine.all_of([bad, good])
-            except RuntimeError:
-                return "failed"
-        assert engine.run_process(proc()) == "failed"

@@ -1,8 +1,8 @@
-"""Tests for resources, stores, and signals."""
+"""Tests for resources and signals."""
 
 import pytest
 
-from repro.sim import Resource, Signal, SimulationError, Store
+from repro.sim import Resource, Signal, SimulationError
 
 
 class TestResource:
@@ -109,114 +109,6 @@ class TestResource:
             return engine.now
         # The cancelled request must not consume the grant.
         assert engine.run_process(late()) == 10.0
-
-    def test_queue_length_excludes_cancelled(self, engine):
-        resource = Resource(engine)
-
-        def holder():
-            request = resource.request()
-            yield request
-            yield engine.timeout(5.0)
-            request.release()
-        engine.process(holder())
-        engine.run(until=1.0)
-        queued = resource.request()
-        assert resource.queue_length == 1
-        queued.release()
-        assert resource.queue_length == 0
-
-
-class TestStore:
-    def test_put_then_get(self, engine):
-        store = Store(engine)
-        store.put("item")
-
-        def proc():
-            value = yield store.get()
-            return value
-        assert engine.run_process(proc()) == "item"
-
-    def test_get_blocks_until_put(self, engine):
-        store = Store(engine)
-
-        def consumer():
-            value = yield store.get()
-            return value, engine.now
-
-        def producer():
-            yield engine.timeout(30.0)
-            store.put("late")
-        engine.process(producer())
-        assert engine.run_process(consumer()) == ("late", 30.0)
-
-    def test_fifo_ordering(self, engine):
-        store = Store(engine)
-        for i in range(3):
-            store.put(i)
-
-        def proc():
-            out = []
-            for _ in range(3):
-                out.append((yield store.get()))
-            return out
-        assert engine.run_process(proc()) == [0, 1, 2]
-
-    def test_bounded_store_drops(self, engine):
-        store = Store(engine, capacity=2)
-        assert store.try_put(1)
-        assert store.try_put(2)
-        assert not store.try_put(3)
-        assert store.drops == 1
-
-    def test_put_raises_when_full(self, engine):
-        store = Store(engine, capacity=1)
-        store.put(1)
-        with pytest.raises(OverflowError):
-            store.put(2)
-
-    def test_put_wait_blocks_for_space(self, engine):
-        store = Store(engine, capacity=1)
-        store.put("a")
-
-        def producer():
-            yield store.put_wait("b")
-            return engine.now
-
-        def consumer():
-            yield engine.timeout(20.0)
-            yield store.get()
-        engine.process(consumer())
-        assert engine.run_process(producer()) == 20.0
-
-    def test_try_get(self, engine):
-        store = Store(engine)
-        ok, value = store.try_get()
-        assert not ok and value is None
-        store.put("x")
-        ok, value = store.try_get()
-        assert ok and value == "x"
-
-    def test_invalid_capacity(self, engine):
-        with pytest.raises(ValueError):
-            Store(engine, capacity=0)
-
-    def test_getter_queue_served_in_order(self, engine):
-        store = Store(engine)
-        results = []
-
-        def consumer(tag):
-            value = yield store.get()
-            results.append((tag, value))
-        engine.process(consumer("a"))
-        engine.process(consumer("b"))
-
-        def producer():
-            yield engine.timeout(1.0)
-            store.put(1)
-            store.put(2)
-        engine.run_process(producer())
-        engine.run()
-        assert results == [("a", 1), ("b", 2)]
 
 
 class TestSignal:

@@ -2,16 +2,13 @@
 decomposition, and the BENCH_latency gate semantics."""
 
 import types
-from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.stats import summarize
-from repro.obs.registry import Histogram, MetricsRegistry
-from repro.obs.schema import undocumented_metrics
-from repro.obs.slo import (ATTRIBUTED_COMPONENTS, LATENCY_BOUNDS_US,
-                           RequestLifecycle, SloTracker, percentile, to_ns)
+from repro.obs.slo import (ATTRIBUTED_COMPONENTS, RequestLifecycle,
+                           SloTracker, percentile, to_ns)
 from repro.sim import Engine
 
 
@@ -54,18 +51,6 @@ class TestPercentile:
         assert summary.p99 == percentile(ordered, 0.99)
         assert summary.p999 == percentile(ordered, 0.999)
 
-    def test_histogram_resolves_the_same_rank_to_its_bucket(self):
-        hist = Histogram("t", LATENCY_BOUNDS_US)
-        samples = [60.0, 120.0, 120.0, 900.0, 5000.0]
-        for sample in samples:
-            hist.observe(sample)
-        for q in (0.5, 0.9, 0.99, 1.0):
-            raw = percentile(sorted(samples), q)
-            index = bisect_right(hist.bounds, raw)
-            expected = (hist.bounds[index] if index < len(hist.bounds)
-                        else float("inf"))
-            assert hist.percentile(q) == expected
-
 
 class TestRequestLifecycle:
     def test_double_end_raises(self):
@@ -99,27 +84,6 @@ class TestRequestLifecycle:
                           "p999_ns": 300000, "max_ns": 300000,
                           "sum_ns": 600000}
         assert lifecycle.open_requests == 0
-
-    def test_register_metrics_backfills_and_observes_live(self):
-        engine = Engine()
-        lifecycle = RequestLifecycle(engine)
-        for latency_us in (100.0, 300.0):
-            request = lifecycle.begin("k")
-            _advance(engine, latency_us)
-            lifecycle.end(request)
-        registry = MetricsRegistry()
-        lifecycle.register_metrics(registry)
-        histogram = registry.get("slo.latency.us")
-        assert histogram.count == 2  # back-filled from completed samples
-        request = lifecycle.begin("k")
-        _advance(engine, 50.0)
-        lifecycle.end(request)
-        assert histogram.count == 3  # live ends observe directly
-        snapshot = registry.snapshot()
-        assert "slo.latency.p99_ns" in snapshot
-        assert "slo.component.cpu_service_ns" in snapshot
-        # Every slo.* metric the lifecycle registers is documented.
-        assert undocumented_metrics(registry) == []
 
 
 class TestFigure5BitIdentity:

@@ -3,23 +3,18 @@
 import pytest
 
 from repro.lang import ReadOnlyBuffer, ReadOnlyViolation
-from repro.spin import MCLBYTES, MLEN, Mbuf, MbufError
+from repro.spin import MCLBYTES, Mbuf, MbufError
 from repro.spin.kernel import SpinKernel
 
 
 class TestConstruction:
-    def test_small_get(self):
-        m = Mbuf.get(leading_space=16)
-        assert m.len == 0
-        assert m.off == 16
-
     def test_get_cluster(self):
         m = Mbuf.get_cluster()
         assert len(m._storage) == MCLBYTES
 
     def test_leading_space_bounds(self):
         with pytest.raises(MbufError):
-            Mbuf.get(leading_space=MLEN)
+            Mbuf.get_cluster(leading_space=MCLBYTES)
 
     def test_from_bytes_small(self):
         m = Mbuf.from_bytes(b"hello", leading_space=8)
@@ -68,64 +63,6 @@ class TestPrepend:
         assert m.pkthdr.length == 4 + 8 + 20 + 15
 
 
-class TestAdjAndPullup:
-    def test_adj_front(self):
-        m = Mbuf.from_bytes(b"HEADERpayload")
-        m.adj(6)
-        assert m.to_bytes() == b"payload"
-        assert m.pkthdr.length == 7
-
-    def test_adj_back(self):
-        m = Mbuf.from_bytes(b"payloadCRC4")
-        m.adj(-4)
-        assert m.to_bytes() == b"payload"
-
-    def test_adj_across_chain(self):
-        m = Mbuf.from_bytes(bytes(3000))
-        m.adj(2500)
-        assert m.length() == 500
-
-    def test_adj_too_much_rejected(self):
-        m = Mbuf.from_bytes(b"abc")
-        with pytest.raises(MbufError):
-            m.adj(10)
-
-    def test_pullup_noop_when_contiguous(self):
-        m = Mbuf.from_bytes(b"0123456789")
-        assert m.pullup(5) is m
-
-    def test_pullup_linearizes(self):
-        data = bytes(range(256)) * 12  # spans clusters
-        m = Mbuf.from_bytes(data)
-        assert m.len < 2000  # head alone does not cover the request
-        m2 = m.pullup(2000)
-        assert m2.len >= 2000
-        assert m2.to_bytes() == data
-
-    def test_pullup_beyond_cluster_rejected(self):
-        m = Mbuf.from_bytes(bytes(5000))
-        with pytest.raises(MbufError, match="cluster"):
-            m.pullup(3000)
-
-    def test_pullup_beyond_length_rejected(self):
-        m = Mbuf.from_bytes(b"short")
-        with pytest.raises(MbufError):
-            m.pullup(100)
-
-
-class TestAppend:
-    def test_append_in_place(self):
-        m = Mbuf.from_bytes(b"abc", leading_space=0)
-        m.append_bytes(b"def")
-        assert m.to_bytes() == b"abcdef"
-        assert m.pkthdr.length == 6
-
-    def test_append_grows_chain(self):
-        m = Mbuf.from_bytes(bytes(MCLBYTES - 10))
-        m.append_bytes(bytes(100))
-        assert m.length() == MCLBYTES + 90
-
-
 class TestReadOnly:
     def test_freeze_marks_whole_chain(self):
         m = Mbuf.from_bytes(bytes(5000))
@@ -140,9 +77,6 @@ class TestReadOnly:
 
     @pytest.mark.parametrize("mutation", [
         lambda m: m.prepend(b"x"),
-        lambda m: m.adj(1),
-        lambda m: m.pullup(2),
-        lambda m: m.append_bytes(b"x"),
         lambda m: m.writable_data(),
     ])
     def test_frozen_mutations_rejected(self, mutation):
@@ -160,29 +94,6 @@ class TestReadOnly:
     def test_to_bytes_works_frozen(self):
         m = Mbuf.from_bytes(b"abc").freeze()
         assert m.to_bytes() == b"abc"
-
-
-class TestSharing:
-    def test_share_is_zero_copy_and_frozen(self):
-        m = Mbuf.from_bytes(bytes(3000))
-        twin = m.share()
-        assert twin.frozen
-        assert twin.to_bytes() == m.to_bytes()
-
-    def test_share_bumps_cluster_refs(self):
-        m = Mbuf.from_bytes(bytes(3000))
-        clusters = [link._cluster for link in m.chain() if link._cluster]
-        before = [c.refs for c in clusters]
-        twin = m.share()
-        assert [c.refs for c in clusters] == [r + 1 for r in before]
-        twin.free()
-        assert [c.refs for c in clusters] == before
-
-    def test_share_sees_original_mutations(self):
-        m = Mbuf.from_bytes(bytes(3000))
-        twin = m.share()
-        m.writable_data()[0] = 0xEE
-        assert twin.to_bytes()[0] == 0xEE  # aliases, by design
 
 
 class TestPool:

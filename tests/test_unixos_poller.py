@@ -1,4 +1,4 @@
-"""Tests for the select()-style Poller."""
+"""Tests for the Poller: register sockets once, wait for the ready ones."""
 
 import pytest
 
@@ -16,7 +16,9 @@ class TestPoller:
             two = bed.sockets[1].udp_socket()
             yield from one.bind(7001)
             yield from two.bind(7002)
-            ready = yield from poller.wait_readable([one, two])
+            poller.register(one)
+            poller.register(two)
+            ready = yield from poller.wait()
             data, _addr = yield from ready[0].recvfrom()
             return ready[0].port, data
 
@@ -39,7 +41,8 @@ class TestPoller:
             # Let a datagram arrive first.
             yield engine.timeout(5_000.0)
             started = engine.now
-            ready = yield from poller.wait_readable([sock])
+            poller.register(sock)
+            ready = yield from poller.wait()
             return ready, engine.now - started
 
         def client():
@@ -62,8 +65,10 @@ class TestPoller:
             yield from udp.bind(7001)
             listener = bed.sockets[1].tcp_socket()
             yield from listener.listen(8000)
+            poller.register(udp)
+            poller.register(listener)
             for _ in range(2):
-                ready = yield from poller.wait_readable([udp, listener])
+                ready = yield from poller.wait()
                 for sock in ready:
                     if sock is udp:
                         data, _ = yield from udp.recvfrom()
@@ -94,7 +99,8 @@ class TestPoller:
             listener = bed.sockets[1].tcp_socket()
             yield from listener.listen(8000)
             conn = yield from listener.accept()
-            ready = yield from poller.wait_readable([conn])
+            poller.register(conn)
+            ready = yield from poller.wait()
             data = yield from conn.recv()
             outcome.append((bool(ready), data))
 
@@ -110,7 +116,7 @@ class TestPoller:
     def test_empty_socket_list_rejected(self, unix_pair):
         poller = Poller(unix_pair.hosts[0])
         with pytest.raises(SocketError):
-            next(poller.wait_readable([]))
+            next(poller.wait())
 
     def test_poll_charges_a_trap(self, unix_pair):
         bed = unix_pair
@@ -123,7 +129,8 @@ class TestPoller:
             yield from sock.bind(7001)
             yield engine.timeout(1_000.0)
             before = host.cpu.busy_time
-            yield from poller.wait_readable([sock])
+            poller.register(sock)
+            yield from poller.wait()
             return host.cpu.busy_time - before
 
         def client():
