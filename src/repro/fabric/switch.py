@@ -155,9 +155,10 @@ class SwitchHost:
                                   % (self.name, index))
         # The egress copy is buffered in a fresh mbuf chain so the
         # per-host mbuf conservation law (one chain per frame moved)
-        # holds on switches exactly as on end hosts.
-        out = self.host.mbufs.from_bytes(data, leading_space=0)
-        egress.nic.stage_tx(out.to_bytes(), egress.peer_addr)
+        # holds on switches exactly as on end hosts; what goes to the
+        # NIC is ``data`` itself, the bytes that chain copied.
+        self.host.mbufs.from_bytes(data, leading_space=0)
+        egress.nic.stage_tx(data, egress.peer_addr)
         egress.forwarded += 1
         self.pipeline_forwarded += 1
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..hw.cpu import ChargeError
-from ..lang.view import VIEW, TypedView, raw_storage
+from ..lang.view import VIEW, TypedView
 from ..spin.mbuf import Mbuf
 from .checksum import charged_checksum, internet_checksum
 from .fwdtable import ForwardingTable
@@ -246,30 +246,31 @@ class IpProto:
             times["protocol"] += amount
         except KeyError:
             times["protocol"] = amount
-        data = m.data
-        if len(data) < off + self.HEADER_LEN:
+        if m.len < off + self.HEADER_LEN:
             self.header_errors += 1
             return
-        storage = raw_storage(data)
+        # The header is read where it lies in the head link's store; only
+        # extensions, guards and VIEW need m.data and its READONLY wrapper.
+        storage = m._storage
+        start = m.off + off
         (vhl, _tos, total, ident, frag, _ttl, protocol, _cksum,
-         src, dst) = _IP_UNPACK(storage, off)
+         src, dst) = _IP_UNPACK(storage, start)
         if vhl != 0x45:  # version 4, header length 5 words
             self.header_errors += 1
             return
-        # charged_checksum inlined; summed over the storage window
-        # (zero copy) rather than a sliced-out header copy.
+        # charged_checksum inlined.
         amount = self.HEADER_LEN * host.costs.checksum_per_byte
         stack[-1] += amount
         try:
             times["checksum"] += amount
         except KeyError:
             times["checksum"] = amount
-        if internet_checksum(storage[off:off + self.HEADER_LEN]) != 0:
+        if internet_checksum(storage[start:start + self.HEADER_LEN]) != 0:
             self.header_errors += 1
             return
         if not self.accepts(dst):
             if self.forwarding:
-                self._forward(m, off, VIEW(data, IP_HEADER, offset=off))
+                self._forward(m, off, VIEW(m.data, IP_HEADER, offset=off))
             else:
                 self.not_for_us += 1
             return
@@ -323,7 +324,7 @@ class IpProto:
                 self.time_exceeded_hook(m, off, view.src)
             return
         # The packet may be READONLY (Plexus receive path): patch a copy.
-        packet = bytearray(m.to_bytes()[off:])
+        packet = bytearray(memoryview(m.to_bytes())[off:])
         packet[8] -= 1          # TTL
         adapter, next_hop = self.route_for(view.dst)
         self.host.cpu.charge(self.host.costs.ip_output, "protocol")
@@ -340,7 +341,7 @@ class IpProto:
         packet[10:12] = b"\x00\x00"
         checksum = charged_checksum(self.host, packet[:self.HEADER_LEN])
         packet[10:12] = checksum.to_bytes(2, "big")
-        out = self.host.mbufs.from_bytes(bytes(packet), leading_space=16)
+        out = self.host.mbufs.from_bytes(packet, leading_space=16)
         adapter.send(out, next_hop)
 
     def _forward_fragments(self, packet: bytearray, adapter, next_hop: int) -> None:

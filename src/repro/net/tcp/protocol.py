@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Tuple
 
 from ...hw.cpu import ChargeError
-from ...lang.view import raw_storage
 from ...spin.mbuf import Mbuf
 from ..checksum import internet_checksum, word_sum
 from ..headers import (IPPROTO_TCP, PSEUDO_HEADER_LEN, TCP_HEADER,
@@ -76,6 +75,8 @@ class TcpProto:
         self.segments_in = 0
         self.segments_out = 0
         self.checksum_errors = 0
+        #: checksum-valid segments dropped for a malformed data offset
+        self.header_errors = 0
         self.resets_sent = 0
         self.no_listener = 0
 
@@ -248,8 +249,7 @@ class TcpProto:
             times["protocol"] += amount
         except KeyError:
             times["protocol"] = amount
-        data = m.data
-        if len(data) < off + self.HEADER_LEN:
+        if m.len < off + self.HEADER_LEN:
             return
         if m.next is None:
             # Single-mbuf segment: checksum over a storage window, no copy.
@@ -272,8 +272,14 @@ class TcpProto:
             self.checksum_errors += 1
             return
         (src_port, dst_port, seq, ack, off_flags, window, _cksum,
-         _urgent) = _TCP_UNPACK(raw_storage(data), off)
+         _urgent) = _TCP_UNPACK(segment, 0)
         data_off = (off_flags >> 12) * 4
+        if data_off < self.HEADER_LEN or data_off > seg_len:
+            # RFC 793: a header of fewer than five words, or more than the
+            # segment holds, is malformed.  Dropped silently, like a bad
+            # checksum: no RST, no ACK, no state change.
+            self.header_errors += 1
+            return
         flags = off_flags & 0x3F
         payload = bytes(segment[data_off:])
         mss = None

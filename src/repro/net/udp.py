@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..hw.cpu import ChargeError
-from ..lang.view import raw_storage
 from ..spin.mbuf import Mbuf
 from .checksum import internet_checksum, word_sum
 from .headers import (IPPROTO_UDP, PSEUDO_HEADER_LEN, UDP_HEADER,
@@ -130,10 +129,9 @@ class UdpProto:
             times["protocol"] += amount
         except KeyError:
             times["protocol"] = amount
-        data = m.data
-        if len(data) < off + self.HEADER_LEN:
+        if m.len < off + self.HEADER_LEN:
             return
-        src_port, dst_port, length, cksum = _UDP_UNPACK(raw_storage(data), off)
+        src_port, dst_port, length, cksum = _UDP_UNPACK(m._storage, m.off + off)
         if length < self.HEADER_LEN or off + length > m.length():
             return
         if cksum != 0:

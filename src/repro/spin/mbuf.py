@@ -5,16 +5,26 @@ advantage of mbufs is that they are directly used by most UNIX device
 drivers" (paper footnote 1).  Both OS models in this reproduction use this
 implementation, mirroring the paper's shared-driver setup.
 
-The implementation follows the classic BSD design:
+What the model keeps of the classic BSD design is what the simulated
+cost table and the protocol code can see:
 
-* small mbufs carry up to :data:`MLEN` bytes inline; larger payloads live
-  in reference-counted :data:`MCLBYTES` clusters,
-* a packet is a chain of mbufs linked through ``next``; the first mbuf of
-  a packet carries a packet header with the total length and receiving
-  interface,
+* a packet of up to :data:`MLEN` bytes (headroom included) is one small
+  mbuf; a larger one is a chain with a link at every :data:`MCLBYTES`
+  boundary, so the link count -- what :class:`MbufPool` charges for -- is
+  the one a cluster-per-link allocator would produce,
+* the links are joined through ``next``; the first carries a packet header
+  with the total length and receiving interface,
 * headers are added with :meth:`Mbuf.prepend` (which uses leading space in
   the buffer when available); receivers do not trim them off but carry an
   offset into the chain and VIEW the next header there.
+
+What it does not keep is a buffer per link.  A packet has one backing
+store, its own copy of the bytes it was built from, and each link is a
+``(off, len)`` window over it: one copy in (:meth:`Mbuf.from_bytes`), one
+slice out (:meth:`Mbuf.to_bytes`).  Only a :meth:`Mbuf.prepend` that runs
+out of headroom adds a link with a store of its own, which ``to_bytes``
+discovers by walking the chain.  Cluster reference counts went with
+``Mbuf.share``: nothing shares storage between packets.
 
 READONLY packets (paper section 3.4): :meth:`Mbuf.freeze` marks a chain
 immutable; data access then returns :class:`~repro.lang.readonly.ReadOnlyBuffer`
@@ -35,21 +45,11 @@ from ..lang.readonly import ReadOnlyBuffer, ReadOnlyViolation
 __all__ = ["Mbuf", "MbufPool", "MLEN", "MCLBYTES", "MbufError"]
 
 MLEN = 224        # bytes of inline storage in a small mbuf
-MCLBYTES = 2048   # bytes in a cluster
+MCLBYTES = 2048   # bytes a link of a chain can hold (a BSD cluster)
 
 
 class MbufError(RuntimeError):
     """Raised on invalid mbuf operations (over-long prepends etc.)."""
-
-
-class _Cluster:
-    """Reference-counted external storage shared between mbuf copies."""
-
-    __slots__ = ("storage", "refs")
-
-    def __init__(self, size: int = MCLBYTES):
-        self.storage = bytearray(size)
-        self.refs = 1
 
 
 class PacketHeader:
@@ -67,19 +67,14 @@ class PacketHeader:
 
 
 class Mbuf:
-    """One buffer in a packet chain."""
+    """One link of a packet chain: ``len`` bytes at ``off`` in the store."""
 
-    __slots__ = ("_storage", "_cluster", "off", "len", "next", "pkthdr",
+    __slots__ = ("_storage", "off", "len", "next", "pkthdr",
                  "_frozen", "_ro_cache")
 
-    def __init__(self, storage: Union[bytearray, _Cluster], off: int, length: int,
+    def __init__(self, storage: bytearray, off: int, length: int,
                  pkthdr: Optional[PacketHeader] = None):
-        if isinstance(storage, _Cluster):
-            self._cluster: Optional[_Cluster] = storage
-            self._storage = storage.storage
-        else:
-            self._cluster = None
-            self._storage = storage
+        self._storage = storage
         self.off = off
         self.len = length
         self.next: Optional["Mbuf"] = None
@@ -90,17 +85,9 @@ class Mbuf:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def get_cluster(cls, leading_space: int = 0, pkthdr: bool = False) -> "Mbuf":
-        """An empty cluster mbuf."""
-        if leading_space >= MCLBYTES:
-            raise MbufError("leading space %d exceeds MCLBYTES" % leading_space)
-        hdr = PacketHeader() if pkthdr else None
-        return cls(_Cluster(), leading_space, 0, hdr)
-
-    @classmethod
     def from_bytes(cls, data: Union[bytes, bytearray], leading_space: int = 64,
                    rcvif=None) -> "Mbuf":
-        """Build a packet chain holding ``data`` (with headroom for headers)."""
+        """Build a packet chain holding a copy of ``data`` (with headroom)."""
         n = len(data)
         if n + leading_space <= MLEN and leading_space < MLEN:
             # Single small mbuf: the common case for every header-sized
@@ -108,34 +95,22 @@ class Mbuf:
             storage = bytearray(MLEN)
             storage[leading_space:leading_space + n] = data
             return cls(storage, leading_space, n, PacketHeader(n, rcvif))
-        total = len(data)
-        # A memoryview source makes each slice assignment below a direct
-        # memcpy instead of materializing an intermediate bytes object.
-        view = memoryview(data)
-        head: Optional[Mbuf] = None
-        tail: Optional[Mbuf] = None
-        offset = 0
-        remaining = total
-        first = True
-        while True:
-            space = leading_space if first else 0
-            m = cls.get_cluster(leading_space=space, pkthdr=first)
-            room = len(m._storage) - m.off
-            take = min(room, remaining)
-            m._storage[m.off:m.off + take] = view[offset:offset + take]
-            m.len = take
-            offset += take
-            remaining -= take
-            if head is None:
-                head = tail = m
-            else:
-                tail.next = m
-                tail = m
-            first = False
-            if remaining == 0:
-                break
-        head.pkthdr.length = len(data)
-        head.pkthdr.rcvif = rcvif
+        if leading_space >= MCLBYTES:
+            raise MbufError("leading space %d exceeds MCLBYTES" % leading_space)
+        # The packet's own store: headroom, then the one copy of the data.
+        storage = bytearray(leading_space)
+        storage += data
+        end = leading_space + n
+        head = tail = cls(storage, leading_space,
+                          min(end, MCLBYTES) - leading_space,
+                          PacketHeader(n, rcvif))
+        # One link per cluster boundary the packet crosses.
+        off = MCLBYTES
+        while off < end:
+            m = cls(storage, off, min(MCLBYTES, end - off))
+            tail.next = m
+            tail = m
+            off += MCLBYTES
         return head
 
     # -- views ---------------------------------------------------------------
@@ -182,15 +157,26 @@ class Mbuf:
 
     def to_bytes(self) -> bytes:
         """Linearized copy of the whole chain (a copy, always allowed)."""
-        if self.next is None:
-            return bytes(memoryview(self._storage)[self.off:self.off + self.len])
-        # bytes.join accepts buffer objects directly: one memcpy per mbuf
-        # into the result, no intermediate per-mbuf bytes.
+        storage = self._storage
+        start = self.off
+        end = start + self.len
         pieces = []
-        m: Optional["Mbuf"] = self
+        m = self.next
         while m is not None:
-            pieces.append(memoryview(m._storage)[m.off:m.off + m.len])
+            if m._storage is storage and m.off == end:
+                # The next window over the same store: extend the slice.
+                end += m.len
+            else:
+                # A prepend ran out of headroom here: the run so far is one
+                # piece, and bytes.join takes buffer objects directly.
+                pieces.append(memoryview(storage)[start:end])
+                storage = m._storage
+                start = m.off
+                end = start + m.len
             m = m.next
+        if not pieces:
+            return bytes(memoryview(storage)[start:end])
+        pieces.append(memoryview(storage)[start:end])
         return b"".join(pieces)
 
     # -- mutation ----------------------------------------------------------------
@@ -210,9 +196,11 @@ class Mbuf:
         return self
 
     def prepend(self, data: Union[bytes, bytearray]) -> "Mbuf":
-        """Prepend ``data``, using headroom when possible.
+        """Prepend ``data`` to the packet this mbuf heads, using headroom
+        when possible.
 
-        Returns the (possibly new) head of the chain.
+        Returns the (possibly new) head of the chain.  Only a head link
+        has headroom: a later link's window abuts its predecessor's.
         """
         self._check_writable("prepend to")
         n = len(data)
@@ -223,15 +211,11 @@ class Mbuf:
             if self.pkthdr is not None:
                 self.pkthdr.length += n
             return self
-        # Not enough headroom: allocate a new head mbuf.
-        if n > MLEN:
-            head = Mbuf.get_cluster()
-        else:
-            head = Mbuf(bytearray(MLEN), 0, 0)
-        head._storage[0:n] = data
-        head.len = n
+        # Not enough headroom: a new head link holding exactly the header.
+        if n > MCLBYTES:
+            raise MbufError("prepend of %d bytes exceeds MCLBYTES" % n)
+        head = Mbuf(bytearray(data), 0, n, self.pkthdr)
         head.next = self
-        head.pkthdr = self.pkthdr
         if head.pkthdr is not None:
             head.pkthdr.length += n
         self.pkthdr = None
@@ -246,12 +230,6 @@ class Mbuf:
             clone.pkthdr.rcvif = self.pkthdr.rcvif
             clone.pkthdr.timestamp = self.pkthdr.timestamp
         return clone
-
-    def free(self) -> None:
-        """Release the chain (drops cluster references)."""
-        for m in self.chain():
-            if m._cluster is not None:
-                m._cluster.refs -= 1
 
     def __repr__(self) -> str:
         return "<Mbuf len=%d chain=%d total=%d%s>" % (
@@ -308,7 +286,6 @@ class MbufPool:
         count = sum(1 for _ in m.chain())
         self.host.cpu.charge(count * self.host.costs.mbuf_free, "mbuf")
         self.freed += count
-        m.free()
 
     def register_metrics(self, registry) -> None:
         """Publish the allocator counters on a metrics registry."""

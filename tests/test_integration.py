@@ -106,6 +106,46 @@ class TestAllDevices:
         assert state["received"] == total
 
 
+@pytest.mark.parametrize("rung", ["generated", "scan"])
+def test_chained_packets_cross_atm_byte_exact(rung, monkeypatch):
+    """A full-MSS TCP segment and a 3,000-byte UDP datagram fit the ATM MTU
+    (9,180), so IP does not fragment them: each is one mbuf chain on the
+    sender and one on the receiver."""
+    if rung == "scan":
+        monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
+    else:
+        monkeypatch.delenv("REPRO_FLOW_CACHE", raising=False)
+    bed = build_testbed("spin", "atm")
+    engine = bed.engine
+    segment = (bytes(range(251)) * 37)[:9140]
+    datagram = segment[17:3017]
+    segments, datagrams = [], []
+
+    def on_accept(tcb):
+        tcb.on_data = segments.append
+    bed.stacks[1].tcp_manager.listen(Credential("srv"), 9000, on_accept)
+
+    @ephemeral
+    def on_datagram(m, off, src_ip, src_port, dst_ip, dst_port):
+        datagrams.append(m.to_bytes()[off:])
+    bed.stacks[1].udp_manager.bind(Credential("srv"), 7000, on_datagram)
+    sender = bed.stacks[0].udp_manager.bind(Credential("cli"), 7001, _noop)
+
+    def send():
+        sender.send(datagram, bed.ip(1), 7000)
+        tcb = bed.stacks[0].tcp_manager.connect(
+            Credential("cli"), bed.ip(1), 9000)
+        tcb.on_established = lambda: tcb.send(segment)
+    engine.run_process(bed.hosts[0].kernel_path(send))
+    engine.run()
+    assert datagrams == [datagram]
+    assert segments == [segment]
+    # Links charged on each host, as the per-cluster allocator counted
+    # them: five for the data segment, two for the datagram (each with
+    # its 64 bytes of headroom), one for each of SYN, SYN|ACK and two ACKs.
+    assert [host.mbufs.allocated for host in bed.hosts] == [11, 11]
+
+
 class TestLatencyOrderingInvariants:
     """The paper's headline comparisons, as repeatable assertions."""
 

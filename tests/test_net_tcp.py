@@ -8,7 +8,8 @@ can be exercised deterministically.
 import pytest
 
 from repro.lang import VIEW
-from repro.net.headers import IPPROTO_TCP, TCP_HEADER
+from repro.net.checksum import internet_checksum
+from repro.net.headers import IPPROTO_TCP, TCP_HEADER, pseudo_header_sum
 from repro.net.tcp import TcpState
 from repro.net.tcp.tcb import seq_add, seq_lt, seq_sub
 
@@ -40,6 +41,20 @@ def establish(engine, a, b, server_received=None):
 def client_send(engine, a, tcb, data):
     a.run_kernel(lambda: tcb.send(data))
     engine.run()
+
+
+def intercept_send(engine, wire, a, tcb, data):
+    """Send ``data`` but keep it off the wire; returns the IP packet.
+
+    The wire goes on dropping (and the sender retransmitting) until the
+    test clears ``wire.drop_filter``.
+    """
+    captured = []
+    wire.drop_filter = (
+        lambda packet, hop: captured.append(bytearray(packet)) or True)
+    a.run_kernel(lambda: tcb.send(data))
+    engine.run(until=engine.now + 500.0)
+    return captured[0]
 
 
 class TestSequenceArithmetic:
@@ -185,12 +200,7 @@ class TestDataTransfer:
         engine, wire, a, b = make_pair()
         got = []
         client, server = establish(engine, a, b, got.append)
-        captured = []
-        wire.drop_filter = (
-            lambda data, hop: captured.append(bytearray(data)) or True)
-        a.run_kernel(lambda: client.send(b"garble me"))
-        engine.run(until=engine.now + 500.0)
-        packet = captured[0]
+        packet = intercept_send(engine, wire, a, client, b"garble me")
         packet[-1] ^= 0xFF
 
         def misdeliver():
@@ -203,6 +213,39 @@ class TestDataTransfer:
         a.run_kernel(client.abort)
         b.run_kernel(server.abort)
         engine.run(until=engine.now + 1000.0)
+
+    @pytest.mark.parametrize("words", [0, 4, 15])
+    def test_bad_data_offset_dropped(self, words):
+        """A checksum-valid segment whose data offset is under five words,
+        or beyond the 29 bytes it holds, is malformed (RFC 793): no header
+        byte may reach the application as data."""
+        engine, wire, a, b = make_pair()
+        got = []
+        client, server = establish(engine, a, b, got.append)
+        packet = intercept_send(engine, wire, a, client, b"garble me")
+        segment = packet[20:]
+        assert len(segment) == 29
+        segment[12] = (words << 4) | (segment[12] & 0x0F)
+        segment[16:18] = b"\x00\x00"
+        segment[16:18] = internet_checksum(
+            segment, initial=pseudo_header_sum(
+                a.my_ip, b.my_ip, IPPROTO_TCP, len(segment))).to_bytes(2, "big")
+        packet[20:] = segment
+
+        def misdeliver():
+            b.ip.input(b.host.mbufs.from_bytes(bytes(packet)), 0)
+        segments_in = b.tcp.segments_in
+        b.run_kernel(misdeliver)
+        engine.run(until=engine.now + 100.0)
+        assert got == []
+        assert b.tcp.header_errors == 1
+        assert b.tcp.checksum_errors == 0
+        assert b.tcp.segments_in == segments_in
+        assert server.state == TcpState.ESTABLISHED
+        # The connection is untouched: the retransmission gets through.
+        wire.drop_filter = None
+        engine.run()
+        assert got == [b"garble me"]
 
 
 class TestLossRecovery:

@@ -1,18 +1,56 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lang import VIEW, ArrayType, Layout, UINT16, UINT32, UINT8
+from repro.lang import (VIEW, ArrayType, Layout, ReadOnlyViolation, UINT16,
+                        UINT32, UINT8)
 from repro.net.http import build_request, build_response, parse_request, parse_response
 from repro.net.checksum import internet_checksum
 from repro.net.headers import ip_aton, ip_ntoa
 from repro.net.tcp.tcb import seq_add, seq_lt, seq_sub
 from repro.sim import Engine
-from repro.spin import Mbuf
+from repro.spin import MCLBYTES, MLEN, Mbuf
 
 payloads = st.binary(min_size=0, max_size=6000)
 small_payloads = st.binary(min_size=1, max_size=1400)
 seqnums = st.integers(min_value=0, max_value=(1 << 32) - 1)
+packet_sizes = st.integers(min_value=0, max_value=20_000)
+headrooms = st.integers(min_value=0, max_value=MCLBYTES - 1)
+
+# 251 is prime: the pattern never lines up with a cluster boundary, so a
+# link cut in the wrong place shows in the bytes.
+_PATTERN = bytes(range(251))
+
+
+def patterned(n):
+    return (_PATTERN * (n // len(_PATTERN) + 1))[:n]
+
+
+def reference_chain_shape(n, leading_space):
+    """``(cluster, off, len)`` of every link, by the per-cluster allocator.
+
+    A test asset: the loop ``Mbuf.from_bytes`` ran when each link owned a
+    cluster.  The link count is an input to the simulated mbuf charge, so
+    it is pinned here independently of the code that now produces it.
+    """
+    if n + leading_space <= MLEN and leading_space < MLEN:
+        return [(0, leading_space, n)]
+    shape = []
+    remaining = n
+    first = True
+    while True:
+        off = leading_space if first else 0
+        take = min(MCLBYTES - off, remaining)
+        shape.append((len(shape), off, take))
+        remaining -= take
+        first = False
+        if remaining == 0:
+            return shape
+
+
+def links(m):
+    return list(m.chain())
 
 
 class TestChecksumProperties:
@@ -86,6 +124,73 @@ class TestMbufProperties:
         view = clone.writable_data()
         view[0] = (view[0] + 1) % 256
         assert m.to_bytes() == data
+
+
+class TestMbufChainShape:
+    """One store per packet: the model's view of a chain did not move."""
+
+    @given(packet_sizes, headrooms)
+    def test_links_match_per_cluster_allocator(self, n, leading_space):
+        m = Mbuf.from_bytes(patterned(n), leading_space=leading_space)
+        shape = [divmod(link.off, MCLBYTES) + (link.len,) for link in links(m)]
+        assert shape == reference_chain_shape(n, leading_space)
+        if n + leading_space <= MLEN and leading_space < MLEN:
+            assert len(shape) == 1
+        else:
+            assert len(shape) == -(-(leading_space + n) // MCLBYTES)
+        assert m.off == leading_space
+        assert all(link.pkthdr is None for link in links(m)[1:])
+
+    @given(packet_sizes, headrooms,
+           st.lists(st.binary(min_size=1, max_size=48), max_size=5))
+    def test_to_bytes_through_prepends(self, n, leading_space, headers):
+        expected = patterned(n)
+        m = Mbuf.from_bytes(expected, leading_space=leading_space)
+        assert m.to_bytes() == expected
+        # Some of these fit the headroom and some run out of it.
+        for header in headers + [bytes(m.off + 1)]:
+            count = len(links(m))
+            fits = len(header) <= m.off
+            m = m.prepend(header)
+            expected = header + expected
+            assert len(links(m)) == count + (0 if fits else 1)
+            assert m.to_bytes() == expected
+            assert m.pkthdr.length == m.length() == len(expected)
+        # The head link now has a store of its own (the join branch).
+        assert m.next is not None and m._storage is not m.next._storage
+
+    @given(st.integers(min_value=1, max_value=20_000), headrooms, st.data())
+    def test_from_bytes_copies_and_links_write_through(self, n, leading_space,
+                                                       data):
+        source = bytearray(patterned(n))
+        m = Mbuf.from_bytes(source, leading_space=leading_space)
+        source[:] = bytes(n)
+        assert m.to_bytes() == patterned(n)
+        position = data.draw(st.integers(min_value=0, max_value=n - 1))
+        at = 0
+        for link in links(m):
+            if position < at + link.len:
+                link.writable_data()[position - at] ^= 0xFF
+                break
+            at += link.len
+        expected = bytearray(patterned(n))
+        expected[position] ^= 0xFF
+        assert m.to_bytes() == bytes(expected)
+
+    @given(packet_sizes, headrooms)
+    def test_freeze_reaches_every_link(self, n, leading_space):
+        m = Mbuf.from_bytes(patterned(n), leading_space=leading_space)
+        m = m.prepend(bytes(m.off + 1))     # a head link on its own store
+        m.freeze()
+        for link in links(m):
+            assert link.frozen
+            with pytest.raises(ReadOnlyViolation):
+                link.writable_data()
+            with pytest.raises(ReadOnlyViolation):
+                link.prepend(b"x")
+            with pytest.raises(ReadOnlyViolation):
+                link.data[0:0] = b""
+        assert m.to_bytes() == bytes(leading_space + 1) + patterned(n)
 
 
 class TestViewProperties:

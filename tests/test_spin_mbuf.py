@@ -3,18 +3,25 @@
 import pytest
 
 from repro.lang import ReadOnlyBuffer, ReadOnlyViolation
-from repro.spin import MCLBYTES, Mbuf, MbufError
+from repro.spin import MCLBYTES, MLEN, Mbuf, MbufError
 from repro.spin.kernel import SpinKernel
 
 
 class TestConstruction:
     def test_get_cluster(self):
-        m = Mbuf.get_cluster()
-        assert len(m._storage) == MCLBYTES
+        # One byte more than a small mbuf holds: still one link, and a
+        # link never holds more than a cluster.
+        m = Mbuf.from_bytes(bytes(MLEN + 1), leading_space=0)
+        assert m.next is None
+        assert m.len == MLEN + 1 <= MCLBYTES
+        assert all(link.len <= MCLBYTES
+                   for link in Mbuf.from_bytes(bytes(3 * MCLBYTES)).chain())
 
     def test_leading_space_bounds(self):
         with pytest.raises(MbufError):
-            Mbuf.get_cluster(leading_space=MCLBYTES)
+            Mbuf.from_bytes(b"x", leading_space=MCLBYTES)
+        assert Mbuf.from_bytes(b"x", leading_space=MCLBYTES - 1).off \
+            == MCLBYTES - 1
 
     def test_from_bytes_small(self):
         m = Mbuf.from_bytes(b"hello", leading_space=8)
@@ -53,6 +60,15 @@ class TestPrepend:
         assert m2.to_bytes() == b"HDRpayload"
         assert m2.pkthdr is not None and m2.pkthdr.length == 10
         assert m.pkthdr is None  # header moved to the new head
+
+    def test_prepend_longer_than_a_cluster_rejected(self):
+        # A link holds at most MCLBYTES; the pool charges per link.
+        m = Mbuf.from_bytes(b"payload", leading_space=0)
+        with pytest.raises(MbufError):
+            m.prepend(bytes(MCLBYTES + 1))
+        assert m.to_bytes() == b"payload" and m.pkthdr.length == 7
+        head = m.prepend(bytes(MCLBYTES))
+        assert head.len == MCLBYTES and head.next is m
 
     def test_stacked_prepends_model_protocol_stack(self):
         m = Mbuf.from_bytes(b"data", leading_space=64)
