@@ -11,7 +11,7 @@ file: a function only its unit test calls cannot arrive unnoticed, and a
 kept one that gains a driver (or is deleted) has to leave the list.
 
 The hook appends ``file:line`` to one ``O_APPEND`` file the first time it
-sees a code object; forked ``multiprocessing`` workers inherit the
+sees a code object; forked pool workers inherit the
 descriptor and the seen-set, spawned interpreters reopen the file, so
 workers that leave through ``os._exit`` are covered without an exit hook.
 
@@ -50,7 +50,7 @@ threading.setprofile(_hook)
 PY = [sys.executable]
 BENCH = PY + ["-m", "repro.bench"]
 DRIVERS = [
-    BENCH, BENCH + ["--charts"], BENCH + ["--check"], BENCH + ["--wallclock"],
+    BENCH, BENCH + ["--charts"], BENCH + ["--check"],
     BENCH + ["--latency", "--jobs", "2"], BENCH + ["--parallel-curve"],
     PY + ["-m", "repro.chaos", "--quick", "--jobs", "2"],
     PY + ["-m", "repro.obs", "--check-schema"],

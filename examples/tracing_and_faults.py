@@ -12,13 +12,15 @@ Run:  python examples/tracing_and_faults.py
 
 from repro.bench import build_testbed
 from repro.core import Credential
+from repro.hw.link import ImpairmentConfig
 from repro.net.trace import PacketTracer
 from repro.sim import Signal
 
 
 def main() -> None:
     bed = build_testbed("spin", "ethernet")
-    bed.medium.set_fault_model(loss_rate=0.05, seed=20_25)
+    bed.medium.set_impairments(
+        ImpairmentConfig(loss_good=0.05, loss_bad=0.05), seed=20_25)
     engine = bed.engine
 
     tracer = PacketTracer(engine)

@@ -1,10 +1,11 @@
 """Command-line entry: ``python -m repro.bench [mode] [options]``.
 
 Without a mode flag, regenerates every table and figure from the paper.
-``--jobs N`` output is byte-identical to ``--jobs 1``; the three suites
-(``--wallclock``, ``--latency``, ``--parallel-curve``) write their
-``BENCH_*.json`` at the repository root and exit non-zero when the gate
-(:mod:`repro.bench.gate`) records an error.
+``--jobs N`` output is byte-identical to ``--jobs 1``; the two suites
+(``--latency``, ``--parallel-curve``) write their ``BENCH_*.json`` at the
+repository root and exit non-zero when the gate
+(:mod:`repro.bench.gate`) records an error.  How fast the simulator runs
+is ``perfbench/``'s question (``python3 perfbench/run.py``).
 """
 
 import argparse
@@ -33,30 +34,6 @@ def _finish(report, suite, write_baseline_too: bool = False) -> int:
             report, suite.rows, suite.BASELINE_PATH))
     print("report written to %s" % write_json(report, suite.REPORT_PATH))
     return 0 if report["ok"] else 1
-
-
-def _wallclock(args) -> int:
-    from . import wallclock
-    suite = wallclock.run_suite(quick=not args.full, jobs=args.jobs)
-    _print_host(suite)
-    for name in sorted(suite["workloads"]):
-        record = suite["workloads"][name]
-        print("%-18s %10.0f ev/s  %8.3f s wall" % (
-            name, record["events_per_sec"], record["wall_s"]))
-        cache = record.get("flow_cache")
-        if cache and cache["enabled"]:
-            print("  flow-cache: %d hits / %d misses / %d invalidations"
-                  " / %d evictions (%d entries)"
-                  % (cache["hits"], cache["misses"], cache["invalidations"],
-                     cache["evictions"], cache["entries"]))
-            print("  codegen: %d plans / %d scans compiled, "
-                  "%d plan replays / %d scan raises served, %d shape reuses"
-                  % (cache["compiled_plans"], cache["compiled_scans"],
-                     cache["compiled_replays"], cache["compiled_scan_raises"],
-                     cache["compiled_shape_hits"]))
-        elif cache is not None:
-            print("  flow-cache: disabled (REPRO_FLOW_CACHE=0)")
-    return _finish(suite, wallclock, args.write_baseline)
 
 
 def _latency(args) -> int:
@@ -136,11 +113,6 @@ _MODES = (
     ("--charts", _charts, "ASCII renderings of figures 5-7"),
     ("--check", _check,
      "golden-number regression check (exit != 0 on drift)"),
-    ("--wallclock", _wallclock,
-     "simulator self-check: every dispatcher workload's fingerprint "
-     "against its same-run REPRO_FLOW_CACHE=0 twin and the committed "
-     "baseline; writes BENCH_wallclock.json (--full for the committed "
-     "scales)"),
     ("--latency", _latency,
      "SLO tail-latency suite: open- vs closed-loop legs, decomposition "
      "probes, flow-cache rungs; writes BENCH_latency.json (--full adds the "
@@ -176,20 +148,26 @@ def _parser() -> argparse.ArgumentParser:
     scale.add_argument("--full", action="store_true",
                        help="the scales EXPERIMENTS.md records")
     parser.add_argument("--jobs", type=_positive, default=1, metavar="N",
-                        help="shard independent experiments, workloads or "
+                        help="shard the report's sections or --latency's "
                              "legs across N worker processes")
     parser.add_argument("--write-baseline", action="store_true",
-                        help="with --wallclock or --latency: refresh the "
-                             "committed baseline under benchmarks/ from "
-                             "this run")
+                        help="with --latency: refresh the committed "
+                             "baseline under benchmarks/ from this run")
     return parser
 
 
 def main(argv) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.write_baseline and args.run not in (_wallclock, _latency):
-        parser.error("--write-baseline needs --wallclock or --latency")
+    if args.write_baseline and args.run is not _latency:
+        parser.error("--write-baseline needs --latency")
+    # Like --quick, --jobs 1 is the explicit default and goes anywhere.
+    if args.jobs > 1 and args.run not in (_paper_report, _latency):
+        parser.error("--jobs needs a mode that shards: the report or "
+                     "--latency (--parallel-curve picks its own counts)")
+    if args.full and args.run in (_check, _charts):
+        parser.error("--full needs a mode with scales; --check and --charts "
+                     "have none")
     return args.run(args)
 
 

@@ -1,8 +1,8 @@
 """The one pass/fail gate, baseline loader and report writer.
 
-Every suite (``--wallclock``, ``--latency``, ``--parallel-curve``)
-reduces its report to *rows* -- ``{name: {"fingerprint": ...}}`` --
-through a row extractor it owns, and hands them here.  Everything the
+Both suites (``--latency``, ``--parallel-curve``) reduce their report
+to *rows* -- ``{name: {"fingerprint": ...}}`` -- through a row extractor
+each owns, and hand them here.  Everything the
 paper reports is simulated time, which is deterministic and
 machine-independent, so that is what :func:`gate` judges; how fast this
 host ran the simulator is ``perfbench/``'s question, not this one's:
@@ -39,7 +39,7 @@ __all__ = ["REPO_ROOT", "SCHEMA_VERSION", "ROW_KEYS", "host_fingerprint",
 REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..", ".."))
 
-#: One version for the three BENCH_*.json reports and both baselines
+#: One version for the two BENCH_*.json reports and the one baseline
 #: (EXPERIMENTS.md, "Report format").  9 was the first unified one; 10
 #: drops every judged host-speed field.
 SCHEMA_VERSION = 10

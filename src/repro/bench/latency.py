@@ -30,12 +30,11 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..lang.ephemeral import ephemeral
-from ..core.manager import Credential
 from ..obs.slo import RequestLifecycle
 from ..sim import Signal
 from .stats import Summary
 from .testbed import build_raw_pair, build_testbed
+from .workloads import PINGPONG, _udp_echo
 
 __all__ = [
     "measure_plexus_udp_rtt",
@@ -56,55 +55,24 @@ PAPER_FIGURE5_US = {
     ("atm-fast", "plexus-interrupt"): 241.0,
 }
 
-_PING_PORT = 7001
-_PONG_PORT = 7002
+_PONG_PORT, _PING_PORT = PINGPONG["ports"]
 
 
 def measure_plexus_udp_rtt(device: str, deliver_mode: str = "interrupt",
                            fast_driver: bool = False, trips: int = 20,
                            payload_len: int = 8,
                            checksum: bool = True) -> Summary:
-    """UDP ping-pong between two in-kernel Plexus extensions."""
+    """UDP ping-pong between two in-kernel Plexus extensions: the
+    registry's ``udp_pingpong`` scenario on the bed the arguments name."""
     bed = build_testbed("spin", device, deliver_mode=deliver_mode,
                         fast_driver=fast_driver)
-    engine = bed.engine
-    client_stack, server_stack = bed.stacks
-    client_host, server_host = bed.hosts
-    handler_mode = "inline" if deliver_mode == "interrupt" else "thread"
-
-    reply_seen = Signal(engine)
-    server_ep = None
-
-    @ephemeral
-    def server_handler(m, off, src_ip, src_port, dst_ip, dst_port):
-        payload = bytes(m.to_bytes()[off:])
-        server_ep.send(payload, src_ip, src_port)
-
-    @ephemeral
-    def client_handler(m, off, src_ip, src_port, dst_ip, dst_port):
-        client_host.defer(reply_seen.fire)
-
-    server_ep = server_stack.udp_manager.bind(
-        Credential("pong"), _PONG_PORT, server_handler, mode=handler_mode,
-        checksum=checksum)
-    client_ep = client_stack.udp_manager.bind(
-        Credential("ping"), _PING_PORT, client_handler, mode=handler_mode,
-        checksum=checksum)
-
-    lifecycle = RequestLifecycle(engine)
-    payload = bytes(payload_len)
-
-    def ping_loop():
-        for _ in range(trips):
-            request = lifecycle.begin("udp_rtt")
-            waiter = reply_seen.wait()
-            yield from client_host.kernel_path(
-                lambda: client_ep.send(payload, bed.ip(1), _PONG_PORT))
-            yield waiter
-            lifecycle.end(request)
-
-    engine.run_process(ping_loop(), name="ping")
-    return lifecycle.summary("udp_rtt")
+    lifecycle = RequestLifecycle(bed.engine)
+    setup = _udp_echo(
+        **PINGPONG, payload=payload_len, checksum=checksum,
+        mode="inline" if deliver_mode == "interrupt" else "thread")
+    _state, ping_loop = setup(bed, trips, lifecycle)
+    bed.engine.run_process(ping_loop(), name="ping")
+    return lifecycle.summary(PINGPONG["kind"])
 
 
 def measure_unix_udp_rtt(device: str, fast_driver: bool = False,

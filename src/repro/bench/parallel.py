@@ -1,11 +1,12 @@
 """Sharded workloads: the speed-up legs and their gate rows.
 
-A shardable registry record (:mod:`repro.bench.workloads`) runs as a
-:class:`repro.sim.PartitionedSimulation`: ``many_flows`` and
-``mega_flows`` shard their flows, each shard a private client/server bed
-on its own engine carrying a contiguous slice, with nothing crossing
-between shards.  ``parallel=False`` runs the shards in this process --
-the reference -- and ``parallel=True`` forks one worker per shard.
+A shardable registry record (:mod:`repro.bench.workloads`) runs as N
+tasks of the suite's process pool (:func:`repro.bench.runner.map_tasks`):
+``many_flows`` and ``mega_flows`` shard their flows, each shard a private
+client/server bed on its own engine carrying a contiguous slice, with
+nothing crossing between shards.  ``parallel=False`` gives the pool one
+job, which runs the shards in this process -- the reference -- and
+``parallel=True`` one worker per shard.
 
 A *leg* pairs the two at one shard count.  Its identity (event count,
 merged fingerprint, digest of the merged metrics snapshot) must be equal

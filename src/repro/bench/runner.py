@@ -1,11 +1,15 @@
-"""Process-pool orchestration for the benchmark suites.
+"""The suite's one process pool, and the paper report sharded over it.
+
+:func:`map_tasks` is the only place in ``src/`` that starts a worker
+process: report sections, ``--latency`` legs, the shards of a sharded
+workload (:func:`repro.bench.workloads.run_partitioned`) and chaos
+campaigns are all independent tasks that share nothing, mapped over it
+and merged in payload order.
 
 ``run_everything`` regenerates ~15 independent experiments -- each one
 builds its own engines and testbeds from scratch and shares no state with
 the others -- so the report is embarrassingly parallel at section
-granularity.  This module shards those sections (and the wall-clock
-workloads) across a ``ProcessPoolExecutor`` and merges the results in the
-fixed serial order.
+granularity.
 
 Determinism contract:
 
@@ -29,14 +33,9 @@ pool only changes where it runs.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-__all__ = [
-    "task_seed",
-    "run_report_sections",
-    "run_report",
-    "run_wallclock_suite",
-]
+__all__ = ["task_seed", "map_tasks", "run_report_sections", "run_report"]
 
 #: arbitrary constant folded into every task seed so "figure5" the bench
 #: task does not share a seed with an unrelated crc32("figure5") user.
@@ -48,13 +47,18 @@ def task_seed(name: str) -> int:
     return zlib.crc32(name.encode("utf-8")) ^ _SEED_SALT
 
 
-def _map_tasks(fn, payloads: Sequence, jobs: int) -> List:
-    """Run ``fn`` over ``payloads``; results in payload order.
+def map_tasks(fn, payloads: Sequence, jobs: int) -> List:
+    """Run the module-level ``fn`` over picklable ``payloads``; results
+    in payload order.
 
-    ``jobs <= 1`` runs inline (no pool, no fork); otherwise the payloads
-    are distributed over ``min(jobs, len(payloads))`` worker processes.
-    ``ProcessPoolExecutor.map`` already yields results in submission
-    order, which is what makes the merge deterministic.
+    ``jobs <= 1`` or a single payload runs inline (no pool, no fork);
+    otherwise the payloads are distributed over ``min(jobs,
+    len(payloads))`` worker processes.  ``ProcessPoolExecutor.map``
+    already yields results in submission order, which is what makes the
+    merge deterministic; it re-raises a worker's exception here with the
+    remote traceback chained on, and raises ``BrokenProcessPool`` when a
+    worker dies without a result (an OOM kill, ``os._exit``) instead of
+    waiting for it.
     """
     payloads = list(payloads)
     if jobs <= 1 or len(payloads) <= 1:
@@ -83,8 +87,8 @@ def run_report_sections(quick: bool = True,
     """Every report section as ``(name, text)``, in declaration order."""
     from .report import SECTIONS
     names = [name for name, _fn in SECTIONS]
-    texts = _map_tasks(_report_section_task,
-                       [(name, quick) for name in names], jobs)
+    texts = map_tasks(_report_section_task,
+                      [(name, quick) for name in names], jobs)
     return list(zip(names, texts))
 
 
@@ -93,41 +97,3 @@ def run_report(quick: bool = True, jobs: int = 1) -> str:
     return "\n\n".join(
         text for _name, text in run_report_sections(quick=quick, jobs=jobs))
 
-
-# ---------------------------------------------------------------------------
-# wall-clock workloads (python -m repro.bench --wallclock [--jobs N])
-# ---------------------------------------------------------------------------
-
-def _wallclock_task(payload: Tuple[str, bool, str]) -> Dict:
-    """Run one wall-clock workload (runs in a worker process)."""
-    import random
-
-    name, quick, mode = payload
-    random.seed(task_seed(name))
-    from .workloads import run_workload
-    return run_workload(name, quick=quick, mode=mode)
-
-
-def run_wallclock_suite(names: Sequence[str], gated: Sequence[str],
-                        quick: bool = False, jobs: int = 1):
-    """Current-mode records for ``names``, plus a same-run
-    ``REPRO_FLOW_CACHE=0`` twin for each workload in ``gated``.
-
-    Returns ``(current, oracle)``, dicts keyed by name in the given
-    order.  Each workload runs once per rung: fingerprints are pure
-    simulated-time outputs, identical for any ``jobs`` value, and
-    rung-against-rung plus committed-baseline equality is the
-    determinism check.  The mode travels in the task payload, so a
-    pooled oracle leg runs under the same environment override a serial
-    one does.
-    """
-    payloads = []
-    for name in names:
-        payloads.append((name, quick, "current"))
-        if name in gated:
-            payloads.append((name, quick, "uncached"))
-    records = _map_tasks(_wallclock_task, payloads, jobs)
-    current, oracle = {}, {}
-    for (name, _quick, mode), record in zip(payloads, records):
-        (current if mode == "current" else oracle)[name] = record
-    return current, oracle

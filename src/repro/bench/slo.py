@@ -1,4 +1,4 @@
-"""SLO harness: open-loop tail latency, gated like the wall-clock suite.
+"""SLO harness: open-loop tail latency, judged on fingerprints.
 
 ``python -m repro.bench --latency`` runs a small matrix of open-loop
 workloads at several offered loads, extracts p50/p99/p999 from the
@@ -41,7 +41,7 @@ from typing import Dict, List, Tuple
 
 from ..obs.slo import RequestLifecycle, SloTracker
 from .gate import REPO_ROOT, judge, new_report
-from .runner import _map_tasks, task_seed
+from .runner import map_tasks, task_seed
 from .workloads import MODES, WORKLOADS, Workload, env_override, run_once
 
 __all__ = ["REPORT_PATH", "BASELINE_PATH", "LEGS", "PROBES", "leg_names",
@@ -53,7 +53,7 @@ BASELINE_PATH = os.path.join(REPO_ROOT, "benchmarks", "latency_baseline.json")
 #: leg name -> registry record.  The two big workloads run at this
 #: suite's own scales: datagrams per host for the fabric, and for
 #: ``mega_flows`` (``--full`` only: it costs real wall time) its
-#: wall-clock quick scale -- its replies are withheld until every flow
+#: registry quick scale -- its replies are withheld until every flow
 #: has arrived, so 50k is already a worst-case tail.
 LEGS: Dict[str, Workload] = {
     name: record for name, record in WORKLOADS.items()
@@ -163,7 +163,7 @@ def run_latency_suite(quick: bool = True, jobs: int = 1) -> Dict:
     tasks = ([("leg", name) for name in legs]
              + [("probe", name) for name in PROBES]
              + [("rung", mode) for mode in MODES])
-    results = dict(zip(tasks, _map_tasks(
+    results = dict(zip(tasks, map_tasks(
         _latency_task, [task + (quick,) for task in tasks], jobs)))
     report = new_report("--latency", quick)
     report["legs"] = {name: results["leg", name] for name in legs}

@@ -17,6 +17,7 @@ from ..hw.alpha import MICROSECONDS_PER_SECOND
 from ..lang.ephemeral import ephemeral
 from ..sim import Signal
 from .testbed import build_raw_pair, build_testbed
+from .workloads import _tcp_bulk_fingerprint, _tcp_bulk_setup
 
 __all__ = [
     "measure_plexus_tcp_throughput",
@@ -46,52 +47,12 @@ def _mbps(nbytes: int, elapsed_us: float) -> float:
 
 def measure_plexus_tcp_throughput(device: str, total_bytes: int = 1_000_000,
                                   deliver_mode: str = "interrupt") -> float:
-    """Bulk TCP between two in-kernel extensions; returns payload Mb/s."""
+    """Bulk TCP between two in-kernel extensions, the registry's
+    ``tcp_bulk`` scenario on ``device``; returns payload Mb/s."""
     bed = build_testbed("spin", device, deliver_mode=deliver_mode)
-    engine = bed.engine
-    sender_stack, receiver_stack = bed.stacks
-    sender_host, receiver_host = bed.hosts
-
-    state = {"received": 0, "first_byte_at": None, "last_byte_at": None,
-             "sent": 0}
-    done = Signal(engine)
-
-    # -- receiver extension: count delivered bytes --------------------------
-    def on_accept(tcb):
-        def on_data(data: bytes) -> None:
-            if state["first_byte_at"] is None:
-                state["first_byte_at"] = engine.now
-            state["received"] += len(data)
-            state["last_byte_at"] = engine.now
-            if state["received"] >= total_bytes:
-                receiver_host.defer(done.fire)
-        tcb.on_data = on_data
-
-    receiver_stack.tcp_manager.listen(Credential("sink"), _PORT, on_accept)
-
-    # -- sender extension: keep the pipe full from on_sendable --------------
-    chunk = bytes(32 * 1024)
-
-    def pump(tcb) -> None:
-        while state["sent"] < total_bytes and tcb.send_space > 0:
-            take = min(len(chunk), total_bytes - state["sent"])
-            accepted = tcb.send(chunk[:take])
-            state["sent"] += accepted
-            if accepted == 0:
-                break
-
-    def start():
-        def work():
-            tcb = sender_stack.tcp_manager.connect(
-                Credential("source"), bed.ip(1), _PORT)
-            tcb.on_established = lambda: pump(tcb)
-            tcb.on_sendable = lambda space: pump(tcb)
-        yield from sender_host.kernel_path(work)
-        yield done.wait()
-
-    engine.run_process(start(), name="tcp-bulk")
-    elapsed = state["last_byte_at"] - (state["first_byte_at"] or 0.0)
-    return _mbps(state["received"], elapsed)
+    state, start = _tcp_bulk_setup(bed, total_bytes)
+    bed.engine.run_process(start(), name="tcp-bulk")
+    return _tcp_bulk_fingerprint(state, bed)["mbps"]
 
 
 def measure_unix_tcp_throughput(device: str,

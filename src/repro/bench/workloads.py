@@ -1,8 +1,9 @@
 """The workload registry and its one runner.
 
-Every scenario the harness can drive -- the wall-clock suite's six
-workloads, the latency suite's open/closed legs and its decomposition
-probes -- is one declarative :class:`Workload` record in
+Every scenario the harness can drive -- Figure 5's ping-pong and section
+4.2's bulk transfer, the sharded flow workloads, the fabric, the latency
+suite's open/closed legs and its decomposition probes -- is one
+declarative :class:`Workload` record in
 :data:`WORKLOADS`: how to build the bed, how to wire the scenario onto it
 (``setup(bed, scale, lifecycle=None) -> (state, main)``), what its
 simulated-time fingerprint is, its scales, and -- for the shardable ones
@@ -11,12 +12,14 @@ staggers and reply disciplines are data on the record, so a scenario
 family (the spin/ethernet UDP echo pair, the serial TCP object server,
 the many-flows origin) is written once and registered several times.
 
-Two functions run records, and nothing else in ``repro.bench`` times a
-simulation: :func:`run_once` (build -> instrument -> setup -> GC-quiesce
--> time -> record, on a single engine) and :func:`run_partitioned` (the
-same record sharded over a :class:`~repro.sim.PartitionedSimulation`).
-``--wallclock``, ``--latency``, ``--parallel-curve`` and ``python -m
-repro.obs --workload`` all go through them.
+Two functions run records: :func:`run_once` (build -> instrument ->
+setup -> GC-quiesce -> time -> record, on a single engine) and
+:func:`run_partitioned` (the same record as N shards, each a task of the
+suite's one process pool, :func:`repro.bench.runner.map_tasks`).
+``--latency``, ``--parallel-curve`` and ``python -m repro.obs
+--workload`` go through them; Figure 5 and section 4.2
+(:mod:`repro.bench.latency`, :mod:`repro.bench.throughput`) wire the
+same ``setup`` functions onto beds of their own.
 
 Each result carries a **fingerprint** of simulated-time outputs, the
 only thing the gate judges: any substrate change must leave every field
@@ -34,7 +37,6 @@ import os
 import time
 import zlib
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from ..core.manager import Credential
@@ -46,13 +48,13 @@ from ..lang.ephemeral import ephemeral
 from ..net.headers import ip_aton
 from ..obs.registry import merge_snapshots
 from ..obs.wire import instrument_testbed
-from ..sim import Engine, Partition, PartitionedSimulation, Signal
-from ..spin.kernel import SpinKernel
+from ..sim import Engine, Signal, SimulationError
 from ..unixos.sockets import Poller
+from .runner import map_tasks
 from .testbed import build_testbed
 
-__all__ = ["Workload", "WORKLOADS", "MODES", "env_override", "schedule",
-           "run_once", "run_partitioned", "run_workload"]
+__all__ = ["Workload", "WORKLOADS", "PINGPONG", "MODES", "env_override",
+           "schedule", "run_once", "run_partitioned", "run_workload"]
 
 
 @dataclass(frozen=True)
@@ -77,13 +79,6 @@ class Workload:
     #: the discarded warm-up pass heats imports, codegen and allocator
     #: pools; it need not pay for a huge quick scale twice
     warmup: int
-    #: part of the default ``--wallclock`` sweep (the rest run by name)
-    default_suite: bool = False
-    #: a SPIN dispatcher is in the loop: exactly these behave differently
-    #: under ``REPRO_FLOW_CACHE`` and get a same-run oracle twin
-    has_dispatcher: bool = False
-    #: what counts as an event when it is not the engine's own count
-    events: Optional[Callable] = None
     #: request kinds a :class:`~repro.obs.slo.RequestLifecycle` sees
     kinds: Tuple[str, ...] = ()
     #: shardable records only: ``split(scale, n_partitions, index)`` is a
@@ -139,58 +134,14 @@ def _horizon(plan, closed: bool, until: Optional[float]) -> Optional[float]:
 
 
 # ---------------------------------------------------------------------------
-# dispatcher_micro
-# ---------------------------------------------------------------------------
-
-def _micro_bed(scale, engine=None):
-    # The micro-benchmark has no Testbed; a shim with the same shape lets
-    # the obs layer attach profilers and registries all the same.
-    engine = Engine()
-    kernel = SpinKernel(engine, "wallclock-micro")
-    return SimpleNamespace(engine=engine, hosts=[kernel], stacks=(), nics=())
-
-
-def _micro_setup(bed, scale: int, lifecycle=None):
-    """Raw dispatch: one event, 8 handlers (4 guarded), ``scale`` raises
-    under a single CPU accumulator.  No engine events fire; "events" are
-    handler invocations."""
-    kernel = bed.hosts[0]
-    dispatcher = kernel.dispatcher
-    event = dispatcher.declare("Wallclock.Micro")
-    state = {"raises": scale}
-    hits = [0]
-
-    def handler(value):
-        hits[0] += 1
-
-    def make_guard(wanted):
-        def guard(value):
-            return value % 4 == wanted
-        return guard
-
-    for index in range(4):
-        dispatcher.install(event, handler)
-        dispatcher.install(event, handler, guard=make_guard(index))
-
-    def main():
-        marker = kernel.cpu.begin()
-        raise_event = dispatcher.raise_event
-        for i in range(scale):
-            raise_event(event, i)
-        state["charged_us"] = kernel.cpu.end(marker)
-        state["invocations"] = dispatcher.total_invocations
-        yield from ()
-
-    return state, main
-
-
-# ---------------------------------------------------------------------------
 # the spin/ethernet UDP echo pair (Figure 5's inner loop)
 # ---------------------------------------------------------------------------
 
 def _udp_echo(ports, creds, kind: str, payload: int = 0,
-              paced: Optional[str] = None, closed: bool = True):
-    """UDP ping-pong between two in-kernel Plexus extensions.
+              paced: Optional[str] = None, closed: bool = True,
+              mode: str = "inline", checksum: bool = True):
+    """UDP ping-pong between two in-kernel Plexus extensions, whose
+    handlers are bound in ``mode`` with the UDP ``checksum`` on or off.
 
     Unpaced, ``scale`` back-to-back round trips of ``payload`` zero bytes.
     ``paced`` names the latency leg whose :func:`schedule` sets each
@@ -240,9 +191,11 @@ def _udp_echo(ports, creds, kind: str, payload: int = 0,
                 client_host.defer(reply_seen.fire)
 
         server_ep = server_stack.udp_manager.bind(
-            Credential(creds[0]), server_port, server_handler)
+            Credential(creds[0]), server_port, server_handler, mode=mode,
+            checksum=checksum)
         client_ep = client_stack.udp_manager.bind(
-            Credential(creds[1]), client_port, client_handler)
+            Credential(creds[1]), client_port, client_handler, mode=mode,
+            checksum=checksum)
 
         def main():
             for seq, (gap_us, size) in enumerate(plan):
@@ -278,16 +231,14 @@ def _udp_echo_fingerprint(state, bed) -> Dict:
     }
 
 
-def _udp_echo_record(name: str, scales, default_suite: bool = False,
-                     **scenario) -> Workload:
+def _udp_echo_record(name: str, scales, **scenario) -> Workload:
     quick, full, warmup = scales
     return Workload(
         name=name, build=_pair("spin", "ethernet"),
         setup=_udp_echo(**scenario), fingerprint=_udp_echo_fingerprint,
         # one request + one reply per trip
         packets=lambda state: 2 * state["trips"],
-        quick=quick, full=full, warmup=warmup, has_dispatcher=True,
-        default_suite=default_suite, kinds=(scenario["kind"],))
+        quick=quick, full=full, warmup=warmup, kinds=(scenario["kind"],))
 
 
 # ---------------------------------------------------------------------------
@@ -601,16 +552,15 @@ def _split_flows(scale: int, n_partitions: int, index: int) -> int:
     return base + (1 if index < extra else 0)
 
 
-def _flows_record(name: str, scales, default_suite: bool = False,
-                  hosts: Callable = lambda scale: 2, **scenario) -> Workload:
+def _flows_record(name: str, scales, hosts: Callable = lambda scale: 2,
+                  **scenario) -> Workload:
     quick, full, warmup = scales
     return Workload(
         name=name, build=_pair("unix", "atm", hosts), setup=_flows(**scenario),
         fingerprint=_flows_fingerprint,
         # at least one frame each way per flow
         packets=lambda state: state["served"] * 2,
-        quick=quick, full=full, warmup=warmup,
-        default_suite=default_suite, kinds=scenario["kinds"],
+        quick=quick, full=full, warmup=warmup, kinds=scenario["kinds"],
         split=_split_flows)
 
 
@@ -742,31 +692,26 @@ def _fabric_fingerprint(state, bed) -> Dict:
 # the registry
 # ---------------------------------------------------------------------------
 
+#: Figure 5's ping-pong, as ``_udp_echo`` scenario data: the registry's
+#: ``udp_pingpong`` and :func:`repro.bench.latency.measure_plexus_udp_rtt`
+#: are both this.
+PINGPONG = {"ports": (7002, 7001), "creds": ("pong", "ping"),
+            "kind": "udp_pingpong"}
 _ECHO_PORTS = (7007, 7008)
 _PROBE_HORIZON_US = 60_000_000.0
 
 _RECORDS = [
-    Workload(
-        name="dispatcher_micro", build=_micro_bed, setup=_micro_setup,
-        fingerprint=lambda state, bed: dict(state),
-        packets=lambda state: 0, events=lambda state: state["invocations"],
-        quick=2_000, full=20_000, warmup=2_000,
-        default_suite=True, has_dispatcher=True),
-    _udp_echo_record("udp_pingpong", (60, 400, 60), default_suite=True,
-                     ports=(7002, 7001), creds=("pong", "ping"),
-                     kind="udp_pingpong", payload=8),
+    _udp_echo_record("udp_pingpong", (60, 400, 60), **PINGPONG, payload=8),
     Workload(
         name="tcp_bulk", build=_pair("spin", "atm"), setup=_tcp_bulk_setup,
         fingerprint=_tcp_bulk_fingerprint,
         packets=lambda state: state["segments"],
-        quick=100_000, full=400_000, warmup=100_000,
-        default_suite=True, has_dispatcher=True),
+        quick=100_000, full=400_000, warmup=100_000),
     # Half TCP, half UDP at a 15 us stagger: thousands of connections in
     # flight at once stress the kernel timers (per-connection retransmit /
     # delayed-ack / TIME_WAIT timers) and the O(1) port allocators.
-    _flows_record("many_flows", (2_000, 6_000, 2_000), default_suite=True,
-                  tcp_object=512, udp_reply=128, stagger_us=15.0,
-                  deferred=False,
+    _flows_record("many_flows", (2_000, 6_000, 2_000), tcp_object=512,
+                  udp_reply=128, stagger_us=15.0, deferred=False,
                   is_tcp=lambda index, scale: index < scale // 2,
                   kinds=("many_udp", "many_tcp")),
     # The same shape at memory scale: mostly UDP (every 8th flow TCP) at a
@@ -782,8 +727,7 @@ _RECORDS = [
         name="fabric_fat_tree", build=_fat_tree_bed, setup=_fabric_setup,
         fingerprint=_fabric_fingerprint,
         packets=lambda state: state["received"],
-        quick=40, full=200, warmup=10, has_dispatcher=True,
-        kinds=("fabric_dgram",)),
+        quick=40, full=200, warmup=10, kinds=("fabric_dgram",)),
     # Closed-loop decomposition probes (repro.bench.slo attaches an
     # SloTracker): Figure 5's ping-pong, and sequential object fetches
     # over a clean and a bursty-loss wire, bounded so a lost handshake
@@ -900,47 +844,43 @@ def run_once(record: Workload, scale: int, instrument=None) -> Dict:
         if until is None:
             engine.run_process(main(), name=record.name)
         else:
-            engine.process(main(), name=record.name)
+            process = engine.process(main(), name=record.name)
             engine.run(until=until)
+            # Still pending at the horizon is legal -- that is what the
+            # horizon is for -- but a scenario that raised must not
+            # report a normal-looking record.
+            if process.triggered:
+                process.value
         wall = time.perf_counter() - wall0
-    events = (engine.events_processed if record.events is None
-              else record.events(state))
-    result = _result(wall, events, record.packets(state),
-                     record.fingerprint(state, bed),
-                     instrument_testbed(bed).snapshot())
-    if record.has_dispatcher:
-        # Host-side observability only: how many raises replayed a
-        # compiled plan versus walked the handler list, summed over the
-        # bed's hosts.  Never part of the fingerprint (the counters
-        # legitimately differ under ``REPRO_FLOW_CACHE=0``).
-        cache = result["flow_cache"] = {}
-        for host in bed.hosts:
-            for key, value in host.dispatcher.flow_cache.counters().items():
-                cache[key] = (bool(cache.get(key)) or value if key == "enabled"
-                              else cache.get(key, 0) + value)
-    return result
+    return _result(wall, engine.events_processed, record.packets(state),
+                   record.fingerprint(state, bed),
+                   instrument_testbed(bed).snapshot())
 
 
-def _build_shard(index: int, n_partitions: int, spec: Dict) -> Partition:
-    """Build one shard of a registered workload (runs inside the owning
-    process -- a forked worker under ``parallel=True``)."""
-    record = WORKLOADS[spec["workload"]]
+def _shard_task(payload: Tuple[str, int, int, int]) -> Dict:
+    """Build shard ``index`` of ``n`` of a registered workload on an
+    engine of its own, run it dry and return its result (a pool task: it
+    runs in a forked worker under ``parallel=True``, so everything but
+    the payload and the result is shard-local)."""
+    name, scale, n, index = payload
+    record = WORKLOADS[name]
     engine = Engine()
-    scale = record.split(spec["scale"], n_partitions, index)
+    scale = record.split(scale, n, index)
     bed = record.build(scale, engine)
     state, main_factory = record.setup(bed, scale)
     main = engine.process(main_factory(), name=record.name)
-
-    def result() -> Dict:
-        main.value  # surfaces any exception that escaped the workload
-        return {
-            "fingerprint": record.fingerprint(state, bed),
-            "packets": record.packets(state),
-            "events": engine.events_processed,
-            "metrics": instrument_testbed(bed).snapshot(),
-        }
-
-    return Partition(engine, done=lambda: main.triggered, result=result)
+    engine.run()
+    if not main.triggered:
+        raise SimulationError(
+            "shard %d of %d is not done but no events are pending "
+            "(deadlock at t=%r)" % (index, n, engine.now))
+    main.value  # surfaces any exception that escaped the workload
+    return {
+        "fingerprint": record.fingerprint(state, bed),
+        "packets": record.packets(state),
+        "events": engine.events_processed,
+        "metrics": instrument_testbed(bed).snapshot(),
+    }
 
 
 def _check_shards(record: Workload, scale: int, sim_jobs: int) -> None:
@@ -962,9 +902,12 @@ def run_partitioned(record: Workload, scale: int, sim_jobs: int,
                     parallel: bool = True) -> Dict:
     """Run a shardable ``record`` as ``sim_jobs`` shards.
 
-    ``parallel=True`` forks one worker per shard; ``parallel=False``
-    runs the shards in this process, the reference the forked run must
-    equal.  The fingerprint is defined over the merged shards --
+    ``parallel=True`` hands the pool one worker per shard;
+    ``parallel=False`` hands it one job, which runs the same tasks in
+    this process in index order -- the reference the forked run must
+    equal (a worker's exception arrives with its remote traceback, a
+    worker that dies fails the run with ``BrokenProcessPool``).  The
+    fingerprint is defined over the merged shards --
     counters summed (peaks are concurrent *per shard*; the sum is the
     testbed-wide concurrency the sharded run sustained), the final clock
     their maximum -- and carries a ``partitions`` field, so it is
@@ -973,12 +916,11 @@ def run_partitioned(record: Workload, scale: int, sim_jobs: int,
     record.
     """
     _check_shards(record, scale, sim_jobs)
-    simulation = PartitionedSimulation(
-        _build_shard, sim_jobs, {"workload": record.name, "scale": scale},
-        parallel=parallel)
+    payloads = [(record.name, scale, sim_jobs, index)
+                for index in range(sim_jobs)]
     with _gc_quiesced():
         wall0 = time.perf_counter()
-        shards = simulation.run()
+        shards = map_tasks(_shard_task, payloads, sim_jobs if parallel else 1)
         wall = time.perf_counter() - wall0
     fingerprints = [shard["fingerprint"] for shard in shards]
     fingerprint = {key: sum(each[key] for each in fingerprints)

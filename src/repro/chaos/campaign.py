@@ -11,7 +11,6 @@ results merged back in declaration order, byte-identical to a serial run.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import os
@@ -407,8 +406,6 @@ def run_corpus(specs: List[CampaignSpec],
     Results come back in spec order regardless of ``jobs``, so serial and
     parallel runs produce byte-identical reports.
     """
-    if jobs <= 1 or len(specs) <= 1:
-        return [run_campaign(spec) for spec in specs]
-    records = [spec.to_dict() for spec in specs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_spec_record, records))
+    from ..bench.runner import map_tasks
+    return map_tasks(_run_spec_record, [spec.to_dict() for spec in specs],
+                     jobs)

@@ -216,16 +216,11 @@ class ImpairmentModel:
 class _Medium:
     """Common attach bookkeeping plus fault injection.
 
-    Two fault layers, both deterministic:
-
-    * ``set_fault_model(loss_rate, corrupt_rate, seed)`` -- the original
-      independent per-frame loss/corruption hook;
-    * ``set_impairments(config, seed)`` -- the composable
-      :class:`ImpairmentModel` (bursty loss, reordering, duplication,
-      jitter, throttling, link flaps) used by ``repro.chaos``.
-
-    When both are armed the legacy fault model draws first, then the
-    impairment model sees the surviving frames.
+    One fault layer, deterministic: ``set_impairments(config, seed)``
+    arms the composable :class:`ImpairmentModel` (independent or bursty
+    loss, corruption, reordering, duplication, jitter, throttling, link
+    flaps) that ``repro.chaos``, the impaired latency probe and the
+    examples all use.
     """
 
     def __init__(self, engine: Engine, bandwidth_bps: float, propagation_us: float):
@@ -243,39 +238,11 @@ class _Medium:
         self.frames_reordered = 0
         self.frames_flap_dropped = 0
         self.frames_delivered = 0   # frame_on_wire / switch hand-offs made
-        self._loss_rate = 0.0
-        self._corrupt_rate = 0.0
-        self._fault_rng: Optional[random.Random] = None
         self._impairments: Optional[ImpairmentModel] = None
 
     def attach(self, nic) -> None:
         self.nics.append(nic)
         nic.link = self
-
-    def set_fault_model(self, loss_rate: float = 0.0,
-                        corrupt_rate: float = 0.0,
-                        seed: Optional[int] = 1996) -> None:
-        """Inject faults: each frame is independently lost or corrupted.
-
-        Re-arm semantics are explicit.  Passing an integer ``seed`` (the
-        default ``1996`` included) restarts the deterministic RNG stream
-        from that seed -- even mid-run, discarding the current stream's
-        position.  Passing ``seed=None`` keeps the current stream and
-        only updates the rates; it raises ``ValueError`` when no fault
-        model has been armed yet (there is no stream to keep).
-        """
-        for rate in (loss_rate, corrupt_rate):
-            if not 0.0 <= rate < 1.0:
-                raise ValueError("fault rates must be in [0, 1)")
-        if seed is None:
-            if self._fault_rng is None:
-                raise ValueError(
-                    "seed=None keeps the current RNG stream, but no fault "
-                    "model is armed on this medium yet")
-        else:
-            self._fault_rng = random.Random(seed)
-        self._loss_rate = loss_rate
-        self._corrupt_rate = corrupt_rate
 
     def set_impairments(self, config: Optional[ImpairmentConfig],
                         seed: int = 1996) -> Optional[ImpairmentModel]:
@@ -337,22 +304,6 @@ class _Medium:
             "frames_delivered": self.frames_delivered,
         }
 
-    def _apply_faults(self, frame: Frame) -> Optional[Frame]:
-        """None = frame lost; otherwise the (possibly corrupted) frame."""
-        if self._fault_rng is None:
-            return frame
-        if self._loss_rate and self._fault_rng.random() < self._loss_rate:
-            self.frames_lost += 1
-            return None
-        if self._corrupt_rate and self._fault_rng.random() < self._corrupt_rate:
-            self.frames_corrupted += 1
-            data = bytearray(frame.data)
-            index = self._fault_rng.randrange(len(data))
-            data[index] ^= 1 << self._fault_rng.randrange(8)
-            return Frame(bytes(data), frame.src_addr, frame.dst_addr,
-                         wire_bytes=frame.wire_bytes)
-        return frame
-
     def _account(self, frame: Frame) -> None:
         self.frames_carried += 1
         self.bytes_carried += frame.wire_bytes
@@ -391,10 +342,6 @@ class EthernetSegment(_Medium):
         bus.release()
         self.frames_carried += 1
         self.bytes_carried += frame.wire_bytes
-        if self._fault_rng is not None:
-            frame = self._apply_faults(frame)
-            if frame is None:
-                return
         if self._impairments is not None:
             for extra_us, copy in self._impaired_outcomes(frame):
                 for nic in self.nics:
@@ -436,9 +383,6 @@ class PointToPointLink(_Medium):
         yield self.engine.pooled_timeout(self._wire_time_us(frame.wire_bytes))
         lane.release()
         self._account(frame)
-        frame = self._apply_faults(frame)
-        if frame is None:
-            return
         if self._impairments is not None:
             for extra_us, copy in self._impaired_outcomes(frame):
                 self._deliver_after(peer.frame_on_wire, copy,
@@ -478,9 +422,6 @@ class SwitchPort(_Medium):
         yield self.engine.pooled_timeout(self._wire_time_us(frame.wire_bytes))
         lane.release()
         self._account(frame)
-        frame = self._apply_faults(frame)
-        if frame is None:
-            return
         if self._impairments is not None:
             for extra_us, copy in self._impaired_outcomes(frame):
                 self._deliver_after(self.switch.accept, copy,

@@ -4,7 +4,6 @@ Public surface::
 
     from repro.sim import Engine, Event, Timeout, Process
     from repro.sim import Resource, Signal
-    from repro.sim import Partition, PartitionedSimulation
 """
 
 from .engine import (
@@ -14,14 +13,11 @@ from .engine import (
     SimulationError,
     Timeout,
 )
-from .partition import Partition, PartitionedSimulation
 from .resources import Resource, ResourceRequest, Signal
 
 __all__ = [
     "Engine",
     "Event",
-    "Partition",
-    "PartitionedSimulation",
     "Process",
     "Resource",
     "ResourceRequest",

@@ -172,22 +172,6 @@ class FlowCache:
         self._mru = key
         return entry
 
-    def counters(self) -> Dict[str, int]:
-        return {
-            "enabled": self.enabled,
-            "entries": len(self.entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "evictions": self.evictions,
-            # flat keys: the bench report sums counters across hosts
-            "compiled_plans": self.compiled_plans,
-            "compiled_scans": self.compiled_scans,
-            "compiled_replays": self.compiled_replays,
-            "compiled_scan_raises": self.compiled_scan_raises,
-            "compiled_shape_hits": self.compiled_shape_hits,
-        }
-
     def register_metrics(self, registry) -> None:
         """Publish the cache counters on a metrics registry."""
         registry.source("spin.flowcache.enabled", lambda: int(self.enabled))

@@ -3,9 +3,8 @@ CLI parser, one workload registry.
 
 The gate's policies are table-driven here, first on bare rows and then
 through each suite's row extractor on a synthetic report; the tests that
-predate the single gate (``TestPrechangeGate``, ``TestLatencyGate``,
-``TestSpeedupExpectation``) keep their own files and go through the same
-functions.  Nothing here depends on how fast the host is: the gate
+predate the single gate (``TestLatencyGate``, ``TestSpeedupExpectation``)
+keep their own files and go through the same functions.  Nothing here depends on how fast the host is: the gate
 judges fingerprints, and the one ratio it floors is fed synthetic
 ``wall_s`` values.
 """
@@ -14,12 +13,11 @@ import copy
 
 import pytest
 
-from repro.bench import parallel, slo, wallclock
+from repro.bench import parallel, slo, workloads
 from repro.bench.__main__ import _parser, main
 from repro.bench.gate import (gate, judge, load_baseline, write_baseline,
                               write_json)
 from repro.bench.workloads import WORKLOADS, run_once, run_partitioned
-from repro.sim import PartitionedSimulation
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +102,6 @@ _SIDE = {"n": 10, "p50_ns": 100, "p99_ns": 200, "p999_ns": 300,
          "still_open": 0}
 
 
-def _wallclock_report():
-    record = {"fingerprint": {"f": 1}, "events_per_sec": 100.0, "wall_s": 1.0}
-    return {"quick": True, "host": HOST, "workloads": {"w": dict(record)},
-            "oracle": {"w": dict(record)}}
-
-
 def _latency_report():
     return {
         "quick": True, "host": HOST,
@@ -140,7 +132,6 @@ def _curve_rows(report):
 
 
 SUITES = {
-    "wallclock": (_wallclock_report, wallclock.rows, "w"),
     "latency": (_latency_report, slo.rows, "udp_echo@g400"),
     "parallel": (_parallel_report, _curve_rows, "many_flows x2"),
 }
@@ -159,11 +150,6 @@ def _set(path, value):
 #: suite, what is wrong with the fresh report, the row that must say so,
 #: ok, and a substring of the error ("" = warning-only or clean)
 SUITE_TABLE = [
-    ("wallclock", None, "w", True, ""),
-    ("wallclock", _set(["workloads", "w", "fingerprint"], {"f": 2}), "w",
-     False, "drifted"),
-    ("wallclock", _set(["oracle", "w", "fingerprint"], {"f": 2}), "w", False,
-     "divergence"),
     ("latency", None, "udp_echo@g400", True, ""),
     ("latency", _set(["legs", "udp_echo@g400", "open", "p99_ns"], 240),
      "udp_echo@g400", False, "drifted from the committed baseline on open"),
@@ -227,7 +213,7 @@ def test_baseline_is_the_projection_of_the_gate_rows(tmp_path, suite):
     assert set(load_baseline(path)) >= {"quick", "full"}
 
 
-@pytest.mark.parametrize("suite", ["wallclock", "latency"])
+@pytest.mark.parametrize("suite", ["latency"])
 def test_slow_or_missing_baseline_only_warns(tmp_path, suite):
     build, extract, row = SUITES[suite]
     path = str(tmp_path / "baseline.json")
@@ -238,31 +224,25 @@ def test_slow_or_missing_baseline_only_warns(tmp_path, suite):
 
 
 def test_a_100x_slower_host_changes_no_verdict(monkeypatch, tmp_path):
-    """Host speed is not this harness's to judge: a fresh wall-clock or
-    latency report 100x slower than both its same-run twin and a
+    """Host speed is not this harness's to judge: a fresh latency
+    report 100x slower than both its same-run twin and a
     schema-9 baseline (which still carried speed columns) is clean, with
     no ``speed_*`` key on any row.  The one timed ratio left is the
     forked x2 leg's, and there the same slowdown still fails."""
     monkeypatch.setattr(parallel, "affinity_cores", lambda: 4)
-    for suite, fresh in (
-            ("wallclock", lambda report: report["workloads"]["w"]),
-            ("latency", lambda report: report["legs"]["udp_echo@g400"])):
-        build, extract, _row = SUITES[suite]
-        path = str(tmp_path / (suite + ".json"))
-        write_baseline(build(), extract, path)
-        baseline = load_baseline(path)
-        baseline["host"] = HOST
-        for committed in baseline["quick"].values():
-            committed.update(wall_s=1.0, events_per_sec=100.0)
-        write_json(baseline, path)
-        report = build()
-        record = fresh(report)
-        record["wall_s"] *= 100.0
-        if "events_per_sec" in record:
-            record["events_per_sec"] /= 100.0
-        assert judge(report, extract, path)["ok"]
-        for verdict in report["comparison"].values():
-            assert verdict == {"ok": True, "errors": [], "warnings": []}
+    build, extract, _row = SUITES["latency"]
+    path = str(tmp_path / "latency.json")
+    write_baseline(build(), extract, path)
+    baseline = load_baseline(path)
+    baseline["host"] = HOST
+    for committed in baseline["quick"].values():
+        committed.update(wall_s=1.0, events_per_sec=100.0)
+    write_json(baseline, path)
+    report = build()
+    report["legs"]["udp_echo@g400"]["wall_s"] *= 100.0
+    assert judge(report, extract, path)["ok"]
+    for verdict in report["comparison"].values():
+        assert verdict == {"ok": True, "errors": [], "warnings": []}
     report = _parallel_report()
     assert report["legs"][0]["serial"]["wall_s"] >= parallel.JUDGED_SERIAL_S
     report["legs"][0]["parallel"]["wall_s"] *= 100.0
@@ -304,7 +284,7 @@ class TestLoadBaseline:
         with pytest.raises(ValueError, match="baseline.json"):
             load_baseline(str(path))
 
-    @pytest.mark.parametrize("suite", ["wallclock", "latency"])
+    @pytest.mark.parametrize("suite", ["latency"])
     def test_corrupt_baseline_cannot_turn_the_gate_off(self, tmp_path, suite):
         """Both old loaders returned None here, every row then read "no
         committed baseline", and the suite exited 0."""
@@ -314,23 +294,6 @@ class TestLoadBaseline:
         with pytest.raises(ValueError, match="unreadable"):
             judge(build(), extract, str(path))
 
-    def test_wallclock_run_with_a_corrupt_baseline_raises(self, monkeypatch,
-                                                          tmp_path):
-        path = tmp_path / "wallclock_baseline.json"
-        path.write_text("{")
-        monkeypatch.setattr(wallclock, "BASELINE_PATH", str(path))
-        with pytest.raises(ValueError, match="wallclock_baseline.json"):
-            wallclock.run_suite(quick=True, names=["dispatcher_micro"])
-
-    def test_wallclock_run_without_a_baseline_warns(self, monkeypatch,
-                                                    tmp_path):
-        monkeypatch.setattr(wallclock, "BASELINE_PATH",
-                            str(tmp_path / "absent.json"))
-        suite = wallclock.run_suite(quick=True, names=["dispatcher_micro"])
-        row = suite["comparison"]["dispatcher_micro"]
-        assert suite["ok"] and row["ok"]
-        assert any("no committed baseline" in w for w in row["warnings"])
-
 
 # ---------------------------------------------------------------------------
 # the one argument parser
@@ -338,14 +301,18 @@ class TestLoadBaseline:
 
 class TestCommandLine:
     @pytest.mark.parametrize("argv", [
-        ["--wallclok"],                     # a typo once ran the full report
-        ["--wallclock", "--latency"],       # one mode at a time
+        ["--latecy"],                       # a typo once ran the full report
+        ["--charts", "--latency"],          # one mode at a time
         ["--quick", "--full"],
         ["--jobs", "0"], ["--jobs", "two"], ["--jobs"],
-        ["--wallclock", "--sim-jobs", "2"],  # deleted: --parallel-curve's leg
-        ["--write-baseline"],               # needs --wallclock or --latency
+        ["--latency", "--sim-jobs", "2"],   # deleted: --parallel-curve's leg
+        ["--write-baseline"],               # needs --latency
         ["--parallel-curve", "--write-baseline"],
         ["--speedup-smoke"],                # deleted with its CI step
+        ["--wallclock"],                    # retired: perfbench pins its rows
+        ["--check", "--jobs", "4"],         # a flag the mode would ignore
+        ["--parallel-curve", "--jobs", "4"],
+        ["--charts", "--full"],
     ])
     def test_bad_arguments_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -361,7 +328,7 @@ class TestCommandLine:
 
     def test_jobs_parse_through_one_validator(self):
         args = _parser().parse_args(
-            ["--wallclock", "--jobs", "3", "--write-baseline"])
+            ["--latency", "--jobs", "3", "--write-baseline"])
         assert (args.jobs, args.write_baseline) == (3, True)
         assert _parser().parse_args([]).jobs == 1
 
@@ -377,7 +344,7 @@ class TestRegistry:
         result = run_once(record, record.warmup)
         assert result["events"] > 0 and result["wall_s"] > 0
         assert result["fingerprint"]
-        assert ("flow_cache" in result) == record.has_dispatcher
+        assert "flow_cache" not in result
         assert "per_flow_kb" not in result
         assert record.quick <= record.full
 
@@ -386,13 +353,13 @@ class TestRegistry:
     def test_shardable_records_merge_as_the_sum_of_their_shards(
             self, monkeypatch, name):
         shards = []
-        real_run = PartitionedSimulation.run
+        real_task = workloads._shard_task
 
-        def run(simulation):
-            shards.extend(real_run(simulation))
-            return list(shards)
+        def task(payload):
+            shards.append(real_task(payload))
+            return shards[-1]
 
-        monkeypatch.setattr(PartitionedSimulation, "run", run)
+        monkeypatch.setattr(workloads, "_shard_task", task)
         record = WORKLOADS[name]
         scale = min(record.warmup, 120)
         merged = run_partitioned(record, scale, 2, parallel=False)
@@ -408,6 +375,24 @@ class TestRegistry:
         for key in ("events", "packets"):
             assert merged[key] == sum(shard[key] for shard in shards)
 
+    def test_paper_measures_run_the_registry_scenario(self):
+        """Figure 5 and section 4.2 are the registry's ``udp_pingpong`` /
+        ``tcp_bulk`` scenarios on a bed of their own choosing: equal by
+        ``==`` on floats where the beds coincide, and pinned to the means
+        recorded before they shared a definition where the handler mode
+        or the checksum switch differs."""
+        from repro.bench.latency import measure_plexus_udp_rtt
+        from repro.bench.throughput import measure_plexus_tcp_throughput
+        assert measure_plexus_udp_rtt(
+            "ethernet", "interrupt", trips=60).mean == run_once(
+                WORKLOADS["udp_pingpong"], 60)["fingerprint"]["mean_rtt_us"]
+        assert measure_plexus_tcp_throughput("atm", 100_000) == run_once(
+            WORKLOADS["tcp_bulk"], 100_000)["fingerprint"]["mbps"]
+        assert measure_plexus_udp_rtt(
+            "ethernet", "thread", trips=20).mean == 875.1759999999997
+        assert measure_plexus_udp_rtt(
+            "ethernet", trips=20, checksum=False).mean == 572.0399999999995
+
     def test_latency_legs_pair_with_their_closed_twins(self):
         for name in slo.LEGS:
             assert name in WORKLOADS
@@ -417,13 +402,37 @@ class TestRegistry:
         for probe in slo.PROBES:
             assert WORKLOADS[probe].kinds
 
-    def test_default_suite_is_the_committed_sweep(self):
-        assert sorted(name for name, record in WORKLOADS.items()
-                      if record.default_suite) == [
-            "dispatcher_micro", "many_flows", "tcp_bulk", "udp_pingpong"]
+    def test_a_scenario_that_raises_under_a_horizon_fails_the_run(self):
+        """A bounded run never waited on its main process, so an
+        exception escaping the scenario stayed parked in it and the run
+        returned a normal-looking record; pending at the horizon stays
+        legal."""
+        from dataclasses import replace
+        record = WORKLOADS["udp_clean"]
 
-    @pytest.mark.parametrize("name", [
-        name for name, record in WORKLOADS.items() if record.default_suite])
+        def bounded(main):
+            def setup(bed, scale, lifecycle=None):
+                state, _main = record.setup(bed, scale, lifecycle)
+                state["until"] = 1_000.0
+                return state, lambda: main(bed.engine)
+            return replace(record, setup=setup)
+
+        def raises(engine):
+            yield engine.timeout(5.0)
+            raise RuntimeError("scenario bug")
+
+        def outlives_the_horizon(engine):
+            yield engine.timeout(5_000.0)
+
+        with pytest.raises(RuntimeError, match="scenario bug"):
+            run_once(bounded(raises), 3)
+        result = run_once(bounded(outlives_the_horizon), 3)
+        assert result["fingerprint"]["final_now_us"] == 1_000.0
+
+    # The three names CI's ``python -m repro.obs --workload`` steps and
+    # ``--parallel-curve`` drive.
+    @pytest.mark.parametrize("name", ["udp_pingpong", "tcp_bulk",
+                                      "many_flows"])
     def test_obs_profiles_every_default_suite_workload(self, name):
         from repro.obs.__main__ import profile_workload
         record, profiler, registry, tracer = profile_workload(name, quick=True)

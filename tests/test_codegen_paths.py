@@ -8,14 +8,12 @@ per-handle statistics, bit-identical simulated time and category
 accounting, identical profiler stacks.  These tests drive the corner
 cases directly (thread delegation, time limits, guard exceptions,
 mid-raise uninstalls), plus the machinery around the ladder: shape
-sharing, the step cap, generation/epoch hygiene, the bench gate's
-oracle twin, and the obs ``compiled-path`` metric requirement.
+sharing, the step cap, generation/epoch hygiene, and the obs
+``compiled-path`` metric requirement.
 """
 
 import pytest
 
-from repro.bench.gate import host_fingerprint, judge
-from repro.bench.wallclock import rows as wallclock_rows, run_suite
 from repro.hw.cpu import ChargeError
 from repro.obs.__main__ import _missing_categories
 from repro.obs.profiler import CpuProfiler
@@ -106,6 +104,14 @@ def _assert_equivalent(sides):
         assert side.dispatcher.total_raises == ref.dispatcher.total_raises
 
 
+def _published(cache):
+    """The cache's counters as it publishes them (all but its size)."""
+    registry = MetricsRegistry()
+    cache.register_metrics(registry)
+    return {name: row["value"] for name, row in registry.snapshot().items()
+            if name != "spin.flowcache.capacity"}
+
+
 def _both_rungs(scenario):
     """Run ``scenario(side)`` on both rungs and cross-check."""
     sides = [_Side(mode) for mode in MODES]
@@ -113,7 +119,7 @@ def _both_rungs(scenario):
         scenario(side)
     _assert_equivalent(sides)
     # The oracle side really did stay interpreted.
-    assert not any(sides[1].dispatcher.flow_cache.counters().values())
+    assert not any(_published(sides[1].dispatcher.flow_cache).values())
     return sides
 
 
@@ -332,8 +338,8 @@ class TestShapeCache:
         assert compiled_side.flows[0].plans == {}
         assert compiled_side.event._scan is None
         cache = compiled_side.dispatcher.flow_cache
-        assert not any(value for key, value in cache.counters().items()
-                       if key != "enabled")
+        assert not any(value for name, value in _published(cache).items()
+                       if name != "spin.flowcache.enabled")
 
 
 # ---------------------------------------------------------------------------
@@ -390,36 +396,6 @@ class TestGenerationHygiene:
         # And the entry now carries a fresh plan against the live snapshot.
         assert side.flows[0].plans[side.event] is not stale_plan
         assert side.flows[0].plans[side.event].snapshot is side.event._snapshot
-
-
-# ---------------------------------------------------------------------------
-# the bench gate: the oracle leg is a fingerprint twin
-# ---------------------------------------------------------------------------
-
-class TestPrechangeGate:
-    """The same-run twin the gate compares fingerprints with (named
-    ``prechange`` before it became the ``REPRO_FLOW_CACHE=0`` oracle
-    leg)."""
-
-    def test_fingerprint_divergence_fails(self):
-        report = {
-            "quick": True, "host": host_fingerprint(),
-            "workloads": {"w": {"fingerprint": {"f": 1}, "wall_s": 0.5}},
-            "oracle": {"w": {"fingerprint": {"f": 2}}},
-        }
-        rows = judge(report, wallclock_rows)["comparison"]
-        assert not rows["w"]["ok"]
-        assert any("divergence" in err for err in rows["w"]["errors"])
-
-    def test_run_suite_carries_host_and_prechange_leg(self):
-        suite = run_suite(quick=True, names=["dispatcher_micro"])
-        assert suite["host"] == host_fingerprint()
-        row = suite["comparison"]["dispatcher_micro"]
-        assert row["ok"] and not any(key.startswith("speed_") for key in row)
-        if suite.get("oracle"):  # flow cache armed in this environment
-            assert suite["oracle"]["dispatcher_micro"] == {
-                "fingerprint":
-                    suite["workloads"]["dispatcher_micro"]["fingerprint"]}
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,14 @@ Covers the tentpole and satellites of the compiled-path refactor:
   node in/out edge lists immediately;
 * ``REPRO_FLOW_CACHE=0`` falls back to linear dispatch with simulated
   time bit-identical to the cached path;
-* flow-cache counters appear in the wallclock report (schema 2);
+* flow-cache counters appear in every run record's metrics snapshot;
 * the tracer decodes TCP options (MSS, window scale).
 """
 
 import pytest
 
 from repro.bench.testbed import build_testbed
-from repro.bench.workloads import WORKLOADS, run_once, run_workload
+from repro.bench.workloads import WORKLOADS, run_once
 from repro.core import Credential, ProtocolGraph
 from repro.lang import ephemeral
 from repro.net.trace import PacketTracer, _decode_tcp_options
@@ -81,9 +81,14 @@ class TestGraphStaysAuthoritative:
 # ---------------------------------------------------------------------------
 
 def _udp_quick_fingerprint():
+    """The fingerprint and the ``spin.flowcache.*`` rows of the record's
+    metrics snapshot (summed over the bed's hosts), by short name."""
     record = run_once(WORKLOADS["udp_pingpong"],
                       WORKLOADS["udp_pingpong"].quick)
-    return record["fingerprint"], record["flow_cache"]
+    prefix = "spin.flowcache."
+    return record["fingerprint"], {
+        name[len(prefix):]: row["value"]
+        for name, row in record["metrics"].items() if name.startswith(prefix)}
 
 
 class TestFlowCache:
@@ -124,11 +129,11 @@ class TestFlowCache:
         for _ in range(4):
             bed.engine.run_process(bed.hosts[0].kernel_path(send_one))
             bed.engine.run()
-        counters = bed.hosts[1].dispatcher.flow_cache.counters()
-        if counters["enabled"]:  # honours an externally-set escape hatch
-            assert counters["entries"] >= 1
+        cache = bed.hosts[1].dispatcher.flow_cache
+        if cache.enabled:  # honours an externally-set escape hatch
+            assert len(cache.entries) >= 1
             # First packet of the flow records plans; later packets replay.
-            assert counters["hits"] > 0
+            assert cache.hits > 0
 
     def test_uninstall_invalidates_plan(self, spin_pair):
         """After uninstalling a handler, cached flows must not call it."""
@@ -157,13 +162,14 @@ class TestFlowCache:
         assert len(hits) == delivered_before  # stale plan did not replay
 
     def test_counters_in_wallclock_report(self):
-        record = run_workload("dispatcher_micro", quick=True)
-        assert "flow_cache" in record
+        """No suite is named that any more; the counters ride in every
+        run record's metrics snapshot."""
+        fingerprint, counters = _udp_quick_fingerprint()
         for key in ("enabled", "hits", "misses", "invalidations",
                     "evictions", "entries"):
-            assert key in record["flow_cache"]
-        # The flow-cache section must not leak into the fingerprint.
-        assert "flow_cache" not in record["fingerprint"]
+            assert key in counters
+        # The flow-cache counters must not leak into the fingerprint.
+        assert not set(counters) & set(fingerprint)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from repro.bench.testbed import build_testbed
 from repro.core import Credential
+from repro.hw.link import ImpairmentConfig
 from repro.lang import ephemeral
 from repro.net.trace import PacketTracer, decode_frame
 from repro.sim import Signal
@@ -17,6 +18,14 @@ from repro.sim import Signal
 @ephemeral
 def _noop(m, off, src_ip, src_port, dst_ip, dst_port):
     pass
+
+
+def independent_faults(medium, loss=0.0, corrupt=0.0, seed=1996):
+    """Each frame independently lost or corrupted: Gilbert-Elliott loss
+    with equal rates in both states."""
+    return medium.set_impairments(
+        ImpairmentConfig(loss_good=loss, loss_bad=loss, corrupt_rate=corrupt),
+        seed=seed)
 
 
 def tcp_transfer(bed, total=40_000, deadline_us=5_000_000.0):
@@ -58,7 +67,7 @@ def tcp_transfer(bed, total=40_000, deadline_us=5_000_000.0):
 class TestFaultInjection:
     def test_tcp_survives_five_percent_loss(self):
         bed = build_testbed("spin", "ethernet")
-        bed.medium.set_fault_model(loss_rate=0.05, seed=42)
+        independent_faults(bed.medium, loss=0.05, seed=42)
         received = tcp_transfer(bed, total=40_000)
         assert received >= 40_000
         assert bed.medium.frames_lost > 0  # faults actually happened
@@ -66,7 +75,7 @@ class TestFaultInjection:
     def test_tcp_survives_corruption(self):
         """Corrupted segments fail the checksum and are retransmitted."""
         bed = build_testbed("spin", "ethernet")
-        bed.medium.set_fault_model(corrupt_rate=0.05, seed=7)
+        independent_faults(bed.medium, corrupt=0.05, seed=7)
         received = tcp_transfer(bed, total=40_000)
         assert received >= 40_000
         assert bed.medium.frames_corrupted > 0
@@ -78,7 +87,7 @@ class TestFaultInjection:
 
     def test_udp_loses_datagrams_on_lossy_wire(self):
         bed = build_testbed("spin", "ethernet")
-        bed.medium.set_fault_model(loss_rate=0.3, seed=3)
+        independent_faults(bed.medium, loss=0.3, seed=3)
         engine = bed.engine
         seen = []
 
@@ -101,13 +110,13 @@ class TestFaultInjection:
     def test_fault_rates_validated(self):
         bed = build_testbed("spin", "ethernet")
         with pytest.raises(ValueError):
-            bed.medium.set_fault_model(loss_rate=1.5)
+            independent_faults(bed.medium, loss=1.5)
 
     def test_fault_injection_is_deterministic(self):
         losses = []
         for _ in range(2):
             bed = build_testbed("spin", "ethernet")
-            bed.medium.set_fault_model(loss_rate=0.1, seed=99)
+            independent_faults(bed.medium, loss=0.1, seed=99)
             tcp_transfer(bed, total=20_000)
             losses.append(bed.medium.frames_lost)
         assert losses[0] == losses[1]
@@ -118,7 +127,7 @@ class TestFaultInjection:
         of paper sec. 1.1)."""
         from repro.apps.video import VIDEO_PORT_BASE, SpinVideoClient, SpinVideoServer
         bed = build_testbed("spin", "t3")
-        bed.medium.set_fault_model(loss_rate=0.15, seed=11)
+        independent_faults(bed.medium, loss=0.15, seed=11)
         client = SpinVideoClient(bed.stacks[1])
         server = SpinVideoServer(bed.stacks[0])
         server.add_stream(bed.ip(1), VIDEO_PORT_BASE, frames=20)
@@ -132,7 +141,7 @@ class TestFaultInjection:
 
     def test_point_to_point_faults(self):
         bed = build_testbed("spin", "t3")
-        bed.medium.set_fault_model(loss_rate=0.05, seed=5)
+        independent_faults(bed.medium, loss=0.05, seed=5)
         received = tcp_transfer(bed, total=40_000)
         assert received >= 40_000
         assert bed.medium.frames_lost > 0

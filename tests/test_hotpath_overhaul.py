@@ -13,7 +13,8 @@ Covers the surfaces the overhaul added or rewrote:
 * ``try_charge`` uncontexted-charge accounting.
 
 Simulated-time outputs must be unaffected by any of this; the
-byte-identical guard lives in ``benchmarks/test_wallclock.py``.
+byte-identical guards are ``perfbench/expected.json``'s ``sim_fingerprint``
+pins and ``benchmarks/latency_baseline.json``.
 """
 
 import tracemalloc

@@ -2,8 +2,7 @@
 
 Model-level tests pin down the seeded draw discipline (same (seed,
 config) -> bit-identical fates) and each impairment's semantics; the
-medium-level tests check the wiring into the three media and the
-documented ``set_fault_model`` re-arm rules.
+medium-level tests check the wiring into the three media.
 """
 
 import pytest
@@ -129,32 +128,6 @@ class TestModel:
         flipped = [d for d in diff if d]
         assert len(flipped) == 1
         assert bin(flipped[0]).count("1") == 1
-
-
-class TestRearmSemantics:
-    def test_seed_restarts_stream(self):
-        bed = build_testbed("spin", "ethernet")
-        medium = bed.medium
-        medium.set_fault_model(loss_rate=0.1, seed=42)
-        initial_state = medium._fault_rng.getstate()
-        medium._fault_rng.random()  # advance the stream
-        medium.set_fault_model(loss_rate=0.1, seed=42)
-        assert medium._fault_rng.getstate() == initial_state
-
-    def test_seed_none_keeps_stream(self):
-        bed = build_testbed("spin", "ethernet")
-        medium = bed.medium
-        medium.set_fault_model(loss_rate=0.1, seed=42)
-        medium._fault_rng.random()
-        mid_state = medium._fault_rng.getstate()
-        medium.set_fault_model(loss_rate=0.25, seed=None)
-        assert medium._fault_rng.getstate() == mid_state
-        assert medium._loss_rate == 0.25
-
-    def test_seed_none_without_armed_model_raises(self):
-        bed = build_testbed("spin", "ethernet")
-        with pytest.raises(ValueError):
-            bed.medium.set_fault_model(loss_rate=0.1, seed=None)
 
 
 class TestMediumIntegration:

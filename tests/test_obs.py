@@ -626,9 +626,11 @@ class TestSchemaAndWiring:
             in capsys.readouterr().out
 
     def test_wallclock_records_carry_metrics(self):
-        record = run_workload("dispatcher_micro", quick=True)
+        record = run_workload("udp_pingpong", quick=True)
         metrics = record["metrics"]
-        assert metrics["spin.dispatcher.raises"]["value"] == record["scale"]
+        # Two datagrams a trip, each raised at Ethernet, IP and UDP.
+        assert metrics["spin.dispatcher.raises"]["value"] == (
+            6 * record["scale"])
 
     def test_chaos_verdict_carries_metrics(self):
         from repro.chaos import build_quick_corpus, run_campaign

@@ -3,10 +3,12 @@
 Bottom up:
 
 * ``Engine.call_at`` schedules absolute floats, exactly.
-* ``PartitionedSimulation``: shards build, run dry, must be done, and
-  come back in index order -- forked or in-process alike; a worker's
-  failure, an unfinished shard and a worker that dies silently all
-  surface as ``SimulationError`` naming the shard.
+* Shards as pool tasks (``runner.map_tasks`` over
+  ``workloads._shard_task``): each builds, runs dry, must be done, and
+  they come back in index order -- forked or in-process alike; a
+  worker's exception arrives with its remote traceback, an unfinished
+  shard is a ``SimulationError`` naming it, and a worker that dies
+  silently breaks the pool instead of hanging the run.
 * The workload surface: sharded ``many_flows`` / ``mega_flows`` against
   their in-process oracle, the jobs=2 speed-up floor, and
   ``merge_snapshots``.
@@ -14,12 +16,16 @@ Bottom up:
 
 import math
 import os
+from concurrent.futures.process import BrokenProcessPool
+from types import SimpleNamespace
 
 import pytest
 
+from repro.bench.runner import map_tasks
+from repro.bench.workloads import (WORKLOADS, Workload, _check_shards,
+                                   _shard_task)
 from repro.obs.registry import MetricError, merge_snapshots
-from repro.sim import Engine, Partition, PartitionedSimulation, \
-    SimulationError
+from repro.sim import Engine, SimulationError
 
 
 # ---------------------------------------------------------------------------
@@ -44,75 +50,90 @@ class TestRunWindow:
 
 
 # ---------------------------------------------------------------------------
-# the executor: fork, run dry, merge
+# the executor: shards are tasks of the suite's one process pool
 # ---------------------------------------------------------------------------
 
-def _timer_shard(index, n_partitions, spec):
-    """A shard that fires one timer at ``t = index + 1`` and reports who
-    ran it.  ``spec`` picks one shard to misbehave: ``raise`` in its
-    builder, ``exit`` its process without a word, or never be ``done``."""
-    fault, victim = spec or (None, None)
-    if index == victim:
-        if fault == "raise":
+def _timer_record(fault=None, victim=None):
+    """A shardable record whose shard ``index`` fires one timer at ``t =
+    index + 1`` and reports who ran it.  ``fault`` picks the ``victim``
+    shard to misbehave: ``raise`` while it is built, ``exit`` its process
+    without a word, or stay ``stuck`` on an event nothing fires."""
+    def build(index, engine=None):
+        if index == victim and fault == "raise":
             raise KeyError("no such flow table")
-        if fault == "exit":
+        if index == victim and fault == "exit":
             os._exit(3)
-    engine = Engine()
-    fired = []
-    engine.call_at(index + 1.0, lambda _ev: fired.append(engine.now))
-    return Partition(
-        engine,
-        done=lambda: not (fault == "stuck" and index == victim),
-        result=lambda: {"index": index, "of": n_partitions, "fired": fired,
-                        "pid": os.getpid()})
+        return SimpleNamespace(engine=engine)
+
+    def setup(bed, index, lifecycle=None):
+        state = {"fired": []}
+
+        def main():
+            yield bed.engine.timeout(index + 1.0)
+            state["fired"].append(bed.engine.now)
+            if index == victim and fault == "stuck":
+                yield bed.engine.event()
+
+        return state, main
+
+    return Workload(
+        name="timer_shards", build=build, setup=setup,
+        fingerprint=lambda state, bed: dict(state, pid=os.getpid()),
+        packets=lambda state: 0, quick=1, full=1, warmup=1,
+        split=lambda scale, n, index: index)
+
+
+@pytest.fixture
+def run_shards(monkeypatch):
+    """``run(record, n, jobs)``: the ``n`` shard tasks of ``record``
+    mapped over ``jobs`` workers (forked workers inherit the registry
+    entry)."""
+    def run(record, n, jobs):
+        monkeypatch.setitem(WORKLOADS, record.name, record)
+        return map_tasks(_shard_task, [(record.name, 0, n, index)
+                                       for index in range(n)], jobs)
+    return run
 
 
 class TestExecutor:
     @pytest.mark.parametrize("parallel", [False, True])
-    def test_results_come_back_in_index_order(self, parallel):
-        results = PartitionedSimulation(_timer_shard, 3,
-                                        parallel=parallel).run()
-        assert [(r["index"], r["of"], r["fired"]) for r in results] == [
-            (0, 3, [1.0]), (1, 3, [2.0]), (2, 3, [3.0])]
-        pids = {r["pid"] for r in results}
-        if parallel:
-            assert len(pids) == 3 and os.getpid() not in pids
+    def test_results_come_back_in_index_order(self, run_shards, parallel):
+        results = run_shards(_timer_record(), 3, 3 if parallel else 1)
+        assert [r["fingerprint"]["fired"] for r in results] == [
+            [1.0], [2.0], [3.0]]
+        pids = {r["fingerprint"]["pid"] for r in results}
+        if parallel:        # which worker takes which task is the pool's
+            assert os.getpid() not in pids
         else:
             assert pids == {os.getpid()}
 
-    def test_one_shard_never_forks(self):
-        for parallel in (False, True):
-            (result,) = PartitionedSimulation(_timer_shard, 1,
-                                              parallel=parallel).run()
-            assert result["pid"] == os.getpid()
+    def test_one_shard_never_forks(self, run_shards):
+        for jobs in (1, 4):
+            (result,) = run_shards(_timer_record(), 1, jobs)
+            assert result["fingerprint"]["pid"] == os.getpid()
 
     def test_zero_shards_rejected(self):
-        with pytest.raises(ValueError):
-            PartitionedSimulation(_timer_shard, 0)
+        with pytest.raises(ValueError, match="sim_jobs must be >= 1"):
+            _check_shards(WORKLOADS["many_flows"], SMALL_SCALE, 0)
 
-    def test_worker_failure_relays_the_remote_traceback(self):
-        simulation = PartitionedSimulation(_timer_shard, 2, ("raise", 1))
-        with pytest.raises(SimulationError) as raised:
-            simulation.run()
-        message = str(raised.value)
-        assert "shard 1 worker failed" in message
-        assert "KeyError('no such flow table')" in message
-        assert "Traceback" in message and "_timer_shard" in message
+    def test_worker_failure_relays_the_remote_traceback(self, run_shards):
+        with pytest.raises(KeyError, match="no such flow table") as raised:
+            run_shards(_timer_record("raise", 1), 2, 2)
+        remote = str(raised.value.__cause__)
+        assert "Traceback" in remote and "_shard_task" in remote
 
     @pytest.mark.parametrize("parallel", [False, True])
-    def test_unfinished_shard_is_a_deadlock(self, parallel):
-        simulation = PartitionedSimulation(_timer_shard, 2, ("stuck", 1),
-                                           parallel=parallel)
+    def test_unfinished_shard_is_a_deadlock(self, run_shards, parallel):
         with pytest.raises(SimulationError,
                            match="shard 1 of 2 is not done .* t=2.0"):
-            simulation.run()
+            run_shards(_timer_record("stuck", 1), 2, 2 if parallel else 1)
 
-    def test_worker_that_dies_silently_names_shard_and_exit_code(self):
-        simulation = PartitionedSimulation(_timer_shard, 2, ("exit", 0))
-        with pytest.raises(SimulationError,
-                           match=r"shard 0 worker exited without a result "
-                                 r"\(exit code 3\)"):
-            simulation.run()
+    def test_worker_that_dies_silently_names_shard_and_exit_code(
+            self, run_shards):
+        """The pool cannot say which shard or exit code; what matters is
+        that the run fails instead of waiting for the dead worker."""
+        with pytest.raises(BrokenProcessPool):
+            run_shards(_timer_record("exit", 0), 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +196,9 @@ class TestPartitionedMegaFlows:
         assert fp["bytes_in"] > 0
 
     def test_mega_flows_is_on_demand_only(self):
-        from repro.bench.workloads import WORKLOADS
-        assert not WORKLOADS["mega_flows"].default_suite
+        from repro.bench.slo import leg_names
+        assert "mega_flows" not in leg_names(quick=True)
+        assert "mega_flows" in leg_names(quick=False)
 
 
 class TestSpeedupExpectation:

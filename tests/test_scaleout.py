@@ -216,7 +216,6 @@ class TestFlowCacheLru:
         # 50 distinct keys cycling through 8 slots: every access misses,
         # so each of the 1000 inserts past the first 8 evicted one entry.
         assert len(cache.entries) == 8
-        assert cache.counters()["entries"] == 8
         assert cache.evictions == 1_000 - 8
 
     def test_capacity_is_validated_at_construction(self):
@@ -310,13 +309,3 @@ class TestBenchRunner:
         sections = run_report_sections(quick=True, jobs=1)
         assert [name for name, _text in sections] == \
             [name for name, _fn in SECTIONS]
-
-    def test_wallclock_fingerprints_match_across_jobs(self):
-        from repro.bench.runner import run_wallclock_suite
-        names = ["dispatcher_micro", "udp_pingpong"]
-        serial, _oracle = run_wallclock_suite(names, [], quick=True, jobs=1)
-        sharded, _oracle = run_wallclock_suite(names, [], quick=True, jobs=2)
-        assert list(serial) == names
-        assert list(sharded) == names
-        for name in names:
-            assert serial[name]["fingerprint"] == sharded[name]["fingerprint"]

@@ -416,7 +416,7 @@ class TestHarnessDeterminism:
         assert len(schedule("udp_echo@g400", 20)) == 20
 
     def test_leg_rerun_and_jobs2_are_bit_identical(self):
-        from repro.bench.runner import _map_tasks
+        from repro.bench.runner import map_tasks
         from repro.bench.slo import _latency_task
 
         def strip(results):
@@ -429,9 +429,9 @@ class TestHarnessDeterminism:
 
         payloads = [("leg", "udp_echo@g2000", True),
                     ("probe", "udp_clean", True)]
-        serial = strip(_map_tasks(_latency_task, payloads, 1))
-        rerun = strip(_map_tasks(_latency_task, payloads, 1))
-        sharded = strip(_map_tasks(_latency_task, payloads, 2))
+        serial = strip(map_tasks(_latency_task, payloads, 1))
+        rerun = strip(map_tasks(_latency_task, payloads, 1))
+        sharded = strip(map_tasks(_latency_task, payloads, 2))
         assert serial == rerun == sharded
 
 
