@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import os
 import random
 import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..bench.workloads import MODES, env_override
 from ..hw.link import ImpairmentConfig
 from ..net.tcp.tcb import TcpState
 from ..net.trace import PacketTracer
@@ -347,20 +347,6 @@ def _flow_cache_armed(bed) -> bool:
     return dispatcher is not None and dispatcher.flow_cache.enabled
 
 
-def _mode_fingerprint(spec: CampaignSpec, env: Dict[str, str]) -> Dict[str, Any]:
-    """Re-run the identical campaign under the given mode overrides."""
-    saved = {key: os.environ.get(key) for key in env}
-    os.environ.update(env)
-    try:
-        return _execute(spec).fingerprint()
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                del os.environ[key]
-            else:
-                os.environ[key] = value
-
-
 def run_campaign(spec: CampaignSpec) -> Dict[str, Any]:
     """Run one campaign end to end; returns the verdict record."""
     ctx = _execute(spec)
@@ -368,7 +354,8 @@ def run_campaign(spec: CampaignSpec) -> Dict[str, Any]:
     if spec.oracle and spec.os_name == "spin" and _flow_cache_armed(ctx.bed):
         # The other rung of the bit-exactness ladder: the same campaign
         # with every raise on the interpreted linear scan.
-        oracle = _mode_fingerprint(spec, {"REPRO_FLOW_CACHE": "0"})
+        with env_override(MODES["uncached"]):
+            oracle = _execute(spec).fingerprint()
         if oracle != fingerprint:
             diverged = sorted(key for key in fingerprint
                               if oracle.get(key) != fingerprint[key])

@@ -24,19 +24,19 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..hw.nic import NIC
-from ..net.arp import ArpProto
-from ..net.ethernet import EthernetProto
+from ..lang.view import VIEW
 from ..net.headers import (
     ETHERTYPE_ARP,
     ETHERTYPE_IP,
     IPPROTO_ICMP,
     IPPROTO_TCP,
     IPPROTO_UDP,
+    TCP_HEADER,
 )
 from ..net.flow import classify_frame
 from ..net.icmp import IcmpProto
 from ..net.ip import IpProto
-from ..net.link_adapter import EthernetAdapter, RawLinkProto
+from ..net.link_adapter import link_to_ip
 from ..net.tcp import TcpProto
 from ..net.udp import UdpProto
 from ..spin.domain import Domain, Interface
@@ -67,8 +67,8 @@ class PlexusStack:
                  neighbors: Optional[Dict[int, object]] = None):
         if deliver_mode not in ("interrupt", "thread"):
             raise ValueError("deliver_mode must be 'interrupt' or 'thread'")
-        if link not in ("ethernet", "raw"):
-            raise ValueError("link must be 'ethernet' or 'raw'")
+        bottom, adapter, self.arp, header_len = link_to_ip(
+            kernel, nic, my_ip, link, neighbors)
         self.host = kernel
         self.nic = nic
         self.my_ip = my_ip
@@ -98,20 +98,8 @@ class PlexusStack:
             self.graph.add_node("arp", "protocol")
 
         # ---- protocol instances -----------------------------------------------
-        self.ethernet: Optional[EthernetProto] = None
-        self.arp: Optional[ArpProto] = None
-        self.rawlink: Optional[RawLinkProto] = None
-        if link == "ethernet":
-            self.ethernet = EthernetProto(kernel, nic)
-            self.arp = ArpProto(kernel, self.ethernet, my_ip)
-            adapter = EthernetAdapter(self.ethernet, self.arp)
-            bottom = self.ethernet
-            header_len = EthernetProto.HEADER_LEN
-        else:
-            self.rawlink = RawLinkProto(kernel, nic, neighbors)
-            adapter = self.rawlink
-            bottom = self.rawlink
-            header_len = 0
+        self.ethernet, self.rawlink = (
+            (bottom, None) if link == "ethernet" else (None, bottom))
         self.ip = IpProto(kernel, my_ip, adapter)
         self.icmp = IcmpProto(kernel, self.ip)
         self.udp = UdpProto(kernel, self.ip)
@@ -237,8 +225,6 @@ class PlexusStack:
         tcp_manager = self.tcp_manager
 
         def tcp_standard_guard(m, off, src_ip, dst_ip):
-            from ..lang.view import VIEW
-            from ..net.headers import TCP_HEADER
             if m.length() < off + TCP_HEADER.size:
                 return False
             port = VIEW(m.data, TCP_HEADER, offset=off).dst_port

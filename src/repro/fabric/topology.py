@@ -20,15 +20,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..bench.testbed import Testbed
-from ..core.plexus import PlexusStack
 from ..hw.alpha import ALPHA_21064, CostTable
 from ..hw.link import PointToPointLink
 from ..hw.nic import FabricNic
 from ..net.headers import ip_aton
 from ..sim import Engine
 from ..spin.kernel import SpinKernel
-from ..unixos.kernelnet import UnixKernel, UnixStack
-from ..unixos.sockets import SocketLayer
 from .switch import SwitchHost
 from .table import Forward, MatchTable
 
@@ -44,8 +41,11 @@ HOST_LINK_PROPAGATION_US = 0.5
 class FabricBed(Testbed):
     """A testbed whose medium is a programmed multi-hop switch fabric."""
 
-    def __init__(self, engine: Engine, os_name: str, device: str):
-        super().__init__(engine, os_name, device)
+    def __init__(self, engine: Optional[Engine], os_name: str, ecmp_seed: int,
+                 deliver_mode: str, costs: CostTable):
+        super().__init__(engine or Engine(), os_name, "fabric", deliver_mode,
+                         costs)
+        self.ecmp_seed = ecmp_seed           # of every switch
         self.switches: List[SwitchHost] = []
         self.links: List[object] = []
         self.wire_names: List[str] = []
@@ -82,33 +82,38 @@ class FabricBed(Testbed):
 # shared pieces
 # ---------------------------------------------------------------------------
 
-def _new_switch(engine, name: str, costs: CostTable,
-                ecmp_seed: int) -> SwitchHost:
-    return SwitchHost(SpinKernel(engine, name, costs=costs), name=name,
-                      ecmp_seed=ecmp_seed)
+def _add_edge_host(bed: FabricBed, name: str, nic_addr: str, my_ip: int,
+                   peer_ips: List[int], uplink_addr: str,
+                   locator: Tuple[int, int, int]) -> None:
+    """An edge host at ``locator``: every other host of the fabric is a
+    static neighbor reached through the host's own uplink."""
+    neighbors = {ip: uplink_addr for ip in peer_ips if ip != my_ip}
+    bed.add_host(name, FabricNic(bed.engine, "fab0", nic_addr), my_ip, "raw",
+                 neighbors)
+    bed.host_locator.append(locator)
 
 
-def _add_edge_host(bed: FabricBed, os_name: str, name: str, nic_addr: str,
-                   my_ip: int, neighbors: Dict[int, str], deliver_mode: str,
-                   costs: CostTable) -> None:
+def _add_switch(bed: FabricBed, name: str, ports: List[Tuple[str, str]],
+                routes: List[Tuple[int, int, Tuple[int, ...]]]) -> SwitchHost:
+    """A programmed switch: port ``i`` is NIC ``p<i>`` with the address
+    and peer address ``ports[i]``, and one LPM table on the destination
+    holds ``routes`` -- ``(network, prefix_len, egress ports)``, more than
+    one egress port meaning ECMP.  Call after every edge host is added:
+    the switch kernel and its port NICs join ``bed.hosts`` / ``bed.nics``
+    behind them (conservation laws sweep them)."""
     engine = bed.engine
-    nic = FabricNic(engine, "fab0", nic_addr)
-    if os_name == "spin":
-        host = SpinKernel(engine, name, costs=costs)
-    else:
-        host = UnixKernel(engine, name, costs=costs)
-    host.add_nic(nic)
-    bed.hosts.append(host)
-    bed.nics.append(nic)
-    bed.ips.append(my_ip)
-    if os_name == "spin":
-        stack = PlexusStack(host, nic, my_ip, deliver_mode=deliver_mode,
-                            link="raw", neighbors=neighbors)
-        bed.sockets.append(None)
-    else:
-        stack = UnixStack(host, nic, my_ip, link="raw", neighbors=neighbors)
-        bed.sockets.append(SocketLayer(stack))
-    bed.stacks.append(stack)
+    switch = SwitchHost(SpinKernel(engine, name, costs=bed.costs), name=name,
+                        ecmp_seed=bed.ecmp_seed)
+    for index, (address, peer_addr) in enumerate(ports):
+        switch.add_port(FabricNic(engine, "p%d" % index, address),
+                        peer_addr=peer_addr)
+    table = switch.add_table(MatchTable("l3", "dst_ip", kind="lpm"))
+    for network, prefix_len, egress in routes:
+        table.set(network, (Forward(*egress),), prefix_len=prefix_len)
+    bed.switches.append(switch)
+    bed.hosts.append(switch.host)
+    bed.nics.extend(port.nic for port in switch.ports)
+    return switch
 
 
 def _wire(bed: FabricBed, nic_a, nic_b, name: str,
@@ -158,16 +163,13 @@ def fat_tree(k: int, os_name: str = "spin", hosts_per_edge: int = 1,
              deliver_mode: str = "interrupt",
              costs: CostTable = ALPHA_21064) -> FabricBed:
     """A full k-ary fat-tree on one engine."""
-    engine = engine or Engine()
     half = _validate_fat_tree(k, hosts_per_edge)
-    bed = FabricBed(engine, os_name, "fabric")
+    bed = FabricBed(engine, os_name, ecmp_seed, deliver_mode, costs)
     bed.fat_tree_k = k
     bed.hosts_per_edge = hosts_per_edge
 
-    # Static neighbor map: every other host in the fabric is reached via
-    # the sender's own edge-switch uplink.
-    all_hosts = [(p, e, s) for p in range(k) for e in range(half)
-                 for s in range(hosts_per_edge)]
+    all_ips = [_ft_host_ip(p, e, s) for p in range(k) for e in range(half)
+               for s in range(hosts_per_edge)]
 
     # Edge hosts, interleaved across pods so adjacent indices sit in
     # different pods (chaos workloads drive stacks[0] <-> stacks[1] and
@@ -175,79 +177,47 @@ def fat_tree(k: int, os_name: str = "spin", hosts_per_edge: int = 1,
     for e in range(half):
         for s in range(hosts_per_edge):
             for p in range(k):
-                my_ip = _ft_host_ip(p, e, s)
-                neighbors = {
-                    _ft_host_ip(op, oe, os_): _ft_edge_addr(p, e, s)
-                    for (op, oe, os_) in all_hosts
-                    if (op, oe, os_) != (p, e, s)}
-                _add_edge_host(bed, os_name, "fab-h-p%de%ds%d" % (p, e, s),
-                               _ft_host_addr(p, e, s), my_ip, neighbors,
-                               deliver_mode, costs)
-                bed.host_locator.append((p, e, s))
+                _add_edge_host(bed, "fab-h-p%de%ds%d" % (p, e, s),
+                               _ft_host_addr(p, e, s), _ft_host_ip(p, e, s),
+                               all_ips, _ft_edge_addr(p, e, s), (p, e, s))
 
-    # Edge switches: ports 0..hpe-1 face hosts, hpe..hpe+half-1 face aggs.
+    # Edge switches: ports 0..hpe-1 face hosts, hpe..hpe+half-1 face aggs;
+    # /32s down, ECMP default up.
+    uplinks = tuple(range(hosts_per_edge, hosts_per_edge + half))
     for p in range(k):
         for e in range(half):
-            switch = _new_switch(engine, "fab-e-p%de%d" % (p, e), costs,
-                                 ecmp_seed)
-            for s in range(hosts_per_edge):
-                nic = FabricNic(engine, "p%d" % s, _ft_edge_addr(p, e, s))
-                switch.add_port(nic, peer_addr=_ft_host_addr(p, e, s))
-            for a in range(half):
-                port = hosts_per_edge + a
-                nic = FabricNic(engine, "p%d" % port, _ft_edge_addr(p, e, port))
-                switch.add_port(nic, peer_addr=_ft_agg_addr(p, a, e))
-            table = switch.add_table(MatchTable("l3", "dst_ip", kind="lpm"))
-            for s in range(hosts_per_edge):
-                table.set(_ft_host_ip(p, e, s), (Forward(s),), prefix_len=32)
-            uplinks = tuple(range(hosts_per_edge, hosts_per_edge + half))
-            table.set(0, (Forward(*uplinks),), prefix_len=0)
-            bed.edge_switches[(p, e)] = switch
-            bed.switches.append(switch)
+            bed.edge_switches[(p, e)] = _add_switch(
+                bed, "fab-e-p%de%d" % (p, e),
+                [(_ft_edge_addr(p, e, s), _ft_host_addr(p, e, s))
+                 for s in range(hosts_per_edge)] +
+                [(_ft_edge_addr(p, e, hosts_per_edge + a),
+                  _ft_agg_addr(p, a, e)) for a in range(half)],
+                [(_ft_host_ip(p, e, s), 32, (s,))
+                 for s in range(hosts_per_edge)] + [(0, 0, uplinks)])
 
-    # Aggregation switches: ports 0..half-1 face edges, half.. face cores.
+    # Aggregation switches: ports 0..half-1 face edges, half.. face cores;
+    # per-edge /24s down, ECMP default up.
+    uplinks = tuple(range(half, 2 * half))
     for p in range(k):
         for a in range(half):
-            switch = _new_switch(engine, "fab-a-p%da%d" % (p, a), costs,
-                                 ecmp_seed)
-            for e in range(half):
-                nic = FabricNic(engine, "p%d" % e, _ft_agg_addr(p, a, e))
-                switch.add_port(
-                    nic, peer_addr=_ft_edge_addr(p, e, hosts_per_edge + a))
-            for j in range(half):
-                c = a * half + j
-                port = half + j
-                nic = FabricNic(engine, "p%d" % port, _ft_agg_addr(p, a, port))
-                switch.add_port(nic, peer_addr=_ft_core_addr(c, p))
-            table = switch.add_table(MatchTable("l3", "dst_ip", kind="lpm"))
-            for e in range(half):
-                table.set(ip_aton("10.%d.%d.0" % (p, e)), (Forward(e),),
-                          prefix_len=24)
-            uplinks = tuple(range(half, 2 * half))
-            table.set(0, (Forward(*uplinks),), prefix_len=0)
-            bed.agg_switches[(p, a)] = switch
-            bed.switches.append(switch)
+            bed.agg_switches[(p, a)] = _add_switch(
+                bed, "fab-a-p%da%d" % (p, a),
+                [(_ft_agg_addr(p, a, e),
+                  _ft_edge_addr(p, e, hosts_per_edge + a))
+                 for e in range(half)] +
+                [(_ft_agg_addr(p, a, half + j), _ft_core_addr(a * half + j, p))
+                 for j in range(half)],
+                [(ip_aton("10.%d.%d.0" % (p, e)), 24, (e,))
+                 for e in range(half)] + [(0, 0, uplinks)])
 
-    # Core switches: port p faces pod p's agg c//half.
+    # Core switches: port p faces pod p's agg c//half; per-pod /16s.
     for c in range(half * half):
-        switch = _new_switch(engine, "fab-c%d" % c, costs, ecmp_seed)
-        a = c // half
-        for p in range(k):
-            nic = FabricNic(engine, "p%d" % p, _ft_core_addr(c, p))
-            switch.add_port(
-                nic, peer_addr=_ft_agg_addr(p, a, half + (c % half)))
-        table = switch.add_table(MatchTable("l3", "dst_ip", kind="lpm"))
-        for p in range(k):
-            table.set(ip_aton("10.%d.0.0" % p), (Forward(p),),
-                      prefix_len=16)
-        bed.core_switches[c] = switch
-        bed.switches.append(switch)
-
-    # Switch kernels join the host list (conservation laws sweep them);
-    # their port NICs join the NIC list.
-    for switch in bed.switches:
-        bed.hosts.append(switch.host)
-        bed.nics.extend(port.nic for port in switch.ports)
+        bed.core_switches[c] = _add_switch(
+            bed, "fab-c%d" % c,
+            [(_ft_core_addr(c, p),
+              _ft_agg_addr(p, c // half, half + (c % half)))
+             for p in range(k)],
+            [(ip_aton("10.%d.0.0" % p), 16, (p,)) for p in range(k)])
 
     # Wires, in canonical order: host links, edge-agg, agg-core.
     for p in range(k):
@@ -334,8 +304,7 @@ def leaf_spine(spines: int, leaves: int, os_name: str = "spin",
         raise ValueError("leaf-spine needs >= 1 spine and >= 2 leaves")
     if hosts_per_leaf < 1:
         raise ValueError("hosts_per_leaf must be >= 1")
-    engine = engine or Engine()
-    bed = FabricBed(engine, os_name, "fabric")
+    bed = FabricBed(engine, os_name, ecmp_seed, deliver_mode, costs)
 
     def host_ip(l: int, s: int) -> int:
         return ip_aton("10.0.%d.%d" % (l, s + 2))
@@ -349,49 +318,33 @@ def leaf_spine(spines: int, leaves: int, os_name: str = "spin",
     def spine_addr(sp: int, port: int) -> str:
         return "fs-s%d.%d" % (sp, port)
 
-    all_hosts = [(l, s) for l in range(leaves) for s in range(hosts_per_leaf)]
+    all_ips = [host_ip(l, s) for l in range(leaves)
+               for s in range(hosts_per_leaf)]
     for s in range(hosts_per_leaf):
         for l in range(leaves):
-            neighbors = {host_ip(ol, os_): leaf_addr(l, s)
-                         for (ol, os_) in all_hosts if (ol, os_) != (l, s)}
-            _add_edge_host(bed, os_name, "fab-h-l%ds%d" % (l, s),
-                           host_addr(l, s), host_ip(l, s), neighbors,
-                           deliver_mode, costs)
-            bed.host_locator.append((0, l, s))
+            _add_edge_host(bed, "fab-h-l%ds%d" % (l, s), host_addr(l, s),
+                           host_ip(l, s), all_ips, leaf_addr(l, s), (0, l, s))
 
+    uplinks = tuple(range(hosts_per_leaf, hosts_per_leaf + spines))
     leaf_switches = []
     for l in range(leaves):
-        switch = _new_switch(engine, "fab-l%d" % l, costs, ecmp_seed)
-        for s in range(hosts_per_leaf):
-            switch.add_port(FabricNic(engine, "p%d" % s, leaf_addr(l, s)),
-                            peer_addr=host_addr(l, s))
-        for sp in range(spines):
-            port = hosts_per_leaf + sp
-            switch.add_port(FabricNic(engine, "p%d" % port, leaf_addr(l, port)),
-                            peer_addr=spine_addr(sp, l))
-        table = switch.add_table(MatchTable("l3", "dst_ip", kind="lpm"))
-        for s in range(hosts_per_leaf):
-            table.set(host_ip(l, s), (Forward(s),), prefix_len=32)
-        uplinks = tuple(range(hosts_per_leaf, hosts_per_leaf + spines))
-        table.set(0, (Forward(*uplinks),), prefix_len=0)
+        switch = _add_switch(
+            bed, "fab-l%d" % l,
+            [(leaf_addr(l, s), host_addr(l, s))
+             for s in range(hosts_per_leaf)] +
+            [(leaf_addr(l, hosts_per_leaf + sp), spine_addr(sp, l))
+             for sp in range(spines)],
+            [(host_ip(l, s), 32, (s,)) for s in range(hosts_per_leaf)] +
+            [(0, 0, uplinks)])
         leaf_switches.append(switch)
         bed.edge_switches[(0, l)] = switch
-        bed.switches.append(switch)
 
     for sp in range(spines):
-        switch = _new_switch(engine, "fab-s%d" % sp, costs, ecmp_seed)
-        for l in range(leaves):
-            switch.add_port(FabricNic(engine, "p%d" % l, spine_addr(sp, l)),
-                            peer_addr=leaf_addr(l, hosts_per_leaf + sp))
-        table = switch.add_table(MatchTable("l3", "dst_ip", kind="lpm"))
-        for l in range(leaves):
-            table.set(ip_aton("10.0.%d.0" % l), (Forward(l),), prefix_len=24)
-        bed.core_switches[sp] = switch
-        bed.switches.append(switch)
-
-    for switch in bed.switches:
-        bed.hosts.append(switch.host)
-        bed.nics.extend(port.nic for port in switch.ports)
+        bed.core_switches[sp] = _add_switch(
+            bed, "fab-s%d" % sp,
+            [(spine_addr(sp, l), leaf_addr(l, hosts_per_leaf + sp))
+             for l in range(leaves)],
+            [(ip_aton("10.0.%d.0" % l), 24, (l,)) for l in range(leaves)])
 
     for l in range(leaves):
         for s in range(hosts_per_leaf):
@@ -414,37 +367,24 @@ def linear_chain(n_switches: int, os_name: str = "spin",
     """Two hosts joined by a chain of ``n_switches`` single-table hops."""
     if n_switches < 1:
         raise ValueError("a chain needs at least one switch")
-    engine = engine or Engine()
-    bed = FabricBed(engine, os_name, "fabric")
+    bed = FabricBed(engine, os_name, ecmp_seed, deliver_mode, costs)
     ip_a, ip_b = ip_aton("10.0.0.2"), ip_aton("10.0.1.2")
 
     def chain_addr(i: int, port: int) -> str:
         return "fx-c%d.%d" % (i, port)
 
-    _add_edge_host(bed, os_name, "fab-h-a", "fh-a", ip_a,
-                   {ip_b: chain_addr(0, 0)}, deliver_mode, costs)
-    bed.host_locator.append((0, 0, 0))
-    _add_edge_host(bed, os_name, "fab-h-b", "fh-b", ip_b,
-                   {ip_a: chain_addr(n_switches - 1, 1)}, deliver_mode, costs)
-    bed.host_locator.append((0, 1, 0))
+    _add_edge_host(bed, "fab-h-a", "fh-a", ip_a, [ip_b], chain_addr(0, 0),
+                   (0, 0, 0))
+    _add_edge_host(bed, "fab-h-b", "fh-b", ip_b, [ip_a],
+                   chain_addr(n_switches - 1, 1), (0, 1, 0))
 
     for i in range(n_switches):
-        switch = _new_switch(engine, "fab-x%d" % i, costs, ecmp_seed)
-        left_peer = "fh-a" if i == 0 else chain_addr(i - 1, 1)
-        right_peer = ("fh-b" if i == n_switches - 1
-                      else chain_addr(i + 1, 0))
-        switch.add_port(FabricNic(engine, "p0", chain_addr(i, 0)),
-                        peer_addr=left_peer)
-        switch.add_port(FabricNic(engine, "p1", chain_addr(i, 1)),
-                        peer_addr=right_peer)
-        table = switch.add_table(MatchTable("l3", "dst_ip", kind="lpm"))
-        table.set(ip_a, (Forward(0),), prefix_len=32)
-        table.set(ip_b, (Forward(1),), prefix_len=32)
-        bed.switches.append(switch)
-
-    for switch in bed.switches:
-        bed.hosts.append(switch.host)
-        bed.nics.extend(port.nic for port in switch.ports)
+        _add_switch(
+            bed, "fab-x%d" % i,
+            [(chain_addr(i, 0), "fh-a" if i == 0 else chain_addr(i - 1, 1)),
+             (chain_addr(i, 1),
+              "fh-b" if i == n_switches - 1 else chain_addr(i + 1, 0))],
+            [(ip_a, 32, (0,)), (ip_b, 32, (1,))])
 
     _wire(bed, bed.nics[0], bed.switches[0].ports[0].nic, "host:a",
           propagation_us=HOST_LINK_PROPAGATION_US)

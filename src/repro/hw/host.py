@@ -1,10 +1,12 @@
 """Simulated host: one CPU, some NICs, deferred-action plumbing, timers.
 
-A :class:`Host` is the hardware chassis.  The operating-system models --
-the SPIN kernel (``repro.spin.kernel``) and the monolithic UNIX model
-(``repro.unixos``) -- subclass it and implement :meth:`frame_arrived`,
-which is invoked (conceptually: the interrupt line is raised) whenever a
-NIC finishes receiving a frame.
+A :class:`Host` is the hardware chassis, and it owns the one interrupt
+path: :meth:`Host.frame_arrived` is invoked (conceptually: the interrupt
+line is raised) whenever a NIC finishes receiving a frame, and runs the
+device's registered input procedure at interrupt level.  The
+operating-system models -- the SPIN kernel (``repro.spin.kernel``) and
+the monolithic UNIX model (``repro.unixos``) -- subclass it and add only
+what is theirs; "both systems use the same network device driver".
 
 Deferred hardware actions
 -------------------------
@@ -23,7 +25,7 @@ from typing import Any, Callable, Dict, Generator, List, Tuple
 
 from ..sim import Engine, Process
 from .alpha import ALPHA_21064, CostTable
-from .cpu import CPU, THREAD_PRIORITY, ChargeError
+from .cpu import CPU, INTERRUPT_PRIORITY, THREAD_PRIORITY, ChargeError
 
 __all__ = ["Host", "Timer"]
 
@@ -91,6 +93,9 @@ class Host:
         self.cpu = CPU(engine, costs, name="%s.cpu" % name)
         self.nics: Dict[str, Any] = {}
         self._deferred: List[Callable[[], None]] = []
+        #: nic name -> (input procedure, precomputed interrupt-path label)
+        self._device_input: Dict[str, Tuple[Callable, str]] = {}
+        self.interrupts_handled = 0
 
     # -- wiring -------------------------------------------------------------
 
@@ -99,6 +104,17 @@ class Host:
             raise ValueError("duplicate NIC name %r on host %s" % (nic.name, self.name))
         self.nics[nic.name] = nic
         nic.host = self
+
+    def register_device_input(self, nic, input_fn: Callable) -> None:
+        """Bind the bottom of a protocol stack to a device.
+
+        ``input_fn(nic, frame_data)`` is plain code run at interrupt level
+        for every received frame (typically the link-layer protocol's
+        input procedure).
+        """
+        # The interrupt-process label is fixed per device: precompute it
+        # so the per-frame path does no string formatting.
+        self._device_input[nic.name] = (input_fn, "%s-intr" % nic.name)
 
     # -- deferred hardware actions -------------------------------------------
 
@@ -187,9 +203,43 @@ class Host:
     def frame_arrived(self, nic, frame) -> None:
         """Called by a NIC when a frame has been received.
 
-        Subclasses (the OS models) implement interrupt handling here.
+        The interrupt handler both OS models share: a kernel path at
+        :data:`~repro.hw.cpu.INTERRUPT_PRIORITY` that pays interrupt
+        entry, the driver's receive charges (retiring the ring slot), the
+        registered device input if there is one, and interrupt exit.
         """
-        raise NotImplementedError
+        entry = self._device_input.get(nic.name)
+        if entry is not None:
+            input_fn, path_name = entry
+        else:
+            input_fn, path_name = None, "%s-intr" % nic.name
+
+        def interrupt_body() -> None:
+            costs = self.costs
+            # cpu.charge inlined (exact body, exact order): the kernel
+            # path just opened an accumulator, so the stack is non-empty.
+            cpu = self.cpu
+            stack = cpu._stack
+            times = cpu.category_times
+            amount = costs.interrupt_entry
+            stack[-1] += amount
+            try:
+                times["interrupt"] += amount
+            except KeyError:
+                times["interrupt"] = amount
+            nic.driver_recv_charges(frame)
+            if input_fn is not None:
+                input_fn(nic, frame.data)
+            amount = costs.interrupt_exit
+            stack[-1] += amount
+            try:
+                times["interrupt"] += amount
+            except KeyError:
+                times["interrupt"] = amount
+            self.interrupts_handled += 1
+
+        self.spawn_kernel_path(interrupt_body, priority=INTERRUPT_PRIORITY,
+                               name=path_name)
 
     def __repr__(self) -> str:
         return "<Host %s>" % self.name

@@ -16,12 +16,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..spin.kernel import SpinKernel
-from .arp import ArpProto
-from .ethernet import EthernetProto
-from .headers import ETHERNET_HEADER, ETHERTYPE_ARP, ETHERTYPE_IP
+from .headers import IPPROTO_ICMP
 from .icmp import IcmpProto
 from .ip import IpProto
-from .link_adapter import EthernetAdapter, RawLinkProto
+from .link_adapter import direct_upcall, link_to_ip
 
 __all__ = ["Router", "RouterInterface"]
 
@@ -31,17 +29,12 @@ class RouterInterface:
 
     def __init__(self, nic, address: int, link: str = "ethernet",
                  neighbors: Optional[Dict[int, object]] = None):
-        if link not in ("ethernet", "raw"):
-            raise ValueError("link must be 'ethernet' or 'raw'")
         self.nic = nic
         self.address = address
         self.link = link
         self.neighbors = neighbors or {}
-        # filled by Router:
+        #: what IP sends through to reach this network; filled by Router
         self.adapter = None
-        self.ethernet: Optional[EthernetProto] = None
-        self.arp: Optional[ArpProto] = None
-        self.rawlink: Optional[RawLinkProto] = None
 
 
 class Router:
@@ -63,39 +56,14 @@ class Router:
         self.ip.upcall = self._local_demux
         self.ip.time_exceeded_hook = self._time_exceeded
 
-        ip = self.ip
+        # Interfaces are wired with direct calls: a router is kernel
+        # infrastructure, not an extension.
         for interface in interfaces:
-            if interface.link == "ethernet":
-                ethernet = EthernetProto(kernel, interface.nic)
-                arp = ArpProto(kernel, ethernet, interface.address)
-                interface.ethernet = ethernet
-                interface.arp = arp
-                interface.adapter = EthernetAdapter(ethernet, arp)
-                header_len = EthernetProto.HEADER_LEN
-
-                def make_demux(eth=ethernet, arp_proto=arp, hlen=header_len):
-                    def demux(nic, m):
-                        from ..lang.view import VIEW
-                        header = VIEW(m.data, ETHERNET_HEADER)
-                        if header.type == ETHERTYPE_IP:
-                            ip.input(m, hlen)
-                        elif header.type == ETHERTYPE_ARP:
-                            arp_proto.input(m, hlen)
-                    return demux
-                ethernet.upcall = make_demux()
-                kernel.register_device_input(interface.nic, ethernet.input)
-            else:
-                rawlink = RawLinkProto(kernel, interface.nic,
-                                       interface.neighbors)
-                interface.rawlink = rawlink
-                interface.adapter = rawlink
-
-                def make_raw_demux():
-                    def demux(nic, m):
-                        ip.input(m, 0)
-                    return demux
-                rawlink.upcall = make_raw_demux()
-                kernel.register_device_input(interface.nic, rawlink.input)
+            bottom, interface.adapter, arp, header_len = link_to_ip(
+                kernel, interface.nic, interface.address, interface.link,
+                interface.neighbors)
+            bottom.upcall = direct_upcall(self.ip, arp, header_len)
+            kernel.register_device_input(interface.nic, bottom.input)
         # Default lower: the first interface (used when no route matches).
         self.ip.lower = interfaces[0].adapter
 
@@ -111,7 +79,6 @@ class Router:
     # -- local traffic (pings to the router itself) --------------------------
 
     def _local_demux(self, protocol, m, off, src, dst) -> None:
-        from .headers import IPPROTO_ICMP
         if protocol == IPPROTO_ICMP:
             self.icmp.input(m, off, src, dst)
         # A plain router terminates nothing else.

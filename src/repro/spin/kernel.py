@@ -9,10 +9,10 @@ extension services:
   narrower application-visible domains built by the protocol code),
 * an :class:`~repro.spin.mbuf.MbufPool`.
 
-Interrupt handling: when a NIC raises its interrupt (``frame_arrived``)
-the kernel runs the registered device-input procedure *at interrupt level*
--- a kernel path at :data:`~repro.hw.cpu.INTERRUPT_PRIORITY` charging the
-interrupt entry/exit costs.  Everything the protocol graph does inline
+That is all a SPIN host adds to the chassis.  Interrupt handling is the
+chassis's (:meth:`repro.hw.host.Host.frame_arrived`, shared with the UNIX
+model: "the same network device driver"): the registered device input
+runs *at interrupt level*, and everything the protocol graph does inline
 from there (guards, ephemeral handlers) executes in that context, which is
 exactly the low-latency path of the paper's Figure 5 "interrupt" bars;
 handlers installed with ``mode="thread"`` leave the interrupt context via
@@ -21,12 +21,9 @@ a freshly spawned kernel thread (the "thread" bars).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional
 
-from ..hw.cpu import INTERRUPT_PRIORITY
 from ..hw.host import Host
-from ..hw.link import Frame
-from ..hw.nic import NIC
 from ..sim import Engine
 from .dispatcher import Dispatcher
 from .domain import Domain, Interface
@@ -46,10 +43,6 @@ class SpinKernel(Host):
         self.mbufs = MbufPool(self)
         #: The full-kernel domain ("few extensions have access to this").
         self.kernel_domain = Domain.create("%s.kernel" % name)
-        #: nic name -> (input procedure, precomputed interrupt-path label)
-        self._device_input: Dict[
-            str, Tuple[Callable[[NIC, Frame], None], str]] = {}
-        self.interrupts_handled = 0
 
     # -- extension services -------------------------------------------------
 
@@ -57,51 +50,3 @@ class SpinKernel(Host):
                          domain: Optional[Domain] = None) -> None:
         """Export ``interface`` into ``domain`` (default: the kernel domain)."""
         (domain or self.kernel_domain).export_interface(interface)
-
-    # -- device glue ------------------------------------------------------------
-
-    def register_device_input(self, nic: NIC,
-                              input_fn: Callable[[NIC, Frame], None]) -> None:
-        """Bind the bottom of the protocol graph to a device.
-
-        ``input_fn(nic, frame)`` is plain code run at interrupt level for
-        every received frame (typically the link-layer protocol's input
-        procedure, which raises ``PacketRecv`` events up the graph).
-        """
-        # The interrupt-process label is fixed per device: precompute it
-        # so the per-frame path does no string formatting.
-        self._device_input[nic.name] = (input_fn, "%s-intr" % nic.name)
-
-    def frame_arrived(self, nic: NIC, frame: Frame) -> None:
-        entry = self._device_input.get(nic.name)
-        if entry is not None:
-            input_fn, path_name = entry
-        else:
-            input_fn, path_name = None, "%s-intr" % nic.name
-
-        def interrupt_body() -> None:
-            costs = self.costs
-            # cpu.charge inlined (exact body, exact order): the kernel
-            # path just opened an accumulator, so the stack is non-empty.
-            cpu = self.cpu
-            stack = cpu._stack
-            times = cpu.category_times
-            amount = costs.interrupt_entry
-            stack[-1] += amount
-            try:
-                times["interrupt"] += amount
-            except KeyError:
-                times["interrupt"] = amount
-            nic.driver_recv_charges(frame)
-            if input_fn is not None:
-                input_fn(nic, frame.data)
-            amount = costs.interrupt_exit
-            stack[-1] += amount
-            try:
-                times["interrupt"] += amount
-            except KeyError:
-                times["interrupt"] = amount
-            self.interrupts_handled += 1
-
-        self.spawn_kernel_path(interrupt_body, priority=INTERRUPT_PRIORITY,
-                               name=path_name)

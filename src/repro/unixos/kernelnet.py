@@ -2,7 +2,10 @@
 
 Same device drivers, same protocol implementations (``repro.net``) -- as
 the paper stresses, "both systems use the same network device driver" and
-"the same TCP/IP implementation"; what differs is *structure*:
+"the same TCP/IP implementation".  The shared half lives where SPIN finds
+it too: the interrupt path is :meth:`repro.hw.host.Host.frame_arrived`,
+the link-to-IP assembly :func:`repro.net.link_adapter.link_to_ip`.  What
+differs, and all this module holds, is *structure*:
 
 * protocol layers are wired with direct calls (no dispatcher, no guards:
   the monolithic stack pays no dispatch cost -- it also cannot be
@@ -19,26 +22,14 @@ claim: operating-system structure, nothing else.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
-from ..hw.cpu import INTERRUPT_PRIORITY
 from ..hw.host import Host
-from ..hw.link import Frame
 from ..hw.nic import NIC
-from ..lang.view import VIEW
-from ..net.arp import ArpProto
-from ..net.ethernet import EthernetProto
-from ..net.headers import (
-    ETHERNET_HEADER,
-    ETHERTYPE_ARP,
-    ETHERTYPE_IP,
-    IPPROTO_ICMP,
-    IPPROTO_TCP,
-    IPPROTO_UDP,
-)
+from ..net.headers import IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP
 from ..net.icmp import IcmpProto
 from ..net.ip import IpProto
-from ..net.link_adapter import EthernetAdapter, RawLinkProto
+from ..net.link_adapter import direct_upcall, link_to_ip
 from ..net.tcp import TcpProto
 from ..net.udp import UdpProto
 from ..sim import Engine
@@ -53,27 +44,6 @@ class UnixKernel(Host):
     def __init__(self, engine: Engine, name: str, **kwargs):
         super().__init__(engine, name, **kwargs)
         self.mbufs = MbufPool(self)
-        self._device_input: Dict[str, Callable[[NIC, bytes], None]] = {}
-        self.interrupts_handled = 0
-
-    def register_device_input(self, nic: NIC,
-                              input_fn: Callable[[NIC, bytes], None]) -> None:
-        self._device_input[nic.name] = input_fn
-
-    def frame_arrived(self, nic: NIC, frame: Frame) -> None:
-        input_fn = self._device_input.get(nic.name)
-
-        def interrupt_body() -> None:
-            costs = self.costs
-            self.cpu.charge(costs.interrupt_entry, "interrupt")
-            nic.driver_recv_charges(frame)
-            if input_fn is not None:
-                input_fn(nic, frame.data)
-            self.cpu.charge(costs.interrupt_exit, "interrupt")
-            self.interrupts_handled += 1
-
-        self.spawn_kernel_path(interrupt_body, priority=INTERRUPT_PRIORITY,
-                               name="%s-intr" % nic.name)
 
 
 class UnixStack:
@@ -82,49 +52,20 @@ class UnixStack:
     def __init__(self, kernel: UnixKernel, nic: NIC, my_ip: int,
                  link: str = "ethernet",
                  neighbors: Optional[Dict[int, object]] = None):
-        if link not in ("ethernet", "raw"):
-            raise ValueError("link must be 'ethernet' or 'raw'")
         self.host = kernel
         self.nic = nic
         self.my_ip = my_ip
-
-        self.ethernet: Optional[EthernetProto] = None
-        self.arp: Optional[ArpProto] = None
-        self.rawlink: Optional[RawLinkProto] = None
-        if link == "ethernet":
-            self.ethernet = EthernetProto(kernel, nic)
-            self.arp = ArpProto(kernel, self.ethernet, my_ip)
-            adapter = EthernetAdapter(self.ethernet, self.arp)
-            bottom = self.ethernet
-            header_len = EthernetProto.HEADER_LEN
-        else:
-            self.rawlink = RawLinkProto(kernel, nic, neighbors)
-            adapter = self.rawlink
-            bottom = self.rawlink
-            header_len = 0
+        bottom, adapter, self.arp, header_len = link_to_ip(
+            kernel, nic, my_ip, link, neighbors)
+        self.ethernet, self.rawlink = (
+            (bottom, None) if link == "ethernet" else (None, bottom))
         self.ip = IpProto(kernel, my_ip, adapter)
         self.icmp = IcmpProto(kernel, self.ip)
         self.udp = UdpProto(kernel, self.ip)
         self.tcp = TcpProto(kernel, self.ip, name="tcp-unix")
 
         # -- monolithic wiring: direct calls, no events ---------------------
-        if self.ethernet is not None:
-            arp = self.arp
-            ip = self.ip
-
-            def ether_demux(nic_, m):
-                header = VIEW(m.data, ETHERNET_HEADER)
-                if header.type == ETHERTYPE_IP:
-                    ip.input(m, header_len)
-                elif header.type == ETHERTYPE_ARP:
-                    arp.input(m, header_len)
-            bottom.upcall = ether_demux
-        else:
-            ip = self.ip
-
-            def raw_demux(nic_, m):
-                ip.input(m, header_len)
-            bottom.upcall = raw_demux
+        bottom.upcall = direct_upcall(self.ip, self.arp, header_len)
 
         def ip_demux(protocol, m, off, src, dst):
             if protocol == IPPROTO_UDP:

@@ -124,10 +124,10 @@ def _both_rungs(scenario):
 
 
 # ---------------------------------------------------------------------------
-# directed equivalence (class name predates the two-rung ladder)
+# directed equivalence, rung against rung
 # ---------------------------------------------------------------------------
 
-class TestThreeWayEquivalence:
+class TestRungEquivalence:
     def test_plain_handlers_replay_compiled(self):
         def scenario(side):
             side.install()
