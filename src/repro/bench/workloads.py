@@ -200,7 +200,7 @@ def _udp_echo(ports, creds, kind: str, payload: int = 0,
         def main():
             for seq, (gap_us, size) in enumerate(plan):
                 if paced:
-                    yield engine.pooled_timeout(gap_us)
+                    yield engine.timeout(gap_us)
                     data = seq.to_bytes(4, "big") + bytes(size - 4)
                     request = pending[seq] = _begin(lifecycle, kind, seq)
                 else:
@@ -355,7 +355,7 @@ def _tcp_objects(kind: str, plan_of: Callable, closed: bool = True,
 
         def main():
             for seq, (gap_us, _size) in enumerate(plan):
-                yield engine.pooled_timeout(gap_us)
+                yield engine.timeout(gap_us)
                 if closed:
                     yield from fetch(seq)
                 else:
@@ -438,7 +438,7 @@ def _flows(tcp_object: int, udp_reply: int, stagger_us: float,
                 all_done.fire()
 
         def tcp_client(index: int, sockets):
-            yield engine.pooled_timeout(index * stagger_us)
+            yield engine.timeout(index * stagger_us)
             request = _begin(lifecycle, kinds[1])
             sock = sockets.tcp_socket()
             yield from sock.connect((server_ip, _FLOWS_TCP_PORT))
@@ -452,7 +452,7 @@ def _flows(tcp_object: int, udp_reply: int, stagger_us: float,
             finished("tcp_done", received, request)
 
         def udp_client(index: int, sockets):
-            yield engine.pooled_timeout(index * stagger_us)
+            yield engine.timeout(index * stagger_us)
             request = _begin(lifecycle, kinds[0])
             sock = sockets.udp_socket()
             yield from sock.bind()
@@ -655,7 +655,7 @@ def _fabric_setup(bed, scale: int, lifecycle=None):
     def sender_loop(index, gid, endpoint, dst_ip, plan):
         host = bed.hosts[index]
         for seq, (gap_us, size) in enumerate(plan):
-            yield engine.pooled_timeout(gap_us)
+            yield engine.timeout(gap_us)
             if lifecycle is None:
                 payload = seq.to_bytes(4, "big") + bytes(size - 4)
             else:

@@ -113,7 +113,7 @@ def _start_tcp_stream(bed, state: WorkloadState, name: str, src: int,
 
     def run() -> Generator:
         if start_us:
-            yield engine.pooled_timeout(start_us)
+            yield engine.timeout(start_us)
 
         def connect() -> None:
             tcb = bed.stacks[src].tcp.connect(bed.ip(dst), port)
@@ -176,7 +176,7 @@ def _start_udp_echo_spin(bed, state: WorkloadState, name: str, src: int,
 
     def ping_loop() -> Generator:
         if start_us:
-            yield engine.pooled_timeout(start_us)
+            yield engine.timeout(start_us)
         for seq in range(count):
             datagram = _udp_datagram(name, seq)
             if lifecycle is not None:
@@ -184,7 +184,7 @@ def _start_udp_echo_spin(bed, state: WorkloadState, name: str, src: int,
             yield from bed.hosts[src].kernel_path(
                 lambda d=datagram: client_ep.send(d, bed.ip(dst), echo_port))
             flow.datagrams_sent += 1
-            yield engine.pooled_timeout(UDP_PACE_US)
+            yield engine.timeout(UDP_PACE_US)
     engine.process(ping_loop(), name="chaos-%s" % name)
     return flow
 
@@ -222,7 +222,7 @@ def _start_udp_echo_unix(bed, state: WorkloadState, name: str, src: int,
     def client_tx_loop() -> Generator:
         yield from client_sock.bind(client_port)
         if start_us:
-            yield engine.pooled_timeout(start_us)
+            yield engine.timeout(start_us)
         engine.process(client_rx_loop(), name="chaos-%s-rx" % name)
         for seq in range(count):
             datagram = _udp_datagram(name, seq)
@@ -231,7 +231,7 @@ def _start_udp_echo_unix(bed, state: WorkloadState, name: str, src: int,
             yield from client_sock.sendto(datagram,
                                           (bed.ip(dst), echo_port))
             flow.datagrams_sent += 1
-            yield engine.pooled_timeout(UDP_PACE_US)
+            yield engine.timeout(UDP_PACE_US)
     engine.process(server_loop(), name="chaos-%s-srv" % name)
     engine.process(client_tx_loop(), name="chaos-%s-tx" % name)
     return flow

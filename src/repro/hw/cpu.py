@@ -15,8 +15,9 @@ resource for that much simulated time.  The pattern is::
 
 Plain segments never yield, so begin/charge/end is atomic with respect to
 other simulation processes and accumulators cannot cross-contaminate.
-``Host.kernel_path`` (``repro.hw.host``) is the one place that runs the
-pattern: acquire, run, hold for the charge, release.
+``KernelPath`` (``repro.hw.host``) is the one place that runs the
+pattern: acquire, run, hold for the charge, release -- as a chain of heap
+callbacks, which a process waits on through ``Host.kernel_path``.
 
 Two priority levels model interrupt- versus thread-level execution:
 interrupt-level consumption is served before any queued thread-level

@@ -8,6 +8,10 @@ operating-system models -- the SPIN kernel (``repro.spin.kernel``) and
 the monolithic UNIX model (``repro.unixos``) -- subclass it and add only
 what is theirs; "both systems use the same network device driver".
 
+Kernel code runs as a :class:`KernelPath`, a chain of heap callbacks
+(acquire, run, hold, release), not a coroutine; :meth:`Host.kernel_path`
+is the generator a *process* (a system call, an application) waits with.
+
 Deferred hardware actions
 -------------------------
 
@@ -23,26 +27,129 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Generator, List, Tuple
 
-from ..sim import Engine, Process
+from ..sim import Engine
+from ..sim.engine import _PENDING, _PROCESSED, Event
 from .alpha import ALPHA_21064, CostTable
 from .cpu import CPU, INTERRUPT_PRIORITY, THREAD_PRIORITY, ChargeError
 
-__all__ = ["Host", "Timer"]
+__all__ = ["Host", "KernelPath", "Timer"]
 
 
-class _KernelPath(Process):
-    """A kernel path running on its own: nobody yields it, so a failure
-    is raised where ``Process._resume`` catches it."""
+class KernelPath(Event):
+    """Plain kernel code ``fn(*args)`` run on the CPU, as one continuation.
 
-    __slots__ = ()
-    surfaces_failure = True
+    :meth:`start` acquires the CPU (queueing by priority), runs ``fn``
+    under a fresh charge accumulator, holds the CPU for what ``fn``
+    charged, releases it and flushes the deferred hardware actions, so
+    wire activity never precedes the CPU work that caused it.  The path
+    is an event whose completion runs its callbacks in the entry that
+    ended the hold: a waiting process resumes right there.  If ``fn``
+    raises, a waiter gets the exception; with none it is a kernel bug
+    (the dispatcher contains extension failures) and leaves
+    ``engine.step``.
+    """
+
+    __slots__ = ("host", "fn", "args", "priority", "name",
+                 "_profile", "_amount", "_deferred")
+
+    def __init__(self, host: "Host", fn: Callable, args: Tuple = (),
+                 priority: int = THREAD_PRIORITY, name: str = "kpath"):
+        # Event.__init__, inlined: one path per interrupt, timer and call.
+        self.engine = host.engine
+        self.callbacks = []
+        self._state = _PENDING
+        self._value = None
+        self._exception = None
+        self.host = host
+        self.fn = fn
+        self.args = args
+        self.priority = priority
+        self.name = name
+
+    def start(self) -> None:
+        """Take the CPU now if it is free, else queue for it by priority."""
+        resource = self.host.cpu.resource
+        if resource.try_acquire():
+            self._run(None)
+        else:
+            resource.request(self.priority).callbacks.append(self._run)
+
+    def _run(self, _grant) -> None:
+        host = self.host
+        cpu = host.cpu
+        fn = self.fn
+        # Off-by-default observability hook: one attribute load + None
+        # check per path when no profiler/tracer is attached.  Kept for
+        # the hold, which books to the profile the path ran under.
+        self._profile = profile = cpu.profile
+        if profile is not None:
+            profile.push(getattr(fn, "__name__", "kernel_path"))
+        # cpu.begin()/end() inlined (exact bodies): one push/pop per path.
+        stack = cpu._stack
+        stack.append(0.0)
+        marker = len(stack)
+        try:
+            try:
+                self._value = fn(*self.args)
+            finally:
+                if profile is not None:
+                    profile.pop()
+                if marker != len(stack):
+                    raise ChargeError(
+                        "mismatched cpu.end(): marker %d but stack depth %d"
+                        % (marker, len(stack)))
+                amount = stack.pop()
+                # Snapshot-and-reset, without allocating a fresh list when
+                # nothing was deferred.  The empty snapshot must not alias
+                # the live list: actions deferred during the hold below
+                # belong to the *next* flush.
+                deferred = host._deferred
+                if deferred:
+                    host._deferred = []
+                else:
+                    deferred = ()
+        except Exception as exc:
+            self._state = _PROCESSED
+            self._exception = exc
+            if not self.callbacks:
+                raise
+            for callback in self.callbacks:
+                callback(self)
+            return
+        self._deferred = deferred
+        if amount > 0:
+            self._amount = amount
+            self.engine.call_after(amount, KernelPath._held, self)
+        else:
+            self._done()
+
+    def _held(self) -> None:
+        amount = self._amount
+        cpu = self.host.cpu
+        cpu.busy_time += amount
+        profile = self._profile
+        if profile is not None:
+            profile.consumed(amount)
+        self._done()
+
+    def _done(self) -> None:
+        """Release the CPU, flush the deferred actions, complete."""
+        self.host.cpu.resource.release()
+        for action in self._deferred:
+            action()
+        self._state = _PROCESSED
+        for callback in self.callbacks:
+            callback(self)
+
+    def __repr__(self) -> str:
+        return "<KernelPath %s>" % self.name
 
 
 class Timer:
     """A cancellable kernel timer; fires ``fn(*args)`` as a kernel path.
 
-    Arming pushes one pooled event on the engine's heap.  :meth:`cancel`
-    only flags the timer: the dead entry pops later as a no-op event, and
+    Arming pushes one entry on the engine's heap.  :meth:`cancel` only
+    flags the timer: the dead entry pops later as a no-op, and
     ``engine.cancelled_timers`` counts such entries so they neither hold
     ``Engine.run()`` open nor show in ``pending_count()``.
     """
@@ -63,17 +170,15 @@ class Timer:
         engine = host.engine
         self.expires_at = engine.now + delay_us
         engine.timers_armed += 1
-        engine.pooled_timeout(delay_us).callbacks.append(self._fire)
+        engine.call_after(delay_us, Timer._fire, self)
 
-    def _fire(self, _event) -> None:
+    def _fire(self) -> None:
         host = self.host
         if self.cancelled:
             host.engine.cancelled_timers -= 1
             return
         self.fired = True
-        _KernelPath(host.engine,
-                    host.kernel_path(self.fn, self.args, self.priority),
-                    self.name, immediate=True)
+        KernelPath(host, self.fn, self.args, self.priority, self.name).start()
 
     def cancel(self) -> None:
         if not self.cancelled:
@@ -130,69 +235,29 @@ class Host:
 
     def kernel_path(self, fn: Callable, args: Tuple = (),
                     priority: int = THREAD_PRIORITY) -> Generator:
-        """Run plain kernel code ``fn(*args)`` on the CPU.
+        """Run ``fn(*args)`` as a :class:`KernelPath` from a process.
 
-        Ordering matters for causality under load: the CPU is *acquired
-        first* (queueing behind other paths by priority), then ``fn`` runs
-        and the CPU is held for whatever ``fn`` charged.  Deferred
-        hardware actions flush after the hold, so wire activity never
-        precedes the CPU work that caused it.
-
-        Yields inside a simulation process; returns ``fn``'s return value.
+        ``yield from host.kernel_path(fn)`` waits only if the path does
+        (a busy CPU, a non-zero charge) and returns ``fn``'s return value,
+        or raises what ``fn`` raised.
         """
-        cpu = self.cpu
-        resource = cpu.resource
-        if not resource.try_acquire():
-            yield resource.request(priority)
-        # Off-by-default observability hook: one attribute load + None
-        # check per path when no profiler/tracer is attached.
-        profile = cpu.profile
-        if profile is not None:
-            profile.push(getattr(fn, "__name__", "kernel_path"))
-        # cpu.begin()/end() inlined (exact bodies): one push/pop per path.
-        stack = cpu._stack
-        stack.append(0.0)
-        marker = len(stack)
-        try:
-            result = fn(*args)
-        finally:
-            if profile is not None:
-                profile.pop()
-            if marker != len(stack):
-                raise ChargeError(
-                    "mismatched cpu.end(): marker %d but stack depth %d"
-                    % (marker, len(stack)))
-            amount = stack.pop()
-            # Snapshot-and-reset, without allocating a fresh list when
-            # nothing was deferred.  The empty snapshot must not alias the
-            # live list: actions deferred while we sleep on the timeout
-            # below belong to the *next* flush.
-            deferred = self._deferred
-            if deferred:
-                self._deferred = []
-            else:
-                deferred = ()
-        if amount > 0:
-            yield self.engine.pooled_timeout(amount)
-            cpu.busy_time += amount
-            if profile is not None:
-                profile.consumed(amount)
-        resource.release()
-        for action in deferred:
-            action()
-        return result
+        path = KernelPath(self, fn, args, priority)
+        path.start()
+        if path._state == _PENDING:
+            yield path
+        return path._value
 
     def spawn_kernel_path(self, fn: Callable, args: Tuple = (),
                           priority: int = THREAD_PRIORITY,
-                          name: str = "kpath") -> Process:
-        """Start :meth:`kernel_path` as an independent process.
+                          name: str = "kpath") -> KernelPath:
+        """Start a :class:`KernelPath` on its own, from its own heap entry.
 
-        A kernel path that raises is a kernel bug, not an extension
-        failure (the dispatcher contains those); the exception is
-        re-raised out of the engine so it surfaces immediately.
+        The bootstrap entry is kept on purpose: starting the path inside
+        the caller's entry reorders same-instant CPU requests.
         """
-        return _KernelPath(self.engine, self.kernel_path(fn, args, priority),
-                           name)
+        path = KernelPath(self, fn, args, priority, name)
+        self.engine.call_after(0.0, KernelPath.start, path)
+        return path
 
     def set_timer(self, delay_us: float, fn: Callable, args: Tuple = (),
                   priority: int = THREAD_PRIORITY, name: str = "timer") -> Timer:

@@ -13,15 +13,19 @@ Three media models cover the paper's testbed (section 4):
 
 Wire time is ``wire_bytes * 8 / bandwidth``; ``wire_bytes`` may exceed the
 payload length (ATM cell padding -- the NIC computes it).
+
+Media run on heap callbacks, not processes: ``transmit(sender, frame,
+done)`` calls ``done()`` when the sending NIC may start its next frame,
+and what a callback raises (a receiver's bug) leaves ``engine.step``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..sim import Engine, Process, Resource
+from ..sim import Engine, Resource
 from .alpha import MICROSECONDS_PER_SECOND
 
 __all__ = ["Frame", "EthernetSegment", "PointToPointLink", "Switch", "SwitchPort",
@@ -223,7 +227,8 @@ class _Medium:
     examples all use.
     """
 
-    def __init__(self, engine: Engine, bandwidth_bps: float, propagation_us: float):
+    def __init__(self, engine: Engine, bandwidth_bps: float,
+                 propagation_us: float = 1.0):
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
         self.engine = engine
@@ -312,14 +317,40 @@ class _Medium:
 
     def _deliver_after(self, sink, frame: Frame, delay_us: float) -> None:
         """Hand ``frame`` to ``sink`` (``nic.frame_on_wire`` or
-        ``switch.accept``) after ``delay_us`` on the wire: one timed event,
-        no process, since nothing waits on a delivery.  Every medium's
-        fan-out goes through here.
+        ``switch.accept``) after ``delay_us`` on the wire: one heap entry,
+        since nothing waits on a delivery.  Every medium's fan-out goes
+        through here.
         """
-        def deliver(_event) -> None:
-            self.frames_delivered += 1
-            sink(frame)
-        self.engine.pooled_timeout(delay_us).callbacks.append(deliver)
+        self.engine.call_after(delay_us, self._deliver, (sink, frame, None))
+
+    def _deliver(self, flight: Tuple) -> None:
+        """A frame lands: ``flight`` is ``(sink, frame, done)``, and a
+        ``done`` that is not None lets the sender go on."""
+        sink, frame, done = flight
+        self.frames_delivered += 1
+        sink(frame)
+        if done is not None:
+            done()
+
+    # -- a lane with one sender: point-to-point and switch-port uplinks ----
+
+    def _send_on_lane(self, sink, frame: Frame,
+                      done: Callable[[], None]) -> None:
+        """Wire time, then propagation, then ``done()``: the lane is one
+        NIC's, whose drain sends a frame at a time, so nothing arbitrates
+        it.  An impaired frame frees the sender once its copies are due."""
+        self.engine.call_after(self._wire_time_us(frame.wire_bytes),
+                               self._lane_sent, (sink, frame, done))
+
+    def _lane_sent(self, flight: Tuple) -> None:
+        sink, frame, done = flight
+        self._account(frame)
+        if self._impairments is not None:
+            for extra_us, copy in self._impaired_outcomes(frame):
+                self._deliver_after(sink, copy, self.propagation_us + extra_us)
+            done()
+            return
+        self.engine.call_after(self.propagation_us, self._deliver, flight)
 
 
 class EthernetSegment(_Medium):
@@ -333,41 +364,44 @@ class EthernetSegment(_Medium):
     def delivery_fanout(self) -> int:
         return len(self.nics) - 1
 
-    def transmit(self, sender, frame: Frame) -> Generator:
-        """Occupy the bus for the frame's wire time, then deliver."""
+    def transmit(self, sender, frame: Frame,
+                 done: Callable[[], None]) -> None:
+        """Occupy the bus for the frame's wire time, deliver, ``done()``."""
+        flight = (sender, frame, done)
         bus = self._medium
-        if not bus.try_acquire():
-            yield bus.request()
-        yield self.engine.pooled_timeout(self._wire_time_us(frame.wire_bytes))
-        bus.release()
-        self.frames_carried += 1
-        self.bytes_carried += frame.wire_bytes
+        if bus.try_acquire():
+            self._occupy(flight)
+        else:
+            bus.request().callbacks.append(
+                lambda _grant: self._occupy(flight))
+
+    def _occupy(self, flight: Tuple) -> None:
+        self.engine.call_after(self._wire_time_us(flight[1].wire_bytes),
+                               self._bus_sent, flight)
+
+    def _bus_sent(self, flight: Tuple) -> None:
+        sender, frame, done = flight
+        self._medium.release()
+        self._account(frame)
         if self._impairments is not None:
-            for extra_us, copy in self._impaired_outcomes(frame):
-                for nic in self.nics:
-                    if nic is not sender:
-                        self._deliver_after(nic.frame_on_wire, copy,
-                                            self.propagation_us + extra_us)
-            return
-        for nic in self.nics:
-            if nic is not sender:
-                self._deliver_after(nic.frame_on_wire, frame,
-                                    self.propagation_us)
+            outcomes = self._impaired_outcomes(frame)
+        else:
+            outcomes = ((0.0, frame),)
+        for extra_us, copy in outcomes:
+            for nic in self.nics:
+                if nic is not sender:
+                    self._deliver_after(nic.frame_on_wire, copy,
+                                        self.propagation_us + extra_us)
+        done()
 
 
 class PointToPointLink(_Medium):
     """Full-duplex point-to-point wire (exactly two NICs)."""
 
-    def __init__(self, engine: Engine, bandwidth_bps: float,
-                 propagation_us: float = 1.0):
-        super().__init__(engine, bandwidth_bps, propagation_us)
-        self._direction: Dict[int, Resource] = {}
-
     def attach(self, nic) -> None:
         if len(self.nics) >= 2:
             raise ValueError("point-to-point link already has two endpoints")
         super().attach(nic)
-        self._direction[id(nic)] = Resource(self.engine, capacity=1)
 
     def peer_of(self, nic):
         for other in self.nics:
@@ -375,22 +409,10 @@ class PointToPointLink(_Medium):
                 return other
         raise ValueError("link has no peer for %r" % nic)
 
-    def transmit(self, sender, frame: Frame) -> Generator:
-        peer = self.peer_of(sender)
-        lane = self._direction[id(sender)]
-        if not lane.try_acquire():
-            yield lane.request()
-        yield self.engine.pooled_timeout(self._wire_time_us(frame.wire_bytes))
-        lane.release()
-        self._account(frame)
-        if self._impairments is not None:
-            for extra_us, copy in self._impaired_outcomes(frame):
-                self._deliver_after(peer.frame_on_wire, copy,
-                                    self.propagation_us + extra_us)
-            return
-        yield self.engine.pooled_timeout(self.propagation_us)
-        self.frames_delivered += 1
-        peer.frame_on_wire(frame)
+    def transmit(self, sender, frame: Frame,
+                 done: Callable[[], None]) -> None:
+        """The sender's direction of the wire (its own lane)."""
+        self._send_on_lane(self.peer_of(sender).frame_on_wire, frame, done)
 
 
 class SwitchPort(_Medium):
@@ -400,8 +422,7 @@ class SwitchPort(_Medium):
                  propagation_us: float = 1.0):
         super().__init__(engine, bandwidth_bps, propagation_us)
         self.switch = switch
-        self._to_switch = Resource(engine, capacity=1)
-        self._to_nic = Resource(engine, capacity=1)
+        self._to_nic = Resource(engine, capacity=1)   # the switch's senders
         self.frames_forwarded_in = 0   # switch -> NIC deliveries (not impaired)
 
     def attach(self, nic) -> None:
@@ -414,31 +435,32 @@ class SwitchPort(_Medium):
     def nic(self):
         return self.nics[0]
 
-    def transmit(self, sender, frame: Frame) -> Generator:
+    def transmit(self, sender, frame: Frame,
+                 done: Callable[[], None]) -> None:
         """NIC -> switch direction (impairments apply here)."""
-        lane = self._to_switch
-        if not lane.try_acquire():
-            yield lane.request()
-        yield self.engine.pooled_timeout(self._wire_time_us(frame.wire_bytes))
-        lane.release()
-        self._account(frame)
-        if self._impairments is not None:
-            for extra_us, copy in self._impaired_outcomes(frame):
-                self._deliver_after(self.switch.accept, copy,
-                                    self.propagation_us + extra_us)
-            return
-        yield self.engine.pooled_timeout(self.propagation_us)
-        self.frames_delivered += 1
-        self.switch.accept(frame)
+        self._send_on_lane(self.switch.accept, frame, done)
 
-    def forward_to_nic(self, frame: Frame) -> Generator:
-        """Switch -> NIC direction (clean: the switch already paid the port)."""
+    def forward_to_nic(self, frame: Frame) -> None:
+        """Switch -> NIC direction (clean: the switch already paid the
+        port).  Every frame forwarded to the port shares this lane."""
         lane = self._to_nic
-        if not lane.try_acquire():
-            yield lane.request()
-        yield self.engine.pooled_timeout(transmission_time_us(frame.wire_bytes, self.bandwidth_bps))
-        lane.release()
-        yield self.engine.pooled_timeout(self.propagation_us)
+        if lane.try_acquire():
+            self._forward(frame)
+        else:
+            lane.request().callbacks.append(
+                lambda _grant: self._forward(frame))
+
+    def _forward(self, frame: Frame) -> None:
+        self.engine.call_after(
+            transmission_time_us(frame.wire_bytes, self.bandwidth_bps),
+            self._forward_sent, frame)
+
+    def _forward_sent(self, frame: Frame) -> None:
+        self._to_nic.release()
+        self.engine.call_after(self.propagation_us, self._forward_landed,
+                               frame)
+
+    def _forward_landed(self, frame: Frame) -> None:
         self.frames_forwarded_in += 1
         self.nic.frame_on_wire(frame)
 
@@ -468,19 +490,16 @@ class Switch:
 
     def accept(self, frame: Frame) -> None:
         """Forward ``frame`` once the forwarding latency has passed."""
-        def forward(_event) -> None:
-            engine = self.engine
-            port = self._ports.get(frame.dst_addr)
-            if port is not None:
-                self.frames_forwarded += 1
-                Process(engine, port.forward_to_nic(frame), "switch-fwd",
-                        immediate=True)
-                return
-            # Unknown or broadcast destination: flood all ports except source.
-            self.frames_flooded += 1
-            for addr, out_port in self._ports.items():
-                if addr != frame.src_addr:
-                    Process(engine, out_port.forward_to_nic(frame),
-                            "switch-flood", immediate=True)
-        self.engine.pooled_timeout(self.forward_latency_us).callbacks.append(
-            forward)
+        self.engine.call_after(self.forward_latency_us, self._forward, frame)
+
+    def _forward(self, frame: Frame) -> None:
+        port = self._ports.get(frame.dst_addr)
+        if port is not None:
+            self.frames_forwarded += 1
+            port.forward_to_nic(frame)
+            return
+        # Unknown or broadcast destination: flood all ports except source.
+        self.frames_flooded += 1
+        for addr, out_port in self._ports.items():
+            if addr != frame.src_addr:
+                out_port.forward_to_nic(frame)

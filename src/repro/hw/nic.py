@@ -23,9 +23,9 @@ from __future__ import annotations
 import collections
 import dataclasses
 import itertools
-from typing import Generator, Optional
+from typing import Optional
 
-from ..sim import Engine, Process
+from ..sim import Engine
 from .link import BROADCAST, Frame
 
 __all__ = ["NIC", "DriverProfile", "LanceEthernet", "ForeAtm", "T3Nic",
@@ -81,8 +81,7 @@ class NIC:
         #: frame_on_wire on entry; None (the default) keeps both per-frame
         #: paths on their untapped shape.
         self.taps = None
-        self._tx_name = "%s-tx" % self.name  # per-drain process label
-        self._draining = False    # a _drain process is working the tx queue
+        self._draining = False    # a frame of the tx queue is on the wire
 
     # -- device-specific policy -------------------------------------------
 
@@ -161,8 +160,7 @@ class NIC:
             if not self._draining:
                 # Idle -> busy edge; the drain retires itself when empty.
                 self._draining = True
-                Process(self.engine, self._drain(), self._tx_name,
-                        immediate=True)
+                self._drain()
         host.defer(enqueue)
         self.tx_frames += 1
         self.tx_bytes += size
@@ -171,13 +169,17 @@ class NIC:
         # overflow shows up in ``tx_drops``.
         return True
 
-    def _drain(self) -> Generator:
-        """Transmit queued frames in FIFO order until none is left."""
+    def _drain(self) -> None:
+        """Put the next queued frame on the wire, FIFO; the medium calls
+        back here when it is done with the frame, and the drain retires
+        when the queue is empty."""
         queue = self._tx_queue
         while queue:
             frame = queue.popleft()
-            if self.link is not None:  # unplugged: frame vanishes
-                yield from self.link.transmit(self, frame)
+            link = self.link
+            if link is not None:  # unplugged: frame vanishes
+                link.transmit(self, frame, self._drain)
+                return
         self._draining = False
 
     # -- receive path -----------------------------------------------------------
@@ -199,13 +201,14 @@ class NIC:
             self.rx_drops += 1
             return
         self.rx_pending += 1
+        self.engine.call_after(self.profile.rx_latency_us,
+                               self._raise_interrupt, frame)
 
-        def raise_interrupt(_event) -> None:
-            self.rx_frames += 1
-            self.rx_bytes += len(frame.data)
-            self.host.frame_arrived(self, frame)
-        self.engine.pooled_timeout(
-            self.profile.rx_latency_us).callbacks.append(raise_interrupt)
+    def _raise_interrupt(self, frame: Frame) -> None:
+        """The device's receive latency is over: interrupt the host."""
+        self.rx_frames += 1
+        self.rx_bytes += len(frame.data)
+        self.host.frame_arrived(self, frame)
 
     def driver_recv_charges(self, frame: Frame) -> None:
         """Charge the CPU cost of pulling one frame out of the device.

@@ -2,21 +2,21 @@
 
 This module is the foundation of the whole reproduction.  Everything that
 "takes time" in the simulated testbed -- CPU work, wire transmission,
-interrupt latency, context switches -- is expressed as events on a single
+interrupt latency, context switches -- is expressed as entries on a single
 global clock owned by an :class:`Engine`.
 
-The design is deliberately close to the classic process-interaction style
-(as popularised by SimPy), but implemented from scratch on the standard
-library:
-
+* A heap entry is ``(time, sequence, fn, arg)``; processing it calls
+  ``fn(arg)``.  Hardware (CPU holds, wire delays, kernel timers) pushes
+  plain callbacks with :meth:`Engine.call_after` / :meth:`Engine.call_at`.
 * An :class:`Event` is a one-shot occurrence that callbacks can be attached
   to.  It either *succeeds* with a value or *fails* with an exception.
-* A :class:`Process` wraps a generator.  The generator ``yield``\\ s events;
-  when a yielded event fires the generator is resumed with the event's
-  value (or the event's exception is thrown into it).  A process is itself
-  an event that fires when the generator returns.
-* The :class:`Engine` owns the clock and the pending-event heap -- the
-  only place pending work is kept -- and runs events in (time, sequence)
+* A :class:`Process` wraps a generator, for what really blocks (an
+  application, a socket call).  The generator ``yield``\\ s events; when a
+  yielded event fires the generator is resumed with the event's value (or
+  the event's exception is thrown into it).  A process is itself an event
+  that fires when the generator returns.
+* The :class:`Engine` owns the clock and the pending-entry heap -- the
+  only place pending work is kept -- and runs entries in (time, sequence)
   order, which makes runs fully deterministic.
 
 Simulated time is a float in **microseconds**; the paper reports latencies
@@ -50,7 +50,7 @@ class SimulationError(Exception):
 
 
 class _Bootstrap:
-    """The null trigger handed to a Process started with ``immediate``."""
+    """The null trigger a new Process is first resumed with."""
 
     __slots__ = ()
     _value = None
@@ -58,6 +58,15 @@ class _Bootstrap:
 
 
 _BOOTSTRAP = _Bootstrap()
+
+
+def _fire(event: "Event") -> None:
+    """The ``fn`` of an event's heap entry: run its callbacks once."""
+    event._state = _PROCESSED
+    callbacks = event.callbacks
+    event.callbacks = []
+    for callback in callbacks:
+        callback(event)
 
 
 class Event:
@@ -110,10 +119,11 @@ class Event:
             raise SimulationError("event has already been triggered")
         self._state = _TRIGGERED
         self._value = value
-        # Engine._enqueue, inlined (succeed is on the per-packet hot path).
+        # Engine.call_after, inlined (succeed is on the per-packet hot path).
         engine = self.engine
         engine._sequence += 1
-        heappush(engine._heap, (engine.now + delay, engine._sequence, self))
+        heappush(engine._heap,
+                 (engine.now + delay, engine._sequence, _fire, self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -124,38 +134,28 @@ class Event:
             raise TypeError("fail() requires an exception instance")
         self._state = _TRIGGERED
         self._exception = exception
-        self.engine._enqueue(delay, self)
+        self.engine.call_after(delay, _fire, self)
         return self
-
-
-class _PooledEvent(Event):
-    """A recycled one-shot event used by the engine's internal fast paths.
-
-    Pooled events are created through :meth:`Engine.pooled_timeout` (and
-    the engine's internal pokes), always enqueued already-triggered, and
-    returned to the engine's pool as soon as their callbacks have run.
-    They must therefore never be retained past their firing -- which is
-    why the pool is only used for yield-and-forget sites like
-    ``Host.kernel_path`` and the process bootstrap, never for events
-    handed to arbitrary user code.
-    """
-
-    __slots__ = ()
 
 
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError("timeout delay must be non-negative, got %r" % delay)
-        super().__init__(engine)
+        # Event.__init__ and Engine.call_after, inlined: a process that
+        # sleeps builds one of these per sleep.
+        self.engine = engine
+        self.callbacks = []
         self._state = _TRIGGERED
         self._value = value
-        self.delay = delay
-        engine._enqueue(delay, self)
+        self._exception = None
+        engine._sequence += 1
+        heappush(engine._heap,
+                 (engine.now + delay, engine._sequence, _fire, self))
 
 
 class Process(Event):
@@ -165,19 +165,14 @@ class Process(Event):
     the yielded event fires: with the event's value on success, or with the
     event's exception thrown into the generator on failure.  The process --
     itself an event -- succeeds with the generator's return value, or fails
-    with any exception that escapes the generator.
+    with any exception that escapes the generator, which waits there for
+    whoever yields the process.
     """
 
     __slots__ = ("_generator", "name")
 
-    #: A failure normally waits in the process for whoever yields it; a
-    #: subclass that sets this raises it out of ``engine.step`` instead
-    #: (see ``Host.spawn_kernel_path``).
-    surfaces_failure = False
-
-    def __init__(self, engine: "Engine", generator: Generator, name: str = "",
-                 immediate: bool = False):
-        # Event.__init__, inlined: one process is spawned per kernel path.
+    def __init__(self, engine: "Engine", generator: Generator, name: str = ""):
+        # Event.__init__, inlined.
         self.engine = engine
         self.callbacks = []
         self._state = _PENDING
@@ -189,15 +184,8 @@ class Process(Event):
             raise TypeError("Process requires a generator, got %r" % (generator,))
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        if immediate:
-            # Run the generator to its first yield right now.  Only valid
-            # from inside event processing (a callback): a firing
-            # ``hw.host.Timer`` uses it so the timer body starts in the
-            # deadline's own heap event, with no bootstrap hop after it.
-            self._resume(_BOOTSTRAP)
-        else:
-            # Bootstrap: resume the generator as soon as the engine runs.
-            engine._poke(self._resume)
+        # Bootstrap: resume the generator as soon as the engine runs.
+        engine.call_after(0.0, self._resume, _BOOTSTRAP)
 
     @property
     def is_alive(self) -> bool:
@@ -216,8 +204,6 @@ class Process(Event):
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
             self._finish(None, exc)
-            if self.surfaces_failure:
-                raise
             return
         # Read _state directly: yielding a non-Event surfaces here as an
         # AttributeError, converted to the historical SimulationError.
@@ -229,8 +215,8 @@ class Process(Event):
                 % (self.name, target)
             )
         if state == _PROCESSED:
-            # The event already fired; resume immediately (at current time).
-            self.engine._poke(self._resume, target._value, target._exception)
+            # The event already fired; resume with it at the current time.
+            self.engine.call_after(0.0, self._resume, target)
         else:
             target.callbacks.append(self._resume)
 
@@ -242,30 +228,27 @@ class Process(Event):
         self._exception = exception
         if self.callbacks:
             self._state = _TRIGGERED
-            self.engine._enqueue(0.0, self)
+            self.engine.call_after(0.0, _fire, self)
         else:
             self._state = _PROCESSED
 
 
 class Engine:
-    """The simulation engine: clock, pending-event heap, event factories.
+    """The simulation engine: clock, pending-entry heap, event factories.
 
-    Heap entries are ``(time, sequence, event)``.  The sequence number,
-    claimed when an event is scheduled, makes simultaneous events fire in
+    Heap entries are ``(time, sequence, fn, arg)``.  The sequence number,
+    claimed when an entry is pushed, makes simultaneous entries run in
     FIFO order, which makes every run deterministic.  Everything pending
-    is on the heap -- zero-delay pokes, timeouts and kernel timers alike.
+    is on the heap -- event firings, process resumptions, hardware
+    callbacks and kernel timers alike.
     """
-
-    #: Upper bound on recycled events kept in the pool.
-    _POOL_LIMIT = 1024
 
     def __init__(self):
         self.now: float = 0.0
-        self._heap: List[Tuple[float, int, Event]] = []
+        self._heap: List[Tuple[float, int, Callable[[Any], None], Any]] = []
         self._sequence = 0
-        self._pool: List[_PooledEvent] = []
         #: Cancelled ``hw.host.Timer`` entries still on the heap.  They pop
-        #: as no-op events; counting them keeps a dead deadline from
+        #: as no-op entries; counting them keeps a dead deadline from
         #: holding :meth:`run` open or showing in :meth:`pending_count`.
         self.cancelled_timers = 0
         #: ``hw.host.Timer`` instances ever armed.
@@ -280,107 +263,62 @@ class Engine:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
+    #: The name the perfbench workloads still call; it is :meth:`timeout`.
+    pooled_timeout = timeout
+
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name)
 
     # -- scheduling -------------------------------------------------------
 
-    def _enqueue(self, delay: float, event: Event) -> None:
-        self._sequence += 1
-        heappush(self._heap, (self.now + delay, self._sequence, event))
+    def call_after(self, delay: float, fn: Callable[[Any], None],
+                   arg: Any = None) -> None:
+        """Run ``fn(arg)`` ``delay`` microseconds from now.
 
-    def pooled_timeout(self, delay: float, value=None) -> _PooledEvent:
-        """A timeout drawn from the engine's recycle pool.
-
-        Behaves exactly like :meth:`timeout` on the simulated timeline
-        but allocates nothing in the steady state: the event object is
-        recycled the moment its callbacks have run.  Callers must *not*
-        keep a reference past the firing (no ``.value`` reads later); it
-        is meant for the hot yield-and-forget pattern
-        ``yield engine.pooled_timeout(us)`` inside processes.
+        The hardware's way to wait: one heap entry, no event object, no
+        process.  ``delay`` must be non-negative.
         """
         if delay < 0:
-            raise ValueError("timeout delay must be non-negative, got %r" % delay)
-        # Called once per simulated CPU hold and per link delay: the
-        # pool checkout is written out here, in _poke and in call_at.
-        pool = self._pool
-        event = pool.pop() if pool else _PooledEvent(self)
-        event._state = _TRIGGERED
-        event._value = value
-        event._exception = None
+            raise ValueError("delay must be non-negative, got %r" % delay)
         self._sequence += 1
-        heappush(self._heap, (self.now + delay, self._sequence, event))
-        return event
+        heappush(self._heap, (self.now + delay, self._sequence, fn, arg))
 
-    def _poke(self, callback: Callable, value=None,
-              exception: Optional[BaseException] = None) -> None:
-        """Fire ``callback`` at the current time via a recycled event."""
-        pool = self._pool
-        event = pool.pop() if pool else _PooledEvent(self)
-        event._state = _TRIGGERED
-        event._value = value
-        event._exception = exception
-        event.callbacks.append(callback)
-        self._sequence += 1
-        heappush(self._heap, (self.now, self._sequence, event))
-
-    def call_at(self, when: float, callback: Callable) -> _PooledEvent:
-        """Fire ``callback(event)`` at absolute time ``when``; exact.
+    def call_at(self, when: float, fn: Callable[[Any], None]) -> None:
+        """Run ``fn(None)`` at absolute time ``when``; exact.
 
         The timestamp is pushed on the heap verbatim -- no ``now + delay``
         float round trip -- so an open-loop departure or a scheduled
         table update fires at the *bit-identical* instant its schedule
-        computed.  ``when`` must not lie in the past.  The event is a
-        recycled pool event: callers must not retain it.
+        computed.  ``when`` must not lie in the past.
         """
         if when < self.now:
             raise SimulationError(
                 "call_at(%r) is in the past; clock is at %r" % (when, self.now))
-        pool = self._pool
-        event = pool.pop() if pool else _PooledEvent(self)
-        event._state = _TRIGGERED
-        event._value = None
-        event._exception = None
-        event.callbacks.append(callback)
         self._sequence += 1
-        heappush(self._heap, (when, self._sequence, event))
-        return event
+        heappush(self._heap, (when, self._sequence, fn, None))
 
     # -- execution ----------------------------------------------------------
 
     def step(self) -> None:
-        """Process the single next event, advancing the clock."""
+        """Process the single next entry, advancing the clock.
+
+        An exception ``fn`` raises leaves here: hardware callbacks carry
+        no process to keep a failure in.
+        """
         try:
-            self.now, _seq, event = heappop(self._heap)
+            self.now, _seq, fn, arg = heappop(self._heap)
         except IndexError:
             raise SimulationError(
                 "step() called with no pending events") from None
         self.events_processed += 1
-        event._state = _PROCESSED
-        callbacks = event.callbacks
-        if type(event) is _PooledEvent:
-            # Pooled events reuse their callbacks list across recycles
-            # (callers may not retain the event, so nothing can append
-            # after the firing); value and exception are overwritten by
-            # whichever checkout draws the event next.
-            if callbacks:
-                for callback in callbacks:
-                    callback(event)
-                callbacks.clear()
-            pool = self._pool
-            if len(pool) < self._POOL_LIMIT:
-                pool.append(event)
-        else:
-            event.callbacks = []
-            for callback in callbacks:
-                callback(event)
+        fn(arg)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until nothing live is pending or the clock passes ``until``.
 
-        Without ``until`` the clock stops at the last live event: cancelled
+        Without ``until`` the clock stops at the last live entry: cancelled
         timers left on the heap are not popped.  When ``until`` is given
-        the clock is left exactly at ``until`` even if no event fires at
+        the clock is left exactly at ``until`` even if nothing fires at
         that instant, mirroring the behaviour expected by utilization
         sampling.
         """
@@ -416,7 +354,7 @@ class Engine:
         return process.value
 
     def pending_count(self) -> int:
-        """Live pending events: heap entries minus cancelled timers."""
+        """Live pending entries: heap entries minus cancelled timers."""
         return len(self._heap) - self.cancelled_timers
 
     def register_metrics(self, registry) -> None:

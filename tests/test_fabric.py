@@ -90,7 +90,7 @@ class UdpHarness:
 
         def sender():
             for payload in payloads:
-                yield engine.pooled_timeout(gap_us)
+                yield engine.timeout(gap_us)
                 yield from host.kernel_path(
                     lambda data=payload: endpoint.send(data, dst_ip, port))
 

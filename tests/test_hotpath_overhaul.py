@@ -8,7 +8,7 @@ Covers the surfaces the overhaul added or rewrote:
 * whole-record ``Layout.pack_into``/``unpack_from`` and the scalar
   getter/putter accessors,
 * ``raw_storage`` unwrapping,
-* the engine's zero-delay fast path and pooled timeouts,
+* the engine's zero-delay timeouts (once drawn from a recycle pool),
 * the dispatcher's cached handler snapshot,
 * ``try_charge`` uncontexted-charge accounting.
 
@@ -179,7 +179,7 @@ class TestRawStorage:
 
 
 # ---------------------------------------------------------------------------
-# engine: zero-delay fast path and pooled timeouts
+# engine: zero-delay timeouts (the recycle pool they came from is gone)
 # ---------------------------------------------------------------------------
 
 class TestPooledTimeouts:
@@ -187,9 +187,9 @@ class TestPooledTimeouts:
         marks = []
 
         def proc():
-            yield engine.pooled_timeout(5.0)
+            yield engine.timeout(5.0)
             marks.append(engine.now)
-            yield engine.pooled_timeout(0.0)
+            yield engine.timeout(0.0)
             marks.append(engine.now)
 
         engine.process(proc())
@@ -200,22 +200,13 @@ class TestPooledTimeouts:
         order = []
 
         def proc(tag):
-            yield engine.pooled_timeout(0.0)
+            yield engine.timeout(0.0)
             order.append(tag)
 
         for tag in range(5):
             engine.process(proc(tag))
         engine.run()
         assert order == sorted(order)
-
-    def test_pool_recycles_and_stays_bounded(self, engine):
-        def proc():
-            for _ in range(5000):
-                yield engine.pooled_timeout(0.0)
-
-        engine.process(proc())
-        engine.run()
-        assert 1 <= len(engine._pool) <= engine._POOL_LIMIT
 
     def test_zero_delay_interleaves_with_heap_in_time_order(self, engine):
         order = []
@@ -225,7 +216,7 @@ class TestPooledTimeouts:
             order.append("late")
 
         def immediate():
-            yield engine.pooled_timeout(0.0)
+            yield engine.timeout(0.0)
             order.append("immediate")
 
         engine.process(late())

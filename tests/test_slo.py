@@ -15,7 +15,7 @@ from repro.sim import Engine
 def _advance(engine, us):
     """Move simulated time forward by ``us`` microseconds."""
     def proc():
-        yield engine.pooled_timeout(us)
+        yield engine.timeout(us)
     engine.run_process(proc(), name="advance")
 
 
@@ -225,7 +225,7 @@ class TestReconciliationProperty:
 
         def client():
             for seq, gap in enumerate(gaps):
-                yield engine.pooled_timeout(gap)
+                yield engine.timeout(gap)
                 request = lifecycle.begin("probe", seq)
                 sock = client_sockets.tcp_socket()
                 yield from sock.connect((bed.ip(1), 9090))
