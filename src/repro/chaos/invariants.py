@@ -117,7 +117,7 @@ def _frame_conservation(ctx) -> List[str]:
             delivered_total += medium.frames_delivered
         else:
             # A switch port's frames_delivered are hand-offs into the
-            # switch fabric; only forward_to_nic reaches a NIC.
+            # switch fabric; only its egress landings reach a NIC.
             delivered_total += forwarded_in
     nic_seen = sum(nic.rx_frames + nic.rx_filtered + nic.rx_drops
                    for nic in ctx.bed.nics)

@@ -5,8 +5,8 @@ Each workload sets up flows on a freshly built testbed and returns a
 invariant registry can verify what arrived.  Workloads must tolerate an
 arbitrarily hostile wire: every application callback traps protocol
 errors into ``state.errors`` instead of letting them escape into the
-engine (where an exception in a detached process would be silently
-swallowed).
+engine, where one from a kernel path or timer ends the campaign without
+a verdict, and one in a user process nobody yields is kept there unseen.
 
 Payloads are derived from the campaign seed alone, so the byte-exact
 delivery check needs no side channel between sender and checker.

@@ -17,6 +17,9 @@ payload length (ATM cell padding -- the NIC computes it).
 Media run on heap callbacks, not processes: ``transmit(sender, frame,
 done)`` calls ``done()`` when the sending NIC may start its next frame,
 and what a callback raises (a receiver's bug) leaves ``engine.step``.
+A clean hop is one entry, its landing pushed when the frame starts; a
+wire-end entry stays only where something happens there (an impaired
+lane's draws, the bus's release).
 """
 
 from __future__ import annotations
@@ -154,12 +157,6 @@ class ImpairmentModel:
         self.duplicated = 0
         self.reordered = 0
 
-    def link_down(self, now: float) -> bool:
-        for down, up in self.config.flaps:
-            if down <= now < up:
-                return True
-        return False
-
     def apply(self, now: float, frame: Frame) -> List[Tuple[float, Frame]]:
         """Decide one frame's fate; returns ``[(extra_delay_us, frame)...]``.
 
@@ -170,7 +167,7 @@ class ImpairmentModel:
         config = self.config
         rng = self.rng
         self.offered += 1
-        if config.flaps and self.link_down(now):
+        if any(down <= now < up for down, up in config.flaps):
             self.flap_dropped += 1
             return []
         if config.p_good_bad or config.loss_good or config.loss_bad:
@@ -255,7 +252,9 @@ class _Medium:
 
         Returns the armed :class:`ImpairmentModel` so callers can read
         its counters.  Re-arming replaces the model (and its RNG stream)
-        wholesale.
+        wholesale.  A lane (point-to-point, NIC -> switch) decides at
+        transmit that a frame is clean, so a model armed mid-flight
+        applies from the next frame that starts: arm before traffic.
         """
         if config is None:
             self._impairments = None
@@ -313,14 +312,11 @@ class _Medium:
         self.frames_carried += 1
         self.bytes_carried += frame.wire_bytes
 
-    # -- the one propagation-delay delivery site ---------------------------
+    # -- landings ----------------------------------------------------------
 
     def _deliver_after(self, sink, frame: Frame, delay_us: float) -> None:
-        """Hand ``frame`` to ``sink`` (``nic.frame_on_wire`` or
-        ``switch.accept``) after ``delay_us`` on the wire: one heap entry,
-        since nothing waits on a delivery.  Every medium's fan-out goes
-        through here.
-        """
+        """Hand ``frame`` to ``sink`` after ``delay_us`` on the wire: the
+        bus's fan-out and an impaired lane's copies."""
         self.engine.call_after(delay_us, self._deliver, (sink, frame, None))
 
     def _deliver(self, flight: Tuple) -> None:
@@ -338,9 +334,18 @@ class _Medium:
                       done: Callable[[], None]) -> None:
         """Wire time, then propagation, then ``done()``: the lane is one
         NIC's, whose drain sends a frame at a time, so nothing arbitrates
-        it.  An impaired frame frees the sender once its copies are due."""
-        self.engine.call_after(self._wire_time_us(frame.wire_bytes),
-                               self._lane_sent, (sink, frame, done))
+        it and a clean landing is pushed now.  An impaired frame is judged
+        at wire end and frees the sender once its copies are due."""
+        engine = self.engine
+        if self._impairments is None:
+            self._account(frame)
+            engine.call_at(
+                (engine.now + frame.wire_bytes * 8.0 / self.bandwidth_bps
+                 * MICROSECONDS_PER_SECOND) + self.propagation_us,
+                self._deliver, (sink, frame, done))
+            return
+        engine.call_after(self._wire_time_us(frame.wire_bytes),
+                          self._lane_sent, (sink, frame, done))
 
     def _lane_sent(self, flight: Tuple) -> None:
         sink, frame, done = flight
@@ -354,7 +359,8 @@ class _Medium:
 
 
 class EthernetSegment(_Medium):
-    """Shared half-duplex bus: one transmission at a time, broadcast."""
+    """Shared half-duplex bus: one transmission at a time, broadcast.
+    It keeps its wire-end entry, where it is released and re-arbitrated."""
 
     def __init__(self, engine: Engine, bandwidth_bps: float = 10e6,
                  propagation_us: float = 3.0):
@@ -422,7 +428,7 @@ class SwitchPort(_Medium):
                  propagation_us: float = 1.0):
         super().__init__(engine, bandwidth_bps, propagation_us)
         self.switch = switch
-        self._to_nic = Resource(engine, capacity=1)   # the switch's senders
+        self._lane_free_at = 0.0       # when the switch -> NIC lane idles
         self.frames_forwarded_in = 0   # switch -> NIC deliveries (not impaired)
 
     def attach(self, nic) -> None:
@@ -440,25 +446,14 @@ class SwitchPort(_Medium):
         """NIC -> switch direction (impairments apply here)."""
         self._send_on_lane(self.switch.accept, frame, done)
 
-    def forward_to_nic(self, frame: Frame) -> None:
+    def _egress(self, frame: Frame, ready_at: float) -> None:
         """Switch -> NIC direction (clean: the switch already paid the
         port).  Every frame forwarded to the port shares this lane."""
-        lane = self._to_nic
-        if lane.try_acquire():
-            self._forward(frame)
-        else:
-            lane.request().callbacks.append(
-                lambda _grant: self._forward(frame))
-
-    def _forward(self, frame: Frame) -> None:
-        self.engine.call_after(
-            transmission_time_us(frame.wire_bytes, self.bandwidth_bps),
-            self._forward_sent, frame)
-
-    def _forward_sent(self, frame: Frame) -> None:
-        self._to_nic.release()
-        self.engine.call_after(self.propagation_us, self._forward_landed,
-                               frame)
+        start = max(ready_at, self._lane_free_at)
+        self._lane_free_at = free_at = start + transmission_time_us(
+            frame.wire_bytes, self.bandwidth_bps)
+        self.engine.call_at(free_at + self.propagation_us,
+                            self._forward_landed, frame)
 
     def _forward_landed(self, frame: Frame) -> None:
         self.frames_forwarded_in += 1
@@ -466,7 +461,13 @@ class SwitchPort(_Medium):
 
 
 class Switch:
-    """Store-and-forward switch with a fixed per-frame forwarding latency."""
+    """Store-and-forward switch with a fixed per-frame forwarding latency.
+
+    A frame is routed on arrival and booked on each egress lane, a FIFO
+    with deterministic service: ``start = max(now + forward_latency_us,
+    free_at)``, ``free_at = start + wire``, landing at ``free_at +
+    propagation_us`` -- one entry, at the float a relay per delay would
+    reach (``tests/test_engine_diet.py`` keeps those relays as oracle)."""
 
     def __init__(self, engine: Engine, bandwidth_bps: float = 155e6,
                  forward_latency_us: float = 10.0, name: str = "switch"):
@@ -489,17 +490,15 @@ class Switch:
         self._ports[nic.address] = port
 
     def accept(self, frame: Frame) -> None:
-        """Forward ``frame`` once the forwarding latency has passed."""
-        self.engine.call_after(self.forward_latency_us, self._forward, frame)
-
-    def _forward(self, frame: Frame) -> None:
+        """Route ``frame`` and book it on its egress lane(s)."""
+        ready_at = self.engine.now + self.forward_latency_us
         port = self._ports.get(frame.dst_addr)
         if port is not None:
             self.frames_forwarded += 1
-            port.forward_to_nic(frame)
+            port._egress(frame, ready_at)
             return
         # Unknown or broadcast destination: flood all ports except source.
         self.frames_flooded += 1
         for addr, out_port in self._ports.items():
             if addr != frame.src_addr:
-                out_port.forward_to_nic(frame)
+                out_port._egress(frame, ready_at)

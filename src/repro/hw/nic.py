@@ -205,7 +205,8 @@ class NIC:
                                self._raise_interrupt, frame)
 
     def _raise_interrupt(self, frame: Frame) -> None:
-        """The device's receive latency is over: interrupt the host."""
+        """The device's receive latency is over: interrupt the host (its
+        own entry, as ring admission at ``frame_on_wire`` decided drops)."""
         self.rx_frames += 1
         self.rx_bytes += len(frame.data)
         self.host.frame_arrived(self, frame)

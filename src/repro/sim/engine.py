@@ -283,19 +283,19 @@ class Engine:
         self._sequence += 1
         heappush(self._heap, (self.now + delay, self._sequence, fn, arg))
 
-    def call_at(self, when: float, fn: Callable[[Any], None]) -> None:
-        """Run ``fn(None)`` at absolute time ``when``; exact.
+    def call_at(self, when: float, fn: Callable[[Any], None],
+                arg: Any = None) -> None:
+        """Run ``fn(arg)`` at absolute time ``when``; exact.
 
         The timestamp is pushed on the heap verbatim -- no ``now + delay``
-        float round trip -- so an open-loop departure or a scheduled
-        table update fires at the *bit-identical* instant its schedule
-        computed.  ``when`` must not lie in the past.
-        """
+        float round trip -- so a departure, a table update or a summed
+        landing fires at the *bit-identical* instant its schedule
+        computed.  ``when`` must not lie in the past."""
         if when < self.now:
             raise SimulationError(
                 "call_at(%r) is in the past; clock is at %r" % (when, self.now))
         self._sequence += 1
-        heappush(self._heap, (when, self._sequence, fn, None))
+        heappush(self._heap, (when, self._sequence, fn, arg))
 
     # -- execution ----------------------------------------------------------
 

@@ -1,30 +1,35 @@
 """The engine diet: a zero-delay event must be justified by contention or
-by a waiter, and hardware runs on callbacks, not processes.
+by a waiter, hardware runs on callbacks, not processes, and a clean hop
+is one heap entry.
 
 Pins what was removed from the per-frame path -- process bootstraps,
 completions nobody waits on, uncontended grants, the NIC's blocking queue
-hand-off, and then every per-frame ``Process`` (interrupt kernel paths,
-NIC drains, link lanes, switch ports) -- so that an abstraction hop
-creeping back in is a red test; checks the ``KernelPath`` continuation
-against the generator kernel path it replaced; and states where an
-exception surfaces now that hardware is heap callbacks.
+hand-off, every per-frame ``Process`` (interrupt kernel paths, NIC
+drains, link lanes, switch ports), and then the fixed-delay relays of a
+clean lane and of the switch -- so that an abstraction hop creeping back
+in is a red test; checks the ``KernelPath`` continuation against the
+generator kernel path it replaced, and the merged media against the
+relay media they replaced; and states where an exception surfaces now
+that hardware is heap callbacks.
 """
 
 import inspect
-from collections import Counter
+from collections import Counter, deque
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.bench.testbed as testbed
 from repro.bench.testbed import build_testbed
 from repro.chaos.invariants import INVARIANTS
 from repro.core import Credential
 from repro.fabric.topology import fat_tree
 from repro.hw import (EthernetSegment, LanceEthernet, PointToPointLink,
-                      Switch, T3Nic)
+                      Switch, SwitchPort, T3Nic)
 from repro.hw.cpu import INTERRUPT_PRIORITY, THREAD_PRIORITY, ChargeError
 from repro.hw.host import Host
+from repro.hw.link import Frame, ImpairmentConfig, transmission_time_us
 from repro.lang import ephemeral
 from repro.net.headers import ip_aton
 from repro.obs import MetricsRegistry
@@ -69,13 +74,13 @@ _EVENT_NAMES = {
 }
 
 
-def _ping_pong(trips=6):
-    """A SPIN UDP ping-pong on Ethernet: ``(bed, ping_loop, trip_marks)``.
+def _ping_pong(trips=6, medium="ethernet"):
+    """A SPIN UDP ping-pong: ``(bed, ping_loop, trip_marks)``.
 
     ``ping_loop`` sends ``trips`` 8-byte pings, each from a kernel path the
     loop waits on, and waits for the reply; ``trip_marks`` collects
     ``engine.events_processed`` as each reply arrives."""
-    bed = build_testbed("spin", "ethernet", deliver_mode="interrupt")
+    bed = build_testbed("spin", medium, deliver_mode="interrupt")
     engine = bed.engine
     client_host = bed.hosts[0]
     reply_seen = Signal(engine)
@@ -106,6 +111,29 @@ def _ping_pong(trips=6):
     return bed, ping_loop, trip_marks
 
 
+#: What a switched frame no longer pushes: the clean uplink's wire-end
+#: relay, the forwarding-latency relay, the egress lane's wire-end relay
+#: and, when the egress lane was busy, the grant that handed it over.
+_RELAYS = frozenset({"_lane_sent", "_forward", "_forward_sent", "_fire"})
+
+
+def _steady_trip_budget(medium, names=_EVENT_NAMES):
+    """Heap entries a steady ping-pong trip on ``medium`` runs, folded
+    by ``names``: ``(per-trip table, entries of the last trip)``."""
+    bed, ping_loop, trips = _ping_pong(medium=medium)
+    engine = bed.engine
+    process = engine.process(ping_loop())
+    folded = Counter()
+    while process.is_alive:
+        site = _next_entry(engine)
+        if len(trips) >= 2:     # ARP and cold caches are behind us
+            folded[names.get(site, site[0])] += 1
+        engine.step()
+    steady_trips = len(trips) - 2
+    return ({name: count / steady_trips for name, count in folded.items()},
+            trips[-1] - trips[-2])
+
+
 class TestEventBudget:
     def test_udp_round_trip_is_twelve_named_events(self):
         """Nine entries advance simulated time (3 CPU holds: client send,
@@ -115,27 +143,103 @@ class TestEventBudget:
         entry (starting them inside the rx-latency callback reorders
         same-instant CPU requests and moves the fat-tree fingerprint),
         and the client's ``Signal`` waiter is a real waiter.  The client's
-        own send path completes inside its hold's entry: no hop."""
-        bed, ping_loop, trips = _ping_pong()
-        engine = bed.engine
-        process = engine.process(ping_loop())
-        folded = Counter()
-        while process.is_alive:
-            site = _next_entry(engine)
-            if len(trips) >= 2:     # ARP and cold caches are behind us
-                folded[_EVENT_NAMES.get(site, site)] += 1
-            engine.step()
-        steady_trips = len(trips) - 2
-        assert {name: count / steady_trips
-                for name, count in folded.items()} == {
+        own send path completes inside its hold's entry: no hop.  The
+        bus keeps its wire-end entry: it is released and re-arbitrated
+        there."""
+        assert _steady_trip_budget("ethernet") == ({
             "cpu hold": 3,
             "wire time": 2,
             "propagation": 2,
             "rx latency": 2,
             "kernel-path bootstrap": 2,
             "reply wakeup": 1,
-        }
-        assert trips[-1] - trips[-2] == 12
+        }, 12)
+
+    def test_atm_switched_trip_is_twelve_named_events(self, monkeypatch):
+        """The same trip through the ATM switch: each frame is one
+        uplink landing (wire + propagation, pushed at transmit) and one
+        egress landing (forwarding latency + egress wire + propagation,
+        pushed at accept).  Against the relay switch it was 18: each of
+        the two frames also pushed ``_lane_sent`` (the clean uplink's
+        wire end), ``Switch._forward`` (the forwarding latency) and
+        ``_forward_sent`` (the egress wire end)."""
+        names = dict(_EVENT_NAMES)
+        names[("_deliver", True)] = "uplink landing"
+        names[("_forward_landed", True)] = "egress landing"
+        merged, merged_trip = _steady_trip_budget("atm", names)
+        assert (merged, merged_trip) == ({
+            "cpu hold": 3,
+            "uplink landing": 2,
+            "egress landing": 2,
+            "rx latency": 2,
+            "kernel-path bootstrap": 2,
+            "reply wakeup": 1,
+        }, 12)
+        monkeypatch.setattr(testbed, "Switch", _RelaySwitch)
+        relayed, relayed_trip = _steady_trip_budget("atm", names)
+        assert Counter(relayed) - Counter(merged) == {
+            "_lane_sent": 2, "_forward": 2, "_forward_sent": 2}
+        assert relayed_trip == 18
+
+    def test_fat_tree_hop_is_four_named_events(self, monkeypatch):
+        """One UDP frame across the core crosses six point-to-point
+        links.  Each hop is four entries: the landing (wire +
+        propagation, pushed at transmit), the receiving NIC's rx
+        latency, and the bootstrap and CPU hold of the switch's (or the
+        receiver's) interrupt kernel path.  The sender adds its own send
+        entry, bootstrap and hold.  Each hop was five: ``_lane_sent``,
+        the clean lane's wire-end relay, is gone."""
+        names = dict(_EVENT_NAMES)
+        names[("_deliver", True)] = "landing"
+
+        def frame_budget():
+            bed = fat_tree(4)
+            engine = bed.engine
+            endpoint = bed.stacks[0].udp_manager.bind(
+                Credential("tx"), 9001, ephemeral(lambda *args: None))
+            host = bed.hosts[0]
+
+            def send(_arg) -> None:
+                host.spawn_kernel_path(lambda: endpoint.send(
+                    bytes(64), ip_aton("10.2.0.2"), 9000))
+            for index in range(3):      # apart: each frame crosses alone
+                engine.call_at(1_000.0 * (index + 1), send)
+            engine.run(until=2_500.0)   # the cold frames are behind us
+            folded = Counter()
+            while engine._heap:
+                site = _next_entry(engine)
+                folded[names.get(site, site[0])] += 1
+                engine.step()
+            return folded
+
+        merged = frame_budget()
+        assert merged == {"send": 1, "kernel-path bootstrap": 7,
+                          "cpu hold": 7, "landing": 6, "rx latency": 6}
+        monkeypatch.setattr(PointToPointLink, "_send_on_lane",
+                            _RelayLane._send_on_lane)
+        assert frame_budget() - merged == {"_lane_sent": 6}
+
+    def test_contended_switched_frame_is_two_entries(self):
+        """Frames queued on one busy egress lane cost no more than clean
+        ones: an uplink landing and an egress landing each.  The relay
+        switch also pushed ``_lane_sent``, ``_forward`` and
+        ``_forward_sent`` per frame, plus a grant (``_fire``) for every
+        frame that found the lane busy."""
+        senders = 4
+        sends = [(0.0, index, 0, 64) for index in range(1, senders + 1)]
+        merged = _switch_run(Switch, sends, senders + 1)
+        relayed = _switch_run(_RelaySwitch, sends, senders + 1)
+        assert Counter(name for _t, name in merged["trace"]) == {
+            "send": senders, "_deliver": senders,
+            "_forward_landed": senders}
+        assert (Counter(name for _t, name in relayed["trace"])
+                - Counter(name for _t, name in merged["trace"])) == {
+            "_lane_sent": senders, "_forward": senders,
+            "_forward_sent": senders, "_fire": senders - 1}
+        landings = [now for now, *_ in merged["seen"][0]]
+        wire = transmission_time_us(64, _EXACT_BPS)
+        assert [b - a for a, b in zip(landings, landings[1:])] == [
+            wire] * (senders - 1)
 
     def test_a_cancelled_timer_costs_one_noop_event(self, engine):
         """The timer row of the budget: arming pushes one heap entry,
@@ -715,3 +819,332 @@ class TestErrorSurfacing:
         with pytest.raises(RuntimeError, match="device bug"):
             engine.run()
         assert switch.frames_forwarded >= 1
+
+
+# ---------------------------------------------------------------------------
+# (g) a clean hop is one heap entry: merged media against the relays
+# ---------------------------------------------------------------------------
+
+class _RelayLane:
+    """The clean lane the merged one replaced, kept as the oracle: a
+    wire-end entry (``_lane_sent``, which still pushes the landing for
+    a frame whose model was disarmed in flight), then propagation."""
+
+    def _send_on_lane(self, sink, frame, done):
+        self.engine.call_after(self._wire_time_us(frame.wire_bytes),
+                               self._lane_sent, (sink, frame, done))
+
+
+class _RelayLink(_RelayLane, PointToPointLink):
+    pass
+
+
+class _ResourcePort(_RelayLane, SwitchPort):
+    """The switch port before its egress lane was analytic: a
+    ``Resource`` the switch's frames queue on, a wire-end relay that
+    releases it, then propagation."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._to_nic = Resource(self.engine, capacity=1)
+
+    def forward_to_nic(self, frame):
+        lane = self._to_nic
+        if lane.try_acquire():
+            self._forward(frame)
+        else:
+            lane.request().callbacks.append(
+                lambda _grant: self._forward(frame))
+
+    def _forward(self, frame):
+        self.engine.call_after(
+            transmission_time_us(frame.wire_bytes, self.bandwidth_bps),
+            self._forward_sent, frame)
+
+    def _forward_sent(self, frame):
+        self._to_nic.release()
+        self.engine.call_after(self.propagation_us, self._forward_landed,
+                               frame)
+
+
+class _RelaySwitch(Switch):
+    """The switch before it routed on arrival: a forwarding-latency
+    relay, then each egress port's ``forward_to_nic``."""
+
+    def new_port(self, propagation_us=1.0):
+        return _ResourcePort(self.engine, self, self.bandwidth_bps,
+                             propagation_us)
+
+    def accept(self, frame):
+        self.engine.call_after(self.forward_latency_us, self._forward, frame)
+
+    def _forward(self, frame):
+        port = self._ports.get(frame.dst_addr)
+        if port is not None:
+            self.frames_forwarded += 1
+            port.forward_to_nic(frame)
+            return
+        self.frames_flooded += 1
+        for addr, out_port in self._ports.items():
+            if addr != frame.src_addr:
+                out_port.forward_to_nic(frame)
+
+
+#: 2**23 b/s: a frame of ``n`` bytes is ``n * 15625 / 16384`` us on the
+#: wire, a dyadic rational, so every instant the media sum is exact and
+#: two frames tie exactly when the schedule says they do -- hypothesis's
+#: small integers reach real same-float ties.
+_EXACT_BPS = float(2 ** 23)
+
+
+class _StubNic:
+    """What a medium sees of a NIC: an address, a FIFO drain that sends
+    a frame at a time, and a ``frame_on_wire`` that logs ``(now, src,
+    dst, data)``."""
+
+    def __init__(self, engine, address):
+        self.engine = engine
+        self.address = address
+        self.link = None
+        self.seen = []
+        self._queue = deque()
+        self._busy = False
+
+    def send(self, frame):
+        self._queue.append(frame)
+        if not self._busy:
+            self._busy = True
+            self._drain()
+
+    def _drain(self):
+        if self._queue:
+            self.link.transmit(self, self._queue.popleft(), self._drain)
+        else:
+            self._busy = False
+
+    def frame_on_wire(self, frame):
+        self.seen.append((self.engine.now, frame.src_addr, frame.dst_addr,
+                          frame.data))
+
+
+def _traced(engine):
+    """Run ``engine`` dry; the ``(time, fn.__name__)`` of every entry."""
+    trace = []
+    heap = engine._heap
+    while heap:
+        when, _seq, fn, _arg = heap[0]
+        trace.append((when, fn.__name__))
+        engine.step()
+    return trace
+
+
+def _schedule(engine, nics, sends, dst_of):
+    """``sends`` = [(at_us, src, dst, size)]: each a ``call_at`` entry
+    pushed up front (so FIFO among equal instants) that hands a fresh
+    frame to NIC ``src``."""
+    for index, (at_us, src, dst, size) in enumerate(sends):
+        frame = Frame(b"%d" % index, nics[src].address, dst_of(src, dst),
+                      wire_bytes=size)
+        engine.call_at(at_us, nics[src].send, frame)
+
+
+def _link_run(link_cls, links, sends, impairment=None,
+              bandwidth_bps=_EXACT_BPS):
+    """``links`` = [propagation_us] point-to-point wires of two stub NICs
+    each (NIC ``2i`` and ``2i + 1``); a send goes to its NIC's peer."""
+    engine = Engine()
+    nics = [_StubNic(engine, "n%d" % index) for index in range(2 * len(links))]
+    media = []
+    for index, propagation_us in enumerate(links):
+        link = link_cls(engine, bandwidth_bps, propagation_us)
+        link.attach(nics[2 * index])
+        link.attach(nics[2 * index + 1])
+        if impairment is not None:
+            link.set_impairments(impairment, seed=index)
+        media.append(link)
+    _schedule(engine, nics, [(at, src % len(nics), None, size)
+                             for at, src, size in sends],
+              lambda src, _dst: nics[src ^ 1].address)
+    trace = _traced(engine)
+    return {"trace": trace, "seen": [nic.seen for nic in nics],
+            "counters": [m.fault_counters() for m in media],
+            "rng": [m._impairments and m._impairments.rng.getstate()
+                    for m in media]}
+
+
+def _switch_run(switch_cls, sends, ports, forward_latency_us=10.0,
+                propagation_us=1.0, bandwidth_bps=_EXACT_BPS):
+    """``ports`` stub NICs on one switch; ``sends`` = [(at_us, src, dst,
+    size)] where ``dst`` is a NIC index, or None for an address no port
+    has (flooded).  Also logs the switch's ``(now, data)`` accepts."""
+    engine = Engine()
+    switch = switch_cls(engine, bandwidth_bps, forward_latency_us)
+    nics = [_StubNic(engine, "p%d" % index) for index in range(ports)]
+    for nic in nics:
+        switch.new_port(propagation_us).attach(nic)
+    accepted = []
+    inner = switch.accept
+
+    def accept(frame):
+        accepted.append((engine.now, frame.data))
+        inner(frame)
+    switch.accept = accept
+    _schedule(engine, nics, sends, lambda _src, dst: (
+        "nowhere" if dst is None else nics[dst].address))
+    trace = _traced(engine)
+    return {"trace": trace, "seen": [nic.seen for nic in nics],
+            "accepted": accepted,
+            "counters": ([p.fault_counters() for p in switch.ports],
+                         [p.frames_forwarded_in for p in switch.ports],
+                         switch.frames_forwarded, switch.frames_flooded)}
+
+
+def _minus_relays(trace):
+    return [entry for entry in trace if entry[1] not in _RELAYS]
+
+
+_INSTANTS = st.integers(0, 40).map(lambda half_us: half_us * 0.5)
+_SIZES = st.integers(1, 1600)
+
+
+class TestMergedHopOracle:
+    """The merged media against the relay media above (the media before
+    hops were merged), on random frame sizes and send instants, ties
+    included.
+
+    The invariant is that every frame lands at the bit-identical instant,
+    in the same order at each sink (a NIC, or the switch's accept), with
+    every medium counter equal at quiescence.  A merged landing claims
+    its sequence number when its frame starts, not at wire end, so two
+    landings at *different* sinks at one instant may run in the other
+    order (``test_cross_sink_tie_may_swap`` builds one): nothing at
+    either sink can tell, and the switch trace is compared instant by
+    instant as a multiset.  On point-to-point wires every non-send entry
+    is a ``_deliver``, so there the ``(time, fn)`` trace is equal as a
+    sequence."""
+
+    @given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, 0.1]),
+                    min_size=1, max_size=3),
+           st.lists(st.tuples(_INSTANTS, st.integers(0, 5), _SIZES),
+                    min_size=1, max_size=16),
+           st.sampled_from([_EXACT_BPS, 45e6]))
+    @settings(max_examples=150, deadline=None)
+    def test_point_to_point(self, links, sends, bandwidth_bps):
+        """Exact and inexact (the T3's 45 Mb/s) wire times: a landing
+        summed as ``(now + wire) + propagation`` is the relays' float."""
+        merged = _link_run(PointToPointLink, links, sends,
+                           bandwidth_bps=bandwidth_bps)
+        relayed = _link_run(_RelayLink, links, sends,
+                            bandwidth_bps=bandwidth_bps)
+        assert merged["trace"] == _minus_relays(relayed["trace"])
+        assert merged["seen"] == relayed["seen"]
+        assert merged["counters"] == relayed["counters"]
+
+    @given(st.lists(st.tuples(_INSTANTS, st.integers(0, 5), _SIZES),
+                    min_size=1, max_size=16),
+           st.floats(0.0, 0.5), st.floats(0.0, 0.5), st.booleans(),
+           st.sampled_from([0.0, 2.5]))
+    @settings(max_examples=100, deadline=None)
+    def test_impaired_lane_draws_as_before(self, sends, loss, corrupt,
+                                           duplicate, jitter_us):
+        """An impaired lane keeps its wire-end relay: the same verdicts,
+        the same RNG stream, the same landings."""
+        config = ImpairmentConfig(
+            loss_good=loss, loss_bad=loss, corrupt_rate=corrupt,
+            duplicate_rate=0.3 if duplicate else 0.0, reorder_rate=0.2,
+            jitter_us=jitter_us, flaps=((300.0, 900.0),))
+        merged = _link_run(PointToPointLink, [1.0, 0.5], sends, config)
+        relayed = _link_run(_RelayLink, [1.0, 0.5], sends, config)
+        assert merged == relayed
+
+    @given(st.integers(2, 5),
+           st.lists(st.tuples(_INSTANTS, st.integers(0, 4),
+                              st.one_of(st.none(), st.integers(0, 4)),
+                              _SIZES),
+                    min_size=1, max_size=16),
+           st.sampled_from([0.0, 10.0]),
+           st.sampled_from([(_EXACT_BPS, 0.0), (_EXACT_BPS, 1.0),
+                            (155e6, 0.1)]))
+    @settings(max_examples=200, deadline=None)
+    def test_switch(self, ports, sends, forward_latency_us, wire):
+        """Known and flooded destinations, several senders to one port
+        (a contended egress lane), a frame back to its own sender.  On
+        the inexact wire (the ATM's 155 Mb/s, an inexact propagation)
+        one NIC sends everything: two uplinks' wire ends one ulp apart
+        can round to one instant once a propagation is added, and would
+        then reach the switch in transmit order, not wire-end order."""
+        bandwidth_bps, propagation_us = wire
+        senders = ports if bandwidth_bps == _EXACT_BPS else 1
+        sends = [(at, src % senders, None if dst is None else dst % ports,
+                  size) for at, src, dst, size in sends]
+        merged = _switch_run(Switch, sends, ports, forward_latency_us,
+                             propagation_us, bandwidth_bps)
+        relayed = _switch_run(_RelaySwitch, sends, ports,
+                              forward_latency_us, propagation_us,
+                              bandwidth_bps)
+        assert merged["seen"] == relayed["seen"]
+        assert merged["accepted"] == relayed["accepted"]
+        assert merged["counters"] == relayed["counters"]
+        assert sorted(merged["trace"]) == sorted(
+            _minus_relays(relayed["trace"]))
+
+    def test_cross_sink_tie_may_swap(self):
+        """Frame 0 goes p1 -> p2 and is accepted at ``L``; frame 1 starts
+        on p0's uplink during frame 0's forwarding latency and lands at
+        the switch at the instant frame 0 lands at p2.  The relays pushed
+        both landings at wire end, the uplink's first; merged, frame 0's
+        was pushed at ``L`` and runs first.  Every sink sees the same
+        frames at the same instants."""
+        wire = transmission_time_us
+        egress_end = 2 * (1.0 + wire(64, _EXACT_BPS)) + 10.0 - 1.0
+        start = egress_end - wire(65, _EXACT_BPS)
+        sends = [(0.0, 1, 2, 64), (start, 0, 1, 65)]
+        merged = _switch_run(Switch, sends, 3)
+        relayed = _switch_run(_RelaySwitch, sends, 3)
+        tie = egress_end + 1.0
+        assert [name for when, name in relayed["trace"] if when == tie] == [
+            "_deliver", "_forward_landed"]
+        assert [name for when, name in merged["trace"] if when == tie] == [
+            "_forward_landed", "_deliver"]
+        assert merged["seen"] == relayed["seen"]
+        assert merged["accepted"] == relayed["accepted"]
+
+
+class TestImpairmentDecisionPoint:
+    """A clean lane decides at transmit that a frame is clean; an armed
+    one decides at wire end what happens to it."""
+
+    _HARD_DOWN = ImpairmentConfig(flaps=((0.0, 1e9),))
+
+    def _run(self, link_cls, action):
+        """Two 1,000-byte frames back to back on one wire; ``action``
+        touches the wire's impairments 100 us into the first."""
+        engine = Engine()
+        nic_a, nic_b = _StubNic(engine, "a"), _StubNic(engine, "b")
+        link = link_cls(engine, _EXACT_BPS, 1.0)
+        link.attach(nic_a)
+        link.attach(nic_b)
+        if action == "disarm":
+            link.set_impairments(self._HARD_DOWN)
+        for index in range(2):
+            nic_a.send(Frame(b"%d" % index, "a", "b", wire_bytes=1_000))
+        engine.call_at(100.0, lambda _arg: link.set_impairments(
+            self._HARD_DOWN if action == "arm" else None))
+        engine.run()
+        return [data for *_, data in nic_b.seen], link.fault_counters()
+
+    def test_armed_mid_flight_applies_from_the_next_frame(self):
+        seen, counters = self._run(PointToPointLink, "arm")
+        assert seen == [b"0"]
+        assert (counters["frames_carried"], counters["frames_delivered"],
+                counters["frames_flap_dropped"]) == (2, 1, 1)
+        # The relay lane decided at wire end, after arming: both dropped.
+        assert self._run(_RelayLink, "arm")[0] == []
+
+    def test_disarmed_mid_flight_lands_clean(self):
+        """The frame on the wire at disarming still goes through the
+        wire-end relay, which finds no model and delivers it, as the
+        relay lane did."""
+        assert (self._run(PointToPointLink, "disarm")
+                == self._run(_RelayLink, "disarm"))
+        assert self._run(PointToPointLink, "disarm")[0] == [b"0", b"1"]
