@@ -15,15 +15,14 @@ Four measurement functions, one per bar family:
 * :func:`measure_raw_rtt` -- the driver-to-driver floor,
 * :func:`figure5` -- the whole figure as a list of rows.
 
-Every measurement routes its trips through a
-:class:`~repro.obs.slo.RequestLifecycle` instead of a hand-kept sample
-list, so Figure 5 and the SLO harness (``python -m repro.bench
---latency``) share one begin/end path and one percentile
-implementation.  The lifecycle computes each latency with the exact
-float arithmetic the sample lists used (``engine.now - begin``), so
-every historical mean -- including the golden numbers in
-``repro.bench.regression`` -- is bit-identical; ``tests/test_slo.py``
-asserts this against an inline old-style collection.
+The two UDP bars are one conversation, the registry's ``udp_pingpong``
+scenario on a SPIN or a UNIX bed, whose OS picks the in-kernel or the
+socket half; its fingerprint checks each ping was echoed once, byte for
+byte.  Every measurement routes its trips through a
+:class:`~repro.obs.slo.RequestLifecycle`, so Figure 5 and the SLO harness
+(``python -m repro.bench --latency``) share one begin/end path and one
+percentile implementation, with the float arithmetic of the hand-kept
+sample lists before them (``tests/test_slo.py`` checks it bit for bit).
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from ..obs.slo import RequestLifecycle
 from ..sim import Signal
 from .stats import Summary
 from .testbed import build_raw_pair, build_testbed
-from .workloads import PINGPONG, _udp_echo
+from .workloads import PINGPONG, _udp_echo, _udp_echo_fingerprint, run_scenario
 
 __all__ = [
     "measure_plexus_udp_rtt",
@@ -55,24 +54,27 @@ PAPER_FIGURE5_US = {
     ("atm-fast", "plexus-interrupt"): 241.0,
 }
 
-_PONG_PORT, _PING_PORT = PINGPONG["ports"]
+
+def _pingpong(bed, trips: int, **scenario) -> Summary:
+    """The registry's ``udp_pingpong`` scenario, ``trips`` round trips
+    on ``bed``: the mean of what its lifecycle saw."""
+    lifecycle = RequestLifecycle(bed.engine)
+    run_scenario(bed, _udp_echo(**PINGPONG, **scenario), trips,
+                 _udp_echo_fingerprint, lifecycle)
+    return lifecycle.summary(PINGPONG["kind"])
 
 
 def measure_plexus_udp_rtt(device: str, deliver_mode: str = "interrupt",
                            fast_driver: bool = False, trips: int = 20,
                            payload_len: int = 8,
                            checksum: bool = True) -> Summary:
-    """UDP ping-pong between two in-kernel Plexus extensions: the
-    registry's ``udp_pingpong`` scenario on the bed the arguments name."""
+    """UDP ping-pong between two in-kernel Plexus extensions, bound at
+    interrupt level or in a kernel thread as ``deliver_mode`` says."""
     bed = build_testbed("spin", device, deliver_mode=deliver_mode,
                         fast_driver=fast_driver)
-    lifecycle = RequestLifecycle(bed.engine)
-    setup = _udp_echo(
-        **PINGPONG, payload=payload_len, checksum=checksum,
+    return _pingpong(
+        bed, trips, payload=payload_len, checksum=checksum,
         mode="inline" if deliver_mode == "interrupt" else "thread")
-    _state, ping_loop = setup(bed, trips, lifecycle)
-    bed.engine.run_process(ping_loop(), name="ping")
-    return lifecycle.summary(PINGPONG["kind"])
 
 
 def measure_unix_udp_rtt(device: str, fast_driver: bool = False,
@@ -80,31 +82,7 @@ def measure_unix_udp_rtt(device: str, fast_driver: bool = False,
                          checksum: bool = True) -> Summary:
     """UDP ping-pong between two user-level socket applications."""
     bed = build_testbed("unix", device, fast_driver=fast_driver)
-    engine = bed.engine
-    client_sockets, server_sockets = bed.sockets
-    lifecycle = RequestLifecycle(engine)
-    payload = bytes(payload_len)
-
-    def server_proc():
-        sock = server_sockets.udp_socket()
-        yield from sock.bind(_PONG_PORT)
-        for _ in range(trips):
-            data, addr = yield from sock.recvfrom()
-            yield from sock.sendto(data, addr, checksum=checksum)
-
-    def client_proc():
-        sock = client_sockets.udp_socket()
-        yield from sock.bind(_PING_PORT)
-        for _ in range(trips):
-            request = lifecycle.begin("udp_rtt")
-            yield from sock.sendto(payload, (bed.ip(1), _PONG_PORT),
-                                   checksum=checksum)
-            yield from sock.recvfrom()
-            lifecycle.end(request)
-
-    engine.process(server_proc(), name="udp-server")
-    engine.run_process(client_proc(), name="udp-client")
-    return lifecycle.summary("udp_rtt")
+    return _pingpong(bed, trips, payload=payload_len, checksum=checksum)
 
 
 def measure_raw_rtt(device: str, fast_driver: bool = False, trips: int = 20,

@@ -6,6 +6,12 @@ the programmed-I/O driver, so every boundary copy costs bandwidth); raw
 driver-to-driver ATM tops out at ~53 Mb/s; T3 TCP was unmeasurable on
 SPIN because of a DMA bug, so -- as the substitution -- we report UDP
 throughput on T3 for both systems instead.
+
+The two TCP rows are one conversation: the registry's ``tcp_bulk``
+stream (:func:`repro.bench.workloads._tcp_stream`) on a SPIN or a UNIX
+bed, whose OS picks the in-kernel or the socket half; on UNIX the
+sending program closes its socket when done, as section 4.2's did.  Its
+fingerprint checks that the seeded stream arrived byte-exact.
 """
 
 from __future__ import annotations
@@ -15,9 +21,8 @@ from typing import Dict, List, Optional
 from ..core.manager import Credential
 from ..hw.alpha import MICROSECONDS_PER_SECOND
 from ..lang.ephemeral import ephemeral
-from ..sim import Signal
 from .testbed import build_raw_pair, build_testbed
-from .workloads import _tcp_bulk_fingerprint, _tcp_bulk_setup
+from .workloads import _tcp_stream, _tcp_stream_fingerprint, run_scenario
 
 __all__ = [
     "measure_plexus_tcp_throughput",
@@ -47,56 +52,18 @@ def _mbps(nbytes: int, elapsed_us: float) -> float:
 
 def measure_plexus_tcp_throughput(device: str, total_bytes: int = 1_000_000,
                                   deliver_mode: str = "interrupt") -> float:
-    """Bulk TCP between two in-kernel extensions, the registry's
-    ``tcp_bulk`` scenario on ``device``; returns payload Mb/s."""
+    """Bulk TCP between two in-kernel extensions; returns payload Mb/s."""
     bed = build_testbed("spin", device, deliver_mode=deliver_mode)
-    state, start = _tcp_bulk_setup(bed, total_bytes)
-    bed.engine.run_process(start(), name="tcp-bulk")
-    return _tcp_bulk_fingerprint(state, bed)["mbps"]
+    return run_scenario(bed, _tcp_stream(), total_bytes,
+                        _tcp_stream_fingerprint)["mbps"]
 
 
 def measure_unix_tcp_throughput(device: str,
                                 total_bytes: int = 1_000_000) -> float:
     """Bulk TCP between two user-level socket processes."""
     bed = build_testbed("unix", device)
-    engine = bed.engine
-    sender_sockets, receiver_sockets = bed.sockets
-    state = {"received": 0, "first_byte_at": None, "last_byte_at": None}
-    done = Signal(engine)
-
-    def server():
-        listener = receiver_sockets.tcp_socket()
-        yield from listener.listen(_PORT)
-        conn = yield from listener.accept()
-        while state["received"] < total_bytes:
-            data = yield from conn.recv()
-            if not data:
-                break
-            if state["first_byte_at"] is None:
-                state["first_byte_at"] = engine.now
-            state["received"] += len(data)
-            state["last_byte_at"] = engine.now
-        done.fire()
-
-    def client():
-        sock = sender_sockets.tcp_socket()
-        yield from sock.connect((bed.ip(1), _PORT))
-        remaining = total_bytes
-        chunk = bytes(32 * 1024)
-        while remaining > 0:
-            take = min(len(chunk), remaining)
-            yield from sock.send(chunk[:take])
-            remaining -= take
-        yield from sock.close()
-
-    engine.process(server(), name="tcp-server")
-    engine.process(client(), name="tcp-client")
-
-    def wait_done():
-        yield done.wait()
-    engine.run_process(wait_done(), name="tcp-wait")
-    elapsed = state["last_byte_at"] - (state["first_byte_at"] or 0.0)
-    return _mbps(state["received"], elapsed)
+    return run_scenario(bed, _tcp_stream(close=True), total_bytes,
+                        _tcp_stream_fingerprint)["mbps"]
 
 
 def measure_raw_throughput(device: str, frames: int = 200,

@@ -7,26 +7,32 @@ declarative :class:`Workload` record in
 :data:`WORKLOADS`: how to build the bed, how to wire the scenario onto it
 (``setup(bed, scale, lifecycle=None) -> (state, main)``), what its
 simulated-time fingerprint is, its scales, and -- for the shardable ones
--- how scale splits across shards.  Ports, payload sizes,
-staggers and reply disciplines are data on the record, so a scenario
-family (the spin/ethernet UDP echo pair, the serial TCP object server,
-the many-flows origin) is written once and registered several times.
+-- how scale splits across shards.  Ports, host indices, start
+offsets, gap plans, payload sizes and reply disciplines are data on the
+record, so a scenario family (the UDP echo, the TCP stream, the serial
+TCP object server, the many-flows origin) is written once and registered
+several times.  The echo and the stream have a SPIN and a UNIX half,
+picked by the bed's OS, as the paper runs one conversation on both.
 
 Two functions run records: :func:`run_once` (build -> instrument ->
 setup -> GC-quiesce -> time -> record, on a single engine) and
 :func:`run_partitioned` (the same record as N shards, each a task of the
 suite's one process pool, :func:`repro.bench.runner.map_tasks`).
 ``--latency``, ``--parallel-curve`` and ``python -m repro.obs
---workload`` go through them; Figure 5 and section 4.2
+--workload`` go through them.  Figure 5 and section 4.2
 (:mod:`repro.bench.latency`, :mod:`repro.bench.throughput`) wire the
-same ``setup`` functions onto beds of their own.
+same ``setup`` functions onto beds of their own through
+:func:`run_scenario`, and ``repro.chaos`` starts them on impaired beds.
 
 Each result carries a **fingerprint** of simulated-time outputs, the
 only thing the gate judges: any substrate change must leave every field
 *bit-identical*, because the simulation is deterministic and wall-clock
-work must never leak into simulated time.  The host-side fields beside
-it (``wall_s``, ``events_per_sec``, ``packets_per_sec``) are unjudged;
-``perfbench/`` is where host speed and footprint are measured.
+work must never leak into simulated time.  Every scenario sends seeded
+bytes and its fingerprint function first checks what arrived -- streams
+and objects byte-exact, each echo exactly once -- raising on a mismatch.
+The host-side fields beside it (``wall_s``, ``events_per_sec``,
+``packets_per_sec``) are unjudged; ``perfbench/`` is where host speed
+and footprint are measured.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import os
+import random
 import time
 import zlib
 from dataclasses import dataclass
@@ -49,12 +56,13 @@ from ..net.headers import ip_aton
 from ..obs.registry import merge_snapshots
 from ..obs.wire import instrument_testbed
 from ..sim import Engine, Signal, SimulationError
-from ..unixos.sockets import Poller
+from ..unixos.sockets import Poller, SocketError
 from .runner import map_tasks
 from .testbed import build_testbed
 
 __all__ = ["Workload", "WORKLOADS", "PINGPONG", "MODES", "env_override",
-           "schedule", "run_once", "run_partitioned", "run_workload"]
+           "schedule", "run_once", "run_partitioned", "run_scenario",
+           "run_workload"]
 
 
 @dataclass(frozen=True)
@@ -133,31 +141,70 @@ def _horizon(plan, closed: bool, until: Optional[float]) -> Optional[float]:
     return until
 
 
+def _seeded_bytes(seed: int, length: int) -> bytes:
+    """Seeded bytes: no charge reads content, so they simulate as zeros."""
+    return random.Random(seed).randbytes(length)
+
+
+#: the payload seed of the registry's own scenarios
+_SEED = 1996
+
+
+def _verify(state, mismatch: Optional[str] = None) -> None:
+    """A fingerprint is only read from a run that delivered what it
+    sent: raise on an error the scenario trapped, or on ``mismatch``."""
+    problems = state["errors"] + ([mismatch] if mismatch else [])
+    if problems:
+        raise SimulationError("delivery check failed: " + "; ".join(problems))
+
+
+@ephemeral
+def _seq(data) -> int:
+    # int.from_bytes is not on the ephemeral safe list
+    return (data[0] << 24) | (data[1] << 16) | (data[2] << 8) | data[3]
+
+
+def run_scenario(bed, setup: Callable, scale: int, fingerprint: Callable,
+                 lifecycle=None) -> Dict:
+    """Run a scenario to the end of its main process on a caller's bed;
+    returns its (delivery-checked) fingerprint."""
+    state, main = setup(bed, scale, lifecycle)
+    bed.engine.run_process(main(), name="scenario")
+    return fingerprint(state, bed)
+
+
 # ---------------------------------------------------------------------------
-# the spin/ethernet UDP echo pair (Figure 5's inner loop)
+# the UDP echo (Figure 5's inner loop), on either OS
 # ---------------------------------------------------------------------------
 
-def _udp_echo(ports, creds, kind: str, payload: int = 0,
-              paced: Optional[str] = None, closed: bool = True,
-              mode: str = "inline", checksum: bool = True):
-    """UDP ping-pong between two in-kernel Plexus extensions, whose
-    handlers are bound in ``mode`` with the UDP ``checksum`` on or off.
+def _udp_echo(ports, creds, kind: str, payload: int = 8,
+              plan_of: Optional[Callable] = None, closed: bool = True,
+              mode: str = "inline", checksum: bool = True, hosts=(0, 1),
+              start_us: float = 0.0, seed: int = _SEED):
+    """UDP ping-pong from host ``hosts[0]`` to an echo on ``hosts[1]``,
+    ``start_us`` into the run.  On SPIN both ends are in-kernel Plexus
+    extensions bound in ``mode``; on UNIX, socket processes (Figure 5's
+    DIGITAL UNIX bar).
 
-    Unpaced, ``scale`` back-to-back round trips of ``payload`` zero bytes.
-    ``paced`` names the latency leg whose :func:`schedule` sets each
-    datagram's departure gap and size; those carry their sequence number
-    so the client handler can end the matching request however many are
-    in flight, and ``closed=False`` keeps the drawn schedule regardless
-    of replies (open loop) where the closed twin waits for each one.
+    Unpaced, ``scale`` back-to-back round trips of ``payload`` bytes, each
+    request ended where the client resumes.  ``plan_of(scale)`` instead
+    lists each datagram's (gap_us, size) after the previous one, each
+    request ended where its reply lands, and ``closed=False`` keeps the
+    plan regardless of replies (open loop).  A datagram is its sequence
+    number ahead of seeded bytes, so replies in flight are told apart and
+    the fingerprint checks that each was echoed once, byte for byte.
     """
     server_port, client_port = ports
+    paced = plan_of is not None
 
     def setup(bed, scale: int, lifecycle=None):
         engine = bed.engine
-        client_stack, server_stack = bed.stacks
-        client_host = bed.hosts[0]
-        plan = schedule(paced, scale) if paced else [(None, payload)] * scale
-        state = {"trips": scale, "samples": [],
+        client, server = hosts
+        address = (bed.ip(server), server_port)
+        plan = plan_of(scale) if paced else [(None, payload)] * scale
+        body = _seeded_bytes(seed, max([size for _gap, size in plan] or [4]))
+        state = {"trips": scale, "samples": [], "sent": [], "echoes": [],
+                 "errors": [],
                  "until": _horizon(plan, closed, None) if paced else None}
         if paced:
             # Open-loop UDP has no retransmit: a ring drop parks its
@@ -165,54 +212,91 @@ def _udp_echo(ports, creds, kind: str, payload: int = 0,
             # load.  Provision for the whole schedule.
             for nic in bed.nics:
                 nic.provision_rings(max(256, scale))
-        pending: Dict[int, object] = {}
-        reply_seen = Signal(engine)
-        server_ep = None
+        pending: Dict[int, object] = {}     # paced: seq -> open request
 
         @ephemeral
-        def server_handler(m, off, src_ip, src_port, dst_ip, dst_port):
-            data = bytes(m.to_bytes()[off:])
-            server_ep.send(data, src_ip, src_port)
+        def echoed(data):
+            state["echoes"].append(data)
+            request = pending.pop(_seq(data), None)
+            if request is not None:
+                lifecycle.end(request)
 
-        if paced:
+        if bed.os_name == "spin":
+            reply_seen = Signal(engine)
+            server_ep = None
+
+            @ephemeral
+            def server_handler(m, off, src_ip, src_port, dst_ip, dst_port):
+                server_ep.send(bytes(m.to_bytes()[off:]), src_ip, src_port)
+
             @ephemeral
             def client_handler(m, off, src_ip, src_port, dst_ip, dst_port):
-                data = bytes(m.to_bytes()[off:])
-                # int.from_bytes is not on the ephemeral safe list.
-                seq = ((data[0] << 24) | (data[1] << 16) | (data[2] << 8)
-                       | data[3])
-                request = pending.pop(seq, None)
-                if request is not None:
-                    lifecycle.end(request)
-                reply_seen.fire()
+                echoed(bytes(m.to_bytes()[off:]))
+                if paced:
+                    reply_seen.fire()
+                else:
+                    bed.hosts[client].defer(reply_seen.fire)
+
+            server_ep = bed.stacks[server].udp_manager.bind(
+                Credential(creds[0]), server_port, server_handler, mode=mode,
+                checksum=checksum)
+            client_ep = bed.stacks[client].udp_manager.bind(
+                Credential(creds[1]), client_port, client_handler, mode=mode,
+                checksum=checksum)
+
+            def opening():
+                return ()
+
+            def exchange(data):
+                waiter = reply_seen.wait() if closed else None
+                yield from bed.hosts[client].kernel_path(
+                    lambda: client_ep.send(data, *address))
+                if closed:
+                    yield waiter
         else:
-            @ephemeral
-            def client_handler(m, off, src_ip, src_port, dst_ip, dst_port):
-                client_host.defer(reply_seen.fire)
+            server_sock = bed.sockets[server].udp_socket()
+            client_sock = bed.sockets[client].udp_socket()
 
-        server_ep = server_stack.udp_manager.bind(
-            Credential(creds[0]), server_port, server_handler, mode=mode,
-            checksum=checksum)
-        client_ep = client_stack.udp_manager.bind(
-            Credential(creds[1]), client_port, client_handler, mode=mode,
-            checksum=checksum)
+            def serve():
+                yield from server_sock.bind(server_port)
+                while True:
+                    data, addr = yield from server_sock.recvfrom()
+                    yield from server_sock.sendto(data, addr, checksum)
+
+            def receive(forever: bool = False):
+                while True:
+                    data, _addr = yield from client_sock.recvfrom()
+                    echoed(data)
+                    if not forever:
+                        return
+
+            def opening():
+                yield from client_sock.bind(client_port)
+                if not closed:      # replies land in a process of their own
+                    engine.process(receive(True), name="udp-echo-replies")
+
+            def exchange(data):
+                yield from client_sock.sendto(data, address, checksum)
+                if closed:
+                    yield from receive()
+
+            engine.process(serve(), name="udp-echo")
 
         def main():
+            yield from opening()
+            if start_us:
+                yield engine.timeout(start_us)
             for seq, (gap_us, size) in enumerate(plan):
                 if paced:
                     yield engine.timeout(gap_us)
-                    data = seq.to_bytes(4, "big") + bytes(size - 4)
-                    request = pending[seq] = _begin(lifecycle, kind, seq)
-                else:
-                    data = bytes(size)
-                    request = _begin(lifecycle, kind)
+                data = seq.to_bytes(4, "big") + body[:size - 4]
+                state["sent"].append(data)
+                request = _begin(lifecycle, kind, seq)
+                if paced:
+                    pending[seq] = request
                 start = engine.now
-                waiter = reply_seen.wait() if closed else None
-                yield from client_host.kernel_path(
-                    lambda data=data: client_ep.send(data, bed.ip(1),
-                                                     server_port))
+                yield from exchange(data)
                 if closed:
-                    yield waiter
                     state["samples"].append(engine.now - start)
                     if not paced:
                         _end(lifecycle, request)
@@ -223,6 +307,9 @@ def _udp_echo(ports, creds, kind: str, payload: int = 0,
 
 
 def _udp_echo_fingerprint(state, bed) -> Dict:
+    _verify(state, None if sorted(state["echoes"]) == sorted(state["sent"])
+            else "%d datagrams, %d echoes: not each echoed once, byte-exact"
+            % (len(state["sent"]), len(state["echoes"])))
     samples = state["samples"]
     return {
         "trips": state["trips"],
@@ -242,63 +329,142 @@ def _udp_echo_record(name: str, scales, **scenario) -> Workload:
 
 
 # ---------------------------------------------------------------------------
-# tcp_bulk (section 4.2's inner loop)
+# the TCP stream (section 4.2's inner loop), on either OS
 # ---------------------------------------------------------------------------
 
-def _tcp_bulk_setup(bed, scale: int, lifecycle=None):
-    """Bulk TCP of ``scale`` bytes over ATM: checksum- and
-    segmentation-heavy."""
-    engine = bed.engine
-    sender_stack, receiver_stack = bed.stacks
-    sender_host, receiver_host = bed.hosts
-    state = {"received": 0, "segments": 0, "first_byte_at": None,
-             "last_byte_at": None, "sent": 0}
-    done = Signal(engine)
+_CHUNK = 32 * 1024
 
-    def on_accept(tcb):
-        def on_data(data: bytes) -> None:
+
+def _tcp_stream(port: int = 9000, hosts=(0, 1), start_us: float = 0.0,
+                close: bool = False, seed: int = _SEED):
+    """Bulk TCP of ``scale`` seeded bytes from host ``hosts[0]`` to
+    ``hosts[1]``, ``start_us`` into the run, in 32 KB writes.  On SPIN both
+    ends are in-kernel extensions on the TCP manager; on UNIX, section
+    4.2's socket processes.  With ``close`` the sender closes after its
+    last write, as section 4.2's program does; the receiver closes on the
+    sender's FIN.  Protocol errors are trapped into the state.
+    """
+    def setup(bed, scale: int, lifecycle=None):
+        engine = bed.engine
+        sender, receiver = hosts
+        payload = _seeded_bytes(seed, scale)
+        state = {"payload": payload, "delivered": bytearray(), "sent": 0,
+                 "segments": 0, "first_byte_at": None, "last_byte_at": None,
+                 "tcbs": [], "reset": False, "errors": []}
+        done = Signal(engine)
+
+        def arrived(data) -> bool:
+            """Book delivered ``data``; True once the stream is whole."""
             if state["first_byte_at"] is None:
                 state["first_byte_at"] = engine.now
-            state["received"] += len(data)
+            state["delivered"] += data
             state["segments"] += 1
             state["last_byte_at"] = engine.now
-            if state["received"] >= scale:
-                receiver_host.defer(done.fire)
-        tcb.on_data = on_data
+            return len(state["delivered"]) >= scale
 
-    receiver_stack.tcp_manager.listen(Credential("sink"), 9000, on_accept)
-    chunk = bytes(32 * 1024)
+        def watch(tcb) -> None:
+            """Book ``tcb`` as an end of the stream, noting a reset."""
+            state["tcbs"].append(tcb)
+            notify = tcb.on_reset
 
-    def pump(tcb) -> None:
-        while state["sent"] < scale and tcb.send_space > 0:
-            take = min(len(chunk), scale - state["sent"])
-            accepted = tcb.send(chunk[:take])
-            state["sent"] += accepted
-            if accepted == 0:
-                break
+            def on_reset():
+                state["reset"] = True
+                if notify is not None:
+                    notify()
+            tcb.on_reset = on_reset
 
-    def main():
-        def work():
-            tcb = sender_stack.tcp_manager.connect(
-                Credential("source"), bed.ip(1), 9000)
-            tcb.on_established = lambda: pump(tcb)
-            tcb.on_sendable = lambda space: pump(tcb)
-        yield from sender_host.kernel_path(work)
-        yield done.wait()
+        if bed.os_name == "spin":
+            def on_accept(tcb):
+                watch(tcb)
+                tcb.on_close = tcb.close
 
-    return state, main
+                def on_data(data: bytes) -> None:
+                    if arrived(data):
+                        bed.hosts[receiver].defer(done.fire)
+                tcb.on_data = on_data
+
+            bed.stacks[receiver].tcp_manager.listen(
+                Credential("sink"), port, on_accept)
+
+            def pump(tcb) -> None:
+                try:
+                    while state["sent"] < scale and tcb.send_space > 0:
+                        accepted = tcb.send(payload[state["sent"]:
+                                                    state["sent"] + _CHUNK])
+                        state["sent"] += accepted
+                        if accepted == 0:
+                            break
+                    if close and state["sent"] == scale and not tcb.fin_queued:
+                        tcb.close()
+                except RuntimeError as exc:     # the connection died
+                    state["errors"].append(str(exc))
+
+            def connect():
+                tcb = bed.stacks[sender].tcp_manager.connect(
+                    Credential("source"), bed.ip(receiver), port)
+                watch(tcb)
+                tcb.on_established = lambda: pump(tcb)
+                tcb.on_sendable = lambda space: pump(tcb)
+
+            def main():
+                if start_us:
+                    yield engine.timeout(start_us)
+                yield from bed.hosts[sender].kernel_path(connect)
+                yield done.wait()
+            return state, main
+
+        # UNIX: both socket programs start here, ahead of whichever
+        # runner starts the main process that waits for delivery.
+        def server():
+            listener = bed.sockets[receiver].tcp_socket()
+            yield from listener.listen(port)
+            conn = yield from listener.accept()
+            watch(conn.tcb)
+            while True:
+                data = yield from conn.recv()
+                if not data:
+                    break
+                if arrived(data):
+                    done.fire()
+            if close:
+                yield from conn.close()
+
+        def client():
+            sock = bed.sockets[sender].tcp_socket()
+            try:
+                if start_us:
+                    yield engine.timeout(start_us)
+                yield from sock.connect((bed.ip(receiver), port))
+                watch(sock.tcb)
+                while state["sent"] < scale:
+                    data = payload[state["sent"]:state["sent"] + _CHUNK]
+                    yield from sock.send(data)
+                    state["sent"] += len(data)
+                if close:
+                    yield from sock.close()
+            except (RuntimeError, SocketError) as exc:  # reset under a call
+                state["errors"].append(str(exc))
+
+        engine.process(server(), name="tcp-stream-server")
+        engine.process(client(), name="tcp-stream-client")
+
+        def main():
+            yield done.wait()
+        return state, main
+
+    return setup
 
 
-def _tcp_bulk_fingerprint(state, bed) -> Dict:
+def _tcp_stream_fingerprint(state, bed) -> Dict:
+    got = len(state["delivered"])
+    _verify(state, None if state["delivered"] == state["payload"] else
+            "%d of %d bytes delivered, not byte-exact"
+            % (got, len(state["payload"])))
     elapsed = state["last_byte_at"] - (state["first_byte_at"] or 0.0)
-    mbps = (state["received"] * 8.0 / elapsed * MICROSECONDS_PER_SECOND / 1e6
+    mbps = (got * 8.0 / elapsed * MICROSECONDS_PER_SECOND / 1e6
             if elapsed > 0 else 0.0)
-    return {
-        "bytes": state["received"],
-        "segments": state["segments"],
-        "mbps": mbps,
-        "final_now_us": bed.engine.now,
-    }
+    return {"bytes": got, "segments": state["segments"], "mbps": mbps,
+            "final_now_us": bed.engine.now}
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +472,7 @@ def _tcp_bulk_fingerprint(state, bed) -> Dict:
 # ---------------------------------------------------------------------------
 
 _OBJECT_PORT = 8090
-_OBJECT = bytes(2048)
+_OBJECT = _seeded_bytes(_SEED, 2048)
 
 #: bursty (Gilbert-Elliott) loss for the impaired probe; seed fixed so
 #: the stall decomposition is replayable.
@@ -320,7 +486,8 @@ def _tcp_objects(kind: str, plan_of: Callable, closed: bool = True,
     """One connect/fetch/close per request against a daemon that serves
     one connection at a time -- the serial service discipline is what
     turns an offered-load burst into a visible tail.  ``closed`` fetches
-    sequentially; open-loop spawns each fetch at its drawn departure."""
+    sequentially; open-loop spawns each fetch at its drawn departure.
+    Every fetch must read the seeded object byte-exact."""
     def setup(bed, scale: int, lifecycle=None):
         engine = bed.engine
         client_sockets, server_sockets = bed.sockets
@@ -329,7 +496,7 @@ def _tcp_objects(kind: str, plan_of: Callable, closed: bool = True,
             for medium in bed.media():
                 medium.set_impairments(_IMPAIRMENT, seed=_IMPAIRED_SEED)
         plan = plan_of(scale)
-        state = {"fetches": scale, "done": 0, "bytes_in": 0,
+        state = {"fetches": scale, "done": 0, "bytes_in": 0, "errors": [],
                  "until": _horizon(plan, closed, until)}
 
         def server():
@@ -344,11 +511,16 @@ def _tcp_objects(kind: str, plan_of: Callable, closed: bool = True,
             request = _begin(lifecycle, kind, seq)
             sock = client_sockets.tcp_socket()
             yield from sock.connect((server_ip, _OBJECT_PORT))
+            body = bytearray()
             while True:
                 data = yield from sock.recv()
                 if not data:
                     break
+                body += data
                 state["bytes_in"] += len(data)
+            if body != _OBJECT:
+                state["errors"].append("fetch %d read %d bytes, not the "
+                                       "object" % (seq, len(body)))
             yield from sock.close()
             _end(lifecycle, request)
             state["done"] += 1
@@ -368,13 +540,17 @@ def _tcp_objects(kind: str, plan_of: Callable, closed: bool = True,
     return setup
 
 
+def _tcp_objects_fingerprint(state, bed) -> Dict:
+    _verify(state)
+    return {"fetches": state["fetches"], "done": state["done"],
+            "bytes_in": state["bytes_in"], "final_now_us": bed.engine.now}
+
+
 def _tcp_objects_record(name: str, scales, **scenario) -> Workload:
     quick, full, warmup = scales
     return Workload(
         name=name, build=_pair("unix", "atm"), setup=_tcp_objects(**scenario),
-        fingerprint=lambda state, bed: {
-            "fetches": state["fetches"], "done": state["done"],
-            "bytes_in": state["bytes_in"], "final_now_us": bed.engine.now},
+        fingerprint=_tcp_objects_fingerprint,
         packets=lambda state: 2 * state["done"],
         quick=quick, full=full, warmup=warmup, kinds=(scenario["kind"],))
 
@@ -384,7 +560,7 @@ def _tcp_objects_record(name: str, scales, **scenario) -> Workload:
 # ---------------------------------------------------------------------------
 
 _FLOWS_TCP_PORT, _FLOWS_UDP_PORT = 80, 5004
-_UDP_REQUEST = bytes(16)        # a "frame please" control datagram
+_UDP_REQUEST = _seeded_bytes(_SEED, 16)   # a "frame please" datagram
 
 #: Flows one client host can source: the ephemeral UDP port range is
 #: 32768..65535 (~32767 ports), kept under ~30k for slack against the
@@ -403,15 +579,16 @@ def _flows(tcp_object: int, udp_reply: int, stagger_us: float,
     :class:`~repro.unixos.sockets.Poller` in kqueue style.  Flow
     ``index`` opens at ``index * stagger_us`` from the client host whose
     contiguous block it falls in (the last host is the server) and is TCP
-    where ``is_tcp(index, scale)``.  Clients send no TCP request bytes: a
-    segment arriving before the server accepts would be consumed by the
-    kernel TCB with no reader attached, so connecting *is* the request.
+    where ``is_tcp(index, scale)``.  Clients send no TCP request bytes:
+    connecting *is* the request.
 
     A ``deferred`` server withholds every reply until all ``scale`` flows
     have arrived, so peak live-flow concurrency equals ``scale`` by
     construction, and every request's latency is a queue measurement.
+    Every client must read its seeded page or reply byte-exact.
     """
-    page, reply = bytes(tcp_object), bytes(udp_reply)
+    page = _seeded_bytes(_SEED + 1, tcp_object)
+    reply = _seeded_bytes(_SEED + 2, udp_reply)
 
     def setup(bed, scale: int, lifecycle=None):
         engine = bed.engine
@@ -426,14 +603,17 @@ def _flows(tcp_object: int, udp_reply: int, stagger_us: float,
             for nic in bed.nics:
                 nic.provision_rings(scale)
         state = {"flows": scale, "tcp_done": 0, "udp_done": 0, "bytes_in": 0,
-                 "served": 0, "peak_conns": 0, "peak_watched": 0}
+                 "served": 0, "peak_conns": 0, "peak_watched": 0,
+                 "errors": []}
         server_ready = Signal(engine)
         all_done = Signal(engine)
 
-        def finished(done_key: str, received: int, request) -> None:
+        def finished(done_key: str, received, expected, request) -> None:
+            if received != expected:
+                state["errors"].append("a flow read %r" % bytes(received))
             _end(lifecycle, request)
             state[done_key] += 1
-            state["bytes_in"] += received
+            state["bytes_in"] += len(received)
             if state["tcp_done"] + state["udp_done"] == scale:
                 all_done.fire()
 
@@ -442,14 +622,14 @@ def _flows(tcp_object: int, udp_reply: int, stagger_us: float,
             request = _begin(lifecycle, kinds[1])
             sock = sockets.tcp_socket()
             yield from sock.connect((server_ip, _FLOWS_TCP_PORT))
-            received = 0
+            received = bytearray()
             while True:
                 data = yield from sock.recv()
                 if not data:
                     break
-                received += len(data)
+                received += data
             yield from sock.close()
-            finished("tcp_done", received, request)
+            finished("tcp_done", received, page, request)
 
         def udp_client(index: int, sockets):
             yield engine.timeout(index * stagger_us)
@@ -459,7 +639,7 @@ def _flows(tcp_object: int, udp_reply: int, stagger_us: float,
             yield from sock.sendto(_UDP_REQUEST, (server_ip, _FLOWS_UDP_PORT))
             data, _addr = yield from sock.recvfrom()
             sock.close()
-            finished("udp_done", len(data), request)
+            finished("udp_done", data, reply, request)
 
         def server():
             listener = server_sockets.tcp_socket()
@@ -539,6 +719,7 @@ def _flows(tcp_object: int, udp_reply: int, stagger_us: float,
 
 
 def _flows_fingerprint(state, bed) -> Dict:
+    _verify(state)
     fingerprint = {key: state[key] for key in (
         "flows", "tcp_done", "udp_done", "bytes_in", "peak_conns",
         "peak_watched")}
@@ -593,6 +774,7 @@ def _fabric_setup(bed, scale: int, lifecycle=None):
     wire, so the payload prefix widens from 4 to 8 bytes in that mode --
     the latency leg carries its own fingerprint and never shares one
     with the plain workload, which keeps the 4-byte format bit-for-bit.
+    Seeded bytes follow the prefix, and must arrive byte-exact.
     """
     engine = bed.engine
     k = bed.fat_tree_k
@@ -606,33 +788,33 @@ def _fabric_setup(bed, scale: int, lifecycle=None):
     for nic in bed.nics:
         nic.provision_rings(max(256, scale * half * hpe))
 
-    state = {"sent": 0, "received": 0, "bytes": 0}
+    state = {"sent": 0, "received": 0, "bytes": 0, "errors": []}
     expected = scale * len(bed.host_locator)
     all_done = Signal(engine)
     pending = {}            # (gid, seq) -> open Request, lifecycle mode only
+    body = _seeded_bytes(_SEED, 1400)
+
+    @ephemeral
+    def delivered(data, prefix: int) -> None:
+        if data[prefix:] != body[:len(data) - prefix]:
+            state["errors"].append("a datagram arrived garbled")
+        state["received"] += 1
+        state["bytes"] += len(data)
+        if state["received"] == expected:
+            all_done.fire()
 
     if lifecycle is None:
         @ephemeral
         def receive(m, off, src_ip, src_port, dst_ip, dst_port):
-            state["received"] += 1
-            state["bytes"] += len(m.to_bytes()) - off
-            if state["received"] == expected:
-                all_done.fire()
+            delivered(bytes(m.to_bytes()[off:]), 4)
     else:
         @ephemeral
         def receive(m, off, src_ip, src_port, dst_ip, dst_port):
             data = bytes(m.to_bytes()[off:])
-            state["received"] += 1
-            state["bytes"] += len(data)
-            # int.from_bytes is not on the ephemeral safe list; shift
-            # arithmetic on indexed bytes says the same thing.
-            key = ((data[0] << 24) | (data[1] << 16) | (data[2] << 8) | data[3],
-                   (data[4] << 24) | (data[5] << 16) | (data[6] << 8) | data[7])
-            request = pending.pop(key, None)
+            request = pending.pop((_seq(data), _seq(data[4:])), None)
             if request is not None:
                 lifecycle.end(request)
-            if state["received"] == expected:
-                all_done.fire()
+            delivered(data, 8)
 
     senders = []
     for index, (p, e, s) in enumerate(bed.host_locator):
@@ -657,10 +839,10 @@ def _fabric_setup(bed, scale: int, lifecycle=None):
         for seq, (gap_us, size) in enumerate(plan):
             yield engine.timeout(gap_us)
             if lifecycle is None:
-                payload = seq.to_bytes(4, "big") + bytes(size - 4)
+                payload = seq.to_bytes(4, "big") + body[:size - 4]
             else:
                 payload = (gid.to_bytes(4, "big") + seq.to_bytes(4, "big")
-                           + bytes(size - 8))
+                           + body[:size - 8])
                 pending[(gid, seq)] = lifecycle.begin("fabric_dgram")
             yield from host.kernel_path(
                 lambda data=payload: endpoint.send(data, dst_ip,
@@ -679,7 +861,9 @@ def _fabric_setup(bed, scale: int, lifecycle=None):
 def _fabric_fingerprint(state, bed) -> Dict:
     """Folds in per-switch forwarding totals, so a single misrouted or
     double-counted frame anywhere in the fabric fails the gate."""
-    fingerprint = dict(state, final_now_us=bed.engine.now, switch_forwarded=0,
+    _verify(state)
+    fingerprint = {key: state[key] for key in ("sent", "received", "bytes")}
+    fingerprint.update(final_now_us=bed.engine.now, switch_forwarded=0,
                        switch_dropped=0, ecmp=0)
     for switch in bed.switches:
         fingerprint["switch_forwarded"] += switch.pipeline_forwarded
@@ -703,8 +887,8 @@ _PROBE_HORIZON_US = 60_000_000.0
 _RECORDS = [
     _udp_echo_record("udp_pingpong", (60, 400, 60), **PINGPONG, payload=8),
     Workload(
-        name="tcp_bulk", build=_pair("spin", "atm"), setup=_tcp_bulk_setup,
-        fingerprint=_tcp_bulk_fingerprint,
+        name="tcp_bulk", build=_pair("spin", "atm"), setup=_tcp_stream(),
+        fingerprint=_tcp_stream_fingerprint,
         packets=lambda state: state["segments"],
         quick=100_000, full=400_000, warmup=100_000),
     # Half TCP, half UDP at a 15 us stagger: thousands of connections in
@@ -750,8 +934,8 @@ for _gap in (2000, 800, 400):
         _leg = "udp_echo@g%d" % _gap
         _RECORDS.append(_udp_echo_record(
             _leg + _suffix, (150, 600, 10), ports=_ECHO_PORTS,
-            creds=("slo-echo", "slo-client"), kind="udp_echo", paced=_leg,
-            closed=_closed))
+            creds=("slo-echo", "slo-client"), kind="udp_echo",
+            plan_of=lambda n, leg=_leg: schedule(leg, n), closed=_closed))
 for _gap in (5000, 2000):
     for _suffix, _closed in (("", False), ("/closed", True)):
         _leg = "tcp_objects@g%d" % _gap

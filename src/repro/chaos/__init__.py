@@ -6,10 +6,12 @@ chaos harness supplies the adversarial-network half of that argument.  A
 *campaign* builds a testbed, arms every wire with a sampled
 :class:`~repro.hw.link.ImpairmentModel` (Gilbert-Elliott bursty loss,
 reordering, duplication, jitter, throttling, link flaps), drives a
-workload, and then checks a registry of invariants -- byte-exact stream
-delivery, terminal socket states, frame/mbuf conservation, drained rings,
-a drained engine, and flow-cache coherence against the
-``REPRO_FLOW_CACHE=0`` linear-scan oracle.
+workload -- the workload registry's own UDP echo and TCP stream, in the
+half the bed's OS picks (:mod:`repro.chaos.workloads`) -- and then
+checks a registry of invariants: byte-exact stream delivery, terminal
+socket states, frame/mbuf conservation, drained rings, a drained engine,
+and flow-cache coherence against the ``REPRO_FLOW_CACHE=0`` linear-scan
+oracle.
 
 Everything is replayable: a campaign is fully determined by its
 :class:`~repro.chaos.campaign.CampaignSpec` (seed + config), and a failed

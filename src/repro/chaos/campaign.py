@@ -110,18 +110,18 @@ class CampaignContext:
         engine = self.bed.engine
         flows = {}
         for flow in self.state.flows:
-            if flow.kind == "stream":
-                body = bytes(flow.received)
-                flows[flow.name] = {
+            if flow["kind"] == "stream":
+                body = bytes(flow["delivered"])
+                flows[flow["name"]] = {
                     "received": len(body),
                     "sha": hashlib.sha256(body).hexdigest()[:16],
-                    "reset": flow.reset,
+                    "reset": flow["reset"],
                 }
             else:
-                body = b"".join(flow.echoes)
-                flows[flow.name] = {
-                    "echoes": len(flow.echoes),
-                    "sha": hashlib.sha256(body).hexdigest()[:16],
+                flows[flow["name"]] = {
+                    "echoes": len(flow["echoes"]),
+                    "sha": hashlib.sha256(
+                        b"".join(flow["echoes"])).hexdigest()[:16],
                 }
         tcp = {"segments_sent": 0, "retransmits": 0, "fast_retransmits": 0,
                "checksum_errors": 0}
@@ -332,8 +332,9 @@ def _apply_sabotage(ctx: CampaignContext) -> None:
     kind = ctx.spec.sabotage
     if kind == "tamper_stream":
         for flow in ctx.state.flows:
-            if flow.kind == "stream" and flow.received:
-                flow.received[len(flow.received) // 2] ^= 0xFF
+            delivered = flow.get("delivered")
+            if delivered:
+                delivered[len(delivered) // 2] ^= 0xFF
                 return
         raise RuntimeError("tamper_stream: no stream bytes to tamper with")
     if kind == "leak_timer":

@@ -20,7 +20,6 @@ from typing import Callable, Dict, List
 
 from ..hw.link import Switch
 from ..net.tcp.tcb import TcpState
-from .workloads import valid_udp_payloads
 
 __all__ = ["INVARIANTS", "invariant", "check_all"]
 
@@ -56,25 +55,34 @@ def _byte_exact_delivery(ctx) -> List[str]:
     not)."""
     problems = []
     for flow in ctx.state.flows:
-        if flow.kind == "stream":
-            received = bytes(flow.received)
-            if received != flow.expected[:len(received)]:
+        name = flow["name"]
+        if flow["kind"] == "stream":
+            received, expected = bytes(flow["delivered"]), flow["payload"]
+            if received != expected[:len(received)]:
                 problems.append(
                     "%s: received %d bytes diverge from the sent stream"
-                    % (flow.name, len(received)))
-            elif flow.graceful() and received != flow.expected:
+                    % (name, len(received)))
+            elif _graceful(flow) and received != expected:
                 problems.append(
                     "%s: graceful close but only %d/%d bytes delivered"
-                    % (flow.name, len(received), len(flow.expected)))
+                    % (name, len(received), len(expected)))
         else:
-            legal = valid_udp_payloads(flow)
-            for echo in flow.echoes:
+            legal = set(flow["sent"])
+            for echo in flow["echoes"]:
                 if echo not in legal:
                     problems.append(
                         "%s: echoed datagram matches nothing we sent "
-                        "(len=%d)" % (flow.name, len(echo)))
+                        "(len=%d)" % (name, len(echo)))
                     break
     return problems
+
+
+def _graceful(flow) -> bool:
+    """Both ends of a stream closed cleanly after the whole payload was
+    handed over -- full-stream equality is then required."""
+    return (not flow["reset"] and len(flow["tcbs"]) == 2
+            and all(tcb.state == TcpState.CLOSED for tcb in flow["tcbs"])
+            and flow["sent"] == len(flow["payload"]))
 
 
 @invariant("terminal_socket_states")

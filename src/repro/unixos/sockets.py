@@ -212,7 +212,7 @@ class TcpSocket(_SocketBase):
         self.buffer = _SockBuf(self.host.engine, limit=Tcb.DEFAULT_BUF)
         self.connected = Signal(self.host.engine)
         self.sendable = Signal(self.host.engine)
-        self.accept_queue: List[Tcb] = []
+        self.accept_queue: List["TcpSocket"] = []
         self.acceptable = Signal(self.host.engine)
         self.peer_closed = False
         self._listener = None
@@ -281,7 +281,10 @@ class TcpSocket(_SocketBase):
     def listen(self, port: int, backlog: int = 8) -> Generator:
         def work():
             def on_accept(tcb: Tcb) -> None:
-                self.accept_queue.append(tcb)
+                # The connection gets its socket when the kernel accepts
+                # it (BSD's sonewconn), so a segment or FIN landing before
+                # accept() is buffered, not consumed with no reader.
+                self.accept_queue.append(TcpSocket(self.layer, tcb))
                 if self.acceptable.waiter_count:
                     self.host.cpu.charge(self.host.costs.process_wakeup, "sched")
                 self.acceptable.fire()
@@ -289,15 +292,13 @@ class TcpSocket(_SocketBase):
         yield from self._syscall(work)
 
     def accept(self) -> Generator:
-        """Block for an established connection; returns a new TcpSocket."""
+        """Block for an established connection; returns its TcpSocket."""
         if self._listener is None:
             raise SocketError("accept on a non-listening socket")
         yield from self._syscall(lambda: None)
         while not self.accept_queue:
             yield from self._block_on(self.acceptable)
-        tcb = self.accept_queue.pop(0)
-        child = TcpSocket(self.layer, tcb)
-        return child
+        return self.accept_queue.pop(0)
 
     def send(self, data: bytes) -> Generator:
         """Send all of ``data``, blocking for buffer space as needed."""

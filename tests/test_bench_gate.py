@@ -10,6 +10,9 @@ judges fingerprints, and the one ratio it floors is fed synthetic
 """
 
 import copy
+import functools
+import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +20,13 @@ from repro.bench import parallel, slo, workloads
 from repro.bench.__main__ import _parser, main
 from repro.bench.gate import (gate, judge, load_baseline, write_baseline,
                               write_json)
-from repro.bench.workloads import WORKLOADS, run_once, run_partitioned
+from repro.bench.testbed import DEVICES
+from repro.bench.workloads import (PINGPONG, WORKLOADS, run_once,
+                                   run_partitioned)
+from repro.core.manager import UdpEndpoint
+from repro.net.tcp.tcb import Tcb
+from repro.sim import SimulationError
+from repro.unixos.sockets import UdpSocket
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +346,74 @@ class TestCommandLine:
 # the one workload registry
 # ---------------------------------------------------------------------------
 
+def _swap_segments(monkeypatch):
+    """A Tcb that hands its first two segments' payloads over swapped."""
+    real = Tcb._deliver
+    held = []
+
+    def deliver(self, data):
+        held.append(data)
+        if len(held) == 2:
+            real(self, data)
+            real(self, held[0])
+        elif len(held) > 2:
+            real(self, data)
+    monkeypatch.setattr(Tcb, "_deliver", deliver)
+
+
+def _flip_byte(monkeypatch):
+    """A Tcb that flips one bit of the second segment it delivers."""
+    real = Tcb._deliver
+    count = []
+
+    def deliver(self, data):
+        count.append(1)
+        if len(count) == 2:
+            data = bytes([data[0] ^ 1]) + bytes(data[1:])
+        real(self, data)
+    monkeypatch.setattr(Tcb, "_deliver", deliver)
+
+
+def _echo_twice(monkeypatch):
+    """An echo that sends every reply twice: the SPIN handler's endpoint
+    and the UNIX server's socket alike."""
+    echo_port = PINGPONG["ports"][0]
+    real_send, real_sendto = UdpEndpoint.send, UdpSocket.sendto
+
+    def send(self, payload, dst_ip, dst_port, claimed_src_port=None):
+        for _ in range(2 if self.port == echo_port else 1):
+            real_send(self, payload, dst_ip, dst_port, claimed_src_port)
+
+    def sendto(self, data, addr, checksum=True):
+        for _ in range(2 if self.port == echo_port else 1):
+            yield from real_sendto(self, data, addr, checksum)
+    monkeypatch.setattr(UdpEndpoint, "send", send)
+    monkeypatch.setattr(UdpSocket, "sendto", sendto)
+
+
+MUTANTS = {"swap_segments": _swap_segments, "flip_byte": _flip_byte,
+           "echo_twice": _echo_twice}
+
+
+@functools.lru_cache(maxsize=None)
+def _delivered(name, os_name, device):
+    """(delivered, sent) bytes of registry scenario ``name`` at a small
+    scale on a clean ``os_name`` / ``device`` bed; ``run_once`` has
+    already checked them against each other."""
+    record, states = WORKLOADS[name], []
+
+    def setup(bed, scale, lifecycle=None):
+        state, main = record.setup(bed, scale, lifecycle)
+        states.append(state)
+        return state, main
+    run_once(replace(record, build=workloads._pair(os_name, device),
+                     setup=setup), 20_000 if name == "tcp_bulk" else 12)
+    state = states[0]
+    if "payload" in state:
+        return bytes(state["delivered"]), state["payload"]
+    return b"".join(state["echoes"]), b"".join(state["sent"])
+
+
 class TestRegistry:
     @pytest.mark.parametrize("name", list(WORKLOADS))
     def test_every_record_runs_at_its_warmup_scale(self, name):
@@ -379,8 +456,8 @@ class TestRegistry:
         """Figure 5 and section 4.2 are the registry's ``udp_pingpong`` /
         ``tcp_bulk`` scenarios on a bed of their own choosing: equal by
         ``==`` on floats where the beds coincide, and pinned to the means
-        recorded before they shared a definition where the handler mode
-        or the checksum switch differs."""
+        recorded before they shared a definition where the OS, the
+        handler mode or the checksum switch differs."""
         from repro.bench.latency import measure_plexus_udp_rtt
         from repro.bench.throughput import measure_plexus_tcp_throughput
         assert measure_plexus_udp_rtt(
@@ -392,6 +469,53 @@ class TestRegistry:
             "ethernet", "thread", trips=20).mean == 875.1759999999997
         assert measure_plexus_udp_rtt(
             "ethernet", trips=20, checksum=False).mean == 572.0399999999995
+        # The DIGITAL UNIX bars and rows run the scenarios' socket halves,
+        # pinned to the means their own socket programs measured before.
+        from repro.bench.latency import measure_unix_udp_rtt
+        from repro.bench.throughput import measure_unix_tcp_throughput
+        assert [measure_unix_udp_rtt(device, trips=20).mean
+                for device in ("ethernet", "atm", "t3")] == [
+            980.5760000000006, 763.9179354838695, 709.1982222222232]
+        assert measure_unix_udp_rtt("ethernet", trips=6).mean == \
+            980.5759999999997
+        assert [measure_unix_tcp_throughput(device, 600_000)
+                for device in ("ethernet", "atm")] == [
+            9.098294838523802, 27.683868275368138]
+        assert measure_unix_tcp_throughput("atm", 400_000) == \
+            27.369838006338412
+
+    # Delivery bugs the end-of-run check must catch on either OS half;
+    # each passed silently while the scenarios sent zeros and counted.
+    @pytest.mark.parametrize("os_name", ["spin", "unix"])
+    @pytest.mark.parametrize("name, device, mutant", [
+        ("tcp_bulk", "atm", "swap_segments"),
+        ("tcp_bulk", "atm", "flip_byte"),
+        ("udp_pingpong", "ethernet", "echo_twice"),
+    ], ids=["swapped-segments", "flipped-byte", "echo-twice"])
+    def test_a_delivery_bug_fails_the_run(self, monkeypatch, os_name, name,
+                                          device, mutant):
+        record = replace(WORKLOADS[name],
+                         build=workloads._pair(os_name, device))
+        run_once(record, record.warmup)             # the clean run passes
+        MUTANTS[mutant](monkeypatch)
+        with pytest.raises(SimulationError, match="delivery check failed"):
+            run_once(record, record.warmup)
+
+    @pytest.mark.parametrize("device", DEVICES)
+    @pytest.mark.parametrize("os_name", ["spin", "unix"])
+    @pytest.mark.parametrize("name", ["udp_pingpong", "udp_echo@g2000",
+                                      "tcp_bulk"])
+    def test_both_halves_deliver_the_same_seeded_bytes(self, name, os_name,
+                                                       device):
+        """On a clean bed either half delivers exactly what the scenario
+        sent -- the seeded stream byte-exact, each datagram echoed once --
+        so the two halves' delivered bytes hash alike."""
+        delivered, sent = _delivered(name, os_name, device)
+        assert delivered == sent and len(sent) > 0
+        other = _delivered(name, "unix" if os_name == "spin" else "spin",
+                           device)[0]
+        assert hashlib.sha256(delivered).digest() == \
+            hashlib.sha256(other).digest()
 
     def test_latency_legs_pair_with_their_closed_twins(self):
         for name in slo.LEGS:

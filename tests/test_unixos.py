@@ -188,6 +188,35 @@ class TestTcpSockets:
         engine.run(until=engine.now + 200_000.0)
         assert outcome == [b""]
 
+    def test_data_and_fin_landing_before_accept_are_buffered(self, unix_pair):
+        """The connection's socket exists from the kernel's acceptance:
+        bytes and a FIN that arrive before the server calls accept() are
+        read afterwards, not consumed by a TCB with no reader."""
+        bed = unix_pair
+        engine = bed.engine
+        read = []
+
+        def server():
+            listener = bed.sockets[1].tcp_socket()
+            yield from listener.listen(8000)
+            yield engine.timeout(100_000.0)     # the whole stream lands first
+            conn = yield from listener.accept()
+            while True:
+                data = yield from conn.recv()
+                read.append(data)
+                if not data:
+                    return
+
+        def client():
+            sock = bed.sockets[0].tcp_socket()
+            yield from sock.connect((bed.ip(1), 8000))
+            yield from sock.send(b"before accept")
+            yield from sock.close()
+        engine.process(server(), name="server")
+        engine.run_process(client(), name="client")
+        engine.run(until=engine.now + 500_000.0)
+        assert read == [b"before accept", b""]
+
     def test_accept_without_listen_rejected(self, unix_pair):
         sock = unix_pair.sockets[0].tcp_socket()
         with pytest.raises(SocketError):
