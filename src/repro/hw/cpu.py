@@ -4,14 +4,14 @@ Execution discipline
 --------------------
 
 Protocol and application code in the reproduction runs as *plain Python*
-that charges CPU costs to an accumulator; the surrounding simulation
-process then *consumes* the accumulated charge, which occupies the CPU
-resource for that much simulated time.  The pattern is::
+that charges CPU costs to an accumulator; the surrounding kernel path
+then *consumes* the accumulated charge, which holds the processor for
+that much simulated time.  The pattern is::
 
     marker = cpu.begin()
     result = plain_protocol_code(...)   # calls cpu.charge(...) freely
     amount = cpu.end(marker)
-    # hold cpu.resource for ``amount`` microseconds
+    # hold the CPU for ``amount`` microseconds
 
 Plain segments never yield, so begin/charge/end is atomic with respect to
 other simulation processes and accumulators cannot cross-contaminate.
@@ -19,10 +19,15 @@ other simulation processes and accumulators cannot cross-contaminate.
 pattern: acquire, run, hold for the charge, release -- as a chain of heap
 callbacks, which a process waits on through ``Host.kernel_path``.
 
-Two priority levels model interrupt- versus thread-level execution:
-interrupt-level consumption is served before any queued thread-level
-consumption (non-preemptive: a running slice finishes first, which is
-accurate enough at the microsecond slice sizes used here).
+The processor is a run queue: a :attr:`CPU.held` flag and one FIFO of
+waiting kernel paths per priority level.  Two levels model interrupt-
+versus thread-level execution: interrupt-level paths are served before
+any queued thread-level path (non-preemptive: a running slice finishes
+first, which is accurate enough at the microsecond slice sizes used
+here).  :meth:`CPU.acquire` takes a free CPU with a flag test, or appends
+a path that finds it busy to its level's FIFO, with no event;
+:meth:`CPU.release` hands the CPU to the next path.  This module is the
+one that knows the run queue's format.
 
 Accounting: :attr:`CPU.busy_time` accumulates every consumed microsecond,
 and :attr:`CPU.category_times` decomposes charges by category (``driver``,
@@ -32,9 +37,10 @@ Figure 6 and section 5.1 of the paper.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from ..sim import Engine, Resource
+from ..sim import Engine
 from .alpha import ALPHA_21064, CostTable
 
 __all__ = ["CPU", "INTERRUPT_PRIORITY", "THREAD_PRIORITY", "ChargeError"]
@@ -48,14 +54,21 @@ class ChargeError(RuntimeError):
 
 
 class CPU:
-    """One processor: a unit-capacity resource plus cost accounting."""
+    """One processor: a run queue plus cost accounting."""
 
     def __init__(self, engine: Engine, costs: CostTable = ALPHA_21064,
                  name: str = "cpu"):
         self.engine = engine
         self.costs = costs
         self.name = name
-        self.resource = Resource(engine, capacity=1)
+        #: True while a kernel path holds the processor (or has been
+        #: handed it and not yet run).
+        self.held = False
+        #: The waiting kernel paths: one FIFO per priority level, indexed
+        #: by INTERRUPT_PRIORITY and THREAD_PRIORITY.
+        self.run_queue: Tuple[Deque[Any], Deque[Any]] = (deque(), deque())
+        #: Kernel paths that found the processor busy and queued.
+        self.paths_queued = 0
         self.busy_time: float = 0.0
         self.category_times: Dict[str, float] = {}
         self._stack: List[float] = []
@@ -131,6 +144,31 @@ class CPU:
                 % (marker, len(self._stack)))
         return self._stack.pop()
 
+    # -- the run queue --------------------------------------------------------
+
+    def acquire(self, path: Any) -> bool:
+        """Take the processor for ``path`` if it is free (True); else
+        append ``path`` to the FIFO of its priority level (False), for a
+        later :meth:`release` to hand the processor to."""
+        if self.held:
+            self.run_queue[path.priority].append(path)
+            self.paths_queued += 1
+            return False
+        self.held = True
+        return True
+
+    def release(self) -> Optional[Any]:
+        """Hand the processor to the next waiting path, interrupt level
+        first, and return it; with nobody waiting, free it and return
+        None.  The caller runs the returned path, which holds the CPU."""
+        interrupts, threads = self.run_queue
+        if interrupts:
+            return interrupts.popleft()
+        if threads:
+            return threads.popleft()
+        self.held = False
+        return None
+
     # -- measurement ---------------------------------------------------------
 
     def utilization_since(self, busy_mark: float, time_mark: float) -> float:
@@ -153,3 +191,4 @@ class CPU:
                         lambda: self.uncontexted_charges)
         registry.source("hw.cpu.uncontexted_charge_us",
                         lambda: self.uncontexted_charge_us)
+        registry.source("hw.cpu.paths_queued", lambda: self.paths_queued)

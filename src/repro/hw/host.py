@@ -11,6 +11,10 @@ what is theirs; "both systems use the same network device driver".
 Kernel code runs as a :class:`KernelPath`, a chain of heap callbacks
 (acquire, run, hold, release), not a coroutine; :meth:`Host.kernel_path`
 is the generator a *process* (a system call, an application) waits with.
+A path that finds the CPU busy waits in the CPU's run queue
+(``repro.hw.cpu``); the release that ends a hold hands the CPU to the
+next path and, unless another entry is due at that instant, runs it at
+the end of the same heap entry.
 
 Deferred hardware actions
 -------------------------
@@ -38,7 +42,7 @@ __all__ = ["Host", "KernelPath", "Timer"]
 class KernelPath(Event):
     """Plain kernel code ``fn(*args)`` run on the CPU, as one continuation.
 
-    :meth:`start` acquires the CPU (queueing by priority), runs ``fn``
+    :meth:`start` takes the CPU (or joins its run queue), runs ``fn``
     under a fresh charge accumulator, holds the CPU for what ``fn``
     charged, releases it and flushes the deferred hardware actions, so
     wire activity never precedes the CPU work that caused it.  The path
@@ -67,14 +71,12 @@ class KernelPath(Event):
         self.name = name
 
     def start(self) -> None:
-        """Take the CPU now if it is free, else queue for it by priority."""
-        resource = self.host.cpu.resource
-        if resource.try_acquire():
-            self._run(None)
-        else:
-            resource.request(self.priority).callbacks.append(self._run)
+        """Take the CPU now if it is free, else join its run queue; a
+        release hands the CPU over later."""
+        if self.host.cpu.acquire(self):
+            self._run()
 
-    def _run(self, _grant) -> None:
+    def _run(self) -> None:
         host = self.host
         cpu = host.cpu
         fn = self.fn
@@ -116,26 +118,44 @@ class KernelPath(Event):
             for callback in self.callbacks:
                 callback(self)
             return
-        self._deferred = deferred
         if amount > 0:
             self._amount = amount
+            self._deferred = deferred
             self.engine.call_after(amount, KernelPath._held, self)
-        else:
-            self._done()
+            return
+        # Released inside whatever entry started this path: the next
+        # path always gets its own zero-delay entry.
+        successor = cpu.release()
+        if successor is not None:
+            self.engine.call_after(0.0, KernelPath._run, successor)
+        self._complete(deferred)
 
     def _held(self) -> None:
+        """The end of the hold: release the CPU, flush, complete.
+
+        The next path's zero-delay entry is pushed at release, before
+        the flush, only if another entry is due at this instant.  With
+        none due, that entry would have been the next one popped --
+        everything the flush and the completion push comes after it --
+        so the path runs at the end of this entry instead, in the same
+        order, one heap entry cheaper."""
         amount = self._amount
         cpu = self.host.cpu
         cpu.busy_time += amount
         profile = self._profile
         if profile is not None:
             profile.consumed(amount)
-        self._done()
+        successor = cpu.release()
+        if successor is not None and self.engine.due_now():
+            self.engine.call_after(0.0, KernelPath._run, successor)
+            successor = None
+        self._complete(self._deferred)
+        if successor is not None:
+            successor._run()
 
-    def _done(self) -> None:
-        """Release the CPU, flush the deferred actions, complete."""
-        self.host.cpu.resource.release()
-        for action in self._deferred:
+    def _complete(self, deferred) -> None:
+        """Flush the deferred actions, then complete the path."""
+        for action in deferred:
             action()
         self._state = _PROCESSED
         for callback in self.callbacks:

@@ -97,6 +97,10 @@ class IpProto:
         self.forwarded = 0
         self.ttl_expired = 0
 
+    def register_metrics(self, registry) -> None:
+        """Publish the decoder's drop counter on a metrics registry."""
+        registry.source("net.ip.header_errors", lambda: self.header_errors)
+
     # -- configuration ----------------------------------------------------
 
     def join_group(self, group: int) -> None:

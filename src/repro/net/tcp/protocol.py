@@ -86,6 +86,7 @@ class TcpProto:
         registry.source("net.tcp.segments_out", lambda: self.segments_out)
         registry.source("net.tcp.checksum_errors",
                         lambda: self.checksum_errors)
+        registry.source("net.tcp.header_errors", lambda: self.header_errors)
         registry.source("net.tcp.resets_sent", lambda: self.resets_sent)
         registry.source("net.tcp.no_listener", lambda: self.no_listener)
         registry.source("net.tcp.connections", lambda: len(self.connections))

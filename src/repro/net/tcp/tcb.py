@@ -647,10 +647,13 @@ class Tcb:
         if self.state == TcpState.SYN_RCVD:
             self._send_control(SYN | ACK, seq=self.iss)
             return
-        offset = 0
-        length = min(len(self.snd_buf), self.mss)
+        # Only bytes already sent: snd_buf can hold a tail that Nagle or
+        # the window kept back, and resending it would put data past
+        # snd_nxt, which the peer then ACKs as "data never sent".  After
+        # a FIN the flight is one more than the buffer, so it is no cap.
+        length = min(len(self.snd_buf), self.mss, self._flight())
         if length > 0:
-            chunk = bytes(memoryview(self.snd_buf)[offset:offset + length])
+            chunk = bytes(memoryview(self.snd_buf)[:length])
             self._send_data(self.snd_una, chunk, push=True)
         elif self.fin_sent_seq is not None:
             self._send_control(FIN | ACK, seq=self.fin_sent_seq)

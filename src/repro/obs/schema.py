@@ -32,6 +32,7 @@ EXPORT_SCHEMA: Dict[str, tuple] = {
     "fabric.table.updates": ("gauge", "control-plane set/remove operations on match-action tables"),
     "hw.cpu.busy_us": ("gauge", "consumed CPU time across hosts (simulated us)"),
     "hw.cpu.charged_us": ("gauge", "sum of per-category charged CPU time (simulated us)"),
+    "hw.cpu.paths_queued": ("gauge", "kernel paths that found the CPU busy and queued"),
     "hw.cpu.uncontexted_charge_us": ("gauge", "try_charge time issued outside any context"),
     "hw.cpu.uncontexted_charges": ("gauge", "try_charge calls issued outside any context"),
     "hw.nic.rx_bytes": ("gauge", "frame bytes received"),
@@ -42,8 +43,10 @@ EXPORT_SCHEMA: Dict[str, tuple] = {
     "hw.nic.tx_bytes": ("gauge", "frame bytes transmitted"),
     "hw.nic.tx_drops": ("gauge", "staged frames dropped: transmit queue full"),
     "hw.nic.tx_frames": ("gauge", "frames transmitted"),
+    "net.ip.header_errors": ("gauge", "IP packets dropped on a bad header (or DF and too big)"),
     "net.tcp.checksum_errors": ("gauge", "TCP segments dropped on checksum"),
     "net.tcp.connections": ("gauge", "live TCP connection blocks"),
+    "net.tcp.header_errors": ("gauge", "TCP segments dropped on a bad data offset"),
     "net.tcp.no_listener": ("gauge", "SYNs arriving with no listener bound"),
     "net.tcp.resets_sent": ("gauge", "RST segments emitted"),
     "net.tcp.segments_in": ("gauge", "TCP segments accepted by input processing"),

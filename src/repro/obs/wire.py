@@ -44,6 +44,9 @@ def instrument_testbed(bed, registry: Optional[MetricsRegistry] = None) -> Metri
         if fabric is not None:
             fabric.register_metrics(registry)
     for stack in getattr(bed, "stacks", ()):
+        ip = getattr(stack, "ip", None)
+        if ip is not None:
+            ip.register_metrics(registry)
         tcp = getattr(stack, "tcp", None)
         if tcp is not None:
             tcp.register_metrics(registry)

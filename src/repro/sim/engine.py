@@ -353,6 +353,13 @@ class Engine:
             step()
         return process.value
 
+    def due_now(self) -> bool:
+        """True when an entry is pending at the current instant: the next
+        :meth:`step` would run it without advancing the clock.  Cancelled
+        timers count, as :meth:`step` pops them too."""
+        heap = self._heap
+        return heap[0][0] == self.now if heap else False
+
     def pending_count(self) -> int:
         """Live pending entries: heap entries minus cancelled timers."""
         return len(self._heap) - self.cancelled_timers

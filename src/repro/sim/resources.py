@@ -2,9 +2,9 @@
 
 These are the building blocks the simulated operating systems use:
 
-* :class:`Resource` -- a counted resource with a priority FIFO wait queue.
-  The simulated CPU is a ``Resource(capacity=1)`` where interrupt-level
-  requests carry a higher priority than thread-level requests.
+* :class:`Resource` -- a counted resource with a priority FIFO wait queue,
+  for the shared Ethernet bus and the disk.  (The simulated CPU is not
+  one: it is a run queue of its own, ``repro.hw.cpu``.)
 * :class:`Signal` -- a repeatable broadcast: every ``wait()`` outstanding
   when ``fire(value)`` is called resumes with ``value``.
 """

@@ -1,16 +1,18 @@
-"""The engine diet: a zero-delay event must be justified by contention or
-by a waiter, hardware runs on callbacks, not processes, and a clean hop
-is one heap entry.
+"""The engine diet: a zero-delay event must be justified by a waiter or
+by another entry due at the same instant, hardware runs on callbacks,
+not processes, a clean hop is one heap entry, and the CPU is a run queue.
 
 Pins what was removed from the per-frame path -- process bootstraps,
 completions nobody waits on, uncontended grants, the NIC's blocking queue
 hand-off, every per-frame ``Process`` (interrupt kernel paths, NIC
-drains, link lanes, switch ports), and then the fixed-delay relays of a
-clean lane and of the switch -- so that an abstraction hop creeping back
-in is a red test; checks the ``KernelPath`` continuation against the
-generator kernel path it replaced, and the merged media against the
-relay media they replaced; and states where an exception surfaces now
-that hardware is heap callbacks.
+drains, link lanes, switch ports), the fixed-delay relays of a clean
+lane and of the switch, and a contended CPU's grant entry when nothing
+else is due at the release -- so that an abstraction hop creeping back
+in is a red test; checks the ``KernelPath`` continuation and the CPU's
+run queue against the generator kernel path on a ``Resource`` they
+replaced, and the merged media against the relay media they replaced;
+and states where an exception surfaces now that hardware is heap
+callbacks.
 """
 
 import inspect
@@ -338,12 +340,14 @@ class TestNoProcessPerFrame:
 # (c) the KernelPath continuation against the generator it replaced
 # ---------------------------------------------------------------------------
 
-def _reference_kernel_path(host, fn, args=(), priority=THREAD_PRIORITY):
+def _reference_kernel_path(host, resource, fn, args=(),
+                           priority=THREAD_PRIORITY):
     """The generator kernel path ``KernelPath`` replaced, kept as the
-    oracle (its hold was a recycled pooled timeout; ``engine.timeout`` is
-    the same heap entry)."""
+    oracle: it holds ``resource``, a ``Resource(engine)`` standing for the
+    CPU as it was before the run queue, and is granted through a
+    ``ResourceRequest`` event (its hold was a recycled pooled timeout;
+    ``engine.timeout`` is the same heap entry)."""
     cpu = host.cpu
-    resource = cpu.resource
     if not resource.try_acquire():
         yield resource.request(priority)
     profile = cpu.profile
@@ -395,21 +399,29 @@ class _ProfileLog:
         self.log.append(("consumed", amount, self.engine.now))
 
 
-_CONTINUATION = (
-    lambda host, fn, priority: host.spawn_kernel_path(fn, priority=priority),
-    lambda host, fn, priority: host.kernel_path(fn, priority=priority))
-_REFERENCE = (
-    lambda host, fn, priority: host.engine.process(
-        _reference_kernel_path(host, fn, (), priority)),
-    lambda host, fn, priority: _reference_kernel_path(host, fn, (), priority))
+def _continuation(host):
+    """(spawn, wait-on, is the CPU held?) with ``KernelPath``s."""
+    return (lambda fn, priority: host.spawn_kernel_path(fn, priority=priority),
+            lambda fn, priority: host.kernel_path(fn, priority=priority),
+            lambda: host.cpu.held)
+
+
+def _reference(host):
+    """(spawn, wait-on, is the CPU held?) with the generator oracle."""
+    resource = Resource(host.engine)
+    return (lambda fn, priority: host.engine.process(
+                _reference_kernel_path(host, resource, fn, (), priority)),
+            lambda fn, priority: _reference_kernel_path(
+                host, resource, fn, (), priority),
+            lambda: resource.in_use == 1)
 
 
 def _cpu_schedule(jobs, paths):
-    """Run ``jobs`` on one CPU with ``paths`` = (spawn, wait-on) and
-    return everything observable about the schedule."""
-    spawn, wait_on = paths
+    """Run ``jobs`` on one CPU with the kernel paths ``paths(host)``
+    makes; ``(everything observable about the schedule, events)``."""
     engine = Engine()
     host = Host(engine, "h")
+    spawn, wait_on, held = paths(host)
     log = []
     host.cpu.profile = _ProfileLog(engine, log)
 
@@ -422,26 +434,27 @@ def _cpu_schedule(jobs, paths):
                     ("deferred", index, k, engine.now)))
             if followup:
                 host.defer(lambda: spawn(
-                    host, body(-index - 1, 1.0, 1, False),
-                    INTERRUPT_PRIORITY))
+                    body(-index - 1, 1.0, 1, False), INTERRUPT_PRIORITY))
             return index
         fn.__name__ = "job%d" % index
         return fn
 
     def job(index, arrival, waited, priority, charge, n_deferred, followup):
         yield engine.timeout(arrival)
+        # Logged so a grant run before an entry due at its instant shows.
+        log.append(("arrived", index, engine.now))
         fn = body(index, charge, n_deferred, followup)
         if waited:
-            result = yield from wait_on(host, fn, priority)
+            result = yield from wait_on(fn, priority)
             log.append(("returned", index, result, engine.now))
         else:
-            spawn(host, fn, priority)
+            spawn(fn, priority)
 
     for index, spec in enumerate(jobs):
         engine.process(job(index, *spec))
     engine.run()
-    return (log, host.cpu.busy_time, engine.events_processed,
-            host.cpu.resource.in_use, engine.now)
+    return ((log, host.cpu.busy_time, held(), engine.now),
+            engine.events_processed)
 
 
 class TestKernelPathOracle:
@@ -457,10 +470,14 @@ class TestKernelPathOracle:
         charges (zero included), deferred actions and follow-up interrupt
         paths spawned from a deferred action: grant order and times, the
         profile's push/pop/consumed stream, deferred-action and completion
-        order, ``busy_time`` and ``events_processed`` all equal the
-        generator kernel path's."""
-        assert (_cpu_schedule(jobs, _CONTINUATION)
-                == _cpu_schedule(jobs, _REFERENCE))
+        order, ``busy_time`` and the held state all equal the generator
+        kernel path's.  The run queue only ever saves entries: a grant
+        runs inside the hold that freed the CPU when nothing else is due
+        at that instant."""
+        schedule, events = _cpu_schedule(jobs, _continuation)
+        reference, reference_events = _cpu_schedule(jobs, _reference)
+        assert schedule == reference
+        assert events <= reference_events
 
     def test_fn_failure_reaches_the_waiting_process(self, engine):
         host = Host(engine, "h")
@@ -476,9 +493,9 @@ class TestKernelPathOracle:
 
     def test_fn_failure_after_a_contended_grant_reaches_the_process(
             self, engine):
-        """The path queued for a busy CPU: ``fn`` runs in the grant's
-        entry, and its exception is thrown into the waiting process
-        there, not out of ``engine.step``."""
+        """The path queued for a busy CPU: ``fn`` runs when the hold that
+        freed the CPU ends, and its exception is thrown into the waiting
+        process there, not out of ``engine.step``."""
         host = Host(engine, "h")
         host.spawn_kernel_path(lambda: host.cpu.charge(5.0))
 
@@ -487,7 +504,7 @@ class TestKernelPathOracle:
 
         def proc():
             yield engine.timeout(1.0)
-            assert host.cpu.resource.in_use == 1
+            assert host.cpu.held
             with pytest.raises(KeyError, match="kernel bug"):
                 yield from host.kernel_path(kernel_bug)
             return engine.now
@@ -505,8 +522,8 @@ class TestKernelPathOracle:
             before = engine.events_processed
             result = yield from host.kernel_path(free)
             return (result, engine.events_processed - before,
-                    engine.pending_count(), host.cpu.resource.in_use)
-        assert engine.run_process(proc()) == ("free", 0, 0, 0)
+                    engine.pending_count(), host.cpu.held)
+        assert engine.run_process(proc()) == ("free", 0, 0, False)
         assert flushed == [0.0]
 
     def test_charged_path_costs_one_hold_and_resumes_in_it(self, engine):
@@ -518,6 +535,56 @@ class TestKernelPathOracle:
             return engine.now, engine.events_processed - before
         assert engine.run_process(proc()) == (2.5, 1)
         assert host.cpu.busy_time == 2.5
+
+
+class TestRunQueue:
+    """A path that finds the CPU busy waits in the run queue; handing it
+    the CPU costs a heap entry only when something else is due at the
+    instant of the release."""
+
+    @staticmethod
+    def _pair(engine, log):
+        """Two 2 us paths spawned at one instant on one CPU."""
+        host = Host(engine, "h")
+
+        def body(tag):
+            def fn():
+                log.append((tag, engine.now))
+                host.cpu.charge(2.0)
+            return fn
+        host.spawn_kernel_path(body("first"))
+        host.spawn_kernel_path(body("second"))
+        return host
+
+    def test_a_queued_path_runs_inside_the_hold_that_freed_the_cpu(
+            self, engine):
+        log = []
+        host = self._pair(engine, log)
+        registry = MetricsRegistry()
+        host.cpu.register_metrics(registry)
+        assert _traced(engine) == [(0.0, "start"), (0.0, "start"),
+                                   (2.0, "_held"), (4.0, "_held")]
+        assert log == [("first", 0.0), ("second", 2.0)]
+        assert engine.events_processed == 4
+        assert not host.cpu.held and host.cpu.busy_time == 4.0
+        assert registry.snapshot()["hw.cpu.paths_queued"]["value"] == 1
+
+    def test_an_entry_due_at_the_release_keeps_the_grant_entry(
+            self, engine):
+        """The grant claims its sequence number at the release, so the
+        entry already due at that instant runs first, then the grant."""
+        log = []
+        self._pair(engine, log)
+
+        def due(_arg):
+            log.append(("due", engine.now))
+        # Pushed after the first path's hold: due at its end, and later
+        # in sequence than it.
+        engine.call_after(0.0, lambda _arg: engine.call_at(2.0, due))
+        assert _traced(engine) == [
+            (0.0, "start"), (0.0, "start"), (0.0, "<lambda>"),
+            (2.0, "_held"), (2.0, "due"), (2.0, "_run"), (4.0, "_held")]
+        assert log == [("first", 0.0), ("due", 2.0), ("second", 2.0)]
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,43 @@ class TestFastRecovery:
         assert bytes(received) == bytes(total)
 
 
+class TestRetransmitCarriesOnlySentBytes:
+    def test_lost_short_segment_with_a_nagle_held_tail(self):
+        """A short segment is lost while Nagle holds a sub-MSS tail
+        behind it.  The retransmission must resend only the bytes in
+        flight: resending the tail too carries data past ``snd_nxt``, the
+        peer ACKs it as data never sent, and the two ends trade pure ACKs
+        until the sender gives up and resets."""
+        engine, wire, a, b = make_pair()
+        received = bytearray()
+        client, server = establish(engine, a, b,
+                                   server_received=received.extend)
+        resets = []
+        client.on_reset = lambda: resets.append(True)
+        head = bytes(range(256)) + bytes(44)    # 300 B, one short segment
+        tail = bytes(range(100))                # held back by Nagle
+        dropped = []
+
+        def drop_first_data(pkt, nh):
+            if nh == b.my_ip and _is_data_segment(pkt) and not dropped:
+                dropped.append(pkt)
+                return True
+            return False
+        wire.drop_filter = drop_first_data
+
+        def write_both():
+            client.send(head)
+            client.send(tail)
+        a.run_kernel(write_both)
+        engine.run()
+        assert dropped and client.retransmits == 1
+        assert bytes(received) == head + tail
+        assert resets == [] and client.state == TcpState.ESTABLISHED
+        assert client.snd_una == client.snd_nxt and not client.snd_buf
+        # The lost head, its 300-byte copy, then the tail on its own.
+        assert client.bytes_sent == 300 + 300 + 100
+
+
 class TestHandshakeRetransmission:
     def test_lost_syn_ack_is_retransmitted_as_syn_ack(self):
         """A SYN_RCVD retransmit must resend the SYN|ACK, not data."""
