@@ -153,11 +153,12 @@ class SwitchHost:
         if egress.peer_addr is None:
             raise SimulationError("%s port %d has no peer address"
                                   % (self.name, index))
-        # The egress copy is buffered in a fresh mbuf chain so the
+        # The egress copy is charged as a fresh mbuf chain so the
         # per-host mbuf conservation law (one chain per frame moved)
-        # holds on switches exactly as on end hosts; what goes to the
-        # NIC is ``data`` itself, the bytes that chain copied.
-        self.host.mbufs.from_bytes(data, leading_space=0)
+        # holds on switches exactly as on end hosts.  Nothing reads that
+        # chain -- what goes to the NIC is ``data`` itself -- so it is
+        # charged without being built.
+        self.host.mbufs.charge_chain(len(data))
         egress.nic.stage_tx(data, egress.peer_addr)
         egress.forwarded += 1
         self.pipeline_forwarded += 1

@@ -20,12 +20,12 @@ forwarding decisions).
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, Optional, Tuple
 
 from ..net.checksum import internet_checksum
 from ..net.fwdtable import ForwardingTable
 from ..net.headers import (
-    IP_HEADER,
     IPPROTO_TCP,
     IPPROTO_UDP,
     pseudo_header_sum,
@@ -39,6 +39,14 @@ __all__ = ["Forward", "Drop", "Modify", "Count", "MatchTable",
 MATCH_FIELDS = ("dst_ip", "src_ip", "proto", "src_port", "dst_port", "ttl")
 #: header fields a Modify action may rewrite
 MODIFY_FIELDS = ("ttl", "tos", "src_ip", "dst_ip")
+
+#: What the pipeline reads of an IPv4 header, in one unpack: version and
+#: header length, TOS, the flags/fragment-offset word, TTL, protocol,
+#: source and destination.
+_IPV4 = struct.Struct("!BB4xHBB2xII")
+_IPV4_LEN = _IPV4.size
+#: The UDP / TCP source and destination ports, at the header's end.
+_PORTS = struct.Struct("!HH")
 
 
 class Forward:
@@ -99,35 +107,30 @@ class PacketFields:
                  "src_port", "dst_port", "header_len", "total_len")
 
     def __init__(self, data) -> None:
+        self.total_len = size = len(data)
+        if size >= _IPV4_LEN:
+            vhl, tos, frag, ttl, proto, src_ip, dst_ip = \
+                _IPV4.unpack_from(data)
+            header_len = (vhl & 0x0F) * 4
+            if vhl >> 4 == 4 and _IPV4_LEN <= header_len <= size:
+                self.ok = True
+                self.header_len = header_len
+                self.tos = tos
+                self.ttl = ttl
+                self.proto = proto
+                self.src_ip = src_ip
+                self.dst_ip = dst_ip
+                if (proto == IPPROTO_UDP or proto == IPPROTO_TCP) and \
+                        not frag & 0x1FFF and size >= header_len + 4:
+                    self.src_port, self.dst_port = \
+                        _PORTS.unpack_from(data, header_len)
+                else:
+                    self.src_port = self.dst_port = 0
+                return
+        # Not an IPv4 packet the pipeline can match: every field zero.
         self.ok = False
-        self.proto = 0
-        self.src_ip = 0
-        self.dst_ip = 0
-        self.ttl = 0
-        self.tos = 0
-        self.src_port = 0
-        self.dst_port = 0
-        self.header_len = 0
-        self.total_len = len(data)
-        if len(data) < IP_HEADER.size or (data[0] >> 4) != 4:
-            return
-        header_len = (data[0] & 0x0F) * 4
-        if header_len < IP_HEADER.size or len(data) < header_len:
-            return
-        self.header_len = header_len
-        self.tos = data[1]
-        self.ttl = data[8]
-        self.proto = data[9]
-        self.src_ip = int.from_bytes(data[12:16], "big")
-        self.dst_ip = int.from_bytes(data[16:20], "big")
-        frag = int.from_bytes(data[6:8], "big")
-        if self.proto in (IPPROTO_UDP, IPPROTO_TCP) and \
-                (frag & 0x1FFF) == 0 and len(data) >= header_len + 4:
-            self.src_port = int.from_bytes(data[header_len:header_len + 2],
-                                           "big")
-            self.dst_port = int.from_bytes(data[header_len + 2:header_len + 4],
-                                           "big")
-        self.ok = True
+        self.header_len = self.tos = self.ttl = self.proto = 0
+        self.src_ip = self.dst_ip = self.src_port = self.dst_port = 0
 
     def get(self, field: str) -> int:
         return getattr(self, field)

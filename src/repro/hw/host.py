@@ -14,7 +14,9 @@ is the generator a *process* (a system call, an application) waits with.
 A path that finds the CPU busy waits in the CPU's run queue
 (``repro.hw.cpu``); the release that ends a hold hands the CPU to the
 next path and, unless another entry is due at that instant, runs it at
-the end of the same heap entry.
+the end of the same heap entry.  An interrupt starts the same way: its
+path starts inside the NIC's entry that raised it, and costs a zero-delay
+bootstrap entry only when another entry is due at that instant.
 
 Deferred hardware actions
 -------------------------
@@ -48,9 +50,9 @@ class KernelPath(Event):
     wire activity never precedes the CPU work that caused it.  The path
     is an event whose completion runs its callbacks in the entry that
     ended the hold: a waiting process resumes right there.  If ``fn``
-    raises, a waiter gets the exception; with none it is a kernel bug
-    (the dispatcher contains extension failures) and leaves
-    ``engine.step``.
+    raises, the CPU is released and a waiter gets the exception; with
+    none it is a kernel bug (the dispatcher contains extension failures)
+    and leaves the engine's run loop.
     """
 
     __slots__ = ("host", "fn", "args", "priority", "name",
@@ -111,6 +113,11 @@ class KernelPath(Event):
                 else:
                     deferred = ()
         except Exception as exc:
+            # A failed path still gives the CPU back, or every later path
+            # queues behind it forever.
+            successor = cpu.release()
+            if successor is not None:
+                self.engine.call_after(0.0, KernelPath._run, successor)
             self._state = _PROCESSED
             self._exception = exc
             if not self.callbacks:
@@ -272,8 +279,11 @@ class Host:
                           name: str = "kpath") -> KernelPath:
         """Start a :class:`KernelPath` on its own, from its own heap entry.
 
-        The bootstrap entry is kept on purpose: starting the path inside
-        the caller's entry reorders same-instant CPU requests.
+        The bootstrap entry is kept on purpose: its callers (thread
+        delegation, chaos's close and abort) push more after it in their
+        entry, and starting the path inside that entry would reorder
+        same-instant CPU requests.  :meth:`frame_arrived`, which is the
+        tail of its entry, skips it when nothing else is due.
         """
         path = KernelPath(self, fn, args, priority, name)
         self.engine.call_after(0.0, KernelPath.start, path)
@@ -292,6 +302,12 @@ class Host:
         :data:`~repro.hw.cpu.INTERRUPT_PRIORITY` that pays interrupt
         entry, the driver's receive charges (retiring the ring slot), the
         registered device input if there is one, and interrupt exit.
+
+        This is the last thing the NIC's interrupt entry does.  So when
+        nothing else is due at this instant, the path's zero-delay
+        bootstrap would be the very next entry popped, and the path
+        starts here instead, in the same order, one entry cheaper.  When
+        something is due, the bootstrap keeps its place behind it.
         """
         entry = self._device_input.get(nic.name)
         if entry is not None:
@@ -323,8 +339,12 @@ class Host:
                 times["interrupt"] = amount
             self.interrupts_handled += 1
 
-        self.spawn_kernel_path(interrupt_body, priority=INTERRUPT_PRIORITY,
-                               name=path_name)
+        path = KernelPath(self, interrupt_body, (), INTERRUPT_PRIORITY,
+                          path_name)
+        if self.engine.due_now():
+            self.engine.call_after(0.0, KernelPath.start, path)
+        else:
+            path.start()
 
     def __repr__(self) -> str:
         return "<Host %s>" % self.name

@@ -253,7 +253,13 @@ class Engine:
         self.cancelled_timers = 0
         #: ``hw.host.Timer`` instances ever armed.
         self.timers_armed = 0
-        self.events_processed = 0
+
+    @property
+    def events_processed(self) -> int:
+        """Heap entries popped so far.  Every push claims a sequence
+        number and nothing leaves the heap but a pop, so this is pushes
+        minus pending entries: the run loop counts nothing."""
+        return self._sequence - len(self._heap)
 
     # -- factory helpers -------------------------------------------------
 
@@ -300,7 +306,8 @@ class Engine:
     # -- execution ----------------------------------------------------------
 
     def step(self) -> None:
-        """Process the single next entry, advancing the clock.
+        """Process the single next entry, advancing the clock: exactly one
+        iteration of the loop :meth:`run` and :meth:`run_process` run.
 
         An exception ``fn`` raises leaves here: hardware callbacks carry
         no process to keep a failure in.
@@ -310,7 +317,6 @@ class Engine:
         except IndexError:
             raise SimulationError(
                 "step() called with no pending events") from None
-        self.events_processed += 1
         fn(arg)
 
     def run(self, until: Optional[float] = None) -> None:
@@ -322,16 +328,19 @@ class Engine:
         that instant, mirroring the behaviour expected by utilization
         sampling.
         """
-        step = self.step
+        # The loops pop and call entries themselves (one step() each,
+        # without the method call per entry).
         heap = self._heap
         if until is None:
             while len(heap) > self.cancelled_timers:
-                step()
+                self.now, _seq, fn, arg = heappop(heap)
+                fn(arg)
             return
         if until < self.now:
             raise ValueError("cannot run until %r; clock is already at %r" % (until, self.now))
         while heap and heap[0][0] <= until:
-            step()
+            self.now, _seq, fn, arg = heappop(heap)
+            fn(arg)
         self.now = until
 
     def run_process(self, generator: Generator, name: str = "") -> Any:
@@ -342,7 +351,6 @@ class Engine:
         running while the process is alive.
         """
         process = self.process(generator, name=name)
-        step = self.step
         heap = self._heap
         while process._state == _PENDING:
             if not heap:
@@ -350,7 +358,8 @@ class Engine:
                     "deadlock: process %r is waiting but no events are pending"
                     % process.name
                 )
-            step()
+            self.now, _seq, fn, arg = heappop(heap)
+            fn(arg)
         return process.value
 
     def due_now(self) -> bool:

@@ -246,12 +246,15 @@ class MbufPool:
         self.chains = 0      # packet chains, i.e. one per logical packet
         self.freed = 0
 
-    def _charge_alloc(self, chain: Mbuf) -> Mbuf:
-        count = 1
-        m = chain.next
-        while m is not None:
-            count += 1
-            m = m.next
+    def _charge_alloc(self, chain: Optional[Mbuf], count: int = 1
+                      ) -> Optional[Mbuf]:
+        """Charge for the links of ``chain``, or for ``count`` links when
+        there is no chain, and count one packet chain."""
+        if chain is not None:
+            m = chain.next
+            while m is not None:
+                count += 1
+                m = m.next
         # cpu.charge inlined (exact body, exact order): every packet
         # allocates at least one mbuf on both the send and receive path.
         cpu = self.host.cpu
@@ -275,6 +278,12 @@ class MbufPool:
     def from_bytes(self, data: Union[bytes, bytearray], leading_space: int = 64,
                    rcvif=None) -> Mbuf:
         return self._charge_alloc(Mbuf.from_bytes(data, leading_space, rcvif))
+
+    def charge_chain(self, size: int) -> None:
+        """Charge for the chain ``from_bytes(bytes(size), leading_space=0)``
+        would build, without building it: a link per ``MCLBYTES`` begun,
+        and at least one."""
+        self._charge_alloc(None, -(-size // MCLBYTES) or 1)
 
     def copy_packet(self, m: Mbuf, leading_space: int = 64) -> Mbuf:
         clone = m.copy_packet(leading_space)

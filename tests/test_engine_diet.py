@@ -1,20 +1,24 @@
 """The engine diet: a zero-delay event must be justified by a waiter or
 by another entry due at the same instant, hardware runs on callbacks,
-not processes, a clean hop is one heap entry, and the CPU is a run queue.
+not processes, a clean hop is one heap entry, the CPU is a run queue,
+and the run loop counts nothing.
 
 Pins what was removed from the per-frame path -- process bootstraps,
 completions nobody waits on, uncontended grants, the NIC's blocking queue
 hand-off, every per-frame ``Process`` (interrupt kernel paths, NIC
 drains, link lanes, switch ports), the fixed-delay relays of a clean
-lane and of the switch, and a contended CPU's grant entry when nothing
-else is due at the release -- so that an abstraction hop creeping back
-in is a red test; checks the ``KernelPath`` continuation and the CPU's
-run queue against the generator kernel path on a ``Resource`` they
-replaced, and the merged media against the relay media they replaced;
-and states where an exception surfaces now that hardware is heap
-callbacks.
+lane and of the switch, a contended CPU's grant entry when nothing else
+is due at the release, and an interrupt path's bootstrap entry when
+nothing else is due at the interrupt -- so that an abstraction hop
+creeping back in is a red test; checks the ``KernelPath`` continuation
+and the CPU's run queue against the generator kernel path on a
+``Resource`` they replaced, and the merged media against the relay media
+they replaced; checks that ``events_processed`` is the number of entries
+popped; and states where an exception surfaces now that hardware is
+heap callbacks.
 """
 
+import heapq
 import inspect
 from collections import Counter, deque
 from types import SimpleNamespace
@@ -23,6 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.bench.testbed as testbed
+import repro.sim.engine as engine_module
 from repro.bench.testbed import build_testbed
 from repro.chaos.invariants import INVARIANTS
 from repro.core import Credential
@@ -137,31 +142,29 @@ def _steady_trip_budget(medium, names=_EVENT_NAMES):
 
 
 class TestEventBudget:
-    def test_udp_round_trip_is_twelve_named_events(self):
+    def test_udp_round_trip_is_ten_named_events(self):
         """Nine entries advance simulated time (3 CPU holds: client send,
         server interrupt, client interrupt; 2 wire times; 2 propagations;
-        2 rx latencies).  Three zero-delay hops remain and each has a
-        reason: the two interrupt kernel paths start from a bootstrap
-        entry (starting them inside the rx-latency callback reorders
-        same-instant CPU requests and moves the fat-tree fingerprint),
-        and the client's ``Signal`` waiter is a real waiter.  The client's
-        own send path completes inside its hold's entry: no hop.  The
-        bus keeps its wire-end entry: it is released and re-arbitrated
-        there."""
+        2 rx latencies).  One zero-delay hop remains, and it has a
+        reason: the client's ``Signal`` waiter is a real waiter.  The two
+        interrupt kernel paths start inside their rx-latency entries (it
+        was 12 with their bootstraps): nothing else is due at the instant
+        a steady trip's interrupt is raised.  The client's own send path
+        completes inside its hold's entry: no hop.  The bus keeps its
+        wire-end entry: it is released and re-arbitrated there."""
         assert _steady_trip_budget("ethernet") == ({
             "cpu hold": 3,
             "wire time": 2,
             "propagation": 2,
             "rx latency": 2,
-            "kernel-path bootstrap": 2,
             "reply wakeup": 1,
-        }, 12)
+        }, 10)
 
-    def test_atm_switched_trip_is_twelve_named_events(self, monkeypatch):
+    def test_atm_switched_trip_is_ten_named_events(self, monkeypatch):
         """The same trip through the ATM switch: each frame is one
         uplink landing (wire + propagation, pushed at transmit) and one
         egress landing (forwarding latency + egress wire + propagation,
-        pushed at accept).  Against the relay switch it was 18: each of
+        pushed at accept).  Against the relay switch it is 16: each of
         the two frames also pushed ``_lane_sent`` (the clean uplink's
         wire end), ``Switch._forward`` (the forwarding latency) and
         ``_forward_sent`` (the egress wire end)."""
@@ -174,23 +177,23 @@ class TestEventBudget:
             "uplink landing": 2,
             "egress landing": 2,
             "rx latency": 2,
-            "kernel-path bootstrap": 2,
             "reply wakeup": 1,
-        }, 12)
+        }, 10)
         monkeypatch.setattr(testbed, "Switch", _RelaySwitch)
         relayed, relayed_trip = _steady_trip_budget("atm", names)
         assert Counter(relayed) - Counter(merged) == {
             "_lane_sent": 2, "_forward": 2, "_forward_sent": 2}
-        assert relayed_trip == 18
+        assert relayed_trip == 16
 
-    def test_fat_tree_hop_is_four_named_events(self, monkeypatch):
+    def test_fat_tree_hop_is_three_named_events(self, monkeypatch):
         """One UDP frame across the core crosses six point-to-point
-        links.  Each hop is four entries: the landing (wire +
+        links.  Each hop is three entries: the landing (wire +
         propagation, pushed at transmit), the receiving NIC's rx
-        latency, and the bootstrap and CPU hold of the switch's (or the
-        receiver's) interrupt kernel path.  The sender adds its own send
-        entry, bootstrap and hold.  Each hop was five: ``_lane_sent``,
-        the clean lane's wire-end relay, is gone."""
+        latency, in which the switch's (or the receiver's) interrupt
+        kernel path starts, and that path's CPU hold.  The sender adds
+        its own send entry, the bootstrap of the path it spawns, and its
+        hold.  Each hop was five: ``_lane_sent``, the clean lane's
+        wire-end relay, and the interrupt path's bootstrap are gone."""
         names = dict(_EVENT_NAMES)
         names[("_deliver", True)] = "landing"
 
@@ -215,7 +218,7 @@ class TestEventBudget:
             return folded
 
         merged = frame_budget()
-        assert merged == {"send": 1, "kernel-path bootstrap": 7,
+        assert merged == {"send": 1, "kernel-path bootstrap": 1,
                           "cpu hold": 7, "landing": 6, "rx latency": 6}
         monkeypatch.setattr(PointToPointLink, "_send_on_lane",
                             _RelayLane._send_on_lane)
@@ -350,33 +353,36 @@ def _reference_kernel_path(host, resource, fn, args=(),
     cpu = host.cpu
     if not resource.try_acquire():
         yield resource.request(priority)
-    profile = cpu.profile
-    if profile is not None:
-        profile.push(getattr(fn, "__name__", "kernel_path"))
-    stack = cpu._stack
-    stack.append(0.0)
-    marker = len(stack)
     try:
-        result = fn(*args)
+        profile = cpu.profile
+        if profile is not None:
+            profile.push(getattr(fn, "__name__", "kernel_path"))
+        stack = cpu._stack
+        stack.append(0.0)
+        marker = len(stack)
+        try:
+            result = fn(*args)
+        finally:
+            if profile is not None:
+                profile.pop()
+            if marker != len(stack):
+                raise ChargeError(
+                    "mismatched cpu.end(): marker %d but stack depth %d"
+                    % (marker, len(stack)))
+            amount = stack.pop()
+            deferred = host._deferred
+            if deferred:
+                host._deferred = []
+            else:
+                deferred = ()
+        if amount > 0:
+            yield host.engine.timeout(amount)
+            cpu.busy_time += amount
+            if profile is not None:
+                profile.consumed(amount)
     finally:
-        if profile is not None:
-            profile.pop()
-        if marker != len(stack):
-            raise ChargeError(
-                "mismatched cpu.end(): marker %d but stack depth %d"
-                % (marker, len(stack)))
-        amount = stack.pop()
-        deferred = host._deferred
-        if deferred:
-            host._deferred = []
-        else:
-            deferred = ()
-    if amount > 0:
-        yield host.engine.timeout(amount)
-        cpu.busy_time += amount
-        if profile is not None:
-            profile.consumed(amount)
-    resource.release()
+        # A path that raises releases the CPU too.
+        resource.release()
     for action in deferred:
         action()
     return result
@@ -510,6 +516,34 @@ class TestKernelPathOracle:
             return engine.now
         assert engine.run_process(proc()) == 5.0
 
+    def test_fn_failure_hands_the_cpu_to_the_queued_path(self, engine):
+        """A path whose ``fn`` raises still releases the CPU: the path
+        queued behind it runs at the same instant, from its own
+        zero-delay entry, and nothing is left holding the processor.
+        (The failed path used to keep the CPU, and everything queued
+        behind it waited forever.)"""
+        host = Host(engine, "h")
+        host.spawn_kernel_path(lambda: host.cpu.charge(5.0))
+        ran = []
+
+        def kernel_bug():
+            raise KeyError("kernel bug")
+
+        def queued_second():
+            ran.append(engine.now)
+            host.cpu.charge(2.0)
+        engine.call_at(2.0, lambda _arg: host.spawn_kernel_path(queued_second))
+
+        def proc():
+            yield engine.timeout(1.0)
+            with pytest.raises(KeyError, match="kernel bug"):
+                yield from host.kernel_path(kernel_bug)
+            return engine.now
+        assert engine.run_process(proc()) == 5.0
+        engine.run()
+        assert ran == [5.0]
+        assert not host.cpu.held and host.cpu.busy_time == 7.0
+
     def test_zero_charge_path_completes_with_no_event(self, engine):
         host = Host(engine, "h")
         flushed = []
@@ -585,6 +619,150 @@ class TestRunQueue:
             (0.0, "start"), (0.0, "start"), (0.0, "<lambda>"),
             (2.0, "_held"), (2.0, "due"), (2.0, "_run"), (4.0, "_held")]
         assert log == [("first", 0.0), ("due", 2.0), ("second", 2.0)]
+
+
+class TestInterruptStart:
+    """An interrupt's kernel path starts inside the NIC entry that raised
+    it, which it ends; it costs a zero-delay bootstrap entry only when
+    another entry is due at that instant, and then runs after it."""
+
+    @staticmethod
+    def _raise(due_after):
+        """One frame reaches a host's NIC at 0; with ``due_after``, an
+        entry due at the interrupt's instant is pushed after it."""
+        engine = Engine()
+        host = Host(engine, "h")
+        nic = T3Nic(engine, "t3", "addr")
+        host.add_nic(nic)
+        log = []
+        host.register_device_input(
+            nic, lambda _nic, _data: log.append(("interrupt", engine.now)))
+        raised_at = nic.profile.rx_latency_us
+
+        def due(_arg):
+            log.append(("due", engine.now))
+
+        def arrive(_arg):
+            nic.frame_on_wire(Frame(b"x", "peer", "addr", wire_bytes=64))
+            if due_after:
+                engine.call_at(raised_at, due)
+        engine.call_at(0.0, arrive)
+        trace = _traced(engine)
+        assert host.interrupts_handled == 1 and not host.cpu.held
+        return [name for _when, name in trace], log, raised_at
+
+    def test_nothing_due_starts_the_path_in_the_raising_entry(self):
+        trace, log, raised_at = self._raise(due_after=False)
+        assert trace == ["arrive", "_raise_interrupt", "_held"]
+        assert log == [("interrupt", raised_at)]
+
+    def test_an_entry_due_at_the_interrupt_keeps_the_bootstrap(self):
+        """The entry pushed after the interrupt's, at its instant, runs
+        before the interrupt body, as it did when every interrupt path
+        had a bootstrap entry."""
+        trace, log, raised_at = self._raise(due_after=True)
+        assert trace == ["arrive", "_raise_interrupt", "due", "start",
+                         "_held"]
+        assert log == [("due", raised_at), ("interrupt", raised_at)]
+
+
+# ---------------------------------------------------------------------------
+# the run loop counts nothing
+# ---------------------------------------------------------------------------
+
+def _timers_and_paths(engine):
+    """Spawned kernel paths, a process that waits on one, and six timers
+    of which every other one -- the last included -- is cancelled.
+    ``(host, log, process generator)``."""
+    host = Host(engine, "h")
+    log = []
+
+    def body(tag, charge):
+        def fn():
+            log.append((tag, engine.now))
+            host.cpu.charge(charge)
+        return fn
+    for index in range(3):
+        host.spawn_kernel_path(body(index, 1.5))
+    timers = [host.set_timer(2.0 * (index + 1), body("t%d" % index, 0.5))
+              for index in range(6)]
+    for timer in timers[1::2]:
+        timer.cancel()
+
+    def proc():
+        yield engine.timeout(3.0)
+        yield from host.kernel_path(body("waited", 1.0))
+        return engine.now
+    return host, log, proc()
+
+
+class TestRunLoop:
+    """``run`` and ``run_process`` pop entries themselves, and
+    ``events_processed`` is derived: pushes minus pending entries."""
+
+    @pytest.fixture
+    def popped(self, monkeypatch):
+        """A list that gains one entry per heap pop the engine makes."""
+        pops = []
+
+        def counting_heappop(heap):
+            pops.append(heap[0][2])
+            return heapq.heappop(heap)
+        monkeypatch.setattr(engine_module, "heappop", counting_heappop)
+        return pops
+
+    @pytest.mark.parametrize("drive", ["step", "run", "run_until",
+                                       "run_process"])
+    def test_events_processed_is_the_entries_popped(self, popped, drive):
+        engine = Engine()
+        _host, _log, process = _timers_and_paths(engine)
+        if drive == "run_process":
+            engine.run_process(process)
+        else:
+            engine.process(process)
+            if drive == "step":
+                while engine._heap:
+                    engine.step()
+            elif drive == "run":
+                engine.run()
+                # The last timer was cancelled: run() leaves it unpopped.
+                assert len(engine._heap) == engine.cancelled_timers == 1
+            else:
+                engine.run(until=100.0)
+                assert not engine._heap
+        assert engine.events_processed == len(popped) > 0
+
+    def test_cancelled_timers_count_when_popped(self, popped):
+        engine = Engine()
+        host = Host(engine, "h")
+        for index in range(5):
+            host.set_timer(1.0 + index, lambda: None).cancel()
+        engine.run()
+        assert engine.events_processed == len(popped) == 0
+        engine.run(until=10.0)
+        assert engine.events_processed == len(popped) == 5
+
+    def test_a_ping_pong_bed_counts_every_pop(self, popped):
+        bed, ping_loop, trips = _ping_pong(trips=4)
+        bed.engine.run_process(ping_loop())
+        assert len(trips) == 4
+        assert bed.engine.events_processed == len(popped)
+        assert trips[-1] == len(popped)
+
+    def test_stepping_ends_in_the_same_state_as_run(self):
+        def final_state(stepped):
+            engine = Engine()
+            host, log, process = _timers_and_paths(engine)
+            engine.process(process)
+            if stepped:
+                while len(engine._heap) > engine.cancelled_timers:
+                    engine.step()
+            else:
+                engine.run()
+            return (log, engine.now, engine.events_processed,
+                    engine.pending_count(), len(engine._heap),
+                    host.cpu.busy_time, host.cpu.held)
+        assert final_state(stepped=True) == final_state(stepped=False)
 
 
 # ---------------------------------------------------------------------------
@@ -844,6 +1022,7 @@ class TestErrorSurfacing:
         with pytest.raises(RuntimeError, match="kernel bug"):
             engine.run()
         assert process.processed and not process.ok
+        assert not host.cpu.held
 
     @staticmethod
     def _device_bug(frame):

@@ -40,6 +40,22 @@ class TestUdpSockets:
                 return "conflict"
         assert engine.run_process(proc()) == "conflict"
 
+    def test_bind_after_a_failed_bind(self, unix_pair):
+        """The failed bind's syscall path raised on the CPU; it must give
+        the CPU back, or the next syscall queues behind it forever."""
+        bed = unix_pair
+        engine = bed.engine
+
+        def proc():
+            one = bed.sockets[0].udp_socket()
+            yield from one.bind(7000)
+            two = bed.sockets[0].udp_socket()
+            with pytest.raises(SocketError, match="in use"):
+                yield from two.bind(7000)
+            port = yield from two.bind(7001)
+            return port, bed.hosts[0].cpu.held
+        assert engine.run_process(proc()) == (7001, False)
+
     def test_ephemeral_bind(self, unix_pair):
         bed = unix_pair
         engine = bed.engine
