@@ -61,10 +61,9 @@ class EthernetProto:
             times["protocol"] += amount
         except KeyError:
             times["protocol"] = amount
-        header = bytearray(self.HEADER_LEN)
-        ETHERNET_HEADER.pack_into(header, 0, bytes(dst_mac),
+        m = m.push(self.HEADER_LEN)
+        ETHERNET_HEADER.pack_into(m._storage, m.off, bytes(dst_mac),
                                   bytes(self.nic.address), ethertype)
-        m = m.prepend(header)
         self.frames_out += 1
         return self.nic.stage_tx(m.to_bytes(), dst_mac)
 

@@ -57,7 +57,8 @@ class _Reassembly:
         parts: List[bytes] = []
         while cursor < self.total_length:
             part = self.fragments.get(cursor)
-            if part is None:
+            if not part:
+                # Missing, or empty: an empty part cannot move the cursor.
                 return None
             parts.append(part)
             cursor += len(part)
@@ -211,8 +212,10 @@ class IpProto:
                         total_length: Optional[int] = None) -> Mbuf:
         if total_length is None:
             total_length = self.HEADER_LEN + m.length()
-        header = bytearray(self.HEADER_LEN)
-        _IP_PACK(header, 0, 0x45, 0, total_length, ident,
+        packet = m.push(self.HEADER_LEN)
+        storage = packet._storage
+        start = packet.off
+        _IP_PACK(storage, start, 0x45, 0, total_length, ident,
                  frag_field, ttl, protocol, 0, src, dst)
         # charged_checksum inlined (exact charge body and order).
         cpu = self.host.cpu
@@ -221,15 +224,16 @@ class IpProto:
             raise ChargeError(
                 "cpu.charge() outside begin()/end(); protocol code must run "
                 "under a kernel execution context")
-        amount = len(header) * self.host.costs.checksum_per_byte
+        amount = self.HEADER_LEN * self.host.costs.checksum_per_byte
         stack[-1] += amount
         times = cpu.category_times
         try:
             times["checksum"] += amount
         except KeyError:
             times["checksum"] = amount
-        _IP_PUT_CKSUM(header, _IP_CKSUM_OFF, internet_checksum(header))
-        return m.prepend(header)
+        _IP_PUT_CKSUM(storage, start + _IP_CKSUM_OFF, internet_checksum(
+            storage[start:start + self.HEADER_LEN]))
+        return packet
 
     # -- receive path -------------------------------------------------------------
 
@@ -259,7 +263,8 @@ class IpProto:
         start = m.off + off
         (vhl, _tos, total, ident, frag, _ttl, protocol, _cksum,
          src, dst) = _IP_UNPACK(storage, start)
-        if vhl != 0x45:  # version 4, header length 5 words
+        # Version 4 and a header of 5 words, in a total that holds it.
+        if vhl != 0x45 or total < self.HEADER_LEN:
             self.header_errors += 1
             return
         # charged_checksum inlined.
@@ -286,6 +291,12 @@ class IpProto:
         if frag_offset == 0 and not more:
             if self.upcall is not None:
                 self.upcall(protocol, m, payload_off, src, dst)
+            return
+        # Reassembly reads a fragment's payload by the total length: it
+        # must lie within the bytes received, and only the last fragment
+        # may be empty.
+        if off + total > m.length() or (more and not payload_len):
+            self.header_errors += 1
             return
         self._input_fragment(m, payload_off, payload_len, src, dst, protocol,
                              ident, frag_offset, more)

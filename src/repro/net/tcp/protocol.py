@@ -12,7 +12,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ...hw.cpu import ChargeError
 from ...spin.mbuf import Mbuf
-from ..checksum import internet_checksum, word_sum
+from ..checksum import internet_checksum
 from ..headers import (IPPROTO_TCP, PSEUDO_HEADER_LEN, TCP_HEADER,
                        pseudo_header_sum)
 from ..ip import IpProto
@@ -170,26 +170,27 @@ class TcpProto:
         if flags & 0x02:  # SYN: advertise our MSS
             options = bytes([2, 4]) + self.default_mss.to_bytes(2, "big")
         header_len = self.HEADER_LEN + len(options)
-        header = bytearray(header_len)
-        _TCP_PACK(header, 0, tcb.lport, tcb.rport, seq, ack,
-                  ((header_len // 4) << 12) | flags, min(window, 0xFFFF), 0, 0)
-        header[self.HEADER_LEN:] = options
         length = header_len + len(payload)
+        # The payload goes in behind room for the header, which is packed
+        # where it lies: the links come out as from_bytes(header + payload,
+        # 64) cut them, so the mbuf charge below counts the same links.
+        m = Mbuf.from_bytes(payload, 64 + header_len).push(header_len)
+        storage = m._storage
+        start = m.off
+        _TCP_PACK(storage, start, tcb.lport, tcb.rport, seq, ack,
+                  ((header_len // 4) << 12) | flags, min(window, 0xFFFF), 0, 0)
+        if options:
+            storage[start + self.HEADER_LEN:start + header_len] = options
         amount = (PSEUDO_HEADER_LEN + length) * host.costs.checksum_per_byte
         stack[-1] += amount
         try:
             times["checksum"] += amount
         except KeyError:
             times["checksum"] = amount
-        # The header's word sum folds into ``initial`` (even length, and
-        # the pseudo-header keeps the total positive), so the checksum is
-        # bit-identical to summing header+payload concatenated -- without
-        # materializing the concatenation a second time.
-        _TCP_PUT_CKSUM(header, _TCP_CKSUM_OFF, internet_checksum(
-            payload,
-            initial=pseudo_header_sum(tcb.laddr, tcb.raddr, IPPROTO_TCP,
-                                      length) + word_sum(header)))
-        m = host.mbufs.from_bytes(bytes(header) + payload, leading_space=64)
+        _TCP_PUT_CKSUM(storage, start + _TCP_CKSUM_OFF, internet_checksum(
+            memoryview(storage)[start:start + length],
+            pseudo_header_sum(tcb.laddr, tcb.raddr, IPPROTO_TCP, length)))
+        host.mbufs._charge_alloc(m)
         self.segments_out += 1
         self.ip.output(m, tcb.raddr, IPPROTO_TCP, src=tcb.laddr)
 
@@ -218,17 +219,18 @@ class TcpProto:
                   seq: int, ack: int, with_ack: bool) -> None:
         self.host.cpu.charge(self.host.costs.tcp_output, "protocol")
         self.resets_sent += 1
-        header = bytearray(self.HEADER_LEN)
-        _TCP_PACK(header, 0, dst_port, src_port, seq, ack,
+        m = Mbuf.from_bytes(b"", 64 + self.HEADER_LEN).push(self.HEADER_LEN)
+        storage = m._storage
+        start = m.off
+        _TCP_PACK(storage, start, dst_port, src_port, seq, ack,
                   (5 << 12) | RST | (ACK if with_ack else 0), 0, 0, 0)
         self.host.cpu.charge(
             (PSEUDO_HEADER_LEN + self.HEADER_LEN)
             * self.host.costs.checksum_per_byte, "checksum")
-        _TCP_PUT_CKSUM(header, _TCP_CKSUM_OFF, internet_checksum(
-            bytes(header),
-            initial=pseudo_header_sum(dst_ip, src_ip, IPPROTO_TCP,
-                                      self.HEADER_LEN)))
-        m = self.host.mbufs.from_bytes(bytes(header), leading_space=64)
+        _TCP_PUT_CKSUM(storage, start + _TCP_CKSUM_OFF, internet_checksum(
+            storage[start:start + self.HEADER_LEN],
+            pseudo_header_sum(dst_ip, src_ip, IPPROTO_TCP, self.HEADER_LEN)))
+        self.host.mbufs._charge_alloc(m)
         self.ip.output(m, src_ip, IPPROTO_TCP, src=dst_ip)
 
     # -- segment input ---------------------------------------------------------------

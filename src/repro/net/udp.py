@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from ..hw.cpu import ChargeError
 from ..spin.mbuf import Mbuf
-from .checksum import internet_checksum, word_sum
+from .checksum import internet_checksum
 from .headers import (IPPROTO_UDP, PSEUDO_HEADER_LEN, UDP_HEADER,
                       pseudo_header_sum)
 from .ip import IpProto
@@ -44,6 +44,8 @@ class UdpProto:
         self.datagrams_out = 0
         self.checksum_errors = 0
         self.checksums_skipped = 0
+        #: datagrams dropped: header truncated, or length past the packet
+        self.header_errors = 0
 
     def register_metrics(self, registry) -> None:
         """Publish the protocol counters on a metrics registry."""
@@ -51,6 +53,7 @@ class UdpProto:
         registry.source("net.udp.datagrams_out", lambda: self.datagrams_out)
         registry.source("net.udp.checksum_errors",
                         lambda: self.checksum_errors)
+        registry.source("net.udp.header_errors", lambda: self.header_errors)
         registry.source("net.udp.checksums_skipped",
                         lambda: self.checksums_skipped)
 
@@ -81,8 +84,10 @@ class UdpProto:
             times["protocol"] = amount
         src_ip = self.ip.my_ip if src_ip is None else src_ip
         length = self.HEADER_LEN + m.length()
-        header = bytearray(self.HEADER_LEN)
-        _UDP_PACK(header, 0, src_port, dst_port, length, 0)
+        packet = m.push(self.HEADER_LEN)
+        storage = packet._storage
+        start = packet.off
+        _UDP_PACK(storage, start, src_port, dst_port, length, 0)
         if checksum:
             # The pseudo-header is folded in arithmetically (initial=);
             # the charge covers it as if the bytes had been summed.
@@ -92,21 +97,19 @@ class UdpProto:
                 times["checksum"] += amount
             except KeyError:
                 times["checksum"] = amount
-            # The header sum folds into initial= (congruence mod 0xFFFF),
-            # so the payload is summed in place -- no concatenation copy.
-            if m.next is None:
-                payload = memoryview(m._storage)[m.off:m.off + m.len]
-            else:
-                payload = m.to_bytes()
+            # Header and payload are one window of the store, unless the
+            # push ran out of headroom and gave the header a store of its
+            # own (a new head link is the only kind that has one).
+            nxt = packet.next
             value = internet_checksum(
-                payload,
-                initial=pseudo_header_sum(src_ip, dst_ip, IPPROTO_UDP, length)
-                + word_sum(header))
-            _UDP_PUT_CKSUM(header, _UDP_CKSUM_OFF,
+                memoryview(storage)[start:start + length]
+                if nxt is None or nxt._storage is storage
+                else packet.to_bytes(),
+                pseudo_header_sum(src_ip, dst_ip, IPPROTO_UDP, length))
+            _UDP_PUT_CKSUM(storage, start + _UDP_CKSUM_OFF,
                            value if value != 0 else 0xFFFF)
         else:
             self.checksums_skipped += 1
-        packet = m.prepend(header)
         self.datagrams_out += 1
         self.ip.output(packet, dst_ip, IPPROTO_UDP, src=src_ip)
 
@@ -130,9 +133,11 @@ class UdpProto:
         except KeyError:
             times["protocol"] = amount
         if m.len < off + self.HEADER_LEN:
+            self.header_errors += 1
             return
         src_port, dst_port, length, cksum = _UDP_UNPACK(m._storage, m.off + off)
         if length < self.HEADER_LEN or off + length > m.length():
+            self.header_errors += 1
             return
         if cksum != 0:
             # Verify in place over the mbuf storage window (zero copy) when

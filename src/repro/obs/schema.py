@@ -55,6 +55,7 @@ EXPORT_SCHEMA: Dict[str, tuple] = {
     "net.udp.checksums_skipped": ("gauge", "UDP datagrams accepted without checksum"),
     "net.udp.datagrams_in": ("gauge", "UDP datagrams delivered upward"),
     "net.udp.datagrams_out": ("gauge", "UDP datagrams emitted"),
+    "net.udp.header_errors": ("gauge", "UDP datagrams dropped on a truncated header or a length past the packet"),
     "os.interrupts_handled": ("gauge", "NIC interrupts taken by the OS models"),
     "sim.engine.events_processed": ("gauge", "events popped by the engine"),
     "sim.engine.now_us": ("gauge", "simulated clock (us)"),

@@ -14,17 +14,21 @@ cost table and the protocol code can see:
   the one a cluster-per-link allocator would produce,
 * the links are joined through ``next``; the first carries a packet header
   with the total length and receiving interface,
-* headers are added with :meth:`Mbuf.prepend` (which uses leading space in
-  the buffer when available); receivers do not trim them off but carry an
+* headers are pushed into the leading space (headroom) of the buffer:
+  :meth:`Mbuf.push` grows the packet at the front and each layer packs
+  its header where it now lies, so the send path builds a packet in place
+  and a transport checksums header and payload as one window of the
+  store (:meth:`Mbuf.prepend` is ``push`` plus a copy, for a header
+  already held as bytes); receivers do not trim headers off but carry an
   offset into the chain and VIEW the next header there.
 
 What it does not keep is a buffer per link.  A packet has one backing
 store, its own copy of the bytes it was built from, and each link is a
 ``(off, len)`` window over it: one copy in (:meth:`Mbuf.from_bytes`), one
-slice out (:meth:`Mbuf.to_bytes`).  Only a :meth:`Mbuf.prepend` that runs
-out of headroom adds a link with a store of its own, which ``to_bytes``
-discovers by walking the chain.  Cluster reference counts went with
-``Mbuf.share``: nothing shares storage between packets.
+slice out (:meth:`Mbuf.to_bytes`).  Only a push that runs out of
+headroom adds a link with a store of its own, always as the new head,
+which ``to_bytes`` discovers by walking the chain.  Cluster reference
+counts went with ``Mbuf.share``: nothing shares storage between packets.
 
 READONLY packets (paper section 3.4): :meth:`Mbuf.freeze` marks a chain
 immutable; data access then returns :class:`~repro.lang.readonly.ReadOnlyBuffer`
@@ -195,18 +199,19 @@ class Mbuf:
             m = m.next
         return self
 
-    def prepend(self, data: Union[bytes, bytearray]) -> "Mbuf":
-        """Prepend ``data`` to the packet this mbuf heads, using headroom
-        when possible.
+    def push(self, n: int) -> "Mbuf":
+        """Grow the packet this mbuf heads by ``n`` bytes at the front.
 
-        Returns the (possibly new) head of the chain.  Only a head link
-        has headroom: a later link's window abuts its predecessor's.
+        The new bytes come out of the headroom when there is room, else
+        from a new head link with a store of its own.  Returns the head;
+        the caller writes the header at ``head._storage[head.off:]``.
+        Only a head link has headroom: a later link's window abuts its
+        predecessor's.
         """
-        self._check_writable("prepend to")
-        n = len(data)
+        if self._frozen:  # tested inline: every layer's send pushes
+            self._check_writable("prepend to")
         if n <= self.off:
             self.off -= n
-            self._storage[self.off:self.off + n] = data
             self.len += n
             if self.pkthdr is not None:
                 self.pkthdr.length += n
@@ -214,11 +219,18 @@ class Mbuf:
         # Not enough headroom: a new head link holding exactly the header.
         if n > MCLBYTES:
             raise MbufError("prepend of %d bytes exceeds MCLBYTES" % n)
-        head = Mbuf(bytearray(data), 0, n, self.pkthdr)
+        head = Mbuf(bytearray(n), 0, n, self.pkthdr)
         head.next = self
         if head.pkthdr is not None:
             head.pkthdr.length += n
         self.pkthdr = None
+        return head
+
+    def prepend(self, data: Union[bytes, bytearray]) -> "Mbuf":
+        """Prepend a copy of ``data``: :meth:`push` plus one slice copy."""
+        n = len(data)
+        head = self.push(n)
+        head._storage[head.off:head.off + n] = data
         return head
 
     # -- copies -----------------------------------------------------------------

@@ -3,8 +3,9 @@
 Covers the surfaces the overhaul added or rewrote:
 
 * the word-wise Internet checksum against the per-byte reference oracle
-  (RFC 1071 vectors, the small/chunked path boundary, pseudo-header
-  folding via ``initial=``), including a no-copy regression bound,
+  (RFC 1071 vectors, the int.from_bytes/numpy path boundary, unaligned
+  windows, pseudo-header folding via ``initial=``), a no-copy regression
+  bound, and numpy loading only for a buffer over the crossover,
 * whole-record ``Layout.pack_into``/``unpack_from`` and the scalar
   getter/putter accessors,
 * ``raw_storage`` unwrapping,
@@ -17,6 +18,10 @@ byte-identical guards are ``perfbench/expected.json``'s ``sim_fingerprint``
 pins and ``benchmarks/latency_baseline.json``.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import pytest
@@ -44,10 +49,15 @@ from repro.spin import DispatchError
 # ---------------------------------------------------------------------------
 
 class TestChecksumAgainstReference:
-    # Sizes straddling the single-int small path (<= 512 bytes) and the
-    # chunked path (2048-byte struct chunks), with odd-length variants.
+    # Sizes straddling the int.from_bytes path (<= 1,024 bytes) and the
+    # numpy path, with odd-length variants; 511-514 are the old crossover.
     BOUNDARY_SIZES = [0, 1, 2, 3, 511, 512, 513, 514,
+                      1021, 1022, 1023, 1024, 1025, 1026,
                       2047, 2048, 2049, 4096, 4099]
+    # Unaligned windows: odd starts, both paths, odd and even lengths.
+    WINDOWS = [(1, 7), (3, 20), (1, 1023), (5, 1024), (3, 1025), (1, 2049),
+               (7, 9000)]
+    INITIALS = [0, 1, 0xFFFF, 0x1FFFE, 0x3FFFF]
 
     @pytest.mark.parametrize("size", BOUNDARY_SIZES)
     def test_boundary_sizes_match_reference(self, size):
@@ -58,6 +68,28 @@ class TestChecksumAgainstReference:
     def test_all_ones_match_reference(self, size):
         data = b"\xff" * size
         assert internet_checksum(data) == internet_checksum_reference(data)
+
+    @pytest.mark.parametrize("start,size", WINDOWS)
+    def test_unaligned_memoryview_windows(self, start, size):
+        # How a transport hands over its segment: a window of the store.
+        storage = bytearray((5 * i + 1) & 0xFF for i in range(start + size + 3))
+        window = memoryview(storage)[start:start + size]
+        for initial in self.INITIALS:
+            assert (internet_checksum(window, initial)
+                    == internet_checksum_reference(bytes(window), initial))
+
+    @pytest.mark.parametrize("size", [8, 1023, 1024, 1025, 4099])
+    def test_initial_folds_on_both_paths(self, size):
+        data = bytes((11 * i + 7) & 0xFF for i in range(size))
+        pseudo = pseudo_header_sum(0x0A000001, 0x0A000002, 17, size)
+        for initial in self.INITIALS + [pseudo]:
+            assert (internet_checksum(data, initial)
+                    == internet_checksum_reference(data, initial))
+        # A sum that is a nonzero multiple of 0xFFFF folds to 0xFFFF.
+        ones = b"\xff" * (size & ~1)
+        for initial in self.INITIALS:
+            assert (internet_checksum(ones, initial)
+                    == internet_checksum_reference(ones, initial))
 
     def test_rfc1071_worked_example(self):
         # The example sum from RFC 1071 section 3.
@@ -95,9 +127,10 @@ class TestChecksumAgainstReference:
 
 class TestChecksumZeroCopy:
     def test_large_buffer_does_not_copy(self):
-        # The chunked path works over a memoryview in constant extra
-        # space; a regression to slicing/joining would show up as an
-        # allocation peak proportional to the input.
+        # The numpy path sums a zero-copy view; a regression to slicing
+        # or joining would show up as an allocation peak proportional to
+        # the input.
+        pytest.importorskip("numpy")
         data = bytes(1024 * 1024)
         expected = internet_checksum_reference(data[:4096])  # warm caches
         assert expected == internet_checksum(data[:4096])
@@ -113,6 +146,27 @@ class TestChecksumZeroCopy:
         view = memoryview(storage)
         assert (internet_checksum(view)
                 == internet_checksum_reference(bytes(storage)))
+
+
+class TestNumpyOnDemand:
+    def test_small_packets_never_import_numpy(self):
+        # An 8-byte UDP echo (udp_rtt_spin's shape) sums nothing over
+        # 1 KB, so numpy stays out of the process; a 2 KB buffer loads it.
+        pytest.importorskip("numpy")
+        code = textwrap.dedent("""
+            import sys
+            from repro.bench.workloads import WORKLOADS, run_once
+            run_once(WORKLOADS["udp_pingpong"], 20)
+            assert "numpy" not in sys.modules, "an 8-byte echo loaded numpy"
+            from repro.net.checksum import internet_checksum
+            internet_checksum(bytes(2048))
+            assert "numpy" in sys.modules, "a 2 KB checksum did not"
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stdout + done.stderr
 
 
 # ---------------------------------------------------------------------------

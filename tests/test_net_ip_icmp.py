@@ -1,9 +1,14 @@
 """Tests for IP (fragmentation, checksums, demux) and ICMP."""
 
+import threading
+
 import pytest
 
+from repro.bench.testbed import build_testbed
 from repro.lang import VIEW
+from repro.net.checksum import internet_checksum
 from repro.net.headers import IPPROTO_UDP, IP_HEADER, ip_aton
+from repro.net.ip import _Reassembly
 
 from nethelpers import make_pair
 
@@ -156,6 +161,65 @@ class TestFragmentation:
         engine.run()
         assert sorted(got) == [b"A" * 1500, b"B" * 1500]
         assert b.ip.reassembled == 2
+
+
+_MF = 0x2000
+
+
+def _ip_packet(src, dst, total, frag_field, payload, ident=77):
+    """An IPv4 packet with a valid header checksum and any total length."""
+    header = bytearray(IP_HEADER.size)
+    IP_HEADER.pack_into(header, 0, 0x45, 0, total, ident, frag_field, 64,
+                        IPPROTO_UDP, 0, src, dst)
+    header[10:12] = internet_checksum(header).to_bytes(2, "big")
+    return bytes(header) + payload
+
+
+class TestMalformedFragments:
+    """Fragments whose payload the total length cannot place are dropped
+    and counted; before they were, an empty one sat in the reassembly at
+    the cursor and the fragment that completed the datagram never
+    returned (SPIN and UNIX share ip.py)."""
+
+    FRAMES = {
+        "empty_non_final": (20, _MF, b""),
+        "total_under_the_header": (8, _MF, bytes(16)),
+        "total_past_the_bytes_received": (60, _MF, bytes(8)),
+    }
+
+    @pytest.mark.parametrize("frame", sorted(FRAMES))
+    @pytest.mark.parametrize("os_name", ["spin", "unix"])
+    def test_dropped_and_counted(self, os_name, frame):
+        bed = build_testbed(os_name, "atm")
+        ip = bed.stacks[1].ip
+        got = []
+        ip.upcall = lambda *args: got.append(args)
+
+        def deliver(packet):
+            def work():
+                ip.input(bed.hosts[1].mbufs.from_bytes(packet,
+                                                       leading_space=0), 0)
+            bed.engine.run_process(bed.hosts[1].kernel_path(work))
+            bed.engine.run()
+
+        total, frag_field, payload = self.FRAMES[frame]
+        deliver(_ip_packet(bed.ip(0), bed.ip(1), total, frag_field, payload))
+        assert (ip.header_errors, ip.fragments_in) == (1, 0)
+        assert not ip._reassembly
+        # The last fragment of the same datagram, at offset 8: the hole at
+        # offset 0 keeps it waiting, and the call returns.
+        deliver(_ip_packet(bed.ip(0), bed.ip(1), 28, 1, bytes(8)))
+        assert (ip.fragments_in, ip.reassembled, got) == (1, 0, [])
+
+    def test_reassembly_never_waits_on_an_empty_part(self):
+        state = _Reassembly(0.0)
+        results = []
+        worker = threading.Thread(daemon=True, target=lambda: results.append(
+            (state.add(0, b"", last=False), state.add(8, bytes(8), last=True))))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "add() spun on an empty fragment"
+        assert results == [(None, None)]
 
 
 class TestIcmp:

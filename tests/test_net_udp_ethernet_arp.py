@@ -72,6 +72,22 @@ class TestUdp:
         assert got == [True]
         assert b.udp.checksums_skipped >= 1
 
+    def test_header_without_headroom_is_checksummed(self):
+        # No leading space: the UDP and IP headers each get a head link
+        # of their own, and the checksum must linearize, not read past
+        # the header's store.
+        engine, wire, a, b = make_pair()
+        got = []
+        b.udp.upcall = lambda m, off, *rest: got.append(bytes(m.to_bytes()[off:]))
+
+        def work():
+            m = a.host.mbufs.from_bytes(b"no headroom", leading_space=0)
+            a.udp.output(m, 5000, b.my_ip, 6000)
+        a.run_kernel(work)
+        engine.run()
+        assert got == [b"no headroom"]
+        assert b.udp.checksum_errors == 0
+
     def test_invalid_port_rejected(self):
         engine, wire, a, b = make_pair()
 
@@ -92,6 +108,22 @@ class TestUdp:
         b.run_kernel(work)
         engine.run()
         assert got == []
+        assert b.udp.header_errors == 1
+
+    def test_length_past_the_packet_counted(self):
+        engine, wire, a, b = make_pair()
+        got = []
+        b.udp.upcall = lambda *args: got.append(args)
+
+        def work():
+            header = bytearray(UDP_HEADER.size)
+            UDP_HEADER.pack_into(header, 0, 5000, 6000, 64, 0)  # 12 carried
+            m = b.host.mbufs.from_bytes(bytes(header) + b"abcd")
+            b.udp.input(m, 0, a.my_ip, b.my_ip)
+        b.run_kernel(work)
+        engine.run()
+        assert got == []
+        assert (b.udp.header_errors, b.udp.datagrams_in) == (1, 0)
 
 
 class TestEthernetFraming:
