@@ -50,9 +50,10 @@ class KernelPath(Event):
     wire activity never precedes the CPU work that caused it.  The path
     is an event whose completion runs its callbacks in the entry that
     ended the hold: a waiting process resumes right there.  If ``fn``
-    raises, the CPU is released and a waiter gets the exception; with
-    none it is a kernel bug (the dispatcher contains extension failures)
-    and leaves the engine's run loop.
+    raises, the path still holds the CPU for what it charged and flushes
+    what it deferred; then the CPU is released and a waiter gets the
+    exception.  With no waiter it is a kernel bug (the dispatcher
+    contains extension failures) and leaves the engine's run loop.
     """
 
     __slots__ = ("host", "fn", "args", "priority", "name",
@@ -99,6 +100,7 @@ class KernelPath(Event):
                 if profile is not None:
                     profile.pop()
                 if marker != len(stack):
+                    amount = 0.0  # a broken accumulator: nothing to hold
                     raise ChargeError(
                         "mismatched cpu.end(): marker %d but stack depth %d"
                         % (marker, len(stack)))
@@ -113,17 +115,14 @@ class KernelPath(Event):
                 else:
                     deferred = ()
         except Exception as exc:
-            # A failed path still gives the CPU back, or every later path
-            # queues behind it forever.
-            successor = cpu.release()
-            if successor is not None:
-                self.engine.call_after(0.0, KernelPath._run, successor)
-            self._state = _PROCESSED
+            # A failed path costs what it charged, like any other path.
             self._exception = exc
-            if not self.callbacks:
-                raise
-            for callback in self.callbacks:
-                callback(self)
+            if amount > 0:
+                self._amount = amount
+                self._deferred = deferred
+                self.engine.call_after(amount, KernelPath._held_failed, self)
+            else:
+                self._fail(())
             return
         if amount > 0:
             self._amount = amount
@@ -159,6 +158,29 @@ class KernelPath(Event):
         self._complete(self._deferred)
         if successor is not None:
             successor._run()
+
+    def _held_failed(self) -> None:
+        """The end of a failed path's hold: consume it as :meth:`_held`
+        does, then fail."""
+        amount = self._amount
+        self.host.cpu.busy_time += amount
+        profile = self._profile
+        if profile is not None:
+            profile.consumed(amount)
+        self._fail(self._deferred)
+
+    def _fail(self, deferred) -> None:
+        """Release the CPU, flush, and complete with the exception.
+
+        The next path always gets its own zero-delay entry: a failure
+        with no waiter leaves this entry, and must not strand the CPU
+        with it (every later path would queue behind it forever)."""
+        successor = self.host.cpu.release()
+        if successor is not None:
+            self.engine.call_after(0.0, KernelPath._run, successor)
+        self._complete(deferred)
+        if not self.callbacks:
+            raise self._exception
 
     def _complete(self, deferred) -> None:
         """Flush the deferred actions, then complete the path."""

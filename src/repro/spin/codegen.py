@@ -158,6 +158,7 @@ def _emit_matched(out: List[str], atom: str, i: int, pad: str) -> None:
     out.append(pad + "    _h%d_handler(*args)" % i)
     out.append(pad + "except Exception as exc:")
     out.append(pad + "    _h%d.failures += 1" % i)
+    out.append(pad + "    _dispatcher.total_failures += 1")
     out.append(pad + "    _h%d.last_error = exc" % i)
     out.append(pad + "finally:")
     out.append(pad + "    if marker != len(_stack):")
@@ -167,6 +168,7 @@ def _emit_matched(out: List[str], atom: str, i: int, pad: str) -> None:
     if atom.endswith("l"):
         out.append(pad + "if spent > _h%d_limit:" % i)
         out.append(pad + "    _h%d.terminations += 1" % i)
+        out.append(pad + "    _dispatcher.total_terminations += 1")
         out.append(pad + "    _stack[-1] += _h%d_limit" % i)
         out.append(pad + "else:")
         out.append(pad + "    _stack[-1] += spent")
@@ -245,6 +247,7 @@ def _emit_source(kind: str, atoms) -> str:
             out.append(s + "    _rejected = not _h%d_guard(*args)" % i)
             out.append(s + "except Exception as exc:")
             out.append(s + "    _h%d.failures += 1" % i)
+            out.append(s + "    _dispatcher.total_failures += 1")
             out.append(s + "    _h%d.last_error = exc" % i)
             out.append(s + "else:")
             out.append(s + "    if _rejected:")

@@ -154,6 +154,11 @@ class Dispatcher:
         self.events: Dict[str, EventDecl] = {}
         self.total_raises = 0
         self.total_invocations = 0
+        #: dispatcher-wide failure and termination totals, bumped wherever
+        #: the per-handle counters are; unlike a sum over live handles,
+        #: they keep the counts of handles since uninstalled.
+        self.total_failures = 0
+        self.total_terminations = 0
         self.flow_cache = FlowCache()
         #: source of event generations: one monotonic epoch stream per
         #: dispatcher, shared by every event, so no generation value is
@@ -165,6 +170,10 @@ class Dispatcher:
         registry.source("spin.dispatcher.raises", lambda: self.total_raises)
         registry.source("spin.dispatcher.invocations",
                         lambda: self.total_invocations)
+        registry.source("spin.dispatcher.failures",
+                        lambda: self.total_failures)
+        registry.source("spin.dispatcher.terminations",
+                        lambda: self.total_terminations)
         registry.source("spin.dispatcher.events", lambda: len(self.events))
         self.flow_cache.register_metrics(registry)
 
@@ -242,8 +251,11 @@ class Dispatcher:
         the same order -- but on a cache hit the recorded guard verdicts
         run as a generated straight-line function instead of calling
         each guard, which is where the host-side demultiplexing time
-        goes.  ``flow`` is the packet's :class:`FlowEntry` (``None``
-        falls back to the flowless scan).
+        goes.  The plan is compiled when the flow repeats: its first
+        raise at the event's current handler snapshot runs the scan,
+        the second records and compiles, and later ones hit.  ``flow``
+        is the packet's :class:`FlowEntry` (``None`` falls back to the
+        flowless scan).
         """
         if flow is None:
             return self.raise_event(event, *args)
@@ -269,8 +281,10 @@ class Dispatcher:
         * flowless: compile and immediately run the event's scan
           function;
         * flow given: classify the miss (absent plan) or invalidation
-          (stale plan), run the interpreted reference scan recording
-          verdicts, then compile and cache the plan.
+          (stale plan) and run the interpreted reference scan.  The
+          flow's first such raise at this handler snapshot only remembers
+          the snapshot; the second one at the same (identical) snapshot
+          records the verdicts, then compiles and caches the plan.
         """
         cache = self.flow_cache
         try:
@@ -285,7 +299,14 @@ class Dispatcher:
                     cache.invalidations += 1
                 else:
                     cache.misses += 1
-                record = []
+                # Compile on repeat: a flow seen once at a snapshot, or
+                # one whose snapshot churns between its raises, never
+                # pays for a compile.
+                seen = flow.seen
+                if seen.get(event) is snapshot:
+                    record = []
+                else:
+                    seen[event] = snapshot
             else:
                 fn = compile_scan(self, event, snapshot)
                 event._scan = (snapshot, fn)
@@ -351,6 +372,7 @@ class Dispatcher:
                             continue
                     except Exception as exc:  # guard failure: no match
                         handle.failures += 1
+                        self.total_failures += 1
                         handle.last_error = exc
                         cacheable = False
                         continue
@@ -379,6 +401,7 @@ class Dispatcher:
                     handle.handler(*args)
                 except Exception as exc:  # containment: may not crash kernel
                     handle.failures += 1
+                    self.total_failures += 1
                     handle.last_error = exc
                 finally:
                     if marker != len(stack):
@@ -391,6 +414,7 @@ class Dispatcher:
                     # Premature termination: only the allotment is consumed
                     # (paper sec. 3.3).
                     handle.terminations += 1
+                    self.total_terminations += 1
                     stack[-1] += limit
                 else:
                     stack[-1] += spent
@@ -414,6 +438,7 @@ class Dispatcher:
                 handle.handler(*args)
             except Exception as exc:
                 handle.failures += 1
+                self.total_failures += 1
                 handle.last_error = exc
             finally:
                 spent = self.host.cpu.end(marker)

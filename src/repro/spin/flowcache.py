@@ -5,9 +5,14 @@ every installed guard at every layer for every packet, and treats that
 guard overhead as the cost to engineer away.  Guard verdicts, however,
 are functions of the *flow* -- (ethertype, IP protocol, addresses,
 ports) -- not of the individual packet, so they can be computed once per
-flow and replayed: the first packet of a flow records which handlers
-matched at each event, and subsequent packets skip the guard calls and
-run the compiled chain directly.
+flow and replayed.  A plan is compiled when the flow *repeats*: the
+first raise of an event along a flow at a given handler snapshot runs
+the interpreted scan and only remembers the snapshot; the second raise
+at that same snapshot records which handlers matched and compiles the
+plan; later packets skip the guard calls and run the compiled chain
+directly.  A one-shot flow, or one whose snapshot changes between its
+raises (handlers installed and uninstalled under it), never pays for a
+compile.
 
 Replay is a pure host-side (wall-clock) optimization.  It charges the
 identical simulated ``guard_eval`` / ``dispatch_per_handler`` costs, in
@@ -94,15 +99,20 @@ class CompiledPlan:
 class FlowEntry:
     """One cached flow: its key and the per-event compiled plans.
 
+    ``seen`` maps an event to the handler snapshot the flow last raised
+    it at with no valid plan: a second cold raise at that same snapshot
+    is what compiles the plan.
+
     The entry rides on ``m.pkthdr.flow`` from the link layer upward, so
     every event raise along the delivery path shares one classification.
     """
 
-    __slots__ = ("key", "plans")
+    __slots__ = ("key", "plans", "seen")
 
     def __init__(self, key: Tuple) -> None:
         self.key = key
         self.plans: Dict[object, CompiledPlan] = {}
+        self.seen: Dict[object, Tuple] = {}
 
     def __repr__(self) -> str:
         return "<FlowEntry %r (%d plans)>" % (self.key, len(self.plans))

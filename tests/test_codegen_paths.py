@@ -132,12 +132,14 @@ class TestRungEquivalence:
         def scenario(side):
             side.install()
             side.install(guard=lambda key: key % 2 == 0)
-            for key in (0, 1, 2, 3, 0, 1, 2, 3):
+            for key in (0, 1, 2, 3) * 3:
                 side.send(key)
         sides = _both_rungs(scenario)
         cache = sides[0].dispatcher.flow_cache
-        assert cache.compiled_plans >= 4   # one plan per flow key
-        assert cache.compiled_replays == 4  # second pass over the keys
+        # The first pass only sees each flow, the second compiles its
+        # plan, the third replays it.
+        assert cache.compiled_plans == 4   # one plan per flow key
+        assert cache.compiled_replays == 4
         assert cache.hits == 4
 
     def test_flowless_scan_matches_interpreter(self):
@@ -238,7 +240,7 @@ class TestRungEquivalence:
 
             def saboteur(*args):
                 side.log.append(("saboteur", args))
-                if state["sends"] == 2 and side.handles[1].installed:
+                if state["sends"] == 3 and side.handles[1].installed:
                     side.handles[1].uninstall()
 
             side.install(handler=saboteur)
@@ -248,17 +250,19 @@ class TestRungEquivalence:
                 side.send(0)
         sides = _both_rungs(scenario)
         for side in sides:
-            # Send 2 replays the recorded plan (generated code on the
-            # compiled rung); the uninstall lands before the victim's
-            # step, so it saw send 1 only and never runs again.
-            assert side.handles[1].invocations == 1
+            # Send 2 compiles the flow's plan and send 3 replays it
+            # (generated code on the compiled rung); the uninstall lands
+            # before the victim's step, so it saw sends 1 and 2 only and
+            # never runs again.
+            assert side.handles[1].invocations == 2
             assert not side.handles[1].installed
 
     def test_raise_outside_kernel_context_raises_everywhere(self):
         for mode in MODES:
             side = _Side(mode)
             side.install(guard=lambda key: True)
-            side.send(0)  # warm: compiled rung records + compiles the plan
+            side.send(0)  # warm: the compiled rung sees the flow...
+            side.send(0)  # ...then records and compiles its plan
             with pytest.raises(ChargeError):
                 if mode == "linear":
                     side.dispatcher.raise_event(side.event, 0)
@@ -300,6 +304,88 @@ class TestRungEquivalence:
         assert scrub(snapshots["compiled"]) == scrub(snapshots["linear"])
 
 
+    def test_dispatcher_failure_totals(self):
+        """``spin.dispatcher.failures`` / ``terminations`` count what the
+        handles count -- interpreted scan, generated plan and scan, and
+        thread delegation alike -- and keep the counts of handles that
+        are gone."""
+        def scenario(side):
+            def boom(*args):
+                raise RuntimeError("handler blew up")
+
+            def hog(*args):
+                side.kernel.cpu.charge(50.0, "handler")
+            side.install(handler=boom)
+            side.install(handler=hog, time_limit=10.0)
+            side.install(handler=boom, mode="thread")
+            for _ in range(4):  # seen, compiled, replayed twice
+                side.send(0)
+            side.send_flowless(0)
+            side.run(side.handles[0].uninstall)
+            side.send(0)
+        sides = _both_rungs(scenario)
+        assert sides[0].dispatcher.flow_cache.compiled_replays == 2
+        for side in sides:
+            assert side.dispatcher.total_failures == 11
+            assert side.dispatcher.total_terminations == 6
+            registry = MetricsRegistry()
+            side.dispatcher.register_metrics(registry)
+            snapshot = registry.snapshot()
+            assert snapshot["spin.dispatcher.failures"]["value"] == 11
+            assert snapshot["spin.dispatcher.terminations"]["value"] == 6
+
+
+# ---------------------------------------------------------------------------
+# compile on repeat: a plan is compiled at a flow's second cold raise
+# ---------------------------------------------------------------------------
+
+class TestCompileOnRepeat:
+    def _side(self):
+        side = _Side("compiled")
+        side.install()
+        side.install(guard=lambda key: key % 2 == 0)
+        return side
+
+    def test_one_raise_per_flow_compiles_no_plan(self):
+        side = self._side()
+        for key in range(8):
+            side.send(key)
+        cache = side.dispatcher.flow_cache
+        assert cache.compiled_plans == 0
+        assert cache.misses == 8 and cache.hits == 0
+        assert all(flow.plans == {} for flow in side.flows.values())
+
+    def test_second_raise_compiles_and_third_replays(self):
+        side = self._side()
+        cache = side.dispatcher.flow_cache
+        side.send(0)
+        assert cache.compiled_plans == 0
+        side.send(0)
+        assert cache.compiled_plans == 1
+        assert (side.flows[0].plans[side.event].snapshot
+                is side.event._snapshot)
+        assert cache.misses == 2 and cache.hits == 0
+        side.send(0)
+        assert cache.compiled_plans == 1
+        assert cache.hits == 1 and cache.compiled_replays == 1
+
+    @pytest.mark.parametrize("bump", ["install", "uninstall", "invalidate"])
+    def test_bump_between_the_raises_compiles_nothing(self, bump):
+        side = self._side()
+        side.send(0)
+        if bump == "install":
+            side.install()
+        elif bump == "uninstall":
+            side.run(side.handles[0].uninstall)
+        else:
+            side.dispatcher.invalidate_event(side.event)
+        side.send(0)  # a first sighting again, at the new snapshot
+        cache = side.dispatcher.flow_cache
+        assert cache.compiled_plans == 0 and side.flows[0].plans == {}
+        side.send(0)
+        assert cache.compiled_plans == 1
+
+
 # ---------------------------------------------------------------------------
 # shape sharing and the step cap
 # ---------------------------------------------------------------------------
@@ -309,8 +395,8 @@ class TestShapeCache:
         side = _Side("compiled")
         side.install()
         side.install(guard=lambda key: True)
-        side.send("a")
-        side.send("b")
+        for key in ("a", "a", "b", "b"):  # a plan compiles on the repeat
+            side.send(key)
         plan_a = side.flows["a"].plans[side.event]
         plan_b = side.flows["b"].plans[side.event]
         assert plan_a.fn is not plan_b.fn  # distinct bound factories...
@@ -375,6 +461,7 @@ class TestGenerationHygiene:
         hits = []
         side.install(handler=lambda *a: hits.append("old"))
         side.send(0)
+        side.send(0)  # the repeat compiles the plan
         stale_plan = side.flows[0].plans[side.event]
         assert stale_plan.snapshot is side.event._snapshot
 
@@ -390,10 +477,13 @@ class TestGenerationHygiene:
         assert side.flows[0].plans[side.event] is stale_plan
         invalidations_before = side.dispatcher.flow_cache.invalidations
         side.send(0)
-        assert hits == ["old", "new"]  # the *new* handler was delivered to
+        assert hits == ["old", "old", "new"]  # the *new* handler ran
         assert (side.dispatcher.flow_cache.invalidations
                 == invalidations_before + 1)
-        # And the entry now carries a fresh plan against the live snapshot.
+        # The repeat at the live snapshot replaces the stale plan.
+        side.send(0)
+        assert (side.dispatcher.flow_cache.invalidations
+                == invalidations_before + 2)
         assert side.flows[0].plans[side.event] is not stale_plan
         assert side.flows[0].plans[side.event].snapshot is side.event._snapshot
 

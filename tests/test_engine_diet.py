@@ -544,6 +544,48 @@ class TestKernelPathOracle:
         assert ran == [5.0]
         assert not host.cpu.held and host.cpu.busy_time == 7.0
 
+    def test_charged_failure_holds_the_cpu_then_raises(self, engine):
+        """A path that charges and then raises holds the CPU for its
+        charge and flushes its deferred actions before the exception
+        reaches its waiter."""
+        host = Host(engine, "h")
+        flushed = []
+
+        def kernel_bug():
+            host.cpu.charge(3.0)
+            host.defer(lambda: flushed.append(engine.now))
+            raise KeyError("kernel bug")
+
+        def proc():
+            with pytest.raises(KeyError, match="kernel bug"):
+                yield from host.kernel_path(kernel_bug)
+            return engine.now
+        assert engine.run_process(proc()) == 3.0
+        assert flushed == [3.0]
+        assert host.cpu.busy_time == 3.0 and not host.cpu.held
+
+    def test_charged_failure_with_no_waiter_leaves_run(self, engine):
+        """With no waiter the exception leaves ``run()`` at the end of the
+        hold, and the path queued behind it still gets the CPU."""
+        host = Host(engine, "h")
+        ran = []
+
+        def kernel_bug():
+            host.cpu.charge(4.0)
+            raise KeyError("kernel bug")
+
+        def queued_second():
+            ran.append(engine.now)
+            host.cpu.charge(1.0)
+        host.spawn_kernel_path(kernel_bug)
+        engine.call_at(2.0, lambda _arg: host.spawn_kernel_path(queued_second))
+        with pytest.raises(KeyError, match="kernel bug"):
+            engine.run()
+        assert engine.now == 4.0 and host.cpu.busy_time == 4.0
+        engine.run()
+        assert ran == [4.0]
+        assert not host.cpu.held and host.cpu.busy_time == 5.0
+
     def test_zero_charge_path_completes_with_no_event(self, engine):
         host = Host(engine, "h")
         flushed = []

@@ -6,12 +6,14 @@ same handlers run in the same order, the same statistics move, and the
 same simulated costs are charged in the same order.  There are two
 rungs -- generated fast paths (default) and the uncached linear scan
 (``REPRO_FLOW_CACHE=0``) -- so this drives random interleavings of
-handler installs, uninstalls, and packet sends through two kernels in
-lockstep, one per rung, and asserts the observable state never
-diverges: delivery log, bit-identical charged microseconds,
-per-handle statistics, and the obs metrics snapshot (minus the
-flow-cache counters, which measure the rungs' mechanics and legitimately
-differ).
+handler installs, uninstalls, explicit invalidations, and packet sends
+(single, or bursts of one flow, so a flow's first sighting at a
+snapshot, its compiling second raise and its replays all interleave
+with the bumps) through two kernels in lockstep, one per rung, and
+asserts the observable state never diverges: delivery log,
+bit-identical charged microseconds, per-handle statistics, and the obs
+metrics snapshot (minus the flow-cache counters, which measure the
+rungs' mechanics and legitimately differ).
 
 Guards here are pure functions of the flow key, which is exactly the
 correctness contract the protocol managers uphold.
@@ -36,14 +38,25 @@ GUARDS = [
 
 KEYS = (0, 1, 2, 3)
 
+#: handler bodies: log only; log then raise (a contained failure); log
+#: then charge past a time limit (an ephemeral termination).
+KINDS = ("plain", "failing", "hog")
+HOG_LIMIT = 2.0
+
 #: the ladder: how each side raises and whether its cache is armed.
 MODES = ("compiled", "linear")
 
 _ops = st.lists(
     st.one_of(
-        st.tuples(st.just("install"), st.integers(0, len(GUARDS) - 1)),
+        st.tuples(st.just("install"),
+                  st.tuples(st.integers(0, len(GUARDS) - 1),
+                            st.sampled_from(KINDS))),
         st.tuples(st.just("uninstall"), st.integers(0, 7)),
+        st.tuples(st.just("invalidate"), st.just(None)),
         st.tuples(st.just("send"), st.integers(0, len(KEYS) - 1)),
+        st.tuples(st.just("burst"),
+                  st.tuples(st.integers(0, len(KEYS) - 1),
+                            st.integers(2, 4))),
     ),
     min_size=1, max_size=40)
 
@@ -71,21 +84,33 @@ class _Side:
 
     def apply(self, op, arg):
         if op == "install":
-            self._install(arg)
+            self._install(*arg)
         elif op == "uninstall":
             self._uninstall(arg)
+        elif op == "invalidate":
+            self.dispatcher.invalidate_event(self.event)
+        elif op == "burst":
+            key_idx, count = arg
+            for _ in range(count):
+                self._send(key_idx)
         else:
             self._send(arg)
 
-    def _install(self, guard_idx):
+    def _install(self, guard_idx, kind):
         slot = len(self.handles)
+        cpu = self.kernel.cpu
 
         def handler(key, _slot=slot):
             self.log.append((_slot, key))
+            if kind == "failing":
+                raise RuntimeError("handler %d blew up" % _slot)
+            if kind == "hog":
+                cpu.charge(HOG_LIMIT * 3, "handler")
 
         def do():
             self.handles.append(self.dispatcher.install(
                 self.event, handler, guard=GUARDS[guard_idx],
+                time_limit=HOG_LIMIT if kind == "hog" else None,
                 label="h%d" % slot))
         self._run(do)
 
@@ -114,7 +139,7 @@ class _Side:
 
 class TestFlowCacheEquivalence:
     @given(_ops)
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=50, deadline=None)
     def test_ladder_rungs_are_equivalent(self, ops):
         compiled, linear = (_Side(mode) for mode in MODES)
         for op, arg in ops:
@@ -133,6 +158,8 @@ class TestFlowCacheEquivalence:
             assert lh.installed == ch.installed
             assert lh.invocations == ch.invocations
             assert lh.guard_rejections == ch.guard_rejections
+            assert lh.failures == ch.failures
+            assert lh.terminations == ch.terminations
         assert (linear.dispatcher.total_invocations
                 == compiled.dispatcher.total_invocations)
         assert (linear.dispatcher.total_raises
@@ -143,12 +170,14 @@ class TestFlowCacheEquivalence:
     @given(_ops)
     @settings(max_examples=10, deadline=None)
     def test_plans_replay_after_warmup(self, ops):
-        """Sending the same flow twice in a row replays its plan through
-        generated code."""
+        """Sending the same flow three times in a row replays its plan
+        through generated code: a plan is compiled when the flow repeats
+        at one handler snapshot."""
         side = _Side("compiled")
         for op, arg in ops:
             side.apply(op, arg)
-        side.apply("send", 0)  # records (or replays) flow 0's plan
+        side.apply("send", 0)  # sees flow 0 at this snapshot (or better)
+        side.apply("send", 0)  # records its plan (or replays it)
         cache = side.dispatcher.flow_cache
         before = cache.hits
         replays_before = cache.compiled_replays

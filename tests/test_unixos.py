@@ -56,6 +56,35 @@ class TestUdpSockets:
             return port, bed.hosts[0].cpu.held
         assert engine.run_process(proc()) == (7001, False)
 
+    def test_failed_bind_takes_its_simulated_time(self, unix_pair):
+        """A syscall path that raises still holds the CPU for what it
+        charged: the clock and ``busy_time`` move by the charge, exactly
+        as for a good bind.  (The failed path used to release the CPU at
+        once, so its charge was booked but never consumed.)"""
+        bed = unix_pair
+        engine = bed.engine
+        cpu = bed.hosts[0].cpu
+
+        def timed(bind):
+            charged = sum(cpu.category_times.values())
+            busy, now = cpu.busy_time, engine.now
+            try:
+                yield from bind
+            except SocketError:
+                pass
+            return (sum(cpu.category_times.values()) - charged,
+                    cpu.busy_time - busy, engine.now - now)
+
+        def proc():
+            good = yield from timed(bed.sockets[0].udp_socket().bind(7000))
+            bad = yield from timed(bed.sockets[0].udp_socket().bind(7000))
+            return good, bad
+        good, bad = engine.run_process(proc())
+        assert good[0] > 0
+        assert bad == pytest.approx(good)
+        assert bad[1] == pytest.approx(bad[0])
+        assert bad[2] == pytest.approx(bad[0])
+
     def test_ephemeral_bind(self, unix_pair):
         bed = unix_pair
         engine = bed.engine
