@@ -5,13 +5,15 @@ file system interface".  The model charges a per-request setup cost plus a
 per-byte transfer cost (category ``disk``), and the read itself takes
 media time off-CPU (the controller DMAs while the CPU is free), which is
 what lets the in-kernel server overlap disk reads with transmission.
+Reads are served one at a time, in FIFO order.
 """
 
 from __future__ import annotations
 
-from typing import Generator
+from collections import deque
+from typing import Deque, Generator
 
-from ..sim import Resource
+from ..sim import Event
 from .host import Host
 
 __all__ = ["Disk"]
@@ -27,7 +29,8 @@ class Disk:
         self.access_latency_us = access_latency_us
         self.bytes_read = 0
         self.reads = 0
-        self._media = Resource(host.engine, capacity=1)
+        self._busy = False
+        self._waiting: Deque[Event] = deque()
 
     def read_charges(self, nbytes: int) -> None:
         """CPU-side cost of issuing and completing one read (plain code)."""
@@ -45,13 +48,22 @@ class Disk:
         The caller is a simulation process; yields cover the media time,
         the CPU cost is charged into the caller's open accumulator before
         the yield (issue) so ordering is issue-cost -> media -> data.
+        A read that finds the media busy waits for the one ahead of it.
         """
         if nbytes <= 0:
             raise ValueError("read size must be positive")
         self.reads += 1
         self.bytes_read += nbytes
-        grant = self._media.request()
-        yield grant
-        yield self.host.engine.timeout(self.media_time_us(nbytes))
-        grant.release()
+        engine = self.host.engine
+        if self._busy:
+            turn = engine.event()
+            self._waiting.append(turn)
+            yield turn
+        else:
+            self._busy = True
+        yield engine.timeout(self.media_time_us(nbytes))
+        if self._waiting:
+            self._waiting.popleft().succeed()
+        else:
+            self._busy = False
         return bytes(nbytes)

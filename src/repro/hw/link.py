@@ -3,9 +3,9 @@
 Three media models cover the paper's testbed (section 4):
 
 * :class:`EthernetSegment` -- a shared 10 Mb/s half-duplex bus; every
-  attached NIC sees every frame; the medium is a unit resource so
+  attached NIC sees every frame; the medium is a FIFO lane so
   concurrent senders serialize (CSMA collisions are abstracted into FIFO
-  acquisition, which preserves the bandwidth accounting that matters).
+  service, which preserves the bandwidth accounting that matters).
 * :class:`PointToPointLink` -- full duplex, one NIC per end (the DEC T3
   adapters connected back-to-back).
 * :class:`Switch` + :class:`SwitchPort` -- a store-and-forward switch with
@@ -19,16 +19,17 @@ done)`` calls ``done()`` when the sending NIC may start its next frame,
 and what a callback raises (a receiver's bug) leaves ``engine.step``.
 A clean hop is one entry, its landing pushed when the frame starts; a
 wire-end entry stays only where something happens there (an impaired
-lane's draws, the bus's release).
+lane's draws, the bus's hand-off).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from ..sim import Engine, Resource
+from ..sim import Engine
 from .alpha import MICROSECONDS_PER_SECOND
 
 __all__ = ["Frame", "EthernetSegment", "PointToPointLink", "Switch", "SwitchPort",
@@ -360,12 +361,16 @@ class _Medium:
 
 class EthernetSegment(_Medium):
     """Shared half-duplex bus: one transmission at a time, broadcast.
-    It keeps its wire-end entry, where it is released and re-arbitrated."""
+
+    The bus is a FIFO lane: a flight that finds it busy waits in
+    ``_waiting``.  It keeps its wire-end entry, where the bus is handed
+    to the next flight."""
 
     def __init__(self, engine: Engine, bandwidth_bps: float = 10e6,
                  propagation_us: float = 3.0):
         super().__init__(engine, bandwidth_bps, propagation_us)
-        self._medium = Resource(engine, capacity=1)
+        self._busy = False
+        self._waiting: Deque[Tuple] = deque()
 
     def delivery_fanout(self) -> int:
         return len(self.nics) - 1
@@ -374,12 +379,11 @@ class EthernetSegment(_Medium):
                  done: Callable[[], None]) -> None:
         """Occupy the bus for the frame's wire time, deliver, ``done()``."""
         flight = (sender, frame, done)
-        bus = self._medium
-        if bus.try_acquire():
-            self._occupy(flight)
+        if self._busy:
+            self._waiting.append(flight)
         else:
-            bus.request().callbacks.append(
-                lambda _grant: self._occupy(flight))
+            self._busy = True
+            self._occupy(flight)
 
     def _occupy(self, flight: Tuple) -> None:
         self.engine.call_after(self._wire_time_us(flight[1].wire_bytes),
@@ -387,7 +391,12 @@ class EthernetSegment(_Medium):
 
     def _bus_sent(self, flight: Tuple) -> None:
         sender, frame, done = flight
-        self._medium.release()
+        # The next flight starts in a zero-delay entry pushed before the
+        # landings, so it runs behind whatever is already due now.
+        if self._waiting:
+            self.engine.call_after(0.0, self._occupy, self._waiting.popleft())
+        else:
+            self._busy = False
         self._account(frame)
         if self._impairments is not None:
             outcomes = self._impaired_outcomes(frame)

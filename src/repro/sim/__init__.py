@@ -2,8 +2,7 @@
 
 Public surface::
 
-    from repro.sim import Engine, Event, Timeout, Process
-    from repro.sim import Resource, Signal
+    from repro.sim import Engine, Event, Timeout, Process, Signal
 """
 
 from .engine import (
@@ -13,14 +12,12 @@ from .engine import (
     SimulationError,
     Timeout,
 )
-from .resources import Resource, ResourceRequest, Signal
+from .resources import Signal
 
 __all__ = [
     "Engine",
     "Event",
     "Process",
-    "Resource",
-    "ResourceRequest",
     "Signal",
     "SimulationError",
     "Timeout",

@@ -113,28 +113,28 @@ class Event:
 
     # -- triggering ----------------------------------------------------
 
-    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
-        """Schedule this event to fire successfully after ``delay``."""
+    def succeed(self, value: Any = None) -> "Event":
+        """Schedule this event to fire successfully, now."""
         if self._state != _PENDING:
             raise SimulationError("event has already been triggered")
         self._state = _TRIGGERED
         self._value = value
-        # Engine.call_after, inlined (succeed is on the per-packet hot path).
+        # Engine.call_after(0.0, ...), inlined (succeed is on the
+        # per-packet hot path).
         engine = self.engine
         engine._sequence += 1
-        heappush(engine._heap,
-                 (engine.now + delay, engine._sequence, _fire, self))
+        heappush(engine._heap, (engine.now, engine._sequence, _fire, self))
         return self
 
-    def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
-        """Schedule this event to fire with ``exception``."""
+    def fail(self, exception: BaseException) -> "Event":
+        """Schedule this event to fire with ``exception``, now."""
         if self._state != _PENDING:
             raise SimulationError("event has already been triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
         self._state = _TRIGGERED
         self._exception = exception
-        self.engine.call_after(delay, _fire, self)
+        self.engine.call_after(0.0, _fire, self)
         return self
 
 

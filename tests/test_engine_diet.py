@@ -12,19 +12,24 @@ is due at the release, and an interrupt path's bootstrap entry when
 nothing else is due at the interrupt -- so that an abstraction hop
 creeping back in is a red test; checks the ``KernelPath`` continuation
 and the CPU's run queue against the generator kernel path on a
-``Resource`` they replaced, and the merged media against the relay media
-they replaced; checks that ``events_processed`` is the number of entries
-popped; and states where an exception surfaces now that hardware is
-heap callbacks.
+``Resource`` they replaced, the merged media against the relay media
+they replaced, and the Ethernet bus's and the disk's FIFO lanes against
+the ``Resource`` they replaced; checks that ``events_processed`` is the
+number of entries popped; and states where an exception surfaces now
+that hardware is heap callbacks.
+
+``Resource`` lives here, not in ``repro.sim``: it is the reference model
+those oracles stand on, and no simulated device uses it.
 """
 
 import heapq
 import inspect
 from collections import Counter, deque
 from types import SimpleNamespace
+from typing import List, Optional, Tuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.bench.testbed as testbed
 import repro.sim.engine as engine_module
@@ -32,18 +37,107 @@ from repro.bench.testbed import build_testbed
 from repro.chaos.invariants import INVARIANTS
 from repro.core import Credential
 from repro.fabric.topology import fat_tree
-from repro.hw import (EthernetSegment, LanceEthernet, PointToPointLink,
-                      Switch, SwitchPort, T3Nic)
+from repro.hw import (Disk, EthernetSegment, LanceEthernet,
+                      PointToPointLink, Switch, SwitchPort, T3Nic)
 from repro.hw.cpu import INTERRUPT_PRIORITY, THREAD_PRIORITY, ChargeError
 from repro.hw.host import Host
 from repro.hw.link import Frame, ImpairmentConfig, transmission_time_us
 from repro.lang import ephemeral
 from repro.net.headers import ip_aton
 from repro.obs import MetricsRegistry
-from repro.sim import Engine, Process, Resource, Signal
-from repro.sim.engine import _fire
+from repro.sim import Engine, Event, Process, Signal, SimulationError
+from repro.sim.engine import _PENDING, _fire
 
 from test_hw_link_nic import make_host_nic
+
+
+# ---------------------------------------------------------------------------
+# the reference model: the generic resource the lanes replaced
+# ---------------------------------------------------------------------------
+
+class ResourceRequest(Event):
+    """Event representing one pending acquisition of a :class:`Resource`.
+
+    Fires (succeeds) when the resource grants the request.  The holder must
+    eventually call :meth:`release`.
+    """
+
+    __slots__ = ("resource", "priority", "granted_at", "_released")
+
+    def __init__(self, resource: "Resource", priority: int):
+        # Event.__init__, inlined: one request is created per CPU hold.
+        self.engine = resource.engine
+        self.callbacks = []
+        self._state = _PENDING
+        self._value = None
+        self._exception = None
+        self.resource = resource
+        self.priority = priority
+        self.granted_at: Optional[float] = None
+        self._released = False
+
+    def release(self) -> None:
+        if self._released:
+            raise SimulationError("resource request released twice")
+        self._released = True
+        if self.granted_at is not None:
+            self.resource.release()
+        # else cancelled while queued: _grant_waiters skips released requests.
+
+
+class Resource:
+    """A counted resource with a priority FIFO wait queue.
+
+    Lower ``priority`` values are served first; ties are FIFO.  Grants are
+    *non-preemptive*: once a request is granted it holds a unit of capacity
+    until released.
+    """
+
+    def __init__(self, engine: Engine, capacity: int = 1):
+        if capacity < 1:
+            raise ValueError("resource capacity must be >= 1")
+        self.engine = engine
+        self.capacity = capacity
+        self.in_use = 0
+        self._sequence = 0
+        self._waiting: List[Tuple[int, int, ResourceRequest]] = []
+
+    def try_acquire(self) -> bool:
+        """Take a unit right now if nobody is ahead: :meth:`request` minus
+        the request object and the grant event.  Hold sites fall back to
+        ``yield resource.request(priority)`` when this returns False, and
+        give the unit back with :meth:`release` either way."""
+        if not self._waiting and self.in_use < self.capacity:
+            self.in_use += 1
+            return True
+        return False
+
+    def request(self, priority: int = 0) -> ResourceRequest:
+        """Return a request event; yield it to wait for the grant."""
+        req = ResourceRequest(self, priority)
+        self._sequence += 1
+        heapq.heappush(self._waiting, (priority, self._sequence, req))
+        self._grant_waiters()
+        return req
+
+    def _grant_waiters(self) -> None:
+        while self._waiting and self.in_use < self.capacity:
+            _prio, _seq, req = heapq.heappop(self._waiting)
+            if req._released:  # cancelled while queued
+                continue
+            self.in_use += 1
+            req.granted_at = self.engine.now
+            # Granted with None, not the request: an event whose value is
+            # itself is a cycle only the (quiesced) cyclic GC can free.
+            req.succeed()
+
+    def release(self) -> None:
+        """Give back one unit (however it was taken); grant the next waiter."""
+        if self.in_use <= 0:
+            raise SimulationError("release on a resource with nothing in use")
+        self.in_use -= 1
+        if self._waiting:
+            self._grant_waiters()
 
 
 # ---------------------------------------------------------------------------
@@ -1436,3 +1530,177 @@ class TestImpairmentDecisionPoint:
         assert (self._run(PointToPointLink, "disarm")
                 == self._run(_RelayLink, "disarm"))
         assert self._run(PointToPointLink, "disarm")[0] == [b"0", b"1"]
+
+
+# ---------------------------------------------------------------------------
+# (h) the bus and the disk are FIFO lanes: against the Resource they replaced
+# ---------------------------------------------------------------------------
+
+class _ResourceBus(EthernetSegment):
+    """The bus before it was a lane of its own: flights queue on a
+    ``Resource``, released at wire end, and a queued flight starts in
+    its grant's entry.  Its own ``_waiting`` stays empty, so the lane's
+    wire-end code only fans out."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._medium = Resource(self.engine, capacity=1)
+
+    def transmit(self, sender, frame, done):
+        flight = (sender, frame, done)
+        bus = self._medium
+        if bus.try_acquire():
+            self._occupy(flight)
+        else:
+            bus.request().callbacks.append(
+                lambda _grant: self._occupy(flight))
+
+    def _bus_sent(self, flight):
+        self._medium.release()
+        super()._bus_sent(flight)
+
+
+class _ResourceDisk(Disk):
+    """The disk before it was a lane of its own: every read, contended
+    or not, waits for a ``Resource`` grant event."""
+
+    def __init__(self, host):
+        super().__init__(host)
+        self._media = Resource(host.engine, capacity=1)
+
+    def read(self, nbytes):
+        self.reads += 1
+        self.bytes_read += nbytes
+        grant = self._media.request()
+        yield grant
+        yield self.host.engine.timeout(self.media_time_us(nbytes))
+        grant.release()
+        return bytes(nbytes)
+
+
+class _BusNic(_StubNic):
+    """A stub NIC whose landings go to one log shared by the whole bus,
+    and which logs the instant of each ``done()`` it is given."""
+
+    def __init__(self, engine, address, landings):
+        super().__init__(engine, address)
+        self.landings = landings
+        self.done_at = []
+
+    def _drain(self):
+        if self._queue:
+            self.link.transmit(self, self._queue.popleft(), self._sent)
+        else:
+            self._busy = False
+
+    def _sent(self):
+        self.done_at.append(self.engine.now)
+        self._drain()
+
+    def frame_on_wire(self, frame):
+        self.landings.append((self.engine.now, self.address, frame.data))
+
+
+def _bus_run(bus_cls, senders, sends, impairment=None,
+             bandwidth_bps=_EXACT_BPS):
+    """``senders`` stub NICs on one bus; ``sends`` = [(at_us, src,
+    size)], each frame addressed to the next NIC (the bus shows it to
+    all)."""
+    engine = Engine()
+    landings = []
+    nics = [_BusNic(engine, "e%d" % index, landings)
+            for index in range(senders)]
+    bus = bus_cls(engine, bandwidth_bps, 1.0)
+    for nic in nics:
+        bus.attach(nic)
+    if impairment is not None:
+        bus.set_impairments(impairment, seed=5)
+    _schedule(engine, nics, [(at, src % senders, None, size)
+                             for at, src, size in sends],
+              lambda src, _dst: nics[(src + 1) % senders].address)
+    engine.run()
+    return {"landings": landings, "done": [nic.done_at for nic in nics],
+            "events": engine.events_processed,
+            "counters": bus.fault_counters(),
+            "rng": bus._impairments and bus._impairments.rng.getstate()}
+
+
+def _disk_run(disk_cls, readers):
+    """``readers`` = [(arrival_us, nbytes)], one process each, on one
+    disk; ``[(index, completion instant)]`` in completion order."""
+    engine = Engine()
+    disk = disk_cls(Host(engine, "h"))
+    finished = []
+
+    def reader(index, arrival, nbytes):
+        yield engine.timeout(arrival)
+        data = yield from disk.read(nbytes)
+        assert len(data) == nbytes
+        finished.append((index, engine.now))
+
+    for index, spec in enumerate(readers):
+        engine.process(reader(index, *spec))
+    engine.run()
+    return finished, engine.events_processed
+
+
+#: Several senders at once: a same-instant start puts two flights behind
+#: the one on the wire, where a LIFO lane would serve them backwards.
+_BUS_SENDS = st.lists(st.tuples(st.sampled_from([0.0, 0.0, 0.5, 7.5, 60.0]),
+                                st.integers(0, 3), _SIZES),
+                      min_size=1, max_size=14)
+_THREE_AT_ONCE = [(0.0, 0, 100), (0.0, 1, 200), (0.0, 2, 300)]
+
+
+class TestLaneOracle:
+    """The bus and the disk against ``Resource``-backed twins.  The
+    bus's hand-off entry is pushed where ``release()`` pushed the grant,
+    so every entry keeps its instant and sequence number: the landing
+    order, the ``done()`` instants and the entry count are all equal.
+    The disk drops one zero-delay grant entry per uncontended read, and
+    nothing else moves."""
+
+    @given(st.integers(2, 4), _BUS_SENDS,
+           st.sampled_from([_EXACT_BPS, 10e6]))
+    @example(3, _THREE_AT_ONCE, _EXACT_BPS)
+    @settings(max_examples=150, deadline=None)
+    def test_clean_bus(self, senders, sends, bandwidth_bps):
+        lane = _bus_run(EthernetSegment, senders, sends,
+                        bandwidth_bps=bandwidth_bps)
+        reference = _bus_run(_ResourceBus, senders, sends,
+                             bandwidth_bps=bandwidth_bps)
+        assert lane == reference
+
+    @given(st.integers(2, 4), _BUS_SENDS,
+           st.floats(0.0, 0.5), st.booleans(), st.sampled_from([0.0, 2.5]))
+    @example(3, _THREE_AT_ONCE, 0.0, False, 0.0)
+    @settings(max_examples=100, deadline=None)
+    def test_impaired_bus(self, senders, sends, loss, duplicate, jitter_us):
+        config = ImpairmentConfig(
+            loss_good=loss, loss_bad=loss, corrupt_rate=0.2,
+            duplicate_rate=0.3 if duplicate else 0.0, reorder_rate=0.2,
+            jitter_us=jitter_us, bandwidth_scale=0.5,
+            flaps=((2_000.0, 2_500.0),))
+        lane = _bus_run(EthernetSegment, senders, sends, config)
+        reference = _bus_run(_ResourceBus, senders, sends, config)
+        assert lane == reference
+
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.0, 10.0, 130.0,
+                                               500.0]),
+                              st.integers(1, 40_000)),
+                    min_size=1, max_size=10))
+    @example([(0.0, 1_000), (0.0, 2_000), (0.0, 3_000)])
+    @settings(max_examples=150, deadline=None)
+    def test_disk(self, readers):
+        finished, events = _disk_run(Disk, readers)
+        reference, reference_events = _disk_run(_ResourceDisk, readers)
+        assert finished == reference
+        assert len(finished) == len(readers)
+        assert events <= reference_events
+
+    def test_an_uncontended_read_has_no_grant_entry(self):
+        """Two reads that never overlap: each saves the ``Resource``'s
+        grant entry, and nothing else changes."""
+        readers = [(0.0, 1_000), (1_000.0, 1_000)]
+        assert _disk_run(Disk, readers)[1] == (
+            _disk_run(_ResourceDisk, readers)[1] - 2)

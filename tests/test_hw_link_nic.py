@@ -81,7 +81,9 @@ class TestEthernetSegment:
         assert len(got) == 2
 
     def test_shared_medium_serializes(self, engine):
-        """Two senders on one segment cannot overlap transmissions."""
+        """Two senders on one segment cannot overlap transmissions: both
+        offer a frame at one instant, and the second goes on the wire
+        when the first leaves it."""
         seg = EthernetSegment(engine, propagation_us=0.0)
         host_a, nic_a = make_host_nic(engine, LanceEthernet, "a", b"\x0a" * 6)
         host_b, nic_b = make_host_nic(engine, LanceEthernet, "b", b"\x0b" * 6)
@@ -90,6 +92,18 @@ class TestEthernetSegment:
             seg.attach(nic)
         arrivals = []
         host_c.on_frame = lambda data: arrivals.append(engine.now)
+        offered, landed = [], []
+        transmit, on_wire = seg.transmit, nic_c.frame_on_wire
+
+        def logged_transmit(sender, frame, done):
+            offered.append(engine.now)
+            transmit(sender, frame, done)
+
+        def logged_on_wire(frame):
+            landed.append(engine.now)
+            on_wire(frame)
+        seg.transmit = logged_transmit
+        nic_c.frame_on_wire = logged_on_wire
         frame = bytes(1000)
         wire_us = transmission_time_us(nic_a.wire_bytes(1000), 10e6)
 
@@ -100,8 +114,9 @@ class TestEthernetSegment:
         engine.process(send(host_b, nic_b))
         engine.run()
         assert len(arrivals) == 2
-        # Second frame finishes a full wire-time after the first.
-        assert arrivals[1] - arrivals[0] >= wire_us * 0.95
+        start = offered[0]
+        assert offered == [start, start]
+        assert landed == [start + wire_us, start + wire_us + wire_us]
 
     def test_promiscuous_mode_sees_everything(self, engine):
         seg = EthernetSegment(engine)

@@ -233,8 +233,9 @@ class TestEngineProperties:
                     max_size=20))
     @settings(max_examples=30)
     def test_resource_conservation(self, priorities):
-        """Grants never exceed capacity; everyone is eventually served."""
-        from repro.sim import Resource
+        """Grants never exceed capacity; everyone is eventually served
+        (the reference model the engine-diet oracles stand on)."""
+        from test_engine_diet import Resource
         engine = Engine()
         resource = Resource(engine, capacity=2)
         served = []

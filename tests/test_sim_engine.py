@@ -71,13 +71,20 @@ class TestEvent:
         with pytest.raises(RuntimeError):
             _ = event.value
 
-    def test_delay_schedules_in_future(self, engine):
+    def test_an_event_cannot_rewind_the_clock(self, engine):
+        """An event fires at the instant it is triggered: it takes no
+        delay, so a negative one cannot run the clock backwards."""
+        engine.run(until=5.0)
         event = engine.event()
-        times = []
-        event.callbacks.append(lambda evt: times.append(engine.now))
-        event.succeed(delay=12.5)
+        with pytest.raises(TypeError):
+            event.succeed(delay=-3.0)
+        with pytest.raises(TypeError):
+            engine.event().fail(RuntimeError("boom"), delay=-3.0)
+        fired = []
+        event.callbacks.append(lambda evt: fired.append(engine.now))
+        event.succeed()
         engine.run()
-        assert times == [12.5]
+        assert fired == [5.0] and engine.now == 5.0
 
 
 class TestProcess:

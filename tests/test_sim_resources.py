@@ -1,8 +1,11 @@
-"""Tests for resources and signals."""
+"""Tests for signals, and for the ``Resource`` reference model that the
+kernel-path and lane oracles in ``test_engine_diet`` stand on."""
 
 import pytest
 
-from repro.sim import Resource, Signal, SimulationError
+from repro.sim import Signal, SimulationError
+
+from test_engine_diet import Resource
 
 
 class TestResource:
