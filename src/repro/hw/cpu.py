@@ -1,4 +1,4 @@
-"""Simulated CPU with busy-time accounting.
+"""Simulated CPU: busy-time accounting, the run queue and kernel paths.
 
 Execution discipline
 --------------------
@@ -15,19 +15,25 @@ that much simulated time.  The pattern is::
 
 Plain segments never yield, so begin/charge/end is atomic with respect to
 other simulation processes and accumulators cannot cross-contaminate.
-``KernelPath`` (``repro.hw.host``) is the one place that runs the
-pattern: acquire, run, hold for the charge, release -- as a chain of heap
-callbacks, which a process waits on through ``Host.kernel_path``.
+:class:`KernelPath` is the one place that runs the pattern, in two
+frames: :meth:`KernelPath.start` takes the CPU and runs ``fn`` under a
+fresh accumulator, and the hold's heap entry ends the path.  A process
+waits on a path through ``Host.kernel_path`` (``repro.hw.host``).  The
+accumulator stack is empty whenever a path starts -- starting one inside
+an open accumulator is a :class:`ChargeError` -- so the path's own
+accumulator is the only one left when ``fn`` returns; a path whose
+``fn`` leaves another open, or pops its own, holds for whatever it left
+on the stack, empties it, and fails with :class:`ChargeError`.
 
-The processor is a run queue: a :attr:`CPU.held` flag and one FIFO of
-waiting kernel paths per priority level.  Two levels model interrupt-
-versus thread-level execution: interrupt-level paths are served before
-any queued thread-level path (non-preemptive: a running slice finishes
-first, which is accurate enough at the microsecond slice sizes used
-here).  :meth:`CPU.acquire` takes a free CPU with a flag test, or appends
-a path that finds it busy to its level's FIFO, with no event;
-:meth:`CPU.release` hands the CPU to the next path.  This module is the
-one that knows the run queue's format.
+The processor is a run queue: :attr:`CPU.held` (the path holding the
+CPU, or False) and one FIFO of waiting kernel paths per priority level.
+Two levels model interrupt- versus thread-level execution: interrupt-
+level paths are served before any queued thread-level path (non-
+preemptive: a running slice finishes first, which is accurate enough at
+the microsecond slice sizes used here).  A path takes a free CPU with a
+flag test, or appends itself to its level's FIFO, with no event; the
+end of a hold hands the CPU to the next path.  This module is the one
+that knows the run queue's format.
 
 Accounting: :attr:`CPU.busy_time` accumulates every consumed microsecond,
 and :attr:`CPU.category_times` decomposes charges by category (``driver``,
@@ -38,12 +44,17 @@ Figure 6 and section 5.1 of the paper.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Tuple
 
 from ..sim import Engine
+from ..sim.engine import _PENDING, _PROCESSED, Event
 from .alpha import ALPHA_21064, CostTable
 
-__all__ = ["CPU", "INTERRUPT_PRIORITY", "THREAD_PRIORITY", "ChargeError"]
+if TYPE_CHECKING:
+    from .host import Host
+
+__all__ = ["CPU", "INTERRUPT_PRIORITY", "KernelPath", "THREAD_PRIORITY",
+           "ChargeError"]
 
 INTERRUPT_PRIORITY = 0
 THREAD_PRIORITY = 1
@@ -61,12 +72,13 @@ class CPU:
         self.engine = engine
         self.costs = costs
         self.name = name
-        #: True while a kernel path holds the processor (or has been
-        #: handed it and not yet run).
-        self.held = False
+        #: The kernel path holding the processor (or handed it and not
+        #: yet run); False while it is free.
+        self.held: Any = False
         #: The waiting kernel paths: one FIFO per priority level, indexed
         #: by INTERRUPT_PRIORITY and THREAD_PRIORITY.
-        self.run_queue: Tuple[Deque[Any], Deque[Any]] = (deque(), deque())
+        self.run_queue: Tuple[Deque["KernelPath"], Deque["KernelPath"]] = (
+            deque(), deque())
         #: Kernel paths that found the processor busy and queued.
         self.paths_queued = 0
         self.busy_time: float = 0.0
@@ -91,12 +103,12 @@ class CPU:
         """Charge CPU work to the innermost open accumulator."""
         if microseconds < 0:
             raise ValueError("cannot charge negative time: %r" % microseconds)
-        stack = self._stack
-        if not stack:
+        try:
+            self._stack[-1] += microseconds
+        except IndexError:
             raise ChargeError(
                 "cpu.charge() outside begin()/end(); protocol code must run "
-                "under a kernel execution context")
-        stack[-1] += microseconds
+                "under a kernel execution context") from None
         times = self.category_times
         try:
             times[category] += microseconds
@@ -144,31 +156,6 @@ class CPU:
                 % (marker, len(self._stack)))
         return self._stack.pop()
 
-    # -- the run queue --------------------------------------------------------
-
-    def acquire(self, path: Any) -> bool:
-        """Take the processor for ``path`` if it is free (True); else
-        append ``path`` to the FIFO of its priority level (False), for a
-        later :meth:`release` to hand the processor to."""
-        if self.held:
-            self.run_queue[path.priority].append(path)
-            self.paths_queued += 1
-            return False
-        self.held = True
-        return True
-
-    def release(self) -> Optional[Any]:
-        """Hand the processor to the next waiting path, interrupt level
-        first, and return it; with nobody waiting, free it and return
-        None.  The caller runs the returned path, which holds the CPU."""
-        interrupts, threads = self.run_queue
-        if interrupts:
-            return interrupts.popleft()
-        if threads:
-            return threads.popleft()
-        self.held = False
-        return None
-
     # -- measurement ---------------------------------------------------------
 
     def utilization_since(self, busy_mark: float, time_mark: float) -> float:
@@ -192,3 +179,152 @@ class CPU:
         registry.source("hw.cpu.uncontexted_charge_us",
                         lambda: self.uncontexted_charge_us)
         registry.source("hw.cpu.paths_queued", lambda: self.paths_queued)
+
+
+class KernelPath(Event):
+    """Plain kernel code ``fn(*args)`` run on the CPU, as one continuation.
+
+    Two frames.  :meth:`start` takes the CPU (or joins its run queue)
+    and runs ``fn`` under a fresh charge accumulator; :meth:`_held`, the
+    entry that ends the hold for what ``fn`` charged, hands the CPU to
+    the next path and flushes the deferred hardware actions, so wire
+    activity never precedes the CPU work that caused it.  The path is an
+    event whose completion runs its callbacks in that same entry: a
+    waiting process resumes right there.  If ``fn`` raises, the path
+    still holds the CPU for what it charged and flushes what it
+    deferred; then the CPU is handed over and a waiter gets the
+    exception.  With no waiter it is a kernel bug (the dispatcher
+    contains extension failures) and leaves the engine's run loop.
+    """
+
+    __slots__ = ("host", "fn", "args", "priority", "name",
+                 "_profile", "_amount", "_deferred")
+
+    def __init__(self, host: "Host", fn: Callable, args: Tuple = (),
+                 priority: int = THREAD_PRIORITY, name: str = "kpath"):
+        # Event.__init__, inlined: one path per interrupt, timer and call.
+        self.engine = host.engine
+        self.callbacks = []
+        self._state = _PENDING
+        self._value = None
+        self._exception = None
+        self.host = host
+        self.fn = fn
+        self.args = args
+        self.priority = priority
+        self.name = name
+
+    def start(self) -> None:
+        """Take the CPU and run ``fn`` now if it is free, else join the
+        FIFO of this path's level.  A path the end of a hold handed the
+        CPU to (``cpu.held is self``) runs at once."""
+        cpu = self.host.cpu
+        held = cpu.held
+        if held is not self:
+            if cpu._stack:
+                raise ChargeError(
+                    "kernel path %s started inside an open accumulator"
+                    % self.name)
+            if held:
+                cpu.run_queue[self.priority].append(self)
+                cpu.paths_queued += 1
+                return
+            cpu.held = self
+        host = self.host
+        stack = cpu._stack
+        fn = self.fn
+        # Off-by-default observability hook: one attribute load + None
+        # check per path when no profiler/tracer is attached.  Kept for
+        # the hold, which books to the profile the path ran under.
+        self._profile = profile = cpu.profile
+        if profile is not None:
+            profile.push(getattr(fn, "__name__", "kernel_path"))
+        # cpu.begin()/end() inlined.  The stack is empty when a path
+        # starts, so exactly one accumulator is left when fn returns.
+        stack.append(0.0)
+        try:
+            self._value = fn(*self.args)
+        except Exception as exc:
+            self._exception = exc
+        # The accumulator comes off before the profile frame: an
+        # observer that raises fails an ordinary path.
+        try:
+            amount = stack.pop()
+        except IndexError:
+            amount = None   # fn popped the path's own accumulator
+        if stack or amount is None:
+            # A broken discipline: hold for everything fn left on the
+            # stack, and leave it empty for the next path.
+            amount = sum(stack, amount or 0.0)
+            stack.clear()
+            error = ChargeError(
+                "kernel path %s left the accumulator stack unbalanced"
+                % self.name)
+            error.__context__ = self._exception
+            self._exception = error
+        # Snapshot-and-reset, without allocating a fresh list when
+        # nothing was deferred.  The empty snapshot must not alias the
+        # live list: actions deferred during the hold belong to the
+        # *next* flush.
+        deferred = host._deferred
+        if deferred:
+            host._deferred = []
+        else:
+            deferred = ()
+        self._deferred = deferred
+        if profile is not None:
+            try:
+                profile.pop()
+            except Exception as exc:
+                self._exception = exc
+        self._amount = amount
+        if amount > 0:
+            self.engine.call_after(amount, KernelPath._held, self)
+        else:
+            self._held()
+
+    def _held(self) -> None:
+        """End the path: consume the hold, hand the CPU over, flush the
+        deferred actions, complete.
+
+        The hold's entry calls it; a path that charged nothing calls it
+        from :meth:`start`, inside whatever entry started the path.  The
+        next path in the run queue gets a zero-delay entry, pushed
+        before the flush, when another entry is due at this instant,
+        when this path charged nothing (the entry that started it goes
+        on after it) or when it failed (with no waiter the exception
+        leaves this entry, and must not strand the next path).
+        Otherwise that entry would have been the next one popped --
+        everything the flush and the completion push comes after it --
+        so the next path runs at the end of this entry instead, in the
+        same order, one heap entry cheaper."""
+        amount = self._amount
+        cpu = self.host.cpu
+        cpu.busy_time += amount
+        profile = self._profile
+        if profile is not None and amount:
+            profile.consumed(amount)
+        interrupts, threads = cpu.run_queue
+        if interrupts:
+            successor = interrupts.popleft()
+        elif threads:
+            successor = threads.popleft()
+        else:
+            successor = False
+        cpu.held = successor
+        if successor and (not amount or self._exception is not None
+                          or self.engine.due_now()):
+            self.engine.call_after(0.0, KernelPath.start, successor)
+            successor = False
+        for action in self._deferred:
+            action()
+        self._state = _PROCESSED
+        for callback in self.callbacks:
+            callback(self)
+        if successor:
+            successor.start()
+        elif self._exception is not None and not self.callbacks:
+            raise self._exception
+
+    def __repr__(self) -> str:
+        return "<KernelPath %s>" % self.name

@@ -8,15 +8,16 @@ operating-system models -- the SPIN kernel (``repro.spin.kernel``) and
 the monolithic UNIX model (``repro.unixos``) -- subclass it and add only
 what is theirs; "both systems use the same network device driver".
 
-Kernel code runs as a :class:`KernelPath`, a chain of heap callbacks
-(acquire, run, hold, release), not a coroutine; :meth:`Host.kernel_path`
-is the generator a *process* (a system call, an application) waits with.
-A path that finds the CPU busy waits in the CPU's run queue
-(``repro.hw.cpu``); the release that ends a hold hands the CPU to the
-next path and, unless another entry is due at that instant, runs it at
-the end of the same heap entry.  An interrupt starts the same way: its
-path starts inside the NIC's entry that raised it, and costs a zero-delay
-bootstrap entry only when another entry is due at that instant.
+Kernel code runs as a :class:`~repro.hw.cpu.KernelPath`, which lives
+beside the CPU's run queue in ``repro.hw.cpu``: two heap-callback frames
+(start-and-run, then the end of the hold), not a coroutine.
+:meth:`Host.kernel_path` is the generator a *process* (a system call, an
+application) waits with.  A path that finds the CPU busy waits in the
+run queue; the end of a hold hands the CPU to the next path and, unless
+another entry is due at that instant, runs it at the end of the same
+heap entry.  An interrupt starts the same way: its path starts inside
+the NIC's entry that raised it, and costs a zero-delay bootstrap entry
+only when another entry is due at that instant.
 
 Deferred hardware actions
 -------------------------
@@ -34,164 +35,11 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, List, Tuple
 
 from ..sim import Engine
-from ..sim.engine import _PENDING, _PROCESSED, Event
+from ..sim.engine import _PENDING
 from .alpha import ALPHA_21064, CostTable
-from .cpu import CPU, INTERRUPT_PRIORITY, THREAD_PRIORITY, ChargeError
+from .cpu import CPU, INTERRUPT_PRIORITY, THREAD_PRIORITY, KernelPath
 
-__all__ = ["Host", "KernelPath", "Timer"]
-
-
-class KernelPath(Event):
-    """Plain kernel code ``fn(*args)`` run on the CPU, as one continuation.
-
-    :meth:`start` takes the CPU (or joins its run queue), runs ``fn``
-    under a fresh charge accumulator, holds the CPU for what ``fn``
-    charged, releases it and flushes the deferred hardware actions, so
-    wire activity never precedes the CPU work that caused it.  The path
-    is an event whose completion runs its callbacks in the entry that
-    ended the hold: a waiting process resumes right there.  If ``fn``
-    raises, the path still holds the CPU for what it charged and flushes
-    what it deferred; then the CPU is released and a waiter gets the
-    exception.  With no waiter it is a kernel bug (the dispatcher
-    contains extension failures) and leaves the engine's run loop.
-    """
-
-    __slots__ = ("host", "fn", "args", "priority", "name",
-                 "_profile", "_amount", "_deferred")
-
-    def __init__(self, host: "Host", fn: Callable, args: Tuple = (),
-                 priority: int = THREAD_PRIORITY, name: str = "kpath"):
-        # Event.__init__, inlined: one path per interrupt, timer and call.
-        self.engine = host.engine
-        self.callbacks = []
-        self._state = _PENDING
-        self._value = None
-        self._exception = None
-        self.host = host
-        self.fn = fn
-        self.args = args
-        self.priority = priority
-        self.name = name
-
-    def start(self) -> None:
-        """Take the CPU now if it is free, else join its run queue; a
-        release hands the CPU over later."""
-        if self.host.cpu.acquire(self):
-            self._run()
-
-    def _run(self) -> None:
-        host = self.host
-        cpu = host.cpu
-        fn = self.fn
-        # Off-by-default observability hook: one attribute load + None
-        # check per path when no profiler/tracer is attached.  Kept for
-        # the hold, which books to the profile the path ran under.
-        self._profile = profile = cpu.profile
-        if profile is not None:
-            profile.push(getattr(fn, "__name__", "kernel_path"))
-        # cpu.begin()/end() inlined (exact bodies): one push/pop per path.
-        stack = cpu._stack
-        stack.append(0.0)
-        marker = len(stack)
-        try:
-            try:
-                self._value = fn(*self.args)
-            finally:
-                if profile is not None:
-                    profile.pop()
-                if marker != len(stack):
-                    amount = 0.0  # a broken accumulator: nothing to hold
-                    raise ChargeError(
-                        "mismatched cpu.end(): marker %d but stack depth %d"
-                        % (marker, len(stack)))
-                amount = stack.pop()
-                # Snapshot-and-reset, without allocating a fresh list when
-                # nothing was deferred.  The empty snapshot must not alias
-                # the live list: actions deferred during the hold below
-                # belong to the *next* flush.
-                deferred = host._deferred
-                if deferred:
-                    host._deferred = []
-                else:
-                    deferred = ()
-        except Exception as exc:
-            # A failed path costs what it charged, like any other path.
-            self._exception = exc
-            if amount > 0:
-                self._amount = amount
-                self._deferred = deferred
-                self.engine.call_after(amount, KernelPath._held_failed, self)
-            else:
-                self._fail(())
-            return
-        if amount > 0:
-            self._amount = amount
-            self._deferred = deferred
-            self.engine.call_after(amount, KernelPath._held, self)
-            return
-        # Released inside whatever entry started this path: the next
-        # path always gets its own zero-delay entry.
-        successor = cpu.release()
-        if successor is not None:
-            self.engine.call_after(0.0, KernelPath._run, successor)
-        self._complete(deferred)
-
-    def _held(self) -> None:
-        """The end of the hold: release the CPU, flush, complete.
-
-        The next path's zero-delay entry is pushed at release, before
-        the flush, only if another entry is due at this instant.  With
-        none due, that entry would have been the next one popped --
-        everything the flush and the completion push comes after it --
-        so the path runs at the end of this entry instead, in the same
-        order, one heap entry cheaper."""
-        amount = self._amount
-        cpu = self.host.cpu
-        cpu.busy_time += amount
-        profile = self._profile
-        if profile is not None:
-            profile.consumed(amount)
-        successor = cpu.release()
-        if successor is not None and self.engine.due_now():
-            self.engine.call_after(0.0, KernelPath._run, successor)
-            successor = None
-        self._complete(self._deferred)
-        if successor is not None:
-            successor._run()
-
-    def _held_failed(self) -> None:
-        """The end of a failed path's hold: consume it as :meth:`_held`
-        does, then fail."""
-        amount = self._amount
-        self.host.cpu.busy_time += amount
-        profile = self._profile
-        if profile is not None:
-            profile.consumed(amount)
-        self._fail(self._deferred)
-
-    def _fail(self, deferred) -> None:
-        """Release the CPU, flush, and complete with the exception.
-
-        The next path always gets its own zero-delay entry: a failure
-        with no waiter leaves this entry, and must not strand the CPU
-        with it (every later path would queue behind it forever)."""
-        successor = self.host.cpu.release()
-        if successor is not None:
-            self.engine.call_after(0.0, KernelPath._run, successor)
-        self._complete(deferred)
-        if not self.callbacks:
-            raise self._exception
-
-    def _complete(self, deferred) -> None:
-        """Flush the deferred actions, then complete the path."""
-        for action in deferred:
-            action()
-        self._state = _PROCESSED
-        for callback in self.callbacks:
-            callback(self)
-
-    def __repr__(self) -> str:
-        return "<KernelPath %s>" % self.name
+__all__ = ["Host", "Timer"]
 
 
 class Timer:
@@ -284,7 +132,7 @@ class Host:
 
     def kernel_path(self, fn: Callable, args: Tuple = (),
                     priority: int = THREAD_PRIORITY) -> Generator:
-        """Run ``fn(*args)`` as a :class:`KernelPath` from a process.
+        """Run ``fn(*args)`` as a kernel path from a process.
 
         ``yield from host.kernel_path(fn)`` waits only if the path does
         (a busy CPU, a non-zero charge) and returns ``fn``'s return value,
@@ -299,7 +147,7 @@ class Host:
     def spawn_kernel_path(self, fn: Callable, args: Tuple = (),
                           priority: int = THREAD_PRIORITY,
                           name: str = "kpath") -> KernelPath:
-        """Start a :class:`KernelPath` on its own, from its own heap entry.
+        """Start a kernel path on its own, from its own heap entry.
 
         The bootstrap entry is kept on purpose: its callers (thread
         delegation, chaos's close and abort) push more after it in their
@@ -331,10 +179,9 @@ class Host:
         starts here instead, in the same order, one entry cheaper.  When
         something is due, the bootstrap keeps its place behind it.
         """
-        entry = self._device_input.get(nic.name)
-        if entry is not None:
-            input_fn, path_name = entry
-        else:
+        try:
+            input_fn, path_name = self._device_input[nic.name]
+        except KeyError:
             input_fn, path_name = None, "%s-intr" % nic.name
 
         def interrupt_body() -> None:

@@ -5,7 +5,7 @@ How interception works
 
 The cost-charging discipline funnels *every* charge -- including the
 hand-inlined hot-path variants in the dispatcher, the NIC drivers, and
-``hw.host.KernelPath`` -- through one of::
+``hw.cpu.KernelPath`` -- through one of::
 
     cpu.category_times[category] += microseconds
     cpu.category_times[category] = microseconds
@@ -15,11 +15,11 @@ Both go through ``dict.__setitem__``, so while a
 recording subclass that books every charged microsecond, without
 touching any call site, under the frame stack open at that moment.
 Stack *frames* come from the ``cpu.profile`` seam itself, consulted by
-``KernelPath`` (the domain: interrupt body, syscall, timer
-callback), the dispatcher raise paths (the component: event name), and
-``CPU.execute``.  The profiler hears no charge: its stacks are a
-read-time fold over its hooks' tables (so they cover each hook's
-lifetime) and ``on_consume`` is the one event it listens to.  With no
+``KernelPath`` (the domain: interrupt body, syscall, timer callback)
+and the dispatcher raise paths (the component: event name).  The
+profiler hears no charge: its stacks are a read-time fold over its
+hooks' tables (so they cover each hook's lifetime) and ``on_consume``
+is the one event it listens to.  With no
 observer attached ``cpu.profile`` is ``None`` and ``category_times`` a
 plain dict -- the hot path is unchanged and simulated time is
 bit-identical (``tests/test_obs.py`` enforces this).

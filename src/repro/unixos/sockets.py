@@ -131,8 +131,7 @@ class _SocketBase:
             self.host.cpu.charge(costs.syscall_trap, "syscall")
             self.host.cpu.charge(costs.socket_layer, "socket")
             return work()
-        result = yield from self.host.kernel_path(body)
-        return result
+        return self.host.kernel_path(body)
 
     def _block_on(self, signal: Signal) -> Generator:
         """Sleep until ``signal`` fires, then pay the context switch."""

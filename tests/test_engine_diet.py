@@ -24,6 +24,7 @@ those oracles stand on, and no simulated device uses it.
 
 import heapq
 import inspect
+import sys
 from collections import Counter, deque
 from types import SimpleNamespace
 from typing import List, Optional, Tuple
@@ -357,6 +358,34 @@ class TestEventBudget:
         engine.run(until=1_000.0)
         assert engine.events_processed == 25 and fired == []
         assert engine.cancelled_timers == 0 and not engine._heap
+
+    def test_an_uncontended_charged_path_is_two_frames(self, engine):
+        """The frame row of the budget: a kernel path is built, started
+        and run in one frame (``start``), and ended in its hold's entry
+        (``_held``), which hands the CPU over, flushes and completes.
+        Around the ``fn`` it exists to run and the charge it makes, the
+        only other Python calls are the heap pushes.  (The run queue's
+        ``acquire`` / ``release``, a separate ``_run`` and a separate
+        ``_complete`` were four more.)"""
+        host = Host(engine, "h")
+        calls = []
+
+        def on_event(frame, event, _arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        def fn():
+            host.cpu.charge(2.0)
+        sys.setprofile(on_event)
+        try:
+            host.spawn_kernel_path(fn)
+            engine.run()
+        finally:
+            sys.setprofile(None)
+        assert calls == ["spawn_kernel_path", "__init__", "call_after",
+                         "run", "start", "fn", "charge", "call_after",
+                         "_held"]
+        assert engine.now == 2.0 and not host.cpu.held
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +782,7 @@ class TestRunQueue:
         engine.call_after(0.0, lambda _arg: engine.call_at(2.0, due))
         assert _traced(engine) == [
             (0.0, "start"), (0.0, "start"), (0.0, "<lambda>"),
-            (2.0, "_held"), (2.0, "due"), (2.0, "_run"), (4.0, "_held")]
+            (2.0, "_held"), (2.0, "due"), (2.0, "start"), (4.0, "_held")]
         assert log == [("first", 0.0), ("due", 2.0), ("second", 2.0)]
 
 

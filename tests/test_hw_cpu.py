@@ -4,6 +4,7 @@ import pytest
 
 from repro.hw import ALPHA_21064, CPU, ChargeError, INTERRUPT_PRIORITY, THREAD_PRIORITY
 from repro.hw.host import Host
+from repro.obs.taps import Observer
 
 
 class EchoHost(Host):
@@ -186,6 +187,91 @@ class TestKernelPath:
         with pytest.raises(ValueError):
             engine.run_process(runner())
         assert host.cpu.begin() == 1     # the failed path's was popped
+
+    def test_a_path_started_inside_an_open_accumulator_is_a_charge_error(
+            self, host):
+        """The accumulator stack is empty whenever a path starts, so the
+        path's own accumulator is the only one left when ``fn`` returns.
+        (A path started inside one used to nest in it silently.)"""
+        ran = []
+        marker = host.cpu.begin()
+        with pytest.raises(ChargeError, match="open accumulator"):
+            next(host.kernel_path(lambda: ran.append(1)))
+        assert ran == [] and not host.cpu.held
+        assert host.cpu.end(marker) == 0.0
+
+    def test_a_path_that_leaves_an_accumulator_open_holds_for_it(
+            self, engine, host):
+        """``fn`` charges and opens an accumulator it never ends: the path
+        holds for everything left on the stack, empties it and fails.
+        (The stack used to keep ``[5.0, 0.0]``: the 5 us were booked but
+        never held, and every later charge outside a path landed in the
+        stale accumulator instead of raising or being counted.)"""
+        cpu = host.cpu
+
+        def leaky():
+            cpu.charge(5.0)
+            cpu.begin()
+
+        def proc():
+            with pytest.raises(ChargeError):
+                yield from host.kernel_path(leaky)
+            yield from host.kernel_path(charging(host, 2.0))
+            return engine.now
+        assert engine.run_process(proc()) == 7.0
+        assert cpu._stack == [] and not cpu.held
+        assert cpu.busy_time == sum(cpu.category_times.values()) == 7.0
+        assert cpu.try_charge(3.0) is False
+        assert cpu.uncontexted_charges == 1
+        with pytest.raises(ChargeError):
+            cpu.charge(1.0)
+
+    def test_a_path_that_pops_its_own_accumulator_fails_like_any_other(
+            self, engine, host):
+        """``fn`` ends the path's accumulator itself: nothing is left to
+        hold, and the path fails as an ordinary failed path does -- its
+        deferred actions are flushed before the exception reaches the
+        waiter.  (They used to stay on the host, for whichever path
+        flushed next.)"""
+        cpu = host.cpu
+        flushed = []
+
+        def popper():
+            host.defer(lambda: flushed.append(engine.now))
+            cpu.charge(5.0)
+            return cpu.end(1)
+
+        def proc():
+            with pytest.raises(ChargeError):
+                yield from host.kernel_path(popper)
+            assert flushed == [0.0] and host._deferred == []
+            yield from host.kernel_path(charging(host, 2.0))
+            return engine.now
+        assert engine.run_process(proc()) == 2.0
+        assert cpu._stack == [] and not cpu.held and cpu.busy_time == 2.0
+
+    def test_an_observer_whose_on_pop_raises_fails_an_ordinary_path(
+            self, engine, host):
+        """The accumulator comes off before the profile frame: an
+        observer's ``on_pop`` that raises fails the path like ``fn``
+        raising would -- it holds for its charge, frees the CPU, and the
+        observer's exception reaches the waiter.  (The path used to die
+        on its unbound charge with the CPU held forever and ``[5.0]``
+        left on the accumulator stack.)"""
+        class RaisingOnPop(Observer):
+            def on_pop(self, hook, label, charged_us):
+                raise RuntimeError("observer bug")
+        observer = RaisingOnPop().attach([host])
+
+        def proc():
+            with pytest.raises(RuntimeError, match="observer bug"):
+                yield from host.kernel_path(charging(host, 5.0))
+            observer.detach()
+            yield from host.kernel_path(charging(host, 2.0))
+            return engine.now
+        assert engine.run_process(proc()) == 7.0
+        assert host.cpu._stack == [] and not host.cpu.held
+        assert host.cpu.busy_time == 7.0
 
     def test_timer_fires_as_kernel_path(self, engine, host):
         fired = []
