@@ -4,8 +4,9 @@ How interception works
 ----------------------
 
 The cost-charging discipline funnels *every* charge -- including the
-hand-inlined hot-path variants in the dispatcher, the NIC drivers, and
-``hw.cpu.KernelPath`` -- through one of::
+hand-inlined hot-path variants in the dispatcher, generated code, the
+mbuf pool, the NIC drivers, the ``net`` layers and the host's interrupt
+body -- through one of::
 
     cpu.category_times[category] += microseconds
     cpu.category_times[category] = microseconds

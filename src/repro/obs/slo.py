@@ -24,7 +24,7 @@ lifecycle machinery both views share:
   between consecutive waypoints is attributed to exactly one component,
   so the component sum equals the end-to-end latency bit-exactly in
   integer nanoseconds -- the invariant ``tests/test_slo.py`` enforces
-  across all three flow-cache rungs.
+  across both flow-cache rungs.
 
 Attribution convention: the cost-charging discipline runs kernel code
 synchronously (push/pop at one instant) and then *holds* the CPU for the
@@ -302,7 +302,7 @@ class SloTracker(Observer):
         if elapsed <= 0:
             return
         components = request.components
-        cpu = min(cpu_tail_ns, elapsed)
+        cpu = cpu_tail_ns if cpu_tail_ns < elapsed else elapsed
         rest = elapsed - cpu
         if rest > 0:
             rest_end = self._last_ns + rest
@@ -310,7 +310,7 @@ class SloTracker(Observer):
                 components["nic_ring"] += rest
             elif self._in_flight > 0 and self._last_tx_ns is not None:
                 horizon = self._last_tx_ns + self._bound_ns
-                wire = min(rest_end, horizon) - self._last_ns
+                wire = (rest_end if rest_end < horizon else horizon) - self._last_ns
                 if wire < 0:
                     wire = 0
                 components["propagation"] += wire
@@ -321,33 +321,41 @@ class SloTracker(Observer):
             components["cpu_service"] += cpu
         self._last_ns = now_ns
 
-    def _waypoint(self, cpu_tail_ns: int = 0) -> None:
-        """Advance to ``engine.now`` unless a waypoint already has: push,
-        tx and rx of one kernel path share an instant."""
+    # -- listener interface (cpu.profile) --------------------------------
+    # Each moves the waypoint to engine.now once per instant (a path shares one).
+
+    def on_push(self, hook: CpuHook, label: str) -> None:
         now = self.engine.now
         if now != self._now_us:
             self._now_us = now
-            self._now_ns = to_ns(now)
-            self._advance(self._now_ns, cpu_tail_ns)
-
-    # -- listener interface (cpu.profile) --------------------------------
-
-    def on_push(self, hook: CpuHook, label: str) -> None:
-        self._waypoint()
+            self._now_ns = now_ns = round(now * 1000.0)
+            self._advance(now_ns)
         self._in_ring = False
 
     def on_consume(self, hook: CpuHook, amount: float) -> None:
-        self._waypoint(round(amount * 1000.0))
+        now = self.engine.now
+        if now != self._now_us:
+            self._now_us = now
+            self._now_ns = now_ns = round(now * 1000.0)
+            self._advance(now_ns, round(amount * 1000.0))
 
     # -- listener interface (nic.taps) -----------------------------------
 
     def on_tx(self, nic, data) -> None:
-        self._waypoint()
+        now = self.engine.now
+        if now != self._now_us:
+            self._now_us = now
+            self._now_ns = now_ns = round(now * 1000.0)
+            self._advance(now_ns)
         self._in_flight += 1
         self._last_tx_ns = self._now_ns
 
     def on_rx(self, nic, frame, accepted: bool) -> None:
-        self._waypoint()
+        now = self.engine.now
+        if now != self._now_us:
+            self._now_us = now
+            self._now_ns = now_ns = round(now * 1000.0)
+            self._advance(now_ns)
         if self._in_flight > 0:
             self._in_flight -= 1
         self._in_ring = True

@@ -45,13 +45,17 @@ class SpanTracer(RingTracer):
     def __init__(self, engine, limit: int = 4096):
         super().__init__(engine, limit)
 
+    @property
+    def records(self) -> list:
+        """Retained spans, oldest first (the ring holds plain tuples)."""
+        return list(map(Span._make, self._ring))
+
     # -- listener interface (cpu.profile) --------------------------------
 
     def on_pop(self, hook: CpuHook, label: str, charged_us: float) -> None:
         # The frame stack is the hook's, so a tracer may join mid-frame;
         # the frame opened at this instant, under the frames still open.
-        now = self.engine.now
-        self._record(Span(now, hook.host_name, len(hook.frames), label, "cpu", charged_us))
+        self._record((self.engine.now, hook.host_name, hook.depth, label, "cpu", charged_us))
 
     # -- listener interface (nic.taps) -----------------------------------
 
@@ -63,7 +67,7 @@ class SpanTracer(RingTracer):
 
     def _wire(self, nic, kind: str) -> None:
         host = nic.host.name if nic.host is not None else nic.name
-        self._record(Span(self.engine.now, host, 0, nic.name, kind, 0.0))
+        self._record((self.engine.now, host, 0, nic.name, kind, 0.0))
 
     # -- rendering -------------------------------------------------------
 

@@ -13,7 +13,7 @@ event: :class:`CpuHook` books each one and observers read it afterwards.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 __all__ = ["CpuHook", "NicTaps", "Observer", "RingTracer"]
 
@@ -51,48 +51,72 @@ class CpuHook(_Seam):
     charge, and listener fan-out for frames and consumption.
 
     While installed it swaps ``cpu.category_times`` for a
-    :class:`_ProfilingTimes`, which books each charge here and calls
-    nobody: into ``cells`` (``(host, *frames) -> {category: us}``) and
-    into the innermost open frame's self-charge.  Listeners:
+    :class:`_ProfilingTimes`, which books each charge and calls nobody:
+    into ``cells`` (``(host, *frames) -> {category: us}``) and into the
+    innermost open frame's self-charge.  Listeners:
     ``on_push(hook, label)``, ``on_pop(hook, label, charged_us)`` (the
-    frame's self-charge; ``len(hook.frames)`` is its depth),
+    frame's self-charge; ``hook.depth`` is its depth),
     ``on_consume(hook, amount)``.
+
+    Inlined charge sites hold ``category_times`` in a local for a whole
+    kernel path, so inside one the swap waits for the path's deferred actions.
     """
 
     attr = "profile"
     events = ("push", "pop", "consume")
 
-    def __init__(self, cpu, host_name: str):
+    def __init__(self, host):
+        cpu = host.cpu
         super().__init__(cpu)
         self.cpu = cpu
-        self.host_name = host_name
-        self.frames: List[str] = []
-        # Where charges land: the table cell of the open frame stack and the
-        # innermost open frame's self-charge; _callers holds the outer pairs.
-        self.cell: Dict[str, float] = {}
-        self.cells: Dict[Tuple[str, ...], Dict[str, float]] = {(host_name,): self.cell}
-        self.charged = 0.0
-        self._callers: List[Tuple[Dict[str, float], float]] = []
-        cpu.category_times = _ProfilingTimes(cpu.category_times, self)
+        self.host = host
+        self.host_name = host.name
+        # The open frame stack: its path (the cell key), its depth, and a
+        # linked stack of the enclosing frames' (path, cell, charged, outer).
+        self.path: Tuple[str, ...] = (host.name,)
+        self.depth = 0
+        self._outer: Optional[tuple] = None
+        self.times = _ProfilingTimes()
+        self.cells: Dict[Tuple[str, ...], Dict[str, float]] = {self.path: self.times.cell}
+        self._swap()
+
+    def _swap(self) -> None:
+        """Make ``category_times`` this hook's table while it is installed,
+        else a plain dict, with the same totals: now, or after the path."""
+        cpu = self.cpu
+        if cpu._stack:
+            self.host.defer(self._swap)
+        elif cpu.profile is self:
+            if cpu.category_times is not self.times:
+                self.times.update(cpu.category_times)
+                cpu.category_times = self.times
+        elif cpu.profile is None and type(cpu.category_times) is not dict:
+            cpu.category_times = dict(cpu.category_times)
 
     def leave(self, listener) -> None:
         super().leave(listener)
-        if self.cpu.profile is None:
-            # Same contents, plain dict: the uninstrumented hot path.
-            self.cpu.category_times = dict(self.cpu.category_times)
+        self._swap()
 
     def push(self, label: str) -> None:
         for on_push in self._push:
             on_push(self, label)
-        self.frames.append(label)
-        self._callers.append((self.cell, self.charged))
-        self.cell = self.cells.setdefault((self.host_name, *self.frames), {})
-        self.charged = 0.0
+        times = self.times
+        path = self.path
+        self._outer = (path, times.cell, times.charged, self._outer)
+        self.path = path = path + (label,)
+        try:
+            times.cell = self.cells[path]
+        except KeyError:
+            times.cell = self.cells[path] = {}
+        times.charged = 0.0
+        self.depth += 1
 
     def pop(self) -> None:
-        label = self.frames.pop()
-        charged = self.charged
-        self.cell, self.charged = self._callers.pop()
+        times = self.times
+        charged = times.charged
+        label = self.path[-1]
+        self.path, times.cell, times.charged, self._outer = self._outer
+        self.depth -= 1
         for on_pop in self._pop:
             on_pop(self, label, charged)
 
@@ -102,28 +126,28 @@ class CpuHook(_Seam):
 
 
 class _ProfilingTimes(dict):
-    """``category_times`` replacement booking every charge on the hook."""
+    """``category_times`` replacement booking every charge into ``cell``
+    (the open frame stack's) and ``charged`` (the innermost frame's)."""
 
-    __slots__ = ("hook",)
+    __slots__ = ("cell", "charged")
 
-    def __init__(self, initial, hook: CpuHook):
-        dict.__init__(self, initial)
-        self.hook = hook
+    def __init__(self):
+        self.cell: Dict[str, float] = {}
+        self.charged = 0.0
 
-    def __setitem__(self, key, value):
+    def __setitem__(self, key, value, _set=dict.__setitem__):
         try:
             delta = value - self[key]
         except KeyError:
             delta = value
         if delta != 0.0:
-            hook = self.hook
-            cell = hook.cell
+            cell = self.cell
             try:
                 cell[key] += delta
             except KeyError:
                 cell[key] = delta
-            hook.charged += delta
-        dict.__setitem__(self, key, value)
+            self.charged += delta
+        _set(self, key, value)
 
 
 class NicTaps(_Seam):
@@ -152,7 +176,7 @@ class Observer:
 
     def attach(self, hosts=(), nics=()):
         """Subscribe to each host's ``cpu.profile`` and each NIC's ``taps``."""
-        seams = [host.cpu.profile or CpuHook(host.cpu, host.name) for host in hosts]
+        seams = [host.cpu.profile or CpuHook(host) for host in hosts]
         seams += [nic.taps or NicTaps(nic) for nic in nics]
         for seam in seams:
             seam.join(self)
@@ -182,21 +206,24 @@ class RingTracer(Observer):
         self.engine = engine
         self.limit = limit
         self._ring: deque = deque(maxlen=limit)
-        self.dropped_records = 0
+        self._recorded = 0
 
     @property
     def records(self) -> list:
         """Retained records, oldest first (a fresh list)."""
         return list(self._ring)
 
+    @property
+    def dropped_records(self) -> int:
+        return self._recorded - len(self._ring)
+
     def _record(self, record) -> None:
-        if len(self._ring) == self.limit:
-            self.dropped_records += 1
         self._ring.append(record)
+        self._recorded += 1
 
     def clear(self) -> None:
         self._ring.clear()
-        self.dropped_records = 0
+        self._recorded = 0
 
     def render(self, last: Optional[int] = None) -> str:
         """One line per retained record, or per each of the ``last`` ones."""

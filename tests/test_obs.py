@@ -24,7 +24,7 @@ from repro.lang import ephemeral
 from repro.net.trace import PacketTracer
 from repro.obs import (
     EXPORT_SCHEMA, CpuHook, CpuProfiler, DuplicateMetricError, MetricError,
-    MetricsRegistry, RequestLifecycle, SloTracker, SpanTracer,
+    MetricsRegistry, RequestLifecycle, SloTracker, Span, SpanTracer,
     instrument_testbed, undocumented_metrics)
 from repro.obs.__main__ import check_schema
 from repro.sim import Signal
@@ -138,7 +138,7 @@ class TestProfiler:
         cpu = bed.hosts[0].cpu
         cpu.category_times["protocol"] = 4.5
         listener = object()
-        hook = CpuHook(cpu, "h")
+        hook = CpuHook(bed.hosts[0])
         hook.join(listener)
         assert cpu.category_times["protocol"] == 4.5
         cpu.category_times["protocol"] += 1.0
@@ -222,9 +222,13 @@ class _PingPong:
         client_host = bed.hosts[0]
         reply = Signal(engine)
         server = None
+        #: called by the server's handler, inside its kernel path
+        self.in_echo = None
 
         @ephemeral
         def echo(m, off, src_ip, src_port, dst_ip, dst_port):
+            if self.in_echo is not None:
+                self.in_echo()
             server.send(bytes(m.to_bytes()[off:]), src_ip, src_port)
 
         @ephemeral
@@ -386,6 +390,70 @@ class TestTapSeams:
         assert small.render(last=0) == "... %d %s dropped (ring limit 2)" % (
             len(lines) - 2, small.noun)
 
+    @pytest.mark.parametrize("name", ["spans", "packets"])
+    def test_ring_contract_after_a_wrap_and_a_clear(self, name):
+        rig = _PingPong()
+        rig.attach(name)
+        tracer = rig.observers[name]
+        small = type(tracer)(rig.bed.engine, limit=3)
+        if name == "packets":
+            for nic in rig.bed.nics:
+                small.attach(nic)
+        else:
+            small.attach(rig.bed.hosts, rig.bed.nics)
+        for trip in range(2):
+            if trip:
+                tracer.clear()
+                small.clear()
+                assert (small.records, small.dropped_records,
+                        small.render()) == ([], 0, "")
+            rig.round_trip()
+            lines = tracer.render().splitlines()
+            dropped = len(lines) - 3
+            assert tracer.dropped_records == 0
+            assert small.dropped_records == dropped
+            assert [small._line(r) for r in small.records] == lines[-3:]
+            assert small.render(last=2).splitlines() == lines[-2:] + [
+                "... %d %s dropped (ring limit 3)" % (dropped, small.noun)]
+            if name == "spans":
+                records = tracer.records + small.records
+                assert {type(span) for span in records} == {Span}
+                if not trip:
+                    assert tracer.records[:len(PINNED_SPANS)] == [
+                        Span(*row) for row in PINNED_SPANS]
+
+
+class TestHookSwapInsideAKernelPath:
+    """The first observer attaching, or the last detaching, inside a
+    kernel path: the path's inlined charge sites hold ``category_times``
+    in a local until it ends, so the hook swaps the dict only after the
+    path's last charge.  Swapping it at once sent the rest of the path's
+    charges to an orphaned dict (spin-h2's ``interrupt`` read 8.0, not
+    10.0, and its categories no longer summed to its busy time)."""
+
+    @staticmethod
+    def _cpus(rig):
+        return [(dict(host.cpu.category_times), host.cpu.busy_time)
+                for host in rig.bed.hosts]
+
+    @pytest.mark.parametrize("act", ["attach", "detach"])
+    def test_totals_equal_the_unobserved_run(self, act):
+        plain = _PingPong()
+        plain.round_trip()
+        rig = _PingPong()
+        profiler = rig.observers["profiler"]
+        if act == "attach":
+            rig.in_echo = lambda: profiler.attach(rig.bed.hosts)
+        else:
+            rig.attach("profiler")
+            rig.in_echo = profiler.detach
+        rig.round_trip()
+        assert self._cpus(rig) == self._cpus(plain)
+        for host in rig.bed.hosts:
+            installed = host.cpu.profile is not None
+            assert installed is (act == "attach")
+            assert (type(host.cpu.category_times) is dict) is not installed
+
 
 # ---------------------------------------------------------------------------
 # the observed round trip, pinned: outputs byte for byte, seam traffic by count
@@ -538,6 +606,11 @@ PINNED_REQUEST = (575176, {"cpu_service": 417576, "nic_ring": 30000,
 SEAM_TRAFFIC = {"__setitem__": 52, "push": 9, "pop": 9, "consumed": 3,
                 "tx": 2, "rx": 2}
 
+#: calls into and out of repro/obs/ per round trip, all four observers;
+#: 297 before the CPU hook kept one linked frame stack, the span ring
+#: plain tuples and the SLO waypoints no helper frames
+OBSERVER_CALLS = 181
+
 
 def _observed_rig():
     rig = _PingPong()
@@ -597,6 +670,36 @@ class TestObservedRoundTrip:
             sys.setprofile(previous)
         assert seam_calls == SEAM_TRAFFIC
         assert under_a_charge == []
+
+    def test_observer_call_budget(self):
+        """Every Python and C call into or out of code under
+        ``repro/obs/`` during one round trip (the rig's readouts not
+        included).  A call creeping back onto the packet path is a red
+        test."""
+        rig = _observed_rig()
+        rig.round_trip()
+        calls = []
+
+        def on_event(frame, event, arg):
+            if event == "call":
+                caller = frame.f_back
+                if "/repro/obs/" in frame.f_code.co_filename or (
+                        caller is not None
+                        and "/repro/obs/" in caller.f_code.co_filename):
+                    calls.append(frame.f_code.co_name)
+            elif event == "c_call" \
+                    and "/repro/obs/" in frame.f_code.co_filename:
+                calls.append(arg.__name__)
+
+        engine = rig.bed.engine
+        previous = sys.getprofile()
+        sys.setprofile(on_event)
+        try:
+            engine.run_process(rig._ping())
+            engine.run()
+        finally:
+            sys.setprofile(previous)
+        assert len(calls) == OBSERVER_CALLS, sorted(calls)
 
 
 # ---------------------------------------------------------------------------
