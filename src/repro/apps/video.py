@@ -213,11 +213,10 @@ class _ClientCore:
     def display_fraction(self) -> float:
         """Fraction of this client's CPU work spent writing the display."""
         times = self.host.cpu.category_times
-        app = (times.get("app-checksum", 0.0) + times.get("app-decompress", 0.0)
-               + times.get("display", 0.0))
+        app = times["app-checksum"] + times["app-decompress"] + times["display"]
         if app == 0:
             return 0.0
-        return times.get("display", 0.0) / app
+        return times["display"] / app
 
 
 class SpinVideoClient(_ClientCore):

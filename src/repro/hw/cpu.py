@@ -38,7 +38,11 @@ that knows the run queue's format.
 Accounting: :attr:`CPU.busy_time` accumulates every consumed microsecond,
 and :attr:`CPU.category_times` decomposes charges by category (``driver``,
 ``protocol``, ``copy``, ``app`` ...) for the utilization breakdowns in
-Figure 6 and section 5.1 of the paper.
+Figure 6 and section 5.1 of the paper.  It is a :class:`CategoryTimes`,
+which reads an uncharged category as ``0.0``, so every site that inlines
+a charge books it with one ``times[category] += amount``; such a site
+raises ``ChargeError(OUTSIDE_PATH)`` when no accumulator is open, and
+the texts of both discipline errors are defined here only.
 """
 
 from __future__ import annotations
@@ -53,15 +57,37 @@ from .alpha import ALPHA_21064, CostTable
 if TYPE_CHECKING:
     from .host import Host
 
-__all__ = ["CPU", "INTERRUPT_PRIORITY", "KernelPath", "THREAD_PRIORITY",
-           "ChargeError"]
+__all__ = ["CPU", "CategoryTimes", "INTERRUPT_PRIORITY", "KernelPath",
+           "THREAD_PRIORITY", "ChargeError", "MISMATCHED_END", "OUTSIDE_PATH"]
 
 INTERRUPT_PRIORITY = 0
 THREAD_PRIORITY = 1
 
+#: The discipline errors' texts, for every site that inlines a charge or
+#: an end: a charge with no accumulator open, and an end whose marker is
+#: not the innermost accumulator's (formatted with marker and depth).
+OUTSIDE_PATH = ("cpu.charge() outside begin()/end(); protocol code must run "
+                "under a kernel execution context")
+MISMATCHED_END = "mismatched cpu.end(): marker %d but stack depth %d"
+
 
 class ChargeError(RuntimeError):
     """Raised when the begin/charge/end discipline is violated."""
+
+
+class CategoryTimes(dict):
+    """Charged microseconds by category; an uncharged category reads 0.0.
+
+    A read of a missing key inserts nothing, so a category appears only
+    once it is charged, and every charge site is one ``times[k] += a``
+    (``0.0 + a`` is bitwise ``a`` for the non-negative charges a
+    :class:`CostTable` holds).
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, key: str) -> float:
+        return 0.0
 
 
 class CPU:
@@ -82,7 +108,7 @@ class CPU:
         #: Kernel paths that found the processor busy and queued.
         self.paths_queued = 0
         self.busy_time: float = 0.0
-        self.category_times: Dict[str, float] = {}
+        self.category_times: Dict[str, float] = CategoryTimes()
         self._stack: List[float] = []
         # Charges issued with no execution context open (see try_charge):
         # counted so skipped work is visible instead of silently dropped.
@@ -106,14 +132,8 @@ class CPU:
         try:
             self._stack[-1] += microseconds
         except IndexError:
-            raise ChargeError(
-                "cpu.charge() outside begin()/end(); protocol code must run "
-                "under a kernel execution context") from None
-        times = self.category_times
-        try:
-            times[category] += microseconds
-        except KeyError:
-            times[category] = microseconds
+            raise ChargeError(OUTSIDE_PATH) from None
+        self.category_times[category] += microseconds
 
     def try_charge(self, microseconds: float, category: str = "kernel") -> bool:
         """Charge when an execution context is open; safe no-op otherwise.
@@ -151,9 +171,7 @@ class CPU:
     def end(self, marker: int) -> float:
         """Pop the accumulator opened by the matching :meth:`begin`."""
         if marker != len(self._stack):
-            raise ChargeError(
-                "mismatched cpu.end(): marker %d but stack depth %d"
-                % (marker, len(self._stack)))
+            raise ChargeError(MISMATCHED_END % (marker, len(self._stack)))
         return self._stack.pop()
 
     # -- measurement ---------------------------------------------------------

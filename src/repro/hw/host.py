@@ -193,19 +193,13 @@ class Host:
             times = cpu.category_times
             amount = costs.interrupt_entry
             stack[-1] += amount
-            try:
-                times["interrupt"] += amount
-            except KeyError:
-                times["interrupt"] = amount
+            times["interrupt"] += amount
             nic.driver_recv_charges(frame)
             if input_fn is not None:
                 input_fn(nic, frame.data)
             amount = costs.interrupt_exit
             stack[-1] += amount
-            try:
-                times["interrupt"] += amount
-            except KeyError:
-                times["interrupt"] = amount
+            times["interrupt"] += amount
             self.interrupts_handled += 1
 
         path = KernelPath(self, interrupt_body, (), INTERRUPT_PRIORITY,

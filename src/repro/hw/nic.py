@@ -130,24 +130,16 @@ class NIC:
         cpu = host.cpu
         stack = cpu._stack
         if not stack:
-            from .cpu import ChargeError
-            raise ChargeError(
-                "cpu.charge() outside begin()/end(); protocol code must run "
-                "under a kernel execution context")
+            from .cpu import OUTSIDE_PATH, ChargeError
+            raise ChargeError(OUTSIDE_PATH)
         times = cpu.category_times
         amount = profile.fixed_tx
         stack[-1] += amount
-        try:
-            times["driver"] += amount
-        except KeyError:
-            times["driver"] = amount
+        times["driver"] += amount
         if profile.pio_tx_per_byte:
             amount = size * profile.pio_tx_per_byte
             stack[-1] += amount
-            try:
-                times["driver-pio"] += amount
-            except KeyError:
-                times["driver-pio"] = amount
+            times["driver-pio"] += amount
         frame = Frame(data, self.address, dst_addr,
                       wire_bytes=self.wire_bytes(size))
 
@@ -223,24 +215,16 @@ class NIC:
         cpu = self.host.cpu
         stack = cpu._stack
         if not stack:
-            from .cpu import ChargeError
-            raise ChargeError(
-                "cpu.charge() outside begin()/end(); protocol code must run "
-                "under a kernel execution context")
+            from .cpu import OUTSIDE_PATH, ChargeError
+            raise ChargeError(OUTSIDE_PATH)
         times = cpu.category_times
         amount = profile.fixed_rx
         stack[-1] += amount
-        try:
-            times["driver"] += amount
-        except KeyError:
-            times["driver"] = amount
+        times["driver"] += amount
         if profile.pio_rx_per_byte:
             amount = len(frame.data) * profile.pio_rx_per_byte
             stack[-1] += amount
-            try:
-                times["driver-pio"] += amount
-            except KeyError:
-                times["driver-pio"] = amount
+            times["driver-pio"] += amount
 
     def __repr__(self) -> str:
         return "<%s %s addr=%s>" % (type(self).__name__, self.name, self.address)

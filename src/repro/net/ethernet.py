@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..hw.cpu import ChargeError
+from ..hw.cpu import OUTSIDE_PATH, ChargeError
 from ..hw.nic import NIC
 from ..spin.mbuf import Mbuf
 from .headers import ETHERNET_HEADER, ETHER_BROADCAST
@@ -51,16 +51,10 @@ class EthernetProto:
         cpu = self.host.cpu
         stack = cpu._stack
         if not stack:
-            raise ChargeError(
-                "cpu.charge() outside begin()/end(); protocol code must run "
-                "under a kernel execution context")
+            raise ChargeError(OUTSIDE_PATH)
         amount = self.host.costs.ethernet_output
         stack[-1] += amount
-        times = cpu.category_times
-        try:
-            times["protocol"] += amount
-        except KeyError:
-            times["protocol"] = amount
+        cpu.category_times["protocol"] += amount
         m = m.push(self.HEADER_LEN)
         ETHERNET_HEADER.pack_into(m._storage, m.off, bytes(dst_mac),
                                   bytes(self.nic.address), ethertype)
@@ -80,16 +74,10 @@ class EthernetProto:
         cpu = self.host.cpu
         stack = cpu._stack
         if not stack:
-            raise ChargeError(
-                "cpu.charge() outside begin()/end(); protocol code must run "
-                "under a kernel execution context")
+            raise ChargeError(OUTSIDE_PATH)
         amount = self.host.costs.ethernet_input
         stack[-1] += amount
-        times = cpu.category_times
-        try:
-            times["protocol"] += amount
-        except KeyError:
-            times["protocol"] = amount
+        cpu.category_times["protocol"] += amount
         m = self.host.mbufs.from_bytes(frame_data, leading_space=0, rcvif=nic)
         m.pkthdr.timestamp = self.host.engine.now
         self.frames_in += 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..hw.cpu import ChargeError
+from ..hw.cpu import OUTSIDE_PATH, ChargeError
 from ..lang.view import VIEW, TypedView
 from ..spin.mbuf import Mbuf
 from .checksum import charged_checksum, internet_checksum
@@ -162,16 +162,11 @@ class IpProto:
         # cpu.charge inlined (exact body, exact order): hot send path.
         stack = cpu._stack
         if not stack:
-            raise ChargeError(
-                "cpu.charge() outside begin()/end(); protocol code must run "
-                "under a kernel execution context")
+            raise ChargeError(OUTSIDE_PATH)
         times = cpu.category_times
         amount = host.costs.ip_output
         stack[-1] += amount
-        try:
-            times["protocol"] += amount
-        except KeyError:
-            times["protocol"] = amount
+        times["protocol"] += amount
         src = self.my_ip if src is None else src
         self._ident = (self._ident + 1) & 0xFFFF
         ident = self._ident
@@ -221,16 +216,10 @@ class IpProto:
         cpu = self.host.cpu
         stack = cpu._stack
         if not stack:
-            raise ChargeError(
-                "cpu.charge() outside begin()/end(); protocol code must run "
-                "under a kernel execution context")
+            raise ChargeError(OUTSIDE_PATH)
         amount = self.HEADER_LEN * self.host.costs.checksum_per_byte
         stack[-1] += amount
-        times = cpu.category_times
-        try:
-            times["checksum"] += amount
-        except KeyError:
-            times["checksum"] = amount
+        cpu.category_times["checksum"] += amount
         _IP_PUT_CKSUM(storage, start + _IP_CKSUM_OFF, internet_checksum(
             storage[start:start + self.HEADER_LEN]))
         return packet
@@ -244,16 +233,11 @@ class IpProto:
         # cpu.charge inlined (exact body, exact order): hot receive path.
         stack = cpu._stack
         if not stack:
-            raise ChargeError(
-                "cpu.charge() outside begin()/end(); protocol code must run "
-                "under a kernel execution context")
+            raise ChargeError(OUTSIDE_PATH)
         times = cpu.category_times
         amount = host.costs.ip_input
         stack[-1] += amount
-        try:
-            times["protocol"] += amount
-        except KeyError:
-            times["protocol"] = amount
+        times["protocol"] += amount
         if m.len < off + self.HEADER_LEN:
             self.header_errors += 1
             return
@@ -270,10 +254,7 @@ class IpProto:
         # charged_checksum inlined.
         amount = self.HEADER_LEN * host.costs.checksum_per_byte
         stack[-1] += amount
-        try:
-            times["checksum"] += amount
-        except KeyError:
-            times["checksum"] = amount
+        times["checksum"] += amount
         if internet_checksum(storage[start:start + self.HEADER_LEN]) != 0:
             self.header_errors += 1
             return

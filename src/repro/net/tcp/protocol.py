@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
-from ...hw.cpu import ChargeError
+from ...hw.cpu import OUTSIDE_PATH, ChargeError
 from ...spin.mbuf import Mbuf
 from ..checksum import internet_checksum
 from ..headers import (IPPROTO_TCP, PSEUDO_HEADER_LEN, TCP_HEADER,
@@ -98,7 +98,7 @@ class TcpProto:
         return self._iss
 
     def allocate_port(self) -> int:
-        for _ in range(0xFFFF - self.EPHEMERAL_BASE):
+        for _ in range(0x10000 - self.EPHEMERAL_BASE):
             port = self._next_ephemeral
             self._next_ephemeral += 1
             if self._next_ephemeral > 0xFFFF:
@@ -156,16 +156,11 @@ class TcpProto:
         cpu = host.cpu
         stack = cpu._stack
         if not stack:
-            raise ChargeError(
-                "cpu.charge() outside begin()/end(); protocol code must run "
-                "under a kernel execution context")
+            raise ChargeError(OUTSIDE_PATH)
         times = cpu.category_times
         amount = host.costs.tcp_output
         stack[-1] += amount
-        try:
-            times["protocol"] += amount
-        except KeyError:
-            times["protocol"] = amount
+        times["protocol"] += amount
         options = b""
         if flags & 0x02:  # SYN: advertise our MSS
             options = bytes([2, 4]) + self.default_mss.to_bytes(2, "big")
@@ -183,10 +178,7 @@ class TcpProto:
             storage[start + self.HEADER_LEN:start + header_len] = options
         amount = (PSEUDO_HEADER_LEN + length) * host.costs.checksum_per_byte
         stack[-1] += amount
-        try:
-            times["checksum"] += amount
-        except KeyError:
-            times["checksum"] = amount
+        times["checksum"] += amount
         _TCP_PUT_CKSUM(storage, start + _TCP_CKSUM_OFF, internet_checksum(
             memoryview(storage)[start:start + length],
             pseudo_header_sum(tcb.laddr, tcb.raddr, IPPROTO_TCP, length)))
@@ -242,16 +234,11 @@ class TcpProto:
         cpu = host.cpu
         stack = cpu._stack
         if not stack:
-            raise ChargeError(
-                "cpu.charge() outside begin()/end(); protocol code must run "
-                "under a kernel execution context")
+            raise ChargeError(OUTSIDE_PATH)
         times = cpu.category_times
         amount = host.costs.tcp_input
         stack[-1] += amount
-        try:
-            times["protocol"] += amount
-        except KeyError:
-            times["protocol"] = amount
+        times["protocol"] += amount
         if m.len < off + self.HEADER_LEN:
             return
         if m.next is None:
@@ -264,10 +251,7 @@ class TcpProto:
         seg_len = len(segment)
         amount = (PSEUDO_HEADER_LEN + seg_len) * host.costs.checksum_per_byte
         stack[-1] += amount
-        try:
-            times["checksum"] += amount
-        except KeyError:
-            times["checksum"] = amount
+        times["checksum"] += amount
         if internet_checksum(
                 segment,
                 initial=pseudo_header_sum(src_ip, dst_ip, IPPROTO_TCP,

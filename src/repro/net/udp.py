@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..hw.cpu import ChargeError
+from ..hw.cpu import OUTSIDE_PATH, ChargeError
 from ..spin.mbuf import Mbuf
 from .checksum import internet_checksum
 from .headers import (IPPROTO_UDP, PSEUDO_HEADER_LEN, UDP_HEADER,
@@ -72,16 +72,11 @@ class UdpProto:
         # per simulated packet makes the charge call frames measurable.
         stack = cpu._stack
         if not stack:
-            raise ChargeError(
-                "cpu.charge() outside begin()/end(); protocol code must run "
-                "under a kernel execution context")
+            raise ChargeError(OUTSIDE_PATH)
         times = cpu.category_times
         amount = costs.udp_output
         stack[-1] += amount
-        try:
-            times["protocol"] += amount
-        except KeyError:
-            times["protocol"] = amount
+        times["protocol"] += amount
         src_ip = self.ip.my_ip if src_ip is None else src_ip
         length = self.HEADER_LEN + m.length()
         packet = m.push(self.HEADER_LEN)
@@ -93,10 +88,7 @@ class UdpProto:
             # the charge covers it as if the bytes had been summed.
             amount = (PSEUDO_HEADER_LEN + length) * costs.checksum_per_byte
             stack[-1] += amount
-            try:
-                times["checksum"] += amount
-            except KeyError:
-                times["checksum"] = amount
+            times["checksum"] += amount
             # Header and payload are one window of the store, unless the
             # push ran out of headroom and gave the header a store of its
             # own (a new head link is the only kind that has one).
@@ -122,16 +114,11 @@ class UdpProto:
         # cpu.charge inlined (exact body, exact order): hot receive path.
         stack = cpu._stack
         if not stack:
-            raise ChargeError(
-                "cpu.charge() outside begin()/end(); protocol code must run "
-                "under a kernel execution context")
+            raise ChargeError(OUTSIDE_PATH)
         times = cpu.category_times
         amount = host.costs.udp_input
         stack[-1] += amount
-        try:
-            times["protocol"] += amount
-        except KeyError:
-            times["protocol"] = amount
+        times["protocol"] += amount
         if m.len < off + self.HEADER_LEN:
             self.header_errors += 1
             return
@@ -150,10 +137,7 @@ class UdpProto:
             amount = ((PSEUDO_HEADER_LEN + length)
                       * host.costs.checksum_per_byte)
             stack[-1] += amount
-            try:
-                times["checksum"] += amount
-            except KeyError:
-                times["checksum"] = amount
+            times["checksum"] += amount
             if internet_checksum(
                     segment,
                     initial=pseudo_header_sum(src_ip, dst_ip, IPPROTO_UDP,

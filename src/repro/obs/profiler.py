@@ -6,15 +6,16 @@ How interception works
 The cost-charging discipline funnels *every* charge -- including the
 hand-inlined hot-path variants in the dispatcher, generated code, the
 mbuf pool, the NIC drivers, the ``net`` layers and the host's interrupt
-body -- through one of::
+body -- through one form::
 
     cpu.category_times[category] += microseconds
-    cpu.category_times[category] = microseconds
 
-Both go through ``dict.__setitem__``, so while a
-:class:`~repro.obs.taps.CpuHook` is installed ``category_times`` is a
-recording subclass that books every charged microsecond, without
-touching any call site, under the frame stack open at that moment.
+``category_times`` is a :class:`~repro.hw.cpu.CategoryTimes`, which reads
+an uncharged category as ``0.0``, and the ``+=`` stores through
+``__setitem__``; so while a :class:`~repro.obs.taps.CpuHook` is installed
+``category_times`` is a recording subclass that books every charged
+microsecond, without touching any call site, under the frame stack open
+at that moment.
 Stack *frames* come from the ``cpu.profile`` seam itself, consulted by
 ``KernelPath`` (the domain: interrupt body, syscall, timer callback)
 and the dispatcher raise paths (the component: event name).  The
@@ -22,7 +23,7 @@ profiler hears no charge: its stacks are a read-time fold over its
 hooks' tables (so they cover each hook's lifetime) and ``on_consume``
 is the one event it listens to.  With no
 observer attached ``cpu.profile`` is ``None`` and ``category_times`` a
-plain dict -- the hot path is unchanged and simulated time is
+plain ``CategoryTimes`` -- the hot path is unchanged and simulated time is
 bit-identical (``tests/test_obs.py`` enforces this).
 
 Attribution is therefore ``(host, domain, component..., operation)``

@@ -15,6 +15,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Optional, Tuple
 
+from ..hw.cpu import CategoryTimes
+
 __all__ = ["CpuHook", "NicTaps", "Observer", "RingTracer"]
 
 
@@ -82,7 +84,8 @@ class CpuHook(_Seam):
 
     def _swap(self) -> None:
         """Make ``category_times`` this hook's table while it is installed,
-        else a plain dict, with the same totals: now, or after the path."""
+        else a plain :class:`CategoryTimes`, with the same totals: now, or
+        after the path."""
         cpu = self.cpu
         if cpu._stack:
             self.host.defer(self._swap)
@@ -90,8 +93,8 @@ class CpuHook(_Seam):
             if cpu.category_times is not self.times:
                 self.times.update(cpu.category_times)
                 cpu.category_times = self.times
-        elif cpu.profile is None and type(cpu.category_times) is not dict:
-            cpu.category_times = dict(cpu.category_times)
+        elif cpu.profile is None and type(cpu.category_times) is not CategoryTimes:
+            cpu.category_times = CategoryTimes(cpu.category_times)
 
     def leave(self, listener) -> None:
         super().leave(listener)
@@ -107,7 +110,7 @@ class CpuHook(_Seam):
         try:
             times.cell = self.cells[path]
         except KeyError:
-            times.cell = self.cells[path] = {}
+            times.cell = self.cells[path] = CategoryTimes()
         times.charged = 0.0
         self.depth += 1
 
@@ -125,27 +128,20 @@ class CpuHook(_Seam):
             on_consume(self, amount)
 
 
-class _ProfilingTimes(dict):
+class _ProfilingTimes(CategoryTimes):
     """``category_times`` replacement booking every charge into ``cell``
     (the open frame stack's) and ``charged`` (the innermost frame's)."""
 
     __slots__ = ("cell", "charged")
 
     def __init__(self):
-        self.cell: Dict[str, float] = {}
+        self.cell: Dict[str, float] = CategoryTimes()
         self.charged = 0.0
 
     def __setitem__(self, key, value, _set=dict.__setitem__):
-        try:
-            delta = value - self[key]
-        except KeyError:
-            delta = value
+        delta = value - self[key]
         if delta != 0.0:
-            cell = self.cell
-            try:
-                cell[key] += delta
-            except KeyError:
-                cell[key] = delta
+            self.cell[key] += delta
             self.charged += delta
         _set(self, key, value)
 

@@ -21,11 +21,6 @@ specialized -- not an approximation of it):
 * every simulated charge is emitted as its own ``+=``: float addition is
   not associative, so adjacent charges are never summed into one
   precomputed constant even when the frozen CostTable would allow it;
-* the ``category_times`` key is primed with ``0.0`` before the first
-  charge (``0.0 + x`` is bitwise ``x`` for the non-negative charges a
-  CostTable holds), replacing the interpreter's per-charge try/except --
-  and the priming write is a zero delta, invisible to an installed
-  ``repro.obs`` profiling hook;
 * ``cpu.profile`` frames are pushed/popped exactly as the interpreted
   scan does, so flamegraphs see compiled raises identically;
 * per-step ``installed`` checks are retained wherever user code (a
@@ -45,7 +40,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Tuple
 
-from ..hw.cpu import ChargeError
+from ..hw.cpu import MISMATCHED_END, OUTSIDE_PATH, ChargeError
 
 __all__ = [
     "MAX_COMPILED_STEPS",
@@ -60,11 +55,6 @@ __all__ = [
 #: workload in the repo comes close -- the Plexus events carry a handful
 #: of handlers each).
 MAX_COMPILED_STEPS = 32
-
-#: exact interpreter error texts, shared with ``repro.hw.cpu`` semantics.
-_CHARGE_MSG = ("cpu.charge() outside begin()/end(); protocol code must "
-               "run under a kernel execution context")
-_MARKER_MSG = "mismatched cpu.end(): marker %d but stack depth %d"
 
 #: (kind, atoms) -> factory.  Process-wide: structurally identical plans
 #: share one code object across flows, events, and dispatchers.
@@ -163,7 +153,7 @@ def _emit_matched(out: List[str], atom: str, i: int, pad: str) -> None:
     out.append(pad + "finally:")
     out.append(pad + "    if marker != len(_stack):")
     out.append(pad + "        raise ChargeError("
-                     "_MARKER_MSG % (marker, len(_stack)))")
+                     "MISMATCHED_END % (marker, len(_stack)))")
     out.append(pad + "    spent = _stack.pop()")
     if atom.endswith("l"):
         out.append(pad + "if spent > _h%d_limit:" % i)
@@ -191,9 +181,6 @@ def _emit_source(kind: str, atoms) -> str:
         out.append(b + "if not _stack:")
         out.append(b + "    return _dispatcher.raise_event(_event, *args)")
     out.append(b + "times = _cpu.category_times")
-    if kind == "plan" and atoms:
-        out.append(b + 'if "dispatch" not in times:')
-        out.append(b + '    times["dispatch"] = 0.0')
     out.append(b + "_event.raise_count += 1")
     out.append(b + "_dispatcher.total_raises += 1")
     if kind == "plan":
@@ -211,9 +198,7 @@ def _emit_source(kind: str, atoms) -> str:
         # is installed at entry (a bumped snapshot invalidates the scan),
         # so step 0 always charges and the hoisted check is equivalent.
         out.append(t + "if not _stack:")
-        out.append(t + "    raise ChargeError(_CHARGE_MSG)")
-        out.append(t + 'if "dispatch" not in times:')
-        out.append(t + '    times["dispatch"] = 0.0')
+        out.append(t + "    raise ChargeError(OUTSIDE_PATH)")
     if not atoms:
         out.append(t + "pass")
     # A handle's ``installed`` flag can only flip mid-raise from user
@@ -279,8 +264,8 @@ def _factory_for(kind: str, atoms: Tuple[str, ...], cache) -> Callable:
     source = _emit_source(kind, atoms)
     namespace = {
         "ChargeError": ChargeError,
-        "_CHARGE_MSG": _CHARGE_MSG,
-        "_MARKER_MSG": _MARKER_MSG,
+        "OUTSIDE_PATH": OUTSIDE_PATH,
+        "MISMATCHED_END": MISMATCHED_END,
     }
     code = compile(source, "<codegen:%s:%s>" % (kind, "".join(atoms) or "0"),
                    "exec")

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..hw.cpu import THREAD_PRIORITY, ChargeError
+from ..hw.cpu import MISMATCHED_END, OUTSIDE_PATH, THREAD_PRIORITY, ChargeError
 from .codegen import MAX_COMPILED_STEPS, compile_plan, compile_scan
 from .flowcache import CompiledPlan, FlowCache, FlowEntry
 
@@ -356,14 +356,9 @@ class Dispatcher:
                 guard = handle.guard
                 if guard is not None:
                     if not stack:
-                        raise ChargeError(
-                            "cpu.charge() outside begin()/end(); protocol "
-                            "code must run under a kernel execution context")
+                        raise ChargeError(OUTSIDE_PATH)
                     stack[-1] += guard_cost
-                    try:
-                        times["dispatch"] += guard_cost
-                    except KeyError:
-                        times["dispatch"] = guard_cost
+                    times["dispatch"] += guard_cost
                     try:
                         if not guard(*args):
                             handle.guard_rejections += 1
@@ -380,14 +375,9 @@ class Dispatcher:
                 if record is not None:
                     record.append((handle, True))
                 if not stack:
-                    raise ChargeError(
-                        "cpu.charge() outside begin()/end(); protocol code "
-                        "must run under a kernel execution context")
+                    raise ChargeError(OUTSIDE_PATH)
                 stack[-1] += handler_cost
-                try:
-                    times["dispatch"] += handler_cost
-                except KeyError:
-                    times["dispatch"] = handler_cost
+                times["dispatch"] += handler_cost
                 if handle.mode == "thread":
                     self._delegate_to_thread(handle, args)
                     continue
@@ -405,9 +395,7 @@ class Dispatcher:
                     handle.last_error = exc
                 finally:
                     if marker != len(stack):
-                        raise ChargeError(
-                            "mismatched cpu.end(): marker %d but stack depth "
-                            "%d" % (marker, len(stack)))
+                        raise ChargeError(MISMATCHED_END % (marker, len(stack)))
                     spent = stack.pop()
                 limit = handle.time_limit
                 if limit is not None and spent > limit:

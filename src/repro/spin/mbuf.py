@@ -272,17 +272,11 @@ class MbufPool:
         cpu = self.host.cpu
         stack = cpu._stack
         if not stack:
-            from ..hw.cpu import ChargeError
-            raise ChargeError(
-                "cpu.charge() outside begin()/end(); protocol code must run "
-                "under a kernel execution context")
+            from ..hw.cpu import OUTSIDE_PATH, ChargeError
+            raise ChargeError(OUTSIDE_PATH)
         amount = count * self.host.costs.mbuf_alloc
         stack[-1] += amount
-        times = cpu.category_times
-        try:
-            times["mbuf"] += amount
-        except KeyError:
-            times["mbuf"] = amount
+        cpu.category_times["mbuf"] += amount
         self.allocated += count
         self.chains += 1
         return chain

@@ -102,7 +102,7 @@ class SocketLayer:
             sock.buffer.readable.fire()
 
     def allocate_udp_port(self) -> int:
-        for _ in range(0xFFFF - 32768):
+        for _ in range(0x10000 - 32768):
             port = self._next_udp_port
             self._next_udp_port += 1
             if self._next_udp_port > 0xFFFF:

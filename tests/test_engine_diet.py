@@ -364,9 +364,10 @@ class TestEventBudget:
         and run in one frame (``start``), and ended in its hold's entry
         (``_held``), which hands the CPU over, flushes and completes.
         Around the ``fn`` it exists to run and the charge it makes, the
-        only other Python calls are the heap pushes.  (The run queue's
-        ``acquire`` / ``release``, a separate ``_run`` and a separate
-        ``_complete`` were four more.)"""
+        only other Python calls are the heap pushes, and the
+        ``CategoryTimes.__missing__`` read of the fresh CPU's first
+        ``kernel`` charge.  (The run queue's ``acquire`` / ``release``, a
+        separate ``_run`` and a separate ``_complete`` were four more.)"""
         host = Host(engine, "h")
         calls = []
 
@@ -383,8 +384,8 @@ class TestEventBudget:
         finally:
             sys.setprofile(None)
         assert calls == ["spawn_kernel_path", "__init__", "call_after",
-                         "run", "start", "fn", "charge", "call_after",
-                         "_held"]
+                         "run", "start", "fn", "charge", "__missing__",
+                         "call_after", "_held"]
         assert engine.now == 2.0 and not host.cpu.held
 
 

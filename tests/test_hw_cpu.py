@@ -1,8 +1,10 @@
 """Tests for the CPU model and the charge/consume discipline."""
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.hw import ALPHA_21064, CPU, ChargeError, INTERRUPT_PRIORITY, THREAD_PRIORITY
+from repro.hw.cpu import CategoryTimes
 from repro.hw.host import Host
 from repro.obs.taps import Observer
 
@@ -72,6 +74,39 @@ class TestAccumulator:
         cpu.recharge(12.0)
         assert cpu.end(marker) == 12.0
         assert cpu.category_times == {}
+
+
+_CHARGES = st.lists(st.tuples(st.sampled_from(["driver", "protocol", "dispatch", "copy"]),
+                              st.floats(min_value=0.0, allow_nan=False)))
+
+
+class TestCategoryTimes:
+    @given(_CHARGES)
+    @example([("driver", 0.0), ("driver", 5e-324), ("protocol", 5e-324), ("driver", 1.5)])
+    def test_a_plain_add_books_what_the_keyerror_fallback_did(self, charges):
+        """``times[k] += a`` leaves the keys, their order and every bit of
+        every value as the ``try: += / except KeyError: =`` form did."""
+        times = CategoryTimes()
+        reference = {}
+        for category, amount in charges:
+            times[category] += amount
+            try:
+                reference[category] += amount
+            except KeyError:
+                reference[category] = amount
+        assert list(times) == list(reference)
+        assert [value.hex() for value in times.values()] == [
+            value.hex() for value in reference.values()]
+
+    @given(_CHARGES)
+    def test_an_uncharged_category_reads_zero_and_is_not_inserted(self, charges):
+        times = CategoryTimes()
+        for category, amount in charges:
+            times[category] += amount
+        before = list(times.items())
+        value = times["never-charged"]
+        assert value == 0.0 and value.hex() == (0.0).hex()
+        assert list(times.items()) == before and "never-charged" not in times
 
 
 class TestConsume:

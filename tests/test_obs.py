@@ -20,6 +20,7 @@ import pytest
 from repro.bench.testbed import build_testbed
 from repro.bench.workloads import run_workload
 from repro.core import Credential
+from repro.hw.cpu import CategoryTimes
 from repro.lang import ephemeral
 from repro.net.trace import PacketTracer
 from repro.obs import (
@@ -128,10 +129,10 @@ class TestProfiler:
         prof.attach(bed.hosts)
         cpu = bed.hosts[0].cpu
         assert cpu.profile is not None
-        assert type(cpu.category_times) is not dict
+        assert type(cpu.category_times) is not CategoryTimes
         prof.detach()
         assert cpu.profile is None
-        assert type(cpu.category_times) is dict
+        assert type(cpu.category_times) is CategoryTimes
 
     def test_install_uninstall_preserves_times(self):
         bed = build_testbed("spin", "ethernet")
@@ -309,7 +310,7 @@ class TestTapSeams:
                 assert "frame_on_wire" not in vars(nic)
             for host in rig.bed.hosts:
                 assert host.cpu.profile is None
-                assert type(host.cpu.category_times) is dict
+                assert type(host.cpu.category_times) is CategoryTimes
 
     @pytest.mark.parametrize("name", OBSERVERS)
     def test_second_detach_is_a_noop(self, name):
@@ -452,7 +453,7 @@ class TestHookSwapInsideAKernelPath:
         for host in rig.bed.hosts:
             installed = host.cpu.profile is not None
             assert installed is (act == "attach")
-            assert (type(host.cpu.category_times) is dict) is not installed
+            assert (type(host.cpu.category_times) is CategoryTimes) is not installed
 
 
 # ---------------------------------------------------------------------------

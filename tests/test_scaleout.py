@@ -15,6 +15,7 @@ from repro.bench.workloads import WORKLOADS, run_once
 from repro.hw.host import Host
 from repro.sim import Engine
 from repro.spin.flowcache import FlowCache
+from repro.unixos import SocketError
 
 from nethelpers import make_pair
 
@@ -285,6 +286,26 @@ class TestPortIndex:
         a.run_kernel(connect_auto)
         engine.run()
         assert clients[1].lport == base + 1
+
+    def test_allocate_port_tries_every_ephemeral_port(self):
+        """With base..65534 bound, 65535 is still free and is found; only
+        a full range is out of ports."""
+        engine, wire, a, b = make_pair()
+        refs = a.tcp._lport_refs
+        refs.update(dict.fromkeys(range(a.tcp.EPHEMERAL_BASE, 0xFFFF), 1))
+        assert a.tcp.allocate_port() == 0xFFFF
+        refs[0xFFFF] = 1
+        with pytest.raises(RuntimeError, match="out of ephemeral ports"):
+            a.tcp.allocate_port()
+
+    def test_allocate_udp_port_tries_every_ephemeral_port(self, unix_pair):
+        """The socket layer's UDP allocator covers 32768..65535 likewise."""
+        layer = unix_pair.sockets[0]
+        layer.udp_pcbs.update(dict.fromkeys(range(32768, 0xFFFF)))
+        assert layer.allocate_udp_port() == 0xFFFF
+        layer.udp_pcbs[0xFFFF] = None
+        with pytest.raises(SocketError, match="out of UDP ports"):
+            layer.allocate_udp_port()
 
 
 # ---------------------------------------------------------------------------
