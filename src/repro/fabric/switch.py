@@ -3,10 +3,17 @@
 A switch is infrastructure built directly on :class:`SpinKernel` (like
 ``repro.net.router.Router``) -- but unlike the router, its forwarding
 behaviour is *programmed*: every received frame is raised as a
-``Fabric.PacketRecv`` event through the ordinary dispatcher (the event's
-one handler is unguarded, so its generated scan is the whole raise) and
-walked through the switch's match-action tables until a Forward or Drop
-decides its fate.
+``Fabric.PacketRecv(port, data)`` event through the ordinary dispatcher
+(the event's one handler is unguarded, so its generated scan is the whole
+raise) and walked through the switch's match-action tables until a
+Forward or Drop decides its fate.
+
+``data`` is the frame's bytes as the NIC delivered them.  The pipeline
+parses them where they lie and never builds an mbuf: READONLY (paper
+§3.4) holds because ``bytes`` is immutable, and a Modify writes a
+private ``bytearray`` copy.  Both chains a hop moves -- ingress and
+egress -- are still charged (``MbufPool.charge_chain``), so the
+simulated cost of a hop is what building them cost.
 
 Conservation law, checked by tests and chaos invariants: every frame a
 port accepts is counted exactly once as forwarded or dropped
@@ -16,6 +23,7 @@ mbuf law holds (one chain per ingress frame, one per egress frame).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional
 
 from ..sim import SimulationError
@@ -78,10 +86,7 @@ class SwitchHost:
         port = FabricPort(len(self.ports), nic, peer_addr)
         self.ports.append(port)
         self.host.add_nic(nic)
-
-        def device_input(recv_nic, data, _port=port):
-            self._device_input(_port, data)
-        self.host.register_device_input(nic, device_input)
+        self.host.register_device_input(nic, partial(self._device_input, port))
         return port
 
     def add_table(self, table: MatchTable) -> MatchTable:
@@ -91,20 +96,19 @@ class SwitchHost:
 
     # -- data plane -------------------------------------------------------
 
-    def _device_input(self, port: FabricPort, data: bytes) -> None:
-        """Interrupt-context entry: allocate, raise the event."""
+    def _device_input(self, port: FabricPort, nic, data: bytes) -> None:
+        """Interrupt-context entry: charge the ingress chain, raise."""
         host = self.host
         host.cpu.charge(host.costs.ethernet_input, "protocol")
-        m = host.mbufs.from_bytes(data, leading_space=0, rcvif=port.nic)
-        m.pkthdr.timestamp = host.engine.now
-        m.freeze()
+        # The ingress chain is charged as ``from_bytes(data,
+        # leading_space=0)`` would book it; the pipeline reads ``data``.
+        host.mbufs.charge_chain(len(data))
         port.received += 1
-        host.dispatcher.raise_event(self.event, port, m)
+        host.dispatcher.raise_event(self.event, port, data)
 
-    def _pipeline(self, port: FabricPort, m) -> None:
+    def _pipeline(self, port: FabricPort, data: bytes) -> None:
         """Walk the match-action tables; ends in exactly one fate."""
         self.pipeline_packets += 1
-        data = m.to_bytes()
         fields = PacketFields(data)
         if not fields.ok:
             self.pipeline_dropped += 1
@@ -116,22 +120,23 @@ class SwitchHost:
             if actions is None:
                 continue  # miss with no default: next stage
             for action in actions:
-                if isinstance(action, Count):
-                    self.counters[action.name] = \
-                        self.counters.get(action.name, 0) + 1
-                elif isinstance(action, Modify):
-                    if buf is None:
-                        buf = bytearray(data)
-                    refold_l4 |= apply_modify(buf, fields, action)
-                    self.pipeline_modified += 1
-                elif isinstance(action, Drop):
-                    self.pipeline_dropped += 1
-                    return
-                elif isinstance(action, Forward):
+                kind = action.__class__
+                if kind is Forward:
                     if buf is not None:
                         refold_checksums(buf, refold_l4)
                         data = bytes(buf)
                     self._emit(action, fields, data)
+                    return
+                if kind is Count:
+                    self.counters[action.name] = \
+                        self.counters.get(action.name, 0) + 1
+                elif kind is Modify:
+                    if buf is None:
+                        buf = bytearray(data)
+                    refold_l4 |= apply_modify(buf, fields, action)
+                    self.pipeline_modified += 1
+                elif kind is Drop:
+                    self.pipeline_dropped += 1
                     return
                 else:
                     raise SimulationError("unknown action %r" % (action,))

@@ -37,8 +37,10 @@ __all__ = ["Forward", "Drop", "Modify", "Count", "MatchTable",
 
 #: header fields a table may match on
 MATCH_FIELDS = ("dst_ip", "src_ip", "proto", "src_port", "dst_port", "ttl")
-#: header fields a Modify action may rewrite
-MODIFY_FIELDS = ("ttl", "tos", "src_ip", "dst_ip")
+#: header fields a Modify action may rewrite, with the largest value
+#: each holds (an 8-bit TTL / TOS, a 32-bit address)
+MODIFY_FIELDS = {"ttl": 0xFF, "tos": 0xFF,
+                 "src_ip": 0xFFFFFFFF, "dst_ip": 0xFFFFFFFF}
 
 #: What the pipeline reads of an IPv4 header, in one unpack: version and
 #: header length, TOS, the flags/fragment-offset word, TTL, protocol,
@@ -80,7 +82,13 @@ class Modify:
     def __init__(self, field: str, value: int):
         if field not in MODIFY_FIELDS:
             raise ValueError("cannot modify %r (choose from %s)"
-                             % (field, MODIFY_FIELDS))
+                             % (field, tuple(MODIFY_FIELDS)))
+        # Checked here, not per packet: a value the field cannot hold
+        # would fail every frame the entry matches.
+        if not isinstance(value, int) or \
+                not 0 <= value <= MODIFY_FIELDS[field]:
+            raise ValueError("%s holds 0..%d, not %r"
+                             % (field, MODIFY_FIELDS[field], value))
         self.field = field
         self.value = value
 
@@ -132,19 +140,17 @@ class PacketFields:
         self.header_len = self.tos = self.ttl = self.proto = 0
         self.src_ip = self.dst_ip = self.src_port = self.dst_port = 0
 
-    def get(self, field: str) -> int:
-        return getattr(self, field)
-
 
 _FIELD_WRITERS = {
-    # field -> fn(buf, header_len, value); returns True if l4 checksum
-    # must be re-folded too (pseudo-header fields changed).
-    "ttl": lambda buf, hlen, v: buf.__setitem__(8, v & 0xFF) or False,
-    "tos": lambda buf, hlen, v: buf.__setitem__(1, v & 0xFF) or False,
-    "src_ip": lambda buf, hlen, v:
-        buf.__setitem__(slice(12, 16), int(v).to_bytes(4, "big")) or True,
-    "dst_ip": lambda buf, hlen, v:
-        buf.__setitem__(slice(16, 20), int(v).to_bytes(4, "big")) or True,
+    # field -> fn(buf, value); returns True if l4 checksum must be
+    # re-folded too (pseudo-header fields changed).  ``Modify`` checked
+    # that the value fits.
+    "ttl": lambda buf, v: buf.__setitem__(8, v) or False,
+    "tos": lambda buf, v: buf.__setitem__(1, v) or False,
+    "src_ip": lambda buf, v:
+        buf.__setitem__(slice(12, 16), v.to_bytes(4, "big")) or True,
+    "dst_ip": lambda buf, v:
+        buf.__setitem__(slice(16, 20), v.to_bytes(4, "big")) or True,
 }
 
 
@@ -154,10 +160,8 @@ def apply_modify(buf: bytearray, fields: PacketFields, action: Modify) -> bool:
     Returns True when the L4 checksum needs re-folding (an address
     changed, so the pseudo-header changed).
     """
-    l4 = _FIELD_WRITERS[action.field](buf, fields.header_len, action.value)
-    setattr(fields, action.field,
-            action.value & (0xFF if action.field in ("ttl", "tos")
-                            else 0xFFFFFFFF))
+    l4 = _FIELD_WRITERS[action.field](buf, action.value)
+    setattr(fields, action.field, action.value)
     return l4
 
 
@@ -252,7 +256,7 @@ class MatchTable:
 
     def lookup(self, fields: PacketFields) -> Optional[Tuple]:
         """Actions for this packet: an entry's, the default's, or None."""
-        value = fields.get(self.field)
+        value = getattr(fields, self.field)
         if self.kind == "exact":
             actions = self._exact.get(value)
         else:

@@ -79,7 +79,6 @@ class EthernetProto:
         stack[-1] += amount
         cpu.category_times["protocol"] += amount
         m = self.host.mbufs.from_bytes(frame_data, leading_space=0, rcvif=nic)
-        m.pkthdr.timestamp = self.host.engine.now
         self.frames_in += 1
         if self.upcall is not None:
             self.upcall(nic, m)

@@ -81,7 +81,6 @@ class RawLinkProto:
         """Device receive entry (plain code, interrupt context)."""
         self.host.cpu.charge(self.host.costs.ethernet_input, "protocol")
         m = self.host.mbufs.from_bytes(frame_data, leading_space=0, rcvif=nic)
-        m.pkthdr.timestamp = self.host.engine.now
         self.frames_in += 1
         if self.upcall is not None:
             self.upcall(nic, m)

@@ -59,12 +59,11 @@ class MbufError(RuntimeError):
 class PacketHeader:
     """Per-packet metadata carried by the first mbuf of a chain."""
 
-    __slots__ = ("length", "rcvif", "timestamp", "flow")
+    __slots__ = ("length", "rcvif", "flow")
 
-    def __init__(self, length: int = 0, rcvif=None, timestamp: Optional[float] = None):
+    def __init__(self, length: int = 0, rcvif=None):
         self.length = length
         self.rcvif = rcvif
-        self.timestamp = timestamp
         #: the packet's FlowEntry (set by the link layer on receive);
         #: carries the compiled delivery path from link to application.
         self.flow = None
@@ -240,7 +239,6 @@ class Mbuf:
         clone = Mbuf.from_bytes(self.to_bytes(), leading_space=leading_space)
         if self.pkthdr is not None:
             clone.pkthdr.rcvif = self.pkthdr.rcvif
-            clone.pkthdr.timestamp = self.pkthdr.timestamp
         return clone
 
     def __repr__(self) -> str:

@@ -154,6 +154,23 @@ class TestMatchTable:
         with pytest.raises(ValueError):
             Modify("dst_port", 1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("dst_ip", 1 << 32), ("dst_ip", -1), ("src_ip", 1 << 32),
+        ("ttl", 256), ("ttl", 300), ("ttl", -1), ("tos", 256),
+        ("tos", -1), ("ttl", 7.0)])
+    def test_modify_rejects_a_value_its_field_cannot_hold(self, field,
+                                                          value):
+        # Accepted, such a value failed every frame it matched inside the
+        # contained handler (an address), or wrote its low byte (a TTL).
+        with pytest.raises(ValueError):
+            Modify(field, value)
+
+    def test_modify_takes_each_field_s_whole_range(self):
+        for field, top in (("ttl", 0xFF), ("tos", 0xFF),
+                           ("src_ip", 0xFFFFFFFF), ("dst_ip", 0xFFFFFFFF)):
+            assert Modify(field, 0).value == 0
+            assert Modify(field, top).value == top
+
 
 class TestChecksumRefold:
     def test_parse_udp_frame(self):
