@@ -65,7 +65,9 @@ class ActiveMessages:
 
         self.install = stack.ethernet_manager.claim_ethertype(
             self.credential, ethertype, ephemeral(am_handler),
-            mode=stack.deliver_mode, time_limit=self.TIME_LIMIT_US)
+            mode=stack.deliver_mode,
+            time_limit=(self.TIME_LIMIT_US if stack.deliver_mode == "inline"
+                        else None))
         self._send_frame = stack.ethernet_manager.send_capability(
             self.credential, ethertype)
 

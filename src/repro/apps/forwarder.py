@@ -66,7 +66,8 @@ class PlexusForwarder:
 
         self.install = stack.ip_manager.claim_port_redirect(
             self.credential, ip_protocol, port, ephemeral(handler),
-            mode=stack.deliver_mode, time_limit=200.0)
+            mode=stack.deliver_mode,
+            time_limit=200.0 if stack.deliver_mode == "inline" else None)
 
     def _pick_backend(self) -> int:
         backend = self.backends[self._rr % len(self.backends)]

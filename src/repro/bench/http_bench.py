@@ -81,36 +81,13 @@ def cpu_scaling_sweep(factors=(0.5, 1.0, 2.0), trips: int = 6) -> List[Dict]:
     not.  (factor 0.5 = a CPU twice as fast as the Alpha 21064.)
     """
     from .latency import measure_plexus_udp_rtt, measure_unix_udp_rtt
-    from . import testbed as testbed_module
     rows: List[Dict] = []
     for factor in factors:
         costs = ALPHA_21064.scaled(factor)
-        plexus = _with_costs(measure_plexus_udp_rtt, costs,
-                             "ethernet", trips=trips)
-        unix = _with_costs(measure_unix_udp_rtt, costs, "ethernet",
-                           trips=trips)
+        plexus = measure_plexus_udp_rtt("ethernet", trips=trips, costs=costs)
+        unix = measure_unix_udp_rtt("ethernet", trips=trips, costs=costs)
         rows.append({"cpu_factor": factor,
                      "plexus_us": plexus.mean,
                      "unix_us": unix.mean,
                      "gap_us": unix.mean - plexus.mean})
     return rows
-
-
-def _with_costs(measure, costs, *args, **kwargs):
-    """Run a latency measurement with a patched default cost table."""
-    import repro.bench.testbed as testbed_module
-    original = testbed_module.build_testbed
-
-    def patched(os_name, device, **inner):
-        inner.setdefault("costs", costs)
-        return original(os_name, device, **inner)
-    testbed_module.build_testbed = patched
-    # The latency module binds the name at import time; patch there too.
-    import repro.bench.latency as latency_module
-    latency_original = latency_module.build_testbed
-    latency_module.build_testbed = patched
-    try:
-        return measure(*args, **kwargs)
-    finally:
-        testbed_module.build_testbed = original
-        latency_module.build_testbed = latency_original

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from ..hw.alpha import ALPHA_21064, CostTable
 from ..obs.slo import RequestLifecycle
 from ..sim import Signal
 from .stats import Summary
@@ -66,12 +67,12 @@ def _pingpong(bed, trips: int, **scenario) -> Summary:
 
 def measure_plexus_udp_rtt(device: str, deliver_mode: str = "interrupt",
                            fast_driver: bool = False, trips: int = 20,
-                           payload_len: int = 8,
-                           checksum: bool = True) -> Summary:
+                           payload_len: int = 8, checksum: bool = True,
+                           costs: CostTable = ALPHA_21064) -> Summary:
     """UDP ping-pong between two in-kernel Plexus extensions, bound at
     interrupt level or in a kernel thread as ``deliver_mode`` says."""
     bed = build_testbed("spin", device, deliver_mode=deliver_mode,
-                        fast_driver=fast_driver)
+                        fast_driver=fast_driver, costs=costs)
     return _pingpong(
         bed, trips, payload=payload_len, checksum=checksum,
         mode="inline" if deliver_mode == "interrupt" else "thread")
@@ -79,9 +80,11 @@ def measure_plexus_udp_rtt(device: str, deliver_mode: str = "interrupt",
 
 def measure_unix_udp_rtt(device: str, fast_driver: bool = False,
                          trips: int = 20, payload_len: int = 8,
-                         checksum: bool = True) -> Summary:
+                         checksum: bool = True,
+                         costs: CostTable = ALPHA_21064) -> Summary:
     """UDP ping-pong between two user-level socket applications."""
-    bed = build_testbed("unix", device, fast_driver=fast_driver)
+    bed = build_testbed("unix", device, fast_driver=fast_driver,
+                        costs=costs)
     return _pingpong(bed, trips, payload=payload_len, checksum=checksum)
 
 

@@ -5,7 +5,6 @@ from .filters import (
     ethertype_guard,
     ip_protocol_guard,
     tcp_port_guard,
-    tcp_ports_excluding_guard,
     transport_redirect_guard,
     udp_dst_port_guard,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "ethertype_guard",
     "ip_protocol_guard",
     "tcp_port_guard",
-    "tcp_ports_excluding_guard",
     "transport_redirect_guard",
     "udp_dst_port_guard",
 ]

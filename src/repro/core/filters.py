@@ -37,7 +37,6 @@ __all__ = [
     "ip_protocol_guard",
     "udp_dst_port_guard",
     "tcp_port_guard",
-    "tcp_ports_excluding_guard",
     "transport_redirect_guard",
 ]
 
@@ -99,24 +98,6 @@ def tcp_port_guard(ports: Collection[int]) -> Callable:
         return header.dst_port in port_set
 
     guard.__name__ = "tcp_ports_%s" % sorted(port_set)
-    return guard
-
-
-def tcp_ports_excluding_guard(excluded) -> Callable:
-    """Match TCP segments *not* claimed by a special implementation.
-
-    ``excluded`` is a live set (shared with the TCP manager): the paper's
-    TCP-standard "uses a guard which processes all TCP packets but those
-    destined for the second [implementation]".
-    """
-
-    def guard(m: Mbuf, off: int, src_ip: int, dst_ip: int) -> bool:
-        if m.length() < off + TCP_HEADER.size:
-            return False
-        header = VIEW(m.data, TCP_HEADER, offset=off)
-        return header.dst_port not in excluded
-
-    guard.__name__ = "tcp_standard"
     return guard
 
 

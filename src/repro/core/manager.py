@@ -508,12 +508,10 @@ class TcpManager(_ManagerBase):
             self.stack.tcp_recv_event, special_input, self.node, node,
             guard=filters.tcp_port_guard(port_list),
             mode=self.stack.deliver_mode, label="tcp-%s" % name)
+        # The standard guard reads this set live; the install above
+        # already replaced the event's snapshot, so no plan recorded
+        # against the old exclusion set can replay.
         self.special_ports.update(port_list)
-        # The standard guard's exclusion set just changed; flush cached
-        # verdicts (the install above already replaced the event's handler
-        # snapshot, which is what plan validity keys on, but the set
-        # mutation is the semantic trigger -- keep it explicit).
-        self.host.dispatcher.invalidate_event(self.stack.tcp_recv_event)
         return special
 
 

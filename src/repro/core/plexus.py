@@ -219,9 +219,10 @@ class PlexusStack:
             label="icmp-input")
 
         # TCP node -> standard implementation, excluding ports claimed by
-        # special implementations or IP-level redirects (live sets; the
-        # TCP manager invalidates this event -- replacing its handler
-        # snapshot, which flow-cache plans key on -- whenever they change).
+        # special implementations or IP-level redirects (live sets; every
+        # change replaces this event's handler snapshot, which flow-cache
+        # plans key on: a special implementation's install does, and the
+        # IP manager invalidates the event around a redirect).
         tcp_manager = self.tcp_manager
 
         def tcp_standard_guard(m, off, src_ip, dst_ip):

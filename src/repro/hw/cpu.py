@@ -155,19 +155,6 @@ class CPU:
         self.uncontexted_charge_us += microseconds
         return False
 
-    def recharge(self, microseconds: float) -> None:
-        """Move already-categorized time into the innermost accumulator.
-
-        Used when a sub-accumulator was popped (e.g. to meter one handler's
-        cost against its time limit) and its remainder must flow into the
-        enclosing accumulator without double-counting category times.
-        """
-        if microseconds < 0:
-            raise ValueError("cannot recharge negative time: %r" % microseconds)
-        if not self._stack:
-            raise ChargeError("cpu.recharge() outside begin()/end()")
-        self._stack[-1] += microseconds
-
     def end(self, marker: int) -> float:
         """Pop the accumulator opened by the matching :meth:`begin`."""
         if marker != len(self._stack):

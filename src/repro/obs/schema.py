@@ -69,9 +69,7 @@ EXPORT_SCHEMA: Dict[str, tuple] = {
     "spin.flowcache.capacity": ("gauge", "flow cache LRU capacity"),
     "spin.flowcache.compiled.plans": ("gauge", "flow plans compiled to generated functions"),
     "spin.flowcache.compiled.replays": ("gauge", "raises served by a generated plan function"),
-    "spin.flowcache.compiled.scan_raises": ("gauge", "raises served by a generated scan function"),
     "spin.flowcache.compiled.scans": ("gauge", "handler snapshots compiled to generated scan functions"),
-    "spin.flowcache.compiled.shape_hits": ("gauge", "compilations reusing a shape the cache already built"),
     "spin.flowcache.enabled": ("gauge", "flow caches enabled (1 per armed host)"),
     "spin.flowcache.entries": ("gauge", "live flow cache entries"),
     "spin.flowcache.evictions": ("gauge", "flow entries evicted by the LRU"),

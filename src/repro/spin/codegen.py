@@ -10,10 +10,15 @@ are direct.
 
 Shape cache: two plans with the same structure -- the same sequence of
 (rejected / inline / thread, guarded?, time-limited?) steps -- share one
-code object.  Only the tiny factory call binding the concrete handles
-and cost constants runs per plan, so the ``compile()`` cost is paid once
-per *shape*, not once per flow; ``compiled_shape_hits`` on the flow
-cache counts how often that sharing fires.
+code object, process-wide.  Only the tiny factory call binding the
+concrete handles and cost constants runs per plan, so the ``compile()``
+cost is paid once per *shape*, not once per flow.
+
+A generated function moves exactly what the interpreted scan moves: the
+dispatcher's ``total_raises`` once per raise, and per step the handle's
+and the dispatcher's invocation, rejection, failure and termination
+counters.  It keeps no count of its own; the flow cache counts the
+compilations, and its ``hits`` are the plan replays.
 
 Bit-exactness rules (the generated code *is* the interpreter loop,
 specialized -- not an approximation of it):
@@ -23,6 +28,10 @@ specialized -- not an approximation of it):
   precomputed constant even when the frozen CostTable would allow it;
 * ``cpu.profile`` frames are pushed/popped exactly as the interpreted
   scan does, so flamegraphs see compiled raises identically;
+* a charge outside any kernel path raises ``ChargeError(OUTSIDE_PATH)``
+  before the first step, where the scan's first charge would raise it:
+  every step charges (a guard, a recorded rejection or a matched
+  handler), and every snapshot handle is installed at entry;
 * per-step ``installed`` checks are retained wherever user code (a
   guard or inline handler) has already run in the raise, so a handler
   uninstalled mid-raise is skipped just as the interpreted snapshot
@@ -42,28 +51,11 @@ from typing import Callable, Dict, List, Tuple
 
 from ..hw.cpu import MISMATCHED_END, OUTSIDE_PATH, ChargeError
 
-__all__ = [
-    "MAX_COMPILED_STEPS",
-    "compile_plan",
-    "compile_scan",
-    "shape_cache_size",
-]
-
-#: compiled functions are straight-line, so source size grows with the
-#: step count; the dispatcher compiles nothing for an event with more
-#: handlers than this and keeps it on the interpreted linear scan (no
-#: workload in the repo comes close -- the Plexus events carry a handful
-#: of handlers each).
-MAX_COMPILED_STEPS = 32
+__all__ = ["compile_plan", "compile_scan"]
 
 #: (kind, atoms) -> factory.  Process-wide: structurally identical plans
 #: share one code object across flows, events, and dispatchers.
 _FACTORIES: Dict[Tuple, Callable] = {}
-
-
-def shape_cache_size() -> int:
-    """Distinct (plan|scan, shape) code objects compiled so far."""
-    return len(_FACTORIES)
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +93,7 @@ def _defaults(kind: str, atoms) -> List[str]:
     code's speed over the interpreted scan comes from.
     """
     lines = [
-        "_event=event",
         "_dispatcher=dispatcher",
-        "_cache=cache",
         "_name=event.name",
         "_gc=costs.guard_eval",
         "_hc=costs.dispatch_per_handler",
@@ -168,38 +158,29 @@ def _emit_matched(out: List[str], atom: str, i: int, pad: str) -> None:
 
 def _emit_source(kind: str, atoms) -> str:
     """The factory module source for one (kind, shape)."""
-    out = ["def _factory(event, dispatcher, cache, handles, costs):"]
+    out = ["def _factory(event, dispatcher, handles, costs):"]
     out.append("    def _compiled(")
     out.append("        args,")
     for default in _defaults(kind, atoms):
         out.append("        %s," % default)
     out.append("    ):")
     b = "        "
-    if kind == "plan":
-        # With no open accumulator the linear scan's first charge
-        # would raise; fall back so it does.
-        out.append(b + "if not _stack:")
-        out.append(b + "    return _dispatcher.raise_event(_event, *args)")
     out.append(b + "times = _cpu.category_times")
-    out.append(b + "_event.raise_count += 1")
     out.append(b + "_dispatcher.total_raises += 1")
-    if kind == "plan":
-        out.append(b + "_cache.compiled_replays += 1")
-    else:
-        out.append(b + "_cache.compiled_scan_raises += 1")
     out.append(b + "matched = 0")
     out.append(b + "profile = _cpu.profile")
     out.append(b + "if profile is not None:")
     out.append(b + "    profile.push(_name)")
     out.append(b + "try:")
     t = b + "    "
-    if kind == "scan" and atoms:
+    if atoms:
         # The interpreted scan raises at its first charge; every handle
-        # is installed at entry (a bumped snapshot invalidates the scan),
-        # so step 0 always charges and the hoisted check is equivalent.
+        # is installed at entry (a bumped snapshot invalidates the plan
+        # or scan) and every step charges, so step 0 always charges and
+        # the hoisted check is equivalent.
         out.append(t + "if not _stack:")
         out.append(t + "    raise ChargeError(OUTSIDE_PATH)")
-    if not atoms:
+    else:
         out.append(t + "pass")
     # A handle's ``installed`` flag can only flip mid-raise from user
     # code (a guard or inline handler call) -- every snapshot handle is
@@ -249,15 +230,8 @@ def _emit_source(kind: str, atoms) -> str:
     return "\n".join(out) + "\n"
 
 
-def _factory_for(kind: str, atoms: Tuple[str, ...], cache) -> Callable:
+def _factory_for(kind: str, atoms: Tuple[str, ...]) -> Callable:
     key = (kind, atoms)
-    # Shape-hit accounting is per cache (deterministic for a workload
-    # run); the factory store is process-wide (code objects shared
-    # across hosts and testbeds regardless).
-    if key in cache.compiled_shapes_seen:
-        cache.compiled_shape_hits += 1
-    else:
-        cache.compiled_shapes_seen.add(key)
     factory = _FACTORIES.get(key)
     if factory is not None:
         return factory
@@ -281,12 +255,10 @@ def _factory_for(kind: str, atoms: Tuple[str, ...], cache) -> Callable:
 
 def compile_plan(dispatcher, event, steps) -> Callable:
     """One generated function replaying ``steps`` for a (flow, event)."""
-    cache = dispatcher.flow_cache
-    factory = _factory_for("plan", _plan_atoms(steps), cache)
-    fn = factory(event, dispatcher, cache,
-                 tuple(handle for handle, _ok in steps),
+    factory = _factory_for("plan", _plan_atoms(steps))
+    fn = factory(event, dispatcher, tuple(handle for handle, _ok in steps),
                  dispatcher.host.costs)
-    cache.compiled_plans += 1
+    dispatcher.flow_cache.compiled_plans += 1
     return fn
 
 
@@ -298,9 +270,8 @@ def compile_scan(dispatcher, event, snapshot) -> Callable:
     verdicts, so it applies to events with no flow entry at all (e.g.
     the dispatcher micro-benchmark's raw ``raise_event`` loop).
     """
-    cache = dispatcher.flow_cache
     atoms = tuple(_handle_atom(handle) for handle in snapshot)
-    factory = _factory_for("scan", atoms, cache)
-    fn = factory(event, dispatcher, cache, snapshot, dispatcher.host.costs)
-    cache.compiled_scans += 1
+    factory = _factory_for("scan", atoms)
+    fn = factory(event, dispatcher, snapshot, dispatcher.host.costs)
+    dispatcher.flow_cache.compiled_scans += 1
     return fn

@@ -14,9 +14,11 @@ This module reproduces that machinery with cost accounting:
 * handlers installed with ``mode="thread"`` are not run inline: each raise
   spawns a fresh kernel thread for them (the "thread" bars of Figure 5),
   charging ``thread_spawn`` in the raising context,
-* handlers with a ``time_limit`` are *ephemeral* executions: if the
-  handler charges more CPU than its allotment it is terminated -- only the
-  allotment is consumed and the termination is counted (paper sec. 3.3),
+* inline handlers with a ``time_limit`` are *ephemeral* executions: if
+  the handler charges more CPU than its allotment it is terminated --
+  only the allotment is consumed and the termination is counted (paper
+  sec. 3.3).  The paper bounds only interrupt-level execution, so a
+  ``time_limit`` with ``mode="thread"`` is a :class:`DispatchError`,
 * a handler that raises an exception is contained: the failure is counted
   on the handle and the event raise continues with the other handlers --
   an extension failure must not take down the kernel.
@@ -28,8 +30,8 @@ import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..hw.cpu import MISMATCHED_END, OUTSIDE_PATH, THREAD_PRIORITY, ChargeError
-from .codegen import MAX_COMPILED_STEPS, compile_plan, compile_scan
-from .flowcache import CompiledPlan, FlowCache, FlowEntry
+from .codegen import compile_plan, compile_scan
+from .flowcache import FlowCache, FlowEntry
 
 __all__ = ["Dispatcher", "EventDecl", "HandlerHandle", "DispatchError"]
 
@@ -103,21 +105,13 @@ class EventDecl:
     allocating on the hot path.
     """
 
-    __slots__ = ("dispatcher", "name", "handlers", "raise_count", "_snapshot",
-                 "generation", "_scan")
+    __slots__ = ("dispatcher", "name", "handlers", "_snapshot", "_scan")
 
     def __init__(self, dispatcher: "Dispatcher", name: str):
         self.dispatcher = dispatcher
         self.name = name
         self.handlers: List[HandlerHandle] = []
-        self.raise_count = 0
         self._snapshot: Tuple[HandlerHandle, ...] = ()
-        #: dispatcher-wide monotonic epoch stamped on every bump (install,
-        #: uninstall, explicit ``Dispatcher.invalidate_event``).  Epochs
-        #: never recur -- not across uninstall/reinstall, not across
-        #: events -- unlike the earlier per-event +1 counter, whose value
-        #: an uninstall/reinstall pair could coincidentally restore.
-        self.generation = 0
         #: compiled flowless fast path: ``(snapshot, fn)`` from
         #: ``repro.spin.codegen``, cleared on every bump.
         self._scan = None
@@ -130,7 +124,6 @@ class EventDecl:
         # id-reuse aliasing impossible.
         self._snapshot = tuple(self.handlers)
         self._scan = None
-        self.generation = next(self.dispatcher._epochs)
 
     def _append(self, handle: HandlerHandle) -> None:
         self.handlers.append(handle)
@@ -160,10 +153,6 @@ class Dispatcher:
         self.total_failures = 0
         self.total_terminations = 0
         self.flow_cache = FlowCache()
-        #: source of event generations: one monotonic epoch stream per
-        #: dispatcher, shared by every event, so no generation value is
-        #: ever issued twice (see EventDecl.generation).
-        self._epochs = itertools.count(1)
 
     def register_metrics(self, registry) -> None:
         """Publish dispatcher + flow-cache counters on a metrics registry."""
@@ -181,11 +170,10 @@ class Dispatcher:
         """Invalidate every compiled artifact recorded for ``event``.
 
         Managers call this when live state a guard reads (e.g. the TCP
-        special/diverted port sets) changes without an install on the
-        event itself.  The bump replaces the event's snapshot tuple (the
-        identity compiled plans and scans validate against) and stamps a
-        fresh epoch; artifacts for other events stay valid -- no global
-        flush.
+        diverted port set) changes without an install on the event
+        itself.  The bump replaces the event's snapshot tuple (the
+        identity compiled plans and scans validate against); artifacts
+        for other events stay valid -- no global flush.
         """
         event._bump()
 
@@ -212,8 +200,13 @@ class Dispatcher:
             raise DispatchError("install requires an EventDecl capability")
         if mode not in self.VALID_MODES:
             raise DispatchError("unknown delivery mode %r" % mode)
-        if time_limit is not None and time_limit <= 0:
-            raise DispatchError("time_limit must be positive")
+        if time_limit is not None:
+            if time_limit <= 0:
+                raise DispatchError("time_limit must be positive")
+            if mode == "thread":
+                raise DispatchError(
+                    "time_limit bounds interrupt-level (inline) handlers "
+                    "only (paper sec. 3.3)")
         handle = HandlerHandle(event, handler, guard, mode, time_limit, label)
         event._append(handle)
         # Installing on a running system costs a few table updates.
@@ -260,12 +253,11 @@ class Dispatcher:
         if flow is None:
             return self.raise_event(event, *args)
         plan = flow.plans.get(event)
-        # Validity is snapshot *identity*: immune to the counter
-        # coincidences a wrapped/reset generation could produce (a stale
-        # plan's reference keeps its old tuple alive, so ids never alias).
-        if plan is not None and plan.snapshot is event._snapshot:
+        # Validity is snapshot *identity* (a stale plan's reference keeps
+        # its old tuple alive, so ids never alias).
+        if plan is not None and plan[0] is event._snapshot:
             self.flow_cache.hits += 1
-            return plan.fn(args)
+            return plan[1](args)
         return self._raise_cold(event, flow, args)
 
     def _raise_cold(self, event: EventDecl, flow: Optional[FlowEntry],
@@ -275,9 +267,8 @@ class Dispatcher:
         This is the *single* divergence point of the two rungs (any
         verdict-ordering change happens once):
 
-        * cache disabled (``REPRO_FLOW_CACHE=0``), or an event past
-          ``MAX_COMPILED_STEPS``: the interpreted linear scan, nothing
-          recorded or compiled -- what the oracle runs;
+        * cache disabled (``REPRO_FLOW_CACHE=0``): the interpreted linear
+          scan, nothing recorded or compiled -- what the oracle runs;
         * flowless: compile and immediately run the event's scan
           function;
         * flow given: classify the miss (absent plan) or invalidation
@@ -293,7 +284,7 @@ class Dispatcher:
             raise DispatchError(
                 "raise_flow requires an EventDecl capability") from None
         record = None
-        if cache.enabled and len(snapshot) <= MAX_COMPILED_STEPS:
+        if cache.enabled:
             if flow is not None:
                 if event in flow.plans:
                     cache.invalidations += 1
@@ -316,10 +307,7 @@ class Dispatcher:
         # accounting must re-run per packet), nor is one that disturbed
         # the event mid-raise (the verdicts describe a dead snapshot).
         if record is not None and cacheable and event._snapshot is snapshot:
-            steps = tuple(record)
-            flow.plans[event] = CompiledPlan(
-                event.generation, snapshot, steps,
-                compile_plan(self, event, steps))
+            flow.plans[event] = (snapshot, compile_plan(self, event, record))
         return matched
 
     def _scan_linear(self, event: EventDecl, snapshot, args,
@@ -330,7 +318,7 @@ class Dispatcher:
         pairs to ``record`` when recording for a flow plan.  This is the
         one interpreted implementation: what the ``REPRO_FLOW_CACHE=0``
         oracle runs per raise, and the generated code's semantic template.
-        cpu.charge / begin / end / recharge are inlined below (exact
+        cpu.charge / begin / end are inlined below (exact
         bodies, exact order): at one dispatch per simulated packet hop
         the call frames themselves dominate host-side dispatch time.
         """
@@ -340,7 +328,6 @@ class Dispatcher:
         times = cpu.category_times
         guard_cost = costs.guard_eval
         handler_cost = costs.dispatch_per_handler
-        event.raise_count += 1
         self.total_raises += 1
         matched = 0
         cacheable = True
@@ -421,16 +408,14 @@ class Dispatcher:
         self.total_invocations += 1
 
         def run_in_thread() -> None:
-            marker = self.host.cpu.begin()
+            # The handler is the first code its own kernel path runs, so
+            # it charges straight into the path's fresh accumulator.
             try:
                 handle.handler(*args)
             except Exception as exc:
                 handle.failures += 1
                 self.total_failures += 1
                 handle.last_error = exc
-            finally:
-                spent = self.host.cpu.end(marker)
-            self.host.cpu.recharge(spent)
 
         def spawn() -> None:
             self.host.spawn_kernel_path(run_in_thread, priority=THREAD_PRIORITY,

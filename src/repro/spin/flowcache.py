@@ -24,26 +24,24 @@ Invalidation is by snapshot identity, with no global flush:
 * every :class:`~repro.spin.dispatcher.EventDecl` rebuilds its handler
   snapshot tuple on install/uninstall (and on explicit
   ``Dispatcher.invalidate_event`` -- managers whose guards read live
-  state, like the TCP special/diverted port sets, call it when that
-  state changes without an install);
-* a compiled plan keeps a reference to the snapshot it was built
-  against and is valid exactly while ``plan.snapshot is
+  state, like the TCP diverted port set, call it when that state
+  changes without an install);
+* a plan is the pair ``(snapshot, fn)``: the event's handler snapshot
+  the verdicts were recorded against, and the generated function that
+  replays them.  It is valid exactly while ``snapshot is
   event._snapshot`` -- identity, not equality.  Because the plan's
   reference keeps the old tuple alive, a recycled ``id()`` can never
   alias, so a stale plan surviving outside the cache (an evicted entry
   still riding on a queued packet header) can never coincidentally
-  validate the way a wrapped or reset counter could;
-* each event additionally carries a ``generation`` drawn from a
-  dispatcher-wide monotonic epoch counter (values never recur across
-  uninstall/reinstall or across events), recorded on plans for
-  observability.
+  validate the way a wrapped or reset counter could.
 
 Correctness contract: a guard installed on a flow-routed event must be a
-pure function of the flow key plus generation-invalidated live state.
-Every guard the protocol managers construct satisfies this by design
-(applications never supply raw guards to transport events).  Packets the
-classifier cannot reduce to a flow key -- truncated headers, IP
-fragments -- carry no flow entry and take the linear path.
+pure function of the flow key plus live state whose every change replaces
+the event's snapshot.  Every guard the protocol managers construct
+satisfies this by design (applications never supply raw guards to
+transport events).  Packets the classifier cannot reduce to a flow key
+-- truncated headers, IP fragments -- carry no flow entry and take the
+linear path.
 
 A recorded plan is served as a generated Python function
 (``repro.spin.codegen``), so there are two rungs:
@@ -62,7 +60,7 @@ from __future__ import annotations
 import os
 from typing import Callable, Dict, Optional, Tuple
 
-__all__ = ["FlowCache", "FlowEntry", "CompiledPlan", "flow_cache_enabled"]
+__all__ = ["FlowCache", "FlowEntry", "flow_cache_enabled"]
 
 
 def flow_cache_enabled() -> bool:
@@ -70,35 +68,10 @@ def flow_cache_enabled() -> bool:
     return os.environ.get("REPRO_FLOW_CACHE", "1") != "0"
 
 
-class CompiledPlan:
-    """The recorded guard verdicts of one (flow, event) pair.
-
-    ``steps`` is a tuple of ``(handle, matched)`` pairs in snapshot scan
-    order; ``snapshot`` is the event's handler snapshot the verdicts
-    were recorded against, and the plan is valid exactly while that
-    tuple is still (identically) the event's current one.  ``fn`` is
-    the generated function from ``repro.spin.codegen`` that replays
-    them.  ``generation`` is the dispatcher epoch the plan was recorded
-    at, for observability.
-    """
-
-    __slots__ = ("generation", "snapshot", "steps", "fn")
-
-    def __init__(self, generation: int, snapshot: Tuple, steps: Tuple,
-                 fn: Callable) -> None:
-        self.generation = generation
-        self.snapshot = snapshot
-        self.steps = steps
-        self.fn = fn
-
-    def __repr__(self) -> str:
-        return "<CompiledPlan gen=%d %d steps>" % (
-            self.generation, len(self.steps))
-
-
 class FlowEntry:
     """One cached flow: its key and the per-event compiled plans.
 
+    ``plans`` maps an event to its plan, the pair ``(snapshot, fn)``.
     ``seen`` maps an event to the handler snapshot the flow last raised
     it at with no valid plan: a second cold raise at that same snapshot
     is what compiles the plan.
@@ -111,7 +84,7 @@ class FlowEntry:
 
     def __init__(self, key: Tuple) -> None:
         self.key = key
-        self.plans: Dict[object, CompiledPlan] = {}
+        self.plans: Dict[object, Tuple[Tuple, Callable]] = {}
         self.seen: Dict[object, Tuple] = {}
 
     def __repr__(self) -> str:
@@ -149,15 +122,6 @@ class FlowCache:
         # generated-code counters (host-side observability only)
         self.compiled_plans = 0
         self.compiled_scans = 0
-        self.compiled_replays = 0
-        self.compiled_scan_raises = 0
-        #: compilations whose shape *this cache* had already compiled.
-        #: Deliberately not "served from the process-wide factory cache":
-        #: that would depend on what ran earlier in the process, and the
-        #: bench report contract requires identical metrics snapshots
-        #: for serial and parallel (fresh-process) runs.
-        self.compiled_shape_hits = 0
-        self.compiled_shapes_seen: set = set()
 
     def entry_for(self, key: Optional[Tuple]) -> Optional[FlowEntry]:
         """The (created-on-demand) entry for ``key``; None when disabled
@@ -196,12 +160,9 @@ class FlowCache:
                         lambda: self.compiled_plans)
         registry.source("spin.flowcache.compiled.scans",
                         lambda: self.compiled_scans)
-        registry.source("spin.flowcache.compiled.replays",
-                        lambda: self.compiled_replays)
-        registry.source("spin.flowcache.compiled.scan_raises",
-                        lambda: self.compiled_scan_raises)
-        registry.source("spin.flowcache.compiled.shape_hits",
-                        lambda: self.compiled_shape_hits)
+        # Every hit runs its plan's generated function, so the replays
+        # are the hits; the name stays because perfbench reads it.
+        registry.source("spin.flowcache.compiled.replays", lambda: self.hits)
 
     def __repr__(self) -> str:
         return "<FlowCache %d entries hits=%d misses=%d inval=%d>" % (

@@ -66,6 +66,20 @@ class TestActiveMessages:
         am.remove()
         ActiveMessages(spin_pair.stacks[0], name="second")  # same ethertype
 
+    @pytest.mark.parametrize("deliver_mode, limit", [
+        ("interrupt", ActiveMessages.TIME_LIMIT_US), ("thread", None)])
+    def test_time_limit_only_at_interrupt_level(self, deliver_mode, limit):
+        bed = build_testbed("spin", "ethernet", deliver_mode=deliver_mode)
+        am_a = ActiveMessages(bed.stacks[0], name="am-a")
+        am_b = ActiveMessages(bed.stacks[1], name="am-b")
+        assert am_b.install.handle.time_limit == limit
+        seen = []
+        am_b.register(3, ephemeral(lambda seq, arg, index: seen.append(arg)))
+        bed.engine.run_process(bed.hosts[0].kernel_path(
+            lambda: am_a.send(bed.nics[1].address, 3, arg=7)))
+        bed.engine.run()
+        assert seen == [7]
+
 
 class TestVideo:
     def test_spin_server_streams_frames(self):
@@ -178,6 +192,15 @@ class TestForwarder:
     def test_requires_backends(self, spin_pair):
         with pytest.raises(ValueError):
             PlexusForwarder(spin_pair.stacks[0], 8080, backends=[])
+
+    @pytest.mark.parametrize("deliver_mode, limit", [
+        ("interrupt", 200.0), ("thread", None)])
+    def test_time_limit_only_at_interrupt_level(self, deliver_mode, limit):
+        bed = build_testbed("spin", "ethernet", n_hosts=3,
+                            deliver_mode=deliver_mode)
+        forwarder = PlexusForwarder(bed.stacks[1], 8080, backends=[bed.ip(2)])
+        assert forwarder.install.handle.time_limit == limit
+        assert forwarder.install.handle.mode == bed.stacks[1].deliver_mode
 
 
 class TestHttp:

@@ -8,9 +8,11 @@ per-handle statistics, bit-identical simulated time and category
 accounting, identical profiler stacks.  These tests drive the corner
 cases directly (thread delegation, time limits, guard exceptions,
 mid-raise uninstalls), plus the machinery around the ladder: shape
-sharing, the step cap, generation/epoch hygiene, and the obs
-``compiled-path`` metric requirement.
+sharing, snapshot-identity validity, the counters the generated source
+moves, and the obs ``compiled-path`` metric requirement.
 """
+
+import re
 
 import pytest
 
@@ -20,7 +22,7 @@ from repro.obs.profiler import CpuProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.sim import Engine
 from repro.spin import SpinKernel
-from repro.spin.codegen import MAX_COMPILED_STEPS, shape_cache_size
+from repro.spin.codegen import _emit_source
 from repro.spin.flowcache import FlowEntry
 
 MODES = ("compiled", "linear")
@@ -139,8 +141,8 @@ class TestRungEquivalence:
         # The first pass only sees each flow, the second compiles its
         # plan, the third replays it.
         assert cache.compiled_plans == 4   # one plan per flow key
-        assert cache.compiled_replays == 4
         assert cache.hits == 4
+        assert _published(cache)["spin.flowcache.compiled.replays"] == 4
 
     def test_flowless_scan_matches_interpreter(self):
         def scenario(side):
@@ -148,8 +150,11 @@ class TestRungEquivalence:
             side.install(guard=lambda value: value % 2 == 0)
             for value in range(6):
                 side.send_flowless(value)
-        sides = _both_rungs(scenario)
-        assert sides[0].dispatcher.flow_cache.compiled_scan_raises == 6
+        compiled = _both_rungs(scenario)[0]
+        # One scan compiled at the last install served all six raises.
+        assert compiled.dispatcher.flow_cache.compiled_scans == 1
+        assert compiled.event._scan[0] is compiled.event._snapshot
+        assert compiled.dispatcher.total_raises == 6
 
     def test_thread_mode_delegates_identically(self):
         def scenario(side):
@@ -188,7 +193,7 @@ class TestRungEquivalence:
         # Failure accounting must re-run per packet: a raise in which a
         # guard threw records no plan, so the compiled rung never replays.
         assert sides[0].flows[0].plans == {}
-        assert sides[0].dispatcher.flow_cache.compiled_replays == 0
+        assert sides[0].dispatcher.flow_cache.hits == 0
 
     def test_generated_scan_contains_guard_exceptions(self):
         def scenario(side):
@@ -202,7 +207,8 @@ class TestRungEquivalence:
         for side in sides:
             assert side.handles[0].failures == 3
             assert side.handles[1].invocations == 3
-        assert sides[0].dispatcher.flow_cache.compiled_scan_raises == 3
+        assert sides[0].dispatcher.flow_cache.compiled_scans == 1
+        assert sides[0].event._scan[0] is sides[0].event._snapshot
 
     def test_guard_truthiness_exception_contained(self):
         # The generated scan keeps ``not guard(...)`` inside the try: a
@@ -324,7 +330,7 @@ class TestRungEquivalence:
             side.run(side.handles[0].uninstall)
             side.send(0)
         sides = _both_rungs(scenario)
-        assert sides[0].dispatcher.flow_cache.compiled_replays == 2
+        assert sides[0].dispatcher.flow_cache.hits == 2
         for side in sides:
             assert side.dispatcher.total_failures == 11
             assert side.dispatcher.total_terminations == 6
@@ -362,12 +368,11 @@ class TestCompileOnRepeat:
         assert cache.compiled_plans == 0
         side.send(0)
         assert cache.compiled_plans == 1
-        assert (side.flows[0].plans[side.event].snapshot
-                is side.event._snapshot)
+        assert side.flows[0].plans[side.event][0] is side.event._snapshot
         assert cache.misses == 2 and cache.hits == 0
         side.send(0)
         assert cache.compiled_plans == 1
-        assert cache.hits == 1 and cache.compiled_replays == 1
+        assert cache.hits == 1
 
     @pytest.mark.parametrize("bump", ["install", "uninstall", "invalidate"])
     def test_bump_between_the_raises_compiles_nothing(self, bump):
@@ -387,7 +392,7 @@ class TestCompileOnRepeat:
 
 
 # ---------------------------------------------------------------------------
-# shape sharing and the step cap
+# shape sharing, and the counters the generated source moves
 # ---------------------------------------------------------------------------
 
 class TestShapeCache:
@@ -397,65 +402,67 @@ class TestShapeCache:
         side.install(guard=lambda key: True)
         for key in ("a", "a", "b", "b"):  # a plan compiles on the repeat
             side.send(key)
-        plan_a = side.flows["a"].plans[side.event]
-        plan_b = side.flows["b"].plans[side.event]
-        assert plan_a.fn is not plan_b.fn  # distinct bound factories...
-        assert plan_a.fn.__code__ is plan_b.fn.__code__  # ...one code object
-        assert side.dispatcher.flow_cache.compiled_shape_hits >= 1
+        _snap_a, fn_a = side.flows["a"].plans[side.event]
+        _snap_b, fn_b = side.flows["b"].plans[side.event]
+        assert fn_a is not fn_b  # distinct bound factories...
+        assert fn_a.__code__ is fn_b.__code__  # ...one code object
 
     def test_shape_cache_is_process_wide(self):
-        before = shape_cache_size()
-        side = _Side("compiled")
-        side.install()
-        side.send(0)
-        assert shape_cache_size() >= before  # grows at most per new shape
-
-    def test_step_cap_records_no_plan(self):
-        def scenario(side):
-            for _ in range(MAX_COMPILED_STEPS + 1):
-                side.install()
-            side.send(0)  # raise_flow on the compiled side
-            side.send(0)
-            side.send_flowless(0)  # raise_event on both
+        """Two dispatchers compiling one shape share its code object."""
+        scans = []
+        for _ in range(2):
+            side = _Side("compiled")
+            side.install()
             side.send_flowless(0)
-        # Log, charged us, category_times and per-handle stats all equal
-        # the oracle side's: past the cap the compiled side *is* the scan.
-        compiled_side = _both_rungs(scenario)[0]
-        assert compiled_side.flows[0].plans == {}
-        assert compiled_side.event._scan is None
-        cache = compiled_side.dispatcher.flow_cache
-        assert not any(value for name, value in _published(cache).items()
-                       if name != "spin.flowcache.enabled")
+            scans.append(side.event._scan[1])
+        assert scans[0] is not scans[1]
+        assert scans[0].__code__ is scans[1].__code__
+
+    def test_wide_event_compiles(self):
+        """An event with 64 handlers is served by generated code like any
+        other, and matches the oracle side."""
+        def scenario(side):
+            for slot in range(64):
+                side.install(guard=(lambda key: key == 0) if slot % 2 else None)
+            for _ in range(3):
+                side.send(0)
+                side.send_flowless(1)
+        compiled = _both_rungs(scenario)[0]
+        cache = compiled.dispatcher.flow_cache
+        assert cache.compiled_plans == 1 and cache.hits == 1
+        assert compiled.event._scan[0] is compiled.event._snapshot
+
+    @pytest.mark.parametrize("kind, atoms", [
+        ("plan", ()), ("plan", ("R", "I", "Igl", "T", "Tg")),
+        ("scan", ()), ("scan", ("I", "Ig", "Il", "Igl", "T", "Tg"))])
+    def test_source_counts_only_what_the_scan_counts(self, kind, atoms):
+        """Per raise, generated code increments ``total_raises`` and
+        nothing else; per step, only the handle's statistics and the
+        dispatcher totals the interpreted scan moves."""
+        source = _emit_source(kind, atoms)
+        increments = re.findall(r"(\S+) \+= 1$", source, re.MULTILINE)
+        per_step = {"matched", "_dispatcher.total_invocations",
+                    "_dispatcher.total_failures",
+                    "_dispatcher.total_terminations"}
+        per_raise = [name for name in increments
+                     if name not in per_step
+                     and not re.match(r"_h\d+\.(invocations|failures|"
+                                      r"guard_rejections|terminations)$",
+                                      name)]
+        assert per_raise == ["_dispatcher.total_raises"]
+        assert "_cache" not in source and "_event" not in source
 
 
 # ---------------------------------------------------------------------------
-# generations: eviction/re-admission must never resurrect a stale plan
+# validity is snapshot identity: a stale plan never replays
 # ---------------------------------------------------------------------------
 
 class TestGenerationHygiene:
-    def test_epochs_never_recur(self, kernel):
-        """Uninstall/reinstall may not restore an old generation value."""
-        event = kernel.dispatcher.declare("Epoch.Evt")
-        seen = set()
-        for _ in range(5):
-            handle = kernel.dispatcher.install(event, lambda *a: None)
-            assert event.generation not in seen
-            seen.add(event.generation)
-            handle.uninstall()
-            assert event.generation not in seen
-            seen.add(event.generation)
-
-    def test_epochs_shared_across_events(self, kernel):
-        a = kernel.dispatcher.declare("Epoch.A")
-        b = kernel.dispatcher.declare("Epoch.B")
-        kernel.dispatcher.install(a, lambda *x: None)
-        kernel.dispatcher.install(b, lambda *x: None)
-        assert a.generation != b.generation
-
     def test_forged_generation_cannot_resurrect_stale_plan(self):
-        """Regression: plan validity is snapshot identity, so even a plan
-        whose recorded generation coincides with the event's current one
-        (the failure mode of a wrapped or reset counter) must not replay.
+        """Regression: plan validity is snapshot identity, not equality.
+        A plan held across an uninstall/reinstall never replays, and
+        neither does one whose snapshot merely *equals* the event's
+        current one (the counterpart of a wrapped or reset counter).
         """
         side = _Side("compiled")
         hits = []
@@ -463,17 +470,13 @@ class TestGenerationHygiene:
         side.send(0)
         side.send(0)  # the repeat compiles the plan
         stale_plan = side.flows[0].plans[side.event]
-        assert stale_plan.snapshot is side.event._snapshot
+        assert stale_plan[0] is side.event._snapshot
 
         # The entry (and its plan) stays held across the uninstall --
         # an in-flight packet header keeps FlowEntry objects alive even
         # after cache eviction.
         side.run(side.handles[0].uninstall)
         side.install(handler=lambda *a: hits.append("new"))
-
-        # Forge the counter coincidence a non-monotonic generation could
-        # produce.  Identity validation must shrug it off.
-        stale_plan.generation = side.event.generation
         assert side.flows[0].plans[side.event] is stale_plan
         invalidations_before = side.dispatcher.flow_cache.invalidations
         side.send(0)
@@ -484,8 +487,19 @@ class TestGenerationHygiene:
         side.send(0)
         assert (side.dispatcher.flow_cache.invalidations
                 == invalidations_before + 2)
-        assert side.flows[0].plans[side.event] is not stale_plan
-        assert side.flows[0].plans[side.event].snapshot is side.event._snapshot
+        live_plan = side.flows[0].plans[side.event]
+        assert live_plan is not stale_plan
+        assert live_plan[0] is side.event._snapshot
+
+        # An explicit invalidation leaves an equal tuple, not the same one.
+        side.dispatcher.invalidate_event(side.event)
+        assert live_plan[0] == side.event._snapshot
+        assert live_plan[0] is not side.event._snapshot
+        hits_before = side.dispatcher.flow_cache.hits
+        side.send(0)
+        assert side.dispatcher.flow_cache.hits == hits_before
+        assert (side.dispatcher.flow_cache.invalidations
+                == invalidations_before + 3)
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +508,12 @@ class TestGenerationHygiene:
 
 class TestCompiledPathRequirement:
     SNAPSHOT_ON = {
-        "spin.flowcache.compiled.replays": {"type": "gauge", "value": 7},
-        "spin.flowcache.compiled.scan_raises": {"type": "gauge", "value": 0},
+        "spin.flowcache.hits": {"type": "gauge", "value": 7},
+        "spin.flowcache.compiled.scans": {"type": "gauge", "value": 0},
     }
     SNAPSHOT_OFF = {
-        "spin.flowcache.compiled.replays": {"type": "gauge", "value": 0},
-        "spin.flowcache.compiled.scan_raises": {"type": "gauge", "value": 0},
+        "spin.flowcache.hits": {"type": "gauge", "value": 0},
+        "spin.flowcache.compiled.scans": {"type": "gauge", "value": 0},
     }
 
     def test_satisfied_by_nonzero_metric(self):

@@ -67,13 +67,16 @@ class TestGraphStaysAuthoritative:
             handle.uninstall()
 
     def test_install_bumps_generation(self, kernel):
+        """Install and uninstall each replace the event's snapshot tuple,
+        the identity compiled plans and scans validate against."""
         event = kernel.dispatcher.declare("X.Evt")
-        before = event.generation
+        before = event._snapshot
         handle = kernel.dispatcher.install(event, lambda *a: None)
-        assert event.generation > before
-        during = event.generation
+        assert event._snapshot is not before
+        during = event._snapshot
         handle.uninstall()
-        assert event.generation > during
+        assert event._snapshot is not during
+        assert event._snapshot == before
 
 
 # ---------------------------------------------------------------------------

@@ -69,12 +69,6 @@ class TestAccumulator:
         cpu.charge(2.0, "protocol")
         assert cpu.category_times == {"driver": 15.0, "protocol": 2.0}
 
-    def test_recharge_skips_categories(self, cpu):
-        marker = cpu.begin()
-        cpu.recharge(12.0)
-        assert cpu.end(marker) == 12.0
-        assert cpu.category_times == {}
-
 
 _CHARGES = st.lists(st.tuples(st.sampled_from(["driver", "protocol", "dispatch", "copy"]),
                               st.floats(min_value=0.0, allow_nan=False)))

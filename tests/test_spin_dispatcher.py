@@ -167,6 +167,15 @@ class TestTimeLimits:
         charged(kernel, lambda: dispatcher.raise_event(event))
         assert handle.terminations == 0
 
+    def test_thread_mode_time_limit_rejected(self, dispatcher):
+        """The paper bounds only interrupt-level EPHEMERAL execution (sec.
+        3.3); a thread-mode limit nothing would enforce is refused."""
+        event = dispatcher.declare("X")
+        with pytest.raises(DispatchError, match="inline"):
+            dispatcher.install(event, lambda: None, mode="thread",
+                               time_limit=5.0)
+        assert event.handlers == []
+
 
 class TestContainment:
     def test_handler_exception_contained(self, kernel, dispatcher):
