@@ -18,6 +18,15 @@ workers that leave through ``os._exit`` are covered without an exit hook.
 ``pytest benchmarks`` under-reports: ``pytest-benchmark`` suspends
 profilers inside ``benchmark()``, so what only a ``benchmark(...)`` body
 calls (``bench.micro.extension_install_cost``) stays on the keep list.
+
+A second, static pass lists write-only state: each attribute name that
+``src/repro`` stores (an ``x.name = ...`` or ``x.name += ...`` target)
+and that no code under ``src``, ``tests``, ``benchmarks``, ``perfbench``
+or ``examples`` reads (an ``x.name`` load, or ``"name"`` as a string
+constant outside a ``__slots__``), dunders skipped, as
+``path.py:Class.name`` after the functions, from the same keep file.
+Names are matched without their objects, so a read of any ``.name``
+keeps every store of it.
 """
 
 import ast
@@ -46,6 +55,8 @@ def _hook(frame, event, arg):
 sys.setprofile(_hook)
 threading.setprofile(_hook)
 '''
+
+READERS = ("src", "tests", "benchmarks", "perfbench", "examples")
 
 PY = [sys.executable]
 BENCH = PY + ["-m", "repro.bench"]
@@ -80,6 +91,63 @@ def functions(tree):
             else:
                 yield from walk(child, prefix)
     return walk(tree, "")
+
+
+def stores(tree):
+    """Yield ``(qualname, name)`` for each attribute store under ``tree``,
+    qualified by the class around it (bare ``name`` outside a class)."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from walk(child, prefix + child.name + ".")
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(
+                    child.ctx, ast.Store):
+                yield prefix + child.attr, child.attr
+            yield from walk(child, prefix)
+    return walk(tree, "")
+
+
+def loads(tree):
+    """Every attribute name ``tree`` may read: each ``x.name`` load, and
+    each string constant outside a ``__slots__`` (``getattr`` names,
+    ``Layout`` fields a ``VIEW`` reads, a table's match field)."""
+    slots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__slots__"
+                for target in node.targets):
+            slots.update(map(id, ast.walk(node.value)))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in slots):
+            names.add(node.value)
+    return names
+
+
+def write_only(root):
+    """``path.py:Class.name`` for each attribute ``src/repro`` under
+    ``root`` stores and nothing under :data:`READERS` reads."""
+    read = set()
+    for top in READERS:
+        for path in glob.glob(os.path.join(root, top, "**", "*.py"),
+                              recursive=True):
+            with open(path) as handle:
+                read |= loads(ast.parse(handle.read()))
+    package = os.path.join(root, "src", "repro")
+    found = {}
+    for path in sorted(glob.glob(os.path.join(package, "**", "*.py"),
+                                 recursive=True)):
+        relative = os.path.relpath(path, package)
+        with open(path) as handle:
+            module = ast.parse(handle.read())
+        for qualname, name in stores(module):
+            if name not in read and not name.startswith("__"):
+                found["%s:%s" % (relative, qualname)] = None
+    return list(found)
 
 
 def main() -> int:
@@ -120,6 +188,7 @@ def main() -> int:
                 for first, qualname in functions(module)
                 if "%s:%d" % (relative, first) not in reached
                 and not qualname.endswith("__repr__")]
+        unreached += write_only(tree)
     reasons = {}
     with open(KEEP) as handle:
         for line in handle:

@@ -49,7 +49,6 @@ class ActiveMessages:
         self.credential = Credential(name)
         self.handlers: Dict[int, Callable[[int, int, int], None]] = {}
         self.messages_received = 0
-        self.messages_sent = 0
         self._seq = 0
 
         handlers = self.handlers
@@ -93,7 +92,6 @@ class ActiveMessages:
         view.handler_index = handler_index
         view.seq = self._seq
         view.arg = arg
-        self.messages_sent += 1
         self._send_frame(bytes(buf), dst_mac)
         return self._seq
 

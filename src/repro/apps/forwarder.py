@@ -43,7 +43,6 @@ class PlexusForwarder:
         self.stack = stack
         self.port = port
         self.backends = list(backends)
-        self.ip_protocol = ip_protocol
         self.credential = Credential(name, privileged=True)
         self.flows: Dict[Tuple[int, int], int] = {}
         self.packets_forwarded = 0
@@ -89,7 +88,6 @@ class BackendService:
                  on_accept: Optional[Callable] = None,
                  echo: bool = False, name: str = "backend"):
         self.stack = stack
-        self.virtual_ip = virtual_ip
         self.port = port
         self.credential = Credential(name, privileged=True)
         alias = stack.ip_manager.alias_capability(self.credential)

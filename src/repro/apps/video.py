@@ -186,12 +186,10 @@ class _ClientCore:
         self.framebuffer = framebuffer or Framebuffer(host)
         self.frame_bytes = frame_bytes
         self.frames_displayed = 0
-        self.bytes_received = 0
         self._pending = 0
 
     def consume(self, nbytes: int) -> None:
         """Account one datagram; display when a whole frame is in."""
-        self.bytes_received += nbytes
         self._pending += nbytes
         if self._pending >= self.frame_bytes:
             self._pending -= self.frame_bytes

@@ -16,14 +16,11 @@ adaptation* properties.  Tests assert on this structure, and
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional
 
 from ..spin.dispatcher import EventDecl, HandlerHandle
 
 __all__ = ["ProtocolGraph", "GraphNode", "GraphEdge", "GraphError"]
-
-_edge_ids = itertools.count(1)
 
 
 class GraphError(RuntimeError):
@@ -35,15 +32,11 @@ class GraphNode:
 
     KINDS = ("device", "protocol", "extension")
 
-    def __init__(self, name: str, kind: str,
-                 recv_event: Optional[EventDecl] = None,
-                 manager=None):
+    def __init__(self, name: str, kind: str):
         if kind not in self.KINDS:
             raise GraphError("unknown node kind %r" % kind)
         self.name = name
         self.kind = kind
-        self.recv_event = recv_event
-        self.manager = manager
         self.in_edges: List["GraphEdge"] = []
         self.out_edges: List["GraphEdge"] = []
 
@@ -56,7 +49,6 @@ class GraphEdge:
 
     def __init__(self, src: GraphNode, dst: GraphNode, handle: HandlerHandle,
                  label: str = ""):
-        self.edge_id = next(_edge_ids)
         self.src = src
         self.dst = dst
         self.handle = handle
@@ -81,17 +73,14 @@ class ProtocolGraph:
         self.host = host
         self.nodes: Dict[str, GraphNode] = {}
         self.edges: List[GraphEdge] = []
-        self.installs = 0
         self.removals = 0
 
     # -- nodes -------------------------------------------------------------
 
-    def add_node(self, name: str, kind: str,
-                 recv_event: Optional[EventDecl] = None,
-                 manager=None) -> GraphNode:
+    def add_node(self, name: str, kind: str) -> GraphNode:
         if name in self.nodes:
             raise GraphError("node %r already in graph" % name)
-        node = GraphNode(name, kind, recv_event, manager)
+        node = GraphNode(name, kind)
         self.nodes[name] = node
         return node
 
@@ -114,7 +103,6 @@ class ProtocolGraph:
         # handle directly (not through remove_edge) drops the edge too,
         # so render() and node edge lists never go stale.
         handle.graph_edge = edge
-        self.installs += 1
         return edge
 
     def install(self, event: EventDecl, handler, src: GraphNode,

@@ -31,7 +31,6 @@ handler.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, Iterable, Optional, Set
 
 from ..lang.ephemeral import is_ephemeral, register_safe
@@ -51,8 +50,6 @@ __all__ = [
     "UdpEndpoint",
     "TcpManager",
 ]
-
-_cred_ids = itertools.count(1)
 
 
 class AccessError(PermissionError):
@@ -77,7 +74,6 @@ class Credential:
     def __init__(self, name: str, privileged: bool = False):
         self.name = name
         self.privileged = privileged
-        self.credential_id = next(_cred_ids)
 
     def __repr__(self) -> str:
         return "<Credential %s%s>" % (self.name, " privileged" if self.privileged else "")
@@ -133,14 +129,11 @@ class InstallHandle:
         if self.uninstalled:
             return
         self.uninstalled = True
-        graph = self.edge.src.manager.stack.graph if self.edge.src.manager else None
-        if graph is not None:
-            graph.remove_edge(self.edge)
-            if self.edge.dst.kind == "extension" and not self.edge.dst.in_edges \
-                    and not self.edge.dst.out_edges:
-                graph.nodes.pop(self.edge.dst.name, None)
-        elif self.edge.handle.installed:
-            self.edge.handle.uninstall()
+        graph = self.edge.graph
+        graph.remove_edge(self.edge)
+        if self.edge.dst.kind == "extension" and not self.edge.dst.in_edges \
+                and not self.edge.dst.out_edges:
+            graph.nodes.pop(self.edge.dst.name, None)
         if self._on_uninstall is not None:
             self._on_uninstall()
 
@@ -152,7 +145,6 @@ class _ManagerBase:
         self.stack = stack
         self.host = stack.host
         self.node = stack.graph.node(node_name)
-        self.node.manager = self
 
     def _require_ephemeral(self, handler: Callable, mode: str) -> None:
         if mode == "inline" and not is_ephemeral(handler):
@@ -372,7 +364,6 @@ class UdpEndpoint:
         self.install = install
         self.checksum = checksum
         self.spoof_policy = spoof_policy
-        self.datagrams_sent = 0
         self.closed = False
 
     def send(self, payload: bytes, dst_ip: int, dst_port: int,
@@ -394,7 +385,6 @@ class UdpEndpoint:
         host = self.manager.host
         self.manager._charge_send_raise()
         m = host.mbufs.from_bytes(payload, leading_space=64)
-        self.datagrams_sent += 1
         self.manager.stack.udp.output(
             m, src_port=self.port, dst_ip=dst_ip, dst_port=dst_port,
             checksum=self.checksum)

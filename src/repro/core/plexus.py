@@ -88,11 +88,10 @@ class PlexusStack:
 
         # ---- graph nodes ----------------------------------------------------
         self.graph.add_node(nic.name, "device")
-        link_node = self.graph.add_node(self.link_node_name, "protocol",
-                                        recv_event=self.link_recv_event)
-        self.graph.add_node("ip", "protocol", recv_event=self.ip_recv_event)
-        self.graph.add_node("udp", "protocol", recv_event=self.udp_recv_event)
-        self.graph.add_node("tcp", "protocol", recv_event=self.tcp_recv_event)
+        link_node = self.graph.add_node(self.link_node_name, "protocol")
+        self.graph.add_node("ip", "protocol")
+        self.graph.add_node("udp", "protocol")
+        self.graph.add_node("tcp", "protocol")
         self.graph.add_node("icmp", "protocol")
         if link == "ethernet":
             self.graph.add_node("arp", "protocol")

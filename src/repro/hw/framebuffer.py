@@ -19,12 +19,8 @@ __all__ = ["Framebuffer"]
 class Framebuffer:
     """A display device written with programmed stores."""
 
-    def __init__(self, host: Host, width: int = 1024, height: int = 768,
-                 bytes_per_pixel: int = 1):
+    def __init__(self, host: Host):
         self.host = host
-        self.width = width
-        self.height = height
-        self.bytes_per_pixel = bytes_per_pixel
         self.bytes_written = 0
         self.frames_displayed = 0
 

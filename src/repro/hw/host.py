@@ -52,7 +52,7 @@ class Timer:
     """
 
     __slots__ = ("host", "fn", "args", "priority", "name", "cancelled",
-                 "fired", "expires_at")
+                 "fired")
 
     def __init__(self, host: "Host", delay_us: float, fn: Callable,
                  args: Tuple = (), priority: int = THREAD_PRIORITY,
@@ -65,7 +65,6 @@ class Timer:
         self.cancelled = False
         self.fired = False
         engine = host.engine
-        self.expires_at = engine.now + delay_us
         engine.timers_armed += 1
         engine.call_after(delay_us, Timer._fire, self)
 

@@ -49,7 +49,7 @@ class Frame:
     number of bytes that actually occupy the wire (cell padding etc.).
     """
 
-    __slots__ = ("data", "src_addr", "dst_addr", "wire_bytes", "enqueued_at")
+    __slots__ = ("data", "src_addr", "dst_addr", "wire_bytes")
 
     def __init__(self, data: bytes, src_addr: str, dst_addr: str,
                  wire_bytes: Optional[int] = None):
@@ -57,7 +57,6 @@ class Frame:
         self.src_addr = src_addr
         self.dst_addr = dst_addr
         self.wire_bytes = wire_bytes if wire_bytes is not None else len(self.data)
-        self.enqueued_at: Optional[float] = None
 
     def __repr__(self) -> str:
         return "<Frame %s->%s len=%d>" % (self.src_addr, self.dst_addr, len(self.data))

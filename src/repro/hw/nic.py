@@ -144,7 +144,6 @@ class NIC:
                       wire_bytes=self.wire_bytes(size))
 
         def enqueue() -> None:
-            frame.enqueued_at = self.engine.now
             if len(self._tx_queue) >= self.tx_queue_len:
                 self.tx_drops += 1
                 return

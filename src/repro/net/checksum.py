@@ -130,10 +130,9 @@ def verify_checksum(data: Buffer, initial: int = 0) -> bool:
     return internet_checksum(data, initial) == 0
 
 
-def charged_checksum(host, data: Buffer, initial: int = 0,
-                     category: str = "checksum") -> int:
+def charged_checksum(host, data: Buffer, initial: int = 0) -> int:
     """Compute the checksum and charge its per-byte CPU cost to ``host``."""
-    host.cpu.charge(len(data) * host.costs.checksum_per_byte, category)
+    host.cpu.charge(len(data) * host.costs.checksum_per_byte, "checksum")
     return internet_checksum(data, initial)
 
 

@@ -30,8 +30,6 @@ class EthernetProto:
         self.nic = nic
         #: set by the OS glue: fn(nic, mbuf) with the mbuf at the frame start
         self.upcall: Optional[Callable] = None
-        self.frames_in = 0
-        self.frames_out = 0
 
     @property
     def mtu(self) -> int:
@@ -58,7 +56,6 @@ class EthernetProto:
         m = m.push(self.HEADER_LEN)
         ETHERNET_HEADER.pack_into(m._storage, m.off, bytes(dst_mac),
                                   bytes(self.nic.address), ethertype)
-        self.frames_out += 1
         return self.nic.stage_tx(m.to_bytes(), dst_mac)
 
     def broadcast(self, m: Mbuf, ethertype: int) -> bool:
@@ -78,7 +75,6 @@ class EthernetProto:
         amount = self.host.costs.ethernet_input
         stack[-1] += amount
         cpu.category_times["protocol"] += amount
-        m = self.host.mbufs.from_bytes(frame_data, leading_space=0, rcvif=nic)
-        self.frames_in += 1
+        m = self.host.mbufs.from_bytes(frame_data, leading_space=0)
         if self.upcall is not None:
             self.upcall(nic, m)

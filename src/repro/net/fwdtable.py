@@ -9,8 +9,7 @@ plane.
 The table maps ``network/prefix_len`` to an arbitrary ``value`` --
 ``IpProto`` stores ``(adapter, gateway)`` pairs, ``repro.fabric`` stores
 action descriptors.  Lookups are memoised per destination; any mutation
-(add/remove/clear) drops the memo and bumps ``generation`` so callers
-holding derived state (compiled plans, their own caches) can notice.
+(add/remove) drops the memo.
 """
 
 from __future__ import annotations
@@ -36,15 +35,12 @@ class ForwardingTable:
     ``None`` on a miss -- the *caller* owns default-route policy.
     """
 
-    __slots__ = ("_routes", "_cache", "generation", "lookups", "misses")
+    __slots__ = ("_routes", "_cache")
 
     def __init__(self) -> None:
         #: (network, prefix_len, value), longest prefix first, stable
         self._routes: List[Tuple[int, int, Any]] = []
         self._cache: Dict[int, Tuple[Any]] = {}
-        self.generation = 0
-        self.lookups = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._routes)
@@ -58,7 +54,7 @@ class ForwardingTable:
         # Timsort is stable: repeated append+sort preserves insertion
         # order within one prefix length across any number of adds.
         self._routes.sort(key=lambda route: -route[1])
-        self._mutated()
+        self._cache.clear()
 
     def remove(self, network: int, prefix_len: int) -> bool:
         """Withdraw the first route matching (network, prefix_len)."""
@@ -66,17 +62,12 @@ class ForwardingTable:
         for index, (net, plen, _value) in enumerate(self._routes):
             if net == network and plen == prefix_len:
                 del self._routes[index]
-                self._mutated()
+                self._cache.clear()
                 return True
         return False
 
-    def _mutated(self) -> None:
-        self._cache.clear()
-        self.generation += 1
-
     def lookup(self, dst: int) -> Optional[Any]:
         """Stored value for the longest prefix covering ``dst`` (or None)."""
-        self.lookups += 1
         hit = self._cache.get(dst)
         if hit is not None:
             return hit[0]
@@ -85,8 +76,6 @@ class ForwardingTable:
             if (dst & prefix_mask(prefix_len)) == network:
                 value = candidate
                 break
-        if value is None:
-            self.misses += 1
         # Memoise misses too (wrapped in a 1-tuple so None is cacheable).
         self._cache[dst] = (value,)
         return value

@@ -42,7 +42,6 @@ class IcmpProto:
         self.on_unreachable: Optional[Callable] = None
         #: callback fired for time-exceeded errors: fn(original_bytes)
         self.on_time_exceeded: Optional[Callable] = None
-        self.time_exceeded_in = 0
 
     # -- send -------------------------------------------------------------
 
@@ -104,6 +103,5 @@ class IcmpProto:
             if self.on_unreachable is not None:
                 self.on_unreachable(view.code, payload)
         elif view.type == ICMP_TIME_EXCEEDED:
-            self.time_exceeded_in += 1
             if self.on_time_exceeded is not None:
                 self.on_time_exceeded(payload)

@@ -31,7 +31,6 @@ _IP_PUT_CKSUM, _IP_CKSUM_OFF = IP_HEADER.scalar_putter("checksum")
 __all__ = ["IpProto", "IP_BROADCAST"]
 
 IP_BROADCAST = 0xFFFFFFFF
-_FLAG_DF = 0x4000
 _FLAG_MF = 0x2000
 _OFFSET_MASK = 0x1FFF
 
@@ -89,7 +88,6 @@ class IpProto:
         self._aliases: Set[int] = set()
         self._reassembly: Dict[Tuple[int, int, int], _Reassembly] = {}
         self.packets_in = 0
-        self.packets_out = 0
         self.fragments_out = 0
         self.fragments_in = 0
         self.reassembled = 0
@@ -154,8 +152,7 @@ class IpProto:
     # -- send path -----------------------------------------------------------
 
     def output(self, m: Mbuf, dst: int, protocol: int,
-               src: Optional[int] = None, ttl: int = DEFAULT_TTL,
-               dont_fragment: bool = False) -> None:
+               src: Optional[int] = None, ttl: int = DEFAULT_TTL) -> None:
         """Send payload chain ``m`` to ``dst`` (plain code)."""
         host = self.host
         cpu = host.cpu
@@ -173,18 +170,13 @@ class IpProto:
         payload_len = m.length()
         adapter, next_hop = self.route_for(dst)
         mtu_payload = adapter.mtu - self.HEADER_LEN
-        self.packets_out += 1
         total = payload_len + self.HEADER_LEN
         if total <= adapter.mtu:
             packet = self._prepend_header(
-                m, src, dst, protocol, ident, ttl,
-                frag_field=(_FLAG_DF if dont_fragment else 0),
+                m, src, dst, protocol, ident, ttl, frag_field=0,
                 total_length=total)
             adapter.send(packet, next_hop)
             return
-        if dont_fragment:
-            raise ValueError(
-                "packet of %d bytes needs fragmentation but DF is set" % payload_len)
         # Fragment on 8-byte boundaries.
         chunk = (mtu_payload // 8) * 8
         data = m.to_bytes()
@@ -324,13 +316,14 @@ class IpProto:
         packet[8] -= 1          # TTL
         adapter, next_hop = self.route_for(view.dst)
         self.host.cpu.charge(self.host.costs.ip_output, "protocol")
-        self.forwarded += 1
         if len(packet) <= adapter.mtu:
+            self.forwarded += 1
             self._restamp_and_send(packet, adapter, next_hop)
             return
-        if packet[6] & 0x40:  # DF set: cannot fragment
+        if packet[6] & 0x40:  # DF set: cannot fragment, so not forwarded
             self.header_errors += 1
             return
+        self.forwarded += 1
         self._forward_fragments(packet, adapter, next_hop)
 
     def _restamp_and_send(self, packet: bytearray, adapter, next_hop: int) -> None:

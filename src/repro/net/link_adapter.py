@@ -57,8 +57,6 @@ class RawLinkProto:
         self.neighbors: Dict[int, object] = dict(neighbors or {})
         #: set by the OS glue: fn(nic, mbuf) with the mbuf at the IP header
         self.upcall: Optional[Callable] = None
-        self.frames_in = 0
-        self.frames_out = 0
 
     @property
     def mtu(self) -> int:
@@ -74,14 +72,12 @@ class RawLinkProto:
             raise KeyError(
                 "no neighbor entry for %s on %s" % (ip_ntoa(next_hop), self.nic.name))
         self.host.cpu.charge(self.host.costs.ethernet_output, "protocol")
-        self.frames_out += 1
         self.nic.stage_tx(m.to_bytes(), link_addr)
 
     def input(self, nic: NIC, frame_data: bytes) -> None:
         """Device receive entry (plain code, interrupt context)."""
         self.host.cpu.charge(self.host.costs.ethernet_input, "protocol")
-        m = self.host.mbufs.from_bytes(frame_data, leading_space=0, rcvif=nic)
-        self.frames_in += 1
+        m = self.host.mbufs.from_bytes(frame_data, leading_space=0)
         if self.upcall is not None:
             self.upcall(nic, m)
 

@@ -102,23 +102,22 @@ class Tcb:
     """One TCP connection.
 
     ``__slots__`` because a mega-scale workload holds tens of thousands
-    of these live at once: the instance ``__dict__`` for ~56 attributes
+    of these live at once: the instance ``__dict__`` for ~50 attributes
     costs more than every buffer a quiet connection owns, and slotted
     storage is what lets ``mega_flows`` fit the bench budget.
     """
 
     __slots__ = (
-        "proto", "host", "laddr", "lport", "raddr", "rport", "passive",
-        "state", "mss",
+        "proto", "host", "laddr", "lport", "raddr", "rport", "state", "mss",
         # Send side.
         "iss", "snd_una", "snd_nxt", "snd_wnd", "snd_buf", "snd_buf_limit",
         "nodelay", "fin_queued", "fin_sent_seq",
         # Receive side.
-        "irs", "rcv_nxt", "rcv_buf_limit", "delivered_unconsumed",
+        "rcv_nxt", "rcv_buf_limit", "delivered_unconsumed",
         "auto_consume", "_reass", "_segs_since_ack", "_fin_received",
         "_advertised_window",
         # Congestion control.
-        "cwnd", "ssthresh", "dupacks", "recover",
+        "cwnd", "ssthresh", "dupacks",
         # RTT estimation.
         "srtt", "rttvar", "rto", "_rtt_seq", "_rtt_start", "_rexmt_shift",
         "_probe_pending",
@@ -127,8 +126,7 @@ class Tcb:
         # Callbacks.
         "on_established", "on_data", "on_close", "on_reset", "on_sendable",
         # Statistics.
-        "segments_sent", "segments_received", "bytes_sent", "bytes_received",
-        "retransmits", "fast_retransmits",
+        "segments_sent", "bytes_sent", "retransmits", "fast_retransmits",
     )
 
     DEFAULT_BUF = 64 * 1024
@@ -148,7 +146,6 @@ class Tcb:
         self.lport = lport
         self.raddr = raddr
         self.rport = rport
-        self.passive = passive
         self.state = TcpState.LISTEN if passive else TcpState.CLOSED
         self.mss = proto.default_mss
 
@@ -166,7 +163,6 @@ class Tcb:
         self.fin_sent_seq: Optional[int] = None
 
         # Receive side.
-        self.irs = 0
         self.rcv_nxt = 0
         self.rcv_buf_limit = self.DEFAULT_BUF
         self.delivered_unconsumed = 0
@@ -180,7 +176,6 @@ class Tcb:
         self.cwnd = 2 * self.mss
         self.ssthresh = 64 * 1024
         self.dupacks = 0
-        self.recover = self.iss
 
         # RTT estimation (Jacobson; Karn's rule via _rtt_seq).
         self.srtt: Optional[float] = None
@@ -206,9 +201,7 @@ class Tcb:
 
         # Statistics.
         self.segments_sent = 0
-        self.segments_received = 0
         self.bytes_sent = 0
-        self.bytes_received = 0
         self.retransmits = 0
         self.fast_retransmits = 0
 
@@ -294,7 +287,6 @@ class Tcb:
     # ------------------------------------------------------------------
 
     def input(self, seg: TcpSegment) -> None:
-        self.segments_received += 1
         if seg.flags & RST:
             self._handle_rst(seg)
             return
@@ -304,7 +296,6 @@ class Tcb:
 
     def accept_syn(self, seg: TcpSegment) -> None:
         """Passive open: a listener routed a SYN to this new TCB."""
-        self.irs = seg.seq
         self.rcv_nxt = seq_add(seg.seq, 1)
         self.snd_wnd = seg.window
         self._negotiate_mss(seg)
@@ -330,7 +321,6 @@ class Tcb:
         if seg.flags & ACK and seg.ack != self.snd_nxt:
             self._send_control(RST, seq=seg.ack)
             return
-        self.irs = seg.seq
         self.rcv_nxt = seq_add(seg.seq, 1)
         self.snd_wnd = seg.window
         self._negotiate_mss(seg)
@@ -508,7 +498,6 @@ class Tcb:
         self.fast_retransmits += 1
         self.retransmits += 1
         self.ssthresh = max(self._flight() // 2, 2 * self.mss)
-        self.recover = self.snd_nxt
         self._retransmit_one()
         self.cwnd = self.ssthresh + 3 * self.mss
         self._rtt_seq = None  # Karn
@@ -529,13 +518,11 @@ class Tcb:
         if seq == self.rcv_nxt:
             data = payload[:window]
             self.rcv_nxt = seq_add(self.rcv_nxt, len(data))
-            self.bytes_received += len(data)
             self._deliver(data)
             # Pull contiguous reassembled segments through.
             while self.rcv_nxt in self._reass:
                 chunk = self._reass.pop(self.rcv_nxt)
                 self.rcv_nxt = seq_add(self.rcv_nxt, len(chunk))
-                self.bytes_received += len(chunk)
                 self._deliver(chunk)
             self._segs_since_ack += 1
             if self._segs_since_ack >= 2 or self._fin_received:

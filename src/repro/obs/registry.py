@@ -51,11 +51,10 @@ class Gauge:
 
     kind = "gauge"
 
-    __slots__ = ("name", "description", "sources")
+    __slots__ = ("name", "sources")
 
-    def __init__(self, name: str, description: str = "", fn: Optional[Callable] = None):
+    def __init__(self, name: str, fn: Optional[Callable] = None):
         self.name = name
-        self.description = description
         self.sources: List[Callable] = []
         if fn is not None:
             self.sources.append(fn)
@@ -78,18 +77,18 @@ class MetricsRegistry:
 
     # -- declaration -----------------------------------------------------
 
-    def gauge(self, name: str, description: str = "", fn: Optional[Callable] = None) -> Gauge:
+    def gauge(self, name: str, fn: Optional[Callable] = None) -> Gauge:
         if not _NAME_RE.match(name):
             raise MetricError(
                 "invalid metric name %r: want dotted lowercase like 'spin.flowcache.hits'" % name
             )
         if name in self._instruments:
             raise DuplicateMetricError("metric %r already registered" % name)
-        instrument = Gauge(name, description, fn=fn)
+        instrument = Gauge(name, fn=fn)
         self._instruments[name] = instrument
         return instrument
 
-    def source(self, name: str, fn: Callable, description: str = "") -> Gauge:
+    def source(self, name: str, fn: Callable) -> Gauge:
         """Register (or extend) an aggregating callback gauge.
 
         The first call under ``name`` creates the gauge; later calls add
@@ -98,7 +97,7 @@ class MetricsRegistry:
         """
         instrument = self._instruments.get(name)
         if instrument is None:
-            return self.gauge(name, description, fn=fn)
+            return self.gauge(name, fn=fn)
         instrument.add_source(fn)
         return instrument
 

@@ -35,11 +35,7 @@ def instrument_testbed(bed, registry: Optional[MetricsRegistry] = None) -> Metri
         dispatcher = getattr(host, "dispatcher", None)
         if dispatcher is not None:
             dispatcher.register_metrics(registry)
-        registry.source(
-            "os.interrupts_handled",
-            lambda h=host: h.interrupts_handled,
-            "NIC interrupts taken by the OS models",
-        )
+        registry.source("os.interrupts_handled", lambda h=host: h.interrupts_handled)
         fabric = getattr(host, "fabric_pipeline", None)
         if fabric is not None:
             fabric.register_metrics(registry)

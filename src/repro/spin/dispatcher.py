@@ -26,7 +26,6 @@ This module reproduces that machinery with cost accounting:
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..hw.cpu import MISMATCHED_END, OUTSIDE_PATH, THREAD_PRIORITY, ChargeError
@@ -34,8 +33,6 @@ from .codegen import compile_plan, compile_scan
 from .flowcache import FlowCache, FlowEntry
 
 __all__ = ["Dispatcher", "EventDecl", "HandlerHandle", "DispatchError"]
-
-_handler_ids = itertools.count(1)
 
 
 class DispatchError(RuntimeError):
@@ -50,7 +47,7 @@ class HandlerHandle:
     """
 
     __slots__ = ("event", "handler", "guard", "mode", "time_limit", "label",
-                 "handler_id", "installed", "graph_edge", "invocations",
+                 "installed", "graph_edge", "invocations",
                  "guard_rejections", "terminations", "failures", "last_error")
 
     def __init__(self, event: "EventDecl", handler: Callable, guard: Optional[Callable],
@@ -61,7 +58,6 @@ class HandlerHandle:
         self.mode = mode
         self.time_limit = time_limit
         self.label = label or getattr(handler, "__name__", "handler")
-        self.handler_id = next(_handler_ids)
         self.installed = True
         #: the ProtocolGraph edge carrying this handle, when one exists;
         #: set by the graph so uninstalling from either side keeps the

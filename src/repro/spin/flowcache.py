@@ -114,7 +114,6 @@ class FlowCache:
         self.enabled = flow_cache_enabled()
         self.capacity = capacity
         self.entries: Dict[Tuple, FlowEntry] = {}
-        self._mru: Optional[Tuple] = None  # tail of the recency order
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -137,13 +136,10 @@ class FlowCache:
                 self.evictions += 1
             entry = FlowEntry(key)
             entries[key] = entry
-        elif key is not self._mru and key != self._mru:
-            # Move to the recency tail.  Packet trains hit the same flow
-            # back to back, so the one-key memo skips the del/reinsert on
-            # the overwhelmingly common repeat.
+        else:
+            # Move to the recency tail.
             del entries[key]
             entries[key] = entry
-        self._mru = key
         return entry
 
     def register_metrics(self, registry) -> None:

@@ -21,8 +21,6 @@ a freshly spawned kernel thread (the "thread" bars).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..hw.host import Host
 from ..sim import Engine
 from .dispatcher import Dispatcher
@@ -46,7 +44,6 @@ class SpinKernel(Host):
 
     # -- extension services -------------------------------------------------
 
-    def export_interface(self, interface: Interface,
-                         domain: Optional[Domain] = None) -> None:
-        """Export ``interface`` into ``domain`` (default: the kernel domain)."""
-        (domain or self.kernel_domain).export_interface(interface)
+    def export_interface(self, interface: Interface) -> None:
+        """Export ``interface`` into the kernel domain."""
+        self.kernel_domain.export_interface(interface)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import itertools
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from .domain import Domain, UnresolvedSymbol
@@ -35,7 +34,6 @@ __all__ = ["Extension", "LinkedExtension", "DynamicLinker", "LinkError",
 # Modula-3 compiler's signature on the object file; only code signed by the
 # trusted compiler may be linked.
 _SIGNING_KEY = b"spin-modula3-compiler-release-3.5.2"
-_extension_ids = itertools.count(1)
 
 
 class LinkError(RuntimeError):
@@ -63,7 +61,6 @@ class Extension:
         self.imports = list(imports)
         self.init = init
         self.signature = signature
-        self.extension_id = next(_extension_ids)
 
     def __repr__(self) -> str:
         return "<Extension %s imports=%d%s>" % (

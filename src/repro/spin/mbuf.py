@@ -13,7 +13,7 @@ cost table and the protocol code can see:
   boundary, so the link count -- what :class:`MbufPool` charges for -- is
   the one a cluster-per-link allocator would produce,
 * the links are joined through ``next``; the first carries a packet header
-  with the total length and receiving interface,
+  with the total length and the packet's flow-cache entry,
 * headers are pushed into the leading space (headroom) of the buffer:
   :meth:`Mbuf.push` grows the packet at the front and each layer packs
   its header where it now lies, so the send path builds a packet in place
@@ -59,11 +59,10 @@ class MbufError(RuntimeError):
 class PacketHeader:
     """Per-packet metadata carried by the first mbuf of a chain."""
 
-    __slots__ = ("length", "rcvif", "flow")
+    __slots__ = ("length", "flow")
 
-    def __init__(self, length: int = 0, rcvif=None):
+    def __init__(self, length: int = 0):
         self.length = length
-        self.rcvif = rcvif
         #: the packet's FlowEntry (set by the link layer on receive);
         #: carries the compiled delivery path from link to application.
         self.flow = None
@@ -88,8 +87,8 @@ class Mbuf:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def from_bytes(cls, data: Union[bytes, bytearray], leading_space: int = 64,
-                   rcvif=None) -> "Mbuf":
+    def from_bytes(cls, data: Union[bytes, bytearray], leading_space: int = 64
+                   ) -> "Mbuf":
         """Build a packet chain holding a copy of ``data`` (with headroom)."""
         n = len(data)
         if n + leading_space <= MLEN and leading_space < MLEN:
@@ -97,7 +96,7 @@ class Mbuf:
             # packet; skips the chain-building loop below.
             storage = bytearray(MLEN)
             storage[leading_space:leading_space + n] = data
-            return cls(storage, leading_space, n, PacketHeader(n, rcvif))
+            return cls(storage, leading_space, n, PacketHeader(n))
         if leading_space >= MCLBYTES:
             raise MbufError("leading space %d exceeds MCLBYTES" % leading_space)
         # The packet's own store: headroom, then the one copy of the data.
@@ -106,7 +105,7 @@ class Mbuf:
         end = leading_space + n
         head = tail = cls(storage, leading_space,
                           min(end, MCLBYTES) - leading_space,
-                          PacketHeader(n, rcvif))
+                          PacketHeader(n))
         # One link per cluster boundary the packet crosses.
         off = MCLBYTES
         while off < end:
@@ -236,10 +235,7 @@ class Mbuf:
 
     def copy_packet(self, leading_space: int = 64) -> "Mbuf":
         """A fresh, writable, deep copy of the chain (explicit copy-on-write)."""
-        clone = Mbuf.from_bytes(self.to_bytes(), leading_space=leading_space)
-        if self.pkthdr is not None:
-            clone.pkthdr.rcvif = self.pkthdr.rcvif
-        return clone
+        return Mbuf.from_bytes(self.to_bytes(), leading_space=leading_space)
 
     def __repr__(self) -> str:
         return "<Mbuf len=%d chain=%d total=%d%s>" % (
@@ -279,9 +275,9 @@ class MbufPool:
         self.chains += 1
         return chain
 
-    def from_bytes(self, data: Union[bytes, bytearray], leading_space: int = 64,
-                   rcvif=None) -> Mbuf:
-        return self._charge_alloc(Mbuf.from_bytes(data, leading_space, rcvif))
+    def from_bytes(self, data: Union[bytes, bytearray], leading_space: int = 64
+                   ) -> Mbuf:
+        return self._charge_alloc(Mbuf.from_bytes(data, leading_space))
 
     def charge_chain(self, size: int) -> None:
         """Charge for the chain ``from_bytes(bytes(size), leading_space=0)``

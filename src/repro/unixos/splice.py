@@ -12,7 +12,7 @@ the semantic deficiencies the paper calls out.
 
 from __future__ import annotations
 
-from typing import Generator, List
+from typing import Generator
 
 from .sockets import SocketLayer, TcpSocket
 
@@ -31,7 +31,6 @@ class SpliceForwarder:
         self.backend_port = backend_port
         self.connections_spliced = 0
         self.bytes_forwarded = 0
-        self._children: List = []
 
     def start(self) -> None:
         self.host.engine.process(self._accept_loop(), name="splice-accept")

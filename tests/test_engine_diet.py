@@ -594,6 +594,12 @@ class TestKernelPathOracle:
                               st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.25]),
                               st.integers(0, 2), st.booleans()),
                     min_size=1, max_size=12))
+    # Found when the zero-charge completion in KernelPath.start was cut:
+    # three spawned zero-charge paths, then a waited-on one, then one
+    # more, all at t=0.
+    @example([(0, False, INTERRUPT_PRIORITY, 0.0, 0, False)] * 3
+             + [(0, True, INTERRUPT_PRIORITY, 0.0, 0, False),
+                (0, False, INTERRUPT_PRIORITY, 0.0, 0, False)])
     @settings(max_examples=200, deadline=None)
     def test_same_schedule_as_the_generator_path(self, jobs):
         """Spawned and waited-on paths with random arrivals, priorities,

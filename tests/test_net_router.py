@@ -1,11 +1,14 @@
 """Tests for IP routing and the multi-homed router host."""
 
+import struct
+
 import pytest
 
 from repro.core import Credential, PlexusStack
-from repro.hw import EthernetSegment, LanceEthernet
+from repro.hw import EthernetSegment, LanceEthernet, PointToPointLink, T3Nic
 from repro.lang import ephemeral
 from repro.net import Router, RouterInterface, ip_aton, mac_aton
+from repro.net.checksum import internet_checksum
 from repro.net.ip import IpProto
 from repro.sim import Engine, Signal
 from repro.spin import SpinKernel
@@ -103,6 +106,49 @@ def build_routed_world():
     return engine, host_a, host_b, router
 
 
+def build_mixed_media_world():
+    """An Ethernet host and a T3 host joined by a router with one leg on
+    each medium."""
+    engine = Engine()
+    seg = EthernetSegment(engine)
+    t3_link = PointToPointLink(engine, bandwidth_bps=45e6)
+
+    # Ethernet host.
+    kernel_e = SpinKernel(engine, "eth-host")
+    nic_e = LanceEthernet(engine, "ln0", mac_aton("02:00:00:00:01:01"))
+    kernel_e.add_nic(nic_e)
+    seg.attach(nic_e)
+    stack_e = PlexusStack(kernel_e, nic_e, ip_aton("10.1.0.10"))
+    stack_e.ip.add_route(NET_B, 16, gateway=ip_aton("10.1.0.1"))
+
+    # T3 host.
+    kernel_t = SpinKernel(engine, "t3-host")
+    nic_t = T3Nic(engine, "t3", "t3-host-addr")
+    kernel_t.add_nic(nic_t)
+    t3_link.attach(nic_t)
+    stack_t = PlexusStack(
+        kernel_t, nic_t, ip_aton("10.2.0.10"), link="raw",
+        neighbors={ip_aton("10.2.0.1"): "t3-router-addr"})
+    stack_t.ip.add_route(NET_A, 16, gateway=ip_aton("10.2.0.1"))
+
+    # The router: one Ethernet leg, one T3 leg.
+    kernel_r = SpinKernel(engine, "router")
+    nic_ra = LanceEthernet(engine, "ln0", mac_aton("02:00:00:00:01:fe"))
+    nic_rb = T3Nic(engine, "t3", "t3-router-addr")
+    kernel_r.add_nic(nic_ra)
+    kernel_r.add_nic(nic_rb)
+    seg.attach(nic_ra)
+    t3_link.attach(nic_rb)
+    router = Router(kernel_r, [
+        RouterInterface(nic_ra, ip_aton("10.1.0.1")),
+        RouterInterface(nic_rb, ip_aton("10.2.0.1"), link="raw",
+                        neighbors={ip_aton("10.2.0.10"): "t3-host-addr"}),
+    ])
+    router.add_route(NET_A, 16, interface_index=0)
+    router.add_route(NET_B, 16, interface_index=1)
+    return engine, kernel_t, stack_t, stack_e, router
+
+
 class TestRouterForwarding:
     def test_udp_across_subnets(self):
         engine, (ka, _na, sa), (kb, _nb, sb), router = build_routed_world()
@@ -198,45 +244,7 @@ class TestRouterForwarding:
         """A T3 host (MTU 4470) sends a big datagram to an Ethernet host
         (MTU 1500): the router fragments in transit, the receiver
         reassembles."""
-        from repro.hw import PointToPointLink, T3Nic
-        engine = Engine()
-        seg = EthernetSegment(engine)
-        t3_link = PointToPointLink(engine, bandwidth_bps=45e6)
-
-        # Ethernet host.
-        kernel_e = SpinKernel(engine, "eth-host")
-        nic_e = LanceEthernet(engine, "ln0", mac_aton("02:00:00:00:01:01"))
-        kernel_e.add_nic(nic_e)
-        seg.attach(nic_e)
-        stack_e = PlexusStack(kernel_e, nic_e, ip_aton("10.1.0.10"))
-        stack_e.ip.add_route(NET_B, 16, gateway=ip_aton("10.1.0.1"))
-
-        # T3 host.
-        kernel_t = SpinKernel(engine, "t3-host")
-        nic_t = T3Nic(engine, "t3", "t3-host-addr")
-        kernel_t.add_nic(nic_t)
-        t3_link.attach(nic_t)
-        stack_t = PlexusStack(
-            kernel_t, nic_t, ip_aton("10.2.0.10"), link="raw",
-            neighbors={ip_aton("10.2.0.1"): "t3-router-addr"})
-        stack_t.ip.add_route(NET_A, 16, gateway=ip_aton("10.2.0.1"))
-
-        # The router: one Ethernet leg, one T3 leg.
-        kernel_r = SpinKernel(engine, "router")
-        nic_ra = LanceEthernet(engine, "ln0", mac_aton("02:00:00:00:01:fe"))
-        nic_rb = T3Nic(engine, "t3", "t3-router-addr")
-        kernel_r.add_nic(nic_ra)
-        kernel_r.add_nic(nic_rb)
-        seg.attach(nic_ra)
-        t3_link.attach(nic_rb)
-        router = Router(kernel_r, [
-            RouterInterface(nic_ra, ip_aton("10.1.0.1")),
-            RouterInterface(nic_rb, ip_aton("10.2.0.1"), link="raw",
-                            neighbors={ip_aton("10.2.0.10"): "t3-host-addr"}),
-        ])
-        router.add_route(NET_A, 16, interface_index=0)
-        router.add_route(NET_B, 16, interface_index=1)
-
+        engine, kernel_t, stack_t, stack_e, router = build_mixed_media_world()
         got = []
 
         @ephemeral
@@ -252,6 +260,33 @@ class TestRouterForwarding:
         assert got == [4000]
         assert router.ip.fragments_out >= 3  # fragmented in transit
         assert stack_e.ip.reassembled == 1
+
+    def test_dont_fragment_drop_is_not_counted_as_forwarded(self):
+        """A DF packet too big for the egress MTU is dropped as a header
+        error and not counted as forwarded; the same packet without DF
+        is forwarded once, as three fragments."""
+        engine, kernel_t, stack_t, stack_e, router = build_mixed_media_world()
+        dst = ip_aton("10.1.0.10")
+
+        def send_raw(frag_field):
+            header = bytearray(struct.pack(
+                "!BBHHHBBHII", 0x45, 0, 20 + 4000, 1, frag_field, 64, 99, 0,
+                ip_aton("10.2.0.10"), dst))
+            header[10:12] = internet_checksum(header).to_bytes(2, "big")
+
+            def work():
+                adapter, next_hop = stack_t.ip.route_for(dst)
+                adapter.send(kernel_t.mbufs.from_bytes(
+                    bytes(header) + bytes(4000)), next_hop)
+            engine.run_process(kernel_t.kernel_path(work))
+            engine.run()
+
+        send_raw(0x4000)                     # DF set
+        assert (router.forwarded, router.ip.header_errors,
+                router.ip.fragments_out) == (0, 1, 0)
+        send_raw(0)
+        assert (router.forwarded, router.ip.header_errors,
+                router.ip.fragments_out) == (1, 1, 3)
 
     def test_fragmentation_toward_smaller_mtu(self):
         """A big datagram forwarded onto the same-MTU segment still

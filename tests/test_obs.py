@@ -44,9 +44,9 @@ class TestRegistry:
 
     def test_duplicate_name_rejected(self):
         reg = MetricsRegistry()
-        reg.gauge("a.b", "first")
+        reg.gauge("a.b")
         with pytest.raises(DuplicateMetricError):
-            reg.gauge("a.b", "again")
+            reg.gauge("a.b")
 
     def test_source_aggregates_across_registrations(self):
         # Per-host rollup: registering the same gauge name with another
@@ -59,8 +59,8 @@ class TestRegistry:
 
     def test_snapshot_json_round_trip(self):
         reg = MetricsRegistry()
-        reg.source("a.c", lambda: 7, "c")
-        reg.source("a.g", lambda: 1.5, "g")
+        reg.source("a.c", lambda: 7)
+        reg.source("a.g", lambda: 1.5)
         decoded = json.loads(reg.to_json())
         assert decoded == reg.snapshot()
         assert decoded["a.c"] == {"type": "gauge", "value": 7}

@@ -202,9 +202,11 @@ class TestFlowCacheLru:
         assert cache.entry_for(("flow",)).plans == {"event": "plan"}
 
     def test_repeat_memo_does_not_break_recency(self):
+        """A back-to-back repeat of one key (the packet-train case) keeps
+        the recency order exact: only the later re-touch decides it."""
         cache = FlowCache(capacity=2)
         cache.entry_for((1,))
-        cache.entry_for((1,))            # memoized repeat (the hot case)
+        cache.entry_for((1,))            # repeat of the tail key
         cache.entry_for((2,))
         cache.entry_for((1,))            # real re-touch: order is 2, 1
         cache.entry_for((3,))            # evicts 2

@@ -43,10 +43,6 @@ class TestConstruction:
         assert sum(1 for _ in m.chain()) >= 3
         assert m.pkthdr.length == len(data)
 
-    def test_from_bytes_records_rcvif(self):
-        m = Mbuf.from_bytes(b"x", rcvif="nic0")
-        assert m.pkthdr.rcvif == "nic0"
-
     def test_length_sums_chain(self):
         m = Mbuf.from_bytes(bytes(5000))
         assert m.length() == 5000
