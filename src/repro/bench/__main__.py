@@ -59,7 +59,7 @@ def _latency(args) -> int:
             "  ".join("%s %d ns" % (key, probe["components_ns"][key])
                       for key in ("cpu_service", "nic_ring", "propagation",
                                   "stall"))))
-    print("\nflow-cache rungs on %s: %s" % (
+    print("\ndispatch rungs on %s: %s" % (
         suite["rungs"]["leg"],
         "identical across current/uncached"
         if suite["comparison"]["rungs"]["ok"] else "DIVERGED"))
@@ -115,7 +115,7 @@ _MODES = (
      "golden-number regression check (exit != 0 on drift)"),
     ("--latency", _latency,
      "SLO tail-latency suite: open- vs closed-loop legs, decomposition "
-     "probes, flow-cache rungs; writes BENCH_latency.json (--full adds the "
+     "probes, dispatch rungs; writes BENCH_latency.json (--full adds the "
      "mega_flows leg)"),
     ("--parallel-curve", _parallel_curve,
      "sharded many_flows at jobs 1/2/4 plus a mega_flows leg at jobs=2; "

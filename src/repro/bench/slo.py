@@ -22,7 +22,7 @@ statement about simulated time:
   run under a :class:`~repro.obs.slo.SloTracker` and every completed
   request must satisfy ``sum(components) == total_ns`` in integer
   nanoseconds -- an error otherwise, not a warning.  The tightest udp
-  leg is rerun on both flow-cache rungs and the fingerprints must agree.
+  leg is rerun under ``REPRO_FLOW_CACHE=0``; the fingerprints must agree.
 
 The scenarios are registry records (:mod:`repro.bench.workloads`): the
 ``udp_echo@g<gap>`` and ``tcp_objects@g<gap>`` legs with their
@@ -65,8 +65,8 @@ LEGS["mega_flows"] = replace(WORKLOADS["mega_flows"], full=50_000)
 #: closed-loop decomposition probes (registry names).
 PROBES = ("udp_clean", "tcp_clean", "tcp_impaired")
 
-#: the leg the flow-cache rung check reruns (the tightest udp load --
-#: the one that exercises the most cached delivery paths per request).
+#: the leg the dispatch rung check reruns (the tightest udp load --
+#: the one that raises the most events per request).
 _RUNG_LEG = "udp_echo@g400"
 
 

@@ -963,7 +963,7 @@ MODES: Dict[str, Dict[str, str]] = {
 @contextlib.contextmanager
 def env_override(overrides: Dict[str, str]) -> Iterator[None]:
     """Apply ``overrides`` to ``os.environ`` for the block, then restore.
-    Every run builds a fresh bed, so the flow-cache switch is read under
+    Every run builds a fresh bed, so ``REPRO_FLOW_CACHE`` is read under
     the override."""
     saved = {key: os.environ.get(key) for key in overrides}
     os.environ.update(overrides)

@@ -10,8 +10,8 @@ workload -- the workload registry's own UDP echo and TCP stream, in the
 half the bed's OS picks (:mod:`repro.chaos.workloads`) -- and then
 checks a registry of invariants: byte-exact stream delivery, terminal
 socket states, frame/mbuf conservation, drained rings, a drained engine,
-and flow-cache coherence against the ``REPRO_FLOW_CACHE=0`` linear-scan
-oracle.
+and, for oracle campaigns, generated dispatch matching the
+``REPRO_FLOW_CACHE=0`` linear-scan oracle.
 
 Everything is replayable: a campaign is fully determined by its
 :class:`~repro.chaos.campaign.CampaignSpec` (seed + config), and a failed

@@ -343,16 +343,12 @@ def _apply_sabotage(ctx: CampaignContext) -> None:
     raise ValueError("unknown sabotage %r" % kind)
 
 
-def _flow_cache_armed(bed) -> bool:
-    dispatcher = getattr(bed.hosts[0], "dispatcher", None)
-    return dispatcher is not None and dispatcher.flow_cache.enabled
-
-
 def run_campaign(spec: CampaignSpec) -> Dict[str, Any]:
     """Run one campaign end to end; returns the verdict record."""
     ctx = _execute(spec)
     fingerprint = ctx.fingerprint()
-    if spec.oracle and spec.os_name == "spin" and _flow_cache_armed(ctx.bed):
+    if spec.oracle and spec.os_name == "spin" and \
+            ctx.bed.hosts[0].dispatcher.compiled:
         # The other rung of the bit-exactness ladder: the same campaign
         # with every raise on the interpreted linear scan.
         with env_override(MODES["uncached"]):

@@ -240,9 +240,9 @@ def _slo_reconciliation(ctx) -> List[str]:
 
 @invariant("flow_cache_coherence")
 def _flow_cache_coherence(ctx) -> List[str]:
-    """The compiled-path fingerprint matches the linear-scan oracle.
+    """The generated-scan fingerprint matches the linear-scan oracle.
 
-    Filled in by the campaign runner (it owns the second, cache-disabled
-    run); this registry entry reports the comparison it recorded.
+    Filled in by the campaign runner (it owns the second,
+    ``REPRO_FLOW_CACHE=0`` run); this entry reports what it recorded.
     """
     return list(ctx.oracle_violations)

@@ -91,6 +91,11 @@ class PortSpace:
         return self._owners.get(number)
 
     def claim(self, number: int, credential: Credential) -> None:
+        self.check(number, credential)
+        self._owners[number] = credential
+
+    def check(self, number: int, credential: Credential) -> None:
+        """Raise the :class:`AccessError` :meth:`claim` would raise."""
         if number in self.reserved and not credential.privileged:
             raise AccessError(
                 "%s %d is reserved to the kernel; credential %s may not "
@@ -100,7 +105,6 @@ class PortSpace:
             raise AccessError(
                 "%s %d is owned by %s; credential %s may not claim it"
                 % (self.name, number, current.name, credential.name))
-        self._owners[number] = credential
 
     def release(self, number: int, credential: Credential) -> None:
         current = self._owners.get(number)
@@ -113,10 +117,18 @@ class PortSpace:
         del self._owners[number]
 
 
+def _refuse_held(space: PortSpace, number: int, credential: Credential) -> None:
+    """A number can back one edge: releasing it for one would strip the
+    others of their claim."""
+    if space.owner(number) is credential:
+        raise AccessError("%s %d is already claimed by %s"
+                          % (space.name, number, credential.name))
+
+
 class InstallHandle:
     """What a manager hands back: uninstalls the edge and releases claims."""
 
-    def __init__(self, edge, on_uninstall: Optional[Callable[[], None]] = None):
+    def __init__(self, edge, on_uninstall: Callable[[], None]):
         self.edge = edge
         self._on_uninstall = on_uninstall
         self.uninstalled = False
@@ -134,8 +146,7 @@ class InstallHandle:
         if self.edge.dst.kind == "extension" and not self.edge.dst.in_edges \
                 and not self.edge.dst.out_edges:
             graph.nodes.pop(self.edge.dst.name, None)
-        if self._on_uninstall is not None:
-            self._on_uninstall()
+        self._on_uninstall()
 
 
 class _ManagerBase:
@@ -156,9 +167,16 @@ class _ManagerBase:
 
     def _install_edge(self, event, handler: Callable, guard: Optional[Callable],
                       mode: str, time_limit: Optional[float],
-                      extension_name: str,
+                      extension_name: str, space: PortSpace, number: int,
+                      credential: Credential,
                       on_uninstall: Optional[Callable[[], None]] = None) -> InstallHandle:
+        """Claim ``number`` in ``space`` -- exclusively, validated first,
+        so a refused install leaves no trace -- and install the edge
+        behind it; uninstalling releases the claim, then ``on_uninstall``."""
         graph = self.stack.graph
+        self.host.dispatcher.check_delivery(mode, time_limit)
+        _refuse_held(space, number, credential)
+        space.claim(number, credential)
         if extension_name in graph.nodes:
             dst = graph.node(extension_name)
         else:
@@ -168,7 +186,12 @@ class _ManagerBase:
         edge = graph.install(
             event, handler, self.node, dst, guard=guard, mode=mode,
             time_limit=time_limit, label=extension_name)
-        return InstallHandle(edge, on_uninstall)
+
+        def uninstalled() -> None:
+            space.release(number, credential)
+            if on_uninstall is not None:
+                on_uninstall()
+        return InstallHandle(edge, uninstalled)
 
     def _charge_send_raise(self) -> None:
         """Cost of raising a manager-granted PacketSend event."""
@@ -193,18 +216,15 @@ class EthernetManager(_ManagerBase):
     def claim_ethertype(self, credential: Credential, ethertype: int,
                         handler: Callable, mode: str = "inline",
                         time_limit: Optional[float] = None) -> InstallHandle:
-        self.types.claim(ethertype, credential)
         if mode == "inline":
             self._require_ephemeral(handler, mode)
             if time_limit is None:
                 time_limit = self.DEFAULT_TIME_LIMIT_US
-        install = self._install_edge(
+        return self._install_edge(
             self.stack.link_recv_event, handler,
             filters.ethertype_guard(ethertype), mode, time_limit,
-            extension_name="%s:0x%04x:%s" % (self.node.name, ethertype,
-                                             credential.name),
-            on_uninstall=lambda: self.types.release(ethertype, credential))
-        return install
+            "%s:0x%04x:%s" % (self.node.name, ethertype, credential.name),
+            self.types, ethertype, credential)
 
     def send_capability(self, credential: Credential, ethertype: int) -> Callable:
         """A raw-frame sender locked to the claimed ethertype.
@@ -241,14 +261,13 @@ class IpManager(_ManagerBase):
                        handler: Callable, mode: str = "inline",
                        time_limit: Optional[float] = None) -> InstallHandle:
         """Attach a handler for a whole IP protocol number."""
-        self.protocols.claim(protocol, credential)
         if mode == "inline":
             self._require_ephemeral(handler, mode)
         return self._install_edge(
             self.stack.ip_recv_event, handler,
             filters.ip_protocol_guard(protocol), mode, time_limit,
-            extension_name="ipproto:%d:%s" % (protocol, credential.name),
-            on_uninstall=lambda: self.protocols.release(protocol, credential))
+            "ipproto:%d:%s" % (protocol, credential.name),
+            self.protocols, protocol, credential)
 
     def claim_port_redirect(self, credential: Credential, ip_protocol: int,
                             port: int, handler: Callable, mode: str = "inline",
@@ -269,32 +288,18 @@ class IpManager(_ManagerBase):
             suppressed = self.stack.udp_manager.diverted_ports
         else:
             raise AccessError("port redirect supports TCP or UDP only")
-        space.claim(port, credential)
         if mode == "inline":
             self._require_ephemeral(handler, mode)
-        suppressed.add(port)
-        dispatcher = self.host.dispatcher
-        if ip_protocol == IPPROTO_TCP:
-            # The TCP-standard guard reads the diverted set live, but the
-            # redirect edge itself lives on the IP event -- the TCP event's
-            # snapshot must be replaced explicitly (invalidate_event) or
-            # cached plans, keyed on snapshot identity, would keep
-            # delivering the port locally.
-            dispatcher.invalidate_event(self.stack.tcp_recv_event)
-
-        def cleanup() -> None:
-            suppressed.discard(port)
-            space.release(port, credential)
-            if ip_protocol == IPPROTO_TCP:
-                dispatcher.invalidate_event(self.stack.tcp_recv_event)
-
-        return self._install_edge(
+        install = self._install_edge(
             self.stack.ip_recv_event, handler,
             filters.transport_redirect_guard(ip_protocol, port), mode,
             time_limit,
-            extension_name="redirect:%d:%d:%s" % (ip_protocol, port,
-                                                  credential.name),
-            on_uninstall=cleanup)
+            "redirect:%d:%d:%s" % (ip_protocol, port, credential.name),
+            space, port, credential,
+            on_uninstall=lambda: suppressed.discard(port))
+        # The TCP-standard guard and the UDP upcall read this set live.
+        suppressed.add(port)
+        return install
 
     def link_redirect_capability(self, credential: Credential) -> Callable:
         """A capability that re-emits a received IP packet, unmodified, to
@@ -429,7 +434,6 @@ class UdpManager(_ManagerBase):
             raise AccessError("unknown spoof policy %r" % spoof_policy)
         if port in self.diverted_ports:
             raise AccessError("port %d is diverted by a forwarder" % port)
-        self.ports.claim(port, credential)
         if mode == "inline":
             self._require_ephemeral(handler, mode)
             if time_limit is None:
@@ -437,8 +441,8 @@ class UdpManager(_ManagerBase):
         install = self._install_edge(
             self.stack.udp_recv_event, handler,
             filters.udp_dst_port_guard(port), mode, time_limit,
-            extension_name="udp:%d:%s" % (port, credential.name),
-            on_uninstall=lambda: self.ports.release(port, credential))
+            "udp:%d:%s" % (port, credential.name),
+            self.ports, port, credential)
         return UdpEndpoint(self, credential, port, install, checksum, spoof_policy)
 
 
@@ -463,6 +467,8 @@ class TcpManager(_ManagerBase):
                on_accept: Callable) -> "TcpListenerHandle":
         if port in self.diverted_ports or port in self.special_ports:
             raise AccessError("tcp port %d is claimed elsewhere" % port)
+        if port in self.standard.listeners:
+            raise AccessError("tcp port %d already has a listener" % port)
         self.ports.claim(port, credential)
         listener = self.standard.listen(port, on_accept)
         return TcpListenerHandle(self, credential, port, listener)
@@ -486,6 +492,9 @@ class TcpManager(_ManagerBase):
         for port in port_list:
             if port in self.special_ports or port in self.diverted_ports:
                 raise AccessError("tcp port %d already claimed" % port)
+            _refuse_held(self.ports, port, credential)
+            self.ports.check(port, credential)
+        for port in port_list:
             self.ports.claim(port, credential)
         special = TcpProto(self.host, self.stack.ip, name=name)
         self.implementations[name] = special
@@ -498,9 +507,7 @@ class TcpManager(_ManagerBase):
             self.stack.tcp_recv_event, special_input, self.node, node,
             guard=filters.tcp_port_guard(port_list),
             mode=self.stack.deliver_mode, label="tcp-%s" % name)
-        # The standard guard reads this set live; the install above
-        # already replaced the event's snapshot, so no plan recorded
-        # against the old exclusion set can replay.
+        # The standard guard reads this set live.
         self.special_ports.update(port_list)
         return special
 

@@ -24,16 +24,13 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..hw.nic import NIC
-from ..lang.view import VIEW
 from ..net.headers import (
     ETHERTYPE_ARP,
     ETHERTYPE_IP,
     IPPROTO_ICMP,
     IPPROTO_TCP,
     IPPROTO_UDP,
-    TCP_HEADER,
 )
-from ..net.flow import classify_frame
 from ..net.icmp import IcmpProto
 from ..net.ip import IpProto
 from ..net.link_adapter import link_to_ip
@@ -135,25 +132,13 @@ class PlexusStack:
         graph = self.graph
         mode = self.deliver_mode
         link_event = self.link_recv_event
-        flow_cache = dispatcher.flow_cache
-        raise_flow = dispatcher.raise_flow
+        raise_event = dispatcher.raise_event
 
         # Device -> link node: the link protocol's input (run at interrupt
-        # level by the kernel) freezes the packet, classifies its flow
-        # once, and raises PacketRecv along the compiled path.  The
-        # classification is harness work, not simulated protocol work:
-        # nothing is charged for it, and with REPRO_FLOW_CACHE=0 every
-        # raise falls back to the linear guard scan.
+        # level by the kernel) freezes the packet and raises PacketRecv.
         def link_upcall(nic, m):
             m.freeze()
-            hdr = m.pkthdr
-            if flow_cache.enabled:
-                entry = flow_cache.entry_for(classify_frame(m, header_len))
-                if hdr is not None:
-                    hdr.flow = entry
-            else:
-                entry = None
-            raise_flow(link_event, entry, nic, m)
+            raise_event(link_event, nic, m)
         bottom.upcall = link_upcall
 
         if self.ethernet is not None:
@@ -181,15 +166,11 @@ class PlexusStack:
                 link_event, raw_ip_handler, link_node, graph.node("ip"),
                 guard=None, mode=mode, label="ip-input")
 
-        # IP -> {UDP, TCP, ICMP} (guards on the protocol field).  The
-        # packet's flow entry (attached at the link layer) rides along;
-        # reassembled datagrams carry none and scan linearly.
+        # IP -> {UDP, TCP, ICMP} (guards on the protocol field).
         ip_event = self.ip_recv_event
 
         def ip_upcall(protocol, m, off, src, dst):
-            hdr = m.pkthdr
-            raise_flow(ip_event, hdr.flow if hdr is not None else None,
-                       protocol, m, off, src, dst)
+            raise_event(ip_event, protocol, m, off, src, dst)
         self.ip.upcall = ip_upcall
 
         def ip_udp_handler(protocol, m, off, src, dst):
@@ -202,9 +183,7 @@ class PlexusStack:
         tcp_event = self.tcp_recv_event
 
         def ip_tcp_handler(protocol, m, off, src, dst):
-            hdr = m.pkthdr
-            raise_flow(tcp_event, hdr.flow if hdr is not None else None,
-                       m, off, src, dst)
+            raise_event(tcp_event, m, off, src, dst)
         graph.install(
             ip_event, ip_tcp_handler, graph.node("ip"), graph.node("tcp"),
             guard=filters.ip_protocol_guard(IPPROTO_TCP), mode=mode,
@@ -218,26 +197,18 @@ class PlexusStack:
             label="icmp-input")
 
         # TCP node -> standard implementation, excluding ports claimed by
-        # special implementations or IP-level redirects (live sets; every
-        # change replaces this event's handler snapshot, which flow-cache
-        # plans key on: a special implementation's install does, and the
-        # IP manager invalidates the event around a redirect).
+        # special implementations or IP-level redirects (live sets, read
+        # at every raise).
         tcp_manager = self.tcp_manager
-
-        def tcp_standard_guard(m, off, src_ip, dst_ip):
-            if m.length() < off + TCP_HEADER.size:
-                return False
-            port = VIEW(m.data, TCP_HEADER, offset=off).dst_port
-            return (port not in tcp_manager.special_ports and
-                    port not in tcp_manager.diverted_ports)
-        tcp_standard_guard.__name__ = "tcp_standard"
 
         def tcp_standard_handler(m, off, src_ip, dst_ip):
             self.tcp.input(m, off, src_ip, dst_ip)
         standard_node = graph.add_node("tcp:standard", "protocol")
         graph.install(
             tcp_event, tcp_standard_handler, graph.node("tcp"), standard_node,
-            guard=tcp_standard_guard, mode=mode, label="tcp-standard")
+            guard=filters.tcp_standard_guard(tcp_manager.special_ports,
+                                             tcp_manager.diverted_ports),
+            mode=mode, label="tcp-standard")
 
         # UDP -> endpoints: raised by the UDP protocol after verification;
         # endpoint edges are installed by the UDP manager on demand.  The
@@ -248,9 +219,7 @@ class PlexusStack:
         def udp_upcall(m, off, src_ip, src_port, dst_ip, dst_port):
             if dst_port in udp_manager.diverted_ports:
                 return
-            hdr = m.pkthdr
-            raise_flow(udp_event, hdr.flow if hdr is not None else None,
-                       m, off, src_ip, src_port, dst_ip, dst_port)
+            raise_event(udp_event, m, off, src_ip, src_port, dst_ip, dst_port)
         self.udp.upcall = udp_upcall
 
     # ------------------------------------------------------------------

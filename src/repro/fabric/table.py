@@ -14,8 +14,7 @@ switches).  A hit yields a tuple of actions applied in order:
 
 Tables are control-plane state: installing or withdrawing rules charges
 no simulated CPU and takes effect on the very next packet (handlers run
-live under the dispatcher; the flow cache memoises guard verdicts, never
-forwarding decisions).
+live under the dispatcher, which memoises nothing per packet or flow).
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ timeline (attaching any of them never changes a fingerprint):
   one per-charge record; listeners hear frames, not charges.
 * :mod:`repro.obs.registry` -- a central :class:`MetricsRegistry` of
   named gauges (summed callback sources) behind a stable dotted
-  namespace (``spin.flowcache.evictions``, ``hw.nic.rx_filtered``, ...)
+  namespace (``spin.dispatcher.raises``, ``hw.nic.rx_filtered``, ...)
   with a JSON snapshot API.  Components expose
   ``register_metrics(registry)``;
   :func:`repro.obs.wire.instrument_testbed` wires a whole testbed.

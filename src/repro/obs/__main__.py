@@ -38,9 +38,9 @@ CATEGORY_ALIASES = {"device-io": ("driver", "driver-pio")}
 #: charge category: the named requirement passes when any listed
 #: registry metric is > 0 in the snapshot.
 METRIC_REQUIREMENTS = {
-    # A compiled scan runs as soon as it is built, so either count
-    # nonzero means generated code served raises.
-    "compiled-path": ("spin.flowcache.hits", "spin.flowcache.compiled.scans"),
+    # A compiled scan runs as soon as it is built, so a nonzero count
+    # means generated code served raises.
+    "compiled-path": ("spin.dispatcher.compiled_scans",),
 }
 
 

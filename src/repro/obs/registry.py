@@ -1,7 +1,7 @@
 """The central metrics registry.
 
 Every component counter that used to live as an ad-hoc attribute
-(``FlowCache.evictions``, ``NIC.rx_filtered``, ``Engine.events_processed``,
+(``Dispatcher.total_raises``, ``NIC.rx_filtered``, ``Engine.events_processed``,
 ``MbufPool.chains``, ...) is exported here under a stable dotted name.
 The migration is *non-invasive*: components keep their cheap plain-int
 attributes on the hot path and register zero-cost callback *sources*
@@ -80,7 +80,7 @@ class MetricsRegistry:
     def gauge(self, name: str, fn: Optional[Callable] = None) -> Gauge:
         if not _NAME_RE.match(name):
             raise MetricError(
-                "invalid metric name %r: want dotted lowercase like 'spin.flowcache.hits'" % name
+                "invalid metric name %r: want dotted lowercase like 'spin.dispatcher.raises'" % name
             )
         if name in self._instruments:
             raise DuplicateMetricError("metric %r already registered" % name)

@@ -61,21 +61,12 @@ EXPORT_SCHEMA: Dict[str, tuple] = {
     "sim.engine.now_us": ("gauge", "simulated clock (us)"),
     "sim.engine.pending": ("gauge", "live events on the heap (cancelled timers excluded)"),
     "sim.wheel.scheduled": ("gauge", "kernel timers ever armed (name kept for perfbench)"),
+    "spin.dispatcher.compiled_scans": ("gauge", "handler snapshots compiled to generated scan functions"),
     "spin.dispatcher.events": ("gauge", "declared event names"),
     "spin.dispatcher.failures": ("gauge", "contained guard and handler exceptions (all handles ever)"),
     "spin.dispatcher.raises": ("gauge", "event raises (linear or compiled)"),
     "spin.dispatcher.invocations": ("gauge", "handler invocations"),
     "spin.dispatcher.terminations": ("gauge", "ephemeral runs cut at their time limit (all handles ever)"),
-    "spin.flowcache.capacity": ("gauge", "flow cache LRU capacity"),
-    "spin.flowcache.compiled.plans": ("gauge", "flow plans compiled to generated functions"),
-    "spin.flowcache.compiled.replays": ("gauge", "raises served by a generated plan function"),
-    "spin.flowcache.compiled.scans": ("gauge", "handler snapshots compiled to generated scan functions"),
-    "spin.flowcache.enabled": ("gauge", "flow caches enabled (1 per armed host)"),
-    "spin.flowcache.entries": ("gauge", "live flow cache entries"),
-    "spin.flowcache.evictions": ("gauge", "flow entries evicted by the LRU"),
-    "spin.flowcache.hits": ("gauge", "raises replayed from a compiled plan"),
-    "spin.flowcache.invalidations": ("gauge", "flow raises whose plan was stale (the handler list was walked)"),
-    "spin.flowcache.misses": ("gauge", "flow raises with no plan for the event (the list was walked)"),
     "spin.mbuf.allocated": ("gauge", "mbufs (chain links) ever allocated"),
     "spin.mbuf.chains": ("gauge", "packet chains ever allocated"),
     "spin.mbuf.freed": ("gauge", "mbufs freed"),

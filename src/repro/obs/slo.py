@@ -24,7 +24,7 @@ lifecycle machinery both views share:
   between consecutive waypoints is attributed to exactly one component,
   so the component sum equals the end-to-end latency bit-exactly in
   integer nanoseconds -- the invariant ``tests/test_slo.py`` enforces
-  across both flow-cache rungs.
+  on both dispatch rungs (generated and interpreted scans).
 
 Attribution convention: the cost-charging discipline runs kernel code
 synchronously (push/pop at one instant) and then *holds* the CPU for the

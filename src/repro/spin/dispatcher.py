@@ -22,15 +22,21 @@ This module reproduces that machinery with cost accounting:
 * a handler that raises an exception is contained: the failure is counted
   on the handle and the event raise continues with the other handlers --
   an extension failure must not take down the kernel.
+
+A raise runs the event's handler snapshot as one generated function
+(``repro.spin.codegen``), compiled by the first raise after an install
+or uninstall; ``REPRO_FLOW_CACHE=0`` keeps every raise on the
+interpreted :meth:`Dispatcher._scan_linear` instead.
 """
 
 from __future__ import annotations
 
+import os
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..hw.cpu import MISMATCHED_END, OUTSIDE_PATH, THREAD_PRIORITY, ChargeError
-from .codegen import compile_plan, compile_scan
-from .flowcache import FlowCache, FlowEntry
+from .codegen import compile_scan, handle_atom
 
 __all__ = ["Dispatcher", "EventDecl", "HandlerHandle", "DispatchError"]
 
@@ -47,7 +53,7 @@ class HandlerHandle:
     """
 
     __slots__ = ("event", "handler", "guard", "mode", "time_limit", "label",
-                 "installed", "graph_edge", "invocations",
+                 "atom", "operands", "installed", "graph_edge", "invocations",
                  "guard_rejections", "terminations", "failures", "last_error")
 
     def __init__(self, event: "EventDecl", handler: Callable, guard: Optional[Callable],
@@ -58,6 +64,9 @@ class HandlerHandle:
         self.mode = mode
         self.time_limit = time_limit
         self.label = label or getattr(handler, "__name__", "handler")
+        #: the handle's step shape and inlined guard operands, for
+        #: ``repro.spin.codegen``: computed once, not per compile.
+        self.atom, self.operands = handle_atom(mode, guard, time_limit)
         self.installed = True
         #: the ProtocolGraph edge carrying this handle, when one exists;
         #: set by the graph so uninstalling from either side keeps the
@@ -93,7 +102,7 @@ class EventDecl:
     """A declared event name; the capability needed to raise or install.
 
     The (guard, handler) list is scanned on every raise, so the scan
-    order is cached as an immutable snapshot tuple and invalidated on
+    order is cached as an immutable snapshot tuple, replaced on
     install/uninstall.  Raising over the snapshot gives the same
     semantics the old per-raise ``list(...)`` copy did -- handlers
     installed during a raise are not seen until the next raise, handlers
@@ -108,16 +117,11 @@ class EventDecl:
         self.name = name
         self.handlers: List[HandlerHandle] = []
         self._snapshot: Tuple[HandlerHandle, ...] = ()
-        #: compiled flowless fast path: ``(snapshot, fn)`` from
-        #: ``repro.spin.codegen``, cleared on every bump.
-        self._scan = None
+        #: the snapshot's generated scan (``repro.spin.codegen``), or
+        #: None until the next raise compiles it.
+        self._scan: Optional[Callable] = None
 
     def _bump(self) -> None:
-        # A *fresh* snapshot tuple even when the handler list is
-        # unchanged: compiled artifacts (plans and scans) validate by
-        # snapshot identity, so replacing the tuple is what invalidates
-        # them.  Their own reference keeps the old tuple alive, making
-        # id-reuse aliasing impossible.
         self._snapshot = tuple(self.handlers)
         self._scan = None
 
@@ -148,10 +152,16 @@ class Dispatcher:
         #: they keep the counts of handles since uninstalled.
         self.total_failures = 0
         self.total_terminations = 0
-        self.flow_cache = FlowCache()
+        #: whether raises run generated scans (``REPRO_FLOW_CACHE``).
+        self.compiled = os.environ.get("REPRO_FLOW_CACHE", "1") != "0"
+        self.compiled_scans = 0
+
+    #: perfbench's ``dispatch_churn`` still asks for flow entries; there
+    #: are none, and :meth:`raise_flow` ignores the one it passes.
+    flow_cache = SimpleNamespace(entry_for=lambda key: None)
 
     def register_metrics(self, registry) -> None:
-        """Publish dispatcher + flow-cache counters on a metrics registry."""
+        """Publish the dispatcher counters on a metrics registry."""
         registry.source("spin.dispatcher.raises", lambda: self.total_raises)
         registry.source("spin.dispatcher.invocations",
                         lambda: self.total_invocations)
@@ -160,18 +170,8 @@ class Dispatcher:
         registry.source("spin.dispatcher.terminations",
                         lambda: self.total_terminations)
         registry.source("spin.dispatcher.events", lambda: len(self.events))
-        self.flow_cache.register_metrics(registry)
-
-    def invalidate_event(self, event: EventDecl) -> None:
-        """Invalidate every compiled artifact recorded for ``event``.
-
-        Managers call this when live state a guard reads (e.g. the TCP
-        diverted port set) changes without an install on the event
-        itself.  The bump replaces the event's snapshot tuple (the
-        identity compiled plans and scans validate against); artifacts
-        for other events stay valid -- no global flush.
-        """
-        event._bump()
+        registry.source("spin.dispatcher.compiled_scans",
+                        lambda: self.compiled_scans)
 
     # -- declaration ------------------------------------------------------
 
@@ -182,6 +182,18 @@ class Dispatcher:
         return self.events[name]
 
     # -- installation ---------------------------------------------------------
+
+    def check_delivery(self, mode: str, time_limit: Optional[float]) -> None:
+        """The checks :meth:`install` makes of ``mode`` and ``time_limit``."""
+        if mode not in self.VALID_MODES:
+            raise DispatchError("unknown delivery mode %r" % mode)
+        if time_limit is not None:
+            if time_limit <= 0:
+                raise DispatchError("time_limit must be positive")
+            if mode == "thread":
+                raise DispatchError(
+                    "time_limit bounds interrupt-level (inline) handlers "
+                    "only (paper sec. 3.3)")
 
     def install(self, event: EventDecl, handler: Callable,
                 guard: Optional[Callable] = None, mode: str = "inline",
@@ -194,15 +206,7 @@ class Dispatcher:
         """
         if not isinstance(event, EventDecl):
             raise DispatchError("install requires an EventDecl capability")
-        if mode not in self.VALID_MODES:
-            raise DispatchError("unknown delivery mode %r" % mode)
-        if time_limit is not None:
-            if time_limit <= 0:
-                raise DispatchError("time_limit must be positive")
-            if mode == "thread":
-                raise DispatchError(
-                    "time_limit bounds interrupt-level (inline) handlers "
-                    "only (paper sec. 3.3)")
+        self.check_delivery(mode, time_limit)
         handle = HandlerHandle(event, handler, guard, mode, time_limit, label)
         event._append(handle)
         # Installing on a running system costs a few table updates.
@@ -215,108 +219,35 @@ class Dispatcher:
         """Raise ``event`` with ``args`` (plain code; charges CPU).
 
         Returns the number of handlers that matched (ran inline or were
-        delegated to a thread).  The hot raise is a compiled scan -- one
-        generated function per handler-snapshot shape (see
-        ``repro.spin.codegen``) -- validated by snapshot identity;
-        everything else funnels through :meth:`_raise_cold`.
+        delegated to a thread).  The raise runs the event's generated
+        scan, compiling it first if an install or uninstall dropped it;
+        with generation off it is the interpreted scan.
         """
         try:
             scan = event._scan
         except AttributeError:
             raise DispatchError(
                 "raise_event requires an EventDecl capability") from None
-        if scan is not None and scan[0] is event._snapshot:
-            return scan[1](args)
-        return self._raise_cold(event, None, args)
-
-    # -- flow-cached raising ------------------------------------------------------
-
-    def raise_flow(self, event: EventDecl, flow: Optional[FlowEntry],
-                   *args) -> int:
-        """Raise ``event`` along a classified flow (plain code).
-
-        Semantically identical to :meth:`raise_event` -- same handlers
-        run, same statistics move, same simulated costs are charged in
-        the same order -- but on a cache hit the recorded guard verdicts
-        run as a generated straight-line function instead of calling
-        each guard, which is where the host-side demultiplexing time
-        goes.  The plan is compiled when the flow repeats: its first
-        raise at the event's current handler snapshot runs the scan,
-        the second records and compiles, and later ones hit.  ``flow``
-        is the packet's :class:`FlowEntry` (``None`` falls back to the
-        flowless scan).
-        """
-        if flow is None:
-            return self.raise_event(event, *args)
-        plan = flow.plans.get(event)
-        # Validity is snapshot *identity* (a stale plan's reference keeps
-        # its old tuple alive, so ids never alias).
-        if plan is not None and plan[0] is event._snapshot:
-            self.flow_cache.hits += 1
-            return plan[1](args)
-        return self._raise_cold(event, flow, args)
-
-    def _raise_cold(self, event: EventDecl, flow: Optional[FlowEntry],
-                    args) -> int:
-        """Every raise with no valid compiled artifact lands here.
-
-        This is the *single* divergence point of the two rungs (any
-        verdict-ordering change happens once):
-
-        * cache disabled (``REPRO_FLOW_CACHE=0``): the interpreted linear
-          scan, nothing recorded or compiled -- what the oracle runs;
-        * flowless: compile and immediately run the event's scan
-          function;
-        * flow given: classify the miss (absent plan) or invalidation
-          (stale plan) and run the interpreted reference scan.  The
-          flow's first such raise at this handler snapshot only remembers
-          the snapshot; the second one at the same (identical) snapshot
-          records the verdicts, then compiles and caches the plan.
-        """
-        cache = self.flow_cache
-        try:
+        if scan is None:
             snapshot = event._snapshot
-        except AttributeError:
-            raise DispatchError(
-                "raise_flow requires an EventDecl capability") from None
-        record = None
-        if cache.enabled:
-            if flow is not None:
-                if event in flow.plans:
-                    cache.invalidations += 1
-                else:
-                    cache.misses += 1
-                # Compile on repeat: a flow seen once at a snapshot, or
-                # one whose snapshot churns between its raises, never
-                # pays for a compile.
-                seen = flow.seen
-                if seen.get(event) is snapshot:
-                    record = []
-                else:
-                    seen[event] = snapshot
-            else:
-                fn = compile_scan(self, event, snapshot)
-                event._scan = (snapshot, fn)
-                return fn(args)
-        matched, cacheable = self._scan_linear(event, snapshot, args, record)
-        # A raise in which any guard threw is not cached (failure
-        # accounting must re-run per packet), nor is one that disturbed
-        # the event mid-raise (the verdicts describe a dead snapshot).
-        if record is not None and cacheable and event._snapshot is snapshot:
-            flow.plans[event] = (snapshot, compile_plan(self, event, record))
-        return matched
+            if not self.compiled:
+                return self._scan_linear(event, snapshot, args)
+            scan = event._scan = compile_scan(self, event, snapshot)
+        return scan(args)
 
-    def _scan_linear(self, event: EventDecl, snapshot, args,
-                     record) -> Tuple[int, bool]:
+    def raise_flow(self, event: EventDecl, flow, *args) -> int:
+        """:meth:`raise_event`; ``flow`` is ignored (kept for perfbench)."""
+        return self.raise_event(event, *args)
+
+    def _scan_linear(self, event: EventDecl, snapshot, args) -> int:
         """The interpreted linear scan: the reference semantics.
 
-        Returns ``(matched, cacheable)``; appends ``(handle, verdict)``
-        pairs to ``record`` when recording for a flow plan.  This is the
-        one interpreted implementation: what the ``REPRO_FLOW_CACHE=0``
-        oracle runs per raise, and the generated code's semantic template.
-        cpu.charge / begin / end are inlined below (exact
-        bodies, exact order): at one dispatch per simulated packet hop
-        the call frames themselves dominate host-side dispatch time.
+        This is the one interpreted implementation: what the
+        ``REPRO_FLOW_CACHE=0`` oracle runs per raise, and the generated
+        code's semantic template.  cpu.charge / begin / end are inlined
+        below (exact bodies, exact order): at one dispatch per simulated
+        packet hop the call frames themselves dominate host-side
+        dispatch time.
         """
         costs = self.host.costs
         cpu = self.host.cpu
@@ -326,7 +257,6 @@ class Dispatcher:
         handler_cost = costs.dispatch_per_handler
         self.total_raises += 1
         matched = 0
-        cacheable = True
         # Off-by-default observability hook (repro.obs): one attribute
         # load + None check per raise when no profiler is attached.
         profile = cpu.profile
@@ -345,18 +275,13 @@ class Dispatcher:
                     try:
                         if not guard(*args):
                             handle.guard_rejections += 1
-                            if record is not None:
-                                record.append((handle, False))
                             continue
                     except Exception as exc:  # guard failure: no match
                         handle.failures += 1
                         self.total_failures += 1
                         handle.last_error = exc
-                        cacheable = False
                         continue
                 matched += 1
-                if record is not None:
-                    record.append((handle, True))
                 if not stack:
                     raise ChargeError(OUTSIDE_PATH)
                 stack[-1] += handler_cost
@@ -392,7 +317,7 @@ class Dispatcher:
         finally:
             if profile is not None:
                 profile.pop()
-        return matched, cacheable
+        return matched
 
     # -- delivery -------------------------------------------------------------------
 

@@ -13,7 +13,7 @@ cost table and the protocol code can see:
   boundary, so the link count -- what :class:`MbufPool` charges for -- is
   the one a cluster-per-link allocator would produce,
 * the links are joined through ``next``; the first carries a packet header
-  with the total length and the packet's flow-cache entry,
+  with the total length,
 * headers are pushed into the leading space (headroom) of the buffer:
   :meth:`Mbuf.push` grows the packet at the front and each layer packs
   its header where it now lies, so the send path builds a packet in place
@@ -59,20 +59,17 @@ class MbufError(RuntimeError):
 class PacketHeader:
     """Per-packet metadata carried by the first mbuf of a chain."""
 
-    __slots__ = ("length", "flow")
+    __slots__ = ("length",)
 
     def __init__(self, length: int = 0):
         self.length = length
-        #: the packet's FlowEntry (set by the link layer on receive);
-        #: carries the compiled delivery path from link to application.
-        self.flow = None
 
 
 class Mbuf:
     """One link of a packet chain: ``len`` bytes at ``off`` in the store."""
 
     __slots__ = ("_storage", "off", "len", "next", "pkthdr",
-                 "_frozen", "_ro_cache")
+                 "_frozen")
 
     def __init__(self, storage: bytearray, off: int, length: int,
                  pkthdr: Optional[PacketHeader] = None):
@@ -82,7 +79,6 @@ class Mbuf:
         self.next: Optional["Mbuf"] = None
         self.pkthdr = pkthdr
         self._frozen = False
-        self._ro_cache: Optional[ReadOnlyBuffer] = None
 
     # -- constructors ----------------------------------------------------
 
@@ -124,16 +120,10 @@ class Mbuf:
     @property
     def data(self) -> Union[memoryview, ReadOnlyBuffer]:
         """This mbuf's bytes; read-only when the packet is frozen."""
+        window = memoryview(self._storage)[self.off:self.off + self.len]
         if self._frozen:
-            # A frozen mbuf cannot change shape (every mutator raises), so
-            # the read-only window is built once and reused.
-            ro = self._ro_cache
-            if ro is None:
-                window = memoryview(self._storage)[self.off:self.off + self.len]
-                ro = ReadOnlyBuffer(window.toreadonly())
-                self._ro_cache = ro
-            return ro
-        return memoryview(self._storage)[self.off:self.off + self.len]
+            return ReadOnlyBuffer(window.toreadonly())
+        return window
 
     def writable_data(self) -> memoryview:
         """Explicitly writable window; raises on frozen packets."""

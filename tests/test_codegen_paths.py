@@ -1,15 +1,15 @@
 """Generated delivery paths (codegen): the two-rung bit-exactness ladder.
 
-The dispatcher serves event raises two ways -- generated Python fast
-paths (default) and the uncached linear scan (``REPRO_FLOW_CACHE=0``,
-the reference oracle) -- and the contract is that the two are
-*observably identical*: same handlers in the same order, same
-per-handle statistics, bit-identical simulated time and category
-accounting, identical profiler stacks.  These tests drive the corner
-cases directly (thread delegation, time limits, guard exceptions,
+The dispatcher serves event raises two ways -- a generated Python scan
+per handler snapshot (default) and the interpreted linear scan
+(``REPRO_FLOW_CACHE=0``, the reference oracle) -- and the contract is
+that the two are *observably identical*: same handlers in the same
+order, same per-handle statistics, bit-identical simulated time and
+category accounting, identical profiler stacks.  These tests drive the
+corner cases directly (thread delegation, time limits, guard exceptions,
 mid-raise uninstalls), plus the machinery around the ladder: shape
-sharing, snapshot-identity validity, the counters the generated source
-moves, and the obs ``compiled-path`` metric requirement.
+sharing, the counters the generated source moves, and the obs
+``compiled-path`` metric requirement.
 """
 
 import re
@@ -22,8 +22,8 @@ from repro.obs.profiler import CpuProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.sim import Engine
 from repro.spin import SpinKernel
-from repro.spin.codegen import _emit_source
-from repro.spin.flowcache import FlowEntry
+from repro.core import filters
+from repro.spin.codegen import _emit_source, handle_atom
 
 MODES = ("compiled", "linear")
 
@@ -31,14 +31,10 @@ MODES = ("compiled", "linear")
 class _Side:
     """One kernel driven through a scenario under one ladder rung.
 
-    ``compiled`` raises along held :class:`FlowEntry` objects, one per
-    flow key (guards on flow-routed events are pure functions of the key
-    -- the flowcache contract); ``linear`` has its cache disabled and
-    uses the flowless ``raise_event``, as a ``REPRO_FLOW_CACHE=0`` run
-    does.  ``send_flowless`` raises without a flow on both rungs, which
-    on the compiled rung exercises the generated *scan* (live guard
-    calls) rather than a recorded plan.  ``flow_cache.enabled`` is forced
-    per side so the tests are independent of the process environment.
+    ``compiled`` raises through generated scans; ``linear`` has them
+    turned off, as a ``REPRO_FLOW_CACHE=0`` run does.
+    ``dispatcher.compiled`` is forced per side so the tests are
+    independent of the process environment.
     """
 
     def __init__(self, mode: str):
@@ -49,16 +45,10 @@ class _Side:
         # and the parity test compares them byte-for-byte across modes.
         self.kernel = SpinKernel(self.engine, "gen-kernel")
         self.dispatcher = self.kernel.dispatcher
-        self.dispatcher.flow_cache.enabled = (mode == "compiled")
+        self.dispatcher.compiled = (mode == "compiled")
         self.event = self.dispatcher.declare("Gen.Packet")
-        self.flows = {}
         self.handles = []
         self.log = []
-
-    def flow(self, key):
-        if key not in self.flows:
-            self.flows[key] = FlowEntry((key,))
-        return self.flows[key]
 
     def run(self, fn):
         self.engine.run_process(self.kernel.kernel_path(fn), name="gen-op")
@@ -75,18 +65,11 @@ class _Side:
         return self.handles[-1]
 
     def send(self, key):
-        if self.mode == "linear":
-            self.run(lambda: self.dispatcher.raise_event(self.event, key))
-        else:
-            self.run(lambda: self.dispatcher.raise_flow(
-                self.event, self.flow(key), key))
-
-    def send_flowless(self, key):
         self.run(lambda: self.dispatcher.raise_event(self.event, key))
 
 
 def _assert_equivalent(sides):
-    """Every observable except the flow-cache counters must agree."""
+    """Every observable except the compile count must agree."""
     ref = sides[0]
     for side in sides[1:]:
         assert side.log == ref.log, (side.mode, ref.mode)
@@ -106,14 +89,6 @@ def _assert_equivalent(sides):
         assert side.dispatcher.total_raises == ref.dispatcher.total_raises
 
 
-def _published(cache):
-    """The cache's counters as it publishes them (all but its size)."""
-    registry = MetricsRegistry()
-    cache.register_metrics(registry)
-    return {name: row["value"] for name, row in registry.snapshot().items()
-            if name != "spin.flowcache.capacity"}
-
-
 def _both_rungs(scenario):
     """Run ``scenario(side)`` on both rungs and cross-check."""
     sides = [_Side(mode) for mode in MODES]
@@ -121,7 +96,8 @@ def _both_rungs(scenario):
         scenario(side)
     _assert_equivalent(sides)
     # The oracle side really did stay interpreted.
-    assert not any(_published(sides[1].dispatcher.flow_cache).values())
+    assert sides[1].dispatcher.compiled_scans == 0
+    assert sides[1].event._scan is None
     return sides
 
 
@@ -137,23 +113,21 @@ class TestRungEquivalence:
             for key in (0, 1, 2, 3) * 3:
                 side.send(key)
         sides = _both_rungs(scenario)
-        cache = sides[0].dispatcher.flow_cache
-        # The first pass only sees each flow, the second compiles its
-        # plan, the third replays it.
-        assert cache.compiled_plans == 4   # one plan per flow key
-        assert cache.hits == 4
-        assert _published(cache)["spin.flowcache.compiled.replays"] == 4
+        # The first raise after the last install compiled the scan, and
+        # all twelve ran it.
+        assert sides[0].dispatcher.compiled_scans == 1
+        assert sides[0].dispatcher.total_raises == 12
 
     def test_flowless_scan_matches_interpreter(self):
         def scenario(side):
             side.install()
             side.install(guard=lambda value: value % 2 == 0)
             for value in range(6):
-                side.send_flowless(value)
+                side.send(value)
         compiled = _both_rungs(scenario)[0]
-        # One scan compiled at the last install served all six raises.
-        assert compiled.dispatcher.flow_cache.compiled_scans == 1
-        assert compiled.event._scan[0] is compiled.event._snapshot
+        # One scan compiled after the last install served all six raises.
+        assert compiled.dispatcher.compiled_scans == 1
+        assert compiled.event._scan is not None
         assert compiled.dispatcher.total_raises == 6
 
     def test_thread_mode_delegates_identically(self):
@@ -190,10 +164,9 @@ class TestRungEquivalence:
             assert side.handles[0].failures == 3
             assert side.handles[0].invocations == 0
             assert side.handles[1].invocations == 3
-        # Failure accounting must re-run per packet: a raise in which a
-        # guard threw records no plan, so the compiled rung never replays.
-        assert sides[0].flows[0].plans == {}
-        assert sides[0].dispatcher.flow_cache.hits == 0
+        # Failure accounting re-runs per packet: the generated scan
+        # keeps no verdict, it calls the guard on every raise.
+        assert sides[0].dispatcher.compiled_scans == 1
 
     def test_generated_scan_contains_guard_exceptions(self):
         def scenario(side):
@@ -202,13 +175,13 @@ class TestRungEquivalence:
             side.install(guard=bad_guard)
             side.install()
             for value in range(3):
-                side.send_flowless(value)
+                side.send(value)
         sides = _both_rungs(scenario)
         for side in sides:
             assert side.handles[0].failures == 3
             assert side.handles[1].invocations == 3
-        assert sides[0].dispatcher.flow_cache.compiled_scans == 1
-        assert sides[0].event._scan[0] is sides[0].event._snapshot
+        assert sides[0].dispatcher.compiled_scans == 1
+        assert sides[0].event._scan is not None
 
     def test_guard_truthiness_exception_contained(self):
         # The generated scan keeps ``not guard(...)`` inside the try: a
@@ -221,8 +194,8 @@ class TestRungEquivalence:
         def scenario(side):
             side.install(guard=lambda value: Explosive())
             side.install()
-            side.send_flowless(0)
-            side.send_flowless(1)
+            side.send(0)
+            side.send(1)
         sides = _both_rungs(scenario)
         for side in sides:
             assert side.handles[0].failures == 2
@@ -256,10 +229,9 @@ class TestRungEquivalence:
                 side.send(0)
         sides = _both_rungs(scenario)
         for side in sides:
-            # Send 2 compiles the flow's plan and send 3 replays it
-            # (generated code on the compiled rung); the uninstall lands
-            # before the victim's step, so it saw sends 1 and 2 only and
-            # never runs again.
+            # Send 3 runs generated code on the compiled rung; the
+            # uninstall lands before the victim's step, so it saw sends 1
+            # and 2 only and never runs again.
             assert side.handles[1].invocations == 2
             assert not side.handles[1].installed
 
@@ -267,13 +239,9 @@ class TestRungEquivalence:
         for mode in MODES:
             side = _Side(mode)
             side.install(guard=lambda key: True)
-            side.send(0)  # warm: the compiled rung sees the flow...
-            side.send(0)  # ...then records and compiles its plan
+            side.send(0)  # warm: the compiled rung compiles its scan
             with pytest.raises(ChargeError):
-                if mode == "linear":
-                    side.dispatcher.raise_event(side.event, 0)
-                else:
-                    side.dispatcher.raise_flow(side.event, side.flow(0), 0)
+                side.dispatcher.raise_event(side.event, 0)
 
     def test_profiler_sees_identical_stacks(self):
         folded = {}
@@ -302,19 +270,19 @@ class TestRungEquivalence:
             side.kernel.cpu.register_metrics(registry)
             snapshots[mode] = registry.snapshot()
 
-        # The flow-cache counters legitimately differ across rungs (that
-        # is what they measure); everything else must not.
+        # The compile count legitimately differs across rungs (that is
+        # what it measures); everything else must not.
         def scrub(snapshot):
             return {name: entry for name, entry in snapshot.items()
-                    if not name.startswith("spin.flowcache.")}
+                    if name != "spin.dispatcher.compiled_scans"}
         assert scrub(snapshots["compiled"]) == scrub(snapshots["linear"])
 
 
     def test_dispatcher_failure_totals(self):
         """``spin.dispatcher.failures`` / ``terminations`` count what the
-        handles count -- interpreted scan, generated plan and scan, and
-        thread delegation alike -- and keep the counts of handles that
-        are gone."""
+        handles count -- interpreted and generated scans, and thread
+        delegation alike -- and keep the counts of handles that are
+        gone."""
         def scenario(side):
             def boom(*args):
                 raise RuntimeError("handler blew up")
@@ -324,13 +292,14 @@ class TestRungEquivalence:
             side.install(handler=boom)
             side.install(handler=hog, time_limit=10.0)
             side.install(handler=boom, mode="thread")
-            for _ in range(4):  # seen, compiled, replayed twice
+            for _ in range(4):
                 side.send(0)
-            side.send_flowless(0)
+            side.send(0)
             side.run(side.handles[0].uninstall)
             side.send(0)
         sides = _both_rungs(scenario)
-        assert sides[0].dispatcher.flow_cache.hits == 2
+        # One scan before the uninstall, one after it.
+        assert sides[0].dispatcher.compiled_scans == 2
         for side in sides:
             assert side.dispatcher.total_failures == 11
             assert side.dispatcher.total_terminations == 6
@@ -342,70 +311,20 @@ class TestRungEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# compile on repeat: a plan is compiled at a flow's second cold raise
-# ---------------------------------------------------------------------------
-
-class TestCompileOnRepeat:
-    def _side(self):
-        side = _Side("compiled")
-        side.install()
-        side.install(guard=lambda key: key % 2 == 0)
-        return side
-
-    def test_one_raise_per_flow_compiles_no_plan(self):
-        side = self._side()
-        for key in range(8):
-            side.send(key)
-        cache = side.dispatcher.flow_cache
-        assert cache.compiled_plans == 0
-        assert cache.misses == 8 and cache.hits == 0
-        assert all(flow.plans == {} for flow in side.flows.values())
-
-    def test_second_raise_compiles_and_third_replays(self):
-        side = self._side()
-        cache = side.dispatcher.flow_cache
-        side.send(0)
-        assert cache.compiled_plans == 0
-        side.send(0)
-        assert cache.compiled_plans == 1
-        assert side.flows[0].plans[side.event][0] is side.event._snapshot
-        assert cache.misses == 2 and cache.hits == 0
-        side.send(0)
-        assert cache.compiled_plans == 1
-        assert cache.hits == 1
-
-    @pytest.mark.parametrize("bump", ["install", "uninstall", "invalidate"])
-    def test_bump_between_the_raises_compiles_nothing(self, bump):
-        side = self._side()
-        side.send(0)
-        if bump == "install":
-            side.install()
-        elif bump == "uninstall":
-            side.run(side.handles[0].uninstall)
-        else:
-            side.dispatcher.invalidate_event(side.event)
-        side.send(0)  # a first sighting again, at the new snapshot
-        cache = side.dispatcher.flow_cache
-        assert cache.compiled_plans == 0 and side.flows[0].plans == {}
-        side.send(0)
-        assert cache.compiled_plans == 1
-
-
-# ---------------------------------------------------------------------------
 # shape sharing, and the counters the generated source moves
 # ---------------------------------------------------------------------------
 
 class TestShapeCache:
     def test_same_shape_shares_code_object(self):
         side = _Side("compiled")
-        side.install()
-        side.install(guard=lambda key: True)
-        for key in ("a", "a", "b", "b"):  # a plan compiles on the repeat
-            side.send(key)
-        _snap_a, fn_a = side.flows["a"].plans[side.event]
-        _snap_b, fn_b = side.flows["b"].plans[side.event]
-        assert fn_a is not fn_b  # distinct bound factories...
-        assert fn_a.__code__ is fn_b.__code__  # ...one code object
+        other = side.dispatcher.declare("Gen.Other")
+        for event in (side.event, other):
+            side.dispatcher.install(event, side.log.append)
+            side.dispatcher.install(event, side.log.append,
+                                    guard=lambda key: True)
+            side.run(lambda: side.dispatcher.raise_event(event, "a"))
+        assert side.event._scan is not other._scan  # distinct bindings...
+        assert side.event._scan.__code__ is other._scan.__code__  # ...one code
 
     def test_shape_cache_is_process_wide(self):
         """Two dispatchers compiling one shape share its code object."""
@@ -413,8 +332,8 @@ class TestShapeCache:
         for _ in range(2):
             side = _Side("compiled")
             side.install()
-            side.send_flowless(0)
-            scans.append(side.event._scan[1])
+            side.send(0)
+            scans.append(side.event._scan)
         assert scans[0] is not scans[1]
         assert scans[0].__code__ is scans[1].__code__
 
@@ -426,20 +345,26 @@ class TestShapeCache:
                 side.install(guard=(lambda key: key == 0) if slot % 2 else None)
             for _ in range(3):
                 side.send(0)
-                side.send_flowless(1)
+                side.send(1)
         compiled = _both_rungs(scenario)[0]
-        cache = compiled.dispatcher.flow_cache
-        assert cache.compiled_plans == 1 and cache.hits == 1
-        assert compiled.event._scan[0] is compiled.event._snapshot
+        assert compiled.dispatcher.compiled_scans == 1
+        assert compiled.event._scan is not None
 
-    @pytest.mark.parametrize("kind, atoms", [
-        ("plan", ()), ("plan", ("R", "I", "Igl", "T", "Tg")),
-        ("scan", ()), ("scan", ("I", "Ig", "Il", "Igl", "T", "Tg"))])
-    def test_source_counts_only_what_the_scan_counts(self, kind, atoms):
+    @pytest.mark.parametrize("atoms", [
+        (),
+        tuple((kind, None) for kind in ("I", "Ig", "Il", "Igl", "T", "Tg")),
+        tuple(handle_atom(mode, guard, limit)[0] for mode, guard, limit in (
+            ("inline", filters.ethertype_guard(0x0800), None),
+            ("inline", filters.ip_protocol_guard(17), 5.0),
+            ("thread", filters.udp_dst_port_guard(7), None),
+            ("inline", filters.tcp_standard_guard(set(), set()), None),
+            ("inline", filters.transport_redirect_guard(6, 80), None))),
+    ], ids=["empty", "opaque-guards", "data-guards"])
+    def test_source_counts_only_what_the_scan_counts(self, atoms):
         """Per raise, generated code increments ``total_raises`` and
         nothing else; per step, only the handle's statistics and the
         dispatcher totals the interpreted scan moves."""
-        source = _emit_source(kind, atoms)
+        source = _emit_source(atoms)
         increments = re.findall(r"(\S+) \+= 1$", source, re.MULTILINE)
         per_step = {"matched", "_dispatcher.total_invocations",
                     "_dispatcher.total_failures",
@@ -454,66 +379,17 @@ class TestShapeCache:
 
 
 # ---------------------------------------------------------------------------
-# validity is snapshot identity: a stale plan never replays
-# ---------------------------------------------------------------------------
-
-class TestGenerationHygiene:
-    def test_forged_generation_cannot_resurrect_stale_plan(self):
-        """Regression: plan validity is snapshot identity, not equality.
-        A plan held across an uninstall/reinstall never replays, and
-        neither does one whose snapshot merely *equals* the event's
-        current one (the counterpart of a wrapped or reset counter).
-        """
-        side = _Side("compiled")
-        hits = []
-        side.install(handler=lambda *a: hits.append("old"))
-        side.send(0)
-        side.send(0)  # the repeat compiles the plan
-        stale_plan = side.flows[0].plans[side.event]
-        assert stale_plan[0] is side.event._snapshot
-
-        # The entry (and its plan) stays held across the uninstall --
-        # an in-flight packet header keeps FlowEntry objects alive even
-        # after cache eviction.
-        side.run(side.handles[0].uninstall)
-        side.install(handler=lambda *a: hits.append("new"))
-        assert side.flows[0].plans[side.event] is stale_plan
-        invalidations_before = side.dispatcher.flow_cache.invalidations
-        side.send(0)
-        assert hits == ["old", "old", "new"]  # the *new* handler ran
-        assert (side.dispatcher.flow_cache.invalidations
-                == invalidations_before + 1)
-        # The repeat at the live snapshot replaces the stale plan.
-        side.send(0)
-        assert (side.dispatcher.flow_cache.invalidations
-                == invalidations_before + 2)
-        live_plan = side.flows[0].plans[side.event]
-        assert live_plan is not stale_plan
-        assert live_plan[0] is side.event._snapshot
-
-        # An explicit invalidation leaves an equal tuple, not the same one.
-        side.dispatcher.invalidate_event(side.event)
-        assert live_plan[0] == side.event._snapshot
-        assert live_plan[0] is not side.event._snapshot
-        hits_before = side.dispatcher.flow_cache.hits
-        side.send(0)
-        assert side.dispatcher.flow_cache.hits == hits_before
-        assert (side.dispatcher.flow_cache.invalidations
-                == invalidations_before + 3)
-
-
-# ---------------------------------------------------------------------------
 # obs: the compiled-path metric requirement
 # ---------------------------------------------------------------------------
 
 class TestCompiledPathRequirement:
     SNAPSHOT_ON = {
-        "spin.flowcache.hits": {"type": "gauge", "value": 7},
-        "spin.flowcache.compiled.scans": {"type": "gauge", "value": 0},
+        "spin.dispatcher.raises": {"type": "gauge", "value": 7},
+        "spin.dispatcher.compiled_scans": {"type": "gauge", "value": 2},
     }
     SNAPSHOT_OFF = {
-        "spin.flowcache.hits": {"type": "gauge", "value": 0},
-        "spin.flowcache.compiled.scans": {"type": "gauge", "value": 0},
+        "spin.dispatcher.raises": {"type": "gauge", "value": 7},
+        "spin.dispatcher.compiled_scans": {"type": "gauge", "value": 0},
     }
 
     def test_satisfied_by_nonzero_metric(self):

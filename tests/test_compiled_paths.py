@@ -1,13 +1,11 @@
-"""Compiled delivery paths (PR 2): flow cache, graph truth, bench knobs.
-
-Covers the tentpole and satellites of the compiled-path refactor:
+"""Compiled delivery paths: generated scans, graph truth, bench knobs.
 
 * the ``ProtocolGraph`` stays authoritative -- a direct
   ``HandlerHandle.uninstall()`` drops the edge from ``render()`` and the
   node in/out edge lists immediately;
-* ``REPRO_FLOW_CACHE=0`` falls back to linear dispatch with simulated
-  time bit-identical to the cached path;
-* flow-cache counters appear in every run record's metrics snapshot;
+* ``REPRO_FLOW_CACHE=0`` falls back to the interpreted linear scan with
+  simulated time bit-identical to the generated scans;
+* the compile count appears in every run record's metrics snapshot;
 * the tracer decodes TCP options (MSS, window scale).
 """
 
@@ -18,7 +16,8 @@ from repro.bench.workloads import WORKLOADS, run_once
 from repro.core import Credential, ProtocolGraph
 from repro.lang import ephemeral
 from repro.net.trace import PacketTracer, _decode_tcp_options
-from repro.spin.flowcache import FlowCache, flow_cache_enabled
+from repro.sim import Engine
+from repro.spin import SpinKernel
 
 
 @ephemeral
@@ -67,59 +66,62 @@ class TestGraphStaysAuthoritative:
             handle.uninstall()
 
     def test_install_bumps_generation(self, kernel):
-        """Install and uninstall each replace the event's snapshot tuple,
-        the identity compiled plans and scans validate against."""
+        """Install and uninstall each replace the event's snapshot tuple
+        and drop its generated scan."""
         event = kernel.dispatcher.declare("X.Evt")
         before = event._snapshot
+        event._scan = lambda args: 0
         handle = kernel.dispatcher.install(event, lambda *a: None)
-        assert event._snapshot is not before
+        assert event._snapshot is not before and event._scan is None
         during = event._snapshot
+        event._scan = lambda args: 0
         handle.uninstall()
-        assert event._snapshot is not during
+        assert event._snapshot is not during and event._scan is None
         assert event._snapshot == before
 
 
 # ---------------------------------------------------------------------------
-# flow cache: observability and the escape hatch
+# generated scans: observability and the escape hatch
 # ---------------------------------------------------------------------------
 
+_SCANS = "spin.dispatcher.compiled_scans"
+
+
 def _udp_quick_fingerprint():
-    """The fingerprint and the ``spin.flowcache.*`` rows of the record's
-    metrics snapshot (summed over the bed's hosts), by short name."""
+    """The fingerprint and the metrics snapshot (summed over the bed's
+    hosts) of a quick ``udp_pingpong`` run."""
     record = run_once(WORKLOADS["udp_pingpong"],
                       WORKLOADS["udp_pingpong"].quick)
-    prefix = "spin.flowcache."
     return record["fingerprint"], {
-        name[len(prefix):]: row["value"]
-        for name, row in record["metrics"].items() if name.startswith(prefix)}
+        name: row["value"] for name, row in record["metrics"].items()}
 
 
 class TestFlowCache:
+    """``REPRO_FLOW_CACHE`` keeps its name: it switches generated scans."""
+
     def test_enabled_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_FLOW_CACHE", raising=False)
-        assert flow_cache_enabled()
-        assert FlowCache().enabled
+        assert SpinKernel(Engine(), "k").dispatcher.compiled
 
     def test_escape_hatch(self, monkeypatch):
         monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
-        assert not flow_cache_enabled()
-        cache = FlowCache()
-        assert not cache.enabled
-        assert cache.entry_for(("k",)) is None
+        dispatcher = SpinKernel(Engine(), "k").dispatcher
+        assert not dispatcher.compiled
+        # The entry perfbench asks for is always None.
+        assert dispatcher.flow_cache.entry_for(("k",)) is None
 
     def test_cache_off_is_bit_identical(self, monkeypatch):
         monkeypatch.delenv("REPRO_FLOW_CACHE", raising=False)
-        cached_fp, cached_counters = _udp_quick_fingerprint()
-        assert cached_counters["enabled"]
-        assert cached_counters["hits"] > 0
+        compiled_fp, compiled_metrics = _udp_quick_fingerprint()
+        assert compiled_metrics[_SCANS] > 0
 
         monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
-        linear_fp, linear_counters = _udp_quick_fingerprint()
-        assert not linear_counters["enabled"]
-        assert linear_counters["hits"] == 0
+        linear_fp, linear_metrics = _udp_quick_fingerprint()
+        assert linear_metrics[_SCANS] == 0
 
-        # Replay charges identical simulated costs in identical order.
-        assert cached_fp == linear_fp
+        # Generated scans charge identical simulated costs in identical
+        # order.
+        assert compiled_fp == linear_fp
 
     def test_hits_after_warmup(self, spin_pair):
         bed = spin_pair
@@ -129,17 +131,20 @@ class TestFlowCache:
 
         def send_one():
             sender.send(b"x" * 16, bed.ip(1), 7000)
-        for _ in range(4):
+        dispatcher = bed.hosts[1].dispatcher
+        for sent in range(4):
             bed.engine.run_process(bed.hosts[0].kernel_path(send_one))
             bed.engine.run()
-        cache = bed.hosts[1].dispatcher.flow_cache
-        if cache.enabled:  # honours an externally-set escape hatch
-            assert len(cache.entries) >= 1
-            # First packet of the flow records plans; later packets replay.
-            assert cache.hits > 0
+            if sent == 0:
+                compiled = dispatcher.compiled_scans
+        if dispatcher.compiled:  # honours an externally-set escape hatch
+            # The first packet compiles each event's scan on its way up;
+            # later packets run them.
+            assert compiled > 0
+            assert dispatcher.compiled_scans == compiled
 
     def test_uninstall_invalidates_plan(self, spin_pair):
-        """After uninstalling a handler, cached flows must not call it."""
+        """After uninstalling a handler, generated code must not call it."""
         bed = spin_pair
         hits = []
 
@@ -162,17 +167,15 @@ class TestFlowCache:
         receiver.close()  # uninstalls the bound handler
         bed.engine.run_process(bed.hosts[0].kernel_path(send_one))
         bed.engine.run()
-        assert len(hits) == delivered_before  # stale plan did not replay
+        assert len(hits) == delivered_before  # stale scan did not run
 
     def test_counters_in_wallclock_report(self):
-        """No suite is named that any more; the counters ride in every
-        run record's metrics snapshot."""
-        fingerprint, counters = _udp_quick_fingerprint()
-        for key in ("enabled", "hits", "misses", "invalidations",
-                    "evictions", "entries"):
-            assert key in counters
-        # The flow-cache counters must not leak into the fingerprint.
-        assert not set(counters) & set(fingerprint)
+        """No suite is named that any more; the compile count rides in
+        every run record's metrics snapshot, not in its fingerprint."""
+        fingerprint, metrics = _udp_quick_fingerprint()
+        assert _SCANS in metrics
+        assert _SCANS not in fingerprint
+        assert not any(name.startswith("spin.flowcache.") for name in metrics)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Scale-out tests: kernel timers, many-flow workload, LRU flow cache,
-port-reference indexing, and the parallel bench runner.
+"""Scale-out tests: kernel timers, many-flow workload, port-reference
+indexing, and the parallel bench runner.
 
 The load-bearing property here is *bit-identical simulated time*: the
 indexed demultiplexing and the process-pool runner are wall-clock
@@ -14,7 +14,6 @@ from hypothesis import example, given, settings, strategies as st
 from repro.bench.workloads import WORKLOADS, run_once
 from repro.hw.host import Host
 from repro.sim import Engine
-from repro.spin.flowcache import FlowCache
 from repro.unixos import SocketError
 
 from nethelpers import make_pair
@@ -175,70 +174,6 @@ class TestManyFlows:
         monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
         without_cache = run_once(WORKLOADS["many_flows"], 200)["fingerprint"]
         assert with_cache == without_cache
-
-
-# ---------------------------------------------------------------------------
-# flow-cache LRU
-# ---------------------------------------------------------------------------
-
-class TestFlowCacheLru:
-    def test_eviction_is_least_recently_used(self):
-        cache = FlowCache(capacity=3)
-        for key in ("a", "b", "c"):
-            cache.entry_for((key,))
-        cache.entry_for(("a",))          # recency order is now b, c, a
-        cache.entry_for(("d",))          # evicts b, the coldest
-        assert ("b",) not in cache.entries
-        assert set(cache.entries) == {("a",), ("c",), ("d",)}
-        assert cache.evictions == 1
-
-    def test_touch_preserves_entry_identity(self):
-        cache = FlowCache(capacity=2)
-        entry = cache.entry_for(("flow",))
-        entry.plans["event"] = "plan"
-        assert cache.entry_for(("flow",)) is entry
-        cache.entry_for(("other",))
-        # Touching must not have discarded the compiled plans.
-        assert cache.entry_for(("flow",)).plans == {"event": "plan"}
-
-    def test_repeat_memo_does_not_break_recency(self):
-        """A back-to-back repeat of one key (the packet-train case) keeps
-        the recency order exact: only the later re-touch decides it."""
-        cache = FlowCache(capacity=2)
-        cache.entry_for((1,))
-        cache.entry_for((1,))            # repeat of the tail key
-        cache.entry_for((2,))
-        cache.entry_for((1,))            # real re-touch: order is 2, 1
-        cache.entry_for((3,))            # evicts 2
-        assert set(cache.entries) == {(1,), (3,)}
-
-    def test_counters_stay_consistent_under_churn(self):
-        cache = FlowCache(capacity=8)
-        for i in range(1_000):
-            cache.entry_for((i % 50,))
-        # 50 distinct keys cycling through 8 slots: every access misses,
-        # so each of the 1000 inserts past the first 8 evicted one entry.
-        assert len(cache.entries) == 8
-        assert cache.evictions == 1_000 - 8
-
-    def test_capacity_is_validated_at_construction(self):
-        assert FlowCache().capacity == FlowCache.DEFAULT_CAPACITY
-        # -1 used to escape entry_for() as a bare StopIteration and 0
-        # silently became the default.
-        for bad in (0, -1, 2.5, "2"):
-            with pytest.raises(ValueError):
-                FlowCache(capacity=bad)
-        cache = FlowCache(capacity=1)
-        cache.entry_for((1,))
-        cache.entry_for((2,))
-        assert list(cache.entries) == [(2,)]
-        assert cache.evictions == 1
-
-    def test_disabled_cache_caches_nothing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
-        cache = FlowCache(capacity=2)
-        assert cache.entry_for(("flow",)) is None
-        assert cache.entries == {}
 
 
 # ---------------------------------------------------------------------------
