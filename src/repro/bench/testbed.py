@@ -14,7 +14,7 @@ Raw "driver-to-driver" hosts (no protocol stack at all) are available via
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.plexus import PlexusStack
 from ..hw.alpha import ALPHA_21064, CostTable
@@ -143,16 +143,18 @@ class RawEchoHost(Host):
         self.echo = echo
         self.on_frame: Optional[Callable[[bytes], None]] = None
 
-    def frame_arrived(self, nic: NIC, frame: Frame) -> None:
+    def frame_arrived(self, arrival: Tuple[NIC, Frame]) -> None:
         # The echo needs the frame's link source, which a device input
         # never sees: bind the step per frame, then take the one path.
+        nic, frame = arrival
+
         def echo_or_record(nic_: NIC, data: bytes) -> None:
             if self.echo:
                 nic_.stage_tx(data, frame.src_addr)
             elif self.on_frame is not None:
                 self.on_frame(data)
         self._device_input[nic.name] = (echo_or_record, "raw-intr")
-        super().frame_arrived(nic, frame)
+        super().frame_arrived(arrival)
 
 
 def build_raw_pair(device: str, fast_driver: bool = False,

@@ -26,6 +26,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, List, Optional
 
+from ..hw.cpu import OUTSIDE_PATH, ChargeError
 from ..sim import SimulationError
 from .ecmp import ecmp_select
 from .table import (
@@ -99,7 +100,14 @@ class SwitchHost:
     def _device_input(self, port: FabricPort, nic, data: bytes) -> None:
         """Interrupt-context entry: charge the ingress chain, raise."""
         host = self.host
-        host.cpu.charge(host.costs.ethernet_input, "protocol")
+        # cpu.charge inlined (exact body, exact order): per-frame path.
+        cpu = host.cpu
+        stack = cpu._stack
+        if not stack:
+            raise ChargeError(OUTSIDE_PATH)
+        amount = host.costs.ethernet_input
+        stack[-1] += amount
+        cpu.category_times["protocol"] += amount
         # The ingress chain is charged as ``from_bytes(data,
         # leading_space=0)`` would book it; the pipeline reads ``data``.
         host.mbufs.charge_chain(len(data))

@@ -24,10 +24,27 @@ All costs are in microseconds; per-byte costs in microseconds per byte.
 from __future__ import annotations
 
 import dataclasses
+import math
 
-__all__ = ["CostTable", "ALPHA_21064", "MICROSECONDS_PER_SECOND"]
+__all__ = ["CostTable", "ALPHA_21064", "MICROSECONDS_PER_SECOND",
+           "validate_costs"]
 
 MICROSECONDS_PER_SECOND = 1_000_000.0
+
+
+def validate_costs(table) -> None:
+    """Raise ``ValueError`` unless every field of the dataclass ``table``
+    is a finite, non-negative cost.
+
+    Checked once, at construction: the hot charge sites inline
+    ``cpu.charge`` without its sign test, so a table that holds a
+    negative, NaN or infinite cost must never exist."""
+    for field in dataclasses.fields(table):
+        value = getattr(table, field.name)
+        if not (value >= 0.0 and math.isfinite(value)):
+            raise ValueError("%s.%s must be a finite non-negative cost, "
+                             "got %r" % (type(table).__name__, field.name,
+                                         value))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,6 +91,9 @@ class CostTable:
     tcp_output: float = 20.0
     socket_layer: float = 25.0            # BSD socket bookkeeping per op
     sockbuf_enqueue: float = 6.0          # append to a socket buffer
+
+    def __post_init__(self) -> None:
+        validate_costs(self)
 
     def scaled(self, factor: float) -> "CostTable":
         """A uniformly scaled copy (e.g. model a faster/slower CPU)."""

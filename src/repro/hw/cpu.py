@@ -202,7 +202,7 @@ class KernelPath(Event):
     contains extension failures) and leaves the engine's run loop.
     """
 
-    __slots__ = ("host", "fn", "args", "priority", "name",
+    __slots__ = ("host", "cpu", "fn", "args", "priority", "name",
                  "_profile", "_amount", "_deferred")
 
     def __init__(self, host: "Host", fn: Callable, args: Tuple = (),
@@ -214,6 +214,7 @@ class KernelPath(Event):
         self._value = None
         self._exception = None
         self.host = host
+        self.cpu = host.cpu
         self.fn = fn
         self.args = args
         self.priority = priority
@@ -223,7 +224,7 @@ class KernelPath(Event):
         """Take the CPU and run ``fn`` now if it is free, else join the
         FIFO of this path's level.  A path the end of a hold handed the
         CPU to (``cpu.held is self``) runs at once."""
-        cpu = self.host.cpu
+        cpu = self.cpu
         held = cpu.held
         if held is not self:
             if cpu._stack:
@@ -304,7 +305,7 @@ class KernelPath(Event):
         so the next path runs at the end of this entry instead, in the
         same order, one heap entry cheaper."""
         amount = self._amount
-        cpu = self.host.cpu
+        cpu = self.cpu
         cpu.busy_time += amount
         profile = self._profile
         if profile is not None and amount:

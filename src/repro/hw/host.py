@@ -1,9 +1,11 @@
 """Simulated host: one CPU, some NICs, deferred-action plumbing, timers.
 
 A :class:`Host` is the hardware chassis, and it owns the one interrupt
-path: :meth:`Host.frame_arrived` is invoked (conceptually: the interrupt
-line is raised) whenever a NIC finishes receiving a frame, and runs the
-device's registered input procedure at interrupt level.  The
+path: :meth:`Host.frame_arrived` is the heap entry a NIC pushes for each
+frame it admits to its receive ring (conceptually: the interrupt line is
+raised when the device's receive latency is over).  It counts the frame
+on the NIC, books the interrupt and the driver's receive charges, and
+runs the device's registered input procedure at interrupt level.  The
 operating-system models -- the SPIN kernel (``repro.spin.kernel``) and
 the monolithic UNIX model (``repro.unixos``) -- subclass it and add only
 what is theirs; "both systems use the same network device driver".
@@ -16,8 +18,8 @@ application) waits with.  A path that finds the CPU busy waits in the
 run queue; the end of a hold hands the CPU to the next path and, unless
 another entry is due at that instant, runs it at the end of the same
 heap entry.  An interrupt starts the same way: its path starts inside
-the NIC's entry that raised it, and costs a zero-delay bootstrap entry
-only when another entry is due at that instant.
+the interrupt's own entry, and costs a zero-delay bootstrap entry only
+when another entry is due at that instant.
 
 Deferred hardware actions
 -------------------------
@@ -164,20 +166,26 @@ class Host:
 
     # -- interrupt entry point ---------------------------------------------------
 
-    def frame_arrived(self, nic, frame) -> None:
-        """Called by a NIC when a frame has been received.
+    def frame_arrived(self, arrival: Tuple) -> None:
+        """A NIC's receive latency is over: ``arrival`` is ``(nic,
+        frame)``, and this is the interrupt, in its own heap entry.
 
-        The interrupt handler both OS models share: a kernel path at
+        Counts the frame on the NIC, then starts the interrupt handler
+        both OS models share: a kernel path at
         :data:`~repro.hw.cpu.INTERRUPT_PRIORITY` that pays interrupt
         entry, the driver's receive charges (retiring the ring slot), the
         registered device input if there is one, and interrupt exit.
 
-        This is the last thing the NIC's interrupt entry does.  So when
+        Starting the path is the last thing this entry does.  So when
         nothing else is due at this instant, the path's zero-delay
         bootstrap would be the very next entry popped, and the path
         starts here instead, in the same order, one entry cheaper.  When
         something is due, the bootstrap keeps its place behind it.
         """
+        nic, frame = arrival
+        data = frame.data
+        nic.rx_frames += 1
+        nic.rx_bytes += len(data)
         try:
             input_fn, path_name = self._device_input[nic.name]
         except KeyError:
@@ -193,9 +201,19 @@ class Host:
             amount = costs.interrupt_entry
             stack[-1] += amount
             times["interrupt"] += amount
-            nic.driver_recv_charges(frame)
+            # The driver pulls the frame out of the device: its receive
+            # charges, and the ring slot retires.
+            nic.rx_pending -= 1
+            profile = nic.profile
+            amount = profile.fixed_rx
+            stack[-1] += amount
+            times["driver"] += amount
+            if profile.pio_rx_per_byte:
+                amount = len(data) * profile.pio_rx_per_byte
+                stack[-1] += amount
+                times["driver-pio"] += amount
             if input_fn is not None:
-                input_fn(nic, frame.data)
+                input_fn(nic, data)
             amount = costs.interrupt_exit
             stack[-1] += amount
             times["interrupt"] += amount

@@ -338,7 +338,8 @@ class _Medium:
         at wire end and frees the sender once its copies are due."""
         engine = self.engine
         if self._impairments is None:
-            self._account(frame)
+            self.frames_carried += 1
+            self.bytes_carried += frame.wire_bytes
             engine.call_at(
                 (engine.now + frame.wire_bytes * 8.0 / self.bandwidth_bps
                  * MICROSECONDS_PER_SECOND) + self.propagation_us,
@@ -417,16 +418,13 @@ class PointToPointLink(_Medium):
             raise ValueError("point-to-point link already has two endpoints")
         super().attach(nic)
 
-    def peer_of(self, nic):
-        for other in self.nics:
-            if other is not nic:
-                return other
-        raise ValueError("link has no peer for %r" % nic)
-
     def transmit(self, sender, frame: Frame,
                  done: Callable[[], None]) -> None:
-        """The sender's direction of the wire (its own lane)."""
-        self._send_on_lane(self.peer_of(sender).frame_on_wire, frame, done)
+        """The sender's direction of the wire (its own lane), toward the
+        other end (a link with one end attached raises ValueError)."""
+        first, second = self.nics
+        peer = second if sender is first else first
+        self._send_on_lane(peer.frame_on_wire, frame, done)
 
 
 class SwitchPort(_Medium):

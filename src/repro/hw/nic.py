@@ -13,9 +13,10 @@ profiles model the "faster device driver" of section 4.1 (337 us Ethernet /
 
 Driver cost accounting follows the host execution discipline: transmit
 costs are charged by :meth:`NIC.stage_tx` (called from plain driver code)
-and receive costs by :meth:`NIC.driver_recv_charges` (called from the
-host's interrupt path).  PIO devices charge per-byte CPU on both paths;
-DMA devices charge only fixed setup costs.
+and receive costs by the host's interrupt body
+(:meth:`repro.hw.host.Host.frame_arrived`), which also retires the
+frame's receive-ring slot.  PIO devices charge per-byte CPU on both
+paths; DMA devices charge only fixed setup costs.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import itertools
 from typing import Optional
 
 from ..sim import Engine
+from .alpha import validate_costs
 from .link import BROADCAST, Frame
 
 __all__ = ["NIC", "DriverProfile", "LanceEthernet", "ForeAtm", "T3Nic",
@@ -43,6 +45,9 @@ class DriverProfile:
     pio_tx_per_byte: float = 0.0
     pio_rx_per_byte: float = 0.0
     rx_latency_us: float = 10.0   # device-side delay before the interrupt
+
+    def __post_init__(self) -> None:
+        validate_costs(self)
 
 
 class NIC:
@@ -147,12 +152,16 @@ class NIC:
             if len(self._tx_queue) >= self.tx_queue_len:
                 self.tx_drops += 1
                 return
-            self._tx_queue.append(frame)
-            if not self._draining:
-                # Idle -> busy edge; the drain retires itself when empty.
+            if self._draining:
+                self._tx_queue.append(frame)
+                return
+            # Idle (so the queue is empty): the frame goes straight on
+            # the wire, and the drain retires itself when the queue is.
+            link = self.link
+            if link is not None:  # unplugged: frame vanishes
                 self._draining = True
-                self._drain()
-        host.defer(enqueue)
+                link.transmit(self, frame, self._drain)
+        host._deferred.append(enqueue)    # host.defer, inlined
         self.tx_frames += 1
         self.tx_bytes += size
         # The deferred enqueue runs after this returns, so the staged
@@ -192,38 +201,10 @@ class NIC:
             self.rx_drops += 1
             return
         self.rx_pending += 1
+        # When the device's receive latency is over, the host takes the
+        # interrupt in its own entry (ring admission here decided drops).
         self.engine.call_after(self.profile.rx_latency_us,
-                               self._raise_interrupt, frame)
-
-    def _raise_interrupt(self, frame: Frame) -> None:
-        """The device's receive latency is over: interrupt the host (its
-        own entry, as ring admission at ``frame_on_wire`` decided drops)."""
-        self.rx_frames += 1
-        self.rx_bytes += len(frame.data)
-        self.host.frame_arrived(self, frame)
-
-    def driver_recv_charges(self, frame: Frame) -> None:
-        """Charge the CPU cost of pulling one frame out of the device.
-
-        Called from the host's interrupt path (plain code).  Also retires
-        the frame from the receive ring.
-        """
-        self.rx_pending -= 1
-        profile = self.profile
-        # cpu.charge inlined (exact body, exact order): interrupt path.
-        cpu = self.host.cpu
-        stack = cpu._stack
-        if not stack:
-            from .cpu import OUTSIDE_PATH, ChargeError
-            raise ChargeError(OUTSIDE_PATH)
-        times = cpu.category_times
-        amount = profile.fixed_rx
-        stack[-1] += amount
-        times["driver"] += amount
-        if profile.pio_rx_per_byte:
-            amount = len(frame.data) * profile.pio_rx_per_byte
-            stack[-1] += amount
-            times["driver-pio"] += amount
+                               self.host.frame_arrived, (self, frame))
 
     def __repr__(self) -> str:
         return "<%s %s addr=%s>" % (type(self).__name__, self.name, self.address)

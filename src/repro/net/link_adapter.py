@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
+from ..hw.cpu import OUTSIDE_PATH, ChargeError
 from ..hw.nic import NIC
 from ..spin.mbuf import Mbuf
 from .arp import ArpProto
@@ -71,13 +72,29 @@ class RawLinkProto:
         if link_addr is None:
             raise KeyError(
                 "no neighbor entry for %s on %s" % (ip_ntoa(next_hop), self.nic.name))
-        self.host.cpu.charge(self.host.costs.ethernet_output, "protocol")
+        host = self.host
+        # cpu.charge inlined (exact body, exact order): per-packet path.
+        cpu = host.cpu
+        stack = cpu._stack
+        if not stack:
+            raise ChargeError(OUTSIDE_PATH)
+        amount = host.costs.ethernet_output
+        stack[-1] += amount
+        cpu.category_times["protocol"] += amount
         self.nic.stage_tx(m.to_bytes(), link_addr)
 
     def input(self, nic: NIC, frame_data: bytes) -> None:
         """Device receive entry (plain code, interrupt context)."""
-        self.host.cpu.charge(self.host.costs.ethernet_input, "protocol")
-        m = self.host.mbufs.from_bytes(frame_data, leading_space=0)
+        host = self.host
+        # cpu.charge inlined (exact body, exact order): per-frame path.
+        cpu = host.cpu
+        stack = cpu._stack
+        if not stack:
+            raise ChargeError(OUTSIDE_PATH)
+        amount = host.costs.ethernet_input
+        stack[-1] += amount
+        cpu.category_times["protocol"] += amount
+        m = host.mbufs.from_bytes(frame_data, leading_space=0)
         if self.upcall is not None:
             self.upcall(nic, m)
 

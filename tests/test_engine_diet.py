@@ -170,7 +170,7 @@ _EVENT_NAMES = {
     ("_held", True): "cpu hold",
     ("_bus_sent", True): "wire time",
     ("_deliver", True): "propagation",
-    ("_raise_interrupt", True): "rx latency",
+    ("frame_arrived", True): "rx latency",
     ("start", False): "kernel-path bootstrap",
     ("ping_loop", False): "reply wakeup",
 }
@@ -236,6 +236,51 @@ def _steady_trip_budget(medium, names=_EVENT_NAMES):
             trips[-1] - trips[-2])
 
 
+def _steady_fat_tree_frame():
+    """A ``fat_tree(4)`` engine whose heap holds exactly one steady
+    64-byte UDP frame from host 0 to 10.2.0.2 (across the core): two
+    cold frames, sent apart, have already crossed, so every ARP entry,
+    table and compiled scan is warm."""
+    bed = fat_tree(4)
+    engine = bed.engine
+    endpoint = bed.stacks[0].udp_manager.bind(
+        Credential("tx"), 9001, ephemeral(lambda *args: None))
+    host = bed.hosts[0]
+
+    def send(_arg) -> None:
+        host.spawn_kernel_path(lambda: endpoint.send(
+            bytes(64), ip_aton("10.2.0.2"), 9000))
+    for index in range(3):      # apart: each frame crosses alone
+        engine.call_at(1_000.0 * (index + 1), send)
+    engine.run(until=2_500.0)   # the cold frames are behind us
+    return engine
+
+
+#: One steady switch hop on ``fat_tree(4)``, by Python call
+#: (``co_qualname``), from the landing at the switch's port to the egress
+#: frame's own landing being pushed.  A hop up toward the core also
+#: calls ``ecmp_select`` after ``SwitchHost._emit``.
+_SWITCH_HOP_CALLS = [
+    # the landing: the port's NIC admits the frame to its ring, and the
+    # sender's NIC, whose lane is free again, finds its queue empty
+    "_Medium._deliver", "NIC.frame_on_wire", "Engine.call_after",
+    "NIC._drain",
+    # the interrupt, in its own entry: the path starts right there
+    "Host.frame_arrived", "KernelPath.__init__", "Engine.due_now",
+    "KernelPath.start", "Host.frame_arrived.<locals>.interrupt_body",
+    # the pipeline: device input, one raise, one table, the egress stage
+    "SwitchHost._device_input", "MbufPool.charge_chain",
+    "Dispatcher.raise_event", "_factory.<locals>._compiled",
+    "SwitchHost._pipeline",
+    "PacketFields.__init__", "MatchTable.lookup", "ForwardingTable.lookup",
+    "SwitchHost._emit", "MbufPool.charge_chain", "NIC.stage_tx",
+    "FabricNic.wire_bytes", "Frame.__init__", "Engine.call_after",
+    # the hold's entry: the idle egress NIC puts the frame on its lane
+    "KernelPath._held", "NIC.stage_tx.<locals>.enqueue",
+    "PointToPointLink.transmit", "_Medium._send_on_lane", "Engine.call_at",
+]
+
+
 class TestEventBudget:
     def test_udp_round_trip_is_ten_named_events(self):
         """Nine entries advance simulated time (3 CPU holds: client send,
@@ -293,18 +338,7 @@ class TestEventBudget:
         names[("_deliver", True)] = "landing"
 
         def frame_budget():
-            bed = fat_tree(4)
-            engine = bed.engine
-            endpoint = bed.stacks[0].udp_manager.bind(
-                Credential("tx"), 9001, ephemeral(lambda *args: None))
-            host = bed.hosts[0]
-
-            def send(_arg) -> None:
-                host.spawn_kernel_path(lambda: endpoint.send(
-                    bytes(64), ip_aton("10.2.0.2"), 9000))
-            for index in range(3):      # apart: each frame crosses alone
-                engine.call_at(1_000.0 * (index + 1), send)
-            engine.run(until=2_500.0)   # the cold frames are behind us
+            engine = _steady_fat_tree_frame()
             folded = Counter()
             while engine._heap:
                 site = _next_entry(engine)
@@ -318,6 +352,34 @@ class TestEventBudget:
         monkeypatch.setattr(PointToPointLink, "_send_on_lane",
                             _RelayLane._send_on_lane)
         assert frame_budget() - merged == {"_lane_sent": 6}
+
+    def test_a_steady_switch_hop_is_twenty_eight_calls(self):
+        """The call row of the budget: one frame across the fat tree is
+        218 Python calls (271 before the per-frame delegations were
+        folded), and each of its five switch hops is the 28 calls of
+        ``_SWITCH_HOP_CALLS`` (37 before: ``_raise_interrupt``,
+        ``driver_recv_charges``, ``CPU.charge`` and two
+        ``_charge_alloc`` under the pipeline, ``Host.defer``, the idle
+        NIC's enqueue-then-``_drain``, ``peer_of`` and ``_account``)."""
+        engine = _steady_fat_tree_frame()
+        calls = []
+
+        def on_event(frame, event, _arg):
+            if event == "call":
+                calls.append(frame.f_code.co_qualname)
+        sys.setprofile(on_event)
+        try:
+            engine.run()
+        finally:
+            sys.setprofile(None)
+        assert len(calls) == 218
+        starts = [at for at, name in enumerate(calls)
+                  if name == "_Medium._deliver"]
+        assert len(starts) == 6         # five switches, then the receiver
+        up = list(_SWITCH_HOP_CALLS)
+        up.insert(up.index("SwitchHost._emit") + 1, "ecmp_select")
+        hops = [calls[a:b] for a, b in zip(starts, starts[1:])]
+        assert hops == [up, up] + [_SWITCH_HOP_CALLS] * 3
 
     def test_contended_switched_frame_is_two_entries(self):
         """Frames queued on one busy egress lane cost no more than clean
@@ -825,7 +887,7 @@ class TestInterruptStart:
 
     def test_nothing_due_starts_the_path_in_the_raising_entry(self):
         trace, log, raised_at = self._raise(due_after=False)
-        assert trace == ["arrive", "_raise_interrupt", "_held"]
+        assert trace == ["arrive", "frame_arrived", "_held"]
         assert log == [("interrupt", raised_at)]
 
     def test_an_entry_due_at_the_interrupt_keeps_the_bootstrap(self):
@@ -833,7 +895,7 @@ class TestInterruptStart:
         before the interrupt body, as it did when every interrupt path
         had a bootstrap entry."""
         trace, log, raised_at = self._raise(due_after=True)
-        assert trace == ["arrive", "_raise_interrupt", "due", "start",
+        assert trace == ["arrive", "frame_arrived", "due", "start",
                          "_held"]
         assert log == [("due", raised_at), ("interrupt", raised_at)]
 
@@ -1096,6 +1158,16 @@ class TestNicDrain:
         assert nic_a.tx_drops == 5
         assert len(got) == link.frames_carried == 5
 
+    def test_a_zero_length_queue_drops_every_frame(self, engine):
+        """An idle NIC puts a staged frame straight on the wire, but only
+        a frame its queue would have admitted: with no room at all,
+        nothing is sent, as when every frame went through the queue."""
+        link, host_a, nic_a, _host_b = self._pair(engine, tx_queue_len=0)
+        engine.run_process(_send(host_a, nic_a, [bytes(64)] * 3, "addr-b"))
+        engine.run()
+        assert nic_a.tx_drops == 3 and link.frames_carried == 0
+        assert not nic_a._draining
+
     def test_overflow_is_published_as_hw_nic_tx_drops(self, engine):
         link, host_a, nic_a, _host_b = self._pair(engine, tx_queue_len=2)
         registry = MetricsRegistry()
@@ -1151,7 +1223,7 @@ class TestNicDrain:
 # ---------------------------------------------------------------------------
 
 class _BrokenHost(Host):
-    def frame_arrived(self, nic, frame):
+    def frame_arrived(self, arrival):
         raise RuntimeError("interrupt entry bug")
 
 

@@ -3,8 +3,10 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.hw.alpha import ALPHA_21064, CostTable, MICROSECONDS_PER_SECOND
+from repro.hw.nic import DriverProfile
 
 
 class TestCostTable:
@@ -24,6 +26,44 @@ class TestCostTable:
 
     def test_units(self):
         assert MICROSECONDS_PER_SECOND == 1_000_000.0
+
+
+_BAD_COSTS = st.sampled_from([-1.0, -1e-12, float("nan"), float("inf"),
+                              float("-inf")])
+
+
+class TestCostValidation:
+    """A cost table is checked once, when it is built: the inlined charge
+    sites (the interrupt body, ``udp.output``, ``ip.input``, the
+    generated scans...) book a table's field with a bare ``+=``, where
+    ``CPU.charge`` would reject a negative one.  So a negative, NaN or
+    infinite cost must not construct at all."""
+
+    @given(field=st.sampled_from([f.name for f in dataclasses.fields(CostTable)]),
+           value=_BAD_COSTS)
+    def test_cost_table_rejects_a_bad_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CostTable(**{field: value})
+
+    @given(field=st.sampled_from(
+        [f.name for f in dataclasses.fields(DriverProfile)]), value=_BAD_COSTS)
+    def test_driver_profile_rejects_a_bad_field(self, field, value):
+        costs = {"fixed_tx": 1.0, "fixed_rx": 1.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            DriverProfile(**costs)
+
+    def test_scaled_by_a_negative_factor_raises(self):
+        with pytest.raises(ValueError, match="CostTable"):
+            ALPHA_21064.scaled(-1)
+        with pytest.raises(ValueError):
+            ALPHA_21064.scaled(float("nan"))
+
+    def test_zero_costs_construct(self):
+        """Zero is a cost (a free operation); only the sign, NaN and
+        infinity are rejected."""
+        assert ALPHA_21064.scaled(0.0).interrupt_entry == 0.0
+        assert DriverProfile(fixed_tx=0.0, fixed_rx=0.0,
+                             rx_latency_us=0.0).rx_latency_us == 0.0
 
 
 class TestCalibrationAnchors:

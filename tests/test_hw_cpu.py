@@ -10,7 +10,7 @@ from repro.obs.taps import Observer
 
 
 class EchoHost(Host):
-    def frame_arrived(self, nic, frame):
+    def frame_arrived(self, arrival):
         pass
 
 
