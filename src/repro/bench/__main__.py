@@ -59,10 +59,6 @@ def _latency(args) -> int:
             "  ".join("%s %d ns" % (key, probe["components_ns"][key])
                       for key in ("cpu_service", "nic_ring", "propagation",
                                   "stall"))))
-    print("\ndispatch rungs on %s: %s" % (
-        suite["rungs"]["leg"],
-        "identical across current/uncached"
-        if suite["comparison"]["rungs"]["ok"] else "DIVERGED"))
     return _finish(suite, slo, args.write_baseline)
 
 
@@ -114,9 +110,8 @@ _MODES = (
     ("--check", _check,
      "golden-number regression check (exit != 0 on drift)"),
     ("--latency", _latency,
-     "SLO tail-latency suite: open- vs closed-loop legs, decomposition "
-     "probes, dispatch rungs; writes BENCH_latency.json (--full adds the "
-     "mega_flows leg)"),
+     "SLO tail-latency suite: open- vs closed-loop legs and decomposition "
+     "probes; writes BENCH_latency.json (--full adds the mega_flows leg)"),
     ("--parallel-curve", _parallel_curve,
      "sharded many_flows at jobs 1/2/4 plus a mega_flows leg at jobs=2; "
      "writes BENCH_parallel.json; fails on divergence of a forked run from "

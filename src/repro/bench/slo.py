@@ -21,8 +21,7 @@ statement about simulated time:
 * **Decomposition probes reconcile bit-exactly.**  Closed-loop probes
   run under a :class:`~repro.obs.slo.SloTracker` and every completed
   request must satisfy ``sum(components) == total_ns`` in integer
-  nanoseconds -- an error otherwise, not a warning.  The tightest udp
-  leg is rerun under ``REPRO_FLOW_CACHE=0``; the fingerprints must agree.
+  nanoseconds -- an error otherwise, not a warning.
 
 The scenarios are registry records (:mod:`repro.bench.workloads`): the
 ``udp_echo@g<gap>`` and ``tcp_objects@g<gap>`` legs with their
@@ -42,7 +41,7 @@ from typing import Dict, List, Tuple
 from ..obs.slo import RequestLifecycle, SloTracker
 from .gate import REPO_ROOT, judge, new_report
 from .runner import map_tasks, task_seed
-from .workloads import MODES, WORKLOADS, Workload, env_override, run_once
+from .workloads import WORKLOADS, Workload, run_once
 
 __all__ = ["REPORT_PATH", "BASELINE_PATH", "LEGS", "PROBES", "leg_names",
            "run_leg", "run_probe", "run_latency_suite", "rows"]
@@ -64,11 +63,6 @@ LEGS["mega_flows"] = replace(WORKLOADS["mega_flows"], full=50_000)
 
 #: closed-loop decomposition probes (registry names).
 PROBES = ("udp_clean", "tcp_clean", "tcp_impaired")
-
-#: the leg the dispatch rung check reruns (the tightest udp load --
-#: the one that raises the most events per request).
-_RUNG_LEG = "udp_echo@g400"
-
 
 def leg_names(quick: bool = True) -> List[str]:
     return [name for name in LEGS if not (quick and name == "mega_flows")]
@@ -142,12 +136,7 @@ def run_probe(name: str, quick: bool = True) -> Dict:
     }
 
 
-def _run_rung(mode: str, quick: bool) -> Dict:
-    with env_override(MODES[mode]):
-        return run_leg(_RUNG_LEG, quick, closed=False)["open"]
-
-
-_TASKS = {"leg": run_leg, "probe": run_probe, "rung": _run_rung}
+_TASKS = {"leg": run_leg, "probe": run_probe}
 
 
 def _latency_task(payload: Tuple[str, str, bool]) -> Dict:
@@ -158,21 +147,16 @@ def _latency_task(payload: Tuple[str, str, bool]) -> Dict:
 
 
 def run_latency_suite(quick: bool = True, jobs: int = 1) -> Dict:
-    """Run every leg, probe and rung; returns the judged report."""
+    """Run every leg and probe; returns the judged report."""
     legs = leg_names(quick)
     tasks = ([("leg", name) for name in legs]
-             + [("probe", name) for name in PROBES]
-             + [("rung", mode) for mode in MODES])
+             + [("probe", name) for name in PROBES])
     results = dict(zip(tasks, map_tasks(
         _latency_task, [task + (quick,) for task in tasks], jobs)))
     report = new_report("--latency", quick)
     report["legs"] = {name: results["leg", name] for name in legs}
     report["decomposition"] = {name: results["probe", name]
                                for name in PROBES}
-    report["rungs"] = {
-        "leg": _RUNG_LEG,
-        "fingerprints": {mode: results["rung", mode] for mode in MODES},
-    }
     return judge(report, rows, BASELINE_PATH)
 
 
@@ -189,9 +173,8 @@ def side_fingerprint(record: Dict) -> Dict:
 def rows(report: Dict) -> Tuple[Dict, Dict]:
     """The latency report as gate rows: a leg's fingerprint is its sides'
     percentiles; a probe's adds the component totals and brings its
-    reconciliation errors along; the ``uncached`` rung is the ``current``
-    rung's same-run twin."""
-    gated, twins = {}, {}
+    reconciliation errors along.  No row has a same-run twin."""
+    gated = {}
     for name, leg in report["legs"].items():
         gated[name] = {
             "fingerprint": {side: side_fingerprint(leg[side])
@@ -204,7 +187,4 @@ def rows(report: Dict) -> Tuple[Dict, Dict]:
                 "components_ns": probe["components_ns"]},
             "errors": probe["errors"],
         }
-    rungs = report["rungs"]["fingerprints"]
-    gated["rungs"] = {"fingerprint": rungs["current"]}
-    twins["rungs"] = {"fingerprint": rungs["uncached"]}
-    return gated, twins
+    return gated, {}

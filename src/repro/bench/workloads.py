@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import contextlib
 import gc
-import os
 import random
 import time
 import zlib
@@ -60,9 +59,8 @@ from ..unixos.sockets import Poller, SocketError
 from .runner import map_tasks
 from .testbed import build_testbed
 
-__all__ = ["Workload", "WORKLOADS", "PINGPONG", "MODES", "env_override",
-           "schedule", "run_once", "run_partitioned", "run_scenario",
-           "run_workload"]
+__all__ = ["Workload", "WORKLOADS", "PINGPONG", "schedule", "run_once",
+           "run_partitioned", "run_scenario", "run_workload"]
 
 
 @dataclass(frozen=True)
@@ -951,32 +949,6 @@ WORKLOADS: Dict[str, Workload] = {record.name: record for record in _RECORDS}
 # the runner
 # ---------------------------------------------------------------------------
 
-#: environment overrides per benchmark mode.  ``uncached`` is the
-#: reference oracle -- every raise the interpreted linear scan -- whose
-#: fingerprints the generated-code run must equal.
-MODES: Dict[str, Dict[str, str]] = {
-    "current": {},
-    "uncached": {"REPRO_FLOW_CACHE": "0"},
-}
-
-
-@contextlib.contextmanager
-def env_override(overrides: Dict[str, str]) -> Iterator[None]:
-    """Apply ``overrides`` to ``os.environ`` for the block, then restore.
-    Every run builds a fresh bed, so ``REPRO_FLOW_CACHE`` is read under
-    the override."""
-    saved = {key: os.environ.get(key) for key in overrides}
-    os.environ.update(overrides)
-    try:
-        yield
-    finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
-
-
 @contextlib.contextmanager
 def _gc_quiesced() -> Iterator[None]:
     """Quiesce the cyclic collector around a timed region (pyperf does
@@ -1121,10 +1093,8 @@ def run_partitioned(record: Workload, scale: int, sim_jobs: int,
     return result
 
 
-def run_workload(name: str, quick: bool = False, instrument=None,
-                 mode: str = "current") -> Dict:
-    """Run a registered workload once at its quick or full scale, on the
-    dispatch rung ``mode`` selects via :data:`MODES`.
+def run_workload(name: str, quick: bool = False, instrument=None) -> Dict:
+    """Run a registered workload once at its quick or full scale.
 
     One discarded warm-up pass comes first, so imports, codegen
     ``compile()`` calls and allocator pools are not part of the reported
@@ -1133,8 +1103,7 @@ def run_workload(name: str, quick: bool = False, instrument=None,
     """
     record = WORKLOADS[name]
     scale = record.scale(quick)
-    with env_override(MODES[mode]):
-        run_once(record, record.warmup)
-        result = run_once(record, scale, instrument)
+    run_once(record, record.warmup)
+    result = run_once(record, scale, instrument)
     result.update(name=name, scale=scale, quick=quick)
     return result

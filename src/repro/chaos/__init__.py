@@ -9,9 +9,11 @@ reordering, duplication, jitter, throttling, link flaps), drives a
 workload -- the workload registry's own UDP echo and TCP stream, in the
 half the bed's OS picks (:mod:`repro.chaos.workloads`) -- and then
 checks a registry of invariants: byte-exact stream delivery, terminal
-socket states, frame/mbuf conservation, drained rings, a drained engine,
-and, for oracle campaigns, generated dispatch matching the
-``REPRO_FLOW_CACHE=0`` linear-scan oracle.
+socket states, frame, mbuf and fabric conservation, drained rings, a
+drained engine and reconciled request latencies.  A campaign runs one
+bed; that generated dispatch matches the reference scan is the test
+suite's ``scan`` twin (``tests/twins.py``), which compares the whole
+verdict of every SPIN campaign in the quick and fabric corpora.
 
 Everything is replayable: a campaign is fully determined by its
 :class:`~repro.chaos.campaign.CampaignSpec` (seed + config), and a failed

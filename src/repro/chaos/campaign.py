@@ -17,7 +17,6 @@ import random
 import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..bench.workloads import MODES, env_override
 from ..hw.link import ImpairmentConfig
 from ..net.tcp.tcb import TcpState
 from ..net.trace import PacketTracer
@@ -57,7 +56,6 @@ class CampaignSpec:
     scale: int                    # workload size (bytes, datagrams, flows)
     duration_us: float            # traffic window before shutdown
     config: ImpairmentConfig
-    oracle: bool = False          # also run the REPRO_FLOW_CACHE=0 oracle
     sabotage: Optional[str] = None  # deliberate breakage (tests/CI demo)
     #: media indexes (``bed.media()`` order) to impair; None = every wire.
     #: Multi-hop fabric beds use this to hit one core link and nothing else.
@@ -92,7 +90,6 @@ class CampaignContext:
         self.state = state
         self.models = models
         self.tracer = tracer
-        self.oracle_violations: List[str] = []
 
     def impairment_counters(self) -> Dict[str, int]:
         total: Dict[str, int] = {}
@@ -102,11 +99,7 @@ class CampaignContext:
         return total
 
     def fingerprint(self) -> Dict[str, Any]:
-        """The determinism contract: identical for identical specs.
-
-        Flow-cache counters are deliberately excluded -- they legitimately
-        differ between the compiled path and the linear-scan oracle.
-        """
+        """The determinism contract: identical for identical specs."""
         engine = self.bed.engine
         flows = {}
         for flow in self.state.flows:
@@ -214,7 +207,6 @@ def build_quick_corpus(base_seed: int = 1996,
             name="c%03d" % index, seed=seed, os_name=os_name, device=device,
             workload=workload, scale=scale, duration_us=duration,
             config=config,
-            oracle=(os_name == "spin" and index % 5 == 0),
         ))
     return specs
 
@@ -261,7 +253,6 @@ def build_fabric_corpus(base_seed: int = 1996) -> List[CampaignSpec]:
             name="fab%03d" % index, seed=seed, os_name=os_name,
             device="fabric", workload=workload, scale=scale,
             duration_us=duration, config=config,
-            oracle=(os_name == "spin" and index == 0),
             impair_wires=wires, reroute=reroute,
         ))
     return specs
@@ -347,18 +338,6 @@ def run_campaign(spec: CampaignSpec) -> Dict[str, Any]:
     """Run one campaign end to end; returns the verdict record."""
     ctx = _execute(spec)
     fingerprint = ctx.fingerprint()
-    if spec.oracle and spec.os_name == "spin" and \
-            ctx.bed.hosts[0].dispatcher.compiled:
-        # The other rung of the bit-exactness ladder: the same campaign
-        # with every raise on the interpreted linear scan.
-        with env_override(MODES["uncached"]):
-            oracle = _execute(spec).fingerprint()
-        if oracle != fingerprint:
-            diverged = sorted(key for key in fingerprint
-                              if oracle.get(key) != fingerprint[key])
-            ctx.oracle_violations.append(
-                "compiled-path run diverges from the REPRO_FLOW_CACHE=0 "
-                "oracle in: %s" % ", ".join(diverged))
     violations = check_all(ctx)
     from ..obs.wire import instrument_testbed
     verdict = {

@@ -237,12 +237,3 @@ def _slo_reconciliation(ctx) -> List[str]:
                         % -lifecycle.open_requests)
     return problems
 
-
-@invariant("flow_cache_coherence")
-def _flow_cache_coherence(ctx) -> List[str]:
-    """The generated-scan fingerprint matches the linear-scan oracle.
-
-    Filled in by the campaign runner (it owns the second,
-    ``REPRO_FLOW_CACHE=0`` run); this entry reports what it recorded.
-    """
-    return list(ctx.oracle_violations)

@@ -15,34 +15,36 @@ bound by reference, so the next raise sees a change to one.
 Snapshots of one shape -- the same sequence of (inline / thread,
 guarded?, time-limited?, test shape) steps -- share one code object,
 process-wide; a handle's atom is computed once, at install, and only the
-factory binding handles, operands and costs runs per compile.  A
-generated function moves exactly the counters the interpreted scan
-moves; the dispatcher counts the compilations.
+factory binding handles, operands and costs runs per compile.  The
+dispatcher counts the compilations.
 
-Bit-exactness rules (the generated code *is* the interpreter loop,
-specialized -- not an approximation of it):
+The semantics are those of an interpreted walk over the snapshot -- for
+each installed handle: charge and run the guard, charge the handler, run
+it inline (terminating it past its ``time_limit``) or delegate it to a
+thread, containing any exception.  That walk is not in the product: it
+is the test suite's reference (``tests/twins.py:reference_scan``), which
+the ``scan`` twin patches over :func:`compile_scan` and runs against
+this module on every registry scenario and chaos campaign.  Generated
+code is the interpreter loop specialized, not an approximation of it:
 
 * every simulated charge is emitted as its own ``+=``: float addition is
   not associative, so adjacent charges are never summed into one
   precomputed constant even when the frozen CostTable would allow it;
 * a guard is charged ``guard_eval`` whether its tests are inlined or it
-  is called, and an exception from either is contained as the
-  interpreter contains it;
-* ``cpu.profile`` frames are pushed/popped exactly as the interpreted
-  scan does, so flamegraphs see compiled raises identically;
+  is called, and an exception from either is contained as the walk
+  contains it;
+* ``cpu.profile`` frames are pushed/popped once per raise, around the
+  walk, so flamegraphs see an event's raises under its name;
 * a charge outside any kernel path raises ``ChargeError(OUTSIDE_PATH)``
-  before the first step, where the scan's first charge would raise it:
+  before the first step, where the walk's first charge would raise it:
   every step charges (a guard or a matched handler), and every snapshot
   handle is installed at entry;
 * per-step ``installed`` checks are retained wherever user code (a
   guard or inline handler) may already have run in the raise, so a
-  handler uninstalled mid-raise is skipped just as the interpreted
-  snapshot walk skips it; before any user call the flag provably still
-  holds its at-entry value and the check is elided.
-
-``REPRO_FLOW_CACHE=0`` (read by the dispatcher) turns generation off:
-every raise is then the interpreted linear scan
-(``Dispatcher._scan_linear``) these functions are checked against.
+  handler uninstalled mid-raise is skipped just as the walk skips it;
+  before any user call the flag provably still holds its at-entry value
+  and the check is elided;
+* a generated function moves exactly the counters the walk moves.
 """
 
 from __future__ import annotations

@@ -25,17 +25,18 @@ This module reproduces that machinery with cost accounting:
 
 A raise runs the event's handler snapshot as one generated function
 (``repro.spin.codegen``), compiled by the first raise after an install
-or uninstall; ``REPRO_FLOW_CACHE=0`` keeps every raise on the
-interpreted :meth:`Dispatcher._scan_linear` instead.
+or uninstall.  Generated code is the only dispatch path; the interpreted
+scan it is checked against lives with the tests
+(``tests/twins.py:reference_scan``).
 """
 
 from __future__ import annotations
 
-import os
+import math
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..hw.cpu import MISMATCHED_END, OUTSIDE_PATH, THREAD_PRIORITY, ChargeError
+from ..hw.cpu import THREAD_PRIORITY
 from .codegen import compile_scan, handle_atom
 
 __all__ = ["Dispatcher", "EventDecl", "HandlerHandle", "DispatchError"]
@@ -152,8 +153,6 @@ class Dispatcher:
         #: they keep the counts of handles since uninstalled.
         self.total_failures = 0
         self.total_terminations = 0
-        #: whether raises run generated scans (``REPRO_FLOW_CACHE``).
-        self.compiled = os.environ.get("REPRO_FLOW_CACHE", "1") != "0"
         self.compiled_scans = 0
 
     #: perfbench's ``dispatch_churn`` still asks for flow entries; there
@@ -188,8 +187,10 @@ class Dispatcher:
         if mode not in self.VALID_MODES:
             raise DispatchError("unknown delivery mode %r" % mode)
         if time_limit is not None:
-            if time_limit <= 0:
-                raise DispatchError("time_limit must be positive")
+            # A NaN or infinite allotment would never be exceeded: the
+            # sec. 3.3 bound would be off, not loose.
+            if not (time_limit > 0 and math.isfinite(time_limit)):
+                raise DispatchError("time_limit must be positive and finite")
             if mode == "thread":
                 raise DispatchError(
                     "time_limit bounds interrupt-level (inline) handlers "
@@ -220,8 +221,7 @@ class Dispatcher:
 
         Returns the number of handlers that matched (ran inline or were
         delegated to a thread).  The raise runs the event's generated
-        scan, compiling it first if an install or uninstall dropped it;
-        with generation off it is the interpreted scan.
+        scan, compiling it first if an install or uninstall dropped it.
         """
         try:
             scan = event._scan
@@ -229,95 +229,12 @@ class Dispatcher:
             raise DispatchError(
                 "raise_event requires an EventDecl capability") from None
         if scan is None:
-            snapshot = event._snapshot
-            if not self.compiled:
-                return self._scan_linear(event, snapshot, args)
-            scan = event._scan = compile_scan(self, event, snapshot)
+            scan = event._scan = compile_scan(self, event, event._snapshot)
         return scan(args)
 
     def raise_flow(self, event: EventDecl, flow, *args) -> int:
         """:meth:`raise_event`; ``flow`` is ignored (kept for perfbench)."""
         return self.raise_event(event, *args)
-
-    def _scan_linear(self, event: EventDecl, snapshot, args) -> int:
-        """The interpreted linear scan: the reference semantics.
-
-        This is the one interpreted implementation: what the
-        ``REPRO_FLOW_CACHE=0`` oracle runs per raise, and the generated
-        code's semantic template.  cpu.charge / begin / end are inlined
-        below (exact bodies, exact order): at one dispatch per simulated
-        packet hop the call frames themselves dominate host-side
-        dispatch time.
-        """
-        costs = self.host.costs
-        cpu = self.host.cpu
-        stack = cpu._stack
-        times = cpu.category_times
-        guard_cost = costs.guard_eval
-        handler_cost = costs.dispatch_per_handler
-        self.total_raises += 1
-        matched = 0
-        # Off-by-default observability hook (repro.obs): one attribute
-        # load + None check per raise when no profiler is attached.
-        profile = cpu.profile
-        if profile is not None:
-            profile.push(event.name)
-        try:
-            for handle in snapshot:
-                if not handle.installed:
-                    continue
-                guard = handle.guard
-                if guard is not None:
-                    if not stack:
-                        raise ChargeError(OUTSIDE_PATH)
-                    stack[-1] += guard_cost
-                    times["dispatch"] += guard_cost
-                    try:
-                        if not guard(*args):
-                            handle.guard_rejections += 1
-                            continue
-                    except Exception as exc:  # guard failure: no match
-                        handle.failures += 1
-                        self.total_failures += 1
-                        handle.last_error = exc
-                        continue
-                matched += 1
-                if not stack:
-                    raise ChargeError(OUTSIDE_PATH)
-                stack[-1] += handler_cost
-                times["dispatch"] += handler_cost
-                if handle.mode == "thread":
-                    self._delegate_to_thread(handle, args)
-                    continue
-                # Inline delivery, flattened into the loop: one call
-                # frame per handler is measurable here.
-                handle.invocations += 1
-                self.total_invocations += 1
-                stack.append(0.0)
-                marker = len(stack)
-                try:
-                    handle.handler(*args)
-                except Exception as exc:  # containment: may not crash kernel
-                    handle.failures += 1
-                    self.total_failures += 1
-                    handle.last_error = exc
-                finally:
-                    if marker != len(stack):
-                        raise ChargeError(MISMATCHED_END % (marker, len(stack)))
-                    spent = stack.pop()
-                limit = handle.time_limit
-                if limit is not None and spent > limit:
-                    # Premature termination: only the allotment is consumed
-                    # (paper sec. 3.3).
-                    handle.terminations += 1
-                    self.total_terminations += 1
-                    stack[-1] += limit
-                else:
-                    stack[-1] += spent
-        finally:
-            if profile is not None:
-                profile.pop()
-        return matched
 
     # -- delivery -------------------------------------------------------------------
 

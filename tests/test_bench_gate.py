@@ -119,8 +119,6 @@ def _latency_report():
         "decomposition": {"udp_clean": {
             "percentiles": dict(_SIDE), "components_ns": {"cpu_service": 9},
             "reconciled": True, "errors": []}},
-        "rungs": {"leg": "udp_echo@g400", "fingerprints": {
-            "current": dict(_SIDE), "uncached": dict(_SIDE)}},
     }
 
 
@@ -168,14 +166,15 @@ SUITE_TABLE = [
     ("latency", _set(["decomposition", "udp_clean", "errors"],
                      ["request r0 does not reconcile"]),
      "decomposition:udp_clean", False, "does not reconcile"),
-    ("latency", _set(["rungs", "fingerprints", "uncached", "p50_ns"], 101),
-     "rungs", False, "divergence from the same-run twin on p50_ns"),
     ("parallel", None, "many_flows x2", True, ""),
     ("parallel", _set(["legs", 0, "parallel", "identity", "events"], 8),
      "many_flows x2", False, "divergence from the same-run twin on events"),
     ("parallel", _set(["legs", 0, "oracle", "identity", "fingerprint"],
                       {"flows": 5}), "many_flows x2", False,
      "divergence from the same-run twin on fingerprint"),
+    ("parallel", _set(["legs", 0, "parallel", "identity", "fingerprint"],
+                      {"flows": 3}), "many_flows x2", False,
+     "same-run twin on fingerprint"),
     ("parallel", _set(["legs", 0, "parallel", "identity", "metrics_sha1"],
                       "cd"), "many_flows x2", False,
      "divergence from the same-run twin on metrics_sha1"),

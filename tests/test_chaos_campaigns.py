@@ -13,6 +13,7 @@ from repro.chaos import (
     run_corpus, sample_config, write_bundle)
 from repro.chaos.campaign import _ROTATION
 from repro.hw.link import ImpairmentConfig
+from twins import scan
 
 import random
 
@@ -33,7 +34,7 @@ class TestRegistry:
         assert len(INVARIANTS) >= 6
         for required in ("byte_exact_delivery", "terminal_socket_states",
                          "frame_conservation", "mbuf_conservation",
-                         "engine_drained", "flow_cache_coherence"):
+                         "engine_drained", "slo_reconciliation"):
             assert required in INVARIANTS
 
     def test_rotation_covers_oses_devices_workloads(self):
@@ -47,7 +48,8 @@ class TestRegistry:
 
 class TestSpec:
     def test_spec_round_trips_through_dict(self):
-        spec = _quick_spec(sabotage="tamper_stream", oracle=True)
+        spec = _quick_spec(sabotage="tamper_stream",
+                           impair_wires=(0,), reroute=(0, 1.0))
         assert CampaignSpec.from_dict(spec.to_dict()) == spec
 
     def test_sample_config_is_deterministic_and_valid(self):
@@ -91,8 +93,12 @@ class TestInvariantsHold:
         assert verdict["impairments"]["lost"] > 0
 
     def test_oracle_comparison_passes(self):
-        verdict = run_campaign(_quick_spec(oracle=True))
+        """Under the ``scan`` twin the hostile campaign's whole verdict
+        is the same."""
+        verdict = run_campaign(_quick_spec())
         assert verdict["passed"], verdict["violations"]
+        with scan():
+            assert run_campaign(_quick_spec()) == verdict
 
 
 class TestSabotage:

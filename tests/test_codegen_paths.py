@@ -1,17 +1,18 @@
 """Generated delivery paths (codegen): the two-rung bit-exactness ladder.
 
-The dispatcher serves event raises two ways -- a generated Python scan
-per handler snapshot (default) and the interpreted linear scan
-(``REPRO_FLOW_CACHE=0``, the reference oracle) -- and the contract is
-that the two are *observably identical*: same handlers in the same
-order, same per-handle statistics, bit-identical simulated time and
-category accounting, identical profiler stacks.  These tests drive the
-corner cases directly (thread delegation, time limits, guard exceptions,
-mid-raise uninstalls), plus the machinery around the ladder: shape
-sharing, the counters the generated source moves, and the obs
-``compiled-path`` metric requirement.
+The dispatcher serves event raises with a generated Python scan per
+handler snapshot; the ``scan`` twin (``twins.py``) patches the
+interpreted reference walk over ``compile_scan`` in its place, and the
+contract is that the two are *observably identical*: same handlers in
+the same order, same per-handle statistics, bit-identical simulated time
+and category accounting, identical profiler stacks and metrics.  These
+tests drive the corner cases directly (thread delegation, time limits,
+guard exceptions, mid-raise uninstalls), plus the machinery around the
+ladder: shape sharing, the counters the generated source moves, and the
+obs ``compiled-path`` metric requirement.
 """
 
+import contextlib
 import re
 
 import pytest
@@ -24,6 +25,7 @@ from repro.sim import Engine
 from repro.spin import SpinKernel
 from repro.core import filters
 from repro.spin.codegen import _emit_source, handle_atom
+from twins import reference_scan, scan
 
 MODES = ("compiled", "linear")
 
@@ -31,10 +33,8 @@ MODES = ("compiled", "linear")
 class _Side:
     """One kernel driven through a scenario under one ladder rung.
 
-    ``compiled`` raises through generated scans; ``linear`` has them
-    turned off, as a ``REPRO_FLOW_CACHE=0`` run does.
-    ``dispatcher.compiled`` is forced per side so the tests are
-    independent of the process environment.
+    ``compiled`` raises through generated scans; ``linear`` runs every
+    step under the ``scan`` twin, so its raises walk the reference.
     """
 
     def __init__(self, mode: str):
@@ -45,14 +45,16 @@ class _Side:
         # and the parity test compares them byte-for-byte across modes.
         self.kernel = SpinKernel(self.engine, "gen-kernel")
         self.dispatcher = self.kernel.dispatcher
-        self.dispatcher.compiled = (mode == "compiled")
+        self.twin = scan if mode == "linear" else contextlib.nullcontext
         self.event = self.dispatcher.declare("Gen.Packet")
         self.handles = []
         self.log = []
 
     def run(self, fn):
-        self.engine.run_process(self.kernel.kernel_path(fn), name="gen-op")
-        self.engine.run()
+        with self.twin():
+            self.engine.run_process(self.kernel.kernel_path(fn),
+                                    name="gen-op")
+            self.engine.run()
 
     def install(self, handler=None, **kwargs):
         slot = len(self.handles)
@@ -69,7 +71,7 @@ class _Side:
 
 
 def _assert_equivalent(sides):
-    """Every observable except the compile count must agree."""
+    """Every observable, the compile count included, must agree."""
     ref = sides[0]
     for side in sides[1:]:
         assert side.log == ref.log, (side.mode, ref.mode)
@@ -87,6 +89,8 @@ def _assert_equivalent(sides):
         assert (side.dispatcher.total_invocations
                 == ref.dispatcher.total_invocations)
         assert side.dispatcher.total_raises == ref.dispatcher.total_raises
+        assert (side.dispatcher.compiled_scans
+                == ref.dispatcher.compiled_scans)
 
 
 def _both_rungs(scenario):
@@ -95,9 +99,8 @@ def _both_rungs(scenario):
     for side in sides:
         scenario(side)
     _assert_equivalent(sides)
-    # The oracle side really did stay interpreted.
-    assert sides[1].dispatcher.compiled_scans == 0
-    assert sides[1].event._scan is None
+    # The reference side really did walk the reference scan.
+    assert sides[1].event._scan.func is reference_scan
     return sides
 
 
@@ -239,7 +242,7 @@ class TestRungEquivalence:
         for mode in MODES:
             side = _Side(mode)
             side.install(guard=lambda key: True)
-            side.send(0)  # warm: the compiled rung compiles its scan
+            side.send(0)  # warm: each rung builds its scan
             with pytest.raises(ChargeError):
                 side.dispatcher.raise_event(side.event, 0)
 
@@ -270,12 +273,7 @@ class TestRungEquivalence:
             side.kernel.cpu.register_metrics(registry)
             snapshots[mode] = registry.snapshot()
 
-        # The compile count legitimately differs across rungs (that is
-        # what it measures); everything else must not.
-        def scrub(snapshot):
-            return {name: entry for name, entry in snapshot.items()
-                    if name != "spin.dispatcher.compiled_scans"}
-        assert scrub(snapshots["compiled"]) == scrub(snapshots["linear"])
+        assert snapshots["compiled"] == snapshots["linear"]
 
 
     def test_dispatcher_failure_totals(self):
@@ -412,7 +410,7 @@ class TestCompiledPathRequirement:
 
 
 # ---------------------------------------------------------------------------
-# chaos: oracle campaigns check the full ladder
+# chaos: a hostile campaign on both rungs
 # ---------------------------------------------------------------------------
 
 class TestChaosLadder:
@@ -422,12 +420,13 @@ class TestChaosLadder:
         return CampaignSpec(
             name="ladder", seed=977, os_name="spin", device="ethernet",
             workload="tcp_bulk", scale=8_192, duration_us=2_000_000.0,
-            config=ImpairmentConfig(loss_good=0.02, duplicate_rate=0.02),
-            oracle=True)
+            config=ImpairmentConfig(loss_good=0.02, duplicate_rate=0.02))
 
-    def test_oracle_campaign_checks_both_rungs(self, monkeypatch):
+    def test_oracle_campaign_checks_both_rungs(self):
+        """The campaign passes, and the ``scan`` twin gives the whole
+        verdict again: invariants, fingerprint, metrics."""
         from repro.chaos import run_campaign
-        monkeypatch.delenv("REPRO_FLOW_CACHE", raising=False)
         verdict = run_campaign(self._spec())
         assert verdict["passed"], verdict["violations"]
-        assert not any("diverges" in v for v in verdict["violations"])
+        with scan():
+            assert run_campaign(self._spec()) == verdict

@@ -3,8 +3,8 @@
 * the ``ProtocolGraph`` stays authoritative -- a direct
   ``HandlerHandle.uninstall()`` drops the edge from ``render()`` and the
   node in/out edge lists immediately;
-* ``REPRO_FLOW_CACHE=0`` falls back to the interpreted linear scan with
-  simulated time bit-identical to the generated scans;
+* the reference scan (the ``scan`` twin, ``twins.py``) gives simulated
+  time bit-identical to the generated scans;
 * the compile count appears in every run record's metrics snapshot;
 * the tracer decodes TCP options (MSS, window scale).
 """
@@ -18,6 +18,7 @@ from repro.lang import ephemeral
 from repro.net.trace import PacketTracer, _decode_tcp_options
 from repro.sim import Engine
 from repro.spin import SpinKernel
+from twins import reference_scan, scan
 
 
 @ephemeral
@@ -81,7 +82,7 @@ class TestGraphStaysAuthoritative:
 
 
 # ---------------------------------------------------------------------------
-# generated scans: observability and the escape hatch
+# generated scans: observability and the reference twin
 # ---------------------------------------------------------------------------
 
 _SCANS = "spin.dispatcher.compiled_scans"
@@ -97,34 +98,24 @@ def _udp_quick_fingerprint():
 
 
 class TestFlowCache:
-    """``REPRO_FLOW_CACHE`` keeps its name: it switches generated scans."""
+    """Generated scans against the reference one, on a whole run."""
 
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLOW_CACHE", raising=False)
-        assert SpinKernel(Engine(), "k").dispatcher.compiled
-
-    def test_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
-        dispatcher = SpinKernel(Engine(), "k").dispatcher
-        assert not dispatcher.compiled
-        # The entry perfbench asks for is always None.
-        assert dispatcher.flow_cache.entry_for(("k",)) is None
-
-    def test_cache_off_is_bit_identical(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLOW_CACHE", raising=False)
+    def test_cache_off_is_bit_identical(self):
         compiled_fp, compiled_metrics = _udp_quick_fingerprint()
         assert compiled_metrics[_SCANS] > 0
 
-        monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
-        linear_fp, linear_metrics = _udp_quick_fingerprint()
-        assert linear_metrics[_SCANS] == 0
+        with scan():
+            linear_fp, linear_metrics = _udp_quick_fingerprint()
 
         # Generated scans charge identical simulated costs in identical
-        # order.
+        # order, and are built exactly where the reference is.
         assert compiled_fp == linear_fp
+        assert compiled_metrics == linear_metrics
 
-    def test_hits_after_warmup(self, spin_pair):
-        bed = spin_pair
+    @staticmethod
+    def _compiles_per_packet():
+        """Each packet's compile count on the receiver, and its scans."""
+        bed = build_testbed("spin", "ethernet")
         receiver = bed.stacks[1].udp_manager.bind(Credential("s"), 7000, _sink)
         assert receiver is not None
         sender = bed.stacks[0].udp_manager.bind(Credential("c"), 7001, _sink)
@@ -132,16 +123,29 @@ class TestFlowCache:
         def send_one():
             sender.send(b"x" * 16, bed.ip(1), 7000)
         dispatcher = bed.hosts[1].dispatcher
-        for sent in range(4):
+        counts = []
+        for _ in range(4):
             bed.engine.run_process(bed.hosts[0].kernel_path(send_one))
             bed.engine.run()
-            if sent == 0:
-                compiled = dispatcher.compiled_scans
-        if dispatcher.compiled:  # honours an externally-set escape hatch
-            # The first packet compiles each event's scan on its way up;
-            # later packets run them.
-            assert compiled > 0
-            assert dispatcher.compiled_scans == compiled
+            counts.append(dispatcher.compiled_scans)
+        return counts, [event._scan for event in dispatcher.events.values()
+                        if event._scan is not None]
+
+    def test_hits_after_warmup(self):
+        counts, scans = self._compiles_per_packet()
+        # The first packet compiles each event's scan on its way up;
+        # later packets run them.
+        assert counts[0] > 0 and counts == counts[:1] * 4
+        assert scans and all(fn.__code__.co_filename.startswith("<codegen:")
+                             for fn in scans)
+        # The reference is built exactly where generated code is.
+        with scan():
+            reference_counts, reference_scans = self._compiles_per_packet()
+        assert reference_counts == counts
+        assert all(fn.func is reference_scan for fn in reference_scans)
+        # The flow entry perfbench asks for is always None.
+        assert SpinKernel(Engine(), "k").dispatcher.flow_cache.entry_for(
+            ("k",)) is None
 
     def test_uninstall_invalidates_plan(self, spin_pair):
         """After uninstalling a handler, generated code must not call it."""

@@ -11,6 +11,7 @@ import pytest
 from repro.core import AccessError, Credential, PortSpace, SpoofingError
 from repro.lang import ephemeral
 from repro.net.headers import IPPROTO_TCP, ip_aton
+from repro.spin import DispatchError
 
 
 @ephemeral
@@ -144,6 +145,16 @@ class TestUdpManagerPolicy:
             pass
         manager = spin_pair.stacks[0].udp_manager
         manager.bind(Credential("a"), 7100, plain_handler, mode="thread")
+
+    @pytest.mark.parametrize("limit", [float("nan"), float("inf")])
+    def test_non_finite_time_limit_rejected(self, spin_pair, limit):
+        """The managers make the dispatcher's delivery checks before they
+        claim: a refused bind leaves the port free."""
+        manager = spin_pair.stacks[0].udp_manager
+        with pytest.raises(DispatchError, match="finite"):
+            manager.bind(Credential("a"), 7100, noop_handler,
+                         time_limit=limit)
+        manager.bind(Credential("b"), 7100, noop_handler, time_limit=30.0)
 
     def test_reserved_low_ports(self, spin_pair):
         manager = spin_pair.stacks[0].udp_manager

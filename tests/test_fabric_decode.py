@@ -10,14 +10,14 @@ included.  ``MbufPool.charge_chain`` books exactly what building a chain
 with ``from_bytes`` booked.
 
 The same hostile frames then go through a whole switch hop -- a port's
-device input, in a kernel path, on both dispatch rungs -- under random
+device input, in a kernel path, under generated dispatch and under the
+``scan`` twin's reference (``twins.py``) -- under random
 Count / Modify / Drop / Forward programs, and a reference interpreter of
 the program over the slice parser says what must come out.
 """
 
-import os
+import contextlib
 import struct
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +34,7 @@ from repro.net.headers import (IP_HEADER, IPPROTO_TCP, IPPROTO_UDP,
 from repro.obs.taps import NicTaps
 from repro.sim import Engine
 from repro.spin.mbuf import MCLBYTES, MLEN, MbufPool
+from twins import scan
 
 
 def _slice_parse(data):
@@ -372,18 +373,22 @@ def _hop(draw):
     return frames, program
 
 
-@pytest.mark.parametrize("flow_cache", ["1", "0"], ids=["generated", "scan"])
+@pytest.mark.parametrize("twin", [contextlib.nullcontext, scan],
+                         ids=["generated", "scan"])
 @given(hop=_hop())
 @settings(max_examples=200, deadline=None)
-def test_hostile_frames_through_a_switch_hop(flow_cache, hop):
+def test_hostile_frames_through_a_switch_hop(twin, hop):
     """Every frame is forwarded or counted dropped, no handler fails,
     the switch conserves frames, and a forwarded frame is its input with
     only the Modify fields and their checksums rewritten."""
-    frames, program = hop
-    with mock.patch.dict(os.environ, {"REPRO_FLOW_CACHE": flow_cache}):
-        bed = FabricBed(Engine(), "spin", 0, "interrupt", ALPHA_21064)
-        switch = _add_switch(bed, "sw", [("sw-p%d" % i, "peer-%d" % i)
-                                         for i in range(N_PORTS)], [])
+    with twin():
+        _switch_hop(*hop)
+
+
+def _switch_hop(frames, program):
+    bed = FabricBed(Engine(), "spin", 0, "interrupt", ALPHA_21064)
+    switch = _add_switch(bed, "sw", [("sw-p%d" % i, "peer-%d" % i)
+                                     for i in range(N_PORTS)], [])
     model = _install(switch, program)
     staged = _Staged(switch)
     host = switch.host

@@ -5,13 +5,13 @@ The dispatcher's contract (``repro.spin.codegen``) is that running an
 event's generated scan is *observably identical* to the interpreted
 linear scan: the same handlers run in the same order, the same
 statistics move, and the same simulated costs are charged in the same
-order.  There are two rungs -- generated scans (default) and the
-interpreted scan (``REPRO_FLOW_CACHE=0``) -- so this drives random
-interleavings of handler installs, uninstalls and raises through two
-kernels in lockstep, one per rung, and asserts the observable state
-never diverges: delivery log, bit-identical charged microseconds,
-per-handle statistics and the type of each handle's last error, and the
-obs metrics snapshot (minus the compile count, which measures the rung).
+order.  There are two rungs -- generated scans, and the reference scan
+the ``scan`` twin (``twins.py``) patches over ``compile_scan`` -- so
+this drives random interleavings of handler installs, uninstalls and
+raises through two kernels in lockstep, one per rung, and asserts the
+observable state never diverges: delivery log, bit-identical charged
+microseconds, per-handle statistics and the type of each handle's last
+error, and the obs metrics snapshot, compile count included.
 
 Two kinds of guard are drawn:
 
@@ -39,6 +39,8 @@ The dispatcher's failure and termination totals must equal what the
 opaque extensions injected plus what the data guards raised.
 """
 
+import contextlib
+
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core import filters
@@ -46,6 +48,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.sim import Engine
 from repro.spin import SpinKernel
 from repro.spin.mbuf import Mbuf, PacketHeader
+from twins import scan
 
 KEYS = (0, 1, 2, 3)
 
@@ -60,7 +63,7 @@ HOSTILE_KINDS = ("garbage", "uninstall_self", "uninstall_neighbour",
                  "installer")
 HOG_LIMIT = 2.0
 
-#: the ladder: generated scans, or the interpreted one.
+#: the ladder: generated scans, or the reference scan (the ``scan`` twin).
 MODES = ("compiled", "linear")
 
 #: the packet events, by their argument conventions (repro.core.filters).
@@ -192,9 +195,7 @@ class _Side:
         self.engine = Engine()
         self.kernel = SpinKernel(self.engine, "prop-kernel")
         self.dispatcher = self.kernel.dispatcher
-        # Forced per side so the property holds regardless of the
-        # process-wide REPRO_FLOW_CACHE hatch.
-        self.dispatcher.compiled = (mode == "compiled")
+        self.twin = scan if mode == "linear" else contextlib.nullcontext
         self.event = self.dispatcher.declare("Prop.Packet")
         self.packet_events = {name: self.dispatcher.declare("Prop." + name)
                               for name in PACKET_EVENTS}
@@ -216,6 +217,10 @@ class _Side:
         self.engine.run()
 
     def apply(self, op, arg):
+        with self.twin():
+            self._apply(op, arg)
+
+    def _apply(self, op, arg):
         if op == "install":
             self._run(lambda: self._install(*arg))
         elif op == "install_data":
@@ -344,12 +349,11 @@ class _Side:
                    if h.event is not self.event) - self.data_handler_failures
 
     def metrics(self):
-        """The obs snapshot, minus the compile count."""
+        """The obs snapshot."""
         registry = MetricsRegistry()
         self.dispatcher.register_metrics(registry)
         self.kernel.cpu.register_metrics(registry)
-        return {name: entry for name, entry in registry.snapshot().items()
-                if name != "spin.dispatcher.compiled_scans"}
+        return registry.snapshot()
 
 
 def _frame(head_len=None, total=44, room=0, off=20):
@@ -424,7 +428,7 @@ class TestFlowCacheEquivalence:
                 == compiled.dispatcher.total_invocations)
         assert (linear.dispatcher.total_raises
                 == compiled.dispatcher.total_raises)
-        # Identical metrics snapshot outside the compile count.
+        # Identical metrics snapshot, compile count included.
         assert linear.metrics() == compiled.metrics()
         # The same results, or the same error, outside a kernel path.
         assert linear.outcomes == compiled.outcomes

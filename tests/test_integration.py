@@ -4,12 +4,15 @@ Full-stack flows that exercise several subsystems at once: both OS models
 against each other's claims, all three devices, and mixed workloads.
 """
 
+import contextlib
+
 import pytest
 
 from repro.bench.testbed import build_testbed
 from repro.core import Credential
 from repro.lang import ephemeral
 from repro.sim import Signal
+from twins import scan
 
 
 @ephemeral
@@ -106,15 +109,18 @@ class TestAllDevices:
         assert state["received"] == total
 
 
-@pytest.mark.parametrize("rung", ["generated", "scan"])
-def test_chained_packets_cross_atm_byte_exact(rung, monkeypatch):
+@pytest.mark.parametrize("twin", [contextlib.nullcontext, scan],
+                         ids=["generated", "scan"])
+def test_chained_packets_cross_atm_byte_exact(twin):
     """A full-MSS TCP segment and a 3,000-byte UDP datagram fit the ATM MTU
     (9,180), so IP does not fragment them: each is one mbuf chain on the
-    sender and one on the receiver."""
-    if rung == "scan":
-        monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
-    else:
-        monkeypatch.delenv("REPRO_FLOW_CACHE", raising=False)
+    sender and one on the receiver, under generated dispatch and under
+    the ``scan`` twin's reference."""
+    with twin():
+        _chained_packets_cross_atm()
+
+
+def _chained_packets_cross_atm():
     bed = build_testbed("spin", "atm")
     engine = bed.engine
     segment = (bytes(range(251)) * 37)[:9140]

@@ -17,6 +17,7 @@ from repro.sim import Engine
 from repro.unixos import SocketError
 
 from nethelpers import make_pair
+from twins import scan
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +169,15 @@ class TestManyFlows:
         assert record["wall_s"] > 0 and "wall_s" not in fp
         assert "per_flow_kb" not in record
 
-    def test_fingerprint_ignores_flow_cache_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLOW_CACHE", "1")
-        with_cache = run_once(WORKLOADS["many_flows"], 200)["fingerprint"]
-        monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
-        without_cache = run_once(WORKLOADS["many_flows"], 200)["fingerprint"]
-        assert with_cache == without_cache
+    def test_fingerprint_ignores_flow_cache_env(self):
+        """The ``scan`` twin's reference dispatch gives the same record:
+        fingerprint, heap entries and every metric."""
+        def simulated(record):
+            return record["fingerprint"], record["events"], record["metrics"]
+        generated = simulated(run_once(WORKLOADS["many_flows"], 200))
+        with scan():
+            assert simulated(run_once(WORKLOADS["many_flows"], 200)) == \
+                generated
 
 
 # ---------------------------------------------------------------------------

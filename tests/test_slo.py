@@ -141,18 +141,17 @@ class TestFigure5BitIdentity:
 
 class TestDecomposition:
     def test_udp_probe_reconciles_on_every_flow_cache_rung(self):
+        """Under generated dispatch and under the ``scan`` twin."""
         from repro.bench.slo import run_probe
-        from repro.bench.workloads import MODES, env_override
-        results = {}
-        for mode, overrides in MODES.items():
-            with env_override(overrides):
-                results[mode] = run_probe("udp_clean")
-        for mode, record in results.items():
-            assert record["reconciled"], (mode, record["errors"])
+        from twins import scan
+        results = {"generated": run_probe("udp_clean")}
+        with scan():
+            results["scan"] = run_probe("udp_clean")
+        for rung, record in results.items():
+            assert record["reconciled"], (rung, record["errors"])
             assert record["percentiles"]["completed"] == 10
-        assert set(results) == {"current", "uncached"}
-        assert results["current"] == results["uncached"]
-        parts = results["current"]["components_ns"]
+        assert results["generated"] == results["scan"]
+        parts = results["generated"]["components_ns"]
         assert all(value >= 0 for value in parts.values())
         # The paper's claim in decomposition form: the in-kernel RTT is
         # mostly protocol CPU, with a real but smaller wire share.
@@ -347,9 +346,6 @@ def _tiny_report():
             "percentiles": _fingerprint_side(),
             "components_ns": parts, "reconciled": True, "errors": [],
         }},
-        "rungs": {"leg": "udp_echo@g400",
-                  "fingerprints": {"current": _fingerprint_side(),
-                                   "uncached": _fingerprint_side()}},
     }
 
 
@@ -402,11 +398,6 @@ class TestLatencyGate:
         probe["reconciled"] = False
         probe["errors"] = ["request r0 does not reconcile"]
         assert not self._judged(report)["decomposition:udp_clean"]["ok"]
-
-    def test_rung_divergence_is_an_error(self):
-        report = _tiny_report()
-        report["rungs"]["fingerprints"]["uncached"] = _fingerprint_side(p99=201)
-        assert not self._judged(report)["rungs"]["ok"]
 
 
 class TestHarnessDeterminism:

@@ -171,6 +171,15 @@ class TestTimeLimits:
                                time_limit=5.0)
         assert event.handlers == []
 
+    @pytest.mark.parametrize("limit", [float("nan"), float("inf")])
+    def test_non_finite_time_limit_rejected(self, dispatcher, limit):
+        """No charge exceeds a NaN or an infinite allotment: either would
+        switch the sec. 3.3 bound off, so both are refused."""
+        event = dispatcher.declare("X")
+        with pytest.raises(DispatchError, match="finite"):
+            dispatcher.install(event, lambda: None, time_limit=limit)
+        assert event.handlers == []
+
 
 class TestContainment:
     def test_handler_exception_contained(self, kernel, dispatcher):
