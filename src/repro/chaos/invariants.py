@@ -158,10 +158,10 @@ def _frame_conservation(ctx) -> List[str]:
 
 @invariant("mbuf_conservation")
 def _mbuf_conservation(ctx) -> List[str]:
-    """Every mbuf chain a host allocated corresponds to exactly one frame
-    sent or received by that host.  (``pool.allocated`` counts individual
-    chain links -- a jumbo segment on a large-MTU link spans several -- so
-    the per-packet law is on ``pool.chains``.)"""
+    """Every packet a host allocated corresponds to exactly one frame sent
+    or received by that host.  (``pool.allocated`` counts the links a BSD
+    chain would have, ``Mbuf.links`` -- a jumbo segment on a large-MTU
+    link spans several -- so the per-packet law is on ``pool.chains``.)"""
     problems = []
     for host in ctx.bed.hosts:
         tx = sum(nic.tx_frames for nic in host.nics.values())

@@ -33,6 +33,7 @@ __all__ = ["IpProto", "IP_BROADCAST"]
 IP_BROADCAST = 0xFFFFFFFF
 _FLAG_MF = 0x2000
 _OFFSET_MASK = 0x1FFF
+_FRAGMENT = _FLAG_MF | _OFFSET_MASK     # either set: a fragment
 
 
 class _Reassembly:
@@ -167,7 +168,7 @@ class IpProto:
         src = self.my_ip if src is None else src
         self._ident = (self._ident + 1) & 0xFFFF
         ident = self._ident
-        payload_len = m.length()
+        payload_len = m.len
         adapter, next_hop = self.route_for(dst)
         mtu_payload = adapter.mtu - self.HEADER_LEN
         total = payload_len + self.HEADER_LEN
@@ -198,7 +199,7 @@ class IpProto:
                         ident: int, ttl: int, frag_field: int,
                         total_length: Optional[int] = None) -> Mbuf:
         if total_length is None:
-            total_length = self.HEADER_LEN + m.length()
+            total_length = self.HEADER_LEN + m.len
         packet = m.push(self.HEADER_LEN)
         storage = packet._storage
         start = packet.off
@@ -233,7 +234,7 @@ class IpProto:
         if m.len < off + self.HEADER_LEN:
             self.header_errors += 1
             return
-        # The header is read where it lies in the head link's store; only
+        # The header is read where it lies in the store; only
         # extensions, guards and VIEW need m.data and its READONLY wrapper.
         storage = m._storage
         start = m.off + off
@@ -250,6 +251,14 @@ class IpProto:
         if internet_checksum(storage[start:start + self.HEADER_LEN]) != 0:
             self.header_errors += 1
             return
+        # The datagram must lie within the bytes received, and the window
+        # is narrowed to it: link padding past the total length is not
+        # payload (BSD ip_input's length check and m_adj).
+        end = off + total
+        if end > m.len:
+            self.header_errors += 1
+            return
+        m.len = end
         if not self.accepts(dst):
             if self.forwarding:
                 self._forward(m, off, VIEW(m.data, IP_HEADER, offset=off))
@@ -258,17 +267,15 @@ class IpProto:
             return
         self.packets_in += 1
         payload_off = off + self.HEADER_LEN
-        payload_len = total - self.HEADER_LEN
-        frag_offset = (frag & _OFFSET_MASK) * 8
-        more = bool(frag & _FLAG_MF)
-        if frag_offset == 0 and not more:
+        if not frag & _FRAGMENT:
             if self.upcall is not None:
                 self.upcall(protocol, m, payload_off, src, dst)
             return
-        # Reassembly reads a fragment's payload by the total length: it
-        # must lie within the bytes received, and only the last fragment
-        # may be empty.
-        if off + total > m.length() or (more and not payload_len):
+        payload_len = total - self.HEADER_LEN
+        frag_offset = (frag & _OFFSET_MASK) * 8
+        more = bool(frag & _FLAG_MF)
+        # Only the last fragment may be empty.
+        if more and not payload_len:
             self.header_errors += 1
             return
         self._input_fragment(m, payload_off, payload_len, src, dst, protocol,

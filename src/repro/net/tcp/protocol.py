@@ -241,13 +241,8 @@ class TcpProto:
         times["protocol"] += amount
         if m.len < off + self.HEADER_LEN:
             return
-        if m.next is None:
-            # Single-mbuf segment: checksum over a storage window, no copy.
-            start = m.off + off
-            segment = memoryview(m._storage)[start:m.off + m.len]
-        else:
-            # Chain: linearize once, then slice zero-copy views of it.
-            segment = memoryview(m.to_bytes())[off:]
+        # The segment is checksummed where it lies in the store, no copy.
+        segment = memoryview(m._storage)[m.off + off:m.off + m.len]
         seg_len = len(segment)
         amount = (PSEUDO_HEADER_LEN + seg_len) * host.costs.checksum_per_byte
         stack[-1] += amount

@@ -78,7 +78,7 @@ class UdpProto:
         stack[-1] += amount
         times["protocol"] += amount
         src_ip = self.ip.my_ip if src_ip is None else src_ip
-        length = self.HEADER_LEN + m.length()
+        length = self.HEADER_LEN + m.len
         packet = m.push(self.HEADER_LEN)
         storage = packet._storage
         start = packet.off
@@ -89,14 +89,9 @@ class UdpProto:
             amount = (PSEUDO_HEADER_LEN + length) * costs.checksum_per_byte
             stack[-1] += amount
             times["checksum"] += amount
-            # Header and payload are one window of the store, unless the
-            # push ran out of headroom and gave the header a store of its
-            # own (a new head link is the only kind that has one).
-            nxt = packet.next
+            # Header and payload are one window of the store.
             value = internet_checksum(
-                memoryview(storage)[start:start + length]
-                if nxt is None or nxt._storage is storage
-                else packet.to_bytes(),
+                memoryview(storage)[start:start + length],
                 pseudo_header_sum(src_ip, dst_ip, IPPROTO_UDP, length))
             _UDP_PUT_CKSUM(storage, start + _UDP_CKSUM_OFF,
                            value if value != 0 else 0xFFFF)
@@ -123,17 +118,13 @@ class UdpProto:
             self.header_errors += 1
             return
         src_port, dst_port, length, cksum = _UDP_UNPACK(m._storage, m.off + off)
-        if length < self.HEADER_LEN or off + length > m.length():
+        if length < self.HEADER_LEN or off + length > m.len:
             self.header_errors += 1
             return
         if cksum != 0:
-            # Verify in place over the mbuf storage window (zero copy) when
-            # the datagram is contiguous; chained datagrams linearize.
-            if m.next is None:
-                segment = memoryview(m._storage)[m.off + off:
-                                                 m.off + off + length]
-            else:
-                segment = m.to_bytes()[off:off + length]
+            # Verified where it lies in the store (zero copy).
+            start = m.off + off
+            segment = memoryview(m._storage)[start:start + length]
             amount = ((PSEUDO_HEADER_LEN + length)
                       * host.costs.checksum_per_byte)
             stack[-1] += amount
@@ -147,6 +138,9 @@ class UdpProto:
         else:
             self.checksums_skipped += 1
         self.datagrams_in += 1
+        # The window ends where the datagram does: bytes past its length
+        # (link padding) never reach the receiver.
+        m.len = off + length
         if self.upcall is not None:
             self.upcall(m, off + self.HEADER_LEN, src_ip, src_port,
                         dst_ip, dst_port)

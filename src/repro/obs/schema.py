@@ -43,7 +43,7 @@ EXPORT_SCHEMA: Dict[str, tuple] = {
     "hw.nic.tx_bytes": ("gauge", "frame bytes transmitted"),
     "hw.nic.tx_drops": ("gauge", "staged frames dropped: transmit queue full"),
     "hw.nic.tx_frames": ("gauge", "frames transmitted"),
-    "net.ip.header_errors": ("gauge", "IP packets dropped on a bad header (or DF and too big)"),
+    "net.ip.header_errors": ("gauge", "IP packets dropped on a bad header, a total length past the bytes received, or DF and too big"),
     "net.tcp.checksum_errors": ("gauge", "TCP segments dropped on checksum"),
     "net.tcp.connections": ("gauge", "live TCP connection blocks"),
     "net.tcp.header_errors": ("gauge", "TCP segments dropped on a bad data offset"),
@@ -67,8 +67,8 @@ EXPORT_SCHEMA: Dict[str, tuple] = {
     "spin.dispatcher.raises": ("gauge", "event raises (linear or compiled)"),
     "spin.dispatcher.invocations": ("gauge", "handler invocations"),
     "spin.dispatcher.terminations": ("gauge", "ephemeral runs cut at their time limit (all handles ever)"),
-    "spin.mbuf.allocated": ("gauge", "mbufs (chain links) ever allocated"),
-    "spin.mbuf.chains": ("gauge", "packet chains ever allocated"),
+    "spin.mbuf.allocated": ("gauge", "mbufs ever allocated: the links a BSD chain would have"),
+    "spin.mbuf.chains": ("gauge", "packets (one chain each) ever allocated"),
     "spin.mbuf.freed": ("gauge", "mbufs freed"),
     "spin.mbuf.in_use": ("gauge", "mbufs currently allocated minus freed"),
 }

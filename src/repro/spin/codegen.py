@@ -8,8 +8,8 @@ direct, and the tests of guards built by :mod:`repro.core.filters`
 (``guard.tests`` / ``guard.need``) are inlined; any other guard is
 called.  An inlined test reads a header field only when the arguments
 are what the guard expects (their count, an :class:`~repro.spin.mbuf.Mbuf`,
-a non-negative ``int`` offset) and the head mbuf holds ``need`` bytes;
-otherwise it calls the guard, the reference semantics.  Live sets are
+a non-negative ``int`` offset) and the packet's window holds ``need``
+bytes; otherwise it calls the guard, the reference semantics.  Live sets are
 bound by reference, so the next raise sees a change to one.
 
 Snapshots of one shape -- the same sequence of (inline / thread,

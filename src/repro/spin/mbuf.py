@@ -8,29 +8,30 @@ implementation, mirroring the paper's shared-driver setup.
 What the model keeps of the classic BSD design is what the simulated
 cost table and the protocol code can see:
 
-* a packet of up to :data:`MLEN` bytes (headroom included) is one small
-  mbuf; a larger one is a chain with a link at every :data:`MCLBYTES`
-  boundary, so the link count -- what :class:`MbufPool` charges for -- is
-  the one a cluster-per-link allocator would produce,
-* the links are joined through ``next``; the first carries a packet header
-  with the total length,
+* the link count: :attr:`Mbuf.links` is the number of mbufs a
+  cluster-per-link allocator would have chained for the packet -- one
+  small mbuf for up to :data:`MLEN` bytes (headroom included), else one
+  per :data:`MCLBYTES` cluster begun, and one more per header that a push
+  could not fit in the headroom.  It is what :class:`MbufPool` charges
+  for; the chain itself is not built,
 * headers are pushed into the leading space (headroom) of the buffer:
   :meth:`Mbuf.push` grows the packet at the front and each layer packs
   its header where it now lies, so the send path builds a packet in place
   and a transport checksums header and payload as one window of the
   store (:meth:`Mbuf.prepend` is ``push`` plus a copy, for a header
   already held as bytes); receivers do not trim headers off but carry an
-  offset into the chain and VIEW the next header there.
+  offset into the packet and VIEW the next header there, and a layer
+  that knows the packet's true length narrows the window to it (BSD's
+  ``m_adj`` of link padding).
 
-What it does not keep is a buffer per link.  A packet has one backing
-store, its own copy of the bytes it was built from, and each link is a
-``(off, len)`` window over it: one copy in (:meth:`Mbuf.from_bytes`), one
-slice out (:meth:`Mbuf.to_bytes`).  Only a push that runs out of
-headroom adds a link with a store of its own, always as the new head,
-which ``to_bytes`` discovers by walking the chain.  Cluster reference
-counts went with ``Mbuf.share``: nothing shares storage between packets.
+A packet is one window, ``len`` bytes at ``off``, over one backing store
+that is its own copy of the bytes it was built from: one copy in
+(:meth:`Mbuf.from_bytes`), one slice out (:meth:`Mbuf.to_bytes`).  A push
+past the headroom copies the window in behind the new header, into a
+fresh store with no headroom, and counts the link BSD would have
+prepended for the header.  Nothing shares storage between packets.
 
-READONLY packets (paper section 3.4): :meth:`Mbuf.freeze` marks a chain
+READONLY packets (paper section 3.4): :meth:`Mbuf.freeze` marks a packet
 immutable; data access then returns :class:`~repro.lang.readonly.ReadOnlyBuffer`
 and every mutating operation raises ``ReadOnlyViolation``.  An extension
 that needs a private, writable packet calls :meth:`Mbuf.copy_packet`.
@@ -42,7 +43,7 @@ work identically.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Union
+from typing import Union
 
 from ..lang.readonly import ReadOnlyBuffer, ReadOnlyViolation
 
@@ -56,28 +57,18 @@ class MbufError(RuntimeError):
     """Raised on invalid mbuf operations (over-long prepends etc.)."""
 
 
-class PacketHeader:
-    """Per-packet metadata carried by the first mbuf of a chain."""
-
-    __slots__ = ("length",)
-
-    def __init__(self, length: int = 0):
-        self.length = length
-
-
 class Mbuf:
-    """One link of a packet chain: ``len`` bytes at ``off`` in the store."""
+    """A packet: ``len`` bytes at ``off`` in its store, and the number of
+    ``links`` a BSD chain holding it would have."""
 
-    __slots__ = ("_storage", "off", "len", "next", "pkthdr",
-                 "_frozen")
+    __slots__ = ("_storage", "off", "len", "links", "_frozen")
 
     def __init__(self, storage: bytearray, off: int, length: int,
-                 pkthdr: Optional[PacketHeader] = None):
+                 links: int = 1):
         self._storage = storage
         self.off = off
         self.len = length
-        self.next: Optional["Mbuf"] = None
-        self.pkthdr = pkthdr
+        self.links = links
         self._frozen = False
 
     # -- constructors ----------------------------------------------------
@@ -85,31 +76,17 @@ class Mbuf:
     @classmethod
     def from_bytes(cls, data: Union[bytes, bytearray], leading_space: int = 64
                    ) -> "Mbuf":
-        """Build a packet chain holding a copy of ``data`` (with headroom)."""
-        n = len(data)
-        if n + leading_space <= MLEN and leading_space < MLEN:
-            # Single small mbuf: the common case for every header-sized
-            # packet; skips the chain-building loop below.
-            storage = bytearray(MLEN)
-            storage[leading_space:leading_space + n] = data
-            return cls(storage, leading_space, n, PacketHeader(n))
+        """A packet holding a copy of ``data`` behind ``leading_space``
+        bytes of headroom."""
         if leading_space >= MCLBYTES:
             raise MbufError("leading space %d exceeds MCLBYTES" % leading_space)
-        # The packet's own store: headroom, then the one copy of the data.
         storage = bytearray(leading_space)
         storage += data
-        end = leading_space + n
-        head = tail = cls(storage, leading_space,
-                          min(end, MCLBYTES) - leading_space,
-                          PacketHeader(n))
-        # One link per cluster boundary the packet crosses.
-        off = MCLBYTES
-        while off < end:
-            m = cls(storage, off, min(MCLBYTES, end - off))
-            tail.next = m
-            tail = m
-            off += MCLBYTES
-        return head
+        n = len(data)
+        # A link per cluster begun, and at least one: up to MLEN bytes are
+        # one small mbuf, which is one link too.
+        return cls(storage, leading_space, n,
+                   -(-(leading_space + n) // MCLBYTES) or 1)
 
     # -- views ---------------------------------------------------------------
 
@@ -119,7 +96,7 @@ class Mbuf:
 
     @property
     def data(self) -> Union[memoryview, ReadOnlyBuffer]:
-        """This mbuf's bytes; read-only when the packet is frozen."""
+        """The packet's bytes; read-only when the packet is frozen."""
         window = memoryview(self._storage)[self.off:self.off + self.len]
         if self._frozen:
             return ReadOnlyBuffer(window.toreadonly())
@@ -130,46 +107,13 @@ class Mbuf:
         self._check_writable("write into")
         return memoryview(self._storage)[self.off:self.off + self.len]
 
-    def chain(self) -> Iterator["Mbuf"]:
-        m: Optional[Mbuf] = self
-        while m is not None:
-            yield m
-            m = m.next
-
     def length(self) -> int:
-        """Total bytes in the chain starting here."""
-        # Plain while-loop: this runs for every guard evaluation on every
-        # packet, and the generator version costs three frames per mbuf.
-        total = 0
-        m: Optional[Mbuf] = self
-        while m is not None:
-            total += m.len
-            m = m.next
-        return total
+        """Bytes in the packet."""
+        return self.len
 
     def to_bytes(self) -> bytes:
-        """Linearized copy of the whole chain (a copy, always allowed)."""
-        storage = self._storage
-        start = self.off
-        end = start + self.len
-        pieces = []
-        m = self.next
-        while m is not None:
-            if m._storage is storage and m.off == end:
-                # The next window over the same store: extend the slice.
-                end += m.len
-            else:
-                # A prepend ran out of headroom here: the run so far is one
-                # piece, and bytes.join takes buffer objects directly.
-                pieces.append(memoryview(storage)[start:end])
-                storage = m._storage
-                start = m.off
-                end = start + m.len
-            m = m.next
-        if not pieces:
-            return bytes(memoryview(storage)[start:end])
-        pieces.append(memoryview(storage)[start:end])
-        return b"".join(pieces)
+        """A copy of the packet's bytes (always allowed)."""
+        return bytes(memoryview(self._storage)[self.off:self.off + self.len])
 
     # -- mutation ----------------------------------------------------------------
 
@@ -180,57 +124,51 @@ class Mbuf:
                 "(paper sec. 3.4)" % operation)
 
     def freeze(self) -> "Mbuf":
-        """Mark the whole chain READONLY (idempotent); returns self."""
-        m: Optional[Mbuf] = self
-        while m is not None:
-            m._frozen = True
-            m = m.next
+        """Mark the packet READONLY (idempotent); returns self."""
+        self._frozen = True
         return self
 
     def push(self, n: int) -> "Mbuf":
-        """Grow the packet this mbuf heads by ``n`` bytes at the front.
+        """Grow the packet by ``n`` bytes at the front; returns self.
 
-        The new bytes come out of the headroom when there is room, else
-        from a new head link with a store of its own.  Returns the head;
-        the caller writes the header at ``head._storage[head.off:]``.
-        Only a head link has headroom: a later link's window abuts its
-        predecessor's.
+        The new bytes come out of the headroom when there is room.  Else
+        the window is copied in behind them, into a fresh store with no
+        headroom, and the packet gains the link BSD would have prepended
+        to hold the header (so a further push adds another).  The caller
+        writes the header at ``m._storage[m.off:]``.
         """
         if self._frozen:  # tested inline: every layer's send pushes
             self._check_writable("prepend to")
         if n <= self.off:
             self.off -= n
             self.len += n
-            if self.pkthdr is not None:
-                self.pkthdr.length += n
             return self
-        # Not enough headroom: a new head link holding exactly the header.
         if n > MCLBYTES:
             raise MbufError("prepend of %d bytes exceeds MCLBYTES" % n)
-        head = Mbuf(bytearray(n), 0, n, self.pkthdr)
-        head.next = self
-        if head.pkthdr is not None:
-            head.pkthdr.length += n
-        self.pkthdr = None
-        return head
+        storage = bytearray(n)
+        storage += memoryview(self._storage)[self.off:self.off + self.len]
+        self._storage = storage
+        self.off = 0
+        self.len += n
+        self.links += 1
+        return self
 
     def prepend(self, data: Union[bytes, bytearray]) -> "Mbuf":
         """Prepend a copy of ``data``: :meth:`push` plus one slice copy."""
         n = len(data)
-        head = self.push(n)
-        head._storage[head.off:head.off + n] = data
-        return head
+        self.push(n)
+        self._storage[self.off:self.off + n] = data
+        return self
 
     # -- copies -----------------------------------------------------------------
 
     def copy_packet(self, leading_space: int = 64) -> "Mbuf":
-        """A fresh, writable, deep copy of the chain (explicit copy-on-write)."""
+        """A fresh, writable copy of the packet (explicit copy-on-write)."""
         return Mbuf.from_bytes(self.to_bytes(), leading_space=leading_space)
 
     def __repr__(self) -> str:
-        return "<Mbuf len=%d chain=%d total=%d%s>" % (
-            self.len, sum(1 for _ in self.chain()), self.length(),
-            " READONLY" if self._frozen else "")
+        return "<Mbuf len=%d links=%d%s>" % (
+            self.len, self.links, " READONLY" if self._frozen else "")
 
 
 class MbufPool:
@@ -242,15 +180,9 @@ class MbufPool:
         self.chains = 0      # packet chains, i.e. one per logical packet
         self.freed = 0
 
-    def _charge_alloc(self, chain: Optional[Mbuf], count: int = 1
-                      ) -> Optional[Mbuf]:
-        """Charge for the links of ``chain``, or for ``count`` links when
-        there is no chain, and count one packet chain."""
-        if chain is not None:
-            m = chain.next
-            while m is not None:
-                count += 1
-                m = m.next
+    def _charge_alloc(self, m: Mbuf) -> Mbuf:
+        """Charge for the links of ``m`` and count one packet chain."""
+        count = m.links
         # cpu.charge inlined (exact body, exact order): every packet
         # allocates at least one mbuf on both the send and receive path.
         cpu = self.host.cpu
@@ -263,16 +195,17 @@ class MbufPool:
         cpu.category_times["mbuf"] += amount
         self.allocated += count
         self.chains += 1
-        return chain
+        return m
+
 
     def from_bytes(self, data: Union[bytes, bytearray], leading_space: int = 64
                    ) -> Mbuf:
         return self._charge_alloc(Mbuf.from_bytes(data, leading_space))
 
     def charge_chain(self, size: int) -> None:
-        """Charge for the chain ``from_bytes(bytes(size), leading_space=0)``
-        would build, without building it: a link per ``MCLBYTES`` begun,
-        and at least one.  Books what :meth:`_charge_alloc` would for
+        """Charge for the links ``from_bytes(bytes(size), leading_space=0)``
+        would count, without building the packet: a link per ``MCLBYTES``
+        begun, and at least one.  Books what :meth:`_charge_alloc` would for
         that many links, directly: a switch hop charges two chains."""
         count = -(-size // MCLBYTES) or 1
         # cpu.charge inlined (exact body, exact order), as in _charge_alloc.
@@ -290,11 +223,11 @@ class MbufPool:
     def copy_packet(self, m: Mbuf, leading_space: int = 64) -> Mbuf:
         clone = m.copy_packet(leading_space)
         self.host.cpu.charge(
-            m.length() * self.host.costs.copy_per_byte, "copy")
+            m.len * self.host.costs.copy_per_byte, "copy")
         return self._charge_alloc(clone)
 
     def free(self, m: Mbuf) -> None:
-        count = sum(1 for _ in m.chain())
+        count = m.links
         self.host.cpu.charge(count * self.host.costs.mbuf_free, "mbuf")
         self.freed += count
 

@@ -95,7 +95,7 @@ class SocketLayer:
             return  # no PCB: datagram dropped (ICMP unreachable elided)
         costs = self.host.costs
         self.host.cpu.charge(costs.sockbuf_enqueue, "socket")
-        payload = bytes(m.to_bytes()[off:])
+        payload = bytes(memoryview(m._storage)[m.off + off:m.off + m.len])
         if sock.buffer.append(payload, (src_ip, src_port)):
             if sock.buffer.readable.waiter_count:
                 self.host.cpu.charge(costs.process_wakeup, "sched")

@@ -6,7 +6,18 @@ together with a configurable delay and a drop filter, which makes loss
 injection trivial.
 """
 
-from repro.net.headers import ip_aton
+from repro.net.checksum import internet_checksum
+from repro.net.headers import (
+    ETHERNET_HEADER,
+    ETHERTYPE_IP,
+    IP_HEADER,
+    IPPROTO_TCP,
+    IPPROTO_UDP,
+    TCP_HEADER,
+    UDP_HEADER,
+    ip_aton,
+    pseudo_header_sum,
+)
 from repro.net.ip import IpProto
 from repro.net.tcp import TcpProto
 from repro.net.udp import UdpProto
@@ -97,3 +108,53 @@ def make_pair(mtu: int = 1500, delay_us: float = 40.0):
     a = DirectStack(engine, wire, "host-a", "10.0.0.1", mtu=mtu)
     b = DirectStack(engine, wire, "host-b", "10.0.0.2", mtu=mtu)
     return engine, wire, a, b
+
+
+# -- hand-built packets, put on a testbed's wire -------------------------------
+
+#: the shortest Ethernet frame a driver sends, less the CRC: a shorter
+#: frame reaches the receiver with zero padding after the datagram.
+ETHER_MIN_FRAME = 60
+
+
+def ip_datagram(src: int, dst: int, protocol: int, payload: bytes) -> bytes:
+    """An IPv4 datagram with a valid header checksum."""
+    header = bytearray(IP_HEADER.size)
+    IP_HEADER.pack_into(header, 0, 0x45, 0, IP_HEADER.size + len(payload), 1,
+                        0, 64, protocol, 0, src, dst)
+    header[10:12] = internet_checksum(header).to_bytes(2, "big")
+    return bytes(header) + payload
+
+
+def udp_datagram(src: int, dst: int, sport: int, dport: int,
+                 data: bytes) -> bytes:
+    """An IP datagram carrying a checksummed UDP datagram."""
+    segment = bytearray(UDP_HEADER.size) + data
+    UDP_HEADER.pack_into(segment, 0, sport, dport, len(segment), 0)
+    segment[6:8] = (internet_checksum(segment, initial=pseudo_header_sum(
+        src, dst, IPPROTO_UDP, len(segment))) or 0xFFFF).to_bytes(2, "big")
+    return ip_datagram(src, dst, IPPROTO_UDP, bytes(segment))
+
+
+def tcp_datagram(src: int, dst: int, sport: int, dport: int, flags: int,
+                 data: bytes = b"") -> bytes:
+    """An IP datagram carrying a checksummed TCP segment (seq 1000)."""
+    segment = bytearray(TCP_HEADER.size) + data
+    TCP_HEADER.pack_into(segment, 0, sport, dport, 1000, 0, (5 << 12) | flags,
+                         8192, 0, 0)
+    segment[16:18] = internet_checksum(segment, initial=pseudo_header_sum(
+        src, dst, IPPROTO_TCP, len(segment))).to_bytes(2, "big")
+    return ip_datagram(src, dst, IPPROTO_TCP, bytes(segment))
+
+
+def put_frame(bed, datagram: bytes, pad_to: int = ETHER_MIN_FRAME) -> None:
+    """Host 0's driver sends host 1 an Ethernet frame carrying
+    ``datagram``, zero-padded to ``pad_to`` bytes; the bed runs dry."""
+    tx, rx = bed.nics[0], bed.nics[1]
+    frame = bytearray(ETHERNET_HEADER.size)
+    ETHERNET_HEADER.pack_into(frame, 0, rx.address, tx.address, ETHERTYPE_IP)
+    frame += datagram
+    frame += bytes(max(0, pad_to - len(frame)))
+    bed.engine.run_process(bed.hosts[0].kernel_path(
+        lambda: tx.stage_tx(bytes(frame), rx.address)))
+    bed.engine.run()

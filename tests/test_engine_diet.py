@@ -355,9 +355,11 @@ class TestEventBudget:
 
     def test_a_steady_switch_hop_is_twenty_eight_calls(self):
         """The call row of the budget: one frame across the fat tree is
-        218 Python calls (271 before the per-frame delegations were
-        folded), and each of its five switch hops is the 28 calls of
-        ``_SWITCH_HOP_CALLS`` (37 before: ``_raise_interrupt``,
+        213 Python calls (218 while a packet was a chain with a
+        ``PacketHeader``, and the layers called ``Mbuf.length``; 271
+        before the per-frame delegations were folded), and each of its
+        five switch hops is the 28 calls of ``_SWITCH_HOP_CALLS`` (37
+        before: ``_raise_interrupt``,
         ``driver_recv_charges``, ``CPU.charge`` and two
         ``_charge_alloc`` under the pipeline, ``Host.defer``, the idle
         NIC's enqueue-then-``_drain``, ``peer_of`` and ``_account``)."""
@@ -372,7 +374,7 @@ class TestEventBudget:
             engine.run()
         finally:
             sys.setprofile(None)
-        assert len(calls) == 218
+        assert len(calls) == 213
         starts = [at for at, name in enumerate(calls)
                   if name == "_Medium._deliver"]
         assert len(starts) == 6         # five switches, then the receiver

@@ -28,7 +28,7 @@ Two kinds of guard are drawn:
 * *data* guards, built by the ``repro.core.filters`` constructors on the
   four packet events with the kernel's argument conventions, whose tests
   the generated scan inlines.  The packets are drawn to hit every edge
-  of the inlining: runt frames, a head mbuf shorter than the header
+  of the inlining: runt windows over stores that hold the whole header
   (the call-the-guard fallback), headroom before the frame, hostile
   offsets, non-mbuf arguments and wrong argument counts, as anything may
   raise an event through the exported ``Dispatcher.Raise``.  Between
@@ -47,7 +47,7 @@ from repro.core import filters
 from repro.obs.registry import MetricsRegistry
 from repro.sim import Engine
 from repro.spin import SpinKernel
-from repro.spin.mbuf import Mbuf, PacketHeader
+from repro.spin.mbuf import Mbuf
 from twins import scan
 
 KEYS = (0, 1, 2, 3)
@@ -110,18 +110,15 @@ def _packet_args(draw):
         2, "big")
     data[room + off + 2:room + off + 4] = draw(
         st.sampled_from(PORTS)).to_bytes(2, "big")
-    # A runt keeps fewer bytes than the header needs (the store still
-    # holds the rest); a short head link leaves the header's tail to the
-    # next link, in the same store.
+    # A runt window keeps fewer bytes than the header needs, while the
+    # store still holds the rest: drawn whole or runt, then cut again.
     total = draw(st.sampled_from((off + 24, off + 24, off + 24, None)))
     if total is None:
         total = draw(st.integers(0, off + 23))
-    head_len = draw(st.sampled_from((total, total, total, None)))
-    if head_len is None:
-        head_len = draw(st.integers(0, total))
-    m = Mbuf(data, room, head_len, PacketHeader(total))
-    if head_len < total:
-        m.next = Mbuf(data, room + head_len, total - head_len)
+    length = draw(st.sampled_from((total, total, total, None)))
+    if length is None:
+        length = draw(st.integers(0, total))
+    m = Mbuf(data, room, length)
     if draw(st.booleans()):
         m.freeze()
     m = draw(st.sampled_from((m, m, m, m, None, 7, bytes(data),
@@ -356,17 +353,14 @@ class _Side:
         return registry.snapshot()
 
 
-def _frame(head_len=None, total=44, room=0, off=20):
+def _frame(total=44, room=0, off=20):
     """An IP frame to TCP port 80 with ``room`` bytes of headroom before
-    it, as ``_packet_args`` draws them."""
+    it, as ``_packet_args`` draws them: a window of ``total`` bytes over
+    a store that holds the whole frame."""
     data = bytearray(room + off + 24)
     data[room + 12:room + 14] = (0x0800).to_bytes(2, "big")
     data[room + off + 2:room + off + 4] = (80).to_bytes(2, "big")
-    head_len = total if head_len is None else head_len
-    m = Mbuf(data, room, head_len, PacketHeader(total))
-    if head_len < total:
-        m.next = Mbuf(data, room + head_len, total - head_len)
-    return m
+    return Mbuf(data, room, total)
 
 
 class TestFlowCacheEquivalence:
@@ -385,10 +379,11 @@ class TestFlowCacheEquivalence:
     @example([("install_data", ("link", filters.ethertype_guard(0x0800),
                                 "plain", "inline")),
               ("packet", ("link", ("nic0", _frame(total=13))))])
-    # A head link shorter than the header: the guard is called, and fails.
+    # A runt window cutting the TCP header, over a store that holds it
+    # all and a matching port: the guard is called, and refuses.
     @example([("install_data", ("tcp", filters.tcp_port_guard([80]),
                                 "plain", "inline")),
-              ("packet", ("tcp", (_frame(head_len=30), 20, 1, 2)))])
+              ("packet", ("tcp", (_frame(total=30), 20, 1, 2)))])
     # Not an mbuf, though it has an mbuf's attributes: the guard decides.
     @example([("install_data", ("link", filters.ethertype_guard(0x0800),
                                 "plain", "inline")),

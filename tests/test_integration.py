@@ -113,9 +113,9 @@ class TestAllDevices:
                          ids=["generated", "scan"])
 def test_chained_packets_cross_atm_byte_exact(twin):
     """A full-MSS TCP segment and a 3,000-byte UDP datagram fit the ATM MTU
-    (9,180), so IP does not fragment them: each is one mbuf chain on the
-    sender and one on the receiver, under generated dispatch and under
-    the ``scan`` twin's reference."""
+    (9,180), so IP does not fragment them: each is one packet of several
+    links on the sender and one on the receiver, under generated dispatch
+    and under the ``scan`` twin's reference."""
     with twin():
         _chained_packets_cross_atm()
 

@@ -7,10 +7,10 @@ import pytest
 from repro.bench.testbed import build_testbed
 from repro.lang import VIEW
 from repro.net.checksum import internet_checksum
-from repro.net.headers import IPPROTO_UDP, IP_HEADER, ip_aton
+from repro.net.headers import IPPROTO_UDP, IP_HEADER, TCP_SYN, ip_aton
 from repro.net.ip import _Reassembly
 
-from nethelpers import make_pair
+from nethelpers import make_pair, put_frame, tcp_datagram
 
 
 def send_udp(stack, payload, dst, sport=5000, dport=6000, checksum=True):
@@ -220,6 +220,32 @@ class TestMalformedFragments:
         worker.join(timeout=10)
         assert not worker.is_alive(), "add() spun on an empty fragment"
         assert results == [(None, None)]
+
+
+class TestTotalLength:
+    """The IP total length bounds the datagram (BSD ip_input): a packet
+    shorter than it is a header error, whatever it carries, and bytes
+    past it are trimmed before the transport sees them."""
+
+    @pytest.mark.parametrize("os_name", ["spin", "unix"])
+    def test_short_datagram_is_a_header_error(self, os_name):
+        bed = build_testbed(os_name, "ethernet")
+        datagram = tcp_datagram(bed.ip(0), bed.ip(1), 40000, 9, TCP_SYN,
+                                b"data")
+        put_frame(bed, datagram[:-2], pad_to=0)
+        ip, tcp = bed.stacks[1].ip, bed.stacks[1].tcp
+        assert (ip.header_errors, ip.packets_in) == (1, 0)
+        assert (tcp.checksum_errors, tcp.segments_in) == (0, 0)
+
+    @pytest.mark.parametrize("os_name", ["spin", "unix"])
+    def test_trailing_bytes_are_trimmed(self, os_name):
+        bed = build_testbed(os_name, "ethernet")
+        datagram = tcp_datagram(bed.ip(0), bed.ip(1), 40000, 9, TCP_SYN,
+                                b"data")
+        put_frame(bed, datagram + b"\xff" * 6, pad_to=0)
+        ip, tcp = bed.stacks[1].ip, bed.stacks[1].tcp
+        assert (ip.header_errors, ip.packets_in) == (0, 1)
+        assert (tcp.checksum_errors, tcp.segments_in) == (0, 1)
 
 
 class TestIcmp:

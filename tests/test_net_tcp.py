@@ -7,13 +7,14 @@ can be exercised deterministically.
 
 import pytest
 
+from repro.bench.testbed import build_testbed
 from repro.lang import VIEW
 from repro.net.checksum import internet_checksum
 from repro.net.headers import IPPROTO_TCP, TCP_HEADER, pseudo_header_sum
 from repro.net.tcp import TcpState
-from repro.net.tcp.tcb import seq_add, seq_lt, seq_sub
+from repro.net.tcp.tcb import SYN, seq_add, seq_lt, seq_sub
 
-from nethelpers import make_pair
+from nethelpers import make_pair, put_frame, tcp_datagram
 
 PORT = 9000
 
@@ -213,6 +214,17 @@ class TestDataTransfer:
         a.run_kernel(client.abort)
         b.run_kernel(server.abort)
         engine.run(until=engine.now + 1000.0)
+
+    @pytest.mark.parametrize("os_name", ["spin", "unix"])
+    def test_padded_segment_is_not_a_checksum_error(self, os_name):
+        """A bare SYN fills a 54-byte frame, which the Ethernet minimum
+        pads with 6 zeros: the segment is the IP datagram's bytes only,
+        so it is read, and answered with a RST (no listener)."""
+        bed = build_testbed(os_name, "ethernet")
+        put_frame(bed, tcp_datagram(bed.ip(0), bed.ip(1), 40000, 9, SYN))
+        tcp = bed.stacks[1].tcp
+        assert (tcp.checksum_errors, tcp.segments_in, tcp.no_listener,
+                tcp.resets_sent) == (0, 1, 1, 1)
 
     @pytest.mark.parametrize("words", [0, 4, 15])
     def test_bad_data_offset_dropped(self, words):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.bench.testbed import build_testbed
-from repro.lang import VIEW
+from repro.core import Credential
+from repro.lang import VIEW, ephemeral
 from repro.net import (
     ETHERNET_HEADER,
     ETHERTYPE_IP,
@@ -12,7 +13,7 @@ from repro.net import (
     mac_aton,
 )
 
-from nethelpers import make_pair
+from nethelpers import make_pair, put_frame, udp_datagram
 
 
 def send_udp(stack, payload, dst, sport=5000, dport=6000, checksum=True):
@@ -73,9 +74,8 @@ class TestUdp:
         assert b.udp.checksums_skipped >= 1
 
     def test_header_without_headroom_is_checksummed(self):
-        # No leading space: the UDP and IP headers each get a head link
-        # of their own, and the checksum must linearize, not read past
-        # the header's store.
+        # No leading space: the UDP and IP header pushes each copy the
+        # packet into a fresh store, and the checksum covers the new one.
         engine, wire, a, b = make_pair()
         got = []
         b.udp.upcall = lambda m, off, *rest: got.append(bytes(m.to_bytes()[off:]))
@@ -124,6 +124,34 @@ class TestUdp:
         engine.run()
         assert got == []
         assert (b.udp.header_errors, b.udp.datagrams_in) == (1, 0)
+
+
+class TestLinkPadding:
+    """A frame padded to the Ethernet minimum carries zeros past the
+    datagram: the receiver gets the datagram's bytes, not the padding."""
+
+    @pytest.mark.parametrize("os_name", ["spin", "unix"])
+    def test_padding_is_not_delivered(self, os_name):
+        bed = build_testbed(os_name, "ethernet")
+        got = []
+        if os_name == "spin":
+            @ephemeral
+            def handler(m, off, *rest):
+                got.append(bytes(m.to_bytes()[off:]))
+            bed.stacks[1].udp_manager.bind(Credential("pad"), 6000, handler)
+        else:
+            def server():
+                sock = bed.sockets[1].udp_socket()
+                yield from sock.bind(6000)
+                data, _addr = yield from sock.recvfrom()
+                got.append(data)
+            bed.engine.process(server(), name="server")
+            bed.engine.run()
+        put_frame(bed, udp_datagram(bed.ip(0), bed.ip(1), 5000, 6000, b"ping"))
+        udp = bed.stacks[1].udp
+        assert got == [b"ping"]
+        assert (udp.datagrams_in, udp.checksum_errors, udp.header_errors) \
+            == (1, 0, 0)
 
 
 class TestEthernetFraming:

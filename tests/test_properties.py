@@ -32,7 +32,8 @@ def reference_chain_shape(n, leading_space):
 
     A test asset: the loop ``Mbuf.from_bytes`` ran when each link owned a
     cluster.  The link count is an input to the simulated mbuf charge, so
-    it is pinned here independently of the code that now produces it.
+    it is pinned here independently of the arithmetic that now produces
+    ``Mbuf.links``.
     """
     if n + leading_space <= MLEN and leading_space < MLEN:
         return [(0, leading_space, n)]
@@ -47,10 +48,6 @@ def reference_chain_shape(n, leading_space):
         first = False
         if remaining == 0:
             return shape
-
-
-def links(m):
-    return list(m.chain())
 
 
 class TestChecksumProperties:
@@ -108,14 +105,14 @@ class TestMbufProperties:
         m = Mbuf.from_bytes(data)
         assert m.to_bytes() == data
         assert m.length() == len(data)
-        assert m.pkthdr.length == len(data)
+        assert m.links == len(reference_chain_shape(len(data), 64))
 
     @given(small_payloads, st.binary(min_size=1, max_size=64))
     def test_prepend_roundtrip(self, payload, header):
         m = Mbuf.from_bytes(payload, leading_space=32)
         m = m.prepend(header)
         assert m.to_bytes() == header + payload
-        assert m.pkthdr.length == len(header) + len(payload)
+        assert m.length() == len(header) + len(payload)
 
     @given(small_payloads)
     def test_copy_packet_is_independent(self, data):
@@ -127,19 +124,19 @@ class TestMbufProperties:
 
 
 class TestMbufChainShape:
-    """One store per packet: the model's view of a chain did not move."""
+    """A packet is one window: the link count it carries is the chain the
+    per-cluster allocator built."""
 
     @given(packet_sizes, headrooms)
     def test_links_match_per_cluster_allocator(self, n, leading_space):
         m = Mbuf.from_bytes(patterned(n), leading_space=leading_space)
-        shape = [divmod(link.off, MCLBYTES) + (link.len,) for link in links(m)]
-        assert shape == reference_chain_shape(n, leading_space)
-        if n + leading_space <= MLEN and leading_space < MLEN:
-            assert len(shape) == 1
+        shape = reference_chain_shape(n, leading_space)
+        assert m.links == len(shape)
+        if n + leading_space <= MLEN:
+            assert m.links == 1
         else:
-            assert len(shape) == -(-(leading_space + n) // MCLBYTES)
-        assert m.off == leading_space
-        assert all(link.pkthdr is None for link in links(m)[1:])
+            assert m.links == -(-(leading_space + n) // MCLBYTES)
+        assert (m.off, m.len) == (leading_space, sum(s[2] for s in shape))
 
     @given(packet_sizes, headrooms,
            st.lists(st.binary(min_size=1, max_size=48), max_size=5))
@@ -149,15 +146,15 @@ class TestMbufChainShape:
         assert m.to_bytes() == expected
         # Some of these fit the headroom and some run out of it.
         for header in headers + [bytes(m.off + 1)]:
-            count = len(links(m))
+            count = m.links
             fits = len(header) <= m.off
             m = m.prepend(header)
             expected = header + expected
-            assert len(links(m)) == count + (0 if fits else 1)
+            assert m.links == count + (0 if fits else 1)
             assert m.to_bytes() == expected
-            assert m.pkthdr.length == m.length() == len(expected)
-        # The head link now has a store of its own (the join branch).
-        assert m.next is not None and m._storage is not m.next._storage
+            assert m.len == m.length() == len(expected)
+        # The last prepend ran out of headroom: a fresh store, no headroom.
+        assert m.off == 0 and len(m._storage) == len(expected)
 
     @given(st.integers(min_value=1, max_value=20_000), headrooms, st.data())
     def test_from_bytes_copies_and_links_write_through(self, n, leading_space,
@@ -167,12 +164,7 @@ class TestMbufChainShape:
         source[:] = bytes(n)
         assert m.to_bytes() == patterned(n)
         position = data.draw(st.integers(min_value=0, max_value=n - 1))
-        at = 0
-        for link in links(m):
-            if position < at + link.len:
-                link.writable_data()[position - at] ^= 0xFF
-                break
-            at += link.len
+        m.writable_data()[position] ^= 0xFF
         expected = bytearray(patterned(n))
         expected[position] ^= 0xFF
         assert m.to_bytes() == bytes(expected)
@@ -180,16 +172,15 @@ class TestMbufChainShape:
     @given(packet_sizes, headrooms)
     def test_freeze_reaches_every_link(self, n, leading_space):
         m = Mbuf.from_bytes(patterned(n), leading_space=leading_space)
-        m = m.prepend(bytes(m.off + 1))     # a head link on its own store
+        m = m.prepend(bytes(m.off + 1))     # past the headroom: a fresh store
         m.freeze()
-        for link in links(m):
-            assert link.frozen
-            with pytest.raises(ReadOnlyViolation):
-                link.writable_data()
-            with pytest.raises(ReadOnlyViolation):
-                link.prepend(b"x")
-            with pytest.raises(ReadOnlyViolation):
-                link.data[0:0] = b""
+        assert m.frozen
+        with pytest.raises(ReadOnlyViolation):
+            m.writable_data()
+        with pytest.raises(ReadOnlyViolation):
+            m.prepend(b"x")
+        with pytest.raises(ReadOnlyViolation):
+            m.data[0:0] = b""
         assert m.to_bytes() == bytes(leading_space + 1) + patterned(n)
 
 
