@@ -166,12 +166,13 @@ class TcpProto:
             options = bytes([2, 4]) + self.default_mss.to_bytes(2, "big")
         header_len = self.HEADER_LEN + len(options)
         length = header_len + len(payload)
-        # The payload goes in behind room for the header, which is packed
-        # where it lies: the links come out as from_bytes(header + payload,
-        # 64) cut them, so the mbuf charge below counts the same links.
-        m = Mbuf.from_bytes(payload, 64 + header_len).push(header_len)
+        # The payload goes in behind room for the header, and the window
+        # opens over it: push(header_len)'s headroom branch, inline.  The
+        # links are the ones from_bytes(header + payload, 64) counts.
+        m = Mbuf.from_bytes(payload, 64 + header_len)
+        m.off = start = 64
+        m.len = length
         storage = m._storage
-        start = m.off
         _TCP_PACK(storage, start, tcb.lport, tcb.rport, seq, ack,
                   ((header_len // 4) << 12) | flags, min(window, 0xFFFF), 0, 0)
         if options:
@@ -180,8 +181,7 @@ class TcpProto:
         stack[-1] += amount
         times["checksum"] += amount
         _TCP_PUT_CKSUM(storage, start + _TCP_CKSUM_OFF, internet_checksum(
-            memoryview(storage)[start:start + length],
-            pseudo_header_sum(tcb.laddr, tcb.raddr, IPPROTO_TCP, length)))
+            memoryview(storage)[start:start + length], tcb.pseudo_sum + length))
         host.mbufs._charge_alloc(m)
         self.segments_out += 1
         self.ip.output(m, tcb.raddr, IPPROTO_TCP, src=tcb.laddr)
@@ -244,17 +244,20 @@ class TcpProto:
         # The segment is checksummed where it lies in the store, no copy.
         segment = memoryview(m._storage)[m.off + off:m.off + m.len]
         seg_len = len(segment)
+        (src_port, dst_port, seq, ack, off_flags, window, _cksum,
+         _urgent) = _TCP_UNPACK(segment, 0)
+        # Looked up first for its pseudo-header sum, used once it checks.
+        key = (dst_ip, dst_port, src_ip, src_port)
+        tcb = self.connections.get(key)
         amount = (PSEUDO_HEADER_LEN + seg_len) * host.costs.checksum_per_byte
         stack[-1] += amount
         times["checksum"] += amount
         if internet_checksum(
                 segment,
-                initial=pseudo_header_sum(src_ip, dst_ip, IPPROTO_TCP,
-                                          seg_len)) != 0:
+                initial=tcb.pseudo_sum + seg_len if tcb is not None else
+                pseudo_header_sum(src_ip, dst_ip, IPPROTO_TCP, seg_len)) != 0:
             self.checksum_errors += 1
             return
-        (src_port, dst_port, seq, ack, off_flags, window, _cksum,
-         _urgent) = _TCP_UNPACK(segment, 0)
         data_off = (off_flags >> 12) * 4
         if data_off < self.HEADER_LEN or data_off > seg_len:
             # RFC 793: a header of fewer than five words, or more than the
@@ -271,8 +274,6 @@ class TcpProto:
         self.segments_in += 1
         seg = TcpSegment(seq, ack, flags, window, payload, mss=mss)
 
-        key = (dst_ip, dst_port, src_ip, src_port)
-        tcb = self.connections.get(key)
         if tcb is not None:
             tcb.input(seg)
             return

@@ -14,6 +14,15 @@ preserves them by redirecting segments below the transport layer.
 All TCB entry points are plain code: they must be called inside a kernel
 execution context (a ``host.kernel_path``), and they charge their CPU
 costs to it.  Timers re-enter through kernel paths of their own.
+
+A segment takes one path.  Its methods do sequence and window arithmetic
+inline, on locals (``seq_lt(a, b)`` is ``(a - b) & _MASK > _HALF``; the
+flight is ``(snd_nxt - snd_una) & _MASK``, as ``snd_una`` never passes
+``snd_nxt``), and arm or cancel timers and book charges in place, in the
+helpers' order; the helpers serve the cold paths.  A data segment whose
+ACK is ``snd_una`` skips ``_process_ack``, which would change nothing.
+States are tested with ``is`` or tuple membership: ``Enum.__hash__`` is
+Python code, so a set or dict keyed by state costs a call per probe.
 """
 
 from __future__ import annotations
@@ -21,28 +30,29 @@ from __future__ import annotations
 import enum
 from typing import Callable, Dict, Optional
 
+from ...hw.cpu import OUTSIDE_PATH, ChargeError
+from ..headers import IPPROTO_TCP, pseudo_header_sum
+
 __all__ = ["Tcb", "TcpState", "TcpSegment"]
 
-# Sequence-number modular arithmetic helpers.
+# Sequence-number modular arithmetic.
 _MOD = 1 << 32
+_MASK = _MOD - 1
+_HALF = _MOD >> 1
 
 
 def seq_lt(a: int, b: int) -> bool:
-    return ((a - b) & (_MOD - 1)) > (_MOD >> 1)
-
-
-def seq_le(a: int, b: int) -> bool:
-    return a == b or seq_lt(a, b)
+    return ((a - b) & _MASK) > _HALF
 
 
 def seq_add(a: int, n: int) -> int:
-    return (a + n) & (_MOD - 1)
+    return (a + n) & _MASK
 
 
 def seq_sub(a: int, b: int) -> int:
     """a - b interpreted as a small signed distance."""
-    diff = (a - b) & (_MOD - 1)
-    if diff > (_MOD >> 1):
+    diff = (a - b) & _MASK
+    if diff > _HALF:
         diff -= _MOD
     return diff
 
@@ -59,6 +69,17 @@ class TcpState(enum.Enum):
     CLOSING = "CLOSING"
     LAST_ACK = "LAST_ACK"
     TIME_WAIT = "TIME_WAIT"
+
+
+# The members as module constants, in definition order; then the states
+# _input_synchronized serves, those _output sends in, and those the
+# application may still write in.
+(CLOSED, LISTEN, SYN_SENT, SYN_RCVD, ESTABLISHED, FIN_WAIT_1, FIN_WAIT_2,
+ CLOSE_WAIT, CLOSING, LAST_ACK, TIME_WAIT) = TcpState
+_SYNCHRONIZED = (ESTABLISHED, SYN_RCVD, FIN_WAIT_1, FIN_WAIT_2, CLOSE_WAIT,
+                 CLOSING, LAST_ACK)
+_SENDING = (ESTABLISHED, CLOSE_WAIT, FIN_WAIT_1, CLOSING, LAST_ACK)
+_WRITABLE = (ESTABLISHED, CLOSE_WAIT)
 
 
 class TcpSegment:
@@ -83,20 +104,6 @@ RST = 0x04
 PSH = 0x08
 ACK = 0x10
 
-# State -> input handler method name (built once; the per-segment path
-# does one dict probe instead of rebuilding this table).
-_INPUT_HANDLERS = {
-    TcpState.SYN_SENT: "_input_syn_sent",
-    TcpState.SYN_RCVD: "_input_synchronized",
-    TcpState.ESTABLISHED: "_input_synchronized",
-    TcpState.FIN_WAIT_1: "_input_synchronized",
-    TcpState.FIN_WAIT_2: "_input_synchronized",
-    TcpState.CLOSE_WAIT: "_input_synchronized",
-    TcpState.CLOSING: "_input_synchronized",
-    TcpState.LAST_ACK: "_input_synchronized",
-    TcpState.TIME_WAIT: "_input_time_wait",
-}
-
 
 class Tcb:
     """One TCP connection.
@@ -109,6 +116,9 @@ class Tcb:
 
     __slots__ = (
         "proto", "host", "laddr", "lport", "raddr", "rport", "state", "mss",
+        # The pseudo-header's address and protocol words: a segment adds
+        # its length.
+        "pseudo_sum",
         # Send side.
         "iss", "snd_una", "snd_nxt", "snd_wnd", "snd_buf", "snd_buf_limit",
         "nodelay", "fin_queued", "fin_sent_seq",
@@ -146,8 +156,9 @@ class Tcb:
         self.lport = lport
         self.raddr = raddr
         self.rport = rport
-        self.state = TcpState.LISTEN if passive else TcpState.CLOSED
+        self.state = LISTEN if passive else CLOSED
         self.mss = proto.default_mss
+        self.pseudo_sum = pseudo_header_sum(laddr, raddr, IPPROTO_TCP, 0)
 
         # Send side.
         self.iss = proto.next_iss()
@@ -211,9 +222,9 @@ class Tcb:
 
     def connect(self) -> None:
         """Active open: send SYN."""
-        if self.state != TcpState.CLOSED:
+        if self.state is not CLOSED:
             raise RuntimeError("connect() in state %s" % self.state.value)
-        self.state = TcpState.SYN_SENT
+        self.state = SYN_SENT
         self._send_control(SYN, seq=self.iss)
         self.snd_nxt = seq_add(self.iss, 1)
         self._rtt_seq = self.iss
@@ -222,17 +233,18 @@ class Tcb:
 
     def send(self, data: bytes) -> int:
         """Queue application data; returns the number of bytes accepted."""
-        if self.state not in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT,
-                              TcpState.SYN_SENT, TcpState.SYN_RCVD):
-            raise RuntimeError("send() in state %s" % self.state.value)
-        space = self.snd_buf_limit - len(self.snd_buf)
+        state = self.state
+        if state not in (ESTABLISHED, CLOSE_WAIT, SYN_SENT, SYN_RCVD):
+            raise RuntimeError("send() in state %s" % state.value)
+        snd_buf = self.snd_buf
+        space = self.snd_buf_limit - len(snd_buf)
         accepted = min(space, len(data))
         if accepted > 0:
-            self.snd_buf += data[:accepted]
+            snd_buf += data[:accepted]
             # Copying application data into the send buffer.
             self.host.cpu.charge(
                 accepted * self.host.costs.copy_per_byte, "copy")
-        if self.state in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT):
+        if state in _WRITABLE:
             self._output()
         return accepted
 
@@ -242,16 +254,17 @@ class Tcb:
 
     def close(self) -> None:
         """Orderly release: FIN after all queued data."""
-        if self.state in (TcpState.CLOSED, TcpState.TIME_WAIT):
+        state = self.state
+        if state is CLOSED or state is TIME_WAIT:
             return
-        if self.state in (TcpState.SYN_SENT,):
+        if state is SYN_SENT:
             self._enter_closed()
             return
         self.fin_queued = True
-        if self.state == TcpState.ESTABLISHED:
-            self.state = TcpState.FIN_WAIT_1
-        elif self.state == TcpState.CLOSE_WAIT:
-            self.state = TcpState.LAST_ACK
+        if state is ESTABLISHED:
+            self.state = FIN_WAIT_1
+        elif state is CLOSE_WAIT:
+            self.state = LAST_ACK
         # RFC 793: close in SYN_RCVD also heads to FIN_WAIT_1, but only
         # once the handshake ACK arrives (_process_ack) -- until then the
         # SYN|ACK must stay the retransmittable segment at snd_una.
@@ -259,7 +272,7 @@ class Tcb:
 
     def abort(self) -> None:
         """Hard reset."""
-        if self.state not in (TcpState.CLOSED,):
+        if self.state is not CLOSED:
             self._send_control(RST | ACK, seq=self.snd_nxt)
         self._enter_closed(notify_reset=False)
 
@@ -278,8 +291,7 @@ class Tcb:
         window = self._rcv_window()
         grown = window - self._advertised_window
         if grown >= min(2 * self.mss, self.rcv_buf_limit // 2) and \
-                self.state in (TcpState.ESTABLISHED, TcpState.FIN_WAIT_1,
-                               TcpState.FIN_WAIT_2):
+                self.state in (ESTABLISHED, FIN_WAIT_1, FIN_WAIT_2):
             self._send_ack()
 
     # ------------------------------------------------------------------
@@ -290,16 +302,20 @@ class Tcb:
         if seg.flags & RST:
             self._handle_rst(seg)
             return
-        handler_name = _INPUT_HANDLERS.get(self.state)
-        if handler_name is not None:
-            getattr(self, handler_name)(seg)
+        state = self.state
+        if state in _SYNCHRONIZED:  # ESTABLISHED is its first member
+            self._input_synchronized(seg)
+        elif state is SYN_SENT:
+            self._input_syn_sent(seg)
+        elif state is TIME_WAIT:
+            self._input_time_wait(seg)
 
     def accept_syn(self, seg: TcpSegment) -> None:
         """Passive open: a listener routed a SYN to this new TCB."""
         self.rcv_nxt = seq_add(seg.seq, 1)
         self.snd_wnd = seg.window
         self._negotiate_mss(seg)
-        self.state = TcpState.SYN_RCVD
+        self.state = SYN_RCVD
         self._send_control(SYN | ACK, seq=self.iss)
         self.snd_nxt = seq_add(self.iss, 1)
         self._rtt_seq = self.iss
@@ -310,7 +326,7 @@ class Tcb:
 
     def _handle_rst(self, seg: TcpSegment) -> None:
         # Accept only plausible RSTs (in-window or ACK of our SYN).
-        if self.state == TcpState.SYN_SENT:
+        if self.state is SYN_SENT:
             if not (seg.flags & ACK and seg.ack == self.snd_nxt):
                 return
         self._enter_closed(notify_reset=True)
@@ -329,14 +345,14 @@ class Tcb:
             if self._rtt_seq is not None and seq_lt(self._rtt_seq, seg.ack):
                 self._update_rtt(self.host.engine.now - self._rtt_start)
                 self._rtt_seq = None
-            self.state = TcpState.ESTABLISHED
+            self.state = ESTABLISHED
             self._cancel_rexmt()
             self._send_ack()
             self._notify_established()
             self._output()
         else:
             # Simultaneous open.
-            self.state = TcpState.SYN_RCVD
+            self.state = SYN_RCVD
             self._send_control(SYN | ACK, seq=self.iss)
 
     def _input_time_wait(self, seg: TcpSegment) -> None:
@@ -348,34 +364,37 @@ class Tcb:
         # -- sequence acceptability / trimming ---------------------------
         payload = seg.payload
         seq = seg.seq
-        if seq_lt(seq, self.rcv_nxt):
-            trim = seq_sub(self.rcv_nxt, seq)
+        flags = seg.flags
+        rcv_nxt = self.rcv_nxt
+        if (seq - rcv_nxt) & _MASK > _HALF:     # seq_lt(seq, rcv_nxt)
+            trim = (rcv_nxt - seq) & _MASK
             # A SYN consumes one sequence slot, so a retransmitted SYN|ACK
             # (handshake ACK lost in transit) is "entirely old" once that
             # slot is covered and must be re-ACKed, or the passive side
             # stays wedged in SYN_RCVD.
-            old_span = len(payload) + (1 if seg.flags & SYN else 0)
-            if trim >= old_span and not (seg.flags & FIN):
+            old_span = len(payload) + (1 if flags & SYN else 0)
+            if trim >= old_span and not (flags & FIN):
                 # Entirely old: re-ACK (it may be a peer's liveness probe or
                 # a duplicate) so the sender learns we are alive and caught up.
                 self._send_ack()
-                if not (seg.flags & ACK):
+                if not (flags & ACK):
                     return
                 payload = b""
             else:
                 payload = payload[trim:]
-                seq = self.rcv_nxt
+                seq = rcv_nxt
 
         # -- ACK processing ------------------------------------------------
-        if seg.flags & ACK:
+        # A data segment whose ACK is snd_una is neither news nor a
+        # duplicate ACK: _process_ack would return without a change.
+        if flags & ACK and (seg.ack != self.snd_una or not seg.payload):
             self._process_ack(seg)
-
-        if self.state == TcpState.CLOSED:
-            return
+            if self.state is CLOSED:
+                return
 
         # -- window update ---------------------------------------------------
         self.snd_wnd = seg.window
-        if self._probe_pending and self.snd_wnd > 0:
+        if self._probe_pending and seg.window > 0:
             # The zero window opened: pull snd_nxt back over the probe
             # bytes so normal output resends cleanly from the left edge
             # (BSD's snd_nxt pullback after persist).
@@ -392,15 +411,12 @@ class Tcb:
             self._process_data(seq, payload)
 
         # -- FIN ------------------------------------------------------------
-        if seg.flags & FIN:
-            fin_seq = seq_add(seg.seq, len(seg.payload))
-            self._process_fin(fin_seq)
+        if flags & FIN:
+            self._process_fin((seg.seq + len(seg.payload)) & _MASK)
 
-        # Try to move queued data out (window may have opened).
-        if self.state in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT,
-                          TcpState.FIN_WAIT_1, TcpState.CLOSING,
-                          TcpState.LAST_ACK):
-            self._output()
+        # Try to move queued data out (window may have opened); _output
+        # returns at once outside the sending states.
+        self._output()
 
     def _negotiate_mss(self, seg: TcpSegment) -> None:
         """Clamp our MSS to the peer's advertised maximum (RFC 879)."""
@@ -413,14 +429,17 @@ class Tcb:
 
     def _process_ack(self, seg: TcpSegment) -> None:
         ack = seg.ack
-        if seq_lt(self.snd_nxt, ack):
+        snd_una = self.snd_una
+        snd_nxt = self.snd_nxt
+        if (snd_nxt - ack) & _MASK > _HALF:     # seq_lt(snd_nxt, ack)
             # ACK for data we never sent.
             self._send_ack()
             return
-        if seq_le(ack, self.snd_una):
+        acked = (ack - snd_una) & _MASK
+        if acked == 0 or acked > _HALF:         # ack <= snd_una
             # Duplicate ACK?
-            if len(seg.payload) == 0 and not (seg.flags & (SYN | FIN)) and \
-                    ack == self.snd_una and self._flight() > 0:
+            if acked == 0 and not seg.payload and \
+                    not (seg.flags & (SYN | FIN)) and snd_nxt != snd_una:
                 self.dupacks += 1
                 if self.dupacks == 3:
                     self._fast_retransmit()
@@ -431,35 +450,36 @@ class Tcb:
 
         # New data acknowledged.
         self._rexmt_shift = 0
-        acked = seq_sub(ack, self.snd_una)
         in_recovery = self.dupacks >= 3
         self.dupacks = 0
 
         # Handshake ACK consumes the SYN sequence slot.
-        if self.state == TcpState.SYN_RCVD:
+        if self.state is SYN_RCVD:
             if self.fin_queued:
                 # App closed while still in SYN_RCVD: complete the
                 # handshake straight into FIN_WAIT_1 (no establishment
                 # callback -- the app already hung up).
-                self.state = TcpState.FIN_WAIT_1
+                self.state = FIN_WAIT_1
             else:
-                self.state = TcpState.ESTABLISHED
+                self.state = ESTABLISHED
                 self._notify_established()
 
         # Remove acked bytes from the send buffer (SYN/FIN occupy sequence
         # space but not buffer space).
         buffered_acked = acked
-        if seq_lt(self.snd_una, seq_add(self.iss, 1)):
+        if (snd_una - self.iss - 1) & _MASK > _HALF:   # snd_una < iss + 1
             buffered_acked -= 1  # the SYN
-        if self.fin_sent_seq is not None and seq_lt(self.fin_sent_seq, ack):
+        fin_acked = self.fin_sent_seq is not None and \
+            (self.fin_sent_seq - ack) & _MASK > _HALF
+        if fin_acked:
             buffered_acked -= 1  # the FIN
-        buffered_acked = max(0, min(buffered_acked, len(self.snd_buf)))
-        if buffered_acked:
-            del self.snd_buf[:buffered_acked]
+        if buffered_acked > 0:
+            del self.snd_buf[:buffered_acked]    # at most all of it
         self.snd_una = ack
 
         # RTT sampling (Karn: only segments never retransmitted).
-        if self._rtt_seq is not None and seq_lt(self._rtt_seq, ack):
+        rtt_seq = self._rtt_seq
+        if rtt_seq is not None and (rtt_seq - ack) & _MASK > _HALF:
             self._update_rtt(self.host.engine.now - self._rtt_start)
             self._rtt_seq = None
 
@@ -471,33 +491,36 @@ class Tcb:
         else:
             self.cwnd += max(1, self.mss * self.mss // self.cwnd)  # CA
 
-        # Retransmission timer.
-        if self.snd_una == self.snd_nxt:
-            self._cancel_rexmt()
-        else:
-            self._arm_rexmt(restart=True)
+        # Retransmission timer: cancelled once all is acked (snd_nxt
+        # re-read: on_established may have sent), else restarted.
+        if self._rexmt_timer is not None:
+            self._rexmt_timer.cancel()
+        self._rexmt_timer = None if ack == self.snd_nxt else \
+            self.host.set_timer(self.rto, self._rexmt_fire, name="tcp-rexmt")
 
         # FIN progress.
-        if self.fin_sent_seq is not None and seq_lt(self.fin_sent_seq, ack):
+        if fin_acked:
             self._fin_acked()
 
         # Tell the application there is room again.
-        if self.on_sendable is not None and self.send_space > 0 and \
-                self.state in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT):
-            self.on_sendable(self.send_space)
+        if self.on_sendable is not None and self.state in _WRITABLE and \
+                self.snd_buf_limit > len(self.snd_buf):
+            self.on_sendable(self.snd_buf_limit - len(self.snd_buf))
 
     def _fin_acked(self) -> None:
-        if self.state == TcpState.FIN_WAIT_1:
-            self.state = TcpState.FIN_WAIT_2
-        elif self.state == TcpState.CLOSING:
+        state = self.state
+        if state is FIN_WAIT_1:
+            self.state = FIN_WAIT_2
+        elif state is CLOSING:
             self._enter_time_wait()
-        elif self.state == TcpState.LAST_ACK:
+        elif state is LAST_ACK:
             self._enter_closed()
 
     def _fast_retransmit(self) -> None:
         self.fast_retransmits += 1
         self.retransmits += 1
-        self.ssthresh = max(self._flight() // 2, 2 * self.mss)
+        flight = (self.snd_nxt - self.snd_una) & _MASK
+        self.ssthresh = max(flight // 2, 2 * self.mss)
         self._retransmit_one()
         self.cwnd = self.ssthresh + 3 * self.mss
         self._rtt_seq = None  # Karn
@@ -505,45 +528,54 @@ class Tcb:
     # -- data receive machinery ---------------------------------------------------
 
     def _rcv_window(self) -> int:
-        pending = self.delivered_unconsumed
-        if self._reass:  # reassembly queue is empty in-order (common case)
-            pending += sum(len(v) for v in self._reass.values())
-        return max(0, self.rcv_buf_limit - pending)
+        reass = self._reass     # empty in order, the common case
+        return max(0, self.rcv_buf_limit - self.delivered_unconsumed - (
+            sum(map(len, reass.values())) if reass else 0))
 
     def _process_data(self, seq: int, payload: bytes) -> None:
-        window = self._rcv_window()
-        if window == 0:
+        reass = self._reass     # _rcv_window inlined
+        window = self.rcv_buf_limit - self.delivered_unconsumed - (
+            sum(map(len, reass.values())) if reass else 0)
+        if window <= 0:
             self._send_ack()
             return
         if seq == self.rcv_nxt:
             data = payload[:window]
-            self.rcv_nxt = seq_add(self.rcv_nxt, len(data))
+            self.rcv_nxt = (self.rcv_nxt + len(data)) & _MASK
             self._deliver(data)
             # Pull contiguous reassembled segments through.
-            while self.rcv_nxt in self._reass:
-                chunk = self._reass.pop(self.rcv_nxt)
-                self.rcv_nxt = seq_add(self.rcv_nxt, len(chunk))
+            while self.rcv_nxt in reass:
+                chunk = reass.pop(self.rcv_nxt)
+                self.rcv_nxt = (self.rcv_nxt + len(chunk)) & _MASK
                 self._deliver(chunk)
             self._segs_since_ack += 1
             if self._segs_since_ack >= 2 or self._fin_received:
                 self._send_ack()
-            else:
-                self._arm_delack()
+            elif self._delack_timer is None:    # arm the delayed ACK once
+                self._delack_timer = self.host.set_timer(
+                    self.DELAYED_ACK_US, self._delack_fire, name="tcp-delack")
         else:
             # Out of order: stash and send an immediate duplicate ACK.
-            if len(self._reass) < 64 and seq not in self._reass:
-                self._reass[seq] = payload[:window]
+            if len(reass) < 64 and seq not in reass:
+                reass[seq] = payload[:window]
             self._send_ack()
 
     def _deliver(self, data: bytes) -> None:
         # The commercial TCP code both systems share (paper sec. 4.2)
-        # copies received data from mbufs into the receive buffer.
-        self.host.cpu.charge(len(data) * self.host.costs.copy_per_byte, "copy")
-        self.delivered_unconsumed += len(data)
+        # copies received data from mbufs into the receive buffer;
+        # cpu.charge inlined (exact body, exact order).
+        n = len(data)
+        cpu = self.host.cpu
+        if not cpu._stack:
+            raise ChargeError(OUTSIDE_PATH)
+        amount = n * self.host.costs.copy_per_byte
+        cpu._stack[-1] += amount
+        cpu.category_times["copy"] += amount
+        self.delivered_unconsumed += n
         if self.on_data is not None:
             self.on_data(data)
         if self.auto_consume:
-            self.delivered_unconsumed -= len(data)
+            self.delivered_unconsumed -= n
 
     def _process_fin(self, fin_seq: int) -> None:
         if fin_seq != self.rcv_nxt:
@@ -555,14 +587,15 @@ class Tcb:
         self._fin_received = True
         self.rcv_nxt = seq_add(self.rcv_nxt, 1)
         self._send_ack()
-        if self.state == TcpState.ESTABLISHED:
-            self.state = TcpState.CLOSE_WAIT
+        state = self.state
+        if state is ESTABLISHED:
+            self.state = CLOSE_WAIT
             self._notify_close()
-        elif self.state == TcpState.FIN_WAIT_1:
+        elif state is FIN_WAIT_1:
             # Simultaneous close (our FIN unacked yet).
-            self.state = TcpState.CLOSING
+            self.state = CLOSING
             self._notify_close()
-        elif self.state == TcpState.FIN_WAIT_2:
+        elif state is FIN_WAIT_2:
             self._notify_close()
             self._enter_time_wait()
 
@@ -570,28 +603,23 @@ class Tcb:
     # Output engine
     # ------------------------------------------------------------------
 
-    def _flight(self) -> int:
-        return seq_sub(self.snd_nxt, self.snd_una)
-
-    def _usable_window(self) -> int:
-        window = min(self.snd_wnd, self.cwnd)
-        return max(0, window - self._flight())
-
     def _output(self) -> None:
         """Send whatever the windows allow (plain code)."""
-        if self.state not in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT,
-                              TcpState.FIN_WAIT_1, TcpState.CLOSING,
-                              TcpState.LAST_ACK):
+        if self.state not in _SENDING:
             return
+        snd_buf = self.snd_buf
+        mss = self.mss
         sent_something = False
         while True:
-            offset = seq_sub(self.snd_nxt, self.snd_una)
-            # Bytes of the SYN/FIN occupy sequence space, not buffer space;
-            # compute the buffer offset of snd_nxt.
-            unsent = len(self.snd_buf) - offset
+            # Bytes of the SYN/FIN occupy sequence space, not buffer
+            # space: the flight is snd_nxt's offset in the buffer.
+            snd_nxt = self.snd_nxt
+            flight = (snd_nxt - self.snd_una) & _MASK
+            buffered = len(snd_buf)
+            unsent = buffered - flight
             if unsent <= 0:
                 break
-            usable = self._usable_window()
+            usable = min(self.snd_wnd, self.cwnd) - flight
             if usable <= 0:
                 if self.snd_wnd == 0:
                     # Zero window: persist probes own recovery; the
@@ -599,46 +627,48 @@ class Tcb:
                     self._cancel_rexmt()
                     self._arm_persist()
                 break
-            length = min(unsent, usable, self.mss)
-            if length < min(unsent, self.mss) and self._flight() > 0:
-                break  # silly-window avoidance: wait for a fuller segment
-            if length < self.mss and self._flight() > 0 and not self.nodelay:
-                break  # Nagle: coalesce small writes while data is unacked
+            length = min(unsent, usable, mss)
+            if flight > 0:
+                if length < min(unsent, mss):
+                    break  # silly-window avoidance: wait for a fuller segment
+                if length < mss and not self.nodelay:
+                    break  # Nagle: coalesce small writes while data is unacked
             # One memcpy: slicing the bytearray first would copy twice.
-            chunk = bytes(memoryview(self.snd_buf)[offset:offset + length])
-            push = (offset + length == len(self.snd_buf))
-            self._send_data(self.snd_nxt, chunk, push)
+            chunk = bytes(memoryview(snd_buf)[flight:flight + length])
+            self._send_data(snd_nxt, chunk, flight + length == buffered)
             if self._rtt_seq is None:
-                self._rtt_seq = self.snd_nxt
+                self._rtt_seq = snd_nxt
                 self._rtt_start = self.host.engine.now
-            self.snd_nxt = seq_add(self.snd_nxt, length)
+            self.snd_nxt = (snd_nxt + length) & _MASK
             sent_something = True
-        # FIN transmission once the buffer has drained.
-        offset = seq_sub(self.snd_nxt, self.snd_una)
+        # FIN transmission once the buffer has drained (every break above
+        # leaves snd_nxt, flight and buffered current).
         if self.fin_queued and self.fin_sent_seq is None and \
-                offset >= len(self.snd_buf) and self._usable_window() > 0:
-            self.fin_sent_seq = self.snd_nxt
-            self._send_control(FIN | ACK, seq=self.snd_nxt)
-            self.snd_nxt = seq_add(self.snd_nxt, 1)
+                flight >= buffered and min(self.snd_wnd, self.cwnd) > flight:
+            self.fin_sent_seq = snd_nxt
+            self._send_control(FIN | ACK, seq=snd_nxt)
+            self.snd_nxt = (snd_nxt + 1) & _MASK
             sent_something = True
-        if sent_something:
-            self._arm_rexmt()
+        if sent_something and self._rexmt_timer is None:  # _arm_rexmt inlined
+            self._rexmt_timer = self.host.set_timer(
+                self.rto, self._rexmt_fire, name="tcp-rexmt")
 
     def _retransmit_one(self) -> None:
         """Resend the segment at snd_una."""
         # Pre-establishment states first: data queued by an early send()
         # sits in snd_buf, but the unacked segment at snd_una is the SYN.
-        if self.state == TcpState.SYN_SENT:
+        if self.state is SYN_SENT:
             self._send_control(SYN, seq=self.iss)
             return
-        if self.state == TcpState.SYN_RCVD:
+        if self.state is SYN_RCVD:
             self._send_control(SYN | ACK, seq=self.iss)
             return
         # Only bytes already sent: snd_buf can hold a tail that Nagle or
         # the window kept back, and resending it would put data past
         # snd_nxt, which the peer then ACKs as "data never sent".  After
         # a FIN the flight is one more than the buffer, so it is no cap.
-        length = min(len(self.snd_buf), self.mss, self._flight())
+        length = min(len(self.snd_buf), self.mss,
+                     (self.snd_nxt - self.snd_una) & _MASK)
         if length > 0:
             chunk = bytes(memoryview(self.snd_buf)[:length])
             self._send_data(self.snd_una, chunk, push=True)
@@ -648,15 +678,18 @@ class Tcb:
     # -- segment emission --------------------------------------------------------
 
     def _send_data(self, seq: int, payload: bytes, push: bool) -> None:
-        flags = ACK | (PSH if push else 0)
-        window = self._rcv_window()
+        reass = self._reass     # _rcv_window inlined
+        window = max(0, self.rcv_buf_limit - self.delivered_unconsumed - (
+            sum(map(len, reass.values())) if reass else 0))
         self._advertised_window = window
-        self.proto.send_segment(self, seq, self.rcv_nxt, flags,
-                                window, payload)
+        self.proto.send_segment(self, seq, self.rcv_nxt,
+                                ACK | PSH if push else ACK, window, payload)
         self.segments_sent += 1
         self.bytes_sent += len(payload)
         self._segs_since_ack = 0
-        self._cancel_delack()
+        if self._delack_timer is not None:      # _cancel_delack inlined
+            self._delack_timer.cancel()
+            self._delack_timer = None
 
     def _send_control(self, flags: int, seq: int) -> None:
         ack = self.rcv_nxt if (flags & ACK) else 0
@@ -667,9 +700,8 @@ class Tcb:
         self.segments_sent += 1
 
     def _send_ack(self) -> None:
-        self._segs_since_ack = 0
-        self._cancel_delack()
-        self._send_control(ACK, seq=self.snd_nxt)
+        """A pure ACK: a data segment with no data and no PSH."""
+        self._send_data(self.snd_nxt, b"", False)
 
     # ------------------------------------------------------------------
     # Timers
@@ -701,12 +733,12 @@ class Tcb:
 
     def _rexmt_fire(self) -> None:
         self._rexmt_timer = None
-        if self.state == TcpState.CLOSED:
+        state = self.state
+        if state is CLOSED:
             return
         if self.snd_wnd == 0 and self._persist_timer is not None:
             return  # persist mode: probes own recovery
-        if self.snd_una == self.snd_nxt and self.state not in (
-                TcpState.SYN_SENT, TcpState.SYN_RCVD):
+        if self.snd_una == self.snd_nxt and state not in (SYN_SENT, SYN_RCVD):
             return  # everything acked meanwhile
         self._rexmt_shift += 1
         if self._rexmt_shift > self.MAX_RETRANSMITS:
@@ -715,19 +747,14 @@ class Tcb:
             self._enter_closed(notify_reset=True)
             return
         self.retransmits += 1
-        self.ssthresh = max(self._flight() // 2, 2 * self.mss)
+        flight = (self.snd_nxt - self.snd_una) & _MASK
+        self.ssthresh = max(flight // 2, 2 * self.mss)
         self.cwnd = self.mss
         self.dupacks = 0
         self.rto = min(self.rto * 2, self.MAX_RTO_US)
         self._rtt_seq = None  # Karn's rule
         self._retransmit_one()
         self._arm_rexmt(restart=True)
-
-    def _arm_delack(self) -> None:
-        if self._delack_timer is not None:
-            return
-        self._delack_timer = self.host.set_timer(
-            self.DELAYED_ACK_US, self._delack_fire, name="tcp-delack")
 
     def _cancel_delack(self) -> None:
         if self._delack_timer is not None:
@@ -736,7 +763,7 @@ class Tcb:
 
     def _delack_fire(self) -> None:
         self._delack_timer = None
-        if self._segs_since_ack > 0 and self.state != TcpState.CLOSED:
+        if self._segs_since_ack > 0 and self.state is not CLOSED:
             self._send_ack()
 
     def _arm_persist(self) -> None:
@@ -747,7 +774,7 @@ class Tcb:
 
     def _persist_fire(self) -> None:
         self._persist_timer = None
-        if self.state == TcpState.CLOSED:
+        if self.state is CLOSED:
             return
         offset = seq_sub(self.snd_nxt, self.snd_una)
         if self.snd_wnd == 0 and len(self.snd_buf) > offset:
@@ -761,7 +788,7 @@ class Tcb:
             self._output()
 
     def _enter_time_wait(self) -> None:
-        self.state = TcpState.TIME_WAIT
+        self.state = TIME_WAIT
         self._cancel_rexmt()
         self._cancel_delack()
         if self._timewait_timer is None:
@@ -769,8 +796,8 @@ class Tcb:
                 2 * self.MSL_US, self._enter_closed, name="tcp-timewait")
 
     def _enter_closed(self, notify_reset: bool = False) -> None:
-        already_closed = self.state == TcpState.CLOSED
-        self.state = TcpState.CLOSED
+        already_closed = self.state is CLOSED
+        self.state = CLOSED
         self._cancel_rexmt()
         self._cancel_delack()
         if self._persist_timer is not None:

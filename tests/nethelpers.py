@@ -36,6 +36,9 @@ class DirectWire:
         self.sent = []            # (src_host, bytes, next_hop)
         #: test hook: drop_filter(packet_bytes, next_hop) -> True to drop
         self.drop_filter = None
+        #: test hook: delay_filter(packet_bytes, next_hop) -> extra delay
+        #: in microseconds, to deliver a packet behind later ones
+        self.delay_filter = None
         self.drops = 0
 
     def register(self, stack):
@@ -49,9 +52,12 @@ class DirectWire:
         target = self.stacks.get(next_hop)
         if target is None:
             return
+        delay = self.delay_us
+        if self.delay_filter is not None:
+            delay += self.delay_filter(packet_bytes, next_hop)
 
         def deliver():
-            yield self.engine.timeout(self.delay_us)
+            yield self.engine.timeout(delay)
             m = target.host.mbufs  # noqa: F841 - pool exists
             def work():
                 chain = target.host.mbufs.from_bytes(packet_bytes)

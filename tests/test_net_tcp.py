@@ -5,6 +5,9 @@ The harness wires two stacks over a lossy direct wire, so loss injection
 can be exercised deterministically.
 """
 
+import sys
+from collections import Counter
+
 import pytest
 
 from repro.bench.testbed import build_testbed
@@ -547,3 +550,77 @@ class TestDemux:
         b.run_kernel(deliver)
         engine.run()
         assert b.tcp.resets_sent == 1
+
+
+# -- the per-segment call budget ---------------------------------------------
+
+#: a segment's way in, down to the TCB's handler for its state
+_SEGMENT_IN = ["TcpProto.input", "TcpSegment.__init__", "Tcb.input",
+               "Tcb._input_synchronized"]
+#: one data segment out
+_SEGMENT_OUT = ["Tcb._send_data", "TcpProto.send_segment"]
+
+
+def _tcp_calls_per_input(engine, a, b, client, total):
+    """Send ``total`` bytes; for each ``TcpProto.input`` call, whether it
+    ran on the receiver, and the Python functions under ``repro/net/tcp``
+    it called, by qualified name (itself first)."""
+    inputs = []
+    entered = []
+
+    def on_event(frame, event, _arg):
+        code = frame.f_code
+        if event == "call":
+            if not entered and code.co_qualname == "TcpProto.input":
+                entered.append(frame)
+                inputs.append((frame.f_locals["self"] is b.tcp,
+                               [code.co_qualname]))
+            elif entered and "/repro/net/tcp/" in code.co_filename:
+                inputs[-1][1].append(code.co_qualname)
+        elif event == "return" and entered and frame is entered[0]:
+            entered.pop()
+    a.run_kernel(lambda: client.send(bytes(total)))
+    sys.setprofile(on_event)
+    try:
+        engine.run()
+    finally:
+        sys.setprofile(None)
+    return inputs
+
+
+class TestCallBudget:
+    def test_steady_segments_call_no_helpers(self):
+        """Every Python call a segment makes in TCP, from
+        ``TcpProto.input`` down, on a clean steady transfer.  An in-order
+        data segment is seven calls, ten when it is the second of a pair
+        and sends the ACK; a pure ACK is six, plus ``_update_rtt``
+        when it takes an RTT sample and two per segment it lets out.
+        Sequence arithmetic, window arithmetic, timer arming and
+        cancelling and the ``copy`` charge are inline, and a data
+        segment with nothing new in its ACK skips ``_process_ack``.  With
+        the ``seq_*``, window and timer helpers called, an in-order data
+        segment made 16 calls (20 with the ACK) and a pure ACK that let
+        nothing out 18 to 22."""
+        engine, wire, a, b = make_pair()
+        client, _server = establish(engine, a, b,
+                                    server_received=lambda data: None)
+        inputs = _tcp_calls_per_input(engine, a, b, client, 60 * 1024)
+        data = Counter(tuple(calls) for on_receiver, calls in inputs
+                       if on_receiver)
+        assert set(data) == {
+            tuple(_SEGMENT_IN + ["Tcb._process_data", "Tcb._deliver",
+                                 "Tcb._output"]),
+            tuple(_SEGMENT_IN + ["Tcb._process_data", "Tcb._deliver",
+                                 "Tcb._send_ack"] + _SEGMENT_OUT
+                  + ["Tcb._output"])}
+        acks = [calls for on_receiver, calls in inputs if not on_receiver]
+        sent = 0
+        for calls in acks:
+            head = _SEGMENT_IN + ["Tcb._process_ack"]
+            if calls[len(head):len(head) + 1] == ["Tcb._update_rtt"]:
+                head = head + ["Tcb._update_rtt"]
+            segments = (len(calls) - len(head) - 1) // len(_SEGMENT_OUT)
+            assert calls == head + ["Tcb._output"] + _SEGMENT_OUT * segments
+            sent += segments
+        assert ["Tcb._update_rtt"] in [calls[5:6] for calls in acks]
+        assert sent

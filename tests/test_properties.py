@@ -12,6 +12,8 @@ from repro.net.tcp.tcb import seq_add, seq_lt, seq_sub
 from repro.sim import Engine
 from repro.spin import MCLBYTES, MLEN, Mbuf
 
+from test_engine_diet import Resource
+
 payloads = st.binary(min_size=0, max_size=6000)
 small_payloads = st.binary(min_size=1, max_size=1400)
 seqnums = st.integers(min_value=0, max_value=(1 << 32) - 1)
@@ -226,7 +228,6 @@ class TestEngineProperties:
     def test_resource_conservation(self, priorities):
         """Grants never exceed capacity; everyone is eventually served
         (the reference model the engine-diet oracles stand on)."""
-        from test_engine_diet import Resource
         engine = Engine()
         resource = Resource(engine, capacity=2)
         served = []

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.lang import ReadOnlyBuffer, ReadOnlyViolation
 from repro.net.checksum import internet_checksum_reference
-from repro.net.headers import IPPROTO_TCP, TCP_HEADER, pseudo_header
+from repro.net.headers import (IPPROTO_TCP, TCP_HEADER, pseudo_header,
+                               pseudo_header_sum)
 from repro.net.tcp.tcb import ACK, SYN
 from repro.sim import Engine
 from repro.spin import MCLBYTES, MLEN, Mbuf, MbufError, MbufPool
@@ -231,7 +232,8 @@ class TestSegmentLayout:
         sent = []
         a.ip.output = lambda m, dst, protocol, src=None: sent.append(m)
         tcb = SimpleNamespace(laddr=a.my_ip, lport=40000, raddr=b.my_ip,
-                              rport=80)
+                              rport=80, pseudo_sum=pseudo_header_sum(
+                                  a.my_ip, b.my_ip, IPPROTO_TCP, 0))
         payload = bytes((7 * i + 1) & 0xFF for i in range(size))
         flags = SYN if syn else ACK
         pool = a.host.mbufs

@@ -4,10 +4,14 @@ These complement test_net_tcp.py with precise checks on the retransmit
 machinery itself: the exponential backoff must double up to (and stop
 at) the RTO ceiling, RTT samples must never be taken from retransmitted
 segments, and fast recovery must deflate cwnd back to ssthresh when the
-recovery point is acked.
+recovery point is acked.  A lossy, reordered transfer must behave the
+same wherever its sequence numbers sit, across 2**32 included.
 """
 
 from contextlib import contextmanager
+from functools import lru_cache
+
+from hypothesis import example, given, settings, strategies as st
 
 from repro.net.tcp import TcpState
 from repro.net.tcp.tcb import Tcb
@@ -261,3 +265,104 @@ class TestHandshakeRetransmission:
         assert server.retransmits >= 1
         assert client.state == TcpState.ESTABLISHED
         assert server.state == TcpState.ESTABLISHED
+
+
+# -- the sequence wrap ---------------------------------------------------------
+
+_WRAP_TOTAL = 200 * 1024
+_WRAP_DATA = bytes(range(251)) * (_WRAP_TOTAL // 251 + 1)
+_MSS = 1460     # make_pair's 1500-byte MTU less 40
+
+
+def _wrap_run(client_iss, server_iss, drop_at, reorder_at):
+    """Send ``_WRAP_TOTAL`` bytes with the ``drop_at``-th data segment to
+    the server lost and the ``reorder_at``-th delivered behind the next
+    few.  ``None`` leaves an ISS where ``TcpProto.next_iss`` puts it.
+    Returns what the run shows of itself."""
+    engine, wire, a, b = make_pair()
+    for proto, iss in ((a.tcp, client_iss), (b.tcp, server_iss)):
+        if iss is not None:     # next_iss adds 64,000 before it returns
+            proto._iss = (iss - 64_000) & 0xFFFFFFFF
+    log = []
+    seen = {"data": 0}
+
+    def drop(pkt, nh):
+        log.append((engine.now, len(pkt)))
+        # A clean run carries ~250 frames; a sequence-arithmetic slip can
+        # loop on output for 2**32 bytes.
+        assert len(log) < 5000, "runaway: 5000 frames on the wire"
+        if nh == b.my_ip and _is_data_segment(pkt):
+            seen["data"] += 1
+            return seen["data"] == drop_at
+        return False
+
+    def delay(pkt, nh):
+        if nh == b.my_ip and _is_data_segment(pkt) and \
+                seen["data"] == reorder_at:
+            return 300.0
+        return 0.0
+    wire.drop_filter = drop
+    wire.delay_filter = delay
+    received = bytearray()
+    client, server = establish(engine, a, b,
+                               server_received=received.extend)
+    resets = []
+    client.on_reset = server.on_reset = lambda: resets.append(True)
+    sent = [0]
+
+    def pump(_space=None):
+        if sent[0] < _WRAP_TOTAL:
+            sent[0] += client.send(_WRAP_DATA[sent[0]:_WRAP_TOTAL])
+    client.on_sendable = pump
+    a.run_kernel(pump)
+    engine.run()
+    assert bytes(received) == _WRAP_DATA[:_WRAP_TOTAL]
+    assert not resets and a.tcp.resets_sent == b.tcp.resets_sent == 0
+    assert client.state is server.state is TcpState.ESTABLISHED
+    for tcb in (client, server):
+        assert tcb.snd_una == tcb.snd_nxt
+    return (log, client.segments_sent, client.retransmits,
+            client.fast_retransmits, server.segments_sent,
+            (client.iss, server.iss))
+
+
+@lru_cache(maxsize=None)
+def _wrap_reference(drop_at, reorder_at):
+    return _wrap_run(None, None, drop_at, reorder_at)
+
+
+#: an ISS anywhere, or one from which the transfer crosses 2**32
+_isses = st.one_of(
+    st.integers(0, 0xFFFFFFFF),
+    st.integers(1, _WRAP_TOTAL + 2).map(lambda back: (1 << 32) - back))
+
+
+class TestSequenceWrap:
+    @given(client_iss=_isses, server_iss=_isses,
+           reorder_at=st.integers(8, 60), gap=st.integers(10, 60))
+    # Both SYNs take the last slot: data starts at 0.
+    @example(client_iss=0xFFFFFFFF, server_iss=0xFFFFFFFF, reorder_at=9,
+             gap=11)
+    # The lost segment straddles 2**32.
+    @example(client_iss=(1 << 32) - 20 * _MSS - 700, server_iss=0,
+             reorder_at=12, gap=9)
+    # The reordered segment straddles 2**32.
+    @example(client_iss=(1 << 32) - 11 * _MSS - 700, server_iss=7,
+             reorder_at=12, gap=18)
+    # The signed boundary, 2**31 away.
+    @example(client_iss=(1 << 31) - 1000, server_iss=1 << 31,
+             reorder_at=20, gap=10)
+    @settings(max_examples=25, deadline=None)
+    def test_transfer_is_the_same_at_any_iss(self, client_iss, server_iss,
+                                             reorder_at, gap):
+        """A reordered segment, then a lost one: the data arrives
+        byte-exact, nobody resets, both ends end with nothing in
+        flight, and the run is the default-ISS run instant for instant:
+        the same frames on the wire at the same times, and the same
+        segments, retransmits and fast retransmits."""
+        drop_at = reorder_at + gap
+        *shown, isses = _wrap_run(client_iss, server_iss, drop_at,
+                                  reorder_at)
+        assert isses == (client_iss, server_iss)
+        *expected, _ = _wrap_reference(drop_at, reorder_at)
+        assert shown == expected
