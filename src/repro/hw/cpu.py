@@ -48,6 +48,8 @@ the texts of both discipline errors are defined here only.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
+from math import inf
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Tuple
 
 from ..sim import Engine
@@ -127,8 +129,8 @@ class CPU:
 
     def charge(self, microseconds: float, category: str = "kernel") -> None:
         """Charge CPU work to the innermost open accumulator."""
-        if microseconds < 0:
-            raise ValueError("cannot charge negative time: %r" % microseconds)
+        if not 0.0 <= microseconds < inf:
+            raise ValueError("cannot charge a negative or non-finite time: %r" % microseconds)
         try:
             self._stack[-1] += microseconds
         except IndexError:
@@ -146,10 +148,11 @@ class CPU:
         :attr:`uncontexted_charge_us` rather than silently skipped.
         Returns True when the charge landed in an accumulator.
         """
-        if microseconds < 0:
-            raise ValueError("cannot charge negative time: %r" % microseconds)
+        if not 0.0 <= microseconds < inf:
+            raise ValueError("cannot charge a negative or non-finite time: %r" % microseconds)
         if self._stack:
-            self.charge(microseconds, category)
+            self._stack[-1] += microseconds
+            self.category_times[category] += microseconds
             return True
         self.uncontexted_charges += 1
         self.uncontexted_charge_us += microseconds
@@ -285,7 +288,9 @@ class KernelPath(Event):
                 self._exception = exc
         self._amount = amount
         if amount > 0:
-            self.engine.call_after(amount, KernelPath._held, self)
+            engine = self.engine
+            engine._sequence += 1
+            heappush(engine._heap, (engine.now + amount, engine._sequence, KernelPath._held, self))
         else:
             self._held()
 

@@ -34,6 +34,8 @@ effect (wire activity) on the simulated timeline.
 
 from __future__ import annotations
 
+from heapq import heappush
+from math import inf
 from typing import Any, Callable, Dict, Generator, List, Tuple
 
 from ..sim import Engine
@@ -66,9 +68,12 @@ class Timer:
         self.name = name
         self.cancelled = False
         self.fired = False
+        if not 0.0 <= delay_us < inf:
+            raise ValueError("delay must be finite and non-negative, got %r" % delay_us)
         engine = host.engine
         engine.timers_armed += 1
-        engine.call_after(delay_us, Timer._fire, self)
+        engine._sequence += 1
+        heappush(engine._heap, (engine.now + delay_us, engine._sequence, Timer._fire, self))
 
     def _fire(self) -> None:
         host = self.host

@@ -27,6 +27,8 @@ from __future__ import annotations
 import dataclasses
 import random
 from collections import deque
+from heapq import heappush
+from math import inf
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..sim import Engine
@@ -113,8 +115,8 @@ class ImpairmentConfig:
             raise ValueError("bandwidth_scale must be in (0, 1], got %r"
                              % (self.bandwidth_scale,))
         for name in ("duplicate_gap_us", "reorder_hold_us", "jitter_us"):
-            if getattr(self, name) < 0.0:
-                raise ValueError("%s must be non-negative" % name)
+            if not 0.0 <= getattr(self, name) < inf:
+                raise ValueError("%s must be finite and non-negative" % name)
         for window in self.flaps:
             down, up = window
             if not down < up:
@@ -226,8 +228,9 @@ class _Medium:
 
     def __init__(self, engine: Engine, bandwidth_bps: float,
                  propagation_us: float = 1.0):
-        if bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
+        # A landing is pushed in place, unchecked: its delays are checked here.
+        if not (bandwidth_bps > 0 and 0.0 <= propagation_us < inf):
+            raise ValueError("bandwidth must be positive, propagation finite and non-negative")
         self.engine = engine
         self.bandwidth_bps = bandwidth_bps
         self.propagation_us = propagation_us
@@ -314,11 +317,6 @@ class _Medium:
 
     # -- landings ----------------------------------------------------------
 
-    def _deliver_after(self, sink, frame: Frame, delay_us: float) -> None:
-        """Hand ``frame`` to ``sink`` after ``delay_us`` on the wire: the
-        bus's fan-out and an impaired lane's copies."""
-        self.engine.call_after(delay_us, self._deliver, (sink, frame, None))
-
     def _deliver(self, flight: Tuple) -> None:
         """A frame lands: ``flight`` is ``(sink, frame, done)``, and a
         ``done`` that is not None lets the sender go on."""
@@ -340,10 +338,11 @@ class _Medium:
         if self._impairments is None:
             self.frames_carried += 1
             self.bytes_carried += frame.wire_bytes
-            engine.call_at(
+            engine._sequence += 1
+            heappush(engine._heap, (
                 (engine.now + frame.wire_bytes * 8.0 / self.bandwidth_bps
                  * MICROSECONDS_PER_SECOND) + self.propagation_us,
-                self._deliver, (sink, frame, done))
+                engine._sequence, self._deliver, (sink, frame, done)))
             return
         engine.call_after(self._wire_time_us(frame.wire_bytes),
                           self._lane_sent, (sink, frame, done))
@@ -353,7 +352,8 @@ class _Medium:
         self._account(frame)
         if self._impairments is not None:
             for extra_us, copy in self._impaired_outcomes(frame):
-                self._deliver_after(sink, copy, self.propagation_us + extra_us)
+                self.engine.call_after(self.propagation_us + extra_us,
+                                       self._deliver, (sink, copy, None))
             done()
             return
         self.engine.call_after(self.propagation_us, self._deliver, flight)
@@ -402,11 +402,14 @@ class EthernetSegment(_Medium):
             outcomes = self._impaired_outcomes(frame)
         else:
             outcomes = ((0.0, frame),)
+        engine = self.engine
         for extra_us, copy in outcomes:
+            when = engine.now + (self.propagation_us + extra_us)
             for nic in self.nics:
                 if nic is not sender:
-                    self._deliver_after(nic.frame_on_wire, copy,
-                                        self.propagation_us + extra_us)
+                    engine._sequence += 1
+                    heappush(engine._heap, (when, engine._sequence, self._deliver,
+                                            (nic.frame_on_wire, copy, None)))
         done()
 
 
@@ -458,8 +461,10 @@ class SwitchPort(_Medium):
         start = max(ready_at, self._lane_free_at)
         self._lane_free_at = free_at = start + transmission_time_us(
             frame.wire_bytes, self.bandwidth_bps)
-        self.engine.call_at(free_at + self.propagation_us,
-                            self._forward_landed, frame)
+        engine = self.engine
+        engine._sequence += 1
+        heappush(engine._heap, (free_at + self.propagation_us, engine._sequence,
+                                self._forward_landed, frame))
 
     def _forward_landed(self, frame: Frame) -> None:
         self.frames_forwarded_in += 1
@@ -477,6 +482,8 @@ class Switch:
 
     def __init__(self, engine: Engine, bandwidth_bps: float = 155e6,
                  forward_latency_us: float = 10.0, name: str = "switch"):
+        if not 0.0 <= forward_latency_us < inf:
+            raise ValueError("forward latency must be finite and non-negative")
         self.engine = engine
         self.bandwidth_bps = bandwidth_bps
         self.forward_latency_us = forward_latency_us

@@ -24,6 +24,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import itertools
+from heapq import heappush
 from typing import Optional
 
 from ..sim import Engine
@@ -203,8 +204,10 @@ class NIC:
         self.rx_pending += 1
         # When the device's receive latency is over, the host takes the
         # interrupt in its own entry (ring admission here decided drops).
-        self.engine.call_after(self.profile.rx_latency_us,
-                               self.host.frame_arrived, (self, frame))
+        engine = self.engine
+        engine._sequence += 1
+        heappush(engine._heap, (engine.now + self.profile.rx_latency_us, engine._sequence,
+                                self.host.frame_arrived, (self, frame)))
 
     def __repr__(self) -> str:
         return "<%s %s addr=%s>" % (type(self).__name__, self.name, self.address)

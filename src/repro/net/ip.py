@@ -170,16 +170,16 @@ class IpProto:
         ident = self._ident
         payload_len = m.len
         adapter, next_hop = self.route_for(dst)
-        mtu_payload = adapter.mtu - self.HEADER_LEN
+        mtu = adapter.mtu   # a property: read once
         total = payload_len + self.HEADER_LEN
-        if total <= adapter.mtu:
+        if total <= mtu:
             packet = self._prepend_header(
                 m, src, dst, protocol, ident, ttl, frag_field=0,
                 total_length=total)
             adapter.send(packet, next_hop)
             return
         # Fragment on 8-byte boundaries.
-        chunk = (mtu_payload // 8) * 8
+        chunk = ((mtu - self.HEADER_LEN) // 8) * 8
         data = m.to_bytes()
         offset = 0
         while offset < len(data):

@@ -6,8 +6,9 @@ interrupt latency, context switches -- is expressed as entries on a single
 global clock owned by an :class:`Engine`.
 
 * A heap entry is ``(time, sequence, fn, arg)``; processing it calls
-  ``fn(arg)``.  Hardware (CPU holds, wire delays, kernel timers) pushes
-  plain callbacks with :meth:`Engine.call_after` / :meth:`Engine.call_at`.
+  ``fn(arg)``.  Hardware pushes plain callbacks with
+  :meth:`Engine.call_after` / :meth:`Engine.call_at`, except at the
+  per-frame sites DESIGN.md section 2 lists, which push in place.
 * An :class:`Event` is a one-shot occurrence that callbacks can be attached
   to.  It either *succeeds* with a value or *fails* with an exception.
 * A :class:`Process` wraps a generator, for what really blocks (an
@@ -27,6 +28,7 @@ with the numbers in the paper.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from math import inf
 from types import GeneratorType
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
@@ -144,8 +146,8 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError("timeout delay must be non-negative, got %r" % delay)
+        if not 0.0 <= delay < inf:
+            raise ValueError("timeout delay must be finite and non-negative, got %r" % delay)
         # Event.__init__ and Engine.call_after, inlined: a process that
         # sleeps builds one of these per sleep.
         self.engine = engine
@@ -282,10 +284,10 @@ class Engine:
         """Run ``fn(arg)`` ``delay`` microseconds from now.
 
         The hardware's way to wait: one heap entry, no event object, no
-        process.  ``delay`` must be non-negative.
+        process.  ``delay`` must be finite and non-negative.
         """
-        if delay < 0:
-            raise ValueError("delay must be non-negative, got %r" % delay)
+        if not 0.0 <= delay < inf:
+            raise ValueError("delay must be finite and non-negative, got %r" % delay)
         self._sequence += 1
         heappush(self._heap, (self.now + delay, self._sequence, fn, arg))
 
@@ -296,10 +298,10 @@ class Engine:
         The timestamp is pushed on the heap verbatim -- no ``now + delay``
         float round trip -- so a departure, a table update or a summed
         landing fires at the *bit-identical* instant its schedule
-        computed.  ``when`` must not lie in the past."""
-        if when < self.now:
+        computed.  ``when`` must be finite and not lie in the past."""
+        if not self.now <= when < inf:
             raise SimulationError(
-                "call_at(%r) is in the past; clock is at %r" % (when, self.now))
+                "call_at(%r) is in the past or not finite; clock is at %r" % (when, self.now))
         self._sequence += 1
         heappush(self._heap, (when, self._sequence, fn, arg))
 
@@ -336,8 +338,8 @@ class Engine:
                 self.now, _seq, fn, arg = heappop(heap)
                 fn(arg)
             return
-        if until < self.now:
-            raise ValueError("cannot run until %r; clock is already at %r" % (until, self.now))
+        if not self.now <= until < inf:
+            raise ValueError("cannot run until %r; clock is at %r" % (until, self.now))
         while heap and heap[0][0] <= until:
             self.now, _seq, fn, arg = heappop(heap)
             fn(arg)

@@ -197,10 +197,17 @@ class MbufPool:
         self.chains += 1
         return m
 
-
     def from_bytes(self, data: Union[bytes, bytearray], leading_space: int = 64
                    ) -> Mbuf:
-        return self._charge_alloc(Mbuf.from_bytes(data, leading_space))
+        """:meth:`Mbuf.from_bytes` (its link rule too), charged, built in
+        this frame: every send and receive allocates one."""
+        if leading_space >= MCLBYTES:
+            raise MbufError("leading space %d exceeds MCLBYTES" % leading_space)
+        storage = bytearray(leading_space)
+        storage += data
+        n = len(data)
+        links = -(-(leading_space + n) // MCLBYTES) or 1
+        return self._charge_alloc(Mbuf(storage, leading_space, n, links))
 
     def charge_chain(self, size: int) -> None:
         """Charge for the links ``from_bytes(bytes(size), leading_space=0)``

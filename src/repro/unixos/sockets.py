@@ -12,7 +12,9 @@ sections 1, 4.1):
   process resumes).
 
 The API is generator-based: socket calls are ``yield from``-ed inside a
-simulation process, which *is* the user process.
+simulation process, which *is* the user process.  The per-call and the
+per-delivery charges are booked in place (``stack[-1] += a; times[k] +=
+a``), in a syscall's kernel path or in the protocol code that delivers.
 
 Simplifying assumptions, documented: one blocking reader per socket at a
 time is the intended use (extra waiters are resumed and re-block), and
@@ -94,11 +96,14 @@ class SocketLayer:
         if sock is None:
             return  # no PCB: datagram dropped (ICMP unreachable elided)
         costs = self.host.costs
-        self.host.cpu.charge(costs.sockbuf_enqueue, "socket")
+        cpu = self.host.cpu
+        cpu._stack[-1] += costs.sockbuf_enqueue
+        cpu.category_times["socket"] += costs.sockbuf_enqueue
         payload = bytes(memoryview(m._storage)[m.off + off:m.off + m.len])
         if sock.buffer.append(payload, (src_ip, src_port)):
             if sock.buffer.readable.waiter_count:
-                self.host.cpu.charge(costs.process_wakeup, "sched")
+                cpu._stack[-1] += costs.process_wakeup
+                cpu.category_times["sched"] += costs.process_wakeup
             sock.buffer.readable.fire()
 
     def allocate_udp_port(self) -> int:
@@ -125,13 +130,18 @@ class _SocketBase:
 
     def _syscall(self, work: Callable[[], object]) -> Generator:
         """One syscall: trap + socket bookkeeping + ``work`` in the kernel."""
-        costs = self.host.costs
+        host = self.host
 
         def body():
-            self.host.cpu.charge(costs.syscall_trap, "syscall")
-            self.host.cpu.charge(costs.socket_layer, "socket")
+            costs = host.costs
+            stack = host.cpu._stack
+            times = host.cpu.category_times
+            stack[-1] += costs.syscall_trap
+            times["syscall"] += costs.syscall_trap
+            stack[-1] += costs.socket_layer
+            times["socket"] += costs.socket_layer
             return work()
-        return self.host.kernel_path(body)
+        return host.kernel_path(body)
 
     def _block_on(self, signal: Signal) -> Generator:
         """Sleep until ``signal`` fires, then pay the context switch."""
@@ -170,8 +180,10 @@ class UdpSocket(_SocketBase):
             yield from self.bind()
 
         def work():
-            costs = self.host.costs
-            self.host.cpu.charge(len(data) * costs.copy_per_byte, "copyin")
+            cpu = self.host.cpu
+            copy = len(data) * self.host.costs.copy_per_byte
+            cpu._stack[-1] += copy
+            cpu.category_times["copyin"] += copy
             m = self.host.mbufs.from_bytes(data, leading_space=64)
             self.stack.udp.output(m, src_port=self.port, dst_ip=addr[0],
                                   dst_port=addr[1], checksum=checksum)
@@ -187,8 +199,10 @@ class UdpSocket(_SocketBase):
         data, addr = self.buffer.pop()
 
         def copyout():
-            self.host.cpu.charge(
-                len(data) * self.host.costs.copy_per_byte, "copyout")
+            cpu = self.host.cpu
+            copy = len(data) * self.host.costs.copy_per_byte
+            cpu._stack[-1] += copy
+            cpu.category_times["copyout"] += copy
         yield from self.host.kernel_path(copyout)
         return data, addr
 
@@ -236,10 +250,13 @@ class TcpSocket(_SocketBase):
 
     def _on_data(self, data: bytes) -> None:
         costs = self.host.costs
-        self.host.cpu.charge(costs.sockbuf_enqueue, "socket")
+        cpu = self.host.cpu
+        cpu._stack[-1] += costs.sockbuf_enqueue
+        cpu.category_times["socket"] += costs.sockbuf_enqueue
         self.buffer.append(data, (self.tcb.raddr, self.tcb.rport))
         if self.buffer.readable.waiter_count:
-            self.host.cpu.charge(costs.process_wakeup, "sched")
+            cpu._stack[-1] += costs.process_wakeup
+            cpu.category_times["sched"] += costs.process_wakeup
         self.buffer.readable.fire()
 
     def _on_close(self) -> None:
@@ -250,10 +267,13 @@ class TcpSocket(_SocketBase):
         self.peer_closed = True
         self.buffer.readable.fire()
         self.connected.fire(False)
+        self.sendable.fire(0)   # a blocked send() raises "connection reset"
 
     def _on_sendable(self, space: int) -> None:
         if self.sendable.waiter_count:
-            self.host.cpu.charge(self.host.costs.process_wakeup, "sched")
+            cpu = self.host.cpu
+            cpu._stack[-1] += self.host.costs.process_wakeup
+            cpu.category_times["sched"] += self.host.costs.process_wakeup
         self.sendable.fire(space)
 
     def _on_established(self) -> None:
@@ -285,7 +305,9 @@ class TcpSocket(_SocketBase):
                 # accept() is buffered, not consumed with no reader.
                 self.accept_queue.append(TcpSocket(self.layer, tcb))
                 if self.acceptable.waiter_count:
-                    self.host.cpu.charge(self.host.costs.process_wakeup, "sched")
+                    cpu = self.host.cpu
+                    cpu._stack[-1] += self.host.costs.process_wakeup
+                    cpu.category_times["sched"] += self.host.costs.process_wakeup
                 self.acceptable.fire()
             self._listener = self.stack.tcp.listen(port, on_accept, backlog)
         yield from self._syscall(work)
@@ -308,10 +330,13 @@ class TcpSocket(_SocketBase):
             chunk = data[offset:]
 
             def work(chunk=chunk):
-                costs = self.host.costs
+                if self.tcb.state is TcpState.CLOSED:   # reset, or timed out
+                    raise SocketError("connection reset")
                 accepted = self.tcb.send(chunk)
-                self.host.cpu.charge(
-                    accepted * costs.copy_per_byte, "copyin")
+                cpu = self.host.cpu
+                copy = accepted * self.host.costs.copy_per_byte
+                cpu._stack[-1] += copy
+                cpu.category_times["copyin"] += copy
                 return accepted
             accepted = yield from self._syscall(work)
             offset += accepted
@@ -331,8 +356,10 @@ class TcpSocket(_SocketBase):
         data, _addr = self.buffer.pop(max_bytes)
 
         def copyout():
-            costs = self.host.costs
-            self.host.cpu.charge(len(data) * costs.copy_per_byte, "copyout")
+            cpu = self.host.cpu
+            copy = len(data) * self.host.costs.copy_per_byte
+            cpu._stack[-1] += copy
+            cpu.category_times["copyout"] += copy
             self.tcb.app_consumed(len(data))
         yield from self.host.kernel_path(copyout)
         return data
@@ -424,7 +451,9 @@ class Poller:
                 # fire synchronously): the wakeup of the blocked poller is
                 # billed to the delivery that caused it, exactly where the
                 # per-socket waiter used to bill it.
-                self.host.cpu.charge(self.host.costs.process_wakeup, "sched")
+                cpu = self.host.cpu
+                cpu._stack[-1] += self.host.costs.process_wakeup
+                cpu.category_times["sched"] += self.host.costs.process_wakeup
             wake.fire()
 
     def wait(self) -> Generator:

@@ -259,12 +259,13 @@ def _steady_fat_tree_frame():
 #: One steady switch hop on ``fat_tree(4)``, by Python call
 #: (``co_qualname``), from the landing at the switch's port to the egress
 #: frame's own landing being pushed.  A hop up toward the core also
-#: calls ``ecmp_select`` after ``SwitchHost._emit``.
+#: calls ``ecmp_select`` after ``SwitchHost._emit``.  The rx latency, the
+#: CPU hold and the lane's landing are pushed in place: no
+#: ``Engine.call_after`` / ``call_at`` frame.
 _SWITCH_HOP_CALLS = [
     # the landing: the port's NIC admits the frame to its ring, and the
     # sender's NIC, whose lane is free again, finds its queue empty
-    "_Medium._deliver", "NIC.frame_on_wire", "Engine.call_after",
-    "NIC._drain",
+    "_Medium._deliver", "NIC.frame_on_wire", "NIC._drain",
     # the interrupt, in its own entry: the path starts right there
     "Host.frame_arrived", "KernelPath.__init__", "Engine.due_now",
     "KernelPath.start", "Host.frame_arrived.<locals>.interrupt_body",
@@ -274,10 +275,33 @@ _SWITCH_HOP_CALLS = [
     "SwitchHost._pipeline",
     "PacketFields.__init__", "MatchTable.lookup", "ForwardingTable.lookup",
     "SwitchHost._emit", "MbufPool.charge_chain", "NIC.stage_tx",
-    "FabricNic.wire_bytes", "Frame.__init__", "Engine.call_after",
+    "FabricNic.wire_bytes", "Frame.__init__",
     # the hold's entry: the idle egress NIC puts the frame on its lane
     "KernelPath._held", "NIC.stage_tx.<locals>.enqueue",
-    "PointToPointLink.transmit", "_Medium._send_on_lane", "Engine.call_at",
+    "PointToPointLink.transmit", "_Medium._send_on_lane",
+]
+
+
+#: One steady UNIX ``UdpSocket.sendto`` of 8 bytes on the ATM bed, by
+#: Python call, from the call to the resumption of the process that made
+#: it.  The trap, socket-layer and copyin charges are booked in the
+#: syscall's own frames, the pool builds the packet in its own frame, IP
+#: reads the adapter's MTU once, and the hold and the lane's landing are
+#: pushed in place: no ``CPU.charge``, no ``Mbuf.from_bytes``, no
+#: ``Engine.call_after`` / ``call_at`` (37 calls before).
+_UNIX_SENDTO_CALLS = [
+    "UdpSocket.sendto", "_SocketBase._syscall", "Host.kernel_path",
+    "KernelPath.__init__", "KernelPath.start",
+    "_SocketBase._syscall.<locals>.body", "UdpSocket.sendto.<locals>.work",
+    "MbufPool.from_bytes", "Mbuf.__init__", "MbufPool._charge_alloc",
+    "UdpProto.output", "Mbuf.push", "pseudo_header_sum", "internet_checksum",
+    "IpProto.output", "IpProto.route_for", "RawLinkProto.mtu",
+    "IpProto._prepend_header", "Mbuf.push", "internet_checksum",
+    "RawLinkProto.send", "Mbuf.to_bytes", "NIC.stage_tx",
+    "ForeAtm.wire_bytes", "Frame.__init__",
+    # the hold's entry: the flush puts the frame on the idle uplink
+    "KernelPath._held", "NIC.stage_tx.<locals>.enqueue",
+    "SwitchPort.transmit", "_Medium._send_on_lane", "Process._resume",
 ]
 
 
@@ -353,13 +377,15 @@ class TestEventBudget:
                             _RelayLane._send_on_lane)
         assert frame_budget() - merged == {"_lane_sent": 6}
 
-    def test_a_steady_switch_hop_is_twenty_eight_calls(self):
+    def test_a_steady_switch_hop_is_twenty_five_calls(self):
         """The call row of the budget: one frame across the fat tree is
-        213 Python calls (218 while a packet was a chain with a
-        ``PacketHeader``, and the layers called ``Mbuf.length``; 271
-        before the per-frame delegations were folded), and each of its
-        five switch hops is the 28 calls of ``_SWITCH_HOP_CALLS`` (37
-        before: ``_raise_interrupt``,
+        191 Python calls (213 while the hot heap pushes went through
+        ``Engine.call_after`` / ``call_at``; 218 while a packet was a
+        chain with a ``PacketHeader``, and the layers called
+        ``Mbuf.length``; 271 before the per-frame delegations were
+        folded), and each of its five switch hops is the 25 calls of
+        ``_SWITCH_HOP_CALLS`` (28 with the rx latency's, the hold's and
+        the landing's scheduling frames; 37 before: ``_raise_interrupt``,
         ``driver_recv_charges``, ``CPU.charge`` and two
         ``_charge_alloc`` under the pipeline, ``Host.defer``, the idle
         NIC's enqueue-then-``_drain``, ``peer_of`` and ``_account``)."""
@@ -374,7 +400,7 @@ class TestEventBudget:
             engine.run()
         finally:
             sys.setprofile(None)
-        assert len(calls) == 213
+        assert len(calls) == 191
         starts = [at for at, name in enumerate(calls)
                   if name == "_Medium._deliver"]
         assert len(starts) == 6         # five switches, then the receiver
@@ -382,6 +408,36 @@ class TestEventBudget:
         up.insert(up.index("SwitchHost._emit") + 1, "ecmp_select")
         hops = [calls[a:b] for a, b in zip(starts, starts[1:])]
         assert hops == [up, up] + [_SWITCH_HOP_CALLS] * 3
+
+    def test_a_steady_unix_sendto_books_in_place(self):
+        """The syscall row of the budget: ``_UNIX_SENDTO_CALLS``."""
+        bed = build_testbed("unix", "atm")
+        sock = bed.sockets[0].udp_socket()
+        dst = (bed.ip(1), 7000)
+
+        def warm():
+            yield from sock.bind(7001)
+            yield from sock.sendto(bytes(8), dst)
+        bed.engine.run_process(warm())
+        bed.engine.run()
+        calls = []
+
+        def on_event(frame, event, _arg):
+            if event == "call":
+                calls.append(frame.f_code.co_qualname)
+
+        def steady():
+            sys.setprofile(on_event)
+            try:
+                yield from sock.sendto(bytes(8), dst)
+            finally:
+                sys.setprofile(None)
+        bed.engine.run_process(steady())
+        resumed = calls.index("Process._resume") + 1
+        assert calls[:resumed] == _UNIX_SENDTO_CALLS
+        # Then only the resumed generators' frames, down to the syscall.
+        assert calls[resumed:] == [steady.__qualname__, "UdpSocket.sendto",
+                                   "Host.kernel_path"]
 
     def test_contended_switched_frame_is_two_entries(self):
         """Frames queued on one busy egress lane cost no more than clean
@@ -428,10 +484,12 @@ class TestEventBudget:
         and run in one frame (``start``), and ended in its hold's entry
         (``_held``), which hands the CPU over, flushes and completes.
         Around the ``fn`` it exists to run and the charge it makes, the
-        only other Python calls are the heap pushes, and the
-        ``CategoryTimes.__missing__`` read of the fresh CPU's first
-        ``kernel`` charge.  (The run queue's ``acquire`` / ``release``, a
-        separate ``_run`` and a separate ``_complete`` were four more.)"""
+        only other Python calls are the spawn's zero-delay bootstrap push
+        and the ``CategoryTimes.__missing__`` read of the fresh CPU's
+        first ``kernel`` charge: ``start`` pushes the hold in place.
+        (The hold's ``call_after``, the run queue's ``acquire`` /
+        ``release``, a separate ``_run`` and a separate ``_complete``
+        were five more.)"""
         host = Host(engine, "h")
         calls = []
 
@@ -449,7 +507,7 @@ class TestEventBudget:
             sys.setprofile(None)
         assert calls == ["spawn_kernel_path", "__init__", "call_after",
                          "run", "start", "fn", "charge", "__missing__",
-                         "call_after", "_held"]
+                         "_held"]
         assert engine.now == 2.0 and not host.cpu.held
 
 

@@ -48,6 +48,22 @@ class TestAccumulator:
         with pytest.raises(ValueError):
             cpu.charge(-1.0)
 
+    @pytest.mark.parametrize("amount", [float("nan"), float("inf")])
+    def test_non_finite_charge_rejected(self, cpu, amount):
+        """NaN passed the ``< 0`` test, and an infinite charge would hold
+        the CPU for ever; both are rejected, inside a path or not, and
+        nothing is booked."""
+        marker = cpu.begin()
+        with pytest.raises(ValueError, match="non-finite"):
+            cpu.charge(amount)
+        with pytest.raises(ValueError, match="non-finite"):
+            cpu.try_charge(amount)
+        assert cpu.end(marker) == 0.0 and cpu.category_times == {}
+        with pytest.raises(ValueError, match="non-finite"):
+            cpu.try_charge(amount)
+        assert cpu.uncontexted_charges == 0
+        assert cpu.uncontexted_charge_us == 0.0
+
     def test_nested_accumulators_are_independent(self, cpu):
         outer = cpu.begin()
         cpu.charge(10.0)

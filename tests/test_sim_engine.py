@@ -1,7 +1,12 @@
 """Tests for the discrete-event engine."""
 
+import ast
+import pathlib
+
 import pytest
 
+import repro
+from repro.hw.host import Host
 from repro.sim import Process, SimulationError
 
 
@@ -37,6 +42,63 @@ class TestClock:
     def test_step_with_empty_heap_rejected(self, engine):
         with pytest.raises(SimulationError):
             engine.step()
+
+
+_NON_FINITE = [float("nan"), float("inf"), -float("inf")]
+
+
+class TestNonFiniteTimes:
+    """A NaN time compares false against everything, so it used to pass
+    the ``< 0`` and ``< now`` tests, pop out of (time, sequence) order
+    and set the clock to NaN; an infinite one set it to infinity.  Each
+    entry point rejects both with the error it raises for a negative
+    delay or a past instant, and pushes nothing."""
+
+    @pytest.mark.parametrize("delay", _NON_FINITE)
+    def test_call_after(self, engine, delay):
+        with pytest.raises(ValueError, match="finite"):
+            engine.call_after(delay, print)
+        assert not engine._heap and engine._sequence == 0
+
+    @pytest.mark.parametrize("when", _NON_FINITE)
+    def test_call_at(self, engine, when):
+        with pytest.raises(SimulationError, match="not finite"):
+            engine.call_at(when, print)
+        assert not engine._heap and engine._sequence == 0
+
+    @pytest.mark.parametrize("delay", _NON_FINITE)
+    def test_timeout(self, engine, delay):
+        with pytest.raises(ValueError, match="finite"):
+            engine.timeout(delay)
+        assert not engine._heap and engine._sequence == 0
+
+    @pytest.mark.parametrize("delay", _NON_FINITE + [-1.0])
+    def test_set_timer(self, engine, delay):
+        """The timer pushes its entry in place: it checks for itself."""
+        host = Host(engine, "h")
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            host.set_timer(delay, print)
+        assert not engine._heap and engine.timers_armed == 0
+
+    @pytest.mark.parametrize("until", _NON_FINITE)
+    def test_run_until(self, engine, until):
+        """``run(until=nan)`` left the clock at NaN."""
+        engine.timeout(5.0)
+        with pytest.raises(ValueError, match="cannot run until"):
+            engine.run(until=until)
+        assert engine.now == 0.0 and len(engine._heap) == 1
+
+    def test_timers_run_in_time_order(self, engine):
+        """The reproduction: timers at 1..5 with a NaN one among them ran
+        1, 2, 3, 4, nan, 5."""
+        host = Host(engine, "h")
+        fired = []
+        for delay in (1.0, 2.0, 3.0, 4.0, 5.0):
+            host.set_timer(delay, lambda: fired.append(engine.now))
+        with pytest.raises(ValueError):
+            host.set_timer(float("nan"), lambda: fired.append(engine.now))
+        engine.run()
+        assert fired == [1.0, 2.0, 3.0, 4.0, 5.0] and engine.now == 5.0
 
 
 class TestEvent:
@@ -182,3 +244,83 @@ class TestProcess:
             except KeyError:
                 return "caught"
         assert engine.run_process(proc()) == "caught"
+
+
+# ---------------------------------------------------------------------------
+# every heap push claims its own sequence number
+# ---------------------------------------------------------------------------
+
+_SRC = pathlib.Path(repro.__file__).parent
+
+#: Every function of ``src/repro`` that pushes a heap entry itself.  Apart
+#: from the engine's own, these are the per-frame and per-syscall sites
+#: that push in place instead of calling ``Engine.call_after`` /
+#: ``call_at`` (DESIGN.md section 2).
+_PUSH_SITES = {
+    ("sim/engine.py", "Event.succeed"),
+    ("sim/engine.py", "Timeout.__init__"),
+    ("sim/engine.py", "Engine.call_after"),
+    ("sim/engine.py", "Engine.call_at"),
+    ("hw/cpu.py", "KernelPath.start"),
+    ("hw/nic.py", "NIC.frame_on_wire"),
+    ("hw/link.py", "_Medium._send_on_lane"),
+    ("hw/link.py", "EthernetSegment._bus_sent"),
+    ("hw/link.py", "SwitchPort._egress"),
+    ("hw/host.py", "Timer.__init__"),
+}
+
+
+def _pushes():
+    """``(path, qualname, statement before, push call)`` for each
+    ``heappush(...)`` statement in ``src/repro``."""
+    found = []
+
+    def visit(node, path, scope):
+        for field, value in ast.iter_fields(node):
+            block = value if isinstance(value, list) else [value]
+            previous = None
+            for child in block:
+                if not isinstance(child, ast.AST):
+                    continue
+                inner = scope
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    inner = scope + (child.name,)
+                call = child.value if isinstance(child, ast.Expr) else None
+                if (isinstance(call, ast.Call)
+                        and getattr(call.func, "id", None) == "heappush"):
+                    found.append((path, ".".join(scope), previous, call))
+                visit(child, path, inner)
+                previous = child if isinstance(child, ast.stmt) else None
+    for path in sorted(_SRC.rglob("*.py")):
+        source = path.read_text()
+        assert "heapq.heappush" not in source, path
+        visit(ast.parse(source), str(path.relative_to(_SRC)), ())
+    return found
+
+
+class TestInPlacePushes:
+    def test_every_push_follows_its_own_sequence_increment(self):
+        """A push must claim a fresh sequence number, or two entries at
+        one instant share a FIFO tiebreak (and the heap then compares
+        their callbacks).  So each ``heappush(X._heap, (when,
+        X._sequence, fn, arg))`` statement directly follows ``X._sequence
+        += 1``, for the same ``X``."""
+        pushes = _pushes()
+        assert {(path, scope) for path, scope, _, _ in pushes} == _PUSH_SITES
+        for path, scope, previous, call in pushes:
+            where = "%s:%s line %d" % (path, scope, call.lineno)
+            heap, entry = call.args
+            assert isinstance(heap, ast.Attribute) and heap.attr == "_heap", \
+                where
+            owner = ast.dump(heap.value)
+            assert isinstance(entry, ast.Tuple) and len(entry.elts) == 4, where
+            sequence = entry.elts[1]
+            assert (isinstance(sequence, ast.Attribute)
+                    and sequence.attr == "_sequence"
+                    and ast.dump(sequence.value) == owner), where
+            assert (isinstance(previous, ast.AugAssign)
+                    and isinstance(previous.op, ast.Add)
+                    and isinstance(previous.target, ast.Attribute)
+                    and previous.target.attr == "_sequence"
+                    and ast.dump(previous.target.value) == owner
+                    and getattr(previous.value, "value", None) == 1), where

@@ -383,6 +383,27 @@ class TestReadOnly:
 
 
 class TestPool:
+    @pytest.mark.parametrize("size", [0, 1, MLEN, MCLBYTES - 64,
+                                      MCLBYTES - 63, 3 * MCLBYTES, 9000])
+    @pytest.mark.parametrize("room", [0, 16, 64, MCLBYTES - 1])
+    def test_pool_builds_what_mbuf_from_bytes_builds(self, engine, size,
+                                                     room):
+        """The pool builds its packet in its own frame: the same store,
+        window and link count as ``Mbuf.from_bytes``, and the same
+        error for headroom a cluster cannot hold."""
+        kernel = SpinKernel(engine, "h")
+        data = bytes(range(256)) * (size // 256) + bytes(size % 256)
+        marker = kernel.cpu.begin()
+        m = kernel.mbufs.from_bytes(data, room)
+        kernel.cpu.end(marker)
+        reference = Mbuf.from_bytes(data, room)
+        assert (m._storage, m.off, m.len, m.links, m.frozen) == (
+            reference._storage, reference.off, reference.len,
+            reference.links, False)
+        assert kernel.mbufs.allocated == m.links
+        with pytest.raises(MbufError, match="exceeds MCLBYTES"):
+            kernel.mbufs.from_bytes(data, MCLBYTES)
+
     def test_pool_charges_cpu(self, engine):
         kernel = SpinKernel(engine, "h")
         marker = kernel.cpu.begin()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.tcp import TcpState
 from repro.unixos import SocketError, SpliceForwarder
 
 
@@ -261,6 +262,52 @@ class TestTcpSockets:
         engine.run_process(client(), name="client")
         engine.run(until=engine.now + 500_000.0)
         assert read == [b"before accept", b""]
+
+    def _reset_under_send(self, bed, blocked):
+        """The server accepts, never reads, and aborts its end 200 ms
+        later.  The client sends 1 MB at once (``blocked``: the send is
+        blocked for buffer space at the reset) or 8 bytes at 400 ms.
+        ``(what the send raised, whether the client is still alive, the
+        client's TCB)``."""
+        engine = bed.engine
+        raised = []
+
+        def server():
+            listener = bed.sockets[1].tcp_socket()
+            yield from listener.listen(8000)
+            conn = yield from listener.accept()
+            yield engine.timeout(200_000.0)
+            yield from bed.hosts[1].kernel_path(conn.tcb.abort)
+
+        sock = bed.sockets[0].tcp_socket()
+
+        def client():
+            yield from sock.connect((bed.ip(1), 8000))
+            if not blocked:
+                yield engine.timeout(400_000.0)
+            try:
+                yield from sock.send(bytes(1_000_000 if blocked else 8))
+            except Exception as exc:    # noqa: BLE001 - the type is checked
+                raised.append((type(exc).__name__, str(exc)))
+        engine.process(server(), name="server")
+        process = engine.process(client(), name="client")
+        engine.run(until=2_000_000.0)
+        return raised, process.is_alive, sock.tcb
+
+    def test_a_reset_wakes_a_sender_blocked_for_buffer_space(self, unix_pair):
+        """The reset fired ``readable`` and ``connected`` but not
+        ``sendable``: the sender stayed blocked for ever, its TCB CLOSED
+        with one ``sendable`` waiter."""
+        raised, alive, tcb = self._reset_under_send(unix_pair, True)
+        assert tcb.state is TcpState.CLOSED and tcb.snd_buf
+        assert raised == [("SocketError", "connection reset")]
+        assert not alive
+
+    def test_a_send_after_a_reset_is_a_socket_error(self, unix_pair):
+        """It was the TCB's ``RuntimeError("send() in state CLOSED")``."""
+        raised, alive, _tcb = self._reset_under_send(unix_pair, False)
+        assert raised == [("SocketError", "connection reset")]
+        assert not alive
 
     def test_accept_without_listen_rejected(self, unix_pair):
         sock = unix_pair.sockets[0].tcp_socket()

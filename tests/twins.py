@@ -8,7 +8,7 @@ instant and the host's CPU busy time at each), every host's charged CPU
 by category and its interrupts, every dispatcher's per-handle
 statistics, every counter, the fingerprint, and the heap entries.
 
-Two twins:
+Three twins:
 
 * ``due_now`` patches ``Engine.due_now`` to True, so every elided
   zero-delay entry (an interrupt's bootstrap, a queued path's start) is
@@ -18,6 +18,11 @@ Two twins:
   over ``repro.spin.dispatcher.compile_scan``, counted as a compile as
   ``compile_scan`` counts one.  Nothing may differ, heap entries
   included.
+* ``relay_lane`` patches ``_Medium._send_on_lane`` with the wire-end
+  relay the merged lane replaced: every frame on a lane (point-to-point,
+  NIC to switch) pushes ``_lane_sent`` at its wire end, which books the
+  frame and pushes the landing after propagation.  Only the heap entries
+  may differ, by one ``_lane_sent`` run per frame on a clean lane.
 
 The reference lives here, not in ``src/``: the product has one dispatch
 path, and this is what it is checked against.
@@ -29,6 +34,7 @@ from unittest import mock
 
 from repro.bench.workloads import WORKLOADS, run_once
 from repro.hw.cpu import MISMATCHED_END, OUTSIDE_PATH, ChargeError
+from repro.hw.link import _Medium
 from repro.obs.taps import Observer
 from repro.sim import Engine
 
@@ -125,6 +131,27 @@ def scan():
 def due_now():
     """The ``due_now`` twin: every elidable entry is pushed."""
     return mock.patch.object(Engine, "due_now", lambda self: True)
+
+
+def relay_lane(relays=None):
+    """The ``relay_lane`` twin: each lane frame lands through a wire-end
+    ``_lane_sent`` entry, as ``_RelayLane`` in ``test_engine_diet.py``
+    does.  ``relays``, a list, gains the frame of each ``_lane_sent``
+    entry run for a clean lane: the entries the merged lane saves (a
+    frame still on the wire when the run stops has one pending in
+    either run)."""
+    lane_sent = _Medium._lane_sent
+
+    def send_on_lane(self, sink, frame, done):
+        self.engine.call_after(self._wire_time_us(frame.wire_bytes),
+                               self._lane_sent, (sink, frame, done))
+
+    def counted_lane_sent(self, flight):
+        if relays is not None and self._impairments is None:
+            relays.append(flight[1])
+        lane_sent(self, flight)
+    return mock.patch.multiple(_Medium, _send_on_lane=send_on_lane,
+                               _lane_sent=counted_lane_sent)
 
 
 class _WireLog(Observer):
