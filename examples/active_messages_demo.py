@@ -93,8 +93,8 @@ def safety_demo() -> None:
     @ephemeral
     def hog(nic, m):
         host.cpu.charge(10_000.0, "hog")  # way past the budget
-    install = manager.claim_ethertype(Credential("hog"), 0x88B7, hog,
-                                      time_limit=30.0)
+    handle = manager.claim_ethertype(Credential("hog"), 0x88B7, hog,
+                                     time_limit=30.0)
     event = bed.stacks[0].link_recv_event
     frame = host.mbufs  # noqa: F841
 
@@ -108,7 +108,7 @@ def safety_demo() -> None:
         yield from host.kernel_path(work)
     bed.engine.run_process(poke())
     print("over-budget handler terminations: %d (allotment was 30 us)"
-          % install.handle.terminations)
+          % handle.terminations)
 
 
 def main() -> None:

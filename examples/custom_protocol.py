@@ -53,7 +53,7 @@ class RdpLite:
         @ephemeral
         def handler(proto, m, off, src, dst):
             endpoint._input(m, off, src)
-        self.install = stack.ip_manager.claim_protocol(
+        self.handle = stack.ip_manager.claim_protocol(
             self.credential, RDP_PROTO, handler, time_limit=500.0)
 
     # -- sending ----------------------------------------------------------
@@ -126,12 +126,12 @@ def run_rdp(use_checksum: bool, messages: int = 10,
         host.defer(acked.fire)
     a._input = spying_input
     # Reinstall with the spy (runtime adaptation at work).
-    a.install.uninstall()
+    a.handle.uninstall()
 
     @ephemeral
     def handler(proto, m, off, src, dst):
         spying_input(m, off, src)
-    a.install = bed.stacks[0].ip_manager.claim_protocol(
+    a.handle = bed.stacks[0].ip_manager.claim_protocol(
         a.credential, RDP_PROTO, handler, time_limit=500.0)
 
     samples = []

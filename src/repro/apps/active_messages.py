@@ -62,7 +62,7 @@ class ActiveMessages:
             if target is not None:
                 target(header.seq, header.arg, header.handler_index)
 
-        self.install = stack.ethernet_manager.claim_ethertype(
+        self.handle = stack.ethernet_manager.claim_ethertype(
             self.credential, ethertype, ephemeral(am_handler),
             mode=stack.deliver_mode,
             time_limit=(self.TIME_LIMIT_US if stack.deliver_mode == "inline"
@@ -96,4 +96,4 @@ class ActiveMessages:
         return self._seq
 
     def remove(self) -> None:
-        self.install.uninstall()
+        self.handle.uninstall()

@@ -63,7 +63,7 @@ class PlexusForwarder:
             state.packets_forwarded += 1
             redirect(m, off - 20, backend)
 
-        self.install = stack.ip_manager.claim_port_redirect(
+        self.handle = stack.ip_manager.claim_port_redirect(
             self.credential, ip_protocol, port, ephemeral(handler),
             mode=stack.deliver_mode,
             time_limit=200.0 if stack.deliver_mode == "inline" else None)
@@ -75,7 +75,7 @@ class PlexusForwarder:
 
     def remove(self) -> None:
         """Tear the redirect node out of the running graph."""
-        self.install.uninstall()
+        self.handle.uninstall()
 
     def flow_count(self) -> int:
         return len(self.flows)

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional
 
-from ..core.manager import Credential
+from ..core.manager import Credential, discard_datagram
 from ..hw.disk import Disk
 from ..hw.framebuffer import Framebuffer
-from ..lang.ephemeral import ephemeral
 from ..unixos.sockets import SocketLayer
 
 __all__ = [
@@ -83,7 +82,7 @@ class SpinVideoServer:
         self._streams: List = []
         # One sending endpoint; the video protocol disables UDP checksums.
         self._endpoint = stack.udp_manager.bind(
-            self.credential, VIDEO_PORT_BASE - 1, _drop_datagram,
+            self.credential, VIDEO_PORT_BASE - 1, discard_datagram,
             checksum=False)
         max_payload = stack.ip.lower.mtu - 28  # IP + UDP headers
         self._segment_sizes = _segments(frame_bytes, max_payload)
@@ -253,8 +252,3 @@ class UnixVideoClient(_ClientCore):
         while True:
             data, _addr = yield from sock.recvfrom()
             yield from self.host.kernel_path(lambda n=len(data): core.consume(n))
-
-
-@ephemeral
-def _drop_datagram(m, off, src_ip, src_port, dst_ip, dst_port):
-    """The server's endpoint never expects datagrams back."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..apps.active_messages import ActiveMessages
-from ..core.manager import Credential
+from ..core.manager import Credential, discard_datagram
 from ..lang.ephemeral import ephemeral
 from ..sim import Signal
 from .latency import measure_plexus_udp_rtt
@@ -103,7 +103,7 @@ def view_vs_copy_ablation(packets: int = 50) -> Dict:
         sender_stack = bed.stacks[0]
         sender_host = bed.hosts[0]
         sender_ep = sender_stack.udp_manager.bind(
-            Credential("sender"), 6101, handler if style == "view" else _noop)
+            Credential("sender"), 6101, handler if style == "view" else discard_datagram)
         payload = bytes(1024)
 
         busy0, t0 = receiver_host.cpu.sample()
@@ -121,11 +121,6 @@ def view_vs_copy_ablation(packets: int = 50) -> Dict:
         "copy_us_per_packet": results["copy"],
         "copy_penalty_us": results["copy"] - results["view"],
     }
-
-
-@ephemeral
-def _noop(m, off, src_ip, src_port, dst_ip, dst_port):
-    pass
 
 
 def active_message_rtt(trips: int = 10) -> Dict:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..core.manager import Credential
-from ..lang.ephemeral import ephemeral
+from ..core.manager import Credential, discard_datagram
 from ..sim import Engine
 from ..spin.kernel import SpinKernel
 from .testbed import build_testbed
@@ -83,11 +82,6 @@ def guard_demux_cost(extension_counts=(1, 4, 16, 64),
     return rows
 
 
-@ephemeral
-def _noop(m, off, src_ip, src_port, dst_ip, dst_port):
-    pass
-
-
 def extension_install_cost(installs: int = 20) -> Dict:
     """Wall-time (simulated CPU) to install + remove a UDP endpoint into a
     running stack -- the runtime-adaptation property quantified."""
@@ -98,7 +92,7 @@ def extension_install_cost(installs: int = 20) -> Dict:
 
     marker = kernel.cpu.begin()
     for i in range(installs):
-        endpoint = stack.udp_manager.bind(credential, 20_000 + i, _noop)
+        endpoint = stack.udp_manager.bind(credential, 20_000 + i, discard_datagram)
         endpoint.close()
     total = kernel.cpu.end(marker)
     assert total > 0, "install/uninstall should charge CPU"

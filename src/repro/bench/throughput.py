@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..core.manager import Credential
+from ..core.manager import Credential, discard_datagram
 from ..hw.alpha import MICROSECONDS_PER_SECOND
 from ..lang.ephemeral import ephemeral
 from .testbed import build_raw_pair, build_testbed
@@ -123,7 +123,7 @@ def measure_udp_throughput(os_name: str, device: str,
         sender_stack = bed.stacks[0]
         sender_host = bed.hosts[0]
         sender_ep = sender_stack.udp_manager.bind(
-            Credential("blast"), _PORT + 1, sink_discard(), checksum=checksum)
+            Credential("blast"), _PORT + 1, discard_datagram, checksum=checksum)
 
         payload = bytes(datagram)
 
@@ -163,15 +163,6 @@ def measure_udp_throughput(os_name: str, device: str,
         engine.run()
     elapsed = (state["last"] or 0) - (state["first"] or 0)
     return _mbps(state["received"], elapsed)
-
-
-@ephemeral
-def _discard(m, off, src_ip, src_port, dst_ip, dst_port):
-    pass
-
-
-def sink_discard():
-    return _discard
 
 
 def section42(total_bytes: int = 600_000) -> List[Dict]:

@@ -22,9 +22,8 @@ from ..apps.video import (
     VIDEO_FPS,
     VIDEO_PORT_BASE,
 )
-from ..core.manager import Credential
+from ..core.manager import Credential, discard_datagram
 from ..hw.alpha import MICROSECONDS_PER_SECOND
-from ..lang.ephemeral import ephemeral
 from .testbed import build_testbed
 
 __all__ = [
@@ -36,11 +35,6 @@ __all__ = [
 
 #: 3 Mb/s per stream on a 45 Mb/s T3.
 SATURATION_STREAMS = 15
-
-
-@ephemeral
-def _sink(m, off, src_ip, src_port, dst_ip, dst_port):
-    pass
 
 
 def measure_video_server(os_name: str, streams: int,
@@ -59,7 +53,8 @@ def measure_video_server(os_name: str, streams: int,
     # The client host sinks everything cheaply; its CPU is not the subject.
     if os_name == "spin":
         bed.stacks[1].udp_manager.bind(
-            Credential("video-sink"), VIDEO_PORT_BASE, _sink, time_limit=500.0)
+            Credential("video-sink"), VIDEO_PORT_BASE, discard_datagram,
+            time_limit=500.0)
         server = SpinVideoServer(bed.stacks[0], frame_bytes=frame_bytes)
     else:
         sink_layer = bed.sockets[1]

@@ -8,7 +8,7 @@ from .filters import (
     transport_redirect_guard,
     udp_dst_port_guard,
 )
-from .graph import GraphEdge, GraphError, GraphNode, ProtocolGraph
+from .graph import GraphError, ProtocolGraph
 from .manager import (
     AccessError,
     Credential,
@@ -27,9 +27,7 @@ __all__ = [
     "AppExtension",
     "Credential",
     "EthernetManager",
-    "GraphEdge",
     "GraphError",
-    "GraphNode",
     "IpManager",
     "KERNEL_CREDENTIAL",
     "PlexusStack",

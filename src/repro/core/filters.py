@@ -118,22 +118,19 @@ def tcp_port_guard(ports: Collection[int]) -> Callable:
                  (((0, 1, _TCP_DST_PORT), "in", port_set),), TCP_HEADER.size)
 
 
-def tcp_standard_guard(special_ports: AbstractSet[int],
-                       diverted_ports: AbstractSet[int]) -> Callable:
+def tcp_standard_guard(diverted_ports: AbstractSet[int]) -> Callable:
     """Match TCP segments for the standard implementation: every port
-    outside the two *live* sets -- the ports special implementations own
-    and the ports IP-level redirects divert -- read at every raise."""
+    outside the *live* set of ports other implementations own or IP-level
+    redirects divert, read at every raise."""
 
     def guard(m: Mbuf, off: int, src_ip: int, dst_ip: int) -> bool:
         if m.length() < off + TCP_HEADER.size:
             return False
-        port = VIEW(m.data, TCP_HEADER, offset=off).dst_port
-        return port not in special_ports and port not in diverted_ports
+        return VIEW(m.data, TCP_HEADER, offset=off).dst_port not in diverted_ports
 
-    port = (0, 1, _TCP_DST_PORT)
     return _data(guard, "tcp_standard",
-                 ((port, "not in", special_ports),
-                  (port, "not in", diverted_ports)), TCP_HEADER.size)
+                 (((0, 1, _TCP_DST_PORT), "not in", diverted_ports),),
+                 TCP_HEADER.size)
 
 
 def transport_redirect_guard(ip_protocol: int, port: int) -> Callable:

@@ -33,9 +33,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional, Set
 
-from ..lang.ephemeral import is_ephemeral, register_safe
+from ..lang.ephemeral import ephemeral, is_ephemeral, register_safe
 from ..net.headers import IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP
 from ..net.tcp import TcpProto
+from ..spin.dispatcher import HandlerHandle
 from ..spin.mbuf import Mbuf
 from . import filters
 
@@ -49,6 +50,7 @@ __all__ = [
     "UdpManager",
     "UdpEndpoint",
     "TcpManager",
+    "discard_datagram",
 ]
 
 
@@ -125,37 +127,13 @@ def _refuse_held(space: PortSpace, number: int, credential: Credential) -> None:
                           % (space.name, number, credential.name))
 
 
-class InstallHandle:
-    """What a manager hands back: uninstalls the edge and releases claims."""
-
-    def __init__(self, edge, on_uninstall: Callable[[], None]):
-        self.edge = edge
-        self._on_uninstall = on_uninstall
-        self.uninstalled = False
-
-    @property
-    def handle(self):
-        return self.edge.handle
-
-    def uninstall(self) -> None:
-        if self.uninstalled:
-            return
-        self.uninstalled = True
-        graph = self.edge.graph
-        graph.remove_edge(self.edge)
-        if self.edge.dst.kind == "extension" and not self.edge.dst.in_edges \
-                and not self.edge.dst.out_edges:
-            graph.nodes.pop(self.edge.dst.name, None)
-        self._on_uninstall()
-
-
 class _ManagerBase:
     """Shared plumbing for the per-protocol managers."""
 
-    def __init__(self, stack, node_name: str):
+    def __init__(self, stack, node: str):
         self.stack = stack
         self.host = stack.host
-        self.node = stack.graph.node(node_name)
+        self.node = node
 
     def _require_ephemeral(self, handler: Callable, mode: str) -> None:
         if mode == "inline" and not is_ephemeral(handler):
@@ -169,29 +147,25 @@ class _ManagerBase:
                       mode: str, time_limit: Optional[float],
                       extension_name: str, space: PortSpace, number: int,
                       credential: Credential,
-                      on_uninstall: Optional[Callable[[], None]] = None) -> InstallHandle:
+                      on_uninstall: Optional[Callable[[], None]] = None) -> HandlerHandle:
         """Claim ``number`` in ``space`` -- exclusively, validated first,
         so a refused install leaves no trace -- and install the edge
-        behind it; uninstalling releases the claim, then ``on_uninstall``."""
-        graph = self.stack.graph
+        behind it to the extension node ``extension_name``; uninstalling
+        the handle, by any path, releases the claim, then runs
+        ``on_uninstall``."""
         self.host.dispatcher.check_delivery(mode, time_limit)
         _refuse_held(space, number, credential)
         space.claim(number, credential)
-        if extension_name in graph.nodes:
-            dst = graph.node(extension_name)
-        else:
-            dst = graph.add_node(extension_name, "extension")
-        # The graph is the single source of truth: handler and edge are
-        # installed (and later torn down) as one unit through it.
-        edge = graph.install(
-            event, handler, self.node, dst, guard=guard, mode=mode,
+        handle = self.stack.graph.install(
+            event, handler, self.node, extension_name, guard=guard, mode=mode,
             time_limit=time_limit, label=extension_name)
 
-        def uninstalled() -> None:
+        def release() -> None:
             space.release(number, credential)
             if on_uninstall is not None:
                 on_uninstall()
-        return InstallHandle(edge, uninstalled)
+        handle.on_uninstall = release
+        return handle
 
     def _charge_send_raise(self) -> None:
         """Cost of raising a manager-granted PacketSend event."""
@@ -215,7 +189,7 @@ class EthernetManager(_ManagerBase):
 
     def claim_ethertype(self, credential: Credential, ethertype: int,
                         handler: Callable, mode: str = "inline",
-                        time_limit: Optional[float] = None) -> InstallHandle:
+                        time_limit: Optional[float] = None) -> HandlerHandle:
         if mode == "inline":
             self._require_ephemeral(handler, mode)
             if time_limit is None:
@@ -223,7 +197,7 @@ class EthernetManager(_ManagerBase):
         return self._install_edge(
             self.stack.link_recv_event, handler,
             filters.ethertype_guard(ethertype), mode, time_limit,
-            "%s:0x%04x:%s" % (self.node.name, ethertype, credential.name),
+            "%s:0x%04x:%s" % (self.node, ethertype, credential.name),
             self.types, ethertype, credential)
 
     def send_capability(self, credential: Credential, ethertype: int) -> Callable:
@@ -259,7 +233,7 @@ class IpManager(_ManagerBase):
 
     def claim_protocol(self, credential: Credential, protocol: int,
                        handler: Callable, mode: str = "inline",
-                       time_limit: Optional[float] = None) -> InstallHandle:
+                       time_limit: Optional[float] = None) -> HandlerHandle:
         """Attach a handler for a whole IP protocol number."""
         if mode == "inline":
             self._require_ephemeral(handler, mode)
@@ -271,7 +245,7 @@ class IpManager(_ManagerBase):
 
     def claim_port_redirect(self, credential: Credential, ip_protocol: int,
                             port: int, handler: Callable, mode: str = "inline",
-                            time_limit: Optional[float] = None) -> InstallHandle:
+                            time_limit: Optional[float] = None) -> HandlerHandle:
         """Install a transport-port redirect node at the IP level.
 
         This is the paper's forwarding protocol (sec. 5.2): the node sees
@@ -290,7 +264,7 @@ class IpManager(_ManagerBase):
             raise AccessError("port redirect supports TCP or UDP only")
         if mode == "inline":
             self._require_ephemeral(handler, mode)
-        install = self._install_edge(
+        handle = self._install_edge(
             self.stack.ip_recv_event, handler,
             filters.transport_redirect_guard(ip_protocol, port), mode,
             time_limit,
@@ -299,7 +273,7 @@ class IpManager(_ManagerBase):
             on_uninstall=lambda: suppressed.discard(port))
         # The TCP-standard guard and the UDP upcall read this set live.
         suppressed.add(port)
-        return install
+        return handle
 
     def link_redirect_capability(self, credential: Credential) -> Callable:
         """A capability that re-emits a received IP packet, unmodified, to
@@ -362,11 +336,11 @@ class UdpEndpoint:
     """An application's bound UDP port: receive handler + send capability."""
 
     def __init__(self, manager: "UdpManager", credential: Credential, port: int,
-                 install: InstallHandle, checksum: bool, spoof_policy: str):
+                 handle: HandlerHandle, checksum: bool, spoof_policy: str):
         self.manager = manager
         self.credential = credential
         self.port = port
-        self.install = install
+        self.handle = handle
         self.checksum = checksum
         self.spoof_policy = spoof_policy
         self.closed = False
@@ -397,7 +371,8 @@ class UdpEndpoint:
     def close(self) -> None:
         if not self.closed:
             self.closed = True
-            self.install.uninstall()
+            if self.handle.installed:
+                self.handle.uninstall()
 
     def uninstall(self) -> None:
         """Alias so the dynamic linker can tear endpoints down at unlink."""
@@ -407,6 +382,12 @@ class UdpEndpoint:
 # Sending through an owned endpoint is a trusted, non-blocking kernel
 # service: ephemeral handlers may call it (the echo servers of sec. 4 do).
 register_safe(UdpEndpoint.send)
+
+
+@ephemeral
+def discard_datagram(m, off, src_ip, src_port, dst_ip, dst_port):
+    """A UDP receive handler that drops what arrives: for endpoints that
+    only send, and for sinks whose arrivals are not the subject."""
 
 
 class UdpManager(_ManagerBase):
@@ -438,12 +419,12 @@ class UdpManager(_ManagerBase):
             self._require_ephemeral(handler, mode)
             if time_limit is None:
                 time_limit = self.DEFAULT_TIME_LIMIT_US
-        install = self._install_edge(
+        handle = self._install_edge(
             self.stack.udp_recv_event, handler,
             filters.udp_dst_port_guard(port), mode, time_limit,
             "udp:%d:%s" % (port, credential.name),
             self.ports, port, credential)
-        return UdpEndpoint(self, credential, port, install, checksum, spoof_policy)
+        return UdpEndpoint(self, credential, port, handle, checksum, spoof_policy)
 
 
 class TcpManager(_ManagerBase):
@@ -453,9 +434,9 @@ class TcpManager(_ManagerBase):
     def __init__(self, stack):
         super().__init__(stack, "tcp")
         self.ports = PortSpace("tcp-port", reserved=range(1, 64))
-        #: ports claimed by special implementations or IP-level redirects;
-        #: the standard implementation's guard excludes these live.
-        self.special_ports: Set[int] = set()
+        #: ports owned by other implementations or diverted by IP-level
+        #: redirects; the standard implementation's guard excludes these
+        #: live.
         self.diverted_ports: Set[int] = set()
         self.implementations: Dict[str, TcpProto] = {}
 
@@ -465,7 +446,7 @@ class TcpManager(_ManagerBase):
 
     def listen(self, credential: Credential, port: int,
                on_accept: Callable) -> "TcpListenerHandle":
-        if port in self.diverted_ports or port in self.special_ports:
+        if port in self.diverted_ports:
             raise AccessError("tcp port %d is claimed elsewhere" % port)
         if port in self.standard.listeners:
             raise AccessError("tcp port %d already has a listener" % port)
@@ -488,9 +469,11 @@ class TcpManager(_ManagerBase):
         guard stops seeing them the moment this returns (its exclusion set
         is shared and live).
         """
+        if name in self.implementations:
+            raise AccessError("tcp implementation %r already installed" % name)
         port_list = sorted(set(ports))
         for port in port_list:
-            if port in self.special_ports or port in self.diverted_ports:
+            if port in self.diverted_ports:
                 raise AccessError("tcp port %d already claimed" % port)
             _refuse_held(self.ports, port, credential)
             self.ports.check(port, credential)
@@ -502,13 +485,12 @@ class TcpManager(_ManagerBase):
         def special_input(m, off, src_ip, dst_ip):
             special.input(m, off, src_ip, dst_ip)
 
-        node = self.stack.graph.add_node("tcp:%s" % name, "extension")
         self.stack.graph.install(
-            self.stack.tcp_recv_event, special_input, self.node, node,
-            guard=filters.tcp_port_guard(port_list),
+            self.stack.tcp_recv_event, special_input, self.node,
+            "tcp:%s" % name, guard=filters.tcp_port_guard(port_list),
             mode=self.stack.deliver_mode, label="tcp-%s" % name)
         # The standard guard reads this set live.
-        self.special_ports.update(port_list)
+        self.diverted_ports.update(port_list)
         return special
 
 

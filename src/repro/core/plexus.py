@@ -85,7 +85,7 @@ class PlexusStack:
 
         # ---- graph nodes ----------------------------------------------------
         self.graph.add_node(nic.name, "device")
-        link_node = self.graph.add_node(self.link_node_name, "protocol")
+        self.graph.add_node(self.link_node_name, "protocol")
         self.graph.add_node("ip", "protocol")
         self.graph.add_node("udp", "protocol")
         self.graph.add_node("tcp", "protocol")
@@ -112,7 +112,7 @@ class PlexusStack:
         self.tcp_manager = TcpManager(self)
 
         # ---- wire the kernel's own edges ---------------------------------------------
-        self._wire_graph(dispatcher, link_node, bottom, header_len)
+        self._wire_graph(dispatcher, bottom, header_len)
         kernel.register_device_input(nic, bottom.input)
 
         # ---- application-visible protection domains -------------------------------------
@@ -128,8 +128,9 @@ class PlexusStack:
     # Graph wiring
     # ------------------------------------------------------------------
 
-    def _wire_graph(self, dispatcher, link_node, bottom, header_len: int) -> None:
+    def _wire_graph(self, dispatcher, bottom, header_len: int) -> None:
         graph = self.graph
+        link_node = self.link_node_name
         mode = self.deliver_mode
         link_event = self.link_recv_event
         raise_event = dispatcher.raise_event
@@ -146,7 +147,7 @@ class PlexusStack:
             def eth_ip_handler(nic, m):
                 self.ip.input(m, header_len)
             graph.install(
-                link_event, eth_ip_handler, link_node, graph.node("ip"),
+                link_event, eth_ip_handler, link_node, "ip",
                 guard=filters.ethertype_guard(ETHERTYPE_IP),
                 mode=mode, label="ip-input")
 
@@ -155,7 +156,7 @@ class PlexusStack:
             def eth_arp_handler(nic, m):
                 self.arp.input(m, header_len)
             graph.install(
-                link_event, eth_arp_handler, link_node, graph.node("arp"),
+                link_event, eth_arp_handler, link_node, "arp",
                 guard=filters.ethertype_guard(ETHERTYPE_ARP),
                 mode="inline", label="arp-input")
         else:
@@ -163,7 +164,7 @@ class PlexusStack:
             def raw_ip_handler(nic, m):
                 self.ip.input(m, header_len)
             graph.install(
-                link_event, raw_ip_handler, link_node, graph.node("ip"),
+                link_event, raw_ip_handler, link_node, "ip",
                 guard=None, mode=mode, label="ip-input")
 
         # IP -> {UDP, TCP, ICMP} (guards on the protocol field).
@@ -176,7 +177,7 @@ class PlexusStack:
         def ip_udp_handler(protocol, m, off, src, dst):
             self.udp.input(m, off, src, dst)
         graph.install(
-            ip_event, ip_udp_handler, graph.node("ip"), graph.node("udp"),
+            ip_event, ip_udp_handler, "ip", "udp",
             guard=filters.ip_protocol_guard(IPPROTO_UDP), mode=mode,
             label="udp-input")
 
@@ -185,29 +186,26 @@ class PlexusStack:
         def ip_tcp_handler(protocol, m, off, src, dst):
             raise_event(tcp_event, m, off, src, dst)
         graph.install(
-            ip_event, ip_tcp_handler, graph.node("ip"), graph.node("tcp"),
+            ip_event, ip_tcp_handler, "ip", "tcp",
             guard=filters.ip_protocol_guard(IPPROTO_TCP), mode=mode,
             label="tcp-input")
 
         def ip_icmp_handler(protocol, m, off, src, dst):
             self.icmp.input(m, off, src, dst)
         graph.install(
-            ip_event, ip_icmp_handler, graph.node("ip"), graph.node("icmp"),
+            ip_event, ip_icmp_handler, "ip", "icmp",
             guard=filters.ip_protocol_guard(IPPROTO_ICMP), mode=mode,
             label="icmp-input")
 
         # TCP node -> standard implementation, excluding ports claimed by
-        # special implementations or IP-level redirects (live sets, read
+        # other implementations or IP-level redirects (a live set, read
         # at every raise).
-        tcp_manager = self.tcp_manager
-
         def tcp_standard_handler(m, off, src_ip, dst_ip):
             self.tcp.input(m, off, src_ip, dst_ip)
-        standard_node = graph.add_node("tcp:standard", "protocol")
         graph.install(
-            tcp_event, tcp_standard_handler, graph.node("tcp"), standard_node,
-            guard=filters.tcp_standard_guard(tcp_manager.special_ports,
-                                             tcp_manager.diverted_ports),
+            tcp_event, tcp_standard_handler, "tcp",
+            graph.add_node("tcp:standard", "protocol"),
+            guard=filters.tcp_standard_guard(self.tcp_manager.diverted_ports),
             mode=mode, label="tcp-standard")
 
         # UDP -> endpoints: raised by the UDP protocol after verification;

@@ -54,8 +54,9 @@ class HandlerHandle:
     """
 
     __slots__ = ("event", "handler", "guard", "mode", "time_limit", "label",
-                 "atom", "operands", "installed", "graph_edge", "invocations",
-                 "guard_rejections", "terminations", "failures", "last_error")
+                 "atom", "operands", "installed", "node", "on_uninstall",
+                 "invocations", "guard_rejections", "terminations", "failures",
+                 "last_error")
 
     def __init__(self, event: "EventDecl", handler: Callable, guard: Optional[Callable],
                  mode: str, time_limit: Optional[float], label: str):
@@ -69,10 +70,12 @@ class HandlerHandle:
         #: ``repro.spin.codegen``: computed once, not per compile.
         self.atom, self.operands = handle_atom(mode, guard, time_limit)
         self.installed = True
-        #: the ProtocolGraph edge carrying this handle, when one exists;
-        #: set by the graph so uninstalling from either side keeps the
-        #: graph and the dispatcher in lockstep.
-        self.graph_edge = None
+        #: the protocol-graph node this handle delivers to, set by
+        #: ``ProtocolGraph.install``: the graph's edges are the live
+        #: handles that carry one.
+        self.node: Optional[str] = None
+        #: run by :meth:`uninstall`: a protocol manager's claim release.
+        self.on_uninstall: Optional[Callable[[], None]] = None
         # statistics
         self.invocations = 0
         self.guard_rejections = 0
@@ -87,11 +90,8 @@ class HandlerHandle:
         self.installed = False
         host = self.event.dispatcher.host
         host.cpu.try_charge(host.costs.handler_uninstall, "dispatch")
-        edge = self.graph_edge
-        if edge is not None and not edge.removed:
-            # Keep the graph authoritative: dropping the handler drops its
-            # edge immediately, however the uninstall was reached.
-            edge.graph._unlink_edge(edge)
+        if self.on_uninstall is not None:
+            self.on_uninstall()
 
     def __repr__(self) -> str:
         return "<HandlerHandle %s on %s mode=%s%s>" % (

@@ -325,6 +325,8 @@ class TcpSocket(_SocketBase):
         """Send all of ``data``, blocking for buffer space as needed."""
         if self.tcb is None:
             raise SocketError("send on an unconnected socket")
+        if self.closed:
+            raise SocketError("send on a closed socket")   # BSD's EPIPE
         offset = 0
         while offset < len(data):
             chunk = data[offset:]

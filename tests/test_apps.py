@@ -72,7 +72,7 @@ class TestActiveMessages:
         bed = build_testbed("spin", "ethernet", deliver_mode=deliver_mode)
         am_a = ActiveMessages(bed.stacks[0], name="am-a")
         am_b = ActiveMessages(bed.stacks[1], name="am-b")
-        assert am_b.install.handle.time_limit == limit
+        assert am_b.handle.time_limit == limit
         seen = []
         am_b.register(3, ephemeral(lambda seq, arg, index: seen.append(arg)))
         bed.engine.run_process(bed.hosts[0].kernel_path(
@@ -199,8 +199,8 @@ class TestForwarder:
         bed = build_testbed("spin", "ethernet", n_hosts=3,
                             deliver_mode=deliver_mode)
         forwarder = PlexusForwarder(bed.stacks[1], 8080, backends=[bed.ip(2)])
-        assert forwarder.install.handle.time_limit == limit
-        assert forwarder.install.handle.mode == bed.stacks[1].deliver_mode
+        assert forwarder.handle.time_limit == limit
+        assert forwarder.handle.mode == bed.stacks[1].deliver_mode
 
 
 class TestHttp:

@@ -355,7 +355,7 @@ class TestShapeCache:
             ("inline", filters.ethertype_guard(0x0800), None),
             ("inline", filters.ip_protocol_guard(17), 5.0),
             ("thread", filters.udp_dst_port_guard(7), None),
-            ("inline", filters.tcp_standard_guard(set(), set()), None),
+            ("inline", filters.tcp_standard_guard(set()), None),
             ("inline", filters.transport_redirect_guard(6, 80), None))),
     ], ids=["empty", "opaque-guards", "data-guards"])
     def test_source_counts_only_what_the_scan_counts(self, atoms):

@@ -1,8 +1,8 @@
 """Compiled delivery paths: generated scans, graph truth, bench knobs.
 
-* the ``ProtocolGraph`` stays authoritative -- a direct
-  ``HandlerHandle.uninstall()`` drops the edge from ``render()`` and the
-  node in/out edge lists immediately;
+* the ``ProtocolGraph`` is a view of dispatch: after every removal path
+  its edges and ``render()`` are exactly the dispatcher's node-tagged
+  live handles;
 * the reference scan (the ``scan`` twin, ``twins.py``) gives simulated
   time bit-identical to the generated scans;
 * the compile count appears in every run record's metrics snapshot;
@@ -11,13 +11,14 @@
 
 import pytest
 
+from repro.apps import ActiveMessages, PlexusForwarder
 from repro.bench.testbed import build_testbed
 from repro.bench.workloads import WORKLOADS, run_once
-from repro.core import Credential, ProtocolGraph
+from repro.core import AppExtension, Credential, ProtocolGraph
 from repro.lang import ephemeral
 from repro.net.trace import PacketTracer, _decode_tcp_options
 from repro.sim import Engine
-from repro.spin import SpinKernel
+from repro.spin import DispatchError, SpinKernel
 from twins import reference_scan, scan
 
 
@@ -26,45 +27,91 @@ def _sink(m, off, src_ip, src_port, dst_ip, dst_port):
     pass
 
 
+@ephemeral
+def _ip_sink(proto, m, off, src, dst):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # graph bookkeeping stays truthful
 # ---------------------------------------------------------------------------
 
+def _view_matches_dispatch(stack):
+    """``edge_count()`` and ``render()`` are exactly the dispatcher's live
+    node-tagged handles: their edges, and their undeclared target nodes
+    as extension nodes."""
+    graph = stack.graph
+    handles = [handle for event in stack.host.dispatcher.events.values()
+               for handle in event.handlers if handle.node is not None]
+    lines = graph.render().splitlines()
+    assert graph.edge_count() == len(handles)
+    assert sorted(line.strip() for line in lines if "-->" in line) == sorted(
+        "--(%s?)--> %s" % (getattr(handle.guard, "__name__", "always"),
+                           handle.node) for handle in handles)
+    assert sorted(line.split()[-1] for line in lines
+                  if "[extension]" in line) == sorted(
+        {handle.node for handle in handles} - set(graph.declared))
+
+
+def _bind_then_close(bed, stack):
+    return stack.udp_manager.bind(Credential("a"), 7000, _sink).close
+
+
+def _bind_then_uninstall(bed, stack):
+    return stack.udp_manager.bind(Credential("a"), 7000, _sink).handle.uninstall
+
+
+def _forwarder(bed, stack):
+    return PlexusForwarder(stack, 8080, backends=[bed.ip(0)]).remove
+
+
+def _active_messages(bed, stack):
+    return ActiveMessages(stack).remove
+
+
+def _linked_extension(bed, stack):
+    app = AppExtension(
+        "Proto99", imports=["IP.ClaimProtocol"],
+        init=lambda env, cred: [env["IP.ClaimProtocol"](cred, 99, _ip_sink)])
+    app.install(stack, stack.net_domain)
+    return lambda: app.uninstall(stack)
+
+
 class TestGraphStaysAuthoritative:
     def test_direct_uninstall_drops_edge(self, kernel):
         graph = ProtocolGraph(kernel)
-        eth = graph.add_node("ethernet", "protocol")
-        ip = graph.add_node("ip", "protocol")
+        graph.add_node("ethernet", "protocol")
+        graph.add_node("ip", "protocol")
         event = kernel.dispatcher.declare("Ethernet.PacketRecv")
-        edge = graph.install(event, lambda *a: None, eth, ip, label="ip-in")
-        handle = edge.handle
+        handle = graph.install(event, lambda *a: None, "ethernet", "ip",
+                               label="ip-in")
         assert graph.edge_count() == 1
         assert "--> ip" in graph.render()
 
-        # Uninstalling through the *handle* (not graph.remove_edge) must
-        # still unlink the edge: the graph may not drift from dispatch.
+        # The edge is the handle: uninstalling it leaves nothing behind.
         handle.uninstall()
         assert graph.edge_count() == 0
         assert "--> ip" not in graph.render()
-        assert all(e.handle is not handle for e in eth.out_edges)
-        assert all(e.handle is not handle for e in ip.in_edges)
-
-    def test_uninstall_is_idempotent_with_remove_edge(self, kernel):
-        graph = ProtocolGraph(kernel)
-        a = graph.add_node("a", "protocol")
-        b = graph.add_node("b", "extension")
-        event = kernel.dispatcher.declare("A.Evt")
-        edge = graph.install(event, lambda *a: None, a, b)
-        handle = edge.handle
-        graph.remove_edge(edge)
-        assert not handle.installed
-        assert graph.edge_count() == 0
-        # remove_edge a second time is a no-op (edge already unlinked)...
-        graph.remove_edge(edge)
-        assert graph.edge_count() == 0
-        # ...while a direct double-uninstall stays a dispatcher error.
-        with pytest.raises(Exception):
+        # A second uninstall stays a dispatcher error.
+        with pytest.raises(DispatchError):
             handle.uninstall()
+
+    @pytest.mark.parametrize("install", [
+        _bind_then_close, _bind_then_uninstall, _forwarder, _active_messages,
+        _linked_extension])
+    def test_every_removal_path(self, install):
+        """Each way an edge leaves -- an endpoint's close, a direct handle
+        uninstall, an app's remove, the linker's unlink -- leaves the
+        graph equal to what the dispatcher runs, and as it was before."""
+        bed = build_testbed("spin", "ethernet")
+        stack = bed.stacks[1]
+        before = stack.graph.render()
+        remove = install(bed, stack)
+        _view_matches_dispatch(stack)
+        assert stack.graph.render() != before
+        remove()
+        _view_matches_dispatch(stack)
+        assert stack.graph.render() == before
 
     def test_install_bumps_generation(self, kernel):
         """Install and uninstall each replace the event's snapshot tuple

@@ -27,19 +27,16 @@ def graph(kernel):
     return ProtocolGraph(kernel)
 
 
-def handle_stub(kernel, label="h"):
-    event = kernel.dispatcher.declare("Stub.%s" % label)
-    return kernel.dispatcher.install(event, lambda *a: None, label=label)
-
-
 class TestGraphStructure:
     def test_add_nodes_and_edges(self, kernel, graph):
-        device = graph.add_node("ln0", "device")
-        eth = graph.add_node("ethernet", "protocol")
-        edge = graph.add_edge(device, eth, handle_stub(kernel))
-        assert graph.edge_count() == 1
-        assert edge in device.out_edges
-        assert edge in eth.in_edges
+        graph.add_node("ln0", "device")
+        graph.add_node("ethernet", "protocol")
+        event = kernel.dispatcher.declare("Ethernet.PacketRecv")
+        handle = graph.install(event, lambda *a: None, "ethernet", "am")
+        assert handle.node == "am"
+        assert graph.edges() == [("ethernet", handle)]
+        assert graph.nodes == {"ln0": "device", "ethernet": "protocol",
+                               "am": "extension"}
 
     def test_duplicate_node_rejected(self, graph):
         graph.add_node("x", "protocol")
@@ -50,30 +47,57 @@ class TestGraphStructure:
         with pytest.raises(GraphError):
             graph.add_node("x", "mystery")
 
-    def test_missing_node_lookup(self, graph):
+    def test_missing_node_lookup(self, kernel, graph):
+        event = kernel.dispatcher.declare("Ghost.PacketRecv")
         with pytest.raises(GraphError, match="no node"):
-            graph.node("ghost")
+            graph.install(event, lambda *a: None, "ghost", "x")
+        assert event.handlers == []
 
-    def test_remove_edge_uninstalls_handler(self, kernel, graph):
-        a = graph.add_node("a", "protocol")
-        b = graph.add_node("b", "extension")
-        handle = handle_stub(kernel)
-        edge = graph.add_edge(a, b, handle)
-        graph.remove_edge(edge)
-        assert not handle.installed
+    def test_event_has_one_source(self, kernel, graph):
+        graph.add_node("a", "protocol")
+        graph.add_node("b", "protocol")
+        event = kernel.dispatcher.declare("A.Evt")
+        graph.install(event, lambda *a: None, "a", "x")
+        with pytest.raises(GraphError, match="raised by 'a'"):
+            graph.install(event, lambda *a: None, "b", "y")
+
+    def test_uninstall_drops_edge_and_extension_node(self, kernel, graph):
+        graph.add_node("a", "protocol")
+        event = kernel.dispatcher.declare("A.Evt")
+        handle = graph.install(event, lambda *a: None, "a", "b")
+        handle.uninstall()
         assert graph.edge_count() == 0
-        assert graph.removals == 1
+        assert graph.nodes == {"a": "protocol"}
+
+    def test_handlers_installed_around_the_graph_are_not_edges(self, kernel,
+                                                               graph):
+        graph.add_node("a", "protocol")
+        event = kernel.dispatcher.declare("A.Evt")
+        graph.install(event, lambda *a: None, "a", "b")
+        kernel.dispatcher.install(event, lambda *a: None)
+        assert graph.edge_count() == 1
 
     def test_render_mentions_guards(self, kernel, graph):
-        a = graph.add_node("eth", "protocol")
-        b = graph.add_node("ip", "protocol")
-        event = kernel.dispatcher.declare("E")
-        handle = kernel.dispatcher.install(
-            event, lambda *a: None, guard=ethertype_guard(0x0800))
-        graph.add_edge(a, b, handle)
-        text = graph.render()
-        assert "ethertype_0x0800" in text
-        assert "eth" in text and "ip" in text
+        """Declared nodes in declaration order, each node's edges in
+        handler order, then extension nodes in first-edge order."""
+        graph.add_node("eth", "protocol")
+        graph.add_node("ip", "protocol")
+        ip_event = kernel.dispatcher.declare("IP")
+        eth_event = kernel.dispatcher.declare("E")
+        graph.install(ip_event, lambda *a: None, "ip", "udp:7")
+        graph.install(eth_event, lambda *a: None, "eth", "am")
+        graph.install(eth_event, lambda *a: None, "eth", "ip",
+                      guard=ethertype_guard(0x0800))
+        assert graph.render().splitlines() == [
+            "protocol graph of %s:" % kernel.name,
+            "  [protocol] eth",
+            "    --(always?)--> am",
+            "    --(ethertype_0x0800?)--> ip",
+            "  [protocol] ip",
+            "    --(always?)--> udp:7",
+            "  [extension] am",
+            "  [extension] udp:7",
+        ]
 
 
 def eth_frame(ethertype: int) -> Mbuf:

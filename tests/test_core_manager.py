@@ -180,7 +180,7 @@ class TestEthernetManagerPolicy:
         def handler(nic, m):
             pass
         install = manager.claim_ethertype(Credential("am"), 0x88B5, handler)
-        assert install.handle.installed
+        assert install.installed
         install.uninstall()
         # Released: another principal may claim it now.
         manager.claim_ethertype(Credential("other"), 0x88B5, handler)
@@ -298,6 +298,16 @@ class TestTcpManagerPolicy:
         special = manager.install_implementation(
             Credential("special"), "tcp-special", ports=[9100, 9101])
         assert special is not manager.standard
-        assert manager.special_ports == {9100, 9101}
+        assert manager.diverted_ports == {9100, 9101}
         with pytest.raises(AccessError):
             manager.listen(Credential("x"), 9100, lambda tcb: None)
+
+    def test_implementation_name_taken_claims_nothing(self, spin_pair):
+        """A second implementation under a taken name is refused before
+        any port is claimed."""
+        manager = spin_pair.stacks[0].tcp_manager
+        manager.install_implementation(Credential("a"), "special", [9100])
+        with pytest.raises(AccessError, match="already installed"):
+            manager.install_implementation(Credential("b"), "special", [9200])
+        assert manager.ports.owner(9200) is None
+        assert manager.diverted_ports == {9100}

@@ -167,8 +167,7 @@ _ops = st.builds(lambda prelude, ops: list(prelude) + ops, _prelude, st.lists(st
     # Packets are drawn more often than the rest: each one tests every
     # data guard on its event.
     *[st.tuples(st.just("packet"), _packet_args())] * 3,
-    st.tuples(st.just("live"),
-              st.tuples(st.integers(0, 1), st.sampled_from(PORTS))),
+    st.tuples(st.just("live"), st.sampled_from(PORTS)),
 ), min_size=1, max_size=40))
 
 
@@ -196,8 +195,8 @@ class _Side:
         self.event = self.dispatcher.declare("Prop.Packet")
         self.packet_events = {name: self.dispatcher.declare("Prop." + name)
                               for name in PACKET_EVENTS}
-        #: the live sets a TCP-standard guard excludes (special, diverted).
-        self.live = (set(), set())
+        #: the live set a TCP-standard guard excludes.
+        self.live = set()
         self.handles = []
         self.log = []
         #: what each raise outside a kernel path returned or raised.
@@ -223,7 +222,7 @@ class _Side:
         elif op == "install_data":
             event, guard, kind, delivery = arg
             if guard == "tcp_standard":
-                guard = filters.tcp_standard_guard(*self.live)
+                guard = filters.tcp_standard_guard(self.live)
             self._run(lambda: self._install(
                 None, kind, delivery, self.packet_events[event], guard))
         elif op == "uninstall":
@@ -241,12 +240,10 @@ class _Side:
                 self.packet_events[event], *args))
         elif op == "live":
             # No install: the scan compiled before must see the change.
-            which, port = arg
-            live = self.live[which]
-            if port in live:
-                live.discard(port)
+            if arg in self.live:
+                self.live.discard(arg)
             else:
-                live.add(port)
+                self.live.add(arg)
         else:
             self._send(arg)
 
@@ -396,7 +393,7 @@ class TestFlowCacheEquivalence:
     # A TCP exclusion set changes between two raises, with no install.
     @example([("install_data", ("tcp", "tcp_standard", "plain", "inline")),
               ("packet", ("tcp", (_frame(), 20, 1, 2))),
-              ("live", (1, 80)),
+              ("live", 80),
               ("packet", ("tcp", (_frame(), 20, 1, 2)))])
     def test_ladder_rungs_are_equivalent(self, ops):
         compiled, linear = (_Side(mode) for mode in MODES)

@@ -6,8 +6,8 @@ endpoint, the manager claims it in a :class:`PortSpace` and builds the
 guard from it.  Two properties keep that policy honest:
 
 * a claim the manager or the dispatcher refuses leaves every port
-  space, both diverted-port sets, the TCP special-port set, every
-  event's handler list and the graph's nodes as they were -- so a
+  space, both diverted-port sets, every event's handler list and the
+  graph's nodes as they were -- so a
   rejected install cannot lock another application out of an endpoint;
 * every guard a manager builds carries its tests as data
   (``repro.core.filters``), so each event's application edges can be
@@ -67,8 +67,7 @@ def _state(stack):
     events = (stack.link_recv_event, stack.ip_recv_event,
               stack.udp_recv_event, stack.tcp_recv_event)
     return ([dict(space._owners) for space in spaces],
-            set(tcp.special_ports), set(tcp.diverted_ports),
-            set(udp.diverted_ports),
+            set(tcp.diverted_ports), set(udp.diverted_ports),
             [list(event.handlers) for event in events],
             sorted(stack.graph.nodes))
 
@@ -150,6 +149,19 @@ class TestRefusedClaimLeaksNothing:
         redirect.uninstall()
         stack.udp_manager.bind(b, 7000, _ephemeral)
         assert stack.tcp_manager.diverted_ports == set()
+
+    def test_direct_handle_uninstall_frees_the_port(self, spin_pair):
+        """Uninstalling an endpoint's handle itself, not through close(),
+        releases its claim: the same credential and another may bind."""
+        stack = spin_pair.stacks[1]
+        a, b = Credential("a"), Credential("b")
+        before = _state(stack)
+        first = stack.udp_manager.bind(a, 7000, _ephemeral)
+        first.handle.uninstall()
+        assert _state(stack) == before
+        first.close()   # still a no-op-safe close
+        stack.udp_manager.bind(a, 7000, _ephemeral).handle.uninstall()
+        stack.udp_manager.bind(b, 7000, _ephemeral)
 
 
 # ---------------------------------------------------------------------------

@@ -123,8 +123,8 @@ class TestContainmentUnderTraffic:
         engine.run_process(send_both())
         engine.run()
         assert healthy == [1]
-        assert broken_ep.install.handle.failures == 1
-        assert isinstance(broken_ep.install.handle.last_error, RuntimeError)
+        assert broken_ep.handle.failures == 1
+        assert isinstance(broken_ep.handle.last_error, RuntimeError)
 
     def test_time_limited_handler_terminated_in_real_traffic(self, spin_pair):
         """An over-budget ephemeral handler is cut off at its allotment
@@ -146,7 +146,7 @@ class TestContainmentUnderTraffic:
                 lambda: sender.send(bytes(8), bed.ip(1), 7100))
         engine.run_process(send())
         engine.run()
-        assert endpoint.install.handle.terminations == 1
+        assert endpoint.handle.terminations == 1
         # The receiver paid the 50 us allotment, not the 100 ms runaway.
         assert receiver.cpu.busy_time - busy_before < 1_000.0
 

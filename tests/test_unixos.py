@@ -309,6 +309,20 @@ class TestTcpSockets:
         assert raised == [("SocketError", "connection reset")]
         assert not alive
 
+    def test_a_send_after_close_is_a_socket_error(self, unix_pair):
+        """BSD's EPIPE.  It was the TCB's ``RuntimeError("send() in state
+        FIN_WAIT_1")``."""
+        bed = unix_pair
+        self._echo_server(bed)
+
+        def client():
+            sock = bed.sockets[0].tcp_socket()
+            yield from sock.connect((bed.ip(1), 8000))
+            yield from sock.close()
+            with pytest.raises(SocketError, match="closed"):
+                yield from sock.send(b"late")
+        bed.engine.run_process(client())
+
     def test_accept_without_listen_rejected(self, unix_pair):
         sock = unix_pair.sockets[0].tcp_socket()
         with pytest.raises(SocketError):
