@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, Optional, Set
 
+from ..hw.cpu import OUTSIDE_PATH, ChargeError
 from ..lang.ephemeral import ephemeral, is_ephemeral, register_safe
 from ..net.headers import IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP
 from ..net.tcp import TcpProto
@@ -167,10 +168,6 @@ class _ManagerBase:
         handle.on_uninstall = release
         return handle
 
-    def _charge_send_raise(self) -> None:
-        """Cost of raising a manager-granted PacketSend event."""
-        self.host.cpu.charge(self.host.costs.dispatch_per_handler, "dispatch")
-
 
 class EthernetManager(_ManagerBase):
     """Manager for the link-level node: ethertype claims.
@@ -216,7 +213,7 @@ class EthernetManager(_ManagerBase):
             raise AccessError("this stack's link layer does not frame ethertypes")
 
         def send(payload: bytes, dst_mac: bytes) -> None:
-            self._charge_send_raise()
+            self.host.cpu.charge(self.host.costs.dispatch_per_handler, "dispatch")
             m = self.host.mbufs.from_bytes(payload, leading_space=16)
             ethernet.output(m, dst_mac, ethertype)
 
@@ -293,7 +290,7 @@ class IpManager(_ManagerBase):
         host = self.host
 
         def redirect(m: Mbuf, ip_header_off: int, next_hop: int) -> None:
-            self._charge_send_raise()
+            host.cpu.charge(host.costs.dispatch_per_handler, "dispatch")
             packet = host.mbufs.from_bytes(
                 m.to_bytes()[ip_header_off:], leading_space=16)
             host.cpu.charge(packet.length() * host.costs.copy_per_byte, "copy")
@@ -324,7 +321,7 @@ class IpManager(_ManagerBase):
 
         def send(m: Mbuf, dst: int, protocol: int,
                  src: Optional[int] = None) -> None:
-            self._charge_send_raise()
+            self.host.cpu.charge(self.host.costs.dispatch_per_handler, "dispatch")
             if not preserve_source:
                 src = ip.my_ip  # overwrite: the fast anti-spoofing option
             ip.output(m, dst, protocol, src=src)
@@ -362,7 +359,14 @@ class UdpEndpoint:
                 "endpoint owns port %d but tried to send from port %d"
                 % (self.port, claimed_src_port))
         host = self.manager.host
-        self.manager._charge_send_raise()
+        # The PacketSend raise; cpu.charge inlined (exact body and order).
+        cpu = host.cpu
+        stack = cpu._stack
+        if not stack:
+            raise ChargeError(OUTSIDE_PATH)
+        amount = host.costs.dispatch_per_handler
+        stack[-1] += amount
+        cpu.category_times["dispatch"] += amount
         m = host.mbufs.from_bytes(payload, leading_space=64)
         self.manager.stack.udp.output(
             m, src_port=self.port, dst_ip=dst_ip, dst_port=dst_port,
@@ -438,7 +442,8 @@ class TcpManager(_ManagerBase):
         #: redirects; the standard implementation's guard excludes these
         #: live.
         self.diverted_ports: Set[int] = set()
-        self.implementations: Dict[str, TcpProto] = {}
+        #: each installed implementation's edge (its HandlerHandle), by name
+        self.implementations: Dict[str, HandlerHandle] = {}
 
     @property
     def standard(self) -> TcpProto:
@@ -467,7 +472,8 @@ class TcpManager(_ManagerBase):
         Returns a fresh :class:`TcpProto` whose segments arrive through a
         guard matching exactly those ports; the standard implementation's
         guard stops seeing them the moment this returns (its exclusion set
-        is shared and live).
+        is shared and live).  Uninstalling its edge, ``implementations[name]``,
+        releases the ports, their diversion and the name.
         """
         if name in self.implementations:
             raise AccessError("tcp implementation %r already installed" % name)
@@ -480,17 +486,20 @@ class TcpManager(_ManagerBase):
         for port in port_list:
             self.ports.claim(port, credential)
         special = TcpProto(self.host, self.stack.ip, name=name)
-        self.implementations[name] = special
-
-        def special_input(m, off, src_ip, dst_ip):
-            special.input(m, off, src_ip, dst_ip)
-
-        self.stack.graph.install(
-            self.stack.tcp_recv_event, special_input, self.node,
+        handle = self.stack.graph.install(
+            self.stack.tcp_recv_event, special.input, self.node,
             "tcp:%s" % name, guard=filters.tcp_port_guard(port_list),
             mode=self.stack.deliver_mode, label="tcp-%s" % name)
+        self.implementations[name] = handle
         # The standard guard reads this set live.
         self.diverted_ports.update(port_list)
+
+        def release() -> None:
+            for port in port_list:
+                self.ports.release(port, credential)
+            self.diverted_ports.difference_update(port_list)
+            del self.implementations[name]
+        handle.on_uninstall = release
         return special
 
 

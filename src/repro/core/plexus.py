@@ -133,13 +133,14 @@ class PlexusStack:
         link_node = self.link_node_name
         mode = self.deliver_mode
         link_event = self.link_recv_event
-        raise_event = dispatcher.raise_event
+        # A kernel raise is the call into the event's compiled scan.
+        compiled = dispatcher.compile
 
         # Device -> link node: the link protocol's input (run at interrupt
         # level by the kernel) freezes the packet and raises PacketRecv.
         def link_upcall(nic, m):
-            m.freeze()
-            raise_event(link_event, nic, m)
+            m._frozen = True
+            (link_event._scan or compiled(link_event))((nic, m))
         bottom.upcall = link_upcall
 
         if self.ethernet is not None:
@@ -171,7 +172,7 @@ class PlexusStack:
         ip_event = self.ip_recv_event
 
         def ip_upcall(protocol, m, off, src, dst):
-            raise_event(ip_event, protocol, m, off, src, dst)
+            (ip_event._scan or compiled(ip_event))((protocol, m, off, src, dst))
         self.ip.upcall = ip_upcall
 
         def ip_udp_handler(protocol, m, off, src, dst):
@@ -184,7 +185,7 @@ class PlexusStack:
         tcp_event = self.tcp_recv_event
 
         def ip_tcp_handler(protocol, m, off, src, dst):
-            raise_event(tcp_event, m, off, src, dst)
+            (tcp_event._scan or compiled(tcp_event))((m, off, src, dst))
         graph.install(
             ip_event, ip_tcp_handler, "ip", "tcp",
             guard=filters.ip_protocol_guard(IPPROTO_TCP), mode=mode,
@@ -200,10 +201,8 @@ class PlexusStack:
         # TCP node -> standard implementation, excluding ports claimed by
         # other implementations or IP-level redirects (a live set, read
         # at every raise).
-        def tcp_standard_handler(m, off, src_ip, dst_ip):
-            self.tcp.input(m, off, src_ip, dst_ip)
         graph.install(
-            tcp_event, tcp_standard_handler, "tcp",
+            tcp_event, self.tcp.input, "tcp",
             graph.add_node("tcp:standard", "protocol"),
             guard=filters.tcp_standard_guard(self.tcp_manager.diverted_ports),
             mode=mode, label="tcp-standard")
@@ -217,7 +216,8 @@ class PlexusStack:
         def udp_upcall(m, off, src_ip, src_port, dst_ip, dst_port):
             if dst_port in udp_manager.diverted_ports:
                 return
-            raise_event(udp_event, m, off, src_ip, src_port, dst_ip, dst_port)
+            (udp_event._scan or compiled(udp_event))(
+                (m, off, src_ip, src_port, dst_ip, dst_port))
         self.udp.upcall = udp_upcall
 
     # ------------------------------------------------------------------

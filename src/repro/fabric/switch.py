@@ -12,8 +12,7 @@ Forward or Drop decides its fate.
 parses them where they lie and never builds an mbuf: READONLY (paper
 §3.4) holds because ``bytes`` is immutable, and a Modify writes a
 private ``bytearray`` copy.  Both chains a hop moves -- ingress and
-egress -- are still charged (``MbufPool.charge_chain``), so the
-simulated cost of a hop is what building them cost.
+egress -- are still booked, in place, so a hop costs what building them did.
 
 Conservation law, checked by tests and chaos invariants: every frame a
 port accepts is counted exactly once as forwarded or dropped
@@ -28,6 +27,7 @@ from typing import Dict, List, Optional
 
 from ..hw.cpu import OUTSIDE_PATH, ChargeError
 from ..sim import SimulationError
+from ..spin.mbuf import MCLBYTES
 from .ecmp import ecmp_select
 from .table import (
     Count,
@@ -108,11 +108,16 @@ class SwitchHost:
         amount = host.costs.ethernet_input
         stack[-1] += amount
         cpu.category_times["protocol"] += amount
-        # The ingress chain is charged as ``from_bytes(data,
+        # The ingress chain is booked as ``from_bytes(data,
         # leading_space=0)`` would book it; the pipeline reads ``data``.
-        host.mbufs.charge_chain(len(data))
+        links = -(-len(data) // MCLBYTES) or 1
+        amount = links * host.costs.mbuf_alloc
+        stack[-1] += amount
+        cpu.category_times["mbuf"] += amount
+        host.mbufs.allocated += links
+        host.mbufs.chains += 1
         port.received += 1
-        host.dispatcher.raise_event(self.event, port, data)
+        (self.event._scan or host.dispatcher.compile(self.event))((port, data))
 
     def _pipeline(self, port: FabricPort, data: bytes) -> None:
         """Walk the match-action tables; ends in exactly one fate."""
@@ -170,8 +175,18 @@ class SwitchHost:
         # per-host mbuf conservation law (one chain per frame moved)
         # holds on switches exactly as on end hosts.  Nothing reads that
         # chain -- what goes to the NIC is ``data`` itself -- so it is
-        # charged without being built.
-        self.host.mbufs.charge_chain(len(data))
+        # booked without being built, in place as the ingress chain is.
+        host = self.host
+        cpu = host.cpu
+        stack = cpu._stack
+        if not stack:
+            raise ChargeError(OUTSIDE_PATH)
+        links = -(-len(data) // MCLBYTES) or 1
+        amount = links * host.costs.mbuf_alloc
+        stack[-1] += amount
+        cpu.category_times["mbuf"] += amount
+        host.mbufs.allocated += links
+        host.mbufs.chains += 1
         egress.nic.stage_tx(data, egress.peer_addr)
         egress.forwarded += 1
         self.pipeline_forwarded += 1

@@ -259,7 +259,8 @@ class MatchTable:
         if self.kind == "exact":
             actions = self._exact.get(value)
         else:
-            actions = self._lpm.lookup(value)
+            hit = self._lpm._cache.get(value)
+            actions = hit[0] if hit is not None else self._lpm.lookup(value)
         if actions is not None:
             self.hits += 1
             return actions

@@ -446,10 +446,6 @@ class SwitchPort(_Medium):
         super().attach(nic)
         self.switch.register(nic, self)
 
-    @property
-    def nic(self):
-        return self.nics[0]
-
     def transmit(self, sender, frame: Frame,
                  done: Callable[[], None]) -> None:
         """NIC -> switch direction (impairments apply here)."""
@@ -459,8 +455,8 @@ class SwitchPort(_Medium):
         """Switch -> NIC direction (clean: the switch already paid the
         port).  Every frame forwarded to the port shares this lane."""
         start = max(ready_at, self._lane_free_at)
-        self._lane_free_at = free_at = start + transmission_time_us(
-            frame.wire_bytes, self.bandwidth_bps)
+        self._lane_free_at = free_at = start + (
+            frame.wire_bytes * 8.0 / self.bandwidth_bps * MICROSECONDS_PER_SECOND)
         engine = self.engine
         engine._sequence += 1
         heappush(engine._heap, (free_at + self.propagation_us, engine._sequence,
@@ -468,7 +464,7 @@ class SwitchPort(_Medium):
 
     def _forward_landed(self, frame: Frame) -> None:
         self.frames_forwarded_in += 1
-        self.nic.frame_on_wire(frame)
+        self.nics[0].frame_on_wire(frame)
 
 
 class Switch:

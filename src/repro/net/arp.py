@@ -94,7 +94,7 @@ class ArpProto:
         view.hlen = 6
         view.plen = 4
         view.op = op
-        view.sha = self.ethernet.address
+        view.sha = self.ethernet.nic.address
         view.spa = self.my_ip
         view.tha = tha
         view.tpa = tpa

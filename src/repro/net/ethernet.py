@@ -30,14 +30,7 @@ class EthernetProto:
         self.nic = nic
         #: set by the OS glue: fn(nic, mbuf) with the mbuf at the frame start
         self.upcall: Optional[Callable] = None
-
-    @property
-    def mtu(self) -> int:
-        return self.nic.mtu
-
-    @property
-    def address(self) -> bytes:
-        return self.nic.address
+        self.mtu = nic.mtu
 
     # -- send path ------------------------------------------------------
 

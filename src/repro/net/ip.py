@@ -146,10 +146,6 @@ class IpProto:
         self._route_cache[dst] = result
         return result
 
-    def accepts(self, dst: int) -> bool:
-        return (dst in (self.my_ip, IP_BROADCAST) or dst in self._groups
-                or dst in self._aliases)
-
     # -- send path -----------------------------------------------------------
 
     def output(self, m: Mbuf, dst: int, protocol: int,
@@ -169,8 +165,9 @@ class IpProto:
         self._ident = (self._ident + 1) & 0xFFFF
         ident = self._ident
         payload_len = m.len
-        adapter, next_hop = self.route_for(dst)
-        mtu = adapter.mtu   # a property: read once
+        hit = self._route_cache.get(dst)
+        adapter, next_hop = hit if hit is not None else self.route_for(dst)
+        mtu = adapter.mtu
         total = payload_len + self.HEADER_LEN
         if total <= mtu:
             packet = self._prepend_header(
@@ -259,7 +256,8 @@ class IpProto:
             self.header_errors += 1
             return
         m.len = end
-        if not self.accepts(dst):
+        if not (dst in (self.my_ip, IP_BROADCAST) or dst in self._groups
+                or dst in self._aliases):
             if self.forwarding:
                 self._forward(m, off, VIEW(m.data, IP_HEADER, offset=off))
             else:

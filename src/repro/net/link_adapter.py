@@ -1,6 +1,6 @@
 """Link adapters: the interface IP uses to reach a medium.
 
-IP sees one narrow "lower layer" surface -- :attr:`mtu` plus
+IP sees one narrow "lower layer" surface -- an ``mtu`` attribute plus
 ``send(mbuf, next_hop_ip)`` -- with two implementations:
 
 * :class:`EthernetAdapter` -- resolves the next hop with ARP and frames
@@ -40,10 +40,7 @@ class EthernetAdapter:
     def __init__(self, ethernet: EthernetProto, arp: ArpProto):
         self.ethernet = ethernet
         self.arp = arp
-
-    @property
-    def mtu(self) -> int:
-        return self.ethernet.mtu
+        self.mtu = ethernet.mtu
 
     def send(self, m: Mbuf, next_hop: int) -> None:
         self.arp.resolve_and_send(m, next_hop, ETHERTYPE_IP)
@@ -58,10 +55,7 @@ class RawLinkProto:
         self.neighbors: Dict[int, object] = dict(neighbors or {})
         #: set by the OS glue: fn(nic, mbuf) with the mbuf at the IP header
         self.upcall: Optional[Callable] = None
-
-    @property
-    def mtu(self) -> int:
-        return self.nic.mtu
+        self.mtu = nic.mtu
 
     def add_neighbor(self, ip: int, link_addr) -> None:
         self.neighbors[ip] = link_addr

@@ -241,9 +241,13 @@ class Tcb:
         accepted = min(space, len(data))
         if accepted > 0:
             snd_buf += data[:accepted]
-            # Copying application data into the send buffer.
-            self.host.cpu.charge(
-                accepted * self.host.costs.copy_per_byte, "copy")
+            # The copy into the send buffer; cpu.charge inlined (exact body).
+            cpu = self.host.cpu
+            if not cpu._stack:
+                raise ChargeError(OUTSIDE_PATH)
+            amount = accepted * self.host.costs.copy_per_byte
+            cpu._stack[-1] += amount
+            cpu.category_times["copy"] += amount
         if state in _WRITABLE:
             self._output()
         return accepted

@@ -216,25 +216,36 @@ class Dispatcher:
 
     # -- raising ------------------------------------------------------------------
 
+    def compile(self, event: EventDecl) -> Callable:
+        """``event``'s scan, compiled if an install or uninstall dropped it; a
+        kernel raise is ``(event._scan or dispatcher.compile(event))(args)``."""
+        scan = event._scan
+        if scan is None:
+            scan = event._scan = compile_scan(self, event, event._snapshot)
+        return scan
+
     def raise_event(self, event: EventDecl, *args) -> int:
         """Raise ``event`` with ``args`` (plain code; charges CPU).
 
         Returns the number of handlers that matched (ran inline or were
-        delegated to a thread).  The raise runs the event's generated
-        scan, compiling it first if an install or uninstall dropped it.
+        delegated to a thread).  The public, capability-checked raise:
+        extensions and the exported ``Dispatcher`` interface come here.
         """
         try:
             scan = event._scan
         except AttributeError:
             raise DispatchError(
                 "raise_event requires an EventDecl capability") from None
-        if scan is None:
-            scan = event._scan = compile_scan(self, event, event._snapshot)
-        return scan(args)
+        return (scan or self.compile(event))(args)
 
     def raise_flow(self, event: EventDecl, flow, *args) -> int:
-        """:meth:`raise_event`; ``flow`` is ignored (kept for perfbench)."""
-        return self.raise_event(event, *args)
+        """:meth:`raise_event` in one frame; ``flow`` is ignored (perfbench)."""
+        try:
+            scan = event._scan
+        except AttributeError:
+            raise DispatchError(
+                "raise_flow requires an EventDecl capability") from None
+        return (scan or self.compile(event))(args)
 
     # -- delivery -------------------------------------------------------------------
 

@@ -209,24 +209,6 @@ class MbufPool:
         links = -(-(leading_space + n) // MCLBYTES) or 1
         return self._charge_alloc(Mbuf(storage, leading_space, n, links))
 
-    def charge_chain(self, size: int) -> None:
-        """Charge for the links ``from_bytes(bytes(size), leading_space=0)``
-        would count, without building the packet: a link per ``MCLBYTES``
-        begun, and at least one.  Books what :meth:`_charge_alloc` would for
-        that many links, directly: a switch hop charges two chains."""
-        count = -(-size // MCLBYTES) or 1
-        # cpu.charge inlined (exact body, exact order), as in _charge_alloc.
-        cpu = self.host.cpu
-        stack = cpu._stack
-        if not stack:
-            from ..hw.cpu import OUTSIDE_PATH, ChargeError
-            raise ChargeError(OUTSIDE_PATH)
-        amount = count * self.host.costs.mbuf_alloc
-        stack[-1] += amount
-        cpu.category_times["mbuf"] += amount
-        self.allocated += count
-        self.chains += 1
-
     def copy_packet(self, m: Mbuf, leading_space: int = 64) -> Mbuf:
         clone = m.copy_packet(leading_space)
         self.host.cpu.charge(

@@ -302,6 +302,24 @@ class TestTcpManagerPolicy:
         with pytest.raises(AccessError):
             manager.listen(Credential("x"), 9100, lambda tcb: None)
 
+    def test_uninstalled_implementation_frees_ports_and_name(self,
+                                                             spin_pair):
+        """Uninstalling an implementation's edge takes ``tcp:<name>`` off
+        the graph and releases its ports, their diversion and its name."""
+        stack = spin_pair.stacks[0]
+        manager = stack.tcp_manager
+        manager.install_implementation(Credential("a"), "special",
+                                       [9100, 9101])
+        assert "tcp:special" in stack.graph.render()
+        manager.implementations["special"].uninstall()
+        assert "tcp:special" not in stack.graph.render()
+        assert manager.implementations == {}
+        assert manager.diverted_ports == set()
+        assert manager.ports.owner(9100) is None
+        manager.listen(Credential("b"), 9100, lambda tcb: None)
+        manager.install_implementation(Credential("c"), "special", [9101])
+        assert manager.diverted_ports == {9101}
+
     def test_implementation_name_taken_claims_nothing(self, spin_pair):
         """A second implementation under a taken name is refused before
         any port is claimed."""

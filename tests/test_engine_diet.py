@@ -261,7 +261,11 @@ def _steady_fat_tree_frame():
 #: frame's own landing being pushed.  A hop up toward the core also
 #: calls ``ecmp_select`` after ``SwitchHost._emit``.  The rx latency, the
 #: CPU hold and the lane's landing are pushed in place: no
-#: ``Engine.call_after`` / ``call_at`` frame.
+#: ``Engine.call_after`` / ``call_at`` frame.  The raise is the call into
+#: the compiled scan, both chains are booked in the switch's own frames
+#: and the table serves its LPM cache hit itself: no
+#: ``Dispatcher.raise_event``, ``MbufPool.charge_chain`` or
+#: ``ForwardingTable.lookup`` frame.
 _SWITCH_HOP_CALLS = [
     # the landing: the port's NIC admits the frame to its ring, and the
     # sender's NIC, whose lane is free again, finds its queue empty
@@ -270,12 +274,10 @@ _SWITCH_HOP_CALLS = [
     "Host.frame_arrived", "KernelPath.__init__", "Engine.due_now",
     "KernelPath.start", "Host.frame_arrived.<locals>.interrupt_body",
     # the pipeline: device input, one raise, one table, the egress stage
-    "SwitchHost._device_input", "MbufPool.charge_chain",
-    "Dispatcher.raise_event", "_factory.<locals>._compiled",
-    "SwitchHost._pipeline",
-    "PacketFields.__init__", "MatchTable.lookup", "ForwardingTable.lookup",
-    "SwitchHost._emit", "MbufPool.charge_chain", "NIC.stage_tx",
-    "FabricNic.wire_bytes", "Frame.__init__",
+    "SwitchHost._device_input", "_factory.<locals>._compiled",
+    "SwitchHost._pipeline", "PacketFields.__init__", "MatchTable.lookup",
+    "SwitchHost._emit", "NIC.stage_tx", "FabricNic.wire_bytes",
+    "Frame.__init__",
     # the hold's entry: the idle egress NIC puts the frame on its lane
     "KernelPath._held", "NIC.stage_tx.<locals>.enqueue",
     "PointToPointLink.transmit", "_Medium._send_on_lane",
@@ -286,17 +288,18 @@ _SWITCH_HOP_CALLS = [
 #: Python call, from the call to the resumption of the process that made
 #: it.  The trap, socket-layer and copyin charges are booked in the
 #: syscall's own frames, the pool builds the packet in its own frame, IP
-#: reads the adapter's MTU once, and the hold and the lane's landing are
-#: pushed in place: no ``CPU.charge``, no ``Mbuf.from_bytes``, no
-#: ``Engine.call_after`` / ``call_at`` (37 calls before).
+#: serves its route-cache hit itself and reads the adapter's ``mtu``
+#: attribute, and the hold and the lane's landing are pushed in place: no
+#: ``CPU.charge``, no ``Mbuf.from_bytes``, no ``IpProto.route_for`` or
+#: ``RawLinkProto.mtu``, no ``Engine.call_after`` / ``call_at`` (30 calls
+#: while IP called both, 37 before that).
 _UNIX_SENDTO_CALLS = [
     "UdpSocket.sendto", "_SocketBase._syscall", "Host.kernel_path",
     "KernelPath.__init__", "KernelPath.start",
     "_SocketBase._syscall.<locals>.body", "UdpSocket.sendto.<locals>.work",
     "MbufPool.from_bytes", "Mbuf.__init__", "MbufPool._charge_alloc",
     "UdpProto.output", "Mbuf.push", "pseudo_header_sum", "internet_checksum",
-    "IpProto.output", "IpProto.route_for", "RawLinkProto.mtu",
-    "IpProto._prepend_header", "Mbuf.push", "internet_checksum",
+    "IpProto.output", "IpProto._prepend_header", "Mbuf.push", "internet_checksum",
     "RawLinkProto.send", "Mbuf.to_bytes", "NIC.stage_tx",
     "ForeAtm.wire_bytes", "Frame.__init__",
     # the hold's entry: the flush puts the frame on the idle uplink
@@ -377,14 +380,21 @@ class TestEventBudget:
                             _RelayLane._send_on_lane)
         assert frame_budget() - merged == {"_lane_sent": 6}
 
-    def test_a_steady_switch_hop_is_twenty_five_calls(self):
+    def test_a_steady_switch_hop_is_twenty_one_calls(self):
         """The call row of the budget: one frame across the fat tree is
-        191 Python calls (213 while the hot heap pushes went through
-        ``Engine.call_after`` / ``call_at``; 218 while a packet was a
-        chain with a ``PacketHeader``, and the layers called
-        ``Mbuf.length``; 271 before the per-frame delegations were
-        folded), and each of its five switch hops is the 25 calls of
-        ``_SWITCH_HOP_CALLS`` (28 with the rx latency's, the hold's and
+        162 Python calls (191 while a raise went through
+        ``Dispatcher.raise_event``, a switch hop through
+        ``MbufPool.charge_chain`` and ``ForwardingTable.lookup``, the
+        sender through ``_charge_send_raise``, ``CPU.charge``,
+        ``IpProto.route_for`` and ``RawLinkProto.mtu``, and the receiver
+        through ``Mbuf.freeze`` and ``IpProto.accepts``; 213 while the
+        hot heap pushes went through ``Engine.call_after`` / ``call_at``;
+        218 while a packet was a chain with a ``PacketHeader``, and the
+        layers called ``Mbuf.length``; 271 before the per-frame
+        delegations were folded), and each of its five switch hops is
+        the 21 calls of
+        ``_SWITCH_HOP_CALLS`` (25 with the raise's, the two chain charges'
+        and the LPM hit's frames; 28 with the rx latency's, the hold's and
         the landing's scheduling frames; 37 before: ``_raise_interrupt``,
         ``driver_recv_charges``, ``CPU.charge`` and two
         ``_charge_alloc`` under the pipeline, ``Host.defer``, the idle
@@ -400,7 +410,7 @@ class TestEventBudget:
             engine.run()
         finally:
             sys.setprofile(None)
-        assert len(calls) == 191
+        assert len(calls) == 162
         starts = [at for at, name in enumerate(calls)
                   if name == "_Medium._deliver"]
         assert len(starts) == 6         # five switches, then the receiver

@@ -6,8 +6,8 @@ kept below as the oracle; hypothesis feeds both parsers valid frames and
 hostile ones -- truncated anywhere, a version other than 4, a header
 length under five words or past the end of the frame, fragments, and
 protocols other than UDP and TCP -- and every field must agree, ``ok``
-included.  ``MbufPool.charge_chain`` books exactly what building a chain
-with ``from_bytes`` booked.
+included.  A switch hop books each chain it moves exactly as building
+it with ``from_bytes`` booked.
 
 The same hostile frames then go through a whole switch hop -- a port's
 device input, in a kernel path, under generated dispatch and under the
@@ -150,15 +150,39 @@ def _booked(charge):
             host.cpu.category_times)
 
 
+def _hop_booked(frame):
+    """What one switch hop of ``frame`` books on the switch's mbuf pool,
+    ``(links, chains, mbuf time)``, and whether it forwarded the frame:
+    a frame that parses takes the default route out of port 1."""
+    bed = FabricBed(Engine(), "spin", 0, "interrupt", ALPHA_21064)
+    switch = _add_switch(bed, "sw", [("sw-p0", "peer-0"),
+                                     ("sw-p1", "peer-1")], [(0, 0, (1,))])
+    host, port = switch.host, switch.ports[0]
+    bed.engine.process(host.kernel_path(
+        switch._device_input, (port, port.nic, frame)))
+    bed.engine.run()
+    pool = host.mbufs
+    return ((pool.allocated, pool.chains, host.cpu.category_times["mbuf"]),
+            switch.pipeline_forwarded == 1)
+
+
 @pytest.mark.parametrize("size", [
     0, 1, MLEN - 1, MLEN, MLEN + 1, MCLBYTES - 1, MCLBYTES, MCLBYTES + 1,
     2 * MCLBYTES, 2 * MCLBYTES + 1, 9000])
 def test_charge_chain_books_what_from_bytes_built(size):
+    """A switch hop books each chain it moves in place -- the ingress
+    one, and the egress one when it forwards -- as building the frame
+    with ``from_bytes`` would have booked it."""
     built = _booked(lambda pool: pool.from_bytes(bytes(size),
                                                  leading_space=0))
-    assert _booked(lambda pool: pool.charge_chain(size)) == built
     links = 1 if size <= MLEN else -(-size // MCLBYTES)
     assert built[:2] == (links, 1)
+    frame = _frame(rest=bytes(size - 20)) if size >= 20 else bytes(size)
+    booked, forwarded = _hop_booked(frame)
+    assert forwarded == (size >= 20)
+    one = (links, 1, built[3]["mbuf"])
+    assert booked == (one if not forwarded else
+                      (2 * links, 2, one[2] + one[2]))
 
 
 # ---------------------------------------------------------------------------

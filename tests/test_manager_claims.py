@@ -266,8 +266,10 @@ class _Claimer:
             self.live.append(result.uninstall)
         elif op == "install_implementation":
             self.implementations += 1
-            stack.tcp_manager.install_implementation(
-                credential, "special%d" % self.implementations, what)
+            name = "special%d" % self.implementations
+            stack.tcp_manager.install_implementation(credential, name, what)
+            self.live.append(
+                stack.tcp_manager.implementations[name].uninstall)
         else:
             assert op == "listen"
             result = stack.tcp_manager.listen(credential, what,

@@ -8,11 +8,19 @@ in every observable, heap entries included: on every registry scenario
 counters, fingerprint), and on every SPIN campaign of the chaos quick
 and fabric corpora (the whole verdict: invariants, fingerprint,
 impairment counters, metrics snapshot).
+
+A kernel raise site calls its event's compiled scan directly, so the
+twin covers a site only if the site gets its scan through
+``Dispatcher.compile``: on the UDP, TCP and fabric scenarios the
+reference walk must run once per raise the dispatchers count.
 """
+
+from unittest import mock
 
 import pytest
 
-from repro.bench.workloads import WORKLOADS
+import twins
+from repro.bench.workloads import WORKLOADS, run_once
 from repro.chaos import build_quick_corpus, run_campaign
 from repro.chaos.campaign import build_fabric_corpus
 from twins import observe, observed, scan
@@ -36,3 +44,21 @@ def test_the_reference_scan_gives_the_same_verdict(name):
     assert generated["metrics"]["spin.dispatcher.compiled_scans"]["value"] > 0
     with scan():
         assert run_campaign(spec) == generated
+
+
+@pytest.mark.parametrize("name", ["udp_pingpong", "tcp_bulk",
+                                  "fabric_fat_tree"])
+def test_every_raise_walks_the_reference(name):
+    record = WORKLOADS[name]
+    walks, beds = [], []
+
+    def counted(dispatcher, event, snapshot, args):
+        walks.append(event.name)
+        return reference_scan(dispatcher, event, snapshot, args)
+    reference_scan = twins.reference_scan
+    with scan(), mock.patch.object(twins, "reference_scan", counted):
+        run_once(record, record.warmup, instrument=beds.append)
+    raises = sum(host.dispatcher.total_raises for host in beds[0].hosts
+                 if getattr(host, "dispatcher", None) is not None)
+    assert raises > 0
+    assert len(walks) == raises
