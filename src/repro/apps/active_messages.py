@@ -9,8 +9,8 @@ installs a guard discriminating on the type field (the exact Figure 2
 idiom) and an EPHEMERAL handler with a time limit; ``send`` invokes a
 named remote handler with a small argument payload.  Because the path is
 device -> guard -> handler with no transport layers, its round trip is
-the lowest the architecture can produce -- measured against UDP in
-``benchmarks/test_ablations.py``.
+the lowest the architecture can produce -- measured against UDP by the
+ledger's ``abl.active-messages.*`` rows (``repro.bench.claims``).
 """
 
 from __future__ import annotations

@@ -10,6 +10,8 @@ One module per experiment family:
 * :mod:`repro.bench.ablations` -- design-choice ablations.
 * :mod:`repro.bench.testbed` -- the simulated machine room.
 * :mod:`repro.bench.report` -- regenerate everything as one report.
+* :mod:`repro.bench.claims` -- the paper's claims, one ledger every
+  check reads.
 """
 
 from .report import format_table, run_everything

@@ -7,13 +7,15 @@ interfaces" -- plus the hardware floor ("the minimal round trip time using
 our hardware as measured between the device drivers") and the
 faster-driver variant of section 4.1 (337 us Ethernet / 241 us ATM).
 
-Four measurement functions, one per bar family:
+Three measurement functions, one per bar family:
 
 * :func:`measure_plexus_udp_rtt` -- ``deliver_mode`` selects the
   *interrupt* or *thread* bar,
 * :func:`measure_unix_udp_rtt` -- the DIGITAL UNIX bar,
-* :func:`measure_raw_rtt` -- the driver-to-driver floor,
-* :func:`figure5` -- the whole figure as a list of rows.
+* :func:`measure_raw_rtt` -- the driver-to-driver floor;
+
+:func:`measure_rtt` picks one by the bar's name (the ledger's Figure 5
+cells), and :func:`figure5` returns the whole figure as a list of rows.
 
 The two UDP bars are one conversation, the registry's ``udp_pingpong``
 scenario on a SPIN or a UNIX bed, whose OS picks the in-kernel or the
@@ -32,6 +34,7 @@ from typing import Dict, List
 from ..hw.alpha import ALPHA_21064, CostTable
 from ..obs.slo import RequestLifecycle
 from ..sim import Signal
+from .claims import paper
 from .stats import Summary
 from .testbed import build_raw_pair, build_testbed
 from .workloads import PINGPONG, _udp_echo, _udp_echo_fingerprint, run_scenario
@@ -40,20 +43,12 @@ __all__ = [
     "measure_plexus_udp_rtt",
     "measure_unix_udp_rtt",
     "measure_raw_rtt",
+    "measure_rtt",
     "figure5",
-    "PAPER_FIGURE5_US",
 ]
 
-#: The round-trip latencies the paper reports or implies (microseconds).
-#: Only the values the text states explicitly are filled in; the rest of
-#: the figure is read qualitatively (orderings) in EXPERIMENTS.md.
-PAPER_FIGURE5_US = {
-    ("ethernet", "plexus-interrupt"): 565.0,   # "less than 600 usecs"
-    ("atm", "plexus-interrupt"): 350.0,
-    ("t3", "plexus-interrupt"): 300.0,
-    ("ethernet-fast", "plexus-interrupt"): 337.0,
-    ("atm-fast", "plexus-interrupt"): 241.0,
-}
+#: Figure 5's bars on each device, in the figure's order.
+SYSTEMS = ("raw-driver", "plexus-interrupt", "plexus-thread", "digital-unix")
 
 
 def _pingpong(bed, trips: int, **scenario) -> Summary:
@@ -111,32 +106,33 @@ def measure_raw_rtt(device: str, fast_driver: bool = False, trips: int = 20,
     return lifecycle.summary("raw_rtt")
 
 
+def measure_rtt(device: str, system: str, fast_driver: bool = False,
+                trips: int = 20) -> Summary:
+    """One bar of the figure: ``system`` is one of :data:`SYSTEMS`."""
+    if system == "raw-driver":
+        return measure_raw_rtt(device, fast_driver, trips)
+    if system == "digital-unix":
+        return measure_unix_udp_rtt(device, fast_driver, trips)
+    return measure_plexus_udp_rtt(device, system[len("plexus-"):],
+                                  fast_driver, trips)
+
+
 def figure5(trips: int = 20, devices=("ethernet", "atm", "t3")) -> List[Dict]:
-    """Regenerate the whole figure: one row per (device, system) bar."""
-    rows: List[Dict] = []
+    """Regenerate the whole figure: one row per (device, system) bar, with
+    the value the ledger (:mod:`repro.bench.claims`) says the paper
+    states."""
+    bars = []
     for device in devices:
-        raw = measure_raw_rtt(device, trips=trips)
-        interrupt = measure_plexus_udp_rtt(device, "interrupt", trips=trips)
-        thread = measure_plexus_udp_rtt(device, "thread", trips=trips)
-        unix = measure_unix_udp_rtt(device, trips=trips)
-        for system, summary in (("raw-driver", raw),
-                                ("plexus-interrupt", interrupt),
-                                ("plexus-thread", thread),
-                                ("digital-unix", unix)):
-            rows.append({
-                "device": device,
-                "system": system,
-                "rtt_us": summary.mean,
-                "paper_us": PAPER_FIGURE5_US.get((device, system)),
-            })
+        bars += [(device, system, False) for system in SYSTEMS]
         if device in ("ethernet", "atm"):
-            fast = measure_plexus_udp_rtt(device, "interrupt",
-                                          fast_driver=True, trips=trips)
-            rows.append({
-                "device": device + "-fast",
-                "system": "plexus-interrupt",
-                "rtt_us": fast.mean,
-                "paper_us": PAPER_FIGURE5_US.get(
-                    (device + "-fast", "plexus-interrupt")),
-            })
+            bars.append((device, "plexus-interrupt", True))
+    rows: List[Dict] = []
+    for device, system, fast in bars:
+        label = device + "-fast" if fast else device
+        rows.append({
+            "device": label,
+            "system": system,
+            "rtt_us": measure_rtt(device, system, fast, trips).mean,
+            "paper_us": paper("fig5.%s.%s" % (label, system)),
+        })
     return rows

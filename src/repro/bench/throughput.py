@@ -21,6 +21,7 @@ from typing import Dict, List, Optional
 from ..core.manager import Credential, discard_datagram
 from ..hw.alpha import MICROSECONDS_PER_SECOND
 from ..lang.ephemeral import ephemeral
+from .claims import paper
 from .testbed import build_raw_pair, build_testbed
 from .workloads import _tcp_stream, _tcp_stream_fingerprint, run_scenario
 
@@ -30,16 +31,7 @@ __all__ = [
     "measure_raw_throughput",
     "measure_udp_throughput",
     "section42",
-    "PAPER_SECTION42_MBPS",
 ]
-
-PAPER_SECTION42_MBPS = {
-    ("ethernet", "plexus"): 8.9,
-    ("ethernet", "unix"): 8.9,
-    ("atm", "plexus"): 33.0,
-    ("atm", "unix"): 27.9,
-    ("atm", "raw-driver"): 53.0,
-}
 
 _PORT = 9000
 
@@ -166,24 +158,21 @@ def measure_udp_throughput(os_name: str, device: str,
 
 
 def section42(total_bytes: int = 600_000) -> List[Dict]:
-    """Regenerate the section 4.2 throughput comparison."""
-    rows: List[Dict] = []
+    """Regenerate the section 4.2 throughput comparison, with the value
+    the ledger (:mod:`repro.bench.claims`) says the paper states."""
+    rows: List[tuple] = []
     for device in ("ethernet", "atm"):
-        plexus = measure_plexus_tcp_throughput(device, total_bytes)
-        unix = measure_unix_tcp_throughput(device, total_bytes)
-        rows.append({"device": device, "system": "plexus", "mbps": plexus,
-                     "paper_mbps": PAPER_SECTION42_MBPS.get((device, "plexus"))})
-        rows.append({"device": device, "system": "unix", "mbps": unix,
-                     "paper_mbps": PAPER_SECTION42_MBPS.get((device, "unix"))})
-    raw_atm = measure_raw_throughput("atm")
-    rows.append({"device": "atm", "system": "raw-driver", "mbps": raw_atm,
-                 "paper_mbps": PAPER_SECTION42_MBPS.get(("atm", "raw-driver"))})
+        rows.append((device, "plexus",
+                     measure_plexus_tcp_throughput(device, total_bytes)))
+        rows.append((device, "unix",
+                     measure_unix_tcp_throughput(device, total_bytes)))
+    rows.append(("atm", "raw-driver", measure_raw_throughput("atm")))
     # T3 TCP was unmeasurable in the paper (SPIN DMA bug); report UDP for
     # both systems as the documented substitution.
-    rows.append({"device": "t3", "system": "plexus-udp",
-                 "mbps": measure_udp_throughput("spin", "t3", total_bytes),
-                 "paper_mbps": None})
-    rows.append({"device": "t3", "system": "unix-udp",
-                 "mbps": measure_udp_throughput("unix", "t3", total_bytes),
-                 "paper_mbps": None})
-    return rows
+    rows.append(("t3", "plexus-udp",
+                 measure_udp_throughput("spin", "t3", total_bytes)))
+    rows.append(("t3", "unix-udp",
+                 measure_udp_throughput("unix", "t3", total_bytes)))
+    return [{"device": device, "system": system, "mbps": mbps,
+             "paper_mbps": paper("sec42.%s.%s" % (device, system))}
+            for device, system, mbps in rows]

@@ -5,7 +5,8 @@ example of an application-specific protocol is "an implementation of UDP
 for which the checksum has been disabled" for audio/video applications
 (section 1.1).  ``UdpProto.output(..., checksum=False)`` emits a zero
 checksum field and receivers skip verification, eliminating the per-byte
-checksum cost -- measurably, in ``benchmarks/test_ablations.py``.
+checksum cost -- measurably, in the ledger's ``abl.checksum.*`` rows
+(``repro.bench.claims``).
 
 Demultiplexing to endpoints is the OS glue's job (Plexus guards / UNIX
 PCB table); the ``upcall`` hook receives the parsed datagram.

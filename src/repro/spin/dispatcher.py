@@ -10,7 +10,8 @@ This module reproduces that machinery with cost accounting:
 
 * raising an event charges ``guard_eval`` per guard evaluated and
   ``dispatch_per_handler`` per handler invoked (the ~procedure-call cost
-  the paper cites, measured by ``benchmarks/test_micro_dispatcher.py``),
+  the paper cites, measured by the ledger's ``sec2.dispatch-per-handler``
+  row in ``repro.bench.claims``),
 * handlers installed with ``mode="thread"`` are not run inline: each raise
   spawns a fresh kernel thread for them (the "thread" bars of Figure 5),
   charging ``thread_spawn`` in the raising context,

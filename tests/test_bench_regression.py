@@ -1,29 +1,32 @@
-"""Tests for the golden-number regression checker (quick subset)."""
+"""Tests for the golden pins of the ledger (quick subset)."""
 
 import pytest
 
-from repro.bench.regression import GOLDEN, check_all, check_one
+from repro.bench.claims import CLAIMS, verdict
+
+PINS = [claim for claim in CLAIMS if claim.kind == "golden"]
 
 
 class TestGoldenChecks:
     def test_quick_headline_metrics_hold(self):
-        rows = check_all(["fig5.ethernet.plexus-interrupt.us",
-                          "fig5.ethernet.unix.us",
-                          "sec42.ethernet.plexus.mbps"])
-        for row in rows:
+        for name in ("fig5.ethernet.plexus-interrupt.us",
+                     "fig5.ethernet.unix.us", "sec42.ethernet.plexus.mbps"):
+            row = verdict(name)
             assert row["ok"], row
 
     def test_every_metric_has_sane_tolerance(self):
-        for name, (_fn, expected, tolerance) in GOLDEN.items():
-            assert expected > 0, name
-            assert 0 < tolerance <= 0.2, name
+        assert len(PINS) == 10
+        for claim in PINS:
+            assert claim.value > 0, claim.id
+            assert 0 < claim.tolerance <= 0.2, claim.id
+            assert claim.op == "<=", claim.id
 
     def test_check_one_record_shape(self):
-        record = check_one("fig5.t3.plexus-interrupt.us")
+        record = verdict("fig5.t3.plexus-interrupt.us")
         assert set(record) == {"metric", "expected", "measured",
                                "deviation", "tolerance", "ok"}
         assert record["ok"]
 
     def test_unknown_metric_raises(self):
         with pytest.raises(KeyError):
-            check_one("fig99.imaginary")
+            verdict("fig99.imaginary")

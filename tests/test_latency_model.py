@@ -40,12 +40,7 @@ def _cell_id(cell):
 
 def measured(device, system, fast):
     """The cell as ``repro.bench.latency`` measures it (its 20 trips)."""
-    if system == "raw-driver":
-        return latency.measure_raw_rtt(device, fast_driver=fast).mean
-    if system == "digital-unix":
-        return latency.measure_unix_udp_rtt(device, fast_driver=fast).mean
-    return latency.measure_plexus_udp_rtt(
-        device, system.split("-")[1], fast_driver=fast).mean
+    return latency.measure_rtt(device, system, fast).mean
 
 
 def _raw_hosts(device, fast, trips):

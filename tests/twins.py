@@ -8,7 +8,7 @@ instant and the host's CPU busy time at each), every host's charged CPU
 by category and its interrupts, every dispatcher's per-handle
 statistics, every counter, the fingerprint, and the heap entries.
 
-Three twins:
+Four twins:
 
 * ``due_now`` patches ``Engine.due_now`` to True, so every elided
   zero-delay entry (an interrupt's bootstrap, a queued path's start) is
@@ -23,6 +23,12 @@ Three twins:
   NIC to switch) pushes ``_lane_sent`` at its wire end, which books the
   frame and pushes the landing after propagation.  Only the heap entries
   may differ, by one ``_lane_sent`` run per frame on a clean lane.
+* :class:`Watchers` is no patch but a ``watch`` for :func:`observe`:
+  every observer at once -- the metrics registry, a ``SpanTracer``, a
+  ``SloTracker`` with the ``RequestLifecycle`` the scenario reports its
+  requests to, a ``CpuProfiler`` and a ``PacketTracer``.  Watching may
+  not change the run.  :data:`LIFECYCLE` says how a scenario reports
+  its requests under watch.
 
 The reference lives here, not in ``src/``: the product has one dispatch
 path, and this is what it is checked against.
@@ -35,6 +41,9 @@ from unittest import mock
 from repro.bench.workloads import WORKLOADS, run_once
 from repro.hw.cpu import MISMATCHED_END, OUTSIDE_PATH, ChargeError
 from repro.hw.link import _Medium
+from repro.net.trace import PacketTracer
+from repro.obs import (CpuProfiler, RequestLifecycle, SloTracker, SpanTracer,
+                       instrument_testbed)
 from repro.obs.taps import Observer
 from repro.sim import Engine
 
@@ -154,6 +163,43 @@ def relay_lane(relays=None):
                                _lane_sent=counted_lane_sent)
 
 
+#: How a registry scenario reports its requests to the ``observed``
+#: twin, where not to a tracked lifecycle.  A ``SloTracker`` decomposes
+#: one outstanding request at a time, so where requests overlap (the
+#: open-loop legs, the flow floods) the lifecycle reports to none, as
+#: ``repro.bench.slo``'s open legs do; and a lifecycle tags
+#: ``fabric_fat_tree``'s datagrams to match each end to its begin, a
+#: wire format of its own, so it runs with none.
+LIFECYCLE = dict(
+    [(name, "untracked") for name in WORKLOADS
+     if "@g" in name and "/closed" not in name]
+    + [("many_flows", "untracked"), ("mega_flows", "untracked"),
+       ("fabric_fat_tree", None)])
+
+
+class Watchers:
+    """The ``observed`` twin's ``watch``: attaches every observer to a
+    freshly built bed and returns the lifecycle the scenario reports its
+    requests to -- ``"tracked"``, ``"untracked"`` or None (see
+    :data:`LIFECYCLE`); the observers stay readable afterwards."""
+
+    def __init__(self, lifecycle="tracked"):
+        self.mode = lifecycle
+
+    def __call__(self, bed):
+        engine = bed.engine
+        self.registry = instrument_testbed(bed)
+        self.spans = SpanTracer(engine).attach(bed.hosts, bed.nics)
+        self.slo = SloTracker(engine).attach(bed.hosts, bed.nics)
+        self.profiler = CpuProfiler().attach(bed.hosts)
+        self.packets = PacketTracer(engine)
+        for nic in bed.nics:
+            self.packets.attach(nic)
+        self.lifecycle = None if self.mode is None else RequestLifecycle(
+            engine, self.slo if self.mode == "tracked" else None)
+        return self.lifecycle
+
+
 class _WireLog(Observer):
     """Every frame a NIC stages or is handed, in order: the instant, the
     NIC, the bytes, the filter verdict, and the host's CPU busy time."""
@@ -179,9 +225,11 @@ def handle_stats(dispatcher):
             for name, event in dispatcher.events.items()}
 
 
-def observe(record, twin=contextlib.nullcontext):
+def observe(record, twin=contextlib.nullcontext, watch=None):
     """One run of ``record`` at its warm-up scale under ``twin()``:
     ``(wire log, hosts, dispatchers, counters, fingerprint, entries)``.
+    ``watch(bed)``, if given, runs after the wire log is attached and
+    returns the scenario's lifecycle (see :class:`Watchers`).
 
     ``hosts`` is each host's interrupts, CPU busy time and charged CPU
     by category; ``dispatchers`` each dispatching host's
@@ -193,6 +241,7 @@ def observe(record, twin=contextlib.nullcontext):
     def instrument(bed):
         seen["bed"] = bed
         seen["wire"] = _WireLog(bed.engine).attach(nics=bed.nics)
+        return watch(bed) if watch is not None else None
     with twin():
         result = run_once(record, record.warmup, instrument=instrument)
     hosts = seen["bed"].hosts
