@@ -9,6 +9,7 @@ the bench code fail fast under plain pytest.
 import pytest
 
 from repro.bench.ablations import delivery_mode_ablation
+from repro.bench.claims import paper
 from repro.bench.forwarding import measure_plexus_forwarding
 from repro.bench.latency import (
     figure5,
@@ -54,6 +55,14 @@ class TestLatencyHarness:
         assert systems == {"raw-driver", "plexus-interrupt",
                            "plexus-thread", "digital-unix"}
 
+    def test_paper_anchor_table_is_wellformed(self):
+        # The report's paper_us column: one positive ledger target per
+        # device the paper gives a Plexus-interrupt latency for.
+        for device in ("ethernet", "atm", "t3", "ethernet-fast", "atm-fast"):
+            key = "fig5.%s.plexus-interrupt" % device
+            value = paper(key)
+            assert value is not None and value > 0, key
+
 
 class TestThroughputHarness:
     def test_udp_throughput_positive_and_bounded(self):
@@ -63,6 +72,9 @@ class TestThroughputHarness:
     def test_raw_throughput_below_wire(self):
         mbps = measure_raw_throughput("t3", frames=50)
         assert 0 < mbps <= 46.0
+
+    def test_paper_anchor_table(self):
+        assert paper("sec42.atm.plexus") == 33.0
 
 
 class TestVideoHarness:
