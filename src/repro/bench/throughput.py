@@ -42,6 +42,17 @@ def _mbps(nbytes: int, elapsed_us: float) -> float:
     return nbytes * 8.0 / elapsed_us * MICROSECONDS_PER_SECOND / 1e6
 
 
+@ephemeral
+def _arrived(state, now: float, nbytes: int) -> None:
+    """A receiver counts the bytes after its first arrival, from the
+    first arrival to the last: N arrivals span N-1 intervals."""
+    if state["first"] is None:
+        state["first"] = now
+    else:
+        state["received"] += nbytes
+    state["last"] = now
+
+
 def measure_plexus_tcp_throughput(device: str, total_bytes: int = 1_000_000,
                                   deliver_mode: str = "interrupt") -> float:
     """Bulk TCP between two in-kernel extensions; returns payload Mb/s."""
@@ -70,13 +81,7 @@ def measure_raw_throughput(device: str, frames: int = 200,
     frame_len = frame_len or (nic_b.mtu + nic_b.link_header)
     state = {"received": 0, "first": None, "last": None}
 
-    def on_frame(data: bytes) -> None:
-        now = engine.now
-        if state["first"] is None:
-            state["first"] = now
-        state["received"] += len(data)
-        state["last"] = now
-    responder.on_frame = on_frame
+    responder.on_frame = lambda data: _arrived(state, engine.now, len(data))
 
     payload = bytes(frame_len)
 
@@ -105,10 +110,7 @@ def measure_udp_throughput(os_name: str, device: str,
 
         @ephemeral
         def sink(m, off, src_ip, src_port, dst_ip, dst_port):
-            if state["first"] is None:
-                state["first"] = engine.now
-            state["received"] += m.length() - off
-            state["last"] = engine.now
+            _arrived(state, engine.now, m.length() - off)
         receiver_stack.udp_manager.bind(
             Credential("sink"), _PORT, sink, time_limit=1000.0,
             checksum=checksum)
@@ -134,12 +136,9 @@ def measure_udp_throughput(os_name: str, device: str,
         def server():
             sock = receiver_sockets.udp_socket()
             yield from sock.bind(_PORT)
-            while state["received"] < total_bytes:
+            for _ in range(-(-total_bytes // datagram)):
                 data, _addr = yield from sock.recvfrom()
-                if state["first"] is None:
-                    state["first"] = engine.now
-                state["received"] += len(data)
-                state["last"] = engine.now
+                _arrived(state, engine.now, len(data))
 
         def client():
             sock = sender_sockets.udp_socket()

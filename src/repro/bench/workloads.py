@@ -156,6 +156,23 @@ def _verify(state, mismatch: Optional[str] = None) -> None:
         raise SimulationError("delivery check failed: " + "; ".join(problems))
 
 
+def _spawn(state, engine, generator, name: str) -> None:
+    """Start a child process the scenario never yields."""
+    state.setdefault("children", []).append(engine.process(generator, name=name))
+
+
+@contextlib.contextmanager
+def _children_surfaced(state) -> Iterator[None]:
+    """Re-raise the first failure of a :func:`_spawn`-ed child after a
+    run, also over the deadlock the failure left behind."""
+    try:
+        yield
+    finally:
+        for child in state.get("children", ()):
+            if child.triggered and not child.ok:
+                child.value
+
+
 @ephemeral
 def _seq(data) -> int:
     # int.from_bytes is not on the ephemeral safe list
@@ -167,7 +184,8 @@ def run_scenario(bed, setup: Callable, scale: int, fingerprint: Callable,
     """Run a scenario to the end of its main process on a caller's bed;
     returns its (delivery-checked) fingerprint."""
     state, main = setup(bed, scale, lifecycle)
-    bed.engine.run_process(main(), name="scenario")
+    with _children_surfaced(state):
+        bed.engine.run_process(main(), name="scenario")
     return fingerprint(state, bed)
 
 
@@ -529,7 +547,7 @@ def _tcp_objects(kind: str, plan_of: Callable, closed: bool = True,
                 if closed:
                     yield from fetch(seq)
                 else:
-                    engine.process(fetch(seq), name="fetch-%d" % seq)
+                    _spawn(state, engine, fetch(seq), "fetch-%d" % seq)
 
         # Started here, ahead of whichever runner starts main().
         engine.process(server(), name="object-server")
@@ -703,12 +721,12 @@ def _flows(tcp_object: int, udp_reply: int, stagger_us: float,
                     yield from answer(addr)
 
         def main():
-            engine.process(server(), name="flows-server")
+            _spawn(state, engine, server(), "flows-server")
             yield server_ready.wait()
             for index in range(scale):
                 sockets = bed.sockets[index * n_clients // scale]
                 client = tcp_client if is_tcp(index, scale) else udp_client
-                engine.process(client(index, sockets), name="flow-%d" % index)
+                _spawn(state, engine, client(index, sockets), "flow-%d" % index)
             yield all_done.wait()
 
         return state, main
@@ -849,8 +867,8 @@ def _fabric_setup(bed, scale: int, lifecycle=None):
 
     def main():
         for index, gid, endpoint, dst_ip, plan in senders:
-            engine.process(sender_loop(index, gid, endpoint, dst_ip, plan),
-                           name="fabric-src-%d" % index)
+            _spawn(state, engine, sender_loop(index, gid, endpoint, dst_ip, plan),
+                   "fabric-src-%d" % index)
         yield all_done.wait()
 
     return state, main
@@ -995,7 +1013,7 @@ def run_once(record: Workload, scale: int, instrument=None) -> Dict:
     state, main = record.setup(bed, scale, lifecycle)
     engine = bed.engine
     until = state.get("until")
-    with _gc_quiesced():
+    with _gc_quiesced(), _children_surfaced(state):
         wall0 = time.perf_counter()
         if until is None:
             engine.run_process(main(), name=record.name)
@@ -1025,7 +1043,8 @@ def _shard_task(payload: Tuple[str, int, int, int]) -> Dict:
     bed = record.build(scale, engine)
     state, main_factory = record.setup(bed, scale)
     main = engine.process(main_factory(), name=record.name)
-    engine.run()
+    with _children_surfaced(state):
+        engine.run()
     if not main.triggered:
         raise SimulationError(
             "shard %d of %d is not done but no events are pending "

@@ -16,29 +16,11 @@ lifecycle machinery both views share:
   (:func:`to_ns`), which is what fingerprints and the reconciliation
   guarantee are stated in -- integer waypoint differences telescope
   exactly, float interval sums do not.
-* :class:`SloTracker` -- queueing-delay attribution.  It listens on the
-  same two seams (``cpu.profile``, ``nic.taps``; :mod:`repro.obs.taps`)
-  as the profiler and :class:`~repro.obs.spans.SpanTracer`, and
-  decomposes one outstanding request's latency into CPU service,
-  NIC-ring wait, propagation, and (retransmit) stall.  Every interval
-  between consecutive waypoints is attributed to exactly one component,
-  so the component sum equals the end-to-end latency bit-exactly in
-  integer nanoseconds -- the invariant ``tests/test_slo.py`` enforces
-  under generated scans and under the reference scan twin.
-
-Attribution convention: the cost-charging discipline runs kernel code
-synchronously (push/pop at one instant) and then *holds* the CPU for the
-charged amount, reporting it through ``on_consume`` at the hold's end --
-so the trailing ``amount`` of the interval ending at each consume is
-``cpu_service``.  The remainder of each interval goes to the prevailing
-wire state: a received frame waiting for its interrupt is ``nic_ring``;
-a transmitted frame still unreceived is ``propagation`` up to
-``propagation_bound_us`` past the last transmit and ``stall`` beyond
-(the frame was lost; the wire cannot still be carrying it); anything
-else -- retransmit timers, CPU-queue waits -- is ``stall``.  The
-decomposition is a deterministic account, exact in total; the
-per-component split is a documented convention, not a claim about
-simultaneity.
+* :class:`SloTracker` -- the critical path.  On the same two seams
+  (``cpu.profile``, ``nic.taps``; :mod:`repro.obs.taps`) as the profiler
+  and :class:`~repro.obs.spans.SpanTracer`, it walks one request's path
+  back from its end; the path's edges sum to the latency bit-exactly in
+  integer nanoseconds, under generated scans and the scan twin alike.
 
 Attaching a lifecycle or tracker never perturbs simulated time: both
 only *read* ``engine.now`` (the fingerprint-equality tests enforce
@@ -62,20 +44,21 @@ __all__ = [
     "to_ns",
 ]
 
-#: The components :class:`SloTracker` attributes intervals to.
+#: The components :class:`SloTracker` books a request's path to.
 ATTRIBUTED_COMPONENTS = ("cpu_service", "nic_ring", "propagation", "stall")
 
 #: All legal component keys: a lifecycle without a tracker books the
 #: whole latency under ``unattributed`` so reconciliation still holds.
 COMPONENTS = ATTRIBUTED_COMPONENTS + ("unattributed",)
 
+
 def to_ns(time_us: float) -> int:
     """A simulated-time float (microseconds) as integer nanoseconds.
 
     The same quantization the profiler's folded output uses
     (``round(us * 1000.0)``).  Integer waypoint timestamps are what make
-    the decomposition telescope: component values are differences of
-    consecutive ``to_ns`` waypoints, so their sum is exactly
+    the decomposition telescope: each component is a sum of differences
+    of waypoints along one chain, so their sum is exactly
     ``to_ns(end) - to_ns(begin)`` with no float accumulation error.
     """
     return round(time_us * 1000.0)
@@ -110,6 +93,7 @@ class Request:
         "latency_us",
         "total_ns",
         "components",
+        "overlapped_ns",
     )
 
     def __init__(self, kind: str, seq, begin_us: float):
@@ -122,6 +106,8 @@ class Request:
         self.latency_us: Optional[float] = None
         self.total_ns: Optional[int] = None
         self.components: Dict[str, int] = {}
+        #: CPU held in the window off the critical path (None untracked).
+        self.overlapped_ns: Optional[int] = None
 
     @property
     def done(self) -> bool:
@@ -221,46 +207,42 @@ class RequestLifecycle:
                     totals[name] += value
         return totals
 
+
 class SloTracker(Observer):
-    """Queueing-delay attribution for one outstanding request at a time.
+    """Critical-path attribution for one outstanding request at a time.
 
-    ``attach(hosts, nics)`` subscribes to each host's ``cpu.profile``
-    (CPU frame push and consume; a pop shares its push's instant) and
-    each NIC's ``taps`` (tx/rx entry).  Between any two consecutive
-    waypoints the elapsed integer nanoseconds split deterministically:
+    ``attach(hosts, nics)`` subscribes to each host's ``cpu.profile`` (a
+    kernel path's push, at depth 0, and the end of its CPU hold, the
+    ``on_consume``) and each NIC's ``taps`` (tx, rx).  While a request is
+    open, each waypoint is logged with the waypoint that enabled it, and
+    the edge between the two is one component:
 
-    * the trailing ``amount`` of the interval ending at an
-      ``on_consume`` -> ``cpu_service`` (kernel paths charge their cost
-      synchronously, then hold the CPU for it; the consume callback
-      marks the hold's end),
-    * the remainder: a received frame waiting for its interrupt ->
-      ``nic_ring``,
-    * else a transmitted frame still unreceived -> ``propagation`` up to
-      ``propagation_bound_us`` past the last transmit, ``stall`` beyond
-      (the frame was lost; the wire cannot still be carrying it),
-    * else -> ``stall`` (retransmit timers, CPU-queue waits).
+    * a hold's end is enabled by the push that started it:
+      ``cpu_service``;
+    * an ``interrupt_body`` push, by the oldest frame its host's rings
+      admitted that no interrupt has serviced yet: ``nic_ring`` (the
+      device's receive latency, and any wait for a busy CPU);
+    * any other push, by the previous CPU waypoint on its host: ``stall``
+      (a timer, a blocked process, a wait for the run queue);
+    * a received frame, by the end of the hold that staged the same
+      ``frame.data`` object: ``propagation`` (the transmit queue, the
+      wire, the switches).
 
-    Single-outstanding by design: the tracker's state is global across
-    the attached hosts, so it serves closed-loop probes (Figure 5 style
-    ping-pong, sequential object fetches), not concurrent open-loop
-    floods -- those get percentiles from :class:`RequestLifecycle` and
-    no decomposition.
+    A waypoint whose enabler precedes the request is enabled by its
+    begin.  :meth:`close_request` walks back from the latest CPU waypoint
+    (``stall`` up to the end) to the begin, booking each edge's integer
+    nanoseconds, so the components telescope to ``total_ns``.  CPU held
+    in the window off that path -- a DIGITAL UNIX ``recvfrom`` entering
+    while its datagram is on the wire -- is ``overlapped_ns``.
+
+    Single-outstanding by design: the state is global across the
+    attached hosts, so it serves closed-loop probes, not open-loop
+    floods (those get percentiles from :class:`RequestLifecycle`).
     """
 
-    def __init__(self, engine, propagation_bound_us: float = 5000.0):
-        if propagation_bound_us <= 0:
-            raise ValueError("propagation_bound_us must be positive")
+    def __init__(self, engine):
         self.engine = engine
-        self.propagation_bound_us = float(propagation_bound_us)
-        self._bound_ns = round(self.propagation_bound_us * 1000.0)
-        self._in_flight = 0
-        self._in_ring = False
-        self._last_tx_ns: Optional[int] = None
         self._request: Optional[Request] = None
-        self._last_ns = 0
-        # The instant of the latest waypoint, as engine.now and in ns.
-        self._now_us: Optional[float] = None
-        self._now_ns = 0
 
     # -- lifecycle interface ---------------------------------------------
 
@@ -270,92 +252,90 @@ class SloTracker(Observer):
                 "SloTracker decomposes one outstanding request at a time "
                 "(%r is still open)" % (self._request,)
             )
-        # Wire state is reset at begin -- anything still in flight
-        # belongs to a previous, lost exchange.
-        self._in_flight = 0
-        self._in_ring = False
-        self._last_tx_ns = None
-        request.components = {name: 0 for name in ATTRIBUTED_COMPONENTS}
         self._request = request
-        self._last_ns = request.begin_ns
+        # A waypoint is [time_us, component, enabler, end_us, ...]: the edge
+        # from ``enabler`` to it is ``component``.  A push carries its hold's
+        # end and the previous push; the walk arrives at a hold's end.
+        self._begin = self._latest = [request.begin_us, None, None, None]
+        self._holds = None  # the latest push
+        self._cpu = {}  # host -> its latest push
+        self._ring = {}  # host -> its unserviced frames, oldest first
+        # id(data) -> (data, the push that staged it); holding data keeps its id unique
+        self._staged = {}
 
     def close_request(self, request: Request) -> None:
         if self._request is not request:
             raise ValueError("closing %r but %r is open" % (request, self._request))
-        self._advance(request.end_ns)
         self._request = None
-
-    # -- the state machine -----------------------------------------------
-
-    def _advance(self, now_ns: int, cpu_tail_ns: int = 0) -> None:
-        """Attribute [last waypoint, now), then move the waypoint.
-
-        ``cpu_tail_ns`` is the CPU hold that just ended (an
-        ``on_consume``): that many trailing nanoseconds -- clamped to the
-        interval, the two roundings can disagree by one -- are
-        ``cpu_service``; the rest goes to the prevailing wire state.
-        """
-        request = self._request
-        if request is None:
-            return
-        elapsed = now_ns - self._last_ns
-        if elapsed <= 0:
-            return
-        components = request.components
-        cpu = cpu_tail_ns if cpu_tail_ns < elapsed else elapsed
-        rest = elapsed - cpu
-        if rest > 0:
-            rest_end = self._last_ns + rest
-            if self._in_ring:
-                components["nic_ring"] += rest
-            elif self._in_flight > 0 and self._last_tx_ns is not None:
-                horizon = self._last_tx_ns + self._bound_ns
-                wire = (rest_end if rest_end < horizon else horizon) - self._last_ns
-                if wire < 0:
-                    wire = 0
-                components["propagation"] += wire
-                components["stall"] += rest - wire
-            else:
-                components["stall"] += rest
-        if cpu > 0:
-            components["cpu_service"] += cpu
-        self._last_ns = now_ns
+        parts = request.components = dict.fromkeys(ATTRIBUTED_COMPONENTS, 0)
+        begin = self._begin
+        node, edge = self._latest, "stall"
+        at_us, at_ns = request.end_us, request.end_ns
+        while node is not begin:
+            end = node[3]
+            if end is not None:
+                # Cross the hold, and take it off the holds beside the path.
+                node[3] = None
+                ns = at_ns if end == at_us else round(end * 1000.0)
+                parts[edge] += at_ns - ns
+                edge, at_us, at_ns = "cpu_service", end, ns
+            when = node[0]
+            ns = at_ns if when == at_us else round(when * 1000.0)
+            parts[edge] += at_ns - ns
+            edge, at_us, at_ns, node = node[1], when, ns, node[2]
+        parts[edge] += at_ns - request.begin_ns
+        overlapped = 0
+        hold = self._holds
+        while hold is not None:
+            end = hold[3]
+            if end is not None:
+                overlapped += round(end * 1000.0) - round(hold[0] * 1000.0)
+            hold = hold[4]
+        request.overlapped_ns = overlapped
 
     # -- listener interface (cpu.profile) --------------------------------
-    # Each moves the waypoint to engine.now once per instant (a path shares one).
 
     def on_push(self, hook: CpuHook, label: str) -> None:
-        now = self.engine.now
-        if now != self._now_us:
-            self._now_us = now
-            self._now_ns = now_ns = round(now * 1000.0)
-            self._advance(now_ns)
-        self._in_ring = False
+        if hook.depth or self._request is None:
+            return
+        host = hook.host
+        if label == "interrupt_body":
+            ring = self._ring
+            frames = ring[host] if host in ring else ()
+            ring[host] = frames[1:]
+            enabler, edge = frames[0] if frames else self._begin, "nic_ring"
+        else:
+            cpu = self._cpu
+            enabler, edge = cpu[host] if host in cpu else self._begin, "stall"
+        push = [self.engine.now, edge, enabler, None, self._holds]
+        self._cpu[host] = self._latest = self._holds = push
 
     def on_consume(self, hook: CpuHook, amount: float) -> None:
-        now = self.engine.now
-        if now != self._now_us:
-            self._now_us = now
-            self._now_ns = now_ns = round(now * 1000.0)
-            self._advance(now_ns, round(amount * 1000.0))
+        if self._request is None:
+            return
+        host = hook.host
+        cpu = self._cpu
+        if host not in cpu:  # a hold that began before the request
+            cpu[host] = self._holds = [self._begin[0], "stall", self._begin, None, self._holds]
+        hold = self._latest = cpu[host]
+        hold[3] = self.engine.now
 
     # -- listener interface (nic.taps) -----------------------------------
 
     def on_tx(self, nic, data) -> None:
-        now = self.engine.now
-        if now != self._now_us:
-            self._now_us = now
-            self._now_ns = now_ns = round(now * 1000.0)
-            self._advance(now_ns)
-        self._in_flight += 1
-        self._last_tx_ns = self._now_ns
+        if self._request is None:
+            return
+        host = nic.host
+        cpu = self._cpu
+        self._staged[id(data)] = (data, cpu[host] if host in cpu else self._begin)
 
     def on_rx(self, nic, frame, accepted: bool) -> None:
-        now = self.engine.now
-        if now != self._now_us:
-            self._now_us = now
-            self._now_ns = now_ns = round(now * 1000.0)
-            self._advance(now_ns)
-        if self._in_flight > 0:
-            self._in_flight -= 1
-        self._in_ring = True
+        if self._request is None or not accepted or nic.rx_pending >= nic.rx_ring_len:
+            return
+        staged = self._staged
+        key = id(frame.data)
+        sent = staged[key][1] if key in staged else self._begin
+        waypoint = [self.engine.now, "propagation", sent, None]
+        host = nic.host
+        ring = self._ring
+        ring[host] = ring[host] + (waypoint,) if host in ring else (waypoint,)

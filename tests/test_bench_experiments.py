@@ -65,13 +65,19 @@ class TestLatencyHarness:
 
 
 class TestThroughputHarness:
+    # The T3 is a 45 Mb/s wire, and its frames carry headers too.  N
+    # arrivals span N-1 intervals: counting the first one's bytes read
+    # 45.8 Mb/s on both of these.
     def test_udp_throughput_positive_and_bounded(self):
         mbps = measure_udp_throughput("spin", "t3", 150_000)
-        assert 0 < mbps <= 46.0
+        assert 0 < mbps <= 45.0
 
     def test_raw_throughput_below_wire(self):
         mbps = measure_raw_throughput("t3", frames=50)
-        assert 0 < mbps <= 46.0
+        assert 0 < mbps <= 45.0
+
+    def test_socket_udp_throughput_below_wire(self):
+        assert 0 < measure_udp_throughput("unix", "t3", 400_000) <= 45.0
 
     def test_paper_anchor_table(self):
         assert paper("sec42.atm.plexus") == 33.0

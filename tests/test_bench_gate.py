@@ -552,6 +552,13 @@ class TestRegistry:
         result = run_once(bounded(outlives_the_horizon), 3)
         assert result["fingerprint"]["final_now_us"] == 1_000.0
 
+    def test_a_child_process_that_raises_fails_the_run(self):
+        """Open-loop fetches are processes nobody yields: an exception in
+        one (here the tracker refusing a second outstanding request) used
+        to stay parked in it, and the run reported 6 of 10 fetches done."""
+        with pytest.raises(RuntimeError, match="one outstanding request"):
+            slo._observed(WORKLOADS["tcp_objects@g2000"], True, tracked=True)
+
     # The three names CI's ``python -m repro.obs --workload`` steps and
     # ``--parallel-curve`` drive.
     @pytest.mark.parametrize("name", ["udp_pingpong", "tcp_bulk",

@@ -589,8 +589,9 @@ SEAM_TRAFFIC = {"__setitem__": 52, "push": 9, "pop": 9, "consumed": 3,
 
 #: calls into and out of repro/obs/ per round trip, all four observers;
 #: 297 before the CPU hook kept one linked frame stack, the span ring
-#: plain tuples and the SLO waypoints no helper frames
-OBSERVER_CALLS = 181
+#: plain tuples and the SLO waypoints no helper frames; 181 before the
+#: SLO tracker walked its critical path at close
+OBSERVER_CALLS = 174
 
 
 def _observed_rig():

@@ -1,4 +1,4 @@
-"""SLO layer: shared percentiles, request lifecycles, the queueing-delay
+"""SLO layer: shared percentiles, request lifecycles, the critical-path
 decomposition, and the BENCH_latency gate semantics."""
 
 import types
@@ -6,10 +6,15 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latency_model import (CELLS, flight_us, frame_len, hardware, hidden_us,
+                           host_steps)
 from repro.bench.stats import summarize
 from repro.obs.slo import (ATTRIBUTED_COMPONENTS, RequestLifecycle,
                            SloTracker, percentile, to_ns)
 from repro.sim import Engine
+
+#: Figure 5's UDP cells: every system but the driver-to-driver floor.
+UDP_CELLS = [cell for cell in CELLS if cell[1] != "raw-driver"]
 
 
 def _advance(engine, us):
@@ -242,87 +247,67 @@ class TestReconciliationProperty:
         return lifecycle
 
 
-class _EveryWaypointTracker(SloTracker):
-    """The listeners as they were before the same-instant short-circuit:
-    every waypoint, pops included, quantizes ``engine.now`` and runs
-    ``_advance``.  The reference the short-circuit is checked against."""
-
-    def _waypoint(self):
-        if self._request is not None:
-            self._advance(to_ns(self.engine.now))
-
-    def on_push(self, hook, label):
-        self._waypoint()
-        self._in_ring = False
-
-    def on_pop(self, hook, label, charged_us):
-        self._waypoint()
-
-    def on_consume(self, hook, amount):
-        if self._request is not None:
-            self._advance(to_ns(self.engine.now), round(amount * 1000.0))
-
-    def on_tx(self, nic, data):
-        self._waypoint()
-        self._in_flight += 1
-        self._last_tx_ns = to_ns(self.engine.now)
-
-    def on_rx(self, nic, frame, accepted):
-        self._waypoint()
-        if self._in_flight > 0:
-            self._in_flight -= 1
-        self._in_ring = True
+def _tracked_trips(device, system, fast, trips=4):
+    """The registry's ``udp_pingpong`` on one Figure 5 cell's bed, each
+    trip decomposed by a tracker."""
+    from repro.bench.testbed import build_testbed
+    from repro.bench.workloads import (PINGPONG, _udp_echo,
+                                       _udp_echo_fingerprint, run_scenario)
+    unix = system == "digital-unix"
+    thread = system == "plexus-thread"
+    bed = build_testbed("unix" if unix else "spin", device, fast_driver=fast,
+                        deliver_mode="thread" if thread else "interrupt")
+    tracker = SloTracker(bed.engine).attach(bed.hosts, bed.nics)
+    lifecycle = RequestLifecycle(bed.engine, tracker)
+    scenario = {} if unix else {"mode": "thread" if thread else "inline"}
+    run_scenario(bed, _udp_echo(**PINGPONG, **scenario), trips,
+                 _udp_echo_fingerprint, lifecycle)
+    return lifecycle.completed
 
 
-#: (microseconds since the previous step, what happens, a consume's amount):
-#: instants repeat (0.0, and 0.0004 us rounds to the same ns), 6000 us
-#: outlives the 5000 us propagation horizon (the frame was lost).
-_STEPS = st.lists(st.tuples(
-    st.sampled_from([0.0, 0.0, 0.0004, 0.3, 15.0, 127.6, 6000.0]),
-    st.sampled_from(["request", "push", "pop", "consume", "tx", "rx"]),
-    st.sampled_from([0.0, 0.0004, 5.834, 104.2, 9000.0])), max_size=60)
+#: The closed form is in float microseconds and the walk in integer ns:
+#: one ns of rounding per waypoint, and no trip's path crosses 20.
+_ROUNDING_NS = 20
 
 
-def _drive(tracker_type, steps):
-    """Feed ``steps`` to a tracker; every completed request's account."""
-    engine = types.SimpleNamespace(now=0.0)
-    tracker = tracker_type(engine)
-    lifecycle = RequestLifecycle(engine, tracker)
-    request = None
-    for gap_us, kind, amount in steps:
-        if kind != "pop":   # kernel code is synchronous: a pop shares the
-            engine.now += gap_us    # instant of whatever preceded it
-        if kind == "request":
-            if request is None:
-                request = lifecycle.begin("probe")
-            else:
-                lifecycle.end(request)
-                request = None
-        elif kind == "push":
-            tracker.on_push(None, "frame")
-        elif kind == "pop":
-            if hasattr(tracker, "on_pop"):
-                tracker.on_pop(None, "frame", 0.0)
-        elif kind == "consume":
-            tracker.on_consume(None, amount)
-        elif kind == "tx":
-            tracker.on_tx(None, b"")
-        else:
-            tracker.on_rx(None, None, True)
-    return [(done.total_ns, done.components) for done in lifecycle.completed]
+class TestCriticalPath:
+    """The walk against the closed form (``latency_model.py``), which
+    computes each Figure 5 cell without running the simulator."""
 
-
-class TestSameInstantShortCircuit:
     def test_the_tracker_listens_to_no_pop(self):
         assert not hasattr(SloTracker, "on_pop")
 
-    @settings(max_examples=300, deadline=None)
-    @given(steps=_STEPS)
-    def test_components_equal_advancing_at_every_waypoint(self, steps):
-        accounts = _drive(SloTracker, steps)
-        assert accounts == _drive(_EveryWaypointTracker, steps)
-        for total_ns, components in accounts:
-            assert sum(components.values()) == total_ns
+    @pytest.mark.parametrize("cell", UDP_CELLS,
+                             ids=["%s%s/%s" % (device, "-fast" * fast, system)
+                                  for device, system, fast in UDP_CELLS])
+    def test_steady_trip_is_the_closed_form_term_by_term(self, cell):
+        device, system, fast = cell
+        nic, medium = hardware(device, fast)
+        host = sum(amount for _c, amount, _s in host_steps(*cell))
+        hidden = hidden_us(*cell)
+        flight = flight_us(nic, medium, frame_len(device, system))
+        trip = _tracked_trips(*cell)[-1]
+        parts = trip.components
+        assert sum(parts.values()) == trip.total_ns
+        assert abs(parts["cpu_service"] - 2e3 * (host - hidden)) <= _ROUNDING_NS
+        assert abs(parts["nic_ring"] + parts["propagation"]
+                   - 2e3 * flight) <= _ROUNDING_NS
+        assert abs(trip.overlapped_ns - 2e3 * hidden) <= _ROUNDING_NS
+        assert parts["stall"] == 0
+
+    @pytest.mark.parametrize("device", ["ethernet", "atm", "t3"])
+    def test_the_dux_gap_is_on_path_cpu(self, device):
+        """The paper's comparator: DIGITAL UNIX minus Plexus is CPU on the
+        path, not the CPU both hosts charged."""
+        spin = _tracked_trips(device, "plexus-interrupt", False)[-1]
+        dux = _tracked_trips(device, "digital-unix", False)[-1]
+        assert (dux.total_ns - spin.total_ns
+                == dux.components["cpu_service"] - spin.components["cpu_service"])
+        if device == "ethernet":
+            assert dux.total_ns - spin.total_ns == 405_400
+            assert dux.components == {"cpu_service": 822_976, "nic_ring": 30_000,
+                                      "propagation": 127_600, "stall": 0}
+            assert dux.overlapped_ns == 68_000
 
 
 def _fingerprint_side(p50=100, p99=200, p999=300):
