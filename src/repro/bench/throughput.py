@@ -21,6 +21,7 @@ from typing import Dict, List, Optional
 from ..core.manager import Credential, discard_datagram
 from ..hw.alpha import MICROSECONDS_PER_SECOND
 from ..lang.ephemeral import ephemeral
+from ..sim import SimulationError
 from .claims import paper
 from .testbed import build_raw_pair, build_testbed
 from .workloads import _tcp_stream, _tcp_stream_fingerprint, run_scenario
@@ -46,6 +47,7 @@ def _mbps(nbytes: int, elapsed_us: float) -> float:
 def _arrived(state, now: float, nbytes: int) -> None:
     """A receiver counts the bytes after its first arrival, from the
     first arrival to the last: N arrivals span N-1 intervals."""
+    state["arrivals"] += 1
     if state["first"] is None:
         state["first"] = now
     else:
@@ -79,7 +81,7 @@ def measure_raw_throughput(device: str, frames: int = 200,
     engine, initiator, responder, nic_a, nic_b = build_raw_pair(device)
     responder.echo = False
     frame_len = frame_len or (nic_b.mtu + nic_b.link_header)
-    state = {"received": 0, "first": None, "last": None}
+    state = {"received": 0, "arrivals": 0, "first": None, "last": None}
 
     responder.on_frame = lambda data: _arrived(state, engine.now, len(data))
 
@@ -99,10 +101,17 @@ def measure_udp_throughput(os_name: str, device: str,
                            total_bytes: int = 1_000_000,
                            datagram: int = 4096,
                            checksum: bool = True) -> float:
-    """One-way UDP blast (the T3 substitute measurement)."""
+    """One-way UDP blast (the T3 substitute measurement).
+
+    The blast is staged faster than a link drains it, so both NICs hold
+    all of it: every staged datagram must arrive, or the run fails.
+    """
     bed = build_testbed(os_name, device)
     engine = bed.engine
-    state = {"received": 0, "first": None, "last": None}
+    staged = -(-total_bytes // datagram)
+    for nic in bed.nics:
+        nic.provision_rings(staged)
+    state = {"received": 0, "arrivals": 0, "first": None, "last": None}
 
     if os_name == "spin":
         receiver_stack = bed.stacks[1]
@@ -136,7 +145,7 @@ def measure_udp_throughput(os_name: str, device: str,
         def server():
             sock = receiver_sockets.udp_socket()
             yield from sock.bind(_PORT)
-            for _ in range(-(-total_bytes // datagram)):
+            for _ in range(staged):
                 data, _addr = yield from sock.recvfrom()
                 _arrived(state, engine.now, len(data))
 
@@ -152,6 +161,11 @@ def measure_udp_throughput(os_name: str, device: str,
         engine.process(server(), name="udp-server")
         engine.run_process(client(), name="udp-client")
         engine.run()
+    drops = bed.nics[0].tx_drops
+    if state["arrivals"] != staged or drops:
+        raise SimulationError(
+            "delivery check failed: %d of %d datagrams arrived, %d dropped "
+            "at the sender" % (state["arrivals"], staged, drops))
     elapsed = (state["last"] or 0) - (state["first"] or 0)
     return _mbps(state["received"], elapsed)
 

@@ -286,15 +286,27 @@ class IpManager(_ManagerBase):
             raise AccessError(
                 "transparent redirection re-emits foreign source addresses; "
                 "credential %s is not privileged" % credential.name)
-        stack = self.stack
+        ip = self.stack.ip
         host = self.host
 
         def redirect(m: Mbuf, ip_header_off: int, next_hop: int) -> None:
-            host.cpu.charge(host.costs.dispatch_per_handler, "dispatch")
+            # The per-packet path of Figure 7; cpu.charge inlined (exact
+            # body and order), and the IP packet copied out in one slice.
+            cpu = host.cpu
+            stack = cpu._stack
+            if not stack:
+                raise ChargeError(OUTSIDE_PATH)
+            times = cpu.category_times
+            amount = host.costs.dispatch_per_handler
+            stack[-1] += amount
+            times["dispatch"] += amount
             packet = host.mbufs.from_bytes(
-                m.to_bytes()[ip_header_off:], leading_space=16)
-            host.cpu.charge(packet.length() * host.costs.copy_per_byte, "copy")
-            stack.ip.lower.send(packet, next_hop)
+                m._storage[m.off + ip_header_off:m.off + m.len],
+                leading_space=16)
+            amount = packet.len * host.costs.copy_per_byte
+            stack[-1] += amount
+            times["copy"] += amount
+            ip.lower.send(packet, next_hop)
 
         # Manager-granted capabilities are trusted kernel code: callable
         # from ephemeral handlers.

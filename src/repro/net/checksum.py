@@ -11,29 +11,40 @@ Implementation notes (wall-clock, not simulated time)
 
 :func:`internet_checksum` is the one entry point.  A transport hands it
 one window over the packet's store, header and payload together, and
-folds the pseudo-header in through ``initial``.  The summation is
-word-wise, not byte-wise, and takes one of two paths by buffer size:
+folds the pseudo-header in through ``initial``; IP's send and receive
+paths sum their header's fields instead (``net/ip.py``).  The sum is reduced
+with one ``%`` and no carry-fold loop: any word sum is congruent, modulo
+0xFFFF, to its fold (because 2**16 == 1 mod 0xFFFF), so the complement
+is the sum's negation modulo 0xFFFF -- except that only an all-zero sum
+folds to 0 (complement 0xFFFF), where a nonzero multiple of 0xFFFF folds
+to 0xFFFF (complement 0).  The words are summed by buffer size:
 
 * up to ``_SMALL`` (1,024) bytes, and at every size when numpy is not
-  installed, the buffer is folded in the entry point's own frame: its
-  big-endian integer value is congruent, modulo 0xFFFF, to its 16-bit
-  word sum (because 2**16 == 1 mod 0xFFFF), so one ``int.from_bytes``
-  and one ``%`` replace the loop;
-* above it, :func:`_word_sum_numpy` sums a zero-copy ``>u2`` array view.
+  installed, the buffer's big-endian integer value is its word sum,
+  modulo 0xFFFF: one ``int.from_bytes``;
+* above it, one ``numpy.add.reduce`` sums a zero-copy view of native
+  32-bit words into a uint64 (RFC 1071 section 2C: a wider word defers
+  the carries, and a 32-bit word is two 16-bit words modulo 0xFFFF).  On
+  a little-endian host those are byte-swapped words, and their sum,
+  shifted left 8 bits, is the big-endian one modulo 0xFFFF (section 2B);
+  the 0-3 bytes past the last whole word go through ``int.from_bytes``.
 
-The crossover is where numpy's fixed cost a call stops losing to the
-``int.from_bytes`` fold, whose ``%`` grows with the buffer.  Microseconds
-a call on an Intel Xeon core, CPython 3.11 (best of seven):
+numpy's fixed cost a call stops losing to the ``int.from_bytes`` fold,
+whose ``%`` grows with the buffer, between 513 and 1,024 bytes; ``_SMALL``
+stays at 1,024, so a run whose buffers are all smaller never loads numpy.
+Microseconds a call over a window one byte past an aligned start, on an
+Intel Xeon core, CPython 3.11 and numpy 2.4 (best of seven, best of
+three runs on a shared host):
 
-=========  ======================  =====
-bytes      ``int.from_bytes`` + %  numpy
-=========  ======================  =====
-513        1.9                     3.3
-1,024      3.3                     3.3
-1,400      4.3                     3.5
-2,048      6.5                     3.8
-9,000      27.4                    6.3
-=========  ======================  =====
+=========  ======================  ============
+bytes      ``int.from_bytes`` + %  numpy 32-bit
+=========  ======================  ============
+513        2.2                     3.7
+1,024      4.8                     2.6
+1,400      5.1                     2.7
+2,048      7.4                     3.8
+9,000      31.7                    5.4
+=========  ======================  ============
 
 numpy is located with ``importlib.util.find_spec`` when this module
 loads, but imported only by the first buffer over ``_SMALL``: a run that
@@ -46,6 +57,7 @@ implementation for cross-checking in tests.
 from __future__ import annotations
 
 import importlib.util
+import sys
 from typing import Union
 
 from ..lang.ephemeral import register_safe
@@ -63,28 +75,9 @@ Buffer = Union[bytes, bytearray, memoryview]
 _SMALL = 1024
 #: Whether buffers over ``_SMALL`` can be summed by numpy (imported then).
 _HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
-
-
-def _word_sum_numpy(data: Buffer) -> int:
-    """Word sum over a zero-copy big-endian uint16 numpy view.
-
-    Odd-length buffers are summed as if zero-padded (RFC 1071).  The
-    first call imports numpy.
-    """
-    import numpy
-
-    length = len(data)
-    view = data if isinstance(data, memoryview) else memoryview(data)
-    if not view.contiguous:
-        view = memoryview(bytes(view))
-    elif view.itemsize != 1:
-        view = view.cast("B")
-    even = length & ~1
-    total = int(numpy.frombuffer(view[:even], dtype=">u2")
-                .sum(dtype=numpy.uint64))
-    if length & 1:
-        total += view[length - 1] << 8
-    return total
+#: Multiplying by 2**8 modulo 0xFFFF byte-swaps a folded sum: a sum of
+#: little-endian words becomes the big-endian one (RFC 1071 section 2B).
+_SWAP = 8 if sys.byteorder == "little" else 0
 
 
 def internet_checksum(data: Buffer, initial: int = 0) -> int:
@@ -93,20 +86,21 @@ def internet_checksum(data: Buffer, initial: int = 0) -> int:
     ``initial`` lets callers fold in a pseudo-header sum.
     """
     length = len(data)
-    if length <= _SMALL or not _HAVE_NUMPY:
-        n = int.from_bytes(data, "big")
-        if length & 1:
-            n <<= 8
-        # A nonzero multiple of 0xFFFF must not fold to zero: the carry
-        # fold below tells a zero sum from 0xFFFF by the total alone.
-        s = n % 0xFFFF
-        total = initial + (s if s or not n else 0xFFFF)
-    else:
-        total = initial + _word_sum_numpy(data)
-    # Fold carries.
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+    total = initial
+    if length > _SMALL and _HAVE_NUMPY:
+        import numpy
+        whole = length & ~3
+        total += int(numpy.add.reduce(
+            numpy.frombuffer(data, numpy.uint32, whole >> 2),
+            dtype=numpy.uint64)) << _SWAP
+        data = data[whole:]
+    n = int.from_bytes(data, "big")
+    if length & 1:
+        n <<= 8
+    total += n
+    # One's-complement -0: only an all-zero sum folds to 0, so only it
+    # complements to 0xFFFF; a nonzero multiple of 0xFFFF complements to 0.
+    return -total % 0xFFFF if total else 0xFFFF
 
 
 def internet_checksum_reference(data: Buffer, initial: int = 0) -> int:
@@ -118,7 +112,7 @@ def internet_checksum_reference(data: Buffer, initial: int = 0) -> int:
         total += (data[i] << 8) | data[i + 1]
     if length % 2:
         total += data[-1] << 8
-    while total >> 16:
+    while total > 0xFFFF:
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF
 

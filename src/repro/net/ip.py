@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from ..hw.cpu import OUTSIDE_PATH, ChargeError
 from ..lang.view import VIEW, TypedView
 from ..spin.mbuf import Mbuf
-from .checksum import charged_checksum, internet_checksum
+from .checksum import charged_checksum
 from .fwdtable import ForwardingTable
 from .headers import IP_HEADER, ip_ntoa
 
@@ -26,7 +26,6 @@ from .headers import IP_HEADER, ip_ntoa
 # per field on the per-packet paths).
 _IP_PACK = IP_HEADER.pack_into
 _IP_UNPACK = IP_HEADER.unpack_from
-_IP_PUT_CKSUM, _IP_CKSUM_OFF = IP_HEADER.scalar_putter("checksum")
 
 __all__ = ["IpProto", "IP_BROADCAST"]
 
@@ -198,11 +197,10 @@ class IpProto:
         if total_length is None:
             total_length = self.HEADER_LEN + m.len
         packet = m.push(self.HEADER_LEN)
-        storage = packet._storage
-        start = packet.off
-        _IP_PACK(storage, start, 0x45, 0, total_length, ident,
-                 frag_field, ttl, protocol, 0, src, dst)
-        # charged_checksum inlined (exact charge body and order).
+        # The checksum is charged as a pass over the header and computed
+        # from its fields: their word sum, modulo 0xFFFF, is the header's
+        # (2**16 == 1 mod 0xFFFF folds each address's two words), and it
+        # is never zero, so its complement is its negation.
         cpu = self.host.cpu
         stack = cpu._stack
         if not stack:
@@ -210,8 +208,10 @@ class IpProto:
         amount = self.HEADER_LEN * self.host.costs.checksum_per_byte
         stack[-1] += amount
         cpu.category_times["checksum"] += amount
-        _IP_PUT_CKSUM(storage, start + _IP_CKSUM_OFF, internet_checksum(
-            storage[start:start + self.HEADER_LEN]))
+        _IP_PACK(packet._storage, packet.off, 0x45, 0, total_length, ident,
+                 frag_field, ttl, protocol,
+                 -(0x4500 + total_length + ident + frag_field + (ttl << 8)
+                   + protocol + src + dst) % 0xFFFF, src, dst)
         return packet
 
     # -- receive path -------------------------------------------------------------
@@ -235,17 +235,19 @@ class IpProto:
         # extensions, guards and VIEW need m.data and its READONLY wrapper.
         storage = m._storage
         start = m.off + off
-        (vhl, _tos, total, ident, frag, _ttl, protocol, _cksum,
+        (vhl, tos, total, ident, frag, ttl, protocol, cksum,
          src, dst) = _IP_UNPACK(storage, start)
         # Version 4 and a header of 5 words, in a total that holds it.
         if vhl != 0x45 or total < self.HEADER_LEN:
             self.header_errors += 1
             return
-        # charged_checksum inlined.
+        # The checksum pass, charged, from the fields: a header whose
+        # (nonzero) word sum is a multiple of 0xFFFF checks.
         amount = self.HEADER_LEN * host.costs.checksum_per_byte
         stack[-1] += amount
         times["checksum"] += amount
-        if internet_checksum(storage[start:start + self.HEADER_LEN]) != 0:
+        if (0x4500 + tos + total + ident + frag + (ttl << 8) + protocol
+                + cksum + src + dst) % 0xFFFF:
             self.header_errors += 1
             return
         # The datagram must lie within the bytes received, and the window

@@ -8,6 +8,7 @@ the bench code fail fast under plain pytest.
 
 import pytest
 
+from repro.bench import throughput
 from repro.bench.ablations import delivery_mode_ablation
 from repro.bench.claims import paper
 from repro.bench.forwarding import measure_plexus_forwarding
@@ -18,11 +19,14 @@ from repro.bench.latency import (
     measure_unix_udp_rtt,
 )
 from repro.bench.micro import dispatcher_overhead_per_handler
+from repro.bench.testbed import build_testbed
 from repro.bench.throughput import (
     measure_raw_throughput,
     measure_udp_throughput,
 )
 from repro.bench.video import measure_video_server
+from repro.hw.nic import NIC
+from repro.sim import SimulationError
 
 
 class TestLatencyHarness:
@@ -78,6 +82,27 @@ class TestThroughputHarness:
 
     def test_socket_udp_throughput_below_wire(self):
         assert 0 < measure_udp_throughput("unix", "t3", 400_000) <= 45.0
+
+    @pytest.mark.parametrize("os_name", ["spin", "unix"])
+    def test_udp_blast_is_lossless(self, os_name, monkeypatch):
+        # The ledger's 400 KB blast is 98 datagrams of 4,096 bytes.  The
+        # Plexus sender stages them from kernel paths faster than the T3
+        # drains them: on 64-entry rings its NIC dropped 10 and 88 arrived.
+        beds = []
+
+        def spy(*args, **kwargs):
+            beds.append(build_testbed(*args, **kwargs))
+            return beds[-1]
+        monkeypatch.setattr(throughput, "build_testbed", spy)
+        measure_udp_throughput(os_name, "t3", 400_000)
+        sender, receiver = beds[0].nics
+        assert (sender.tx_frames, sender.tx_drops) == (98, 0)
+        assert (receiver.rx_frames, receiver.rx_drops) == (98, 0)
+
+    def test_lossy_udp_blast_fails(self, monkeypatch):
+        monkeypatch.setattr(NIC, "provision_rings", lambda nic, depth: None)
+        with pytest.raises(SimulationError, match="88 of 98 datagrams"):
+            measure_udp_throughput("spin", "t3", 400_000)
 
     def test_paper_anchor_table(self):
         assert paper("sec42.atm.plexus") == 33.0

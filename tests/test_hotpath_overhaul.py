@@ -51,12 +51,17 @@ from repro.spin import DispatchError
 class TestChecksumAgainstReference:
     # Sizes straddling the int.from_bytes path (<= 1,024 bytes) and the
     # numpy path, with odd-length variants; 511-514 are the old crossover.
+    # Above it the numpy pass reads 32-bit words and folds the 0-3 bytes
+    # left over in the entry point: every remainder, at the crossover and
+    # at a jumbo segment's size.
     BOUNDARY_SIZES = [0, 1, 2, 3, 511, 512, 513, 514,
-                      1021, 1022, 1023, 1024, 1025, 1026,
-                      2047, 2048, 2049, 4096, 4099]
-    # Unaligned windows: odd starts, both paths, odd and even lengths.
+                      1021, 1022, 1023, 1024, *range(1025, 1032),
+                      2047, 2048, 2049, 4096, 4099, *range(9000, 9004)]
+    # Unaligned windows: odd starts, both paths, odd and even lengths, and
+    # 32-bit words read from 1-3 bytes past a 4-byte boundary.
     WINDOWS = [(1, 7), (3, 20), (1, 1023), (5, 1024), (3, 1025), (1, 2049),
-               (7, 9000)]
+               (7, 9000), *[(start, size) for start in (1, 2, 3)
+                            for size in (1026, 1027, 1028, 1029, 9001)]]
     INITIALS = [0, 1, 0xFFFF, 0x1FFFE, 0x3FFFF]
 
     @pytest.mark.parametrize("size", BOUNDARY_SIZES)

@@ -3,10 +3,11 @@
 import threading
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.bench.testbed import build_testbed
 from repro.lang import VIEW
-from repro.net.checksum import internet_checksum
+from repro.net.checksum import internet_checksum, internet_checksum_reference
 from repro.net.headers import IPPROTO_UDP, IP_HEADER, TCP_SYN, ip_aton
 from repro.net.ip import _Reassembly
 
@@ -259,6 +260,63 @@ class TestTotalLength:
         ip, tcp = bed.stacks[1].ip, bed.stacks[1].tcp
         assert (ip.header_errors, ip.packets_in) == (0, 1)
         assert (tcp.checksum_errors, tcp.segments_in) == (0, 1)
+
+
+_U8 = st.integers(0, 0xFF)
+_U16 = st.integers(0, 0xFFFF)
+_U32 = st.integers(0, 0xFFFFFFFF)
+
+
+class TestHeaderChecksumFromFields:
+    """IP stamps and verifies its header checksum by arithmetic on the
+    fields it packs and unpacks; both must agree with a pass over the
+    header's bytes, for every value of every field."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(total=_U16, ident=_U16, frag=_U16, ttl=_U8, protocol=_U8,
+           src=_U32, dst=_U32)
+    def test_output_stamps_the_reference_checksum(self, total, ident, frag,
+                                                  ttl, protocol, src, dst):
+        engine, _wire, a, _b = make_pair()
+        headers = []
+
+        def work():
+            m = a.host.mbufs.from_bytes(b"", leading_space=64)
+            packet = a.ip._prepend_header(m, src, dst, protocol, ident, ttl,
+                                          frag_field=frag, total_length=total)
+            headers.append(bytes(packet._storage[packet.off:packet.off + 20]))
+        a.run_kernel(work)
+        engine.run()
+        header = headers[0]
+        *fields, cksum, src_out, dst_out = IP_HEADER.unpack_from(header, 0)
+        assert (*fields, src_out, dst_out) == (
+            0x45, 0, total, ident, frag, ttl, protocol, src, dst)
+        zeroed = header[:10] + b"\0\0" + header[12:]
+        assert cksum == internet_checksum_reference(zeroed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tos=_U8, total=st.integers(20, 0xFFFF), ident=_U16, frag=_U16,
+           ttl=_U8, protocol=_U8, cksum=st.none() | _U16, src=_U32, dst=_U32)
+    def test_input_verdict_is_the_byte_checksum(self, tos, total, ident, frag,
+                                                ttl, protocol, cksum, src,
+                                                dst):
+        # ``cksum=None`` stamps the correct value; any other is a field
+        # that may or may not check.  A datagram not for b stops at
+        # ``not_for_us`` once its header is accepted.
+        engine, _wire, _a, b = make_pair()
+        assume(dst not in (b.my_ip, 0xFFFFFFFF))
+        header = bytearray(20)
+        IP_HEADER.pack_into(header, 0, 0x45, tos, total, ident, frag, ttl,
+                            protocol, 0, src, dst)
+        if cksum is None:
+            cksum = internet_checksum_reference(header)
+        header[10:12] = cksum.to_bytes(2, "big")
+        datagram = bytes(header) + bytes(total - 20)
+        b.run_kernel(lambda: b.ip.input(b.host.mbufs.from_bytes(datagram), 0))
+        engine.run()
+        valid = internet_checksum(header) == 0
+        assert (b.ip.not_for_us, b.ip.header_errors) == (
+            (1, 0) if valid else (0, 1))
 
 
 class TestIcmp:
