@@ -18,7 +18,7 @@ from repro.apps.active_messages import ActiveMessages
 from repro.bench import build_testbed
 from repro.bench.latency import measure_plexus_udp_rtt
 from repro.bench.stats import summarize
-from repro.core import Credential
+from repro.core import AppExtension, Credential
 from repro.lang import ephemeral
 from repro.sim import Signal
 
@@ -27,8 +27,12 @@ def remote_counter_demo() -> None:
     """A tiny distributed counter driven by active messages."""
     bed = build_testbed("spin", "ethernet")
     engine = bed.engine
-    am_client = ActiveMessages(bed.stacks[0], name="am-client")
-    am_server = ActiveMessages(bed.stacks[1], name="am-server")
+    am_client = AppExtension.link(ActiveMessages, bed.hosts[0],
+                                  bed.stacks[0].net_domain,
+                                  name="am-client").state
+    am_server = AppExtension.link(ActiveMessages, bed.hosts[1],
+                                  bed.stacks[1].net_domain,
+                                  name="am-server").state
     client_host = bed.hosts[0]
     client_mac, server_mac = bed.nics[0].address, bed.nics[1].address
 

@@ -17,6 +17,7 @@ from repro.apps.httpd import (
     unix_http_get,
 )
 from repro.bench import build_testbed
+from repro.core import AppExtension
 
 PAGES = {
     "/": b"<html><h1>SPIN / Plexus</h1>"
@@ -29,8 +30,12 @@ PAGES = {
 def spin_demo() -> None:
     bed = build_testbed("spin", "ethernet")
     engine = bed.engine
-    server = SpinHttpServer(bed.stacks[1], PAGES, port=8088)
-    client = SpinHttpClient(bed.stacks[0], bed.ip(1), port=8088)
+    server = AppExtension.link(SpinHttpServer, bed.hosts[1],
+                               bed.stacks[1].app_domain, PAGES,
+                               port=8088).state
+    client = AppExtension.link(SpinHttpClient, bed.hosts[0],
+                               bed.stacks[0].app_domain, bed.ip(1),
+                               port=8088).state
 
     print("in-kernel HTTP server (Plexus):")
     for path in ("/", "/paper", "/missing"):

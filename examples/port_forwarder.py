@@ -17,7 +17,7 @@ from repro.bench.forwarding import (
     measure_plexus_forwarding,
     measure_unix_forwarding,
 )
-from repro.core import Credential
+from repro.core import AppExtension, Credential
 from repro.sim import Signal
 
 SERVICE_PORT = 8080
@@ -30,12 +30,18 @@ def load_balance_demo() -> None:
     client_stack, front_stack, b1_stack, b2_stack = bed.stacks
     vip = bed.ip(1)
 
-    forwarder = PlexusForwarder(front_stack, SERVICE_PORT,
-                                backends=[bed.ip(2), bed.ip(3)])
-    backend_1 = BackendService(b1_stack, vip, SERVICE_PORT, echo=True,
-                               name="backend-1")
-    backend_2 = BackendService(b2_stack, vip, SERVICE_PORT, echo=True,
-                               name="backend-2")
+    # Each piece is an extension linked against its host's net domain;
+    # both need a privileged credential (foreign source addresses).
+    linked_forwarder = AppExtension.link(
+        PlexusForwarder, bed.hosts[1], front_stack.net_domain, SERVICE_PORT,
+        backends=[bed.ip(2), bed.ip(3)], privileged=True)
+    forwarder = linked_forwarder.state
+    backend_1 = AppExtension.link(
+        BackendService, bed.hosts[2], b1_stack.net_domain, vip, SERVICE_PORT,
+        echo=True, name="backend-1", privileged=True).state
+    backend_2 = AppExtension.link(
+        BackendService, bed.hosts[3], b2_stack.net_domain, vip, SERVICE_PORT,
+        echo=True, name="backend-2", privileged=True).state
 
     replies = []
     done = Signal(engine)
@@ -69,6 +75,12 @@ def load_balance_demo() -> None:
           % len(front_stack.tcp.connections))
     for n, data in sorted(replies):
         assert data == b"request %d" % n
+
+    # Runtime adaptation: unlinking the forwarder takes its redirect node
+    # out of the running graph, and the front host may serve the port.
+    linked_forwarder.uninstall()
+    front_stack.tcp_manager.listen(Credential("local"), SERVICE_PORT,
+                                   lambda tcb: None)
 
 
 def latency_comparison() -> None:

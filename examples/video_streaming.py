@@ -11,16 +11,24 @@ displaying client, on both operating-system models, and reports:
 Run:  python examples/video_streaming.py
 """
 
-from repro.apps.video import VIDEO_PORT_BASE, SpinVideoClient, SpinVideoServer
+from repro.apps.video import (
+    VIDEO_PORT_BASE,
+    SpinVideoClient,
+    SpinVideoServer,
+    display_fraction,
+)
 from repro.bench import build_testbed
+from repro.core import AppExtension
 from repro.bench.video import measure_video_client, measure_video_server
 
 
 def stream_one_clip() -> None:
     """A single stream, end to end, with full accounting."""
     bed = build_testbed("spin", "t3")
-    client = SpinVideoClient(bed.stacks[1])
-    server = SpinVideoServer(bed.stacks[0])
+    client = AppExtension.link(SpinVideoClient, bed.hosts[1],
+                               bed.stacks[1].app_domain).state
+    server = AppExtension.link(SpinVideoServer, bed.hosts[0],
+                               bed.stacks[0].app_domain).state
     seconds = 0.5
     frames = int(seconds * server.fps)
     server.add_stream(bed.ip(1), VIDEO_PORT_BASE, frames=frames)
@@ -32,7 +40,7 @@ def stream_one_clip() -> None:
           % (server.stats.frames_sent, client.frames_displayed,
              server.stats.deadline_misses))
     print("  client display share of app work: %.0f%%  (paper: >90%%)"
-          % (client.display_fraction() * 100))
+          % (display_fraction(bed.hosts[1].cpu) * 100))
 
 
 def utilization_curves() -> None:

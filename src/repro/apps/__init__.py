@@ -1,4 +1,5 @@
-"""The paper's application-specific protocols (section 5) and demos."""
+"""The paper's application-specific protocols (section 5) and demos; each
+Plexus-side one is linked by :meth:`repro.core.AppExtension.link`."""
 
 from .active_messages import AM_ETHERTYPE, AM_HEADER, ActiveMessages
 from .forwarder import BackendService, PlexusForwarder

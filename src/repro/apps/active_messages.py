@@ -4,8 +4,8 @@
 messages over Ethernet.  To minimize latency, the active message handlers
 execute in the network interrupt handler."
 
-The extension claims a private ethertype from the Ethernet manager,
-installs a guard discriminating on the type field (the exact Figure 2
+The extension, linked against a host's net domain, claims a private
+ethertype through the Ethernet manager's capability, installs a guard discriminating on the type field (the exact Figure 2
 idiom) and an EPHEMERAL handler with a time limit; ``send`` invokes a
 named remote handler with a small argument payload.  Because the path is
 device -> guard -> handler with no transport layers, its round trip is
@@ -15,10 +15,9 @@ ledger's ``abl.active-messages.*`` rows (``repro.bench.claims``).
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Any, Callable, Dict
 
 from ..core.manager import Credential
-from ..core.plexus import PlexusStack
 from ..lang.ephemeral import ephemeral
 from ..lang.layout import Layout, UINT16, UINT32
 from ..lang.view import VIEW
@@ -34,19 +33,17 @@ AM_HEADER = Layout("ActiveMessage.T", [
 
 
 class ActiveMessages:
-    """One host's active-message endpoint."""
+    """One host's active-message endpoint (net domain, Ethernet hosts only)."""
+
+    NAME = "active-messages"
+    IMPORTS = ["Ethernet.ClaimEthertype", "Ethernet.SendCapability",
+               "Delivery.Mode"]
 
     #: interrupt-context budget for one active-message handler
     TIME_LIMIT_US = 30.0
 
-    def __init__(self, stack: PlexusStack, ethertype: int = AM_ETHERTYPE,
-                 name: str = "active-messages"):
-        if stack.ethernet_manager is None:
-            raise ValueError("active messages require an Ethernet stack")
-        self.stack = stack
-        self.host = stack.host
-        self.ethertype = ethertype
-        self.credential = Credential(name)
+    def __init__(self, env: Dict[str, Any], credential: Credential,
+                 ethertype: int = AM_ETHERTYPE):
         self.handlers: Dict[int, Callable[[int, int, int], None]] = {}
         self.messages_received = 0
         self._seq = 0
@@ -62,13 +59,11 @@ class ActiveMessages:
             if target is not None:
                 target(header.seq, header.arg, header.handler_index)
 
-        self.handle = stack.ethernet_manager.claim_ethertype(
-            self.credential, ethertype, ephemeral(am_handler),
-            mode=stack.deliver_mode,
-            time_limit=(self.TIME_LIMIT_US if stack.deliver_mode == "inline"
-                        else None))
-        self._send_frame = stack.ethernet_manager.send_capability(
-            self.credential, ethertype)
+        mode = env["Delivery.Mode"]
+        self.handle = env["Ethernet.ClaimEthertype"](
+            credential, ethertype, ephemeral(am_handler), mode=mode,
+            time_limit=self.TIME_LIMIT_US if mode == "inline" else None)
+        self._send_frame = env["Ethernet.SendCapability"](credential, ethertype)
 
     def register(self, index: int, handler: Callable[[int, int, int], None]) -> None:
         """Register handler ``index``; ``handler(seq, arg, index)``.
@@ -95,5 +90,5 @@ class ActiveMessages:
         self._send_frame(bytes(buf), dst_mac)
         return self._seq
 
-    def remove(self) -> None:
+    def uninstall(self) -> None:
         self.handle.uninstall()

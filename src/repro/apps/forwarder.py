@@ -11,21 +11,20 @@ client's connection at the forwarder.
 
 Two cooperating pieces:
 
-* :class:`PlexusForwarder` -- installed on the front host (whose address
+* :class:`PlexusForwarder` -- linked on the front host (whose address
   is the service's virtual IP): claims the port redirect and re-emits
   each matching packet to a backend chosen per flow (round-robin load
   balancing across backends).
-* :class:`BackendService` -- installed on each backend: hosts the virtual
+* :class:`BackendService` -- linked on each backend: hosts the virtual
   IP as an alias and serves the port, replying with the virtual address
   as source so clients see one coherent peer.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.manager import Credential
-from ..core.plexus import PlexusStack
 from ..lang.ephemeral import ephemeral
 from ..lang.view import VIEW
 from ..net.headers import IPPROTO_TCP, TCP_HEADER, UDP_HEADER
@@ -34,22 +33,22 @@ __all__ = ["PlexusForwarder", "BackendService"]
 
 
 class PlexusForwarder:
-    """The in-kernel redirect node on the front host."""
+    """The in-kernel redirect node on the front host (net domain, privileged)."""
 
-    def __init__(self, stack: PlexusStack, port: int, backends: List[int],
-                 ip_protocol: int = IPPROTO_TCP, name: str = "forwarder"):
+    NAME = "forwarder"
+    IMPORTS = ["IP.ClaimPortRedirect", "IP.LinkRedirect", "Delivery.Mode"]
+
+    def __init__(self, env: Dict[str, Any], credential: Credential,
+                 port: int, backends: List[int],
+                 ip_protocol: int = IPPROTO_TCP):
         if not backends:
             raise ValueError("need at least one backend")
-        self.stack = stack
-        self.port = port
         self.backends = list(backends)
-        self.credential = Credential(name, privileged=True)
         self.flows: Dict[Tuple[int, int], int] = {}
         self.packets_forwarded = 0
         self._rr = 0
-        self._redirect = stack.ip_manager.link_redirect_capability(self.credential)
+        redirect = env["IP.LinkRedirect"](credential)
         header_layout = TCP_HEADER if ip_protocol == IPPROTO_TCP else UDP_HEADER
-        redirect = self._redirect
         flows = self.flows
         state = self
 
@@ -63,17 +62,17 @@ class PlexusForwarder:
             state.packets_forwarded += 1
             redirect(m, off - 20, backend)
 
-        self.handle = stack.ip_manager.claim_port_redirect(
-            self.credential, ip_protocol, port, ephemeral(handler),
-            mode=stack.deliver_mode,
-            time_limit=200.0 if stack.deliver_mode == "inline" else None)
+        mode = env["Delivery.Mode"]
+        self.handle = env["IP.ClaimPortRedirect"](
+            credential, ip_protocol, port, ephemeral(handler), mode=mode,
+            time_limit=200.0 if mode == "inline" else None)
 
     def _pick_backend(self) -> int:
         backend = self.backends[self._rr % len(self.backends)]
         self._rr += 1
         return backend
 
-    def remove(self) -> None:
+    def uninstall(self) -> None:
         """Tear the redirect node out of the running graph."""
         self.handle.uninstall()
 
@@ -82,16 +81,15 @@ class PlexusForwarder:
 
 
 class BackendService:
-    """Backend side: host the virtual IP and serve the port."""
+    """Backend side: host the virtual IP and serve the port (net domain, privileged)."""
 
-    def __init__(self, stack: PlexusStack, virtual_ip: int, port: int,
-                 on_accept: Optional[Callable] = None,
-                 echo: bool = False, name: str = "backend"):
-        self.stack = stack
-        self.port = port
-        self.credential = Credential(name, privileged=True)
-        alias = stack.ip_manager.alias_capability(self.credential)
-        alias(virtual_ip)
+    NAME = "backend"
+    IMPORTS = ["IP.Alias", "TCP.Listen"]
+
+    def __init__(self, env: Dict[str, Any], credential: Credential,
+                 virtual_ip: int, port: int,
+                 on_accept: Optional[Callable] = None, echo: bool = False):
+        self._unalias = env["IP.Alias"](credential)(virtual_ip)
         self.connections = []
 
         def accept(tcb):
@@ -101,4 +99,8 @@ class BackendService:
             if on_accept is not None:
                 on_accept(tcb)
 
-        self.listener = stack.tcp_manager.listen(self.credential, port, accept)
+        self.listener = env["TCP.Listen"](credential, port, accept)
+
+    def uninstall(self) -> None:  # stop serving the port and hosting the address
+        self.listener.uninstall()
+        self._unalias()

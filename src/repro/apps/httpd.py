@@ -1,17 +1,17 @@
-"""HTTP service over the extensible stack (paper's live demo workload).
+"""HTTP service over the extensible protocol graph (paper's live demo workload).
 
-:class:`SpinHttpServer` is an in-kernel extension: requests are parsed
-and answered entirely inside TCB callbacks, with no boundary crossings.
+:class:`SpinHttpServer` is an in-kernel extension, linked against a
+host's app domain: requests are parsed and answered entirely inside TCB
+callbacks, with no boundary crossings.
 :class:`UnixHttpServer` is the conventional user-level daemon.
 :class:`SpinHttpClient` / :func:`unix_http_get` are the matching clients.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..core.manager import Credential
-from ..core.plexus import PlexusStack
 from ..net.http import (
     HttpClientConnection,
     HttpServerConnection,
@@ -43,12 +43,13 @@ def static_router(pages: Dict[str, bytes]) -> Callable[[str, str], Tuple[int, by
 
 
 class SpinHttpServer:
-    """The in-kernel HTTP server extension."""
+    """The in-kernel HTTP server extension (app domain)."""
 
-    def __init__(self, stack: PlexusStack, pages: Dict[str, bytes],
-                 port: int = HTTP_PORT, name: str = "httpd"):
-        self.stack = stack
-        self.credential = Credential(name, privileged=(port < 64))
+    NAME = "httpd"
+    IMPORTS = ["TCP.Listen"]
+
+    def __init__(self, env: Dict[str, Any], credential: Credential,
+                 pages: Dict[str, bytes], port: int = HTTP_PORT):
         self.router = static_router(pages)
         self.connections: List[HttpServerConnection] = []
         server = self
@@ -56,7 +57,10 @@ class SpinHttpServer:
         def on_accept(tcb):
             server.connections.append(HttpServerConnection(tcb, server.router))
 
-        self.listener = stack.tcp_manager.listen(self.credential, port, on_accept)
+        self.listener = env["TCP.Listen"](credential, port, on_accept)
+
+    def uninstall(self) -> None:  # connections already accepted run on
+        self.listener.uninstall()
 
     @property
     def requests_served(self) -> int:
@@ -64,14 +68,20 @@ class SpinHttpServer:
 
 
 class SpinHttpClient:
-    """An in-kernel HTTP client extension."""
+    """An in-kernel HTTP client extension (app domain)."""
 
-    def __init__(self, stack: PlexusStack, server_ip: int,
-                 port: int = HTTP_PORT, name: str = "http-client"):
-        self.stack = stack
-        self.host = stack.host
-        self.credential = Credential(name)
-        self.responses: List[Tuple[int, bytes]] = []
+    NAME = "http-client"
+    IMPORTS = ["TCP.Connect", "Kernel.Path", "Kernel.Defer", "Kernel.Signal",
+               "Kernel.Start"]
+
+    def __init__(self, env: Dict[str, Any], credential: Credential,
+                 server_ip: int, port: int = HTTP_PORT):
+        self.credential = credential
+        self._connect = env["TCP.Connect"]
+        self._path = env["Kernel.Path"]
+        self._defer = env["Kernel.Defer"]
+        self._signal = env["Kernel.Signal"]
+        self._start = env["Kernel.Start"]
         self._conn: Optional[HttpClientConnection] = None
         self._server_ip = server_ip
         self._port = port
@@ -81,30 +91,32 @@ class SpinHttpClient:
 
         A generator to run in a simulation process.
         """
-        from ..sim import Signal
-        got = Signal(self.host.engine)
+        got = self._signal()
+        defer = self._defer
 
         def on_response(status: int, body: bytes) -> None:
-            self.responses.append((status, body))
-            self.host.defer(lambda: got.fire((status, body)))
+            defer(lambda: got.fire((status, body)))
 
         if self._conn is None:
-            established = Signal(self.host.engine)
+            established = self._signal()
 
             def start():
-                tcb = self.stack.tcp_manager.connect(
-                    self.credential, self._server_ip, self._port)
-                tcb.on_established = lambda: self.host.defer(established.fire)
+                tcb = self._connect(self.credential, self._server_ip, self._port)
+                tcb.on_established = lambda: defer(established.fire)
                 self._conn = HttpClientConnection(tcb, on_response)
-            yield from self.host.kernel_path(start)
+            yield from self._path(start)
             yield established.wait()
         else:
             self._conn.on_response = on_response
         waiter = got.wait()
-        yield from self.host.kernel_path(
-            lambda: self._conn.get(path))
+        yield from self._path(lambda: self._conn.get(path))
         result = yield waiter
         return result
+
+    def uninstall(self) -> None:  # close the connection in a kernel path of its own
+        if self._conn is not None:
+            self._start(self._path(self._conn.tcb.close), name="http-client-close")
+            self._conn = None
 
 
 class UnixHttpServer:

@@ -11,7 +11,8 @@ the 45 Mb/s T3 -- exactly the saturation point of Figure 6.
 
 Four pieces:
 
-* :class:`SpinVideoServer` -- the in-kernel extension server: disk read
+* :class:`SpinVideoServer` -- the in-kernel extension server, linked
+  against a host's app domain: disk read
   (DMA, off-CPU) -> UDP sends, zero boundary copies.  The video protocol
   is application-specific UDP *without* checksums (section 1.1).
 * :class:`UnixVideoServer` -- the same service as a user process: every
@@ -25,7 +26,7 @@ Four pieces:
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List
 
 from ..core.manager import Credential, discard_datagram
 from ..hw.disk import Disk
@@ -39,6 +40,7 @@ __all__ = [
     "UnixVideoServer",
     "SpinVideoClient",
     "UnixVideoClient",
+    "display_fraction",
 ]
 
 VIDEO_FPS = 30
@@ -67,72 +69,79 @@ class _ServerStats:
 
 
 class SpinVideoServer:
-    """The in-kernel video server extension."""
+    """The in-kernel video server extension (app domain)."""
 
-    def __init__(self, stack, disk: Optional[Disk] = None,
+    NAME = "video-server"
+    IMPORTS = ["UDP.Bind", "Link.MTU", "Kernel.Path", "Kernel.Start",
+               "Kernel.Now", "Kernel.Timeout", "Disk.ReadCharges", "Disk.Read"]
+
+    def __init__(self, env: Dict[str, Any], credential: Credential,
                  frame_bytes: int = DEFAULT_FRAME_BYTES, fps: int = VIDEO_FPS):
-        self.stack = stack
-        self.host = stack.host
-        self.disk = disk or Disk(self.host)
+        self._path = env["Kernel.Path"]
+        self._start = env["Kernel.Start"]
+        self._now = env["Kernel.Now"]
+        self._timeout = env["Kernel.Timeout"]
+        self._read_charges = env["Disk.ReadCharges"]
+        self._read = env["Disk.Read"]
         self.frame_bytes = frame_bytes
         self.fps = fps
         self.interval_us = 1e6 / fps
         self.stats = _ServerStats()
-        self.credential = Credential("video-server")
         self._streams: List = []
         # One sending endpoint; the video protocol disables UDP checksums.
-        self._endpoint = stack.udp_manager.bind(
-            self.credential, VIDEO_PORT_BASE - 1, discard_datagram,
-            checksum=False)
-        max_payload = stack.ip.lower.mtu - 28  # IP + UDP headers
+        self._endpoint = env["UDP.Bind"](credential, VIDEO_PORT_BASE - 1, discard_datagram,
+                                         checksum=False)
+        max_payload = env["Link.MTU"] - 28  # IP + UDP headers
         self._segment_sizes = _segments(frame_bytes, max_payload)
+
+    def uninstall(self) -> None:  # streams under way stop sending
+        self._endpoint.close()
 
     def add_stream(self, client_ip: int, client_port: int,
                    frames: int) -> None:
         """Start one 30 fps stream of ``frames`` frames to a client."""
-        process = self.host.engine.process(
-            self._stream(client_ip, client_port, frames),
-            name="video-stream-%d" % len(self._streams))
+        process = self._start(self._stream(client_ip, client_port, frames),
+                              name="video-stream-%d" % len(self._streams))
         self._streams.append(process)
 
     def _stream(self, client_ip: int, client_port: int,
                 frames: int) -> Generator:
-        deadline = self.host.engine.now
+        now = self._now
+        deadline = now()
         for _ in range(frames):
             deadline += self.interval_us
             # Read the frame from disk through the FS interface: CPU issue
             # cost in a kernel path, media time off-CPU.
-            yield from self.host.kernel_path(
-                lambda: self.disk.read_charges(self.frame_bytes))
-            yield from self.disk.read(self.frame_bytes)
+            yield from self._path(lambda: self._read_charges(self.frame_bytes))
+            yield from self._read(self.frame_bytes)
             # Send the frame: in-kernel, straight from the buffer cache to
             # the wire -- no boundary copies.
             def send_frame():
                 for size in self._segment_sizes:
                     self._endpoint.send(bytes(size), client_ip, client_port)
-            yield from self.host.kernel_path(send_frame)
+            yield from self._path(send_frame)
             self.stats.frames_sent += 1
             self.stats.bytes_sent += self.frame_bytes
-            if self.host.engine.now > deadline:
+            if now() > deadline:
                 self.stats.deadline_misses += 1
             else:
-                yield self.host.engine.timeout(deadline - self.host.engine.now)
+                yield self._timeout(deadline - now())
 
 
 class UnixVideoServer:
     """The same service as a user-level process per stream."""
 
-    def __init__(self, sockets: SocketLayer, disk: Optional[Disk] = None,
+    def __init__(self, sockets: SocketLayer,
                  frame_bytes: int = DEFAULT_FRAME_BYTES, fps: int = VIDEO_FPS):
         self.sockets = sockets
         self.host = sockets.host
-        self.disk = disk or Disk(self.host)
+        self.disk = Disk(self.host)
         self.frame_bytes = frame_bytes
         self.fps = fps
         self.interval_us = 1e6 / fps
         self.stats = _ServerStats()
         self._streams: List = []
-        max_payload = self.sockets.stack.ip.lower.mtu - 28
+        max_payload = self.sockets.mtu - 28
         self._segment_sizes = _segments(frame_bytes, max_payload)
 
     def add_stream(self, client_ip: int, client_port: int,
@@ -179,10 +188,11 @@ class UnixVideoServer:
 class _ClientCore:
     """The shared viewer code (the paper uses the same code on both OSes)."""
 
-    def __init__(self, host, framebuffer: Optional[Framebuffer],
-                 frame_bytes: int):
-        self.host = host
-        self.framebuffer = framebuffer or Framebuffer(host)
+    def __init__(self, charge: Callable[[float, str], None], costs,
+                 display: Callable[[int], None], frame_bytes: int):
+        self._charge = charge
+        self._costs = costs
+        self._display = display
         self.frame_bytes = frame_bytes
         self.frames_displayed = 0
         self._pending = 0
@@ -195,52 +205,60 @@ class _ClientCore:
             self.display_frame()
 
     def display_frame(self) -> None:
-        costs = self.host.costs
+        costs = self._costs
         # Pass 1: checksum the frame data (the viewer's own tight loop).
-        self.host.cpu.charge(
-            self.frame_bytes * costs.ram_write_per_byte, "app-checksum")
+        self._charge(self.frame_bytes * costs.ram_write_per_byte, "app-checksum")
         # Pass 2: decompress (reads the frame, writes 2x to RAM).
-        self.host.cpu.charge(
+        self._charge(
             self.frame_bytes * (1 + DECOMPRESS_RATIO) * costs.ram_write_per_byte,
             "app-decompress")
         # Display: write the decoded frame to the framebuffer (10x RAM).
-        self.framebuffer.display_frame(self.frame_bytes * DECOMPRESS_RATIO)
+        self._display(self.frame_bytes * DECOMPRESS_RATIO)
         self.frames_displayed += 1
 
-    def display_fraction(self) -> float:
-        """Fraction of this client's CPU work spent writing the display."""
-        times = self.host.cpu.category_times
-        app = times["app-checksum"] + times["app-decompress"] + times["display"]
-        if app == 0:
-            return 0.0
-        return times["display"] / app
+
+def display_fraction(cpu) -> float:
+    """Fraction of a client host's viewer work spent writing the display."""
+    times = cpu.category_times
+    app = times["app-checksum"] + times["app-decompress"] + times["display"]
+    if app == 0:
+        return 0.0
+    return times["display"] / app
 
 
 class SpinVideoClient(_ClientCore):
-    """In-kernel client extension: packets arrive straight into the viewer."""
+    """In-kernel client extension (app domain): packets go straight to the viewer."""
 
-    def __init__(self, stack, port: int = VIDEO_PORT_BASE,
-                 framebuffer: Optional[Framebuffer] = None,
+    NAME = "video-client"
+    IMPORTS = ["UDP.Bind", "Kernel.Charge", "Kernel.Costs",
+               "Framebuffer.Display"]
+
+    def __init__(self, env: Dict[str, Any], credential: Credential,
+                 port: int = VIDEO_PORT_BASE,
                  frame_bytes: int = DEFAULT_FRAME_BYTES):
-        super().__init__(stack.host, framebuffer, frame_bytes)
-        self.credential = Credential("video-client")
+        super().__init__(env["Kernel.Charge"], env["Kernel.Costs"],
+                         env["Framebuffer.Display"], frame_bytes)
         core = self
 
         def handler(m, off, src_ip, src_port, dst_ip, dst_port):
             core.consume(m.length() - off)
         # Display work is far too heavy for an interrupt handler: the
         # viewer runs in thread mode (see paper sec. 5.1 discussion).
-        self.endpoint = stack.udp_manager.bind(
-            self.credential, port, handler, mode="thread")
+        self.endpoint = env["UDP.Bind"](credential, port, handler, mode="thread")
+
+    def uninstall(self) -> None:
+        self.endpoint.close()
 
 
 class UnixVideoClient(_ClientCore):
     """User-level client: a process looping recvfrom -> viewer."""
 
     def __init__(self, sockets: SocketLayer, port: int = VIDEO_PORT_BASE,
-                 framebuffer: Optional[Framebuffer] = None,
                  frame_bytes: int = DEFAULT_FRAME_BYTES):
-        super().__init__(sockets.host, framebuffer, frame_bytes)
+        host = sockets.host
+        super().__init__(host.cpu.charge, host.costs,
+                         Framebuffer(host).display_frame, frame_bytes)
+        self.host = host
         self.sockets = sockets
         self.port = port
         self.host.engine.process(self._loop(), name="uvideo-client")

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..apps.active_messages import ActiveMessages
+from ..core.extension import AppExtension
 from ..core.manager import Credential, discard_datagram
 from ..lang.ephemeral import ephemeral
 from ..sim import Signal
@@ -127,8 +128,10 @@ def active_message_rtt(trips: int = 10) -> Dict:
     """Active-message ping-pong vs UDP on the same Ethernet."""
     bed = build_testbed("spin", "ethernet")
     engine = bed.engine
-    am_client = ActiveMessages(bed.stacks[0], name="am-client")
-    am_server = ActiveMessages(bed.stacks[1], name="am-server")
+    am_client = AppExtension.link(ActiveMessages, bed.hosts[0], bed.stacks[0].net_domain,
+                                  name="am-client").state
+    am_server = AppExtension.link(ActiveMessages, bed.hosts[1], bed.stacks[1].net_domain,
+                                  name="am-server").state
     client_host = bed.hosts[0]
     client_mac = bed.nics[0].address
     server_mac = bed.nics[1].address

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..apps.forwarder import BackendService, PlexusForwarder
+from ..core.extension import AppExtension
 from ..core.manager import Credential
 from ..sim import Signal
 from ..unixos.splice import SpliceForwarder
@@ -39,10 +40,12 @@ def measure_plexus_forwarding(trips: int = 20, payload_len: int = 64,
     client_stack, front_stack, backend_stack = bed.stacks
     client_host = bed.hosts[0]
 
-    forwarder = PlexusForwarder(front_stack, _SERVICE_PORT,
-                                backends=[bed.ip(2)])
-    BackendService(backend_stack, virtual_ip=bed.ip(1), port=_SERVICE_PORT,
-                   echo=True)
+    forwarder = AppExtension.link(
+        PlexusForwarder, bed.hosts[1], front_stack.net_domain, _SERVICE_PORT,
+        backends=[bed.ip(2)], privileged=True).state
+    AppExtension.link(BackendService, bed.hosts[2], backend_stack.net_domain,
+                      virtual_ip=bed.ip(1), port=_SERVICE_PORT, echo=True,
+                      privileged=True)
 
     established = Signal(engine)
     reply = Signal(engine)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..apps.httpd import SpinHttpClient, SpinHttpServer, UnixHttpServer, unix_http_get
+from ..core.extension import AppExtension
 from ..hw.alpha import ALPHA_21064
 from ..obs.slo import RequestLifecycle
 from .stats import Summary
@@ -32,8 +33,10 @@ def measure_spin_http(path: str = "/", requests: int = 10) -> Summary:
     """GET latency against the in-kernel server (one warm connection)."""
     bed = build_testbed("spin", "ethernet")
     engine = bed.engine
-    SpinHttpServer(bed.stacks[1], _PAGES, port=_PORT)
-    client = SpinHttpClient(bed.stacks[0], bed.ip(1), port=_PORT)
+    AppExtension.link(SpinHttpServer, bed.hosts[1], bed.stacks[1].app_domain,
+                      _PAGES, port=_PORT)
+    client = AppExtension.link(SpinHttpClient, bed.hosts[0], bed.stacks[0].app_domain,
+                               bed.ip(1), port=_PORT).state
     engine.run_process(client.fetch(path))  # connect + warm
     lifecycle = RequestLifecycle(engine)
     for _ in range(requests):

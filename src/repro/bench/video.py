@@ -21,7 +21,9 @@ from ..apps.video import (
     UnixVideoServer,
     VIDEO_FPS,
     VIDEO_PORT_BASE,
+    display_fraction,
 )
+from ..core.extension import AppExtension
 from ..core.manager import Credential, discard_datagram
 from ..hw.alpha import MICROSECONDS_PER_SECOND
 from .testbed import build_testbed
@@ -55,7 +57,8 @@ def measure_video_server(os_name: str, streams: int,
         bed.stacks[1].udp_manager.bind(
             Credential("video-sink"), VIDEO_PORT_BASE, discard_datagram,
             time_limit=500.0)
-        server = SpinVideoServer(bed.stacks[0], frame_bytes=frame_bytes)
+        server = AppExtension.link(SpinVideoServer, bed.hosts[0], bed.stacks[0].app_domain,
+                                   frame_bytes=frame_bytes).state
     else:
         sink_layer = bed.sockets[1]
 
@@ -113,8 +116,10 @@ def measure_video_client(os_name: str, duration_s: float = 0.8,
     frames = max(6, int(duration_s * VIDEO_FPS))
 
     if os_name == "spin":
-        client = SpinVideoClient(bed.stacks[1], frame_bytes=frame_bytes)
-        server = SpinVideoServer(bed.stacks[0], frame_bytes=frame_bytes)
+        client = AppExtension.link(SpinVideoClient, bed.hosts[1], bed.stacks[1].app_domain,
+                                   frame_bytes=frame_bytes).state
+        server = AppExtension.link(SpinVideoServer, bed.hosts[0], bed.stacks[0].app_domain,
+                                   frame_bytes=frame_bytes).state
     else:
         client = UnixVideoClient(bed.sockets[1], frame_bytes=frame_bytes)
         server = UnixVideoServer(bed.sockets[0], frame_bytes=frame_bytes)
@@ -127,6 +132,6 @@ def measure_video_client(os_name: str, duration_s: float = 0.8,
     return {
         "os": os_name,
         "utilization": client_host.cpu.utilization_since(busy0, t0),
-        "display_fraction": client.display_fraction(),
+        "display_fraction": display_fraction(client_host.cpu),
         "frames_displayed": client.frames_displayed,
     }

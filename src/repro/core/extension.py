@@ -1,29 +1,26 @@
-"""Application-extension convenience layer.
+"""Application extensions: the one way an application enters the kernel.
 
-An application-specific protocol in Plexus is: a *credential* (the
-principal), a *signed extension* (imports + init), and an *installation*
-into a stack's protection domain.  :class:`AppExtension` bundles the
-three so examples and tests read like the paper's Figure 2 module.
+An application-specific protocol in Plexus is a *credential* (the
+principal), a *signed extension* (imports + init) and a *link* against a
+logical protection domain (paper section 2, Figure 2), bundled by
+:class:`AppExtension`.  A section 5 app is a class declaring ``NAME`` and
+``IMPORTS``, built as ``app(env, credential, ...)`` by
+:meth:`AppExtension.link`; its removal is the linker's unlink.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from ..spin.linker import Extension, LinkedExtension, compile_extension
+from ..spin.linker import DynamicLinker, Extension, LinkedExtension, compile_extension
 from .manager import Credential
-from .plexus import PlexusStack
 
 __all__ = ["AppExtension"]
 
 
 class AppExtension:
-    """One application's protocol extension, end to end.
-
-    ``init(env, credential)`` receives the resolved import environment and
-    the application's credential, and returns the handles it installed
-    (used at uninstall time).
-    """
+    """One application's protocol extension: ``init(env, credential)`` gets
+    the resolved imports and returns what it installed (for unlink)."""
 
     def __init__(self, name: str, imports: List[str],
                  init: Callable[[Dict[str, Any], Credential], Any],
@@ -35,26 +32,34 @@ class AppExtension:
 
         self.extension: Extension = compile_extension(name, imports, bound_init)
         self.linked: Optional[LinkedExtension] = None
+        self._linker: Optional[DynamicLinker] = None
 
-    @property
-    def name(self) -> str:
-        return self.extension.name
+    @classmethod
+    def link(cls, app: type, host, domain, *args: Any,
+             name: Optional[str] = None, privileged: bool = False,
+             **kwargs: Any) -> "AppExtension":
+        """Link app class ``app`` (named ``name`` or ``app.NAME``, importing
+        ``app.IMPORTS``) into ``host`` against ``domain``; its init builds
+        ``app(env, credential, *args, **kwargs)``, which :attr:`state` holds."""
+        extension = cls(name or app.NAME, app.IMPORTS,
+                        lambda env, credential: app(env, credential, *args, **kwargs),
+                        privileged)
+        extension.install(host, domain)
+        return extension
 
-    def install(self, stack: PlexusStack, domain=None) -> LinkedExtension:
-        """Link into ``stack`` (its app domain unless ``domain`` given)."""
+    def install(self, host, domain) -> LinkedExtension:
+        """Link into ``host`` (through its linker) against ``domain``."""
         if self.linked is not None and not self.linked.unlinked:
-            raise RuntimeError("extension %r is already installed" % self.name)
-        self.linked = stack.install_extension(self.extension, domain)
+            raise RuntimeError("extension %r is already installed" % self.extension.name)
+        self.linked = host.linker.link(self.extension, domain)
+        self._linker = host.linker
         return self.linked
 
-    def uninstall(self, stack: PlexusStack) -> None:
-        if self.linked is None or self.linked.unlinked:
-            raise RuntimeError("extension %r is not installed" % self.name)
-        stack.remove_extension(self.linked)
+    def uninstall(self) -> None:
+        """Unlink: everything the init installed is uninstalled."""
+        self._linker.unlink(self.linked)
 
     @property
     def state(self) -> Any:
-        """Whatever the init returned (handles, endpoints...)."""
-        if self.linked is None:
-            return None
+        """Whatever the init returned (for :meth:`link`, the app)."""
         return self.linked.installed_state

@@ -51,6 +51,7 @@ __all__ = [
     "UdpManager",
     "UdpEndpoint",
     "TcpManager",
+    "TcpImplementation",
     "discard_datagram",
 ]
 
@@ -313,12 +314,18 @@ class IpManager(_ManagerBase):
         return register_safe(redirect)
 
     def alias_capability(self, credential: Credential) -> Callable:
-        """A capability to host a virtual IP address (privileged)."""
+        """A capability to host a virtual IP address (privileged):
+        ``alias(address)`` returns the procedure that stops hosting it."""
         if not credential.privileged:
             raise AccessError(
                 "hosting a foreign address is spoofing; credential %s is "
                 "not privileged" % credential.name)
-        return self.stack.ip.add_alias
+        ip = self.stack.ip
+
+        def alias(address: int) -> Callable[[], None]:
+            ip.add_alias(address)
+            return lambda: ip.remove_alias(address)
+        return alias
 
     def send_capability(self, credential: Credential,
                         preserve_source: bool = False) -> Callable:
@@ -478,14 +485,15 @@ class TcpManager(_ManagerBase):
         return self.standard.connect(raddr, rport, lport=lport)
 
     def install_implementation(self, credential: Credential, name: str,
-                               ports: Iterable[int]) -> TcpProto:
+                               ports: Iterable[int]) -> "TcpImplementation":
         """Install a TCP-special implementation owning ``ports``.
 
-        Returns a fresh :class:`TcpProto` whose segments arrive through a
-        guard matching exactly those ports; the standard implementation's
-        guard stops seeing them the moment this returns (its exclusion set
-        is shared and live).  Uninstalling its edge, ``implementations[name]``,
-        releases the ports, their diversion and the name.
+        Returns the installed implementation: a fresh :class:`TcpProto`
+        (its ``proto``) whose segments arrive through a guard matching
+        exactly those ports; the standard implementation's guard stops
+        seeing them the moment this returns (its exclusion set is shared
+        and live).  Uninstalling it -- or its edge, ``implementations[name]``
+        -- releases the ports, their diversion and the name.
         """
         if name in self.implementations:
             raise AccessError("tcp implementation %r already installed" % name)
@@ -512,7 +520,17 @@ class TcpManager(_ManagerBase):
             self.diverted_ports.difference_update(port_list)
             del self.implementations[name]
         handle.on_uninstall = release
-        return special
+        return TcpImplementation(special, handle)
+
+
+class TcpImplementation:
+    """An installed TCP implementation: ``proto`` serves its ports until unlinked."""
+
+    def __init__(self, proto: TcpProto, edge: HandlerHandle):
+        self.proto, self.edge = proto, edge
+
+    def uninstall(self) -> None:
+        self.edge.uninstall()
 
 
 class TcpListenerHandle:
@@ -525,6 +543,6 @@ class TcpListenerHandle:
         self.port = port
         self.listener = listener
 
-    def close(self) -> None:
+    def uninstall(self) -> None:
         self.listener.close()
         self.manager.ports.release(self.port, self.credential)

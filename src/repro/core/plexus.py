@@ -16,13 +16,16 @@ Delivery modes (paper Figure 5):
 
 Received packets are frozen (READONLY) before entering the graph, so
 extensions can share buffers without copies but cannot corrupt them
-(paper sec. 3.4).
+(paper sec. 3.4).  Applications enter only through the dynamic linker,
+against :attr:`PlexusStack.app_domain` or the wider ``net_domain``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
+from ..hw.disk import Disk
+from ..hw.framebuffer import Framebuffer
 from ..hw.nic import NIC
 from ..net.headers import (
     ETHERTYPE_ARP,
@@ -37,8 +40,8 @@ from ..net.link_adapter import link_to_ip
 from ..net.tcp import TcpProto
 from ..net.udp import UdpProto
 from ..spin.domain import Domain, Interface
+from ..sim import Signal
 from ..spin.kernel import SpinKernel
-from ..spin.linker import Extension, LinkedExtension
 from .graph import ProtocolGraph
 from .manager import (
     Credential,
@@ -118,11 +121,6 @@ class PlexusStack:
         # ---- application-visible protection domains -------------------------------------
         self.app_domain = self._build_app_domain()
         self.net_domain = self._build_net_domain()
-        kernel.export_interface(Interface("Dispatcher", {
-            "Install": dispatcher.install,
-            "Declare": dispatcher.declare,
-            "Raise": dispatcher.raise_event,
-        }))
 
     # ------------------------------------------------------------------
     # Graph wiring
@@ -225,53 +223,44 @@ class PlexusStack:
     # ------------------------------------------------------------------
 
     def _build_app_domain(self) -> Domain:
-        """The domain ordinary applications link against: manager
-        interfaces only -- no direct device, dispatcher, or IP access."""
-        udp_iface = Interface("UDP", {
-            "Bind": self.udp_manager.bind,
-        })
-        tcp_iface = Interface("TCP", {
-            "Listen": self.tcp_manager.listen,
-            "Connect": self.tcp_manager.connect,
-            "InstallImplementation": self.tcp_manager.install_implementation,
-        })
-        mbuf_iface = Interface("Mbuf", {
-            "FromBytes": self.host.mbufs.from_bytes,
-            "CopyPacket": self.host.mbufs.copy_packet,
-        })
-        return Domain.create("%s.app" % self.host.name,
-                             [udp_iface, tcp_iface, mbuf_iface])
+        """The domain ordinary applications link against: transport manager
+        capabilities, the link MTU and the kernel services the section 5
+        apps call -- no symbol resolves to the host, a protocol or a manager."""
+        kernel = self.host
+        engine = kernel.engine
+        disk = Disk(kernel)
+        return Domain("%s.app" % kernel.name, [
+            Interface("UDP", {"Bind": self.udp_manager.bind}),
+            Interface("TCP", {"Listen": self.tcp_manager.listen,
+                              "Connect": self.tcp_manager.connect,
+                              "InstallImplementation": self.tcp_manager.install_implementation}),
+            Interface("Link", {"MTU": self.ip.lower.mtu}),
+            Interface("Kernel", {"Path": kernel.kernel_path, "Defer": kernel.defer,
+                                 "Charge": kernel.cpu.charge, "Costs": kernel.costs,
+                                 "Now": lambda: engine.now, "Start": engine.process,
+                                 "Timeout": engine.timeout,
+                                 "Signal": lambda: Signal(engine)}),
+            Interface("Disk", {"ReadCharges": disk.read_charges, "Read": disk.read}),
+            Interface("Framebuffer", {"Display": Framebuffer(kernel).display_frame}),
+        ])
 
     def _build_net_domain(self) -> Domain:
-        """The wider domain for networking services (forwarders, active
-        messages): adds link-level and IP-level manager interfaces."""
+        """The wider domain for networking services (forwarders, active messages):
+        adds the delivery mode and IP-level and link-level manager capabilities."""
         domain = self.app_domain.copy("%s.net" % self.host.name)
-        ip_iface = Interface("IP", {
+        domain.export_interface(Interface("Delivery", {"Mode": self.deliver_mode}))
+        domain.export_interface(Interface("IP", {
             "ClaimProtocol": self.ip_manager.claim_protocol,
             "ClaimPortRedirect": self.ip_manager.claim_port_redirect,
-            "SendCapability": self.ip_manager.send_capability,
-        })
-        domain.export_interface(ip_iface)
+            "LinkRedirect": self.ip_manager.link_redirect_capability,
+            "Alias": self.ip_manager.alias_capability,
+        }))
         if self.ethernet_manager is not None:
-            eth_iface = Interface("Ethernet", {
+            domain.export_interface(Interface("Ethernet", {
                 "ClaimEthertype": self.ethernet_manager.claim_ethertype,
                 "SendCapability": self.ethernet_manager.send_capability,
-            })
-            domain.export_interface(eth_iface)
+            }))
         return domain
-
-    # ------------------------------------------------------------------
-    # Extension lifecycle (runtime adaptation)
-    # ------------------------------------------------------------------
-
-    def install_extension(self, extension: Extension,
-                          domain: Optional[Domain] = None) -> LinkedExtension:
-        """Dynamically link an extension against a domain (default: the
-        application domain) -- no reboot, no superuser."""
-        return self.host.linker.link(extension, domain or self.app_domain)
-
-    def remove_extension(self, linked: LinkedExtension) -> None:
-        self.host.linker.unlink(linked)
 
     def __repr__(self) -> str:
         return "<PlexusStack %s ip=%s mode=%s>" % (

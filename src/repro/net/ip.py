@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..hw.cpu import OUTSIDE_PATH, ChargeError
-from ..lang.view import VIEW, TypedView
 from ..spin.mbuf import Mbuf
 from .checksum import charged_checksum
 from .fwdtable import ForwardingTable
@@ -261,7 +260,7 @@ class IpProto:
         if not (dst in (self.my_ip, IP_BROADCAST) or dst in self._groups
                 or dst in self._aliases):
             if self.forwarding:
-                self._forward(m, off, VIEW(m.data, IP_HEADER, offset=off))
+                self._forward(m, off, ttl, cksum, src, dst)
             else:
                 self.not_for_us += 1
             return
@@ -305,39 +304,54 @@ class IpProto:
         if self.upcall is not None:
             self.upcall(protocol, datagram, 0, src, dst)
 
-    def _forward(self, m: Mbuf, off: int, view: TypedView) -> None:
-        """Router path: decrement TTL, re-checksum, emit toward dst.
+    def _forward(self, m: Mbuf, off: int, ttl: int, cksum: int, src: int,
+                 dst: int) -> None:
+        """Router path: decrement TTL, re-checksum, emit toward dst, from
+        the header fields :meth:`input` unpacked.
 
         Packets larger than the outbound MTU are fragmented here (RFC 791
         router behaviour), unless DF is set, in which case they are
         dropped (the too-big ICMP is elided).
         """
-        if view.ttl <= 1:
+        if ttl <= 1:
             self.ttl_expired += 1
             # ICMP time-exceeded back to the source (type 11).
             if self.time_exceeded_hook is not None:
-                self.time_exceeded_hook(m, off, view.src)
+                self.time_exceeded_hook(m, off, src)
             return
-        # The packet may be READONLY (Plexus receive path): patch a copy.
-        packet = bytearray(memoryview(m.to_bytes())[off:])
-        packet[8] -= 1          # TTL
-        adapter, next_hop = self.route_for(view.dst)
-        self.host.cpu.charge(self.host.costs.ip_output, "protocol")
-        if len(packet) <= adapter.mtu:
+        adapter, next_hop = self.route_for(dst)
+        host = self.host
+        cpu = host.cpu
+        stack, times = cpu._stack, cpu.category_times
+        if not stack:
+            raise ChargeError(OUTSIDE_PATH)
+        amount = host.costs.ip_output
+        stack[-1] += amount
+        times["protocol"] += amount
+        # The packet may be READONLY (Plexus receive path): patch the copy.
+        window = memoryview(m._storage)[m.off + off:m.off + m.len]
+        if len(window) > adapter.mtu:
+            if window[6] & 0x40:  # DF set: cannot fragment, so not forwarded
+                self.header_errors += 1
+                return
             self.forwarded += 1
-            self._restamp_and_send(packet, adapter, next_hop)
-            return
-        if packet[6] & 0x40:  # DF set: cannot fragment, so not forwarded
-            self.header_errors += 1
+            packet = bytearray(window)
+            packet[8] -= 1
+            self._forward_fragments(packet, adapter, next_hop)
             return
         self.forwarded += 1
-        self._forward_fragments(packet, adapter, next_hop)
-
-    def _restamp_and_send(self, packet: bytearray, adapter, next_hop: int) -> None:
-        packet[10:12] = b"\x00\x00"
-        checksum = charged_checksum(self.host, packet[:self.HEADER_LEN])
-        packet[10:12] = checksum.to_bytes(2, "big")
-        out = self.host.mbufs.from_bytes(packet, leading_space=16)
+        # The restamp, charged as a pass over the header, is incremental
+        # (RFC 1624 eqn. 3, HC' = ~(~HC + ~m + m')): ~m + m' = ~0x0100.
+        amount = self.HEADER_LEN * host.costs.checksum_per_byte
+        stack[-1] += amount
+        times["checksum"] += amount
+        restamp = 0xFFFF - cksum + 0xFEFF
+        restamp = 0xFFFF - ((restamp & 0xFFFF) + (restamp >> 16))
+        out = host.mbufs.from_bytes(window, leading_space=16)
+        del window  # no export of the received store outlives the copy
+        store, at = out._storage, out.off
+        store[at + 8], store[at + 10], store[at + 11] = (
+            ttl - 1, restamp >> 8, restamp & 0xFF)
         adapter.send(out, next_hop)
 
     def _forward_fragments(self, packet: bytearray, adapter, next_hop: int) -> None:
@@ -359,7 +373,11 @@ class IpProto:
             fragment[2:4] = (self.HEADER_LEN + len(part)).to_bytes(2, "big")
             fragment[6:8] = frag_field.to_bytes(2, "big")
             self.fragments_out += 1
-            self._restamp_and_send(fragment, adapter, next_hop)
+            fragment[10:12] = b"\x00\x00"
+            fragment[10:12] = charged_checksum(
+                self.host, fragment[:self.HEADER_LEN]).to_bytes(2, "big")
+            adapter.send(self.host.mbufs.from_bytes(fragment, leading_space=16),
+                         next_hop)
             cursor += len(part)
 
     #: routers may set this to emit ICMP time-exceeded: fn(m, off, src_ip)

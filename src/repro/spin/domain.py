@@ -7,17 +7,17 @@ the capability; holding a :class:`Domain` object *is* holding the
 capability, and there is no global registry through which an extension
 could conjure one up.
 
-An :class:`Interface` is a named bag of symbols (procedures, event
-declarations, values).  Domains export interfaces; the dynamic linker
-resolves an extension's imports against exactly one domain, failing the
-link for any symbol the domain does not expose (section 2: "If an
-extension references a symbol that is not contained within the logical
-protection domain against which it is being linked, the link will fail").
+An :class:`Interface` is a named bag of symbols (bound capabilities and
+values).  Domains export interfaces; the dynamic linker resolves an
+extension's imports against exactly one domain, failing the link for any
+symbol the domain does not expose (section 2: "If an extension references
+a symbol that is not contained within the logical protection domain
+against which it is being linked, the link will fail").
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Optional
 
 __all__ = ["Interface", "Domain", "DomainError", "UnresolvedSymbol"]
 
@@ -29,69 +29,35 @@ class DomainError(RuntimeError):
 class UnresolvedSymbol(KeyError):
     """Raised when a symbol cannot be resolved within a domain."""
 
-    def __init__(self, symbol: str, domain_name: str):
-        super().__init__(symbol)
-        self.symbol = symbol
-        self.domain_name = domain_name
-
-    def __str__(self) -> str:
-        return ("symbol %r is not visible in logical protection domain %r"
-                % (self.symbol, self.domain_name))
-
 
 class Interface:
-    """A named set of exported symbols, e.g. ``Ethernet`` exporting
-    ``PacketRecv`` and ``InstallHandler``."""
+    """A named set of exported symbols, e.g. ``UDP`` exporting ``Bind``."""
 
     def __init__(self, name: str, symbols: Optional[Dict[str, Any]] = None):
         if not name or "." in name:
             raise DomainError("interface name must be a plain identifier, got %r" % name)
+        self.symbols: Dict[str, Any] = dict(symbols or {})
+        for symbol_name in self.symbols:
+            if "." in symbol_name:
+                raise DomainError("symbol name must not be qualified: %r" % symbol_name)
         self.name = name
-        self._symbols: Dict[str, Any] = dict(symbols or {})
-
-    def export(self, symbol_name: str, value: Any) -> None:
-        if "." in symbol_name:
-            raise DomainError("symbol name must not be qualified: %r" % symbol_name)
-        self._symbols[symbol_name] = value
 
     def lookup(self, symbol_name: str) -> Any:
-        if symbol_name not in self._symbols:
-            raise KeyError(symbol_name)
-        return self._symbols[symbol_name]
-
-    def symbols(self) -> Dict[str, Any]:
-        return dict(self._symbols)
-
-    def qualified_names(self) -> List[str]:
-        return ["%s.%s" % (self.name, symbol) for symbol in self._symbols]
-
-    def __contains__(self, symbol_name: str) -> bool:
-        return symbol_name in self._symbols
-
-    def __repr__(self) -> str:
-        return "<Interface %s (%d symbols)>" % (self.name, len(self._symbols))
+        return self.symbols[symbol_name]
 
 
 class Domain:
     """A capability to a set of visible interfaces.
 
-    Domains support the paper's lifecycle: they can be *created*, *copied*
-    (confers the same access), and *combined* (union of visibility, used
-    to hand an extension several interface sets at once).
+    Domains can be *created* and *copied* (a copy confers the same access,
+    and grows independently of its original).
     """
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, interfaces: Iterable[Interface] = ()):
         self.name = name
         self._interfaces: Dict[str, Interface] = {}
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def create(cls, name: str, interfaces: Iterable[Interface] = ()) -> "Domain":
-        domain = cls(name)
         for interface in interfaces:
-            domain.export_interface(interface)
-        return domain
+            self.export_interface(interface)
 
     def export_interface(self, interface: Interface) -> None:
         if interface.name in self._interfaces and \
@@ -107,21 +73,6 @@ class Domain:
         clone._interfaces = dict(self._interfaces)
         return clone
 
-    def combine(self, other: "Domain", name: Optional[str] = None) -> "Domain":
-        """Union of two domains' visibility (paper: domains can be
-        'created, copied, and passed around')."""
-        merged = self.copy(name or "%s+%s" % (self.name, other.name))
-        for interface in other._interfaces.values():
-            if interface.name in merged._interfaces and \
-                    merged._interfaces[interface.name] is not interface:
-                raise DomainError(
-                    "combining %r and %r: conflicting interface %r"
-                    % (self.name, other.name, interface.name))
-            merged._interfaces[interface.name] = interface
-        return merged
-
-    # -- resolution --------------------------------------------------------
-
     def resolve(self, qualified_name: str) -> Any:
         """Resolve ``Interface.Symbol``; raise :class:`UnresolvedSymbol`."""
         if "." not in qualified_name:
@@ -129,23 +80,9 @@ class Domain:
                 "imports must be qualified as Interface.Symbol, got %r"
                 % qualified_name)
         interface_name, _, symbol_name = qualified_name.partition(".")
-        interface = self._interfaces.get(interface_name)
-        if interface is None:
-            raise UnresolvedSymbol(qualified_name, self.name)
         try:
-            return interface.lookup(symbol_name)
+            return self._interfaces[interface_name].lookup(symbol_name)
         except KeyError:
-            raise UnresolvedSymbol(qualified_name, self.name) from None
-
-    def can_resolve(self, qualified_name: str) -> bool:
-        try:
-            self.resolve(qualified_name)
-            return True
-        except (UnresolvedSymbol, DomainError):
-            return False
-
-    def interfaces(self) -> List[str]:
-        return sorted(self._interfaces)
-
-    def __repr__(self) -> str:
-        return "<Domain %s interfaces=%s>" % (self.name, self.interfaces())
+            raise UnresolvedSymbol(
+                "symbol %r is not visible in logical protection domain %r"
+                % (qualified_name, self.name)) from None

@@ -4,9 +4,9 @@ A :class:`SpinKernel` is a :class:`~repro.hw.host.Host` carrying the SPIN
 extension services:
 
 * a :class:`~repro.spin.dispatcher.Dispatcher` (events, guards, handlers),
-* a :class:`~repro.spin.linker.DynamicLinker` plus the standard logical
-  protection domains (the *kernel* domain containing every interface, and
-  narrower application-visible domains built by the protocol code),
+* a :class:`~repro.spin.linker.DynamicLinker`, which links extensions
+  against the logical protection domains the protocol code builds
+  (:class:`~repro.core.plexus.PlexusStack`'s app and net domains),
 * an :class:`~repro.spin.mbuf.MbufPool`.
 
 That is all a SPIN host adds to the chassis.  Interrupt handling is the
@@ -24,7 +24,6 @@ from __future__ import annotations
 from ..hw.host import Host
 from ..sim import Engine
 from .dispatcher import Dispatcher
-from .domain import Domain, Interface
 from .linker import DynamicLinker
 from .mbuf import MbufPool
 
@@ -39,11 +38,3 @@ class SpinKernel(Host):
         self.dispatcher = Dispatcher(self)
         self.linker = DynamicLinker(self)
         self.mbufs = MbufPool(self)
-        #: The full-kernel domain ("few extensions have access to this").
-        self.kernel_domain = Domain.create("%s.kernel" % name)
-
-    # -- extension services -------------------------------------------------
-
-    def export_interface(self, interface: Interface) -> None:
-        """Export ``interface`` into the kernel domain."""
-        self.kernel_domain.export_interface(interface)

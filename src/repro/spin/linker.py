@@ -9,14 +9,14 @@ signed by our Modula-3 compiler".  The reproduction models this as:
   only this module holds).
 * :class:`DynamicLinker` -- verifies the signature, resolves every import
   against the target :class:`~repro.spin.domain.Domain`, and either
-  rejects the extension with :class:`LinkError` or produces a
-  :class:`LinkedExtension` whose environment maps each imported name to
-  the resolved kernel object.
+  rejects the extension with :class:`LinkError` or runs its init with an
+  environment mapping each imported name to the resolved symbol, and
+  records a :class:`LinkedExtension`.
 
-Unlinking is supported: a linked extension records what it installed (via
-the handler handles its init returned) so :meth:`DynamicLinker.unlink`
-can remove it from a running system -- the paper's *runtime adaptation*
-property.
+Unlinking is supported: a linked extension records what its init
+installed (the objects it returned, each removable by ``uninstall()``), so
+:meth:`DynamicLinker.unlink` can remove it from a running system -- the
+paper's *runtime adaptation* property.
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ class Extension:
 
     ``init`` is the extension's body: a callable receiving an environment
     dict that maps each qualified import name to the resolved object.
-    Whatever ``init`` returns is kept as the extension's installed state
-    (conventionally a list of handler handles, used at unlink time).
+    Whatever ``init`` returns is kept as the extension's installed state:
+    None, one object, or a list of them, each with an ``uninstall()``
+    that unlink calls.
     """
 
     def __init__(self, name: str, imports: List[str], init: Callable[[Dict[str, Any]], Any],
@@ -61,11 +62,6 @@ class Extension:
         self.imports = list(imports)
         self.init = init
         self.signature = signature
-
-    def __repr__(self) -> str:
-        return "<Extension %s imports=%d%s>" % (
-            self.name, len(self.imports),
-            "" if self.signature else " UNSIGNED")
 
 
 def compile_extension(name: str, imports: List[str],
@@ -76,24 +72,20 @@ def compile_extension(name: str, imports: List[str],
     return extension
 
 
+def _installed(state: Any) -> List[Any]:
+    """The objects an init's return value (None, one, or a list) names."""
+    if state is None:
+        return []
+    return list(state) if isinstance(state, (list, tuple)) else [state]
+
+
 class LinkedExtension:
     """An extension resolved against a domain and initialized."""
 
-    def __init__(self, extension: Extension, domain: Domain,
-                 environment: Dict[str, Any]):
+    def __init__(self, extension: Extension, state: Any):
         self.extension = extension
-        self.domain = domain
-        self.environment = environment
-        self.installed_state: Any = None
+        self.installed_state = state
         self.unlinked = False
-
-    @property
-    def name(self) -> str:
-        return self.extension.name
-
-    def __repr__(self) -> str:
-        return "<LinkedExtension %s in %s%s>" % (
-            self.name, self.domain.name, " UNLINKED" if self.unlinked else "")
 
 
 class DynamicLinker:
@@ -104,16 +96,13 @@ class DynamicLinker:
         self.linked: List[LinkedExtension] = []
         self.rejected_count = 0
 
-    def _charge(self, microseconds: float) -> None:
-        if self.host is not None:
-            self.host.cpu.try_charge(microseconds, "linker")
-
     def link(self, extension: Extension, domain: Domain) -> LinkedExtension:
         """Verify, resolve, and initialize ``extension`` against ``domain``.
 
         Raises :class:`LinkError` when the signature is missing/invalid or
-        any import is not visible in the domain.  On success the
-        extension's ``init`` runs with the resolved environment.
+        any import is not visible in the domain (before ``init`` runs), and
+        when ``init`` returns an object without ``uninstall()`` (after
+        uninstalling what it returned that has one).
         """
         expected = _digest(extension.name, extension.imports, extension.init)
         if extension.signature != expected:
@@ -135,31 +124,38 @@ class DynamicLinker:
                 "link of extension %r against domain %r failed; unresolved "
                 "symbols: %s" % (extension.name, domain.name, ", ".join(missing)))
 
-        # Symbol resolution cost: a few lookups per import.
-        costs = self.host.costs if self.host is not None else None
-        if costs is not None:
-            self._charge(costs.link_extension +
-                         costs.link_per_import * len(extension.imports))
-        linked = LinkedExtension(extension, domain, environment)
-        linked.installed_state = extension.init(environment)
+        if self.host is not None:  # symbol resolution: lookups per import
+            costs = self.host.costs
+            self.host.cpu.try_charge(costs.link_extension + costs.link_per_import
+                                     * len(extension.imports), "linker")
+        state = extension.init(environment)
+        installed = _installed(state)
+        stray = [obj for obj in installed
+                 if not callable(getattr(obj, "uninstall", None))]
+        if stray:
+            for obj in installed:
+                if callable(getattr(obj, "uninstall", None)):
+                    obj.uninstall()
+            self.rejected_count += 1
+            raise LinkError(
+                "extension %r installed %s, which has no uninstall(); unlink "
+                "could not remove it" % (extension.name, stray[0]))
+        linked = LinkedExtension(extension, state)
         self.linked.append(linked)
         return linked
 
     def unlink(self, linked: LinkedExtension) -> None:
         """Remove a linked extension from the running system.
 
-        Uninstalls every handler handle the extension's init returned
-        (anything exposing ``uninstall()``), then drops the extension.
+        Uninstalls everything the extension's init returned, then drops
+        the extension.
         """
         if linked.unlinked:
-            raise LinkError("extension %r already unlinked" % linked.name)
-        state = linked.installed_state
-        handles = state if isinstance(state, (list, tuple)) else [state]
-        for handle in handles:
-            uninstall = getattr(handle, "uninstall", None)
-            if callable(uninstall):
-                uninstall()
+            raise LinkError("extension %r already unlinked"
+                            % linked.extension.name)
+        for obj in _installed(linked.installed_state):
+            obj.uninstall()
         if self.host is not None:
-            self._charge(self.host.costs.unlink_extension)
+            self.host.cpu.try_charge(self.host.costs.unlink_extension, "linker")
         linked.unlinked = True
         self.linked.remove(linked)

@@ -77,6 +77,8 @@ class SocketLayer:
     def __init__(self, stack: UnixStack):
         self.stack = stack
         self.host = stack.host
+        #: the interface MTU a process can ask for (SIOCGIFMTU)
+        self.mtu = stack.ip.lower.mtu
         self.udp_pcbs: Dict[int, "UdpSocket"] = {}
         self._next_udp_port = 32768
         stack.udp.upcall = self._udp_deliver

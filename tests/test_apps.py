@@ -1,5 +1,6 @@
 """Tests for the section 5 applications: video, forwarder, active
-messages, HTTP."""
+messages, HTTP.  Every Plexus-side app is linked through
+``AppExtension.link`` against its host's domain."""
 
 import pytest
 
@@ -17,16 +18,37 @@ from repro.apps import (
 )
 from repro.apps.video import VIDEO_PORT_BASE
 from repro.bench.testbed import build_testbed
-from repro.core import Credential
+from repro.core import AppExtension, Credential
+from repro.spin import LinkError
 from repro.lang import ephemeral
 from repro.sim import Signal
+
+
+def _am(bed, index, **kwargs):
+    """Active messages linked on host ``index`` (its net domain)."""
+    return AppExtension.link(ActiveMessages, bed.hosts[index],
+                             bed.stacks[index].net_domain, **kwargs).state
+
+
+def _app(app, bed, index, *args, **kwargs):
+    """An app-domain application linked on host ``index``."""
+    return AppExtension.link(app, bed.hosts[index],
+                             bed.stacks[index].app_domain, *args,
+                             **kwargs).state
+
+
+def _net(app, bed, index, *args, **kwargs):
+    """A privileged net-domain application linked on host ``index``."""
+    return AppExtension.link(app, bed.hosts[index],
+                             bed.stacks[index].net_domain, *args,
+                             privileged=True, **kwargs).state
 
 
 class TestActiveMessages:
     def test_remote_handler_invoked(self, spin_pair):
         bed = spin_pair
-        am_a = ActiveMessages(bed.stacks[0], name="am-a")
-        am_b = ActiveMessages(bed.stacks[1], name="am-b")
+        am_a = _am(bed, 0, name="am-a")
+        am_b = _am(bed, 1, name="am-b")
         seen = []
 
         @ephemeral
@@ -41,15 +63,15 @@ class TestActiveMessages:
 
     def test_unregistered_index_ignored(self, spin_pair):
         bed = spin_pair
-        am_a = ActiveMessages(bed.stacks[0], name="am-a")
-        am_b = ActiveMessages(bed.stacks[1], name="am-b")
+        am_a = _am(bed, 0, name="am-a")
+        am_b = _am(bed, 1, name="am-b")
         bed.engine.run_process(bed.hosts[0].kernel_path(
             lambda: am_a.send(bed.nics[1].address, 42)))
         bed.engine.run()
         assert am_b.messages_received == 1  # frame arrived, no target
 
     def test_non_ephemeral_handler_rejected(self, spin_pair):
-        am = ActiveMessages(spin_pair.stacks[0])
+        am = _am(spin_pair, 0)
 
         def sloppy(seq, arg, index):
             pass
@@ -58,20 +80,21 @@ class TestActiveMessages:
 
     def test_requires_ethernet(self):
         bed = build_testbed("spin", "t3")
-        with pytest.raises(ValueError, match="Ethernet"):
-            ActiveMessages(bed.stacks[0])
+        with pytest.raises(LinkError, match="Ethernet.ClaimEthertype"):
+            _am(bed, 0)
 
     def test_remove_releases_ethertype(self, spin_pair):
-        am = ActiveMessages(spin_pair.stacks[0], name="first")
-        am.remove()
-        ActiveMessages(spin_pair.stacks[0], name="second")  # same ethertype
+        am = AppExtension.link(ActiveMessages, spin_pair.hosts[0],
+                               spin_pair.stacks[0].net_domain, name="first")
+        am.uninstall()
+        _am(spin_pair, 0, name="second")  # same ethertype
 
     @pytest.mark.parametrize("deliver_mode, limit", [
         ("interrupt", ActiveMessages.TIME_LIMIT_US), ("thread", None)])
     def test_time_limit_only_at_interrupt_level(self, deliver_mode, limit):
         bed = build_testbed("spin", "ethernet", deliver_mode=deliver_mode)
-        am_a = ActiveMessages(bed.stacks[0], name="am-a")
-        am_b = ActiveMessages(bed.stacks[1], name="am-b")
+        am_a = _am(bed, 0, name="am-a")
+        am_b = _am(bed, 1, name="am-b")
         assert am_b.handle.time_limit == limit
         seen = []
         am_b.register(3, ephemeral(lambda seq, arg, index: seen.append(arg)))
@@ -84,8 +107,8 @@ class TestActiveMessages:
 class TestVideo:
     def test_spin_server_streams_frames(self):
         bed = build_testbed("spin", "t3")
-        client = SpinVideoClient(bed.stacks[1], frame_bytes=12_500)
-        server = SpinVideoServer(bed.stacks[0], frame_bytes=12_500)
+        client = _app(SpinVideoClient, bed, 1, frame_bytes=12_500)
+        server = _app(SpinVideoServer, bed, 0, frame_bytes=12_500)
         server.add_stream(bed.ip(1), VIDEO_PORT_BASE, frames=6)
         bed.engine.run(until=400_000.0)
         assert server.stats.frames_sent == 6
@@ -105,16 +128,16 @@ class TestVideo:
     def test_video_uses_checksum_free_udp(self):
         """The application-specific video protocol skips checksums."""
         bed = build_testbed("spin", "t3")
-        SpinVideoClient(bed.stacks[1])
-        server = SpinVideoServer(bed.stacks[0])
+        _app(SpinVideoClient, bed, 1)
+        server = _app(SpinVideoServer, bed, 0)
         server.add_stream(bed.ip(1), VIDEO_PORT_BASE, frames=2)
         bed.engine.run(until=150_000.0)
         assert bed.stacks[0].udp.checksums_skipped > 0
 
     def test_spin_server_cheaper_than_unix(self):
         spin_bed = build_testbed("spin", "t3")
-        SpinVideoClient(spin_bed.stacks[1])
-        spin_server = SpinVideoServer(spin_bed.stacks[0])
+        _app(SpinVideoClient, spin_bed, 1)
+        spin_server = _app(SpinVideoServer, spin_bed, 0)
         spin_server.add_stream(spin_bed.ip(1), VIDEO_PORT_BASE, frames=6)
         spin_bed.engine.run(until=300_000.0)
 
@@ -132,9 +155,9 @@ class TestVideo:
 class TestForwarder:
     def _build(self):
         bed = build_testbed("spin", "ethernet", n_hosts=3)
-        forwarder = PlexusForwarder(bed.stacks[1], 8080, backends=[bed.ip(2)])
-        backend = BackendService(bed.stacks[2], virtual_ip=bed.ip(1),
-                                 port=8080, echo=True)
+        forwarder = _net(PlexusForwarder, bed, 1, 8080, backends=[bed.ip(2)])
+        backend = _net(BackendService, bed, 2, virtual_ip=bed.ip(1),
+                       port=8080, echo=True)
         return bed, forwarder, backend
 
     def test_connection_redirected_end_to_end(self):
@@ -166,10 +189,10 @@ class TestForwarder:
 
     def test_round_robin_across_backends(self):
         bed = build_testbed("spin", "ethernet", n_hosts=4)
-        forwarder = PlexusForwarder(bed.stacks[1], 8080,
-                                    backends=[bed.ip(2), bed.ip(3)])
-        b1 = BackendService(bed.stacks[2], bed.ip(1), 8080, echo=True)
-        b2 = BackendService(bed.stacks[3], bed.ip(1), 8080, echo=True)
+        forwarder = _net(PlexusForwarder, bed, 1, 8080,
+                         backends=[bed.ip(2), bed.ip(3)])
+        b1 = _net(BackendService, bed, 2, bed.ip(1), 8080, echo=True)
+        b2 = _net(BackendService, bed, 3, bed.ip(1), 8080, echo=True)
         engine = bed.engine
         host = bed.hosts[0]
 
@@ -183,22 +206,25 @@ class TestForwarder:
         assert forwarder.flow_count() == 2
 
     def test_forwarder_removal_restores_local_delivery(self):
-        bed, forwarder, backend = self._build()
-        forwarder.remove()
+        bed = build_testbed("spin", "ethernet", n_hosts=3)
+        forwarder = AppExtension.link(
+            PlexusForwarder, bed.hosts[1], bed.stacks[1].net_domain, 8080,
+            backends=[bed.ip(2)], privileged=True)
+        forwarder.uninstall()
         # The port is free again on the forwarding host.
         bed.stacks[1].tcp_manager.listen(Credential("local"), 8080,
                                          lambda tcb: None)
 
     def test_requires_backends(self, spin_pair):
         with pytest.raises(ValueError):
-            PlexusForwarder(spin_pair.stacks[0], 8080, backends=[])
+            _net(PlexusForwarder, spin_pair, 0, 8080, backends=[])
 
     @pytest.mark.parametrize("deliver_mode, limit", [
         ("interrupt", 200.0), ("thread", None)])
     def test_time_limit_only_at_interrupt_level(self, deliver_mode, limit):
         bed = build_testbed("spin", "ethernet", n_hosts=3,
                             deliver_mode=deliver_mode)
-        forwarder = PlexusForwarder(bed.stacks[1], 8080, backends=[bed.ip(2)])
+        forwarder = _net(PlexusForwarder, bed, 1, 8080, backends=[bed.ip(2)])
         assert forwarder.handle.time_limit == limit
         assert forwarder.handle.mode == bed.stacks[1].deliver_mode
 
@@ -208,23 +234,23 @@ class TestHttp:
 
     def test_spin_http_end_to_end(self, spin_pair):
         bed = spin_pair
-        SpinHttpServer(bed.stacks[1], self.PAGES, port=8088)
-        client = SpinHttpClient(bed.stacks[0], bed.ip(1), port=8088)
+        _app(SpinHttpServer, bed, 1, self.PAGES, port=8088)
+        client = _app(SpinHttpClient, bed, 0, bed.ip(1), port=8088)
         status, body = bed.engine.run_process(client.fetch("/"))
         assert (status, body) == (200, b"<html>SPIN</html>")
 
     def test_spin_http_large_page(self, spin_pair):
         bed = spin_pair
-        SpinHttpServer(bed.stacks[1], self.PAGES, port=8088)
-        client = SpinHttpClient(bed.stacks[0], bed.ip(1), port=8088)
+        _app(SpinHttpServer, bed, 1, self.PAGES, port=8088)
+        client = _app(SpinHttpClient, bed, 0, bed.ip(1), port=8088)
         status, body = bed.engine.run_process(client.fetch("/paper"))
         assert status == 200
         assert body == self.PAGES["/paper"]
 
     def test_spin_http_404(self, spin_pair):
         bed = spin_pair
-        SpinHttpServer(bed.stacks[1], self.PAGES, port=8088)
-        client = SpinHttpClient(bed.stacks[0], bed.ip(1), port=8088)
+        _app(SpinHttpServer, bed, 1, self.PAGES, port=8088)
+        client = _app(SpinHttpClient, bed, 0, bed.ip(1), port=8088)
         status, _body = bed.engine.run_process(client.fetch("/nope"))
         assert status == 404
 

@@ -11,7 +11,15 @@
 
 import pytest
 
-from repro.apps import ActiveMessages, PlexusForwarder
+from repro.apps import (
+    ActiveMessages,
+    BackendService,
+    PlexusForwarder,
+    SpinHttpClient,
+    SpinHttpServer,
+    SpinVideoClient,
+    SpinVideoServer,
+)
 from repro.bench.testbed import build_testbed
 from repro.bench.workloads import WORKLOADS, run_once
 from repro.core import AppExtension, Credential, ProtocolGraph
@@ -53,6 +61,16 @@ def _view_matches_dispatch(stack):
         {handle.node for handle in handles} - set(graph.declared))
 
 
+def _claims(stack):
+    """Every port space's owners, the diversions and the TCP listeners."""
+    spaces = [stack.udp_manager.ports, stack.tcp_manager.ports,
+              stack.ip_manager.protocols, stack.ethernet_manager.types]
+    return ([dict(space._owners) for space in spaces],
+            set(stack.udp_manager.diverted_ports),
+            set(stack.tcp_manager.diverted_ports),
+            sorted(stack.tcp.listeners), sorted(stack.ip._aliases))
+
+
 def _bind_then_close(bed, stack):
     return stack.udp_manager.bind(Credential("a"), 7000, _sink).close
 
@@ -62,19 +80,52 @@ def _bind_then_uninstall(bed, stack):
 
 
 def _forwarder(bed, stack):
-    return PlexusForwarder(stack, 8080, backends=[bed.ip(0)]).remove
+    return AppExtension.link(PlexusForwarder, bed.hosts[1], stack.net_domain,
+                             8080, backends=[bed.ip(0)],
+                             privileged=True).uninstall
+
+
+def _backend(bed, stack):
+    return AppExtension.link(BackendService, bed.hosts[1], stack.net_domain,
+                             bed.ip(0), 8080, privileged=True).uninstall
 
 
 def _active_messages(bed, stack):
-    return ActiveMessages(stack).remove
+    return AppExtension.link(ActiveMessages, bed.hosts[1],
+                             stack.net_domain).uninstall
+
+
+def _http_server(bed, stack):
+    return AppExtension.link(SpinHttpServer, bed.hosts[1], stack.app_domain,
+                             {"/": b"x"}, port=8088).uninstall
+
+
+def _http_client(bed, stack):
+    return AppExtension.link(SpinHttpClient, bed.hosts[1], stack.app_domain,
+                             bed.ip(0), port=8088).uninstall
+
+
+def _video_server(bed, stack):
+    return AppExtension.link(SpinVideoServer, bed.hosts[1],
+                             stack.app_domain).uninstall
+
+
+def _video_client(bed, stack):
+    return AppExtension.link(SpinVideoClient, bed.hosts[1],
+                             stack.app_domain).uninstall
 
 
 def _linked_extension(bed, stack):
     app = AppExtension(
         "Proto99", imports=["IP.ClaimProtocol"],
         init=lambda env, cred: [env["IP.ClaimProtocol"](cred, 99, _ip_sink)])
-    app.install(stack, stack.net_domain)
-    return lambda: app.uninstall(stack)
+    app.install(bed.hosts[1], stack.net_domain)
+    return app.uninstall
+
+
+#: each of the seven section 5 apps, linked and then unlinked
+_APPS = [_forwarder, _backend, _active_messages, _http_server, _http_client,
+         _video_server, _video_client]
 
 
 class TestGraphStaysAuthoritative:
@@ -97,21 +148,26 @@ class TestGraphStaysAuthoritative:
             handle.uninstall()
 
     @pytest.mark.parametrize("install", [
-        _bind_then_close, _bind_then_uninstall, _forwarder, _active_messages,
-        _linked_extension])
+        _bind_then_close, _bind_then_uninstall, _linked_extension] + _APPS)
     def test_every_removal_path(self, install):
         """Each way an edge leaves -- an endpoint's close, a direct handle
-        uninstall, an app's remove, the linker's unlink -- leaves the
-        graph equal to what the dispatcher runs, and as it was before."""
+        uninstall, the linker's unlink of an extension or of any of the
+        seven apps -- leaves the graph equal to what the dispatcher runs,
+        and the graph, the port spaces and the linker as they were before
+        (the HTTP and backend apps install a listener, no edge; the HTTP
+        client installs nothing until it fetches)."""
         bed = build_testbed("spin", "ethernet")
         stack = bed.stacks[1]
-        before = stack.graph.render()
+        before = stack.graph.render(), _claims(stack)
+        linked = list(bed.hosts[1].linker.linked)
         remove = install(bed, stack)
         _view_matches_dispatch(stack)
-        assert stack.graph.render() != before
+        if install not in (_backend, _http_server, _http_client):
+            assert stack.graph.render() != before[0]
         remove()
         _view_matches_dispatch(stack)
-        assert stack.graph.render() == before
+        assert (stack.graph.render(), _claims(stack)) == before
+        assert bed.hosts[1].linker.linked == linked
 
     def test_install_bumps_generation(self, kernel):
         """Install and uninstall each replace the event's snapshot tuple

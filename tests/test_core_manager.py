@@ -289,7 +289,7 @@ class TestTcpManagerPolicy:
     def test_listener_close_releases(self, spin_pair):
         manager = spin_pair.stacks[0].tcp_manager
         handle = manager.listen(Credential("a"), 8000, lambda tcb: None)
-        handle.close()
+        handle.uninstall()
         manager.listen(Credential("b"), 8000, lambda tcb: None)
 
     def test_special_implementation_claims_ports(self, spin_pair):
@@ -297,7 +297,7 @@ class TestTcpManagerPolicy:
         manager = bed.stacks[0].tcp_manager
         special = manager.install_implementation(
             Credential("special"), "tcp-special", ports=[9100, 9101])
-        assert special is not manager.standard
+        assert special.proto is not manager.standard
         assert manager.diverted_ports == {9100, 9101}
         with pytest.raises(AccessError):
             manager.listen(Credential("x"), 9100, lambda tcb: None)

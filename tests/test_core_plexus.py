@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import AppExtension, Credential
 from repro.lang import ReadOnlyViolation, ephemeral
-from repro.spin import LinkError, compile_extension
+from repro.spin import LinkError, UnresolvedSymbol, compile_extension
 from repro.sim import Signal
 
 
@@ -112,17 +112,23 @@ class TestRuntimeAdaptation:
 
 class TestExtensionLinking:
     def test_app_domain_exposes_managers_only(self, spin_pair):
-        domain = spin_pair.stacks[0].app_domain
-        assert domain.can_resolve("UDP.Bind")
-        assert domain.can_resolve("TCP.Listen")
-        assert not domain.can_resolve("Dispatcher.Install")
-        assert not domain.can_resolve("IP.SendCapability")
+        stack = spin_pair.stacks[0]
+        domain = stack.app_domain
+        assert domain.resolve("UDP.Bind") == stack.udp_manager.bind
+        assert domain.resolve("TCP.Listen") == stack.tcp_manager.listen
+        for hidden in ("Dispatcher.Install", "IP.ClaimPortRedirect",
+                       "Delivery.Mode", "Ethernet.ClaimEthertype"):
+            with pytest.raises(UnresolvedSymbol):
+                domain.resolve(hidden)
 
     def test_net_domain_is_wider(self, spin_pair):
-        domain = spin_pair.stacks[0].net_domain
-        assert domain.can_resolve("UDP.Bind")
-        assert domain.can_resolve("IP.SendCapability")
-        assert domain.can_resolve("Ethernet.ClaimEthertype")
+        stack = spin_pair.stacks[0]
+        domain = stack.net_domain
+        assert domain.resolve("UDP.Bind") == stack.udp_manager.bind
+        assert domain.resolve("IP.Alias") == stack.ip_manager.alias_capability
+        assert domain.resolve("Ethernet.ClaimEthertype") == \
+            stack.ethernet_manager.claim_ethertype
+        assert domain.resolve("Delivery.Mode") == "inline"
 
     def test_extension_binds_through_imports(self, spin_pair):
         """The Figure 2 shape: a signed module installing a handler."""
@@ -137,7 +143,7 @@ class TestExtensionLinking:
             "EchoCounter",
             imports=["UDP.Bind"],
             init=lambda env, cred: [env["UDP.Bind"](cred, 7900, handler)])
-        app.install(bed.stacks[1])
+        app.install(bed.hosts[1], bed.stacks[1].app_domain)
 
         sender = bed.stacks[0].udp_manager.bind(Credential("c"), 7000, noop)
         kpath(bed, 0, lambda: sender.send(b"to extension", bed.ip(1), 7900))
@@ -150,10 +156,10 @@ class TestExtensionLinking:
             "Transient",
             imports=["UDP.Bind"],
             init=lambda env, cred: [env["UDP.Bind"](cred, 7901, noop)])
-        app.install(bed.stacks[0])
+        app.install(bed.hosts[0], bed.stacks[0].app_domain)
         with pytest.raises(Exception):
             bed.stacks[0].udp_manager.bind(Credential("x"), 7901, noop)
-        app.uninstall(bed.stacks[0])
+        app.uninstall()
         bed.stacks[0].udp_manager.bind(Credential("x"), 7901, noop)
 
     def test_overreaching_extension_rejected_at_link(self, spin_pair):
@@ -162,14 +168,14 @@ class TestExtensionLinking:
         rogue = compile_extension(
             "Rogue", ["Dispatcher.Install"], lambda env: None)
         with pytest.raises(LinkError, match="unresolved"):
-            bed.stacks[0].install_extension(rogue)  # app domain
+            bed.hosts[0].linker.link(rogue, bed.stacks[0].app_domain)
 
     def test_double_install_rejected(self, spin_pair):
         app = AppExtension("Once", imports=["UDP.Bind"],
                            init=lambda env, cred: [])
-        app.install(spin_pair.stacks[0])
+        app.install(spin_pair.hosts[0], spin_pair.stacks[0].app_domain)
         with pytest.raises(RuntimeError):
-            app.install(spin_pair.stacks[0])
+            app.install(spin_pair.hosts[0], spin_pair.stacks[0].app_domain)
 
 
 class TestMultipleTcpImplementations:
@@ -178,7 +184,7 @@ class TestMultipleTcpImplementations:
         bed = spin_pair
         server_stack = bed.stacks[1]
         special = server_stack.tcp_manager.install_implementation(
-            Credential("special"), "special", ports=[9500])
+            Credential("special"), "special", ports=[9500]).proto
 
         standard_conns, special_conns = [], []
         server_stack.tcp_manager.listen(

@@ -126,10 +126,13 @@ class TestFaultInjection:
         but the stream keeps playing (the application-specific tradeoff
         of paper sec. 1.1)."""
         from repro.apps.video import VIDEO_PORT_BASE, SpinVideoClient, SpinVideoServer
+        from repro.core import AppExtension
         bed = build_testbed("spin", "t3")
         independent_faults(bed.medium, loss=0.15, seed=11)
-        client = SpinVideoClient(bed.stacks[1])
-        server = SpinVideoServer(bed.stacks[0])
+        client = AppExtension.link(SpinVideoClient, bed.hosts[1],
+                                   bed.stacks[1].app_domain).state
+        server = AppExtension.link(SpinVideoServer, bed.hosts[0],
+                                   bed.stacks[0].app_domain).state
         server.add_stream(bed.ip(1), VIDEO_PORT_BASE, frames=20)
         bed.engine.run(until=900_000.0)
         assert server.stats.frames_sent == 20

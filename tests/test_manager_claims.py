@@ -274,7 +274,7 @@ class _Claimer:
             assert op == "listen"
             result = stack.tcp_manager.listen(credential, what,
                                               lambda tcb: None)
-            self.live.append(result.close)
+            self.live.append(result.uninstall)
         for name, event in self.events().items():
             for handle in event.handlers:
                 if handle not in before[name]:

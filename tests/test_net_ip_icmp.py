@@ -319,6 +319,65 @@ class TestHeaderChecksumFromFields:
             (1, 0) if valid else (0, 1))
 
 
+class TestForwardRestamp:
+    """A router restamps a forwarded header incrementally (RFC 1624,
+    eqn. 3); the result must be the checksum a pass over the decremented
+    header's bytes gives, including where the old checksum sits next to
+    0x0000 or 0xFFFF (either form of zero arrives valid)."""
+
+    class _Adapter:
+        mtu = 1500
+
+        def __init__(self):
+            self.sent = []
+
+        def send(self, m, next_hop):
+            self.sent.append(m.to_bytes())
+
+    @settings(max_examples=300, deadline=None)
+    @given(tos=_U8, total=st.integers(20, 1500), ident=_U16, frag=_U16,
+           ttl=st.integers(2, 0xFF), protocol=_U8, src=_U32, dst=_U32,
+           target=st.none() | st.sampled_from(
+               [0x0000, 0x0001, 0x0002, 0x00FF, 0x0100, 0xFEFF, 0xFF00,
+                0xFFFD, 0xFFFE, 0xFFFF]),
+           negative_zero=st.booleans())
+    def test_restamp_is_the_reference_checksum(self, tos, total, ident, frag,
+                                               ttl, protocol, src, dst,
+                                               target, negative_zero):
+        from repro.net.ip import IpProto
+        from repro.sim import Engine
+        from repro.spin import SpinKernel
+        kernel = SpinKernel(Engine(), "router")
+        adapter = self._Adapter()
+        ip = IpProto(kernel, ip_aton("10.9.0.1"), adapter)
+        ip.forwarding = True
+        assume(dst not in (ip.my_ip, 0xFFFFFFFF))
+        header = bytearray(20)
+        IP_HEADER.pack_into(header, 0, 0x45, tos, total, 0, frag, ttl,
+                            protocol, 0, src, dst)
+        if target is not None:
+            # The ident that lands the header's checksum on ``target``.
+            ident = (internet_checksum_reference(header) - target) % 0xFFFF
+        header[4:6] = ident.to_bytes(2, "big")
+        cksum = internet_checksum_reference(header)
+        if negative_zero and cksum == 0:
+            cksum = 0xFFFF
+        header[10:12] = cksum.to_bytes(2, "big")
+        payload = bytes(range(256)) * 6
+        datagram = bytes(header) + payload[:total - 20]
+        kernel.engine.run_process(kernel.kernel_path(
+            lambda: ip.input(kernel.mbufs.from_bytes(datagram), 0)))
+        assert (ip.forwarded, ip.header_errors) == (1, 0)
+        [out] = adapter.sent
+        expected = bytearray(header)
+        expected[8] = ttl - 1
+        expected[10:12] = b"\0\0"
+        assert out[:10] + out[12:] == bytes(expected[:10] + expected[12:]) + \
+            payload[:total - 20]
+        assert int.from_bytes(out[10:12], "big") == \
+            internet_checksum_reference(expected)
+
+
 class TestIcmp:
     def test_echo_request_reply(self):
         engine, wire, a, b = make_pair()

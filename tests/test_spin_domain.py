@@ -21,92 +21,72 @@ class TestInterface:
         with pytest.raises(KeyError):
             make_ethernet_interface().lookup("Nope")
 
-    def test_export_and_contains(self):
-        iface = Interface("Mbuf")
-        iface.export("Alloc", lambda: None)
-        assert "Alloc" in iface
-        assert "Free" not in iface
-
-    def test_qualified_names(self):
-        iface = make_ethernet_interface()
-        assert sorted(iface.qualified_names()) == [
-            "Ethernet.InstallHandler", "Ethernet.PacketRecv"]
-
     def test_dotted_name_rejected(self):
         with pytest.raises(DomainError):
             Interface("A.B")
 
     def test_qualified_symbol_rejected(self):
-        iface = Interface("A")
         with pytest.raises(DomainError):
-            iface.export("B.C", 1)
+            Interface("A", {"B.C": 1})
 
 
 class TestDomain:
     def test_resolve(self):
-        domain = Domain.create("d", [make_ethernet_interface()])
+        domain = Domain("d", [make_ethernet_interface()])
         assert domain.resolve("Ethernet.PacketRecv") is not None
 
     def test_unresolved_interface(self):
-        domain = Domain.create("d")
+        domain = Domain("d")
         with pytest.raises(UnresolvedSymbol, match="not visible"):
             domain.resolve("Ethernet.PacketRecv")
 
     def test_unresolved_symbol_in_known_interface(self):
-        domain = Domain.create("d", [make_ethernet_interface()])
+        domain = Domain("d", [make_ethernet_interface()])
         with pytest.raises(UnresolvedSymbol):
             domain.resolve("Ethernet.Secret")
 
     def test_unqualified_name_rejected(self):
-        domain = Domain.create("d")
+        domain = Domain("d")
         with pytest.raises(DomainError):
             domain.resolve("PacketRecv")
 
     def test_can_resolve(self):
-        domain = Domain.create("d", [make_ethernet_interface()])
-        assert domain.can_resolve("Ethernet.PacketRecv")
-        assert not domain.can_resolve("VM.MapPage")
+        iface = make_ethernet_interface()
+        domain = Domain("d", [iface])
+        assert domain.resolve("Ethernet.PacketRecv") is \
+            iface.symbols["PacketRecv"]
+        with pytest.raises(UnresolvedSymbol):
+            domain.resolve("VM.MapPage")
 
     def test_copy_confers_same_access(self):
         """Capabilities can be copied and passed around (paper sec. 2)."""
-        domain = Domain.create("d", [make_ethernet_interface()])
+        domain = Domain("d", [make_ethernet_interface()])
         clone = domain.copy()
-        assert clone.can_resolve("Ethernet.PacketRecv")
+        assert clone.resolve("Ethernet.PacketRecv") is \
+            domain.resolve("Ethernet.PacketRecv")
 
     def test_copy_is_shallow_snapshot(self):
-        domain = Domain.create("d", [make_ethernet_interface()])
+        domain = Domain("d", [make_ethernet_interface()])
         clone = domain.copy()
         domain.export_interface(Interface("Extra", {"X": 1}))
-        assert not clone.can_resolve("Extra.X")
-
-    def test_combine_unions_visibility(self):
-        a = Domain.create("a", [make_ethernet_interface()])
-        b = Domain.create("b", [Interface("Mbuf", {"Alloc": 1})])
-        both = a.combine(b)
-        assert both.can_resolve("Ethernet.PacketRecv")
-        assert both.can_resolve("Mbuf.Alloc")
-        # Originals untouched.
-        assert not a.can_resolve("Mbuf.Alloc")
-
-    def test_combine_conflict_rejected(self):
-        a = Domain.create("a", [Interface("X", {"v": 1})])
-        b = Domain.create("b", [Interface("X", {"v": 2})])
-        with pytest.raises(DomainError, match="conflicting"):
-            a.combine(b)
+        assert domain.resolve("Extra.X") == 1
+        with pytest.raises(UnresolvedSymbol):
+            clone.resolve("Extra.X")
 
     def test_reexport_same_interface_ok(self):
         iface = make_ethernet_interface()
-        domain = Domain.create("d", [iface])
+        domain = Domain("d", [iface])
         domain.export_interface(iface)  # idempotent
 
     def test_conflicting_export_rejected(self):
-        domain = Domain.create("d", [Interface("X", {"v": 1})])
+        domain = Domain("d", [Interface("X", {"v": 1})])
         with pytest.raises(DomainError):
             domain.export_interface(Interface("X", {"v": 2}))
 
     def test_domains_are_unforgeable(self):
         """There is no registry: without the object, no access."""
-        domain = Domain.create("secret", [make_ethernet_interface()])
-        fresh = Domain.create("secret")  # same name, no visibility
-        assert not fresh.can_resolve("Ethernet.PacketRecv")
-        assert domain.can_resolve("Ethernet.PacketRecv")
+        domain = Domain("secret", [make_ethernet_interface()])
+        fresh = Domain("secret")  # same name, no visibility
+        with pytest.raises(UnresolvedSymbol):
+            fresh.resolve("Ethernet.PacketRecv")
+        assert domain.resolve("Ethernet.PacketRecv") is not None

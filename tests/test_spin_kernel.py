@@ -152,13 +152,5 @@ class TestContainmentUnderTraffic:
 
 
 class TestDomainsOnKernel:
-    def test_kernel_domain_exists(self, kernel):
-        assert kernel.kernel_domain.name.endswith(".kernel")
-
-    def test_export_interface_defaults_to_kernel_domain(self, kernel):
-        from repro.spin import Interface
-        kernel.export_interface(Interface("Test", {"X": 42}))
-        assert kernel.kernel_domain.resolve("Test.X") == 42
-
     def test_linker_bound_to_host(self, kernel):
         assert kernel.linker.host is kernel

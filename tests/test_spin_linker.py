@@ -14,7 +14,7 @@ from repro.spin import (
 
 @pytest.fixture
 def domain():
-    return Domain.create("app", [
+    return Domain("app", [
         Interface("UDP", {"Bind": lambda *a: "bound"}),
         Interface("Mbuf", {"Alloc": lambda: "mbuf"}),
     ])
@@ -35,14 +35,16 @@ class TestLinking:
         ext = compile_extension("app", ["UDP.Bind", "Mbuf.Alloc"], init)
         linked = linker.link(ext, domain)
         assert set(seen) == {"UDP.Bind", "Mbuf.Alloc"}
-        assert linked.name == "app"
+        assert linked.extension.name == "app"
         assert linked in linker.linked
 
     def test_init_runs_with_resolved_objects(self, domain, linker):
+        seen = []
         ext = compile_extension("app", ["UDP.Bind"],
-                                lambda env: env["UDP.Bind"]())
+                                lambda env: seen.append(env["UDP.Bind"]()))
         linked = linker.link(ext, domain)
-        assert linked.installed_state == "bound"
+        assert seen == ["bound"]
+        assert linked.installed_state is None
 
     def test_unresolved_symbol_fails_link(self, domain, linker):
         """'If an extension references a symbol that is not contained
@@ -73,9 +75,9 @@ class TestLinking:
             linker.link(ext, domain)
 
     def test_wider_domain_allows_more(self, linker):
-        app = Domain.create("app", [Interface("UDP", {"Bind": 1})])
-        kernel = app.combine(
-            Domain.create("k", [Interface("VM", {"MapPage": 2})]))
+        app = Domain("app", [Interface("UDP", {"Bind": 1})])
+        kernel = app.copy("k")
+        kernel.export_interface(Interface("VM", {"MapPage": 2}))
         ext = compile_extension("driver", ["VM.MapPage"], lambda env: None)
         with pytest.raises(LinkError):
             linker.link(ext, app)
