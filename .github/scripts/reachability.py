@@ -62,8 +62,8 @@ PY = [sys.executable]
 BENCH = PY + ["-m", "repro.bench"]
 DRIVERS = [
     BENCH, BENCH + ["--charts"], BENCH + ["--check"],
-    BENCH + ["--latency", "--jobs", "2"], BENCH + ["--parallel-curve"],
-    PY + ["-m", "repro.chaos", "--quick", "--jobs", "2"],
+    BENCH + ["--latency"], BENCH + ["--parallel-curve"],
+    PY + ["-m", "repro.chaos", "--quick"],
     PY + ["-m", "repro.obs", "--check-schema"],
     PY + ["-m", "repro.obs", "--workload", "udp_pingpong", "--folded",
           "reach.folded", "--metrics", "reach.metrics.json", "--spans",

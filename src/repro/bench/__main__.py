@@ -1,9 +1,9 @@
 """Command-line entry: ``python -m repro.bench [mode] [options]``.
 
-Without a mode flag, regenerates every table and figure from the paper.
-``--jobs N`` output is byte-identical to ``--jobs 1``; the two suites
-(``--latency``, ``--parallel-curve``) write their ``BENCH_*.json`` at the
-repository root and exit non-zero when the gate
+Without a mode flag, regenerates every table and figure from the paper at
+the scales EXPERIMENTS.md records.  The two suites (``--latency``,
+``--parallel-curve``) take ``--quick`` / ``--full``, write their
+``BENCH_*.json`` at the repository root and exit non-zero when the gate
 (:mod:`repro.bench.gate`) records an error.  How fast the simulator runs
 is ``perfbench/``'s question (``python3 perfbench/run.py``).
 """
@@ -38,7 +38,7 @@ def _finish(report, suite, write_baseline_too: bool = False) -> int:
 
 def _latency(args) -> int:
     from . import slo
-    suite = slo.run_latency_suite(quick=not args.full, jobs=args.jobs)
+    suite = slo.run_latency_suite(quick=not args.full)
     _print_host(suite)
     for name in sorted(suite["legs"]):
         leg = suite["legs"][name]
@@ -99,9 +99,8 @@ def _charts(args) -> int:
 
 def _paper_report(args) -> int:
     from .report import run_everything
-    print("Regenerating every table and figure from the paper "
-          "(%s pass)...\n" % ("full" if args.full else "quick"))
-    print(run_everything(quick=not args.full, jobs=args.jobs))
+    print("Regenerating every table and figure from the paper...\n")
+    print(run_everything())
     return 0
 
 
@@ -121,13 +120,6 @@ _MODES = (
 )
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
-    return value
-
-
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -140,12 +132,11 @@ def _parser() -> argparse.ArgumentParser:
     parser.set_defaults(run=_paper_report)
     scale = parser.add_mutually_exclusive_group()
     scale.add_argument("--quick", action="store_true",
-                       help="small scales (the default)")
+                       help="with --latency or --parallel-curve: small "
+                            "scales (the default)")
     scale.add_argument("--full", action="store_true",
-                       help="the scales EXPERIMENTS.md records")
-    parser.add_argument("--jobs", type=_positive, default=1, metavar="N",
-                        help="shard the report's sections or --latency's "
-                             "legs across N worker processes")
+                       help="with --latency or --parallel-curve: full "
+                            "scales")
     parser.add_argument("--write-baseline", action="store_true",
                         help="with --latency: refresh the committed "
                              "baseline under benchmarks/ from this run")
@@ -157,13 +148,10 @@ def main(argv) -> int:
     args = parser.parse_args(argv)
     if args.write_baseline and args.run is not _latency:
         parser.error("--write-baseline needs --latency")
-    # Like --quick, --jobs 1 is the explicit default and goes anywhere.
-    if args.jobs > 1 and args.run not in (_paper_report, _latency):
-        parser.error("--jobs needs a mode that shards: the report or "
-                     "--latency (--parallel-curve picks its own counts)")
-    if args.full and args.run in (_check, _charts):
-        parser.error("--full needs a mode with scales; --check and --charts "
-                     "have none")
+    if (args.quick or args.full) and args.run not in (_latency,
+                                                      _parallel_curve):
+        parser.error("--quick / --full need a mode with scales: --latency "
+                     "or --parallel-curve (the report has one scale)")
     return args.run(args)
 
 

@@ -4,10 +4,11 @@ Every number and relation the evaluation states (sections 2-5, Figures
 5-7), every relation the reproduction adds about its own design
 choices, and the golden pins of the calibration are rows of
 :data:`CLAIMS`.  Everything else reads them: ``benchmarks/`` asserts
-each row, ``python -m repro.bench --check`` the ``golden`` ones, the
-report's ``paper_us`` / ``paper_mbps`` columns the stated targets, and
-``tests/test_claims.py`` holds EXPERIMENTS.md's paper columns and
-Figure 5's closed form to them.
+each row, ``python -m repro.bench --check`` the ``golden`` ones, and
+the report's ``paper_us`` / ``paper_mbps`` columns the stated targets.
+EXPERIMENTS.md's paper tables are that report verbatim, and
+``tests/test_claims.py`` holds them, and Figure 5's closed form, to the
+ledger.
 
 A row reads one or more *cells*: a harness function of this package,
 its arguments, and the path to one number in what it returns.  A

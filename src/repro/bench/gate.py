@@ -39,9 +39,9 @@ __all__ = ["REPO_ROOT", "SCHEMA_VERSION", "ROW_KEYS", "host_fingerprint",
 REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..", ".."))
 
-#: One version for the two BENCH_*.json reports and the one baseline
-#: (EXPERIMENTS.md, "Report format").  9 was the first unified one; 10
-#: drops every judged host-speed field.
+#: One version for the two BENCH_*.json reports and the one baseline.
+#: 9 was the first unified one (CHANGES.md, PR 14); 10 drops every
+#: judged host-speed field (PR 20).
 SCHEMA_VERSION = 10
 
 #: all a committed baseline keeps of a gate row.
@@ -61,9 +61,8 @@ def host_fingerprint() -> Dict[str, str]:
 
 
 def new_report(command: str, quick: bool) -> Dict:
-    """The header every report starts from.  It records nothing else
-    about *how* the report was produced: ``--jobs N`` must emit the same
-    simulated content a serial run does."""
+    """The header every report starts from; nothing else about *how*
+    the report was produced."""
     return {
         "schema_version": SCHEMA_VERSION,
         "generated_by": "python -m repro.bench " + command,

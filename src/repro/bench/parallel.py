@@ -1,12 +1,11 @@
 """Sharded workloads: the speed-up legs and their gate rows.
 
 A shardable registry record (:mod:`repro.bench.workloads`) runs as N
-tasks of the suite's process pool (:func:`repro.bench.runner.map_tasks`):
-``many_flows`` and ``mega_flows`` shard their flows, each shard a private
-client/server bed on its own engine carrying a contiguous slice, with
-nothing crossing between shards.  ``parallel=False`` gives the pool one
-job, which runs the shards in this process -- the reference -- and
-``parallel=True`` one worker per shard.
+shards (:func:`~repro.bench.workloads.run_partitioned`): ``many_flows``
+and ``mega_flows`` shard their flows, each shard a private client/server
+bed on its own engine carrying a contiguous slice, with nothing crossing
+between shards.  ``parallel=False`` runs the shards in this process --
+the reference -- and ``parallel=True`` forks one worker per shard.
 
 A *leg* pairs the two at one shard count.  Its identity (event count,
 merged fingerprint, digest of the merged metrics snapshot) must be equal
@@ -40,7 +39,7 @@ SPEEDUP_MIN = 1.3
 #: the shortest serial side whose ratio carries a verdict.  Fork and
 #: merge cost a fixed fraction of a second, so a ~1 s serial side reads
 #: 0.89x-1.08x run to run on two cores while the >= 2 s legs of the same
-#: code read 1.40x-1.83x (EXPERIMENTS.md, "Sharded runs").
+#: code read 1.40x-1.83x (CHANGES.md, PR 17).
 JUDGED_SERIAL_S = 2.0
 
 

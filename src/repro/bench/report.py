@@ -1,14 +1,13 @@
 """Result formatting for the benchmark harness.
 
 ``format_table`` renders rows the way the paper's tables/figures read;
-``run_everything`` regenerates every experiment and returns the full
-report text (EXPERIMENTS.md is produced from it).
+``run_everything`` regenerates every experiment, at the scales
+EXPERIMENTS.md records, and returns the report text: EXPERIMENTS.md's
+paper tables are that text, verbatim (``tests/test_claims.py`` renders
+it again and compares).
 
-Each experiment lives in its own named section function so the report is
-a pure merge of independent tasks: ``SECTIONS`` is the single source of
-truth for what runs and in what order, and ``repro.bench.runner`` shards
-the same list across worker processes (``--jobs N``) with a merge that
-is byte-identical to the serial text.
+Each experiment is one named section function; ``SECTIONS`` says what
+runs and in what order, and the report joins their texts.
 """
 
 from __future__ import annotations
@@ -49,39 +48,34 @@ def format_table(rows: Sequence[Dict], columns: Sequence[str],
 
 
 # ---------------------------------------------------------------------------
-# section tasks
-#
-# Each takes only ``quick`` and returns its rendered text.  They must stay
-# independent (fresh engines, no shared mutable state) and module-level
-# (pickled by name into worker processes).
+# sections: each builds its own engines and returns its rendered text
 # ---------------------------------------------------------------------------
 
-def _trips(quick: bool) -> int:
-    return 5 if quick else 20
+#: round trips per latency cell.
+_TRIPS = 20
 
 
-def _section_figure5(quick: bool) -> str:
+def _section_figure5() -> str:
     from . import latency
-    rows = latency.figure5(trips=_trips(quick))
+    rows = latency.figure5(trips=_TRIPS)
     return format_table(
         rows, ["device", "system", "rtt_us", "paper_us"],
         title="Figure 5: UDP round-trip latency (8-byte payloads)")
 
 
-def _section_throughput(quick: bool) -> str:
+def _section_throughput() -> str:
     from . import throughput
-    rows = throughput.section42(total_bytes=300_000 if quick else 1_000_000)
+    rows = throughput.section42(total_bytes=1_000_000)
     return format_table(
         rows, ["device", "system", "mbps", "paper_mbps"],
         title="Section 4.2: TCP throughput")
 
 
-def _section_figure6(quick: bool) -> str:
+def _section_figure6() -> str:
     from . import video
-    counts = ((1, 5, 10, 15, 20) if quick
-              else (1, 3, 5, 8, 10, 12, 15, 18, 21, 25, 30))
-    rows = video.figure6(stream_counts=counts,
-                         duration_s=0.3 if quick else 0.6)
+    rows = video.figure6(
+        stream_counts=(1, 3, 5, 8, 10, 12, 15, 18, 21, 25, 30),
+        duration_s=0.6)
     for row in rows:
         row["utilization_pct"] = row["utilization"] * 100
     return format_table(
@@ -89,9 +83,9 @@ def _section_figure6(quick: bool) -> str:
         title="Figure 6: video server CPU utilization vs streams (T3)")
 
 
-def _section_video_client(quick: bool) -> str:
+def _section_video_client() -> str:
     from . import video
-    client_rows = [video.measure_video_client(os_name, 0.3 if quick else 0.8)
+    client_rows = [video.measure_video_client(os_name, 0.8)
                    for os_name in ("spin", "unix")]
     for row in client_rows:
         row["utilization_pct"] = row["utilization"] * 100
@@ -101,9 +95,9 @@ def _section_video_client(quick: bool) -> str:
         title="Section 5.1: video client (framebuffer-dominated)")
 
 
-def _section_figure7(quick: bool) -> str:
+def _section_figure7() -> str:
     from . import forwarding
-    fwd_rows = forwarding.figure7(trips=_trips(quick))
+    fwd_rows = forwarding.figure7(trips=_TRIPS)
     for row in fwd_rows:
         row["rtt_us"] = row["rtt"].mean
     return format_table(
@@ -111,7 +105,7 @@ def _section_figure7(quick: bool) -> str:
         title="Figure 7: TCP redirection latency")
 
 
-def _section_dispatcher_micro(quick: bool) -> str:
+def _section_dispatcher_micro() -> str:
     from . import micro
     disp = micro.dispatcher_overhead_per_handler()
     return format_table(
@@ -120,24 +114,24 @@ def _section_dispatcher_micro(quick: bool) -> str:
         title="Micro: dispatcher overhead (paper: ~1 procedure call)")
 
 
-def _section_guard_demux(quick: bool) -> str:
+def _section_guard_demux() -> str:
     from . import micro
     return format_table(
         micro.guard_demux_cost(), ["extensions", "demux_us"],
         title="Micro: guard demultiplexing scaling")
 
 
-def _section_http(quick: bool) -> str:
+def _section_http() -> str:
     from . import http_bench
-    http_rows = http_bench.http_comparison(requests=4 if quick else 10)
+    http_rows = http_bench.http_comparison(requests=10)
     return format_table(
         http_rows, ["page", "system", "latency_us"],
         title="HTTP service latency (the paper's closing demo)")
 
 
-def _section_cpu_scaling(quick: bool) -> str:
+def _section_cpu_scaling() -> str:
     from . import http_bench
-    scaling = http_bench.cpu_scaling_sweep(trips=_trips(quick))
+    scaling = http_bench.cpu_scaling_sweep(trips=_TRIPS)
     return format_table(
         scaling, ["cpu_factor", "plexus_us", "unix_us", "gap_us"],
         title="Sensitivity: Figure 5 Ethernet headline vs CPU speed")
@@ -148,51 +142,50 @@ def _ablation_section(row: Dict) -> str:
         [row], list(row.keys()), title="Ablation: %s" % row["ablation"])
 
 
-def _section_ablation_checksum(quick: bool) -> str:
+def _section_ablation_checksum() -> str:
     from . import ablations
     return _ablation_section(
         {"ablation": "udp-checksum",
-         **ablations.checksum_ablation(trips=_trips(quick))})
+         **ablations.checksum_ablation(trips=_TRIPS)})
 
 
-def _section_ablation_delivery(quick: bool) -> str:
+def _section_ablation_delivery() -> str:
     from . import ablations
     return _ablation_section(
         {"ablation": "delivery-mode",
-         **ablations.delivery_mode_ablation(trips=_trips(quick))})
+         **ablations.delivery_mode_ablation(trips=_TRIPS)})
 
 
-def _section_ablation_view(quick: bool) -> str:
+def _section_ablation_view() -> str:
     from . import ablations
     return _ablation_section(
         {"ablation": "view-vs-copy", **ablations.view_vs_copy_ablation()})
 
 
-def _section_ablation_active_messages(quick: bool) -> str:
+def _section_ablation_active_messages() -> str:
     from . import ablations
     return _ablation_section(
         {"ablation": "active-messages",
-         **ablations.active_message_rtt(trips=_trips(quick))})
+         **ablations.active_message_rtt(trips=_TRIPS)})
 
 
-def _section_ablation_ack(quick: bool) -> str:
+def _section_ablation_ack() -> str:
     from . import ablations
     return _ablation_section(
         {"ablation": "ack-strategy",
          **ablations.ack_strategy_ablation(
-             total_bytes=200_000 if quick else 400_000)})
+             total_bytes=400_000)})
 
 
-def _section_rx_ring(quick: bool) -> str:
+def _section_rx_ring() -> str:
     from . import ablations
     return format_table(
-        ablations.rx_ring_ablation(frames=80 if quick else 120),
+        ablations.rx_ring_ablation(frames=120),
         ["ring_length", "delivered", "dropped", "loss_pct"],
         title="Ablation: receive-ring depth under burst (ATM)")
 
 
-#: (name, task) in report order -- the single source of truth for both the
-#: serial report and the sharded one (``repro.bench.runner``).
+#: (name, section) in report order.
 SECTIONS = (
     ("figure5", _section_figure5),
     ("throughput", _section_throughput),
@@ -212,11 +205,6 @@ SECTIONS = (
 )
 
 
-def run_everything(quick: bool = True, jobs: int = 1) -> str:
-    """Regenerate every table and figure; returns the report text.
-
-    ``jobs > 1`` shards the sections across worker processes; the merged
-    text is byte-identical to the serial run.
-    """
-    from .runner import run_report
-    return run_report(quick=quick, jobs=jobs)
+def run_everything() -> str:
+    """Regenerate every table and figure; returns the report text."""
+    return "\n\n".join(section() for _name, section in SECTIONS)

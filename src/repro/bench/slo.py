@@ -8,9 +8,9 @@ statement about simulated time:
 
 * **Percentile fingerprints are integers.**  Every leg's p50/p99/p999 is
   stated in simulated nanoseconds; they are pure functions of the code
-  and the seeds, byte-identical across hosts, reruns and ``--jobs``
-  values.  Drift against the committed baseline is an *error*.  Wall
-  seconds per leg are an unjudged host measurement.
+  and the seeds, byte-identical across hosts and reruns.  Drift against
+  the committed baseline is an *error*.  Wall seconds per leg are an
+  unjudged host measurement.
 * **Every open-loop leg carries a closed-loop twin** run in the same
   process from the same arrival draws.  The twin self-clocks (a request
   departs one drawn gap after the previous *reply*), so it cannot queue
@@ -34,13 +34,11 @@ make every request's latency a queue measurement.
 from __future__ import annotations
 
 import os
-import random
 from dataclasses import replace
 from typing import Dict, List, Tuple
 
 from ..obs.slo import RequestLifecycle, SloTracker
 from .gate import REPO_ROOT, judge, new_report
-from .runner import map_tasks, task_seed
 from .workloads import WORKLOADS, Workload, run_once
 
 __all__ = ["REPORT_PATH", "BASELINE_PATH", "LEGS", "PROBES", "leg_names",
@@ -136,26 +134,11 @@ def run_probe(name: str, quick: bool = True) -> Dict:
     }
 
 
-_TASKS = {"leg": run_leg, "probe": run_probe}
-
-
-def _latency_task(payload: Tuple[str, str, bool]) -> Dict:
-    """One suite task (runs in a worker process under ``--jobs``)."""
-    kind, param, quick = payload
-    random.seed(task_seed("latency:%s:%s" % (kind, param)))
-    return _TASKS[kind](param, quick)
-
-
-def run_latency_suite(quick: bool = True, jobs: int = 1) -> Dict:
+def run_latency_suite(quick: bool = True) -> Dict:
     """Run every leg and probe; returns the judged report."""
-    legs = leg_names(quick)
-    tasks = ([("leg", name) for name in legs]
-             + [("probe", name) for name in PROBES])
-    results = dict(zip(tasks, map_tasks(
-        _latency_task, [task + (quick,) for task in tasks], jobs)))
     report = new_report("--latency", quick)
-    report["legs"] = {name: results["leg", name] for name in legs}
-    report["decomposition"] = {name: results["probe", name]
+    report["legs"] = {name: run_leg(name, quick) for name in leg_names(quick)}
+    report["decomposition"] = {name: run_probe(name, quick)
                                for name in PROBES}
     return judge(report, rows, BASELINE_PATH)
 

@@ -16,8 +16,8 @@ picked by the bed's OS, as the paper runs one conversation on both.
 
 Two functions run records: :func:`run_once` (build -> instrument ->
 setup -> GC-quiesce -> time -> record, on a single engine) and
-:func:`run_partitioned` (the same record as N shards, each a task of the
-suite's one process pool, :func:`repro.bench.runner.map_tasks`).
+:func:`run_partitioned` (the same record as N shards, forked over the
+suite's one process pool or run in this process).
 ``--latency``, ``--parallel-curve`` and ``python -m repro.obs
 --workload`` go through them.  Figure 5 and section 4.2
 (:mod:`repro.bench.latency`, :mod:`repro.bench.throughput`) wire the
@@ -56,7 +56,6 @@ from ..obs.registry import merge_snapshots
 from ..obs.wire import instrument_testbed
 from ..sim import Engine, Signal, SimulationError
 from ..unixos.sockets import Poller, SocketError
-from .runner import map_tasks
 from .testbed import build_testbed
 
 __all__ = ["Workload", "WORKLOADS", "PINGPONG", "schedule", "run_once",
@@ -1033,9 +1032,9 @@ def run_once(record: Workload, scale: int, instrument=None) -> Dict:
 
 def _shard_task(payload: Tuple[str, int, int, int]) -> Dict:
     """Build shard ``index`` of ``n`` of a registered workload on an
-    engine of its own, run it dry and return its result (a pool task: it
-    runs in a forked worker under ``parallel=True``, so everything but
-    the payload and the result is shard-local)."""
+    engine of its own, run it dry and return its result (it runs in a
+    forked worker under ``parallel=True``, so everything but the payload
+    and the result is shard-local)."""
     name, scale, n, index = payload
     record = WORKLOADS[name]
     engine = Engine()
@@ -1073,15 +1072,27 @@ def _check_shards(record: Workload, scale: int, sim_jobs: int) -> None:
                          % (record.name, scale, sim_jobs))
 
 
+def _map_shards(payloads, parallel: bool):
+    """:func:`_shard_task` over ``payloads``, in payload order: forked,
+    one worker per payload, when ``parallel`` and there is more than one,
+    else in this process."""
+    if not parallel or len(payloads) <= 1:
+        return [_shard_task(payload) for payload in payloads]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+        return list(pool.map(_shard_task, payloads))
+
+
 def run_partitioned(record: Workload, scale: int, sim_jobs: int,
                     parallel: bool = True) -> Dict:
     """Run a shardable ``record`` as ``sim_jobs`` shards.
 
-    ``parallel=True`` hands the pool one worker per shard;
-    ``parallel=False`` hands it one job, which runs the same tasks in
-    this process in index order -- the reference the forked run must
-    equal (a worker's exception arrives with its remote traceback, a
-    worker that dies fails the run with ``BrokenProcessPool``).  The
+    ``parallel=True`` forks one worker per shard (the suite's only
+    process pool); ``parallel=False`` runs the same tasks in this process
+    in index order -- the reference the forked run must equal.  Results
+    come back in index order either way; a worker's exception arrives
+    with its remote traceback, and a worker that dies fails the run with
+    ``BrokenProcessPool`` instead of hanging it.  The
     fingerprint is defined over the merged shards --
     counters summed (peaks are concurrent *per shard*; the sum is the
     testbed-wide concurrency the sharded run sustained), the final clock
@@ -1095,7 +1106,7 @@ def run_partitioned(record: Workload, scale: int, sim_jobs: int,
                 for index in range(sim_jobs)]
     with _gc_quiesced():
         wall0 = time.perf_counter()
-        shards = map_tasks(_shard_task, payloads, sim_jobs if parallel else 1)
+        shards = _map_shards(payloads, parallel)
         wall = time.perf_counter() - wall0
     fingerprints = [shard["fingerprint"] for shard in shards]
     fingerprint = {key: sum(each[key] for each in fingerprints)

@@ -21,7 +21,6 @@ campaign emits a repro bundle that ``python -m repro.chaos --replay``
 turns back into the identical run.
 
     python -m repro.chaos --quick            # the fixed seed corpus
-    python -m repro.chaos --quick --jobs 4   # same verdicts, parallel
     python -m repro.chaos --replay chaos_bundles/bundle_c007.json
 """
 

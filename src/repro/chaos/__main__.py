@@ -1,7 +1,6 @@
 """CLI for the chaos harness.
 
     python -m repro.chaos --quick              # fixed quick corpus
-    python -m repro.chaos --quick --jobs 4     # identical report, parallel
     python -m repro.chaos --count 50 --seed 7  # bigger sampled corpus
     python -m repro.chaos --replay BUNDLE.json # one-command repro
     python -m repro.chaos --quick --sabotage tamper_stream   # harness demo
@@ -37,8 +36,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="number of corpus campaigns (default 27)")
     parser.add_argument("--seed", type=int, default=1996,
                         help="base seed for the corpus (default 1996)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="campaigns to run in parallel (default serial)")
     parser.add_argument("--replay", metavar="BUNDLE",
                         help="re-run the campaign from a repro bundle")
     parser.add_argument("--bundle-dir", default=DEFAULT_BUNDLE_DIR,
@@ -95,13 +92,13 @@ def main(argv: List[str] = None) -> int:
         specs[0] = dataclasses.replace(specs[0], sabotage=args.sabotage)
 
     start = time.perf_counter()
-    verdicts = run_corpus(specs, jobs=args.jobs)
+    verdicts = run_corpus(specs)
     elapsed = time.perf_counter() - start
     if args.json:
         json.dump(verdicts, sys.stdout, indent=2, sort_keys=True)
         print()
     failures = _summarize(verdicts, args.bundle_dir)
-    print("wall time: %.1f s (jobs=%d)" % (elapsed, args.jobs))
+    print("wall time: %.1f s" % elapsed)
     return 1 if failures else 0
 
 

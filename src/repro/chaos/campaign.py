@@ -4,9 +4,7 @@ A campaign is a pure function of its :class:`CampaignSpec`: the spec's
 seed derives the impairment config, every per-wire RNG stream, and the
 workload payloads, so running the same spec twice -- in this process, in
 another process, or from a replayed bundle -- produces the identical
-verdict, counters, and trace fingerprint.  ``run_corpus(..., jobs=N)``
-exploits exactly that: campaigns are sharded over a process pool and the
-results merged back in declaration order, byte-identical to a serial run.
+verdict, counters, and trace fingerprint.
 """
 
 from __future__ import annotations
@@ -347,8 +345,7 @@ def run_campaign(spec: CampaignSpec) -> Dict[str, Any]:
         "fingerprint": fingerprint,
         "impairments": ctx.impairment_counters(),
         # Full obs-registry snapshot of the finished bed: deterministic,
-        # so it rides along in replay bundles without breaking byte-equal
-        # serial/parallel corpus verdicts.
+        # so a replayed bundle reproduces it byte for byte.
         "metrics": instrument_testbed(ctx.bed).snapshot(),
         "errors": list(ctx.state.errors),
     }
@@ -357,18 +354,6 @@ def run_campaign(spec: CampaignSpec) -> Dict[str, Any]:
     return verdict
 
 
-def _run_spec_record(record: Dict[str, Any]) -> Dict[str, Any]:
-    """Process-pool entry point (specs cross as plain dicts)."""
-    return run_campaign(CampaignSpec.from_dict(record))
-
-
-def run_corpus(specs: List[CampaignSpec],
-               jobs: int = 1) -> List[Dict[str, Any]]:
-    """Run campaigns serially or on a process pool.
-
-    Results come back in spec order regardless of ``jobs``, so serial and
-    parallel runs produce byte-identical reports.
-    """
-    from ..bench.runner import map_tasks
-    return map_tasks(_run_spec_record, [spec.to_dict() for spec in specs],
-                     jobs)
+def run_corpus(specs: List[CampaignSpec]) -> List[Dict[str, Any]]:
+    """Run campaigns in spec order; one verdict record each."""
+    return [run_campaign(spec) for spec in specs]

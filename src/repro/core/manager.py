@@ -36,7 +36,7 @@ from typing import Callable, Dict, Iterable, Optional, Set
 from ..hw.cpu import OUTSIDE_PATH, ChargeError
 from ..lang.ephemeral import ephemeral, is_ephemeral, register_safe
 from ..net.headers import IPPROTO_ICMP, IPPROTO_TCP, IPPROTO_UDP
-from ..net.tcp import TcpProto
+from ..net.tcp import Tcb, TcpProto
 from ..spin.dispatcher import HandlerHandle
 from ..spin.mbuf import Mbuf
 from . import filters
@@ -479,10 +479,16 @@ class TcpManager(_ManagerBase):
         return TcpListenerHandle(self, credential, port, listener)
 
     def connect(self, credential: Credential, raddr: int, rport: int):
-        """Active open through the standard implementation."""
-        lport = self.standard.allocate_port()
+        """Active open through the standard implementation; the ephemeral
+        local port is ``credential``'s until the connection closes."""
+        proto = self.standard
+        lport = proto.allocate_port()
         self.ports.claim(lport, credential)
-        return self.standard.connect(raddr, rport, lport=lport)
+        tcb = _ClaimedTcb(self.ports, credential, proto, proto.ip.my_ip,
+                          lport, raddr, rport)
+        proto._register((tcb.laddr, lport, raddr, rport), tcb)
+        tcb.connect()
+        return tcb
 
     def install_implementation(self, credential: Credential, name: str,
                                ports: Iterable[int]) -> "TcpImplementation":
@@ -521,6 +527,24 @@ class TcpManager(_ManagerBase):
             del self.implementations[name]
         handle.on_uninstall = release
         return TcpImplementation(special, handle)
+
+
+class _ClaimedTcb(Tcb):
+    """A connection opened by :meth:`TcpManager.connect`: entering CLOSED
+    releases its local port's claim."""
+
+    __slots__ = ("_claim",)
+
+    def __init__(self, ports: PortSpace, credential: Credential, *args):
+        self._claim = (ports, credential)
+        super().__init__(*args)
+
+    def _enter_closed(self, notify_reset: bool = False) -> None:
+        claim, self._claim = self._claim, None
+        super()._enter_closed(notify_reset)
+        if claim is not None:
+            ports, credential = claim
+            ports.release(self.lport, credential)
 
 
 class TcpImplementation:

@@ -23,10 +23,18 @@ What is checked:
   where ``q: NonBlockingQueue``) -- resolved through the class.
 
 Procedures marked :func:`may_block` are rejected outright, however they
-are reached.  References the verifier cannot resolve statically (calls
-through unannotated locals) are permitted and documented as a limitation
-relative to a real compiler; the protocol managers perform a second,
-dynamic check (time limits) at run time.
+are reached statically.  ``getattr`` is not a safe builtin, so a
+procedure looked up by name (``getattr(m, "wait")(x)``) is rejected
+too.  References the verifier cannot resolve statically are permitted
+and are a limitation relative to a real compiler.  Two are known:
+
+* a callable reached through a default-argument container
+  (``def h(x, t={"w": wait}): t["w"](x)``), and
+* a procedure passed in as a parameter (``def h(m, cb): cb(m)``).
+
+The dispatcher's second, dynamic check covers them: an interrupt-level
+handler runs under a time limit, and one that overruns it is terminated
+with only its allotment consumed (paper sec. 3.3).
 """
 
 from __future__ import annotations
@@ -58,14 +66,13 @@ SAFE_BUILTINS: Set[str] = {
     "bytes", "bytearray", "memoryview", "ord", "chr", "divmod", "hash",
     "isinstance", "issubclass", "iter", "next", "enumerate", "zip", "map",
     "filter", "sorted", "reversed", "tuple", "list", "dict", "set",
-    "frozenset", "str", "repr", "id", "getattr", "hasattr", "callable",
+    "frozenset", "str", "repr", "id", "hasattr", "callable",
     "round", "pow", "all", "any", "slice", "type",
 }
 
 # Registry of callables explicitly blessed as safe-to-call from ephemeral
 # code (the trusted kernel primitives such as non-blocking queue inserts).
 _SAFE_CALLABLES: Set[int] = set()
-_SAFE_QUALNAMES: Set[str] = set()
 
 
 def register_safe(fn: Callable) -> Callable:
@@ -76,7 +83,6 @@ def register_safe(fn: Callable) -> Callable:
     may legitimately use machinery the verifier cannot analyse).
     """
     _SAFE_CALLABLES.add(id(fn))
-    _SAFE_QUALNAMES.add(getattr(fn, "__qualname__", repr(fn)))
     try:
         fn.__ephemeral_safe__ = True
     except (AttributeError, TypeError):

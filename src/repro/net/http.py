@@ -94,7 +94,8 @@ def parse_response(data: bytes) -> Tuple[int, Dict[str, str], bytes]:
 
 
 class HttpServerConnection:
-    """Serves one TCP connection from TCB callbacks (kernel context)."""
+    """Serves one TCP connection from TCB callbacks (kernel context), and
+    closes it when the client does."""
 
     def __init__(self, tcb, router: Callable[[str, str], Tuple[int, bytes]]):
         self.tcb = tcb
@@ -102,6 +103,7 @@ class HttpServerConnection:
         self.requests_served = 0
         self._buffer = b""
         tcb.on_data = self._on_data
+        tcb.on_close = tcb.close
 
     def _on_data(self, data: bytes) -> None:
         self._buffer += data

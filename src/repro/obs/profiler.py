@@ -42,8 +42,7 @@ microsecond is attributed.  :meth:`CpuProfiler.consumed_us` folds the
 per-path consumption amounts in the same order ``CPU.busy_time`` does,
 so it equals the summed busy time bit-exactly as well.  (The grand
 total of the categories and the busy time differ in the last float bit
-or two because they associate the same additions differently; see
-EXPERIMENTS.md.)
+or two because they associate the same additions differently.)
 """
 
 from __future__ import annotations

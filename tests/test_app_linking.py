@@ -184,6 +184,29 @@ class TestUnlinkLeavesNothingBehind:
         assert tcb.fin_queued
         assert client.state._conn is None
 
+    def test_a_closed_connection_leaves_no_port_claim(self, spin_pair):
+        """The client's ephemeral port is its credential's while the
+        connection lives, and free again once it has closed: a later
+        connect under another credential that draws it is not refused."""
+        bed = spin_pair
+        manager = bed.stacks[0].tcp_manager
+        AppExtension.link(SpinHttpServer, bed.hosts[1],
+                          bed.stacks[1].app_domain, {"/": b"page"}, port=8088)
+        client = AppExtension.link(SpinHttpClient, bed.hosts[0],
+                                   bed.stacks[0].app_domain, bed.ip(1),
+                                   port=8088)
+        bed.engine.run_process(client.state.fetch("/"))
+        lport = client.state._conn.tcb.lport
+        assert manager.ports.owner(lport) is client.state.credential
+        client.uninstall()
+        bed.engine.run()
+        assert manager.ports._owners == {}
+        manager.standard._next_ephemeral = lport
+        tcbs = []
+        bed.engine.run_process(bed.hosts[0].kernel_path(lambda: tcbs.append(
+            manager.connect(Credential("later"), bed.ip(1), 8088))))
+        assert tcbs[0].lport == lport
+
 
 def test_privilege_is_the_linkers_to_grant(spin_pair):
     """The forwarder's redirect capability needs a privileged credential:

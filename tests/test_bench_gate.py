@@ -312,15 +312,16 @@ class TestCommandLine:
         ["--latecy"],                       # a typo once ran the full report
         ["--charts", "--latency"],          # one mode at a time
         ["--quick", "--full"],
-        ["--jobs", "0"], ["--jobs", "two"], ["--jobs"],
+        ["--jobs", "0"], ["--jobs", "two"], ["--jobs"],   # retired
         ["--latency", "--sim-jobs", "2"],   # deleted: --parallel-curve's leg
         ["--write-baseline"],               # needs --latency
         ["--parallel-curve", "--write-baseline"],
         ["--speedup-smoke"],                # deleted with its CI step
         ["--wallclock"],                    # retired: perfbench pins its rows
-        ["--check", "--jobs", "4"],         # a flag the mode would ignore
-        ["--parallel-curve", "--jobs", "4"],
+        ["--check", "--jobs", "4"],
+        ["--parallel-curve", "--jobs", "4"],  # it picks its own shard counts
         ["--charts", "--full"],
+        ["--full"],                         # the report has one scale
     ])
     def test_bad_arguments_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -333,12 +334,6 @@ class TestCommandLine:
         assert not parser.parse_args(["--latency", "--quick"]).full
         assert not parser.parse_args(["--latency"]).full
         assert parser.parse_args(["--latency", "--full"]).full
-
-    def test_jobs_parse_through_one_validator(self):
-        args = _parser().parse_args(
-            ["--latency", "--jobs", "3", "--write-baseline"])
-        assert (args.jobs, args.write_baseline) == (3, True)
-        assert _parser().parse_args([]).jobs == 1
 
 
 # ---------------------------------------------------------------------------

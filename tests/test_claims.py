@@ -2,26 +2,28 @@
 without running a benchmark.
 
 * Every row is well formed.
-* Every paper cell of EXPERIMENTS.md's Figure 5, section 4.2 and
-  section 2 tables equals the ledger rows its ``ledger`` column names.
+* EXPERIMENTS.md's paper tables are the report (``run_everything()``)
+  byte for byte, and every number the paper states for a Figure 5 or
+  section 4.2 cell is in their paper column.
 * Every Figure 5 row holds on the closed form (``latency_model.py``),
   which ``test_latency_model.py`` ties to the simulator at 1e-9: the
   paper's Figure 5 claims are checked here with no simulation.
 """
 
 import os
-import re
 
 import pytest
 
 from latency_model import rtt_us
 from repro.bench.claims import BY_ID, CLAIMS, KINDS, OPS, harness, verdict
+from repro.bench.report import run_everything
 
 EXPERIMENTS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "EXPERIMENTS.md")
 
-#: The EXPERIMENTS.md tables with a paper column, by their heading.
-HEADINGS = ("## Figure 5 —", "## Section 4.2 —", "## Section 2 microbenchmarks")
+#: The lines around the report in EXPERIMENTS.md.
+BEGIN = "<!-- python -m repro.bench: begin -->\n```text\n"
+END = "\n```\n<!-- python -m repro.bench: end -->"
 
 FIGURE5 = [claim for claim in CLAIMS
            if all(c.harness == "latency.measure_rtt" for c in claim.cells)]
@@ -47,51 +49,32 @@ def test_the_ledger_is_wellformed():
             assert lo < hi and claim.op in ("<", "<="), claim.id
 
 
-def _paper_rows():
-    """``(heading, paper cell, ledger ids)`` for every row of the tables."""
-    rows, heading, columns = [], None, None
+def _committed():
     with open(EXPERIMENTS, encoding="utf-8") as handle:
-        for line in handle:
-            if line.startswith("## "):
-                heading = line if line.startswith(HEADINGS) else None
-                columns = None
-            if heading is None or not line.startswith("|"):
-                continue
-            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
-            if columns is None:
-                columns = cells
-            elif not set(cells[0]) <= set("- "):
-                paper = cells[next(i for i, name in enumerate(columns)
-                                   if name.startswith("paper"))]
-                ids = re.findall(r"`([^`]+)`", cells[columns.index("ledger")])
-                rows.append((heading.strip(), paper, ids))
-    return rows
+        text = handle.read()
+    assert text.count(BEGIN) == 1 and text.count(END) == 1
+    return text.split(BEGIN)[1].split(END)[0]
+
+
+def test_experiments_md_is_the_report():
+    """Regenerate with ``python -m repro.bench`` and paste its output,
+    the header line apart, between the markers."""
+    assert _committed() == run_everything()
 
 
 def test_experiments_md_paper_cells_equal_the_ledger():
-    rows = _paper_rows()
-    assert len({heading for heading, _paper, _ids in rows}) \
-        == len(HEADINGS)
-    named = set()
-    for heading, paper, ids in rows:
-        claims = [BY_ID[claim_id] for claim_id in ids]
-        named.update(ids)
-        where = "%s: %r" % (heading, paper)
-        number = re.match(r"(<|~)?\s*(\d+(?:\.\d+)?)", paper)
-        if number:
-            kind = "bound" if number.group(1) == "<" else "target"
-            assert any(c.kind == kind and c.op == "<"
-                       and c.value == float(number.group(2))
-                       for c in claims), where
-        else:
-            # No stated number: none of the named rows targets one.
-            assert not any(c.kind == "target" and len(c.cells) == 1
-                           for c in claims), where
-        for quote in re.findall(r'"([^"]+)"', paper):
-            assert any(quote in c.sentence for c in claims), (where, quote)
-    stated = {c.id for c in CLAIMS if c.kind == "target"
-              and len(c.cells) == 1 and c.id.startswith(("fig5.", "sec42."))}
-    assert stated <= named
+    """The paper column (the last) of the Figure 5 and section 4.2
+    tables holds exactly the numbers the paper states for one cell."""
+    paper = []
+    for table in _committed().split("\n\n"):
+        title, header, _rule, *rows = table.split("\n")
+        if title.startswith(("Figure 5:", "Section 4.2:")):
+            assert header.split()[-1].startswith("paper_"), title
+            paper += [float(row.split()[-1]) for row in rows
+                      if row.split()[-1] != "-"]
+    stated = [c.value for c in CLAIMS if c.kind == "target"
+              and len(c.cells) == 1 and c.id.startswith(("fig5.", "sec42."))]
+    assert sorted(paper) == sorted(stated)
 
 
 def _model(c):

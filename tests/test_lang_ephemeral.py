@@ -1,5 +1,7 @@
 """Tests for EPHEMERAL procedures (paper section 3.3, Figure 3)."""
 
+import types
+
 import pytest
 
 from repro.lang import (
@@ -115,11 +117,49 @@ class TestClosureProperty:
             def handler(q: Queue):
                 q.blocking_get()
 
+    def test_procedure_looked_up_by_name_rejected(self):
+        """``getattr`` would reach any attribute, a blocking one included."""
+        module = types.ModuleType("waits")
+        module.wait = blocking_sleep
+
+        with pytest.raises(EphemeralViolation, match="getattr.*safe list"):
+            @ephemeral
+            def handler(x):
+                getattr(module, "wait")(x)
+
     def test_nested_comprehension_scanned(self):
         with pytest.raises(EphemeralViolation):
             @ephemeral
             def uses_comprehension(items):
                 return [not_ephemeral(i) for i in items]
+
+
+class TestStaticHoles:
+    """What the declaration check cannot see, the time limit bounds."""
+
+    def test_time_limit_terminates_what_the_check_missed(self, kernel):
+        @may_block
+        def wait():
+            kernel.cpu.charge(500.0, "wait")
+
+        @ephemeral
+        def through_default(x, t={"w": wait}):
+            t["w"]()
+
+        @ephemeral
+        def through_parameter(x, cb=wait):
+            cb()
+
+        dispatcher = kernel.dispatcher
+        for handler in (through_default, through_parameter):
+            event = dispatcher.declare("Hole.%s" % handler.__name__)
+            handle = dispatcher.install(event, handler, time_limit=30.0)
+            marker = kernel.cpu.begin()
+            dispatcher.raise_event(event, 1)
+            cost = kernel.cpu.end(marker)
+            assert handle.terminations == 1
+            assert cost == pytest.approx(
+                30.0 + kernel.costs.dispatch_per_handler)
 
 
 class TestMarkers:

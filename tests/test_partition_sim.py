@@ -3,12 +3,12 @@
 Bottom up:
 
 * ``Engine.call_at`` schedules absolute floats, exactly.
-* Shards as pool tasks (``runner.map_tasks`` over
-  ``workloads._shard_task``): each builds, runs dry, must be done, and
-  they come back in index order -- forked or in-process alike; a
-  worker's exception arrives with its remote traceback, an unfinished
-  shard is a ``SimulationError`` naming it, and a worker that dies
-  silently breaks the pool instead of hanging the run.
+* Shards (``workloads._map_shards`` over ``workloads._shard_task``):
+  each builds, runs dry, must be done, and they come back in index
+  order -- forked or in-process alike; a worker's exception arrives with
+  its remote traceback, an unfinished shard is a ``SimulationError``
+  naming it, and a worker that dies silently breaks the pool instead of
+  hanging the run.
 * The workload surface: sharded ``many_flows`` / ``mega_flows`` against
   their in-process oracle, the jobs=2 speed-up floor, and
   ``merge_snapshots``.
@@ -21,9 +21,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.bench.runner import map_tasks
 from repro.bench.workloads import (WORKLOADS, Workload, _check_shards,
-                                   _shard_task)
+                                   _map_shards)
 from repro.obs.registry import MetricError, merge_snapshots
 from repro.sim import Engine, SimulationError
 
@@ -64,7 +63,7 @@ class TestRunWindow:
 
 
 # ---------------------------------------------------------------------------
-# the executor: shards are tasks of the suite's one process pool
+# the executor: shards forked over the suite's one process pool
 # ---------------------------------------------------------------------------
 
 def _timer_record(fault=None, victim=None):
@@ -99,20 +98,20 @@ def _timer_record(fault=None, victim=None):
 
 @pytest.fixture
 def run_shards(monkeypatch):
-    """``run(record, n, jobs)``: the ``n`` shard tasks of ``record``
-    mapped over ``jobs`` workers (forked workers inherit the registry
+    """``run(record, n, parallel)``: the ``n`` shard tasks of ``record``,
+    forked or in this process (forked workers inherit the registry
     entry)."""
-    def run(record, n, jobs):
+    def run(record, n, parallel):
         monkeypatch.setitem(WORKLOADS, record.name, record)
-        return map_tasks(_shard_task, [(record.name, 0, n, index)
-                                       for index in range(n)], jobs)
+        return _map_shards([(record.name, 0, n, index)
+                            for index in range(n)], parallel)
     return run
 
 
 class TestExecutor:
     @pytest.mark.parametrize("parallel", [False, True])
     def test_results_come_back_in_index_order(self, run_shards, parallel):
-        results = run_shards(_timer_record(), 3, 3 if parallel else 1)
+        results = run_shards(_timer_record(), 3, parallel)
         assert [r["fingerprint"]["fired"] for r in results] == [
             [1.0], [2.0], [3.0]]
         pids = {r["fingerprint"]["pid"] for r in results}
@@ -122,8 +121,8 @@ class TestExecutor:
             assert pids == {os.getpid()}
 
     def test_one_shard_never_forks(self, run_shards):
-        for jobs in (1, 4):
-            (result,) = run_shards(_timer_record(), 1, jobs)
+        for parallel in (False, True):
+            (result,) = run_shards(_timer_record(), 1, parallel)
             assert result["fingerprint"]["pid"] == os.getpid()
 
     def test_zero_shards_rejected(self):
@@ -132,7 +131,7 @@ class TestExecutor:
 
     def test_worker_failure_relays_the_remote_traceback(self, run_shards):
         with pytest.raises(KeyError, match="no such flow table") as raised:
-            run_shards(_timer_record("raise", 1), 2, 2)
+            run_shards(_timer_record("raise", 1), 2, True)
         remote = str(raised.value.__cause__)
         assert "Traceback" in remote and "_shard_task" in remote
 
@@ -140,14 +139,14 @@ class TestExecutor:
     def test_unfinished_shard_is_a_deadlock(self, run_shards, parallel):
         with pytest.raises(SimulationError,
                            match="shard 1 of 2 is not done .* t=2.0"):
-            run_shards(_timer_record("stuck", 1), 2, 2 if parallel else 1)
+            run_shards(_timer_record("stuck", 1), 2, parallel)
 
     def test_worker_that_dies_silently_names_shard_and_exit_code(
             self, run_shards):
         """The pool cannot say which shard or exit code; what matters is
         that the run fails instead of waiting for the dead worker."""
         with pytest.raises(BrokenProcessPool):
-            run_shards(_timer_record("exit", 0), 2, 2)
+            run_shards(_timer_record("exit", 0), 2, True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Scale-out tests: kernel timers, many-flow workload, port-reference
-indexing, and the parallel bench runner.
+"""Scale-out tests: kernel timers, many-flow workload and port-reference
+indexing.
 
 The load-bearing property here is *bit-identical simulated time*: the
-indexed demultiplexing and the process-pool runner are wall-clock
-optimizations that must be unobservable on the simulated timeline, and
-kernel timers must fire exactly when and in the order a sorted
-``(deadline, arm order)`` list says, whatever is cancelled in between.
+indexed demultiplexing is a wall-clock optimization that must be
+unobservable on the simulated timeline, and kernel timers must fire
+exactly when and in the order a sorted ``(deadline, arm order)`` list
+says, whatever is cancelled in between.
 """
 
 import pytest
@@ -247,27 +247,3 @@ class TestPortIndex:
         layer.udp_pcbs[0xFFFF] = None
         with pytest.raises(SocketError, match="out of UDP ports"):
             layer.allocate_udp_port()
-
-
-# ---------------------------------------------------------------------------
-# parallel bench runner
-# ---------------------------------------------------------------------------
-
-class TestBenchRunner:
-    def test_task_seed_is_stable_and_distinct(self):
-        from repro.bench.runner import task_seed
-        assert task_seed("figure5") == task_seed("figure5")
-        assert task_seed("figure5") != task_seed("figure6")
-
-    def test_report_is_byte_identical_across_jobs(self):
-        from repro.bench.runner import run_report
-        serial = run_report(quick=True, jobs=1)
-        sharded = run_report(quick=True, jobs=2)
-        assert serial == sharded
-
-    def test_report_sections_merge_in_declaration_order(self):
-        from repro.bench.report import SECTIONS
-        from repro.bench.runner import run_report_sections
-        sections = run_report_sections(quick=True, jobs=1)
-        assert [name for name, _text in sections] == \
-            [name for name, _fn in SECTIONS]

@@ -391,24 +391,15 @@ class TestHarnessDeterminism:
         assert schedule("udp_echo@g400", 20) == schedule("udp_echo@g400", 20)
         assert len(schedule("udp_echo@g400", 20)) == 20
 
-    def test_leg_rerun_and_jobs2_are_bit_identical(self):
-        from repro.bench.runner import map_tasks
-        from repro.bench.slo import _latency_task
+    def test_leg_rerun_is_bit_identical(self):
+        from repro.bench.slo import run_leg, run_probe
 
-        def strip(results):
-            cleaned = []
-            for record in results:
-                record = dict(record)
-                record.pop("wall_s", None)
-                cleaned.append(record)
-            return cleaned
+        def run():
+            leg = run_leg("udp_echo@g2000")
+            leg.pop("wall_s")
+            return leg, run_probe("udp_clean")
 
-        payloads = [("leg", "udp_echo@g2000", True),
-                    ("probe", "udp_clean", True)]
-        serial = strip(map_tasks(_latency_task, payloads, 1))
-        rerun = strip(map_tasks(_latency_task, payloads, 1))
-        sharded = strip(map_tasks(_latency_task, payloads, 2))
-        assert serial == rerun == sharded
+        assert run() == run()
 
 
 class TestChaosSloInvariant:
