@@ -177,9 +177,8 @@ class Host:
 
         Counts the frame on the NIC, then starts the interrupt handler
         both OS models share: a kernel path at
-        :data:`~repro.hw.cpu.INTERRUPT_PRIORITY` that pays interrupt
-        entry, the driver's receive charges (retiring the ring slot), the
-        registered device input if there is one, and interrupt exit.
+        :data:`~repro.hw.cpu.INTERRUPT_PRIORITY` running
+        :meth:`interrupt_body`.
 
         Starting the path is the last thing this entry does.  So when
         nothing else is due at this instant, the path's zero-delay
@@ -195,41 +194,42 @@ class Host:
             input_fn, path_name = self._device_input[nic.name]
         except KeyError:
             input_fn, path_name = None, "%s-intr" % nic.name
-
-        def interrupt_body() -> None:
-            costs = self.costs
-            # cpu.charge inlined (exact body, exact order): the kernel
-            # path just opened an accumulator, so the stack is non-empty.
-            cpu = self.cpu
-            stack = cpu._stack
-            times = cpu.category_times
-            amount = costs.interrupt_entry
-            stack[-1] += amount
-            times["interrupt"] += amount
-            # The driver pulls the frame out of the device: its receive
-            # charges, and the ring slot retires.
-            nic.rx_pending -= 1
-            profile = nic.profile
-            amount = profile.fixed_rx
-            stack[-1] += amount
-            times["driver"] += amount
-            if profile.pio_rx_per_byte:
-                amount = len(data) * profile.pio_rx_per_byte
-                stack[-1] += amount
-                times["driver-pio"] += amount
-            if input_fn is not None:
-                input_fn(nic, data)
-            amount = costs.interrupt_exit
-            stack[-1] += amount
-            times["interrupt"] += amount
-            self.interrupts_handled += 1
-
-        path = KernelPath(self, interrupt_body, (), INTERRUPT_PRIORITY,
-                          path_name)
+        path = KernelPath(self, self.interrupt_body, (nic, data, input_fn),
+                          INTERRUPT_PRIORITY, path_name)
         if self.engine.due_now():
             self.engine.call_after(0.0, KernelPath.start, path)
         else:
             path.start()
+
+    def interrupt_body(self, nic, data: bytes, input_fn) -> None:
+        """The interrupt handler, named as its path's profile label:
+        entry, the driver's receive charges, ``input_fn`` if any, exit."""
+        costs = self.costs
+        # cpu.charge inlined (exact body, exact order): the kernel
+        # path just opened an accumulator, so the stack is non-empty.
+        cpu = self.cpu
+        stack = cpu._stack
+        times = cpu.category_times
+        amount = costs.interrupt_entry
+        stack[-1] += amount
+        times["interrupt"] += amount
+        # The driver pulls the frame out of the device: its receive
+        # charges, and the ring slot retires.
+        nic.rx_pending -= 1
+        profile = nic.profile
+        amount = profile.fixed_rx
+        stack[-1] += amount
+        times["driver"] += amount
+        if profile.pio_rx_per_byte:
+            amount = len(data) * profile.pio_rx_per_byte
+            stack[-1] += amount
+            times["driver-pio"] += amount
+        if input_fn is not None:
+            input_fn(nic, data)
+        amount = costs.interrupt_exit
+        stack[-1] += amount
+        times["interrupt"] += amount
+        self.interrupts_handled += 1
 
     def __repr__(self) -> str:
         return "<Host %s>" % self.name

@@ -311,10 +311,6 @@ class _Medium:
             "frames_delivered": self.frames_delivered,
         }
 
-    def _account(self, frame: Frame) -> None:
-        self.frames_carried += 1
-        self.bytes_carried += frame.wire_bytes
-
     # -- landings ----------------------------------------------------------
 
     def _deliver(self, flight: Tuple) -> None:
@@ -349,7 +345,8 @@ class _Medium:
 
     def _lane_sent(self, flight: Tuple) -> None:
         sink, frame, done = flight
-        self._account(frame)
+        self.frames_carried += 1
+        self.bytes_carried += frame.wire_bytes
         if self._impairments is not None:
             for extra_us, copy in self._impaired_outcomes(frame):
                 self.engine.call_after(self.propagation_us + extra_us,
@@ -377,13 +374,21 @@ class EthernetSegment(_Medium):
 
     def transmit(self, sender, frame: Frame,
                  done: Callable[[], None]) -> None:
-        """Occupy the bus for the frame's wire time, deliver, ``done()``."""
+        """Occupy the bus for the frame's wire time, deliver, ``done()``.
+        A clean bus pushes its wire end in place, at ``_occupy``'s float."""
         flight = (sender, frame, done)
         if self._busy:
             self._waiting.append(flight)
-        else:
-            self._busy = True
+            return
+        self._busy = True
+        if self._impairments is not None:
             self._occupy(flight)
+            return
+        engine = self.engine
+        engine._sequence += 1
+        heappush(engine._heap, (
+            engine.now + frame.wire_bytes * 8.0 / self.bandwidth_bps
+            * MICROSECONDS_PER_SECOND, engine._sequence, self._bus_sent, flight))
 
     def _occupy(self, flight: Tuple) -> None:
         self.engine.call_after(self._wire_time_us(flight[1].wire_bytes),
@@ -397,7 +402,8 @@ class EthernetSegment(_Medium):
             self.engine.call_after(0.0, self._occupy, self._waiting.popleft())
         else:
             self._busy = False
-        self._account(frame)
+        self.frames_carried += 1
+        self.bytes_carried += frame.wire_bytes
         if self._impairments is not None:
             outcomes = self._impaired_outcomes(frame)
         else:
@@ -454,7 +460,8 @@ class SwitchPort(_Medium):
     def _egress(self, frame: Frame, ready_at: float) -> None:
         """Switch -> NIC direction (clean: the switch already paid the
         port).  Every frame forwarded to the port shares this lane."""
-        start = max(ready_at, self._lane_free_at)
+        free_at = self._lane_free_at
+        start = free_at if free_at > ready_at else ready_at     # max(), no call
         self._lane_free_at = free_at = start + (
             frame.wire_bytes * 8.0 / self.bandwidth_bps * MICROSECONDS_PER_SECOND)
         engine = self.engine

@@ -115,12 +115,15 @@ class NIC:
 
     # -- transmit path -------------------------------------------------------
 
-    def stage_tx(self, data: bytes, dst_addr: str) -> bool:
+    def stage_tx(self, data, dst_addr: str) -> bool:
         """Driver transmit entry (plain code): charge CPU, defer the send.
 
-        Returns False when the transmit queue is full and the frame was
-        dropped (the caller may count it).
+        ``data`` is the frame: bytes, or a window over a packet's store
+        (a memoryview), copied here once into the bytes the taps and the
+        :class:`Frame` share.  Returns True: the enqueue is deferred, so
+        a frame that finds the queue full shows only in ``tx_drops``.
         """
+        data = bytes(data)
         if self.taps is not None:
             self.taps.tx(data)
         host = self.host
@@ -150,14 +153,18 @@ class NIC:
                       wire_bytes=self.wire_bytes(size))
 
         def enqueue() -> None:
-            if len(self._tx_queue) >= self.tx_queue_len:
-                self.tx_drops += 1
-                return
             if self._draining:
-                self._tx_queue.append(frame)
+                if len(self._tx_queue) >= self.tx_queue_len:
+                    self.tx_drops += 1
+                else:
+                    self._tx_queue.append(frame)
                 return
             # Idle (so the queue is empty): the frame goes straight on
             # the wire, and the drain retires itself when the queue is.
+            # A zero-length queue drops every frame, idle or not.
+            if self.tx_queue_len <= 0:
+                self.tx_drops += 1
+                return
             link = self.link
             if link is not None:  # unplugged: frame vanishes
                 self._draining = True
@@ -230,7 +237,7 @@ class LanceEthernet(NIC):
 
     def wire_bytes(self, frame_len: int) -> int:
         # Pad to the Ethernet minimum; add the 4-byte CRC + 8-byte preamble.
-        return max(frame_len, self.MIN_FRAME) + 12
+        return (frame_len if frame_len >= self.MIN_FRAME else self.MIN_FRAME) + 12
 
 
 class ForeAtm(NIC):

@@ -38,7 +38,7 @@ from .http import (
 )
 from .icmp import IcmpProto
 from .ip import IP_BROADCAST, IpProto
-from .link_adapter import EthernetAdapter, RawLinkProto
+from .link_adapter import RawLinkProto
 from .router import Router, RouterInterface
 from .tcp import Tcb, TcpListener, TcpProto, TcpState
 from .trace import PacketTracer, TraceRecord, decode_frame
@@ -51,7 +51,6 @@ __all__ = [
     "ETHERTYPE_ARP",
     "ETHERTYPE_IP",
     "ETHER_BROADCAST",
-    "EthernetAdapter",
     "EthernetProto",
     "ICMP_HEADER",
     "IPPROTO_ICMP",

@@ -3,11 +3,13 @@
 A real request/reply implementation with a cache and a pending-packet
 queue: packets sent to an unresolved address are held and transmitted when
 the reply arrives (one queued packet per destination, as classic BSD does).
+:class:`ArpProto` is also the link adapter IP sends through over Ethernet
+(``mtu``, ``send``): it resolves the next hop and frames with Ethernet.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..lang.view import VIEW
 from ..spin.mbuf import Mbuf
@@ -25,10 +27,10 @@ __all__ = ["ArpProto"]
 
 
 class ArpProto:
-    """ARP bound to one Ethernet.
+    """ARP bound to one Ethernet, and IP's adapter onto it.
 
     Cache entries age out after :attr:`entry_lifetime_us` (20 minutes,
-    the classic BSD default); an expired destination triggers a fresh
+    the classic BSD default): an entry older than that triggers a fresh
     request/reply exchange on next use.
     """
 
@@ -38,51 +40,44 @@ class ArpProto:
                  entry_lifetime_us: float = DEFAULT_LIFETIME_US):
         self.host = host
         self.ethernet = ethernet
+        self.mtu = ethernet.mtu
         self.my_ip = my_ip
         self.entry_lifetime_us = entry_lifetime_us
         self.cache: Dict[int, bytes] = {}
         self._entry_born: Dict[int, float] = {}
-        self._pending: Dict[int, List[Tuple[Mbuf, int]]] = {}
+        self._pending: Dict[int, List[Mbuf]] = {}
         self.requests_sent = 0
         self.replies_sent = 0
         self.expirations = 0
 
     # -- resolution --------------------------------------------------------
 
-    def resolve_and_send(self, m: Mbuf, dst_ip: int, ethertype: int = ETHERTYPE_IP) -> None:
-        """Send ``m`` to ``dst_ip``, resolving the link address first.
-
-        Plain code: if the cache misses, the packet is queued and an ARP
-        request goes out instead.
-        """
-        mac = self._lookup(dst_ip)
+    def send(self, m: Mbuf, next_hop: int) -> None:
+        """IP hand-off (plain code): send ``m`` to ``next_hop``, resolving
+        its link address first.  If the cache misses (or its entry has
+        expired), the packet is queued and an ARP request goes out
+        instead."""
+        mac = self.cache.get(next_hop)
         if mac is not None:
-            self.ethernet.output(m, mac, ethertype)
-            return
-        queue = self._pending.setdefault(dst_ip, [])
-        queue.append((m, ethertype))
+            if (self.host.engine.now - self._entry_born.get(next_hop, 0.0)
+                    > self.entry_lifetime_us):
+                del self.cache[next_hop]
+                self._entry_born.pop(next_hop, None)
+                self.expirations += 1
+            else:
+                self.ethernet.output(m, mac, ETHERTYPE_IP)
+                return
+        queue = self._pending.setdefault(next_hop, [])
+        queue.append(m)
         del queue[:-4]  # hold at most the 4 most recent packets
-        self._send_request(dst_ip)
-
-    def _lookup(self, ip: int):
-        """Cache lookup with expiry."""
-        mac = self.cache.get(ip)
-        if mac is None:
-            return None
-        born = self._entry_born.get(ip, 0.0)
-        if self.host.engine.now - born > self.entry_lifetime_us:
-            del self.cache[ip]
-            self._entry_born.pop(ip, None)
-            self.expirations += 1
-            return None
-        return mac
+        self._send_request(next_hop)
 
     def add_entry(self, ip: int, mac: bytes) -> None:
         """Insert a static/learned mapping and flush queued packets."""
         self.cache[ip] = bytes(mac)
         self._entry_born[ip] = self.host.engine.now
-        for m, ethertype in self._pending.pop(ip, []):
-            self.ethernet.output(m, mac, ethertype)
+        for m in self._pending.pop(ip, []):
+            self.ethernet.output(m, mac, ETHERTYPE_IP)
 
     # -- the wire protocol ----------------------------------------------------
 

@@ -49,7 +49,7 @@ class EthernetProto:
         m = m.push(self.HEADER_LEN)
         ETHERNET_HEADER.pack_into(m._storage, m.off, bytes(dst_mac),
                                   bytes(self.nic.address), ethertype)
-        return self.nic.stage_tx(m.to_bytes(), dst_mac)
+        return self.nic.stage_tx(memoryview(m._storage)[m.off:m.off + m.len], dst_mac)
 
     def broadcast(self, m: Mbuf, ethertype: int) -> bool:
         return self.output(m, ETHER_BROADCAST, ethertype)

@@ -3,8 +3,8 @@
 IP sees one narrow "lower layer" surface -- an ``mtu`` attribute plus
 ``send(mbuf, next_hop_ip)`` -- with two implementations:
 
-* :class:`EthernetAdapter` -- resolves the next hop with ARP and frames
-  with Ethernet headers (the paper's Ethernet world),
+* :class:`~repro.net.arp.ArpProto` -- resolves the next hop with ARP and
+  frames with Ethernet headers (the paper's Ethernet world),
 * :class:`RawLinkProto` -- for the ATM and T3 devices, where there is no
   broadcast medium: a static neighbor table maps IP addresses to link
   addresses and frames carry the IP packet directly (the Fore interface's
@@ -29,21 +29,9 @@ from .arp import ArpProto
 from .ethernet import EthernetProto
 from .headers import ETHERNET_HEADER, ETHERTYPE_ARP, ETHERTYPE_IP, ip_ntoa
 
-__all__ = ["EthernetAdapter", "RawLinkProto", "link_to_ip", "direct_upcall"]
+__all__ = ["RawLinkProto", "link_to_ip", "direct_upcall"]
 
 _ETHERTYPE_OF, _ETHERTYPE_OFF = ETHERNET_HEADER.scalar_getter("type")
-
-
-class EthernetAdapter:
-    """IP-over-Ethernet: ARP resolution + Ethernet framing."""
-
-    def __init__(self, ethernet: EthernetProto, arp: ArpProto):
-        self.ethernet = ethernet
-        self.arp = arp
-        self.mtu = ethernet.mtu
-
-    def send(self, m: Mbuf, next_hop: int) -> None:
-        self.arp.resolve_and_send(m, next_hop, ETHERTYPE_IP)
 
 
 class RawLinkProto:
@@ -75,7 +63,7 @@ class RawLinkProto:
         amount = host.costs.ethernet_output
         stack[-1] += amount
         cpu.category_times["protocol"] += amount
-        self.nic.stage_tx(m.to_bytes(), link_addr)
+        self.nic.stage_tx(memoryview(m._storage)[m.off:m.off + m.len], link_addr)
 
     def input(self, nic: NIC, frame_data: bytes) -> None:
         """Device receive entry (plain code, interrupt context)."""
@@ -101,14 +89,14 @@ def link_to_ip(host, nic: NIC, my_ip: int, link: str,
     ``input`` is the device input and whose ``upcall`` the OS glue sets,
     the adapter IP sends through, the resolver, and the link header
     length IP skips.  For ``link="ethernet"`` the bottom is an
-    :class:`EthernetProto`; for ``link="raw"`` one :class:`RawLinkProto`
-    over ``neighbors`` is bottom and adapter, and there is no ARP.
+    :class:`EthernetProto` and its :class:`ArpProto` is both adapter and
+    resolver; for ``link="raw"`` one :class:`RawLinkProto` over
+    ``neighbors`` is bottom and adapter, and there is no ARP.
     """
     if link == "ethernet":
         ethernet = EthernetProto(host, nic)
         arp = ArpProto(host, ethernet, my_ip)
-        return (ethernet, EthernetAdapter(ethernet, arp), arp,
-                EthernetProto.HEADER_LEN)
+        return ethernet, arp, arp, EthernetProto.HEADER_LEN
     if link == "raw":
         rawlink = RawLinkProto(host, nic, neighbors)
         return rawlink, rawlink, None, 0

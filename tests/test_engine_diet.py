@@ -272,7 +272,7 @@ _SWITCH_HOP_CALLS = [
     "_Medium._deliver", "NIC.frame_on_wire", "NIC._drain",
     # the interrupt, in its own entry: the path starts right there
     "Host.frame_arrived", "KernelPath.__init__", "Engine.due_now",
-    "KernelPath.start", "Host.frame_arrived.<locals>.interrupt_body",
+    "KernelPath.start", "Host.interrupt_body",
     # the pipeline: device input, one raise, one table, the egress stage
     "SwitchHost._device_input", "_factory.<locals>._compiled",
     "SwitchHost._pipeline", "PacketFields.__init__", "MatchTable.lookup",
@@ -284,17 +284,83 @@ _SWITCH_HOP_CALLS = [
 ]
 
 
+#: One steady UDP frame of 8 bytes between two SPIN hosts on the
+#: Ethernet bus, by Python call, from the endpoint's send to the end of
+#: the receiver's interrupt.  IP sends through ``ArpProto`` itself, which
+#: serves a fresh cache entry in its own frame; the link hands the NIC
+#: the packet's window, which ``stage_tx`` copies once; the idle bus
+#: pushes its wire end in place at ``transmit``, and books the frame at
+#: wire end in its own frame: no ``EthernetAdapter.send``,
+#: ``ArpProto._lookup``, ``Mbuf.to_bytes``, ``EthernetSegment._occupy``,
+#: ``Engine.call_after``, ``_Medium._wire_time_us`` or ``_Medium._account``
+#: (47 calls from the send on; 54 with them).
+_ETHERNET_FRAME_CALLS = [
+    # the sender's kernel path: UDP, IP, ARP, Ethernet, the driver
+    "UdpEndpoint.send", "MbufPool.from_bytes", "Mbuf.__init__",
+    "MbufPool._charge_alloc", "UdpProto.output", "Mbuf.push",
+    "pseudo_header_sum", "internet_checksum", "IpProto.output",
+    "IpProto._prepend_header", "Mbuf.push", "ArpProto.send",
+    "EthernetProto.output", "Mbuf.push", "NIC.stage_tx",
+    "LanceEthernet.wire_bytes", "Frame.__init__",
+    # the hold's entry: the idle NIC puts the frame on the idle bus
+    "KernelPath._held", "NIC.stage_tx.<locals>.enqueue",
+    "EthernetSegment.transmit",
+    # the wire end: the bus is free, the sender's queue is empty
+    "EthernetSegment._bus_sent", "NIC._drain",
+    # the landing, then the interrupt in the rx latency's entry
+    "_Medium._deliver", "NIC.frame_on_wire",
+    "Host.frame_arrived", "KernelPath.__init__", "Engine.due_now",
+    "KernelPath.start", "Host.interrupt_body",
+    # the receiver's graph: three compiled raises, up to the handler
+    "EthernetProto.input", "MbufPool.from_bytes", "Mbuf.__init__",
+    "MbufPool._charge_alloc", "PlexusStack._wire_graph.<locals>.link_upcall",
+    "_factory.<locals>._compiled",
+    "PlexusStack._wire_graph.<locals>.eth_ip_handler", "IpProto.input",
+    "PlexusStack._wire_graph.<locals>.ip_upcall", "_factory.<locals>._compiled",
+    "PlexusStack._wire_graph.<locals>.ip_udp_handler", "UdpProto.input",
+    "pseudo_header_sum", "internet_checksum",
+    "PlexusStack._wire_graph.<locals>.udp_upcall", "_factory.<locals>._compiled",
+    "_discard", "KernelPath._held",
+]
+
+
+@ephemeral
+def _discard(*_args):
+    """A UDP handler that keeps nothing."""
+
+
+def _steady_ethernet_frame():
+    """A SPIN Ethernet engine whose heap holds exactly one steady 8-byte
+    UDP frame from host 0 to host 1: two cold frames, sent apart, have
+    already crossed, so the ARP entry and every compiled scan is warm."""
+    bed = build_testbed("spin", "ethernet")
+    engine = bed.engine
+    bed.stacks[1].udp_manager.bind(Credential("rx"), 9000, _discard)
+    endpoint = bed.stacks[0].udp_manager.bind(Credential("tx"), 9001,
+                                              _discard)
+    dst = bed.ip(1)
+
+    def send(_arg) -> None:
+        bed.hosts[0].spawn_kernel_path(endpoint.send, (bytes(8), dst, 9000))
+    for index in range(3):      # apart: each frame crosses alone
+        engine.call_at(10_000.0 * (index + 1), send)
+    engine.run(until=25_000.0)  # the cold frames are behind us
+    return engine
+
+
 #: One steady UNIX ``UdpSocket.sendto`` of 8 bytes on the ATM bed, by
 #: Python call, from the call to the resumption of the process that made
 #: it.  The trap, socket-layer and copyin charges are booked in the
 #: syscall's own frames, the pool builds the packet in its own frame, IP
 #: serves its route-cache hit itself and reads the adapter's ``mtu``
 #: attribute, its header checksum is arithmetic on the fields it packs,
-#: and the hold and the lane's landing are pushed in place: no
-#: ``CPU.charge``, no ``Mbuf.from_bytes``, no ``IpProto.route_for`` or
-#: ``RawLinkProto.mtu``, no ``Engine.call_after`` / ``call_at`` and no
-#: second ``internet_checksum``: 27 calls (28 while IP summed its
-#: header's bytes, 30 while IP called both, 37 before that).
+#: the link hands the NIC the packet's window, and the hold and the
+#: lane's landing are pushed in place: no ``CPU.charge``, no
+#: ``Mbuf.from_bytes``, no ``IpProto.route_for`` or ``RawLinkProto.mtu``,
+#: no ``Mbuf.to_bytes``, no ``Engine.call_after`` / ``call_at`` and no
+#: second ``internet_checksum``: 26 calls (27 with ``Mbuf.to_bytes``, 28
+#: while IP summed its header's bytes, 30 while IP called both, 37 before
+#: that).
 _UNIX_SENDTO_CALLS = [
     "UdpSocket.sendto", "_SocketBase._syscall", "Host.kernel_path",
     "KernelPath.__init__", "KernelPath.start",
@@ -302,7 +368,7 @@ _UNIX_SENDTO_CALLS = [
     "MbufPool.from_bytes", "Mbuf.__init__", "MbufPool._charge_alloc",
     "UdpProto.output", "Mbuf.push", "pseudo_header_sum", "internet_checksum",
     "IpProto.output", "IpProto._prepend_header", "Mbuf.push",
-    "RawLinkProto.send", "Mbuf.to_bytes", "NIC.stage_tx",
+    "RawLinkProto.send", "NIC.stage_tx",
     "ForeAtm.wire_bytes", "Frame.__init__",
     # the hold's entry: the flush puts the frame on the idle uplink
     "KernelPath._held", "NIC.stage_tx.<locals>.enqueue",
@@ -384,7 +450,8 @@ class TestEventBudget:
 
     def test_a_steady_switch_hop_is_twenty_one_calls(self):
         """The call row of the budget: one frame across the fat tree is
-        160 Python calls (162 while IP summed its header's bytes through
+        159 Python calls (160 while the sender's link called
+        ``Mbuf.to_bytes``; 162 while IP summed its header's bytes through
         ``internet_checksum`` on output and input; 191 while a raise went through
         ``Dispatcher.raise_event``, a switch hop through
         ``MbufPool.charge_chain`` and ``ForwardingTable.lookup``, the
@@ -413,7 +480,7 @@ class TestEventBudget:
             engine.run()
         finally:
             sys.setprofile(None)
-        assert len(calls) == 160
+        assert len(calls) == 159
         starts = [at for at, name in enumerate(calls)
                   if name == "_Medium._deliver"]
         assert len(starts) == 6         # five switches, then the receiver
@@ -421,6 +488,27 @@ class TestEventBudget:
         up.insert(up.index("SwitchHost._emit") + 1, "ecmp_select")
         hops = [calls[a:b] for a, b in zip(starts, starts[1:])]
         assert hops == [up, up] + [_SWITCH_HOP_CALLS] * 3
+
+    def test_a_steady_ethernet_frame_has_no_relay_calls(self):
+        """The Ethernet row of the budget: after the bootstrap of the
+        sender's kernel path, one frame is ``_ETHERNET_FRAME_CALLS``."""
+        engine = _steady_ethernet_frame()
+        calls = []
+
+        def on_event(frame, event, _arg):
+            if event == "call":
+                calls.append(frame.f_code.co_qualname)
+        sys.setprofile(on_event)
+        try:
+            engine.run()
+        finally:
+            sys.setprofile(None)
+        sent = calls.index("UdpEndpoint.send")
+        assert calls[:sent] == [
+            "Engine.run", "_steady_ethernet_frame.<locals>.send",
+            "Host.spawn_kernel_path", "KernelPath.__init__",
+            "Engine.call_after", "KernelPath.start"]
+        assert calls[sent:] == _ETHERNET_FRAME_CALLS
 
     def test_a_steady_unix_sendto_books_in_place(self):
         """The syscall row of the budget: ``_UNIX_SENDTO_CALLS``."""
@@ -1453,6 +1541,20 @@ class _RelaySwitch(Switch):
                 out_port.forward_to_nic(frame)
 
 
+class _RelayBus(EthernetSegment):
+    """The bus before an idle bus pushed its wire end at ``transmit``:
+    every flight occupies the bus through ``_occupy``, which pushes
+    ``call_after(_wire_time_us(...))``."""
+
+    def transmit(self, sender, frame, done):
+        flight = (sender, frame, done)
+        if self._busy:
+            self._waiting.append(flight)
+        else:
+            self._busy = True
+            self._occupy(flight)
+
+
 #: 2**23 b/s: a frame of ``n`` bytes is ``n * 15625 / 16384`` us on the
 #: wire, a dyadic rational, so every instant the media sum is exact and
 #: two frames tie exactly when the schedule says they do -- hypothesis's
@@ -1650,6 +1752,36 @@ class TestMergedHopOracle:
         assert merged["counters"] == relayed["counters"]
         assert sorted(merged["trace"]) == sorted(
             _minus_relays(relayed["trace"]))
+
+    @given(st.integers(1, 70_000),
+           st.one_of(st.sampled_from([10e6, 45e6, 155e6, _EXACT_BPS]),
+                     st.floats(1e3, 1e11)),
+           st.one_of(st.just(0.0), st.floats(0.0, 1e9)))
+    @example(1, 10e6, 0.0)
+    @example(1514 + 12, 10e6, 575.176)
+    @settings(max_examples=300, deadline=None)
+    def test_clean_bus_wire_end(self, wire_bytes, bandwidth_bps, start_us):
+        """An idle clean bus pushes its wire-end entry in place at
+        ``transmit``: the same instant, bit for bit, and the same
+        sequence number as ``_occupy``'s ``call_after(_wire_time_us)``.
+        Whole runs, contended flights included, are ``TestLaneOracle``'s
+        (``_ResourceBus`` occupies through ``_occupy`` too)."""
+        def wire_end(bus_cls):
+            engine = Engine()
+            bus = bus_cls(engine, bandwidth_bps, 3.0)
+            sender, peer = _StubNic(engine, "e0"), _StubNic(engine, "e1")
+            bus.attach(sender)
+            bus.attach(peer)
+            frame = Frame(b"x", "e0", "e1", wire_bytes=wire_bytes)
+            engine.call_at(start_us, lambda _arg: bus.transmit(
+                sender, frame, sender._drain))
+            engine.step()
+            when, sequence, fn, flight = engine._heap[0]
+            assert len(engine._heap) == 1 and flight[1] is frame
+            return when, sequence, fn.__name__
+        merged = wire_end(EthernetSegment)
+        assert merged == wire_end(_RelayBus)
+        assert merged[2] == "_bus_sent"
 
     def test_cross_sink_tie_may_swap(self):
         """Frame 0 goes p1 -> p2 and is accepted at ``L``; frame 1 starts

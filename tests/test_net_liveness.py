@@ -1,5 +1,7 @@
 """Tests for liveness machinery: ARP cache aging."""
 
+import math
+
 from repro.bench.testbed import build_testbed
 from repro.core import Credential
 from repro.lang import ephemeral
@@ -78,6 +80,46 @@ class TestArpAging:
         engine.run_process(send())
         engine.run()
         assert arp_a.requests_sent == 1  # entry still fresh at 100 ms
+
+    @staticmethod
+    def _send_when_lifetime_old(lifetime_of):
+        """Learn host 1's entry, wait, set the lifetime to
+        ``lifetime_of(age)`` where ``age`` is the entry's exact age at
+        the next send, and send: ``(requests, expirations, queued)`` as
+        the send left them, and the datagrams host 1 got in the end."""
+        bed = build_testbed("spin", "ethernet", warm_arp=False)
+        engine = bed.engine
+        arp = bed.stacks[0].arp
+        dst = bed.ip(1)
+        seen = []
+        bed.stacks[1].udp_manager.bind(Credential("s"), 7000,
+                                       _make_counter(seen))
+        sender = bed.stacks[0].udp_manager.bind(Credential("c"), 7001, _noop)
+
+        def send_and_look():
+            sender.send(b"x", dst, 7000)
+            return arp.requests_sent, arp.expirations, dst in arp._pending
+
+        def send():
+            return (yield from bed.hosts[0].kernel_path(send_and_look))
+        engine.run_process(send())
+        engine.run()
+        at = engine.now + 50_000.0
+        engine.run(until=at)
+        # The float the expiry test computes when the send runs at ``at``.
+        arp.entry_lifetime_us = lifetime_of(at - arp._entry_born[dst])
+        looked = engine.run_process(send())
+        engine.run()
+        return looked, len(seen)
+
+    def test_entry_exactly_lifetime_old_still_sends(self):
+        """An entry exactly ``entry_lifetime_us`` old is live (the test
+        is ``age > lifetime``): the datagram goes out at once, with no
+        request and no expiry.  One ulp less of lifetime expires it."""
+        assert self._send_when_lifetime_old(lambda age: age) == (
+            (1, 0, False), 2)
+        assert self._send_when_lifetime_old(
+            lambda age: math.nextafter(age, 0.0)) == ((2, 1, True), 2)
 
 
 def _make_counter(seen):

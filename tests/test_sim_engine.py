@@ -264,6 +264,7 @@ _PUSH_SITES = {
     ("hw/cpu.py", "KernelPath.start"),
     ("hw/nic.py", "NIC.frame_on_wire"),
     ("hw/link.py", "_Medium._send_on_lane"),
+    ("hw/link.py", "EthernetSegment.transmit"),
     ("hw/link.py", "EthernetSegment._bus_sent"),
     ("hw/link.py", "SwitchPort._egress"),
     ("hw/host.py", "Timer.__init__"),
