@@ -62,7 +62,7 @@ PY = [sys.executable]
 BENCH = PY + ["-m", "repro.bench"]
 DRIVERS = [
     BENCH, BENCH + ["--charts"], BENCH + ["--check"],
-    BENCH + ["--latency"], BENCH + ["--parallel-curve"],
+    BENCH + ["--latency"],
     PY + ["-m", "repro.chaos", "--quick"],
     PY + ["-m", "repro.obs", "--check-schema"],
     PY + ["-m", "repro.obs", "--workload", "udp_pingpong", "--folded",

@@ -1,9 +1,9 @@
 """Command-line entry: ``python -m repro.bench [mode] [options]``.
 
 Without a mode flag, regenerates every table and figure from the paper at
-the scales EXPERIMENTS.md records.  The two suites (``--latency``,
-``--parallel-curve``) take ``--quick`` / ``--full``, write their
-``BENCH_*.json`` at the repository root and exit non-zero when the gate
+the scales EXPERIMENTS.md records.  The one suite (``--latency``) takes
+``--quick`` / ``--full``, writes ``BENCH_latency.json`` at the
+repository root and exits non-zero when the gate
 (:mod:`repro.bench.gate`) records an error.  How fast the simulator runs
 is ``perfbench/``'s question (``python3 perfbench/run.py``).
 """
@@ -14,32 +14,14 @@ import sys
 from .gate import write_baseline, write_json
 
 
-def _print_host(report) -> None:
-    host = report["host"]
-    print("host: %s %s on %s %s\n" % (host["implementation"], host["python"],
-                                      host["machine"], host["system"]))
-
-
-def _finish(report, suite, write_baseline_too: bool = False) -> int:
-    """Print the gate's verdict rows, write the report; the exit code."""
-    print()
-    for name in sorted(report["comparison"]):
-        row = report["comparison"][name]
-        for warning in row["warnings"]:
-            print("WARN [%s]: %s" % (name, warning))
-        for error in row["errors"]:
-            print("ERROR [%s]: %s" % (name, error))
-    if write_baseline_too:
-        print("baseline written to %s" % write_baseline(
-            report, suite.rows, suite.BASELINE_PATH))
-    print("report written to %s" % write_json(report, suite.REPORT_PATH))
-    return 0 if report["ok"] else 1
-
-
 def _latency(args) -> int:
+    """Run the suite, print its legs, probes and the gate's verdict rows,
+    write the report; the exit code."""
     from . import slo
     suite = slo.run_latency_suite(quick=not args.full)
-    _print_host(suite)
+    host = suite["host"]
+    print("host: %s %s on %s %s\n" % (host["implementation"], host["python"],
+                                      host["machine"], host["system"]))
     for name in sorted(suite["legs"]):
         leg = suite["legs"][name]
         for label, side in (("open", "open"), ("closed", "closed"),
@@ -59,19 +41,18 @@ def _latency(args) -> int:
             "  ".join("%s %d ns" % (key, probe["components_ns"][key])
                       for key in ("cpu_service", "nic_ring", "propagation",
                                   "stall"))))
-    return _finish(suite, slo, args.write_baseline)
-
-
-def _parallel_curve(args) -> int:
-    from . import parallel
-    report = parallel.run_curve(quick=not args.full)
-    for leg in report["legs"]:
-        print("%s x%-2d %10.3f s serial  %8.3f s parallel  %.2fx speedup  "
-              "[%s]" % (leg["workload"], leg["sim_jobs"],
-                        leg.get("serial", leg["oracle"])["wall_s"],
-                        leg["parallel"]["wall_s"], leg["speedup"],
-                        leg["executor"]))
-    return _finish(report, parallel)
+    print()
+    for name in sorted(suite["comparison"]):
+        row = suite["comparison"][name]
+        for warning in row["warnings"]:
+            print("WARN [%s]: %s" % (name, warning))
+        for error in row["errors"]:
+            print("ERROR [%s]: %s" % (name, error))
+    if args.write_baseline:
+        print("baseline written to %s" % write_baseline(
+            suite, slo.rows, slo.BASELINE_PATH))
+    print("report written to %s" % write_json(suite, slo.REPORT_PATH))
+    return 0 if suite["ok"] else 1
 
 
 def _check(args) -> int:
@@ -112,19 +93,14 @@ _MODES = (
     ("--latency", _latency,
      "SLO tail-latency suite: open- vs closed-loop legs and decomposition "
      "probes; writes BENCH_latency.json (--full adds the mega_flows leg)"),
-    ("--parallel-curve", _parallel_curve,
-     "sharded many_flows at jobs 1/2/4 plus a mega_flows leg at jobs=2; "
-     "writes BENCH_parallel.json; fails on divergence of a forked run from "
-     "its in-process oracle and, with >= 2 cores visible and a serial side "
-     "of >= 2 s, on the 1.3x jobs=2 floor"),
 )
 
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Regenerate the paper's experiments, or run one of the "
-                    "self-benchmark suites.")
+        description="Regenerate the paper's experiments, or run the "
+                    "latency suite.")
     mode = parser.add_mutually_exclusive_group()
     for flag, run, text in _MODES:
         mode.add_argument(flag, dest="run", action="store_const", const=run,
@@ -132,11 +108,9 @@ def _parser() -> argparse.ArgumentParser:
     parser.set_defaults(run=_paper_report)
     scale = parser.add_mutually_exclusive_group()
     scale.add_argument("--quick", action="store_true",
-                       help="with --latency or --parallel-curve: small "
-                            "scales (the default)")
+                       help="with --latency: small scales (the default)")
     scale.add_argument("--full", action="store_true",
-                       help="with --latency or --parallel-curve: full "
-                            "scales")
+                       help="with --latency: full scales")
     parser.add_argument("--write-baseline", action="store_true",
                         help="with --latency: refresh the committed "
                              "baseline under benchmarks/ from this run")
@@ -148,10 +122,9 @@ def main(argv) -> int:
     args = parser.parse_args(argv)
     if args.write_baseline and args.run is not _latency:
         parser.error("--write-baseline needs --latency")
-    if (args.quick or args.full) and args.run not in (_latency,
-                                                      _parallel_curve):
-        parser.error("--quick / --full need a mode with scales: --latency "
-                     "or --parallel-curve (the report has one scale)")
+    if (args.quick or args.full) and args.run is not _latency:
+        parser.error("--quick / --full need --latency (the report has one "
+                     "scale)")
     return args.run(args)
 
 

@@ -153,10 +153,10 @@ def side_fingerprint(record: Dict) -> Dict:
     return {key: record[key] for key in _FINGERPRINT_KEYS if key in record}
 
 
-def rows(report: Dict) -> Tuple[Dict, Dict]:
+def rows(report: Dict) -> Dict:
     """The latency report as gate rows: a leg's fingerprint is its sides'
     percentiles; a probe's adds the component totals and brings its
-    reconciliation errors along.  No row has a same-run twin."""
+    reconciliation errors along."""
     gated = {}
     for name, leg in report["legs"].items():
         gated[name] = {
@@ -170,4 +170,4 @@ def rows(report: Dict) -> Tuple[Dict, Dict]:
                 "components_ns": probe["components_ns"]},
             "errors": probe["errors"],
         }
-    return gated, {}
+    return gated

@@ -1,25 +1,22 @@
 """The workload registry and its one runner.
 
 Every scenario the harness can drive -- Figure 5's ping-pong and section
-4.2's bulk transfer, the sharded flow workloads, the fabric, the latency
+4.2's bulk transfer, the many-flows origins, the fabric, the latency
 suite's open/closed legs and its decomposition probes -- is one
 declarative :class:`Workload` record in
 :data:`WORKLOADS`: how to build the bed, how to wire the scenario onto it
 (``setup(bed, scale, lifecycle=None) -> (state, main)``), what its
-simulated-time fingerprint is, its scales, and -- for the shardable ones
--- how scale splits across shards.  Ports, host indices, start
+simulated-time fingerprint is, and its scales.  Ports, host indices, start
 offsets, gap plans, payload sizes and reply disciplines are data on the
 record, so a scenario family (the UDP echo, the TCP stream, the serial
 TCP object server, the many-flows origin) is written once and registered
 several times.  The echo and the stream have a SPIN and a UNIX half,
 picked by the bed's OS, as the paper runs one conversation on both.
 
-Two functions run records: :func:`run_once` (build -> instrument ->
-setup -> GC-quiesce -> time -> record, on a single engine) and
-:func:`run_partitioned` (the same record as N shards, forked over the
-suite's one process pool or run in this process).
-``--latency``, ``--parallel-curve`` and ``python -m repro.obs
---workload`` go through them.  Figure 5 and section 4.2
+One function runs records: :func:`run_once` (build -> instrument ->
+setup -> GC-quiesce -> time -> record, on a single engine, in this
+process).  ``--latency`` and ``python -m repro.obs --workload`` go
+through it.  Figure 5 and section 4.2
 (:mod:`repro.bench.latency`, :mod:`repro.bench.throughput`) wire the
 same ``setup`` functions onto beds of their own through
 :func:`run_scenario`, and ``repro.chaos`` starts them on impaired beds.
@@ -30,9 +27,8 @@ only thing the gate judges: any substrate change must leave every field
 work must never leak into simulated time.  Every scenario sends seeded
 bytes and its fingerprint function first checks what arrived -- streams
 and objects byte-exact, each echo exactly once -- raising on a mismatch.
-The host-side fields beside it (``wall_s``, ``events_per_sec``,
-``packets_per_sec``) are unjudged; ``perfbench/`` is where host speed
-and footprint are measured.
+The host-side field beside it (``wall_s``) is unjudged; ``perfbench/``
+is where host speed and footprint are measured.
 """
 
 from __future__ import annotations
@@ -52,14 +48,13 @@ from ..hw.alpha import MICROSECONDS_PER_SECOND
 from ..hw.link import ImpairmentConfig
 from ..lang.ephemeral import ephemeral
 from ..net.headers import ip_aton
-from ..obs.registry import merge_snapshots
 from ..obs.wire import instrument_testbed
-from ..sim import Engine, Signal, SimulationError
+from ..sim import Signal, SimulationError
 from ..unixos.sockets import Poller, SocketError
 from .testbed import build_testbed
 
 __all__ = ["Workload", "WORKLOADS", "PINGPONG", "schedule", "run_once",
-           "run_partitioned", "run_scenario", "run_workload"]
+           "run_scenario", "run_workload"]
 
 
 @dataclass(frozen=True)
@@ -68,7 +63,7 @@ class Workload:
     contract: changing them changes the expected fingerprints."""
 
     name: str
-    #: ``build(scale, engine=None) -> bed``
+    #: ``build(scale) -> bed``
     build: Callable
     #: ``setup(bed, scale, lifecycle=None) -> (state, main)``: the mutable
     #: counters and a zero-argument callable producing the main generator.
@@ -77,8 +72,6 @@ class Workload:
     setup: Callable
     #: ``fingerprint(state, bed) -> dict`` of simulated-time outputs
     fingerprint: Callable
-    #: ``packets(state) -> int`` frames the scenario moved
-    packets: Callable
     quick: int
     full: int
     #: the discarded warm-up pass heats imports, codegen and allocator
@@ -86,9 +79,6 @@ class Workload:
     warmup: int
     #: request kinds a :class:`~repro.obs.slo.RequestLifecycle` sees
     kinds: Tuple[str, ...] = ()
-    #: shardable records only: ``split(scale, n_partitions, index)`` is a
-    #: shard's scale
-    split: Optional[Callable] = None
 
     def scale(self, quick: bool) -> int:
         return self.quick if quick else self.full
@@ -100,9 +90,9 @@ class Workload:
 
 def _pair(os_name: str, device: str, hosts: Callable = lambda scale: 2):
     """Bed builder: ``hosts(scale)`` machines of one OS on one medium."""
-    def build(scale, engine=None):
+    def build(scale):
         return build_testbed(os_name, device, n_hosts=hosts(scale),
-                             deliver_mode="interrupt", engine=engine)
+                             deliver_mode="interrupt")
     return build
 
 
@@ -338,8 +328,6 @@ def _udp_echo_record(name: str, scales, **scenario) -> Workload:
     return Workload(
         name=name, build=_pair("spin", "ethernet"),
         setup=_udp_echo(**scenario), fingerprint=_udp_echo_fingerprint,
-        # one request + one reply per trip
-        packets=lambda state: 2 * state["trips"],
         quick=quick, full=full, warmup=warmup, kinds=(scenario["kind"],))
 
 
@@ -566,7 +554,6 @@ def _tcp_objects_record(name: str, scales, **scenario) -> Workload:
     return Workload(
         name=name, build=_pair("unix", "atm"), setup=_tcp_objects(**scenario),
         fingerprint=_tcp_objects_fingerprint,
-        packets=lambda state: 2 * state["done"],
         quick=quick, full=full, warmup=warmup, kinds=(scenario["kind"],))
 
 
@@ -742,22 +729,13 @@ def _flows_fingerprint(state, bed) -> Dict:
     return fingerprint
 
 
-def _split_flows(scale: int, n_partitions: int, index: int) -> int:
-    """Partition ``index``'s slice of ``scale`` flows (remainder goes low)."""
-    base, extra = divmod(scale, n_partitions)
-    return base + (1 if index < extra else 0)
-
-
 def _flows_record(name: str, scales, hosts: Callable = lambda scale: 2,
                   **scenario) -> Workload:
     quick, full, warmup = scales
     return Workload(
         name=name, build=_pair("unix", "atm", hosts), setup=_flows(**scenario),
         fingerprint=_flows_fingerprint,
-        # at least one frame each way per flow
-        packets=lambda state: state["served"] * 2,
-        quick=quick, full=full, warmup=warmup, kinds=scenario["kinds"],
-        split=_split_flows)
+        quick=quick, full=full, warmup=warmup, kinds=scenario["kinds"])
 
 
 # ---------------------------------------------------------------------------
@@ -769,8 +747,8 @@ _FABRIC_RX_PORT = 9000
 _FABRIC_TX_PORT = 9001
 
 
-def _fat_tree_bed(scale, engine=None):
-    return fat_tree(_FABRIC_K, engine=engine)
+def _fat_tree_bed(scale):
+    return fat_tree(_FABRIC_K)
 
 
 def _fabric_setup(bed, scale: int, lifecycle=None):
@@ -904,7 +882,6 @@ _RECORDS = [
     Workload(
         name="tcp_bulk", build=_pair("spin", "atm"), setup=_tcp_stream(),
         fingerprint=_tcp_stream_fingerprint,
-        packets=lambda state: state["segments"],
         quick=100_000, full=400_000, warmup=100_000),
     # Half TCP, half UDP at a 15 us stagger: thousands of connections in
     # flight at once stress the kernel timers (per-connection retransmit /
@@ -925,7 +902,6 @@ _RECORDS = [
     Workload(
         name="fabric_fat_tree", build=_fat_tree_bed, setup=_fabric_setup,
         fingerprint=_fabric_fingerprint,
-        packets=lambda state: state["received"],
         quick=40, full=200, warmup=10, kinds=("fabric_dgram",)),
     # Closed-loop decomposition probes (repro.bench.slo attaches an
     # SloTracker): Figure 5's ping-pong, and sequential object fetches
@@ -981,19 +957,6 @@ def _gc_quiesced() -> Iterator[None]:
             gc.enable()
 
 
-def _result(wall: float, events: int, packets: int, fingerprint: Dict,
-            metrics: Dict) -> Dict:
-    return {
-        "wall_s": wall,
-        "events": events,
-        "events_per_sec": events / wall if wall > 0 else 0.0,
-        "packets": packets,
-        "packets_per_sec": packets / wall if wall > 0 else 0.0,
-        "metrics": metrics,
-        "fingerprint": fingerprint,
-    }
-
-
 def run_once(record: Workload, scale: int, instrument=None) -> Dict:
     """Run ``record`` on a single engine: build -> instrument -> setup ->
     GC-quiesce -> time -> record.
@@ -1025,102 +988,13 @@ def run_once(record: Workload, scale: int, instrument=None) -> Dict:
             if process.triggered:
                 process.value
         wall = time.perf_counter() - wall0
-    return _result(wall, engine.events_processed, record.packets(state),
-                   record.fingerprint(state, bed),
-                   instrument_testbed(bed).snapshot())
-
-
-def _shard_task(payload: Tuple[str, int, int, int]) -> Dict:
-    """Build shard ``index`` of ``n`` of a registered workload on an
-    engine of its own, run it dry and return its result (it runs in a
-    forked worker under ``parallel=True``, so everything but the payload
-    and the result is shard-local)."""
-    name, scale, n, index = payload
-    record = WORKLOADS[name]
-    engine = Engine()
-    scale = record.split(scale, n, index)
-    bed = record.build(scale, engine)
-    state, main_factory = record.setup(bed, scale)
-    main = engine.process(main_factory(), name=record.name)
-    with _children_surfaced(state):
-        engine.run()
-    if not main.triggered:
-        raise SimulationError(
-            "shard %d of %d is not done but no events are pending "
-            "(deadlock at t=%r)" % (index, n, engine.now))
-    main.value  # surfaces any exception that escaped the workload
+    fingerprint = record.fingerprint(state, bed)
     return {
-        "fingerprint": record.fingerprint(state, bed),
-        "packets": record.packets(state),
+        "wall_s": wall,
         "events": engine.events_processed,
         "metrics": instrument_testbed(bed).snapshot(),
+        "fingerprint": fingerprint,
     }
-
-
-def _check_shards(record: Workload, scale: int, sim_jobs: int) -> None:
-    if sim_jobs < 1:
-        raise ValueError("sim_jobs must be >= 1, got %d" % sim_jobs)
-    if record.split is None:
-        raise ValueError(
-            "sharding needs a shardable workload (%s), not %r"
-            % (", ".join(name for name, other in WORKLOADS.items()
-                         if other.split is not None), record.name))
-    if min(record.split(scale, sim_jobs, index)
-           for index in range(sim_jobs)) < 1:
-        raise ValueError("%s needs scale >= 1 in every partition "
-                         "(scale=%d, sim_jobs=%d)"
-                         % (record.name, scale, sim_jobs))
-
-
-def _map_shards(payloads, parallel: bool):
-    """:func:`_shard_task` over ``payloads``, in payload order: forked,
-    one worker per payload, when ``parallel`` and there is more than one,
-    else in this process."""
-    if not parallel or len(payloads) <= 1:
-        return [_shard_task(payload) for payload in payloads]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-        return list(pool.map(_shard_task, payloads))
-
-
-def run_partitioned(record: Workload, scale: int, sim_jobs: int,
-                    parallel: bool = True) -> Dict:
-    """Run a shardable ``record`` as ``sim_jobs`` shards.
-
-    ``parallel=True`` forks one worker per shard (the suite's only
-    process pool); ``parallel=False`` runs the same tasks in this process
-    in index order -- the reference the forked run must equal.  Results
-    come back in index order either way; a worker's exception arrives
-    with its remote traceback, and a worker that dies fails the run with
-    ``BrokenProcessPool`` instead of hanging it.  The
-    fingerprint is defined over the merged shards --
-    counters summed (peaks are concurrent *per shard*; the sum is the
-    testbed-wide concurrency the sharded run sustained), the final clock
-    their maximum -- and carries a ``partitions`` field, so it is
-    comparable only against runs at the same shard count: the reference
-    is the in-process run at equal ``sim_jobs``, never the single-engine
-    record.
-    """
-    _check_shards(record, scale, sim_jobs)
-    payloads = [(record.name, scale, sim_jobs, index)
-                for index in range(sim_jobs)]
-    with _gc_quiesced():
-        wall0 = time.perf_counter()
-        shards = _map_shards(payloads, parallel)
-        wall = time.perf_counter() - wall0
-    fingerprints = [shard["fingerprint"] for shard in shards]
-    fingerprint = {key: sum(each[key] for each in fingerprints)
-                   for key in fingerprints[0]}
-    fingerprint["final_now_us"] = max(each["final_now_us"]
-                                      for each in fingerprints)
-    fingerprint["partitions"] = sim_jobs
-    result = _result(wall, sum(shard["events"] for shard in shards),
-                     sum(shard["packets"] for shard in shards), fingerprint,
-                     merge_snapshots([shard["metrics"] for shard in shards]))
-    result.update(sim_jobs=sim_jobs,
-                  executor=("parallel" if parallel and sim_jobs > 1
-                            else "serial"))
-    return result
 
 
 def run_workload(name: str, quick: bool = False, instrument=None) -> Dict:

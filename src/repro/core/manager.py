@@ -202,7 +202,9 @@ class EthernetManager(_ManagerBase):
         """A raw-frame sender locked to the claimed ethertype.
 
         Anti-spoofing by construction: the returned procedure frames every
-        payload with the claimed type and this host's source address.
+        payload with the claimed type and this host's source address.  It
+        refuses a destination that is not 6 bytes (``ValueError``) before
+        it charges or allocates anything.
         """
         owner = self.types.owner(ethertype)
         if owner is not credential:
@@ -214,6 +216,9 @@ class EthernetManager(_ManagerBase):
             raise AccessError("this stack's link layer does not frame ethertypes")
 
         def send(payload: bytes, dst_mac: bytes) -> None:
+            if len(dst_mac) != 6:
+                raise ValueError("destination MAC must be 6 bytes")
+            dst_mac = bytes(dst_mac)
             self.host.cpu.charge(self.host.costs.dispatch_per_handler, "dispatch")
             m = self.host.mbufs.from_bytes(payload, leading_space=16)
             ethernet.output(m, dst_mac, ethertype)

@@ -74,7 +74,7 @@ class ArpProto:
 
     def add_entry(self, ip: int, mac: bytes) -> None:
         """Insert a static/learned mapping and flush queued packets."""
-        self.cache[ip] = bytes(mac)
+        mac = self.cache[ip] = bytes(mac)
         self._entry_born[ip] = self.host.engine.now
         for m in self._pending.pop(ip, []):
             self.ethernet.output(m, mac, ETHERTYPE_IP)

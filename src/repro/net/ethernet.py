@@ -31,13 +31,17 @@ class EthernetProto:
         #: set by the OS glue: fn(nic, mbuf) with the mbuf at the frame start
         self.upcall: Optional[Callable] = None
         self.mtu = nic.mtu
+        #: the source address every frame carries: fixed with the NIC
+        self._src_mac = bytes(nic.address)
 
     # -- send path ------------------------------------------------------
 
     def output(self, m: Mbuf, dst_mac: bytes, ethertype: int) -> bool:
-        """Frame ``m`` and hand it to the device (plain code)."""
-        if len(dst_mac) != 6:
-            raise ValueError("destination MAC must be 6 bytes")
+        """Frame ``m`` and hand it to the device (plain code).
+
+        ``dst_mac`` is 6 ``bytes``: ARP's cache and the broadcast address
+        are, and an extension's MAC is checked and converted by
+        ``EthernetManager.send_capability`` before it gets here."""
         # cpu.charge inlined (exact body, exact order): hot send path.
         cpu = self.host.cpu
         stack = cpu._stack
@@ -47,8 +51,8 @@ class EthernetProto:
         stack[-1] += amount
         cpu.category_times["protocol"] += amount
         m = m.push(self.HEADER_LEN)
-        ETHERNET_HEADER.pack_into(m._storage, m.off, bytes(dst_mac),
-                                  bytes(self.nic.address), ethertype)
+        ETHERNET_HEADER.pack_into(m._storage, m.off, dst_mac, self._src_mac,
+                                  ethertype)
         return self.nic.stage_tx(memoryview(m._storage)[m.off:m.off + m.len], dst_mac)
 
     def broadcast(self, m: Mbuf, ethertype: int) -> bool:

@@ -33,7 +33,6 @@ from .registry import (
     Gauge,
     MetricError,
     MetricsRegistry,
-    merge_snapshots,
 )
 from .schema import EXPORT_SCHEMA, undocumented_metrics
 from .slo import Request, RequestLifecycle, SloTracker, percentile, to_ns
@@ -55,7 +54,6 @@ __all__ = [
     "Span",
     "SpanTracer",
     "instrument_testbed",
-    "merge_snapshots",
     "percentile",
     "to_ns",
     "undocumented_metrics",

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 __all__ = [
     "DuplicateMetricError",
     "Gauge",
     "MetricError",
     "MetricsRegistry",
-    "merge_snapshots",
 ]
 
 #: Metric names are dotted lowercase paths with at least two components:
@@ -123,29 +122,3 @@ class MetricsRegistry:
     def to_json(self) -> str:
         return json.dumps(self.snapshot(), indent=2, sort_keys=True)
 
-
-def merge_snapshots(snapshots: Sequence[Dict[str, Dict]]) -> Dict[str, Dict]:
-    """Roll per-partition registry snapshots up into one testbed view.
-
-    The partitioned simulation mode gives every partition its own
-    registry (live instruments cannot cross process boundaries); this
-    merges their :meth:`MetricsRegistry.snapshot` outputs the same way
-    aggregating gauge sources already roll per-host counters up within
-    one registry: values sum.  The merge is order-independent for int
-    values, and partition results are always combined in partition-index
-    order so float sums are deterministic too.
-    """
-    merged: Dict[str, Dict] = {}
-    for snapshot in snapshots:
-        for name, record in snapshot.items():
-            current = merged.get(name)
-            if current is None:
-                merged[name] = {"type": record["type"], "value": record["value"]}
-            elif current["type"] != record["type"]:
-                raise MetricError(
-                    "metric %r is a %s in one partition and a %s in another"
-                    % (name, current["type"], record["type"])
-                )
-            else:
-                current["value"] += record["value"]
-    return dict(sorted(merged.items()))

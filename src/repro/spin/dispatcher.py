@@ -229,8 +229,10 @@ class Dispatcher:
         """Raise ``event`` with ``args`` (plain code; charges CPU).
 
         Returns the number of handlers that matched (ran inline or were
-        delegated to a thread).  The public, capability-checked raise:
-        extensions and the exported ``Dispatcher`` interface come here.
+        delegated to a thread).  The public, capability-checked raise
+        that extensions, examples, tests and the dispatch
+        microbenchmarks (``bench/micro.py``) call; the kernel's own
+        upcalls call the event's compiled scan directly.
         """
         try:
             scan = event._scan

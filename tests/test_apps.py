@@ -104,6 +104,65 @@ class TestActiveMessages:
         assert seen == [7]
 
 
+class TestEthernetSendCapability:
+    """``Ethernet.SendCapability`` is the one way an extension's MAC
+    reaches ``EthernetProto.output``, so it checks the length and makes
+    the value ``bytes`` there."""
+
+    ETHERTYPE = 0x88B6
+
+    def _link(self, bed, index, received):
+        """Link a raw-frame endpoint on host ``index``: it claims the
+        ethertype (``received`` collects each arriving frame's
+        destination) and returns its linked sender."""
+        def sink(nic, m):
+            received.append(bytes(m.data[:6]))
+
+        held = {}
+
+        def init(env, cred):
+            handle = env["Ethernet.ClaimEthertype"](cred, self.ETHERTYPE,
+                                                    ephemeral(sink))
+            held["send"] = env["Ethernet.SendCapability"](cred,
+                                                          self.ETHERTYPE)
+            return handle
+        AppExtension("raw-frames", ["Ethernet.ClaimEthertype",
+                                    "Ethernet.SendCapability"],
+                     init).install(bed.hosts[index],
+                                   bed.stacks[index].net_domain)
+        return held["send"]
+
+    @pytest.mark.parametrize("length", [5, 7])
+    def test_a_mac_that_is_not_6_bytes_is_refused_before_any_work(
+            self, spin_pair, length):
+        """Called outside a kernel path, so a check placed after the
+        dispatch charge would fail with ``ChargeError`` instead."""
+        bed = spin_pair
+        send = self._link(bed, 0, [])
+        host, nic = bed.hosts[0], bed.nics[0]
+        before = (dict(host.cpu.category_times), host.mbufs.allocated,
+                  nic.tx_frames)
+        with pytest.raises(ValueError, match="6 bytes"):
+            send(b"payload", bytes(range(length)))
+        assert (dict(host.cpu.category_times), host.mbufs.allocated,
+                nic.tx_frames) == before
+
+    def test_a_6_byte_buffer_is_sent_as_bytes(self, spin_pair):
+        bed = spin_pair
+        send = self._link(bed, 0, [])
+        received = []
+        self._link(bed, 1, received)
+        nic, dst = bed.nics[0], bytes(bed.nics[1].address)
+        staged, stage_tx = [], nic.stage_tx
+        nic.stage_tx = lambda data, dst_addr: (
+            staged.append(dst_addr) or stage_tx(data, dst_addr))
+        bed.engine.run_process(bed.hosts[0].kernel_path(
+            lambda: send(b"payload", memoryview(bytearray(dst)))))
+        bed.engine.run()
+        assert nic.tx_frames == 1 and received == [dst]
+        assert staged == [dst] and type(staged[0]) is bytes
+
+
 class TestVideo:
     def test_spin_server_streams_frames(self):
         bed = build_testbed("spin", "t3")

@@ -2,11 +2,10 @@
 CLI parser, one workload registry.
 
 The gate's policies are table-driven here, first on bare rows and then
-through each suite's row extractor on a synthetic report; the tests that
-predate the single gate (``TestLatencyGate``, ``TestSpeedupExpectation``)
-keep their own files and go through the same functions.  Nothing here depends on how fast the host is: the gate
-judges fingerprints, and the one ratio it floors is fed synthetic
-``wall_s`` values.
+through the latency suite's row extractor on a synthetic report; the
+tests that predate the single gate (``TestLatencyGate``) keep their own
+file and go through the same functions.  Nothing here depends on how
+fast the host is: the gate judges fingerprints only.
 """
 
 import copy
@@ -16,13 +15,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench import parallel, slo, workloads
+from repro.bench import slo, workloads
 from repro.bench.__main__ import _parser, main
 from repro.bench.gate import (gate, judge, load_baseline, write_baseline,
                               write_json)
 from repro.bench.testbed import DEVICES
-from repro.bench.workloads import (PINGPONG, WORKLOADS, run_once,
-                                   run_partitioned)
+from repro.bench.workloads import PINGPONG, WORKLOADS, run_once
 from repro.core.manager import UdpEndpoint
 from repro.net.tcp.tcb import Tcb
 from repro.sim import SimulationError
@@ -40,46 +38,32 @@ def _row(**changes):
     return dict(copy.deepcopy(ROW), **changes)
 
 
-#: id, rows, twins, baseline, ok, error substrings, warning substrings
+#: id, rows, baseline, ok, error substrings, warning substrings
 #: ("" = there must be none)
 POLICY_TABLE = [
-    ("clean", _row(), _row(min_ratio=0.8), _row(), True, "", ""),
-    # fingerprint or identity mismatch is an error
-    ("baseline fingerprint drift", _row(), None,
+    ("clean", _row(), _row(), True, "", ""),
+    # fingerprint drift is an error; wall time is never judged
+    ("baseline fingerprint drift", _row(wall_s=0.01),
      _row(fingerprint={"f": 1, "g": 3}), False,
      "fingerprint drifted from the committed baseline on g", ""),
-    ("twin fingerprint divergence", _row(),
-     _row(fingerprint={"f": 9, "g": 2}), None, False,
-     "divergence from the same-run twin on f", ""),
-    # a twin that states a floor: its wall time over the row's must reach it
-    ("twin below its floor", _row(wall_s=1.0 / 0.7), _row(min_ratio=0.8),
-     None, False, "0.70x the same-run twin (fail threshold 0.80x)", ""),
-    ("twin at its floor", _row(wall_s=1.25), _row(min_ratio=0.8), None, True,
-     "", ""),
-    ("twin without a floor is informational", _row(wall_s=10.0), _row(), None,
-     True, "", ""),
-    ("speedup floor above 1", _row(), _row(wall_s=1.1, min_ratio=1.3), None,
-     False, "1.10x the same-run twin (fail threshold 1.30x)", ""),
     # a committed baseline is fingerprints: a row it lacks warns
-    ("row missing from the baseline", _row(), None, "missing", True, "",
+    ("row missing from the baseline", _row(), "missing", True, "",
      "no committed baseline for 'w'"),
-    ("suite without a baseline", _row(), None, None, True, "", ""),
-    ("same-run-only row skips the baseline", _row(committed=False), None,
-     "missing", True, "", ""),
+    ("suite without a baseline", _row(), None, True, "", ""),
     # rows bring their own findings along
-    ("row-level error", _row(errors=["request r0 does not reconcile"]), None,
+    ("row-level error", _row(errors=["request r0 does not reconcile"]),
      None, False, "does not reconcile", ""),
-    ("row-level note", _row(warnings=["single core visible"]), None, None,
-     True, "", "single core"),
+    ("row-level note", _row(warnings=["probe ran short"]), None, True, "",
+     "ran short"),
 ]
 
 
 @pytest.mark.parametrize(
-    "row, twin, base, ok, error, warning",
+    "row, base, ok, error, warning",
     [case[1:] for case in POLICY_TABLE], ids=[case[0] for case in POLICY_TABLE])
-def test_gate_policy(row, twin, base, ok, error, warning):
+def test_gate_policy(row, base, ok, error, warning):
     baseline = {} if base == "missing" else base and {"w": base}
-    verdict = gate({"w": row}, twin and {"w": twin}, baseline)["w"]
+    verdict = gate({"w": row}, baseline)["w"]
     assert verdict["ok"] is ok
     for expected, found in ((error, verdict["errors"]),
                             (warning, verdict["warnings"])):
@@ -89,20 +73,8 @@ def test_gate_policy(row, twin, base, ok, error, warning):
             assert not found
 
 
-def test_gate_records_both_ratios():
-    """Of the two ratios the gate once recorded, the same-run twin's is
-    the one left, and only where both sides carry a wall time."""
-    fast_baseline = {"w": _row(wall_s=0.01, events_per_sec=1e9)}
-    verdict = gate({"w": _row(wall_s=2.0)}, {"w": _row(wall_s=3.0)},
-                   fast_baseline)["w"]
-    assert verdict == {"ok": True, "errors": [], "warnings": [],
-                       "speed_vs_twin": 1.5}
-    untimed = {"w": {"fingerprint": ROW["fingerprint"]}}
-    assert "speed_vs_twin" not in gate(untimed, {"w": _row()})["w"]
-
-
 # ---------------------------------------------------------------------------
-# the policies through each suite's row extractor
+# the policies through the suite's row extractor
 # ---------------------------------------------------------------------------
 
 HOST = {"machine": "x"}
@@ -122,25 +94,8 @@ def _latency_report():
     }
 
 
-def _leg(workload="many_flows", jobs=2, wall=2.0, serial=4.0):
-    identity = {"events": 7, "fingerprint": {"flows": 4}, "metrics_sha1": "ab"}
-    return {"workload": workload, "sim_jobs": jobs, "executor": "parallel",
-            "parallel": {"identity": dict(identity), "wall_s": wall},
-            "oracle": {"identity": dict(identity), "wall_s": 1.1 * serial},
-            "serial": {"wall_s": serial}}
-
-
-def _parallel_report():
-    return {"quick": True, "host": HOST, "legs": [_leg()]}
-
-
-def _curve_rows(report):
-    return parallel.leg_rows(report["legs"])
-
-
 SUITES = {
     "latency": (_latency_report, slo.rows, "udp_echo@g400"),
-    "parallel": (_parallel_report, _curve_rows, "many_flows x2"),
 }
 
 
@@ -166,27 +121,12 @@ SUITE_TABLE = [
     ("latency", _set(["decomposition", "udp_clean", "errors"],
                      ["request r0 does not reconcile"]),
      "decomposition:udp_clean", False, "does not reconcile"),
-    ("parallel", None, "many_flows x2", True, ""),
-    ("parallel", _set(["legs", 0, "parallel", "identity", "events"], 8),
-     "many_flows x2", False, "divergence from the same-run twin on events"),
-    ("parallel", _set(["legs", 0, "oracle", "identity", "fingerprint"],
-                      {"flows": 5}), "many_flows x2", False,
-     "divergence from the same-run twin on fingerprint"),
-    ("parallel", _set(["legs", 0, "parallel", "identity", "fingerprint"],
-                      {"flows": 3}), "many_flows x2", False,
-     "same-run twin on fingerprint"),
-    ("parallel", _set(["legs", 0, "parallel", "identity", "metrics_sha1"],
-                      "cd"), "many_flows x2", False,
-     "divergence from the same-run twin on metrics_sha1"),
-    ("parallel", _set(["legs", 0, "parallel", "wall_s"], 3.6),
-     "many_flows x2", False, "1.11x the same-run twin (fail threshold 1.30x)"),
 ]
 
 
 @pytest.mark.parametrize("suite, mutate, row, ok, error", SUITE_TABLE)
-def test_suite_rows_through_the_gate(monkeypatch, tmp_path, suite, mutate,
-                                     row, ok, error):
-    monkeypatch.setattr(parallel, "affinity_cores", lambda: 4)
+def test_suite_rows_through_the_gate(tmp_path, suite, mutate, row, ok,
+                                     error):
     build, extract, _row_name = SUITES[suite]
     path = str(tmp_path / "baseline.json")
     write_baseline(build(), extract, path)
@@ -209,9 +149,6 @@ def test_baseline_is_the_projection_of_the_gate_rows(tmp_path, suite):
     write_baseline(build(), extract, path)
     baseline = load_baseline(path)
     assert set(baseline) == {"schema_version", "quick"}
-    if suite == "parallel":      # same-run evidence only: nothing committed
-        assert baseline["quick"] == {}
-        return
     assert all(set(committed) == {"fingerprint"}
                for committed in baseline["quick"].values())
     # The other scale survives a refresh.
@@ -231,13 +168,10 @@ def test_slow_or_missing_baseline_only_warns(tmp_path, suite):
     assert any("no committed baseline" in w for w in verdict["warnings"])
 
 
-def test_a_100x_slower_host_changes_no_verdict(monkeypatch, tmp_path):
+def test_a_100x_slower_host_changes_no_verdict(tmp_path):
     """Host speed is not this harness's to judge: a fresh latency
-    report 100x slower than both its same-run twin and a
-    schema-9 baseline (which still carried speed columns) is clean, with
-    no ``speed_*`` key on any row.  The one timed ratio left is the
-    forked x2 leg's, and there the same slowdown still fails."""
-    monkeypatch.setattr(parallel, "affinity_cores", lambda: 4)
+    report 100x slower than a schema-9 baseline (which still carried
+    speed columns) is clean, with no ``speed_*`` key on any row."""
     build, extract, _row = SUITES["latency"]
     path = str(tmp_path / "latency.json")
     write_baseline(build(), extract, path)
@@ -251,31 +185,6 @@ def test_a_100x_slower_host_changes_no_verdict(monkeypatch, tmp_path):
     assert judge(report, extract, path)["ok"]
     for verdict in report["comparison"].values():
         assert verdict == {"ok": True, "errors": [], "warnings": []}
-    report = _parallel_report()
-    assert report["legs"][0]["serial"]["wall_s"] >= parallel.JUDGED_SERIAL_S
-    report["legs"][0]["parallel"]["wall_s"] *= 100.0
-    verdict = judge(report, _curve_rows)["comparison"]["many_flows x2"]
-    assert not verdict["ok"] and verdict["speed_vs_twin"] == 0.02
-    assert any("0.02x the same-run twin (fail threshold 1.30x)" in error
-               for error in verdict["errors"])
-
-
-def test_single_core_skips_the_speedup_floor(monkeypatch):
-    monkeypatch.setattr(parallel, "affinity_cores", lambda: 1)
-    report = _parallel_report()
-    report["legs"][0]["parallel"]["wall_s"] = 8.0       # 0.5x: would fail
-    verdict = judge(report, _curve_rows)["comparison"]["many_flows x2"]
-    assert verdict["ok"] and verdict["speed_vs_twin"] == 0.5
-    assert any("single core" in w for w in verdict["warnings"])
-
-
-def test_x2_legs_are_floored_whatever_the_workload_or_suite(monkeypatch):
-    monkeypatch.setattr(parallel, "affinity_cores", lambda: 4)
-    slow = 8.0                                          # 0.5x
-    assert judge({"legs": [_leg(jobs=4, wall=slow)]}, _curve_rows)["ok"]
-    assert not judge({"legs": [_leg(wall=slow)]}, _curve_rows)["ok"]
-    assert not judge({"legs": [_leg("mega_flows", wall=slow)]},
-                     _curve_rows)["ok"]
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +222,16 @@ class TestCommandLine:
         ["--charts", "--latency"],          # one mode at a time
         ["--quick", "--full"],
         ["--jobs", "0"], ["--jobs", "two"], ["--jobs"],   # retired
-        ["--latency", "--sim-jobs", "2"],   # deleted: --parallel-curve's leg
+        ["--latency", "--sim-jobs", "2"],   # deleted with the sharded runs
         ["--write-baseline"],               # needs --latency
         ["--parallel-curve", "--write-baseline"],
         ["--speedup-smoke"],                # deleted with its CI step
         ["--wallclock"],                    # retired: perfbench pins its rows
         ["--check", "--jobs", "4"],
-        ["--parallel-curve", "--jobs", "4"],  # it picks its own shard counts
+        ["--parallel-curve", "--jobs", "4"],
         ["--charts", "--full"],
         ["--full"],                         # the report has one scale
+        ["--parallel-curve"],               # deleted with the sharded runs
     ])
     def test_bad_arguments_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -418,33 +328,6 @@ class TestRegistry:
         assert "flow_cache" not in result
         assert "per_flow_kb" not in result
         assert record.quick <= record.full
-
-    @pytest.mark.parametrize("name", [
-        name for name, record in WORKLOADS.items() if record.split])
-    def test_shardable_records_merge_as_the_sum_of_their_shards(
-            self, monkeypatch, name):
-        shards = []
-        real_task = workloads._shard_task
-
-        def task(payload):
-            shards.append(real_task(payload))
-            return shards[-1]
-
-        monkeypatch.setattr(workloads, "_shard_task", task)
-        record = WORKLOADS[name]
-        scale = min(record.warmup, 120)
-        merged = run_partitioned(record, scale, 2, parallel=False)
-        assert len(shards) == 2
-        fingerprint = dict(merged["fingerprint"])
-        assert fingerprint.pop("partitions") == 2
-        assert fingerprint.pop("flows") == scale
-        assert fingerprint.pop("final_now_us") == max(
-            shard["fingerprint"]["final_now_us"] for shard in shards)
-        assert fingerprint
-        for key, total in fingerprint.items():
-            assert total == sum(shard["fingerprint"][key] for shard in shards)
-        for key in ("events", "packets"):
-            assert merged[key] == sum(shard[key] for shard in shards)
 
     def test_paper_measures_run_the_registry_scenario(self):
         """Figure 5 and section 4.2 are the registry's ``udp_pingpong`` /
@@ -554,8 +437,7 @@ class TestRegistry:
         with pytest.raises(RuntimeError, match="one outstanding request"):
             slo._observed(WORKLOADS["tcp_objects@g2000"], True, tracked=True)
 
-    # The three names CI's ``python -m repro.obs --workload`` steps and
-    # ``--parallel-curve`` drive.
+    # The names CI's ``python -m repro.obs --workload`` steps drive.
     @pytest.mark.parametrize("name", ["udp_pingpong", "tcp_bulk",
                                       "many_flows"])
     def test_obs_profiles_every_default_suite_workload(self, name):
@@ -564,3 +446,17 @@ class TestRegistry:
         assert record["name"] == name and record["events"] > 0
         assert sum(profiler.categories().values()) > 0.0
         assert len(registry) > 0 and tracer is None
+
+    def test_deferred_replies_hold_every_flow_live(self):
+        record = run_once(WORKLOADS["mega_flows"], 120)
+        fp = record["fingerprint"]
+        assert fp["tcp_done"] + fp["udp_done"] == 120
+        # Every 8th flow is TCP, and the server defers every push until
+        # all flows have arrived -- so the connection peak is exactly
+        # the full TCP population, not a trickle of early retirements.
+        assert fp["peak_conns"] == 120 // 8
+        assert fp["bytes_in"] > 0
+
+    def test_mega_flows_is_on_demand_only(self):
+        assert "mega_flows" not in slo.leg_names(quick=True)
+        assert "mega_flows" in slo.leg_names(quick=False)

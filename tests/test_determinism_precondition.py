@@ -1,19 +1,19 @@
-"""Determinism precondition for sharded runs.
+"""Determinism precondition for fingerprint gating.
 
-The in-process oracle (``parallel=False`` vs the forked shards)
-only proves anything if a serial run is a pure function of its inputs in
-the first place: two back-to-back serial runs of the same workload in
-the same process must agree on every observable -- the simulated-time
-fingerprint, the full metrics snapshot, and the profiler's folded
-stacks (which attribute every charged simulated microsecond, so they
-are the finest-grained determinism probe the repo has).
+A committed fingerprint only proves anything if a run is a pure
+function of its inputs in the first place: two back-to-back runs of the
+same workload in the same process must agree on every observable -- the
+simulated-time fingerprint, the full metrics snapshot, and the
+profiler's folded stacks (which attribute every charged simulated
+microsecond, so they are the finest-grained determinism probe the repo
+has) -- so nothing one run leaves behind in the interpreter reaches the
+next.
 
-These tests pin that precondition on small-scale ``many_flows`` -- the
-workload the parallel gate shards -- for both the classic single-engine
-path and the in-process sharded run.
+This pins that precondition on small-scale ``many_flows``, thousands of
+connections and timers on one engine.
 """
 
-from repro.bench.workloads import WORKLOADS, run_once, run_partitioned
+from repro.bench.workloads import WORKLOADS, run_once
 from repro.obs import CpuProfiler
 
 SCALE = 300
@@ -45,10 +45,3 @@ class TestSerialDeterminism:
         # Sanity: the probe actually measured something on the unix bed.
         assert folded.strip()
         assert any(line.startswith("unix-h") for line in folded.splitlines())
-
-    def test_partitioned_serial_executor_repeats_identically(self):
-        first = run_partitioned(MANY_FLOWS, SCALE, 2, parallel=False)
-        second = run_partitioned(MANY_FLOWS, SCALE, 2, parallel=False)
-        assert first["fingerprint"] == second["fingerprint"]
-        assert first["metrics"] == second["metrics"]
-        assert first["events"] == second["events"]

@@ -7,7 +7,7 @@ import pytest
 
 import repro
 from repro.hw.host import Host
-from repro.sim import Process, SimulationError
+from repro.sim import Engine, Process, SimulationError
 
 
 class TestClock:
@@ -99,6 +99,37 @@ class TestNonFiniteTimes:
             host.set_timer(float("nan"), lambda: fired.append(engine.now))
         engine.run()
         assert fired == [1.0, 2.0, 3.0, 4.0, 5.0] and engine.now == 5.0
+
+
+class TestRunWindow:
+    def test_call_at_in_the_past_raises(self):
+        engine = Engine()
+        engine.call_at(3.0, lambda _ev: None)
+        engine.run(until=4.0)
+        with pytest.raises(SimulationError, match=r"call_at\(2\.0\) is in the past"):
+            engine.call_at(2.0, lambda _ev: None, "arg")
+        assert not engine._heap
+
+    def test_call_at_passes_arg_at_the_exact_instant(self):
+        """``call_at(when, fn, arg)`` is ``call_after``'s entry at an
+        absolute time: ``fn(arg)`` runs with the clock at ``when``, bit
+        for bit, and ``arg`` defaults to None."""
+        engine = Engine()
+        seen = []
+        when = 0.1 + 0.2            # not the float 0.3
+        engine.call_at(when, lambda arg: seen.append((engine.now, arg)),
+                       ("frame", 7))
+        engine.call_at(1.0, lambda arg: seen.append((engine.now, arg)))
+        engine.run()
+        assert seen == [(when, ("frame", 7)), (1.0, None)]
+
+    def test_call_at_same_time_fifo(self):
+        engine = Engine()
+        order = []
+        engine.call_at(1.0, lambda _ev: order.append("first"))
+        engine.call_at(1.0, lambda _ev: order.append("second"))
+        engine.run()
+        assert order == ["first", "second"]
 
 
 class TestEvent:
