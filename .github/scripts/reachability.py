@@ -61,7 +61,7 @@ READERS = ("src", "tests", "benchmarks", "perfbench", "examples")
 PY = [sys.executable]
 BENCH = PY + ["-m", "repro.bench"]
 DRIVERS = [
-    BENCH, BENCH + ["--charts"], BENCH + ["--check"],
+    BENCH, BENCH + ["--check"],
     BENCH + ["--latency"],
     PY + ["-m", "repro.chaos", "--quick"],
     PY + ["-m", "repro.obs", "--check-schema"],

@@ -1,17 +1,16 @@
 """Command-line entry: ``python -m repro.bench [mode] [options]``.
 
 Without a mode flag, regenerates every table and figure from the paper at
-the scales EXPERIMENTS.md records.  The one suite (``--latency``) takes
-``--quick`` / ``--full``, writes ``BENCH_latency.json`` at the
-repository root and exits non-zero when the gate
-(:mod:`repro.bench.gate`) records an error.  How fast the simulator runs
-is ``perfbench/``'s question (``python3 perfbench/run.py``).
+the scales EXPERIMENTS.md records.  ``--check`` runs the claims ledger's
+golden pins.  The one suite (``--latency``) takes ``--quick`` /
+``--full``, writes ``BENCH_latency.json`` at the repository root and
+exits non-zero when its gate (:mod:`repro.bench.slo`) records an error.
+Nothing here reads a clock: how fast the simulator runs is
+``perfbench/``'s question (``python3 perfbench/run.py``).
 """
 
 import argparse
 import sys
-
-from .gate import write_baseline, write_json
 
 
 def _latency(args) -> int:
@@ -19,9 +18,6 @@ def _latency(args) -> int:
     write the report; the exit code."""
     from . import slo
     suite = slo.run_latency_suite(quick=not args.full)
-    host = suite["host"]
-    print("host: %s %s on %s %s\n" % (host["implementation"], host["python"],
-                                      host["machine"], host["system"]))
     for name in sorted(suite["legs"]):
         leg = suite["legs"][name]
         for label, side in (("open", "open"), ("closed", "closed"),
@@ -49,9 +45,9 @@ def _latency(args) -> int:
         for error in row["errors"]:
             print("ERROR [%s]: %s" % (name, error))
     if args.write_baseline:
-        print("baseline written to %s" % write_baseline(
-            suite, slo.rows, slo.BASELINE_PATH))
-    print("report written to %s" % write_json(suite, slo.REPORT_PATH))
+        print("baseline written to %s" % slo.write_baseline(
+            suite, slo.BASELINE_PATH))
+    print("report written to %s" % slo.write_json(suite, slo.REPORT_PATH))
     return 0 if suite["ok"] else 1
 
 
@@ -66,18 +62,6 @@ def _check(args) -> int:
     return 0 if all(row["ok"] for row in rows) else 1
 
 
-def _charts(args) -> int:
-    from . import forwarding, latency, video
-    from .figures import render_figure5, render_figure6, render_figure7
-    print("\n\n".join([
-        render_figure5(latency.figure5(trips=5)),
-        render_figure6(video.figure6(stream_counts=(1, 5, 10, 15, 20, 25),
-                                     duration_s=0.3)),
-        render_figure7(forwarding.figure7(trips=5)),
-    ]))
-    return 0
-
-
 def _paper_report(args) -> int:
     from .report import run_everything
     print("Regenerating every table and figure from the paper...\n")
@@ -87,7 +71,6 @@ def _paper_report(args) -> int:
 
 #: mode flag, its entry point, its help.  At most one may be given.
 _MODES = (
-    ("--charts", _charts, "ASCII renderings of figures 5-7"),
     ("--check", _check,
      "golden-number regression check (exit != 0 on drift)"),
     ("--latency", _latency,

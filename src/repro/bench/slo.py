@@ -2,15 +2,14 @@
 
 ``python -m repro.bench --latency`` runs a small matrix of open-loop
 workloads at several offered loads, extracts p50/p99/p999 from the
-request lifecycles (:mod:`repro.obs.slo`), and writes
-``BENCH_latency.json``.  Three design decisions make every verdict a
-statement about simulated time:
+request lifecycles (:mod:`repro.obs.slo`), judges them against the
+committed baseline and writes ``BENCH_latency.json``.  Three design
+decisions make every verdict a statement about simulated time:
 
 * **Percentile fingerprints are integers.**  Every leg's p50/p99/p999 is
   stated in simulated nanoseconds; they are pure functions of the code
-  and the seeds, byte-identical across hosts and reruns.  Drift against
-  the committed baseline is an *error*.  Wall seconds per leg are an
-  unjudged host measurement.
+  and the seeds, byte-identical across hosts and reruns, and so is the
+  whole report.  Drift against the committed baseline is an *error*.
 * **Every open-loop leg carries a closed-loop twin** run in the same
   process from the same arrival draws.  The twin self-clocks (a request
   departs one drawn gap after the previous *reply*), so it cannot queue
@@ -29,23 +28,39 @@ The scenarios are registry records (:mod:`repro.bench.workloads`): the
 load (no closed twin: its arrival schedule *is* the experiment), and,
 under ``--full``, ``mega_flows``, whose deliberately withheld replies
 make every request's latency a queue measurement.
+
+The gate lives here too (:func:`rows`, :func:`gate`, :func:`judge`): the
+report reduces to rows of ``{name: {"fingerprint": ...}}``, a committed
+baseline is those rows and nothing else (:func:`write_baseline`), and
+the report and its baseline share one schema version and one writer.
+How fast this host ran the simulator is ``perfbench/``'s question.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import replace
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional
 
 from ..obs.slo import RequestLifecycle, SloTracker
-from .gate import REPO_ROOT, judge, new_report
 from .workloads import WORKLOADS, Workload, run_once
 
-__all__ = ["REPORT_PATH", "BASELINE_PATH", "LEGS", "PROBES", "leg_names",
-           "run_leg", "run_probe", "run_latency_suite", "rows"]
+__all__ = ["REPORT_PATH", "BASELINE_PATH", "SCHEMA_VERSION", "LEGS",
+           "PROBES", "leg_names", "run_leg", "run_probe",
+           "run_latency_suite", "rows", "load_baseline", "write_json",
+           "gate", "judge", "write_baseline"]
 
-REPORT_PATH = os.path.join(REPO_ROOT, "BENCH_latency.json")
-BASELINE_PATH = os.path.join(REPO_ROOT, "benchmarks", "latency_baseline.json")
+#: src/repro/bench/slo.py -> the repository root.
+_REPO_ROOT = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), "..", "..", ".."))
+REPORT_PATH = os.path.join(_REPO_ROOT, "BENCH_latency.json")
+BASELINE_PATH = os.path.join(_REPO_ROOT, "benchmarks", "latency_baseline.json")
+
+#: One version for the report and its baseline.  10 dropped every
+#: judged host-speed field; 11 drops the unjudged ones (the ``host``
+#: block and each leg's ``wall_s``).
+SCHEMA_VERSION = 11
 
 #: leg name -> registry record.  The two big workloads run at this
 #: suite's own scales: datagrams per host for the fabric, and for
@@ -67,10 +82,9 @@ def leg_names(quick: bool = True) -> List[str]:
 
 
 def _observed(record: Workload, quick: bool,
-              tracked: bool = False) -> Tuple[RequestLifecycle, float]:
+              tracked: bool = False) -> RequestLifecycle:
     """Run ``record`` reporting its requests to a fresh lifecycle (under
-    an :class:`SloTracker` when ``tracked``); returns it and the run's
-    wall seconds."""
+    an :class:`SloTracker` when ``tracked``); returns the lifecycle."""
     observers = {}
 
     def instrument(bed):
@@ -81,10 +95,10 @@ def _observed(record: Workload, quick: bool,
             bed.engine, observers.get("tracker"))
         return observers["lifecycle"]
 
-    result = run_once(record, record.scale(quick), instrument)
+    run_once(record, record.scale(quick), instrument)
     if tracked:
         observers["tracker"].detach()
-    return observers["lifecycle"], result["wall_s"]
+    return observers["lifecycle"]
 
 
 def _percentiles(lifecycle: RequestLifecycle, kind: str) -> Dict:
@@ -99,27 +113,25 @@ def _percentiles(lifecycle: RequestLifecycle, kind: str) -> Dict:
 
 def run_leg(name: str, quick: bool = True, closed: bool = True) -> Dict:
     """One open-loop leg plus, where the registry has one, its closed
-    twin; ``wall_s`` is the sum of their timed regions."""
+    twin."""
     record = LEGS[name]
-    lifecycle, wall = _observed(record, quick)
+    lifecycle = _observed(record, quick)
     leg = {"workload": name.split("@")[0],
            "open": _percentiles(lifecycle, record.kinds[0])}
     if len(record.kinds) > 1:
         leg["open_tcp"] = _percentiles(lifecycle, record.kinds[1])
     twin = WORKLOADS.get(name + "/closed")
     if closed and twin is not None:
-        lifecycle, twin_wall = _observed(twin, quick)
-        wall += twin_wall
+        lifecycle = _observed(twin, quick)
         leg["closed"] = _percentiles(lifecycle, twin.kinds[0])
         leg["tail_gap_p99_ns"] = leg["open"]["p99_ns"] - leg["closed"]["p99_ns"]
-    leg["wall_s"] = wall
     return leg
 
 
 def run_probe(name: str, quick: bool = True) -> Dict:
     """One closed-loop probe with the queueing decomposition attached."""
     record = WORKLOADS[name]
-    lifecycle, _wall = _observed(record, quick, tracked=True)
+    lifecycle = _observed(record, quick, tracked=True)
     errors = [
         "request %r does not reconcile: components sum to %d ns, "
         "end-to-end is %d ns"
@@ -136,11 +148,13 @@ def run_probe(name: str, quick: bool = True) -> Dict:
 
 def run_latency_suite(quick: bool = True) -> Dict:
     """Run every leg and probe; returns the judged report."""
-    report = new_report("--latency", quick)
+    report = {"schema_version": SCHEMA_VERSION,
+              "generated_by": "python -m repro.bench --latency",
+              "quick": quick}
     report["legs"] = {name: run_leg(name, quick) for name in leg_names(quick)}
     report["decomposition"] = {name: run_probe(name, quick)
                                for name in PROBES}
-    return judge(report, rows, BASELINE_PATH)
+    return judge(report, BASELINE_PATH)
 
 
 #: the integer simulated-time fields a side's fingerprint consists of.
@@ -171,3 +185,96 @@ def rows(report: Dict) -> Dict:
             "errors": probe["errors"],
         }
     return gated
+
+
+# ---------------------------------------------------------------------------
+# the gate, the baseline loader and the one writer
+# ---------------------------------------------------------------------------
+
+def load_baseline(path: str) -> Optional[Dict]:
+    """The committed baseline at ``path``; ``None`` when there is none.
+
+    A file that exists but does not parse raises: treating it as absent
+    would downgrade every fingerprint check to a "no committed baseline"
+    warning and turn the hard gate off silently.
+    """
+    if not os.path.exists(path):
+        return None
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as error:
+            raise ValueError("baseline %s is unreadable: %s" % (path, error))
+
+
+def write_json(payload: Dict, path: str) -> str:
+    """Write a report or baseline; returns the path."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
+def _mismatch(fresh, reference) -> str:
+    """Name what differs: the keys, when both sides are dicts."""
+    if isinstance(fresh, dict) and isinstance(reference, dict):
+        keys = sorted(key for key in set(fresh) | set(reference)
+                      if fresh.get(key) != reference.get(key))
+        return "%s: %r != %r" % (", ".join(keys),
+                                 {key: fresh.get(key) for key in keys},
+                                 {key: reference.get(key) for key in keys})
+    return "%r != %r" % (fresh, reference)
+
+
+def gate(gated: Dict[str, Dict],
+         baseline: Optional[Dict[str, Dict]] = None) -> Dict[str, Dict]:
+    """Judge ``gated`` rows against the committed ``baseline`` rows;
+    returns one verdict row (``ok`` / ``errors`` / ``warnings``) per
+    input row.
+
+    Fingerprint drift is an error; a row may arrive with ``errors`` /
+    ``warnings`` of its own (an unreconciled probe).  ``baseline=None``
+    means there is no committed baseline at all; otherwise a row missing
+    from it warns.
+    """
+    verdicts = {}
+    for name, row in gated.items():
+        errors = list(row.get("errors", ()))
+        warnings = list(row.get("warnings", ()))
+        base = None if baseline is None else baseline.get(name)
+        if base is not None:
+            if row["fingerprint"] != base["fingerprint"]:
+                errors.append("simulated-time fingerprint drifted from the "
+                              "committed baseline on %s"
+                              % _mismatch(row["fingerprint"],
+                                          base["fingerprint"]))
+        elif baseline is not None:
+            warnings.append("no committed baseline for %r" % name)
+        verdicts[name] = {"errors": errors, "warnings": warnings,
+                          "ok": not errors}
+    return verdicts
+
+
+def _mode(report: Dict) -> str:
+    return "quick" if report["quick"] else "full"
+
+
+def judge(report: Dict, path: str) -> Dict:
+    """Gate ``report`` in place against the committed baseline at
+    ``path`` for the report's scale; the verdict lands in
+    ``comparison`` and ``ok``."""
+    committed = (load_baseline(path) or {}).get(_mode(report), {})
+    report["comparison"] = gate(rows(report), committed)
+    report["ok"] = all(row["ok"] for row in report["comparison"].values())
+    return report
+
+
+def write_baseline(report: Dict, path: str) -> str:
+    """Fold ``report`` into the committed baseline at ``path``: the
+    fingerprints the gate reads, for the report's scale; the other
+    scale survives."""
+    baseline = load_baseline(path) or {}
+    baseline["schema_version"] = SCHEMA_VERSION
+    baseline[_mode(report)] = {name: {"fingerprint": row["fingerprint"]}
+                               for name, row in rows(report).items()}
+    return write_json(baseline, path)

@@ -105,14 +105,14 @@ def _plug(medium, nic: NIC) -> None:
 
 def build_testbed(os_name: str, device: str, n_hosts: int = 2,
                   deliver_mode: str = "interrupt", fast_driver: bool = False,
-                  warm_arp: bool = True, costs: CostTable = ALPHA_21064,
-                  engine: Optional[Engine] = None) -> Testbed:
+                  warm_arp: bool = True,
+                  costs: CostTable = ALPHA_21064) -> Testbed:
     """Assemble ``n_hosts`` machines on one medium running one OS model."""
     if os_name not in OSES:
         raise ValueError("unknown OS %r (choose from %s)" % (os_name, OSES))
     if device == "t3" and n_hosts != 2:
         raise ValueError("T3 adapters connect back-to-back: exactly 2 hosts")
-    engine = engine or Engine()
+    engine = Engine()
     bed = Testbed(engine, os_name, device, deliver_mode, costs)
     bed.medium = _make_medium(engine, device)
     link_kind = "ethernet" if device == "ethernet" else "raw"
@@ -158,9 +158,9 @@ class RawEchoHost(Host):
 
 
 def build_raw_pair(device: str, fast_driver: bool = False,
-                   costs: CostTable = ALPHA_21064, engine: Optional[Engine] = None):
+                   costs: CostTable = ALPHA_21064):
     """Two stackless hosts for the hardware-floor ping-pong."""
-    engine = engine or Engine()
+    engine = Engine()
     initiator = RawEchoHost(engine, "raw-a", echo=False, costs=costs)
     responder = RawEchoHost(engine, "raw-b", echo=True, costs=costs)
     nic_a = _make_nic(engine, device, 1, fast_driver)

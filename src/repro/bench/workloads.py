@@ -14,29 +14,26 @@ several times.  The echo and the stream have a SPIN and a UNIX half,
 picked by the bed's OS, as the paper runs one conversation on both.
 
 One function runs records: :func:`run_once` (build -> instrument ->
-setup -> GC-quiesce -> time -> record, on a single engine, in this
-process).  ``--latency`` and ``python -m repro.obs --workload`` go
-through it.  Figure 5 and section 4.2
+setup -> run -> record, on a single engine, in this process).
+``--latency`` and ``python -m repro.obs --workload`` go through it.
+Figure 5 and section 4.2
 (:mod:`repro.bench.latency`, :mod:`repro.bench.throughput`) wire the
 same ``setup`` functions onto beds of their own through
 :func:`run_scenario`, and ``repro.chaos`` starts them on impaired beds.
 
 Each result carries a **fingerprint** of simulated-time outputs, the
 only thing the gate judges: any substrate change must leave every field
-*bit-identical*, because the simulation is deterministic and wall-clock
-work must never leak into simulated time.  Every scenario sends seeded
-bytes and its fingerprint function first checks what arrived -- streams
-and objects byte-exact, each echo exactly once -- raising on a mismatch.
-The host-side field beside it (``wall_s``) is unjudged; ``perfbench/``
-is where host speed and footprint are measured.
+*bit-identical*, because the simulation is deterministic.  Every
+scenario sends seeded bytes and its fingerprint function first checks
+what arrived -- streams and objects byte-exact, each echo exactly once --
+raising on a mismatch.  A result holds nothing host-timed: host speed
+and footprint are measured by ``perfbench/``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import gc
 import random
-import time
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional, Tuple
@@ -74,8 +71,8 @@ class Workload:
     fingerprint: Callable
     quick: int
     full: int
-    #: the discarded warm-up pass heats imports, codegen and allocator
-    #: pools; it need not pay for a huge quick scale twice
+    #: the smallest scale every record runs at (the tests' twins and
+    #: registry checks use it)
     warmup: int
     #: request kinds a :class:`~repro.obs.slo.RequestLifecycle` sees
     kinds: Tuple[str, ...] = ()
@@ -942,41 +939,25 @@ WORKLOADS: Dict[str, Workload] = {record.name: record for record in _RECORDS}
 # the runner
 # ---------------------------------------------------------------------------
 
-@contextlib.contextmanager
-def _gc_quiesced() -> Iterator[None]:
-    """Quiesce the cyclic collector around a timed region (pyperf does
-    the same): GC pauses land randomly and are the dominant run-to-run
-    noise source.  Simulated time cannot observe this."""
-    was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def run_once(record: Workload, scale: int, instrument=None) -> Dict:
     """Run ``record`` on a single engine: build -> instrument -> setup ->
-    GC-quiesce -> time -> record.
+    run -> record.
 
     ``instrument`` is called with the freshly built bed before the
     scenario is wired -- the hook ``repro.obs`` uses to attach profilers
     and tracers -- and may return a
     :class:`~repro.obs.slo.RequestLifecycle` for the scenario to report
     its requests to.  Neither may perturb simulated time.  The metrics
-    snapshot is taken after the timed region: every run builds a fresh
-    bed whose counters start at zero, so the snapshot *is* the run's
-    registry delta.
+    snapshot is taken after the run: every run builds a fresh bed whose
+    counters start at zero, so the snapshot *is* the run's registry
+    delta.
     """
     bed = record.build(scale)
     lifecycle = instrument(bed) if instrument is not None else None
     state, main = record.setup(bed, scale, lifecycle)
     engine = bed.engine
     until = state.get("until")
-    with _gc_quiesced(), _children_surfaced(state):
-        wall0 = time.perf_counter()
+    with _children_surfaced(state):
         if until is None:
             engine.run_process(main(), name=record.name)
         else:
@@ -987,10 +968,8 @@ def run_once(record: Workload, scale: int, instrument=None) -> Dict:
             # report a normal-looking record.
             if process.triggered:
                 process.value
-        wall = time.perf_counter() - wall0
     fingerprint = record.fingerprint(state, bed)
     return {
-        "wall_s": wall,
         "events": engine.events_processed,
         "metrics": instrument_testbed(bed).snapshot(),
         "fingerprint": fingerprint,
@@ -998,16 +977,9 @@ def run_once(record: Workload, scale: int, instrument=None) -> Dict:
 
 
 def run_workload(name: str, quick: bool = False, instrument=None) -> Dict:
-    """Run a registered workload once at its quick or full scale.
-
-    One discarded warm-up pass comes first, so imports, codegen
-    ``compile()`` calls and allocator pools are not part of the reported
-    ``wall_s``.  It is uninstrumented: the warm-up bed is thrown away
-    and must not pollute a profiler.
-    """
+    """Run a registered workload once at its quick or full scale."""
     record = WORKLOADS[name]
     scale = record.scale(quick)
-    run_once(record, record.warmup)
     result = run_once(record, scale, instrument)
     result.update(name=name, scale=scale, quick=quick)
     return result

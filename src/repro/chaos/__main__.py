@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 from typing import List
 
 from .bundle import DEFAULT_BUNDLE_DIR, load_bundle, write_bundle
@@ -91,14 +90,11 @@ def main(argv: List[str] = None) -> int:
     if args.sabotage:
         specs[0] = dataclasses.replace(specs[0], sabotage=args.sabotage)
 
-    start = time.perf_counter()
     verdicts = run_corpus(specs)
-    elapsed = time.perf_counter() - start
     if args.json:
         json.dump(verdicts, sys.stdout, indent=2, sort_keys=True)
         print()
     failures = _summarize(verdicts, args.bundle_dir)
-    print("wall time: %.1f s" % elapsed)
     return 1 if failures else 0
 
 

@@ -41,10 +41,9 @@ HOST_LINK_PROPAGATION_US = 0.5
 class FabricBed(Testbed):
     """A testbed whose medium is a programmed multi-hop switch fabric."""
 
-    def __init__(self, engine: Optional[Engine], os_name: str, ecmp_seed: int,
+    def __init__(self, engine: Engine, os_name: str, ecmp_seed: int,
                  deliver_mode: str, costs: CostTable):
-        super().__init__(engine or Engine(), os_name, "fabric", deliver_mode,
-                         costs)
+        super().__init__(engine, os_name, "fabric", deliver_mode, costs)
         self.ecmp_seed = ecmp_seed           # of every switch
         self.switches: List[SwitchHost] = []
         self.links: List[object] = []
@@ -159,12 +158,11 @@ def _validate_fat_tree(k: int, hosts_per_edge: int) -> int:
 
 
 def fat_tree(k: int, os_name: str = "spin", hosts_per_edge: int = 1,
-             engine: Optional[Engine] = None, ecmp_seed: int = 1996,
-             deliver_mode: str = "interrupt",
+             ecmp_seed: int = 1996, deliver_mode: str = "interrupt",
              costs: CostTable = ALPHA_21064) -> FabricBed:
     """A full k-ary fat-tree on one engine."""
     half = _validate_fat_tree(k, hosts_per_edge)
-    bed = FabricBed(engine, os_name, ecmp_seed, deliver_mode, costs)
+    bed = FabricBed(Engine(), os_name, ecmp_seed, deliver_mode, costs)
     bed.fat_tree_k = k
     bed.hosts_per_edge = hosts_per_edge
 
@@ -296,15 +294,15 @@ def schedule_core_avoidance(bed: FabricBed, at_us: float,
 # ---------------------------------------------------------------------------
 
 def leaf_spine(spines: int, leaves: int, os_name: str = "spin",
-               hosts_per_leaf: int = 1, engine: Optional[Engine] = None,
-               ecmp_seed: int = 1996, deliver_mode: str = "interrupt",
+               hosts_per_leaf: int = 1, ecmp_seed: int = 1996,
+               deliver_mode: str = "interrupt",
                costs: CostTable = ALPHA_21064) -> FabricBed:
     """A two-tier leaf-spine fabric: every leaf uplinks to every spine."""
     if spines < 1 or leaves < 2:
         raise ValueError("leaf-spine needs >= 1 spine and >= 2 leaves")
     if hosts_per_leaf < 1:
         raise ValueError("hosts_per_leaf must be >= 1")
-    bed = FabricBed(engine, os_name, ecmp_seed, deliver_mode, costs)
+    bed = FabricBed(Engine(), os_name, ecmp_seed, deliver_mode, costs)
 
     def host_ip(l: int, s: int) -> int:
         return ip_aton("10.0.%d.%d" % (l, s + 2))
@@ -361,13 +359,12 @@ def leaf_spine(spines: int, leaves: int, os_name: str = "spin",
 
 
 def linear_chain(n_switches: int, os_name: str = "spin",
-                 engine: Optional[Engine] = None, ecmp_seed: int = 1996,
-                 deliver_mode: str = "interrupt",
+                 ecmp_seed: int = 1996, deliver_mode: str = "interrupt",
                  costs: CostTable = ALPHA_21064) -> FabricBed:
     """Two hosts joined by a chain of ``n_switches`` single-table hops."""
     if n_switches < 1:
         raise ValueError("a chain needs at least one switch")
-    bed = FabricBed(engine, os_name, ecmp_seed, deliver_mode, costs)
+    bed = FabricBed(Engine(), os_name, ecmp_seed, deliver_mode, costs)
     ip_a, ip_b = ip_aton("10.0.0.2"), ip_aton("10.0.1.2")
 
     def chain_addr(i: int, port: int) -> str:

@@ -2,10 +2,10 @@
 CLI parser, one workload registry.
 
 The gate's policies are table-driven here, first on bare rows and then
-through the latency suite's row extractor on a synthetic report; the
-tests that predate the single gate (``TestLatencyGate``) keep their own
-file and go through the same functions.  Nothing here depends on how
-fast the host is: the gate judges fingerprints only.
+through the latency suite's row extractor on a synthetic report;
+``test_slo.py::TestLatencyGate`` goes through the same functions.
+Nothing here depends on how fast the host is: the gate judges
+fingerprints only, and a run records nothing host-timed.
 """
 
 import copy
@@ -17,8 +17,8 @@ import pytest
 
 from repro.bench import slo, workloads
 from repro.bench.__main__ import _parser, main
-from repro.bench.gate import (gate, judge, load_baseline, write_baseline,
-                              write_json)
+from repro.bench.slo import (gate, judge, load_baseline, write_baseline,
+                             write_json)
 from repro.bench.testbed import DEVICES
 from repro.bench.workloads import PINGPONG, WORKLOADS, run_once
 from repro.core.manager import UdpEndpoint
@@ -31,7 +31,7 @@ from repro.unixos.sockets import UdpSocket
 # the policies on bare rows
 # ---------------------------------------------------------------------------
 
-ROW = {"fingerprint": {"f": 1, "g": 2}, "wall_s": 1.0}
+ROW = {"fingerprint": {"f": 1, "g": 2}}
 
 
 def _row(**changes):
@@ -42,8 +42,8 @@ def _row(**changes):
 #: ("" = there must be none)
 POLICY_TABLE = [
     ("clean", _row(), _row(), True, "", ""),
-    # fingerprint drift is an error; wall time is never judged
-    ("baseline fingerprint drift", _row(wall_s=0.01),
+    # fingerprint drift is an error
+    ("baseline fingerprint drift", _row(),
      _row(fingerprint={"f": 1, "g": 3}), False,
      "fingerprint drifted from the committed baseline on g", ""),
     # a committed baseline is fingerprints: a row it lacks warns
@@ -77,7 +77,6 @@ def test_gate_policy(row, base, ok, error, warning):
 # the policies through the suite's row extractor
 # ---------------------------------------------------------------------------
 
-HOST = {"machine": "x"}
 _SIDE = {"n": 10, "p50_ns": 100, "p99_ns": 200, "p999_ns": 300,
          "max_ns": 300, "sum_ns": 1500, "requested": 10, "completed": 10,
          "still_open": 0}
@@ -85,18 +84,16 @@ _SIDE = {"n": 10, "p50_ns": 100, "p99_ns": 200, "p999_ns": 300,
 
 def _latency_report():
     return {
-        "quick": True, "host": HOST,
-        "legs": {"udp_echo@g400": {"open": dict(_SIDE), "closed": dict(_SIDE),
-                                   "wall_s": 1.0}},
+        "quick": True,
+        "legs": {"udp_echo@g400": {"open": dict(_SIDE), "closed": dict(_SIDE)}},
         "decomposition": {"udp_clean": {
             "percentiles": dict(_SIDE), "components_ns": {"cpu_service": 9},
             "reconciled": True, "errors": []}},
     }
 
 
-SUITES = {
-    "latency": (_latency_report, slo.rows, "udp_echo@g400"),
-}
+#: the suites the gate serves, by the name the test ids carry
+SUITES = {"latency": _latency_report}
 
 
 def _set(path, value):
@@ -110,7 +107,7 @@ def _set(path, value):
 
 
 #: suite, what is wrong with the fresh report, the row that must say so,
-#: ok, and a substring of the error ("" = warning-only or clean)
+#: ok, and a substring of the error ("" = clean)
 SUITE_TABLE = [
     ("latency", None, "udp_echo@g400", True, ""),
     ("latency", _set(["legs", "udp_echo@g400", "open", "p99_ns"], 240),
@@ -127,13 +124,13 @@ SUITE_TABLE = [
 @pytest.mark.parametrize("suite, mutate, row, ok, error", SUITE_TABLE)
 def test_suite_rows_through_the_gate(tmp_path, suite, mutate, row, ok,
                                      error):
-    build, extract, _row_name = SUITES[suite]
+    build = SUITES[suite]
     path = str(tmp_path / "baseline.json")
-    write_baseline(build(), extract, path)
+    write_baseline(build(), path)
     report = build()
     if mutate is not None:
         mutate(report)
-    judge(report, extract, path)
+    judge(report, path)
     verdict = report["comparison"][row]
     assert verdict["ok"] is ok and report["ok"] is ok
     if error:
@@ -142,47 +139,43 @@ def test_suite_rows_through_the_gate(tmp_path, suite, mutate, row, ok,
     assert all(report["comparison"][name]["ok"] for name in others)
 
 
-@pytest.mark.parametrize("suite", sorted(SUITES))
-def test_baseline_is_the_projection_of_the_gate_rows(tmp_path, suite):
-    build, extract, row = SUITES[suite]
+def test_baseline_is_the_projection_of_the_gate_rows(tmp_path):
     path = str(tmp_path / "baseline.json")
-    write_baseline(build(), extract, path)
+    write_baseline(_latency_report(), path)
     baseline = load_baseline(path)
     assert set(baseline) == {"schema_version", "quick"}
     assert all(set(committed) == {"fingerprint"}
                for committed in baseline["quick"].values())
     # The other scale survives a refresh.
-    full = build()
+    full = _latency_report()
     full["quick"] = False
-    write_baseline(full, extract, path)
+    write_baseline(full, path)
     assert set(load_baseline(path)) >= {"quick", "full"}
 
 
-@pytest.mark.parametrize("suite", ["latency"])
+@pytest.mark.parametrize("suite", sorted(SUITES))
 def test_slow_or_missing_baseline_only_warns(tmp_path, suite):
-    build, extract, row = SUITES[suite]
     path = str(tmp_path / "baseline.json")
-    report = judge(build(), extract, path)                      # no file
-    verdict = report["comparison"][row]
+    report = judge(SUITES[suite](), path)                       # no file
+    verdict = report["comparison"]["udp_echo@g400"]
     assert report["ok"] and verdict["ok"] and not verdict["errors"]
     assert any("no committed baseline" in w for w in verdict["warnings"])
 
 
 def test_a_100x_slower_host_changes_no_verdict(tmp_path):
-    """Host speed is not this harness's to judge: a fresh latency
-    report 100x slower than a schema-9 baseline (which still carried
-    speed columns) is clean, with no ``speed_*`` key on any row."""
-    build, extract, _row = SUITES["latency"]
+    """Host speed is not this harness's to judge: a baseline whose rows
+    still carry the host-time columns of older schemas (``wall_s``,
+    ``events_per_sec``, a ``host`` block) judges a fresh report clean,
+    with no ``speed_*`` key on any row."""
     path = str(tmp_path / "latency.json")
-    write_baseline(build(), extract, path)
+    write_baseline(_latency_report(), path)
     baseline = load_baseline(path)
-    baseline["host"] = HOST
+    baseline["host"] = {"machine": "x"}
     for committed in baseline["quick"].values():
         committed.update(wall_s=1.0, events_per_sec=100.0)
     write_json(baseline, path)
-    report = build()
-    report["legs"]["udp_echo@g400"]["wall_s"] *= 100.0
-    assert judge(report, extract, path)["ok"]
+    report = _latency_report()
+    assert judge(report, path)["ok"]
     for verdict in report["comparison"].values():
         assert verdict == {"ok": True, "errors": [], "warnings": []}
 
@@ -201,15 +194,13 @@ class TestLoadBaseline:
         with pytest.raises(ValueError, match="baseline.json"):
             load_baseline(str(path))
 
-    @pytest.mark.parametrize("suite", ["latency"])
-    def test_corrupt_baseline_cannot_turn_the_gate_off(self, tmp_path, suite):
+    def test_corrupt_baseline_cannot_turn_the_gate_off(self, tmp_path):
         """Both old loaders returned None here, every row then read "no
         committed baseline", and the suite exited 0."""
-        build, extract, _row = SUITES[suite]
         path = tmp_path / "baseline.json"
         path.write_text("{")
         with pytest.raises(ValueError, match="unreadable"):
-            judge(build(), extract, str(path))
+            judge(_latency_report(), str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +210,7 @@ class TestLoadBaseline:
 class TestCommandLine:
     @pytest.mark.parametrize("argv", [
         ["--latecy"],                       # a typo once ran the full report
-        ["--charts", "--latency"],          # one mode at a time
+        ["--check", "--latency"],           # one mode at a time
         ["--quick", "--full"],
         ["--jobs", "0"], ["--jobs", "two"], ["--jobs"],   # retired
         ["--latency", "--sim-jobs", "2"],   # deleted with the sharded runs
@@ -229,9 +220,10 @@ class TestCommandLine:
         ["--wallclock"],                    # retired: perfbench pins its rows
         ["--check", "--jobs", "4"],
         ["--parallel-curve", "--jobs", "4"],
-        ["--charts", "--full"],
+        ["--check", "--full"],
         ["--full"],                         # the report has one scale
         ["--parallel-curve"],               # deleted with the sharded runs
+        ["--charts"],                       # deleted: the report prints them
     ])
     def test_bad_arguments_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -323,10 +315,8 @@ class TestRegistry:
     def test_every_record_runs_at_its_warmup_scale(self, name):
         record = WORKLOADS[name]
         result = run_once(record, record.warmup)
-        assert result["events"] > 0 and result["wall_s"] > 0
-        assert result["fingerprint"]
-        assert "flow_cache" not in result
-        assert "per_flow_kb" not in result
+        assert set(result) == {"events", "metrics", "fingerprint"}
+        assert result["events"] > 0 and result["fingerprint"]
         assert record.quick <= record.full
 
     def test_paper_measures_run_the_registry_scenario(self):

@@ -1,8 +1,7 @@
-"""Tests for the benchmark harness itself: stats, tables, charts, testbeds."""
+"""Tests for the benchmark harness itself: stats, tables, testbeds."""
 
 import pytest
 
-from repro.bench.figures import bar_chart, curve_chart, render_figure5
 from repro.bench.report import format_table
 from repro.bench.stats import summarize
 from repro.bench.testbed import build_raw_pair, build_testbed
@@ -36,29 +35,6 @@ class TestTables:
         assert lines[0] == "T"
         assert "1.2" in text and "10.0" in text
         assert "-" in lines[-1]  # None rendered as '-'
-
-    def test_bar_chart_scales_to_peak(self):
-        rows = [{"label": "small", "v": 10.0}, {"label": "big", "v": 100.0}]
-        text = bar_chart(rows, "label", "v", width=20)
-        small_line, big_line = text.splitlines()
-        assert big_line.count("#") == 20
-        assert small_line.count("#") == 2
-
-    def test_curve_chart_renders_legend(self):
-        text = curve_chart({"A": [1, 2, 3], "B": [3, 2, 1]}, [10, 20, 30])
-        assert "* = A" in text
-        assert "o = B" in text
-
-    def test_render_figure5_sections(self):
-        rows = [
-            {"device": "ethernet", "system": "raw", "rtt_us": 100.0,
-             "paper_us": None},
-            {"device": "ethernet", "system": "plexus", "rtt_us": 200.0,
-             "paper_us": None},
-        ]
-        text = render_figure5(rows)
-        assert "ethernet:" in text
-        assert "plexus" in text
 
 
 class TestTestbedConstruction:

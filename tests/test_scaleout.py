@@ -165,9 +165,8 @@ class TestManyFlows:
         # 512 B pushed per TCP flow + 128 B echoed per UDP flow.
         assert fp["bytes_in"] == 200 * 512 + 200 * 128
         assert record["events"] > 0
-        # Host-side metrics exist but are not fingerprint material.
-        assert record["wall_s"] > 0 and "wall_s" not in fp
-        assert "per_flow_kb" not in record
+        # A record is simulated outputs only: nothing host-timed.
+        assert set(record) == {"events", "metrics", "fingerprint"}
 
     def test_fingerprint_ignores_flow_cache_env(self):
         """The ``scan`` twin's reference dispatch gives the same record:

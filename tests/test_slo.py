@@ -1,5 +1,6 @@
 """SLO layer: shared percentiles, request lifecycles, the critical-path
-decomposition, and the BENCH_latency gate semantics."""
+decomposition, the latency suite's determinism, and its gate
+semantics."""
 
 import types
 
@@ -321,11 +322,10 @@ def _tiny_report():
              "stall": 100, "unattributed": 0}
     return {
         "quick": True,
-        "host": {"machine": "x"},
         "legs": {"udp_echo@g400": {
             "workload": "udp_echo",
             "open": _fingerprint_side(), "closed": _fingerprint_side(),
-            "tail_gap_p99_ns": 0, "wall_s": 1.0,
+            "tail_gap_p99_ns": 0,
         }},
         "decomposition": {"udp_clean": {
             "percentiles": _fingerprint_side(),
@@ -335,25 +335,23 @@ def _tiny_report():
 
 
 class TestLatencyGate:
-    """The latency suite's row extractor through the one gate, against a
-    baseline written by the one projection."""
+    """The latency suite's rows through the one gate, against a baseline
+    written by the one projection."""
 
     @pytest.fixture(autouse=True)
     def _baseline_path(self, tmp_path):
         self.path = str(tmp_path / "latency_baseline.json")
 
     def _baseline(self, report):
-        from repro.bench.gate import load_baseline, write_baseline
-        from repro.bench.slo import rows
-        write_baseline(report, rows, self.path)
+        from repro.bench.slo import load_baseline, write_baseline
+        write_baseline(report, self.path)
         return load_baseline(self.path)
 
     def _judged(self, report, baseline=None):
-        from repro.bench.gate import judge, write_json
-        from repro.bench.slo import rows
+        from repro.bench.slo import judge, write_json
         if baseline is not None:
             write_json(baseline, self.path)
-        return judge(report, rows, self.path)["comparison"]
+        return judge(report, self.path)["comparison"]
 
     def test_matching_baseline_is_clean(self):
         report = _tiny_report()
@@ -395,9 +393,7 @@ class TestHarnessDeterminism:
         from repro.bench.slo import run_leg, run_probe
 
         def run():
-            leg = run_leg("udp_echo@g2000")
-            leg.pop("wall_s")
-            return leg, run_probe("udp_clean")
+            return run_leg("udp_echo@g2000"), run_probe("udp_clean")
 
         assert run() == run()
 
