@@ -226,30 +226,26 @@ def _mismatch(fresh, reference) -> str:
     return "%r != %r" % (fresh, reference)
 
 
-def gate(gated: Dict[str, Dict],
-         baseline: Optional[Dict[str, Dict]] = None) -> Dict[str, Dict]:
+def gate(gated: Dict[str, Dict], baseline: Dict[str, Dict]) -> Dict[str, Dict]:
     """Judge ``gated`` rows against the committed ``baseline`` rows;
     returns one verdict row (``ok`` / ``errors`` / ``warnings``) per
     input row.
 
     Fingerprint drift is an error; a row may arrive with ``errors`` /
-    ``warnings`` of its own (an unreconciled probe).  ``baseline=None``
-    means there is no committed baseline at all; otherwise a row missing
-    from it warns.
+    ``warnings`` of its own (an unreconciled probe).  A row missing from
+    ``baseline`` warns.
     """
     verdicts = {}
     for name, row in gated.items():
         errors = list(row.get("errors", ()))
         warnings = list(row.get("warnings", ()))
-        base = None if baseline is None else baseline.get(name)
-        if base is not None:
-            if row["fingerprint"] != base["fingerprint"]:
-                errors.append("simulated-time fingerprint drifted from the "
-                              "committed baseline on %s"
-                              % _mismatch(row["fingerprint"],
-                                          base["fingerprint"]))
-        elif baseline is not None:
+        base = baseline.get(name)
+        if base is None:
             warnings.append("no committed baseline for %r" % name)
+        elif row["fingerprint"] != base["fingerprint"]:
+            errors.append("simulated-time fingerprint drifted from the "
+                          "committed baseline on %s"
+                          % _mismatch(row["fingerprint"], base["fingerprint"]))
         verdicts[name] = {"errors": errors, "warnings": warnings,
                           "ok": not errors}
     return verdicts

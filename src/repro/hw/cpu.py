@@ -314,7 +314,8 @@ class KernelPath(Event):
         cpu.busy_time += amount
         profile = self._profile
         if profile is not None and amount:
-            profile.consumed(amount)
+            for on_consume in profile.on_consume:
+                on_consume(profile, amount)
         interrupts, threads = cpu.run_queue
         if interrupts:
             successor = interrupts.popleft()

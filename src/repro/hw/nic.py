@@ -83,9 +83,9 @@ class NIC:
         self.rx_drops = 0
         self.rx_filtered = 0  # delivered by the wire, not addressed to us
         self.promiscuous = False
-        #: optional repro.obs.taps.NicTaps, told of every stage_tx and
-        #: frame_on_wire on entry; None (the default) keeps both per-frame
-        #: paths on their untapped shape.
+        #: optional repro.obs.taps.NicTaps, whose on_tx / on_rx listeners
+        #: stage_tx and frame_on_wire call on entry; None (the default)
+        #: keeps both per-frame paths on their untapped shape.
         self.taps = None
         self._draining = False    # a frame of the tx queue is on the wire
 
@@ -125,7 +125,8 @@ class NIC:
         """
         data = bytes(data)
         if self.taps is not None:
-            self.taps.tx(data)
+            for on_tx in self.taps.on_tx:
+                on_tx(self, data)
         host = self.host
         if host is None:
             raise RuntimeError("NIC %s not installed on a host" % self.name)
@@ -201,7 +202,8 @@ class NIC:
         accepted = self.promiscuous or frame.dst_addr == self.address or \
             self._is_broadcast(frame.dst_addr)
         if self.taps is not None:
-            self.taps.rx(frame, accepted)
+            for on_rx in self.taps.on_rx:
+                on_rx(self, frame, accepted)
         if not accepted:
             self.rx_filtered += 1
             return

@@ -6,8 +6,11 @@ timeline (attaching any of them never changes a fingerprint):
 * :mod:`repro.obs.taps` -- the two seams observers subscribe to
   (``cpu.profile``, ``nic.taps``; ``None`` while unobserved), their
   listener methods, and the one :class:`Observer` attach/detach that
-  lets observers come and go in any order.  ``cpu.profile`` is also the
-  one per-charge record; listeners hear frames, not charges.
+  lets observers come and go in any order.  The code that owns an event
+  calls each listener of it, with no relay between: a seam event costs
+  one call per listener that defines its ``on_<event>``, and ``on_push``
+  is heard at depth 0 only (a kernel path's entry).  ``cpu.profile`` is
+  also the one per-charge record; listeners hear frames, not charges.
 * :mod:`repro.obs.registry` -- a central :class:`MetricsRegistry` of
   named gauges (summed callback sources) behind a stable dotted
   namespace (``spin.dispatcher.raises``, ``hw.nic.rx_filtered``, ...)

@@ -296,7 +296,8 @@ class SloTracker(Observer):
     # -- listener interface (cpu.profile) --------------------------------
 
     def on_push(self, hook: CpuHook, label: str) -> None:
-        if hook.depth or self._request is None:
+        # The hook calls it at depth 0 only: a kernel path's entry.
+        if self._request is None:
             return
         host = hook.host
         if label == "interrupt_body":

@@ -51,23 +51,25 @@ class SpanTracer(RingTracer):
         return list(map(Span._make, self._ring))
 
     # -- listener interface (cpu.profile) --------------------------------
+    # Each listener appends to the ring itself: no helper frame per span.
 
     def on_pop(self, hook: CpuHook, label: str, charged_us: float) -> None:
         # The frame stack is the hook's, so a tracer may join mid-frame;
         # the frame opened at this instant, under the frames still open.
-        self._record((self.engine.now, hook.host_name, hook.depth, label, "cpu", charged_us))
+        self._ring.append((self.engine.now, hook.host_name, hook.depth, label, "cpu", charged_us))
+        self._recorded += 1
 
     # -- listener interface (nic.taps) -----------------------------------
 
     def on_tx(self, nic, data) -> None:
-        self._wire(nic, "tx")
+        host = nic.host.name if nic.host is not None else nic.name
+        self._ring.append((self.engine.now, host, 0, nic.name, "tx", 0.0))
+        self._recorded += 1
 
     def on_rx(self, nic, frame, accepted: bool) -> None:
-        self._wire(nic, "rx")
-
-    def _wire(self, nic, kind: str) -> None:
         host = nic.host.name if nic.host is not None else nic.name
-        self._record((self.engine.now, host, 0, nic.name, kind, 0.0))
+        self._ring.append((self.engine.now, host, 0, nic.name, "rx", 0.0))
+        self._recorded += 1
 
     # -- rendering -------------------------------------------------------
 

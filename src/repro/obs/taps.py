@@ -6,8 +6,15 @@ dispatcher event.  ``cpu.profile`` (:class:`CpuHook`) and ``nic.taps``
 (:class:`NicTaps`) are ``None`` until the first listener subscribes and
 ``None`` again once the last one leaves, so an unobserved hot path pays
 one attribute test per seam.  A listener defines only the ``on_<event>``
-methods it wants; the fan-out loops never call a stub.  Charges are no
-event: :class:`CpuHook` books each one and observers read it afterwards.
+methods it wants.  For each event the seam keeps ``on_<event>``, the
+tuple of its listeners' bound methods, and the code that owns the event
+loops over that tuple in its own frame: ``NIC.stage_tx`` over
+``taps.on_tx``, ``NIC.frame_on_wire`` over ``taps.on_rx`` and
+``KernelPath._held`` over ``profile.on_consume``.  So an event costs one
+call per listener that defines it, and no relay frame.  ``on_push`` is
+heard at depth 0 only, the entry of a kernel path; ``on_pop`` at every
+depth.  Charges are no event: :class:`CpuHook` books each one and
+observers read it afterwards.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ __all__ = ["CpuHook", "NicTaps", "Observer", "RingTracer"]
 
 class _Seam:
     """Listener fan-out firing ``events``; creating one installs it as
-    ``owner.<attr>``, and the last listener to leave removes it again."""
+    ``owner.<attr>``, and the last listener to leave removes it again.
+    ``seam.on_<event>`` is the tuple of the listeners' ``on_<event>``."""
 
     def __init__(self, owner):
         self.owner = owner
@@ -36,7 +44,7 @@ class _Seam:
         for event in self.events:
             method = "on_" + event
             bound = tuple(getattr(x, method) for x in listeners if hasattr(x, method))
-            setattr(self, "_" + event, bound)
+            setattr(self, method, bound)
 
     def join(self, listener) -> None:
         if listener not in self.listeners:
@@ -48,17 +56,30 @@ class _Seam:
             setattr(self.owner, self.attr, None)
 
 
+class _Cell(CategoryTimes):
+    """One frame stack's charges by category, with the cells of the
+    frames opened under it, by label."""
+
+    __slots__ = ("path", "children")
+
+    def __init__(self, path: Tuple[str, ...]):
+        self.path = path
+        self.children: Dict[str, "_Cell"] = {}
+
+
 class CpuHook(_Seam):
     """``cpu.profile``: per-CPU frame stack, the one record of every
     charge, and listener fan-out for frames and consumption.
 
     While installed it swaps ``cpu.category_times`` for a
     :class:`_ProfilingTimes`, which books each charge and calls nobody:
-    into ``cells`` (``(host, *frames) -> {category: us}``) and into the
-    innermost open frame's self-charge.  Listeners:
-    ``on_push(hook, label)``, ``on_pop(hook, label, charged_us)`` (the
-    frame's self-charge; ``hook.depth`` is its depth),
-    ``on_consume(hook, amount)``.
+    into the open frame stack's cell and into the innermost open frame's
+    self-charge.  ``cells`` maps each stack's path (``(host, *frames)``)
+    to its cell (``{category: us}``).  Listeners:
+    ``on_push(hook, label)`` (a kernel path's entry: pushes at depth 0
+    only), ``on_pop(hook, label, charged_us)`` (every frame, with its
+    self-charge; ``hook.depth`` is its depth) and
+    ``on_consume(hook, amount)`` (``KernelPath._held`` calls each).
 
     Inlined charge sites hold ``category_times`` in a local for a whole
     kernel path, so inside one the swap waits for the path's deferred actions.
@@ -73,13 +94,12 @@ class CpuHook(_Seam):
         self.cpu = cpu
         self.host = host
         self.host_name = host.name
-        # The open frame stack: its path (the cell key), its depth, and a
-        # linked stack of the enclosing frames' (path, cell, charged, outer).
-        self.path: Tuple[str, ...] = (host.name,)
+        # The open frame stack: its cell, its depth, and a linked stack
+        # of the enclosing frames' (cell, charged, outer).
         self.depth = 0
         self._outer: Optional[tuple] = None
-        self.times = _ProfilingTimes()
-        self.cells: Dict[Tuple[str, ...], Dict[str, float]] = {self.path: self.times.cell}
+        self.times = _ProfilingTimes(_Cell((host.name,)))
+        self.cells: Dict[Tuple[str, ...], Dict[str, float]] = {(host.name,): self.times.cell}
         self._swap()
 
     def _swap(self) -> None:
@@ -101,31 +121,34 @@ class CpuHook(_Seam):
         self._swap()
 
     def push(self, label: str) -> None:
-        for on_push in self._push:
-            on_push(self, label)
+        depth = self.depth
+        if not depth:
+            for on_push in self.on_push:
+                on_push(self, label)
         times = self.times
-        path = self.path
-        self._outer = (path, times.cell, times.charged, self._outer)
-        self.path = path = path + (label,)
+        cell = times.cell
+        self._outer = (cell, times.charged, self._outer)
         try:
-            times.cell = self.cells[path]
+            times.cell = cell.children[label]
         except KeyError:
-            times.cell = self.cells[path] = CategoryTimes()
+            times.cell = self._open(cell, label)
         times.charged = 0.0
-        self.depth += 1
+        self.depth = depth + 1
+
+    def _open(self, parent: _Cell, label: str) -> _Cell:
+        """The first push of ``label`` under ``parent`` makes its cell."""
+        path = parent.path + (label,)
+        cell = parent.children[label] = self.cells[path] = _Cell(path)
+        return cell
 
     def pop(self) -> None:
         times = self.times
         charged = times.charged
-        label = self.path[-1]
-        self.path, times.cell, times.charged, self._outer = self._outer
+        label = times.cell.path[-1]
+        times.cell, times.charged, self._outer = self._outer
         self.depth -= 1
-        for on_pop in self._pop:
+        for on_pop in self.on_pop:
             on_pop(self, label, charged)
-
-    def consumed(self, amount: float) -> None:
-        for on_consume in self._consume:
-            on_consume(self, amount)
 
 
 class _ProfilingTimes(CategoryTimes):
@@ -134,8 +157,8 @@ class _ProfilingTimes(CategoryTimes):
 
     __slots__ = ("cell", "charged")
 
-    def __init__(self):
-        self.cell: Dict[str, float] = CategoryTimes()
+    def __init__(self, cell: _Cell):
+        self.cell = cell
         self.charged = 0.0
 
     def __setitem__(self, key, value, _set=dict.__setitem__):
@@ -148,19 +171,12 @@ class _ProfilingTimes(CategoryTimes):
 
 class NicTaps(_Seam):
     """``nic.taps``: told of every ``NIC.stage_tx`` / ``frame_on_wire`` on
-    entry.  Listeners: ``on_tx(nic, data)``, ``on_rx(nic, frame, accepted)``
-    (``accepted`` is the NIC's own address-filter verdict)."""
+    entry, by the NIC calling each of ``on_tx`` / ``on_rx``.  Listeners:
+    ``on_tx(nic, data)``, ``on_rx(nic, frame, accepted)`` (``accepted``
+    is the NIC's own address-filter verdict)."""
 
     attr = "taps"
     events = ("tx", "rx")
-
-    def tx(self, data) -> None:
-        for on_tx in self._tx:
-            on_tx(self.owner, data)
-
-    def rx(self, frame, accepted: bool) -> None:
-        for on_rx in self._rx:
-            on_rx(self.owner, frame, accepted)
 
 
 class Observer:
@@ -191,7 +207,8 @@ class RingTracer(Observer):
     Once full, each new record overwrites the oldest
     (``dropped_records`` counts the overwrites), so the tail of a long
     run -- the part a chaos repro bundle wants -- is always retained.
-    Subclasses call :meth:`_record` and define ``noun`` and ``_line``.
+    Subclasses call :meth:`_record`, or append to ``_ring`` and count
+    ``_recorded`` themselves, and define ``noun`` and ``_line``.
     """
 
     noun = "records"

@@ -49,11 +49,10 @@ POLICY_TABLE = [
     # a committed baseline is fingerprints: a row it lacks warns
     ("row missing from the baseline", _row(), "missing", True, "",
      "no committed baseline for 'w'"),
-    ("suite without a baseline", _row(), None, True, "", ""),
     # rows bring their own findings along
     ("row-level error", _row(errors=["request r0 does not reconcile"]),
-     None, False, "does not reconcile", ""),
-    ("row-level note", _row(warnings=["probe ran short"]), None, True, "",
+     _row(), False, "does not reconcile", ""),
+    ("row-level note", _row(warnings=["probe ran short"]), _row(), True, "",
      "ran short"),
 ]
 
@@ -62,7 +61,7 @@ POLICY_TABLE = [
     "row, base, ok, error, warning",
     [case[1:] for case in POLICY_TABLE], ids=[case[0] for case in POLICY_TABLE])
 def test_gate_policy(row, base, ok, error, warning):
-    baseline = {} if base == "missing" else base and {"w": base}
+    baseline = {} if base == "missing" else {"w": base}
     verdict = gate({"w": row}, baseline)["w"]
     assert verdict["ok"] is ok
     for expected, found in ((error, verdict["errors"]),

@@ -726,7 +726,8 @@ def _reference_kernel_path(host, resource, fn, args=(),
             yield host.engine.timeout(amount)
             cpu.busy_time += amount
             if profile is not None:
-                profile.consumed(amount)
+                for on_consume in profile.on_consume:
+                    on_consume(profile, amount)
     finally:
         # A path that raises releases the CPU too.
         resource.release()
@@ -736,11 +737,14 @@ def _reference_kernel_path(host, resource, fn, args=(),
 
 
 class _ProfileLog:
-    """A ``cpu.profile`` that logs what a kernel path tells it, and when."""
+    """A ``cpu.profile`` that logs what a kernel path tells it, and when:
+    its frames through ``push`` / ``pop``, its consumption through the
+    one listener in ``on_consume``."""
 
     def __init__(self, engine, log):
         self.engine = engine
         self.log = log
+        self.on_consume = (self._consumed,)
 
     def push(self, label):
         self.log.append(("push", label, self.engine.now))
@@ -748,7 +752,8 @@ class _ProfileLog:
     def pop(self):
         self.log.append(("pop", self.engine.now))
 
-    def consumed(self, amount):
+    def _consumed(self, profile, amount):
+        assert profile is self
         self.log.append(("consumed", amount, self.engine.now))
 
 

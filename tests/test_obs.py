@@ -29,6 +29,7 @@ from repro.obs import (
     MetricsRegistry, RequestLifecycle, SloTracker, Span, SpanTracer,
     instrument_testbed, undocumented_metrics)
 from repro.obs.__main__ import check_schema
+from repro.obs.taps import Observer
 from repro.sim import Signal
 
 
@@ -334,6 +335,33 @@ class TestTapSeams:
         for host in profiler.report()["hosts"].values():
             assert host["consumed_us"] == host["busy_us"]
 
+    def test_push_is_heard_at_depth_zero_and_pop_at_every_depth(self):
+        """``on_push`` hears a kernel path's entry only; the dispatcher
+        events opened inside it reach ``on_pop`` alone."""
+        rig = _PingPong()
+        rig.round_trip()
+        heard = []
+
+        class Ear(Observer):
+            def on_push(self, hook, label):
+                heard.append(("push", hook.depth, label))
+
+            def on_pop(self, hook, label, charged_us):
+                heard.append(("pop", hook.depth, label))
+
+        Ear().attach(rig.bed.hosts)
+        rig.round_trip()
+        pushes = [(depth, label) for kind, depth, label in heard
+                  if kind == "push"]
+        pops = [(depth, label) for kind, depth, label in heard
+                if kind == "pop"]
+        entries = [(0, "<lambda>"), (0, "interrupt_body"),
+                   (0, "interrupt_body")]
+        assert pushes == entries
+        assert [pop for pop in pops if pop[0] == 0] == entries
+        assert sorted({depth for depth, _label in pops}) == [0, 1, 2, 3]
+        assert len(pops) == SEAM_TRAFFIC["pop"]
+
     def test_tracer_joining_mid_frame_records_the_enclosing_frame(self):
         # The frame stack is the hook's, not the tracer's: the enclosing
         # pop used to reach a tracer that had seen no push (IndexError
@@ -583,15 +611,20 @@ PINNED_SPANS = [
 PINNED_REQUEST = (575176, {"cpu_service": 417576, "nic_ring": 30000,
                            "propagation": 127600, "stall": 0})
 
-#: calls per round trip into the two seams, all four observers attached
-SEAM_TRAFFIC = {"__setitem__": 52, "push": 9, "pop": 9, "consumed": 3,
-                "tx": 2, "rx": 2}
+#: calls per round trip into the two seams, all four observers attached:
+#: consumption, tx and rx reach their listeners with no relay frame (3,
+#: 2 and 2 before), and a steady push opens no new cell
+SEAM_TRAFFIC = {"__setitem__": 52, "push": 9, "pop": 9, "_open": 0,
+                "consumed": 0, "tx": 0, "rx": 0}
 
 #: calls into and out of repro/obs/ per round trip, all four observers;
 #: 297 before the CPU hook kept one linked frame stack, the span ring
 #: plain tuples and the SLO waypoints no helper frames; 181 before the
-#: SLO tracker walked its critical path at close
-OBSERVER_CALLS = 174
+#: SLO tracker walked its critical path at close; 174 before the seams
+#: lost their relays, the span tracer its helper frames and ``on_push``
+#: its depth > 0 calls (the packet tracer's listeners, no longer called
+#: from ``repro/obs/``, account for 4 of the 34)
+OBSERVER_CALLS = 140
 
 
 def _observed_rig():
@@ -619,10 +652,11 @@ class TestObservedRoundTrip:
                 for request in rig.lifecycle.completed] == [PINNED_REQUEST] * 3
 
     def test_seam_traffic_and_nothing_listens_per_charge(self):
-        """The observer budget: 52 charges / 9 push / 9 pop / 3 consume /
-        2 tx / 2 rx a trip, and a charge enters one function under
-        ``repro/obs/`` -- the ``_ProfilingTimes.__setitem__`` that books
-        it.  A per-charge listener creeping back is a red test."""
+        """The observer budget: 52 charges / 9 push / 9 pop a trip and no
+        relay for consumption, tx or rx, and a charge enters one function
+        under ``repro/obs/`` -- the ``_ProfilingTimes.__setitem__`` that
+        books it.  A per-charge listener or a relay creeping back is a
+        red test."""
         rig = _observed_rig()
         rig.round_trip()
         seam_calls = dict.fromkeys(SEAM_TRAFFIC, 0)

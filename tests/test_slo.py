@@ -311,6 +311,41 @@ class TestCriticalPath:
             assert dux.overlapped_ns == 68_000
 
 
+class TestMidPathJoin:
+    @pytest.mark.parametrize("hooked", [False, True],
+                             ids=["first-observer", "hook-installed"])
+    def test_the_next_request_decomposes_as_if_attached_before(self, hooked):
+        """A tracker attached while the server's interrupt path holds the
+        CPU -- as the first observer, whose hook that path never pushed
+        to, or beside a profiler -- decomposes the next request exactly
+        as a tracker attached before the run."""
+        from test_obs import _PingPong
+
+        reference = _PingPong()
+        reference.attach("slo")
+        rig = _PingPong()
+        if hooked:
+            rig.attach("profiler")
+        server = rig.bed.hosts[1]
+        joined = []
+
+        def join():
+            rig.in_echo = None
+            joined.append(server.cpu.held)
+            rig.attach("slo")
+
+        for trip in range(4):
+            reference.round_trip()
+            if trip == 1:
+                rig.in_echo = join
+            rig.round_trip()
+        assert [path.name for path in joined] == ["ln0-intr"]
+        assert [(request.total_ns, request.components, request.overlapped_ns)
+                for request in rig.lifecycle.completed[2:]] == [
+            (request.total_ns, request.components, request.overlapped_ns)
+            for request in reference.lifecycle.completed[2:]]
+
+
 def _fingerprint_side(p50=100, p99=200, p999=300):
     return {"n": 10, "p50_ns": p50, "p99_ns": p99, "p999_ns": p999,
             "max_ns": p999, "sum_ns": 1500, "requested": 10,
