@@ -19,8 +19,7 @@ from typing import Callable, Optional
 from ..hw.cpu import OUTSIDE_PATH, ChargeError
 from ..spin.mbuf import Mbuf
 from .checksum import internet_checksum
-from .headers import (IPPROTO_UDP, PSEUDO_HEADER_LEN, UDP_HEADER,
-                      pseudo_header_sum)
+from .headers import IPPROTO_UDP, PSEUDO_HEADER_LEN, UDP_HEADER
 from .ip import IpProto
 
 # Whole-header struct accessors for the per-datagram paths.
@@ -28,7 +27,11 @@ _UDP_PACK = UDP_HEADER.pack_into
 _UDP_UNPACK = UDP_HEADER.unpack_from
 _UDP_PUT_CKSUM, _UDP_CKSUM_OFF = UDP_HEADER.scalar_putter("checksum")
 
-__all__ = ["UdpProto"]
+#: The largest payload a datagram carries: its IP total length, IP and
+#: UDP headers included, may not pass 65,535 (RFC 791).
+MAX_PAYLOAD = 0xFFFF - IpProto.HEADER_LEN - UDP_HEADER.size  # 65,507
+
+__all__ = ["UdpProto", "MAX_PAYLOAD"]
 
 
 class UdpProto:
@@ -66,6 +69,9 @@ class UdpProto:
         if not 0 < src_port <= 0xFFFF or not 0 < dst_port <= 0xFFFF:
             raise ValueError("invalid UDP port %r" % (
                 src_port if not 0 < src_port <= 0xFFFF else dst_port))
+        if m.len > MAX_PAYLOAD:
+            raise ValueError("UDP payload of %d bytes exceeds %d"
+                             % (m.len, MAX_PAYLOAD))
         host = self.host
         costs = host.costs
         cpu = host.cpu
@@ -90,10 +96,12 @@ class UdpProto:
             amount = (PSEUDO_HEADER_LEN + length) * costs.checksum_per_byte
             stack[-1] += amount
             times["checksum"] += amount
-            # Header and payload are one window of the store.
+            # Header and payload are one window of the store.  The
+            # addresses go in whole: 2**16 == 1 mod 0xFFFF, so the sum is
+            # congruent to pseudo_header_sum's, and it is never 0.
             value = internet_checksum(
                 memoryview(storage)[start:start + length],
-                pseudo_header_sum(src_ip, dst_ip, IPPROTO_UDP, length))
+                src_ip + dst_ip + IPPROTO_UDP + length)
             _UDP_PUT_CKSUM(storage, start + _UDP_CKSUM_OFF,
                            value if value != 0 else 0xFFFF)
         else:
@@ -130,10 +138,9 @@ class UdpProto:
                       * host.costs.checksum_per_byte)
             stack[-1] += amount
             times["checksum"] += amount
+            # The pseudo-header folded as on output.
             if internet_checksum(
-                    segment,
-                    initial=pseudo_header_sum(src_ip, dst_ip, IPPROTO_UDP,
-                                              length)) != 0:
+                    segment, src_ip + dst_ip + IPPROTO_UDP + length) != 0:
                 self.checksum_errors += 1
                 return
         else:

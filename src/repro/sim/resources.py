@@ -27,17 +27,19 @@ class Signal:
     waiter per socket per wakeup.
     """
 
-    __slots__ = ("engine", "_waiters", "_subscribers", "fire_count")
+    __slots__ = ("engine", "waiters", "_subscribers", "fire_count")
 
     def __init__(self, engine: Engine):
         self.engine = engine
-        self._waiters: List[Event] = []
+        #: the events of the outstanding :meth:`wait` calls; a caller
+        #: that bills a wakeup tests it (empty: nobody is woken)
+        self.waiters: List[Event] = []
         self._subscribers: List[Any] = []
         self.fire_count = 0
 
     def wait(self) -> Event:
         evt = Event(self.engine)
-        self._waiters.append(evt)
+        self.waiters.append(evt)
         return evt
 
     def subscribe(self, callback) -> None:
@@ -55,14 +57,10 @@ class Signal:
     def fire(self, value: Any = None) -> int:
         """Fire the signal; returns the number of waiters resumed."""
         self.fire_count += 1
-        waiters, self._waiters = self._waiters, []
+        waiters, self.waiters = self.waiters, []
         for evt in waiters:
             evt.succeed(value)
         if self._subscribers:
             for callback in self._subscribers:
                 callback(value)
         return len(waiters)
-
-    @property
-    def waiter_count(self) -> int:
-        return len(self._waiters)

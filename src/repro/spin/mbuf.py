@@ -181,7 +181,11 @@ class MbufPool:
         self.freed = 0
 
     def _charge_alloc(self, m: Mbuf) -> Mbuf:
-        """Charge for the links of ``m`` and count one packet chain."""
+        """Charge for the links of ``m`` and count one packet chain.
+
+        For callers that charge after building (TCP's segments, and
+        :meth:`copy_packet`); :meth:`from_bytes` books the same charge in
+        its own frame."""
         count = m.links
         # cpu.charge inlined (exact body, exact order): every packet
         # allocates at least one mbuf on both the send and receive path.
@@ -199,15 +203,27 @@ class MbufPool:
 
     def from_bytes(self, data: Union[bytes, bytearray], leading_space: int = 64
                    ) -> Mbuf:
-        """:meth:`Mbuf.from_bytes` (its link rule too), charged, built in
-        this frame: every send and receive allocates one."""
+        """:meth:`Mbuf.from_bytes` (its link rule too), built and charged
+        in this frame: every send and receive allocates one."""
         if leading_space >= MCLBYTES:
             raise MbufError("leading space %d exceeds MCLBYTES" % leading_space)
         storage = bytearray(leading_space)
         storage += data
         n = len(data)
         links = -(-(leading_space + n) // MCLBYTES) or 1
-        return self._charge_alloc(Mbuf(storage, leading_space, n, links))
+        m = Mbuf(storage, leading_space, n, links)
+        # _charge_alloc inlined (exact body, exact order).
+        cpu = self.host.cpu
+        stack = cpu._stack
+        if not stack:
+            from ..hw.cpu import OUTSIDE_PATH, ChargeError
+            raise ChargeError(OUTSIDE_PATH)
+        amount = links * self.host.costs.mbuf_alloc
+        stack[-1] += amount
+        cpu.category_times["mbuf"] += amount
+        self.allocated += links
+        self.chains += 1
+        return m
 
     def copy_packet(self, m: Mbuf, leading_space: int = 64) -> Mbuf:
         clone = m.copy_packet(leading_space)

@@ -103,7 +103,7 @@ class SocketLayer:
         cpu.category_times["socket"] += costs.sockbuf_enqueue
         payload = bytes(memoryview(m._storage)[m.off + off:m.off + m.len])
         if sock.buffer.append(payload, (src_ip, src_port)):
-            if sock.buffer.readable.waiter_count:
+            if sock.buffer.readable.waiters:
                 cpu._stack[-1] += costs.process_wakeup
                 cpu.category_times["sched"] += costs.process_wakeup
             sock.buffer.readable.fire()
@@ -256,7 +256,7 @@ class TcpSocket(_SocketBase):
         cpu._stack[-1] += costs.sockbuf_enqueue
         cpu.category_times["socket"] += costs.sockbuf_enqueue
         self.buffer.append(data, (self.tcb.raddr, self.tcb.rport))
-        if self.buffer.readable.waiter_count:
+        if self.buffer.readable.waiters:
             cpu._stack[-1] += costs.process_wakeup
             cpu.category_times["sched"] += costs.process_wakeup
         self.buffer.readable.fire()
@@ -272,7 +272,7 @@ class TcpSocket(_SocketBase):
         self.sendable.fire(0)   # a blocked send() raises "connection reset"
 
     def _on_sendable(self, space: int) -> None:
-        if self.sendable.waiter_count:
+        if self.sendable.waiters:
             cpu = self.host.cpu
             cpu._stack[-1] += self.host.costs.process_wakeup
             cpu.category_times["sched"] += self.host.costs.process_wakeup
@@ -306,7 +306,7 @@ class TcpSocket(_SocketBase):
                 # it (BSD's sonewconn), so a segment or FIN landing before
                 # accept() is buffered, not consumed with no reader.
                 self.accept_queue.append(TcpSocket(self.layer, tcb))
-                if self.acceptable.waiter_count:
+                if self.acceptable.waiters:
                     cpu = self.host.cpu
                     cpu._stack[-1] += self.host.costs.process_wakeup
                     cpu.category_times["sched"] += self.host.costs.process_wakeup
@@ -449,7 +449,7 @@ class Poller:
     def _mark(self, sock, charging: bool) -> None:
         self._ready[sock] = None
         wake = self._wake
-        if wake.waiter_count:
+        if wake.waiters:
             if charging:
                 # Runs inside the sender's kernel path (signal subscribers
                 # fire synchronously): the wakeup of the blocked poller is

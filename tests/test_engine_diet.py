@@ -292,13 +292,16 @@ _SWITCH_HOP_CALLS = [
 #: pushes its wire end in place at ``transmit``, and books the frame at
 #: wire end in its own frame: no ``EthernetAdapter.send``,
 #: ``ArpProto._lookup``, ``Mbuf.to_bytes``, ``EthernetSegment._occupy``,
-#: ``Engine.call_after``, ``_Medium._wire_time_us`` or ``_Medium._account``
-#: (47 calls from the send on; 54 with them).
+#: ``Engine.call_after``, ``_Medium._wire_time_us`` or ``_Medium._account``.
+#: The pool books each allocation's charge in ``MbufPool.from_bytes``, and
+#: UDP folds the pseudo-header into the checksum's ``initial`` as one sum
+#: of the whole addresses: no ``MbufPool._charge_alloc`` or
+#: ``pseudo_header_sum`` frame, on either side (43 calls from the send on;
+#: 47 with those four, 54 with the relays before them).
 _ETHERNET_FRAME_CALLS = [
     # the sender's kernel path: UDP, IP, ARP, Ethernet, the driver
     "UdpEndpoint.send", "MbufPool.from_bytes", "Mbuf.__init__",
-    "MbufPool._charge_alloc", "UdpProto.output", "Mbuf.push",
-    "pseudo_header_sum", "internet_checksum", "IpProto.output",
+    "UdpProto.output", "Mbuf.push", "internet_checksum", "IpProto.output",
     "IpProto._prepend_header", "Mbuf.push", "ArpProto.send",
     "EthernetProto.output", "Mbuf.push", "NIC.stage_tx",
     "LanceEthernet.wire_bytes", "Frame.__init__",
@@ -313,12 +316,12 @@ _ETHERNET_FRAME_CALLS = [
     "KernelPath.start", "Host.interrupt_body",
     # the receiver's graph: three compiled raises, up to the handler
     "EthernetProto.input", "MbufPool.from_bytes", "Mbuf.__init__",
-    "MbufPool._charge_alloc", "PlexusStack._wire_graph.<locals>.link_upcall",
+    "PlexusStack._wire_graph.<locals>.link_upcall",
     "_factory.<locals>._compiled",
     "PlexusStack._wire_graph.<locals>.eth_ip_handler", "IpProto.input",
     "PlexusStack._wire_graph.<locals>.ip_upcall", "_factory.<locals>._compiled",
     "PlexusStack._wire_graph.<locals>.ip_udp_handler", "UdpProto.input",
-    "pseudo_header_sum", "internet_checksum",
+    "internet_checksum",
     "PlexusStack._wire_graph.<locals>.udp_upcall", "_factory.<locals>._compiled",
     "_discard", "KernelPath._held",
 ]
@@ -358,15 +361,18 @@ def _steady_ethernet_frame():
 #: lane's landing are pushed in place: no ``CPU.charge``, no
 #: ``Mbuf.from_bytes``, no ``IpProto.route_for`` or ``RawLinkProto.mtu``,
 #: no ``Mbuf.to_bytes``, no ``Engine.call_after`` / ``call_at`` and no
-#: second ``internet_checksum``: 26 calls (27 with ``Mbuf.to_bytes``, 28
-#: while IP summed its header's bytes, 30 while IP called both, 37 before
-#: that).
+#: second ``internet_checksum``.  The pool books the allocation's charge
+#: in ``MbufPool.from_bytes`` and UDP folds the pseudo-header into the
+#: checksum's ``initial`` itself: no ``MbufPool._charge_alloc`` or
+#: ``pseudo_header_sum``.  24 calls (26 with those two, 27 with
+#: ``Mbuf.to_bytes``, 28 while IP summed its header's bytes, 30 while IP
+#: called both, 37 before that).
 _UNIX_SENDTO_CALLS = [
     "UdpSocket.sendto", "_SocketBase._syscall", "Host.kernel_path",
     "KernelPath.__init__", "KernelPath.start",
     "_SocketBase._syscall.<locals>.body", "UdpSocket.sendto.<locals>.work",
-    "MbufPool.from_bytes", "Mbuf.__init__", "MbufPool._charge_alloc",
-    "UdpProto.output", "Mbuf.push", "pseudo_header_sum", "internet_checksum",
+    "MbufPool.from_bytes", "Mbuf.__init__",
+    "UdpProto.output", "Mbuf.push", "internet_checksum",
     "IpProto.output", "IpProto._prepend_header", "Mbuf.push",
     "RawLinkProto.send", "NIC.stage_tx",
     "ForeAtm.wire_bytes", "Frame.__init__",
@@ -450,7 +456,10 @@ class TestEventBudget:
 
     def test_a_steady_switch_hop_is_twenty_one_calls(self):
         """The call row of the budget: one frame across the fat tree is
-        159 Python calls (160 while the sender's link called
+        155 Python calls (159 while the sender and the receiver each called
+        ``MbufPool._charge_alloc`` under ``MbufPool.from_bytes`` and
+        ``pseudo_header_sum`` under their UDP checksum; 160 while the
+        sender's link called
         ``Mbuf.to_bytes``; 162 while IP summed its header's bytes through
         ``internet_checksum`` on output and input; 191 while a raise went through
         ``Dispatcher.raise_event``, a switch hop through
@@ -480,7 +489,7 @@ class TestEventBudget:
             engine.run()
         finally:
             sys.setprofile(None)
-        assert len(calls) == 159
+        assert len(calls) == 155
         starts = [at for at, name in enumerate(calls)
                   if name == "_Medium._deliver"]
         assert len(starts) == 6         # five switches, then the receiver

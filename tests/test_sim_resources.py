@@ -154,9 +154,9 @@ class TestSignal:
 
     def test_waiter_count(self, engine):
         signal = Signal(engine)
-        assert signal.waiter_count == 0
+        assert len(signal.waiters) == 0
         signal.wait()
         signal.wait()
-        assert signal.waiter_count == 2
+        assert len(signal.waiters) == 2
         signal.fire()
-        assert signal.waiter_count == 0
+        assert len(signal.waiters) == 0
