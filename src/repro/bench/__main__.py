@@ -2,53 +2,36 @@
 
 Without a mode flag, regenerates every table and figure from the paper at
 the scales EXPERIMENTS.md records.  ``--check`` runs the claims ledger's
-golden pins.  The one suite (``--latency``) takes ``--quick`` /
-``--full``, writes ``BENCH_latency.json`` at the repository root and
-exits non-zero when its gate (:mod:`repro.bench.slo`) records an error.
-Nothing here reads a clock: how fast the simulator runs is
-``perfbench/``'s question (``python3 perfbench/run.py``).
+golden pins.  The one suite (``--latency``) prints its tables and its
+verdict, writes no file, and exits non-zero when its gate
+(:mod:`repro.bench.slo`) records an error; ``--write-baseline`` rewrites
+the golden it is judged against from the run.  Nothing here reads a
+clock: how fast the simulator runs is ``perfbench/``'s question
+(``python3 perfbench/run.py``).
 """
 
 import argparse
+import os
 import sys
 
 
 def _latency(args) -> int:
-    """Run the suite, print its legs, probes and the gate's verdict rows,
-    write the report; the exit code."""
+    """Run the suite, print its tables and the gate's errors (after
+    rewriting the golden, with ``--write-baseline``); the exit code."""
     from . import slo
-    suite = slo.run_latency_suite(quick=not args.full)
-    for name in sorted(suite["legs"]):
-        leg = suite["legs"][name]
-        for label, side in (("open", "open"), ("closed", "closed"),
-                            ("tcp", "open_tcp")):
-            if side in leg:
-                print("%-18s %-6s p50 %8d ns  p99 %9d ns  p999 %9d ns  (n=%d)"
-                      % (name if side == "open" else "", label,
-                         leg[side]["p50_ns"], leg[side]["p99_ns"],
-                         leg[side]["p999_ns"], leg[side]["n"]))
-        if "tail_gap_p99_ns" in leg:
-            print("%-18s tail gap (p99) %+d ns" % ("", leg["tail_gap_p99_ns"]))
+    suite = slo.run_latency_suite()
+    print(slo.render(suite))
     print()
-    for name in sorted(suite["decomposition"]):
-        probe = suite["decomposition"][name]
-        print("%-14s %s  %s" % (
-            name, "reconciled" if probe["reconciled"] else "NOT RECONCILED",
-            "  ".join("%s %d ns" % (key, probe["components_ns"][key])
-                      for key in ("cpu_service", "nic_ring", "propagation",
-                                  "stall"))))
-    print()
-    for name in sorted(suite["comparison"]):
-        row = suite["comparison"][name]
-        for warning in row["warnings"]:
-            print("WARN [%s]: %s" % (name, warning))
-        for error in row["errors"]:
-            print("ERROR [%s]: %s" % (name, error))
     if args.write_baseline:
-        print("baseline written to %s" % slo.write_baseline(
-            suite, slo.BASELINE_PATH))
-    print("report written to %s" % slo.write_json(suite, slo.REPORT_PATH))
-    return 0 if suite["ok"] else 1
+        print("baseline written to %s" % slo.write_baseline(suite))
+    verdicts = slo.judge(suite)
+    for name in sorted(verdicts):
+        for error in verdicts[name]:
+            print("ERROR [%s]: %s" % (name, error))
+    failed = sum(1 for errors in verdicts.values() if errors)
+    print("%d of %d rows match %s" % (len(verdicts) - failed, len(verdicts),
+                                      os.path.relpath(slo.BASELINE_PATH)))
+    return 1 if failed else 0
 
 
 def _check(args) -> int:
@@ -75,7 +58,7 @@ _MODES = (
      "golden-number regression check (exit != 0 on drift)"),
     ("--latency", _latency,
      "SLO tail-latency suite: open- vs closed-loop legs and decomposition "
-     "probes; writes BENCH_latency.json (--full adds the mega_flows leg)"),
+     "probes, judged against benchmarks/latency_baseline.json"),
 )
 
 
@@ -89,14 +72,9 @@ def _parser() -> argparse.ArgumentParser:
         mode.add_argument(flag, dest="run", action="store_const", const=run,
                           help=text)
     parser.set_defaults(run=_paper_report)
-    scale = parser.add_mutually_exclusive_group()
-    scale.add_argument("--quick", action="store_true",
-                       help="with --latency: small scales (the default)")
-    scale.add_argument("--full", action="store_true",
-                       help="with --latency: full scales")
     parser.add_argument("--write-baseline", action="store_true",
-                        help="with --latency: refresh the committed "
-                             "baseline under benchmarks/ from this run")
+                        help="with --latency: rewrite the committed "
+                             "golden under benchmarks/ from this run")
     return parser
 
 
@@ -105,9 +83,6 @@ def main(argv) -> int:
     args = parser.parse_args(argv)
     if args.write_baseline and args.run is not _latency:
         parser.error("--write-baseline needs --latency")
-    if (args.quick or args.full) and args.run is not _latency:
-        parser.error("--quick / --full need --latency (the report has one "
-                     "scale)")
     return args.run(args)
 
 

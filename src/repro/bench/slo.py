@@ -2,14 +2,15 @@
 
 ``python -m repro.bench --latency`` runs a small matrix of open-loop
 workloads at several offered loads, extracts p50/p99/p999 from the
-request lifecycles (:mod:`repro.obs.slo`), judges them against the
-committed baseline and writes ``BENCH_latency.json``.  Three design
+request lifecycles (:mod:`repro.obs.slo`), prints them (:func:`render`;
+EXPERIMENTS.md holds that table) and judges them against the one
+committed golden, ``benchmarks/latency_baseline.json``.  Three design
 decisions make every verdict a statement about simulated time:
 
 * **Percentile fingerprints are integers.**  Every leg's p50/p99/p999 is
   stated in simulated nanoseconds; they are pure functions of the code
   and the seeds, byte-identical across hosts and reruns, and so is the
-  whole report.  Drift against the committed baseline is an *error*.
+  whole report.  Drift against the golden is an *error*.
 * **Every open-loop leg carries a closed-loop twin** run in the same
   process from the same arrival draws.  The twin self-clocks (a request
   departs one drawn gap after the previous *reply*), so it cannot queue
@@ -20,19 +21,18 @@ decisions make every verdict a statement about simulated time:
 * **Decomposition probes reconcile bit-exactly.**  Closed-loop probes
   run under a :class:`~repro.obs.slo.SloTracker` and every completed
   request must satisfy ``sum(components) == total_ns`` in integer
-  nanoseconds -- an error otherwise, not a warning.
+  nanoseconds -- an error otherwise.
 
-The scenarios are registry records (:mod:`repro.bench.workloads`): the
-``udp_echo@g<gap>`` and ``tcp_objects@g<gap>`` legs with their
-``/closed`` twins, the ``fabric_fat_tree`` workload at its own built-in
-load (no closed twin: its arrival schedule *is* the experiment), and,
-under ``--full``, ``mega_flows``, whose deliberately withheld replies
-make every request's latency a queue measurement.
+The scenarios are registry records (:mod:`repro.bench.workloads`), each
+run at its one scale: the ``udp_echo@g<gap>`` and ``tcp_objects@g<gap>``
+legs with their ``/closed`` twins, and the ``fabric_fat_tree`` workload
+at its own built-in load (no closed twin: its arrival schedule *is* the
+experiment).
 
 The gate lives here too (:func:`rows`, :func:`gate`, :func:`judge`): the
-report reduces to rows of ``{name: {"fingerprint": ...}}``, a committed
-baseline is those rows and nothing else (:func:`write_baseline`), and
-the report and its baseline share one schema version and one writer.
+report reduces to rows of ``{name: {"fingerprint": ...}}``, and the
+golden is those rows and nothing else (:func:`write_baseline`).  A
+golden that is missing or unreadable, or a row it lacks, is an error.
 How fast this host ran the simulator is ``perfbench/``'s question.
 """
 
@@ -40,49 +40,37 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..obs.slo import RequestLifecycle, SloTracker
+from .report import format_table
 from .workloads import WORKLOADS, Workload, run_once
 
-__all__ = ["REPORT_PATH", "BASELINE_PATH", "SCHEMA_VERSION", "LEGS",
-           "PROBES", "leg_names", "run_leg", "run_probe",
-           "run_latency_suite", "rows", "load_baseline", "write_json",
-           "gate", "judge", "write_baseline"]
+__all__ = ["BASELINE_PATH", "SCHEMA_VERSION", "LEGS", "PROBES", "run_leg",
+           "run_probe", "run_latency_suite", "render", "rows",
+           "load_baseline", "gate", "judge", "write_baseline"]
 
 #: src/repro/bench/slo.py -> the repository root.
 _REPO_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), "..", "..", ".."))
-REPORT_PATH = os.path.join(_REPO_ROOT, "BENCH_latency.json")
 BASELINE_PATH = os.path.join(_REPO_ROOT, "benchmarks", "latency_baseline.json")
 
-#: One version for the report and its baseline.  10 dropped every
-#: judged host-speed field; 11 drops the unjudged ones (the ``host``
-#: block and each leg's ``wall_s``).
-SCHEMA_VERSION = 11
+#: The golden's schema.  11 dropped the unjudged host fields (the
+#: ``host`` block and each leg's ``wall_s``); 12 has one scale, so its
+#: rows sit at the top level.
+SCHEMA_VERSION = 12
 
-#: leg name -> registry record.  The two big workloads run at this
-#: suite's own scales: datagrams per host for the fabric, and for
-#: ``mega_flows`` (``--full`` only: it costs real wall time) its
-#: registry quick scale -- its replies are withheld until every flow
-#: has arrived, so 50k is already a worst-case tail.
-LEGS: Dict[str, Workload] = {
-    name: record for name, record in WORKLOADS.items()
-    if "@" in name and not name.endswith("/closed")}
-LEGS["fabric_fat_tree"] = replace(WORKLOADS["fabric_fat_tree"],
-                                  quick=20, full=100)
-LEGS["mega_flows"] = replace(WORKLOADS["mega_flows"], full=50_000)
+#: open-loop legs (registry names): the paced echoes and object
+#: fetches, each with a ``/closed`` twin, and the fabric.
+LEGS = tuple(name for name in WORKLOADS
+             if "@" in name and not name.endswith("/closed")) + (
+    "fabric_fat_tree",)
 
 #: closed-loop decomposition probes (registry names).
 PROBES = ("udp_clean", "tcp_clean", "tcp_impaired")
 
-def leg_names(quick: bool = True) -> List[str]:
-    return [name for name in LEGS if not (quick and name == "mega_flows")]
 
-
-def _observed(record: Workload, quick: bool,
-              tracked: bool = False) -> RequestLifecycle:
+def _observed(record: Workload, tracked: bool = False) -> RequestLifecycle:
     """Run ``record`` reporting its requests to a fresh lifecycle (under
     an :class:`SloTracker` when ``tracked``); returns the lifecycle."""
     observers = {}
@@ -95,7 +83,7 @@ def _observed(record: Workload, quick: bool,
             bed.engine, observers.get("tracker"))
         return observers["lifecycle"]
 
-    run_once(record, record.scale(quick), instrument)
+    run_once(record, record.scale, instrument)
     if tracked:
         observers["tracker"].detach()
     return observers["lifecycle"]
@@ -111,27 +99,26 @@ def _percentiles(lifecycle: RequestLifecycle, kind: str) -> Dict:
     return record
 
 
-def run_leg(name: str, quick: bool = True, closed: bool = True) -> Dict:
+def run_leg(name: str) -> Dict:
     """One open-loop leg plus, where the registry has one, its closed
     twin."""
-    record = LEGS[name]
-    lifecycle = _observed(record, quick)
-    leg = {"workload": name.split("@")[0],
-           "open": _percentiles(lifecycle, record.kinds[0])}
+    record = WORKLOADS[name]
+    lifecycle = _observed(record)
+    leg = {"open": _percentiles(lifecycle, record.kinds[0])}
     if len(record.kinds) > 1:
         leg["open_tcp"] = _percentiles(lifecycle, record.kinds[1])
     twin = WORKLOADS.get(name + "/closed")
-    if closed and twin is not None:
-        lifecycle = _observed(twin, quick)
+    if twin is not None:
+        lifecycle = _observed(twin)
         leg["closed"] = _percentiles(lifecycle, twin.kinds[0])
         leg["tail_gap_p99_ns"] = leg["open"]["p99_ns"] - leg["closed"]["p99_ns"]
     return leg
 
 
-def run_probe(name: str, quick: bool = True) -> Dict:
+def run_probe(name: str) -> Dict:
     """One closed-loop probe with the queueing decomposition attached."""
     record = WORKLOADS[name]
-    lifecycle = _observed(record, quick, tracked=True)
+    lifecycle = _observed(record, tracked=True)
     errors = [
         "request %r does not reconcile: components sum to %d ns, "
         "end-to-end is %d ns"
@@ -146,15 +133,39 @@ def run_probe(name: str, quick: bool = True) -> Dict:
     }
 
 
-def run_latency_suite(quick: bool = True) -> Dict:
-    """Run every leg and probe; returns the judged report."""
-    report = {"schema_version": SCHEMA_VERSION,
-              "generated_by": "python -m repro.bench --latency",
-              "quick": quick}
-    report["legs"] = {name: run_leg(name, quick) for name in leg_names(quick)}
-    report["decomposition"] = {name: run_probe(name, quick)
-                               for name in PROBES}
-    return judge(report, BASELINE_PATH)
+def run_latency_suite() -> Dict:
+    """Run every leg and probe; returns the report."""
+    return {"legs": {name: run_leg(name) for name in LEGS},
+            "decomposition": {name: run_probe(name) for name in PROBES}}
+
+
+#: the decomposition's components, in the order the table prints them.
+_COMPONENTS = ("cpu_service", "nic_ring", "propagation", "stall")
+
+
+def render(report: Dict) -> str:
+    """The report as two tables, legs and probes, in simulated ns."""
+    legs = []
+    for name in sorted(report["legs"]):
+        leg = report["legs"][name]
+        for side in ("open", "open_tcp", "closed"):
+            if side in leg:
+                legs.append(dict(leg[side], leg=name, side=side))
+        if "tail_gap_p99_ns" in leg:
+            legs[-1]["tail_gap_p99_ns"] = "%+d" % leg["tail_gap_p99_ns"]
+    probes = [dict(probe["percentiles"], probe=name,
+                   reconciled="bit-exact" if probe["reconciled"] else "NO",
+                   **probe["components_ns"])
+              for name, probe in sorted(report["decomposition"].items())]
+    return "\n\n".join((
+        format_table(legs, ("leg", "side", "n", "p50_ns", "p99_ns",
+                            "p999_ns", "tail_gap_p99_ns"),
+                     title="Latency legs: open loop, then its closed twin "
+                           "on the same arrival draws (simulated ns)"),
+        format_table(probes, ("probe", "n", "p50_ns", "p99_ns")
+                     + _COMPONENTS + ("reconciled",),
+                     title="Decomposition probes: closed loop, components "
+                           "totalled over n requests (simulated ns)")))
 
 
 #: the integer simulated-time fields a side's fingerprint consists of.
@@ -188,31 +199,17 @@ def rows(report: Dict) -> Dict:
 
 
 # ---------------------------------------------------------------------------
-# the gate, the baseline loader and the one writer
+# the gate, the golden's loader and its writer
 # ---------------------------------------------------------------------------
 
-def load_baseline(path: str) -> Optional[Dict]:
-    """The committed baseline at ``path``; ``None`` when there is none.
-
-    A file that exists but does not parse raises: treating it as absent
-    would downgrade every fingerprint check to a "no committed baseline"
-    warning and turn the hard gate off silently.
-    """
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        try:
+def load_baseline(path: str) -> Dict:
+    """The committed golden at ``path``.  A file that is missing or does
+    not parse raises, naming it: the gate has nothing to judge against."""
+    try:
+        with open(path) as fh:
             return json.load(fh)
-        except ValueError as error:
-            raise ValueError("baseline %s is unreadable: %s" % (path, error))
-
-
-def write_json(payload: Dict, path: str) -> str:
-    """Write a report or baseline; returns the path."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    except (OSError, ValueError) as error:
+        raise ValueError("baseline %s is unreadable: %s" % (path, error))
 
 
 def _mismatch(fresh, reference) -> str:
@@ -226,51 +223,40 @@ def _mismatch(fresh, reference) -> str:
     return "%r != %r" % (fresh, reference)
 
 
-def gate(gated: Dict[str, Dict], baseline: Dict[str, Dict]) -> Dict[str, Dict]:
-    """Judge ``gated`` rows against the committed ``baseline`` rows;
-    returns one verdict row (``ok`` / ``errors`` / ``warnings``) per
-    input row.
+def gate(gated: Dict[str, Dict], golden: Dict[str, Dict]) -> Dict[str, List]:
+    """Judge ``gated`` rows against the golden's rows; returns each
+    row's errors (an empty list when it passes).
 
-    Fingerprint drift is an error; a row may arrive with ``errors`` /
-    ``warnings`` of its own (an unreconciled probe).  A row missing from
-    ``baseline`` warns.
+    Fingerprint drift is an error, and so is a row the golden lacks; a
+    row may arrive with ``errors`` of its own (an unreconciled probe).
     """
     verdicts = {}
     for name, row in gated.items():
         errors = list(row.get("errors", ()))
-        warnings = list(row.get("warnings", ()))
-        base = baseline.get(name)
+        base = golden.get(name)
         if base is None:
-            warnings.append("no committed baseline for %r" % name)
+            errors.append("no committed baseline for %r" % name)
         elif row["fingerprint"] != base["fingerprint"]:
             errors.append("simulated-time fingerprint drifted from the "
                           "committed baseline on %s"
                           % _mismatch(row["fingerprint"], base["fingerprint"]))
-        verdicts[name] = {"errors": errors, "warnings": warnings,
-                          "ok": not errors}
+        verdicts[name] = errors
     return verdicts
 
 
-def _mode(report: Dict) -> str:
-    return "quick" if report["quick"] else "full"
+def judge(report: Dict, path: str = BASELINE_PATH) -> Dict[str, List]:
+    """Gate ``report`` against the committed golden at ``path``; returns
+    each row's errors."""
+    return gate(rows(report), load_baseline(path))
 
 
-def judge(report: Dict, path: str) -> Dict:
-    """Gate ``report`` in place against the committed baseline at
-    ``path`` for the report's scale; the verdict lands in
-    ``comparison`` and ``ok``."""
-    committed = (load_baseline(path) or {}).get(_mode(report), {})
-    report["comparison"] = gate(rows(report), committed)
-    report["ok"] = all(row["ok"] for row in report["comparison"].values())
-    return report
-
-
-def write_baseline(report: Dict, path: str) -> str:
-    """Fold ``report`` into the committed baseline at ``path``: the
-    fingerprints the gate reads, for the report's scale; the other
-    scale survives."""
-    baseline = load_baseline(path) or {}
-    baseline["schema_version"] = SCHEMA_VERSION
-    baseline[_mode(report)] = {name: {"fingerprint": row["fingerprint"]}
-                               for name, row in rows(report).items()}
-    return write_json(baseline, path)
+def write_baseline(report: Dict, path: str = BASELINE_PATH) -> str:
+    """Write ``report`` as the golden at ``path``: the fingerprints the
+    gate reads and the schema version, nothing else; returns the path."""
+    golden = {name: {"fingerprint": row["fingerprint"]}
+              for name, row in rows(report).items()}
+    golden["schema_version"] = SCHEMA_VERSION
+    with open(path, "w") as fh:
+        json.dump(golden, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path

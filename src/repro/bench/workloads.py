@@ -6,7 +6,7 @@ suite's open/closed legs and its decomposition probes -- is one
 declarative :class:`Workload` record in
 :data:`WORKLOADS`: how to build the bed, how to wire the scenario onto it
 (``setup(bed, scale, lifecycle=None) -> (state, main)``), what its
-simulated-time fingerprint is, and its scales.  Ports, host indices, start
+simulated-time fingerprint is, and its scale.  Ports, host indices, start
 offsets, gap plans, payload sizes and reply disciplines are data on the
 record, so a scenario family (the UDP echo, the TCP stream, the serial
 TCP object server, the many-flows origin) is written once and registered
@@ -33,6 +33,7 @@ and footprint are measured by ``perfbench/``.
 from __future__ import annotations
 
 import contextlib
+import functools
 import random
 import zlib
 from dataclasses import dataclass
@@ -56,11 +57,11 @@ __all__ = ["Workload", "WORKLOADS", "PINGPONG", "schedule", "run_once",
 
 @dataclass(frozen=True)
 class Workload:
-    """One registered scenario.  Scales are part of the fingerprint
-    contract: changing them changes the expected fingerprints."""
+    """One registered scenario.  Its scale is part of the fingerprint
+    contract: changing it changes the expected fingerprints."""
 
     name: str
-    #: ``build(scale) -> bed``
+    #: ``build() -> bed``
     build: Callable
     #: ``setup(bed, scale, lifecycle=None) -> (state, main)``: the mutable
     #: counters and a zero-argument callable producing the main generator.
@@ -69,28 +70,20 @@ class Workload:
     setup: Callable
     #: ``fingerprint(state, bed) -> dict`` of simulated-time outputs
     fingerprint: Callable
-    quick: int
-    full: int
-    #: the smallest scale every record runs at (the tests' twins and
-    #: registry checks use it)
-    warmup: int
+    #: the scale ``--latency`` and ``repro.obs`` run it at
+    scale: int
     #: request kinds a :class:`~repro.obs.slo.RequestLifecycle` sees
     kinds: Tuple[str, ...] = ()
-
-    def scale(self, quick: bool) -> int:
-        return self.quick if quick else self.full
 
 
 # ---------------------------------------------------------------------------
 # scenario building blocks
 # ---------------------------------------------------------------------------
 
-def _pair(os_name: str, device: str, hosts: Callable = lambda scale: 2):
-    """Bed builder: ``hosts(scale)`` machines of one OS on one medium."""
-    def build(scale):
-        return build_testbed(os_name, device, n_hosts=hosts(scale),
+def _pair(os_name: str, device: str) -> Callable:
+    """Bed builder: two machines of one OS on one medium."""
+    return functools.partial(build_testbed, os_name, device,
                              deliver_mode="interrupt")
-    return build
 
 
 def _begin(lifecycle, kind: str, seq=None):
@@ -320,12 +313,11 @@ def _udp_echo_fingerprint(state, bed) -> Dict:
     }
 
 
-def _udp_echo_record(name: str, scales, **scenario) -> Workload:
-    quick, full, warmup = scales
+def _udp_echo_record(name: str, scale: int, **scenario) -> Workload:
     return Workload(
         name=name, build=_pair("spin", "ethernet"),
         setup=_udp_echo(**scenario), fingerprint=_udp_echo_fingerprint,
-        quick=quick, full=full, warmup=warmup, kinds=(scenario["kind"],))
+        scale=scale, kinds=(scenario["kind"],))
 
 
 # ---------------------------------------------------------------------------
@@ -546,61 +538,43 @@ def _tcp_objects_fingerprint(state, bed) -> Dict:
             "bytes_in": state["bytes_in"], "final_now_us": bed.engine.now}
 
 
-def _tcp_objects_record(name: str, scales, **scenario) -> Workload:
-    quick, full, warmup = scales
+def _tcp_objects_record(name: str, scale: int, **scenario) -> Workload:
     return Workload(
         name=name, build=_pair("unix", "atm"), setup=_tcp_objects(**scenario),
         fingerprint=_tcp_objects_fingerprint,
-        quick=quick, full=full, warmup=warmup, kinds=(scenario["kind"],))
+        scale=scale, kinds=(scenario["kind"],))
 
 
 # ---------------------------------------------------------------------------
-# many_flows / mega_flows: one Poller-multiplexed origin, many clients
+# many_flows: one Poller-multiplexed origin, many clients
 # ---------------------------------------------------------------------------
 
 _FLOWS_TCP_PORT, _FLOWS_UDP_PORT = 80, 5004
 _UDP_REQUEST = _seeded_bytes(_SEED, 16)   # a "frame please" datagram
 
-#: Flows one client host can source: the ephemeral UDP port range is
-#: 32768..65535 (~32767 ports), kept under ~30k for slack against the
-#: TCP side's separate allocator and retries.
-_FLOWS_PER_HOST = 30_000
-
 
 def _flows(tcp_object: int, udp_reply: int, stagger_us: float,
-           is_tcp: Callable, deferred: bool, kinds):
-    """``scale`` client flows against one UNIX-model server.
+           is_tcp: Callable, kinds):
+    """``scale`` client flows from host 0 against a UNIX-model server on
+    host 1.
 
     The server plays a small HTTP/video origin on a 155 Mb/s ATM bed: a
     TCP listener that pushes a ``tcp_object``-byte page at every accepted
     connection, and a UDP port that answers every datagram with
     ``udp_reply`` bytes, everything multiplexed through one
     :class:`~repro.unixos.sockets.Poller` in kqueue style.  Flow
-    ``index`` opens at ``index * stagger_us`` from the client host whose
-    contiguous block it falls in (the last host is the server) and is TCP
-    where ``is_tcp(index, scale)``.  Clients send no TCP request bytes:
-    connecting *is* the request.
-
-    A ``deferred`` server withholds every reply until all ``scale`` flows
-    have arrived, so peak live-flow concurrency equals ``scale`` by
-    construction, and every request's latency is a queue measurement.
-    Every client must read its seeded page or reply byte-exact.
+    ``index`` opens at ``index * stagger_us`` and is TCP where
+    ``is_tcp(index, scale)``.  Clients send no TCP request bytes:
+    connecting *is* the request.  Every client must read its seeded page
+    or reply byte-exact.
     """
     page = _seeded_bytes(_SEED + 1, tcp_object)
     reply = _seeded_bytes(_SEED + 2, udp_reply)
 
     def setup(bed, scale: int, lifecycle=None):
         engine = bed.engine
-        n_clients = len(bed.hosts) - 1
-        server_host, server_sockets = bed.hosts[-1], bed.sockets[-1]
-        server_ip = bed.ip(n_clients)
-        if deferred:
-            # Both phases are wire-rate bursts -- the open-loop request
-            # front inbound, the deferred reply sweep outbound.  The
-            # default 64-entry rings drop under either, and a dropped
-            # datagram deadlocks its client (UDP carries no retransmit).
-            for nic in bed.nics:
-                nic.provision_rings(scale)
+        client_sockets, server_sockets = bed.sockets
+        server_host, server_ip = bed.hosts[1], bed.ip(1)
         state = {"flows": scale, "tcp_done": 0, "udp_done": 0, "bytes_in": 0,
                  "served": 0, "peak_conns": 0, "peak_watched": 0,
                  "errors": []}
@@ -616,10 +590,10 @@ def _flows(tcp_object: int, udp_reply: int, stagger_us: float,
             if state["tcp_done"] + state["udp_done"] == scale:
                 all_done.fire()
 
-        def tcp_client(index: int, sockets):
+        def tcp_client(index: int):
             yield engine.timeout(index * stagger_us)
             request = _begin(lifecycle, kinds[1])
-            sock = sockets.tcp_socket()
+            sock = client_sockets.tcp_socket()
             yield from sock.connect((server_ip, _FLOWS_TCP_PORT))
             received = bytearray()
             while True:
@@ -630,10 +604,10 @@ def _flows(tcp_object: int, udp_reply: int, stagger_us: float,
             yield from sock.close()
             finished("tcp_done", received, page, request)
 
-        def udp_client(index: int, sockets):
+        def udp_client(index: int):
             yield engine.timeout(index * stagger_us)
             request = _begin(lifecycle, kinds[0])
-            sock = sockets.udp_socket()
+            sock = client_sockets.udp_socket()
             yield from sock.bind()
             yield from sock.sendto(_UDP_REQUEST, (server_ip, _FLOWS_UDP_PORT))
             data, _addr = yield from sock.recvfrom()
@@ -645,28 +619,12 @@ def _flows(tcp_object: int, udp_reply: int, stagger_us: float,
             yield from listener.listen(_FLOWS_TCP_PORT, backlog=scale)
             udp = server_sockets.udp_socket()
             yield from udp.bind(_FLOWS_UDP_PORT)
-            if deferred:
-                # Requests land faster than the loop drains; the default
-                # 64 KB socket buffer would silently drop datagrams.
-                udp.buffer.limit = max(udp.buffer.limit, scale * 64)
             poller = Poller(server_host)
             poller.register(listener)
             poller.register(udp)
             server_ready.fire()
             connections = server_sockets.stack.tcp.connections
-            held_tcp, held_udp = [], []     # deferred: awaiting their reply
-
-            def push(child):
-                yield from child.send(page)
-                yield from child.close()
-                state["served"] += 1
-
-            def answer(addr):
-                yield from udp.sendto(reply, addr)
-                state["served"] += 1
-
-            while (len(held_tcp) + len(held_udp) if deferred
-                   else state["served"]) < scale:
+            while state["served"] < scale:
                 ready = yield from poller.wait()
                 state["peak_conns"] = max(state["peak_conns"],
                                           len(connections))
@@ -676,40 +634,26 @@ def _flows(tcp_object: int, udp_reply: int, stagger_us: float,
                     if sock is listener:
                         while sock.accept_queue:
                             child = yield from listener.accept()
-                            if deferred:
-                                held_tcp.append(child)
-                            else:
-                                yield from push(child)
-                                # Keep watching until the peer's FIN
-                                # lands, so the poller tracks every
-                                # in-flight connection.
-                                poller.register(child)
+                            yield from child.send(page)
+                            yield from child.close()
+                            state["served"] += 1
+                            # Keep watching until the peer's FIN lands, so
+                            # the poller tracks every in-flight connection.
+                            poller.register(child)
                     elif sock is udp:
                         while sock.buffer.items:
                             _data, addr = yield from udp.recvfrom()
-                            if deferred:
-                                held_udp.append(addr)
-                            else:
-                                yield from answer(addr)
+                            yield from udp.sendto(reply, addr)
+                            state["served"] += 1
                     else:  # a pushed child reached EOF: reap it
                         poller.unregister(sock)
-            if deferred:
-                # Every flow is now live at once -- the measured peak.
-                # Answer them all (arrival order: deterministic).
-                state["peak_conns"] = max(state["peak_conns"],
-                                          len(connections))
-                for child in held_tcp:
-                    yield from push(child)
-                for addr in held_udp:
-                    yield from answer(addr)
 
         def main():
             _spawn(state, engine, server(), "flows-server")
             yield server_ready.wait()
             for index in range(scale):
-                sockets = bed.sockets[index * n_clients // scale]
                 client = tcp_client if is_tcp(index, scale) else udp_client
-                _spawn(state, engine, client(index, sockets), "flow-%d" % index)
+                _spawn(state, engine, client(index), "flow-%d" % index)
             yield all_done.wait()
 
         return state, main
@@ -726,13 +670,10 @@ def _flows_fingerprint(state, bed) -> Dict:
     return fingerprint
 
 
-def _flows_record(name: str, scales, hosts: Callable = lambda scale: 2,
-                  **scenario) -> Workload:
-    quick, full, warmup = scales
+def _flows_record(name: str, scale: int, **scenario) -> Workload:
     return Workload(
-        name=name, build=_pair("unix", "atm", hosts), setup=_flows(**scenario),
-        fingerprint=_flows_fingerprint,
-        quick=quick, full=full, warmup=warmup, kinds=scenario["kinds"])
+        name=name, build=_pair("unix", "atm"), setup=_flows(**scenario),
+        fingerprint=_flows_fingerprint, scale=scale, kinds=scenario["kinds"])
 
 
 # ---------------------------------------------------------------------------
@@ -742,10 +683,6 @@ def _flows_record(name: str, scales, hosts: Callable = lambda scale: 2,
 _FABRIC_K = 4
 _FABRIC_RX_PORT = 9000
 _FABRIC_TX_PORT = 9001
-
-
-def _fat_tree_bed(scale):
-    return fat_tree(_FABRIC_K)
 
 
 def _fabric_setup(bed, scale: int, lifecycle=None):
@@ -875,42 +812,33 @@ _ECHO_PORTS = (7007, 7008)
 _PROBE_HORIZON_US = 60_000_000.0
 
 _RECORDS = [
-    _udp_echo_record("udp_pingpong", (60, 400, 60), **PINGPONG, payload=8),
+    _udp_echo_record("udp_pingpong", 60, **PINGPONG, payload=8),
     Workload(
         name="tcp_bulk", build=_pair("spin", "atm"), setup=_tcp_stream(),
-        fingerprint=_tcp_stream_fingerprint,
-        quick=100_000, full=400_000, warmup=100_000),
+        fingerprint=_tcp_stream_fingerprint, scale=100_000),
     # Half TCP, half UDP at a 15 us stagger: thousands of connections in
     # flight at once stress the kernel timers (per-connection retransmit /
     # delayed-ack / TIME_WAIT timers) and the O(1) port allocators.
-    _flows_record("many_flows", (2_000, 6_000, 2_000), tcp_object=512,
-                  udp_reply=128, stagger_us=15.0, deferred=False,
+    _flows_record("many_flows", 2_000, tcp_object=512, udp_reply=128,
+                  stagger_us=15.0,
                   is_tcp=lambda index, scale: index < scale // 2,
                   kinds=("many_udp", "many_tcp")),
-    # The same shape at memory scale: mostly UDP (every 8th flow TCP) at a
-    # 2 us stagger across as many client hosts as the port space needs,
-    # every reply withheld until all flows are live.
-    _flows_record("mega_flows", (50_000, 100_000, 2_000), tcp_object=256,
-                  udp_reply=64, stagger_us=2.0, deferred=True,
-                  is_tcp=lambda index, scale: index % 8 == 0,
-                  kinds=("mega_udp", "mega_tcp"),
-                  hosts=lambda scale: -(-scale // _FLOWS_PER_HOST) + 1),
     # ``scale`` is datagrams per host.
     Workload(
-        name="fabric_fat_tree", build=_fat_tree_bed, setup=_fabric_setup,
-        fingerprint=_fabric_fingerprint,
-        quick=40, full=200, warmup=10, kinds=("fabric_dgram",)),
+        name="fabric_fat_tree", build=functools.partial(fat_tree, _FABRIC_K),
+        setup=_fabric_setup, fingerprint=_fabric_fingerprint, scale=20,
+        kinds=("fabric_dgram",)),
     # Closed-loop decomposition probes (repro.bench.slo attaches an
     # SloTracker): Figure 5's ping-pong, and sequential object fetches
     # over a clean and a bursty-loss wire, bounded so a lost handshake
     # can never hang the harness.
-    _udp_echo_record("udp_clean", (10, 20, 10), ports=_ECHO_PORTS,
+    _udp_echo_record("udp_clean", 10, ports=_ECHO_PORTS,
                      creds=("probe-pong", "probe-ping"), kind="udp_probe",
                      payload=64),
 ]
 for _name, _impaired in (("tcp_clean", False), ("tcp_impaired", True)):
     _RECORDS.append(_tcp_objects_record(
-        _name, (10, 20, 10), kind="tcp_probe", impaired=_impaired,
+        _name, 10, kind="tcp_probe", impaired=_impaired,
         plan_of=lambda n: [(1000.0, 0)] * n, until=_PROBE_HORIZON_US))
 # Latency legs, each an open-loop record plus its "/closed" twin replaying
 # the same arrival draws.  The mean inter-departure gap (us) is the
@@ -921,14 +849,14 @@ for _gap in (2000, 800, 400):
     for _suffix, _closed in (("", False), ("/closed", True)):
         _leg = "udp_echo@g%d" % _gap
         _RECORDS.append(_udp_echo_record(
-            _leg + _suffix, (150, 600, 10), ports=_ECHO_PORTS,
+            _leg + _suffix, 150, ports=_ECHO_PORTS,
             creds=("slo-echo", "slo-client"), kind="udp_echo",
             plan_of=lambda n, leg=_leg: schedule(leg, n), closed=_closed))
 for _gap in (5000, 2000):
     for _suffix, _closed in (("", False), ("/closed", True)):
         _leg = "tcp_objects@g%d" % _gap
         _RECORDS.append(_tcp_objects_record(
-            _leg + _suffix, (60, 240, 10), kind="tcp_object", closed=_closed,
+            _leg + _suffix, 60, kind="tcp_object", closed=_closed,
             plan_of=lambda n, leg=_leg: schedule(leg, n)))
 
 #: name -> record, in registration order.
@@ -952,7 +880,7 @@ def run_once(record: Workload, scale: int, instrument=None) -> Dict:
     counters start at zero, so the snapshot *is* the run's registry
     delta.
     """
-    bed = record.build(scale)
+    bed = record.build()
     lifecycle = instrument(bed) if instrument is not None else None
     state, main = record.setup(bed, scale, lifecycle)
     engine = bed.engine
@@ -976,10 +904,9 @@ def run_once(record: Workload, scale: int, instrument=None) -> Dict:
     }
 
 
-def run_workload(name: str, quick: bool = False, instrument=None) -> Dict:
-    """Run a registered workload once at its quick or full scale."""
+def run_workload(name: str, instrument=None) -> Dict:
+    """Run a registered workload once at its scale."""
     record = WORKLOADS[name]
-    scale = record.scale(quick)
-    result = run_once(record, scale, instrument)
-    result.update(name=name, scale=scale, quick=quick)
+    result = run_once(record, record.scale, instrument)
+    result.update(name=name, scale=record.scale)
     return result

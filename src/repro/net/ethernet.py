@@ -33,6 +33,8 @@ class EthernetProto:
         self.mtu = nic.mtu
         #: the source address every frame carries: fixed with the NIC
         self._src_mac = bytes(nic.address)
+        #: frames shorter than a header, dropped on input
+        self.runts = 0
 
     # -- send path ------------------------------------------------------
 
@@ -63,7 +65,8 @@ class EthernetProto:
     def input(self, nic: NIC, frame_data: bytes) -> None:
         """Device receive entry (plain code, interrupt context)."""
         if len(frame_data) < self.HEADER_LEN:
-            return  # runt frame
+            self.runts += 1
+            return
         # cpu.charge inlined (exact body, exact order): interrupt path.
         cpu = self.host.cpu
         stack = cpu._stack

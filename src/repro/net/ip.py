@@ -32,6 +32,8 @@ IP_BROADCAST = 0xFFFFFFFF
 _FLAG_MF = 0x2000
 _OFFSET_MASK = 0x1FFF
 _FRAGMENT = _FLAG_MF | _OFFSET_MASK     # either set: a fragment
+#: RFC 791's 16-bit total length: the largest datagram, header included
+_MAX_DATAGRAM = 0xFFFF
 
 
 class _Reassembly:
@@ -173,6 +175,9 @@ class IpProto:
                 total_length=total)
             adapter.send(packet, next_hop)
             return
+        if total > _MAX_DATAGRAM:
+            raise ValueError("IP datagram of %d bytes exceeds %d"
+                             % (total, _MAX_DATAGRAM))
         # Fragment on 8-byte boundaries.
         chunk = ((mtu - self.HEADER_LEN) // 8) * 8
         data = m.to_bytes()
@@ -295,6 +300,10 @@ class IpProto:
         if whole is None:
             return
         del self._reassembly[key]
+        if len(whole) + self.HEADER_LEN > _MAX_DATAGRAM:
+            # Fragment offsets reach past RFC 791's total length: drop.
+            self.header_errors += 1
+            return
         self.reassembled += 1
         # Reassembly copies fragment payloads into one buffer: charge it.
         self.host.cpu.charge(len(whole) * self.host.costs.copy_per_byte, "copy")

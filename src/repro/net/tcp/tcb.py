@@ -108,10 +108,10 @@ ACK = 0x10
 class Tcb:
     """One TCP connection.
 
-    ``__slots__`` because a mega-scale workload holds tens of thousands
-    of these live at once: the instance ``__dict__`` for ~50 attributes
-    costs more than every buffer a quiet connection owns, and slotted
-    storage is what lets ``mega_flows`` fit the bench budget.
+    ``__slots__`` because a host holds one per live connection, and the
+    many-flow workloads keep a thousand in flight at once (the
+    ``many_flows`` origin peaks at 1,000): the instance ``__dict__`` for
+    ~50 attributes costs more than every buffer a quiet connection owns.
     """
 
     __slots__ = (

@@ -5,9 +5,10 @@
     python -m repro.obs --workload tcp_bulk --require checksum,dispatch,copy,device-io
     python -m repro.obs --check-schema
 
-Runs a ``repro.bench.workloads`` registry workload with the CPU profiler (and
-optionally the span tracer) attached, then writes the folded-stack file,
-the metrics-registry snapshot, and/or the span timeline.  ``--require``
+Runs a ``repro.bench.workloads`` registry workload at its one scale with
+the CPU profiler (and optionally the span tracer) attached, then writes
+the folded-stack file, the metrics-registry snapshot, and/or the span
+timeline.  ``--require``
 exits non-zero unless every named charge category shows up in the
 profile (``device-io`` is an alias for the driver categories), which is
 how CI asserts the flamegraph actually contains the paper's Figure 6
@@ -57,7 +58,6 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--folded", default=None, help="write folded stacks (flamegraph input)")
     parser.add_argument("--metrics", default=None, help="write the metrics registry snapshot JSON")
     parser.add_argument("--spans", default=None, help="write the span-tracer timeline text")
-    parser.add_argument("--full", action="store_true", help="full workload scale (default: quick)")
     parser.add_argument(
         "--require",
         default=None,
@@ -107,8 +107,9 @@ def check_schema() -> int:
     return 1 if failures else 0
 
 
-def profile_workload(name: str, quick: bool = True, with_spans: bool = False):
-    """Run ``name`` instrumented; returns (record, profiler, registry, tracer)."""
+def profile_workload(name: str, with_spans: bool = False):
+    """Run ``name`` at its scale, instrumented; returns (record, profiler,
+    registry, tracer)."""
     from ..bench.workloads import run_workload
 
     state = {}
@@ -123,7 +124,7 @@ def profile_workload(name: str, quick: bool = True, with_spans: bool = False):
             tracer.attach(bed.hosts, nics=getattr(bed, "nics", ()))
             state["tracer"] = tracer
 
-    record = run_workload(name, quick=quick, instrument=instrument)
+    record = run_workload(name, instrument=instrument)
     return record, state["profiler"], state["registry"], state.get("tracer")
 
 
@@ -165,7 +166,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     record, profiler, registry, tracer = profile_workload(
-        args.workload, quick=not args.full, with_spans=args.spans is not None
+        args.workload, with_spans=args.spans is not None
     )
 
     if args.folded:

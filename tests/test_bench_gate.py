@@ -11,20 +11,21 @@ fingerprints only, and a run records nothing host-timed.
 import copy
 import functools
 import hashlib
+import json
 from dataclasses import replace
 
 import pytest
 
 from repro.bench import slo, workloads
-from repro.bench.__main__ import _parser, main
-from repro.bench.slo import (gate, judge, load_baseline, write_baseline,
-                             write_json)
+from repro.bench.__main__ import main
+from repro.bench.slo import gate, judge, load_baseline, write_baseline
 from repro.bench.testbed import DEVICES
 from repro.bench.workloads import PINGPONG, WORKLOADS, run_once
 from repro.core.manager import UdpEndpoint
 from repro.net.tcp.tcb import Tcb
 from repro.sim import SimulationError
 from repro.unixos.sockets import UdpSocket
+from twins import warmup
 
 
 # ---------------------------------------------------------------------------
@@ -38,38 +39,32 @@ def _row(**changes):
     return dict(copy.deepcopy(ROW), **changes)
 
 
-#: id, rows, baseline, ok, error substrings, warning substrings
-#: ("" = there must be none)
+#: id, rows, golden row, error substring ("" = there must be none)
 POLICY_TABLE = [
-    ("clean", _row(), _row(), True, "", ""),
+    ("clean", _row(), _row(), ""),
     # fingerprint drift is an error
     ("baseline fingerprint drift", _row(),
-     _row(fingerprint={"f": 1, "g": 3}), False,
-     "fingerprint drifted from the committed baseline on g", ""),
-    # a committed baseline is fingerprints: a row it lacks warns
-    ("row missing from the baseline", _row(), "missing", True, "",
+     _row(fingerprint={"f": 1, "g": 3}),
+     "fingerprint drifted from the committed baseline on g"),
+    # the golden is fingerprints: a row it lacks is an error too
+    ("row missing from the baseline", _row(), "missing",
      "no committed baseline for 'w'"),
     # rows bring their own findings along
     ("row-level error", _row(errors=["request r0 does not reconcile"]),
-     _row(), False, "does not reconcile", ""),
-    ("row-level note", _row(warnings=["probe ran short"]), _row(), True, "",
-     "ran short"),
+     _row(), "does not reconcile"),
 ]
 
 
 @pytest.mark.parametrize(
-    "row, base, ok, error, warning",
+    "row, base, error",
     [case[1:] for case in POLICY_TABLE], ids=[case[0] for case in POLICY_TABLE])
-def test_gate_policy(row, base, ok, error, warning):
-    baseline = {} if base == "missing" else {"w": base}
-    verdict = gate({"w": row}, baseline)["w"]
-    assert verdict["ok"] is ok
-    for expected, found in ((error, verdict["errors"]),
-                            (warning, verdict["warnings"])):
-        if expected:
-            assert any(expected in message for message in found), found
-        else:
-            assert not found
+def test_gate_policy(row, base, error):
+    golden = {} if base == "missing" else {"w": base}
+    errors = gate({"w": row}, golden)["w"]
+    if error:
+        assert any(error in message for message in errors), errors
+    else:
+        assert errors == []
 
 
 # ---------------------------------------------------------------------------
@@ -83,16 +78,11 @@ _SIDE = {"n": 10, "p50_ns": 100, "p99_ns": 200, "p999_ns": 300,
 
 def _latency_report():
     return {
-        "quick": True,
         "legs": {"udp_echo@g400": {"open": dict(_SIDE), "closed": dict(_SIDE)}},
         "decomposition": {"udp_clean": {
             "percentiles": dict(_SIDE), "components_ns": {"cpu_service": 9},
             "reconciled": True, "errors": []}},
     }
-
-
-#: the suites the gate serves, by the name the test ids carry
-SUITES = {"latency": _latency_report}
 
 
 def _set(path, value):
@@ -105,78 +95,75 @@ def _set(path, value):
     return mutate
 
 
-#: suite, what is wrong with the fresh report, the row that must say so,
-#: ok, and a substring of the error ("" = clean)
-SUITE_TABLE = [
-    ("latency", None, "udp_echo@g400", True, ""),
-    ("latency", _set(["legs", "udp_echo@g400", "open", "p99_ns"], 240),
-     "udp_echo@g400", False, "drifted from the committed baseline on open"),
-    ("latency", _set(["decomposition", "udp_clean", "components_ns"],
-                     {"cpu_service": 8}), "decomposition:udp_clean", False,
+#: id, what is wrong with the fresh report, the row that must say so,
+#: and a substring of its error ("" = clean)
+REPORT_TABLE = [
+    ("clean", None, "udp_echo@g400", ""),
+    ("leg drift", _set(["legs", "udp_echo@g400", "open", "p99_ns"], 240),
+     "udp_echo@g400", "drifted from the committed baseline on open"),
+    ("probe drift", _set(["decomposition", "udp_clean", "components_ns"],
+                         {"cpu_service": 8}), "decomposition:udp_clean",
      "drifted from the committed baseline on components_ns"),
-    ("latency", _set(["decomposition", "udp_clean", "errors"],
-                     ["request r0 does not reconcile"]),
-     "decomposition:udp_clean", False, "does not reconcile"),
+    ("unreconciled probe", _set(["decomposition", "udp_clean", "errors"],
+                                ["request r0 does not reconcile"]),
+     "decomposition:udp_clean", "does not reconcile"),
 ]
 
 
-@pytest.mark.parametrize("suite, mutate, row, ok, error", SUITE_TABLE)
-def test_suite_rows_through_the_gate(tmp_path, suite, mutate, row, ok,
-                                     error):
-    build = SUITES[suite]
+@pytest.mark.parametrize(
+    "mutate, row, error", [case[1:] for case in REPORT_TABLE],
+    ids=[case[0] for case in REPORT_TABLE])
+def test_suite_rows_through_the_gate(tmp_path, mutate, row, error):
     path = str(tmp_path / "baseline.json")
-    write_baseline(build(), path)
-    report = build()
+    write_baseline(_latency_report(), path)
+    report = _latency_report()
     if mutate is not None:
         mutate(report)
-    judge(report, path)
-    verdict = report["comparison"][row]
-    assert verdict["ok"] is ok and report["ok"] is ok
+    verdicts = judge(report, path)
     if error:
-        assert any(error in message for message in verdict["errors"]), verdict
-    others = [name for name in report["comparison"] if name != row]
-    assert all(report["comparison"][name]["ok"] for name in others)
+        assert any(error in message for message in verdicts[row]), verdicts
+    else:
+        assert verdicts[row] == []
+    assert all(not verdicts[name] for name in verdicts if name != row)
 
 
 def test_baseline_is_the_projection_of_the_gate_rows(tmp_path):
     path = str(tmp_path / "baseline.json")
     write_baseline(_latency_report(), path)
-    baseline = load_baseline(path)
-    assert set(baseline) == {"schema_version", "quick"}
-    assert all(set(committed) == {"fingerprint"}
-               for committed in baseline["quick"].values())
-    # The other scale survives a refresh.
-    full = _latency_report()
-    full["quick"] = False
-    write_baseline(full, path)
-    assert set(load_baseline(path)) >= {"quick", "full"}
+    golden = load_baseline(path)
+    assert golden.pop("schema_version") == slo.SCHEMA_VERSION
+    assert set(golden) == {"udp_echo@g400", "decomposition:udp_clean"}
+    assert all(set(row) == {"fingerprint"} for row in golden.values())
+    # A rewrite replaces the golden: a row the run no longer has goes.
+    report = _latency_report()
+    del report["decomposition"]["udp_clean"]
+    write_baseline(report, path)
+    assert set(load_baseline(path)) == {"schema_version", "udp_echo@g400"}
 
 
-@pytest.mark.parametrize("suite", sorted(SUITES))
-def test_slow_or_missing_baseline_only_warns(tmp_path, suite):
-    path = str(tmp_path / "baseline.json")
-    report = judge(SUITES[suite](), path)                       # no file
-    verdict = report["comparison"]["udp_echo@g400"]
-    assert report["ok"] and verdict["ok"] and not verdict["errors"]
-    assert any("no committed baseline" in w for w in verdict["warnings"])
+def test_a_missing_golden_is_an_error(tmp_path):
+    """Without its golden the gate has nothing to judge: the suite fails
+    naming the file."""
+    path = str(tmp_path / "absent.json")
+    with pytest.raises(ValueError, match="absent.json"):
+        judge(_latency_report(), path)
 
 
 def test_a_100x_slower_host_changes_no_verdict(tmp_path):
-    """Host speed is not this harness's to judge: a baseline whose rows
+    """Host speed is not this harness's to judge: a golden whose rows
     still carry the host-time columns of older schemas (``wall_s``,
     ``events_per_sec``, a ``host`` block) judges a fresh report clean,
     with no ``speed_*`` key on any row."""
-    path = str(tmp_path / "latency.json")
-    write_baseline(_latency_report(), path)
-    baseline = load_baseline(path)
-    baseline["host"] = {"machine": "x"}
-    for committed in baseline["quick"].values():
-        committed.update(wall_s=1.0, events_per_sec=100.0)
-    write_json(baseline, path)
-    report = _latency_report()
-    assert judge(report, path)["ok"]
-    for verdict in report["comparison"].values():
-        assert verdict == {"ok": True, "errors": [], "warnings": []}
+    path = tmp_path / "latency.json"
+    write_baseline(_latency_report(), str(path))
+    golden = load_baseline(str(path))
+    for name, committed in golden.items():
+        if name != "schema_version":
+            committed.update(wall_s=1.0, events_per_sec=100.0)
+    golden["host"] = {"machine": "x"}
+    path.write_text(json.dumps(golden))
+    assert judge(_latency_report(), str(path)) == {
+        "udp_echo@g400": [], "decomposition:udp_clean": []}
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +171,13 @@ def test_a_100x_slower_host_changes_no_verdict(tmp_path):
 # ---------------------------------------------------------------------------
 
 class TestLoadBaseline:
-    def test_missing_file_is_none(self, tmp_path):
-        assert load_baseline(str(tmp_path / "absent.json")) is None
+    def test_missing_file_raises_with_its_path(self, tmp_path):
+        with pytest.raises(ValueError, match="absent.json"):
+            load_baseline(str(tmp_path / "absent.json"))
 
     def test_corrupt_file_raises_with_its_path(self, tmp_path):
         path = tmp_path / "baseline.json"
-        path.write_text('{"quick": {"w": {"fingerprint"')     # truncated
+        path.write_text('{"w": {"fingerprint"')     # truncated
         with pytest.raises(ValueError, match="baseline.json"):
             load_baseline(str(path))
 
@@ -210,7 +198,7 @@ class TestCommandLine:
     @pytest.mark.parametrize("argv", [
         ["--latecy"],                       # a typo once ran the full report
         ["--check", "--latency"],           # one mode at a time
-        ["--quick", "--full"],
+        ["--quick", "--full"],              # deleted with the second scale
         ["--jobs", "0"], ["--jobs", "two"], ["--jobs"],   # retired
         ["--latency", "--sim-jobs", "2"],   # deleted with the sharded runs
         ["--write-baseline"],               # needs --latency
@@ -223,18 +211,14 @@ class TestCommandLine:
         ["--full"],                         # the report has one scale
         ["--parallel-curve"],               # deleted with the sharded runs
         ["--charts"],                       # deleted: the report prints them
+        ["--latency", "--quick"],           # the suite has one scale too
+        ["--latency", "--full"],
     ])
     def test_bad_arguments_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
         assert "usage:" in capsys.readouterr().err
-
-    def test_quick_is_the_explicit_default(self):
-        parser = _parser()
-        assert not parser.parse_args(["--latency", "--quick"]).full
-        assert not parser.parse_args(["--latency"]).full
-        assert parser.parse_args(["--latency", "--full"]).full
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +297,10 @@ class TestRegistry:
     @pytest.mark.parametrize("name", list(WORKLOADS))
     def test_every_record_runs_at_its_warmup_scale(self, name):
         record = WORKLOADS[name]
-        result = run_once(record, record.warmup)
+        result = run_once(record, warmup(record))
         assert set(result) == {"events", "metrics", "fingerprint"}
         assert result["events"] > 0 and result["fingerprint"]
-        assert record.quick <= record.full
+        assert warmup(record) <= record.scale
 
     def test_paper_measures_run_the_registry_scenario(self):
         """Figure 5 and section 4.2 are the registry's ``udp_pingpong`` /
@@ -362,10 +346,10 @@ class TestRegistry:
                                           device, mutant):
         record = replace(WORKLOADS[name],
                          build=workloads._pair(os_name, device))
-        run_once(record, record.warmup)             # the clean run passes
+        run_once(record, warmup(record))            # the clean run passes
         MUTANTS[mutant](monkeypatch)
         with pytest.raises(SimulationError, match="delivery check failed"):
-            run_once(record, record.warmup)
+            run_once(record, warmup(record))
 
     @pytest.mark.parametrize("device", DEVICES)
     @pytest.mark.parametrize("os_name", ["spin", "unix"])
@@ -424,28 +408,14 @@ class TestRegistry:
         one (here the tracker refusing a second outstanding request) used
         to stay parked in it, and the run reported 6 of 10 fetches done."""
         with pytest.raises(RuntimeError, match="one outstanding request"):
-            slo._observed(WORKLOADS["tcp_objects@g2000"], True, tracked=True)
+            slo._observed(WORKLOADS["tcp_objects@g2000"], tracked=True)
 
     # The names CI's ``python -m repro.obs --workload`` steps drive.
     @pytest.mark.parametrize("name", ["udp_pingpong", "tcp_bulk",
                                       "many_flows"])
     def test_obs_profiles_every_default_suite_workload(self, name):
         from repro.obs.__main__ import profile_workload
-        record, profiler, registry, tracer = profile_workload(name, quick=True)
+        record, profiler, registry, tracer = profile_workload(name)
         assert record["name"] == name and record["events"] > 0
         assert sum(profiler.categories().values()) > 0.0
         assert len(registry) > 0 and tracer is None
-
-    def test_deferred_replies_hold_every_flow_live(self):
-        record = run_once(WORKLOADS["mega_flows"], 120)
-        fp = record["fingerprint"]
-        assert fp["tcp_done"] + fp["udp_done"] == 120
-        # Every 8th flow is TCP, and the server defers every push until
-        # all flows have arrived -- so the connection peak is exactly
-        # the full TCP population, not a trickle of early retirements.
-        assert fp["peak_conns"] == 120 // 8
-        assert fp["bytes_in"] > 0
-
-    def test_mega_flows_is_on_demand_only(self):
-        assert "mega_flows" not in slo.leg_names(quick=True)
-        assert "mega_flows" in slo.leg_names(quick=False)

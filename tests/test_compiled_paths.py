@@ -191,11 +191,11 @@ class TestGraphStaysAuthoritative:
 _SCANS = "spin.dispatcher.compiled_scans"
 
 
-def _udp_quick_fingerprint():
+def _udp_fingerprint():
     """The fingerprint and the metrics snapshot (summed over the bed's
-    hosts) of a quick ``udp_pingpong`` run."""
+    hosts) of a ``udp_pingpong`` run at its registry scale."""
     record = run_once(WORKLOADS["udp_pingpong"],
-                      WORKLOADS["udp_pingpong"].quick)
+                      WORKLOADS["udp_pingpong"].scale)
     return record["fingerprint"], {
         name: row["value"] for name, row in record["metrics"].items()}
 
@@ -204,11 +204,11 @@ class TestFlowCache:
     """Generated scans against the reference one, on a whole run."""
 
     def test_cache_off_is_bit_identical(self):
-        compiled_fp, compiled_metrics = _udp_quick_fingerprint()
+        compiled_fp, compiled_metrics = _udp_fingerprint()
         assert compiled_metrics[_SCANS] > 0
 
         with scan():
-            linear_fp, linear_metrics = _udp_quick_fingerprint()
+            linear_fp, linear_metrics = _udp_fingerprint()
 
         # Generated scans charge identical simulated costs in identical
         # order, and are built exactly where the reference is.
@@ -279,7 +279,7 @@ class TestFlowCache:
     def test_counters_in_wallclock_report(self):
         """No suite is named that any more; the compile count rides in
         every run record's metrics snapshot, not in its fingerprint."""
-        fingerprint, metrics = _udp_quick_fingerprint()
+        fingerprint, metrics = _udp_fingerprint()
         assert _SCANS in metrics
         assert _SCANS not in fingerprint
         assert not any(name.startswith("spin.flowcache.") for name in metrics)

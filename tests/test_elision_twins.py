@@ -21,7 +21,7 @@ category, every handle's statistics, and every counter.  Only the
 heap-entry counts may differ.
 
 Two mutants of the elided paths are red here: ``_held`` starting its
-successor before the deferred flush (``many_flows``, ``mega_flows``),
+successor before the deferred flush (``many_flows``),
 and an interrupt whose in-entry-or-bootstrap choice is made at ring
 admission instead of at the interrupt, so that it starts in its entry
 while another entry is due (``fabric_fat_tree``).

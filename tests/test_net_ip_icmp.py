@@ -236,6 +236,46 @@ class TestMalformedFragments:
         assert results == [(None, None)]
 
 
+class TestDatagramLimit:
+    """RFC 791's total length is 16 bits: no datagram passes 65,535
+    bytes, header included, whether sent or reassembled."""
+
+    PAYLOAD = 65_600
+
+    def test_output_refuses_an_oversized_payload(self):
+        engine, wire, a, b = make_pair()
+        errors = []
+
+        def work():
+            m = a.host.mbufs.from_bytes(bytes(self.PAYLOAD), leading_space=64)
+            try:
+                a.ip.output(m, b.my_ip, IPPROTO_UDP)
+            except ValueError as error:
+                errors.append(str(error))
+        a.run_kernel(work)
+        engine.run()
+        assert errors == ["IP datagram of 65620 bytes exceeds 65535"]
+        assert (a.ip.fragments_out, wire.sent) == (0, [])
+
+    def test_an_oversized_reassembly_is_dropped_and_counted(self):
+        """A peer's fragments whose offsets reach past 65,535 bytes."""
+        engine, wire, a, b = make_pair()
+        got = []
+        b.ip.upcall = lambda *args: got.append(args)
+        chunk = 1480
+        for offset in range(0, self.PAYLOAD, chunk):
+            part = bytes(min(chunk, self.PAYLOAD - offset))
+            more = 0 if offset + len(part) == self.PAYLOAD else _MF
+            packet = _ip_packet(a.my_ip, b.my_ip, IP_HEADER.size + len(part),
+                                more | offset // 8, part)
+            b.run_kernel(lambda packet=packet: b.ip.input(
+                b.host.mbufs.from_bytes(packet, leading_space=0), 0))
+        engine.run()
+        assert b.ip.fragments_in == -(-self.PAYLOAD // chunk)
+        assert (b.ip.reassembled, b.ip.header_errors, got) == (0, 1, [])
+        assert not b.ip._reassembly
+
+
 class TestTotalLength:
     """The IP total length bounds the datagram (BSD ip_input): a packet
     shorter than it is a header error, whatever it carries, and bytes

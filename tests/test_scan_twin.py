@@ -57,7 +57,7 @@ def test_every_raise_walks_the_reference(name):
         return reference_scan(dispatcher, event, snapshot, args)
     reference_scan = twins.reference_scan
     with scan(), mock.patch.object(twins, "reference_scan", counted):
-        run_once(record, record.warmup, instrument=beds.append)
+        run_once(record, twins.warmup(record), instrument=beds.append)
     raises = sum(host.dispatcher.total_raises for host in beds[0].hosts
                  if getattr(host, "dispatcher", None) is not None)
     assert raises > 0

@@ -2,6 +2,8 @@
 decomposition, the latency suite's determinism, and its gate
 semantics."""
 
+import json
+import os
 import types
 
 import pytest
@@ -356,9 +358,7 @@ def _tiny_report():
     parts = {"cpu_service": 900, "nic_ring": 100, "propagation": 400,
              "stall": 100, "unattributed": 0}
     return {
-        "quick": True,
         "legs": {"udp_echo@g400": {
-            "workload": "udp_echo",
             "open": _fingerprint_side(), "closed": _fingerprint_side(),
             "tail_gap_p99_ns": 0,
         }},
@@ -370,7 +370,7 @@ def _tiny_report():
 
 
 class TestLatencyGate:
-    """The latency suite's rows through the one gate, against a baseline
+    """The latency suite's rows through the one gate, against a golden
     written by the one projection."""
 
     @pytest.fixture(autouse=True)
@@ -382,40 +382,65 @@ class TestLatencyGate:
         write_baseline(report, self.path)
         return load_baseline(self.path)
 
-    def _judged(self, report, baseline=None):
-        from repro.bench.slo import judge, write_json
-        if baseline is not None:
-            write_json(baseline, self.path)
-        return judge(report, self.path)["comparison"]
+    def _judged(self, report, baseline):
+        from repro.bench.slo import judge
+        with open(self.path, "w") as fh:
+            json.dump(baseline, fh)
+        return judge(report, self.path)
 
     def test_matching_baseline_is_clean(self):
         report = _tiny_report()
         rows = self._judged(report, self._baseline(report))
-        assert all(row["ok"] for row in rows.values())
-        assert not any(row["errors"] for row in rows.values())
-        assert not any(row["warnings"] for row in rows.values())
+        assert rows and not any(rows.values())
 
     def test_percentile_drift_is_an_error(self):
         """A seeded 20% p99 drift must fail the gate, not warn."""
         report = _tiny_report()
         baseline = self._baseline(report)
-        drifted = baseline["quick"]["udp_echo@g400"]["fingerprint"]["open"]
+        drifted = baseline["udp_echo@g400"]["fingerprint"]["open"]
         drifted["p99_ns"] = int(drifted["p99_ns"] * 1.2)
-        row = self._judged(report, baseline)["udp_echo@g400"]
-        assert not row["ok"]
-        assert any("fingerprint drifted" in error for error in row["errors"])
+        errors = self._judged(report, baseline)["udp_echo@g400"]
+        assert any("fingerprint drifted" in error for error in errors)
 
-    def test_missing_baseline_only_warns(self):
-        rows = self._judged(_tiny_report())
-        assert all(row["ok"] for row in rows.values())
-        assert rows["udp_echo@g400"]["warnings"]
+    def test_missing_row_is_an_error(self):
+        report = _tiny_report()
+        baseline = self._baseline(report)
+        del baseline["udp_echo@g400"]
+        rows = self._judged(report, baseline)
+        assert rows["udp_echo@g400"] == [
+            "no committed baseline for 'udp_echo@g400'"]
+        assert rows["decomposition:udp_clean"] == []
 
     def test_unreconciled_probe_is_an_error(self):
         report = _tiny_report()
+        baseline = self._baseline(report)
         probe = report["decomposition"]["udp_clean"]
         probe["reconciled"] = False
         probe["errors"] = ["request r0 does not reconcile"]
-        assert not self._judged(report)["decomposition:udp_clean"]["ok"]
+        assert self._judged(report, baseline)["decomposition:udp_clean"]
+
+
+#: The lines around the suite's tables in EXPERIMENTS.md.
+_BEGIN = "<!-- python -m repro.bench --latency: begin -->\n```text\n"
+_END = "\n```\n<!-- python -m repro.bench --latency: end -->"
+
+
+def test_the_suite_is_its_golden_and_experiments_md_its_tables():
+    """``python -m repro.bench --latency`` at the committed code: every
+    row equals ``benchmarks/latency_baseline.json``, and EXPERIMENTS.md's
+    tail-latency block is its tables verbatim (regenerate the golden
+    with ``--write-baseline`` and paste the tables between the
+    markers)."""
+    from repro.bench import slo
+    report = slo.run_latency_suite()
+    assert slo.judge(report) == {name: [] for name in slo.rows(report)}
+    with open(os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "EXPERIMENTS.md"),
+            encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count(_BEGIN) == 1 and text.count(_END) == 1
+    assert text.split(_BEGIN)[1].split(_END)[0] == slo.render(report)
+
 
 
 class TestHarnessDeterminism:
