@@ -16,7 +16,7 @@ from ..checksum import internet_checksum
 from ..headers import (IPPROTO_TCP, PSEUDO_HEADER_LEN, TCP_HEADER,
                        pseudo_header_sum)
 from ..ip import IpProto
-from .tcb import ACK, RST, SYN, Tcb, TcpSegment
+from .tcb import ACK, RST, SYN, Tcb, seq_add
 
 __all__ = ["TcpProto", "TcpListener"]
 
@@ -161,10 +161,9 @@ class TcpProto:
         amount = host.costs.tcp_output
         stack[-1] += amount
         times["protocol"] += amount
-        options = b""
-        if flags & 0x02:  # SYN: advertise our MSS
-            options = bytes([2, 4]) + self.default_mss.to_bytes(2, "big")
-        header_len = self.HEADER_LEN + len(options)
+        header_len = self.HEADER_LEN
+        if flags & 0x02:  # SYN: room for the MSS option
+            header_len += 4
         length = header_len + len(payload)
         # The payload goes in behind room for the header, and the window
         # opens over it: push(header_len)'s headroom branch, inline.  The
@@ -174,9 +173,11 @@ class TcpProto:
         m.len = length
         storage = m._storage
         _TCP_PACK(storage, start, tcb.lport, tcb.rport, seq, ack,
-                  ((header_len // 4) << 12) | flags, min(window, 0xFFFF), 0, 0)
-        if options:
-            storage[start + self.HEADER_LEN:start + header_len] = options
+                  ((header_len // 4) << 12) | flags,
+                  window if window < 0xFFFF else 0xFFFF, 0, 0)
+        if flags & 0x02:  # SYN: advertise our MSS
+            storage[start + self.HEADER_LEN:start + header_len] = \
+                bytes([2, 4]) + self.default_mss.to_bytes(2, "big")
         amount = (PSEUDO_HEADER_LEN + length) * host.costs.checksum_per_byte
         stack[-1] += amount
         times["checksum"] += amount
@@ -239,11 +240,12 @@ class TcpProto:
         amount = host.costs.tcp_input
         stack[-1] += amount
         times["protocol"] += amount
-        if m.len < off + self.HEADER_LEN:
+        seg_len = m.len - off
+        if seg_len < self.HEADER_LEN:
             return
         # The segment is checksummed where it lies in the store, no copy.
-        segment = memoryview(m._storage)[m.off + off:m.off + m.len]
-        seg_len = len(segment)
+        start = m.off + off
+        segment = memoryview(m._storage)[start:start + seg_len]
         (src_port, dst_port, seq, ack, off_flags, window, _cksum,
          _urgent) = _TCP_UNPACK(segment, 0)
         # Looked up first for its pseudo-header sum, used once it checks.
@@ -272,10 +274,9 @@ class TcpProto:
             mss = self._parse_mss_option(
                 bytes(segment[self.HEADER_LEN:data_off]))
         self.segments_in += 1
-        seg = TcpSegment(seq, ack, flags, window, payload, mss=mss)
 
         if tcb is not None:
-            tcb.input(seg)
+            tcb.input(seq, ack, flags, window, payload, mss)
             return
 
         listener = self.listeners.get(dst_port)
@@ -288,7 +289,7 @@ class TcpProto:
             listener.pending += 1
             child.on_established = (
                 lambda lst=listener, c=child: lst._child_established(c))
-            child.accept_syn(seg)
+            child.accept_syn(seq, window, mss)
             return
 
         # No connection, no listener: RST (unless the segment was a RST).
@@ -297,8 +298,8 @@ class TcpProto:
             return
         if flags & ACK:
             self._send_rst(src_ip, src_port, dst_ip, dst_port,
-                           seq=seg.ack, ack=0, with_ack=False)
+                           seq=ack, ack=0, with_ack=False)
         else:
-            from .tcb import seq_add
             self._send_rst(src_ip, src_port, dst_ip, dst_port, seq=0,
-                           ack=seq_add(seg.seq, len(payload) + 1), with_ack=True)
+                           ack=seq_add(seq, seg_len - data_off + 1),
+                           with_ack=True)

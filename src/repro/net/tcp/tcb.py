@@ -15,12 +15,15 @@ All TCB entry points are plain code: they must be called inside a kernel
 execution context (a ``host.kernel_path``), and they charge their CPU
 costs to it.  Timers re-enter through kernel paths of their own.
 
-A segment takes one path.  Its methods do sequence and window arithmetic
-inline, on locals (``seq_lt(a, b)`` is ``(a - b) & _MASK > _HALF``; the
-flight is ``(snd_nxt - snd_una) & _MASK``, as ``snd_una`` never passes
-``snd_nxt``), and arm or cancel timers and book charges in place, in the
-helpers' order; the helpers serve the cold paths.  A data segment whose
-ACK is ``snd_una`` skips ``_process_ack``, which would change nothing.
+A segment takes one path.  It arrives as fields, ``input(seq, ack, flags,
+window, payload, mss)``, and each handler takes those it reads.  Its
+methods do sequence and window arithmetic inline, on locals (``seq_lt(a,
+b)`` is ``(a - b) & _MASK > _HALF``; the flight is ``(snd_nxt - snd_una)
+& _MASK``, as ``snd_una`` never passes ``snd_nxt``), take a ``min`` or
+``max`` by comparison, and arm or cancel timers and book charges in
+place, in the helpers' order; the helpers serve the cold paths.  A data
+segment whose ACK is ``snd_una`` skips ``_process_ack``, which would
+change nothing.
 States are tested with ``is`` or tuple membership: ``Enum.__hash__`` is
 Python code, so a set or dict keyed by state costs a call per probe.
 """
@@ -33,7 +36,7 @@ from typing import Callable, Dict, Optional
 from ...hw.cpu import OUTSIDE_PATH, ChargeError
 from ..headers import IPPROTO_TCP, pseudo_header_sum
 
-__all__ = ["Tcb", "TcpState", "TcpSegment"]
+__all__ = ["Tcb", "TcpState"]
 
 # Sequence-number modular arithmetic.
 _MOD = 1 << 32
@@ -80,21 +83,6 @@ _SYNCHRONIZED = (ESTABLISHED, SYN_RCVD, FIN_WAIT_1, FIN_WAIT_2, CLOSE_WAIT,
                  CLOSING, LAST_ACK)
 _SENDING = (ESTABLISHED, CLOSE_WAIT, FIN_WAIT_1, CLOSING, LAST_ACK)
 _WRITABLE = (ESTABLISHED, CLOSE_WAIT)
-
-
-class TcpSegment:
-    """A parsed inbound segment (protocol.py fills this in)."""
-
-    __slots__ = ("seq", "ack", "flags", "window", "payload", "mss")
-
-    def __init__(self, seq: int, ack: int, flags: int, window: int,
-                 payload: bytes, mss: Optional[int] = None):
-        self.seq = seq
-        self.ack = ack
-        self.flags = flags
-        self.window = window
-        self.payload = payload
-        self.mss = mss  # from the MSS option on SYN segments
 
 
 # Flag bits (mirrors headers.py; duplicated to keep this module standalone).
@@ -299,26 +287,28 @@ class Tcb:
             self._send_ack()
 
     # ------------------------------------------------------------------
-    # Segment input (called by TcpProto with a parsed segment)
+    # Segment input (called by TcpProto with the decoded fields)
     # ------------------------------------------------------------------
 
-    def input(self, seg: TcpSegment) -> None:
-        if seg.flags & RST:
-            self._handle_rst(seg)
+    def input(self, seq: int, ack: int, flags: int, window: int,
+              payload: bytes, mss: Optional[int]) -> None:
+        """One segment: ``mss`` is its MSS option's value, or None."""
+        if flags & RST:
+            self._handle_rst(flags, ack)
             return
         state = self.state
         if state in _SYNCHRONIZED:  # ESTABLISHED is its first member
-            self._input_synchronized(seg)
+            self._input_synchronized(seq, ack, flags, window, payload)
         elif state is SYN_SENT:
-            self._input_syn_sent(seg)
+            self._input_syn_sent(seq, ack, flags, window, mss)
         elif state is TIME_WAIT:
-            self._input_time_wait(seg)
+            self._input_time_wait(flags)
 
-    def accept_syn(self, seg: TcpSegment) -> None:
+    def accept_syn(self, seq: int, window: int, mss: Optional[int]) -> None:
         """Passive open: a listener routed a SYN to this new TCB."""
-        self.rcv_nxt = seq_add(seg.seq, 1)
-        self.snd_wnd = seg.window
-        self._negotiate_mss(seg)
+        self.rcv_nxt = seq_add(seq, 1)
+        self.snd_wnd = window
+        self._negotiate_mss(mss)
         self.state = SYN_RCVD
         self._send_control(SYN | ACK, seq=self.iss)
         self.snd_nxt = seq_add(self.iss, 1)
@@ -328,25 +318,26 @@ class Tcb:
 
     # -- state handlers -----------------------------------------------------
 
-    def _handle_rst(self, seg: TcpSegment) -> None:
+    def _handle_rst(self, flags: int, ack: int) -> None:
         # Accept only plausible RSTs (in-window or ACK of our SYN).
         if self.state is SYN_SENT:
-            if not (seg.flags & ACK and seg.ack == self.snd_nxt):
+            if not (flags & ACK and ack == self.snd_nxt):
                 return
         self._enter_closed(notify_reset=True)
 
-    def _input_syn_sent(self, seg: TcpSegment) -> None:
-        if not (seg.flags & SYN):
+    def _input_syn_sent(self, seq: int, ack: int, flags: int, window: int,
+                        mss: Optional[int]) -> None:
+        if not (flags & SYN):
             return
-        if seg.flags & ACK and seg.ack != self.snd_nxt:
-            self._send_control(RST, seq=seg.ack)
+        if flags & ACK and ack != self.snd_nxt:
+            self._send_control(RST, seq=ack)
             return
-        self.rcv_nxt = seq_add(seg.seq, 1)
-        self.snd_wnd = seg.window
-        self._negotiate_mss(seg)
-        if seg.flags & ACK:
-            self.snd_una = seg.ack
-            if self._rtt_seq is not None and seq_lt(self._rtt_seq, seg.ack):
+        self.rcv_nxt = seq_add(seq, 1)
+        self.snd_wnd = window
+        self._negotiate_mss(mss)
+        if flags & ACK:
+            self.snd_una = ack
+            if self._rtt_seq is not None and seq_lt(self._rtt_seq, ack):
                 self._update_rtt(self.host.engine.now - self._rtt_start)
                 self._rtt_seq = None
             self.state = ESTABLISHED
@@ -359,16 +350,18 @@ class Tcb:
             self.state = SYN_RCVD
             self._send_control(SYN | ACK, seq=self.iss)
 
-    def _input_time_wait(self, seg: TcpSegment) -> None:
+    def _input_time_wait(self, flags: int) -> None:
         # Re-ACK retransmitted FINs.
-        if seg.flags & FIN:
+        if flags & FIN:
             self._send_ack()
 
-    def _input_synchronized(self, seg: TcpSegment) -> None:
+    def _input_synchronized(self, seg_seq: int, ack: int, flags: int,
+                            window: int, seg_payload: bytes) -> None:
         # -- sequence acceptability / trimming ---------------------------
-        payload = seg.payload
-        seq = seg.seq
-        flags = seg.flags
+        # seq and payload are the in-window part; the seg_ names, the
+        # segment as it came.
+        payload = seg_payload
+        seq = seg_seq
         rcv_nxt = self.rcv_nxt
         if (seq - rcv_nxt) & _MASK > _HALF:     # seq_lt(seq, rcv_nxt)
             trim = (rcv_nxt - seq) & _MASK
@@ -391,14 +384,14 @@ class Tcb:
         # -- ACK processing ------------------------------------------------
         # A data segment whose ACK is snd_una is neither news nor a
         # duplicate ACK: _process_ack would return without a change.
-        if flags & ACK and (seg.ack != self.snd_una or not seg.payload):
-            self._process_ack(seg)
+        if flags & ACK and (ack != self.snd_una or not seg_payload):
+            self._process_ack(ack, flags, seg_payload)
             if self.state is CLOSED:
                 return
 
         # -- window update ---------------------------------------------------
-        self.snd_wnd = seg.window
-        if self._probe_pending and seg.window > 0:
+        self.snd_wnd = window
+        if self._probe_pending and window > 0:
             # The zero window opened: pull snd_nxt back over the probe
             # bytes so normal output resends cleanly from the left edge
             # (BSD's snd_nxt pullback after persist).
@@ -407,7 +400,7 @@ class Tcb:
                 self._persist_timer.cancel()
                 self._persist_timer = None
             if seq_lt(self.snd_una, self.snd_nxt):
-                self.snd_nxt = max(self.snd_una, seg.ack,
+                self.snd_nxt = max(self.snd_una, ack,
                                    key=lambda v: seq_sub(v, self.snd_una))
 
         # -- data ----------------------------------------------------------
@@ -416,23 +409,22 @@ class Tcb:
 
         # -- FIN ------------------------------------------------------------
         if flags & FIN:
-            self._process_fin((seg.seq + len(seg.payload)) & _MASK)
+            self._process_fin((seg_seq + len(seg_payload)) & _MASK)
 
         # Try to move queued data out (window may have opened); _output
         # returns at once outside the sending states.
         self._output()
 
-    def _negotiate_mss(self, seg: TcpSegment) -> None:
+    def _negotiate_mss(self, mss: Optional[int]) -> None:
         """Clamp our MSS to the peer's advertised maximum (RFC 879)."""
-        if seg.mss is not None and seg.mss < self.mss:
-            self.mss = max(64, seg.mss)
+        if mss is not None and mss < self.mss:
+            self.mss = max(64, mss)
             # Congestion state is expressed in MSS units; re-base it.
             self.cwnd = min(self.cwnd, 2 * self.mss)
 
     # -- ACK machinery ---------------------------------------------------------
 
-    def _process_ack(self, seg: TcpSegment) -> None:
-        ack = seg.ack
+    def _process_ack(self, ack: int, flags: int, payload: bytes) -> None:
         snd_una = self.snd_una
         snd_nxt = self.snd_nxt
         if (snd_nxt - ack) & _MASK > _HALF:     # seq_lt(snd_nxt, ack)
@@ -442,8 +434,8 @@ class Tcb:
         acked = (ack - snd_una) & _MASK
         if acked == 0 or acked > _HALF:         # ack <= snd_una
             # Duplicate ACK?
-            if acked == 0 and not seg.payload and \
-                    not (seg.flags & (SYN | FIN)) and snd_nxt != snd_una:
+            if acked == 0 and not payload and \
+                    not (flags & (SYN | FIN)) and snd_nxt != snd_una:
                 self.dupacks += 1
                 if self.dupacks == 3:
                     self._fast_retransmit()
@@ -487,13 +479,16 @@ class Tcb:
             self._update_rtt(self.host.engine.now - self._rtt_start)
             self._rtt_seq = None
 
-        # Congestion window growth.
+        # Congestion window growth (min and max by comparison).
+        cwnd = self.cwnd
         if in_recovery:
             self.cwnd = self.ssthresh  # deflate after recovery
-        elif self.cwnd < self.ssthresh:
-            self.cwnd += min(acked, self.mss)          # slow start
+        elif cwnd < self.ssthresh:
+            mss = self.mss                               # slow start
+            self.cwnd = cwnd + (acked if acked < mss else mss)
         else:
-            self.cwnd += max(1, self.mss * self.mss // self.cwnd)  # CA
+            grow = self.mss * self.mss // cwnd           # CA
+            self.cwnd = cwnd + (grow if grow > 1 else 1)
 
         # Retransmission timer: cancelled once all is acked (snd_nxt
         # re-read: on_established may have sent), else restarted.
@@ -507,9 +502,10 @@ class Tcb:
             self._fin_acked()
 
         # Tell the application there is room again.
-        if self.on_sendable is not None and self.state in _WRITABLE and \
-                self.snd_buf_limit > len(self.snd_buf):
-            self.on_sendable(self.snd_buf_limit - len(self.snd_buf))
+        if self.on_sendable is not None and self.state in _WRITABLE:
+            space = self.snd_buf_limit - len(self.snd_buf)
+            if space > 0:
+                self.on_sendable(space)
 
     def _fin_acked(self) -> None:
         state = self.state
@@ -612,6 +608,7 @@ class Tcb:
         if self.state not in _SENDING:
             return
         snd_buf = self.snd_buf
+        buffered = len(snd_buf)     # sending changes no buffer
         mss = self.mss
         sent_something = False
         while True:
@@ -619,27 +616,32 @@ class Tcb:
             # space: the flight is snd_nxt's offset in the buffer.
             snd_nxt = self.snd_nxt
             flight = (snd_nxt - self.snd_una) & _MASK
-            buffered = len(snd_buf)
             unsent = buffered - flight
             if unsent <= 0:
                 break
-            usable = min(self.snd_wnd, self.cwnd) - flight
+            snd_wnd = self.snd_wnd
+            cwnd = self.cwnd
+            usable = (snd_wnd if snd_wnd < cwnd else cwnd) - flight
             if usable <= 0:
-                if self.snd_wnd == 0:
+                if snd_wnd == 0:
                     # Zero window: persist probes own recovery; the
                     # retransmission timer pauses (BSD behaviour).
                     self._cancel_rexmt()
                     self._arm_persist()
                 break
-            length = min(unsent, usable, mss)
+            # min(unsent, usable, mss), by comparison.
+            length = unsent if unsent < mss else mss
             if flight > 0:
-                if length < min(unsent, mss):
+                if usable < length:
                     break  # silly-window avoidance: wait for a fuller segment
                 if length < mss and not self.nodelay:
                     break  # Nagle: coalesce small writes while data is unacked
+            elif usable < length:
+                length = usable
             # One memcpy: slicing the bytearray first would copy twice.
             chunk = bytes(memoryview(snd_buf)[flight:flight + length])
-            self._send_data(snd_nxt, chunk, flight + length == buffered)
+            self._send_data(snd_nxt, chunk, flight + length == buffered,
+                            length)
             if self._rtt_seq is None:
                 self._rtt_seq = snd_nxt
                 self._rtt_start = self.host.engine.now
@@ -648,7 +650,8 @@ class Tcb:
         # FIN transmission once the buffer has drained (every break above
         # leaves snd_nxt, flight and buffered current).
         if self.fin_queued and self.fin_sent_seq is None and \
-                flight >= buffered and min(self.snd_wnd, self.cwnd) > flight:
+                flight >= buffered and self.snd_wnd > flight and \
+                self.cwnd > flight:
             self.fin_sent_seq = snd_nxt
             self._send_control(FIN | ACK, seq=snd_nxt)
             self.snd_nxt = (snd_nxt + 1) & _MASK
@@ -675,21 +678,25 @@ class Tcb:
                      (self.snd_nxt - self.snd_una) & _MASK)
         if length > 0:
             chunk = bytes(memoryview(self.snd_buf)[:length])
-            self._send_data(self.snd_una, chunk, push=True)
+            self._send_data(self.snd_una, chunk, True, length)
         elif self.fin_sent_seq is not None:
             self._send_control(FIN | ACK, seq=self.fin_sent_seq)
 
     # -- segment emission --------------------------------------------------------
 
-    def _send_data(self, seq: int, payload: bytes, push: bool) -> None:
-        reass = self._reass     # _rcv_window inlined
-        window = max(0, self.rcv_buf_limit - self.delivered_unconsumed - (
-            sum(map(len, reass.values())) if reass else 0))
+    def _send_data(self, seq: int, payload: bytes, push: bool,
+                   nbytes: int) -> None:
+        """Send ``payload`` (``nbytes`` long) with an ACK."""
+        reass = self._reass     # _rcv_window inlined, max by comparison
+        window = self.rcv_buf_limit - self.delivered_unconsumed - (
+            sum(map(len, reass.values())) if reass else 0)
+        if window < 0:
+            window = 0
         self._advertised_window = window
         self.proto.send_segment(self, seq, self.rcv_nxt,
                                 ACK | PSH if push else ACK, window, payload)
         self.segments_sent += 1
-        self.bytes_sent += len(payload)
+        self.bytes_sent += nbytes
         self._segs_since_ack = 0
         if self._delack_timer is not None:      # _cancel_delack inlined
             self._delack_timer.cancel()
@@ -705,7 +712,7 @@ class Tcb:
 
     def _send_ack(self) -> None:
         """A pure ACK: a data segment with no data and no PSH."""
-        self._send_data(self.snd_nxt, b"", False)
+        self._send_data(self.snd_nxt, b"", False, 0)
 
     # ------------------------------------------------------------------
     # Timers
@@ -719,8 +726,11 @@ class Tcb:
             delta = sample_us - self.srtt
             self.srtt += delta / 8
             self.rttvar += (abs(delta) - self.rttvar) / 4
-        self.rto = min(max(self.srtt + 4 * self.rttvar, self.MIN_RTO_US),
-                       self.MAX_RTO_US)
+        # min(max(...)) by comparison: a sample is one per round trip.
+        rto = self.srtt + 4 * self.rttvar
+        if rto < self.MIN_RTO_US:
+            rto = self.MIN_RTO_US
+        self.rto = rto if rto < self.MAX_RTO_US else self.MAX_RTO_US
 
     def _arm_rexmt(self, restart: bool = False) -> None:
         if self._rexmt_timer is not None:
@@ -784,7 +794,7 @@ class Tcb:
         if self.snd_wnd == 0 and len(self.snd_buf) > offset:
             # Window probe: one byte beyond the window.
             probe = bytes(self.snd_buf[offset:offset + 1])
-            self._send_data(self.snd_nxt, probe, push=True)
+            self._send_data(self.snd_nxt, probe, True, 1)
             self.snd_nxt = seq_add(self.snd_nxt, 1)
             self._probe_pending = True
             self._arm_persist()

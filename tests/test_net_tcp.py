@@ -555,28 +555,31 @@ class TestDemux:
 # -- the per-segment call budget ---------------------------------------------
 
 #: a segment's way in, down to the TCB's handler for its state
-_SEGMENT_IN = ["TcpProto.input", "TcpSegment.__init__", "Tcb.input",
-               "Tcb._input_synchronized"]
+_SEGMENT_IN = ["TcpProto.input", "Tcb.input", "Tcb._input_synchronized"]
 #: one data segment out
 _SEGMENT_OUT = ["Tcb._send_data", "TcpProto.send_segment"]
 
 
 def _tcp_calls_per_input(engine, a, b, client, total):
     """Send ``total`` bytes; for each ``TcpProto.input`` call, whether it
-    ran on the receiver, and the Python functions under ``repro/net/tcp``
-    it called, by qualified name (itself first)."""
+    ran on the receiver, the Python functions under ``repro/net/tcp`` it
+    called, by qualified name (itself first), and the C functions those
+    frames called, as ``(caller, callee)`` qualified names."""
     inputs = []
     entered = []
 
-    def on_event(frame, event, _arg):
+    def on_event(frame, event, arg):
         code = frame.f_code
         if event == "call":
             if not entered and code.co_qualname == "TcpProto.input":
                 entered.append(frame)
                 inputs.append((frame.f_locals["self"] is b.tcp,
-                               [code.co_qualname]))
+                               [code.co_qualname], []))
             elif entered and "/repro/net/tcp/" in code.co_filename:
                 inputs[-1][1].append(code.co_qualname)
+        elif event == "c_call":
+            if entered and "/repro/net/tcp/" in code.co_filename:
+                inputs[-1][2].append((code.co_qualname, arg.__qualname__))
         elif event == "return" and entered and frame is entered[0]:
             entered.pop()
     a.run_kernel(lambda: client.send(bytes(total)))
@@ -588,14 +591,23 @@ def _tcp_calls_per_input(engine, a, b, client, total):
     return inputs
 
 
+def _lens(c_calls):
+    """The frames that called ``len``, in order; asserts none called
+    ``min`` or ``max``."""
+    callees = [callee for _caller, callee in c_calls]
+    assert "min" not in callees and "max" not in callees, c_calls
+    return [caller for caller, callee in c_calls if callee == "len"]
+
+
 class TestCallBudget:
     def test_steady_segments_call_no_helpers(self):
         """Every Python call a segment makes in TCP, from
         ``TcpProto.input`` down, on a clean steady transfer.  An in-order
-        data segment is seven calls, ten when it is the second of a pair
-        and sends the ACK; a pure ACK is six, plus ``_update_rtt``
+        data segment is six calls, nine when it is the second of a pair
+        and sends the ACK; a pure ACK is five, plus ``_update_rtt``
         when it takes an RTT sample and two per segment it lets out.
-        Sequence arithmetic, window arithmetic, timer arming and
+        The segment reaches the TCB as fields (no segment object);
+        sequence arithmetic, window arithmetic, timer arming and
         cancelling and the ``copy`` charge are inline, and a data
         segment with nothing new in its ACK skips ``_process_ack``.  With
         the ``seq_*``, window and timer helpers called, an in-order data
@@ -605,7 +617,7 @@ class TestCallBudget:
         client, _server = establish(engine, a, b,
                                     server_received=lambda data: None)
         inputs = _tcp_calls_per_input(engine, a, b, client, 60 * 1024)
-        data = Counter(tuple(calls) for on_receiver, calls in inputs
+        data = Counter(tuple(calls) for on_receiver, calls, _c in inputs
                        if on_receiver)
         assert set(data) == {
             tuple(_SEGMENT_IN + ["Tcb._process_data", "Tcb._deliver",
@@ -613,7 +625,7 @@ class TestCallBudget:
             tuple(_SEGMENT_IN + ["Tcb._process_data", "Tcb._deliver",
                                  "Tcb._send_ack"] + _SEGMENT_OUT
                   + ["Tcb._output"])}
-        acks = [calls for on_receiver, calls in inputs if not on_receiver]
+        acks = [calls for on_receiver, calls, _c in inputs if not on_receiver]
         sent = 0
         for calls in acks:
             head = _SEGMENT_IN + ["Tcb._process_ack"]
@@ -622,5 +634,32 @@ class TestCallBudget:
             segments = (len(calls) - len(head) - 1) // len(_SEGMENT_OUT)
             assert calls == head + ["Tcb._output"] + _SEGMENT_OUT * segments
             sent += segments
-        assert ["Tcb._update_rtt"] in [calls[5:6] for calls in acks]
+        assert ["Tcb._update_rtt"] in [calls[4:5] for calls in acks]
         assert sent
+
+    def test_steady_segments_call_no_min_or_max(self):
+        """The builtins a steady segment's TCP frames call.  No ``min``
+        or ``max``: windows, segment lengths, congestion growth and the
+        RTO clamp compare instead.  An in-order data segment calls
+        ``len`` three times (its data, the delivered bytes, the send
+        buffer), four when it sends the ACK (that segment's payload); a
+        pure ACK once for the send buffer, plus once per segment it lets
+        out.  Before, a data segment called ``len`` four times (seven, and
+        ``min`` and ``max`` once each, when it sent the ACK), and a pure
+        ACK that let three segments out called ``len`` 14 times, ``min``
+        14 or 15 and ``max`` three or four."""
+        engine, wire, a, b = make_pair()
+        client, _server = establish(engine, a, b,
+                                    server_received=lambda data: None)
+        inputs = _tcp_calls_per_input(engine, a, b, client, 60 * 1024)
+        for on_receiver, calls, c_calls in inputs:
+            lens = _lens(c_calls)
+            if on_receiver:
+                acked = ["TcpProto.send_segment"] if "Tcb._send_ack" in calls \
+                    else []
+                assert lens == ["Tcb._process_data", "Tcb._deliver"] \
+                    + acked + ["Tcb._output"]
+            else:
+                segments = calls.count("TcpProto.send_segment")
+                assert lens == ["Tcb._output"] \
+                    + ["TcpProto.send_segment"] * segments

@@ -188,13 +188,13 @@ class TestFastRecovery:
         deflations = []
         inflated = []
 
-        def spy(tcb, orig, seg):
+        def spy(tcb, orig, *args):
             if tcb is not client:
-                return orig(tcb, seg)
+                return orig(tcb, *args)
             in_recovery = tcb.dupacks >= 3
             if in_recovery:
                 inflated.append(tcb.cwnd)
-            orig(tcb, seg)
+            orig(tcb, *args)
             if in_recovery and tcb.dupacks == 0:
                 deflations.append((tcb.cwnd, tcb.ssthresh))
 
