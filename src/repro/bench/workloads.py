@@ -686,7 +686,7 @@ _FABRIC_TX_PORT = 9001
 
 
 def _fabric_setup(bed, scale: int, lifecycle=None):
-    """8 spin hosts on 20 programmed match-action switches.
+    """8 spin hosts on 20 route-table switches.
 
     Every edge host streams ``scale`` UDP datagrams to its image in the
     pod ``k/2`` away -- the same (edge, slot), pod ``(p + k/2) % k`` --

@@ -26,7 +26,8 @@ the big-endian 16-bit field ``byte`` bytes past argument ``off_arg``
 guard; ``op`` is ``==``, ``in`` or ``not in``; ``operand`` is a constant,
 a frozenset or a live set.  ``guard.need`` is the header bytes the field
 read requires.  The closure is the reference semantics: the same tests
-in the same order, answering ``False`` for a packet under ``need``.
+in the same order, answering ``False`` for a packet under ``need``
+(``True`` for the standard TCP implementation's, which owns a runt).
 """
 
 from __future__ import annotations
@@ -121,11 +122,13 @@ def tcp_port_guard(ports: Collection[int]) -> Callable:
 def tcp_standard_guard(diverted_ports: AbstractSet[int]) -> Callable:
     """Match TCP segments for the standard implementation: every port
     outside the *live* set of ports other implementations own or IP-level
-    redirects divert, read at every raise."""
+    redirects divert, read at every raise.  A segment too short to name a
+    port is the standard implementation's too, which counts it in
+    ``header_errors``, as it does on DIGITAL UNIX."""
 
     def guard(m: Mbuf, off: int, src_ip: int, dst_ip: int) -> bool:
         if m.length() < off + TCP_HEADER.size:
-            return False
+            return True
         return VIEW(m.data, TCP_HEADER, offset=off).dst_port not in diverted_ports
 
     return _data(guard, "tcp_standard",

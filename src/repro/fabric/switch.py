@@ -1,18 +1,19 @@
-"""SwitchHost: a SPIN kernel whose application is a match-action pipeline.
+"""SwitchHost: a SPIN kernel whose application is one route table.
 
 A switch is infrastructure built directly on :class:`SpinKernel` (like
-``repro.net.router.Router``) -- but unlike the router, its forwarding
-behaviour is *programmed*: every received frame is raised as a
+``repro.net.router.Router``): every received frame is raised as a
 ``Fabric.PacketRecv(port, data)`` event through the ordinary dispatcher
 (the event's one handler is unguarded, so its generated scan is the whole
-raise) and walked through the switch's match-action tables until a
-Forward or Drop decides its fate.
+raise), and the handler looks its destination up in the switch's
+longest-prefix route table.  A route's value is a tuple of egress ports:
+one port, or an ECMP group hashed over the 5-tuple.  A miss drops the
+frame.
 
 ``data`` is the frame's bytes as the NIC delivered them.  The pipeline
-parses them where they lie and never builds an mbuf: READONLY (paper
-§3.4) holds because ``bytes`` is immutable, and a Modify writes a
-private ``bytearray`` copy.  Both chains a hop moves -- ingress and
-egress -- are still booked, in place, so a hop costs what building them did.
+parses them where they lie, never writes them and never builds an mbuf:
+READONLY (paper §3.4) holds because ``bytes`` is immutable.  Both chains
+a hop moves -- ingress and egress -- are still booked, in place, so a hop
+costs what building them did.
 
 Conservation law, checked by tests and chaos invariants: every frame a
 port accepts is counted exactly once as forwarded or dropped
@@ -23,22 +24,14 @@ mbuf law holds (one chain per ingress frame, one per egress frame).
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
 from ..hw.cpu import OUTSIDE_PATH, ChargeError
+from ..net.fwdtable import ForwardingTable
 from ..sim import SimulationError
 from ..spin.mbuf import MCLBYTES
 from .ecmp import ecmp_select
-from .table import (
-    Count,
-    Drop,
-    Forward,
-    MatchTable,
-    Modify,
-    PacketFields,
-    apply_modify,
-    refold_checksums,
-)
+from .table import PacketFields
 
 __all__ = ["SwitchHost", "FabricPort"]
 
@@ -58,20 +51,21 @@ class FabricPort:
 
 
 class SwitchHost:
-    """A programmable store-and-forward switch on the protocol graph."""
+    """A store-and-forward switch on the protocol graph."""
 
     def __init__(self, kernel, name: Optional[str] = None, ecmp_seed: int = 0):
         self.host = kernel
         self.name = name or kernel.name
         self.ecmp_seed = ecmp_seed
         self.ports: List[FabricPort] = []
-        self.tables: List[MatchTable] = []
-        #: Count-action accumulators, by counter name
-        self.counters: Dict[str, int] = {}
+        #: destination prefix -> tuple of egress port indexes
+        self.routes = ForwardingTable()
+        self.table_hits = 0
+        self.table_misses = 0
+        self.table_updates = 0
         self.pipeline_packets = 0
         self.pipeline_forwarded = 0
         self.pipeline_dropped = 0
-        self.pipeline_modified = 0
         self.ecmp_decisions = 0
         dispatcher = kernel.dispatcher
         self.event = dispatcher.declare("Fabric.PacketRecv")
@@ -90,10 +84,16 @@ class SwitchHost:
         self.host.register_device_input(nic, partial(self._device_input, port))
         return port
 
-    def add_table(self, table: MatchTable) -> MatchTable:
-        """Append a pipeline stage (stages run in add order)."""
-        self.tables.append(table)
-        return table
+    def set_route(self, network: int, prefix_len: int,
+                  ports: Tuple[int, ...]) -> None:
+        """Route ``network/prefix_len`` out of ``ports`` (more than one:
+        ECMP), replacing any route for that prefix.  Control-plane state:
+        it charges no simulated CPU and the very next frame sees it."""
+        if not ports:
+            raise ValueError("a route needs at least one egress port")
+        self.routes.remove(network, prefix_len)
+        self.routes.add(network, prefix_len, tuple(ports))
+        self.table_updates += 1
 
     # -- data plane -------------------------------------------------------
 
@@ -120,45 +120,22 @@ class SwitchHost:
         (self.event._scan or host.dispatcher.compile(self.event))((port, data))
 
     def _pipeline(self, port: FabricPort, data: bytes) -> None:
-        """Walk the match-action tables; ends in exactly one fate."""
+        """Route the frame: forwarded on a hit, dropped otherwise."""
         self.pipeline_packets += 1
         fields = PacketFields(data)
-        if not fields.ok:
-            self.pipeline_dropped += 1
-            return
-        buf: Optional[bytearray] = None
-        refold_l4 = False
-        for table in self.tables:
-            actions = table.lookup(fields)
-            if actions is None:
-                continue  # miss with no default: next stage
-            for action in actions:
-                kind = action.__class__
-                if kind is Forward:
-                    if buf is not None:
-                        refold_checksums(buf, refold_l4)
-                        data = bytes(buf)
-                    self._emit(action, fields, data)
-                    return
-                if kind is Count:
-                    self.counters[action.name] = \
-                        self.counters.get(action.name, 0) + 1
-                elif kind is Modify:
-                    if buf is None:
-                        buf = bytearray(data)
-                    refold_l4 |= apply_modify(buf, fields, action)
-                    self.pipeline_modified += 1
-                elif kind is Drop:
-                    self.pipeline_dropped += 1
-                    return
-                else:
-                    raise SimulationError("unknown action %r" % (action,))
-        # Fell off the pipeline with no decision: the packet is dropped.
+        if fields.ok:
+            dst_ip = fields.dst_ip
+            hit = self.routes._cache.get(dst_ip)
+            ports = hit[0] if hit is not None else self.routes.lookup(dst_ip)
+            if ports is not None:
+                self.table_hits += 1
+                self._emit(ports, fields, data)
+                return
+            self.table_misses += 1
         self.pipeline_dropped += 1
 
-    def _emit(self, action: Forward, fields: PacketFields,
+    def _emit(self, ports: Tuple[int, ...], fields: PacketFields,
               data: bytes) -> None:
-        ports = action.ports
         if len(ports) == 1:
             index = ports[0]
         else:
@@ -200,15 +177,13 @@ class SwitchHost:
                         lambda: self.pipeline_forwarded)
         registry.source("fabric.pipeline.dropped",
                         lambda: self.pipeline_dropped)
-        registry.source("fabric.pipeline.modified",
-                        lambda: self.pipeline_modified)
         registry.source("fabric.pipeline.ecmp", lambda: self.ecmp_decisions)
-        registry.source("fabric.counters.total",
-                        lambda: sum(self.counters.values()))
         for port in self.ports:
             registry.source("fabric.port.received",
                             lambda p=port: p.received)
             registry.source("fabric.port.forwarded",
                             lambda p=port: p.forwarded)
-        for table in self.tables:
-            table.register_metrics(registry)
+        registry.source("fabric.table.hits", lambda: self.table_hits)
+        registry.source("fabric.table.misses", lambda: self.table_misses)
+        registry.source("fabric.table.updates", lambda: self.table_updates)
+        registry.source("fabric.table.entries", lambda: len(self.routes))

@@ -1,9 +1,9 @@
-"""Topology builders: fat-trees, leaf-spine, and chains of SwitchHosts.
+"""The fat-tree builder: a k-ary fat-tree of SwitchHosts on one engine.
 
-Every builder emits a :class:`FabricBed` -- a :class:`~repro.bench.
+:func:`fat_tree` emits a :class:`FabricBed` -- a :class:`~repro.bench.
 testbed.Testbed` whose medium is a set of point-to-point wires joining
-edge hosts (full protocol stacks) to programmed :class:`SwitchHost`\\ s.
-Addressing, NIC addresses, wire order, and table programs are all pure
+edge hosts (full protocol stacks) to :class:`SwitchHost`\\ s.
+Addressing, NIC addresses, wire order, and route tables are all pure
 functions of the topology parameters, so campaign corpora can name a
 wire without building a bed.
 
@@ -27,11 +27,10 @@ from ..net.headers import ip_aton
 from ..sim import Engine
 from ..spin.kernel import SpinKernel
 from .switch import SwitchHost
-from .table import Forward, MatchTable
 
-__all__ = ["FabricBed", "fat_tree", "leaf_spine",
-           "linear_chain", "schedule_core_avoidance", "fat_tree_core_wires",
-           "FABRIC_BANDWIDTH_BPS", "FABRIC_PROPAGATION_US"]
+__all__ = ["FabricBed", "fat_tree", "schedule_core_avoidance",
+           "fat_tree_core_wires", "FABRIC_BANDWIDTH_BPS",
+           "FABRIC_PROPAGATION_US"]
 
 FABRIC_BANDWIDTH_BPS = 1e9
 FABRIC_PROPAGATION_US = 1.0
@@ -39,7 +38,7 @@ HOST_LINK_PROPAGATION_US = 0.5
 
 
 class FabricBed(Testbed):
-    """A testbed whose medium is a programmed multi-hop switch fabric."""
+    """A testbed whose medium is a multi-hop switch fabric."""
 
     def __init__(self, engine: Engine, os_name: str, ecmp_seed: int,
                  deliver_mode: str, costs: CostTable):
@@ -78,7 +77,7 @@ class FabricBed(Testbed):
 
 
 # ---------------------------------------------------------------------------
-# shared pieces
+# building blocks
 # ---------------------------------------------------------------------------
 
 def _add_edge_host(bed: FabricBed, name: str, nic_addr: str, my_ip: int,
@@ -94,10 +93,10 @@ def _add_edge_host(bed: FabricBed, name: str, nic_addr: str, my_ip: int,
 
 def _add_switch(bed: FabricBed, name: str, ports: List[Tuple[str, str]],
                 routes: List[Tuple[int, int, Tuple[int, ...]]]) -> SwitchHost:
-    """A programmed switch: port ``i`` is NIC ``p<i>`` with the address
-    and peer address ``ports[i]``, and one LPM table on the destination
-    holds ``routes`` -- ``(network, prefix_len, egress ports)``, more than
-    one egress port meaning ECMP.  Call after every edge host is added:
+    """A switch: port ``i`` is NIC ``p<i>`` with the address and peer
+    address ``ports[i]``, and its route table holds ``routes`` --
+    ``(network, prefix_len, egress ports)``, more than one egress port
+    meaning ECMP.  Call after every edge host is added:
     the switch kernel and its port NICs join ``bed.hosts`` / ``bed.nics``
     behind them (conservation laws sweep them)."""
     engine = bed.engine
@@ -106,9 +105,8 @@ def _add_switch(bed: FabricBed, name: str, ports: List[Tuple[str, str]],
     for index, (address, peer_addr) in enumerate(ports):
         switch.add_port(FabricNic(engine, "p%d" % index, address),
                         peer_addr=peer_addr)
-    table = switch.add_table(MatchTable("l3", "dst_ip", kind="lpm"))
     for network, prefix_len, egress in routes:
-        table.set(network, (Forward(*egress),), prefix_len=prefix_len)
+        switch.set_route(network, prefix_len, egress)
     bed.switches.append(switch)
     bed.hosts.append(switch.host)
     bed.nics.extend(port.nic for port in switch.ports)
@@ -269,10 +267,10 @@ def schedule_core_avoidance(bed: FabricBed, at_us: float,
     """At ``at_us``, reprogram every agg uplinked to ``core_index`` to
     ECMP around it -- the control-plane reaction to a flapping core link.
 
-    The update is a plain table write at a scheduled simulated time, so
-    it is bit-identical across runs and executors, and the very next
-    packet through the dispatcher sees the new route (the tables are
-    read inside the handler, not compiled into the raise).
+    The update is a plain route write at a scheduled simulated time, so
+    it is bit-identical across runs, and the very next packet through
+    the dispatcher sees the new route (the table is read inside the
+    handler, not compiled into the raise).
     """
     half = bed.fat_tree_k // 2
     a = core_index // half
@@ -285,109 +283,5 @@ def schedule_core_avoidance(bed: FabricBed, at_us: float,
         for (p, agg), switch in sorted(bed.agg_switches.items()):
             if agg != a:
                 continue
-            switch.tables[0].set(0, (Forward(*survivors),), prefix_len=0)
+            switch.set_route(0, 0, survivors)
     bed.engine.call_at(at_us, apply)
-
-
-# ---------------------------------------------------------------------------
-# leaf-spine and chains
-# ---------------------------------------------------------------------------
-
-def leaf_spine(spines: int, leaves: int, os_name: str = "spin",
-               hosts_per_leaf: int = 1, ecmp_seed: int = 1996,
-               deliver_mode: str = "interrupt",
-               costs: CostTable = ALPHA_21064) -> FabricBed:
-    """A two-tier leaf-spine fabric: every leaf uplinks to every spine."""
-    if spines < 1 or leaves < 2:
-        raise ValueError("leaf-spine needs >= 1 spine and >= 2 leaves")
-    if hosts_per_leaf < 1:
-        raise ValueError("hosts_per_leaf must be >= 1")
-    bed = FabricBed(Engine(), os_name, ecmp_seed, deliver_mode, costs)
-
-    def host_ip(l: int, s: int) -> int:
-        return ip_aton("10.0.%d.%d" % (l, s + 2))
-
-    def host_addr(l: int, s: int) -> str:
-        return "fh-l%ds%d" % (l, s)
-
-    def leaf_addr(l: int, port: int) -> str:
-        return "fl-l%d.%d" % (l, port)
-
-    def spine_addr(sp: int, port: int) -> str:
-        return "fs-s%d.%d" % (sp, port)
-
-    all_ips = [host_ip(l, s) for l in range(leaves)
-               for s in range(hosts_per_leaf)]
-    for s in range(hosts_per_leaf):
-        for l in range(leaves):
-            _add_edge_host(bed, "fab-h-l%ds%d" % (l, s), host_addr(l, s),
-                           host_ip(l, s), all_ips, leaf_addr(l, s), (0, l, s))
-
-    uplinks = tuple(range(hosts_per_leaf, hosts_per_leaf + spines))
-    leaf_switches = []
-    for l in range(leaves):
-        switch = _add_switch(
-            bed, "fab-l%d" % l,
-            [(leaf_addr(l, s), host_addr(l, s))
-             for s in range(hosts_per_leaf)] +
-            [(leaf_addr(l, hosts_per_leaf + sp), spine_addr(sp, l))
-             for sp in range(spines)],
-            [(host_ip(l, s), 32, (s,)) for s in range(hosts_per_leaf)] +
-            [(0, 0, uplinks)])
-        leaf_switches.append(switch)
-        bed.edge_switches[(0, l)] = switch
-
-    for sp in range(spines):
-        bed.core_switches[sp] = _add_switch(
-            bed, "fab-s%d" % sp,
-            [(spine_addr(sp, l), leaf_addr(l, hosts_per_leaf + sp))
-             for l in range(leaves)],
-            [(ip_aton("10.0.%d.0" % l), 24, (l,)) for l in range(leaves)])
-
-    for l in range(leaves):
-        for s in range(hosts_per_leaf):
-            host_index = bed.host_locator.index((0, l, s))
-            _wire(bed, bed.nics[host_index], leaf_switches[l].ports[s].nic,
-                  "host:l%ds%d" % (l, s),
-                  propagation_us=HOST_LINK_PROPAGATION_US)
-    for l in range(leaves):
-        for sp in range(spines):
-            _wire(bed, leaf_switches[l].ports[hosts_per_leaf + sp].nic,
-                  bed.core_switches[sp].ports[l].nic,
-                  "leaf-spine:l%ds%d" % (l, sp))
-    return bed
-
-
-def linear_chain(n_switches: int, os_name: str = "spin",
-                 ecmp_seed: int = 1996, deliver_mode: str = "interrupt",
-                 costs: CostTable = ALPHA_21064) -> FabricBed:
-    """Two hosts joined by a chain of ``n_switches`` single-table hops."""
-    if n_switches < 1:
-        raise ValueError("a chain needs at least one switch")
-    bed = FabricBed(Engine(), os_name, ecmp_seed, deliver_mode, costs)
-    ip_a, ip_b = ip_aton("10.0.0.2"), ip_aton("10.0.1.2")
-
-    def chain_addr(i: int, port: int) -> str:
-        return "fx-c%d.%d" % (i, port)
-
-    _add_edge_host(bed, "fab-h-a", "fh-a", ip_a, [ip_b], chain_addr(0, 0),
-                   (0, 0, 0))
-    _add_edge_host(bed, "fab-h-b", "fh-b", ip_b, [ip_a],
-                   chain_addr(n_switches - 1, 1), (0, 1, 0))
-
-    for i in range(n_switches):
-        _add_switch(
-            bed, "fab-x%d" % i,
-            [(chain_addr(i, 0), "fh-a" if i == 0 else chain_addr(i - 1, 1)),
-             (chain_addr(i, 1),
-              "fh-b" if i == n_switches - 1 else chain_addr(i + 1, 0))],
-            [(ip_a, 32, (0,)), (ip_b, 32, (1,))])
-
-    _wire(bed, bed.nics[0], bed.switches[0].ports[0].nic, "host:a",
-          propagation_us=HOST_LINK_PROPAGATION_US)
-    for i in range(n_switches - 1):
-        _wire(bed, bed.switches[i].ports[1].nic,
-              bed.switches[i + 1].ports[0].nic, "chain:%d-%d" % (i, i + 1))
-    _wire(bed, bed.nics[1], bed.switches[-1].ports[1].nic, "host:b",
-          propagation_us=HOST_LINK_PROPAGATION_US)
-    return bed

@@ -1,14 +1,14 @@
 """Longest-prefix-match forwarding table shared by IP and the fabric.
 
 Historically ``repro.net.ip.IpProto`` carried its own route list and the
-match-action fabric would have grown a second one; both now sit on this
+fabric's switches would have grown a second one; both now sit on this
 single implementation so prefix semantics (longest wins, insertion order
 breaks ties) cannot drift between the host stack and the switch data
 plane.
 
 The table maps ``network/prefix_len`` to an arbitrary ``value`` --
 ``IpProto`` stores ``(adapter, gateway)`` pairs, ``repro.fabric`` stores
-action descriptors.  Lookups are memoised per destination; any mutation
+tuples of egress ports.  Lookups are memoised per destination; any mutation
 (add/remove) drops the memo.
 """
 

@@ -45,9 +45,6 @@ class RawLinkProto:
         self.upcall: Optional[Callable] = None
         self.mtu = nic.mtu
 
-    def add_neighbor(self, ip: int, link_addr) -> None:
-        self.neighbors[ip] = link_addr
-
     def send(self, m: Mbuf, next_hop: int) -> None:
         """IP hand-off (plain code)."""
         link_addr = self.neighbors.get(next_hop)

@@ -75,7 +75,8 @@ class TcpProto:
         self.segments_in = 0
         self.segments_out = 0
         self.checksum_errors = 0
-        #: checksum-valid segments dropped for a malformed data offset
+        #: segments dropped shorter than the fixed header, or (checksum
+        #: valid) with a malformed data offset
         self.header_errors = 0
         self.resets_sent = 0
         self.no_listener = 0
@@ -242,6 +243,7 @@ class TcpProto:
         times["protocol"] += amount
         seg_len = m.len - off
         if seg_len < self.HEADER_LEN:
+            self.header_errors += 1
             return
         # The segment is checksummed where it lies in the store, no copy.
         start = m.off + off

@@ -302,7 +302,7 @@ class Tcb:
         elif state is SYN_SENT:
             self._input_syn_sent(seq, ack, flags, window, mss)
         elif state is TIME_WAIT:
-            self._input_time_wait(flags)
+            self._input_time_wait(seq, flags, payload)
 
     def accept_syn(self, seq: int, window: int, mss: Optional[int]) -> None:
         """Passive open: a listener routed a SYN to this new TCB."""
@@ -323,7 +323,10 @@ class Tcb:
         if self.state is SYN_SENT:
             if not (flags & ACK and ack == self.snd_nxt):
                 return
-        self._enter_closed(notify_reset=True)
+        # In TIME_WAIT the connection is already over for the user: a RST
+        # (say, a closed peer's answer to the ACK below) deletes the TCB
+        # and signals nothing (RFC 793 p. 70).
+        self._enter_closed(notify_reset=self.state is not TIME_WAIT)
 
     def _input_syn_sent(self, seq: int, ack: int, flags: int, window: int,
                         mss: Optional[int]) -> None:
@@ -350,10 +353,19 @@ class Tcb:
             self.state = SYN_RCVD
             self._send_control(SYN | ACK, seq=self.iss)
 
-    def _input_time_wait(self, flags: int) -> None:
-        # Re-ACK retransmitted FINs.
-        if flags & FIN:
-            self._send_ack()
+    def _input_time_wait(self, seq: int, flags: int, payload: bytes) -> None:
+        # A retransmitted FIN is re-ACKed (RFC 793 p. 73), and so is any
+        # segment the window does not accept (p. 69); an acceptable one
+        # draws nothing, so two TIME_WAIT ends never trade ACKs.
+        if not flags & FIN:
+            window = self._advertised_window
+            first = (seq - self.rcv_nxt) & _MASK
+            length = len(payload) + (1 if flags & SYN else 0)
+            if first < window or (
+                    (first + length - 1) & _MASK < window if length
+                    else first == 0):
+                return
+        self._send_ack()
 
     def _input_synchronized(self, seg_seq: int, ack: int, flags: int,
                             window: int, seg_payload: bytes) -> None:

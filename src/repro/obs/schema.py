@@ -18,18 +18,16 @@ __all__ = ["EXPORT_SCHEMA", "undocumented_metrics"]
 
 #: name -> (type, description).  Keep sorted by name.
 EXPORT_SCHEMA: Dict[str, tuple] = {
-    "fabric.counters.total": ("gauge", "Count-action bumps across switch pipelines"),
-    "fabric.pipeline.dropped": ("gauge", "frames dropped by match-action pipelines (Drop, miss, unparseable)"),
+    "fabric.pipeline.dropped": ("gauge", "frames dropped by switch pipelines (route miss, unparseable)"),
     "fabric.pipeline.ecmp": ("gauge", "forwarding decisions that hashed an ECMP group"),
-    "fabric.pipeline.forwarded": ("gauge", "frames forwarded by match-action pipelines"),
-    "fabric.pipeline.modified": ("gauge", "Modify actions applied to in-flight frames"),
-    "fabric.pipeline.packets": ("gauge", "frames entering switch match-action pipelines"),
+    "fabric.pipeline.forwarded": ("gauge", "frames forwarded by switch pipelines"),
+    "fabric.pipeline.packets": ("gauge", "frames entering switch pipelines"),
     "fabric.port.forwarded": ("gauge", "frames egressed per switch port"),
     "fabric.port.received": ("gauge", "frames accepted per switch port"),
-    "fabric.table.entries": ("gauge", "entries installed across match-action tables"),
-    "fabric.table.hits": ("gauge", "match-action table lookups that hit an entry"),
-    "fabric.table.misses": ("gauge", "match-action table lookups that missed"),
-    "fabric.table.updates": ("gauge", "control-plane set/remove operations on match-action tables"),
+    "fabric.table.entries": ("gauge", "routes installed across switch route tables"),
+    "fabric.table.hits": ("gauge", "switch route lookups that hit a route"),
+    "fabric.table.misses": ("gauge", "switch route lookups that missed"),
+    "fabric.table.updates": ("gauge", "control-plane route writes on switch route tables"),
     "hw.cpu.busy_us": ("gauge", "consumed CPU time across hosts (simulated us)"),
     "hw.cpu.charged_us": ("gauge", "sum of per-category charged CPU time (simulated us)"),
     "hw.cpu.paths_queued": ("gauge", "kernel paths that found the CPU busy and queued"),
@@ -46,7 +44,7 @@ EXPORT_SCHEMA: Dict[str, tuple] = {
     "net.ip.header_errors": ("gauge", "IP packets dropped on a bad header, a total length past the bytes received, or DF and too big"),
     "net.tcp.checksum_errors": ("gauge", "TCP segments dropped on checksum"),
     "net.tcp.connections": ("gauge", "live TCP connection blocks"),
-    "net.tcp.header_errors": ("gauge", "TCP segments dropped on a bad data offset"),
+    "net.tcp.header_errors": ("gauge", "TCP segments dropped on a truncated header or a bad data offset"),
     "net.tcp.no_listener": ("gauge", "SYNs arriving with no listener bound"),
     "net.tcp.resets_sent": ("gauge", "RST segments emitted"),
     "net.tcp.segments_in": ("gauge", "TCP segments accepted by input processing"),

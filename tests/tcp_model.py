@@ -24,9 +24,6 @@ Where RFC 793 leaves a choice the model allows each branch:
   sequence number (RFC 793 drops one outside the window; RFC 5961's
   challenge ACK is not modelled), and one in SYN_RCVD may close the
   child instead of returning it to LISTEN;
-* in TIME_WAIT only a retransmitted FIN must be re-ACKed (p. 73: "The
-  only thing that can arrive in this state is a retransmission of the
-  remote FIN");
 * out-of-order data in the window need not be ACKed at once (RFC 1122
   4.2.2.21 makes the immediate ACK a SHOULD), and in-order data may wait
   for the delayed ACK;
@@ -186,7 +183,9 @@ def step(state, event, *, acks_syn=False, acks_fin=False, user_closed=False,
     if state == TIME_WAIT:
         if event == E_RST:
             return frozenset((CLOSED,)), R_NONE
-        return same, R_ACK if event == E_FIN else R_NONE
+        # A retransmitted FIN is re-ACKed (p. 73), and so is a segment
+        # outside the window, as in every synchronized state (p. 69).
+        return same, R_ACK if event in (E_FIN, E_DATA_OUT) else R_NONE
     # Synchronized, TIME_WAIT aside.
     if event == E_RST:
         nxt = (CLOSED, LISTEN) if state == SYN_RCVD else (CLOSED,)

@@ -263,9 +263,9 @@ def _steady_fat_tree_frame():
 #: CPU hold and the lane's landing are pushed in place: no
 #: ``Engine.call_after`` / ``call_at`` frame.  The raise is the call into
 #: the compiled scan, both chains are booked in the switch's own frames
-#: and the table serves its LPM cache hit itself: no
-#: ``Dispatcher.raise_event``, ``MbufPool.charge_chain`` or
-#: ``ForwardingTable.lookup`` frame.
+#: and the pipeline serves its route-cache hit itself: no
+#: ``Dispatcher.raise_event``, ``MbufPool.charge_chain``, table ``lookup``
+#: or ``ForwardingTable.lookup`` frame.
 _SWITCH_HOP_CALLS = [
     # the landing: the port's NIC admits the frame to its ring, and the
     # sender's NIC, whose lane is free again, finds its queue empty
@@ -273,11 +273,10 @@ _SWITCH_HOP_CALLS = [
     # the interrupt, in its own entry: the path starts right there
     "Host.frame_arrived", "KernelPath.__init__", "Engine.due_now",
     "KernelPath.start", "Host.interrupt_body",
-    # the pipeline: device input, one raise, one table, the egress stage
+    # the pipeline: device input, one raise, one parse, the egress stage
     "SwitchHost._device_input", "_factory.<locals>._compiled",
-    "SwitchHost._pipeline", "PacketFields.__init__", "MatchTable.lookup",
-    "SwitchHost._emit", "NIC.stage_tx", "FabricNic.wire_bytes",
-    "Frame.__init__",
+    "SwitchHost._pipeline", "PacketFields.__init__", "SwitchHost._emit",
+    "NIC.stage_tx", "FabricNic.wire_bytes", "Frame.__init__",
     # the hold's entry: the idle egress NIC puts the frame on its lane
     "KernelPath._held", "NIC.stage_tx.<locals>.enqueue",
     "PointToPointLink.transmit", "_Medium._send_on_lane",
@@ -454,9 +453,10 @@ class TestEventBudget:
                             _RelayLane._send_on_lane)
         assert frame_budget() - merged == {"_lane_sent": 6}
 
-    def test_a_steady_switch_hop_is_twenty_one_calls(self):
+    def test_a_steady_switch_hop_is_twenty_calls(self):
         """The call row of the budget: one frame across the fat tree is
-        155 Python calls (159 while the sender and the receiver each called
+        150 Python calls (155 while each switch hop called a match-action
+        table's ``lookup``; 159 while the sender and the receiver each called
         ``MbufPool._charge_alloc`` under ``MbufPool.from_bytes`` and
         ``pseudo_header_sum`` under their UDP checksum; 160 while the
         sender's link called
@@ -471,9 +471,10 @@ class TestEventBudget:
         218 while a packet was a chain with a ``PacketHeader``, and the
         layers called ``Mbuf.length``; 271 before the per-frame
         delegations were folded), and each of its five switch hops is
-        the 21 calls of
-        ``_SWITCH_HOP_CALLS`` (25 with the raise's, the two chain charges'
-        and the LPM hit's frames; 28 with the rx latency's, the hold's and
+        the 20 calls of
+        ``_SWITCH_HOP_CALLS`` (21 with the table's ``lookup``; 25 with
+        the raise's, the two chain charges' and the LPM hit's frames; 28
+        with the rx latency's, the hold's and
         the landing's scheduling frames; 37 before: ``_raise_interrupt``,
         ``driver_recv_charges``, ``CPU.charge`` and two
         ``_charge_alloc`` under the pipeline, ``Host.defer``, the idle
@@ -489,7 +490,7 @@ class TestEventBudget:
             engine.run()
         finally:
             sys.setprofile(None)
-        assert len(calls) == 155
+        assert len(calls) == 150
         starts = [at for at, name in enumerate(calls)
                   if name == "_Medium._deliver"]
         assert len(starts) == 6         # five switches, then the receiver

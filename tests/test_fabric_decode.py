@@ -11,9 +11,9 @@ it with ``from_bytes`` booked.
 
 The same hostile frames then go through a whole switch hop -- a port's
 device input, in a kernel path, under generated dispatch and under the
-``scan`` twin's reference (``twins.py``) -- under random
-Count / Modify / Drop / Forward programs, and a reference interpreter of
-the program over the slice parser says what must come out.
+``scan`` twin's reference (``twins.py``) -- under random route tables of
+egress groups, and a reference interpreter of the table over the slice
+parser says what must come out.
 """
 
 import contextlib
@@ -22,15 +22,12 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fabric.table import (MATCH_FIELDS, MODIFY_FIELDS, Count, Drop,
-                                Forward, MatchTable, Modify, PacketFields)
+from repro.fabric.table import PacketFields
 from repro.fabric.topology import FabricBed, _add_switch
 from repro.hw.alpha import ALPHA_21064
 from repro.hw.host import Host
-from repro.net.checksum import internet_checksum
 from repro.net.fwdtable import prefix_mask
-from repro.net.headers import (IP_HEADER, IPPROTO_TCP, IPPROTO_UDP,
-                               pseudo_header_sum)
+from repro.net.headers import IP_HEADER, IPPROTO_TCP, IPPROTO_UDP
 from repro.obs.taps import NicTaps
 from repro.sim import Engine
 from repro.spin.mbuf import MCLBYTES, MLEN, MbufPool
@@ -39,16 +36,13 @@ from twins import scan
 
 def _slice_parse(data):
     """The parser ``PacketFields`` replaced, as a dict of its fields."""
-    fields = dict(ok=False, proto=0, src_ip=0, dst_ip=0, ttl=0, tos=0,
-                  src_port=0, dst_port=0, header_len=0, total_len=len(data))
+    fields = dict(ok=False, proto=0, src_ip=0, dst_ip=0, src_port=0,
+                  dst_port=0)
     if len(data) < IP_HEADER.size or (data[0] >> 4) != 4:
         return fields
     header_len = (data[0] & 0x0F) * 4
     if header_len < IP_HEADER.size or len(data) < header_len:
         return fields
-    fields["header_len"] = header_len
-    fields["tos"] = data[1]
-    fields["ttl"] = data[8]
     fields["proto"] = data[9]
     fields["src_ip"] = int.from_bytes(data[12:16], "big")
     fields["dst_ip"] = int.from_bytes(data[16:20], "big")
@@ -98,13 +92,11 @@ def _frames(draw):
 
 
 class TestPacketFields:
-    @given(_frames(), st.booleans())
+    @given(_frames())
     @settings(max_examples=500, deadline=None)
-    def test_struct_parse_equals_the_slice_parser(self, frame, writable):
-        """Field for field, ``ok`` included; the pipeline parses bytes,
-        and ``apply_modify`` re-reads a writable copy."""
-        data = bytearray(frame) if writable else frame
-        assert _parsed(data) == _slice_parse(data)
+    def test_struct_parse_equals_the_slice_parser(self, frame):
+        """Field for field, ``ok`` included."""
+        assert _parsed(frame) == _slice_parse(frame)
 
     @pytest.mark.parametrize("frame", [
         _frame(),
@@ -130,11 +122,10 @@ class TestPacketFields:
                       _frame(ihl=15)):
             fields = _parsed(frame)
             assert not fields.pop("ok")
-            assert fields.pop("total_len") == len(frame)
             assert set(fields.values()) == {0}
         for frame in (_frame(frag=0x0001), _frame(proto=1), _frame()[:23]):
             fields = _parsed(frame)
-            assert fields["ok"] and fields["header_len"] == 20
+            assert fields["ok"] and fields["dst_ip"] == 0x0A000102
             assert fields["src_port"] == fields["dst_port"] == 0
         assert _parsed(_frame())["src_port"] == 1234
         assert _parsed(_frame())["dst_port"] == 5678
@@ -190,135 +181,35 @@ def test_charge_chain_books_what_from_bytes_built(size):
 # ---------------------------------------------------------------------------
 
 N_PORTS = 3
-#: where each Modify field lies in the IPv4 header: (offset, width)
-_FIELD_BYTES = {"tos": (1, 1), "ttl": (8, 1), "src_ip": (12, 4),
-                "dst_ip": (16, 4)}
 
 
 @st.composite
-def _modify(draw):
-    """A Modify spec, its value often one the field cannot hold."""
-    field = draw(st.sampled_from(sorted(MODIFY_FIELDS)))
-    top = MODIFY_FIELDS[field]
-    return ("modify", field, draw(st.one_of(
-        st.integers(0, top), st.sampled_from([-1, top + 1, 300, 1 << 32]))))
+def _routes(draw, parsed):
+    """Up to six routes, each a prefix and an egress group of one port or
+    more (ECMP); networks are often a frame's own destination, so routes
+    hit as well as miss, and a prefix may be installed twice (the later
+    group replaces the earlier)."""
+    network = st.one_of(
+        st.sampled_from([fields["dst_ip"] for fields in parsed]), _U32)
+    return draw(st.lists(st.tuples(
+        network, st.integers(0, 32),
+        st.lists(st.integers(0, N_PORTS - 1), min_size=1, max_size=N_PORTS,
+                 unique=True).map(tuple)), max_size=6))
 
 
-@st.composite
-def _actions(draw):
-    """Counts and Modifys, then maybe a Forward (one port or ECMP) or a
-    Drop; with neither, the walk goes on to the next table."""
-    actions = draw(st.lists(st.one_of(
-        st.tuples(st.just("count"), st.sampled_from("abc")), _modify()),
-        max_size=3))
-    end = draw(st.sampled_from(["forward", "forward", "drop", None]))
-    if end == "forward":
-        ports = draw(st.lists(st.integers(0, N_PORTS - 1), min_size=1,
-                              max_size=N_PORTS, unique=True))
-        actions.append(("forward", tuple(ports)))
-    elif end == "drop":
-        actions.append(("drop",))
-    return actions
-
-
-@st.composite
-def _program(draw, parsed):
-    """One to three tables; keys are often a frame's own field values, so
-    entries hit as well as miss."""
-    tables = []
-    for _ in range(draw(st.integers(1, 3))):
-        field = draw(st.sampled_from(MATCH_FIELDS))
-        lpm = field in ("src_ip", "dst_ip") and draw(st.booleans())
-        key = st.one_of(
-            st.sampled_from([fields[field] for fields in parsed]), _U32)
-        entries = draw(st.lists(st.tuples(
-            key, st.integers(0, 32) if lpm else st.none(), _actions()),
-            max_size=4))
-        default = draw(st.one_of(st.none(), _actions()))
-        tables.append((field, "lpm" if lpm else "exact", entries, default))
-    return tables
-
-
-def _build(specs):
-    """The action objects for ``specs`` and the specs they kept: a Modify
-    whose value its field cannot hold is refused where it is built."""
-    actions, kept = [], []
-    for spec in specs:
-        kind = spec[0]
-        if kind == "modify":
-            _, field, value = spec
-            try:
-                action = Modify(field, value)
-            except ValueError:
-                assert not 0 <= value <= MODIFY_FIELDS[field]
-                continue
-        elif kind == "count":
-            action = Count(spec[1])
-        elif kind == "forward":
-            action = Forward(*spec[1])
-        else:
-            action = Drop()
-        actions.append(action)
-        kept.append(spec)
-    return tuple(actions), kept
-
-
-def _install(switch, program):
-    """Program ``switch``; returns the model's tables, refused Modifys
-    left out, in the same shape."""
-    model = []
-    switch.tables[:] = []
-    for index, (field, kind, entries, default) in enumerate(program):
-        table = MatchTable("t%d" % index, field, kind=kind)
-        rules = {}
-        for key, prefix_len, specs in entries:
-            actions, kept = _build(specs)
-            if not actions:
-                continue  # an entry needs an action; so does the model's
-            table.set(key, actions, prefix_len=prefix_len)
-            if kind == "lpm":
-                rules[key & prefix_mask(prefix_len), prefix_len] = kept
-            else:
-                rules[key] = kept
-        if default is not None:
-            table.default, default = _build(default)
-        switch.add_table(table)
-        model.append((field, kind, rules, default))
-    return model
-
-
-def _model_lookup(kind, rules, value):
-    if kind == "exact":
-        return rules.get(value)
-    covering = [(prefix_len, kept)
-                for (network, prefix_len), kept in rules.items()
-                if value & prefix_mask(prefix_len) == network]
-    return max(covering, key=lambda hit: hit[0])[1] if covering else None
-
-
-def _model(model, frame):
-    """The reference walk: ``(ports or None, counters, writes)``, where
-    ``ports`` is the Forward's egress group (None: dropped) and ``writes``
-    maps each rewritten field to its last value."""
+def _model(routes, frame):
+    """The reference route: the egress group of the longest prefix that
+    covers the frame's destination, or None (dropped)."""
     fields = _slice_parse(frame)
-    counters, writes = {}, {}
     if not fields["ok"]:
-        return None, counters, writes
-    for field, kind, rules, default in model:
-        specs = _model_lookup(kind, rules, fields[field])
-        if specs is None:
-            specs = default
-        for spec in specs or ():
-            if spec[0] == "count":
-                counters[spec[1]] = counters.get(spec[1], 0) + 1
-            elif spec[0] == "modify":
-                # A later table matches on the rewritten value.
-                fields[spec[1]] = writes[spec[1]] = spec[2]
-            elif spec[0] == "forward":
-                return spec[1], counters, writes
-            else:
-                return None, counters, writes
-    return None, counters, writes
+        return None
+    table = {}
+    for network, prefix_len, ports in routes:
+        table[network & prefix_mask(prefix_len), prefix_len] = ports
+    covering = [(prefix_len, ports)
+                for (network, prefix_len), ports in table.items()
+                if fields["dst_ip"] & prefix_mask(prefix_len) == network]
+    return max(covering)[1] if covering else None
 
 
 class _Staged:
@@ -335,48 +226,9 @@ class _Staged:
         self.frames.append((self._index[nic], bytes(data)))
 
 
-#: where the UDP / TCP checksum lies in its header
-_L4_CHECKSUM = {IPPROTO_UDP: 6, IPPROTO_TCP: 16}
-
-
-def _check_rewrite(frame, out, writes):
-    """``out`` is ``frame`` with ``writes`` applied and checksums
-    re-folded, and nothing else changed."""
-    assert len(out) == len(frame)
-    if not writes:
-        assert out == frame
-        return
-    header_len = (frame[0] & 0x0F) * 4
-    proto, segment = frame[9], out[header_len:]
-    offset = _L4_CHECKSUM.get(proto)
-    # The L4 checksum re-folds when an address changed the pseudo-header,
-    # on an unfragmented UDP / TCP segment that holds it, unless UDP's is
-    # zero ("unchecked").
-    refolds = (offset is not None and {"src_ip", "dst_ip"} & set(writes)
-               and not int.from_bytes(frame[6:8], "big") & 0x1FFF
-               and len(segment) >= offset + 2
-               and not (proto == IPPROTO_UDP and
-                        frame[header_len + 6:header_len + 8] == b"\0\0"))
-    spared = {10, 11}
-    if refolds:
-        spared |= {header_len + offset, header_len + offset + 1}
-    for field, value in writes.items():
-        at, width = _FIELD_BYTES[field]
-        assert int.from_bytes(out[at:at + width], "big") == value
-        spared |= set(range(at, at + width))
-    assert [b for i, b in enumerate(out) if i not in spared] == \
-        [b for i, b in enumerate(frame) if i not in spared]
-    assert internet_checksum(out[:header_len]) == 0
-    if refolds:
-        src = int.from_bytes(out[12:16], "big")
-        dst = int.from_bytes(out[16:20], "big")
-        assert internet_checksum(segment, initial=pseudo_header_sum(
-            src, dst, proto, len(segment))) == 0
-
-
 @st.composite
 def _parsable_frames(draw):
-    """A frame the pipeline can match: version 4, a header of five to
+    """A frame the pipeline can route: version 4, a header of five to
     eight words (options are arbitrary bytes) inside the frame."""
     ihl = draw(st.integers(5, 8))
     return _frame(
@@ -393,8 +245,8 @@ def _hop(draw):
         st.integers(0, N_PORTS - 1),
         st.one_of(_frames(), _parsable_frames(), _parsable_frames())),
         min_size=1, max_size=4))
-    program = draw(_program([_slice_parse(frame) for _, frame in frames]))
-    return frames, program
+    routes = draw(_routes([_slice_parse(frame) for _, frame in frames]))
+    return frames, routes
 
 
 @pytest.mark.parametrize("twin", [contextlib.nullcontext, scan],
@@ -403,17 +255,16 @@ def _hop(draw):
 @settings(max_examples=200, deadline=None)
 def test_hostile_frames_through_a_switch_hop(twin, hop):
     """Every frame is forwarded or counted dropped, no handler fails,
-    the switch conserves frames, and a forwarded frame is its input with
-    only the Modify fields and their checksums rewritten."""
+    the switch conserves frames, and a forwarded frame leaves unchanged
+    on a port of its route's egress group."""
     with twin():
         _switch_hop(*hop)
 
 
-def _switch_hop(frames, program):
+def _switch_hop(frames, routes):
     bed = FabricBed(Engine(), "spin", 0, "interrupt", ALPHA_21064)
     switch = _add_switch(bed, "sw", [("sw-p%d" % i, "peer-%d" % i)
-                                     for i in range(N_PORTS)], [])
-    model = _install(switch, program)
+                                     for i in range(N_PORTS)], routes)
     staged = _Staged(switch)
     host = switch.host
 
@@ -428,18 +279,16 @@ def _switch_hop(frames, program):
 
     assert host.dispatcher.total_failures == 0
     assert bed.switch_conservation() == []
-    expected_counters, dropped, outputs = {}, 0, iter(staged.frames)
+    dropped, outputs = 0, iter(staged.frames)
     for _index, frame in frames:
-        ports, counters, writes = _model(model, frame)
-        for name, count in counters.items():
-            expected_counters[name] = expected_counters.get(name, 0) + count
+        ports = _model(routes, frame)
         if ports is None:
             dropped += 1
             continue
         port, out = next(outputs)
         assert port in ports
-        _check_rewrite(frame, out, writes)
+        assert out == frame
     assert next(outputs, None) is None
     assert switch.pipeline_dropped == dropped
     assert switch.pipeline_forwarded == len(frames) - dropped
-    assert switch.counters == expected_counters
+    assert switch.table_hits == len(frames) - dropped

@@ -1,50 +1,44 @@
 """Property tests: the switch fabric conserves frames, ECMP is a pure
 function of (seed, 5-tuple), and open-loop schedules replay.
 
-Hypothesis draws whole scenarios -- a topology, a traffic schedule, and
-an optional extra counting stage spliced into every pipeline -- and
-asserts the conservation laws the chaos invariants also check: every
-accepted frame meets exactly one fate, and a pure-Count stage never
-changes what gets delivered.
+Hypothesis draws whole scenarios -- a fat-tree, a pair of its hosts and
+a traffic schedule -- and asserts the conservation laws the chaos
+invariants also check: every accepted frame meets exactly one fate, and
+a lossless fabric delivers every datagram.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.fabric.ecmp import ecmp_select
-from repro.fabric.table import Count, MatchTable
-from repro.fabric.topology import leaf_spine, linear_chain
+from repro.fabric.topology import fat_tree
 from repro.fabric.traffic import OpenLoopSource
-from repro.net.headers import IPPROTO_UDP, ip_aton
+from repro.net.headers import IPPROTO_UDP
 
-from test_fabric import IP_B, UdpHarness
+from test_fabric import UdpHarness
 
-TOPOLOGIES = {
-    "chain1": lambda: (linear_chain(1), IP_B),
-    "chain3": lambda: (linear_chain(3), IP_B),
-    "leaf_spine_2x2": lambda: (leaf_spine(2, 2), ip_aton("10.0.1.2")),
-    "leaf_spine_3x3": lambda: (leaf_spine(3, 3), ip_aton("10.0.1.2")),
-}
+
+@st.composite
+def _scenario(draw):
+    """``fat_tree(k, hosts_per_edge)`` and two distinct host indexes."""
+    k = draw(st.sampled_from([2, 4]))
+    hosts_per_edge = draw(st.integers(1, k // 2))
+    n_hosts = k * (k // 2) * hosts_per_edge
+    src = draw(st.integers(0, n_hosts - 1))
+    dst = draw(st.integers(0, n_hosts - 1).filter(lambda d: d != src))
+    return k, hosts_per_edge, src, dst
 
 
 @given(
-    topo=st.sampled_from(sorted(TOPOLOGIES)),
+    scenario=_scenario(),
     count=st.integers(min_value=1, max_value=8),
     seed=st.integers(min_value=0, max_value=2**16),
-    count_stage=st.booleans(),
 )
 @settings(max_examples=15, deadline=None)
-def test_frame_conservation_over_generated_scenarios(topo, count, seed,
-                                                     count_stage):
-    bed, dst_ip = TOPOLOGIES[topo]()
-    if count_stage:
-        # A pure-Count stage ends without Forward/Drop, so the walk must
-        # fall through to the routing table unchanged.
-        for switch in bed.switches:
-            tally = MatchTable("tally", "proto")
-            tally.set(IPPROTO_UDP, (Count("udp"),))
-            switch.tables.insert(0, tally)
+def test_frame_conservation_over_generated_scenarios(scenario, count, seed):
+    k, hosts_per_edge, src, dst = scenario
+    bed = fat_tree(k, hosts_per_edge=hosts_per_edge)
     source = OpenLoopSource(seed, mean_gap_us=200.0, size_dist="pareto")
-    harness = UdpHarness(bed, dst_ip=dst_ip)
+    harness = UdpHarness(bed, src=src, dst=dst, dst_ip=bed.ips[dst])
     harness.send([bytes(size) for _, size in source.schedule(count)],
                  gap_us=200.0)
     bed.engine.run()
@@ -55,10 +49,10 @@ def test_frame_conservation_over_generated_scenarios(topo, count, seed,
         accepted = sum(port.received for port in switch.ports)
         assert accepted == switch.pipeline_packets
         assert switch.pipeline_forwarded + switch.pipeline_dropped == accepted
+        assert switch.pipeline_dropped == 0
         assert sum(port.forwarded for port in switch.ports) \
             == switch.pipeline_forwarded
-        if count_stage:
-            assert switch.counters.get("udp", 0) == switch.pipeline_packets
+        assert switch.table_hits == switch.pipeline_forwarded
 
 
 @given(

@@ -463,6 +463,34 @@ class TestTeardown:
         engine.run()  # let 2*MSL expire
         assert client.state == TcpState.CLOSED
 
+    def test_time_wait_acks_an_old_segment_and_a_reset_ends_it_quietly(self):
+        """RFC 793: a segment outside the window is ACKed in TIME_WAIT
+        (p. 69), and a RST there deletes the TCB and signals nothing
+        (p. 70).  Here the ACK reaches a peer that has forgotten the
+        connection, whose RST ends the TIME_WAIT early."""
+        engine, wire, a, b = make_pair()
+        client, server = establish(engine, a, b)
+        resets = []
+        client.on_reset = lambda: resets.append(True)
+        b.run_kernel(lambda: server.send(b"old data"))
+        engine.run(until=engine.now + 100_000.0)
+        [old] = [packet for sender, packet, _hop in wire.sent
+                 if sender is b and packet.endswith(b"old data")]
+        a.run_kernel(client.close)
+        engine.run(until=engine.now + 100_000.0)
+        b.run_kernel(server.close)
+        engine.run(until=engine.now + 100_000.0)
+        assert (client.state, server.state) == (TcpState.TIME_WAIT,
+                                                TcpState.CLOSED)
+        sent, rsts = client.segments_sent, b.tcp.resets_sent
+
+        a.run_kernel(lambda: a.ip.input(a.host.mbufs.from_bytes(old), 0))
+        engine.run(until=engine.now + 1_000.0)
+        assert client.segments_sent == sent + 1     # the ACK
+        assert b.tcp.resets_sent == rsts + 1        # the forgotten peer's RST
+        assert client.state == TcpState.CLOSED
+        assert resets == []
+
     def test_data_before_fin_all_delivered(self):
         engine, wire, a, b = make_pair()
         got = []

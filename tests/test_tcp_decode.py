@@ -15,8 +15,8 @@ hears nothing (so no reply comes back).  Each runs on SPIN and UNIX,
 under the generated scans and under the ``scan`` twin (``twins.py``).
 
 An independent model over the bytes (``_expected``) says what must
-happen: a counted drop (``checksum_errors`` or ``header_errors``), a
-segment shorter than the fixed header dropped without a count, or the
+happen: a counted drop (``checksum_errors``, or ``header_errors`` for a
+segment shorter than the fixed header or with a bad data offset), or the
 segment taken whole -- its payload delivered exactly, and for a SYN a
 connection whose MSS is the one the option carries.  Nothing may raise
 out of ``engine.run()``.
@@ -187,10 +187,9 @@ def _mss(options):
 
 def _expected(segment, src, dst):
     """What TCP must do with ``segment``, from its bytes alone:
-    ``("runt",)``, ``("checksum",)``, ``("header",)``, or ``("take",
-    payload, mss)``."""
+    ``("checksum",)``, ``("header",)``, or ``("take", payload, mss)``."""
     if len(segment) < _TCP:
-        return ("runt",)
+        return ("header",)
     if internet_checksum_reference(
             pseudo_header(src, dst, IPPROTO_TCP, len(segment))
             + segment) != 0:
@@ -228,7 +227,7 @@ def _feed(os_name, kind, segment):
             assert new == []
             assert bytes(got) == outcome[1]
         return
-    assert counted == {"runt": (0, 0, 0), "checksum": (0, 1, 0),
+    assert counted == {"checksum": (0, 1, 0),
                        "header": (0, 0, 1)}[outcome[0]]
     assert (bytes(got), new) == (b"", [])
 
@@ -353,7 +352,6 @@ def _mutants(draw):
 @settings(max_examples=80, deadline=None)
 def test_mutated_segments(twin, mutant):
     """Any mix of cuts, data offsets, option lengths and checksums: a
-    counted drop, a runt, or the segment taken whole, never an
-    exception."""
+    counted drop or the segment taken whole, never an exception."""
     with twin():
         _feed(*mutant)
