@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import AbstractSet, Callable, Collection, FrozenSet
 
-from ..lang.view import VIEW, raw_storage
+from ..lang.view import VIEW
 from ..net.headers import (
     ETHERNET_HEADER,
     IPPROTO_TCP,
@@ -75,7 +75,7 @@ def ethertype_guard(ethertype: int) -> Callable:
     def guard(nic, m: Mbuf) -> bool:
         if m.length() < header_size:
             return False
-        return get_type(raw_storage(m.data), type_off)[0] == ethertype
+        return get_type(m.data, type_off)[0] == ethertype
 
     return _data(guard, "ethertype_0x%04x" % ethertype,
                  (((1, None, type_off), "==", ethertype),), header_size)

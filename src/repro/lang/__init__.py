@@ -2,7 +2,10 @@
 
 This package reproduces the language-level mechanisms the paper relies on
 (section 3.2-3.4): typed zero-copy VIEWs over packet bytes, READONLY
-buffers, and EPHEMERAL procedure verification.
+packets, and EPHEMERAL procedure verification.  READONLY needs no module
+of its own: a frozen packet's ``data`` is the interpreter's read-only
+memoryview, and :class:`ReadOnlyViolation` (in :mod:`.view`) is what the
+packet's mutators and a VIEW write raise.
 """
 
 from .ephemeral import (
@@ -31,8 +34,7 @@ from .layout import (
     LayoutError,
     Scalar,
 )
-from .readonly import ReadOnlyBuffer, ReadOnlyViolation, readonly
-from .view import VIEW, ArrayView, TypedView, ViewError
+from .view import VIEW, ArrayView, ReadOnlyViolation, TypedView, ViewError
 
 __all__ = [
     "ArrayType",
@@ -45,7 +47,6 @@ __all__ = [
     "INT64",
     "Layout",
     "LayoutError",
-    "ReadOnlyBuffer",
     "ReadOnlyViolation",
     "SAFE_BUILTINS",
     "Scalar",
@@ -62,6 +63,5 @@ __all__ = [
     "is_blocking",
     "is_ephemeral",
     "may_block",
-    "readonly",
     "register_safe",
 ]

@@ -14,8 +14,11 @@ The reproduction provides:
   construction: the target must be a scalar-aggregate type (enforced by
   :class:`~repro.lang.layout.Layout` itself) and the buffer must be at
   least as large as the type.
-* Views over READONLY buffers are read-only: assigning a field raises
-  :class:`~repro.lang.readonly.ReadOnlyViolation`.
+* Views over READONLY buffers (``bytes``, or a memoryview made with
+  ``toreadonly()``, which is what a frozen packet's ``data`` is) are
+  read-only: assigning a field or an array element raises
+  :class:`ReadOnlyViolation`.  The interpreter itself refuses a write
+  through the read-only memoryview.
 """
 
 from __future__ import annotations
@@ -25,48 +28,25 @@ from typing import Union
 
 from .ephemeral import register_safe
 from .layout import ArrayType, Layout, Scalar
-from .readonly import ReadOnlyBuffer, ReadOnlyViolation
 
-__all__ = ["VIEW", "TypedView", "ArrayView", "ViewError", "raw_storage"]
+__all__ = ["VIEW", "TypedView", "ArrayView", "ViewError", "ReadOnlyViolation"]
 
 
 class ViewError(TypeError):
     """Raised when a VIEW cannot be constructed safely."""
 
 
-BufferLike = Union[bytes, bytearray, memoryview, ReadOnlyBuffer]
+class ReadOnlyViolation(TypeError):
+    """Raised when code writes through a READONLY packet or view.
 
-
-def _storage_and_writability(buffer: BufferLike):
-    """Return (indexable storage, writable flag) for the buffer."""
-    # Checked most-common-first: packet paths overwhelmingly view bytes
-    # and bytearray buffers.
-    if isinstance(buffer, bytes):
-        return buffer, False
-    if isinstance(buffer, bytearray):
-        return buffer, True
-    if isinstance(buffer, ReadOnlyBuffer):
-        return buffer.raw(), False
-    if isinstance(buffer, memoryview):
-        return buffer, not buffer.readonly
-    raise ViewError("VIEW requires a bytes-like buffer, got %r" % (buffer,))
-
-
-def raw_storage(buffer: BufferLike):
-    """The indexable storage behind ``buffer`` (unwraps ReadOnlyBuffer).
-
-    Protocol input paths use this with ``Layout.unpack_from`` to read a
-    whole header in one struct call.  Writability is not conveyed --
-    callers must treat the result as read-only.
+    This is the runtime analogue of the compile error in Figure 4 of the
+    paper (``BadPacketRecv`` writing through a READONLY parameter).  A
+    write through a frozen packet's ``data`` itself is refused by the
+    interpreter's read-only memoryview with a plain ``TypeError``.
     """
-    kind = type(buffer)
-    if kind is bytes or kind is bytearray or kind is memoryview:
-        return buffer
-    if kind is ReadOnlyBuffer:
-        # Skip .raw()'s defensive memoryview: the read-only contract here
-        # is the caller's responsibility, not the buffer's.
-        return buffer._data
-    return _storage_and_writability(buffer)[0]
+
+
+BufferLike = Union[bytes, bytearray, memoryview]
 
 
 class ArrayView:
@@ -116,7 +96,7 @@ class ArrayView:
     def __eq__(self, other) -> bool:
         if isinstance(other, ArrayView):
             return self.tobytes() == other.tobytes()
-        if isinstance(other, (bytes, bytearray)):
+        if isinstance(other, (bytes, bytearray, memoryview)):
             return self.tobytes() == bytes(other)
         if isinstance(other, (list, tuple)):
             return list(self) == list(other)
@@ -235,8 +215,8 @@ def VIEW(buffer: BufferLike, layout: Layout, offset: int = 0) -> TypedView:
         raise ViewError(
             "VIEW target must be a Layout (a scalar type or an aggregate of "
             "scalar types, paper sec. 3.2); got %r" % (layout,))
-    # Exact-type dispatch for the common buffer kinds; subclasses and
-    # ReadOnlyBuffer take the general helper.
+    # Exact-type dispatch for the common buffer kinds; subclasses take
+    # the isinstance fallback.
     kind = type(buffer)
     if kind is bytes:
         storage, writable = buffer, False
@@ -244,8 +224,10 @@ def VIEW(buffer: BufferLike, layout: Layout, offset: int = 0) -> TypedView:
         storage, writable = buffer, True
     elif kind is memoryview:
         storage, writable = buffer, not buffer.readonly
+    elif isinstance(buffer, (bytes, bytearray)):
+        storage, writable = buffer, isinstance(buffer, bytearray)
     else:
-        storage, writable = _storage_and_writability(buffer)
+        raise ViewError("VIEW requires a bytes-like buffer, got %r" % (buffer,))
     if offset < 0:
         raise ViewError("VIEW offset must be non-negative")
     if len(storage) - offset < layout.size:

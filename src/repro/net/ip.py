@@ -236,7 +236,7 @@ class IpProto:
             self.header_errors += 1
             return
         # The header is read where it lies in the store; only
-        # extensions, guards and VIEW need m.data and its READONLY wrapper.
+        # extensions, guards and VIEW need m.data and its read-only window.
         storage = m._storage
         start = m.off + off
         (vhl, tos, total, ident, frag, ttl, protocol, cksum,

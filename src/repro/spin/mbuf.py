@@ -32,9 +32,11 @@ fresh store with no headroom, and counts the link BSD would have
 prepended for the header.  Nothing shares storage between packets.
 
 READONLY packets (paper section 3.4): :meth:`Mbuf.freeze` marks a packet
-immutable; data access then returns :class:`~repro.lang.readonly.ReadOnlyBuffer`
-and every mutating operation raises ``ReadOnlyViolation``.  An extension
-that needs a private, writable packet calls :meth:`Mbuf.copy_packet`.
+immutable; :attr:`Mbuf.data` is then the window made read-only
+(``memoryview.toreadonly()``), through which the interpreter refuses any
+write with ``TypeError``, and :meth:`Mbuf.writable_data`, :meth:`Mbuf.push`
+and :meth:`Mbuf.prepend` raise ``ReadOnlyViolation``.  An extension that
+needs a private, writable packet calls :meth:`Mbuf.copy_packet`.
 
 CPU accounting: mbuf operations are pure; the per-host :class:`MbufPool`
 wraps allocation/free with cost charges so both OS models account mbuf
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from ..lang.readonly import ReadOnlyBuffer, ReadOnlyViolation
+from ..lang.view import ReadOnlyViolation
 
 __all__ = ["Mbuf", "MbufPool", "MLEN", "MCLBYTES", "MbufError"]
 
@@ -95,11 +97,11 @@ class Mbuf:
         return self._frozen
 
     @property
-    def data(self) -> Union[memoryview, ReadOnlyBuffer]:
-        """The packet's bytes; read-only when the packet is frozen."""
+    def data(self) -> memoryview:
+        """The packet's bytes; a read-only window when the packet is frozen."""
         window = memoryview(self._storage)[self.off:self.off + self.len]
         if self._frozen:
-            return ReadOnlyBuffer(window.toreadonly())
+            return window.toreadonly()
         return window
 
     def writable_data(self) -> memoryview:

@@ -56,16 +56,22 @@ class TestPacketsAreReadOnly:
         @ephemeral
         def prodding_handler(m, off, src_ip, src_port, dst_ip, dst_port):
             outcome["frozen"] = m.frozen
+            before = m.to_bytes()
             try:
                 m.writable_data()
                 outcome["mutated"] = True
             except ReadOnlyViolation:
                 outcome["mutated"] = False
+            try:
+                m.data[off] ^= 0xFF
+                outcome["written"] = True
+            except TypeError:
+                outcome["written"] = m.to_bytes() != before
         bed.stacks[1].udp_manager.bind(Credential("probe"), 7700,
                                        prodding_handler)
         sender = bed.stacks[0].udp_manager.bind(Credential("c"), 7600, noop)
         kpath(bed, 0, lambda: sender.send(b"untouchable", bed.ip(1), 7700))
-        assert outcome == {"frozen": True, "mutated": False}
+        assert outcome == {"frozen": True, "mutated": False, "written": False}
 
 
 class TestRuntimeAdaptation:

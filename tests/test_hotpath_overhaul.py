@@ -8,7 +8,6 @@ Covers the surfaces the overhaul added or rewrote:
   bound, and numpy loading only for a buffer over the crossover,
 * whole-record ``Layout.pack_into``/``unpack_from`` and the scalar
   getter/putter accessors,
-* ``raw_storage`` unwrapping,
 * the engine's zero-delay timeouts (once drawn from a recycle pool),
 * the dispatcher's cached handler snapshot,
 * ``try_charge`` uncontexted-charge accounting.
@@ -28,8 +27,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lang import VIEW, Layout, UINT16, UINT16_LE
-from repro.lang.readonly import ReadOnlyBuffer
-from repro.lang.view import raw_storage
 from repro.net.checksum import (
     internet_checksum,
     internet_checksum_reference,
@@ -218,23 +215,6 @@ class TestWholeRecordStruct:
     def test_scalar_getter_unknown_field(self):
         with pytest.raises(KeyError):
             UDP_HEADER.scalar_getter("nope")
-
-
-class TestRawStorage:
-    def test_plain_buffers_pass_through(self):
-        for buf in (b"abc", bytearray(b"abc"), memoryview(b"abc")):
-            assert raw_storage(buf) is buf
-
-    def test_readonly_buffer_unwraps_without_copy(self):
-        storage = b"\x00" * 64
-        wrapped = ReadOnlyBuffer(storage)
-        assert raw_storage(wrapped) is storage
-
-    def test_unpack_through_readonly(self):
-        buf = bytearray(UDP_HEADER.size)
-        UDP_HEADER.pack_into(buf, 0, 1, 2, 8, 0)
-        assert (UDP_HEADER.unpack_from(raw_storage(ReadOnlyBuffer(buf)), 0)
-                == (1, 2, 8, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,49 +1,72 @@
-"""Tests for READONLY buffers (paper section 3.4, Figure 4)."""
+"""Tests for READONLY packets (paper section 3.4, Figure 4).
+
+A frozen packet's ``data`` is its window made read-only by the
+interpreter (``memoryview.toreadonly()``): every read a ``bytes`` object
+supports works, and a write raises ``TypeError``.
+"""
 
 import pytest
 
-from repro.lang import ReadOnlyBuffer, ReadOnlyViolation, readonly
+from repro.spin import Mbuf
+
+
+def frozen(payload):
+    return Mbuf.from_bytes(payload).freeze()
 
 
 class TestReads:
     def test_length(self):
-        assert len(readonly(b"abcdef")) == 6
+        assert len(frozen(b"abcdef").data) == 6
 
     def test_indexing(self):
-        buf = readonly(b"abc")
-        assert buf[0] == ord("a")
-        assert buf[-1] == ord("c")
+        data = frozen(b"abc").data
+        assert data[0] == ord("a")
+        assert data[-1] == ord("c")
 
-    def test_slicing_returns_bytes(self):
-        buf = readonly(b"abcdef")
-        assert buf[1:3] == b"bc"
-        assert isinstance(buf[1:3], bytes)
+    def test_slicing_returns_a_readonly_window(self):
+        m = frozen(b"abcdef")
+        part = m.data[1:3]
+        assert part == b"bc"
+        assert isinstance(part, memoryview) and part.readonly
+        with pytest.raises(TypeError):
+            part[0] = ord("X")
+        assert m.to_bytes() == b"abcdef"
 
     def test_iteration(self):
-        assert list(readonly(b"ab")) == [ord("a"), ord("b")]
+        assert list(frozen(b"ab").data) == [ord("a"), ord("b")]
 
     def test_equality_with_bytes(self):
-        assert readonly(b"xy") == b"xy"
-        assert readonly(b"xy") == bytearray(b"xy")
-        assert readonly(b"xy") == readonly(b"xy")
-        assert readonly(b"xy") != b"yz"
+        assert frozen(b"xy").data == b"xy"
+        assert frozen(b"xy").data == bytearray(b"xy")
+        assert frozen(b"xy").data == frozen(b"xy").data
+        assert frozen(b"xy").data != b"yz"
 
     def test_bytes_conversion(self):
-        assert bytes(readonly(bytearray(b"ab"))) == b"ab"
+        assert bytes(frozen(bytearray(b"ab")).data) == b"ab"
 
-    def test_hashable(self):
-        assert hash(readonly(b"ab")) == hash(readonly(b"ab"))
+    def test_hash_takes_bytes(self):
+        """The window over a bytearray store is unhashable; a site that
+        hashes or keys a dict with frozen data takes ``bytes(...)``."""
+        data = frozen(b"abcd").data
+        with pytest.raises(TypeError):
+            hash(data[0:2])
+        seen = {bytes(data[0:2]): 1}
+        assert seen[b"ab"] == 1
+        assert hash(bytes(data)) == hash(b"abcd")
 
     def test_wraps_memoryview(self):
-        assert readonly(memoryview(b"ab"))[0] == ord("a")
+        """``data`` is one window on the packet's own store: no copy."""
+        m = frozen(b"ab")
+        data = m.data
+        assert isinstance(data, memoryview) and data.readonly
+        assert data.obj is m._storage
+        m._storage[m.off] = ord("z")
+        assert data[0] == ord("z")
 
     def test_idempotent(self):
-        buf = readonly(b"ab")
-        assert readonly(buf) is buf
-
-    def test_rejects_non_buffer(self):
-        with pytest.raises(TypeError):
-            ReadOnlyBuffer([1, 2, 3])
+        m = frozen(b"ab")
+        assert m.freeze() is m and m.frozen
+        assert m.data.readonly and m.data == b"ab"
 
 
 class TestFigure4:
@@ -51,44 +74,18 @@ class TestFigure4:
 
     def test_bad_packet_recv_rejected(self):
         """BadPacketRecv overwrites the packet: 'rejected by compiler'."""
-        m_data = readonly(bytearray(64))
-        with pytest.raises(ReadOnlyViolation):
+        m = Mbuf.from_bytes(b"\x01" * 64).freeze()
+        m_data = m.data
+        with pytest.raises(TypeError):
             for i in range(len(m_data)):
                 m_data[i] = 0
+        assert m.to_bytes() == b"\x01" * 64
 
     def test_good_packet_recv_copies_first(self):
         """GoodPacketRecv copies, then overwrites the copy: legal."""
-        m_data = readonly(bytearray(b"\x01" * 64))
-        p = m_data.copy()
+        m = Mbuf.from_bytes(b"\x01" * 64).freeze()
+        p = bytearray(m.data)
         for i in range(len(p)):
             p[i] = 0
         assert p == bytearray(64)
-        assert m_data == b"\x01" * 64  # the original is untouched
-
-
-class TestMutationRejection:
-    @pytest.mark.parametrize("operation", [
-        lambda b: b.__setitem__(0, 1),
-        lambda b: b.__delitem__(0),
-        lambda b: b.append(1),
-        lambda b: b.extend(b"x"),
-        lambda b: b.insert(0, 1),
-        lambda b: b.pop(),
-        lambda b: b.clear(),
-        lambda b: b.remove(1),
-        lambda b: b.reverse(),
-        lambda b: b.sort(),
-    ])
-    def test_all_mutations_rejected(self, operation):
-        buf = readonly(bytearray(b"\x01\x02\x03"))
-        with pytest.raises(ReadOnlyViolation):
-            operation(buf)
-
-    def test_iadd_rejected(self):
-        buf = readonly(b"ab")
-        with pytest.raises(ReadOnlyViolation):
-            buf += b"c"
-
-    def test_raw_memoryview_is_readonly(self):
-        raw = readonly(bytearray(4)).raw()
-        assert raw.readonly
+        assert m.to_bytes() == b"\x01" * 64  # the original is untouched

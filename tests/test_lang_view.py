@@ -10,9 +10,9 @@ from repro.lang import (
     UINT8,
     VIEW,
     ViewError,
-    readonly,
 )
-from repro.net.headers import ETHERNET_HEADER
+from repro.net.headers import ARP_HEADER, ETHERNET_HEADER
+from repro.spin import Mbuf
 
 ETH = ETHERNET_HEADER
 SIMPLE = Layout("Simple", [("a", UINT16), ("b", UINT32)])
@@ -82,6 +82,18 @@ class TestReads:
         assert header.dst == b"\xff" * 6
         assert header.dst.tobytes() == b"\xff" * 6
 
+    def test_array_equality_with_memoryview(self):
+        buf = bytearray(range(28))
+        view = VIEW(buf, ARP_HEADER)
+        assert view.sha == memoryview(buf)[8:14]
+        assert view.sha != memoryview(buf)[9:15]
+
+    def test_array_equals_a_frozen_slice(self):
+        m = Mbuf.from_bytes(bytes(range(28))).freeze()
+        view = VIEW(m.data, ARP_HEADER)
+        assert view.sha == m.data[8:14]
+        assert view.sha != m.data[9:15]
+
     def test_unknown_field_rejected(self):
         view = VIEW(bytearray(6), SIMPLE)
         with pytest.raises(AttributeError, match="has no field"):
@@ -130,25 +142,34 @@ class TestZeroCopyAliasing:
 
 
 class TestReadOnlyViews:
-    def test_view_over_bytes_is_readonly(self):
+    def test_view_over_bytes_rejects_writes(self):
         view = VIEW(b"\x00" * 6, SIMPLE)
         with pytest.raises(ReadOnlyViolation):
             view.a = 1
 
     def test_view_over_readonly_buffer_rejects_writes(self):
-        buf = readonly(bytearray(6))
+        buf = memoryview(bytearray(6)).toreadonly()
         view = VIEW(buf, SIMPLE)
         assert view.a == 0
         with pytest.raises(ReadOnlyViolation, match="paper sec. 3.4"):
             view.a = 1
 
     def test_readonly_array_element_write_rejected(self):
-        view = VIEW(readonly(bytearray(20)), ETH)
+        view = VIEW(memoryview(bytearray(20)).toreadonly(), ETH)
         with pytest.raises(ReadOnlyViolation):
             view.dst[0] = 1
 
     def test_readonly_view_reads_fine(self):
         buf = bytearray(20)
         buf[12:14] = b"\x08\x06"
-        view = VIEW(readonly(buf), ETH)
+        view = VIEW(memoryview(buf).toreadonly(), ETH)
         assert view.type == 0x0806
+
+    def test_view_over_frozen_packet_rejects_writes(self):
+        m = Mbuf.from_bytes(bytes(20)).freeze()
+        view = VIEW(m.data, ETH)
+        with pytest.raises(ReadOnlyViolation):
+            view.type = 0x0800
+        with pytest.raises(ReadOnlyViolation):
+            view.dst[0] = 1
+        assert m.to_bytes() == bytes(20)
